@@ -90,7 +90,12 @@ def _wall(runner: Any, job: JobConf):
 
 def _metrics_without_wall(result: Any) -> Dict[str, Any]:
     d = result.metrics.to_dict()
-    d.pop("wall_seconds")
+    # Scheduling-path observables: the sequential reference shuffles
+    # through memory, so wall clocks and physical spill bytes exist only
+    # on the parallel side of the comparison.
+    for name in ("wall_seconds", "shuffle_bytes_spilled",
+                 "shuffle_bytes_merged"):
+        d.pop(name)
     return d
 
 

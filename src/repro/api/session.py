@@ -234,17 +234,13 @@ class Session:
         """The shared-scan grouping :meth:`run_many` would choose."""
         from repro.batch.multiscan import plan_shared_groups
 
-        plans = [self.lower(dataset, name=f"explain-q{i}")
+        scans = [self.lower(dataset, name=f"explain-q{i}").stages[0]
                  for i, dataset in enumerate(datasets)]
-        candidates = []
-        for plan in plans:
-            stage0 = plan.stages[0]
-            descriptor = self.system.plan(stage0.conf, stage0.hints)
-            optimized = stage0.conf.with_inputs(descriptor.chosen_inputs())
-            optimized.shuffle_filter = descriptor.shuffle_filter
-            candidates.append(optimized)
-        report = plan_shared_groups(candidates)
-        lines = [f"shared-scan plan for {len(plans)} queries:"]
+        report = plan_shared_groups([
+            self.system.plan(scan.conf, scan.hints).apply(scan.conf)
+            for scan in scans
+        ])
+        lines = [f"shared-scan plan for {len(scans)} queries:"]
         lines.append(report.describe())
         return "\n".join(lines).rstrip() + "\n"
 
@@ -407,23 +403,24 @@ def run_shared_plans(
     parallelism: Optional[int] = None,
     scheduler: Optional[str] = None,
 ) -> List[DatasetResult]:
-    """Execute ``(session, plan)`` pairs, fusing compatible scan stages.
+    """Execute ``(session, plan)`` pairs, sharing compatible scan stages.
 
     The cross-session core of :meth:`Session.run_many`: the query
     service uses it directly so queries from *different tenants'*
     sessions (each with its own catalog and scratch space) can still
     share one pass over a common hot file.  Only each plan's first stage
-    -- the one scanning the shared base input -- is a fusion candidate;
+    -- the one scanning the shared base input -- is a sharing candidate;
     it is planned exactly as :meth:`Manimal.execute
     <repro.core.manimal.Manimal.execute>` would (optimizer input
     substitution plus shuffle filter), grouped by
-    :func:`repro.batch.multiscan.plan_shared_groups`, and any remaining
-    stages (and every non-candidate plan) run the unchanged solo path.
-    All sessions must share one engine; a session on a different engine
-    simply runs solo.
+    :func:`repro.batch.multiscan.plan_shared_groups`, and each group
+    runs as one job group on the runner its leader would have run solo
+    on.  Any remaining stages (and every non-candidate plan) run the
+    unchanged solo path.  All sessions must share one engine; a session
+    on a different engine simply runs solo.
     """
     from repro.batch.multiscan import plan_shared_groups, run_shared_group
-    from repro.mapreduce.parallel import LocalJobRunner, resolve_runner
+    from repro.mapreduce.parallel import resolve_runner
 
     if not items:
         return []
@@ -435,9 +432,7 @@ def run_shared_plans(
             continue
         stage0 = plan.stages[0]
         descriptor = session.system.plan(stage0.conf, stage0.hints)
-        optimized = stage0.conf.with_inputs(descriptor.chosen_inputs())
-        optimized.shuffle_filter = descriptor.shuffle_filter
-        prepared.append((descriptor, optimized))
+        prepared.append((descriptor, descriptor.apply(stage0.conf)))
     report = plan_shared_groups(
         [None if p is None else p[1] for p in prepared]
     )
@@ -450,18 +445,11 @@ def run_shared_plans(
             parallelism, conf=leader_conf,
             default=leader_session.system.runner, engine=engine,
         )
-        if isinstance(runner, LocalJobRunner):
-            num_workers, splits, policy = 1, 10, None
-        else:
-            num_workers = getattr(runner, "num_workers", 1)
-            splits = getattr(runner, "splits_per_input", 10)
-            policy = getattr(runner, "retry_policy", None)
-        fused = run_shared_group(
-            [prepared[m.index][1] for m in group.members],
-            pool=engine.pool, num_workers=num_workers,
-            splits_per_input=splits, policy=policy,
+        shared = run_shared_group(
+            [prepared[m.index][1] for m in group.members], runner,
+            engine.pool,
         )
-        for member, result in zip(group.members, fused):
+        for member, result in zip(group.members, shared):
             stage0_results[member.index] = result
 
     results: List[DatasetResult] = []

@@ -19,7 +19,6 @@ from repro.batch.kernels import PredicateKernel, compile_predicates
 from repro.batch.multiscan import (
     GroupPlan,
     SharedPlanReport,
-    SharedScanSpec,
     plan_shared_groups,
     run_shared_group,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "PREAGG_OPS",
     "ScanPlan",
     "SharedPlanReport",
-    "SharedScanSpec",
     "build_scan_plan",
     "compile_predicates",
     "iter_column_batches",

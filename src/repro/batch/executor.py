@@ -1,30 +1,45 @@
-"""The vectorized map-task executor.
+"""The vectorized map-task executor: one block pass, N >= 1 stage scans.
 
 :func:`run_batch_map_task` is the batch path's single entry point, called
-from :func:`repro.mapreduce.runtime.execute_map_task` when the lowered
-stage carries a :class:`~repro.batch.spec.BatchStageSpec` for the split's
-input tag.  Because that chokepoint serves the sequential runner, the
-parallel runner's workers and the DAG stage scheduler alike, every
-scheduler consumes batches through this one implementation.
+from :func:`repro.mapreduce.runtime.execute_map_tasks` when any member of
+a job group carries a :class:`~repro.batch.spec.BatchStageSpec` for the
+split's input tag.  A job group is the unit and a solo job is a group of
+one: the task walks the split's recordfile blocks once, decodes the
+**union** of the columns its members need once per block (for one
+member, exactly that member's own decode plan), and hands every
+:class:`~repro.batch.columns.ColumnBatch` to each member's
+:class:`StageScan` -- the only implementation of the projection /
+join-side / aggregate / pre-aggregation block loops.  Because that
+chokepoint serves the sequential runner, the parallel runner's workers
+and the DAG stage scheduler alike, every scheduler -- and every
+shared-scan group (:mod:`repro.batch.multiscan`) -- consumes batches
+through this one implementation.
 
-The function returns ``None`` -- *do it the record way* -- whenever the
-concrete split does not match the spec's promises: a planner-substituted
+A member's result is ``None`` -- *do it the record way* -- whenever the
+concrete split does not match its spec's promises: a planner-substituted
 input format the batch scan cannot read (B+Tree selection indexes, delta
-and dictionary files, in-memory pairs), an opaque key or value schema, or
-a needed column missing from the (possibly projection-optimized) file.
-When it does run, rows re-materialize as ordinary ``Record``/primitive
-pairs at the emit boundary and flow through the same
-``_finish_map_task`` sizing/combining/filtering/partitioning tail as the
-record path, so the task's output -- and therefore the job's output --
-is byte-identical by construction.
+and dictionary files, in-memory pairs), an opaque key or value schema, a
+needed column missing from the (possibly projection-optimized) file, or
+a predicate the kernel compiler rejects.  The caller then runs *that
+member's* record-path mapper over the split while the others still share
+the pass.  When a member is served, its rows re-materialize as ordinary
+``Record``/primitive pairs at the emit boundary and flow through its own
+``_finish_map_task`` sizing/combining/filtering/partitioning tail, so
+the task's output -- and therefore the job's output -- is byte-identical
+to the record path, and to the member's solo run, by construction.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.batch.columns import build_scan_plan, iter_column_batches
-from repro.batch.kernels import compile_predicates
+from repro.batch.columns import (
+    ColumnBatch,
+    ScanPlan,
+    build_scan_plan,
+    iter_column_batches,
+)
+from repro.batch.kernels import PredicateKernel, compile_predicates
 from repro.batch.shuffleblocks import PREAGG_FN
 from repro.batch.spec import BatchStageSpec
 from repro.exceptions import JobExecutionError
@@ -37,12 +52,6 @@ from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
 from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import Record
-
-#: Map-side partial accumulators for byte-identity-safe pre-aggregation
-#: (see :data:`~repro.batch.spec.PREAGG_OPS`).  One kernel family with
-#: the reduce-side block fold: :mod:`repro.batch.shuffleblocks` combines
-#: its per-slice partials through these same functions.
-_PREAGG_FN = PREAGG_FN
 
 
 def _split_location(split: Any) -> Optional[Tuple[str, Any]]:
@@ -62,88 +71,117 @@ def _split_location(split: Any) -> Optional[Tuple[str, Any]]:
     return None
 
 
-def run_batch_map_task(
-    conf: JobConf, spec: BatchStageSpec, tag: Optional[str], split: Any
-) -> Optional[MapTaskResult]:
-    """Serve one map task vectorized, or return ``None`` to fall back."""
-    from repro.batch.multiscan import SharedScanSpec, run_shared_map_task
+class StageScan:
+    """One member's per-task execution state inside a batch map task.
 
-    if isinstance(spec, SharedScanSpec):
-        # Fused multi-query scan (one pass, many members); no record
-        # fallback exists for it, so the shared path raises on trouble.
-        return run_shared_map_task(conf, spec, tag, split)
-    location = _split_location(split)
-    if location is None:
-        return None
-    path, blocks = location
-    reader = RecordFileReader(path)
-    plan = build_scan_plan(reader.key_schema, reader.value_schema, spec)
-    if plan is None:
-        reader.close()
-        return None
-    try:
-        kernel = compile_predicates(spec.predicates)
-    except TypeError:
-        reader.close()
-        return None
+    ``process`` holds the block loops -- kernel selection, emit
+    materialization, the pre-aggregation fold in first-occurrence order
+    -- and ``finish`` charges the member's solo-parity accounting and
+    runs its own ``_finish_map_task`` tail.  Nothing here knows how many
+    other members share the pass, which is what makes a member's task
+    output equal its solo batch run by construction.
+    """
 
-    out = MapTaskResult(partitions=[[] for _ in range(conf.num_reducers)])
-    metrics = out.metrics
-    emitted: List[Tuple[Any, Any]] = []
-    n_rows = 0
-    logical_bytes = 0
-    try:
-        if spec.kind == "aggregate":
-            n_rows, logical_bytes = _run_aggregate(
-                conf, spec, reader, blocks, plan, kernel, emitted
+    def __init__(self, conf: JobConf, spec: BatchStageSpec,
+                 reader: RecordFileReader, plan: ScanPlan,
+                 kernel: Optional[PredicateKernel]):
+        self.conf = conf
+        self.spec = spec
+        #: this member's *own* decode plan: the columns it adds to the
+        #: pass, and the honest ``fields_deserialized`` width (a member
+        #: is never billed for columns other members forced in)
+        self.plan = plan
+        self.kernel = kernel
+        self.emitted: List[Tuple[Any, Any]] = []
+        self.aggregate = spec.kind == "aggregate"
+        if self.aggregate:
+            self.aggs = spec.aggs or []
+            self.single = len(self.aggs) == 1
+            # Integer sum/min/max only -- the ops whose partials provably
+            # reduce to byte-identical output (see PREAGG_OPS); a combiner
+            # expects raw rows, so its presence keeps rows unfolded.
+            self.preagg = spec.preagg and conf.combiner is None
+            self.groups: dict = {}
+            # One kernel family with the reduce-side block fold:
+            # shuffleblocks combines its per-slice partials through
+            # these same functions.
+            self.fns = (
+                [PREAGG_FN[op] for op, _ in self.aggs] if self.preagg else []
             )
         else:
-            n_rows, logical_bytes = _run_projection(
-                spec, reader, blocks, plan, kernel, emitted
+            self.emit_schema = (
+                spec.out_value_schema
+                if spec.project_columns is not None
+                else reader.value_schema
             )
-    except Exception as exc:
-        reader.close()
-        raise JobExecutionError(
-            f"map task failed in job {conf.name!r}: {exc}"
-        ) from exc
+            self.emit_names = self.emit_schema.field_names()
+            self.join_side = spec.kind == "join-side"
 
-    metrics.map_input_records += n_rows
-    metrics.map_input_stored_bytes += reader.bytes_read
-    metrics.map_input_logical_bytes += logical_bytes
-    # Honest decode accounting: the batch scan materializes exactly the
-    # captured columns, once per row (the record path charges whatever
-    # its eager/lazy reader did -- compare trends, not absolutes).
-    metrics.fields_deserialized += plan.n_slots * n_rows
-    metrics.batch_map_tasks += 1
-    reader.close()
-    _finish_map_task(conf, out, emitted)
-    return out
+    @classmethod
+    def open(cls, conf: JobConf, spec: BatchStageSpec,
+             reader: RecordFileReader) -> Optional["StageScan"]:
+        """The member's scan over ``reader``'s file, or ``None`` to decline."""
+        plan = build_scan_plan(reader.key_schema, reader.value_schema, spec)
+        if plan is None:
+            return None
+        try:
+            kernel = compile_predicates(spec.predicates)
+        except TypeError:  # a predicate the kernel compiler rejects
+            return None
+        return cls(conf, spec, reader, plan, kernel)
 
-
-def _run_projection(spec, reader, blocks, plan, kernel, emitted):
-    """map / join-side stages: filter rows, emit (key, value) pairs."""
-    emit_schema = (
-        spec.out_value_schema
-        if spec.project_columns is not None
-        else reader.value_schema
-    )
-    emit_names = emit_schema.field_names()
-    join_tag = spec.join_tag
-    join_side = spec.kind == "join-side"
-    append = emitted.append
-    n_rows = 0
-    logical_bytes = 0
-    for batch in iter_column_batches(reader, blocks, plan):
-        n_rows += batch.n_rows
-        logical_bytes += batch.logical_bytes
-        if kernel is not None:
-            selected: Any = kernel.select(batch.n_rows, batch.column)
+    def process(self, batch: ColumnBatch) -> None:
+        """Run this member's stage over one decoded block."""
+        spec = self.spec
+        if self.kernel is not None:
+            selected: Any = self.kernel.select(batch.n_rows, batch.column)
         else:
             selected = range(batch.n_rows)
+        append = self.emitted.append
+        if self.aggregate:
+            # aggregate stages: emit (group value, agg inputs) rows
+            group_col = batch.column(spec.group_column)
+            agg_cols = [
+                None if column is None else batch.column(column)
+                for _, column in self.aggs
+            ]
+            if self.preagg:
+                # Hash-fold into one partial per group per task, in
+                # first-occurrence order -- exactly the representative
+                # -key order the reducer's stable sort would have picked
+                # from the raw rows.
+                groups = self.groups
+                fns = self.fns
+                for i in selected:
+                    group = group_col[i]
+                    accs = groups.get(group)
+                    if accs is None:
+                        groups[group] = [c[i] for c in agg_cols]
+                    else:
+                        for j, fn in enumerate(fns):
+                            accs[j] = fn(accs[j], agg_cols[j][i])
+            elif self.single:
+                agg_col = agg_cols[0]
+                if agg_col is None:  # count
+                    for i in selected:
+                        append((group_col[i], 1))
+                else:
+                    for i in selected:
+                        append((group_col[i], agg_col[i]))
+            else:
+                for i in selected:
+                    append((
+                        group_col[i],
+                        tuple(1 if c is None else c[i] for c in agg_cols),
+                    ))
+            return
+        # map / join-side stages: filter rows, emit (key, value) pairs
+        emit_schema = self.emit_schema
         keys = batch.keys
-        cols = [batch.column(name) for name in emit_names]
-        if join_side:
+        cols = [batch.column(name) for name in self.emit_names]
+        if self.join_side:
             on_col = batch.column(spec.join_on)
+            join_tag = spec.join_tag
             for i in selected:
                 append((
                     on_col[i],
@@ -152,62 +190,97 @@ def _run_projection(spec, reader, blocks, plan, kernel, emitted):
         else:
             for i in selected:
                 append((keys[i], Record(emit_schema, [c[i] for c in cols])))
-    return n_rows, logical_bytes
+
+    def finish(self, n_rows: int, stored_bytes: int,
+               logical_bytes: int) -> MapTaskResult:
+        """Close the pass: flush partials, account, run the output tail.
+
+        Solo-parity accounting: the member is charged the full pass it
+        would have performed alone -- same records, same stored/logical
+        bytes, and its *own* plan's decode width -- so its merged job
+        metrics match its solo run on every volume field.
+        """
+        if self.aggregate and self.preagg:
+            append = self.emitted.append
+            for group, accs in self.groups.items():
+                append((group, accs[0] if self.single else tuple(accs)))
+        out = MapTaskResult(
+            partitions=[[] for _ in range(self.conf.num_reducers)]
+        )
+        metrics = out.metrics
+        metrics.map_input_records += n_rows
+        metrics.map_input_stored_bytes += stored_bytes
+        metrics.map_input_logical_bytes += logical_bytes
+        # Honest decode accounting: the batch scan materializes exactly
+        # the captured columns, once per row (the record path charges
+        # whatever its eager/lazy reader did -- compare trends, not
+        # absolutes).
+        metrics.fields_deserialized += self.plan.n_slots * n_rows
+        metrics.batch_map_tasks += 1
+        _finish_map_task(self.conf, out, self.emitted)
+        return out
 
 
-def _run_aggregate(conf, spec, reader, blocks, plan, kernel, emitted):
-    """aggregate stages: emit (group value, agg inputs) rows.
+def _union_plan(reader: RecordFileReader,
+                scans: Sequence[StageScan]) -> ScanPlan:
+    """The pass's decode plan: every column any member needs, once.
 
-    With ``spec.preagg`` (integer sum/min/max only -- the ops whose
-    partials provably reduce to byte-identical output) rows hash-fold
-    into one partial per group per task, in first-occurrence order, which
-    is exactly the representative-key order the reducer's stable sort
-    would have picked from the raw rows.
+    For a single member this is that member's own plan, slot for slot.
     """
-    aggs = spec.aggs or []
-    single = len(aggs) == 1
-    preagg = spec.preagg and conf.combiner is None
-    groups: dict = {}
-    fns = [_PREAGG_FN[op] for op, _ in aggs] if preagg else []
-    append = emitted.append
-    n_rows = 0
-    logical_bytes = 0
-    for batch in iter_column_batches(reader, blocks, plan):
-        n_rows += batch.n_rows
-        logical_bytes += batch.logical_bytes
-        if kernel is not None:
-            selected: Any = kernel.select(batch.n_rows, batch.column)
-        else:
-            selected = range(batch.n_rows)
-        group_col = batch.column(spec.group_column)
-        agg_cols = [
-            None if column is None else batch.column(column)
-            for _, column in aggs
+    capture: List[str] = []
+    for scan in scans:
+        for name in scan.plan.slots:
+            if name not in capture:
+                capture.append(name)
+    return ScanPlan(
+        reader.key_schema, reader.value_schema, capture,
+        decode_keys=any(scan.plan.decode_keys for scan in scans),
+    )
+
+
+def run_batch_map_task(
+    confs: Sequence[JobConf],
+    specs: Sequence[Optional[BatchStageSpec]],
+    split: Any,
+) -> List[Optional[MapTaskResult]]:
+    """Serve one map task vectorized for every member it can.
+
+    ``specs[i]`` is member *i*'s spec for the split's input (``None``
+    when its stage is not analyzer-described).  Returns one entry per
+    member, aligned: a :class:`MapTaskResult`, or ``None`` for a member
+    that must run its record path.
+    """
+    declined: List[Optional[MapTaskResult]] = [None] * len(confs)
+    location = _split_location(split)
+    if location is None:
+        return declined
+    path, blocks = location
+    with RecordFileReader(path) as reader:
+        scans = [
+            None if spec is None else StageScan.open(conf, spec, reader)
+            for conf, spec in zip(confs, specs)
         ]
-        if preagg:
-            for i in selected:
-                group = group_col[i]
-                accs = groups.get(group)
-                if accs is None:
-                    groups[group] = [c[i] for c in agg_cols]
-                else:
-                    for j, fn in enumerate(fns):
-                        accs[j] = fn(accs[j], agg_cols[j][i])
-        elif single:
-            agg_col = agg_cols[0]
-            if agg_col is None:  # count
-                for i in selected:
-                    append((group_col[i], 1))
-            else:
-                for i in selected:
-                    append((group_col[i], agg_col[i]))
-        else:
-            for i in selected:
-                append((
-                    group_col[i],
-                    tuple(1 if c is None else c[i] for c in agg_cols),
-                ))
-    if preagg:
-        for group, accs in groups.items():
-            append((group, accs[0] if single else tuple(accs)))
-    return n_rows, logical_bytes
+        live = [scan for scan in scans if scan is not None]
+        if not live:
+            return declined
+        n_rows = 0
+        logical_bytes = 0
+        try:
+            for batch in iter_column_batches(
+                reader, blocks, _union_plan(reader, live)
+            ):
+                n_rows += batch.n_rows
+                logical_bytes += batch.logical_bytes
+                for scan in live:
+                    scan.process(batch)
+        except Exception as exc:
+            names = "+".join(scan.conf.name for scan in live)
+            raise JobExecutionError(
+                f"map task failed in job {names!r}: {exc}"
+            ) from exc
+        stored_bytes = reader.bytes_read
+    return [
+        None if scan is None
+        else scan.finish(n_rows, stored_bytes, logical_bytes)
+        for scan in scans
+    ]

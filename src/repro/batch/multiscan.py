@@ -2,77 +2,49 @@
 
 PRs 1-9 optimized *single* queries; the service front door now fields
 many concurrent analyzer-described queries over the same hot datasets,
-and each one still pays its own full scan.  This module adds MRShare-
-style work sharing on top of the batch executor: given N map-stage
-pipelines whose :class:`~repro.batch.spec.BatchStageSpec`\\ s target the
-same input file, one fused map-only job walks the recordfile blocks
-once, decodes the **union** of the columns the specs need once per
-block, runs every query's compiled kernel chain against the shared
-:class:`~repro.batch.columns.ColumnBatch`, and routes each query's
-emits through its own
-:func:`~repro.mapreduce.runtime._finish_map_task` tail -- so every
-member's bytes are identical to its solo run by construction.
+and each one would otherwise pay its own full scan.  MRShare-style work
+sharing needs no machinery of its own here, because the execution
+fabric's unit is already a **job group** -- N >= 1 jobs over one scan of
+their shared inputs, a solo job being a group of one:
 
-Execution rides the existing chokepoints end to end:
+* the job driver (:func:`~repro.mapreduce.runtime.run_job_group`, behind
+  every runner's ``run_group``) enumerates the shared file's splits once
+  and runs each map task once for the whole group;
+* the batch executor (:func:`~repro.batch.executor.run_batch_map_task`)
+  walks the task's recordfile blocks once, decodes the **union** of the
+  columns the members need once per block, and runs every member's
+  compiled kernel chain against the shared
+  :class:`~repro.batch.columns.ColumnBatch`; each member's emits flow
+  through its own :func:`~repro.mapreduce.runtime._finish_map_task`
+  tail, its own ``(member, partition)`` shuffle and its own reduces --
+  in worker processes, with typed shuffle, retries, heartbeats and the
+  degradation ladder, whenever the group runs on the parallel runner --
+  so every member's bytes are identical to its solo run by construction.
 
-* the fused job is an ordinary map-only :class:`JobConf` whose
-  ``batch_specs`` carry a :class:`SharedScanSpec`; its map tasks run
-  through :func:`~repro.mapreduce.runtime.execute_map_task` ->
-  :func:`~repro.batch.executor.run_batch_map_task` ->
-  :func:`run_shared_map_task`, so the worker pool's fault points,
-  retries, heartbeats and degradation ladder cover fused tasks exactly
-  as they cover solo ones;
-* fused reduce partitions are the *offset-concatenation* of the
-  members' partitions (member *i*'s partition *p* is fused partition
-  ``offset_i + p``); the map-only pass-through reduce transports each
-  partition's pairs back in map-task order, and the parent then runs
-  each member's own reduce per partition in partition order -- exactly
-  the sequential :class:`~repro.mapreduce.runtime.LocalJobRunner`
-  semantics every runner is byte-identical to.
-
-Sharing is gated, not assumed: :func:`plan_shared_groups` groups
-candidates by concrete input fingerprint, re-validates each member
-against the file (opaque schemas, missing columns and uncompilable
-predicates fall back to the solo path), and applies a cost model so a
-narrow scan is never blindly fused into a wide union (see
-:data:`LATENCY_FACTOR`).  Singleton groups and ineligible stages run
-the existing solo path unchanged.
+What this module owns is the *policy*: which submissions are worth
+running as one group.  Sharing is gated, not assumed:
+:func:`plan_shared_groups` groups candidates by concrete input
+fingerprint, re-validates each member against the file (opaque schemas,
+missing columns and uncompilable predicates fall back to the solo path),
+and applies a cost model so a narrow scan is never blindly fused into a
+wide union (see :data:`LATENCY_FACTOR`).  Singleton groups and
+ineligible stages run the existing solo path unchanged.
+:func:`run_shared_group` hands an approved group to a runner and books
+the savings.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
-from repro.batch.columns import (
-    ScanPlan,
-    build_scan_plan,
-    iter_column_batches,
-)
-from repro.batch.executor import _split_location
+from repro.batch.columns import build_scan_plan
 from repro.batch.kernels import compile_predicates
-from repro.batch.shuffleblocks import PREAGG_FN
 from repro.batch.spec import BatchStageSpec
-from repro.exceptions import JobExecutionError
-from repro.mapreduce import shuffle
-from repro.mapreduce.api import Mapper
-from repro.mapreduce.counters import FRAMEWORK_GROUP, Counters
 from repro.mapreduce.formats import ProjectedFileInput, RecordFileInput
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.runtime import (
-    MapTaskResult,
-    _finish_map_task,
-    execute_reduce_partition,
-    write_job_output,
-)
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import Record
 
 #: Modeled cost of materializing one decoded field, relative to the
 #: boundary walk every scan pays per field whether it decodes it or not.
@@ -88,250 +60,6 @@ LATENCY_FACTOR = 2.0
 #: Group-level gate (the MRShare total-work check): the fused pass must
 #: model strictly cheaper than this fraction of the summed solo passes.
 SHARE_THRESHOLD = 0.9
-
-
-class _FusedScanMapper(Mapper):
-    """Placeholder mapper of the synthetic fused job.
-
-    Never invoked: fused map tasks are intercepted by the shared-scan
-    batch dispatch before the record path would instantiate a mapper.
-    Reaching it means a grouping bug, so it fails loudly.
-    """
-
-    def map(self, key: Any, value: Any, ctx: Any) -> None:
-        raise JobExecutionError(
-            "fused shared-scan job fell back to the record path; "
-            "grouping admitted an ineligible member"
-        )
-
-
-@dataclass
-class SharedMember:
-    """One member query of a fused scan: its conf, spec and offset."""
-
-    conf: JobConf
-    spec: BatchStageSpec
-    #: this member's partitions occupy fused partitions
-    #: ``[offset, offset + conf.num_reducers)``
-    offset: int
-
-
-@dataclass
-class SharedScanSpec:
-    """The fused job's ``batch_specs`` entry: the member list.
-
-    :func:`~repro.batch.executor.run_batch_map_task` dispatches on this
-    type, so the fused job flows through every existing scheduler and
-    recovery path without any of them knowing about sharing.
-    """
-
-    members: List[SharedMember]
-
-    def describe(self) -> str:
-        return (
-            f"shared scan of {len(self.members)} queries: "
-            + ", ".join(m.conf.name for m in self.members)
-        )
-
-
-# -- the fused map task -------------------------------------------------------
-
-
-class _MemberScan:
-    """One member's per-task execution state inside a fused map task.
-
-    ``process`` mirrors the inner loops of
-    :func:`~repro.batch.executor._run_projection` /
-    :func:`~repro.batch.executor._run_aggregate` exactly -- same kernel
-    selection, same emit materialization, same pre-aggregation fold in
-    first-occurrence order -- and ``finish`` runs the member's own
-    ``_finish_map_task`` tail, so the member's task output bytes equal
-    its solo batch run by construction.
-    """
-
-    def __init__(self, member: SharedMember, reader: RecordFileReader):
-        conf, spec = member.conf, member.spec
-        self.conf = conf
-        self.spec = spec
-        solo_plan = build_scan_plan(
-            reader.key_schema, reader.value_schema, spec
-        )
-        if solo_plan is None:
-            raise JobExecutionError(
-                f"shared scan admitted {conf.name!r} but the file no "
-                "longer serves its spec (schema or columns changed)"
-            )
-        #: decode width of this member's *solo* plan -- the honest
-        #: ``fields_deserialized`` charge (the member is never billed
-        #: for union columns other members forced into the pass)
-        self.solo_slots = solo_plan.n_slots
-        self.kernel = compile_predicates(spec.predicates)
-        self.out = MapTaskResult(
-            partitions=[[] for _ in range(conf.num_reducers)]
-        )
-        self.emitted: List[Tuple[Any, Any]] = []
-        self.aggregate = spec.kind == "aggregate"
-        if self.aggregate:
-            self.aggs = spec.aggs or []
-            self.single = len(self.aggs) == 1
-            self.preagg = spec.preagg and conf.combiner is None
-            self.groups: dict = {}
-            self.fns = (
-                [PREAGG_FN[op] for op, _ in self.aggs] if self.preagg else []
-            )
-        else:
-            self.emit_schema = (
-                spec.out_value_schema
-                if spec.project_columns is not None
-                else reader.value_schema
-            )
-            self.emit_names = self.emit_schema.field_names()
-            self.join_side = spec.kind == "join-side"
-
-    def process(self, batch: Any) -> None:
-        spec = self.spec
-        if self.kernel is not None:
-            selected: Any = self.kernel.select(batch.n_rows, batch.column)
-        else:
-            selected = range(batch.n_rows)
-        append = self.emitted.append
-        if self.aggregate:
-            group_col = batch.column(spec.group_column)
-            agg_cols = [
-                None if column is None else batch.column(column)
-                for _, column in self.aggs
-            ]
-            if self.preagg:
-                groups = self.groups
-                fns = self.fns
-                for i in selected:
-                    group = group_col[i]
-                    accs = groups.get(group)
-                    if accs is None:
-                        groups[group] = [c[i] for c in agg_cols]
-                    else:
-                        for j, fn in enumerate(fns):
-                            accs[j] = fn(accs[j], agg_cols[j][i])
-            elif self.single:
-                agg_col = agg_cols[0]
-                if agg_col is None:  # count
-                    for i in selected:
-                        append((group_col[i], 1))
-                else:
-                    for i in selected:
-                        append((group_col[i], agg_col[i]))
-            else:
-                for i in selected:
-                    append((
-                        group_col[i],
-                        tuple(1 if c is None else c[i] for c in agg_cols),
-                    ))
-            return
-        emit_schema = self.emit_schema
-        keys = batch.keys
-        cols = [batch.column(name) for name in self.emit_names]
-        if self.join_side:
-            on_col = batch.column(spec.join_on)
-            join_tag = spec.join_tag
-            for i in selected:
-                append((
-                    on_col[i],
-                    (join_tag, Record(emit_schema, [c[i] for c in cols])),
-                ))
-        else:
-            for i in selected:
-                append((keys[i], Record(emit_schema, [c[i] for c in cols])))
-
-    def finish(self) -> None:
-        if self.aggregate and self.preagg:
-            append = self.emitted.append
-            for group, accs in self.groups.items():
-                append((group, accs[0] if self.single else tuple(accs)))
-        _finish_map_task(self.conf, self.out, self.emitted)
-
-
-def _union_plan(reader: RecordFileReader,
-                members: Sequence[SharedMember]) -> ScanPlan:
-    """The union decode plan: every column any member needs, once."""
-    capture: List[str] = []
-    seen = set()
-    decode_keys = False
-    for member in members:
-        needed = member.spec.needed_columns()
-        if needed is None:
-            needed = reader.value_schema.field_names()
-        for name in needed:
-            if name not in seen:
-                seen.add(name)
-                capture.append(name)
-        if member.spec.kind != "aggregate":
-            decode_keys = True
-    return ScanPlan(reader.key_schema, reader.value_schema, capture,
-                    decode_keys=decode_keys)
-
-
-def run_shared_map_task(
-    conf: JobConf, sspec: SharedScanSpec, tag: Optional[str], split: Any
-) -> MapTaskResult:
-    """Serve one fused map task: one block pass, every member's emits.
-
-    Unlike the solo batch path there is no record fallback here -- the
-    fused conf's mapper is a placeholder -- so anything the grouping
-    promised but the concrete file cannot honor raises.
-    """
-    location = _split_location(split)
-    if location is None:
-        raise JobExecutionError(
-            f"fused job {conf.name!r} got a non-recordfile split"
-        )
-    path, blocks = location
-    reader = RecordFileReader(path)
-    try:
-        scans = [_MemberScan(member, reader) for member in sspec.members]
-        plan = _union_plan(reader, sspec.members)
-        n_rows = 0
-        logical_bytes = 0
-        for batch in iter_column_batches(reader, blocks, plan):
-            n_rows += batch.n_rows
-            logical_bytes += batch.logical_bytes
-            for scan in scans:
-                scan.process(batch)
-    except JobExecutionError:
-        reader.close()
-        raise
-    except Exception as exc:
-        reader.close()
-        raise JobExecutionError(
-            f"map task failed in job {conf.name!r}: {exc}"
-        ) from exc
-
-    # Solo-parity accounting: every member is charged the full pass it
-    # would have performed alone -- same records, same stored/logical
-    # bytes, and its *own* plan's decode width -- so a member's merged
-    # job metrics match its solo run on every volume field.
-    stored = reader.bytes_read
-    reader.close()
-    for scan in scans:
-        metrics = scan.out.metrics
-        metrics.map_input_records += n_rows
-        metrics.map_input_stored_bytes += stored
-        metrics.map_input_logical_bytes += logical_bytes
-        metrics.fields_deserialized += scan.solo_slots * n_rows
-        metrics.batch_map_tasks += 1
-        scan.finish()
-
-    fused = MapTaskResult(partitions=[[] for _ in range(conf.num_reducers)])
-    for member, scan in zip(sspec.members, scans):
-        for part, pairs in enumerate(scan.out.partitions):
-            fused.partitions[member.offset + part] = pairs
-    # Per-member deltas ride back on the fused task metrics.  The pool
-    # only ever reads ``shuffle_bytes_spilled`` off this object and the
-    # shared rollup never merge()s it, so the extra attribute is inert
-    # everywhere except :func:`run_shared_group`.
-    fused.metrics.members = [
-        (scan.out.metrics, scan.out.counters) for scan in scans
-    ]
-    return fused
 
 
 # -- grouping and the cost model ----------------------------------------------
@@ -551,130 +279,35 @@ def plan_shared_groups(
     return report
 
 
-# -- running a fused group ----------------------------------------------------
+# -- running a group ----------------------------------------------------------
 
 
-def run_shared_group(
-    confs: Sequence[JobConf],
-    pool: Any,
-    num_workers: int = 1,
-    splits_per_input: int = 10,
-    policy: Optional[Any] = None,
-) -> List[JobResult]:
-    """Execute one approved group as a single fused scan job.
+def run_shared_group(confs: Sequence[JobConf], runner: Any,
+                     pool: Any) -> List[JobResult]:
+    """Execute one approved group as a single pass on ``runner``.
 
     Returns one :class:`~repro.mapreduce.job.JobResult` per member, in
     member order, each byte-identical (outputs, counters, and every
     volume metric except the scheduling-path observables) to the
-    member's solo run.  The fused job itself is a map-only conf running
-    on ``pool`` through :meth:`~repro.engine.pool.WorkerPool.run_job`,
-    so worker crashes and hung tasks recover exactly as solo jobs do.
+    member's solo run -- the runner's ``run_group`` is the same job
+    driver its ``run`` is.  The savings land on the members' metrics and
+    on ``pool``'s ``stats()``.
     """
-    from repro.engine.pool import _JobState
-
-    start = time.perf_counter()
-    members: List[SharedMember] = []
-    offset = 0
-    for conf in confs:
-        source = conf.inputs[0]
-        spec = conf.batch_specs.get(source.tag)
-        if not isinstance(spec, BatchStageSpec):
-            raise JobExecutionError(
-                f"job {conf.name!r} has no batch spec; it cannot join a "
-                "shared scan"
-            )
-        members.append(SharedMember(conf=conf, spec=spec, offset=offset))
-        offset += conf.num_reducers
-    source = confs[0].inputs[0]
-    fused = JobConf(
-        name="shared-scan(" + "+".join(c.name for c in confs) + ")",
-        mapper=_FusedScanMapper,
-        reducer=None,
-        inputs=[source],
-        num_reducers=offset,
-        batch_specs={source.tag: SharedScanSpec(members=members)},
-    )
-    tasks = [(source.tag, split) for split in source.splits(splits_per_input)]
-    spill_dir = tempfile.mkdtemp(prefix=f"manimal-shuffle-{os.getpid()}-")
-    state = _JobState(
-        conf=fused,
-        tasks=tasks,
-        spill_dir=spill_dir,
-        sort_runs=False,
-        faults=faults.current_plan(),
-        shuffle_spec=None,
-    )
-    job_metrics = [JobMetrics() for _ in confs]
-    job_counters = [Counters() for _ in confs]
-    outputs_by_member: List[List[Tuple[Any, Any]]] = [[] for _ in confs]
-    try:
-        map_results, reduce_results = pool.run_job(
-            state, num_workers, policy=policy
-        )
-        # Deterministic rollup, exactly the runners' order: per-member
-        # map deltas in task order, then reduce deltas and outputs in
-        # partition order.
-        map_results.sort(key=lambda r: r[0])
-        for _idx, _runs, task_metrics, task_counters in map_results:
-            for i, (member_metrics, member_counters) in enumerate(
-                task_metrics.members
-            ):
-                job_metrics[i].merge(member_metrics)
-                job_counters[i].merge(member_counters)
-        for i in range(len(confs)):
-            job_metrics[i].map_tasks = len(tasks)
-            job_counters[i].increment(
-                FRAMEWORK_GROUP, "map_tasks", len(tasks)
-            )
-        # The fused reduce phase is pure transport (pass-through, pairs
-        # in map-task order); its metrics describe the synthetic job and
-        # are discarded.  Each member's real reduce runs here, exactly
-        # as LocalJobRunner would have run it.
-        out_paths: Dict[int, str] = {}
-        for part, out_path, _metrics, _counters in reduce_results:
-            out_paths[part] = out_path
-        for i, (conf, member) in enumerate(zip(confs, members)):
-            for part in range(conf.num_reducers):
-                out_path = out_paths.get(member.offset + part)
-                if out_path is None:
-                    continue
-                pairs = shuffle.read_run(out_path)
-                if not pairs:
-                    continue
-                reduced = execute_reduce_partition(conf, pairs)
-                job_metrics[i].merge(reduced.metrics)
-                job_counters[i].merge(reduced.counters)
-                outputs_by_member[i].extend(reduced.outputs)
-    finally:
-        shutil.rmtree(spill_dir, ignore_errors=True)
-
-    wall = time.perf_counter() - start
-    results: List[JobResult] = []
+    run_group = getattr(runner, "run_group", None)
+    if run_group is None:
+        # A caller-supplied runner object only promises run(conf).
+        return [runner.run(conf) for conf in confs]
+    results = run_group(confs)
+    # Savings are scheduling-path observables: the group counts once per
+    # member, and every member after the first records the full input
+    # pass it did not perform.
     group_bytes_saved = 0
-    for i, conf in enumerate(confs):
-        outputs = outputs_by_member[i]
-        if conf.output_path is not None:
-            write_job_output(conf, outputs)
-        metrics = job_metrics[i]
-        metrics.wall_seconds = wall
-        # Savings are scheduling-path observables assigned here, parent
-        # side: the group counts once per member, and every member after
-        # the first records the full input pass it did not perform.
+    for i, result in enumerate(results):
+        metrics = result.metrics
         metrics.shared_scan_groups = 1
         if i > 0:
             metrics.scans_saved = 1
             metrics.shared_bytes_saved = metrics.map_input_stored_bytes
             group_bytes_saved += metrics.map_input_stored_bytes
-        job_counters[i].increment(
-            FRAMEWORK_GROUP, "reduce_output_records", len(outputs)
-        )
-        results.append(JobResult(
-            job_name=conf.name,
-            outputs=outputs,
-            counters=job_counters[i],
-            metrics=metrics,
-        ))
-    record = getattr(pool, "record_shared_scan", None)
-    if record is not None:
-        record(len(confs), group_bytes_saved)
+    pool.record_shared_scan(len(confs), group_bytes_saved)
     return results

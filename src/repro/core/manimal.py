@@ -192,11 +192,7 @@ class Manimal:
         decide.  The optimizer's plan is orthogonal to the fabric that
         executes it, so outputs are identical for every choice.
         """
-        optimized_conf = conf.with_inputs(descriptor.chosen_inputs())
-        # Always adopt the descriptor's verdict: ``with_inputs`` copies the
-        # original's shuffle filter, so a descriptor without one must clear
-        # any stale filter rather than leave the copy in place.
-        optimized_conf.shuffle_filter = descriptor.shuffle_filter
+        optimized_conf = descriptor.apply(conf)
         chosen = resolve_runner(runner, conf=optimized_conf,
                                 default=self.runner, engine=self.engine)
         return chosen.run(optimized_conf)

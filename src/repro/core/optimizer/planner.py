@@ -110,6 +110,18 @@ class ExecutionDescriptor:
     def chosen_inputs(self) -> List[InputSource]:
         return [p.chosen for p in self.plans]
 
+    def apply(self, conf: JobConf) -> JobConf:
+        """Copy of ``conf`` as this plan executes it: the chosen inputs
+        and this descriptor's shuffle-filter verdict.
+
+        The filter is always overwritten: ``with_inputs`` copies the
+        original's, so a descriptor without one must clear any stale
+        filter rather than leave the copy in place.
+        """
+        optimized = conf.with_inputs(self.chosen_inputs())
+        optimized.shuffle_filter = self.shuffle_filter
+        return optimized
+
     def optimizations(self) -> List[str]:
         out: List[str] = []
         for plan in self.plans:

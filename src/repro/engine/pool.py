@@ -18,8 +18,12 @@ pool behind the engine so workers are forked once and reused:
 * **inline path** -- no fork support (e.g. Windows) or an effective
   worker count of 1 runs the same spill-based task sequence in-process.
 
-All three paths execute the shared
-:func:`~repro.mapreduce.runtime.execute_map_task` /
+The unit of work is a **job group** -- N >= 1 jobs over one scan of
+their shared inputs, a solo job being a group of one (see
+:func:`~repro.mapreduce.runtime.run_job_group`): each map task runs once
+for the whole group and spills one run per ``(member, partition)``; each
+reduce task serves one ``(member, partition)``.  All three paths execute
+the shared :func:`~repro.mapreduce.runtime.execute_map_tasks` /
 :func:`~repro.mapreduce.runtime.execute_reduce_partition` bodies and
 produce byte-identical results; only scheduling differs.  In-flight
 tasks on the shared pool are throttled to the job's requested worker
@@ -83,7 +87,11 @@ from repro import faults
 from repro.exceptions import JobExecutionError, TransientTaskError
 from repro.mapreduce import shuffle
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.runtime import execute_map_task, execute_reduce_partition
+from repro.mapreduce.runtime import (
+    MapTask,
+    execute_map_tasks,
+    execute_reduce_partition,
+)
 
 
 def default_worker_count() -> int:
@@ -163,41 +171,50 @@ class RetryPolicy:
 class _JobState:
     """Per-run state workers reach through a state file or fork memory."""
 
-    conf: JobConf
-    #: (input tag, split) per map task, in deterministic enumeration order
-    tasks: List[Tuple[Optional[str], Any]]
+    #: the job group's members (a solo job is a group of one)
+    confs: List[JobConf]
+    #: the group's map tasks, in deterministic enumeration order
+    tasks: List[MapTask]
     spill_dir: str
-    #: sorted spill runs when the job reduces; raw runs for map-only jobs
-    sort_runs: bool
     #: fault-injection plan captured at submit time; travels to workers
     #: with the state so chaos tests hold over every scheduling path.
     faults: Optional[faults.FaultPlan] = None
     #: workers write per-task heartbeat files (the crash/deadline
     #: monitor's progress signal); off when recovery is disabled.
     heartbeats: bool = True
-    #: typed-shuffle spec resolved at submit time (conf eligibility plus
-    #: the ``REPRO_TYPED_SHUFFLE`` kill switch); ``None`` keeps the whole
-    #: job on the pickle spill path.  Riding the state -- like the fault
-    #: plan -- makes every worker inherit the same decision regardless
-    #: of scheduling path.
-    shuffle_spec: Optional[Any] = None
+    #: per-member typed-shuffle spec resolved at submit time (conf
+    #: eligibility plus the ``REPRO_TYPED_SHUFFLE`` kill switch);
+    #: ``None`` keeps that member on the pickle spill path.  Riding the
+    #: state -- like the fault plan -- makes every worker inherit the
+    #: same decision regardless of scheduling path.
+    shuffle_specs: List[Optional[Any]] = field(default_factory=list)
+
+    @property
+    def name(self) -> str:
+        """The group's label in errors and fault contexts."""
+        return "+".join(conf.name for conf in self.confs)
 
 
 # -- heartbeats ---------------------------------------------------------------
 
 
-def heartbeat_path(spill_dir: str, phase: str, index: int,
+def heartbeat_path(spill_dir: str, phase: str, label: str,
                    attempt: int) -> str:
     """The progress-marker file one task attempt touches at start."""
-    return os.path.join(spill_dir, f"hb-{phase}-{index}-a{attempt}")
+    return os.path.join(spill_dir, f"hb-{phase}-{label}-a{attempt}")
 
 
-def _touch_heartbeat(state: _JobState, phase: str, index: int,
+def _reduce_label(member: int, partition: int) -> str:
+    """A reduce task's name in heartbeat files and error messages."""
+    return f"{member}.{partition}"
+
+
+def _touch_heartbeat(state: _JobState, phase: str, label: str,
                      attempt: int) -> None:
     if not state.heartbeats:
         return
     try:
-        with open(heartbeat_path(state.spill_dir, phase, index, attempt),
+        with open(heartbeat_path(state.spill_dir, phase, label, attempt),
                   "wb"):
             pass
     except OSError:
@@ -207,77 +224,87 @@ def _touch_heartbeat(state: _JobState, phase: str, index: int,
 # -- shared task bodies ------------------------------------------------------
 
 
-def run_map_task(state: _JobState, task_index: int,
-                 attempt: int = 0) -> Tuple[int, Dict[int, str], Any, Any]:
-    """Run map task ``task_index`` and spill its partitioned output.
+def run_map_task(
+    state: _JobState, task_index: int, attempt: int = 0
+) -> Tuple[int, Dict[Tuple[int, int], str], List[Tuple[Any, Any]]]:
+    """Run map task ``task_index`` once for the whole group and spill.
 
-    Reducing jobs spill *decorated* sorted runs -- ``(sort_key, key,
-    value)`` rows -- so the sort key computed here is the one the merge
-    heap and the reducer's grouping reuse.  Jobs with a resolved
-    :class:`~repro.batch.shuffleblocks.ShuffleBlockSpec` spill typed
-    column blocks instead (encoded keys sorted as flat bytes), falling
-    back per run when a pair defeats the codecs.  Map-only jobs spill
-    plain pairs (their output is never sorted).
+    Returns ``(task_index, runs, deltas)``: the spilled run path per
+    non-empty ``(member, partition)`` and each member's ``(metrics,
+    counters)``.  Reducing members spill *decorated* sorted runs --
+    ``(sort_key, key, value)`` rows -- so the sort key computed here is
+    the one the merge heap and the reducer's grouping reuse.  Members
+    with a resolved :class:`~repro.batch.shuffleblocks.ShuffleBlockSpec`
+    spill typed column blocks instead (encoded keys sorted as flat
+    bytes), falling back per run when a pair defeats the codecs.
+    Map-only members spill plain pairs (their output is never sorted).
 
     ``attempt`` namespaces this execution's heartbeat and spill files:
     a retried task writes fresh run files instead of racing a killed
     sibling's partial output (quarantine), and the returned run paths
     are the only ones the reduce phase ever reads.
     """
-    tag, split = state.tasks[task_index]
-    _touch_heartbeat(state, "map", task_index, attempt)
-    spec = state.shuffle_spec
-    if spec is not None:
-        from repro.batch import shuffleblocks
+    tags, split = state.tasks[task_index]
+    _touch_heartbeat(state, "map", str(task_index), attempt)
     with faults.activate(state.faults):
         faults.fault_point(
             "pool.map_task", task_index=task_index, attempt=attempt,
-            job=state.conf.name,
+            job=state.name,
         )
-        task = execute_map_task(state.conf, tag, split)
-        runs: Dict[int, str] = {}
-        spilled_bytes = 0
-        for part, pairs in enumerate(task.partitions):
-            if not pairs:
-                continue
-            path = shuffle.run_path(state.spill_dir, "map", task_index,
-                                    part, attempt=attempt)
-            written = None
-            if state.sort_runs:
-                if spec is not None:
-                    # Typed block spill; declines (None) when any pair
-                    # defeats the codecs, which drops just this run --
-                    # not the job -- back to the pickle format.
-                    written = shuffleblocks.spill_typed_run(
-                        path, pairs, spec
-                    )
-                if written is None:
-                    written = shuffle.write_run(
-                        path,
-                        shuffle.sort_decorated_run(
-                            shuffle.decorate_pairs(pairs)
-                        ),
-                    )
-            else:
-                written = shuffle.write_run(path, pairs)
-            runs[part] = written
-            spilled_bytes += os.path.getsize(written)
-        task.metrics.shuffle_bytes_spilled += spilled_bytes
-    return task_index, runs, task.metrics, task.counters
+        results = execute_map_tasks(state.confs, tags, split)
+        runs: Dict[Tuple[int, int], str] = {}
+        for member, task in enumerate(results):
+            conf = state.confs[member]
+            spec = state.shuffle_specs[member]
+            if spec is not None:
+                from repro.batch import shuffleblocks
+            spilled_bytes = 0
+            for part, pairs in enumerate(task.partitions):
+                if not pairs:
+                    continue
+                path = shuffle.run_path(state.spill_dir, f"map{member}",
+                                        task_index, part, attempt=attempt)
+                if conf.reducer is None:
+                    written = shuffle.write_run(path, pairs)
+                else:
+                    written = None
+                    if spec is not None:
+                        # Typed block spill; declines (None) when any
+                        # pair defeats the codecs, which drops just this
+                        # run -- not the job -- back to the pickle format.
+                        written = shuffleblocks.spill_typed_run(
+                            path, pairs, spec
+                        )
+                    if written is None:
+                        written = shuffle.write_run(
+                            path,
+                            shuffle.sort_decorated_run(
+                                shuffle.decorate_pairs(pairs)
+                            ),
+                        )
+                runs[member, part] = written
+                spilled_bytes += os.path.getsize(written)
+            task.metrics.shuffle_bytes_spilled += spilled_bytes
+    return task_index, runs, [(t.metrics, t.counters) for t in results]
 
 
-def run_reduce_task(state: _JobState, partition: int, run_paths: List[str],
-                    attempt: int = 0) -> Tuple[int, str, Any, Any]:
-    """Merge one partition's runs, reduce them, spill the output."""
-    _touch_heartbeat(state, "reduce", partition, attempt)
+def run_reduce_task(
+    state: _JobState, member: int, partition: int, run_paths: List[str],
+    attempt: int = 0,
+) -> Tuple[int, int, str, Any, Any]:
+    """Merge one member partition's runs, reduce them, spill the output."""
+    conf = state.confs[member]
+    _touch_heartbeat(
+        state, "reduce", _reduce_label(member, partition), attempt
+    )
     with faults.activate(state.faults):
         faults.fault_point(
-            "pool.reduce_task", partition=partition, attempt=attempt,
-            job=state.conf.name,
+            "pool.reduce_task", member=member, partition=partition,
+            attempt=attempt, job=state.name,
         )
         merged_bytes = sum(os.path.getsize(p) for p in run_paths)
-        if state.sort_runs:
-            spec = state.shuffle_spec
+        if conf.reducer is not None:
+            spec = state.shuffle_specs[member]
             if spec is not None:
                 from repro.batch import shuffleblocks
 
@@ -293,7 +320,7 @@ def run_reduce_task(state: _JobState, partition: int, run_paths: List[str],
                     run_paths, spec, need_values=not spec.count_only
                 )
                 reduced = execute_reduce_partition(
-                    state.conf, chunks, presorted=True, shuffle_spec=spec
+                    conf, chunks, presorted=True, shuffle_spec=spec
                 )
             elif spec is not None and any(typed):
                 # Mixed formats (some runs fell back to pickle): decode
@@ -303,36 +330,37 @@ def run_reduce_task(state: _JobState, partition: int, run_paths: List[str],
                     run_paths, spec
                 )
                 reduced = execute_reduce_partition(
-                    state.conf, merged, presorted=True, decorated=True
+                    conf, merged, presorted=True, decorated=True
                 )
             else:
                 merged = shuffle.merge_decorated_runs(run_paths)
                 reduced = execute_reduce_partition(
-                    state.conf, merged, presorted=True, decorated=True
+                    conf, merged, presorted=True, decorated=True
                 )
         else:
             merged = shuffle.merge_runs(run_paths, sorted_runs=False)
-            reduced = execute_reduce_partition(
-                state.conf, merged, presorted=True
-            )
+            reduced = execute_reduce_partition(conf, merged, presorted=True)
         reduced.metrics.shuffle_bytes_merged += merged_bytes
         out_path = shuffle.write_run(
-            shuffle.run_path(state.spill_dir, "out", 0, partition,
+            shuffle.run_path(state.spill_dir, "out", member, partition,
                              attempt=attempt),
             reduced.outputs,
         )
-    return partition, out_path, reduced.metrics, reduced.counters
+    return member, partition, out_path, reduced.metrics, reduced.counters
 
 
-def partition_runs(map_results: Sequence[Tuple]) -> List[Tuple[int, List[str]]]:
-    """Reduce-task inputs: partition -> run paths in map-task order."""
-    by_partition: Dict[int, List[Tuple[int, str]]] = {}
-    for task_index, runs, _metrics, _counters in map_results:
-        for part, path in runs.items():
-            by_partition.setdefault(part, []).append((task_index, path))
+def partition_runs(
+    map_results: Sequence[Tuple]
+) -> List[Tuple[Tuple[int, int], List[str]]]:
+    """Reduce-task inputs: (member, partition) -> run paths in map-task
+    order."""
+    by_partition: Dict[Tuple[int, int], List[Tuple[int, str]]] = {}
+    for task_index, runs, _deltas in map_results:
+        for key, path in runs.items():
+            by_partition.setdefault(key, []).append((task_index, path))
     return [
-        (part, [path for _i, path in sorted(entries)])
-        for part, entries in sorted(by_partition.items())
+        (key, [path for _i, path in sorted(entries)])
+        for key, entries in sorted(by_partition.items())
     ]
 
 
@@ -352,11 +380,11 @@ def _forked_map_worker(task_index: int, attempt: int = 0):
     return run_map_task(state, task_index, attempt)
 
 
-def _forked_reduce_worker(partition: int, run_paths: List[str],
-                          attempt: int = 0):
+def _forked_reduce_worker(member: int, partition: int,
+                          run_paths: List[str], attempt: int = 0):
     state = _JOB_STATE
     assert state is not None, "worker has no inherited job state"
-    return run_reduce_task(state, partition, run_paths, attempt)
+    return run_reduce_task(state, member, partition, run_paths, attempt)
 
 
 # -- pooled path: persistent workers, state loaded from a spill file ---------
@@ -383,10 +411,11 @@ def _pooled_map_worker(state_path: str, token: str, task_index: int,
     return run_map_task(_load_state(state_path, token), task_index, attempt)
 
 
-def _pooled_reduce_worker(state_path: str, token: str, partition: int,
-                          run_paths: List[str], attempt: int = 0):
-    return run_reduce_task(_load_state(state_path, token), partition,
-                           run_paths, attempt)
+def _pooled_reduce_worker(state_path: str, token: str, member: int,
+                          partition: int, run_paths: List[str],
+                          attempt: int = 0):
+    return run_reduce_task(_load_state(state_path, token), member,
+                           partition, run_paths, attempt)
 
 
 # -- recovery plumbing --------------------------------------------------------
@@ -400,9 +429,11 @@ class _DegradeToInline(Exception):
 class _Task:
     """One task's dispatch bookkeeping across attempts."""
 
+    #: map task index, or a reduce task's (member, partition)
     key: Any
     phase: str
-    index: int
+    #: the task's name in heartbeat files and error messages
+    label: str
     #: attempt -> (worker function, args) for pool dispatch
     build: Callable[[int], Tuple[Callable, Tuple]]
     #: attempt -> result, executed in-process (degradation path)
@@ -457,7 +488,7 @@ class _PoolRef:
         """Account one respawn; raises :class:`_DegradeToInline` past the
         policy bound (the *next* :meth:`get` forks the new workers)."""
         self.rebuilds += 1
-        self._owner.pool_rebuilds += 1
+        self._owner._bump("pool_rebuilds")
         if self.rebuilds > self._policy.max_pool_rebuilds:
             self.degraded = True
             raise _DegradeToInline()
@@ -589,8 +620,8 @@ class WorkerPool:
         #: reduce-side merges, across every job this pool executed
         self.shuffle_bytes_spilled = 0
         self.shuffle_bytes_merged = 0
-        #: shared-scan savings across every fused group this pool ran
-        #: (see :mod:`repro.batch.multiscan`): groups fused, member
+        #: shared-scan savings across every group booked on this pool
+        #: (see :mod:`repro.batch.multiscan`): groups run, member
         #: scans not performed, and the stored bytes those scans would
         #: have read
         self.shared_scan_groups = 0
@@ -669,8 +700,18 @@ class WorkerPool:
             "shared_bytes_saved": self.shared_bytes_saved,
         }
 
+    def _bump(self, counter: str, by: int = 1) -> None:
+        """Add to a ``stats()`` counter.
+
+        Under the lock because jobs run on this pool from several
+        threads at once (DAG waves, the query service's in-flight
+        window) and ``+=`` on an attribute is not atomic.
+        """
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + by)
+
     def record_shared_scan(self, group_size: int, bytes_saved: int) -> None:
-        """Account one completed fused scan group of ``group_size`` members."""
+        """Account one completed shared scan group of ``group_size`` members."""
         with self._lock:
             self.shared_scan_groups += 1
             self.scans_saved += group_size - 1
@@ -680,42 +721,47 @@ class WorkerPool:
 
     def run_job(self, state: _JobState, num_workers: int,
                 policy: Optional[RetryPolicy] = None) -> Tuple[List, List]:
-        """Execute both phases of one job; returns (map, reduce) results.
+        """Execute both phases of one job group; returns (map, reduce)
+        results -- :func:`run_map_task` / :func:`run_reduce_task` tuples.
 
-        Result lists are unordered; callers sort by task index/partition
-        (both are carried in each result tuple), so every scheduling path
-        rolls up identically.
+        Result lists are unordered; callers sort by task index and
+        (member, partition) -- both are carried in each result tuple --
+        so every scheduling path rolls up identically.
         """
         if policy is None:
             policy = RetryPolicy.from_env()
         state.heartbeats = policy.enabled
         # Size for the wider phase: a job with one unsplittable input can
         # still fan its reduce partitions out across workers.
-        widest_phase = max(1, len(state.tasks), state.conf.num_reducers)
+        widest_phase = max(
+            1, len(state.tasks),
+            sum(conf.num_reducers for conf in state.confs),
+        )
         n_workers = min(num_workers, widest_phase)
         unhealthy = (
             policy.enabled
             and self.consecutive_breaks >= self.degrade_after_jobs
         )
         if _FORK_CONTEXT is None or n_workers == 1 or unhealthy:
-            self.jobs_inline += 1
+            self._bump("jobs_inline")
             results = self._run_inline(state, policy)
         else:
             blob = self._pickle_state(state)
             if blob is None:
-                self.jobs_forked += 1
+                self._bump("jobs_forked")
                 results = self._run_forked(state, n_workers, policy)
             else:
-                self.jobs_pooled += 1
+                self._bump("jobs_pooled")
                 results = self._run_pooled(state, blob, n_workers, policy)
         map_results, reduce_results = results
         with self._lock:
             # Data-plane observability (only successful attempts report
             # results, so recovered jobs account like clean ones).
-            for result in map_results:
-                self.shuffle_bytes_spilled += result[2].shuffle_bytes_spilled
+            for _index, _runs, deltas in map_results:
+                for metrics, _counters in deltas:
+                    self.shuffle_bytes_spilled += metrics.shuffle_bytes_spilled
             for result in reduce_results:
-                self.shuffle_bytes_merged += result[2].shuffle_bytes_merged
+                self.shuffle_bytes_merged += result[3].shuffle_bytes_merged
         return results
 
     @staticmethod
@@ -735,24 +781,24 @@ class WorkerPool:
         map_results = [
             self._inline_attempts(
                 lambda a, i=i: run_map_task(state, i, a),
-                policy, state, "map", i,
+                policy, state, "map", str(i),
             )
             for i in range(len(state.tasks))
         ]
         reduce_results = [
             self._inline_attempts(
-                lambda a, p=part, paths=paths: run_reduce_task(
-                    state, p, paths, a
+                lambda a, m=member, p=part, paths=paths: run_reduce_task(
+                    state, m, p, paths, a
                 ),
-                policy, state, "reduce", part,
+                policy, state, "reduce", _reduce_label(member, part),
             )
-            for part, paths in partition_runs(map_results)
+            for (member, part), paths in partition_runs(map_results)
         ]
         return map_results, reduce_results
 
     def _inline_attempts(self, call: Callable[[int], Any],
                          policy: RetryPolicy, state: _JobState,
-                         phase: str, index: int, first_attempt: int = 0
+                         phase: str, label: str, first_attempt: int = 0
                          ) -> Any:
         """Run one task in-process, retrying transient failures.
 
@@ -772,11 +818,11 @@ class WorkerPool:
                     # a fresh job-level retry (e.g. the query service's)
                     # may succeed.
                     raise TransientTaskError(
-                        f"{phase} task {index} of job "
-                        f"{state.conf.name!r} failed after {used} "
+                        f"{phase} task {label} of job "
+                        f"{state.name!r} failed after {used} "
                         f"attempt(s): {exc}"
                     ) from exc
-                self.tasks_retried += 1
+                self._bump("tasks_retried")
 
     # -- forked path -----------------------------------------------------------
 
@@ -798,9 +844,9 @@ class WorkerPool:
                     map_build=lambda i: (
                         lambda a, i=i: (_forked_map_worker, (i, a))
                     ),
-                    reduce_build=lambda part, paths: (
-                        lambda a, p=part, ps=paths: (
-                            _forked_reduce_worker, (p, ps, a)
+                    reduce_build=lambda member, part, paths: (
+                        lambda a, m=member, p=part, ps=paths: (
+                            _forked_reduce_worker, (m, p, ps, a)
                         )
                     ),
                 )
@@ -826,9 +872,10 @@ class WorkerPool:
                         _pooled_map_worker, (state_path, token, i, a)
                     )
                 ),
-                reduce_build=lambda part, paths: (
-                    lambda a, p=part, ps=paths: (
-                        _pooled_reduce_worker, (state_path, token, p, ps, a)
+                reduce_build=lambda member, part, paths: (
+                    lambda a, m=member, p=part, ps=paths: (
+                        _pooled_reduce_worker,
+                        (state_path, token, m, p, ps, a),
                     )
                 ),
             )
@@ -840,13 +887,13 @@ class WorkerPool:
     def _run_phases(self, ref: _PoolRef, state: _JobState, n_workers: int,
                     policy: RetryPolicy,
                     map_build: Callable[[int], Callable],
-                    reduce_build: Callable[[int, List[str]], Callable],
+                    reduce_build: Callable[[int, int, List[str]], Callable],
                     ) -> Tuple[List, List]:
         """Both phases on ``ref``, wrapped into the job's error contract."""
         try:
             map_tasks = [
                 _Task(
-                    key=i, phase="map", index=i, build=map_build(i),
+                    key=i, phase="map", label=str(i), build=map_build(i),
                     inline=lambda a, i=i: run_map_task(state, i, a),
                 )
                 for i in range(len(state.tasks))
@@ -856,13 +903,14 @@ class WorkerPool:
             ).values())
             reduce_tasks = [
                 _Task(
-                    key=part, phase="reduce", index=part,
-                    build=reduce_build(part, paths),
-                    inline=lambda a, p=part, ps=paths: run_reduce_task(
-                        state, p, ps, a
+                    key=(member, part), phase="reduce",
+                    label=_reduce_label(member, part),
+                    build=reduce_build(member, part, paths),
+                    inline=lambda a, m=member, p=part, ps=paths: (
+                        run_reduce_task(state, m, p, ps, a)
                     ),
                 )
-                for part, paths in partition_runs(map_results)
+                for (member, part), paths in partition_runs(map_results)
             ]
             reduce_results = list(self._execute_tasks(
                 ref, reduce_tasks, n_workers, policy, state
@@ -876,7 +924,7 @@ class WorkerPool:
             # the failure is the infrastructure's, not the job's.
             self._note_job_health(ref, broke=True)
             raise TransientTaskError(
-                f"parallel job {state.conf.name!r} lost a worker "
+                f"parallel job {state.name!r} lost a worker "
                 f"process: {exc}"
             ) from exc
         except Exception as exc:
@@ -885,7 +933,7 @@ class WorkerPool:
             # jobs keep running on it.
             self._note_job_health(ref)
             raise JobExecutionError(
-                f"parallel job {state.conf.name!r} task failed: {exc}"
+                f"parallel job {state.name!r} task failed: {exc}"
             ) from exc
         self._note_job_health(ref)
         return map_results, reduce_results
@@ -923,7 +971,7 @@ class WorkerPool:
             # this phase goes straight to inline execution.
             for task in tasks:
                 results[task.key] = self._inline_attempts(
-                    task.inline, policy, state, task.phase, task.index,
+                    task.inline, policy, state, task.phase, task.label,
                 )
             return results
 
@@ -932,7 +980,7 @@ class WorkerPool:
                 task = queue.popleft()
                 fn, args = task.build(task.attempts)
                 task.hb = heartbeat_path(
-                    state.spill_dir, task.phase, task.index, task.attempts
+                    state.spill_dir, task.phase, task.label, task.attempts
                 )
                 task.attempts += 1
                 try:
@@ -963,12 +1011,12 @@ class WorkerPool:
                 task.attempts >= policy.max_task_attempts
             ):
                 fail_fast(TransientTaskError(
-                    f"{task.phase} task {task.index} of job "
-                    f"{state.conf.name!r} lost its worker after "
+                    f"{task.phase} task {task.label} of job "
+                    f"{state.name!r} lost its worker after "
                     f"{task.attempts} attempt(s); giving up"
                 ))
             else:
-                self.tasks_retried += 1
+                self._bump("tasks_retried")
             queue.append(task)
 
         def finish_inline() -> Dict[Any, Any]:
@@ -976,11 +1024,11 @@ class WorkerPool:
             # the remaining tasks in-process (attempt numbering continues,
             # so spill quarantine holds) -- slower, but the job completes
             # with identical bytes.
-            self.jobs_degraded += 1
+            self._bump("jobs_degraded")
             while queue:
                 task = queue.popleft()
                 results[task.key] = self._inline_attempts(
-                    task.inline, policy, state, task.phase, task.index,
+                    task.inline, policy, state, task.phase, task.label,
                     first_attempt=task.attempts,
                 )
             return results
@@ -1015,11 +1063,11 @@ class WorkerPool:
                         task.attempts >= policy.max_task_attempts
                     ):
                         fail_fast(TransientTaskError(
-                            f"{task.phase} task {task.index} of job "
-                            f"{state.conf.name!r} failed after "
+                            f"{task.phase} task {task.label} of job "
+                            f"{state.name!r} failed after "
                             f"{task.attempts} attempt(s): {exc}"
                         ))
-                    self.tasks_retried += 1
+                    self._bump("tasks_retried")
                     queue.append(task)
                     continue
                 except BaseException as exc:  # noqa: BLE001 -- re-raised
@@ -1061,7 +1109,7 @@ class WorkerPool:
                     # (recoverable) crash path above.  Only the hung
                     # tasks keep their attempt charge -- un-started
                     # siblings are refunded on requeue.
-                    self.tasks_timed_out += len(hung)
+                    self._bump("tasks_timed_out", len(hung))
                     ref.kill_workers()
                     continue
             submit_ready()

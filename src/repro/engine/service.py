@@ -229,14 +229,16 @@ class ExecutionEngine:
                       num_workers: Optional[int] = None,
                       splits_per_input: int = 10,
                       policy: Optional[Any] = None) -> List[Any]:
-        """Run already-optimized jobs, fusing compatible scans.
+        """Run already-optimized jobs, sharing compatible scans.
 
         Groups ``confs`` by input fingerprint (see
         :func:`repro.batch.multiscan.plan_shared_groups`), executes each
-        approved group as one fused pass over the shared file on this
-        engine's worker pool, and runs everything else on the solo path
-        unchanged.  Returns one :class:`JobResult` per conf, in order;
-        every member's result is byte-identical to its solo run.
+        approved group as one pass over the shared file -- a job group
+        on the same driver solo jobs use, on this engine's worker pool
+        when ``num_workers`` asks for more than one -- and runs
+        everything else solo.  Returns one :class:`JobResult` per conf,
+        in order; every member's result is byte-identical to its solo
+        run.
 
         ``confs`` must be post-planning (inputs already substituted by
         the optimizer): grouping keys on the *concrete* files jobs will
@@ -244,18 +246,27 @@ class ExecutionEngine:
         wrong pass.
         """
         from repro.batch.multiscan import plan_shared_groups, run_shared_group
-        from repro.mapreduce.parallel import resolve_runner
+        from repro.mapreduce.parallel import (
+            LocalJobRunner,
+            ParallelJobRunner,
+            resolve_runner,
+        )
 
+        if (num_workers or 1) == 1:
+            group_runner: Any = LocalJobRunner(splits_per_input)
+        else:
+            group_runner = ParallelJobRunner(
+                num_workers, splits_per_input, engine=self,
+                retry_policy=policy,
+            )
         report = plan_shared_groups(confs)
         results: List[Any] = [None] * len(confs)
         for group in report.groups:
-            grouped = [confs[m.index] for m in group.members]
-            fused = run_shared_group(
-                grouped, pool=self.pool,
-                num_workers=num_workers or 1,
-                splits_per_input=splits_per_input, policy=policy,
+            shared = run_shared_group(
+                [confs[m.index] for m in group.members], group_runner,
+                self.pool,
             )
-            for member, result in zip(group.members, fused):
+            for member, result in zip(group.members, shared):
                 results[member.index] = result
         for index, _reason in report.solo:
             conf = confs[index]

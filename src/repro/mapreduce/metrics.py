@@ -68,7 +68,7 @@ class JobMetrics:
     shuffle_bytes_merged: int = 0
 
     #: shared-scan accounting (see :mod:`repro.batch.multiscan`).  When a
-    #: job executed as a member of a fused multi-query scan group, the
+    #: job executed as a member of a multi-query shared scan group, the
     #: group counts once (``shared_scan_groups``), every member after the
     #: first records the full input pass it did *not* perform
     #: (``scans_saved``) and the stored bytes that pass would have read

@@ -1,27 +1,30 @@
 """Multi-worker job runner: process-parallel map/reduce, identical bytes.
 
 :class:`ParallelJobRunner` executes the same map-shuffle-reduce sequence
-as the sequential :class:`~repro.mapreduce.runtime.LocalJobRunner`, but
-fans tasks out across worker processes.  It is a thin *strategy*: the
-runner enumerates splits into a job state and rolls results up
-deterministically, while scheduling lives in the engine's persistent
-:class:`~repro.engine.pool.WorkerPool` (shared across jobs, so small
-repeated submissions stop paying a pool fork+teardown each):
+as the sequential :class:`~repro.mapreduce.runtime.LocalJobRunner` --
+both call the one job driver,
+:func:`~repro.mapreduce.runtime.run_job_group` -- but hands the driver a
+*dispatcher* that fans tasks out across worker processes.  Scheduling
+lives in the engine's persistent :class:`~repro.engine.pool.WorkerPool`
+(shared across jobs, so small repeated submissions stop paying a pool
+fork+teardown each):
 
 1. **map fan-out** -- every input split becomes a map task; each worker
-   runs the shared :func:`~repro.mapreduce.runtime.execute_map_task`,
-   partitions its output with the job's hash partitioner, and spills
-   sorted per-partition runs to temporary files
+   runs the shared :func:`~repro.mapreduce.runtime.execute_map_tasks`
+   (one pass for every member of the job group), partitions each
+   member's output with its hash partitioner, and spills sorted
+   per-``(member, partition)`` runs to temporary files
    (:mod:`repro.mapreduce.shuffle`);
-2. **reduce claim** -- each non-empty reduce partition is submitted as a
-   task; whichever worker claims it k-way merges the partition's runs
-   (in map-task order, stable) and runs the shared
+2. **reduce claim** -- each non-empty ``(member, partition)`` is
+   submitted as a task; whichever worker claims it k-way merges the
+   partition's runs (in map-task order, stable) and runs the shared
    :func:`~repro.mapreduce.runtime.execute_reduce_partition` over the
    merged stream;
-3. **deterministic rollup** -- the parent merges worker metric/counter
-   deltas in task order and concatenates reduce outputs in partition
-   order, so the :class:`~repro.mapreduce.job.JobResult` -- output pairs,
-   their order, counters, and every volume metric except
+3. **deterministic rollup** -- the dispatcher hands worker metric/counter
+   deltas back in task order and reduce outputs in partition order, and
+   the driver folds them exactly as it folds the sequential
+   dispatcher's, so each :class:`~repro.mapreduce.job.JobResult` --
+   output pairs, their order, counters, and every volume metric except
    ``wall_seconds`` -- is byte-identical to a sequential run.
 
 Picklable jobs ride the engine's long-lived pool; jobs whose state
@@ -44,8 +47,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
-from typing import Any, List, Optional, Tuple
+from dataclasses import replace
+from operator import itemgetter
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.engine.pool import (
@@ -56,13 +60,13 @@ from repro.engine.pool import (
 )
 from repro.exceptions import JobConfigError
 from repro.mapreduce import shuffle
-from repro.mapreduce.counters import FRAMEWORK_GROUP, Counters
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.runtime import (
     LocalJobRunner,
-    _account_partitions,
-    write_job_output,
+    MapDeltas,
+    MapTask,
+    ReduceRow,
+    run_job_group,
 )
 
 
@@ -101,15 +105,19 @@ class ParallelJobRunner:
         #: target number of splits (map tasks) per input source
         self.splits_per_input = splits_per_input
         self._engine = engine
-        policy = retry_policy or RetryPolicy.from_env()
+        # Overrides land on a copy: the caller's policy object may be
+        # shared with other runners.
+        overrides = {}
         if task_timeout is not None:
-            policy.task_timeout = task_timeout
+            overrides["task_timeout"] = task_timeout
         if max_task_attempts is not None:
-            policy.max_task_attempts = max(1, max_task_attempts)
+            overrides["max_task_attempts"] = max(1, max_task_attempts)
         if max_pool_rebuilds is not None:
-            policy.max_pool_rebuilds = max(0, max_pool_rebuilds)
+            overrides["max_pool_rebuilds"] = max(0, max_pool_rebuilds)
         #: fault-recovery policy for every job this runner executes
-        self.retry_policy = policy
+        self.retry_policy = replace(
+            retry_policy or RetryPolicy.from_env(), **overrides
+        )
 
     @property
     def _pool(self) -> WorkerPool:
@@ -120,71 +128,53 @@ class ParallelJobRunner:
         return self._engine.pool
 
     def run(self, conf: JobConf) -> JobResult:
+        return self.run_group([conf])[0]
+
+    def run_group(self, confs: Sequence[JobConf]) -> List[JobResult]:
+        """Run jobs sharing their inputs as one pass; one result each."""
+        return run_job_group(confs, self._dispatch, self.splits_per_input)
+
+    def _dispatch(
+        self, confs: Sequence[JobConf], tasks: List[MapTask]
+    ) -> Tuple[List[MapDeltas], List[ReduceRow]]:
+        """The pool dispatcher: worker processes, spill-based shuffle."""
         # Runtime import: repro.batch pulls the fluent-API package in,
         # which would cycle back through this module at import time.
         from repro.batch import shuffleblocks
 
-        start = time.perf_counter()
-        metrics = JobMetrics()
-        counters = Counters()
-
-        tasks: List[Tuple[Optional[str], Any]] = []
-        for source in conf.inputs:
-            _account_partitions(source, metrics)
-            for split in source.splits(self.splits_per_input):
-                tasks.append((source.tag, split))
         # The pid stamp lets the engine's orphan reaper attribute a
         # leftover spill dir to its (possibly dead) creating process.
         spill_dir = tempfile.mkdtemp(prefix=f"manimal-shuffle-{os.getpid()}-")
         state = _JobState(
-            conf=conf,
+            confs=list(confs),
             tasks=tasks,
             spill_dir=spill_dir,
-            sort_runs=conf.reducer is not None,
             # Captured at submit time so the plan rides the pickled state
             # into long-lived pool workers (env-only propagation would
             # miss workers forked before the plan existed).
             faults=faults.current_plan(),
             # Same submit-time capture for the typed-shuffle decision.
-            shuffle_spec=shuffleblocks.active_spec(conf),
+            shuffle_specs=[shuffleblocks.active_spec(c) for c in confs],
         )
         try:
             map_results, reduce_results = self._pool.run_job(
                 state, self.num_workers, policy=self.retry_policy
             )
-
-            # Deterministic rollup: map deltas in task order, reduce
-            # deltas and outputs in partition order -- the sequential
-            # accumulation order.
-            map_results.sort(key=lambda r: r[0])
-            for _idx, _runs, task_metrics, task_counters in map_results:
-                metrics.merge(task_metrics)
-                counters.merge(task_counters)
-            metrics.map_tasks = len(tasks)
-            counters.increment(FRAMEWORK_GROUP, "map_tasks", len(tasks))
-
-            outputs: List[Tuple[Any, Any]] = []
-            reduce_results.sort(key=lambda r: r[0])
-            for _part, out_path, red_metrics, red_counters in reduce_results:
-                metrics.merge(red_metrics)
-                counters.merge(red_counters)
-                outputs.extend(shuffle.read_run(out_path))
+            # Completion order is the pool's business; task order and
+            # (member, partition) order are the driver's contract.
+            map_results.sort(key=itemgetter(0))
+            reduce_results.sort(key=itemgetter(0, 1))
+            return (
+                [deltas for _index, _runs, deltas in map_results],
+                [
+                    (member, part, shuffle.read_run(out_path), metrics,
+                     counters)
+                    for member, part, out_path, metrics, counters
+                    in reduce_results
+                ],
+            )
         finally:
             shutil.rmtree(spill_dir, ignore_errors=True)
-
-        if conf.output_path is not None:
-            write_job_output(conf, outputs)
-
-        metrics.wall_seconds = time.perf_counter() - start
-        counters.increment(
-            FRAMEWORK_GROUP, "reduce_output_records", len(outputs)
-        )
-        return JobResult(
-            job_name=conf.name,
-            outputs=outputs,
-            counters=counters,
-            metrics=metrics,
-        )
 
 
 def resolve_runner(knob: Any = None, conf: Optional[JobConf] = None,

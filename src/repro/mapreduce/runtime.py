@@ -1,4 +1,4 @@
-"""The local job runner: map -> combine -> shuffle/sort -> reduce.
+"""The job driver and the sequential runner: map -> combine -> shuffle -> reduce.
 
 This is the execution fabric of the reproduction.  It "retains the standard
 map-shuffle-reduce sequence and is almost identical to standard MapReduce"
@@ -8,14 +8,21 @@ each task's output, a hash partitioner routes pairs to reduce partitions,
 each partition is sorted and grouped by key, and reducers emit the final
 output.
 
-Task execution is factored into free functions (:func:`execute_map_task`,
-:func:`execute_reduce_partition`) shared by the two runners:
+That sequence is written once, for a **job group** -- N >= 1 jobs over
+one scan of their shared inputs; a solo job is a group of one:
 
-* :class:`LocalJobRunner` (here) runs every task sequentially in-process,
-  which is the reference semantics -- determinism makes the experiments
-  and the property tests trustworthy;
-* :class:`~repro.mapreduce.parallel.ParallelJobRunner` fans tasks out
-  across worker processes through a spill-based shuffle
+* :func:`execute_map_tasks` / :func:`execute_reduce_partition` are the
+  task bodies (:func:`execute_map_task` is the one-member spelling);
+* :func:`run_job_group` is the driver: it enumerates the group's splits,
+  hands the tasks to a *dispatcher*, and rolls every member's metrics,
+  counters and outputs up in task-then-partition order.  Every runner
+  and every shared-scan group reaches this one rollup;
+* :class:`LocalJobRunner` (here) dispatches with
+  :func:`run_tasks_in_process` -- every task sequentially in-process,
+  shuffling through memory -- which is the reference semantics:
+  determinism makes the experiments and the property tests trustworthy;
+* :class:`~repro.mapreduce.parallel.ParallelJobRunner` dispatches onto
+  the engine's worker pool through a spill-based shuffle
   (:mod:`repro.mapreduce.shuffle`) and is byte-identical to this runner
   by construction (see ``docs/execution-model.md``).
 
@@ -29,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.mapreduce.api import Context
@@ -105,29 +112,48 @@ class ReduceTaskResult:
 def execute_map_task(
     conf: JobConf, tag: Optional[str], split: Any
 ) -> MapTaskResult:
-    """Run one map task: map, combine, shuffle-filter, partition.
+    """Run one map task of one job: :func:`execute_map_tasks`, N = 1."""
+    return execute_map_tasks([conf], [tag], split)[0]
 
-    Pure with respect to shared job state -- all accounting lands in the
-    returned :class:`MapTaskResult`, so the sequential runner can fold
-    results in task order while the parallel runner executes the same
-    function inside worker processes.
 
-    Stages lowered with a vectorized spec for this input tag (see
-    :class:`~repro.mapreduce.job.JobConf.batch_specs`) are served by the
-    batch executor when the concrete split supports it; it produces the
-    same :class:`MapTaskResult` bytes through the shared
-    :func:`_finish_map_task` tail, and declines (returns ``None``) for
-    split/input shapes outside its reach, landing back here on the
-    record-at-a-time loop below.
+def execute_map_tasks(
+    confs: Sequence[JobConf], tags: Sequence[Optional[str]], split: Any
+) -> List[MapTaskResult]:
+    """Run one map task for every job of a group sharing ``split``.
+
+    Returns one :class:`MapTaskResult` per member, aligned with
+    ``confs`` (``tags[i]`` is member *i*'s input tag).  Pure with respect
+    to shared job state -- all accounting lands in the returned results,
+    so the sequential dispatcher can fold them in task order while the
+    parallel one executes the same function inside worker processes.
+
+    Members lowered with a vectorized spec for their input tag (see
+    :class:`~repro.mapreduce.job.JobConf.batch_specs`) are served
+    together by the batch executor -- one block pass for all of them --
+    when the concrete split supports it; it produces the same
+    :class:`MapTaskResult` bytes through the shared
+    :func:`_finish_map_task` tail, and declines (``None``) any member
+    whose split/input shape is outside its reach.  Declined members, and
+    members with no spec, each run their own record-at-a-time mapper
+    over the split (:func:`_run_record_map_task`).
     """
-    if conf.batch_specs:
-        spec = conf.batch_specs.get(tag)
-        if spec is not None:
-            from repro.batch.executor import run_batch_map_task
+    specs = [conf.batch_specs.get(tag) for conf, tag in zip(confs, tags)]
+    results: Sequence[Optional[MapTaskResult]] = [None] * len(confs)
+    if any(spec is not None for spec in specs):
+        from repro.batch.executor import run_batch_map_task
 
-            batched = run_batch_map_task(conf, spec, tag, split)
-            if batched is not None:
-                return batched
+        results = run_batch_map_task(confs, specs, split)
+    return [
+        result if result is not None
+        else _run_record_map_task(conf, tag, split)
+        for conf, tag, result in zip(confs, tags, results)
+    ]
+
+
+def _run_record_map_task(
+    conf: JobConf, tag: Optional[str], split: Any
+) -> MapTaskResult:
+    """The record path: one ``map()`` call per input pair."""
     out = MapTaskResult(
         partitions=[[] for _ in range(conf.num_reducers)]
     )
@@ -375,6 +401,105 @@ def write_job_output(conf: JobConf, outputs: List[Tuple[Any, Any]]) -> None:
             w.append(_coerce(key, key_schema), _coerce(value, value_schema))
 
 
+#: One map task of a job group: ``(per-member input tags, split)``.
+MapTask = Tuple[List[Optional[str]], Any]
+
+#: One map task's per-member ``(metrics, counters)`` deltas.
+MapDeltas = List[Tuple[JobMetrics, Counters]]
+
+#: One reduce partition's ``(member, partition, outputs, metrics,
+#: counters)``.
+ReduceRow = Tuple[int, int, List[Tuple[Any, Any]], JobMetrics, Counters]
+
+#: A dispatcher executes a group's tasks: given the members and their
+#: map tasks it returns every task's :data:`MapDeltas` in task order and
+#: a :data:`ReduceRow` per non-empty reduce partition in ``(member,
+#: partition)`` order.
+Dispatcher = Callable[
+    [Sequence[JobConf], List[MapTask]],
+    Tuple[List[MapDeltas], List[ReduceRow]],
+]
+
+
+def run_tasks_in_process(
+    confs: Sequence[JobConf], tasks: List[MapTask]
+) -> Tuple[List[MapDeltas], List[ReduceRow]]:
+    """The sequential dispatcher: one task at a time, shuffle in memory."""
+    partitions: List[List[List[Tuple[Any, Any]]]] = [
+        [[] for _ in range(conf.num_reducers)] for conf in confs
+    ]
+    map_deltas: List[MapDeltas] = []
+    for tags, split in tasks:
+        results = execute_map_tasks(confs, tags, split)
+        map_deltas.append([(r.metrics, r.counters) for r in results])
+        for member_partitions, result in zip(partitions, results):
+            for part, pairs in enumerate(result.partitions):
+                member_partitions[part].extend(pairs)
+    reduced: List[ReduceRow] = []
+    for member, conf in enumerate(confs):
+        for part, pairs in enumerate(partitions[member]):
+            if not pairs:
+                continue
+            out = execute_reduce_partition(conf, pairs)
+            reduced.append(
+                (member, part, out.outputs, out.metrics, out.counters)
+            )
+    return map_deltas, reduced
+
+
+def run_job_group(
+    confs: Sequence[JobConf], dispatch: Dispatcher, splits_per_input: int
+) -> List[JobResult]:
+    """The job driver: run N >= 1 jobs over one scan of their inputs.
+
+    The members must share their inputs -- input *k* of every member
+    addresses the same storage -- so the splits are enumerated once,
+    from the first member, and each map task runs once for the whole
+    group (:func:`execute_map_tasks`).  ``dispatch`` decides *where*
+    tasks run; this function alone decides how results come back
+    together: per member, map deltas fold in task order, then reduce
+    deltas and outputs in partition order -- the sequential accumulation
+    order every runner is byte-identical to.  A solo job is the N = 1
+    case, not a separate path.
+    """
+    start = time.perf_counter()
+    results = [
+        JobResult(job_name=conf.name, outputs=[], counters=Counters(),
+                  metrics=JobMetrics())
+        for conf in confs
+    ]
+    tasks: List[MapTask] = []
+    for index, source in enumerate(confs[0].inputs):
+        for conf, result in zip(confs, results):
+            _account_partitions(conf.inputs[index], result.metrics)
+        tags = [conf.inputs[index].tag for conf in confs]
+        for split in source.splits(splits_per_input):
+            tasks.append((tags, split))
+
+    map_deltas, reduced = dispatch(confs, tasks)
+    for deltas in map_deltas:
+        for result, (metrics, counters) in zip(results, deltas):
+            result.metrics.merge(metrics)
+            result.counters.merge(counters)
+    for result in results:
+        result.metrics.map_tasks = len(tasks)
+        result.counters.increment(FRAMEWORK_GROUP, "map_tasks", len(tasks))
+    for member, _part, outputs, metrics, counters in reduced:
+        result = results[member]
+        result.metrics.merge(metrics)
+        result.counters.merge(counters)
+        result.outputs.extend(outputs)
+
+    for conf, result in zip(confs, results):
+        if conf.output_path is not None:
+            write_job_output(conf, result.outputs)
+        result.metrics.wall_seconds = time.perf_counter() - start
+        result.counters.increment(
+            FRAMEWORK_GROUP, "reduce_output_records", len(result.outputs)
+        )
+    return results
+
+
 class LocalJobRunner:
     """Runs jobs sequentially in-process with full metric accounting.
 
@@ -390,48 +515,12 @@ class LocalJobRunner:
         self.splits_per_input = splits_per_input
 
     def run(self, conf: JobConf) -> JobResult:
-        start = time.perf_counter()
-        metrics = JobMetrics()
-        counters = Counters()
+        return self.run_group([conf])[0]
 
-        partitions: List[List[Tuple[Any, Any]]] = [
-            [] for _ in range(conf.num_reducers)
-        ]
-
-        n_tasks = 0
-        for source in conf.inputs:
-            _account_partitions(source, metrics)
-            for split in source.splits(self.splits_per_input):
-                n_tasks += 1
-                task = execute_map_task(conf, source.tag, split)
-                metrics.merge(task.metrics)
-                counters.merge(task.counters)
-                for part, pairs in enumerate(task.partitions):
-                    partitions[part].extend(pairs)
-        metrics.map_tasks = n_tasks
-        counters.increment(FRAMEWORK_GROUP, "map_tasks", n_tasks)
-
-        outputs: List[Tuple[Any, Any]] = []
-        for pairs in partitions:
-            if not pairs:
-                continue
-            reduced = execute_reduce_partition(conf, pairs)
-            metrics.merge(reduced.metrics)
-            counters.merge(reduced.counters)
-            outputs.extend(reduced.outputs)
-
-        if conf.output_path is not None:
-            write_job_output(conf, outputs)
-
-        metrics.wall_seconds = time.perf_counter() - start
-        counters.increment(
-            FRAMEWORK_GROUP, "reduce_output_records", len(outputs)
-        )
-        return JobResult(
-            job_name=conf.name,
-            outputs=outputs,
-            counters=counters,
-            metrics=metrics,
+    def run_group(self, confs: Sequence[JobConf]) -> List[JobResult]:
+        """Run jobs sharing their inputs as one pass; one result each."""
+        return run_job_group(
+            confs, run_tasks_in_process, self.splits_per_input
         )
 
 

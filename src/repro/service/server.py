@@ -40,7 +40,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.api.remote import apply_ops, read_paths
@@ -382,7 +382,7 @@ class QueryServer:
                 lambda: state.session.run(
                     apply_ops(state.session, ops), **run_options
                 ),
-                state.lock, retries,
+                [state.lock], retries,
             )
             payload = serialize_rows(result.rows)
             if results is not None and cache_key is not None:
@@ -443,47 +443,34 @@ class QueryServer:
         Every member lowers, plans and serializes inside its *own*
         tenant Session (locks held for the whole group run, acquired in
         sorted tenant order), so rows never cross tenant namespaces;
-        what is shared is only the fused pass over the common input
+        what is shared is only the one pass over the common input
         file.  Members whose per-tenant planning diverged fall back to
         their solo path inside :func:`~repro.api.session.run_shared_plans`.
         Returns one serialized payload per member, aligned.
         """
         from repro.api.session import run_shared_plans
 
-        states: List[TenantState] = []
-        seen = set()
-        for state, _ops, _opts, _key in payloads:
-            if id(state) not in seen:
-                seen.add(id(state))
-                states.append(state)
-        states.sort(key=lambda s: s.tenant)
-        attempt = 0
-        while True:
-            try:
-                with contextlib.ExitStack() as stack:
-                    for state in states:
-                        stack.enter_context(state.lock)
-                    items = []
-                    for state, ops, _opts, _key in payloads:
-                        dataset = apply_ops(state.session, ops)
-                        items.append(
-                            (state.session, state.session.lower(dataset))
-                        )
-                    options = payloads[0][2]
-                    results = run_shared_plans(
-                        items,
-                        parallelism=options.get("parallelism"),
-                        scheduler=options.get("scheduler"),
-                    )
-                break
-            except Exception as exc:  # noqa: BLE001 -- filtered below
-                if (attempt >= self.engine_retries
-                        or not is_transient_failure(exc)):
-                    raise
-                attempt += 1
-                with self._retry_lock:
-                    self.jobs_retried += 1
-                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
+        # One lock per distinct tenant, however many of its queries
+        # landed in the batch.
+        states = {id(p[0]): p[0] for p in payloads}.values()
+
+        def run_group() -> list:
+            items = []
+            for state, ops, _opts, _key in payloads:
+                dataset = apply_ops(state.session, ops)
+                items.append((state.session, state.session.lower(dataset)))
+            options = payloads[0][2]
+            return run_shared_plans(
+                items,
+                parallelism=options.get("parallelism"),
+                scheduler=options.get("scheduler"),
+            )
+
+        results = self._run_with_retries(
+            run_group,
+            [s.lock for s in sorted(states, key=lambda s: s.tenant)],
+            self.engine_retries,
+        )
         outputs: List[bytes] = []
         for (state, _ops, _opts, cache_key), result in zip(payloads,
                                                            results):
@@ -510,10 +497,11 @@ class QueryServer:
             return self.default_deadline
         return deadline if deadline > 0 else None
 
-    def _run_with_retries(self, thunk: Any, lock: threading.Lock,
+    def _run_with_retries(self, thunk: Any,
+                          locks: Sequence[threading.Lock],
                           retries: int) -> Any:
-        """Run ``thunk`` under ``lock``, retrying engine-transient
-        failures with exponential backoff.
+        """Run ``thunk`` holding ``locks`` (acquired in the order given),
+        retrying engine-transient failures with exponential backoff.
 
         The worker pool already recovers individual task failures; this
         outer loop catches whole-*job* infrastructure failures that leak
@@ -524,7 +512,9 @@ class QueryServer:
         attempt = 0
         while True:
             try:
-                with lock:
+                with contextlib.ExitStack() as stack:
+                    for lock in locks:
+                        stack.enter_context(lock)
                     return thunk()
             except Exception as exc:  # noqa: BLE001 -- filtered below
                 if attempt >= retries or not is_transient_failure(exc):

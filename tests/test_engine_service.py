@@ -7,6 +7,7 @@ concurrent submissions sharing one Session/engine.
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.exceptions import JobConfigError
 from repro.mapreduce import (
     InMemoryInput,
     JobConf,
+    ParallelJobRunner,
     RecordFileInput,
 )
 from repro.mapreduce.api import Mapper, Reducer
@@ -445,6 +447,57 @@ class TestConcurrentSubmissions:
                 _metrics_without_wall(expected)
         # Every submission after the first reused the cached analysis.
         assert engine.analysis_cache.stats()["hits"] >= 4
+
+
+    def test_path_counters_are_exact_under_concurrent_jobs(self, engine):
+        """N concurrent jobs move the scheduling-path counters by N.
+
+        DAG waves and the service's in-flight window call
+        ``WorkerPool.run_job`` from several threads, so a lost update on
+        an unlocked ``+=`` would show up as a short count here.
+        """
+        n_threads, jobs_each = 8, 12
+        conf = JobConf(
+            name="tiny", mapper=KeyedSumMapper, reducer=SumReducer,
+            inputs=[InMemoryInput([(i, i) for i in range(8)])],
+            num_reducers=2,
+        )
+        # One worker runs the pool's inline path (no forks: the test
+        # stays cheap); two take the pooled path on the shared workers.
+        inline = ParallelJobRunner(num_workers=1, engine=engine)
+        pooled = ParallelJobRunner(num_workers=2, engine=engine)
+        expected = inline.run(conf).outputs
+        before = engine.pool.stats()
+        errors = []
+
+        def client(i):
+            try:
+                for _ in range(jobs_each):
+                    assert inline.run(conf).outputs == expected
+                assert pooled.run(conf).outputs == expected
+            except BaseException as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        after = engine.pool.stats()
+        assert after["jobs_inline"] - before["jobs_inline"] == \
+            n_threads * jobs_each
+        assert after["jobs_pooled"] - before["jobs_pooled"] == n_threads
+        assert after["jobs_forked"] == before["jobs_forked"]
 
 
 class TestEngineService:

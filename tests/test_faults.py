@@ -250,6 +250,19 @@ class TestEnvKnobs:
         assert r.retry_policy.max_task_attempts == 2
         assert r.retry_policy.task_timeout == 3.0
 
+    def test_runner_knobs_do_not_mutate_the_callers_policy(self):
+        policy = RetryPolicy(max_task_attempts=4, task_timeout=9.0,
+                             max_pool_rebuilds=3)
+        r = ParallelJobRunner(num_workers=2, retry_policy=policy,
+                              task_timeout=1.5, max_task_attempts=2,
+                              max_pool_rebuilds=0)
+        assert (r.retry_policy.task_timeout,
+                r.retry_policy.max_task_attempts,
+                r.retry_policy.max_pool_rebuilds) == (1.5, 2, 0)
+        # the caller's object may be shared with other runners
+        assert policy == RetryPolicy(max_task_attempts=4, task_timeout=9.0,
+                                     max_pool_rebuilds=3)
+
     def test_quarantined_attempt_paths_never_collide(self, tmp_path):
         base = shuffle.run_path(str(tmp_path), "map", 3, 1)
         retry = shuffle.run_path(str(tmp_path), "map", 3, 1, attempt=2)

@@ -10,12 +10,15 @@ sequential, parallel and DAG schedulers, compared byte-for-byte (the
 ``serialize_rows`` oracle) against solo :meth:`Session.run` executions.
 On top of that: the fallback matrix (opaque schemas, UDF stages,
 singleton groups, mixed inputs), the cost-model gates and their reason
-strings, ``ExecutionEngine.submit_shared``, a chaos case (worker
-SIGKILLed mid-fused-scan, recovered byte-identical), and the service
-batching window (two tenants, one window, one scan).
+strings, ``ExecutionEngine.submit_shared``, the job-group primitive
+itself (runner parity, worker-side reduces, a member declined at task
+time), a chaos case (worker SIGKILLed mid-fused-scan, recovered
+byte-identical), and the service batching window (two tenants, one
+window, one scan).
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +27,13 @@ from repro.api.expressions import col, lit
 from repro.batch.multiscan import plan_shared_groups
 from repro.engine import ExecutionEngine
 from repro.faults import Fault, FaultPlan
-from repro.mapreduce import InMemoryInput, LocalJobRunner, RecordFileInput
+from repro.mapreduce import (
+    InMemoryInput,
+    LocalJobRunner,
+    ParallelJobRunner,
+    RecordFileInput,
+)
+from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.service import QueryServer
 from repro.service.payload import serialize_rows
 from repro.service.protocol import decode_bytes
@@ -410,6 +419,127 @@ class TestEngineSubmitShared:
                 assert engine.pool.stats()["shared_scan_groups"] == 1
         finally:
             engine.shutdown()
+
+
+# -- the general case: a job group on the one driver --------------------------
+
+
+def _job_volume_metrics(result):
+    d = result.metrics.to_dict()
+    for name in SCHEDULING_OBSERVABLES:
+        d.pop(name)
+    return d
+
+
+class TestJobGroups:
+    def test_run_many_honors_sequential_splits_per_input(self, tmp_path):
+        # Solo and shared runs go through one driver, so the sequential
+        # runner's split target reaches both (run_many used to hard-code
+        # 10 splits for groups).
+        path = write_webpages(tmp_path / "splits.rf", 400)
+        with Session(workdir=str(tmp_path / "s"),
+                     runner=LocalJobRunner(splits_per_input=3)) as session:
+
+            def build_all():
+                return [
+                    session.read(path).filter(col("rank") > 30)
+                    .select("url", "rank"),
+                    session.read(path).filter(col("rank") < 10)
+                    .select("url"),
+                ]
+
+            solos = [session.run(ds) for ds in build_all()]
+            shared = session.run_many(build_all())
+            assert all(_shared_groups(r) == 1 for r in shared)
+            for solo, member in zip(solos, shared):
+                want = solo.stages[0].outcome.result
+                got = member.stages[0].outcome.result
+                assert want.metrics.map_tasks == 3
+                assert got.metrics.map_tasks == 3
+                assert got.counters.get(FRAMEWORK_GROUP, "map_tasks") == \
+                    want.counters.get(FRAMEWORK_GROUP, "map_tasks") == 3
+                assert serialize_rows(member.rows) == \
+                    serialize_rows(solo.rows)
+
+    def test_parallel_group_reduces_in_workers_with_typed_shuffle(
+            self, tmp_path):
+        # Members are typed-shuffle-eligible group_bys: under
+        # parallelism=2 their reduces run as (member, partition) tasks
+        # on the pool -- spill bytes land on the members' own metrics --
+        # and stay byte-identical to solo.
+        engine = ExecutionEngine(max_workers=2, reap_scratch=False)
+        try:
+            with Session(workdir=str(tmp_path / "s"),
+                         engine=engine) as session:
+                path = write_webpages(tmp_path / "typed.rf", 400)
+
+                def build_all():
+                    return [
+                        session.read(path).filter(col("rank") > 5)
+                        .group_by("rank").agg(n=("count", None)),
+                        session.read(path).filter(col("rank") < 45)
+                        .group_by("rank").agg(top=("max", "rank")),
+                    ]
+
+                solos = [session.run(ds) for ds in build_all()]
+                before = engine.pool.stats()
+                shared = session.run_many(build_all(), parallelism=2)
+                after = engine.pool.stats()
+                assert all(_shared_groups(r) == 1 for r in shared)
+                for solo, member in zip(solos, shared):
+                    assert serialize_rows(member.rows) == \
+                        serialize_rows(solo.rows)
+                    assert _volume_metrics(member.stages[0]) == \
+                        _volume_metrics(solo.stages[0])
+                    metrics = member.stages[0].outcome.result.metrics
+                    assert metrics.shuffle_bytes_spilled > 0
+                    assert metrics.shuffle_bytes_merged > 0
+                # one pool job served the whole group's scan stage (the
+                # members' later stages are ordinary solo jobs)
+                group_jobs = sum(
+                    after[k] - before[k]
+                    for k in ("jobs_pooled", "jobs_forked", "jobs_inline")
+                ) - sum(len(r.stages) - 1 for r in shared)
+                assert group_jobs == 1
+        finally:
+            engine.shutdown()
+
+    @pytest.mark.parametrize("make_runner", [
+        lambda: LocalJobRunner(),
+        lambda: ParallelJobRunner(num_workers=2),
+    ], ids=["sequential", "parallel"])
+    def test_member_declined_at_task_time_takes_its_record_path(
+            self, session, tmp_path, make_runner):
+        # Handed to the group primitive directly, bypassing
+        # plan_shared_groups' pre-validation: member 1's spec promises a
+        # column the file does not have, so the batch scan declines it
+        # at task time.  It must run its own record-path mapper -- as a
+        # solo task does -- while the others still share the pass.
+        path = write_webpages(tmp_path / "declined.rf", 300)
+        confs = _candidates(session, [
+            session.read(path).filter(col("rank") > 25)
+            .select("url", "rank"),
+            session.read(path).filter(col("rank") < 20).select("url"),
+            session.read(path).group_by("rank").agg(n=("count", None)),
+        ])
+        tag = confs[1].inputs[0].tag
+        spec = confs[1].batch_specs[tag]
+        confs[1].batch_specs[tag] = replace(
+            spec, project_columns=spec.project_columns + ["no_such_column"]
+        )
+        solos = [LocalJobRunner().run(conf) for conf in confs]
+        assert solos[1].metrics.batch_map_tasks == 0
+
+        group = make_runner().run_group(confs)
+        for want, got in zip(solos, group):
+            assert got.outputs == want.outputs
+            assert got.counters.to_dict() == want.counters.to_dict()
+            assert _job_volume_metrics(got) == _job_volume_metrics(want)
+        assert group[0].metrics.batch_map_tasks == \
+            group[0].metrics.map_tasks > 0
+        assert group[1].metrics.batch_map_tasks == 0
+        assert group[2].metrics.batch_map_tasks == \
+            group[2].metrics.map_tasks > 0
 
 
 # -- crash recovery ------------------------------------------------------------
