@@ -10,12 +10,13 @@ boundary-skipped (continuation bits and length prefixes only), the same
 trick :meth:`Schema.decode_lazy` plays per record, but without per-record
 ``LazyRecord`` allocation: one scan, one batch of flat lists per block.
 
-Accounting parity is deliberate: the scan accumulates the exact
+Blocks and record spans come from the block-file container's public
+iterators (:mod:`repro.storage.blockfile`), the ones the record path walks,
+so framing damage fails identically whichever path served it.  Accounting
+parity is deliberate too: the scan accumulates the exact
 ``estimate_size``-equivalent of every key and value record (the
-``map_input_logical_bytes`` charge both record-path readers report) and
-raises the same :class:`SerializationError`/:class:`CorruptFileError`
-messages the record decoders raise, so a corrupt or truncated input fails
-identically whichever path served it.
+``map_input_logical_bytes`` charge the record-path readers report) and a
+damaged field raises the :class:`SerializationError` their decoders raise.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import struct
 from typing import Iterator, List, Optional
 
 from repro.batch.spec import BatchStageSpec
-from repro.exceptions import CorruptFileError, SerializationError
+from repro.exceptions import SerializationError
 from repro.storage import varint
-from repro.storage.recordfile import BlockInfo, RecordFileReader
+from repro.storage.blockfile import BlockInfo
+from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import FieldType, Record, Schema
 
 #: Per-field scan step codes (see :func:`_scan_fields`).
@@ -118,12 +120,11 @@ def iter_column_batches(
 ) -> Iterator[ColumnBatch]:
     """Decode ``blocks`` of ``reader`` into one :class:`ColumnBatch` each.
 
-    Framing, bounds and trailing-byte validation mirror
-    ``RecordFileReader._iter_record_spans`` + ``Schema.decode``/
-    ``decode_lazy`` exactly, message for message; ``reader.bytes_read``
-    accumulates as usual, so stored-byte accounting is unchanged.
+    Block reads and record framing are the container's
+    (``iter_block_payloads`` + ``block_spans``), so ``reader.bytes_read``
+    accumulates as usual; only the field walk inside each key/value span
+    is this module's, raising what ``Schema.decode``/``decode_lazy`` raise.
     """
-    path = reader.path
     key_schema = plan.key_schema
     key_steps = plan.key_steps
     value_steps = plan.value_steps
@@ -136,33 +137,12 @@ def iter_column_batches(
     decode_svarint = varint.decode_svarint
     skip_uvarint = varint.skip_uvarint
 
-    for payload, n_records in reader._iter_block_payloads(blocks):
-        view = memoryview(payload)
-        end = len(payload)
+    for payload, n_records in reader.iter_block_payloads(blocks):
         cols: List[list] = [[] for _ in range(n_slots)]
         keys: Optional[List[Record]] = [] if decode_keys else None
         est = 0
-        pos = 0
-        for _ in range(n_records):
-            try:
-                klen, kpos = decode_uvarint(view, pos, end)
-            except SerializationError as exc:
-                raise CorruptFileError(
-                    f"{path}: truncated record ({exc})"
-                ) from exc
-            kend = kpos + klen
-            if kend > end:
-                raise CorruptFileError(f"{path}: truncated record")
-            try:
-                vlen, vpos = decode_uvarint(view, kend, end)
-            except SerializationError as exc:
-                raise CorruptFileError(
-                    f"{path}: truncated record ({exc})"
-                ) from exc
-            vend = vpos + vlen
-            if vend > end:
-                raise CorruptFileError(f"{path}: truncated record")
-
+        view, spans = reader.block_spans(payload, n_records)
+        for kpos, kend, vpos, vend in spans:
             # -- key fields: estimate_size parity; decode when emitted --
             est += 1
             p = kpos
@@ -286,7 +266,4 @@ def iter_column_batches(
                 raise SerializationError(
                     f"{vend - p} trailing bytes decoding schema {value_name!r}"
                 )
-            pos = vend
-        if pos != end:
-            raise CorruptFileError(f"{path}: trailing block bytes")
         yield ColumnBatch(n_records, cols, plan.slots, keys, est)

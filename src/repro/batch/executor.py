@@ -17,8 +17,10 @@ through this one implementation.
 
 A member's result is ``None`` -- *do it the record way* -- whenever the
 concrete split does not match its spec's promises: a planner-substituted
-input format the batch scan cannot read (B+Tree selection indexes, delta
-and dictionary files, in-memory pairs), an opaque key or value schema, a
+input the batch scan cannot read (B+Tree selection indexes, in-memory
+pairs, and block files whose value codec is not the identity -- delta
+and dictionary files: same container, but the column scan reads plain
+value encodings only), an opaque key or value schema, a
 needed column missing from the (possibly projection-optimized) file, or
 a predicate the kernel compiler rejects.  The caller then runs *that
 member's* record-path mapper over the split while the others still share
@@ -57,10 +59,11 @@ from repro.storage.serialization import Record
 def _split_location(split: Any) -> Optional[Tuple[str, Any]]:
     """(path, blocks) when the split reads plain record-file blocks.
 
-    Exact type checks on purpose: only formats whose splits are record
-    -file block lists are batch-scannable.  Anything else -- index scans,
-    delta/dictionary decoding, in-memory pairs, or an unknown subclass
-    with different split payloads -- falls back to the record path.
+    Exact type checks on purpose: only inputs whose splits are block
+    lists of an identity-codec file are batch-scannable.  Anything else
+    -- index scans, delta/dictionary value codecs, in-memory pairs, or
+    an unknown subclass with different split payloads -- falls back to
+    the record path.
     """
     stype = type(split.source)
     if stype is RecordFileInput or stype is ProjectedFileInput:

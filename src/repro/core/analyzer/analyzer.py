@@ -44,19 +44,14 @@ from repro.core.analyzer.sideeffects import find_side_effects
 from repro.exceptions import UnsupportedConstructError
 from repro.mapreduce.api import FunctionMapper, Mapper, Reducer
 from repro.mapreduce.formats import (
-    DeltaFileInput,
-    DictionaryFileInput,
+    BlockFileInput,
     InputSource,
     PartitionedInput,
-    ProjectedFileInput,
-    RecordFileInput,
     SelectionIndexInput,
 )
 from repro.mapreduce.job import JobConf
+from repro.storage import open_block_file
 from repro.storage.btree import BTree
-from repro.storage.delta import DeltaFileReader
-from repro.storage.dictionary import DictionaryFileReader
-from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import Schema
 
 
@@ -149,18 +144,14 @@ def _method_emits(instance: Any, method_name: str) -> bool:
 def peek_schemas(source: InputSource) -> Tuple[Optional[Schema], Optional[Schema]]:
     """Read the (key, value) schemas declared by an input's file header."""
     try:
-        if isinstance(source, (ProjectedFileInput, RecordFileInput)):
-            with RecordFileReader(source.path) as reader:
-                return reader.key_schema, reader.value_schema
+        if isinstance(source, BlockFileInput):
+            # Whatever the format, the mapper sees the stored schema (a
+            # dictionary file's compressed field is an INT code).
+            with open_block_file(source.path) as reader:
+                return reader.key_schema, reader.stored_schema
         if isinstance(source, PartitionedInput):
             info = source.info()
             return info.key_schema, info.value_schema
-        if isinstance(source, DeltaFileInput):
-            with DeltaFileReader(source.path) as reader:
-                return reader.key_schema, reader.value_schema
-        if isinstance(source, DictionaryFileInput):
-            with DictionaryFileReader(source.path) as reader:
-                return reader.key_schema, reader.stored_schema
         if isinstance(source, SelectionIndexInput):
             with BTree(source.index_path) as tree:
                 return (

@@ -34,11 +34,17 @@ from repro.mapreduce.formats import RecordFileInput, frame_index_entry
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage.btree import BTreeBuilder
+from repro.storage.columnfile import (
+    META_BASE_SCHEMA,
+    META_KEPT_FIELDS,
+    copy_records,
+    project_record,
+)
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import Record, Schema
+from repro.storage.serialization import Schema
 
 
 class _IndexEmitMapper(Mapper):
@@ -55,12 +61,9 @@ class _IndexEmitMapper(Mapper):
 
     def map(self, key: Any, value: Any, ctx: Context) -> None:
         index_key = encode_key(self.field_type, getattr(value, self.field_name))
+        stored = value
         if self.stored_schema is not self.value_schema:
-            stored = self.stored_schema.make(
-                *[getattr(value, f.name) for f in self.stored_schema.fields]
-            )
-        else:
-            stored = value
+            stored = project_record(value, self.stored_schema)
         framed = frame_index_entry(
             self.key_schema.encode(key), self.stored_schema.encode(stored)
         )
@@ -136,25 +139,18 @@ class IndexGenerationProgram:
             if runner is None or isinstance(runner, ParallelJobRunner):
                 runner = LocalJobRunner()
             entry = self._build_selection(catalog, runner)
-        elif self.kind in (cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA):
-            entry = self._build_projection_family(catalog)
-        elif self.kind == cat.KIND_DELTA:
-            entry = self._build_delta(catalog)
-        elif self.kind == cat.KIND_DICTIONARY:
-            entry = self._build_dictionary(catalog)
+        elif self.kind in _REWRITE_SUFFIX:
+            entry = self._build_rewrite(catalog)
         else:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
         catalog.register(entry)
         return entry
 
-    def _source_reader(self) -> RecordFileReader:
-        return RecordFileReader(self.source_path)
-
     def _build_selection(self, catalog: Catalog,
                          runner: LocalJobRunner) -> IndexEntry:
         if not self.key_field:
             raise OptimizerError("selection index needs a key_field")
-        with self._source_reader() as reader:
+        with RecordFileReader(self.source_path) as reader:
             key_schema = reader.key_schema
             value_schema = reader.value_schema
             source_bytes = reader.file_size()
@@ -218,57 +214,59 @@ class IndexGenerationProgram:
             },
         )
 
-    def _build_projection_family(self, catalog: Catalog) -> IndexEntry:
-        if not self.value_fields:
-            raise OptimizerError("projection index needs value_fields")
-        with self._source_reader() as reader:
-            value_schema = reader.value_schema
+    def _build_rewrite(self, catalog: Catalog) -> IndexEntry:
+        """Projection, delta, dictionary and projection+delta builds: one
+        streaming copy of the source through a block-file writer, differing
+        in which fields are kept and which value codec the writer applies.
+        """
+        projecting = self.kind in (cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA)
+        with RecordFileReader(self.source_path) as reader:
             key_schema = reader.key_schema
-            source_bytes = reader.file_size()
-            projected = value_schema.project(self.value_fields)
-            suffix = ".proj" if self.kind == cat.KIND_PROJECTION else ".projdelta"
-            index_path = catalog.next_index_path(self.kind) + suffix
-            metadata = {
-                "source_path": os.path.abspath(self.source_path),
-                "base_schema": value_schema.name,
-                "kept_fields": [f.name for f in projected.fields],
-            }
-            records = 0
-            if self.kind == cat.KIND_PROJECTION:
-                with RecordFileWriter(
-                    index_path, key_schema, projected, metadata=metadata
-                ) as writer:
-                    for key, value in reader.iter_records():
-                        writer.append(key, _narrow(value, projected))
-                        records += 1
-            else:
-                delta_fields = [
-                    f for f in (self.delta_fields or projected.numeric_field_names())
-                    if projected.has_field(f)
-                ]
+            stored = reader.value_schema
+            metadata = {"source_path": os.path.abspath(self.source_path)}
+            if projecting:
+                if not self.value_fields:
+                    raise OptimizerError("projection index needs value_fields")
+                stored = stored.project(self.value_fields)
+                metadata[META_BASE_SCHEMA] = reader.value_schema.name
+                metadata[META_KEPT_FIELDS] = stored.field_names()
+            # The value codec: a writer class plus its one extra argument.
+            delta_fields = None
+            writer_class, codec_args = RecordFileWriter, ()
+            if self.kind in (cat.KIND_DELTA, cat.KIND_PROJECTION_DELTA):
+                delta_fields = list(
+                    self.delta_fields or stored.numeric_field_names()
+                )
+                if projecting:
+                    delta_fields = [f for f in delta_fields if stored.has_field(f)]
                 if not delta_fields:
                     raise OptimizerError(
-                        "projection+delta index has no numeric kept fields"
+                        f"{self.kind} index has no numeric fields to delta-code"
                     )
-                with DeltaFileWriter(
-                    index_path, key_schema, projected, delta_fields,
-                    metadata=metadata,
-                ) as writer:
-                    for key, value in reader.iter_records():
-                        writer.append(key, _narrow(value, projected))
-                        records += 1
+                writer_class, codec_args = DeltaFileWriter, (delta_fields,)
+            elif self.kind == cat.KIND_DICTIONARY:
+                if not self.dict_field:
+                    raise OptimizerError("dictionary index needs dict_field")
+                writer_class, codec_args = DictionaryFileWriter, (self.dict_field,)
+
+            index_path = (
+                catalog.next_index_path(self.kind) + _REWRITE_SUFFIX[self.kind]
+            )
+            with writer_class(index_path, key_schema, stored, *codec_args,
+                              metadata=metadata) as writer:
+                records = copy_records(
+                    reader, writer, stored if projecting else None
+                )
+            source_bytes = reader.file_size()
         return IndexEntry(
             index_id=catalog.make_entry_id(),
             kind=self.kind,
-            source_path=os.path.abspath(self.source_path),
+            source_path=metadata["source_path"],
             index_path=index_path,
-            value_fields=[f.name for f in projected.fields],
-            delta_fields=(
-                None if self.kind == cat.KIND_PROJECTION
-                else [
-                    f for f in (self.delta_fields or projected.numeric_field_names())
-                    if projected.has_field(f)
-                ]
+            value_fields=stored.field_names() if projecting else None,
+            delta_fields=delta_fields,
+            dict_field=(
+                self.dict_field if self.kind == cat.KIND_DICTIONARY else None
             ),
             stats={
                 "source_bytes": source_bytes,
@@ -278,70 +276,14 @@ class IndexGenerationProgram:
             },
         )
 
-    def _build_delta(self, catalog: Catalog) -> IndexEntry:
-        with self._source_reader() as reader:
-            value_schema = reader.value_schema
-            key_schema = reader.key_schema
-            source_bytes = reader.file_size()
-            delta_fields = self.delta_fields or value_schema.numeric_field_names()
-            if not delta_fields:
-                raise OptimizerError("delta index has no numeric fields")
-            index_path = catalog.next_index_path(self.kind) + ".delta"
-            records = 0
-            with DeltaFileWriter(
-                index_path, key_schema, value_schema, delta_fields,
-                metadata={"source_path": os.path.abspath(self.source_path)},
-            ) as writer:
-                for key, value in reader.iter_records():
-                    writer.append(key, value)
-                    records += 1
-        return IndexEntry(
-            index_id=catalog.make_entry_id(),
-            kind=cat.KIND_DELTA,
-            source_path=os.path.abspath(self.source_path),
-            index_path=index_path,
-            delta_fields=list(delta_fields),
-            stats={
-                "source_bytes": source_bytes,
-                "source_records": records,
-                "index_bytes": os.path.getsize(index_path),
-                "index_records": records,
-            },
-        )
 
-    def _build_dictionary(self, catalog: Catalog) -> IndexEntry:
-        if not self.dict_field:
-            raise OptimizerError("dictionary index needs dict_field")
-        with self._source_reader() as reader:
-            value_schema = reader.value_schema
-            key_schema = reader.key_schema
-            source_bytes = reader.file_size()
-            index_path = catalog.next_index_path(self.kind) + ".dict"
-            records = 0
-            with DictionaryFileWriter(
-                index_path, key_schema, value_schema, self.dict_field,
-                metadata={"source_path": os.path.abspath(self.source_path)},
-            ) as writer:
-                for key, value in reader.iter_records():
-                    writer.append(key, value)
-                    records += 1
-        return IndexEntry(
-            index_id=catalog.make_entry_id(),
-            kind=cat.KIND_DICTIONARY,
-            source_path=os.path.abspath(self.source_path),
-            index_path=index_path,
-            dict_field=self.dict_field,
-            stats={
-                "source_bytes": source_bytes,
-                "source_records": records,
-                "index_bytes": os.path.getsize(index_path),
-                "index_records": records,
-            },
-        )
-
-
-def _narrow(value: Record, projected: Schema) -> Record:
-    return projected.make(*[getattr(value, f.name) for f in projected.fields])
+#: Rewrite-style index kinds and their file suffixes.
+_REWRITE_SUFFIX = {
+    cat.KIND_PROJECTION: ".proj",
+    cat.KIND_PROJECTION_DELTA: ".projdelta",
+    cat.KIND_DELTA: ".delta",
+    cat.KIND_DICTIONARY: ".dict",
+}
 
 
 def synthesize_program(

@@ -9,6 +9,12 @@ mentions for its Hadoop prototype (Section 2.2), plus the projection and
 dictionary formats that "can be performed without any infrastructure-level
 support at all".
 
+Few modifications indeed: record, projected, delta and dictionary inputs
+(and every partition of a partitioned dataset) are one block-file
+container (:mod:`repro.storage.blockfile`) under different value codecs,
+so they share one ``splits``/``open`` (:class:`BlockFileInput`); only the
+B+Tree input has a scan of its own.
+
 Every split reader keeps byte/record accounting that the runtime folds
 into :class:`~repro.mapreduce.metrics.JobMetrics`:
 
@@ -23,11 +29,13 @@ into :class:`~repro.mapreduce.metrics.JobMetrics`:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import CorruptFileError, JobConfigError
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import varint
+from repro.storage.blockfile import BlockFileReader, BlockInfo
 from repro.storage.btree import BTree
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
@@ -36,7 +44,7 @@ from repro.storage.partitioned import (
     PartitionStats,
     read_partitioned_info,
 )
-from repro.storage.recordfile import BlockInfo, RecordFileReader
+from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import FieldDecodeCounter, Record, Schema
 
 
@@ -77,20 +85,17 @@ class SplitReader:
         return self.fields
 
     def __iter__(self) -> Iterator[Tuple[Any, Any]]:
-        for key, value in self._pairs:
-            self.records += 1
-            yield key, value
-        if self._finalize is not None:
-            self._finalize(self)
-
-
-def _chunk_blocks(blocks: List[BlockInfo], n_chunks: int) -> List[List[BlockInfo]]:
-    """Partition a block list into up to ``n_chunks`` contiguous runs."""
-    if not blocks:
-        return []
-    n_chunks = max(1, min(n_chunks, len(blocks)))
-    per = (len(blocks) + n_chunks - 1) // n_chunks
-    return [blocks[i:i + per] for i in range(0, len(blocks), per)]
+        # The finalizer closes the input file and harvests its byte
+        # count, so it must also run when the scan ends early -- a map()
+        # that raises, an injected fault, a corrupt block.
+        try:
+            for key, value in self._pairs:
+                self.records += 1
+                yield key, value
+        finally:
+            finalize, self._finalize = self._finalize, None
+            if finalize is not None:
+                finalize(self)
 
 
 def _record_fields(record: Any) -> int:
@@ -116,15 +121,70 @@ class InputSource:
         return type(self).__name__
 
 
-class RecordFileInput(InputSource):
-    """Standard MapReduce input: scan a whole record file.
+def _block_chunks(reader_class: Type[BlockFileReader], path: str,
+                  n_chunks: int) -> List[List[BlockInfo]]:
+    """The block directory of ``path`` as up to ``n_chunks`` contiguous runs."""
+    with reader_class(path) as reader:
+        blocks = reader.blocks()
+    if not blocks:
+        return []
+    n_chunks = max(1, min(n_chunks, len(blocks)))
+    per = (len(blocks) + n_chunks - 1) // n_chunks
+    return [blocks[i:i + per] for i in range(0, len(blocks), per)]
 
-    Values decode eagerly, modeling stock MapReduce deserialization (the
-    paper's Section 2.2 baseline: every serialized field is built whether
-    or not ``map()`` reads it).  Subclasses serving analyzer-proved access
-    patterns flip :attr:`lazy_values` to decode on demand instead.
+
+def _open_blocks(reader_class: Type[BlockFileReader], path: str,
+                 blocks: List[BlockInfo], lazy_values: bool) -> SplitReader:
+    """A split reader over ``blocks`` of the block file at ``path``.
+
+    Eager scans charge every value field of every record; lazy ones
+    (identity-codec files with a transparent value schema) charge
+    materializations only.
+    """
+    reader = reader_class(path)
+
+    def finalize(sr_: SplitReader) -> None:
+        sr_.stored_bytes += reader.bytes_read
+        reader.close()
+
+    if lazy_values and reader.value_schema.transparent:
+        counter = FieldDecodeCounter()
+        lazy_keys = reader.key_schema.transparent
+        # estimated_size comes from the boundary scan and is
+        # byte-identical to estimate_size(record) -- charging logical
+        # bytes must not force a decode.
+        key_size = attrgetter("estimated_size") if lazy_keys else estimate_size
+
+        def generate() -> Iterator[Tuple[Any, Any]]:
+            for key, value in reader.iter_records(
+                blocks, lazy_values=True, field_counter=counter,
+                lazy_keys=lazy_keys,
+            ):
+                sr.logical_bytes += key_size(key) + value.estimated_size
+                yield key, value
+    else:
+        counter = None
+
+        def generate() -> Iterator[Tuple[Any, Any]]:
+            for key, value in reader.iter_records(blocks):
+                sr.logical_bytes += estimate_size(key) + estimate_size(value)
+                sr.fields += _record_fields(value)
+                yield key, value
+
+    sr = SplitReader(generate(), finalize, field_counter=counter)
+    return sr
+
+
+class BlockFileInput(InputSource):
+    """An input that scans one block file: splits are runs of its blocks.
+
+    Subclasses differ only in the class attributes below.
     """
 
+    #: The format (hence value codec) the file at ``path`` must hold.
+    reader_class: Type[BlockFileReader]
+    #: What ``describe()`` calls this kind of scan.
+    label: str
     #: Decode value fields lazily (on first attribute access) and charge
     #: ``fields_deserialized`` for materializations only.
     lazy_values = False
@@ -134,59 +194,30 @@ class RecordFileInput(InputSource):
         self.path = path
 
     def splits(self, target: int) -> List[InputSplit]:
-        with RecordFileReader(self.path) as reader:
-            blocks = reader.blocks()
-        return [InputSplit(self, chunk) for chunk in _chunk_blocks(blocks, target)]
+        return [
+            InputSplit(self, chunk)
+            for chunk in _block_chunks(self.reader_class, self.path, target)
+        ]
 
     def open(self, split: InputSplit) -> SplitReader:
-        reader = RecordFileReader(self.path)
-
-        def finalize(sr_: SplitReader) -> None:
-            sr_.stored_bytes += reader.bytes_read
-            reader.close()
-
-        if self.lazy_values and reader.value_schema.transparent:
-            counter = FieldDecodeCounter()
-            lazy_keys = reader.key_schema.transparent
-
-            if lazy_keys:
-
-                def generate() -> Iterator[Tuple[Any, Any]]:
-                    for key, value in reader.iter_records(
-                        split.payload, lazy_values=True,
-                        field_counter=counter, lazy_keys=True,
-                    ):
-                        # estimated_size comes from the boundary scan and
-                        # is byte-identical to estimate_size(record) --
-                        # charging logical bytes must not force a decode.
-                        sr.logical_bytes += (
-                            key.estimated_size + value.estimated_size
-                        )
-                        yield key, value
-            else:
-
-                def generate() -> Iterator[Tuple[Any, Any]]:
-                    for key, value in reader.iter_records(
-                        split.payload, lazy_values=True, field_counter=counter
-                    ):
-                        sr.logical_bytes += (
-                            estimate_size(key) + value.estimated_size
-                        )
-                        yield key, value
-        else:
-            counter = None
-
-            def generate() -> Iterator[Tuple[Any, Any]]:
-                for key, value in reader.iter_records(split.payload):
-                    sr.logical_bytes += estimate_size(key) + estimate_size(value)
-                    sr.fields += _record_fields(value)
-                    yield key, value
-
-        sr = SplitReader(generate(), finalize, field_counter=counter)
-        return sr
+        return _open_blocks(self.reader_class, self.path, split.payload,
+                            self.lazy_values)
 
     def describe(self) -> str:
-        return f"scan({self.path})"
+        return f"{self.label}({self.path})"
+
+
+class RecordFileInput(BlockFileInput):
+    """Standard MapReduce input: scan a whole record file.
+
+    Values decode eagerly, modeling stock MapReduce deserialization (the
+    paper's Section 2.2 baseline: every serialized field is built whether
+    or not ``map()`` reads it).  Subclasses serving analyzer-proved access
+    patterns flip :attr:`lazy_values` to decode on demand instead.
+    """
+
+    reader_class = RecordFileReader
+    label = "scan"
 
 
 class ProjectedFileInput(RecordFileInput):
@@ -201,9 +232,7 @@ class ProjectedFileInput(RecordFileInput):
     """
 
     lazy_values = True
-
-    def describe(self) -> str:
-        return f"projected-scan({self.path})"
+    label = "projected-scan"
 
 
 class PartitionedInput(InputSource):
@@ -291,28 +320,13 @@ class PartitionedInput(InputSource):
         per_partition = max(1, target // len(parts))
         for stats in parts:
             path = info.partition_path(stats)
-            with RecordFileReader(path) as reader:
-                blocks = reader.blocks()
-            for chunk in _chunk_blocks(blocks, per_partition):
+            for chunk in _block_chunks(RecordFileReader, path, per_partition):
                 out.append(InputSplit(self, (path, chunk)))
         return out
 
     def open(self, split: InputSplit) -> SplitReader:
         path, blocks = split.payload
-        reader = RecordFileReader(path)
-
-        def generate() -> Iterator[Tuple[Any, Any]]:
-            for key, value in reader.iter_records(blocks):
-                sr.logical_bytes += estimate_size(key) + estimate_size(value)
-                sr.fields += _record_fields(value)
-                yield key, value
-
-        def finalize(sr_: SplitReader) -> None:
-            sr_.stored_bytes += reader.bytes_read
-            reader.close()
-
-        sr = SplitReader(generate(), finalize)
-        return sr
+        return _open_blocks(RecordFileReader, path, blocks, lazy_values=False)
 
     def describe(self) -> str:
         scanned, pruned = self.partition_counts()
@@ -320,7 +334,7 @@ class PartitionedInput(InputSource):
         return f"partitioned-scan({self.path}, {scanned}/{total} partitions)"
 
 
-class DeltaFileInput(InputSource):
+class DeltaFileInput(BlockFileInput):
     """Delta-compressed input: fewer stored bytes, same decode work.
 
     ``logical_bytes`` reflects the reconstructed record stream, so the cost
@@ -328,36 +342,11 @@ class DeltaFileInput(InputSource):
     Table 5 observation that delta compression saves I/O but not CPU.
     """
 
-    def __init__(self, path: str, tag: Optional[str] = None):
-        super().__init__(tag)
-        self.path = path
-
-    def splits(self, target: int) -> List[InputSplit]:
-        with DeltaFileReader(self.path) as reader:
-            blocks = reader.blocks()
-        return [InputSplit(self, chunk) for chunk in _chunk_blocks(blocks, target)]
-
-    def open(self, split: InputSplit) -> SplitReader:
-        reader = DeltaFileReader(self.path)
-
-        def generate() -> Iterator[Tuple[Any, Any]]:
-            for key, value in reader.iter_records(split.payload):
-                sr.logical_bytes += estimate_size(key) + estimate_size(value)
-                sr.fields += _record_fields(value)
-                yield key, value
-
-        def finalize(sr_: SplitReader) -> None:
-            sr_.stored_bytes += reader.bytes_read
-            reader.close()
-
-        sr = SplitReader(generate(), finalize)
-        return sr
-
-    def describe(self) -> str:
-        return f"delta-scan({self.path})"
+    reader_class = DeltaFileReader
+    label = "delta-scan"
 
 
-class DictionaryFileInput(InputSource):
+class DictionaryFileInput(BlockFileInput):
     """Direct-operation input: the mapper sees compressed (integer) codes.
 
     Both stored and logical bytes shrink, because the value is *never*
@@ -365,33 +354,8 @@ class DictionaryFileInput(InputSource):
     ordinary whole-file compression, which saves disk but not decode work.
     """
 
-    def __init__(self, path: str, tag: Optional[str] = None):
-        super().__init__(tag)
-        self.path = path
-
-    def splits(self, target: int) -> List[InputSplit]:
-        with DictionaryFileReader(self.path) as reader:
-            blocks = reader.blocks()
-        return [InputSplit(self, chunk) for chunk in _chunk_blocks(blocks, target)]
-
-    def open(self, split: InputSplit) -> SplitReader:
-        reader = DictionaryFileReader(self.path)
-
-        def generate() -> Iterator[Tuple[Any, Any]]:
-            for key, value in reader.iter_records(split.payload):
-                sr.logical_bytes += estimate_size(key) + estimate_size(value)
-                sr.fields += _record_fields(value)
-                yield key, value
-
-        def finalize(sr_: SplitReader) -> None:
-            sr_.stored_bytes += reader.bytes_read
-            reader.close()
-
-        sr = SplitReader(generate(), finalize)
-        return sr
-
-    def describe(self) -> str:
-        return f"dict-scan({self.path})"
+    reader_class = DictionaryFileReader
+    label = "dict-scan"
 
 
 class KeyRange:

@@ -14,14 +14,11 @@ sketches as future work is exposed via ``build_column_groups``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import SchemaError
-from repro.storage.recordfile import (
-    DEFAULT_BLOCK_SIZE,
-    RecordFileReader,
-    RecordFileWriter,
-)
+from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileWriter
+from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import Record, Schema
 
 #: Metadata keys written into projected-file headers.
@@ -36,6 +33,23 @@ def project_record(record: Record, projected: Schema) -> Record:
     return projected.make(*[getattr(record, f.name) for f in projected.fields])
 
 
+def copy_records(reader: RecordFileReader, writer: BlockFileWriter,
+                 projected: Optional[Schema] = None) -> int:
+    """Stream every record of ``reader`` into ``writer``; return the count.
+
+    Every rewrite-style index build is this loop with a different writer.
+    With ``projected``, values are narrowed on the way through and the
+    source decodes lazily: only the kept fields materialize (via
+    project_record's attribute reads); dropped fields -- often the huge
+    ones, which is why they are being projected away -- are never
+    deserialized at all.
+    """
+    narrow = projected is not None
+    for key, value in reader.iter_records(lazy_values=narrow):
+        writer.append(key, project_record(value, projected) if narrow else value)
+    return writer.records_written
+
+
 def build_projection(
     source_path: str,
     dest_path: str,
@@ -45,9 +59,10 @@ def build_projection(
     """Materialize a projected copy of ``source_path`` keeping only
     ``keep_fields`` of the value schema.  Returns build statistics.
 
-    This is the direct (non-MapReduce) build used by tests and examples;
-    the optimizer's synthesized index-generation *job* produces an
-    identical file through the execution fabric.
+    This is the direct build used by tests and examples; the optimizer's
+    synthesized index-generation program
+    (:mod:`repro.core.optimizer.indexgen`) writes the same records through
+    the same copy loop, with catalog provenance in the header metadata.
     """
     with RecordFileReader(source_path) as reader:
         if not reader.value_schema.transparent:
@@ -68,14 +83,9 @@ def build_projection(
             block_size=block_size,
             metadata=metadata,
         ) as writer:
-            # Lazy source decode: only the kept fields materialize (via
-            # project_record's attribute reads); dropped fields -- often
-            # the huge ones, which is why they are being projected away --
-            # are never deserialized at all.
-            for key, value in reader.iter_records(lazy_values=True):
-                writer.append(key, project_record(value, projected))
+            records = copy_records(reader, writer, projected)
         return {
-            "records": writer.records_written,
+            "records": records,
             "source_bytes": reader.file_size(),
             "projected_fields": metadata[META_KEPT_FIELDS],
         }

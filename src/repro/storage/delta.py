@@ -5,9 +5,12 @@ Appendix C/D): numeric fields are stored as differences from the previous
 record's value, encoded with the size-sensitive zigzag-varint representation,
 so "storing just small deltas ... can yield large storage savings."
 
-Deltas reset at block boundaries, so each block remains independently
-decodable and the block structure can still serve as the unit of input
-splitting, exactly like plain record files.
+A delta file is the block-file container of :mod:`repro.storage.blockfile`
+(which owns framing, the block directory and corruption checks) with magic
+``RPDF``, one header extra (``delta_fields``) and the value codec defined
+here.  Deltas reset at block boundaries, so each block stays independently
+decodable and remains the unit of input splitting; within a block a value
+needs the records before it, so decoding is eager by construction.
 
 Only the *value* record participates; keys are stored verbatim.  Which
 fields are delta-coded is chosen by the analyzer (all integral fields of a
@@ -16,15 +19,18 @@ transparent schema) and recorded in the file header.
 
 from __future__ import annotations
 
-import io
-import json
-import os
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import CorruptFileError, SchemaError, SerializationError
 from repro.storage import varint
-from repro.storage.recordfile import DEFAULT_BLOCK_SIZE, BlockInfo
+from repro.storage.blockfile import (
+    DEFAULT_BLOCK_SIZE,
+    BlockFileReader,
+    BlockFileWriter,
+    CodecHalf,
+)
 from repro.storage.serialization import (
+    FieldDecodeCounter,
     Record,
     Schema,
     _decode_value,
@@ -34,8 +40,19 @@ from repro.storage.serialization import (
 MAGIC = b"RPDF"
 
 
-class DeltaFileWriter:
+def _codec_steps(value_schema: Schema, delta_fields: Sequence[str]):
+    """Per value field: (index, name, type, is it delta-coded)."""
+    delta_set = set(delta_fields)
+    return [
+        (i, f.name, f.ftype, f.name in delta_set)
+        for i, f in enumerate(value_schema.fields)
+    ]
+
+
+class DeltaFileWriter(BlockFileWriter):
     """Writes a record file with delta-coded numeric value fields."""
+
+    MAGIC = MAGIC
 
     def __init__(
         self,
@@ -57,214 +74,65 @@ class DeltaFileWriter:
                     f"field {name!r} of type {field.ftype.value} is not "
                     "delta-compressible"
                 )
-        self.path = path
-        self.key_schema = key_schema
-        self.value_schema = value_schema
         self.delta_fields = list(delta_fields)
-        self._delta_set = set(delta_fields)
-        self.block_size = block_size
-        self._file = open(path, "wb")
-        self._buffer = bytearray()
-        self._buffer_records = 0
-        self._prev: Dict[str, int] = {}
-        self.records_written = 0
-        self._closed = False
-        header = {
-            "key_schema": key_schema.to_dict(),
-            "value_schema": value_schema.to_dict(),
-            "delta_fields": self.delta_fields,
-            "metadata": metadata or {},
-        }
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        self._file.write(MAGIC)
-        self._file.write(varint.encode_uvarint(len(raw)))
-        self._file.write(raw)
+        super().__init__(path, key_schema, value_schema, block_size, metadata)
 
-    def append(self, key: Record, value: Record) -> None:
-        if self._closed:
-            raise SerializationError("writer is closed")
-        kraw = self.key_schema.encode(key)
-        vraw = self._encode_value_record(value)
-        self._buffer += varint.encode_uvarint(len(kraw))
-        self._buffer += kraw
-        self._buffer += varint.encode_uvarint(len(vraw))
-        self._buffer += vraw
-        self._buffer_records += 1
-        self.records_written += 1
-        if len(self._buffer) >= self.block_size:
-            self._flush_block()
+    def _header_extras(self) -> Dict[str, Any]:
+        return {"delta_fields": self.delta_fields}
 
-    def _encode_value_record(self, value: Record) -> bytes:
-        out = bytearray()
-        for field in self.value_schema.fields:
-            raw_value = getattr(value, field.name)
-            if field.name in self._delta_set:
-                if not isinstance(raw_value, int) or isinstance(raw_value, bool):
-                    raise SerializationError(
-                        f"delta field {field.name!r} must be int, got "
-                        f"{type(raw_value).__name__}"
-                    )
-                prev = self._prev.get(field.name)
-                if prev is None:
-                    out += varint.encode_svarint(raw_value)
+    def _value_encoder(self) -> CodecHalf:
+        steps = _codec_steps(self.value_schema, self.delta_fields)
+        prev: Dict[int, int] = {}
+
+        def encode(value: Record) -> bytes:
+            out = bytearray()
+            for i, name, ftype, is_delta in steps:
+                raw_value = getattr(value, name)
+                if is_delta:
+                    if not isinstance(raw_value, int) or isinstance(raw_value, bool):
+                        raise SerializationError(
+                            f"delta field {name!r} must be int, got "
+                            f"{type(raw_value).__name__}"
+                        )
+                    # The block's first record has no predecessor and is
+                    # stored absolute: a delta from zero.
+                    out += varint.encode_svarint(raw_value - prev.get(i, 0))
+                    prev[i] = raw_value
                 else:
-                    out += varint.encode_svarint(raw_value - prev)
-                self._prev[field.name] = raw_value
-            else:
-                _encode_value(field.ftype, raw_value, out)
-        return bytes(out)
+                    _encode_value(ftype, raw_value, out)
+            return bytes(out)
 
-    def _flush_block(self) -> None:
-        if not self._buffer_records:
-            return
-        self._file.write(varint.encode_uvarint(len(self._buffer)))
-        self._file.write(varint.encode_uvarint(self._buffer_records))
-        self._file.write(bytes(self._buffer))
-        self._buffer = bytearray()
-        self._buffer_records = 0
         # Deltas restart each block so blocks stay independently decodable.
-        self._prev = {}
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._flush_block()
-        self._file.close()
-        self._closed = True
-
-    def __enter__(self) -> "DeltaFileWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        return encode, prev.clear
 
 
-class DeltaFileReader:
+class DeltaFileReader(BlockFileReader):
     """Reader reconstructing absolute values from a delta-coded file."""
 
-    def __init__(self, path: str):
-        self.path = path
-        self._file = open(path, "rb")
-        self.bytes_read = 0
-        if self._file.read(len(MAGIC)) != MAGIC:
-            self._file.close()
-            raise CorruptFileError(f"{path}: bad delta-file magic")
-        header_len, prefix = self._read_uvarint_from_file()
-        raw = self._file.read(header_len)
-        header = json.loads(raw.decode("utf-8"))
-        self.key_schema = Schema.from_dict(header["key_schema"])
-        self.value_schema = Schema.from_dict(header["value_schema"])
+    MAGIC = MAGIC
+
+    def _bind_header(self, header: Dict[str, Any]) -> None:
         self.delta_fields: List[str] = header["delta_fields"]
-        self._delta_set = set(self.delta_fields)
-        self.metadata: Dict[str, Any] = header.get("metadata", {})
-        self._data_start = len(MAGIC) + prefix + header_len
-        self._file_size = os.path.getsize(path)
 
-    def _read_uvarint_from_file(self) -> Tuple[int, int]:
-        try:
-            return varint.read_uvarint_stream(self._file)
-        except SerializationError as exc:
-            raise CorruptFileError(f"{self.path}: {exc}") from exc
+    def _value_decoder(
+        self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
+    ) -> CodecHalf:
+        schema = self.value_schema
+        steps = _codec_steps(schema, self.delta_fields)
+        path = self.path
+        prev: Dict[int, int] = {}
 
-    def blocks(self) -> List[BlockInfo]:
-        """Block directory for input splitting (same shape as record files)."""
-        out: List[BlockInfo] = []
-        self._file.seek(self._data_start)
-        while self._file.tell() < self._file_size:
-            offset = self._file.tell()
-            payload_len, n1 = self._read_uvarint_from_file()
-            n_records, n2 = self._read_uvarint_from_file()
-            out.append(BlockInfo(offset, n1 + n2 + payload_len, n_records))
-            self._file.seek(payload_len, io.SEEK_CUR)
-        return out
-
-    def iter_records(
-        self, blocks: Optional[List[BlockInfo]] = None
-    ) -> Iterator[Tuple[Record, Record]]:
-        """Yield decoded (key, value) pairs with deltas resolved."""
-        if blocks is None:
-            self._file.seek(self._data_start)
-            source: Iterator[Tuple[bytes, int]] = self._iter_payloads_to_eof()
-        else:
-            source = self._iter_payloads_from(blocks)
-        key_decode = self.key_schema.decode
-        for payload, n_records in source:
-            view = memoryview(payload)
-            end = len(payload)
-            prev: Dict[str, int] = {}
-            pos = 0
-            for _ in range(n_records):
-                klen, pos = varint.decode_uvarint(view, pos, end)
-                kend = pos + klen
-                if kend > end:
-                    raise CorruptFileError(f"{self.path}: truncated record")
-                vlen, vpos = varint.decode_uvarint(view, kend, end)
-                vend = vpos + vlen
-                if vend > end:
-                    raise CorruptFileError(f"{self.path}: truncated record")
-                key = key_decode(view, pos, kend)
-                value, prev = self._decode_value_record(view, vpos, vend, prev)
-                pos = vend
-                yield key, value
-
-    def _iter_payloads_to_eof(self) -> Iterator[Tuple[bytes, int]]:
-        while self._file.tell() < self._file_size:
-            payload_len, n1 = self._read_uvarint_from_file()
-            n_records, n2 = self._read_uvarint_from_file()
-            payload = self._file.read(payload_len)
-            if len(payload) != payload_len:
-                raise CorruptFileError(f"{self.path}: truncated block")
-            self.bytes_read += n1 + n2 + payload_len
-            yield payload, n_records
-
-    def _iter_payloads_from(
-        self, blocks: List[BlockInfo]
-    ) -> Iterator[Tuple[bytes, int]]:
-        for block in blocks:
-            self._file.seek(block.offset)
-            payload_len, n1 = self._read_uvarint_from_file()
-            n_records, n2 = self._read_uvarint_from_file()
-            payload = self._file.read(payload_len)
-            if len(payload) != payload_len:
-                raise CorruptFileError(f"{self.path}: truncated block")
-            self.bytes_read += n1 + n2 + payload_len
-            yield payload, n_records
-
-    def _decode_value_record(
-        self, buf: Any, pos: int, end: int, prev: Dict[str, int]
-    ) -> Tuple[Record, Dict[str, int]]:
-        """Decode one delta-coded value record from ``buf[pos:end]``.
-
-        Operates directly on the shared block buffer (``buf`` is the
-        block's memoryview); delta fields reconstruct from the running
-        ``prev`` state, so decoding is eager by construction.
-        """
-        values: List[Any] = []
-        for field in self.value_schema.fields:
-            if field.name in self._delta_set:
-                delta, pos = varint.decode_svarint(buf, pos, end)
-                base = prev.get(field.name)
-                absolute = delta if base is None else base + delta
-                prev[field.name] = absolute
-                values.append(absolute)
-            else:
-                value, pos = _decode_value(field.ftype, buf, pos, end)
+        def decode(buf: Any, pos: int, end: int) -> Record:
+            values: List[Any] = []
+            for i, _name, ftype, is_delta in steps:
+                if is_delta:
+                    delta, pos = varint.decode_svarint(buf, pos, end)
+                    value = prev[i] = prev.get(i, 0) + delta
+                else:
+                    value, pos = _decode_value(ftype, buf, pos, end)
                 values.append(value)
-        if pos != end:
-            raise CorruptFileError(f"{self.path}: trailing value bytes")
-        return Record(self.value_schema, values), prev
+            if pos != end:
+                raise CorruptFileError(f"{path}: trailing value bytes")
+            return Record(schema, values)
 
-    def count_records(self) -> int:
-        return sum(b.n_records for b in self.blocks())
-
-    def file_size(self) -> int:
-        return self._file_size
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "DeltaFileReader":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        return decode, prev.clear

@@ -8,6 +8,13 @@ is implemented as an integer instead of a String" -- saving input bytes,
 intermediate bytes, and sort time, while preserving the equality semantics
 the program relies on.
 
+A dictionary file is the block-file container of
+:mod:`repro.storage.blockfile` with magic ``RPDX``, one header extra
+(``field_name``), the value codec defined here -- values are encoded with
+the *stored schema*, the value schema with the compressed field retyped
+to INT -- and a footer holding the code table, which the container's
+block walk stops short of.
+
 Codes are assigned in first-appearance order during the build, which makes
 builds deterministic for a given input.  Compression destroys *ordering*,
 which is exactly why the analyzer may only apply it when every use is an
@@ -16,22 +23,28 @@ equality test and the final output does not need the decompressed value.
 
 from __future__ import annotations
 
-import io
-import json
-import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.exceptions import CorruptFileError, SchemaError, SerializationError
 from repro.storage import varint
-from repro.storage.recordfile import DEFAULT_BLOCK_SIZE, BlockInfo
+from repro.storage.blockfile import (
+    DEFAULT_BLOCK_SIZE,
+    BlockFileReader,
+    BlockFileWriter,
+    CodecHalf,
+)
 from repro.storage.serialization import (
     Field,
+    FieldDecodeCounter,
     FieldType,
     Record,
     Schema,
 )
 
 MAGIC = b"RPDX"
+
+#: The footer ends in a fixed-size little-endian pointer to its start.
+_POINTER_BYTES = 8
 
 
 def compressed_schema(value_schema: Schema, field_name: str) -> Schema:
@@ -43,13 +56,15 @@ def compressed_schema(value_schema: Schema, field_name: str) -> Schema:
     return Schema(f"{value_schema.name}_dict_{field_name}", fields)
 
 
-class DictionaryFileWriter:
+class DictionaryFileWriter(BlockFileWriter):
     """Two-phase writer: values stream through, dictionary lands in footer.
 
     The dictionary (code -> original string) is written *after* the record
     blocks so the build stays single-pass; readers locate it through the
     trailing footer pointer.
     """
+
+    MAGIC = MAGIC
 
     def __init__(
         self,
@@ -70,92 +85,48 @@ class DictionaryFileWriter:
                 f"dictionary compression targets string fields; {field_name!r} "
                 f"is {field.ftype.value}"
             )
-        self.path = path
-        self.key_schema = key_schema
-        self.value_schema = value_schema
         self.field_name = field_name
         self.stored_schema = compressed_schema(value_schema, field_name)
-        self._field_index = value_schema.field_index(field_name)
-        self.block_size = block_size
-        self._file = open(path, "wb")
-        self._buffer = bytearray()
-        self._buffer_records = 0
         self._codes: Dict[str, int] = {}
-        self.records_written = 0
-        self._closed = False
-        header = {
-            "key_schema": key_schema.to_dict(),
-            "value_schema": value_schema.to_dict(),
-            "field_name": field_name,
-            "metadata": metadata or {},
-        }
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        self._file.write(MAGIC)
-        self._file.write(varint.encode_uvarint(len(raw)))
-        self._file.write(raw)
+        super().__init__(path, key_schema, value_schema, block_size, metadata)
 
-    def append(self, key: Record, value: Record) -> None:
-        if self._closed:
-            raise SerializationError("writer is closed")
-        original = getattr(value, self.field_name)
-        if not isinstance(original, str):
-            raise SerializationError(
-                f"field {self.field_name!r} must be str, got "
-                f"{type(original).__name__}"
-            )
-        code = self._codes.get(original)
-        if code is None:
-            code = len(self._codes)
-            self._codes[original] = code
-        values = list(value.as_tuple())
-        values[self._field_index] = code
-        stored = Record(self.stored_schema, values)
-        kraw = self.key_schema.encode(key)
-        vraw = self.stored_schema.encode(stored)
-        self._buffer += varint.encode_uvarint(len(kraw))
-        self._buffer += kraw
-        self._buffer += varint.encode_uvarint(len(vraw))
-        self._buffer += vraw
-        self._buffer_records += 1
-        self.records_written += 1
-        if len(self._buffer) >= self.block_size:
-            self._flush_block()
+    def _header_extras(self) -> Dict[str, Any]:
+        return {"field_name": self.field_name}
 
-    def _flush_block(self) -> None:
-        if not self._buffer_records:
-            return
-        self._file.write(varint.encode_uvarint(len(self._buffer)))
-        self._file.write(varint.encode_uvarint(self._buffer_records))
-        self._file.write(bytes(self._buffer))
-        self._buffer = bytearray()
-        self._buffer_records = 0
+    def _value_encoder(self) -> CodecHalf:
+        field_name = self.field_name
+        field_index = self.value_schema.field_index(field_name)
+        stored_schema = self.stored_schema
+        codes = self._codes
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._flush_block()
+        def encode(value: Record) -> bytes:
+            values = list(value.as_tuple())
+            original = values[field_index]
+            if not isinstance(original, str):
+                raise SerializationError(
+                    f"field {field_name!r} must be str, got "
+                    f"{type(original).__name__}"
+                )
+            values[field_index] = codes.setdefault(original, len(codes))
+            return stored_schema.encode(Record(stored_schema, values))
+
+        # The dictionary spans the file, so nothing resets per block.
+        return encode, None
+
+    def _write_footer(self) -> None:
+        """The dictionary in code order, then the pointer to its start."""
         data_end = self._file.tell()
-        # Footer: the dictionary in code order, then a fixed-size pointer.
-        ordered = sorted(self._codes.items(), key=lambda kv: kv[1])
         footer = bytearray()
-        footer += varint.encode_uvarint(len(ordered))
-        for text, _code in ordered:
+        footer += varint.encode_uvarint(len(self._codes))
+        for text in self._codes:  # insertion order is code order
             raw = text.encode("utf-8")
             footer += varint.encode_uvarint(len(raw))
             footer += raw
+        footer += data_end.to_bytes(_POINTER_BYTES, "little")
         self._file.write(bytes(footer))
-        self._file.write(data_end.to_bytes(8, "little"))
-        self._file.close()
-        self._closed = True
-
-    def __enter__(self) -> "DictionaryFileWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
-class DictionaryFileReader:
+class DictionaryFileReader(BlockFileReader):
     """Reads dictionary-compressed files, yielding *compressed* records.
 
     The value records carry an ``int`` code in place of the compressed
@@ -164,34 +135,26 @@ class DictionaryFileReader:
     (e.g. for verification in tests).
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self._file = open(path, "rb")
-        self.bytes_read = 0
-        if self._file.read(len(MAGIC)) != MAGIC:
-            self._file.close()
-            raise CorruptFileError(f"{path}: bad dictionary-file magic")
-        header_len, prefix = self._read_uvarint_from_file()
-        header = json.loads(self._file.read(header_len).decode("utf-8"))
-        self.key_schema = Schema.from_dict(header["key_schema"])
-        self.value_schema = Schema.from_dict(header["value_schema"])
+    MAGIC = MAGIC
+
+    def _bind_header(self, header: Dict[str, Any]) -> None:
         self.field_name: str = header["field_name"]
         self.stored_schema = compressed_schema(self.value_schema, self.field_name)
-        self.metadata: Dict[str, Any] = header.get("metadata", {})
-        self._data_start = len(MAGIC) + prefix + header_len
-        total = os.path.getsize(path)
-        self._file.seek(total - 8)
-        self._data_end = int.from_bytes(self._file.read(8), "little")
-        if not self._data_start <= self._data_end <= total - 8:
-            raise CorruptFileError(f"{path}: bad dictionary footer pointer")
         self._dictionary: Optional[List[str]] = None
-        self._file_size = total
+        pointer_at = self._file_size - _POINTER_BYTES
+        if pointer_at < self._data_start:
+            raise CorruptFileError(f"{self.path}: file shorter than its footer")
+        self._file.seek(pointer_at)
+        self._data_end = int.from_bytes(
+            self._file.read(_POINTER_BYTES), "little"
+        )
+        if not self._data_start <= self._data_end <= pointer_at:
+            raise CorruptFileError(f"{self.path}: bad dictionary footer pointer")
 
-    def _read_uvarint_from_file(self) -> Tuple[int, int]:
-        try:
-            return varint.read_uvarint_stream(self._file)
-        except SerializationError as exc:
-            raise CorruptFileError(f"{self.path}: {exc}") from exc
+    def _value_decoder(
+        self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
+    ) -> CodecHalf:
+        return self.stored_schema.decode, None
 
     def dictionary(self) -> List[str]:
         """The code -> string table (loaded lazily, cached)."""
@@ -207,59 +170,3 @@ class DictionaryFileReader:
                 table.append(raw.decode("utf-8"))
             self._dictionary = table
         return self._dictionary
-
-    def blocks(self) -> List[BlockInfo]:
-        out: List[BlockInfo] = []
-        self._file.seek(self._data_start)
-        while self._file.tell() < self._data_end:
-            offset = self._file.tell()
-            payload_len, n1 = self._read_uvarint_from_file()
-            n_records, n2 = self._read_uvarint_from_file()
-            out.append(BlockInfo(offset, n1 + n2 + payload_len, n_records))
-            self._file.seek(payload_len, io.SEEK_CUR)
-        return out
-
-    def iter_records(
-        self, blocks: Optional[List[BlockInfo]] = None
-    ) -> Iterator[Tuple[Record, Record]]:
-        if blocks is None:
-            blocks = self.blocks()
-        for block in blocks:
-            self._file.seek(block.offset)
-            payload_len, n1 = self._read_uvarint_from_file()
-            n_records, n2 = self._read_uvarint_from_file()
-            payload = self._file.read(payload_len)
-            if len(payload) != payload_len:
-                raise CorruptFileError(f"{self.path}: truncated block")
-            self.bytes_read += n1 + n2 + payload_len
-            view = memoryview(payload)
-            end = len(payload)
-            key_decode = self.key_schema.decode
-            value_decode = self.stored_schema.decode
-            pos = 0
-            for _ in range(n_records):
-                klen, pos = varint.decode_uvarint(view, pos, end)
-                kend = pos + klen
-                if kend > end:
-                    raise CorruptFileError(f"{self.path}: truncated record")
-                vlen, vpos = varint.decode_uvarint(view, kend, end)
-                vend = vpos + vlen
-                if vend > end:
-                    raise CorruptFileError(f"{self.path}: truncated record")
-                yield key_decode(view, pos, kend), value_decode(view, vpos, vend)
-                pos = vend
-
-    def count_records(self) -> int:
-        return sum(b.n_records for b in self.blocks())
-
-    def file_size(self) -> int:
-        return self._file_size
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "DictionaryFileReader":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CorruptFileError, SerializationError
-from repro.storage.recordfile import DEFAULT_BLOCK_SIZE, RecordFileWriter
+from repro.storage.blockfile import DEFAULT_BLOCK_SIZE
+from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import Record, Schema
 
 #: Sidecar file name inside a partition directory.

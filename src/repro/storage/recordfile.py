@@ -1,331 +1,38 @@
 """Flat files of serialized key/value records -- the MapReduce input format.
 
 A record file is the reproduction's stand-in for an HDFS file of serialized
-objects.  Layout::
-
-    magic "RPRF" | uvarint header_len | header JSON (UTF-8)
-    block*  where block = uvarint payload_len | uvarint n_records | payload
-    payload = (uvarint key_len | key bytes | uvarint val_len | val bytes)*
-
-The header carries the key and value schemas (so files are self-describing)
-plus free-form metadata.  Records are grouped into blocks of roughly
-``block_size`` bytes; blocks are the unit of input splitting, playing the
-role of HDFS blocks/sync markers: a map task can seek to its first block
-and read only its share of the file.
+objects: the block-file container of :mod:`repro.storage.blockfile` (which
+documents the layout and owns reading and writing it) with magic ``RPRF``
+and the *identity* value codec -- value bytes are the value schema's plain
+encoding, so values can decode lazily, field by field, and blocks can be
+scanned columnar by :mod:`repro.batch.columns`.  Projection files and
+dataset partitions are record files too.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.exceptions import CorruptFileError, SerializationError
-from repro.storage import varint
-from repro.storage.serialization import FieldDecodeCounter, Record, Schema
+from repro.storage.blockfile import (
+    DEFAULT_BLOCK_SIZE,
+    BlockFileReader,
+    BlockFileWriter,
+)
+from repro.storage.serialization import Record, Schema
 
 MAGIC = b"RPRF"
-DEFAULT_BLOCK_SIZE = 64 * 1024
 
 
-class RecordFileWriter:
-    """Streaming writer for record files.
+class RecordFileWriter(BlockFileWriter):
+    """Streaming writer for record files."""
 
-    Use as a context manager::
-
-        with RecordFileWriter(path, key_schema, value_schema) as w:
-            w.append(key_record, value_record)
-    """
-
-    def __init__(
-        self,
-        path: str,
-        key_schema: Schema,
-        value_schema: Schema,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        metadata: Optional[Dict[str, Any]] = None,
-    ):
-        if block_size <= 0:
-            raise SerializationError("block_size must be positive")
-        self.path = path
-        self.key_schema = key_schema
-        self.value_schema = value_schema
-        self.block_size = block_size
-        self._file = open(path, "wb")
-        self._buffer = bytearray()
-        self._buffer_records = 0
-        self.records_written = 0
-        self.bytes_written = 0
-        self._closed = False
-        header = {
-            "key_schema": key_schema.to_dict(),
-            "value_schema": value_schema.to_dict(),
-            "metadata": metadata or {},
-        }
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        self._file.write(MAGIC)
-        self._file.write(varint.encode_uvarint(len(raw)))
-        self._file.write(raw)
-
-    def append(self, key: Record, value: Record) -> None:
-        """Serialize and buffer one record pair, flushing full blocks."""
-        if self._closed:
-            raise SerializationError("writer is closed")
-        kraw = self.key_schema.encode(key)
-        vraw = self.value_schema.encode(value)
-        self._buffer += varint.encode_uvarint(len(kraw))
-        self._buffer += kraw
-        self._buffer += varint.encode_uvarint(len(vraw))
-        self._buffer += vraw
-        self._buffer_records += 1
-        self.records_written += 1
-        if len(self._buffer) >= self.block_size:
-            self._flush_block()
-
-    def append_raw(self, kraw: bytes, vraw: bytes) -> None:
-        """Append pre-serialized key/value bytes (used by index builders)."""
-        if self._closed:
-            raise SerializationError("writer is closed")
-        self._buffer += varint.encode_uvarint(len(kraw))
-        self._buffer += kraw
-        self._buffer += varint.encode_uvarint(len(vraw))
-        self._buffer += vraw
-        self._buffer_records += 1
-        self.records_written += 1
-        if len(self._buffer) >= self.block_size:
-            self._flush_block()
-
-    def _flush_block(self) -> None:
-        if not self._buffer_records:
-            return
-        block = (
-            varint.encode_uvarint(len(self._buffer))
-            + varint.encode_uvarint(self._buffer_records)
-            + bytes(self._buffer)
-        )
-        self._file.write(block)
-        self.bytes_written += len(block)
-        self._buffer = bytearray()
-        self._buffer_records = 0
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._flush_block()
-        self._file.close()
-        self._closed = True
-
-    def __enter__(self) -> "RecordFileWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    MAGIC = MAGIC
 
 
-class BlockInfo:
-    """Location of one block inside a record file (a split candidate)."""
+class RecordFileReader(BlockFileReader):
+    """Reader for record files, with byte accounting and block access."""
 
-    __slots__ = ("offset", "length", "n_records")
-
-    def __init__(self, offset: int, length: int, n_records: int):
-        self.offset = offset
-        self.length = length
-        self.n_records = n_records
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockInfo(offset={self.offset}, length={self.length}, "
-            f"n_records={self.n_records})"
-        )
-
-
-class RecordFileReader:
-    """Reader for record files, with byte accounting and block access.
-
-    ``bytes_read`` counts *payload and framing bytes actually consumed*,
-    which is the quantity the cluster cost model charges for I/O.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._file = open(path, "rb")
-        self.bytes_read = 0
-        magic = self._file.read(len(MAGIC))
-        if magic != MAGIC:
-            self._file.close()
-            raise CorruptFileError(f"{path}: bad magic {magic!r}")
-        header_len, raw_prefix = self._read_uvarint_from_file()
-        raw = self._file.read(header_len)
-        if len(raw) != header_len:
-            self._file.close()
-            raise CorruptFileError(f"{path}: truncated header")
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._file.close()
-            raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
-        self.key_schema = Schema.from_dict(header["key_schema"])
-        self.value_schema = Schema.from_dict(header["value_schema"])
-        self.metadata: Dict[str, Any] = header.get("metadata", {})
-        self._data_start = len(MAGIC) + raw_prefix + header_len
-        self._file_size = os.path.getsize(path)
-
-    def _read_uvarint_from_file(self) -> Tuple[int, int]:
-        """Read one uvarint directly from the file; return (value, n_bytes)."""
-        try:
-            return varint.read_uvarint_stream(self._file)
-        except SerializationError as exc:
-            raise CorruptFileError(f"{self.path}: {exc}") from exc
-
-    # -- block directory ----------------------------------------------------
-
-    def blocks(self) -> List[BlockInfo]:
-        """Enumerate block locations by seeking over block headers.
-
-        This touches only the per-block length prefixes, not payloads, so it
-        is cheap; it is how the job runner computes input splits.
-        """
-        out: List[BlockInfo] = []
-        self._file.seek(self._data_start)
-        while self._file.tell() < self._file_size:
-            offset = self._file.tell()
-            payload_len, n1 = self._read_uvarint_from_file()
-            n_records, n2 = self._read_uvarint_from_file()
-            if offset + n1 + n2 + payload_len > self._file_size:
-                # Without this check a file cut mid-block seeks past EOF
-                # here and the loop just ends, so the directory -- and
-                # therefore every split -- silently omits trailing data.
-                raise CorruptFileError(
-                    f"{self.path}: truncated final block at offset {offset} "
-                    f"(header claims {payload_len} payload bytes, file ends "
-                    f"{offset + n1 + n2 + payload_len - self._file_size} "
-                    f"bytes short)"
-                )
-            out.append(BlockInfo(offset, n1 + n2 + payload_len, n_records))
-            self._file.seek(payload_len, io.SEEK_CUR)
-        return out
-
-    # -- iteration ----------------------------------------------------------
-
-    def _iter_block_payloads(
-        self, blocks: Optional[List[BlockInfo]] = None
-    ) -> Iterator[Tuple[bytes, int]]:
-        if blocks is None:
-            self._file.seek(self._data_start)
-            while self._file.tell() < self._file_size:
-                payload_len, n1 = self._read_uvarint_from_file()
-                n_records, n2 = self._read_uvarint_from_file()
-                payload = self._file.read(payload_len)
-                if len(payload) != payload_len:
-                    raise CorruptFileError(f"{self.path}: truncated block")
-                self.bytes_read += n1 + n2 + payload_len
-                yield payload, n_records
-        else:
-            for block in blocks:
-                self._file.seek(block.offset)
-                payload_len, n1 = self._read_uvarint_from_file()
-                n_records, n2 = self._read_uvarint_from_file()
-                payload = self._file.read(payload_len)
-                if len(payload) != payload_len:
-                    raise CorruptFileError(f"{self.path}: truncated block")
-                self.bytes_read += n1 + n2 + payload_len
-                yield payload, n_records
-
-    def _iter_record_spans(
-        self, blocks: Optional[List[BlockInfo]] = None
-    ) -> Iterator[Tuple[memoryview, int, int, int, int]]:
-        """Yield (block_view, key_start, key_end, value_start, value_end).
-
-        One memoryview per *block*; records are addressed by offsets into
-        it, so walking a 64KB block allocates no per-record buffers.
-        """
-        for payload, n_records in self._iter_block_payloads(blocks):
-            view = memoryview(payload)
-            end = len(payload)
-            pos = 0
-            for _ in range(n_records):
-                try:
-                    klen, pos = varint.decode_uvarint(view, pos, end)
-                    kend = pos + klen
-                    if kend > end:
-                        raise CorruptFileError(
-                            f"{self.path}: truncated record"
-                        )
-                    vlen, vpos = varint.decode_uvarint(view, kend, end)
-                except SerializationError as exc:
-                    raise CorruptFileError(
-                        f"{self.path}: truncated record ({exc})"
-                    ) from exc
-                vend = vpos + vlen
-                if vend > end:
-                    raise CorruptFileError(f"{self.path}: truncated record")
-                yield view, pos, kend, vpos, vend
-                pos = vend
-            if pos != end:
-                raise CorruptFileError(f"{self.path}: trailing block bytes")
-
-    def iter_raw(
-        self, blocks: Optional[List[BlockInfo]] = None
-    ) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield (key_bytes, value_bytes) without decoding."""
-        for view, kpos, kend, vpos, vend in self._iter_record_spans(blocks):
-            yield bytes(view[kpos:kend]), bytes(view[vpos:vend])
-
-    def __iter__(self) -> Iterator[Tuple[Record, Record]]:
-        return self.iter_records()
-
-    def iter_records(
-        self,
-        blocks: Optional[List[BlockInfo]] = None,
-        lazy_values: bool = False,
-        field_counter: Optional[FieldDecodeCounter] = None,
-        lazy_keys: bool = False,
-    ) -> Iterator[Tuple[Record, Record]]:
-        """Yield decoded (key, value) record pairs.
-
-        With ``lazy_values=True`` and a transparent value schema, values
-        come back as :class:`~repro.storage.serialization.LazyRecord` --
-        field boundaries scanned, nothing materialized -- and
-        ``field_counter`` tallies the value fields the consumer actually
-        decodes.  ``lazy_keys=True`` does the same for keys (without the
-        counter: the ``fields_deserialized`` metric has always charged
-        value fields only); mappers that ignore their input key then
-        never pay its decode.  Both paths decode straight out of the
-        shared block buffer.
-        """
-        key_schema = self.key_schema
-        value_schema = self.value_schema
-        if lazy_keys and key_schema.transparent:
-            key_decode = key_schema.decode_lazy
-        else:
-            key_decode = key_schema.decode
-        if lazy_values and value_schema.transparent:
-            for view, kpos, kend, vpos, vend in self._iter_record_spans(blocks):
-                yield (
-                    key_decode(view, kpos, kend),
-                    value_schema.decode_lazy(view, vpos, vend, field_counter),
-                )
-        else:
-            value_decode = value_schema.decode
-            for view, kpos, kend, vpos, vend in self._iter_record_spans(blocks):
-                yield key_decode(view, kpos, kend), value_decode(view, vpos, vend)
-
-    def count_records(self) -> int:
-        """Total record count from block headers (no payload reads)."""
-        return sum(b.n_records for b in self.blocks())
-
-    def file_size(self) -> int:
-        return self._file_size
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "RecordFileReader":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    MAGIC = MAGIC
 
 
 def write_records(

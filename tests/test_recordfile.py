@@ -1,9 +1,11 @@
-"""Tests for the block-structured record file format."""
+"""Tests for the block-structured record file format.
 
-import pytest
+Corruption handling is the container's, not this format's: see
+``tests/test_blockfile.py``, which runs it over all three value codecs.
+"""
+
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import CorruptFileError, SerializationError
 from repro.storage.recordfile import (
     RecordFileReader,
     RecordFileWriter,
@@ -118,86 +120,3 @@ class TestBlocks:
             total = sum(b.length for b in r.blocks())
             list(r.iter_records())
             assert r.bytes_read == total
-
-
-class TestCorruption:
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.rf"
-        path.write_bytes(b"NOPE" + b"\x00" * 50)
-        with pytest.raises(CorruptFileError):
-            RecordFileReader(str(path))
-
-    def test_truncated_block(self, tmp_path):
-        path = _write(tmp_path / "f.rf", 50, block_size=128)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-10])
-        with RecordFileReader(path) as r:
-            with pytest.raises(CorruptFileError):
-                list(r.iter_records())
-
-    def test_writer_use_after_close(self, tmp_path):
-        w = RecordFileWriter(str(tmp_path / "c.rf"), LONG_SCHEMA, PAIR)
-        w.close()
-        with pytest.raises(SerializationError):
-            w.append(LONG_SCHEMA.make(0), PAIR.make(0, ""))
-
-    def test_bad_block_size_rejected(self, tmp_path):
-        with pytest.raises(SerializationError):
-            RecordFileWriter(str(tmp_path / "x.rf"), LONG_SCHEMA, PAIR,
-                             block_size=0)
-
-    def test_blocks_rejects_truncated_final_block(self, tmp_path):
-        """A tail cut mid-block must fail loudly at directory-build time.
-
-        Before the extent check, ``blocks()`` seeked past EOF on the
-        truncated final block and the loop just ended -- depending on
-        the cut, the directory (and therefore every split) could
-        silently omit trailing records.
-        """
-        path = _write(tmp_path / "f.rf", 80, block_size=128)
-        raw = open(path, "rb").read()
-        with RecordFileReader(path) as intact:
-            n_blocks = len(intact.blocks())
-        assert n_blocks > 2
-        # cut into the middle of the final block's payload
-        open(path, "wb").write(raw[:-40])
-        with RecordFileReader(path) as r:
-            with pytest.raises(CorruptFileError, match="truncated final block"):
-                r.blocks()
-
-    def test_every_tail_cut_raises_or_ends_on_block_boundary(self, tmp_path):
-        """No mid-block truncation point may yield a silent short read."""
-        path = _write(tmp_path / "f.rf", 80, block_size=128)
-        raw = open(path, "rb").read()
-        with RecordFileReader(path) as intact:
-            boundaries = {
-                b.offset + b.length for b in intact.blocks()
-            }
-            total = intact.count_records()
-        cut_path = str(tmp_path / "cut.rf")
-        for cut in range(1, min(len(raw) - 20, 400)):
-            size = len(raw) - cut
-            open(cut_path, "wb").write(raw[:size])
-            try:
-                with RecordFileReader(cut_path) as r:
-                    n = sum(1 for _ in r.iter_raw(r.blocks()))
-            except CorruptFileError:
-                continue
-            # a clean read of a truncated file is only possible when the
-            # cut landed exactly on a block boundary (indistinguishable
-            # from a shorter file without a footer)
-            assert size in boundaries and n < total
-
-    def test_inflated_record_count_raises_truncated_record(self, tmp_path):
-        path = _write(tmp_path / "f.rf", 5, block_size=4096)
-        raw = bytearray(open(path, "rb").read())
-        with RecordFileReader(path) as r:
-            block = r.blocks()[0]
-        # bump the n_records uvarint (single byte for small counts) so
-        # the span walk runs off the end of the payload
-        offset = block.offset + 1  # past the 1-byte payload_len...
-        raw[offset] += 1
-        open(path, "wb").write(bytes(raw))
-        with RecordFileReader(path) as r:
-            with pytest.raises(CorruptFileError, match="truncated record"):
-                list(r.iter_records())
