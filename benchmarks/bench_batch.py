@@ -17,9 +17,14 @@ Workloads:
 * **aggregation** -- filter + ``group_by`` with integer sum/min/max:
   eligible for hash pre-aggregation, so the batch path also collapses
   the shuffle to one partial per group per task.
-* **udf control** -- the same scan with a callable predicate: opaque to
-  the analyzer, must fall back to the record path (speedup ~1.0 by
-  construction; tracked so fallback overhead stays invisible).
+* **udf translated** -- the projection scan with its predicate written
+  as a plain ``lambda``: UDF translation proves it equal to the ``col()``
+  spelling, so it must ride the kernels like one (every map task
+  batched, same gate).
+* **udf opaque control** -- the same scan with a predicate the analyzer
+  cannot see into (it calls ``zlib.crc32``): must fall back to the
+  record path (no batched task, speedup ~1.0 by construction; tracked so
+  fallback overhead stays invisible).
 
 Usage::
 
@@ -28,7 +33,8 @@ Usage::
         --min-speedup 1.5                                           # CI smoke
 
 Exit status is non-zero when ``--min-speedup`` is given and the *worst*
-of the projection/aggregation speedups falls below it.
+gated speedup falls below it, or the opaque control's speedup is not
+~1.0 (it reaches the gate itself, or its inverse does).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import random
 import sys
 import tempfile
 import time
+import zlib
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.api.expressions import col, lit
@@ -56,7 +63,11 @@ DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_batch.json")
 BASE_ROWS = 50_000
 
 #: The workloads the --min-speedup gate covers.
-GATED_WORKLOADS = ("projection_scan", "aggregation_preagg")
+GATED_WORKLOADS = ("projection_scan", "aggregation_preagg",
+                   "udf_translated")
+
+#: The fallback control: must never batch, must stay ~1.0x.
+CONTROL_WORKLOAD = "udf_opaque_control"
 
 WIDE = Schema("WideRow", [
     Field("c0", FieldType.INT),
@@ -98,15 +109,22 @@ def aggregation_query(session: Session, path: str):
                             hi=("max", "c5"))
 
 
-def udf_control_query(session: Session, path: str):
+def udf_translated_query(session: Session, path: str):
     return session.read(path).filter(lambda v: v.c0 > 900) \
+        .select("name", "c0")
+
+
+def udf_opaque_query(session: Session, path: str):
+    return session.read(path) \
+        .filter(lambda v: zlib.crc32(v.name.encode()) % 10 == 0) \
         .select("name", "c0")
 
 
 WORKLOADS: Dict[str, Callable[[Session, str], Any]] = {
     "projection_scan": projection_query,
     "aggregation_preagg": aggregation_query,
-    "udf_fallback_control": udf_control_query,
+    "udf_translated": udf_translated_query,
+    CONTROL_WORKLOAD: udf_opaque_query,
 }
 
 
@@ -146,14 +164,19 @@ def run_workload(name: str, build, path: str, workdir: str,
         expected = serialize_rows(record_result.rows)
         if _stats(record_result, 1)["batch_map_tasks"]:
             raise AssertionError(f"{name}: reference session vectorized")
+        if not record_result.rows:
+            raise AssertionError(f"{name}: the query selects no row")
 
     with Session(workdir=os.path.join(workdir, f"{name}-vec")) as vect:
         batch_result, batch_wall = _timed_run(vect, build, path, repeats)
         if serialize_rows(batch_result.rows) != expected:
             raise AssertionError(f"{name}: batch output is not byte-identical")
-        batch_tasks = _stats(batch_result, 1)["batch_map_tasks"]
-        if expect_batch and not batch_tasks:
-            raise AssertionError(f"{name}: batch path did not engage")
+        batch_stats = _stats(batch_result, 1)
+        batch_tasks = batch_stats["batch_map_tasks"]
+        if expect_batch and batch_tasks != batch_stats["map_tasks"]:
+            raise AssertionError(
+                f"{name}: only {batch_tasks} of {batch_stats['map_tasks']} "
+                "map tasks took the batch path")
         if not expect_batch and batch_tasks:
             raise AssertionError(f"{name}: batch path engaged unexpectedly")
 
@@ -203,6 +226,9 @@ def run_suite(scale: float, repeats: int) -> Dict[str, Any]:
     report["summary"] = {
         "projection_speedup": gated["projection_scan"],
         "aggregation_speedup": gated["aggregation_preagg"],
+        "udf_translated_speedup": gated["udf_translated"],
+        "opaque_control_speedup":
+            report["workloads"][CONTROL_WORKLOAD]["wall_speedup"],
         "min_gated_speedup": min(gated.values()),
         "all_byte_identical": all(
             w["byte_identical"] and w["schedulers_byte_identical"]
@@ -248,6 +274,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 1
         print(f"OK: worst gated speedup {got} >= {args.min_speedup}")
+        control = report["summary"]["opaque_control_speedup"]
+        if not 1 / args.min_speedup < control < args.min_speedup:
+            print(
+                f"FAIL: opaque control speedup {control} is not ~1.0 "
+                f"(must stay inside 1/{args.min_speedup}..{args.min_speedup})",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"OK: opaque control speedup {control} ~ 1.0")
     return 0
 
 

@@ -112,8 +112,15 @@ class Dataset:
         """Keep records satisfying ``predicate``.
 
         Column expressions (``col('rank') > 10``) become exact selection
-        hints the optimizer can serve from a B+Tree index; plain callables
-        ``f(record) -> bool`` still run, but are opaque to optimization.
+        hints the optimizer can serve from a B+Tree index.  A plain
+        callable ``f(record) -> bool`` is handed to the analyzer first:
+        when its body is provably a pure expression over the record's
+        fields and values fixed at submission (``lambda v: v.rank > 10``,
+        a ``__call__`` instance reading ``self.limit``, a
+        ``functools.partial``), it is replaced by the equivalent column
+        expression and optimized like one; otherwise it runs as written,
+        opaque to optimization.  ``explain()`` shows the verdict and, for
+        a decline, the reason (see ``docs/optimizations.md``).
         """
         if isinstance(predicate, Expr):
             schema = self.value_schema
@@ -152,9 +159,14 @@ class Dataset:
             value_schema: Optional[Schema] = None) -> "Dataset":
         """Apply ``fn(key, value) -> (key, value)`` to every record.
 
-        Arbitrary transforms are opaque to optimization; supply the output
-        schemas when the result feeds another stage (group_by/join) or is
-        written to disk.
+        Supply the output schemas when the result feeds another stage
+        (group_by/join) or is written to disk.  A transform of the shape
+        ``return key, value_schema.make(e1, ..., en)`` whose expressions
+        the analyzer can prove pure (field reads, arithmetic, values
+        fixed at submission) becomes a computed projection: it keeps the
+        stage on the vectorized path and narrows the scan to the fields
+        it reads.  Anything else is an arbitrary transform, opaque to
+        optimization, called once per record; ``explain()`` says which.
         """
         return self._derive(
             MapNode(self._node, fn, key_schema=key_schema,

@@ -21,6 +21,7 @@ Every expression supports three renderings:
 from __future__ import annotations
 
 import base64
+import math
 import pickle
 from typing import Any, Dict, FrozenSet, Sequence, Tuple
 
@@ -325,6 +326,70 @@ def expr_from_dict(data: Dict[str, Any]) -> Expr:
             f"expression node {kind!r} is missing field {exc}"
         ) from exc
     raise JobConfigError(f"unknown expression kind {kind!r}")
+
+
+class NoExprForm(Exception):
+    """A symbolic expression has no equivalent in the fluent algebra."""
+
+
+#: Constant types a :class:`Lit` renders into synthesized source exactly
+#: (``repr`` round-trips them; they are immutable).
+_LITERAL_TYPES = (type(None), bool, int, float, str, bytes)
+
+
+def _literal(value: Any) -> Lit:
+    if type(value) not in _LITERAL_TYPES or (
+        type(value) is float and not math.isfinite(value)
+    ):
+        raise NoExprForm(
+            f"constant {value!r} of type {type(value).__name__} is not an "
+            "immutable scalar with a literal form"
+        )
+    return Lit(value)
+
+
+def expr_from_symbolic(sym: SymExpr) -> Expr:
+    """The fluent expression equal to ``sym``: :meth:`Expr.to_symbolic`'s
+    inverse.
+
+    Defined on exactly the image of ``to_symbolic`` -- value-record
+    fields, scalar constants, the six comparisons, ``and``/``or``/``not``
+    and the six arithmetic operators -- plus a signed numeric constant,
+    which Python source spells as a unary operator.  Anything else the
+    analyzer can resolve (calls, subscripts, whole-record or key
+    references, ``in``/``is``, bit operators) raises :class:`NoExprForm`
+    naming the node, which is how UDF translation declines it.
+    """
+    if isinstance(sym, SConst):
+        return _literal(sym.value)
+    if isinstance(sym, SParamField):
+        if sym.role != ROLE_VALUE or len(sym.path) != 1:
+            raise NoExprForm(f"{sym!r} is not a field of the value record")
+        return Col(sym.path[0])
+    if isinstance(sym, SCompare):
+        if sym.op not in _CMP_OPS:
+            raise NoExprForm(f"comparison {sym.op!r} has no column form")
+        return Compare(sym.op, expr_from_symbolic(sym.left),
+                       expr_from_symbolic(sym.right))
+    if isinstance(sym, SBool):
+        return BoolExpr(sym.op, expr_from_symbolic(sym.left),
+                        expr_from_symbolic(sym.right))
+    if isinstance(sym, SNot):
+        return NotExpr(expr_from_symbolic(sym.operand))
+    if isinstance(sym, SArith):
+        if sym.right is None:
+            operand = sym.left
+            if isinstance(operand, SConst) \
+                    and type(operand.value) in (int, float):
+                value = operand.value
+                return _literal(-value if sym.op == "-" else +value)
+            raise NoExprForm(f"unary {sym.op!r} on a non-constant has no "
+                             "column form")
+        if sym.op not in _ARITH_OPS:
+            raise NoExprForm(f"operator {sym.op!r} has no column form")
+        return Arith(sym.op, expr_from_symbolic(sym.left),
+                     expr_from_symbolic(sym.right))
+    raise NoExprForm(f"{sym!r} has no column form")
 
 
 def col(name: str) -> Col:

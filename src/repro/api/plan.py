@@ -13,6 +13,14 @@ chain of :class:`~repro.mapreduce.job.JobConf` stages:
   metadata, so downstream stages -- and Manimal's link detection in
   :class:`~repro.core.pipeline.ManimalPipeline` -- see transparent data.
 
+Plain callables are not taken at face value: before a fused segment is
+analyzed, each ``filter(fn)`` / ``map(fn)`` is handed to the analyzer's
+UDF translation (:mod:`repro.core.analyzer.udf`), and a callable proven
+to be a pure expression over its record is *replaced* by that column
+expression -- from there on it is indistinguishable from one written
+with ``col()``.  A callable the analyzer declines stays in place and
+runs as written.
+
 Because the builder knows its own predicates and projected columns, every
 stage also carries an exact :class:`~repro.core.analyzer.descriptors.JobAnalysis`
 *hint* (paper Appendix A: layered tools "sidestep the analyzer and accept
@@ -28,9 +36,11 @@ analyzer re-derives the same selection/projection from the generated code.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import linecache
+import pickle
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -43,7 +53,13 @@ from typing import (
     Tuple,
 )
 
-from repro.api.expressions import Expr, selection_formula
+from repro.api.expressions import (
+    Col,
+    Expr,
+    NoExprForm,
+    expr_from_symbolic,
+    selection_formula,
+)
 from repro.batch.shuffleblocks import aggregate_shuffle_spec
 from repro.batch.spec import PREAGG_OPS, BatchStageSpec
 from repro.core.analyzer.descriptors import (
@@ -54,6 +70,12 @@ from repro.core.analyzer.descriptors import (
     SelectionDescriptor,
 )
 from repro.core.analyzer.purity import KnowledgeBase
+from repro.core.analyzer.udf import (
+    FILTER_ARITY,
+    MAP_ARITY,
+    UdfAnalysis,
+    analyze_udf,
+)
 from repro.exceptions import JobConfigError
 from repro.mapreduce.api import (
     Context,
@@ -67,6 +89,7 @@ from repro.storage.partitioned import is_partitioned_dataset
 from repro.storage.serialization import (
     Field,
     FieldType,
+    Record,
     Schema,
     primitive_schema,
 )
@@ -176,6 +199,11 @@ class FilterNode(LogicalNode):
     child: LogicalNode
     #: a column :class:`Expr` (optimizable) or a callable ``f(record)->bool``
     predicate: Any
+    #: set by UDF translation: the callable an ``Expr`` predicate was
+    #: proven equal to ...
+    label: Optional[str] = None
+    #: ... or why a callable predicate stays opaque
+    opaque: Optional[str] = None
 
 
 @dataclass(eq=False)
@@ -192,6 +220,26 @@ class MapNode(LogicalNode):
     fn: Callable[[Any, Any], Tuple[Any, Any]]
     key_schema: Optional[Schema] = None
     value_schema: Optional[Schema] = None
+    #: set by UDF translation: why the transform stays opaque
+    opaque: Optional[str] = None
+
+
+@dataclass(eq=False)
+class DeriveNode(LogicalNode):
+    """A computed projection: ``(key, value_schema.make(*exprs))``.
+
+    What a ``map(fn)`` becomes once UDF translation proves that is all
+    ``fn`` does; never built by users directly.
+    """
+
+    child: LogicalNode
+    #: one expression per field of ``value_schema``, over the columns of
+    #: the record the op receives
+    exprs: Tuple[Expr, ...]
+    key_schema: Optional[Schema]
+    value_schema: Schema
+    #: the callable this was proven equal to
+    label: str
 
 
 @dataclass(eq=False)
@@ -247,6 +295,167 @@ def compile_stage_function(name: str, source: str,
     return namespace[name]
 
 
+class _ByValue:
+    """Mixin: a synthesized stage adapter that pickles by value.
+
+    The wrapped function was ``exec``-ed from generated source, so pickle
+    cannot find it by reference; ``(name, source, env)`` rebuilds it in
+    the worker (:func:`compile_stage_function` again, so its source stays
+    inspectable there too).  That is what lets a fluent job's state reach
+    the engine's persistent worker pool like a classic job's.  A stage
+    that kept a user callable (``user_code``) refuses to pickle even when
+    the callable itself pickles by reference: a long-lived worker would
+    resolve the name in the module it forked with -- missing if defined
+    since, stale if reloaded -- so such a job keeps the forked path,
+    whose workers inherit the live object.
+    """
+
+    def __init__(self, name: str, source: str, env: Dict[str, Any],
+                 user_code: bool = False):
+        super().__init__(compile_stage_function(name, source, env))
+        self._stage = (name, source, env)
+        self._user_code = user_code
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        if self._user_code:
+            raise pickle.PicklingError(
+                f"stage function {self._stage[0]!r} calls user code"
+            )
+        return (type(self), self._stage)
+
+
+class _StageMapper(_ByValue, FunctionMapper):
+    pass
+
+
+class _StageReducer(_ByValue, FunctionReducer):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# UDF translation: proven callables become column expressions
+# ---------------------------------------------------------------------------
+
+def callable_label(fn: Any) -> str:
+    """A callable's display name: qualified function name or instance type."""
+    if isinstance(fn, functools.partial):
+        return f"partial({callable_label(fn.func)})"
+    return getattr(fn, "__qualname__", None) or type(fn).__qualname__
+
+
+def _opaque_label(fn: Any, reason: Optional[str]) -> str:
+    label = f"<python:{callable_label(fn)}>"
+    return label if reason is None else f"{label} opaque: {reason}"
+
+
+#: ``(callable, arity) -> verdict``; sessions pass the engine-memoized one.
+UdfAnalyzer = Callable[[Callable, int], UdfAnalysis]
+
+
+def _unknown_fields(exprs: Sequence[Expr],
+                    schema: Optional[Schema]) -> Optional[str]:
+    if schema is None:
+        return "the input schema is unknown"
+    names = sorted({name for expr in exprs for name in expr.columns()})
+    missing = [name for name in names if not schema.has_field(name)]
+    if missing:
+        return (f"reads field(s) {missing} that schema {schema.name!r} "
+                "lacks")
+    # ``value.schema`` on a record is the Record's own attribute even
+    # when a field is called that; a column expression would read the
+    # field.
+    shadowed = [name for name in names if hasattr(Record, name)]
+    if shadowed:
+        return f"field(s) {shadowed} are shadowed by Record attributes"
+    return None
+
+
+def _not_declared_schema(receiver: Any, declared: Optional[Schema],
+                         n_values: int) -> Optional[str]:
+    """Why ``receiver.make(<n_values>)`` is not a ``declared`` record."""
+    if declared is None:
+        return "map() declares no value_schema"
+    if not isinstance(receiver, Schema) \
+            or type(receiver).make is not Schema.make:
+        return "make() is not called on a plain Schema"
+    # A schema that crossed a wire (the query service replays op lists)
+    # is equal by content, not identity; records are nominal either way.
+    if receiver is not declared and (
+        not declared.transparent
+        or receiver.to_dict() != declared.to_dict()
+    ):
+        return (f"make() builds {receiver.name!r} records, not the "
+                f"declared value_schema {declared.name!r}")
+    if n_values != len(declared.fields):
+        return (f"make() is given {n_values} value(s) for the "
+                f"{len(declared.fields)} field(s) of {declared.name!r}")
+    return None
+
+
+def _column_exprs(syms: Sequence[Any], schema: Optional[Schema]
+                  ) -> Tuple[Tuple[Expr, ...], Optional[str]]:
+    """``syms`` as column expressions over ``schema``, or why not."""
+    try:
+        exprs = tuple(expr_from_symbolic(sym) for sym in syms)
+    except NoExprForm as exc:
+        return (), str(exc)
+    return exprs, _unknown_fields(exprs, schema)
+
+
+def _translate_filter(op: FilterNode, schema: Optional[Schema],
+                      analyze: UdfAnalyzer) -> FilterNode:
+    verdict = analyze(op.predicate, FILTER_ARITY)
+    reason, exprs = verdict.reason, ()
+    if reason is None:
+        exprs, reason = _column_exprs([verdict.predicate], schema)
+    if reason is None and not exprs[0].columns():
+        reason = "the predicate reads no field of the record"
+    if reason is not None:
+        return FilterNode(op.child, op.predicate, opaque=reason)
+    return FilterNode(op.child, exprs[0],
+                      label=callable_label(op.predicate))
+
+
+def _translate_map(op: MapNode, schema: Optional[Schema],
+                   analyze: UdfAnalyzer) -> LogicalNode:
+    verdict = analyze(op.fn, MAP_ARITY)
+    reason, exprs = verdict.reason, ()
+    if reason is None:
+        exprs, reason = _column_exprs(verdict.fields, schema)
+    if reason is None:
+        reason = _not_declared_schema(
+            verdict.make_receiver(op.fn), op.value_schema, len(exprs)
+        )
+    if reason is not None:
+        return MapNode(op.child, op.fn, op.key_schema, op.value_schema,
+                       opaque=reason)
+    return DeriveNode(op.child, exprs, op.key_schema, op.value_schema,
+                      callable_label(op.fn))
+
+
+def translate_udfs(ops: Sequence[LogicalNode],
+                   value_schema: Optional[Schema],
+                   analyze: UdfAnalyzer) -> List[LogicalNode]:
+    """Replace each analyzer-proven callable of a segment by its ``Expr``.
+
+    A translated ``filter(fn)`` becomes the same node over a column
+    expression and a translated ``map(fn)`` a :class:`DeriveNode`; every
+    later step of lowering -- synthesized source, selection and
+    projection hints, batch specs, shared-scan eligibility -- then sees
+    ordinary described ops.  Declined callables come back in place with
+    the reason attached (``explain`` shows it) and run exactly as given.
+    """
+    out: List[LogicalNode] = []
+    for op in ops:
+        if isinstance(op, FilterNode) and not isinstance(op.predicate, Expr):
+            op = _translate_filter(
+                op, _schema_after(out, value_schema), analyze)
+        elif isinstance(op, MapNode):
+            op = _translate_map(op, _schema_after(out, value_schema), analyze)
+        out.append(op)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Op-segment analysis: fused filter/select/map runs
 # ---------------------------------------------------------------------------
@@ -265,6 +474,7 @@ class _Segment:
     used: Optional[Set[str]] = None
     #: base-record columns still visible at segment end (None after map())
     visible: Optional[List[str]] = None
+    #: a map() -- opaque or translated -- replaced the scanned record
     seen_map: bool = False
     out_key_schema: Optional[Schema] = None
     out_value_schema: Optional[Schema] = None
@@ -296,11 +506,14 @@ def _analyze_segment(ops: Sequence[LogicalNode],
                     seg.pushdown.append(op.predicate)
                 if seg.used is not None:
                     seg.used |= op.predicate.columns()
-                seg.descriptions.append(f"filter {op.predicate!r}")
+                shown = repr(op.predicate)
+                if op.label is not None:
+                    shown = f"<python:{op.label}> \u2261 {shown}"
+                seg.descriptions.append(f"filter {shown}")
             else:
                 mark_all_visible_used()
                 seg.descriptions.append(
-                    f"filter <python:{getattr(op.predicate, '__name__', '?')}>"
+                    f"filter {_opaque_label(op.predicate, op.opaque)}"
                 )
         elif isinstance(op, SelectNode):
             if seg.visible is not None:
@@ -317,7 +530,20 @@ def _analyze_segment(ops: Sequence[LogicalNode],
             seg.out_key_schema = op.key_schema
             seg.out_value_schema = op.value_schema
             seg.descriptions.append(
-                f"map <python:{getattr(op.fn, '__name__', '?')}>"
+                f"map {_opaque_label(op.fn, op.opaque)}"
+            )
+        elif isinstance(op, DeriveNode):
+            if seg.used is not None:
+                for expr in op.exprs:
+                    seg.used |= expr.columns()
+            seg.seen_map = True
+            seg.visible = None
+            seg.out_key_schema = op.key_schema
+            seg.out_value_schema = op.value_schema
+            args = ", ".join(repr(expr) for expr in op.exprs)
+            seg.descriptions.append(
+                f"map <python:{op.label}> \u2261 "
+                f"(key, {op.value_schema.name}.make({args}))"
             )
         else:  # pragma: no cover - lowering feeds only pipelined ops here
             raise JobConfigError(f"cannot fuse {type(op).__name__}")
@@ -326,15 +552,17 @@ def _analyze_segment(ops: Sequence[LogicalNode],
 
 def _codegen_segment(seg: _Segment, fn_name: str,
                      tail: Callable[[str, str], List[str]]
-                     ) -> Tuple[str, Dict[str, Any]]:
+                     ) -> Tuple[str, Dict[str, Any], bool]:
     """Generate mapper source applying the segment's ops, then ``tail``.
 
     ``tail(key_var, value_var)`` renders the emit line(s).  Fresh variable
     names are introduced for every rebinding -- the analyzer resolves
     parameter names positionally, so the generated code never reassigns
-    ``key``/``value`` themselves.
+    ``key``/``value`` themselves.  Returns ``(source, env, user_code)``:
+    the last says whether ``env`` holds a callable the user supplied.
     """
     env: Dict[str, Any] = {}
+    user_code = False
     lines = [f"def {fn_name}(key, value, ctx):"]
     indent = "    "
     key_var, value_var = "key", "value"
@@ -347,31 +575,38 @@ def _codegen_segment(seg: _Segment, fn_name: str,
             else:
                 pname = f"_p{next(fresh)}"
                 env[pname] = op.predicate
+                user_code = True
                 cond = f"{pname}({value_var})"
             lines.append(f"{indent}if {cond}:")
             indent += "    "
-        elif isinstance(op, SelectNode):
-            base = _schema_before(seg, op)
-            if base is None or not base.transparent:
-                raise JobConfigError(
-                    "select() needs schema metadata; supply value_schema to "
-                    "the preceding map()"
-                )
-            # Project by building the narrowed record directly.  The
-            # helper name is knowledge-base-pure for sessions (FLUENT_KB),
-            # so the emitted value stays functional and the analyzer can
+        elif isinstance(op, (SelectNode, DeriveNode)):
+            if isinstance(op, SelectNode):
+                base = _schema_before(seg, op)
+                if base is None or not base.transparent:
+                    raise JobConfigError(
+                        "select() needs schema metadata; supply "
+                        "value_schema to the preceding map()"
+                    )
+                built = base.project(list(op.columns))
+                exprs: Sequence[Expr] = [
+                    Col(c) for c in built.field_names()
+                ]
+            else:
+                built, exprs = op.value_schema, op.exprs
+            # Build the new record directly.  The helper name is
+            # knowledge-base-pure for sessions (FLUENT_KB), so the
+            # emitted value stays functional and the analyzer can
             # re-derive the selection from the generated source.
-            projected = base.project(list(op.columns))
             sname = f"{PROJECT_HELPER_PREFIX}{next(fresh)}"
-            env[sname] = projected.make
-            args = ", ".join(f"{value_var}.{c}"
-                             for c in projected.field_names())
+            env[sname] = built.make
+            args = ", ".join(e.to_source(value_var) for e in exprs)
             new_value = f"v{next(fresh)}"
             lines.append(f"{indent}{new_value} = {sname}({args})")
             value_var = new_value
         elif isinstance(op, MapNode):
             mname = f"_m{next(fresh)}"
             env[mname] = op.fn
+            user_code = True
             pair = f"r{next(fresh)}"
             new_key = f"k{next(fresh)}"
             new_value = f"v{next(fresh)}"
@@ -384,45 +619,76 @@ def _codegen_segment(seg: _Segment, fn_name: str,
 
     for tail_line in tail(key_var, value_var):
         lines.append(indent + tail_line)
-    return "\n".join(lines) + "\n", env
+    return "\n".join(lines) + "\n", env, user_code
 
 
-def _segment_batch_parts(
-    seg: _Segment,
-) -> Optional[Tuple[List[Expr], Optional[List[str]], Optional[Schema]]]:
-    """(predicates, project_columns, projected schema) when the segment
-    is fully analyzer-described, else ``None``.
+@dataclass
+class _BatchParts:
+    """A fully described segment, as the batch spec states it."""
 
-    This is the vectorization eligibility rule: every op must be a column
-    -expression filter or a select, over transparent key and value
-    schemas.  A ``map()``, a callable predicate, an opaque schema, or a
-    predicate column the declared schema lacks all disqualify the segment
-    -- the stage then runs record-at-a-time, unconditionally.
+    predicates: List[Expr]
+    #: final projected columns and their schema (None = no select)
+    project_columns: Optional[List[str]] = None
+    out_schema: Optional[Schema] = None
+    #: a computed projection's ``(field, expression)`` pairs
+    derived: Optional[List[Tuple[str, Expr]]] = None
+
+
+def _segment_batch_parts(seg: _Segment) -> Optional[_BatchParts]:
+    """The segment's batch description when it is fully
+    analyzer-described, else ``None``.
+
+    This is the vectorization eligibility rule: column-expression
+    filters and selects, then at most one computed projection (a
+    translated ``map``) followed only by selects, over transparent key
+    and value schemas.  An opaque ``map()`` or callable predicate, an
+    opaque schema, a predicate column the declared schema lacks, or a
+    filter *after* a computed projection (it reads derived columns, and
+    the kernel evaluates a row's predicates before its derived values)
+    all disqualify the segment -- the stage then runs record-at-a-time,
+    unconditionally.
     """
-    if seg.seen_map:
-        return None
     schema = seg.in_value_schema
     if schema is None or not schema.transparent:
         return None
     if seg.in_key_schema is None or not seg.in_key_schema.transparent:
         return None
     base_columns = set(schema.field_names())
-    predicates: List[Expr] = []
+    parts = _BatchParts(predicates=[])
     has_select = False
     for op in seg.ops:
         if isinstance(op, FilterNode):
-            if not isinstance(op.predicate, Expr):
+            if parts.derived is not None \
+                    or not isinstance(op.predicate, Expr) \
+                    or not op.predicate.columns() <= base_columns:
                 return None
-            if not op.predicate.columns() <= base_columns:
-                return None
-            predicates.append(op.predicate)
+            parts.predicates.append(op.predicate)
         elif isinstance(op, SelectNode):
             has_select = True
+        elif isinstance(op, DeriveNode):
+            if parts.derived is not None \
+                    or any(not e.columns() <= base_columns for e in op.exprs):
+                return None
+            parts.derived = list(zip(op.value_schema.field_names(), op.exprs))
+            has_select = False  # earlier selects only narrowed its input
         else:
             return None
     if has_select:
-        return predicates, list(seg.visible or []), seg.out_value_schema
-    return predicates, None, None
+        parts.project_columns = seg.out_value_schema.field_names()
+    if has_select or parts.derived is not None:
+        parts.out_schema = seg.out_value_schema
+    return parts
+
+
+def _schema_after(ops: Sequence[LogicalNode],
+                  schema: Optional[Schema]) -> Optional[Schema]:
+    """The value schema once ``ops`` have run over ``schema`` records."""
+    for op in ops:
+        if isinstance(op, SelectNode) and schema is not None:
+            schema = schema.project(list(op.columns))
+        elif isinstance(op, (MapNode, DeriveNode)):
+            schema = op.value_schema
+    return schema
 
 
 def _schema_before(seg: _Segment, op: LogicalNode) -> Optional[Schema]:
@@ -431,15 +697,8 @@ def _schema_before(seg: _Segment, op: LogicalNode) -> Optional[Schema]:
     Node identity (``is``) is deliberate: logical nodes hold column
     expressions whose ``==`` builds new expressions rather than comparing.
     """
-    schema = seg.in_value_schema
-    for prior in seg.ops:
-        if prior is op:
-            break
-        if isinstance(prior, SelectNode) and schema is not None:
-            schema = schema.project(list(prior.columns))
-        elif isinstance(prior, MapNode):
-            schema = prior.value_schema
-    return schema
+    index = next(i for i, prior in enumerate(seg.ops) if prior is op)
+    return _schema_after(seg.ops[:index], seg.in_value_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +813,12 @@ class _Lowering:
     """One lowering pass over a logical tree."""
 
     def __init__(self, name: str, scratch: Callable[[str], str],
-                 num_reducers: int = 5, vectorize: bool = True):
+                 num_reducers: int = 5, vectorize: bool = True,
+                 analyze_udf: UdfAnalyzer = analyze_udf):
         self.name = name
         self.scratch = scratch
         self.num_reducers = num_reducers
+        self.analyze_udf = analyze_udf
         #: attach :class:`~repro.batch.spec.BatchStageSpec`s to stages
         #: whose map bodies are fully analyzer-described, letting the
         #: runtime serve them vectorized.  ``False`` pins every stage to
@@ -640,17 +901,18 @@ class _Lowering:
             )
         return chain.input_path
 
+    def _segment(self, chain: _Chain) -> _Segment:
+        """The chain's pending ops, UDFs translated, analyzed."""
+        ops = translate_udfs(chain.ops, chain.value_schema, self.analyze_udf)
+        return _analyze_segment(ops, chain.key_schema, chain.value_schema)
+
     def _close_map_stage(self, chain: _Chain) -> StagePlan:
         stage_name = self._stage_name("map")
-        seg = _analyze_segment(chain.ops, chain.key_schema,
-                               chain.value_schema)
+        seg = self._segment(chain)
         fn_name = "_fluent_map"
-        source, env = _codegen_segment(
+        mapper = _StageMapper(fn_name, *_codegen_segment(
             seg, fn_name, lambda k, v: [f"ctx.emit({k}, {v})"]
-        )
-        mapper = FunctionMapper(
-            compile_stage_function(fn_name, source, env)
-        )
+        ))
         conf = JobConf(
             name=stage_name,
             mapper=mapper,
@@ -669,12 +931,12 @@ class _Lowering:
         if self.vectorize and seg.ops:
             parts = _segment_batch_parts(seg)
             if parts is not None:
-                predicates, project_columns, out_schema = parts
                 spec = BatchStageSpec(
                     kind="map",
-                    predicates=predicates,
-                    project_columns=project_columns,
-                    out_value_schema=out_schema,
+                    predicates=parts.predicates,
+                    project_columns=parts.project_columns,
+                    out_value_schema=parts.out_schema,
+                    derived=parts.derived,
                 )
                 conf.batch_specs[None] = spec
                 descriptions.append(f"vectorized [{spec.describe()}]")
@@ -690,8 +952,7 @@ class _Lowering:
     def _close_agg_stage(self, chain: _Chain,
                          node: AggregateNode) -> StagePlan:
         stage_name = self._stage_name("aggregate")
-        seg = _analyze_segment(chain.ops, chain.key_schema,
-                               chain.value_schema)
+        seg = self._segment(chain)
         record_schema = seg.out_value_schema
         self._validate_agg_columns(node, record_schema, stage_name)
 
@@ -710,10 +971,7 @@ class _Lowering:
             return [f"ctx.emit({value_var}.{node.group_column}, {emitted})"]
 
         fn_name = "_fluent_agg_map"
-        source, env = _codegen_segment(seg, fn_name, tail)
-        mapper = FunctionMapper(
-            compile_stage_function(fn_name, source, env)
-        )
+        mapper = _StageMapper(fn_name, *_codegen_segment(seg, fn_name, tail))
 
         out_key_schema = self._group_key_schema(node, record_schema)
         out_value_schema, reducer = self._agg_reducer(
@@ -753,11 +1011,12 @@ class _Lowering:
                 and record_schema is not None
                 and record_schema.transparent
             ):
-                predicates, _project, _schema = parts
                 # Pre-aggregation is only provably byte-identical for
                 # integer sum/min/max with no user combiner in play (the
-                # reducer sees partials instead of rows otherwise).
-                preagg = all(
+                # reducer sees partials instead of rows otherwise) --
+                # and for stored columns: a computed column's declared
+                # INT type is the user's word, not the file codec's.
+                preagg = parts.derived is None and all(
                     spec.op in PREAGG_OPS
                     and spec.column is not None
                     and record_schema.field(spec.column).ftype
@@ -766,7 +1025,9 @@ class _Lowering:
                 )
                 bspec = BatchStageSpec(
                     kind="aggregate",
-                    predicates=predicates,
+                    predicates=parts.predicates,
+                    out_value_schema=parts.out_schema,
+                    derived=parts.derived,
                     group_column=node.group_column,
                     aggs=[(spec.op, spec.column) for spec in specs],
                     preagg=preagg,
@@ -887,10 +1148,7 @@ class _Lowering:
                     f"stage {stage_name!r}: multi-aggregate output schema "
                     "is unknown; supply value_schema to the preceding map()"
                 )
-        reducer = FunctionReducer(
-            compile_stage_function(fn_name, source, env)
-        )
-        return out_schema, reducer
+        return out_schema, _StageReducer(fn_name, source, env)
 
     @staticmethod
     def _column_type(schema: Optional[Schema],
@@ -902,9 +1160,7 @@ class _Lowering:
     def _close_join_stage(self, left: _Chain, right: _Chain,
                           node: JoinNode) -> StagePlan:
         stage_name = self._stage_name("join")
-        lseg = _analyze_segment(left.ops, left.key_schema, left.value_schema)
-        rseg = _analyze_segment(right.ops, right.key_schema,
-                                right.value_schema)
+        lseg, rseg = self._segment(left), self._segment(right)
         lschema, rschema = lseg.out_value_schema, rseg.out_value_schema
         if lschema is None or rschema is None:
             raise JobConfigError(
@@ -930,13 +1186,11 @@ class _Lowering:
             return tail
 
         lfn, rfn = "_fluent_join_left", "_fluent_join_right"
-        lsource, lenv = _codegen_segment(lseg, lfn, side_tail("L"))
-        rsource, renv = _codegen_segment(rseg, rfn, side_tail("R"))
-        left_mapper = FunctionMapper(
-            compile_stage_function(lfn, lsource, lenv)
+        left_mapper = _StageMapper(
+            lfn, *_codegen_segment(lseg, lfn, side_tail("L"))
         )
-        right_mapper = FunctionMapper(
-            compile_stage_function(rfn, rsource, renv)
+        right_mapper = _StageMapper(
+            rfn, *_codegen_segment(rseg, rfn, side_tail("R"))
         )
 
         on_type = lschema.field(node.on).ftype
@@ -963,12 +1217,12 @@ class _Lowering:
                 parts = _segment_batch_parts(seg)
                 if parts is None:
                     continue
-                predicates, project_columns, out_schema = parts
                 bspec = BatchStageSpec(
                     kind="join-side",
-                    predicates=predicates,
-                    project_columns=project_columns,
-                    out_value_schema=out_schema,
+                    predicates=parts.predicates,
+                    project_columns=parts.project_columns,
+                    out_value_schema=parts.out_schema,
+                    derived=parts.derived,
                     join_on=node.on,
                     join_tag=tagchar,
                 )
@@ -1055,8 +1309,15 @@ def _camel(name: str) -> str:
 def lower_plan(node: LogicalNode, name: str,
                scratch: Callable[[str], str],
                num_reducers: int = 5,
-               vectorize: bool = True) -> LoweredPlan:
-    """Compile a logical tree into its stage chain."""
+               vectorize: bool = True,
+               analyze_udf: UdfAnalyzer = analyze_udf) -> LoweredPlan:
+    """Compile a logical tree into its stage chain.
+
+    ``analyze_udf`` decides which ``filter``/``map`` callables translate
+    to column expressions; sessions pass their engine's memoized
+    analyzer, the default analyzes afresh.
+    """
     return _Lowering(
-        name, scratch, num_reducers=num_reducers, vectorize=vectorize
+        name, scratch, num_reducers=num_reducers, vectorize=vectorize,
+        analyze_udf=analyze_udf,
     ).lower(node)

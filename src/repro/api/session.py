@@ -172,7 +172,8 @@ class Session:
             name = f"fluent-q{next(self._query_seq)}"
         return lower_plan(dataset._node, name, self._scratch,
                           num_reducers=self.num_reducers,
-                          vectorize=self.vectorize)
+                          vectorize=self.vectorize,
+                          analyze_udf=self.system.analyze_udf)
 
     def _pipeline_for(self, plan: LoweredPlan) -> ManimalPipeline:
         return ManimalPipeline(
@@ -241,6 +242,10 @@ class Session:
             for scan in scans
         ])
         lines = [f"shared-scan plan for {len(scans)} queries:"]
+        # each query's scan-stage ops, UDF-translation verdicts included:
+        # why a callable kept (or did not keep) a query out of a group
+        lines += [f"query {i}: " + "; ".join(scan.descriptions)
+                  for i, scan in enumerate(scans)]
         lines.append(report.describe())
         return "\n".join(lines).rstrip() + "\n"
 

@@ -95,6 +95,10 @@ class StageScan:
         #: is never billed for columns other members forced in)
         self.plan = plan
         self.kernel = kernel
+        if spec.derived is not None:
+            self.derived_slots = {
+                name: i for i, (name, _expr) in enumerate(spec.derived)
+            }
         self.emitted: List[Tuple[Any, Any]] = []
         self.aggregate = spec.kind == "aggregate"
         if self.aggregate:
@@ -112,11 +116,7 @@ class StageScan:
                 [PREAGG_FN[op] for op, _ in self.aggs] if self.preagg else []
             )
         else:
-            self.emit_schema = (
-                spec.out_value_schema
-                if spec.project_columns is not None
-                else reader.value_schema
-            )
+            self.emit_schema = spec.out_value_schema or reader.value_schema
             self.emit_names = self.emit_schema.field_names()
             self.join_side = spec.kind == "join-side"
 
@@ -128,7 +128,7 @@ class StageScan:
         if plan is None:
             return None
         try:
-            kernel = compile_predicates(spec.predicates)
+            kernel = compile_predicates(spec.predicates, spec.derived_exprs())
         except TypeError:  # a predicate the kernel compiler rejects
             return None
         return cls(conf, spec, reader, plan, kernel)
@@ -139,6 +139,17 @@ class StageScan:
         if self.kernel is not None:
             selected: Any = self.kernel.select(batch.n_rows, batch.column)
         else:
+            selected = range(batch.n_rows)
+        if spec.derived is not None:
+            # The kernel already computed the derived record of every
+            # passing row; the loops below run over those as a batch of
+            # their own -- same loops, derived columns.
+            passed, *cols = selected
+            keys = batch.keys
+            batch = ColumnBatch(
+                len(passed), cols, self.derived_slots,
+                None if keys is None else [keys[i] for i in passed], 0,
+            )
             selected = range(batch.n_rows)
         append = self.emitted.append
         if self.aggregate:

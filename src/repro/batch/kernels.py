@@ -19,6 +19,13 @@ Semantics are kept bit-for-bit with the generated mapper code:
   ``repr`` round-trips), so ``lit(...)`` values compare as the exact
   objects the user supplied.
 
+A stage ending in a computed projection (a translated ``map``; see
+:attr:`BatchStageSpec.derived <repro.batch.spec.BatchStageSpec.derived>`)
+compiles its value expressions into the *same* comprehension, so each
+row evaluates its predicates and then its derived values before the next
+row is touched -- the record path's order, which is what makes a raising
+row raise the same error on both paths.
+
 Kernel source is registered in :mod:`linecache` under a content-hashed
 filename, mirroring the synthesized stage mappers, so tracebacks through
 generated code stay readable.
@@ -51,7 +58,10 @@ class PredicateKernel:
 
     ``select(n, column)`` evaluates the conjunction over rows ``0..n-1``,
     where ``column(name)`` supplies the value list for each referenced
-    column, and returns the list of passing row indices.
+    column, and returns the list of passing row indices.  A kernel
+    compiled with ``derived`` expressions returns a tuple instead: the
+    passing row indices, then one value sequence per derived expression,
+    all aligned.
     """
 
     __slots__ = ("source", "columns", "_fn")
@@ -83,26 +93,36 @@ def _render(expr: Expr, params: Dict[str, str],
     raise TypeError(f"cannot vectorize expression node {type(expr).__name__}")
 
 
-def compile_predicates(predicates: Sequence[Expr]
+def compile_predicates(predicates: Sequence[Expr],
+                       derived: Optional[Sequence[Expr]] = None
                        ) -> Optional[PredicateKernel]:
     """Compile a filter-chain conjunction into a row-selection kernel.
 
-    Returns ``None`` for an empty chain (every row passes; callers skip
-    the kernel entirely).  Raises :class:`TypeError` on expression nodes
-    outside the fluent algebra -- the executor treats that as a fallback
-    trigger, not an error.
+    Returns ``None`` for an empty chain with nothing ``derived`` (every
+    row passes; callers skip the kernel entirely).  Raises
+    :class:`TypeError` on expression nodes outside the fluent algebra --
+    the executor treats that as a fallback trigger, not an error.
     """
-    if not predicates:
+    if not predicates and derived is None:
         return None
-    columns = sorted({name for p in predicates for name in p.columns()})
+    exprs = list(predicates) + list(derived or ())
+    columns = sorted({name for e in exprs for name in e.columns()})
     params = {name: f"_c{i}" for i, name in enumerate(columns)}
     consts: Dict[str, Any] = {}
     cond = " and ".join(_render(p, params, consts) for p in predicates)
+    rows = f"for _i in range(_n) if {cond}" if predicates \
+        else "for _i in range(_n)"
     args = ", ".join(["_n"] + [params[name] for name in columns])
-    source = (
-        f"def _kernel({args}):\n"
-        f"    return [_i for _i in range(_n) if {cond}]\n"
-    )
+    if derived is None:
+        body = f"    return [_i {rows}]\n"
+    else:
+        values = "".join(f", {_render(e, params, consts)}" for e in derived)
+        body = (
+            f"    _rows = [(_i{values}) {rows}]\n"
+            f"    return tuple(zip(*_rows)) if _rows "
+            f"else ((),) * {len(derived) + 1}\n"
+        )
+    source = f"def _kernel({args}):\n{body}"
     code = _CODE_CACHE.get(source)
     if code is None:
         digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:16]

@@ -190,7 +190,7 @@ def plan_shared_groups(
             )
             continue
         try:
-            compile_predicates(spec.predicates)
+            compile_predicates(spec.predicates, spec.derived_exprs())
         except TypeError:
             report.solo.append((index, "predicate is not compilable"))
             continue

@@ -12,8 +12,8 @@ A spec is a promise about semantics, not a command: the batch executor
 re-checks it against the concrete input file at run time (source type,
 schema transparency, column availability) and returns control to the
 record-at-a-time path whenever anything does not hold.  Stages with
-opaque UDFs (``map()``, callable filters) or opaque schemas never get a
-spec in the first place.
+opaque UDFs (``map()`` / callable filters the analyzer could not
+translate) or opaque schemas never get a spec in the first place.
 """
 
 from __future__ import annotations
@@ -50,8 +50,15 @@ class BatchStageSpec:
     #: final projected value columns (None = emit the input record as-is)
     project_columns: Optional[List[str]] = None
     #: schema of projected emits, as chained ``Schema.project`` derived it
-    #: in the synthesized mapper (None when ``project_columns`` is None)
+    #: in the synthesized mapper; the ``derived`` record's own schema
+    #: when nothing projects it further (None when the stage emits the
+    #: scanned record as-is)
     out_value_schema: Optional[Schema] = None
+    #: a computed projection (a translated ``map``): ``(field,
+    #: expression)`` pairs over the scanned columns, all evaluated for
+    #: each row that passes ``predicates``.  The stage then projects,
+    #: groups, aggregates and joins on the *derived* record's fields.
+    derived: Optional[List[Tuple[str, Expr]]] = None
     #: aggregate stages: the GROUP BY column and ordered (op, column) list
     group_column: Optional[str] = None
     aggs: Optional[List[Tuple[str, Optional[str]]]] = None
@@ -63,6 +70,11 @@ class BatchStageSpec:
     join_on: Optional[str] = None
     join_tag: Optional[str] = None
 
+    def derived_exprs(self) -> Optional[List[Expr]]:
+        if self.derived is None:
+            return None
+        return [expr for _name, expr in self.derived]
+
     def needed_columns(self) -> Optional[List[str]]:
         """Value columns the batch executor must decode, in a stable order.
 
@@ -70,9 +82,8 @@ class BatchStageSpec:
         emit).  Predicate columns come first, then emit columns; the
         order only affects decode-plan layout, never output bytes.
         """
-        if self.project_columns is None and self.kind == "map":
-            return None
-        if self.kind == "join-side" and self.project_columns is None:
+        if self.derived is None and self.project_columns is None \
+                and self.kind in ("map", "join-side"):
             return None
         needed: List[str] = []
         seen = set()
@@ -82,9 +93,12 @@ class BatchStageSpec:
                 seen.add(name)
                 needed.append(name)
 
-        for predicate in self.predicates:
-            for name in sorted(predicate.columns()):
+        for expr in self.predicates + (self.derived_exprs() or []):
+            for name in sorted(expr.columns()):
                 add(name)
+        if self.derived is not None:
+            # group/aggregate/join/emit columns name derived fields
+            return needed
         if self.kind == "aggregate":
             add(self.group_column)
             for _op, column in self.aggs or []:
@@ -100,6 +114,9 @@ class BatchStageSpec:
         parts = [self.kind]
         if self.predicates:
             parts.append(f"{len(self.predicates)} predicate(s)")
+        if self.derived is not None:
+            names = ", ".join(name for name, _expr in self.derived)
+            parts.append(f"derive [{names}]")
         if self.project_columns is not None:
             parts.append(f"project [{', '.join(self.project_columns)}]")
         if self.kind == "aggregate":

@@ -67,6 +67,28 @@ def _source_ast(target) -> ast.FunctionDef:
     raise UnsupportedConstructError("no function definition found in source")
 
 
+def _assigned_self_attrs(fn: ast.FunctionDef) -> Set[str]:
+    """Attribute names one method assigns on its first parameter."""
+    if not fn.args.args:
+        return set()
+    self_name = fn.args.args[0].arg
+    assigned: Set[str] = set()
+    for node in ast.walk(fn):
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == self_name
+            ):
+                assigned.add(target.attr)
+    return assigned
+
+
 def _method_mutated_attrs(cls: type, self_name_hint: Optional[str] = None
                           ) -> Set[str]:
     """Attribute names assigned (``self.x = ...``) in per-record methods.
@@ -85,22 +107,7 @@ def _method_mutated_attrs(cls: type, self_name_hint: Optional[str] = None
             fn = _source_ast(method)
         except (OSError, TypeError, UnsupportedConstructError):
             continue
-        if not fn.args.args:
-            continue
-        self_name = fn.args.args[0].arg
-        for node in ast.walk(fn):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == self_name
-                ):
-                    mutated.add(target.attr)
+        mutated |= _assigned_self_attrs(fn)
     return mutated
 
 

@@ -398,11 +398,16 @@ class SymbolicResolver:
 
     def __init__(self, lowered: LoweredFunction, rd: ReachingDefinitions,
                  kb: KnowledgeBase = DEFAULT_KB,
-                 members: Optional[MemberEnv] = None):
+                 members: Optional[MemberEnv] = None,
+                 captured: Optional[Dict[str, Any]] = None):
         self.lowered = lowered
         self.rd = rd
         self.kb = kb
         self.members = members or MemberEnv()
+        #: non-local names whose value is fixed for the submission --
+        #: closure cells, defaulted and ``functools.partial``-bound
+        #: parameters of a UDF; read like instance members: as constants
+        self.captured = captured or {}
         self.roles = lowered.roles
 
     # -- def lookup ----------------------------------------------------------
@@ -533,6 +538,12 @@ class SymbolicResolver:
             return SOpaque(f"cyclic definition of {name!r}")
         defs = self._lookup(at, name)
         if not defs:
+            # A name the body assigns somewhere is a local: with no
+            # reaching definition it is read before assignment, never
+            # the captured value of the same name.
+            if (name in self.captured
+                    and name not in self.lowered.local_names):
+                return SConst(self.captured[name])
             return SOpaque(f"undefined or global name {name!r}")
         if len(defs) > 1:
             deps: List[SymExpr] = [

@@ -20,7 +20,7 @@ never a guess.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.analyzer import ir
 from repro.core.analyzer.cfg import CFG, BasicBlock, CondJump, ExitTerm, Jump
@@ -45,16 +45,19 @@ class ParamRoles:
 
     ``self_name`` is ``None`` for plain functions; ``ctx_name`` is the
     context parameter whose ``emit`` attribute defines the emit statement.
+    Value-returning UDFs (:func:`lower_udf`) have no context parameter,
+    and a ``filter`` predicate has no key parameter either: those roles
+    are ``None``.
     """
 
-    def __init__(self, self_name: Optional[str], key_name: str,
-                 value_name: str, ctx_name: str):
+    def __init__(self, self_name: Optional[str], key_name: Optional[str],
+                 value_name: str, ctx_name: Optional[str]):
         self.self_name = self_name
         self.key_name = key_name
         self.value_name = value_name
         self.ctx_name = ctx_name
 
-    def data_params(self) -> Tuple[str, str]:
+    def data_params(self) -> Tuple[Optional[str], str]:
         return (self.key_name, self.value_name)
 
     def __repr__(self) -> str:
@@ -101,8 +104,11 @@ def roles_from_args(fn: ast.FunctionDef, is_method: bool) -> ParamRoles:
 class _Lowerer:
     """Stateful single-function lowering pass."""
 
-    def __init__(self, roles: ParamRoles):
+    def __init__(self, roles: ParamRoles, value_returning: bool = False):
         self.roles = roles
+        #: the UDF role: ``return <expr>`` is the function's result, not
+        #: an emission channel the emit-centric model cannot see
+        self.value_returning = value_returning
         self.cfg = CFG()
         self.current: BasicBlock = self.cfg.new_block()
         self.cfg.entry = self.current.block_id
@@ -365,6 +371,11 @@ class _Lowerer:
             self._lower_for(node, lineno)
             return
         if isinstance(node, ast.Return):
+            if self.value_returning and node.value is not None:
+                self._add_stmt(ir.Return(self.lower_expr(node.value)), lineno)
+                self.current.terminator = ExitTerm()
+                self._terminated = True
+                return
             if node.value is not None and not (
                 isinstance(node.value, ast.Constant)
                 and node.value.value is None
@@ -512,23 +523,48 @@ class _EmitMarker(Exception):
         self.args = args
 
 
-def lower_function(fn: ast.FunctionDef, is_method: bool = True) -> LoweredFunction:
-    """Lower one mapper method AST into CFG form."""
-    roles = roles_from_args(fn, is_method)
-    lowerer = _Lowerer(roles)
+def _lower_body(name: str, body: Sequence[ast.stmt],
+                lowerer: _Lowerer) -> LoweredFunction:
     # Pre-pass: record every locally assigned name so call receivers and
     # attribute chains classify correctly even before their assignment is
     # lowered (names are function-scoped in Python).
-    for sub in ast.walk(fn):
-        if isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                if isinstance(target, ast.Name):
-                    lowerer.local_names.add(target.id)
-        elif isinstance(sub, (ast.AugAssign, ast.For)) and isinstance(
-            getattr(sub, "target", None), ast.Name
-        ):
-            lowerer.local_names.add(sub.target.id)
-    lowerer.lower_body(fn.body)
+    for stmt in body:
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Assign):
+                for target in sub.targets:
+                    if isinstance(target, ast.Name):
+                        lowerer.local_names.add(target.id)
+            elif isinstance(sub, (ast.AugAssign, ast.For)) and isinstance(
+                getattr(sub, "target", None), ast.Name
+            ):
+                lowerer.local_names.add(sub.target.id)
+    lowerer.lower_body(body)
     if not lowerer._terminated:
         lowerer.current.terminator = ExitTerm()
-    return LoweredFunction(fn.name, lowerer.cfg, roles, lowerer.local_names)
+    return LoweredFunction(name, lowerer.cfg, lowerer.roles,
+                           lowerer.local_names)
+
+
+def lower_function(fn: ast.FunctionDef, is_method: bool = True) -> LoweredFunction:
+    """Lower one mapper method AST into CFG form."""
+    roles = roles_from_args(fn, is_method)
+    return _lower_body(fn.name, fn.body, _Lowerer(roles))
+
+
+def lower_udf(fn: Union[ast.FunctionDef, ast.Lambda],
+              roles: ParamRoles) -> LoweredFunction:
+    """Lower a value-returning UDF -- a ``filter`` predicate or ``map``
+    transform, ``def`` or ``lambda`` -- into CFG form.
+
+    Same IR, same CFG, same hard floor as :func:`lower_function`; the one
+    difference is the role of ``return <expr>``, which here *is* the
+    function's result and lowers to an :class:`ir.Return` carrying the
+    expression.  The caller assigns the parameter roles, because a UDF's
+    signature may bind more than the data parameters (defaults,
+    ``functools.partial`` arguments).
+    """
+    lowerer = _Lowerer(roles, value_returning=True)
+    if isinstance(fn, ast.Lambda):
+        ret = ast.copy_location(ast.Return(value=fn.body), fn.body)
+        return _lower_body("<lambda>", [ret], lowerer)
+    return _lower_body(fn.name, fn.body, lowerer)

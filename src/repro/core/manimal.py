@@ -19,7 +19,7 @@ have been generated by a conventional MapReduce system."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.core.analyzer.descriptors import JobAnalysis
@@ -108,6 +108,16 @@ class Manimal:
         :mod:`repro.engine.cache` for the fingerprint).
         """
         return self.engine.analyze(self.analyzer, conf)
+
+    def analyze_udf(self, fn: Callable, arity: int) -> Any:
+        """Static analysis of one fluent ``filter``/``map`` callable.
+
+        The UDF-translation verdict
+        (:func:`repro.core.analyzer.udf.analyze_udf`) under this
+        system's knowledge base, memoized through the engine like
+        :meth:`analyze`.
+        """
+        return self.engine.analyze_udf(self.analyzer.kb, fn, arity)
 
     def index_programs(
         self,

@@ -13,6 +13,10 @@ This module gives the engine two caches:
   instance members, the knowledge-base version, safe mode, and a
   size+mtime fingerprint of every input file (schemas are read from file
   headers, so a rewritten file must invalidate);
+  the same cache memoizes UDF-translation verdicts
+  (:func:`~repro.core.analyzer.udf.analyze_udf`), keyed by
+  :func:`udf_fingerprint`: the callable's bytecode and captured values
+  plus the knowledge-base version;
 * **plan cache** -- memoizes
   :meth:`Optimizer.plan <repro.core.optimizer.planner.Optimizer.plan>`
   results, keyed by the analysis fingerprint plus the catalog's
@@ -32,6 +36,8 @@ produced from an address-bearing repr.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import re
 import stat
@@ -79,7 +85,10 @@ def fingerprint_value(value: Any, depth: int = 0) -> Hashable:
         raise Unfingerprintable("nesting too deep")
     if value is None or isinstance(value, (bool, int, float, complex, str,
                                            bytes)):
-        return ("v", value)
+        # Type and repr, not the value: ``1 == 1.0 == True`` and
+        # ``0.0 == -0.0`` hash alike, but a cached UDF verdict folds the
+        # constant into the code that runs, so they must not collide.
+        return ("v", type(value).__name__, repr(value))
     if isinstance(value, (tuple, list)):
         return (
             "seq", type(value).__name__,
@@ -179,6 +188,52 @@ def fingerprint_spec(spec: Any) -> Hashable:
             methods.append((name, fingerprint_callable(method)))
     members = fingerprint_value(_instance_members(instance))
     return ("spec", cls.__module__, cls.__qualname__, tuple(methods), members)
+
+
+def _fingerprint_udf(fn: Any) -> Hashable:
+    if isinstance(fn, functools.partial):
+        return ("partial", _fingerprint_udf(fn.func),
+                fingerprint_value(fn.args), fingerprint_value(fn.keywords))
+    if inspect.isfunction(fn):
+        return fingerprint_callable(fn)
+    if inspect.isroutine(fn) or inspect.isclass(fn):
+        # Bound methods, builtins, classes: translation declines them on
+        # sight, so any stable token serves.
+        return ("routine", fingerprint_value(fn))
+    # A callable instance: the methods the analyzer scans for member
+    # assignments, and the members it folds as constants.  ``__init__``
+    # is not scanned -- what it left behind is in the members.
+    from repro.core.analyzer.analyzer import _instance_members
+    from repro.core.analyzer.udf import scanned_methods
+
+    cls = type(fn)
+    methods = tuple(  # MRO + definition order: already deterministic
+        (name, fingerprint_callable(method))
+        for name, method in scanned_methods(cls)
+    )
+    return ("callable", cls.__module__, cls.__qualname__, methods,
+            fingerprint_value(_instance_members(fn)))
+
+
+def udf_fingerprint(kb: Any, fn: Any, arity: int) -> Optional[Hashable]:
+    """The analysis-cache key of one UDF-translation verdict.
+
+    Covers what :func:`~repro.core.analyzer.udf.analyze_udf` reads: the
+    callable's bytecode, its closure cells, defaults and ``partial``
+    arguments, a callable instance's methods and members, and the
+    knowledge-base version.  A fresh instance with equal members hits;
+    an edited body or a changed member misses.  Globals are not covered
+    -- the analyzer treats a global read as opaque, and the one global
+    it does accept (a ``map``'s ``make()`` receiver) is re-read from the
+    concrete callable on every use.  ``None`` means "do not cache".
+    """
+    try:
+        return ("udf", kb.fingerprint(), arity, _fingerprint_udf(fn))
+    except Exception:  # noqa: BLE001 -- any user object may pass through
+        # Unfingerprintable, but also whatever an arbitrary callable's
+        # class does under vars()/repr() (``__slots__``, a raising
+        # ``__repr__``): lowering must not fail where it used to work.
+        return None
 
 
 def analysis_fingerprint(analyzer: Any, conf: Any) -> Optional[Hashable]:

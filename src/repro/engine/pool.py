@@ -11,10 +11,11 @@ pool behind the engine so workers are forked once and reused:
   long-lived pool as ``(state file, job token, task args)``; each worker
   loads and caches the state per job, so the per-job cost is one pickle
   load per worker instead of a fork+teardown of the whole pool;
-* **forked path** -- unpicklable jobs (closures, synthesized fluent
-  mappers, in-memory splits holding exotic objects) fall back to the
-  original per-job pool whose workers *fork after* the job state is
-  published in :data:`_JOB_STATE`, inheriting it through fork memory;
+* **forked path** -- unpicklable jobs (closures, fluent stages that
+  call a user-supplied callable, in-memory splits holding exotic
+  objects) fall back to the original per-job pool whose workers *fork
+  after* the job state is published in :data:`_JOB_STATE`, inheriting it
+  through fork memory;
 * **inline path** -- no fork support (e.g. Windows) or an effective
   worker count of 1 runs the same spill-based task sequence in-process.
 
@@ -769,8 +770,8 @@ class WorkerPool:
         try:
             return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            # Closures, synthesized mappers, exotic split payloads: the
-            # forked path inherits them through fork memory instead.
+            # Closures, fluent stages calling user code, exotic split
+            # payloads: the forked path inherits them through fork memory.
             return None
 
     # -- inline path ----------------------------------------------------------

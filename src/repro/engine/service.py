@@ -28,7 +28,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.cache import MemoCache, analysis_fingerprint
+from repro.engine.cache import (
+    MemoCache,
+    analysis_fingerprint,
+    udf_fingerprint,
+)
 from repro.engine.pool import WorkerPool, default_worker_count
 
 #: Attribute stashed on cached JobAnalysis objects so the plan cache can
@@ -141,6 +145,27 @@ class ExecutionEngine:
         setattr(analysis, _FP_ATTR, fp)
         self.analysis_cache.put(fp, analysis)
         return analysis
+
+    def analyze_udf(self, kb: Any, fn: Callable, arity: int) -> Any:
+        """Memoized :func:`~repro.core.analyzer.udf.analyze_udf`.
+
+        Shares the analysis cache: a fluent query is lowered once per
+        builder call and once per run, and a service sees the same UDF
+        shapes over and over, so a repeated shape must cost a lookup.
+        Keyed by :func:`~repro.engine.cache.udf_fingerprint`;
+        unfingerprintable callables are analyzed every time.
+        """
+        # The analyzer imports the fabric this package sits under.
+        from repro.core.analyzer.udf import analyze_udf
+
+        fp = udf_fingerprint(kb, fn, arity)
+        if fp is None:
+            return analyze_udf(fn, arity, kb)
+        verdict = self.analysis_cache.get(fp)
+        if verdict is None:
+            verdict = analyze_udf(fn, arity, kb)
+            self.analysis_cache.put(fp, verdict)
+        return verdict
 
     # -- cached planning ------------------------------------------------------
 

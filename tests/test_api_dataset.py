@@ -189,12 +189,23 @@ class TestRelationalOps:
         rows = dict(doubled.group_by("rank").count().collect())
         assert rows[98] == 8
 
-    def test_callable_filter_runs_without_hints(self, session, pages_path):
-        query = session.read(pages_path).filter(lambda r: r.rank > 45)
+    def test_opaque_callable_filter_runs_without_hints(self, session,
+                                                       pages_path):
+        # abs() is a call: outside the column-expression algebra
+        query = session.read(pages_path).filter(lambda r: abs(r.rank) > 45)
         plan = query.lower()
         assert plan.stages[0].hints.inputs[0].selection is None
         rows = query.collect()
         assert rows and all(v.rank > 45 for _k, v in rows)
+
+    def test_translatable_callable_filter_gets_the_col_hints(
+            self, session, pages_path):
+        query = session.read(pages_path).filter(lambda r: r.rank > 45)
+        spelled = session.read(pages_path).filter(col("rank") > 45)
+        hint = query.lower().stages[0].hints.inputs[0]
+        assert repr(hint.selection) == repr(
+            spelled.lower().stages[0].hints.inputs[0].selection)
+        assert query.collect() == spelled.collect()
 
     def test_pipeline_links_wired(self, session, pages_path):
         query = session.read(pages_path).group_by("rank").count() \

@@ -10,8 +10,15 @@ query service caches -- under the sequential, parallel and DAG
 schedulers.  Chains built from analyzable pieces must additionally prove
 the batch path actually ran (``batch_map_tasks > 0``); opaque-schema
 chains must prove it did not.
+
+The same harness covers UDF translation: randomized chains of plain
+callables (lambda / def / ``__call__`` class / ``functools.partial``)
+run translated -- on the batch path -- against the identical chain with
+every callable behind :class:`Opaque`, a wrapper the translator provably
+declines, which runs the user's own code on the record path.
 """
 
+import functools
 import os
 import random
 
@@ -19,6 +26,7 @@ import pytest
 
 from repro.api.expressions import col, lit
 from repro.api.session import Session
+from repro.exceptions import JobExecutionError
 from repro.service.payload import serialize_rows
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import (
@@ -269,3 +277,186 @@ class TestOpaqueSchemasFallBack:
             # opaque serialization defeats the batch scan entirely
             assert _batch_tasks(vect_result) == 0
             assert _batch_tasks(ref_result) == 0
+
+
+# -- UDF translation: translated chains vs the user's own code -------------------
+
+
+class Opaque:
+    """Hides a callable from the translator (``*args`` declines on sight),
+    so the chain runs the wrapped user code record-at-a-time."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+class AnchorAbove:
+    def __init__(self, limit):
+        self.limit = limit
+
+    def __call__(self, value):
+        return value.anchor > self.limit
+
+
+def anchor_not_multiple(k, value):
+    return value.anchor % k != 0
+
+
+def c0_at_least(threshold):
+    def pred(value):
+        bound = threshold
+        return value.c0 >= bound
+    return pred
+
+
+def _random_udf_filter(rng, schema):
+    """One random predicate in a random callable shape, real source each."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        lo = rng.randrange(-40, 40)
+        return lambda v: lo <= v.anchor and v.anchor * 2 - 1 < 70
+    if shape == 1:
+        return c0_at_least(_random_value(rng, schema.field("c0").ftype))
+    if shape == 2:
+        return AnchorAbove(rng.randrange(-45, 30))
+    return functools.partial(anchor_not_multiple, rng.randrange(2, 9))
+
+
+def _udf_out_schema(schema, index):
+    return Schema(f"UdfOut{index}", [
+        Field("bucket", FieldType.LONG),
+        Field("twice", FieldType.LONG),
+        Field("orig", schema.field("c0").ftype),
+    ])
+
+
+def _random_udf_chain(rng, session, path, schema, out, wrap):
+    """filter / map / filter->map->group_by / join sides, UDFs via ``wrap``."""
+
+    def bucketed(key, value):
+        bucket = value.anchor % 5
+        twice = value.anchor * 2 + 1
+        return key, out.make(bucket, twice, value.c0)
+
+    def filtered(dataset, lo, hi):
+        for _ in range(rng.randrange(lo, hi)):
+            dataset = dataset.filter(wrap(_random_udf_filter(rng, schema)))
+        return dataset
+
+    def mapped(dataset):
+        return dataset.map(wrap(bucketed), value_schema=out)
+
+    kind = rng.randrange(5)
+    base = session.read(path)
+    if kind == 0:
+        return filtered(base, 1, 3).select("anchor", "c0")
+    if kind == 1:
+        return mapped(base)
+    if kind == 2:
+        return mapped(filtered(base, 1, 3)).group_by("bucket").agg(
+            n=("count", None), s=("sum", "twice"), hi=("max", "twice"))
+    if kind == 3:
+        return filtered(base, 1, 3).group_by("anchor").agg(
+            s=("sum", "anchor"), lo=("min", "anchor"))
+    left = mapped(filtered(base, 1, 2).filter(col("anchor") > 25))
+    right = mapped(filtered(session.read(path), 1, 2)).select(
+        "bucket", "twice")
+    return left.join(right, on="bucket")
+
+
+def _counters(result):
+    return [s.outcome.result.counters.to_dict() for s in result.stages]
+
+
+def _opaque_everywhere(result):
+    return all(
+        ("<python:" not in d) or ("opaque: " in d)
+        for stage in result.plan.stages for d in stage.descriptions
+    )
+
+
+class TestTranslatedUdfChains:
+    def test_random_udf_chains_match_the_users_code(self, tmp_path):
+        rng = random.Random(0x0DF5)
+        checked = 0
+        with Session(workdir=str(tmp_path / "udf")) as session:
+            for schema_index in range(5):
+                schema = _random_schema(rng, schema_index)
+                path = _write_dataset(str(tmp_path), rng, schema,
+                                      schema_index)
+                out = _udf_out_schema(schema, schema_index)
+                for chain_index in range(8):
+                    seed = rng.randrange(2**32)
+
+                    def build(wrap, _seed=seed, _p=path, _s=schema, _o=out):
+                        return _random_udf_chain(
+                            random.Random(_seed), session, _p, _s, _o, wrap)
+
+                    where = f"schema {schema_index} chain {chain_index}"
+                    reference = build(Opaque).run()
+                    assert _opaque_everywhere(reference), where
+                    assert _batch_tasks(reference) == 0, where
+                    expected = serialize_rows(reference.rows)
+
+                    translated = build(lambda fn: fn).run()
+                    assert serialize_rows(translated.rows) == expected, where
+                    assert _counters(translated) == _counters(reference)
+                    # every map task of every stage rode the kernels
+                    assert _batch_tasks(translated) == sum(
+                        s.outcome.result.metrics.map_tasks
+                        for s in translated.stages), where
+                    TestRandomizedChains._assert_metric_parity(
+                        reference, translated)
+                    for kwargs in ({"parallelism": 2}, {"scheduler": "dag"}):
+                        again = build(lambda fn: fn).run(**kwargs)
+                        assert serialize_rows(again.rows) == expected, (
+                            where, kwargs)
+                        assert _counters(again) == _counters(reference)
+                    checked += 1
+        assert checked == 40
+
+    @pytest.fixture()
+    def anchored(self, tmp_path):
+        """anchor runs -3..36: exactly one row has anchor == 0."""
+        schema = Schema("Anchored", [Field("anchor", FieldType.INT)])
+        key_schema = Schema("AnchoredKey", [Field("id", FieldType.LONG)])
+        path = str(tmp_path / "anchored.rf")
+        with RecordFileWriter(path, key_schema, schema,
+                              block_size=BLOCK_SIZE) as writer:
+            for i in range(40):
+                writer.append(key_schema.make(i), schema.make(i - 3))
+        return path
+
+    @pytest.mark.parametrize("predicate, cause", [
+        (lambda v: 100 % v.anchor == 0, ZeroDivisionError),
+        (functools.partial(anchor_not_multiple, 0), ZeroDivisionError),
+        (AnchorAbove(None), TypeError),
+    ], ids=["mod-zero-one-row", "mod-zero-every-row", "none-compare"])
+    def test_raising_rows_raise_the_same_way(self, sessions, anchored,
+                                             predicate, cause):
+        vect, _ref = sessions
+        failures = []
+        for fn in (predicate, Opaque(predicate)):
+            for kwargs in ({}, {"parallelism": 2}, {"scheduler": "dag"}):
+                query = vect.read(anchored).filter(fn).group_by(
+                    "anchor").agg(n=("count", None))
+                with pytest.raises(JobExecutionError) as info:
+                    query.run(**kwargs)
+                if not kwargs:  # the cause survives in-process only
+                    assert type(info.value.__cause__) is cause
+                failures.append(str(info.value).split(": ", 1)[1])
+        assert len(set(failures)) == 1, failures
+
+    def test_guarded_division_raises_in_neither(self, sessions, anchored):
+        vect, _ref = sessions
+
+        def guarded(v):
+            return v.anchor != 0 and 100 % v.anchor == 0
+
+        rows = vect.read(anchored).filter(guarded).collect()
+        assert rows == vect.read(anchored).filter(Opaque(guarded)).collect()
+        assert sorted(v.anchor for _k, v in rows) == [
+            -2, -1, 1, 2, 4, 5, 10, 20, 25]

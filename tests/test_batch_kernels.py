@@ -102,6 +102,27 @@ class TestKernelSemantics:
         with pytest.raises(TypeError, match="cannot vectorize"):
             compile_predicates([Exotic()])
 
+    def test_derived_values_ride_the_same_pass(self):
+        kernel = compile_predicates(
+            [col("i") > lit(1)], [col("i") * lit(2), col("s")])
+        columns = {"i": [1, 2, 3], "s": ["a", "b", "c"]}
+        assert kernel.select(3, columns.__getitem__) == (
+            (1, 2), (4, 6), ("b", "c"))
+        # nothing passes: still one (empty) sequence per output
+        assert kernel.select(3, {"i": [0, 0, 0], "s": "xyz"}.__getitem__) \
+            == ((), (), ())
+        # no predicates: every row, derived
+        every = compile_predicates([], [col("i") + lit(1)])
+        assert every.select(2, {"i": [5, 6]}.__getitem__) == ((0, 1), (6, 7))
+
+    def test_derived_values_evaluate_row_by_row(self):
+        # row 0's derived value raises ZeroDivisionError, row 1's
+        # predicate TypeError: row-major order reaches row 0's first
+        kernel = compile_predicates(
+            [col("s") > lit("a")], [lit(1) / col("i")])
+        with pytest.raises(ZeroDivisionError):
+            kernel.select(2, {"i": [0, 1], "s": ["b", 5]}.__getitem__)
+
     def test_kernel_cache_isolates_literals(self):
         # same source shape, different constants: both must see their own
         first = _select([col("i") > lit(5)], i=[4, 6])

@@ -500,6 +500,112 @@ class TestConcurrentSubmissions:
         assert after["jobs_forked"] == before["jobs_forked"]
 
 
+def module_level_low_rank(value):
+    """Picklable by reference, opaque to the translator (abs is a call)."""
+    return abs(value.rank) < 10
+
+
+class TestFluentJobsReachThePersistentPool:
+    """Synthesized stage functions pickle by value, so a fluent job's
+    state spills to the pooled workers; a stage that still calls a user
+    callable -- picklable or not -- forks per job, as it always did."""
+
+    def _path_deltas(self, engine, run):
+        before = engine.pool.stats()
+        rows = run()
+        after = engine.pool.stats()
+        return rows, {key: after[key] - before[key]
+                      for key in ("jobs_pooled", "jobs_forked",
+                                  "jobs_inline")}
+
+    def test_described_and_translated_stages_are_pooled(
+            self, tmp_path, engine):
+        path = write_webpages(tmp_path / "w.rf", 300)
+        with Session(workdir=str(tmp_path / "s"), engine=engine) as session:
+            pages = session.read(path)
+            queries = [
+                pages.filter(col("rank") > 10).group_by("rank").count(),
+                # translated: the stage holds no user callable at all
+                pages.filter(lambda v: v.rank > 10).select("url"),
+                pages.filter(col("rank") > 40).join(
+                    pages.select("url", "content"), on="url"),
+            ]
+            for query in queries:
+                expected = query.collect()
+                rows, moved = self._path_deltas(
+                    engine, lambda q=query: q.collect(parallelism=2))
+                assert rows == expected
+                assert moved == {"jobs_pooled": 1, "jobs_forked": 0,
+                                 "jobs_inline": 0}
+
+    @pytest.mark.parametrize("predicate", [
+        lambda v: abs(v.rank) < 10,  # unpicklable
+        # Pickles by reference, but a pooled worker would resolve the
+        # name in the module it forked with, not run this object.
+        module_level_low_rank,
+    ], ids=["lambda", "module_level_def"])
+    def test_stage_calling_user_code_keeps_the_forked_path(
+            self, tmp_path, engine, predicate):
+        path = write_webpages(tmp_path / "w.rf", 300)
+        with Session(workdir=str(tmp_path / "s"), engine=engine) as session:
+            query = session.read(path).filter(predicate) \
+                .group_by("rank").count()
+            assert "opaque: " in query.explain()
+            expected = query.collect()
+            rows, moved = self._path_deltas(
+                engine, lambda: query.collect(parallelism=2))
+            assert rows == expected
+            assert moved == {"jobs_pooled": 0, "jobs_forked": 1,
+                             "jobs_inline": 0}
+
+    def test_callable_defined_after_the_workers_forked_still_runs(
+            self, tmp_path, engine):
+        """A declined callable the pooled workers have never seen (here:
+        its module-level name is rebound after they forked) runs as the
+        live object, not as whatever the worker's module resolves."""
+        path = write_webpages(tmp_path / "w.rf", 300)
+        with Session(workdir=str(tmp_path / "s"), engine=engine) as session:
+            pages = session.read(path)
+            # forks the persistent workers with the current module
+            pages.filter(col("rank") > 10).collect(parallelism=2)
+            assert engine.pool.stats()["jobs_pooled"] >= 1
+
+            def late(value):
+                return abs(value.rank) >= 10
+
+            late.__qualname__ = "module_level_low_rank"
+            late.__name__ = "module_level_low_rank"
+            module = sys.modules[__name__]
+            original = module.module_level_low_rank
+            module.module_level_low_rank = late  # now pickles by reference
+            try:
+                query = pages.filter(late).select("rank")
+                assert "opaque: " in query.explain()
+                rows = query.collect(parallelism=2)
+            finally:
+                module.module_level_low_rank = original
+            assert rows and all(row[1].rank >= 10 for row in rows)
+            assert rows == query.collect()
+
+    def test_stage_adapters_round_trip_through_pickle(self, tmp_path,
+                                                      engine):
+        import inspect
+        import pickle
+
+        path = write_webpages(tmp_path / "w.rf", 40)
+        with Session(workdir=str(tmp_path / "s"), engine=engine) as session:
+            conf = session.read(path).filter(col("rank") > 10) \
+                .group_by("rank").agg(n=("count", None),
+                                      hi=("max", "rank")).lower().final.conf
+        clone = pickle.loads(pickle.dumps(conf))
+        for adapter, attr in ((clone.mapper, "map_source_function"),
+                              (clone.reducer, "reduce_source_function")):
+            # rebuilt through compile_stage_function: still inspectable
+            assert inspect.getsource(getattr(adapter, attr)).startswith(
+                "def _fluent_agg_")
+        assert type(clone.mapper) is type(conf.mapper)
+
+
 class TestEngineService:
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1

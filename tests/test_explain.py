@@ -82,3 +82,67 @@ class TestExplain:
                       inputs=[RecordFileInput(webpage_file)])
         text = explain_job(job)
         assert "GroupKeyFilter" in text
+
+
+# -- fluent explain: callables show their name and the translation verdict -----
+
+
+class NotMultiple:
+    def __init__(self, k):
+        self.k = k
+
+    def __call__(self, value):
+        return value.rank % self.k != 0
+
+
+def rank_not_multiple(k, value):
+    return value.rank % k != 0
+
+
+def url_hash_even(value):
+    return hash(value.url) % 2 == 0
+
+
+class TestFluentCallables:
+    def _session(self, tmp_path):
+        from repro.api.session import Session
+
+        return Session(workdir=str(tmp_path / "work"))
+
+    def test_translated_callables_show_name_and_expression(
+            self, tmp_path, webpage_file):
+        import functools
+
+        with self._session(tmp_path) as session:
+            pages = session.read(webpage_file)
+            text = pages.filter(NotMultiple(13)).explain()
+            assert ("filter <python:NotMultiple> ≡ "
+                    "((value.rank % 13) != 0)") in text
+            assert "(SELECT, ((($value.rank % 13) != 0)))" in text
+            text = pages.filter(
+                functools.partial(rank_not_multiple, 7)).explain()
+            assert ("filter <python:partial(rank_not_multiple)> ≡ "
+                    "((value.rank % 7) != 0)") in text
+            assert "<python:?>" not in text
+
+    def test_opaque_callables_show_name_and_reason(
+            self, tmp_path, webpage_file):
+        with self._session(tmp_path) as session:
+            text = session.read(webpage_file).filter(url_hash_even).explain()
+            assert "filter <python:url_hash_even> opaque: " in text
+            assert "no built-in knowledge of function 'hash'" in text
+            text = session.read(webpage_file).map(
+                lambda k, v: (v.url, v)).explain()
+            assert "map <python:" in text and "<lambda>> opaque: " in text
+
+    def test_explain_many_lists_each_query_with_its_verdict(
+            self, tmp_path, webpage_file):
+        with self._session(tmp_path) as session:
+            pages = session.read(webpage_file)
+            text = session.explain_many([
+                pages.filter(NotMultiple(13)).select("url"),
+                pages.filter(url_hash_even).select("url"),
+            ])
+            assert "query 0: filter <python:NotMultiple> ≡ " in text
+            assert "query 1: filter <python:url_hash_even> opaque: " in text
+            assert "solo query 1: stage is not analyzer-described" in text

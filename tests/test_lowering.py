@@ -262,3 +262,48 @@ class TestDot:
         dot = lowered.cfg.to_dot()
         assert dot.startswith("digraph")
         assert "fn_entry" in dot and "fn_exit" in dot
+
+
+class TestUdfRole:
+    """``lower_udf``: the same lowering with ``return <expr>`` as the result."""
+
+    def _lower(self, source, key="k"):
+        from repro.core.analyzer.lowering import ParamRoles, lower_udf
+
+        node = ast.parse(textwrap.dedent(source)).body[0]
+        if isinstance(node, ast.Expr):  # a bare lambda expression
+            node = node.value
+        return lower_udf(node, ParamRoles(None, key, "v", None))
+
+    def test_def_returns_its_expression(self):
+        lowered = self._lower("""
+            def f(k, v):
+                t = v.rank * 2
+                return t > 10
+        """)
+        *body, ret = lowered.cfg.block(lowered.cfg.entry).stmts
+        assert isinstance(ret, ir.Return) and isinstance(ret.expr, ir.BinOp)
+        assert ret.expr.op == ">"
+        assert any(isinstance(s, ir.Assign) and s.target == "t" for s in body)
+        assert isinstance(
+            lowered.cfg.block(lowered.cfg.entry).terminator, ExitTerm)
+
+    def test_lambda_body_is_the_return(self):
+        lowered = self._lower("lambda v: v.rank > 10", key=None)
+        ret = lowered.cfg.block(lowered.cfg.entry).stmts[-1]
+        assert isinstance(ret, ir.Return) and ret.expr.op == ">"
+        assert lowered.name == "<lambda>"
+
+    def test_no_context_means_no_emit_statement(self):
+        lowered = self._lower("""
+            def f(k, v):
+                return v.emit(k, 1)
+        """)
+        assert lowered.emit_statements() == []
+
+    def test_mapper_role_still_rejects_value_returns(self):
+        with pytest.raises(UnsupportedConstructError, match="value-returning"):
+            lower("""
+                def map(self, k, v, c):
+                    return k, v
+            """)

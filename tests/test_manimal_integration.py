@@ -107,6 +107,47 @@ class TestHintsPath:
         assert sorted(outcome.result.outputs) == sorted(baseline.outputs)
 
 
+class RankAbove:
+    """A fluent filter(fn) predicate the translator proves equal to
+    ``col("rank") > limit``."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def __call__(self, value):
+        return value.rank > self.limit
+
+
+class TestTranslatedUdfPushdown:
+    def test_udf_filter_picks_the_btree_plan_of_its_col_spelling(
+            self, tmp_path, webpage_file):
+        from repro import Session, col
+
+        with Session(workdir=str(tmp_path / "s")) as session:
+            pages = session.read(webpage_file)
+            spelled = pages.filter(col("rank") > 45).select("url", "rank")
+            via_udf = pages.filter(RankAbove(45)).select("url", "rank")
+            plain = via_udf.run()
+            assert not plain.optimized
+            # indexes built for the col() query serve the UDF query: the
+            # two carry the same selection + projection descriptors
+            session.build_indexes(spelled)
+            got, want = via_udf.run(), spelled.run()
+            assert got.optimized and want.optimized
+            assert "btree-scan" in got.descriptor.describe()
+            assert got.descriptor.describe().split("\n")[1:] == \
+                want.descriptor.describe().split("\n")[1:]
+            assert got.rows == want.rows
+            assert got.sorted_rows() == plain.sorted_rows()
+            assert got.result.metrics.map_input_records == \
+                want.result.metrics.map_input_records < 100
+            # and an opaque spelling of the same predicate cannot use it
+            opaque = pages.filter(
+                lambda v: max(v.rank, 45) > 45).select("url", "rank").run()
+            assert not opaque.optimized
+            assert opaque.sorted_rows() == plain.sorted_rows()
+
+
 # ---------------------------------------------------------------------------
 # Safety: adversarial mappers that MUST NOT be optimized
 # ---------------------------------------------------------------------------

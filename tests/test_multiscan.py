@@ -230,8 +230,10 @@ class TestFallbackMatrix:
                 session.read(path).filter(col("rank") > 20)
                 .select("url", "rank"),
                 session.read(path).filter(col("rank") < 15).select("url"),
+                # abs() is a call the translator declines: opaque
                 session.read(path).map(
-                    lambda key, value: (key, out_val.make(value.rank * 2)),
+                    lambda key, value: (
+                        key, out_val.make(abs(value.rank) * 2)),
                     key_schema=out_key, value_schema=out_val,
                 ),
             ]
@@ -246,6 +248,27 @@ class TestFallbackMatrix:
         explain = session.explain_many(build_all())
         assert "shared scan group 2 queries" in explain
         assert "stage is not analyzer-described" in explain
+
+    def test_translated_udf_member_joins_the_group(self, session, tmp_path):
+        path = write_webpages(tmp_path / "udf.rf", 150)
+        from repro.storage.serialization import Field, Schema
+
+        out_val = Schema("UdfVal", [Field("rank", FieldType.INT)])
+
+        def build_all():
+            return [
+                session.read(path).filter(col("rank") > 20)
+                .select("url", "rank"),
+                session.read(path).filter(lambda v: v.rank < 15)
+                .map(lambda key, value: (key, out_val.make(value.rank * 2)),
+                     value_schema=out_val),
+            ]
+
+        expected = [serialize_rows(session.run(ds).rows)
+                    for ds in build_all()]
+        shared = session.run_many(build_all())
+        assert [serialize_rows(r.rows) for r in shared] == expected
+        assert [_shared_groups(r) for r in shared] == [1, 1]
 
     def test_mixed_inputs_do_not_group(self, session, tmp_path):
         path_a = write_webpages(tmp_path / "a.rf", 100)

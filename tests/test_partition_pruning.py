@@ -418,6 +418,47 @@ class TestFluentEndToEnd(FluentFixtureMixin):
             assert runs[name].result.counters.to_dict() == \
                 seq.result.counters.to_dict(), name
 
+    def test_translated_udf_filter_prunes_like_its_col_spelling(self, data):
+        """filter(fn) proven equal to a col() predicate hands the planner
+        the same selection hint, so the same partitions are pruned."""
+        session, flat, directory = data
+        threshold = self.THRESHOLD
+
+        class RankAbove:
+            def __call__(self, value):
+                return value.rank > threshold
+
+        for udf in (lambda v: v.rank > threshold, RankAbove()):
+            via_udf = session.read(directory).filter(udf) \
+                .select("url", "rank")
+            spelled = self.query(session, directory)
+            assert repr(via_udf.lower().hints()[0].inputs) == \
+                repr(spelled.lower().hints()[0].inputs)
+            for kwargs in ({}, {"parallelism": 2}, {"scheduler": "dag"}):
+                got = via_udf.run(**kwargs)
+                want = spelled.run(**kwargs)
+                assert got.rows == want.rows, kwargs
+                got_m, want_m = got.result.metrics, want.result.metrics
+                assert got_m.partitions_pruned == self.PARTITIONS - 1
+                assert (got_m.partitions_scanned,
+                        got_m.map_input_stored_bytes,
+                        got_m.map_input_records,
+                        got_m.batch_map_tasks) == (
+                    want_m.partitions_scanned,
+                    want_m.map_input_stored_bytes,
+                    want_m.map_input_records,
+                    want_m.batch_map_tasks), kwargs
+            assert via_udf.run().sorted_rows() == \
+                self.query(session, flat).run().sorted_rows()
+
+    def test_opaque_udf_filter_scans_every_partition(self, data):
+        session, _flat, directory = data
+        threshold = self.THRESHOLD
+        result = session.read(directory).filter(
+            lambda v: max(v.rank, 0) > threshold).select("url", "rank").run()
+        assert result.result.metrics.partitions_pruned == 0
+        assert len(result.rows) == self.N - self.THRESHOLD - 1
+
     def test_explain_reports_pruning(self, data):
         session, _flat, directory = data
         text = self.query(session, directory).explain()

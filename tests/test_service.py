@@ -40,12 +40,21 @@ from repro.storage.serialization import (
     Schema,
     SerializationError,
 )
-from tests.conftest import write_webpages
+from tests.conftest import WEBPAGE, write_webpages
 
 
 def double_rank(key, value):
     """Module-level map fn: picklable for the remote map() test."""
     return key, value
+
+
+def rank_above_40(value):
+    """Module-level predicate the server proves equal to col("rank") > 40."""
+    return value.rank > 40
+
+
+def rank_doubled(key, value):
+    return key, WEBPAGE.make(value.url, value.rank * 2, value.content)
 
 
 # -- protocol framing ---------------------------------------------------------
@@ -477,6 +486,33 @@ class TestQueryServer:
             assert joined.collect() == []
             text = base.filter(col("rank") > 48).explain()
             assert "lowered plan" in text
+
+    def test_remote_udf_filter_is_translated_server_side(
+            self, server, webpages):
+        """The callable crosses the wire pickled; the server's lowering
+        proves it equal to the col() spelling and serves the same bytes
+        through the same described plan."""
+        with _connect(server) as remote:
+            via_udf = remote.read(webpages).filter(rank_above_40) \
+                .select("url", "rank")
+            spelled = remote.read(webpages).filter(col("rank") > 40) \
+                .select("url", "rank")
+            udf_payload, udf_cached = via_udf.collect_bytes()
+            col_payload, col_cached = spelled.collect_bytes()
+            assert not udf_cached and not col_cached  # distinct op lists
+            assert udf_payload == col_payload
+            text = via_udf.explain()
+            assert ("filter <python:rank_above_40> \u2261 "
+                    "(value.rank > 40)") in text
+            assert "(SELECT, (($value.rank > 40)))" in text
+            assert "vectorized [map, 1 predicate(s)" in text
+            # a map's declared schema crosses the wire by content; the
+            # translator accepts the equal schema the server rebuilt
+            mapped = remote.read(webpages).map(
+                rank_doubled, value_schema=WEBPAGE)
+            assert "map <python:rank_doubled> \u2261 " in mapped.explain()
+            assert sorted(v.rank for _k, v in mapped.collect()) == sorted(
+                2 * v.rank for _k, v in remote.read(webpages).collect())
 
     def test_lambda_filter_rejected_client_side(self, server, webpages):
         with _connect(server) as remote:
