@@ -123,10 +123,12 @@ class Dataset:
         a decline, the reason (see ``docs/optimizations.md``).
         """
         if isinstance(predicate, Expr):
+            # The sugar stops here: the plan holds the SymExpr itself.
+            predicate = predicate.to_symbolic()
             schema = self.value_schema
             if schema is not None and schema.transparent:
                 missing = sorted(
-                    c for c in predicate.columns()
+                    c for c in predicate.value_columns()
                     if not schema.has_field(c)
                 )
                 if missing:

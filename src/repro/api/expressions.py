@@ -1,132 +1,97 @@
 """Column expressions for the fluent :class:`~repro.api.Dataset` API.
 
-A :func:`col` reference combined with comparison/boolean operators builds a
-small predicate tree.  Unlike user mapper code -- which Manimal must
-*reverse-engineer* with static analysis -- these trees are born structured,
-so the API layer can hand the optimizer exact optimization descriptors
-(paper Appendix A: layered tools "sidestep the analyzer and accept
-optimization descriptions directly").
+``col("rank") > 10`` builds the analyzer's own :class:`SymExpr` tree
+(:mod:`repro.symbolic`) -- :class:`Expr` is operator sugar holding one,
+not a second algebra.  Unlike user mapper code -- which Manimal must
+*reverse-engineer* with static analysis -- these trees are born
+structured, so the API layer can hand the optimizer exact optimization
+descriptors (paper Appendix A: layered tools "sidestep the analyzer and
+accept optimization descriptions directly").  ``Dataset.filter`` unwraps
+the sugar; from there on a fluent predicate, a translated UDF and an
+analyzer-derived condition are the same nodes, rendered by the same
+:func:`~repro.symbolic.render_source` into stage mappers and kernels.
 
-Every expression supports three renderings:
-
-* :meth:`Expr.to_symbolic` -- the analyzer's :class:`SymExpr` form, used to
-  assemble :class:`SelectionFormula` hints the planner and the
-  index-generation synthesizer already understand;
-* :meth:`Expr.to_source` -- Python source over a record variable, spliced
-  into synthesized mapper code so the static analyzer re-derives the very
-  same formula when hints are withheld;
-* :meth:`Expr.evaluate` -- direct evaluation against a decoded record.
+Also here: the admission check deciding which analyzer-resolved trees
+may stand in for a UDF (:func:`expr_from_symbolic`), and the JSON wire
+form the query service ships predicates in.
 """
 
 from __future__ import annotations
 
 import base64
-import math
 import pickle
-from typing import Any, Dict, FrozenSet, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Sequence
 
 from repro.core.analyzer.conditions import (
-    ROLE_VALUE,
     Conjunct,
+    SelectionFormula,
+    term_dnf,
+)
+from repro.exceptions import JobConfigError
+from repro.symbolic import (
+    ROLE_VALUE,
     SArith,
     SBool,
     SCompare,
     SConst,
-    SelectionFormula,
     SNot,
     SParamField,
     SymExpr,
-    term_dnf,
+    as_symbolic,
+    has_literal_form,
+    to_source,
 )
-from repro.exceptions import JobConfigError
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _ARITH_OPS = ("+", "-", "*", "/", "//", "%")
 
 
 class Expr:
-    """Base class of fluent column expressions."""
+    """Operator sugar over one :class:`SymExpr` tree."""
 
-    # -- comparisons --------------------------------------------------------
+    __slots__ = ("sym",)
 
-    def __eq__(self, other: Any) -> "Compare":  # type: ignore[override]
-        return Compare("==", self, _wrap(other))
-
-    def __ne__(self, other: Any) -> "Compare":  # type: ignore[override]
-        return Compare("!=", self, _wrap(other))
-
-    def __lt__(self, other: Any) -> "Compare":
-        return Compare("<", self, _wrap(other))
-
-    def __le__(self, other: Any) -> "Compare":
-        return Compare("<=", self, _wrap(other))
-
-    def __gt__(self, other: Any) -> "Compare":
-        return Compare(">", self, _wrap(other))
-
-    def __ge__(self, other: Any) -> "Compare":
-        return Compare(">=", self, _wrap(other))
+    def __init__(self, sym: SymExpr):
+        self.sym = sym
 
     __hash__ = None  # type: ignore[assignment]  # == builds an Expr
 
-    # -- boolean combinators -------------------------------------------------
+    # Comparison and arithmetic operators are attached below, from one
+    # table: each builds the node with operands in written order.
 
-    def __and__(self, other: "Expr") -> "BoolExpr":
-        return BoolExpr("and", self, _require_expr(other))
+    def __and__(self, other: "Expr") -> "Expr":
+        return Expr(SBool("and", self.sym, _require_expr(other)))
 
-    def __or__(self, other: "Expr") -> "BoolExpr":
-        return BoolExpr("or", self, _require_expr(other))
+    def __or__(self, other: "Expr") -> "Expr":
+        return Expr(SBool("or", self.sym, _require_expr(other)))
 
-    def __invert__(self) -> "NotExpr":
-        return NotExpr(self)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: Any) -> "Arith":
-        return Arith("+", self, _wrap(other))
-
-    def __sub__(self, other: Any) -> "Arith":
-        return Arith("-", self, _wrap(other))
-
-    def __mul__(self, other: Any) -> "Arith":
-        return Arith("*", self, _wrap(other))
-
-    def __truediv__(self, other: Any) -> "Arith":
-        return Arith("/", self, _wrap(other))
-
-    def __mod__(self, other: Any) -> "Arith":
-        return Arith("%", self, _wrap(other))
+    def __invert__(self) -> "Expr":
+        return Expr(SNot(self.sym))
 
     # -- renderings ----------------------------------------------------------
 
     def to_symbolic(self) -> SymExpr:
-        """The analyzer's symbolic form of this expression."""
-        raise NotImplementedError
+        """The tree itself, as the analyzer and the kernels consume it."""
+        return self.sym
 
     def to_source(self, var: str = "value") -> str:
         """Python source reading fields off record variable ``var``."""
-        raise NotImplementedError
+        return to_source(self.sym, var)
 
     def columns(self) -> FrozenSet[str]:
         """Names of the value columns this expression references."""
-        raise NotImplementedError
+        return self.sym.value_columns()
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serializable rendering (the query-service wire form).
-
-        Round-trips through :func:`expr_from_dict`; the remote client
-        ships predicates this way so the server rebuilds the exact
-        expression tree -- and therefore the exact selection hints --
-        that an in-process Dataset would carry.
-        """
-        raise NotImplementedError
+        """The JSON wire form; round-trips through :func:`expr_from_dict`."""
+        return to_dict(self.sym)
 
     def evaluate(self, record: Any) -> Any:
         """Evaluate against one decoded value record."""
-        return self.to_symbolic().evaluate(None, record)
+        return self.sym.evaluate(None, record)
 
     def __repr__(self) -> str:
-        return self.to_source("value")
+        return to_source(self.sym)
 
     def __bool__(self) -> bool:
         raise JobConfigError(
@@ -135,192 +100,111 @@ class Expr:
         )
 
 
-class Col(Expr):
-    """A reference to one value-record column."""
-
-    def __init__(self, name: str):
-        if not name.isidentifier():
-            raise JobConfigError(f"column name {name!r} is not an identifier")
-        self.name = name
-
-    def to_symbolic(self) -> SymExpr:
-        return SParamField(ROLE_VALUE, (self.name,))
-
-    def to_source(self, var: str = "value") -> str:
-        return f"{var}.{self.name}"
-
-    def columns(self) -> FrozenSet[str]:
-        return frozenset((self.name,))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "col", "name": self.name}
+def _operand(value: Any) -> SymExpr:
+    return value.sym if isinstance(value, Expr) else SConst(value)
 
 
-class Lit(Expr):
-    """A literal constant."""
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def to_symbolic(self) -> SymExpr:
-        return SConst(self.value)
-
-    def to_source(self, var: str = "value") -> str:
-        return repr(self.value)
-
-    def columns(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def to_dict(self) -> Dict[str, Any]:
-        # JSON carries the common literal types natively; anything else
-        # (bytes, decimals, ...) rides as a pickled payload.
-        if self.value is None or isinstance(self.value, (bool, int, float,
-                                                         str)):
-            return {"kind": "lit", "value": self.value}
-        blob = pickle.dumps(self.value, protocol=pickle.HIGHEST_PROTOCOL)
-        return {"kind": "lit",
-                "pickle": base64.b64encode(blob).decode("ascii")}
+def _operator(node: type, op: str, reflected: bool = False):
+    def method(self: Expr, other: Any) -> Expr:
+        left, right = self.sym, _operand(other)
+        if reflected:  # ``2 * col("x")``: the literal was written first
+            left, right = right, left
+        return Expr(node(op, left, right))
+    return method
 
 
-class Compare(Expr):
-    """A comparison between two sub-expressions."""
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in _CMP_OPS:
-            raise JobConfigError(f"unsupported comparison {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def to_symbolic(self) -> SymExpr:
-        return SCompare(self.op, self.left.to_symbolic(),
-                        self.right.to_symbolic())
-
-    def to_source(self, var: str = "value") -> str:
-        return f"({self.left.to_source(var)} {self.op} {self.right.to_source(var)})"
-
-    def columns(self) -> FrozenSet[str]:
-        return self.left.columns() | self.right.columns()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "cmp", "op": self.op,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
+for _name, _op in (("eq", "=="), ("ne", "!="), ("lt", "<"), ("le", "<="),
+                   ("gt", ">"), ("ge", ">=")):
+    setattr(Expr, f"__{_name}__", _operator(SCompare, _op))
+for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"),
+                   ("truediv", "/"), ("floordiv", "//"), ("mod", "%")):
+    setattr(Expr, f"__{_name}__", _operator(SArith, _op))
+    setattr(Expr, f"__r{_name}__", _operator(SArith, _op, reflected=True))
 
 
-class BoolExpr(Expr):
-    """Conjunction/disjunction of two boolean expressions."""
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in ("and", "or"):
-            raise JobConfigError(f"unsupported boolean op {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def to_symbolic(self) -> SymExpr:
-        return SBool(self.op, self.left.to_symbolic(),
-                     self.right.to_symbolic())
-
-    def to_source(self, var: str = "value") -> str:
-        return f"({self.left.to_source(var)} {self.op} {self.right.to_source(var)})"
-
-    def columns(self) -> FrozenSet[str]:
-        return self.left.columns() | self.right.columns()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "bool", "op": self.op,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-
-class NotExpr(Expr):
-    """Logical negation."""
-
-    def __init__(self, operand: Expr):
-        self.operand = operand
-
-    def to_symbolic(self) -> SymExpr:
-        return SNot(self.operand.to_symbolic())
-
-    def to_source(self, var: str = "value") -> str:
-        return f"(not {self.operand.to_source(var)})"
-
-    def columns(self) -> FrozenSet[str]:
-        return self.operand.columns()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "not", "operand": self.operand.to_dict()}
-
-
-class Arith(Expr):
-    """Arithmetic over columns and constants."""
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in _ARITH_OPS:
-            raise JobConfigError(f"unsupported arithmetic op {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def to_symbolic(self) -> SymExpr:
-        return SArith(self.op, self.left.to_symbolic(),
-                      self.right.to_symbolic())
-
-    def to_source(self, var: str = "value") -> str:
-        return f"({self.left.to_source(var)} {self.op} {self.right.to_source(var)})"
-
-    def columns(self) -> FrozenSet[str]:
-        return self.left.columns() | self.right.columns()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "arith", "op": self.op,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-
-def _wrap(value: Any) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return Lit(value)
-
-
-def _require_expr(value: Any) -> Expr:
+def _require_expr(value: Any) -> SymExpr:
     if not isinstance(value, Expr):
         raise JobConfigError(
             f"expected a column expression, got {type(value).__name__}; "
             "wrap literals with lit(...)"
         )
-    return value
+    return value.sym
 
 
-def expr_from_dict(data: Dict[str, Any]) -> Expr:
-    """Rebuild an expression tree from its :meth:`Expr.to_dict` form.
+def col(name: str) -> Expr:
+    """Reference a value column by name (``col('rank') > 10``)."""
+    if not name.isidentifier():
+        raise JobConfigError(f"column name {name!r} is not an identifier")
+    return Expr(SParamField(ROLE_VALUE, (name,)))
 
-    The inverse of the wire encoding the remote query-service client
-    ships predicates in; unknown kinds and malformed nodes raise
-    :class:`~repro.exceptions.JobConfigError` so a bad frame fails the
-    one request, not the server.
+
+def lit(value: Any) -> Expr:
+    """Wrap a literal for use in column expressions."""
+    return Expr(SConst(value))
+
+
+# ---------------------------------------------------------------------------
+# Wire form
+# ---------------------------------------------------------------------------
+
+#: Wire ``kind`` of each operator node class, with the operators it admits.
+_WIRE_KINDS = {
+    "cmp": (SCompare, _CMP_OPS),
+    "bool": (SBool, ("and", "or")),
+    "arith": (SArith, _ARITH_OPS),
+}
+_KIND_OF = {cls: kind for kind, (cls, _ops) in _WIRE_KINDS.items()}
+
+
+def to_dict(sym: SymExpr) -> Dict[str, Any]:
+    """A JSON-serializable rendering (the query-service wire form).
+
+    The remote client ships predicates this way so the server rebuilds
+    the exact tree -- and therefore the exact selection hints -- that an
+    in-process Dataset would carry; the JSON is also the service's
+    result-cache identity, so its keys and their order are frozen.
     """
+    if isinstance(sym, SParamField) and sym.role == ROLE_VALUE \
+            and len(sym.path) == 1:
+        return {"kind": "col", "name": sym.path[0]}
+    if isinstance(sym, SConst):
+        # JSON carries the common literal types natively; anything else
+        # (bytes, decimals, ...) rides as a pickled payload.
+        if sym.value is None or isinstance(sym.value, (bool, int, float,
+                                                       str)):
+            return {"kind": "lit", "value": sym.value}
+        blob = pickle.dumps(sym.value, protocol=pickle.HIGHEST_PROTOCOL)
+        return {"kind": "lit",
+                "pickle": base64.b64encode(blob).decode("ascii")}
+    if isinstance(sym, SNot):
+        return {"kind": "not", "operand": to_dict(sym.operand)}
+    kind = _KIND_OF.get(type(sym))
+    if kind is None or sym.right is None:
+        raise JobConfigError(f"{sym!r} has no wire form")
+    return {"kind": kind, "op": sym.op,
+            "left": to_dict(sym.left), "right": to_dict(sym.right)}
+
+
+def _from_dict(data: Dict[str, Any]) -> SymExpr:
     if not isinstance(data, dict) or "kind" not in data:
         raise JobConfigError(f"malformed expression node {data!r}")
     kind = data["kind"]
     try:
         if kind == "col":
-            return Col(data["name"])
+            return col(data["name"]).sym
         if kind == "lit":
             if "pickle" in data:
-                blob = base64.b64decode(data["pickle"])
-                return Lit(pickle.loads(blob))
-            return Lit(data["value"])
-        if kind == "cmp":
-            return Compare(data["op"], expr_from_dict(data["left"]),
-                           expr_from_dict(data["right"]))
-        if kind == "bool":
-            return BoolExpr(data["op"], expr_from_dict(data["left"]),
-                            expr_from_dict(data["right"]))
+                return SConst(pickle.loads(base64.b64decode(data["pickle"])))
+            return SConst(data["value"])
         if kind == "not":
-            return NotExpr(expr_from_dict(data["operand"]))
-        if kind == "arith":
-            return Arith(data["op"], expr_from_dict(data["left"]),
-                         expr_from_dict(data["right"]))
+            return SNot(_from_dict(data["operand"]))
+        if kind in _WIRE_KINDS:
+            cls, ops = _WIRE_KINDS[kind]
+            if data["op"] not in ops:
+                raise JobConfigError(
+                    f"unsupported {kind} operator {data['op']!r}")
+            return cls(data["op"], _from_dict(data["left"]),
+                       _from_dict(data["right"]))
     except KeyError as exc:
         raise JobConfigError(
             f"expression node {kind!r} is missing field {exc}"
@@ -328,81 +212,79 @@ def expr_from_dict(data: Dict[str, Any]) -> Expr:
     raise JobConfigError(f"unknown expression kind {kind!r}")
 
 
+def expr_from_dict(data: Dict[str, Any]) -> Expr:
+    """Rebuild an expression from its :meth:`Expr.to_dict` form.
+
+    Unknown kinds and malformed nodes raise
+    :class:`~repro.exceptions.JobConfigError` so a bad frame fails the
+    one request, not the server.
+    """
+    return Expr(_from_dict(data))
+
+
+# ---------------------------------------------------------------------------
+# Admission: which analyzer-resolved trees may stand in for a UDF
+# ---------------------------------------------------------------------------
+
 class NoExprForm(Exception):
-    """A symbolic expression has no equivalent in the fluent algebra."""
+    """A symbolic expression is outside the admitted column algebra."""
 
 
-#: Constant types a :class:`Lit` renders into synthesized source exactly
-#: (``repr`` round-trips them; they are immutable).
-_LITERAL_TYPES = (type(None), bool, int, float, str, bytes)
-
-
-def _literal(value: Any) -> Lit:
-    if type(value) not in _LITERAL_TYPES or (
-        type(value) is float and not math.isfinite(value)
-    ):
+def _admit_constant(value: Any) -> None:
+    if not has_literal_form(value):
         raise NoExprForm(
             f"constant {value!r} of type {type(value).__name__} is not an "
             "immutable scalar with a literal form"
         )
-    return Lit(value)
 
 
-def expr_from_symbolic(sym: SymExpr) -> Expr:
-    """The fluent expression equal to ``sym``: :meth:`Expr.to_symbolic`'s
-    inverse.
+def expr_from_symbolic(sym: SymExpr) -> SymExpr:
+    """``sym`` itself, once checked to be a column expression.
 
-    Defined on exactly the image of ``to_symbolic`` -- value-record
-    fields, scalar constants, the six comparisons, ``and``/``or``/``not``
-    and the six arithmetic operators -- plus a signed numeric constant,
-    which Python source spells as a unary operator.  Anything else the
-    analyzer can resolve (calls, subscripts, whole-record or key
-    references, ``in``/``is``, bit operators) raises :class:`NoExprForm`
-    naming the node, which is how UDF translation declines it.
+    Admitted are exactly the trees :func:`col`/:func:`lit` sugar builds
+    -- value-record fields, scalar constants, the six comparisons,
+    ``and``/``or``/``not`` and the six arithmetic operators -- plus a
+    signed numeric constant, which Python source spells as a unary
+    operator and which is folded into the constant it means (the only
+    node this ever constructs; a parent is re-made only around a folded
+    operand).  Anything else the analyzer can resolve (calls,
+    subscripts, whole-record or key references, ``in``/``is``, bit
+    operators) raises :class:`NoExprForm` naming the node, which is how
+    UDF translation declines it.
     """
     if isinstance(sym, SConst):
-        return _literal(sym.value)
+        _admit_constant(sym.value)
+        return sym
     if isinstance(sym, SParamField):
         if sym.role != ROLE_VALUE or len(sym.path) != 1:
             raise NoExprForm(f"{sym!r} is not a field of the value record")
-        return Col(sym.path[0])
-    if isinstance(sym, SCompare):
-        if sym.op not in _CMP_OPS:
-            raise NoExprForm(f"comparison {sym.op!r} has no column form")
-        return Compare(sym.op, expr_from_symbolic(sym.left),
-                       expr_from_symbolic(sym.right))
-    if isinstance(sym, SBool):
-        return BoolExpr(sym.op, expr_from_symbolic(sym.left),
-                        expr_from_symbolic(sym.right))
+        return sym
     if isinstance(sym, SNot):
-        return NotExpr(expr_from_symbolic(sym.operand))
-    if isinstance(sym, SArith):
-        if sym.right is None:
-            operand = sym.left
-            if isinstance(operand, SConst) \
-                    and type(operand.value) in (int, float):
-                value = operand.value
-                return _literal(-value if sym.op == "-" else +value)
-            raise NoExprForm(f"unary {sym.op!r} on a non-constant has no "
-                             "column form")
-        if sym.op not in _ARITH_OPS:
-            raise NoExprForm(f"operator {sym.op!r} has no column form")
-        return Arith(sym.op, expr_from_symbolic(sym.left),
-                     expr_from_symbolic(sym.right))
+        operand = expr_from_symbolic(sym.operand)
+        return sym if operand is sym.operand else SNot(operand)
+    if isinstance(sym, SArith) and sym.right is None:
+        operand = sym.left
+        if isinstance(operand, SConst) \
+                and type(operand.value) in (int, float):
+            folded = -operand.value if sym.op == "-" else +operand.value
+            _admit_constant(folded)
+            return SConst(folded)
+        raise NoExprForm(f"unary {sym.op!r} on a non-constant has no "
+                         "column form")
+    if isinstance(sym, SCompare) and sym.op not in _CMP_OPS:
+        raise NoExprForm(f"comparison {sym.op!r} has no column form")
+    if isinstance(sym, SArith) and sym.op not in _ARITH_OPS:
+        raise NoExprForm(f"operator {sym.op!r} has no column form")
+    if isinstance(sym, (SCompare, SBool, SArith)):
+        left = expr_from_symbolic(sym.left)
+        right = expr_from_symbolic(sym.right)
+        if left is sym.left and right is sym.right:
+            return sym
+        return type(sym)(sym.op, left, right)
     raise NoExprForm(f"{sym!r} has no column form")
 
 
-def col(name: str) -> Col:
-    """Reference a value column by name (``col('rank') > 10``)."""
-    return Col(name)
-
-
-def lit(value: Any) -> Lit:
-    """Wrap a literal for use in column expressions."""
-    return Lit(value)
-
-
-def selection_formula(predicates: Sequence[Expr]) -> SelectionFormula:
+def selection_formula(predicates: Sequence[Any]) -> SelectionFormula:
     """The DNF :class:`SelectionFormula` of a conjunction of predicates.
 
     This is the exact hint handed to ``submit_with_hints``: the optimizer's
@@ -411,7 +293,7 @@ def selection_formula(predicates: Sequence[Expr]) -> SelectionFormula:
     """
     if not predicates:
         raise JobConfigError("selection_formula needs at least one predicate")
-    combined: SymExpr = predicates[0].to_symbolic()
+    combined = as_symbolic(predicates[0])
     for predicate in predicates[1:]:
-        combined = SBool("and", combined, predicate.to_symbolic())
+        combined = SBool("and", combined, as_symbolic(predicate))
     return SelectionFormula([Conjunct(terms) for terms in term_dnf(combined)])

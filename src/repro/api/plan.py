@@ -54,8 +54,6 @@ from typing import (
 )
 
 from repro.api.expressions import (
-    Col,
-    Expr,
     NoExprForm,
     expr_from_symbolic,
     selection_formula,
@@ -93,6 +91,7 @@ from repro.storage.serialization import (
     Schema,
     primitive_schema,
 )
+from repro.symbolic import SymExpr, has_literal_form, to_source
 
 #: Supported aggregate operations.
 AGG_OPS = ("count", "sum", "min", "max", "avg")
@@ -197,9 +196,10 @@ class ScanNode(LogicalNode):
 @dataclass(eq=False)
 class FilterNode(LogicalNode):
     child: LogicalNode
-    #: a column :class:`Expr` (optimizable) or a callable ``f(record)->bool``
+    #: a column expression -- a :class:`SymExpr` over value fields
+    #: (optimizable) -- or a callable ``f(record)->bool``
     predicate: Any
-    #: set by UDF translation: the callable an ``Expr`` predicate was
+    #: set by UDF translation: the callable an expression predicate was
     #: proven equal to ...
     label: Optional[str] = None
     #: ... or why a callable predicate stays opaque
@@ -235,7 +235,7 @@ class DeriveNode(LogicalNode):
     child: LogicalNode
     #: one expression per field of ``value_schema``, over the columns of
     #: the record the op receives
-    exprs: Tuple[Expr, ...]
+    exprs: Tuple[SymExpr, ...]
     key_schema: Optional[Schema]
     value_schema: Schema
     #: the callable this was proven equal to
@@ -352,11 +352,11 @@ def _opaque_label(fn: Any, reason: Optional[str]) -> str:
 UdfAnalyzer = Callable[[Callable, int], UdfAnalysis]
 
 
-def _unknown_fields(exprs: Sequence[Expr],
+def _unknown_fields(exprs: Sequence[SymExpr],
                     schema: Optional[Schema]) -> Optional[str]:
     if schema is None:
         return "the input schema is unknown"
-    names = sorted({name for expr in exprs for name in expr.columns()})
+    names = sorted({name for expr in exprs for name in expr.value_columns()})
     missing = [name for name in names if not schema.has_field(name)]
     if missing:
         return (f"reads field(s) {missing} that schema {schema.name!r} "
@@ -392,9 +392,10 @@ def _not_declared_schema(receiver: Any, declared: Optional[Schema],
     return None
 
 
-def _column_exprs(syms: Sequence[Any], schema: Optional[Schema]
-                  ) -> Tuple[Tuple[Expr, ...], Optional[str]]:
-    """``syms`` as column expressions over ``schema``, or why not."""
+def _column_exprs(syms: Sequence[SymExpr], schema: Optional[Schema]
+                  ) -> Tuple[Tuple[SymExpr, ...], Optional[str]]:
+    """``syms`` admitted as column expressions over ``schema``, or why
+    not."""
     try:
         exprs = tuple(expr_from_symbolic(sym) for sym in syms)
     except NoExprForm as exc:
@@ -408,7 +409,7 @@ def _translate_filter(op: FilterNode, schema: Optional[Schema],
     reason, exprs = verdict.reason, ()
     if reason is None:
         exprs, reason = _column_exprs([verdict.predicate], schema)
-    if reason is None and not exprs[0].columns():
+    if reason is None and not exprs[0].value_columns():
         reason = "the predicate reads no field of the record"
     if reason is not None:
         return FilterNode(op.child, op.predicate, opaque=reason)
@@ -436,7 +437,7 @@ def _translate_map(op: MapNode, schema: Optional[Schema],
 def translate_udfs(ops: Sequence[LogicalNode],
                    value_schema: Optional[Schema],
                    analyze: UdfAnalyzer) -> List[LogicalNode]:
-    """Replace each analyzer-proven callable of a segment by its ``Expr``.
+    """Replace each analyzer-proven callable of a segment by its expression.
 
     A translated ``filter(fn)`` becomes the same node over a column
     expression and a translated ``map(fn)`` a :class:`DeriveNode`; every
@@ -447,7 +448,8 @@ def translate_udfs(ops: Sequence[LogicalNode],
     """
     out: List[LogicalNode] = []
     for op in ops:
-        if isinstance(op, FilterNode) and not isinstance(op.predicate, Expr):
+        if isinstance(op, FilterNode) \
+                and not isinstance(op.predicate, SymExpr):
             op = _translate_filter(
                 op, _schema_after(out, value_schema), analyze)
         elif isinstance(op, MapNode):
@@ -469,7 +471,7 @@ class _Segment:
     in_key_schema: Optional[Schema]
     in_value_schema: Optional[Schema]
     #: column predicates pushed down to the scan (necessary emit conditions)
-    pushdown: List[Expr] = field(default_factory=list)
+    pushdown: List[SymExpr] = field(default_factory=list)
     #: base-record columns the segment reads (None = unknown -> all)
     used: Optional[Set[str]] = None
     #: base-record columns still visible at segment end (None after map())
@@ -497,7 +499,7 @@ def _analyze_segment(ops: Sequence[LogicalNode],
 
     for op in ops:
         if isinstance(op, FilterNode):
-            if isinstance(op.predicate, Expr):
+            if isinstance(op.predicate, SymExpr):
                 if not seg.seen_map:
                     # Column predicates before any opaque transform are
                     # necessary conditions over the scanned record: exact
@@ -505,8 +507,8 @@ def _analyze_segment(ops: Sequence[LogicalNode],
                     # narrows further, which keeps them necessary.
                     seg.pushdown.append(op.predicate)
                 if seg.used is not None:
-                    seg.used |= op.predicate.columns()
-                shown = repr(op.predicate)
+                    seg.used |= op.predicate.value_columns()
+                shown = to_source(op.predicate)
                 if op.label is not None:
                     shown = f"<python:{op.label}> \u2261 {shown}"
                 seg.descriptions.append(f"filter {shown}")
@@ -535,12 +537,12 @@ def _analyze_segment(ops: Sequence[LogicalNode],
         elif isinstance(op, DeriveNode):
             if seg.used is not None:
                 for expr in op.exprs:
-                    seg.used |= expr.columns()
+                    seg.used |= expr.value_columns()
             seg.seen_map = True
             seg.visible = None
             seg.out_key_schema = op.key_schema
             seg.out_value_schema = op.value_schema
-            args = ", ".join(repr(expr) for expr in op.exprs)
+            args = ", ".join(to_source(expr) for expr in op.exprs)
             seg.descriptions.append(
                 f"map <python:{op.label}> \u2261 "
                 f"(key, {op.value_schema.name}.make({args}))"
@@ -568,10 +570,20 @@ def _codegen_segment(seg: _Segment, fn_name: str,
     key_var, value_var = "key", "value"
     fresh = itertools.count()
 
+    def const(value: Any) -> str:
+        # Inline what has a literal form -- readable source, and the
+        # analyzer re-derives the formula from it -- and bind the rest
+        # (inf, nan, Decimal, dates, ...) as the object itself.
+        if has_literal_form(value):
+            return repr(value)
+        cname = f"_k{next(fresh)}"
+        env[cname] = value
+        return cname
+
     for op in seg.ops:
         if isinstance(op, FilterNode):
-            if isinstance(op.predicate, Expr):
-                cond = op.predicate.to_source(value_var)
+            if isinstance(op.predicate, SymExpr):
+                cond = to_source(op.predicate, value_var, const)
             else:
                 pname = f"_p{next(fresh)}"
                 env[pname] = op.predicate
@@ -588,18 +600,18 @@ def _codegen_segment(seg: _Segment, fn_name: str,
                         "value_schema to the preceding map()"
                     )
                 built = base.project(list(op.columns))
-                exprs: Sequence[Expr] = [
-                    Col(c) for c in built.field_names()
-                ]
+                args = ", ".join(
+                    f"{value_var}.{c}" for c in built.field_names())
             else:
-                built, exprs = op.value_schema, op.exprs
+                built = op.value_schema
+                args = ", ".join(
+                    to_source(e, value_var, const) for e in op.exprs)
             # Build the new record directly.  The helper name is
             # knowledge-base-pure for sessions (FLUENT_KB), so the
             # emitted value stays functional and the analyzer can
             # re-derive the selection from the generated source.
             sname = f"{PROJECT_HELPER_PREFIX}{next(fresh)}"
             env[sname] = built.make
-            args = ", ".join(e.to_source(value_var) for e in exprs)
             new_value = f"v{next(fresh)}"
             lines.append(f"{indent}{new_value} = {sname}({args})")
             value_var = new_value
@@ -622,21 +634,11 @@ def _codegen_segment(seg: _Segment, fn_name: str,
     return "\n".join(lines) + "\n", env, user_code
 
 
-@dataclass
-class _BatchParts:
-    """A fully described segment, as the batch spec states it."""
-
-    predicates: List[Expr]
-    #: final projected columns and their schema (None = no select)
-    project_columns: Optional[List[str]] = None
-    out_schema: Optional[Schema] = None
-    #: a computed projection's ``(field, expression)`` pairs
-    derived: Optional[List[Tuple[str, Expr]]] = None
-
-
-def _segment_batch_parts(seg: _Segment) -> Optional[_BatchParts]:
-    """The segment's batch description when it is fully
-    analyzer-described, else ``None``.
+def _segment_batch_spec(seg: _Segment, kind: str,
+                        **tail: Any) -> Optional[BatchStageSpec]:
+    """The segment's :class:`BatchStageSpec` when it is fully
+    analyzer-described, else ``None``; ``tail`` holds the fields of the
+    stage ``kind``'s own emit (group/aggregates, join column and tag).
 
     This is the vectorization eligibility rule: column-expression
     filters and selects, then at most one computed projection (a
@@ -654,30 +656,31 @@ def _segment_batch_parts(seg: _Segment) -> Optional[_BatchParts]:
     if seg.in_key_schema is None or not seg.in_key_schema.transparent:
         return None
     base_columns = set(schema.field_names())
-    parts = _BatchParts(predicates=[])
+    spec = BatchStageSpec(kind=kind, **tail)
     has_select = False
     for op in seg.ops:
         if isinstance(op, FilterNode):
-            if parts.derived is not None \
-                    or not isinstance(op.predicate, Expr) \
-                    or not op.predicate.columns() <= base_columns:
+            if spec.derived is not None \
+                    or not isinstance(op.predicate, SymExpr) \
+                    or not op.predicate.value_columns() <= base_columns:
                 return None
-            parts.predicates.append(op.predicate)
+            spec.predicates.append(op.predicate)
         elif isinstance(op, SelectNode):
             has_select = True
         elif isinstance(op, DeriveNode):
-            if parts.derived is not None \
-                    or any(not e.columns() <= base_columns for e in op.exprs):
+            if spec.derived is not None or any(
+                    not e.value_columns() <= base_columns for e in op.exprs):
                 return None
-            parts.derived = list(zip(op.value_schema.field_names(), op.exprs))
+            spec.derived = list(zip(op.value_schema.field_names(), op.exprs))
             has_select = False  # earlier selects only narrowed its input
         else:
             return None
-    if has_select:
-        parts.project_columns = seg.out_value_schema.field_names()
-    if has_select or parts.derived is not None:
-        parts.out_schema = seg.out_value_schema
-    return parts
+    # An aggregate emits (group value, agg inputs), never the record.
+    if has_select and kind != "aggregate":
+        spec.project_columns = seg.out_value_schema.field_names()
+    if has_select or spec.derived is not None:
+        spec.out_value_schema = seg.out_value_schema
+    return spec
 
 
 def _schema_after(ops: Sequence[LogicalNode],
@@ -929,15 +932,8 @@ class _Lowering:
         # field decodes either way); only stages that actually filter or
         # project get a spec.
         if self.vectorize and seg.ops:
-            parts = _segment_batch_parts(seg)
-            if parts is not None:
-                spec = BatchStageSpec(
-                    kind="map",
-                    predicates=parts.predicates,
-                    project_columns=parts.project_columns,
-                    out_value_schema=parts.out_schema,
-                    derived=parts.derived,
-                )
+            spec = _segment_batch_spec(seg, "map")
+            if spec is not None:
                 conf.batch_specs[None] = spec
                 descriptions.append(f"vectorized [{spec.describe()}]")
         return StagePlan(
@@ -1004,41 +1000,31 @@ class _Lowering:
         descriptions = seg.descriptions + [
             f"group_by {node.group_column} agg {agg_desc}"
         ]
-        if self.vectorize:
-            parts = _segment_batch_parts(seg)
-            if (
-                parts is not None
-                and record_schema is not None
-                and record_schema.transparent
-            ):
+        if (
+            self.vectorize
+            and record_schema is not None
+            and record_schema.transparent
+        ):
+            bspec = _segment_batch_spec(
+                seg, "aggregate",
+                group_column=node.group_column,
+                aggs=[(spec.op, spec.column) for spec in specs],
+            )
+            if bspec is not None:
                 # Pre-aggregation is only provably byte-identical for
                 # integer sum/min/max with no user combiner in play (the
                 # reducer sees partials instead of rows otherwise) --
                 # and for stored columns: a computed column's declared
                 # INT type is the user's word, not the file codec's.
-                preagg = parts.derived is None and all(
+                bspec.preagg = bspec.derived is None and all(
                     spec.op in PREAGG_OPS
                     and spec.column is not None
                     and record_schema.field(spec.column).ftype
                     in (FieldType.INT, FieldType.LONG)
                     for spec in specs
                 )
-                bspec = BatchStageSpec(
-                    kind="aggregate",
-                    predicates=parts.predicates,
-                    out_value_schema=parts.out_schema,
-                    derived=parts.derived,
-                    group_column=node.group_column,
-                    aggs=[(spec.op, spec.column) for spec in specs],
-                    preagg=preagg,
-                )
                 conf.batch_specs[None] = bspec
                 descriptions.append(f"vectorized [{bspec.describe()}]")
-        if (
-            self.vectorize
-            and record_schema is not None
-            and record_schema.transparent
-        ):
             # Independent of map-body describability: the shuffle format
             # only needs the emitted key/value types, which this stage's
             # synthesized tail fixes.  Lying upstream UDF schemas are
@@ -1214,18 +1200,10 @@ class _Lowering:
             for tag_key, seg, tagchar in (
                 ("left", lseg, "L"), ("right", rseg, "R")
             ):
-                parts = _segment_batch_parts(seg)
-                if parts is None:
+                bspec = _segment_batch_spec(
+                    seg, "join-side", join_on=node.on, join_tag=tagchar)
+                if bspec is None:
                     continue
-                bspec = BatchStageSpec(
-                    kind="join-side",
-                    predicates=parts.predicates,
-                    project_columns=parts.project_columns,
-                    out_value_schema=parts.out_schema,
-                    derived=parts.derived,
-                    join_on=node.on,
-                    join_tag=tagchar,
-                )
                 conf.batch_specs[tag_key] = bspec
                 side_descriptions.append(
                     f"{tag_key}: vectorized [{bspec.describe()}]"

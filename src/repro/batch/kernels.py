@@ -1,10 +1,12 @@
-"""Predicate kernels: fluent ``Expr`` trees compiled over column arrays.
+"""Predicate kernels: expression trees compiled over column arrays.
 
-The record path splices ``expr.to_source("value")`` into a synthesized
+The record path splices ``to_source(expr, "value")`` into a synthesized
 mapper and evaluates it once per record against attribute access.  The
-batch path compiles the *same* tree into a selection kernel over the
-per-column lists of a :class:`~repro.batch.columns.ColumnBatch`: one
-generated list comprehension returning the indices of passing rows.
+batch path renders the *same* :class:`~repro.symbolic.SymExpr` tree with
+the *same* renderer (:func:`repro.symbolic.render_source`) into a
+selection kernel over the per-column lists of a
+:class:`~repro.batch.columns.ColumnBatch`: one generated list
+comprehension returning the indices of passing rows.
 
 Semantics are kept bit-for-bit with the generated mapper code:
 
@@ -12,12 +14,13 @@ Semantics are kept bit-for-bit with the generated mapper code:
   chain order, preserving Python short-circuit (a row failing the first
   predicate never evaluates the second -- so a later predicate that would
   raise on that row, e.g. a division, raises in neither path);
-* comparison/boolean/arithmetic operators render with the identical
-  Python operator tokens ``to_source`` uses, so truthiness, mixed-type
-  comparison errors and float semantics are those of the record path;
-* literals bind as *constants in the kernel's namespace* (never through
-  ``repr`` round-trips), so ``lit(...)`` values compare as the exact
-  objects the user supplied.
+* operators are the shared renderer's Python tokens, so truthiness,
+  mixed-type comparison errors and float semantics are those of the
+  record path; only a field read differs (``_c3[_i]``, not ``value.f``);
+* constants bind as *names in the kernel's namespace* -- the objects the
+  expression holds, as on the record path, which inlines only those
+  whose ``repr`` round-trips -- so one compiled code object serves every
+  query of a shape.
 
 A stage ending in a computed projection (a translated ``map``; see
 :attr:`BatchStageSpec.derived <repro.batch.spec.BatchStageSpec.derived>`)
@@ -35,16 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import linecache
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.api.expressions import (
-    Arith,
-    BoolExpr,
-    Col,
-    Compare,
-    Expr,
-    Lit,
-    NotExpr,
+from repro.symbolic import (
+    ROLE_VALUE,
+    SParamField,
+    as_symbolic,
+    render_source,
 )
 
 #: Compiled code objects keyed by kernel source (literal values bind per
@@ -75,53 +75,56 @@ class PredicateKernel:
         return self._fn(n, *[column(name) for name in self.columns])
 
 
-def _render(expr: Expr, params: Dict[str, str],
-            consts: Dict[str, Any]) -> str:
-    """Render one Expr subtree over column parameters and bound constants."""
-    if isinstance(expr, Col):
-        return f"{params[expr.name]}[_i]"
-    if isinstance(expr, Lit):
-        name = f"_k{len(consts)}"
-        consts[name] = expr.value
-        return name
-    if isinstance(expr, (Compare, BoolExpr, Arith)):
-        left = _render(expr.left, params, consts)
-        right = _render(expr.right, params, consts)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, NotExpr):
-        return f"(not {_render(expr.operand, params, consts)})"
-    raise TypeError(f"cannot vectorize expression node {type(expr).__name__}")
-
-
-def compile_predicates(predicates: Sequence[Expr],
-                       derived: Optional[Sequence[Expr]] = None
+def compile_predicates(predicates: Sequence[Any],
+                       derived: Optional[Sequence[Any]] = None
                        ) -> Optional[PredicateKernel]:
     """Compile a filter-chain conjunction into a row-selection kernel.
 
-    Returns ``None`` for an empty chain with nothing ``derived`` (every
-    row passes; callers skip the kernel entirely).  Raises
-    :class:`TypeError` on expression nodes outside the fluent algebra --
-    the executor treats that as a fallback trigger, not an error.
+    Takes :class:`~repro.symbolic.SymExpr` trees (fluent ``Expr`` sugar
+    is unwrapped).  Returns ``None`` for an empty chain with nothing
+    ``derived`` (every row passes; callers skip the kernel entirely).
+    Raises :class:`TypeError` on a node with no operator form over value
+    columns -- the executor treats that as a fallback trigger, not an
+    error.
     """
     if not predicates and derived is None:
         return None
-    exprs = list(predicates) + list(derived or ())
-    columns = sorted({name for e in exprs for name in e.columns()})
-    params = {name: f"_c{i}" for i, name in enumerate(columns)}
+    conds = [as_symbolic(p) for p in predicates]
+    outs = [as_symbolic(e) for e in derived or ()]
+    # One pass: fields render as ``{name}`` placeholders while their
+    # names are collected; parameters are numbered in sorted-name order
+    # once every expression has been seen.
+    seen: Set[str] = set()
     consts: Dict[str, Any] = {}
-    cond = " and ".join(_render(p, params, consts) for p in predicates)
-    rows = f"for _i in range(_n) if {cond}" if predicates \
+
+    def field(node: SParamField) -> str:
+        if node.role != ROLE_VALUE or len(node.path) != 1:
+            raise TypeError(f"{node!r} is not a value column")
+        seen.add(node.path[0])
+        return f"{{{node.path[0]}}}[_i]"
+
+    def const(value: Any) -> str:
+        name = f"_k{len(consts)}"
+        consts[name] = value
+        return name
+
+    cond = " and ".join(render_source(p, field, const) for p in conds)
+    rows = f"for _i in range(_n) if {cond}" if conds \
         else "for _i in range(_n)"
-    args = ", ".join(["_n"] + [params[name] for name in columns])
     if derived is None:
         body = f"    return [_i {rows}]\n"
     else:
-        values = "".join(f", {_render(e, params, consts)}" for e in derived)
+        values = "".join(
+            f", {render_source(e, field, const)}" for e in outs)
         body = (
             f"    _rows = [(_i{values}) {rows}]\n"
             f"    return tuple(zip(*_rows)) if _rows "
-            f"else ((),) * {len(derived) + 1}\n"
+            f"else ((),) * {len(outs) + 1}\n"
         )
+    columns = sorted(seen)
+    params = {name: f"_c{i}" for i, name in enumerate(columns)}
+    args = ", ".join(["_n", *params.values()])
+    body = body.format(**params)
     source = f"def _kernel({args}):\n{body}"
     code = _CODE_CACHE.get(source)
     if code is None:

@@ -1,8 +1,8 @@
 """Vectorization specs: what a lowered stage's map body does, declaratively.
 
-The fluent lowering (:mod:`repro.api.plan`) already knows each stage's
-exact predicates, projected columns and aggregate list -- that knowledge
-is what lets it hand Manimal Appendix-A hints.  A :class:`BatchStageSpec`
+The fluent lowering (the api layer's ``plan`` module) already knows each
+stage's exact predicates, projected columns and aggregate list -- that
+knowledge is what lets it hand Manimal Appendix-A hints.  A :class:`BatchStageSpec`
 is the same knowledge packaged for the *executor*: when a stage's map
 body is nothing but analyzer-described selection/projection/known
 aggregates, the runtime can evaluate it batch-at-a-time over decoded
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.api.expressions import Expr
 from repro.storage.serialization import Schema
+from repro.symbolic import SymExpr
 
 #: Aggregate ops whose map-side partials compose into the exact reducer
 #: result: integer sum/min/max are associative and order-independent, so
@@ -46,7 +46,7 @@ class BatchStageSpec:
 
     kind: str
     #: conjunction of pure column predicates, in user order
-    predicates: List[Expr] = field(default_factory=list)
+    predicates: List[SymExpr] = field(default_factory=list)
     #: final projected value columns (None = emit the input record as-is)
     project_columns: Optional[List[str]] = None
     #: schema of projected emits, as chained ``Schema.project`` derived it
@@ -58,7 +58,7 @@ class BatchStageSpec:
     #: expression)`` pairs over the scanned columns, all evaluated for
     #: each row that passes ``predicates``.  The stage then projects,
     #: groups, aggregates and joins on the *derived* record's fields.
-    derived: Optional[List[Tuple[str, Expr]]] = None
+    derived: Optional[List[Tuple[str, SymExpr]]] = None
     #: aggregate stages: the GROUP BY column and ordered (op, column) list
     group_column: Optional[str] = None
     aggs: Optional[List[Tuple[str, Optional[str]]]] = None
@@ -70,7 +70,7 @@ class BatchStageSpec:
     join_on: Optional[str] = None
     join_tag: Optional[str] = None
 
-    def derived_exprs(self) -> Optional[List[Expr]]:
+    def derived_exprs(self) -> Optional[List[SymExpr]]:
         if self.derived is None:
             return None
         return [expr for _name, expr in self.derived]
@@ -94,7 +94,7 @@ class BatchStageSpec:
                 needed.append(name)
 
         for expr in self.predicates + (self.derived_exprs() or []):
-            for name in sorted(expr.columns()):
+            for name in sorted(expr.value_columns()):
                 add(name)
         if self.derived is not None:
             # group/aggregate/join/emit columns name derived fields

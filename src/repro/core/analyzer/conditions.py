@@ -25,333 +25,34 @@ of the Table 1 reproduction.
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.analyzer import ir
 from repro.core.analyzer.dataflow import ReachingDefinitions
-from repro.core.analyzer.lowering import LoweredFunction, ParamRoles
+from repro.core.analyzer.lowering import LoweredFunction
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
-from repro.exceptions import AnalyzerError
-
-#: Roles symbolic param references use.
-ROLE_KEY = "key"
-ROLE_VALUE = "value"
-
-
-class SymExpr:
-    """Base class of symbolic expressions."""
-
-    __slots__ = ()
-
-    def children(self) -> Tuple["SymExpr", ...]:
-        return ()
-
-    def walk(self):
-        yield self
-        for child in self.children():
-            yield from child.walk()
-
-    def is_functional(self) -> bool:
-        """The paper's ``isFunc``: no opaque dependencies anywhere."""
-        return not any(isinstance(n, SOpaque) for n in self.walk())
-
-    def opaque_reasons(self) -> List[str]:
-        return [n.reason for n in self.walk() if isinstance(n, SOpaque)]
-
-    def field_refs(self) -> List[Tuple[str, str]]:
-        """All (role, field) references, including those inside opaques."""
-        out: List[Tuple[str, str]] = []
-        for node in self.walk():
-            if isinstance(node, SParamField):
-                out.append((node.role, node.path[0]))
-            elif isinstance(node, SOpaque):
-                out.extend(node.field_deps)
-        return out
-
-    def whole_param_roles(self) -> Set[str]:
-        """Roles (key/value) whose *whole record* flows through this tree."""
-        roles: Set[str] = set()
-        for node in self.walk():
-            if isinstance(node, SParam):
-                roles.add(node.role)
-            elif isinstance(node, SOpaque):
-                roles |= node.whole_params
-        return roles
-
-    def mentions_whole_param(self) -> bool:
-        """Whether a bare key/value record flows somewhere in this tree."""
-        return bool(self.whole_param_roles())
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        raise NotImplementedError
-
-
-class SConst(SymExpr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return self.value
-
-    def __repr__(self) -> str:
-        return repr(self.value)
-
-
-class SParam(SymExpr):
-    """The whole key or value record."""
-
-    __slots__ = ("role",)
-
-    def __init__(self, role: str):
-        self.role = role
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return key if self.role == ROLE_KEY else value
-
-    def __repr__(self) -> str:
-        return f"${self.role}"
-
-
-class SParamField(SymExpr):
-    """A (possibly nested) field of the key or value record."""
-
-    __slots__ = ("role", "path")
-
-    def __init__(self, role: str, path: Tuple[str, ...]):
-        self.role = role
-        self.path = path
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        cursor = key if self.role == ROLE_KEY else value
-        for attr in self.path:
-            cursor = getattr(cursor, attr)
-        return cursor
-
-    def __repr__(self) -> str:
-        return f"${self.role}.{'.'.join(self.path)}"
-
-
-_CMP_IMPLS = {
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "in": lambda a, b: a in b, "not in": lambda a, b: a not in b,
-    "is": operator.is_, "is not": operator.is_not,
-}
-_ARITH_IMPLS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.truediv, "//": operator.floordiv, "%": operator.mod,
-    "**": operator.pow, "&": operator.and_, "|": operator.or_,
-    "^": operator.xor, "<<": operator.lshift, ">>": operator.rshift,
-}
-
-#: Comparison operators invertible for negation pushing.
-_CMP_NEGATIONS = {
-    "==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<",
-    "in": "not in", "not in": "in", "is": "is not", "is not": "is",
-}
-#: Mirror of each comparison when operands swap sides.
-CMP_MIRROR = {
-    "==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
-}
-
-
-class SCompare(SymExpr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: SymExpr, right: SymExpr):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        return (self.left, self.right)
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return _CMP_IMPLS[self.op](
-            self.left.evaluate(key, value), self.right.evaluate(key, value)
-        )
-
-    def negated(self) -> "SCompare":
-        return SCompare(_CMP_NEGATIONS[self.op], self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
-
-
-class SBool(SymExpr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: SymExpr, right: SymExpr):
-        if op not in ("and", "or"):
-            raise AnalyzerError(f"bad boolean op {op}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        return (self.left, self.right)
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        if self.op == "and":
-            return self.left.evaluate(key, value) and self.right.evaluate(key, value)
-        return self.left.evaluate(key, value) or self.right.evaluate(key, value)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
-
-
-class SNot(SymExpr):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: SymExpr):
-        self.operand = operand
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        return (self.operand,)
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return not self.operand.evaluate(key, value)
-
-    def __repr__(self) -> str:
-        return f"(not {self.operand!r})"
-
-
-class SArith(SymExpr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: SymExpr, right: Optional[SymExpr]):
-        self.op = op
-        self.left = left
-        self.right = right  # None for unary minus/plus
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        if self.right is None:
-            return (self.left,)
-        return (self.left, self.right)
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        if self.right is None:
-            lhs = self.left.evaluate(key, value)
-            return -lhs if self.op == "-" else +lhs
-        return _ARITH_IMPLS[self.op](
-            self.left.evaluate(key, value), self.right.evaluate(key, value)
-        )
-
-    def __repr__(self) -> str:
-        if self.right is None:
-            return f"({self.op}{self.left!r})"
-        return f"({self.left!r} {self.op} {self.right!r})"
-
-
-class SCall(SymExpr):
-    """A knowledge-base-pure call (method or function)."""
-
-    __slots__ = ("name", "receiver", "args", "_impl")
-
-    def __init__(self, name: str, receiver: Optional[SymExpr],
-                 args: Sequence[SymExpr], impl=None):
-        self.name = name
-        self.receiver = receiver
-        self.args = tuple(args)
-        self._impl = impl
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        base = (self.receiver,) if self.receiver is not None else ()
-        return base + self.args
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        argv = [a.evaluate(key, value) for a in self.args]
-        if self.receiver is not None:
-            recv = self.receiver.evaluate(key, value)
-            return getattr(recv, self.name)(*argv)
-        if self._impl is None:
-            raise AnalyzerError(f"no implementation for pure function {self.name}")
-        return self._impl(*argv)
-
-    def __repr__(self) -> str:
-        argrepr = ", ".join(repr(a) for a in self.args)
-        if self.receiver is not None:
-            return f"{self.receiver!r}.{self.name}({argrepr})"
-        return f"{self.name}({argrepr})"
-
-
-class SAttr(SymExpr):
-    """Attribute read off a computed (non-parameter) value."""
-
-    __slots__ = ("obj", "attr")
-
-    def __init__(self, obj: SymExpr, attr: str):
-        self.obj = obj
-        self.attr = attr
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        return (self.obj,)
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return getattr(self.obj.evaluate(key, value), self.attr)
-
-    def __repr__(self) -> str:
-        return f"{self.obj!r}.{self.attr}"
-
-
-class SSubscript(SymExpr):
-    __slots__ = ("obj", "index")
-
-    def __init__(self, obj: SymExpr, index: SymExpr):
-        self.obj = obj
-        self.index = index
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        return (self.obj, self.index)
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return self.obj.evaluate(key, value)[self.index.evaluate(key, value)]
-
-    def __repr__(self) -> str:
-        return f"{self.obj!r}[{self.index!r}]"
-
-
-class STuple(SymExpr):
-    __slots__ = ("items",)
-
-    def __init__(self, items: Sequence[SymExpr]):
-        self.items = tuple(items)
-
-    def children(self) -> Tuple[SymExpr, ...]:
-        return self.items
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        return tuple(item.evaluate(key, value) for item in self.items)
-
-    def __repr__(self) -> str:
-        return f"({', '.join(repr(i) for i in self.items)})"
-
-
-class SOpaque(SymExpr):
-    """Unresolvable or non-functional dataflow, with the reason recorded.
-
-    ``field_deps`` and ``whole_params`` preserve which parameter data
-    flowed *into* the opaque region, so projection can still account for
-    field usage conservatively even when selection must give up.
-    """
-
-    __slots__ = ("reason", "field_deps", "whole_params")
-
-    def __init__(self, reason: str,
-                 field_deps: Sequence[Tuple[str, str]] = (),
-                 whole_params: Optional[Set[str]] = None):
-        self.reason = reason
-        self.field_deps = list(field_deps)
-        self.whole_params: Set[str] = set(whole_params or ())
-
-    def evaluate(self, key: Any, value: Any) -> Any:
-        raise AnalyzerError(f"cannot evaluate opaque expression: {self.reason}")
-
-    def __repr__(self) -> str:
-        return f"<opaque: {self.reason}>"
+# The node classes live in the leaf module every layer shares; they are
+# re-exported here, where the analyzer builds them.
+from repro.symbolic import (
+    _CMP_IMPLS,
+    _CMP_NEGATIONS,
+    CMP_MIRROR,  # noqa: F401
+    ROLE_KEY,
+    ROLE_VALUE,
+    SArith,
+    SAttr,
+    SBool,
+    SCall,
+    SCompare,
+    SConst,
+    SNot,
+    SOpaque,
+    SParam,
+    SParamField,
+    SSubscript,
+    STuple,
+    SymExpr,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ the value-returning callables of the fluent API, with the same machinery
 :class:`~repro.core.analyzer.dataflow.ReachingDefinitions`, and
 :class:`~repro.core.analyzer.conditions.SymbolicResolver` with a member
 environment -- and returns the body as :class:`SymExpr` trees over
-``value.<field>`` references and constants.  The fluent lowering turns
-those into column expressions (``repro.api.expressions.
-expr_from_symbolic``), after which the callable *is* a ``col()``
-expression to every layer downstream.
+``value.<field>`` references and constants.  The fluent lowering admits
+those trees as they are (its ``expr_from_symbolic`` checks, it does
+not convert: ``col()`` sugar builds the same nodes), after which the callable *is* a ``col()`` expression to every layer
+downstream.
 
 "Finding a false optimization is catastrophic", so the verdict is either
 a proof or a reason:
@@ -35,7 +35,8 @@ a proof or a reason:
 * a ``map`` must return ``key, <schema>.make(e1, ..., en)`` with the key
   passed through.
 
-Whether the resulting trees fit the fluent ``Expr`` algebra, read only
+Whether the resulting trees stay inside the admitted subset of the
+algebra (the operators stage mappers and kernels render), read only
 fields the input schema has, and build the *declared* output schema is
 the lowering's half of the check (it knows the schemas).
 """

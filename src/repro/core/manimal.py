@@ -266,7 +266,7 @@ class Manimal:
         "sidestep the analyzer and accept optimization descriptions
         directly" -- the hints replace static analysis, and everything
         downstream (catalog matching, planning, execution) is identical.
-        The fluent :class:`repro.api.Session` front door submits every
+        The fluent :class:`repro.Session` front door submits every
         lowered stage through this path.
         """
         return self.submit(

@@ -21,7 +21,7 @@ This module implements both halves for jobs submitted through this API:
 Stages may carry **hints**: a per-stage
 :class:`~repro.core.analyzer.descriptors.JobAnalysis` supplied by a
 layered tool (paper Appendix A), such as the fluent
-:class:`repro.api.Session`/``Dataset`` front door.  A hinted stage skips
+:class:`repro.Session`/``Dataset`` front door.  A hinted stage skips
 static analysis entirely; an unhinted stage is analyzed exactly once and
 the analysis reused for index building and planning.
 

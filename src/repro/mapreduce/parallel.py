@@ -28,8 +28,8 @@ fork+teardown each):
    ``wall_seconds`` -- is byte-identical to a sequential run.
 
 Picklable jobs ride the engine's long-lived pool; jobs whose state
-cannot pickle (closures, synthesized fluent mappers, exotic split
-payloads) fall back to a per-job pool whose workers fork *after* the
+cannot pickle (closures, fluent stages that call user code, exotic
+split payloads) fall back to a per-job pool whose workers fork *after* the
 job state is published, inheriting it through fork memory -- so those
 keep working unchanged.  Where fork is unavailable the runner degrades
 to running its tasks inline (still through the spill-based shuffle, so
@@ -138,8 +138,9 @@ class ParallelJobRunner:
         self, confs: Sequence[JobConf], tasks: List[MapTask]
     ) -> Tuple[List[MapDeltas], List[ReduceRow]]:
         """The pool dispatcher: worker processes, spill-based shuffle."""
-        # Runtime import: repro.batch pulls the fluent-API package in,
-        # which would cycle back through this module at import time.
+        # Runtime import: repro.batch imports repro.mapreduce (job,
+        # formats, runtime), which would cycle back through this module
+        # at import time.
         from repro.batch import shuffleblocks
 
         # The pid stamp lets the engine's orphan reaper attribute a

@@ -416,13 +416,15 @@ class FairScheduler:
             job.state = ERROR
         finally:
             job.finished_at = time.monotonic()
-            job._done.set()
             with self._lock:
                 self._in_flight -= 1
                 if job.state == DONE:
                     self.completed += 1
                 else:
                     self.failed += 1
+                # Account first, signal second: a client that fetches
+                # and then asks for stats must find its job counted.
+                job._done.set()
                 self._pump()
                 self._idle.notify_all()
 
@@ -448,16 +450,16 @@ class FairScheduler:
                     member.state = ERROR
         finally:
             now = time.monotonic()
-            for member in members:
-                member.finished_at = now
-                member._done.set()
             with self._lock:
                 self._in_flight -= 1
                 for member in members:
+                    member.finished_at = now
                     if member.state == DONE:
                         self.completed += 1
                     else:
                         self.failed += 1
+                for member in members:  # counted, then signalled
+                    member._done.set()
                 self._pump()
                 self._idle.notify_all()
 

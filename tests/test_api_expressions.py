@@ -5,6 +5,7 @@ import pytest
 from repro.api.expressions import col, lit, selection_formula
 from repro.core.analyzer.conditions import (
     ROLE_VALUE,
+    SArith,
     SCompare,
     SConst,
     SParamField,
@@ -40,6 +41,23 @@ class TestBuilding:
         expr = (col("rank") * 2 + 1) > 21
         assert expr.evaluate(_page(rank=11))
         assert not expr.evaluate(_page(rank=10))
+
+    @pytest.mark.parametrize("expr, source, at_7", [
+        (col("rank") // 2, "(value.rank // 2)", 3),
+        (2 * col("rank"), "(2 * value.rank)", 14),
+        (1 + col("rank"), "(1 + value.rank)", 8),
+        (10 - col("rank"), "(10 - value.rank)", 3),
+        (100 / col("rank"), "(100 / value.rank)", 100 / 7),
+        (7 % col("rank"), "(7 % value.rank)", 0),
+        (30 // col("rank"), "(30 // value.rank)", 4),
+        (lit(30) // col("rank") % 3, "((30 // value.rank) % 3)", 1),
+    ])
+    def test_floordiv_and_reflected_operators_keep_written_order(
+            self, expr, source, at_7):
+        assert expr.to_source("value") == source
+        assert expr.evaluate(_page(rank=7)) == at_7
+        sym = expr.to_symbolic()
+        assert type(sym) is SArith and sym.right is not None
 
     def test_truthiness_rejected(self):
         with pytest.raises(JobConfigError):

@@ -21,6 +21,7 @@ declines, which runs the user's own code on the record path.
 import functools
 import os
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -226,6 +227,67 @@ class TestRandomizedChains:
                 assert vm.shuffle_bytes == rm.shuffle_bytes
             else:
                 assert vm.map_output_records <= rm.map_output_records
+
+
+# -- one renderer: every literal form, every operator spelling -----------------
+
+
+LITERALS = Schema("LiteralRows", [
+    Field("rank", FieldType.INT),
+    Field("score", FieldType.DOUBLE),
+    Field("raw", FieldType.BYTES),
+])
+
+
+class TestLiteralFormsAndOperators:
+    """The stage mapper and the kernel render one tree with one renderer:
+    a constant with no literal form (``inf``, ``nan``, ``Decimal``) binds
+    as the object on both paths, so the query cannot start failing when
+    the planner swaps the batch scan for a B+Tree input."""
+
+    @pytest.fixture(scope="class")
+    def literal_rows(self, tmp_path_factory):
+        key_schema = Schema("LiteralKey", [Field("id", FieldType.LONG)])
+        path = str(tmp_path_factory.mktemp("literals") / "rows.rf")
+        with RecordFileWriter(path, key_schema, LITERALS,
+                              block_size=BLOCK_SIZE) as writer:
+            for i in range(300):
+                score = float("inf") if i % 7 == 0 else i / 2
+                writer.append(key_schema.make(i),
+                              LITERALS.make(i, score, bytes([i % 256])))
+        return path
+
+    @pytest.mark.parametrize("predicate, n_rows", [
+        ((col("rank") > 250) & (col("score") < float("inf")), 42),
+        ((col("rank") > 250) & (col("score") != float("nan")), 49),
+        ((col("rank") > 250) & (col("score") == float("nan")), 0),
+        ((col("rank") > 250) & (col("score") <= Decimal("130.5")), 9),
+        ((col("rank") > 250) & (col("raw") >= lit(b"\x80")), 5),
+        ((col("rank") > 250) & (col("rank") // 2 == 130), 2),
+        ((col("rank") > 250)
+         & (600 // (1 + col("rank")) + 2 * col("rank") - 10 - col("rank")
+            < 250 + 7 % col("rank") + 100 / col("rank")), 15),
+    ], ids=["inf", "nan-ne", "nan-eq", "decimal", "bytes", "floordiv",
+            "reflected-arithmetic"])
+    def test_same_rows_vectorized_record_and_indexed(
+            self, sessions, literal_rows, tmp_path, predicate, n_rows):
+        vect, ref = sessions
+
+        def build(session):
+            return session.read(literal_rows).filter(predicate)
+
+        expected, ref_result = _run_bytes(ref, build)
+        assert len(ref_result.rows) == n_rows
+        assert _batch_tasks(ref_result) == 0
+        got, vect_result = _run_bytes(vect, build)
+        assert got == expected
+        assert _batch_tasks(vect_result) > 0
+        with Session(workdir=str(tmp_path / "work"),
+                     catalog_dir=str(tmp_path / "catalog")) as indexed:
+            got, result = _run_bytes(indexed, build, build_indexes=True)
+            assert "btree-scan" in result.descriptor.describe()
+            assert _batch_tasks(result) == 0  # B+Tree input: record path
+        assert got == expected
 
 
 # -- opaque schemas: the batch path must never engage --------------------------

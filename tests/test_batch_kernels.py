@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.api.expressions import Expr, col, lit
+from repro.api.expressions import col, lit
 from repro.api.session import Session
 from repro.batch.columns import build_scan_plan, iter_column_batches
 from repro.batch.kernels import compile_predicates
@@ -26,6 +26,15 @@ from repro.storage.serialization import (
     Record,
     Schema,
     register_opaque_schema,
+)
+from repro.symbolic import (
+    ROLE_KEY,
+    ROLE_VALUE,
+    SAttr,
+    SCompare,
+    SConst,
+    SOpaque,
+    SParamField,
 )
 
 VALUES = Schema("KernelValues", [
@@ -91,16 +100,18 @@ class TestKernelSemantics:
     def test_empty_chain_compiles_to_none(self):
         assert compile_predicates([]) is None
 
-    def test_unsupported_node_raises_typeerror(self):
-        class Exotic(Expr):
-            def columns(self):
-                return {"i"}
-
-            def to_source(self, var):
-                return "True"
-
-        with pytest.raises(TypeError, match="cannot vectorize"):
-            compile_predicates([Exotic()])
+    @pytest.mark.parametrize("node", [
+        SOpaque("no built-in knowledge of function 'hash'",
+                field_deps=[(ROLE_VALUE, "i")]),
+        SAttr(col("i").to_symbolic(), "real"),
+        SParamField(ROLE_KEY, ("i",)),
+    ], ids=["opaque", "attr", "key-field"])
+    def test_node_outside_the_operator_set_raises_typeerror(self, node):
+        with pytest.raises(TypeError, match="no source form|not a value"):
+            compile_predicates([node])
+        # ... also when it hides under admitted operators
+        with pytest.raises(TypeError):
+            compile_predicates([SCompare(">", node, SConst(1))])
 
     def test_derived_values_ride_the_same_pass(self):
         kernel = compile_predicates(
@@ -184,7 +195,7 @@ class TestColumnScan:
 
     def test_only_needed_columns_are_captured(self, tmp_path):
         path = _write(tmp_path / "f.rf", _rows(50))
-        spec = BatchStageSpec(kind="map", predicates=[col("i") > lit(0)],
+        spec = BatchStageSpec(kind="map", predicates=[(col("i") > lit(0)).to_symbolic()],
                               project_columns=["s"],
                               out_value_schema=VALUES.project(["s"]))
         assert spec.needed_columns() == ["i", "s"]
@@ -208,7 +219,8 @@ class TestColumnScan:
 
     def test_missing_column_defeats_the_scan_plan(self, tmp_path):
         path = _write(tmp_path / "f.rf", _rows(10))
-        spec = BatchStageSpec(kind="map", predicates=[col("nope") > lit(0)],
+        spec = BatchStageSpec(kind="map",
+                              predicates=[(col("nope") > lit(0)).to_symbolic()],
                               project_columns=["s"],
                               out_value_schema=VALUES.project(["s"]))
         with RecordFileReader(path) as reader:

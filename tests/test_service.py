@@ -9,6 +9,7 @@ tenant's catalog generation or input files change.
 
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -211,6 +212,37 @@ class TestFairScheduler:
         assert ok.result == 42
         assert sched.stats()["failed"] == 1
         sched.shutdown()
+
+    def test_a_finished_job_is_already_counted(self):
+        """submit -> wait -> stats, 200 rounds: ``wait`` returning means
+        the job is in ``completed``/``failed`` (accounted before it is
+        signalled), solo and batched alike."""
+        sched = FairScheduler(max_in_flight=2, batch_window_seconds=0.002)
+
+        def boom():
+            raise ValueError("nope")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # widen any signal-then-count window
+        try:
+            for i in range(200):
+                job = sched.submit("t", boom if i % 4 == 3 else (lambda: i))
+                assert job.wait(10.0)
+                stats = sched.stats()
+                assert stats["completed"] + stats["failed"] == i + 1
+            assert (stats["completed"], stats["failed"]) == (150, 50)
+            for i in range(20):
+                pair = [
+                    sched.submit("t", lambda: None, batch_key="k",
+                                 group_fn=lambda payloads: payloads,
+                                 batch_payload=n)
+                    for n in range(2)
+                ]
+                assert all(job.wait(10.0) for job in pair)
+                assert sched.stats()["completed"] == 150 + 2 * (i + 1)
+        finally:
+            sys.setswitchinterval(interval)
+            sched.shutdown()
 
 
 # -- result cache -------------------------------------------------------------

@@ -1,7 +1,7 @@
 """UDF translation: what the analyzer proves, what it declines, and why.
 
 One case per admitted callable shape, one per decline reason, the
-evaluation-order trap, the ``SymExpr -> Expr`` inverse, and the engine's
+evaluation-order trap, the admission check, and the engine's
 verdict memo.  End-to-end equivalence of translated chains lives in
 ``test_batch_equivalence.py``.
 """
@@ -12,7 +12,13 @@ import zlib
 
 import pytest
 
-from repro.api.expressions import NoExprForm, col, expr_from_symbolic, lit
+from repro.api.expressions import (
+    Expr,
+    NoExprForm,
+    col,
+    expr_from_symbolic,
+    lit,
+)
 from repro.api.plan import callable_label
 from repro.api.session import Session
 from repro.core.analyzer.udf import FILTER_ARITY, MAP_ARITY, analyze_udf
@@ -69,10 +75,15 @@ class Doubler:
         return key, self.schema.make(value.url, value.rank * 2, value.content)
 
 
+def _shown(sym):
+    """An admitted tree in the ``col()`` spelling (``repr`` of the sugar)."""
+    return repr(Expr(expr_from_symbolic(sym)))
+
+
 def _predicate(fn):
     verdict = analyze_udf(fn, FILTER_ARITY)
     assert verdict.reason is None, verdict.reason
-    return repr(expr_from_symbolic(verdict.predicate))
+    return _shown(verdict.predicate)
 
 
 class TestAdmittedShapes:
@@ -105,7 +116,7 @@ class TestAdmittedShapes:
         verdict = analyze_udf(fn, MAP_ARITY)
         assert verdict.reason is None, verdict.reason
         assert verdict.make_receiver(fn) is WEBPAGE
-        assert [repr(expr_from_symbolic(f)) for f in verdict.fields] == [
+        assert [_shown(f) for f in verdict.fields] == [
             "value.url", "(value.rank * 2)", "value.content"]
 
     def test_labels(self):
@@ -276,8 +287,8 @@ class TestDeclineMatrix:
         assert fragment in str(info.value)
 
 
-class TestInverse:
-    def test_round_trip_is_structural(self):
+class TestAdmission:
+    def test_admitted_trees_come_back_as_the_same_nodes(self):
         exprs = [
             col("a") > 1,
             (col("a") % 13 != 0) & ~(col("b") <= lit(2.5)),
@@ -285,8 +296,18 @@ class TestInverse:
             (col("flag") == lit(None)) | (col("s") >= lit(b"ab")),
         ]
         for expr in exprs:
-            back = expr_from_symbolic(expr.to_symbolic())
-            assert back.to_dict() == expr.to_dict()
+            assert expr_from_symbolic(expr.to_symbolic()) is expr.to_symbolic()
+
+    def test_only_the_spine_over_a_folded_sign_is_rebuilt(self):
+        verdict = analyze_udf(
+            lambda v: v.rank * 2 > 90 and v.rank > -5, FILTER_ARITY)
+        sym = verdict.predicate
+        back = expr_from_symbolic(sym)
+        assert back is not sym and back.left is sym.left
+        assert back.right.left is sym.right.left
+        assert (back.right.right.value, type(back.right.right.value)) \
+            == (-5, int)
+        assert _shown(sym) == repr((col("rank") * 2 > 90) & (col("rank") > -5))
 
 
 # -- lowering-side checks and the verdict in explain -----------------------------
@@ -404,7 +425,7 @@ class TestVerdictCache:
         other = engine.analyze_udf(DEFAULT_KB, Above(46), FILTER_ARITY)
         assert engine.analysis_cache.stats() == {
             "size": 2, "hits": 0, "misses": 2}
-        assert repr(expr_from_symbolic(other.predicate)) \
+        assert _shown(other.predicate) \
             == repr(col("rank") > 46)
 
     @pytest.mark.parametrize("first, second", [
@@ -420,7 +441,7 @@ class TestVerdictCache:
             for fn in (closure_above(limit), Above(limit),
                        functools.partial(above_bound, limit)):
                 verdict = engine.analyze_udf(DEFAULT_KB, fn, FILTER_ARITY)
-                assert repr(expr_from_symbolic(verdict.predicate)) \
+                assert _shown(verdict.predicate) \
                     == repr(col("rank") > limit)
         assert engine.analysis_cache.stats()["hits"] == 0
 
@@ -431,9 +452,9 @@ class TestVerdictCache:
             DEFAULT_KB, lambda v: v.rank > 1, FILTER_ARITY)
         as_float = engine.analyze_udf(
             DEFAULT_KB, lambda v: v.rank > 1.0, FILTER_ARITY)
-        assert repr(expr_from_symbolic(as_int.predicate)) \
+        assert _shown(as_int.predicate) \
             == repr(col("rank") > 1)
-        assert repr(expr_from_symbolic(as_float.predicate)) \
+        assert _shown(as_float.predicate) \
             == repr(col("rank") > 1.0)
 
     def test_int_then_float_capture_runs_its_own_arithmetic(self, session,
