@@ -237,15 +237,20 @@ class Session:
 
         scans = [self.lower(dataset, name=f"explain-q{i}").stages[0]
                  for i, dataset in enumerate(datasets)]
+        descriptors = [self.system.plan(scan.conf, scan.hints)
+                       for scan in scans]
         report = plan_shared_groups([
-            self.system.plan(scan.conf, scan.hints).apply(scan.conf)
-            for scan in scans
+            descriptor.apply(scan.conf)
+            for descriptor, scan in zip(descriptors, scans)
         ])
         lines = [f"shared-scan plan for {len(scans)} queries:"]
-        # each query's scan-stage ops, UDF-translation verdicts included:
-        # why a callable kept (or did not keep) a query out of a group
-        lines += [f"query {i}: " + "; ".join(scan.descriptions)
-                  for i, scan in enumerate(scans)]
+        # each query's scan-stage ops, UDF-translation verdicts included
+        # (why a callable kept, or did not keep, a query out of a group),
+        # then the concrete input the optimizer planned -- the file the
+        # grouping keys on, with the reason an index was not used
+        for i, (scan, descriptor) in enumerate(zip(scans, descriptors)):
+            lines.append(f"query {i}: " + "; ".join(scan.descriptions))
+            lines += [f"  {plan.describe()}" for plan in descriptor.plans]
         lines.append(report.describe())
         return "\n".join(lines).rstrip() + "\n"
 

@@ -23,19 +23,19 @@ their shared inputs, a solo job being a group of one:
 
 What this module owns is the *policy*: which submissions are worth
 running as one group.  Sharing is gated, not assumed:
-:func:`plan_shared_groups` groups candidates by concrete input
-fingerprint, re-validates each member against the file (opaque schemas,
-missing columns and uncompilable predicates fall back to the solo path),
-and applies a cost model so a narrow scan is never blindly fused into a
-wide union (see :data:`LATENCY_FACTOR`).  Singleton groups and
-ineligible stages run the existing solo path unchanged.
+:func:`plan_shared_groups` groups candidates by concrete input identity
+(:func:`repro.storage.input_identity`), re-validates each member against
+the file (opaque schemas, missing columns and uncompilable predicates
+fall back to the solo path), and applies a cost model so a narrow scan
+is never blindly fused into a wide union (see :data:`LATENCY_FACTOR`).
+Singleton groups and ineligible stages run the existing solo path
+unchanged.
 :func:`run_shared_group` hands an approved group to a runner and books
 the savings.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +44,7 @@ from repro.batch.kernels import compile_predicates
 from repro.batch.spec import BatchStageSpec
 from repro.mapreduce.formats import ProjectedFileInput, RecordFileInput
 from repro.mapreduce.job import JobConf, JobResult
+from repro.storage import InputIdentity, input_identity
 from repro.storage.recordfile import RecordFileReader
 
 #: Modeled cost of materializing one decoded field, relative to the
@@ -131,12 +132,12 @@ def plan_shared_groups(
 ) -> SharedPlanReport:
     """Partition already-optimized jobs into fused groups and solos.
 
-    Grouping key is the concrete input file's identity fingerprint
-    (absolute path, size, mtime) -- two queries share a pass only when
-    they would scan byte-identical storage.  Planner input substitution
-    has already happened, so a query the optimizer redirected at a
-    narrow projection file groups with peers reading *that* file, never
-    with peers on the base file.
+    Grouping key is the concrete input file's
+    :func:`~repro.storage.input_identity` -- two queries share a pass
+    only when they would scan byte-identical storage.  Planner input
+    substitution has already happened, so a query the optimizer
+    redirected at a narrow projection file groups with peers reading
+    *that* file, never with peers on the base file.
 
     Every fallback is a reason string (surfaced by ``explain``):
     multi-input (join) stages, non-recordfile inputs, stages without an
@@ -146,8 +147,8 @@ def plan_shared_groups(
     submission is ineligible before grouping even starts".
     """
     report = SharedPlanReport()
-    by_file: Dict[Tuple[str, int, int], List[MemberPlan]] = {}
-    file_fields: Dict[Tuple[str, int, int], int] = {}
+    by_file: Dict[InputIdentity, List[MemberPlan]] = {}
+    file_fields: Dict[InputIdentity, int] = {}
     schema_cache: Dict[str, Optional[Tuple[Any, Any]]] = {}
 
     def schemas_of(path: str) -> Optional[Tuple[Any, Any]]:
@@ -194,22 +195,19 @@ def plan_shared_groups(
         except TypeError:
             report.solo.append((index, "predicate is not compilable"))
             continue
-        path = os.path.abspath(source.path)
-        try:
-            st = os.stat(path)
-        except OSError:
+        identity = input_identity(source.path)
+        if identity.kind != "file":
             report.solo.append((index, "input file is unreadable"))
             continue
-        fingerprint = (path, st.st_size, st.st_mtime_ns)
-        by_file.setdefault(fingerprint, []).append(
+        by_file.setdefault(identity, []).append(
             MemberPlan(index, conf, spec, list(plan.slots))
         )
-        file_fields[fingerprint] = (
+        file_fields[identity] = (
             len(key_schema.fields) + len(value_schema.fields)
         )
 
-    for fingerprint, candidates in by_file.items():
-        fields = file_fields[fingerprint]
+    for identity, candidates in by_file.items():
+        fields = file_fields[identity]
         # Greedy admission, narrowest first: a wide member may only
         # join while the union it forces stays within every admitted
         # member's latency bound.  Rejected members get further chances
@@ -263,7 +261,7 @@ def plan_shared_groups(
                         ordered_seen.add(name)
                         ordered.append(name)
             report.groups.append(GroupPlan(
-                path=fingerprint[0], members=members,
+                path=identity.path, members=members,
                 union_columns=ordered, fields=fields,
             ))
             remaining = rejected

@@ -35,6 +35,7 @@ from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.parallel import resolve_runner
 from repro.mapreduce.runtime import LocalJobRunner
+from repro.storage import input_identity
 
 
 @dataclass
@@ -149,9 +150,11 @@ class Manimal:
     ) -> List[IndexEntry]:
         """Run the synthesized index-generation programs (admin action).
 
-        Programs whose output already exists in the catalog (same source,
-        kind and parameters) are skipped -- re-running an index build is
-        wasted work, like re-creating an existing RDBMS index.
+        Programs whose output already exists in the catalog (same source
+        bytes, kind and parameters) are skipped -- re-running an index
+        build is wasted work, like re-creating an existing RDBMS index.
+        Over a rewritten source the build runs again and replaces the
+        stale index.
         """
         built: List[IndexEntry] = []
         for program in self.index_programs(conf, analysis, allowed_kinds):
@@ -167,6 +170,14 @@ class Manimal:
     def _find_equivalent(
         self, program: IndexGenerationProgram
     ) -> Optional[IndexEntry]:
+        """The catalog entry ``program`` would only rebuild, if any.
+
+        A parameter-equal entry built from bytes the source no longer
+        holds is not equivalent: it is dropped here, file included, so
+        the rebuild replaces it and dead indexes stop counting against
+        the space budget.
+        """
+        identity = input_identity(program.source_path)
         for entry in self.catalog.entries_for(program.source_path, program.kind):
             if entry.key_field != program.key_field:
                 continue
@@ -176,7 +187,9 @@ class Manimal:
                 continue
             if program.dict_field != entry.dict_field:
                 continue
-            return entry
+            if entry.built_from(identity):
+                return entry
+            self.catalog.remove(entry.index_id)
         return None
 
     def plan(self, conf: JobConf,
@@ -184,9 +197,10 @@ class Manimal:
         """Step 2: choose an execution plan from the catalog.
 
         Catalog applicability is memoized through the engine, keyed by
-        the analysis fingerprint (which embeds each source file's
-        size+mtime) and the catalog generation -- rewriting a source
-        file or registering/evicting an index invalidates the entry.
+        the analysis fingerprint (which embeds each input's
+        :func:`~repro.storage.input_identity`) and the catalog
+        generation -- rewriting a source file or registering/evicting an
+        index invalidates the entry.
         """
         analysis = analysis or self.analyze(conf)
         return self.engine.plan(self.optimizer, conf, analysis)

@@ -7,8 +7,9 @@ submission.
 
 The catalog is a directory holding ``catalog.json`` plus the index files
 themselves.  Entries record enough metadata for applicability checks
-(source file, index kind, indexed field, kept fields, delta fields) and
-for the experiments' space-overhead accounting (byte sizes).
+(source file and the identity of the bytes it held when the index was
+built, index kind, indexed field, kept fields, delta fields) and for the
+experiments' space-overhead accounting (byte sizes).
 
 Because the catalog is the one piece of state concurrent engine
 submissions share, mutation is crash- and concurrency-safe: every write
@@ -30,7 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 try:  # pragma: no cover - fcntl is POSIX-only; mirrors a Hadoop setting
     import fcntl
@@ -87,6 +88,18 @@ class IndexEntry:
     last_used: int = 0
     #: how many plans have used this index
     use_count: int = 0
+    #: :func:`~repro.storage.input_identity` of the source, taken before
+    #: the build read it; None (a hand-made or older entry) is never fresh
+    source_identity: Optional[List[Any]] = None
+
+    def built_from(self, identity: Sequence[Any]) -> bool:
+        """Whether this index was built from the bytes ``identity`` names.
+
+        The registry itself never asks (:meth:`Catalog.entries_for` is a
+        raw query); whoever is about to *use* an entry does, passing the
+        source's identity as it is on disk now.
+        """
+        return self.source_identity == list(identity)
 
     def space_overhead(self) -> Optional[float]:
         """Index size as a fraction of the source file size."""
@@ -344,15 +357,19 @@ class Catalog:
                 key=lambda e: (e.last_used, e.index_id),
             )
             evicted.append(victim)
-            del self._entries[victim.index_id]
-            try:
-                os.remove(victim.index_path)
-            except OSError:
-                pass
+            self._drop(victim)
         if evicted:
             self.generation += 1
             self._save()
         return evicted
+
+    def _drop(self, entry: IndexEntry) -> None:
+        """Forget one entry and delete its index file (lock held by caller)."""
+        del self._entries[entry.index_id]
+        try:
+            os.remove(entry.index_path)
+        except OSError:
+            pass
 
     def total_index_bytes(self) -> int:
         with self._lock:
@@ -390,10 +407,12 @@ class Catalog:
             return f"index-{self._counter:05d}"
 
     def remove(self, index_id: str) -> None:
+        """Drop one index: the registry row *and* its file."""
         with self._mutate():
-            entry = self._entries.pop(index_id, None)
+            entry = self._entries.get(index_id)
             if entry is None:
                 raise CatalogError(f"no index {index_id!r}")
+            self._drop(entry)
             self.generation += 1
             self._save()
 

@@ -36,8 +36,8 @@ from repro.core.optimizer.pruning import (
 from repro.mapreduce.cost import PAPER_CLUSTER, CostModel
 from repro.mapreduce.formats import PartitionedInput, RecordFileInput
 from repro.mapreduce.metrics import JobMetrics
+from repro.storage import input_identity
 from repro.storage.partitioned import (
-    freshness_token,
     is_partitioned_dataset,
     read_partitioned_info,
 )
@@ -80,17 +80,18 @@ class CostBasedOptimizer(Optimizer):
         Partitioned datasets answer from their statistics sidecar (zone
         maps bound how many records can possibly pass -- no data file is
         opened); plain record files fall back to evaluating the formula
-        on a head sample.  Cached per (path, formula, file size+mtime),
-        so rewriting an input in place invalidates the entry.  Returns
-        1.0 when there is no formula.
+        on a head sample.  Cached per (path, formula) under the input's
+        :func:`~repro.storage.input_identity`, so rewriting an input in
+        place invalidates the entry.  Returns 1.0 when there is no
+        formula.
         """
         if ia.selection is None:
             return 1.0
-        # One slot per (path, formula); the freshness token lives in the
+        # One slot per (path, formula); the identity lives in the
         # *value* so rewrites replace the entry instead of stranding an
         # unreachable key per rewrite.
         key = (source_path, repr(ia.selection.formula))
-        token = freshness_token(source_path)
+        token = input_identity(source_path)
         cached = self._selectivity_cache.get(key)
         if cached is not None and cached[0] == token:
             return cached[1]

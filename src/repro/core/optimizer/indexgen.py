@@ -33,6 +33,7 @@ from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.formats import RecordFileInput, frame_index_entry
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import LocalJobRunner
+from repro.storage import input_identity
 from repro.storage.btree import BTreeBuilder
 from repro.storage.columnfile import (
     META_BASE_SCHEMA,
@@ -126,7 +127,14 @@ class IndexGenerationProgram:
 
     def run(self, catalog: Catalog,
             runner: Optional[LocalJobRunner] = None) -> IndexEntry:
-        """Build the index and register it in the catalog."""
+        """Build the index and register it in the catalog.
+
+        The entry is stamped with the source's identity as it was
+        *before* the build read it, and the source is checked again
+        afterwards: an index over bytes that moved mid-build would be
+        born stale, so its file is deleted and nothing is registered.
+        """
+        stamp = input_identity(self.source_path)
         if self.kind in (cat.KIND_SELECTION, cat.KIND_SELECTION_PROJECTION):
             # The selection builder's reducer bulk-loads the B+Tree and
             # reports stats through in-process instance state, so this
@@ -143,6 +151,12 @@ class IndexGenerationProgram:
             entry = self._build_rewrite(catalog)
         else:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
+        if input_identity(self.source_path) != stamp:
+            os.remove(entry.index_path)
+            raise OptimizerError(
+                f"source changed during index build: {self.source_path}"
+            )
+        entry.source_identity = list(stamp)
         catalog.register(entry)
         return entry
 

@@ -18,12 +18,17 @@ heuristics ... a simple hard-coded ranking of applicable optimizations"):
 
 with the paper's one conflict rule built in -- selection is favored over
 delta-compression, so the two never combine.
+
+An index is only a candidate while its source still holds the bytes it
+was built from: every entry carries the source's
+:func:`~repro.storage.input_identity` at build time, and planning skips
+(and reports) the ones the file on disk no longer matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.analyzer.descriptors import InputAnalysis, JobAnalysis
 from repro.core.optimizer import catalog as cat
@@ -44,6 +49,7 @@ from repro.mapreduce.formats import (
     SelectionIndexInput,
 )
 from repro.mapreduce.job import JobConf
+from repro.storage import input_identity
 
 #: Optimization label for zone-map partition pruning (not an index kind:
 #: it needs no catalog entry, only the dataset's statistics sidecar).
@@ -172,14 +178,26 @@ class Optimizer:
         if type(source) is not RecordFileInput:
             unoptimized.detail = "input is not a plain record-file scan"
             return unoptimized
-        if not self.catalog.entries_for(source.path):
+        fresh, stale = self._fresh_entries(source.path)
+        if not fresh and not stale:
             unoptimized.detail = "no indexes in catalog for this input"
             return unoptimized
-        chosen = self._choose(index, source, ia)
+        chosen = self._choose(index, source, ia) if fresh else None
         if chosen is not None:
             return chosen
-        unoptimized.detail = "no catalog index is applicable to this program"
+        unoptimized.detail = (
+            f"stale: source rewritten since build ({stale} index(es) skipped)"
+            if stale else "no catalog index is applicable to this program"
+        )
         return unoptimized
+
+    def _fresh_entries(self, source_path: str) -> Tuple[List[IndexEntry], int]:
+        """The indexes built from the bytes ``source_path`` holds now, and
+        how many others were skipped because it was rewritten since."""
+        entries = self.catalog.entries_for(source_path)
+        identity = input_identity(source_path)
+        fresh = [e for e in entries if e.built_from(identity)]
+        return fresh, len(entries) - len(fresh)
 
     def applicable_plans(self, index: int, source: RecordFileInput,
                          ia: InputAnalysis) -> List[InputPlan]:
@@ -191,7 +209,7 @@ class Optimizer:
         """
         compiled = SelectionCompiler(ia)
         plans: List[InputPlan] = []
-        candidates = self.catalog.entries_for(source.path)
+        candidates, _stale = self._fresh_entries(source.path)
         for kind in RANKING:
             for entry in candidates:
                 if entry.kind != kind:

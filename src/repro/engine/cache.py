@@ -10,9 +10,9 @@ This module gives the engine two caches:
   <repro.core.analyzer.analyzer.ManimalAnalyzer.analyze_job>` results,
   keyed by a *code-object fingerprint*: the mapper/reducer bytecode
   (including nested code objects, closures and defaults), the folded
-  instance members, the knowledge-base version, safe mode, and a
-  size+mtime fingerprint of every input file (schemas are read from file
-  headers, so a rewritten file must invalidate);
+  instance members, the knowledge-base version, safe mode, and the
+  :func:`~repro.storage.input_identity` of every input (schemas are read
+  from file headers, so a rewritten file must invalidate);
   the same cache memoizes UDF-translation verdicts
   (:func:`~repro.core.analyzer.udf.analyze_udf`), keyed by
   :func:`udf_fingerprint`: the callable's bytecode and captured values
@@ -23,8 +23,8 @@ This module gives the engine two caches:
   *instance token* (plans cached against one ``Catalog`` object are
   never served to another) and its *generation* (bumped on
   register/remove/evict, **not** on LRU touches) -- so catalog
-  applicability is decided once per (program, source-file fingerprint,
-  catalog contents).
+  applicability is decided once per (program, input identity, catalog
+  contents).
 
 Safety-first: fingerprinting is conservative.  Any value it cannot
 reduce to a stable hashable token (reprs that embed memory addresses,
@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import functools
 import inspect
-import os
 import re
-import stat
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Tuple
+
+from repro.storage import input_identity
 
 #: reprs embedding object identities must never key a cache entry: the
 #: address can be reused by a different object after a gc.
@@ -55,28 +55,6 @@ _MAX_REPR = 4096
 
 class Unfingerprintable(Exception):
     """Raised internally when a value has no stable fingerprint."""
-
-
-def file_fingerprint(path: str) -> Tuple[Any, ...]:
-    """Size + mtime of one source file (the catalog-applicability key).
-
-    A partitioned-dataset *directory* fingerprints through its
-    statistics sidecar: rewriting the dataset rewrites the sidecar,
-    whereas the directory's own mtime would miss in-place partition
-    rewrites.
-    """
-    try:
-        st = os.stat(path)
-    except OSError:
-        return ("missing",)
-    if stat.S_ISDIR(st.st_mode):
-        from repro.storage.partitioned import freshness_token
-
-        token = freshness_token(path)
-        if token is None:
-            return ("dir-no-sidecar", st.st_mtime_ns)
-        return ("dir",) + token
-    return ("file", st.st_size, st.st_mtime_ns)
 
 
 def fingerprint_value(value: Any, depth: int = 0) -> Hashable:
@@ -261,8 +239,7 @@ def analysis_fingerprint(analyzer: Any, conf: Any) -> Optional[Hashable]:
             inputs.append((
                 type(source).__module__, type(source).__qualname__,
                 source.tag,
-                os.path.abspath(path),
-                file_fingerprint(path),
+                input_identity(path),
                 fingerprint_spec(conf.mapper_for(source.tag)),
             ))
         return (

@@ -127,7 +127,7 @@ class ExecutionEngine:
 
         Keyed by the code-object fingerprint of the job's mappers and
         reducer, the folded instance members, the knowledge-base version,
-        and size+mtime fingerprints of the input files (see
+        and each input's :func:`~repro.storage.input_identity` (see
         :mod:`repro.engine.cache`).  Unfingerprintable jobs run straight
         through the analyzer, uncached.
         """
@@ -173,11 +173,13 @@ class ExecutionEngine:
         """Memoized ``optimizer.plan(conf, analysis)``.
 
         Applicability of catalog indexes to a program depends only on the
-        analysis (which already embeds each source file's size+mtime
-        fingerprint) and the catalog contents, so the key is the analysis
-        fingerprint plus the catalog's *instance token* (unique per
-        Catalog object -- systems on different catalogs, or on different
-        views of one directory, never alias) and its *generation* -- a
+        analysis (which already embeds each source file's
+        :func:`~repro.storage.input_identity`, the same identity the
+        planner admits index entries by) and the catalog contents, so
+        the key is the analysis fingerprint plus the catalog's *instance
+        token* (unique per Catalog object -- systems on different
+        catalogs, or on different views of one directory, never alias)
+        and its *generation* -- a
         counter bumped on register/remove/evict but not on LRU touches.
         Cache hits still record index usage (``catalog.touch_many``),
         keeping eviction accounting identical to uncached planning.
@@ -256,7 +258,7 @@ class ExecutionEngine:
                       policy: Optional[Any] = None) -> List[Any]:
         """Run already-optimized jobs, sharing compatible scans.
 
-        Groups ``confs`` by input fingerprint (see
+        Groups ``confs`` by input identity (see
         :func:`repro.batch.multiscan.plan_shared_groups`), executes each
         approved group as one pass over the shared file -- a job group
         on the same driver solo jobs use, on this engine's worker pool

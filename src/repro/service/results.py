@@ -13,15 +13,14 @@ The key is::
 
     (tenant,
      canonical op-list JSON,                 -- what is being asked
-     ((abspath, file_fingerprint), ...),     -- of which input bytes
+     (input_identity, ...),                  -- of which input bytes
      catalog generation)                     -- under which index set
 
 * the op list is the client's own wire form, canonicalized with sorted
   keys -- two submissions with equal canonical JSON ask the same
   question (``repro.api.remote``);
-* inputs fingerprint through :func:`repro.engine.cache.file_fingerprint`
-  (size + mtime; partitioned directories through their statistics
-  sidecar), so rewriting an input invalidates by key mismatch;
+* inputs are named by :func:`repro.storage.input_identity`, so
+  rewriting an input invalidates by key mismatch;
 * the tenant catalog's ``generation`` is bumped by every index
   register/remove/evict, so any catalog change -- which may change the
   chosen plan -- also invalidates.  Results are plan-independent by
@@ -37,13 +36,12 @@ simply never served.  Stale entries are evicted LRU by byte budget.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.remote import OpList, read_paths
-from repro.engine.cache import file_fingerprint
+from repro.storage import input_identity
 
 CacheKey = Tuple[Any, ...]
 
@@ -55,9 +53,7 @@ def result_cache_key(tenant: str, ops: OpList,
                      catalog_generation: int) -> CacheKey:
     """The full identity of one query's answer (see module docstring)."""
     canonical = json.dumps(ops, sort_keys=True, separators=(",", ":"))
-    inputs = tuple(
-        (os.path.abspath(p), file_fingerprint(p)) for p in read_paths(ops)
-    )
+    inputs = tuple(input_identity(p) for p in read_paths(ops))
     return (tenant, canonical, inputs, catalog_generation)
 
 

@@ -11,7 +11,7 @@ tenant.
 Execution model per ``submit``:
 
 1. validate the tenant and decode the op list;
-2. compute the result-cache key (canonical ops + input fingerprints +
+2. compute the result-cache key (canonical ops + input identities +
    tenant catalog generation).  A hit answers immediately from stored
    bytes -- the worker pool is never touched;
 3. otherwise admission control: the tenant's bounded queue either
@@ -36,7 +36,6 @@ durable job store.
 from __future__ import annotations
 
 import contextlib
-import os
 import socket
 import threading
 import time
@@ -74,6 +73,7 @@ from repro.service.scheduler import (
     QueryJob,
 )
 from repro.service.tenancy import TenantRegistry, TenantState
+from repro.storage import input_identity
 
 
 class _JobEntry:
@@ -125,7 +125,7 @@ class QueryServer:
         option; ``None`` = no deadline.
     :param batch_window_seconds: shared-scan batching window.  When > 0,
         read-only submissions are held up to this long so compatible
-        queries -- same concrete input file fingerprint *and* same
+        queries -- same concrete input file identity *and* same
         tenant-catalog generation -- can accumulate and execute as one
         fused scan (see :mod:`repro.batch.multiscan`); each member's
         payload stays byte-identical to its solo run.  ``0`` (default)
@@ -416,26 +416,21 @@ class QueryServer:
         """Shared-scan batching identity, or None if unbatchable.
 
         Two submissions may batch only when they scan the same concrete
-        file bytes (absolute path + size + mtime) *and* their tenants'
-        catalogs are at the same generation -- a tenant whose catalog
-        just changed may plan the same query differently, so it is not
-        grouped with peers on the older generation.  Grouping is
-        re-validated after per-tenant planning anyway
+        file bytes (one :func:`~repro.storage.input_identity`) *and*
+        their tenants' catalogs are at the same generation -- a tenant
+        whose catalog just changed may plan the same query differently,
+        so it is not grouped with peers on the older generation.
+        Grouping is re-validated after per-tenant planning anyway
         (:func:`repro.batch.multiscan.plan_shared_groups`); this key
         just decides who is worth holding in the window together.
         """
         paths = read_paths(ops)
         if len(paths) != 1:
             return None
-        path = os.path.abspath(paths[0])
-        try:
-            st = os.stat(path)
-        except OSError:
-            return None
-        if not os.path.isfile(path):
+        identity = input_identity(paths[0])
+        if identity.kind != "file":
             return None  # partitioned dataset dirs take their own path
-        return (path, st.st_size, st.st_mtime_ns,
-                state.catalog.generation)
+        return identity + (state.catalog.generation,)
 
     def _run_shared_batch(self, payloads: List[Tuple]) -> List[bytes]:
         """Execute one scheduler batch as a shared-scan group.
@@ -654,7 +649,11 @@ class QueryServer:
             return {
                 "ok": True,
                 "generation": catalog.generation,
-                "indexes": [e.to_dict() for e in catalog.sorted_entries()],
+                "indexes": [
+                    dict(e.to_dict(), stale=not e.built_from(
+                        input_identity(e.source_path)))
+                    for e in catalog.sorted_entries()
+                ],
                 "datasets": [
                     e.to_dict() for e in catalog.sorted_datasets()
                 ],

@@ -12,6 +12,9 @@ physical index formats Manimal's optimizer materializes:
   dictionary footer) / direct operation
 * :mod:`repro.storage.columnfile` -- projected files (projection indexes)
 * :mod:`repro.storage.btree` -- disk-backed B+Tree (selection indexes)
+* :mod:`repro.storage.partitioned` -- partition directories with zone-map
+  sidecars, and :func:`input_identity`: the one "what bytes is this input,
+  right now" answer every cache and the index catalog compare
 * :mod:`repro.storage.orderkeys` -- order-preserving key encodings
 * :mod:`repro.storage.varint` -- size-sensitive integer encodings
 """
@@ -22,6 +25,7 @@ from repro.storage.btree import BTree, BTreeBuilder, BTreeStats
 from repro.storage.columnfile import build_column_groups, build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
+from repro.storage.partitioned import InputIdentity, input_identity
 from repro.storage.recordfile import (
     RecordFileReader,
     RecordFileWriter,
@@ -76,12 +80,14 @@ __all__ = [
     "RecordFileReader",
     "RecordFileWriter",
     "Schema",
+    "InputIdentity",
     "INT_SCHEMA",
     "LONG_SCHEMA",
     "STRING_SCHEMA",
     "DOUBLE_SCHEMA",
     "build_column_groups",
     "build_projection",
+    "input_identity",
     "open_block_file",
     "primitive_schema",
     "write_records",

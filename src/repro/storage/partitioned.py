@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import CorruptFileError, SerializationError
 from repro.storage.blockfile import DEFAULT_BLOCK_SIZE
@@ -158,33 +159,48 @@ def is_partitioned_dataset(path: str) -> bool:
     )
 
 
-def freshness_path(path: str) -> str:
-    """The file whose size+mtime tracks ``path``'s contents.
+class InputIdentity(NamedTuple):
+    """Which bytes an input path holds right now (see :func:`input_identity`)."""
 
-    A partition directory tracks through its sidecar -- every rewrite
-    replaces it, whereas the directory's own mtime misses in-place
-    partition-file rewrites.  Plain paths track themselves.  Both the
-    engine's analysis cache and the cost-based optimizer's selectivity
-    cache key their entries on this file's stat.
+    path: str
+    #: ``file``, ``dir`` (answered by the sidecar), ``dir-no-sidecar``
+    #: or ``missing``
+    kind: str
+    size: int
+    mtime_ns: int
+
+
+def input_identity(path: str) -> InputIdentity:
+    """The one answer to "what bytes is this input, right now".
+
+    Absolute path, kind, size and modification time of the file that
+    tracks ``path``'s contents.  A plain file tracks itself.  A partition
+    directory answers through its statistics sidecar -- every rewrite of
+    the dataset replaces it, whereas the directory's own mtime misses
+    in-place partition-file rewrites; a directory without a sidecar falls
+    back to its own mtime, and a path that cannot be stat'ed is
+    ``missing``.  Never raises.
+
+    Everything keyed on an input's contents calls this and compares the
+    results for equality: the engine's analysis (and so plan) cache, the
+    service result cache and batch window, shared-scan grouping, the
+    cost-based optimizer's selectivity cache, and the catalog's index
+    stamps.  Equal identities mean whatever was derived from the input
+    still describes it -- up to the file system's mtime granularity: a
+    same-size rewrite inside one tick is invisible to all of them alike.
     """
-    if os.path.isdir(path):
-        return sidecar_path(path)
-    return path
-
-
-def freshness_token(path: str) -> Optional[Tuple[int, int]]:
-    """(size, mtime_ns) of ``path``'s freshness file; None when missing.
-
-    The single invalidation rule shared by every cache keyed on an
-    input's contents (the engine's analysis cache, the cost-based
-    optimizer's selectivity cache): equal tokens mean the contents those
-    caches derived from are unchanged.
-    """
+    path = os.path.abspath(path)
     try:
-        st = os.stat(freshness_path(path))
+        st = os.stat(path)
     except OSError:
-        return None
-    return (st.st_size, st.st_mtime_ns)
+        return InputIdentity(path, "missing", 0, 0)
+    if not stat.S_ISDIR(st.st_mode):
+        return InputIdentity(path, "file", st.st_size, st.st_mtime_ns)
+    try:
+        st = os.stat(sidecar_path(path))
+    except OSError:
+        return InputIdentity(path, "dir-no-sidecar", 0, st.st_mtime_ns)
+    return InputIdentity(path, "dir", st.st_size, st.st_mtime_ns)
 
 
 def sidecar_path(directory: str) -> str:

@@ -59,3 +59,9 @@ def write_webpages(path, n, rank_of=lambda i: i % 50, content="c" * 40,
                 WEBPAGE.make(f"http://x/{i}", rank_of(i), content),
             )
     return str(path)
+
+
+def index_files(catalog_dir):
+    """Names of the index files physically present in a catalog directory."""
+    return sorted(n for n in os.listdir(str(catalog_dir))
+                  if n.startswith("idx_"))

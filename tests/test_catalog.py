@@ -13,6 +13,7 @@ from repro.core.optimizer.catalog import (
     IndexEntry,
 )
 from repro.exceptions import CatalogError
+from repro.storage import input_identity
 
 
 def _entry(catalog, kind=KIND_SELECTION, source="/data/in.rf", **kw):
@@ -66,6 +67,41 @@ class TestRegistry:
         assert len(cat) == 0
         with pytest.raises(CatalogError):
             cat.remove(entry.index_id)
+
+    def test_remove_deletes_the_index_file(self, tmp_path):
+        """Same drop as budget eviction: a removed index stops costing
+        disk, not just a registry row."""
+        cat = Catalog(str(tmp_path))
+        entry = _entry(cat)
+        with open(entry.index_path, "wb") as f:
+            f.write(b"\x00" * 4096)
+        cat.register(entry)
+        cat.remove(entry.index_id)
+        assert not os.path.exists(entry.index_path)
+        assert Catalog(str(tmp_path)).sorted_entries() == []
+
+    def test_source_identity_round_trips_and_decides_freshness(
+            self, tmp_path):
+        source = tmp_path / "in.rf"
+        source.write_bytes(b"v1")
+        cat = Catalog(str(tmp_path / "cat"))
+        stamped = _entry(cat, source=str(source))
+        stamped.source_identity = list(input_identity(str(source)))
+        bare = _entry(cat, source=str(source))
+        cat.register(stamped)
+        cat.register(bare)
+        reloaded = Catalog(str(tmp_path / "cat"))
+        now = input_identity(str(source))
+        assert reloaded.get(stamped.index_id).built_from(now)
+        # an entry with no stamp is never fresh: there is nothing to
+        # compare, and guessing would be the bug this field closes
+        assert reloaded.get(bare.index_id).source_identity is None
+        assert not reloaded.get(bare.index_id).built_from(now)
+        source.write_bytes(b"v2 is longer")
+        assert not reloaded.get(stamped.index_id).built_from(
+            input_identity(str(source)))
+        # entries_for stays the raw registry query
+        assert len(reloaded.entries_for(str(source))) == 2
 
     def test_corrupt_catalog_file_rejected(self, tmp_path):
         cat = Catalog(str(tmp_path))

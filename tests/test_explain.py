@@ -1,6 +1,7 @@
 """Tests for the explain_job reporting module."""
 
 from repro.core.manimal import Manimal
+from repro.core.optimizer import catalog as cat
 from repro.explain import explain_job
 from repro.mapreduce import JobConf, RecordFileInput
 from repro.mapreduce.api import Mapper, Reducer
@@ -63,6 +64,44 @@ class TestExplain:
                            catalog_dir=str(tmp_path / "empty-cat"))
         assert "unoptimized" in text
 
+    def test_stale_index_reported_with_the_reason(self, tmp_path):
+        """Over a rewritten source the plan names no index and says why;
+        after a rebuild the fresh plan's text is what it always was."""
+        path = write_webpages(tmp_path / "w.rf", 300)
+        catalog_dir = str(tmp_path / "cat")
+        job = _job(path, FilterMapper)
+        Manimal(catalog_dir).submit(job, build_indexes=True)
+        fresh_text = explain_job(job, catalog_dir=catalog_dir)
+        assert "selection+projection via btree-scan(" in fresh_text
+
+        write_webpages(tmp_path / "w.rf", 400)
+        text = explain_job(job, catalog_dir=catalog_dir)
+        assert "btree-scan" not in text
+        assert (f"input[0]: unoptimized scan({path}) (stale: source "
+                "rewritten since build (1 index(es) skipped))") in text
+
+        Manimal(catalog_dir).build_indexes(job)
+        rebuilt = explain_job(job, catalog_dir=catalog_dir)
+        assert "stale:" not in rebuilt
+        assert "selection+projection via btree-scan(" in rebuilt
+
+    def test_stale_count_covers_every_skipped_index(self, tmp_path):
+        path = write_webpages(tmp_path / "w.rf", 300)
+        catalog_dir = str(tmp_path / "cat")
+        job = _job(path, FilterMapper)
+        system = Manimal(catalog_dir)
+        for kind in (cat.KIND_SELECTION, cat.KIND_PROJECTION,
+                     cat.KIND_DELTA):
+            system.build_indexes(job, allowed_kinds=[kind])
+        write_webpages(tmp_path / "w.rf", 400)
+        assert "(3 index(es) skipped)" in explain_job(
+            job, catalog_dir=catalog_dir)
+        # One fresh index is enough to plan with; the two dead ones
+        # are no longer candidates.
+        system.build_indexes(job, allowed_kinds=[cat.KIND_PROJECTION])
+        text = explain_job(job, catalog_dir=catalog_dir)
+        assert "input[0]: projection via projected-scan(" in text
+
     def test_schema_visibility_reported(self, tmp_path):
         from repro.workloads.pavlo import benchmark1 as b1
 
@@ -124,6 +163,21 @@ class TestFluentCallables:
             assert ("filter <python:partial(rank_not_multiple)> ≡ "
                     "((value.rank % 7) != 0)") in text
             assert "<python:?>" not in text
+
+    def test_session_explain_reports_a_stale_index(self, tmp_path):
+        from repro import col
+
+        path = write_webpages(tmp_path / "w.rf", 300)
+        with self._session(tmp_path) as session:
+            query = session.read(path).filter(col("rank") > 40) \
+                .select("url", "rank")
+            query.run(build_indexes=True)
+            assert "btree-scan(" in query.explain()
+            write_webpages(tmp_path / "w.rf", 400)
+            text = query.explain()
+            assert "btree-scan" not in text
+            assert "stale: source rewritten since build (1 index(es) " \
+                "skipped)" in text
 
     def test_opaque_callables_show_name_and_reason(
             self, tmp_path, webpage_file):

@@ -7,7 +7,9 @@ import pytest
 from repro.core.analyzer import ManimalAnalyzer
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
+from repro.core.optimizer import indexgen
 from repro.core.optimizer.indexgen import synthesize_program
+from repro.exceptions import OptimizerError
 from repro.mapreduce import (
     JobConf,
     ProjectedFileInput,
@@ -16,10 +18,12 @@ from repro.mapreduce import (
     run_job,
 )
 from repro.mapreduce.api import Mapper, Reducer
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage.btree import BTree
+from repro.storage.columnfile import copy_records
 from repro.storage.serialization import STRING_SCHEMA
 from repro.workloads.schemas import USERVISITS
-from tests.conftest import write_webpages
+from tests.conftest import index_files, write_webpages
 
 ANALYZER = ManimalAnalyzer()
 
@@ -166,6 +170,67 @@ class TestIndexBuildAndPlan:
         second = system.build_indexes(job)
         assert [e.index_id for e in first] == [e.index_id for e in second]
         assert len(system.catalog) == 1
+
+
+class _RewritingRunner:
+    """Runs the build job, then rewrites its source before returning --
+    the window a B+Tree build leaves between reading and registering."""
+
+    def __init__(self, rewrite):
+        self.rewrite = rewrite
+
+    def run(self, conf):
+        result = LocalJobRunner().run(conf)
+        self.rewrite()
+        return result
+
+
+class TestBornStaleBuilds:
+    """An index over bytes that moved mid-build is never registered."""
+
+    def _assert_nothing_registered(self, system, catalog_dir, job):
+        assert len(system.catalog) == 0
+        assert index_files(catalog_dir) == []
+        assert not system.plan(job).optimized
+
+    def test_btree_build_over_a_moving_source(self, tmp_path):
+        path = write_webpages(tmp_path / "w.rf", 200)
+        catalog_dir = str(tmp_path / "cat")
+        system = Manimal(catalog_dir)
+        job = _job(path, RankFilterMapper())
+        [program] = system.index_programs(job)
+        assert program.kind == cat.KIND_SELECTION_PROJECTION
+        runner = _RewritingRunner(
+            lambda: write_webpages(tmp_path / "w.rf", 260))
+        with pytest.raises(OptimizerError,
+                           match="source changed during index build"):
+            program.run(system.catalog, runner)
+        self._assert_nothing_registered(system, catalog_dir, job)
+        # the next build, over a source that holds still, is fine
+        [entry] = system.build_indexes(job)
+        assert system.plan(job).plans[0].entry.index_id == entry.index_id
+
+    @pytest.mark.parametrize("kind", [
+        cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA, cat.KIND_DELTA,
+    ])
+    def test_rewrite_build_over_a_moving_source(self, tmp_path, monkeypatch,
+                                                kind):
+        path = write_webpages(tmp_path / "w.rf", 200)
+        catalog_dir = str(tmp_path / "cat")
+        system = Manimal(catalog_dir)
+        job = _job(path, UrlRankMapper())
+        [program] = system.index_programs(job, allowed_kinds=[kind])
+
+        def copy_then_rewrite(reader, writer, projected):
+            records = copy_records(reader, writer, projected)
+            write_webpages(tmp_path / "w.rf", 260)
+            return records
+
+        monkeypatch.setattr(indexgen, "copy_records", copy_then_rewrite)
+        with pytest.raises(OptimizerError,
+                           match="source changed during index build"):
+            program.run(system.catalog)
+        self._assert_nothing_registered(system, catalog_dir, job)
 
 
 class TestExecutionEquivalenceByKind:

@@ -1,7 +1,8 @@
-"""Each layer depends only on the layers below it -- checked, not claimed.
+"""Each layer depends only on the layers below it, and only storage stats
+an input's mtime -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
-same guarantee in the tier-1 suite and pins what the checker catches.
+same guarantees in the tier-1 suite and pins what the checker catches.
 """
 
 import importlib.util
@@ -13,7 +14,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKER = os.path.join(REPO_ROOT, "tools", "check_layers.py")
 
 
-def test_lower_layers_never_import_the_front_doors():
+def _load_checker():
+    spec = importlib.util.spec_from_file_location("check_layers", CHECKER)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    return checker
+
+
+def test_layer_rules_hold():
     proc = subprocess.run(
         [sys.executable, CHECKER], capture_output=True, text=True
     )
@@ -21,10 +29,7 @@ def test_lower_layers_never_import_the_front_doors():
 
 
 def test_checker_sees_function_level_and_relative_imports(tmp_path):
-    spec = importlib.util.spec_from_file_location("check_layers", CHECKER)
-    checker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checker)
-
+    checker = _load_checker()
     batch = tmp_path / "repro" / "batch"
     batch.mkdir(parents=True)
     (batch / "clean.py").write_text(
@@ -37,3 +42,19 @@ def test_checker_sees_function_level_and_relative_imports(tmp_path):
     assert [os.path.basename(line.split(":")[0]) for line in found] == [
         "absolute.py", "parent.py", "relative.py"]
     assert "repro.api.expressions" in found[0] and ":2:" in found[0]
+
+
+def test_checker_sees_mtime_reads_outside_storage(tmp_path):
+    checker = _load_checker()
+    for package, body in (
+        ("storage", "import os\ndef f(p):\n    return os.stat(p).st_mtime_ns\n"),
+        ("engine", "import os\n\ndef f(p):\n    st = os.stat(p)\n"
+                   "    return (st.st_size, st.st_mtime_ns)\n"),
+        ("service", "MENTION = 'st_mtime_ns in a string is not a read'\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True)
+        (directory / "mod.py").write_text(body)
+    found = checker.mtime_violations(str(tmp_path))
+    assert len(found) == 1
+    assert os.path.join("engine", "mod.py") + ":5:" in found[0]

@@ -1,0 +1,309 @@
+"""Lifecycle differential harness: answers stay right over the *life* of the
+data, not just one ``submit``.
+
+Each seeded sequence drives one catalog through a random interleaving of
+the things that happen to a deployment -- files written and rewritten,
+indexes built, evicted under a space budget and removed by hand, the
+session reopened on the same catalog directory -- and, in between, reads
+through both front doors (``Manimal.submit`` and the fluent ``Dataset``).
+Every read must equal a plain-Python oracle computed from the rows the
+harness itself last wrote, and no plan may name an index that was built
+from bytes the source no longer holds.
+
+The harness covers the in-process entry points; service ops and
+append-by-rewrite are listed in ROADMAP.md as its remaining extensions.
+"""
+
+import os
+import random
+from collections import Counter
+
+import pytest
+
+from repro import Session, col
+from repro.core.optimizer import catalog as cat
+from repro.mapreduce import JobConf, Mapper, RecordFileInput, Reducer
+from repro.storage import input_identity
+from repro.storage.recordfile import RecordFileWriter
+from repro.storage.serialization import (
+    LONG_SCHEMA,
+    Field,
+    FieldType,
+    Schema,
+)
+from tests.conftest import index_files
+
+PAGE = Schema("Page", [
+    Field("url", FieldType.STRING),
+    Field("rank", FieldType.INT),
+    Field("topic", FieldType.STRING),
+])
+
+SEQUENCES_PER_SEED = 110     # two seeds -> 220 sequences
+OPS_PER_SEQUENCE = 10
+FILES = ("a.rf", "b.rf")
+#: Indexes over these 20-59 row files are 0.4-1.9 KB: any one fits, two
+#: usually do, a third does not -- so builds evict.
+SPACE_BUDGET = 2_500
+
+
+# -- the programs under test, and their plain-Python meaning -------------------
+
+
+class RankCountMapper(Mapper):
+    """``SELECT rank, COUNT(*) WHERE rank > t GROUP BY rank``: selection,
+    projection and delta opportunities."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def map(self, key, value, ctx):
+        if value.rank > self.threshold:
+            ctx.emit(value.rank, 1)
+
+
+class SumReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, sum(values))
+
+
+class TopicRankMapper(Mapper):
+    """``topic`` is only ever a group key: the direct-operation shape a
+    dictionary index serves."""
+
+    def map(self, key, value, ctx):
+        ctx.emit(value.topic, value.rank)
+
+
+class AnonymousSumReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        ctx.emit(None, sum(values))
+
+
+def rank_count_job(path, threshold):
+    return JobConf(name="rank-count", mapper=RankCountMapper(threshold),
+                   reducer=SumReducer, inputs=[RecordFileInput(path)])
+
+
+def topic_sum_job(path, _threshold):
+    return JobConf(name="topic-sum", mapper=TopicRankMapper,
+                   reducer=AnonymousSumReducer,
+                   inputs=[RecordFileInput(path)])
+
+
+def oracle_rank_count(rows, threshold):
+    return Counter(rank for _url, rank, _topic in rows if rank > threshold)
+
+
+def oracle_topic_sum(rows, _threshold):
+    sums = Counter()
+    for _url, rank, topic in rows:
+        sums[topic] += rank
+    return Counter(sums.values())
+
+
+CLASSIC = (
+    (rank_count_job, oracle_rank_count, lambda out: Counter(dict(out))),
+    (topic_sum_job, oracle_topic_sum,
+     lambda out: Counter(total for _none, total in out)),
+)
+#: which kinds each classic job's index-generation program can be
+CLASSIC_KINDS = (
+    (cat.KIND_SELECTION, cat.KIND_SELECTION_PROJECTION, cat.KIND_PROJECTION,
+     cat.KIND_PROJECTION_DELTA, cat.KIND_DELTA),
+    (cat.KIND_DICTIONARY, cat.KIND_DELTA, cat.KIND_PROJECTION),
+)
+
+
+def fluent_filter(session, path, threshold):
+    return (session.read(path).filter(col("rank") > threshold)
+            .select("url", "rank"))
+
+
+def fluent_agg(session, path, threshold):
+    return (session.read(path).filter(col("rank") > threshold)
+            .group_by("topic").agg(n=("count", None), top=("max", "rank")))
+
+
+def oracle_fluent_filter(rows, threshold):
+    return sorted((url, rank) for url, rank, _topic in rows
+                  if rank > threshold)
+
+
+def oracle_fluent_agg(rows, threshold):
+    groups = {}
+    for _url, rank, topic in rows:
+        if rank > threshold:
+            n, top = groups.get(topic, (0, rank))
+            groups[topic] = (n + 1, max(top, rank))
+    return sorted((topic, n, top) for topic, (n, top) in groups.items())
+
+
+FLUENT = (
+    (fluent_filter, oracle_fluent_filter,
+     lambda rows: sorted((v.url, v.rank) for _key, v in rows)),
+    (fluent_agg, oracle_fluent_agg,
+     lambda rows: sorted((k, v.n, v.top) for k, v in rows)),
+)
+
+
+# -- one sequence ---------------------------------------------------------------
+
+
+class Lifecycle:
+    """One catalog directory, two source files, and what they should hold."""
+
+    def __init__(self, root, rng, coverage):
+        self.root = root
+        self.rng = rng
+        self.coverage = coverage
+        self.catalog_dir = os.path.join(root, "cat")
+        self.cost_based = rng.random() < 0.3
+        self.rows = {}
+        # Every version of a file gets a row count no earlier version of
+        # it had, and rows are fixed-width, so every rewrite changes the
+        # file's *size*.  That is deliberate: a same-size rewrite inside
+        # one mtime tick is invisible to every size+mtime check -- the
+        # engine caches before this harness existed, the catalog stamp
+        # now -- and the harness would then be testing the file system's
+        # clock, not the system.
+        self.unused_counts = {
+            name: rng.sample(range(20, 60), 40) for name in FILES
+        }
+        self.session = None
+        self.reopen()
+        for name in FILES:
+            self.rewrite(name)
+
+    def path(self, name):
+        return os.path.join(self.root, name)
+
+    def reopen(self):
+        """A new process's view: everything reloaded from the directory."""
+        if self.session is not None:
+            self.session.close()
+        self.session = Session(
+            catalog_dir=self.catalog_dir, workdir=os.path.join(self.root, "w"),
+            space_budget_bytes=SPACE_BUDGET, cost_based=self.cost_based,
+        )
+        self.system = self.session.system
+
+    def rewrite(self, name):
+        rng = self.rng
+        rows = [(f"u{i:04d}", rng.randrange(100), f"topic{rng.randrange(4)}")
+                for i in range(self.unused_counts[name].pop())]
+        with RecordFileWriter(self.path(name), LONG_SCHEMA, PAGE,
+                              block_size=1024) as writer:
+            for i, row in enumerate(rows):
+                writer.append(LONG_SCHEMA.make(i), PAGE.make(*row))
+        self.rows[name] = rows
+
+    # -- operations ---------------------------------------------------------
+
+    def op_rewrite(self):
+        self.rewrite(self.rng.choice(FILES))
+
+    def op_build(self):
+        rng = self.rng
+        which = rng.randrange(len(CLASSIC))
+        job = CLASSIC[which][0](self.path(rng.choice(FILES)),
+                                rng.randrange(100))
+        catalog = self.system.catalog
+        live = {e.index_id for e in catalog.sorted_entries()
+                if e.built_from(input_identity(e.source_path))}
+        built = self.system.build_indexes(
+            job, allowed_kinds=[rng.choice(CLASSIC_KINDS[which])])
+        for entry in built:
+            assert entry.built_from(input_identity(entry.source_path))
+        # A *live* index that vanished during a build was evicted to fit
+        # the budget (a stale one may just have been replaced).
+        self.coverage["evicted"] += len(
+            live - {e.index_id for e in catalog.sorted_entries()})
+
+    def op_remove(self):
+        entries = self.system.catalog.sorted_entries()
+        if entries:
+            self.system.catalog.remove(self.rng.choice(entries).index_id)
+
+    def op_reopen(self):
+        self.reopen()
+
+    def op_submit(self):
+        rng = self.rng
+        make_job, oracle, shape = rng.choice(CLASSIC)
+        name, threshold = rng.choice(FILES), rng.randrange(100)
+        outcome = self.system.submit(
+            make_job(self.path(name), threshold),
+            build_indexes=rng.random() < 0.2,
+            runner=2 if rng.random() < 0.03 else None,
+        )
+        self.check_plans([outcome.descriptor])
+        assert shape(outcome.result.outputs) == \
+            oracle(self.rows[name], threshold)
+
+    def op_fluent(self):
+        rng = self.rng
+        build, oracle, shape = rng.choice(FLUENT)
+        name, threshold = rng.choice(FILES), rng.randrange(100)
+        result = build(self.session, self.path(name), threshold).run(
+            build_indexes=rng.random() < 0.2,
+            scheduler="dag" if rng.random() < 0.2 else None,
+        )
+        self.check_plans(result.descriptors())
+        assert shape(result.rows) == oracle(self.rows[name], threshold)
+
+    OPS = (op_rewrite, op_build, op_remove, op_reopen, op_submit, op_fluent)
+    WEIGHTS = (4, 4, 1, 1, 5, 5)
+
+    # -- invariants ---------------------------------------------------------
+
+    def check_plans(self, descriptors):
+        """No plan names an index built from bytes its source lost."""
+        for descriptor in descriptors:
+            for plan in descriptor.plans:
+                if plan.entry is not None:
+                    assert plan.entry.built_from(
+                        input_identity(plan.entry.source_path)), \
+                        plan.describe()
+                    self.coverage["index_used"] += 1
+                elif plan.detail.startswith("stale:"):
+                    self.coverage["stale_skipped"] += 1
+
+    def check_disk(self):
+        """The registry and the directory agree: no orphans, no ghosts."""
+        registered = sorted(
+            os.path.basename(e.index_path)
+            for e in self.system.catalog.sorted_entries())
+        assert index_files(self.catalog_dir) == registered
+        assert self.system.catalog.total_index_bytes() <= SPACE_BUDGET
+
+    def run(self):
+        for _ in range(OPS_PER_SEQUENCE):
+            [op] = self.rng.choices(self.OPS, self.WEIGHTS)
+            self.coverage[op.__name__] += 1
+            op(self)
+        # Whatever happened, both doors still answer for both files.
+        self.op_submit()
+        self.op_fluent()
+        self.check_disk()
+        self.session.close()
+
+
+@pytest.mark.parametrize("seed", [20110829, 4242])
+def test_every_read_equals_the_oracle(tmp_path, seed):
+    rng = random.Random(seed)
+    coverage = Counter()
+    for sequence in range(SEQUENCES_PER_SEED):
+        root = tmp_path / f"s{sequence}"
+        root.mkdir()
+        try:
+            Lifecycle(str(root), rng, coverage).run()
+        except AssertionError as exc:
+            raise AssertionError(
+                f"seed {seed}, sequence {sequence}: {exc}") from exc
+    # The harness only proves something while it keeps reaching the
+    # interesting states; seeded, so these hold or fail deterministically.
+    for counter in ("op_rewrite", "op_build", "op_remove", "op_reopen",
+                    "op_submit", "op_fluent", "evicted", "index_used",
+                    "stale_skipped"):
+        assert coverage[counter] > 0, (counter, dict(coverage))

@@ -34,11 +34,12 @@ from repro.core.optimizer.pruning import (
     interval_intersects_zone,
     prune_partitions,
 )
-from repro.engine.cache import file_fingerprint
 from repro.mapreduce.api import FunctionMapper
 from repro.mapreduce.formats import PartitionedInput
 from repro.mapreduce.job import JobConf
+from repro.storage import input_identity
 from repro.storage.partitioned import (
+    SIDECAR_NAME,
     read_partitioned_info,
     write_partitioned_dataset,
 )
@@ -337,22 +338,56 @@ class TestCostBasedStatistics:
         assert len(cbo._selectivity_cache) == 1
 
 
-class TestEngineFingerprint:
-    def test_directory_fingerprints_through_sidecar(self, tmp_path):
+class TestInputIdentity:
+    """The one function every cache and the catalog compare."""
+
+    def test_kind_table(self, tmp_path):
+        path = str(tmp_path / "x.rf")
+        write_records(path, LONG_SCHEMA, RANKED, iter(ranked_pairs(5)))
+        bare = tmp_path / "bare"
+        bare.mkdir()
         directory = write_dataset(tmp_path)
-        before = file_fingerprint(directory)
-        assert before[0] == "dir"
-        # Rewriting the dataset rewrites the sidecar -> new fingerprint.
+        sidecar = os.stat(os.path.join(directory, SIDECAR_NAME))
+        table = {
+            path: ("file", os.path.getsize(path),
+                   os.stat(path).st_mtime_ns),
+            directory: ("dir", sidecar.st_size, sidecar.st_mtime_ns),
+            str(bare): ("dir-no-sidecar", 0, os.stat(bare).st_mtime_ns),
+            str(tmp_path / "nope"): ("missing", 0, 0),
+        }
+        for target, expected in table.items():
+            identity = input_identity(target)
+            assert identity == (target,) + expected
+            assert identity.kind == expected[0]
+
+    def test_path_is_absolute(self, tmp_path, monkeypatch):
+        write_records(str(tmp_path / "x.rf"), LONG_SCHEMA, RANKED,
+                      iter(ranked_pairs(5)))
+        monkeypatch.chdir(tmp_path)
+        assert input_identity("x.rf") == input_identity(str(tmp_path / "x.rf"))
+
+    def test_file_rewrite_moves_identity(self, tmp_path):
+        path = str(tmp_path / "x.rf")
+        write_records(path, LONG_SCHEMA, RANKED, iter(ranked_pairs(5)))
+        before = input_identity(path)
+        assert input_identity(path) == before
+        write_records(path, LONG_SCHEMA, RANKED, iter(ranked_pairs(6)))
+        assert input_identity(path) != before
+
+    def test_in_place_partition_rewrite_moves_identity(self, tmp_path):
+        """Rewriting a dataset keeps its partition file *names*, so the
+        directory's own mtime can stand still; the sidecar's cannot."""
+        directory = write_dataset(tmp_path, num_partitions=2)
+        before = input_identity(directory)
+        dir_stat = os.stat(directory)
         write_partitioned_dataset(
             directory, LONG_SCHEMA, RANKED, ranked_pairs(17),
             num_partitions=2, partition_by="rank",
         )
-        assert file_fingerprint(directory) != before
-
-    def test_plain_file_fingerprint_unchanged_shape(self, tmp_path):
-        path = str(tmp_path / "x.rf")
-        write_records(path, LONG_SCHEMA, RANKED, iter(ranked_pairs(5)))
-        assert file_fingerprint(path)[0] == "file"
+        os.utime(directory, ns=(dir_stat.st_atime_ns, dir_stat.st_mtime_ns))
+        assert os.stat(directory).st_mtime_ns == dir_stat.st_mtime_ns
+        after = input_identity(directory)
+        assert after.kind == "dir" and after != before
 
 
 class FluentFixtureMixin:

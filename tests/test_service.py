@@ -490,6 +490,42 @@ class TestQueryServer:
         assert os.path.exists(os.path.join(
             root, "tenants", "alice", "catalog", "catalog.json"))
 
+    def test_drop_index_frees_the_catalog_bytes(self, server, webpages):
+        """``drop-index`` deletes the index file, as budget eviction does:
+        a dropped index must stop costing the tenant disk."""
+        catalog_dir = os.path.join(
+            server.tenants.root, "tenants", "alice", "catalog")
+
+        def dir_bytes(directory):
+            return sum(os.path.getsize(os.path.join(directory, name))
+                       for name in os.listdir(directory))
+
+        with _connect(server, "alice") as remote:
+            ds = remote.read(webpages).filter(col("rank") > 45)
+            [built] = ds.build_indexes()
+            assert os.path.exists(built["index_path"])
+            before = dir_bytes(catalog_dir)
+            [listed] = remote.catalog()["indexes"]
+            assert listed["index_id"] == built["index_id"]
+            assert listed["stale"] is False
+            remote.drop_index(built["index_id"])
+            assert remote.catalog()["indexes"] == []
+        assert not os.path.exists(built["index_path"])
+        assert dir_bytes(catalog_dir) <= \
+            before - built["stats"]["index_bytes"]
+
+    def test_catalog_list_marks_stale_entries(self, server, tmp_path):
+        path = write_webpages(tmp_path / "data.rf", 200)
+        with _connect(server, "alice") as remote:
+            ds = remote.read(path).filter(col("rank") > 45)
+            ds.build_indexes()
+            assert [e["stale"] for e in remote.catalog()["indexes"]] == \
+                [False]
+            write_webpages(tmp_path / "data.rf", 260)
+            assert [e["stale"] for e in remote.catalog()["indexes"]] == \
+                [True]
+            assert "stale: source rewritten since build" in ds.explain()
+
     def test_remote_write_confined_to_tenant_dir(self, server, webpages):
         with _connect(server, "alice") as remote:
             ds = (remote.read(webpages).filter(col("rank") > 45)

@@ -10,7 +10,7 @@ from repro.core.optimizer.catalog import Catalog, IndexEntry
 from repro.exceptions import CatalogError
 from repro.mapreduce import JobConf, RecordFileInput, run_job
 from repro.mapreduce.api import Mapper, Reducer
-from tests.conftest import write_webpages
+from tests.conftest import index_files, write_webpages
 
 
 def _entry(catalog, size, source="/data/a.rf", kind=cat.KIND_PROJECTION,
@@ -102,3 +102,41 @@ class TestEndToEndWithBudget:
         assert outcome.optimized
         assert sorted(outcome.result.outputs) == sorted(baseline.outputs)
         assert system.catalog.total_index_bytes() <= 50 * 1024 * 1024
+
+    def test_rebuild_over_rewritten_source_frees_the_dead_index(
+            self, tmp_path):
+        """Two indexes fit the budget, three do not.  After the source is
+        rewritten and one index rebuilt, the stale equivalent must have
+        been dropped *before* the new one registered -- otherwise it
+        would still count against the budget and push out a live one."""
+        path = write_webpages(tmp_path / "w.rf", 300)
+        other = write_webpages(tmp_path / "other.rf", 300)
+
+        def job(source):
+            return JobConf(name="b", mapper=FilterMapper,
+                           reducer=CountReducer,
+                           inputs=[RecordFileInput(source)])
+
+        probe = Manimal(str(tmp_path / "probe"))
+        size = probe.build_indexes(
+            job(path), allowed_kinds=[cat.KIND_PROJECTION]
+        )[0].stats["index_bytes"]
+        catalog_dir = str(tmp_path / "cat")
+        system = Manimal(catalog_dir, space_budget_bytes=int(size * 2.5))
+        kinds = [cat.KIND_PROJECTION]
+        [old] = system.build_indexes(job(path), allowed_kinds=kinds)
+        [live] = system.build_indexes(job(other), allowed_kinds=kinds)
+        # ``old`` is the recently used one, so LRU eviction alone would
+        # pick the live index as its victim.
+        assert system.plan(job(path)).plans[0].entry.index_id == old.index_id
+
+        write_webpages(tmp_path / "w.rf", 310)
+        [new] = system.build_indexes(job(path), allowed_kinds=kinds)
+        assert new.index_id != old.index_id
+        assert not os.path.exists(old.index_path)
+        ids = {e.index_id for e in system.catalog.sorted_entries()}
+        assert ids == {live.index_id, new.index_id}
+        assert os.path.exists(live.index_path)
+        # disk agrees with the registry: no orphaned index files
+        assert index_files(catalog_dir) == sorted(
+            os.path.basename(e.index_path) for e in (live, new))

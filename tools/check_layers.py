@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Check the layer rule: lower layers never import the front doors.
+"""Check the layer rules ``docs/architecture.md`` promises.
 
-``docs/architecture.md`` promises that each layer depends only on the
-layers below it.  This parses every module under the lower layers --
-``src/repro/{storage,mapreduce,batch,engine,core}`` -- with :mod:`ast`
-and fails on any import, at module level *or* inside a function, of
-``repro.api`` or ``repro.service`` (absolute or relative spelling).
+1. Lower layers never import the front doors.  Every module under
+   ``src/repro/{storage,mapreduce,batch,engine,core}`` is parsed with
+   :mod:`ast`; any import, at module level *or* inside a function, of
+   ``repro.api`` or ``repro.service`` (absolute or relative spelling)
+   fails.
+2. One input identity.  The attribute ``st_mtime_ns`` is read only
+   under ``src/repro/storage/`` -- "what bytes is this input, right
+   now" is :func:`repro.storage.input_identity`'s decision, and a
+   second spelling of it elsewhere is a cache that can disagree.
 
-Exit status 0 when the rule holds; 1 with a report otherwise.  Run from
+Exit status 0 when both rules hold; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
 Used by the CI ``docs`` job and by ``tests/test_layering.py``.
@@ -27,6 +31,8 @@ SRC = os.path.join(REPO_ROOT, "src")
 LOWER_LAYERS = ("storage", "mapreduce", "batch", "engine", "core")
 #: ... into these
 FRONT_DOORS = ("repro.api", "repro.service")
+#: the stat field only :func:`repro.storage.input_identity` may read
+MTIME_ATTR = "st_mtime_ns"
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -51,41 +57,62 @@ def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
                 yield node.lineno, f"{base}.{alias.name}"
 
 
+def parsed_modules(top: str) -> Iterator[Tuple[str, ast.AST]]:
+    """(path, parsed tree) of every module under ``top``, in sorted order."""
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, "r", encoding="utf-8") as f:
+                    yield path, ast.parse(f.read(), filename=path)
+
+
 def violations(src: str = SRC) -> List[str]:
     found: List[str] = []
     for layer in LOWER_LAYERS:
-        for dirpath, dirnames, filenames in os.walk(
-                os.path.join(src, "repro", layer)):
-            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-            for name in sorted(filenames):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                package = os.path.relpath(dirpath, src).replace(os.sep, ".")
-                with open(path, "r", encoding="utf-8") as f:
-                    tree = ast.parse(f.read(), filename=path)
-                seen = set()
-                for lineno, module in imported_modules(tree, package):
-                    door = next((d for d in FRONT_DOORS if module == d
-                                 or module.startswith(d + ".")), None)
-                    if door is not None and (lineno, door) not in seen:
-                        seen.add((lineno, door))
-                        found.append(
-                            f"{os.path.relpath(path, REPO_ROOT)}:{lineno}: "
-                            f"imports {module} ({layer} is below {door})"
-                        )
+        for path, tree in parsed_modules(os.path.join(src, "repro", layer)):
+            package = os.path.relpath(
+                os.path.dirname(path), src).replace(os.sep, ".")
+            seen = set()
+            for lineno, module in imported_modules(tree, package):
+                door = next((d for d in FRONT_DOORS if module == d
+                             or module.startswith(d + ".")), None)
+                if door is not None and (lineno, door) not in seen:
+                    seen.add((lineno, door))
+                    found.append(
+                        f"{os.path.relpath(path, REPO_ROOT)}:{lineno}: "
+                        f"imports {module} ({layer} is below {door})"
+                    )
     return found
 
 
+def mtime_violations(src: str = SRC) -> List[str]:
+    """Every read of ``st_mtime_ns`` outside ``repro/storage``."""
+    storage = os.path.join(src, "repro", "storage") + os.sep
+    return [
+        f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}: reads "
+        f"{MTIME_ATTR} (call repro.storage.input_identity instead)"
+        for path, tree in parsed_modules(os.path.join(src, "repro"))
+        if not path.startswith(storage)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == MTIME_ATTR
+    ]
+
+
 def main() -> int:
-    found = violations()
-    for line in found:
+    upward, mtime = violations(), mtime_violations()
+    for line in upward + mtime:
         print(line)
-    if found:
-        print(f"\n{len(found)} upward import(s) into {FRONT_DOORS}")
+    if upward:
+        print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
+    if mtime:
+        print(f"\n{len(mtime)} read(s) of {MTIME_ATTR} outside repro.storage")
+    if upward or mtime:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
-          f"imports {' or '.join(FRONT_DOORS)}")
+          f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
+          f"under src/repro/storage")
     return 0
 
 
