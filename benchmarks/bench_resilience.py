@@ -40,6 +40,7 @@ import platform
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
 from repro import JobConf, Mapper, Reducer, faults
@@ -152,8 +153,11 @@ def bench_fault_free_overhead(engine: ExecutionEngine, job: JobConf,
 def bench_recovery_wall(engine: ExecutionEngine, job: JobConf,
                         reference: Any, workdir: str) -> Dict[str, Any]:
     """One SIGKILLed worker + one hung worker versus a clean run."""
-    runner = ParallelJobRunner(num_workers=2, engine=engine,
-                               task_timeout=TASK_TIMEOUT)
+    runner = ParallelJobRunner(
+        num_workers=2, engine=engine,
+        retry_policy=replace(RetryPolicy.from_env(),
+                             task_timeout=TASK_TIMEOUT),
+    )
     clean_wall, clean = _wall(runner, job)
     _assert_identical(clean, reference, "recovery (clean run)")
 
@@ -172,7 +176,6 @@ def bench_recovery_wall(engine: ExecutionEngine, job: JobConf,
         faulted_wall, faulted = _wall(runner, job)
     finally:
         faults.clear_plan()
-        engine.pool.reset_health()
     _assert_identical(faulted, reference, "recovery (faulted run)")
     assert plan.fired(0) == 1, "the worker kill never fired"
     stats_after = engine.pool.stats()

@@ -50,6 +50,7 @@ import sys
 import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 from repro.api.expressions import col, lit
 from repro.api.session import Session
@@ -250,6 +251,16 @@ def _generate_e2e(path: str, n_rows: int, seed: int = 11) -> str:
     return path
 
 
+def _typed_plane_off():
+    """Force described stages down the pickle spill format (the B arm).
+
+    ``active_spec`` is resolved once per job in the submitting process
+    and its answer rides the job state into the workers, so patching it
+    here is complete -- no worker ever consults it.
+    """
+    return mock.patch.object(shuffleblocks, "active_spec", return_value=None)
+
+
 def _e2e_query(session: Session, path: str):
     return session.read(path).filter(col("bucket") > lit(50)) \
         .group_by("ip").agg(total=("sum", "revenue"),
@@ -259,8 +270,7 @@ def _e2e_query(session: Session, path: str):
 def run_e2e_identity(workdir: str, n_rows: int,
                      repeats: int) -> Dict[str, Any]:
     """Fluent group_by: byte-identical rows on all three schedulers and
-    with the kill switch thrown, plus an ungated end-to-end wall
-    comparison.
+    on the pickle plane, plus an ungated end-to-end wall comparison.
 
     Identity runs on the production (vectorized) session.  The wall
     A/B runs with ``vectorize=False``: hash pre-aggregation collapses
@@ -289,11 +299,8 @@ def run_e2e_identity(workdir: str, n_rows: int,
         par_rows, _ = timed(session, parallelism=2)
         seq_rows, _ = timed(session)
         dag_rows, _ = timed(session, scheduler="dag")
-        os.environ["REPRO_TYPED_SHUFFLE"] = "0"
-        try:
+        with _typed_plane_off():
             off_rows, _ = timed(session, parallelism=2)
-        finally:
-            del os.environ["REPRO_TYPED_SHUFFLE"]
         identical = par_rows == seq_rows == dag_rows == off_rows
         if not identical:
             raise AssertionError(
@@ -302,18 +309,15 @@ def run_e2e_identity(workdir: str, n_rows: int,
     with Session(workdir=os.path.join(workdir, "e2e-rec"),
                  vectorize=False) as record:
         typed_rows, typed_wall = timed(record, parallelism=2)
-        os.environ["REPRO_TYPED_SHUFFLE"] = "0"
-        try:
+        with _typed_plane_off():
             legacy_rows, legacy_wall = timed(record, parallelism=2)
-        finally:
-            del os.environ["REPRO_TYPED_SHUFFLE"]
         if not (typed_rows == legacy_rows == par_rows):
             raise AssertionError("e2e: record-path rows diverged")
 
     return {
         "rows": n_rows,
         "schedulers_byte_identical": identical,
-        "kill_switch_byte_identical": identical,
+        "pickle_plane_byte_identical": identical,
         "typed_wall_seconds": round(typed_wall, 4),
         "pickle_wall_seconds": round(legacy_wall, 4),
         "end_to_end_speedup": (
@@ -368,7 +372,7 @@ def run_suite(scale: float, repeats: int) -> Dict[str, Any]:
             all(w["byte_identical"]
                 for w in report["workloads"].values())
             and report["end_to_end"]["schedulers_byte_identical"]
-            and report["end_to_end"]["kill_switch_byte_identical"]
+            and report["end_to_end"]["pickle_plane_byte_identical"]
         ),
     }
     return report

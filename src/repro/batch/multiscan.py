@@ -17,8 +17,8 @@ their shared inputs, a solo job being a group of one:
   :class:`~repro.batch.columns.ColumnBatch`; each member's emits flow
   through its own :func:`~repro.mapreduce.runtime._finish_map_task`
   tail, its own ``(member, partition)`` shuffle and its own reduces --
-  in worker processes, with typed shuffle, retries, heartbeats and the
-  degradation ladder, whenever the group runs on the parallel runner --
+  in worker processes, with typed shuffle, retries, heartbeats and
+  bounded rebuilds, whenever the group runs on the parallel runner --
   so every member's bytes are identical to its solo run by construction.
 
 What this module owns is the *policy*: which submissions are worth

@@ -103,21 +103,6 @@ FOLD_OPS = ("sum", "min", "max", "count")
 
 _FOLD_VALUE_TYPES = (FieldType.INT, FieldType.LONG)
 
-_DISABLE_VALUES = ("0", "false", "no", "off")
-
-
-def typed_shuffle_enabled() -> bool:
-    """The ``REPRO_TYPED_SHUFFLE`` kill switch (on unless disabled).
-
-    Read once at submit time by the parallel runner -- the decision rides
-    the pickled job state into workers, so the environment never has to
-    propagate to long-lived pool processes.
-    """
-    return (
-        os.environ.get("REPRO_TYPED_SHUFFLE", "1").strip().lower()
-        not in _DISABLE_VALUES
-    )
-
 
 @dataclass(frozen=True)
 class ShuffleBlockSpec:
@@ -198,14 +183,12 @@ def active_spec(conf: Any) -> Optional[ShuffleBlockSpec]:
     """The spec one job submission actually runs with, or ``None``.
 
     Resolved once by the submitting process (the same chokepoint shape
-    the batch map path uses): a combiner rewrites the shuffle stream
-    mid-flight, so its presence -- like the kill switch -- keeps the
-    whole job on the pickle path.
+    the batch map path uses) and carried to workers in the job state: a
+    combiner rewrites the shuffle stream mid-flight, so its presence
+    keeps the whole job on the pickle path.
     """
     spec = conf.shuffle_spec
     if spec is None or conf.reducer is None or conf.combiner is not None:
-        return None
-    if not typed_shuffle_enabled():
         return None
     return spec
 

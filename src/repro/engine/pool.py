@@ -4,26 +4,33 @@ The pre-engine :class:`~repro.mapreduce.parallel.ParallelJobRunner`
 constructed a ``ProcessPoolExecutor`` inside every ``run(conf)`` call and
 tore it down at the end -- forking (and joining) a fresh set of workers
 per job, which dominates the cost of small jobs.  This module moves the
-pool behind the engine so workers are forked once and reused:
+pool behind the engine so workers are forked once and reused.  It only
+ever does pools -- two paths that differ in how a worker finds its
+:class:`_JobState` (and in their :class:`_PoolRef`), on one worker entry
+(:func:`_run_task`):
 
 * **pooled path** -- when the job state pickles, it is spilled once to
   ``<spill_dir>/jobstate.pkl`` and tasks are dispatched to the engine's
-  long-lived pool as ``(state file, job token, task args)``; each worker
-  loads and caches the state per job, so the per-job cost is one pickle
-  load per worker instead of a fork+teardown of the whole pool;
+  long-lived pool with a ``(state file, job token)`` reference; each
+  worker loads and caches the state per job, so the per-job cost is one
+  pickle load per worker instead of a fork+teardown of the whole pool;
 * **forked path** -- unpicklable jobs (closures, fluent stages that
   call a user-supplied callable, in-memory splits holding exotic
   objects) fall back to the original per-job pool whose workers *fork
   after* the job state is published in :data:`_JOB_STATE`, inheriting it
-  through fork memory;
-* **inline path** -- no fork support (e.g. Windows) or an effective
-  worker count of 1 runs the same spill-based task sequence in-process.
+  through fork memory.
+
+A group that would not fan out at all -- no fork support (e.g. Windows)
+or an effective worker count of 1, see :func:`fan_out_width` -- never
+comes here: the runner hands it to the sequential dispatcher,
+:func:`~repro.mapreduce.runtime.run_tasks_in_process`, which is the only
+code that executes tasks in the submitting process.
 
 The unit of work is a **job group** -- N >= 1 jobs over one scan of
 their shared inputs, a solo job being a group of one (see
 :func:`~repro.mapreduce.runtime.run_job_group`): each map task runs once
 for the whole group and spills one run per ``(member, partition)``; each
-reduce task serves one ``(member, partition)``.  All three paths execute
+reduce task serves one ``(member, partition)``.  Both paths execute
 the shared :func:`~repro.mapreduce.runtime.execute_map_tasks` /
 :func:`~repro.mapreduce.runtime.execute_reduce_partition` bodies and
 produce byte-identical results; only scheduling differs.  In-flight
@@ -50,13 +57,12 @@ workers die, and this pool keeps it:
   checks each in-flight task's heartbeat; a task with no progress past
   the deadline gets its workers killed and is re-dispatched like a
   crash (charged an attempt, so a deterministic hang cannot loop);
-* **degradation ladder** -- a pool that breaks more than
-  :class:`RetryPolicy.max_pool_rebuilds` times within one job degrades
-  to finishing that job's remaining tasks inline (the sequential
-  spill path, still byte-identical); a pool that keeps breaking across
-  :data:`WorkerPool.degrade_after_jobs` consecutive jobs routes whole
-  jobs inline until :meth:`WorkerPool.reset_health` (or a clean pooled
-  job) restores it;
+* **bounded rebuilds** -- a pool that breaks more than
+  :class:`RetryPolicy.max_pool_rebuilds` times within one job gives up
+  on it (:class:`PoolGaveUp`); the runner re-runs the *whole group*
+  through the sequential dispatcher -- redone work, identical bytes.
+  The bound is per job, so the next job starts on a fresh pool: a pool
+  that had a bad minute heals by itself;
 * **transient task errors** -- tasks failing with
   :class:`~repro.exceptions.TransientTaskError` (disk-full spills,
   injected chaos) are re-dispatched with the same attempt bound;
@@ -76,20 +82,25 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import shutil
+import tempfile
 import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.exceptions import JobExecutionError, TransientTaskError
 from repro.mapreduce import shuffle
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import (
+    MapDeltas,
     MapTask,
+    ReduceRow,
     execute_map_tasks,
     execute_reduce_partition,
 )
@@ -99,8 +110,8 @@ def default_worker_count() -> int:
     """The documented default for ``parallelism=0`` / auto worker counts.
 
     One worker per CPU (``os.cpu_count()``; 2 when undetectable).  On a
-    single-CPU host auto therefore resolves to 1 worker, which the pool
-    runs inline -- auto never oversubscribes the machine.
+    single-CPU host auto therefore resolves to 1 worker, which runs in
+    process -- auto never oversubscribes the machine.
     """
     return os.cpu_count() or 2
 
@@ -114,8 +125,23 @@ _FORK_CONTEXT = (
 )
 
 
-def fork_available() -> bool:
-    return _FORK_CONTEXT is not None
+def fan_out_width(confs: Sequence[JobConf], tasks: Sequence[MapTask],
+                  num_workers: int) -> int:
+    """Worker processes one group would occupy; 1 = it does not fan out.
+
+    Sized for the wider phase: a job with one unsplittable input can
+    still fan its reduce partitions out across workers.  A width of 1
+    (one task per phase, one requested worker, or a host without fork)
+    means worker processes buy nothing, and the runner dispatches the
+    group with :func:`~repro.mapreduce.runtime.run_tasks_in_process`
+    instead of coming to the pool.
+    """
+    if _FORK_CONTEXT is None:
+        return 1
+    widest_phase = max(
+        1, len(tasks), sum(conf.num_reducers for conf in confs)
+    )
+    return min(num_workers, widest_phase)
 
 
 def _env_float(name: str) -> Optional[float]:
@@ -147,25 +173,32 @@ class RetryPolicy:
     #: seconds a *started* task may run without finishing before its
     #: workers are killed and it is re-dispatched; None = no deadline.
     task_timeout: Optional[float] = None
-    #: pool respawns tolerated within one job before degrading to
-    #: inline execution of the remaining tasks.
+    #: pool respawns tolerated within one job before the pool gives up
+    #: and the whole group is re-run in process.
     max_pool_rebuilds: int = 2
     #: monitor wake-up interval while tasks are in flight.
     monitor_interval: float = 0.05
+
+    def __post_init__(self) -> None:
+        # Every task gets at least one dispatch; a negative rebuild
+        # budget means the same as none.
+        self.max_task_attempts = max(1, int(self.max_task_attempts))
+        self.max_pool_rebuilds = max(0, int(self.max_pool_rebuilds))
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
         """Defaults, overridden by ``REPRO_TASK_ATTEMPTS`` /
         ``REPRO_TASK_TIMEOUT`` / ``REPRO_POOL_REBUILDS`` when set."""
-        policy = cls()
+        fields: Dict[str, Any] = {
+            "task_timeout": _env_float("REPRO_TASK_TIMEOUT"),
+        }
         attempts = _env_float("REPRO_TASK_ATTEMPTS")
         if attempts is not None:
-            policy.max_task_attempts = max(1, int(attempts))
-        policy.task_timeout = _env_float("REPRO_TASK_TIMEOUT")
+            fields["max_task_attempts"] = attempts
         rebuilds = _env_float("REPRO_POOL_REBUILDS")
         if rebuilds is not None:
-            policy.max_pool_rebuilds = max(0, int(rebuilds))
-        return policy
+            fields["max_pool_rebuilds"] = rebuilds
+        return cls(**fields)
 
 
 @dataclass
@@ -178,17 +211,16 @@ class _JobState:
     tasks: List[MapTask]
     spill_dir: str
     #: fault-injection plan captured at submit time; travels to workers
-    #: with the state so chaos tests hold over every scheduling path.
-    faults: Optional[faults.FaultPlan] = None
+    #: with the state so chaos tests hold over both scheduling paths.
+    faults: Optional[faults.FaultPlan]
     #: workers write per-task heartbeat files (the crash/deadline
     #: monitor's progress signal); off when recovery is disabled.
-    heartbeats: bool = True
-    #: per-member typed-shuffle spec resolved at submit time (conf
-    #: eligibility plus the ``REPRO_TYPED_SHUFFLE`` kill switch);
-    #: ``None`` keeps that member on the pickle spill path.  Riding the
-    #: state -- like the fault plan -- makes every worker inherit the
+    heartbeats: bool
+    #: per-member typed-shuffle spec resolved at submit time from the
+    #: conf; ``None`` keeps that member on the pickle spill path.  Riding
+    #: the state -- like the fault plan -- makes every worker inherit the
     #: same decision regardless of scheduling path.
-    shuffle_specs: List[Optional[Any]] = field(default_factory=list)
+    shuffle_specs: List[Optional[Any]]
 
     @property
     def name(self) -> str:
@@ -226,7 +258,7 @@ def _touch_heartbeat(state: _JobState, phase: str, label: str,
 
 
 def run_map_task(
-    state: _JobState, task_index: int, attempt: int = 0
+    state: _JobState, task_index: int, attempt: int
 ) -> Tuple[int, Dict[Tuple[int, int], str], List[Tuple[Any, Any]]]:
     """Run map task ``task_index`` once for the whole group and spill.
 
@@ -291,7 +323,7 @@ def run_map_task(
 
 def run_reduce_task(
     state: _JobState, member: int, partition: int, run_paths: List[str],
-    attempt: int = 0,
+    attempt: int,
 ) -> Tuple[int, int, str, Any, Any]:
     """Merge one member partition's runs, reduce them, spill the output."""
     conf = state.confs[member]
@@ -365,35 +397,26 @@ def partition_runs(
     ]
 
 
-# -- forked path: per-job pool, state inherited through fork memory ----------
+# -- the worker entry: one function, two ways to find the job state ---------
 
-#: Set by the submitting process immediately before workers fork, cleared
-#: after the run; forked workers read it instead of unpickling the job.
+#: Forked path: set by the submitting process immediately before workers
+#: fork, cleared after the run; forked workers read it instead of
+#: unpickling the job.
 _JOB_STATE: Optional[_JobState] = None
 
 #: Serializes the _JOB_STATE window across threads of one process.
 _STATE_LOCK = threading.Lock()
 
-
-def _forked_map_worker(task_index: int, attempt: int = 0):
-    state = _JOB_STATE
-    assert state is not None, "worker has no inherited job state"
-    return run_map_task(state, task_index, attempt)
-
-
-def _forked_reduce_worker(member: int, partition: int,
-                          run_paths: List[str], attempt: int = 0):
-    state = _JOB_STATE
-    assert state is not None, "worker has no inherited job state"
-    return run_reduce_task(state, member, partition, run_paths, attempt)
-
-
-# -- pooled path: persistent workers, state loaded from a spill file ---------
-
-#: Worker-side cache of unpickled job states, keyed by job token.  Small:
-#: concurrent jobs on one pool are rare, and states die with their jobs.
+#: Pooled path: worker-side cache of unpickled job states, keyed by job
+#: token.  Small: concurrent jobs on one pool are rare, and states die
+#: with their jobs.
 _WORKER_STATES: Dict[str, _JobState] = {}
 _WORKER_STATE_CAP = 4
+
+#: How a worker finds its :class:`_JobState`: ``(state file, job token)``
+#: on the pooled path, ``None`` (inherited :data:`_JOB_STATE`) on the
+#: forked path.
+StateRef = Optional[Tuple[str, str]]
 
 
 def _load_state(state_path: str, token: str) -> _JobState:
@@ -407,23 +430,26 @@ def _load_state(state_path: str, token: str) -> _JobState:
     return state
 
 
-def _pooled_map_worker(state_path: str, token: str, task_index: int,
-                       attempt: int = 0):
-    return run_map_task(_load_state(state_path, token), task_index, attempt)
-
-
-def _pooled_reduce_worker(state_path: str, token: str, member: int,
-                          partition: int, run_paths: List[str],
-                          attempt: int = 0):
-    return run_reduce_task(_load_state(state_path, token), member,
-                           partition, run_paths, attempt)
+def _run_task(state_ref: StateRef, phase: str, args: Tuple, attempt: int):
+    """The one worker entry: resolve the job state, run the task body."""
+    if state_ref is None:
+        state = _JOB_STATE
+        assert state is not None, "worker has no inherited job state"
+    else:
+        state = _load_state(*state_ref)
+    body = run_map_task if phase == "map" else run_reduce_task
+    return body(state, *args, attempt)
 
 
 # -- recovery plumbing --------------------------------------------------------
 
 
-class _DegradeToInline(Exception):
-    """Internal signal: the pool broke too often; finish inline."""
+class PoolGaveUp(Exception):
+    """The pool broke past ``max_pool_rebuilds`` within one group.
+
+    Not a job failure: the runner catches it and re-runs the whole group
+    with :func:`~repro.mapreduce.runtime.run_tasks_in_process`.
+    """
 
 
 @dataclass
@@ -435,10 +461,8 @@ class _Task:
     phase: str
     #: the task's name in heartbeat files and error messages
     label: str
-    #: attempt -> (worker function, args) for pool dispatch
-    build: Callable[[int], Tuple[Callable, Tuple]]
-    #: attempt -> result, executed in-process (degradation path)
-    inline: Callable[[int], Any]
+    #: the task body's arguments between the state and the attempt
+    args: Tuple
     attempts: int = 0
     #: heartbeat path of the attempt currently in flight
     hb: Optional[str] = None
@@ -465,13 +489,16 @@ class _PoolRef:
     detected (or workers being killed on deadline) and the rebuild.
     """
 
-    def __init__(self, owner: "WorkerPool", policy: RetryPolicy):
+    def __init__(self, owner: "WorkerPool", n_workers: int,
+                 policy: RetryPolicy, state_ref: StateRef):
         self._owner = owner
+        self._n_workers = n_workers
         self._policy = policy
+        #: what this executor's workers are handed to find the job state
+        self.state_ref = state_ref
         self._pool: Optional[ProcessPoolExecutor] = None
         self.rebuilds = 0
         self.broken = False
-        self.degraded = False
 
     def get(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -486,13 +513,13 @@ class _PoolRef:
         self.broken = True
 
     def rebuild(self) -> None:
-        """Account one respawn; raises :class:`_DegradeToInline` past the
+        """Account one respawn; raises :class:`PoolGaveUp` past the
         policy bound (the *next* :meth:`get` forks the new workers)."""
         self.rebuilds += 1
-        self._owner._bump("pool_rebuilds")
+        self._owner.bump("pool_rebuilds")
         if self.rebuilds > self._policy.max_pool_rebuilds:
-            self.degraded = True
-            raise _DegradeToInline()
+            self._owner.bump("jobs_degraded")
+            raise PoolGaveUp()
         self.broken = False
 
     def kill_workers(self) -> None:
@@ -527,11 +554,6 @@ class _PoolRef:
 class _SharedPoolRef(_PoolRef):
     """Checkout of the engine's persistent pool for one job."""
 
-    def __init__(self, owner: "WorkerPool", n_workers: int,
-                 policy: RetryPolicy):
-        super().__init__(owner, policy)
-        self._n_workers = n_workers
-
     def _create(self) -> ProcessPoolExecutor:
         return self._owner._acquire_pool(self._n_workers)
 
@@ -547,11 +569,6 @@ class _SharedPoolRef(_PoolRef):
 
 class _ForkedPoolRef(_PoolRef):
     """Per-job pool whose workers inherit :data:`_JOB_STATE` via fork."""
-
-    def __init__(self, owner: "WorkerPool", n_workers: int,
-                 policy: RetryPolicy):
-        super().__init__(owner, policy)
-        self._n_workers = n_workers
 
     def _create(self) -> ProcessPoolExecutor:
         # Workers fork lazily at first submit; the caller holds
@@ -574,8 +591,8 @@ class WorkerPool:
     """A persistent process pool executing map/reduce tasks for many jobs.
 
     Owned by an :class:`~repro.engine.service.ExecutionEngine`; runners
-    are thin strategies that build a :class:`_JobState` and call
-    :meth:`run_job`.  The underlying ``ProcessPoolExecutor`` is created
+    are thin strategies that call :meth:`run_group` for the groups that
+    fan out.  The underlying ``ProcessPoolExecutor`` is created
     lazily on the first pooled job, sized ``max(max_workers, requested)``,
     and reused until :meth:`shutdown` (or process exit).  Thread-safe:
     concurrent jobs share the pool, each throttled to its own worker
@@ -585,10 +602,6 @@ class WorkerPool:
     per task under the job's :class:`RetryPolicy` -- see the module
     docstring for the ladder.
     """
-
-    #: consecutive jobs that broke/degraded the pool before whole jobs
-    #: route inline (cleared by a clean pooled job or reset_health()).
-    degrade_after_jobs = 3
 
     def __init__(self, max_workers: Optional[int] = None):
         #: upper bound the persistent pool is first sized to; individual
@@ -604,7 +617,9 @@ class WorkerPool:
         #: can never deadlock against themselves
         self._lock = threading.RLock()
         self._token_seq = itertools.count()
-        #: scheduling-path counters, exposed via ``stats()``
+        #: scheduling-path counters, exposed via ``stats()``;
+        #: ``jobs_inline`` counts groups a parallel runner routed in
+        #: process instead of here (see :func:`fan_out_width`)
         self.jobs_pooled = 0
         self.jobs_forked = 0
         self.jobs_inline = 0
@@ -614,8 +629,8 @@ class WorkerPool:
         self.tasks_retried = 0
         self.tasks_timed_out = 0
         self.pool_rebuilds = 0
+        #: groups re-run in process after the pool gave up on them
         self.jobs_degraded = 0
-        self.consecutive_breaks = 0
         #: shuffle data-plane volume (successful attempts only): bytes
         #: of spill-run files written by map tasks / read back by
         #: reduce-side merges, across every job this pool executed
@@ -678,11 +693,6 @@ class WorkerPool:
                 self._pool = None
                 self._pool_size = 0
 
-    def reset_health(self) -> None:
-        """Forget accumulated cross-job breakage (ends inline routing)."""
-        with self._lock:
-            self.consecutive_breaks = 0
-
     def stats(self) -> Dict[str, int]:
         return {
             "jobs_pooled": self.jobs_pooled,
@@ -693,7 +703,6 @@ class WorkerPool:
             "tasks_timed_out": self.tasks_timed_out,
             "pool_rebuilds": self.pool_rebuilds,
             "jobs_degraded": self.jobs_degraded,
-            "consecutive_breaks": self.consecutive_breaks,
             "shuffle_bytes_spilled": self.shuffle_bytes_spilled,
             "shuffle_bytes_merged": self.shuffle_bytes_merged,
             "shared_scan_groups": self.shared_scan_groups,
@@ -701,7 +710,7 @@ class WorkerPool:
             "shared_bytes_saved": self.shared_bytes_saved,
         }
 
-    def _bump(self, counter: str, by: int = 1) -> None:
+    def bump(self, counter: str, by: int = 1) -> None:
         """Add to a ``stats()`` counter.
 
         Under the lock because jobs run on this pool from several
@@ -720,50 +729,72 @@ class WorkerPool:
 
     # -- job execution -------------------------------------------------------
 
-    def run_job(self, state: _JobState, num_workers: int,
-                policy: Optional[RetryPolicy] = None) -> Tuple[List, List]:
-        """Execute both phases of one job group; returns (map, reduce)
-        results -- :func:`run_map_task` / :func:`run_reduce_task` tuples.
+    def run_group(
+        self, confs: Sequence[JobConf], tasks: List[MapTask],
+        n_workers: int, policy: RetryPolicy,
+    ) -> Tuple[List[MapDeltas], List[ReduceRow]]:
+        """The pool dispatcher: execute one job group's tasks on
+        ``n_workers`` worker processes (its :func:`fan_out_width`, > 1)
+        through a spill-based shuffle.
 
-        Result lists are unordered; callers sort by task index and
-        (member, partition) -- both are carried in each result tuple --
-        so every scheduling path rolls up identically.
+        A :data:`~repro.mapreduce.runtime.Dispatcher` but for the extra
+        arguments: map deltas come back in task order and reduce rows in
+        ``(member, partition)`` order, whatever order workers finished
+        in.  Raises :class:`PoolGaveUp` when the pool broke past the
+        policy's rebuild budget; the caller re-runs the group in process.
         """
-        if policy is None:
-            policy = RetryPolicy.from_env()
-        state.heartbeats = policy.enabled
-        # Size for the wider phase: a job with one unsplittable input can
-        # still fan its reduce partitions out across workers.
-        widest_phase = max(
-            1, len(state.tasks),
-            sum(conf.num_reducers for conf in state.confs),
+        # Runtime import: repro.batch imports repro.mapreduce, whose
+        # parallel runner imports this module.
+        from repro.batch import shuffleblocks
+
+        # The pid stamp lets the engine's orphan reaper attribute a
+        # leftover spill dir to its (possibly dead) creating process.
+        spill_dir = tempfile.mkdtemp(prefix=f"manimal-shuffle-{os.getpid()}-")
+        state = _JobState(
+            confs=list(confs),
+            tasks=tasks,
+            spill_dir=spill_dir,
+            # Captured at submit time so the plan rides the pickled state
+            # into long-lived pool workers (env-only propagation would
+            # miss workers forked before the plan existed).
+            faults=faults.current_plan(),
+            heartbeats=policy.enabled,
+            # Same submit-time capture for the typed-shuffle decision.
+            shuffle_specs=[shuffleblocks.active_spec(c) for c in confs],
         )
-        n_workers = min(num_workers, widest_phase)
-        unhealthy = (
-            policy.enabled
-            and self.consecutive_breaks >= self.degrade_after_jobs
-        )
-        if _FORK_CONTEXT is None or n_workers == 1 or unhealthy:
-            self._bump("jobs_inline")
-            results = self._run_inline(state, policy)
-        else:
+        try:
             blob = self._pickle_state(state)
             if blob is None:
-                self._bump("jobs_forked")
-                results = self._run_forked(state, n_workers, policy)
+                self.bump("jobs_forked")
+                map_results, reduce_results = self._run_forked(
+                    state, n_workers, policy
+                )
             else:
-                self._bump("jobs_pooled")
-                results = self._run_pooled(state, blob, n_workers, policy)
-        map_results, reduce_results = results
+                self.bump("jobs_pooled")
+                map_results, reduce_results = self._run_pooled(
+                    state, blob, n_workers, policy
+                )
+            # Completion order is the pool's business; task order and
+            # (member, partition) order are the driver's contract.
+            map_results.sort(key=itemgetter(0))
+            reduce_results.sort(key=itemgetter(0, 1))
+            map_deltas = [deltas for _index, _runs, deltas in map_results]
+            reduce_rows = [
+                (member, part, shuffle.read_run(out_path), metrics, counters)
+                for member, part, out_path, metrics, counters
+                in reduce_results
+            ]
+        finally:
+            shutil.rmtree(spill_dir, ignore_errors=True)
         with self._lock:
             # Data-plane observability (only successful attempts report
             # results, so recovered jobs account like clean ones).
-            for _index, _runs, deltas in map_results:
+            for deltas in map_deltas:
                 for metrics, _counters in deltas:
                     self.shuffle_bytes_spilled += metrics.shuffle_bytes_spilled
-            for result in reduce_results:
-                self.shuffle_bytes_merged += result[3].shuffle_bytes_merged
-        return results
+            for row in reduce_rows:
+                self.shuffle_bytes_merged += row[3].shuffle_bytes_merged
+        return map_deltas, reduce_rows
 
     @staticmethod
     def _pickle_state(state: _JobState) -> Optional[bytes]:
@@ -773,57 +804,6 @@ class WorkerPool:
             # Closures, fluent stages calling user code, exotic split
             # payloads: the forked path inherits them through fork memory.
             return None
-
-    # -- inline path ----------------------------------------------------------
-
-    def _run_inline(self, state: _JobState,
-                    policy: RetryPolicy) -> Tuple[List, List]:
-        """No-pool fallback: same spill path, executed in-process."""
-        map_results = [
-            self._inline_attempts(
-                lambda a, i=i: run_map_task(state, i, a),
-                policy, state, "map", str(i),
-            )
-            for i in range(len(state.tasks))
-        ]
-        reduce_results = [
-            self._inline_attempts(
-                lambda a, m=member, p=part, paths=paths: run_reduce_task(
-                    state, m, p, paths, a
-                ),
-                policy, state, "reduce", _reduce_label(member, part),
-            )
-            for (member, part), paths in partition_runs(map_results)
-        ]
-        return map_results, reduce_results
-
-    def _inline_attempts(self, call: Callable[[int], Any],
-                         policy: RetryPolicy, state: _JobState,
-                         phase: str, label: str, first_attempt: int = 0
-                         ) -> Any:
-        """Run one task in-process, retrying transient failures.
-
-        ``first_attempt`` continues the attempt numbering of pooled
-        dispatches (degradation path), preserving spill quarantine.
-        """
-        attempt = first_attempt
-        while True:
-            try:
-                return call(attempt)
-            except TransientTaskError as exc:
-                attempt += 1
-                used = attempt - first_attempt
-                if not policy.enabled or used >= policy.max_task_attempts:
-                    # Still TransientTaskError: attempts are exhausted
-                    # for THIS job, but the failure is infrastructure --
-                    # a fresh job-level retry (e.g. the query service's)
-                    # may succeed.
-                    raise TransientTaskError(
-                        f"{phase} task {label} of job "
-                        f"{state.name!r} failed after {used} "
-                        f"attempt(s): {exc}"
-                    ) from exc
-                self._bump("tasks_retried")
 
     # -- forked path -----------------------------------------------------------
 
@@ -837,20 +817,10 @@ class WorkerPool:
         # workers.  Each job still fans out internally; picklable jobs
         # take the pooled path and do not contend here.
         with _STATE_LOCK:
-            ref = _ForkedPoolRef(self, n_workers, policy)
+            ref = _ForkedPoolRef(self, n_workers, policy, state_ref=None)
             try:
                 _JOB_STATE = state
-                return self._run_phases(
-                    ref, state, n_workers, policy,
-                    map_build=lambda i: (
-                        lambda a, i=i: (_forked_map_worker, (i, a))
-                    ),
-                    reduce_build=lambda member, part, paths: (
-                        lambda a, m=member, p=part, ps=paths: (
-                            _forked_reduce_worker, (m, p, ps, a)
-                        )
-                    ),
-                )
+                return self._run_phases(ref, state, n_workers, policy)
             finally:
                 ref.release()
                 _JOB_STATE = None
@@ -864,39 +834,21 @@ class WorkerPool:
         with open(state_path, "wb") as f:
             f.write(blob)
         token = f"{os.getpid()}-{next(self._token_seq)}"
-        ref = _SharedPoolRef(self, n_workers, policy)
+        ref = _SharedPoolRef(self, n_workers, policy,
+                             state_ref=(state_path, token))
         try:
-            return self._run_phases(
-                ref, state, n_workers, policy,
-                map_build=lambda i: (
-                    lambda a, i=i: (
-                        _pooled_map_worker, (state_path, token, i, a)
-                    )
-                ),
-                reduce_build=lambda member, part, paths: (
-                    lambda a, m=member, p=part, ps=paths: (
-                        _pooled_reduce_worker,
-                        (state_path, token, m, p, ps, a),
-                    )
-                ),
-            )
+            return self._run_phases(ref, state, n_workers, policy)
         finally:
             ref.release()
 
     # -- phase execution with recovery -----------------------------------------
 
     def _run_phases(self, ref: _PoolRef, state: _JobState, n_workers: int,
-                    policy: RetryPolicy,
-                    map_build: Callable[[int], Callable],
-                    reduce_build: Callable[[int, int, List[str]], Callable],
-                    ) -> Tuple[List, List]:
+                    policy: RetryPolicy) -> Tuple[List, List]:
         """Both phases on ``ref``, wrapped into the job's error contract."""
         try:
             map_tasks = [
-                _Task(
-                    key=i, phase="map", label=str(i), build=map_build(i),
-                    inline=lambda a, i=i: run_map_task(state, i, a),
-                )
+                _Task(key=i, phase="map", label=str(i), args=(i,))
                 for i in range(len(state.tasks))
             ]
             map_results = list(self._execute_tasks(
@@ -906,24 +858,21 @@ class WorkerPool:
                 _Task(
                     key=(member, part), phase="reduce",
                     label=_reduce_label(member, part),
-                    build=reduce_build(member, part, paths),
-                    inline=lambda a, m=member, p=part, ps=paths: (
-                        run_reduce_task(state, m, p, ps, a)
-                    ),
+                    args=(member, part, paths),
                 )
                 for (member, part), paths in partition_runs(map_results)
             ]
             reduce_results = list(self._execute_tasks(
                 ref, reduce_tasks, n_workers, policy, state
             ).values())
-        except JobExecutionError:
-            self._note_job_health(ref)
+        except (JobExecutionError, PoolGaveUp):
+            # User-code failures keep their type, and giving up is not a
+            # failure at all: the runner re-runs the group in process.
             raise
         except BrokenProcessPool as exc:
-            # Recovery disabled or exhausted: a worker died without a
-            # Python-level traceback (OOM kill, hard crash).  Transient:
-            # the failure is the infrastructure's, not the job's.
-            self._note_job_health(ref, broke=True)
+            # Recovery disabled: a worker died without a Python-level
+            # traceback (OOM kill, hard crash).  Transient: the failure
+            # is the infrastructure's, not the job's.
             raise TransientTaskError(
                 f"parallel job {state.name!r} lost a worker "
                 f"process: {exc}"
@@ -932,20 +881,10 @@ class WorkerPool:
             # A task failed with an ordinary error (e.g. disk full while
             # spilling): the job fails but the pool is healthy -- other
             # jobs keep running on it.
-            self._note_job_health(ref)
             raise JobExecutionError(
                 f"parallel job {state.name!r} task failed: {exc}"
             ) from exc
-        self._note_job_health(ref)
         return map_results, reduce_results
-
-    def _note_job_health(self, ref: _PoolRef, broke: bool = False) -> None:
-        """Cross-job degradation accounting (see ``degrade_after_jobs``)."""
-        with self._lock:
-            if broke or ref.rebuilds > 0 or ref.degraded:
-                self.consecutive_breaks += 1
-            else:
-                self.consecutive_breaks = 0
 
     def _execute_tasks(self, ref: _PoolRef, tasks: List[_Task], limit: int,
                        policy: RetryPolicy,
@@ -967,25 +906,20 @@ class WorkerPool:
         results: Dict[Any, Any] = {}
         queue = deque(tasks)
         inflight: Dict[Future, _Task] = {}
-        if ref.degraded:
-            # An earlier phase already exhausted the rebuild budget;
-            # this phase goes straight to inline execution.
-            for task in tasks:
-                results[task.key] = self._inline_attempts(
-                    task.inline, policy, state, task.phase, task.label,
-                )
-            return results
 
         def submit_ready() -> None:
             while queue and len(inflight) < limit and not ref.broken:
                 task = queue.popleft()
-                fn, args = task.build(task.attempts)
+                attempt = task.attempts
                 task.hb = heartbeat_path(
-                    state.spill_dir, task.phase, task.label, task.attempts
+                    state.spill_dir, task.phase, task.label, attempt
                 )
                 task.attempts += 1
                 try:
-                    inflight[ref.get().submit(fn, *args)] = task
+                    inflight[ref.get().submit(
+                        _run_task, ref.state_ref, task.phase, task.args,
+                        attempt,
+                    )] = task
                 except BrokenProcessPool:
                     # The pool died between jobs/batches; uncharge (the
                     # attempt never left this process) and recover below.
@@ -1017,32 +951,17 @@ class WorkerPool:
                     f"{task.attempts} attempt(s); giving up"
                 ))
             else:
-                self._bump("tasks_retried")
+                self.bump("tasks_retried")
             queue.append(task)
-
-        def finish_inline() -> Dict[Any, Any]:
-            # Degradation: the pool broke past the policy bound.  Finish
-            # the remaining tasks in-process (attempt numbering continues,
-            # so spill quarantine holds) -- slower, but the job completes
-            # with identical bytes.
-            self._bump("jobs_degraded")
-            while queue:
-                task = queue.popleft()
-                results[task.key] = self._inline_attempts(
-                    task.inline, policy, state, task.phase, task.label,
-                    first_attempt=task.attempts,
-                )
-            return results
 
         submit_ready()
         while queue or inflight:
             if ref.broken and not inflight:
                 if not policy.enabled:
                     raise BrokenProcessPool("worker pool broke")
-                try:
-                    ref.rebuild()
-                except _DegradeToInline:
-                    return finish_inline()
+                # Past the rebuild budget this raises PoolGaveUp, with
+                # nothing of this job left in flight.
+                ref.rebuild()
                 submit_ready()
                 continue
             timeout = None
@@ -1068,7 +987,7 @@ class WorkerPool:
                             f"{state.name!r} failed after "
                             f"{task.attempts} attempt(s): {exc}"
                         ))
-                    self._bump("tasks_retried")
+                    self.bump("tasks_retried")
                     queue.append(task)
                     continue
                 except BaseException as exc:  # noqa: BLE001 -- re-raised
@@ -1110,7 +1029,7 @@ class WorkerPool:
                     # (recoverable) crash path above.  Only the hung
                     # tasks keep their attempt charge -- un-started
                     # siblings are refunded on requeue.
-                    self._bump("tasks_timed_out", len(hung))
+                    self.bump("tasks_timed_out", len(hung))
                     ref.kill_workers()
                     continue
             submit_ready()

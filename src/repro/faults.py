@@ -29,8 +29,8 @@ long-lived pool workers forked before the plan existed still see it.
 **Actions** (``Fault.action``):
 
 ``kill``            SIGKILL the current process (workers only -- never
-                    fires in the process that installed the plan, so an
-                    inline/degraded run cannot shoot the submitter).
+                    fires in the process that installed the plan, so a
+                    fault point reached there cannot shoot the submitter).
 ``hang``            sleep ``seconds`` (workers only); pairs with the
                     pool's task deadlines.
 ``transient``       raise :class:`~repro.exceptions.TransientTaskError`
@@ -81,8 +81,8 @@ SELF_ACTIONS = frozenset(
 CALLER_ACTIONS = frozenset({"drop_frame", "truncate_frame"})
 
 #: Actions that terminate or wedge the whole process; they only fire in
-#: worker processes (``pid != plan.owner_pid``) so a degraded inline run
-#: can never kill or hang the submitting process itself.
+#: worker processes (``pid != plan.owner_pid``) so a fault point reached
+#: in the submitting process can never kill or hang it.
 _PROCESS_FATAL = frozenset({"kill", "hang"})
 
 
@@ -287,10 +287,10 @@ def fault_point(point: str, **ctx: Any) -> Optional[Fault]:
             continue
         if (fault.action in _PROCESS_FATAL
                 and os.getpid() == plan.owner_pid):
-            # Never kill/hang the submitting process: degraded inline
-            # execution must run past un-fired worker faults.  Checked
-            # before claiming so the firing stays available to (and
-            # countable against) an actual worker.
+            # Never kill/hang the submitting process: it must run past
+            # un-fired worker faults.  Checked before claiming so the
+            # firing stays available to (and countable against) an
+            # actual worker.
             continue
         if not plan.claim(index):
             continue

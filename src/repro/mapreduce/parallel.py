@@ -31,10 +31,17 @@ Picklable jobs ride the engine's long-lived pool; jobs whose state
 cannot pickle (closures, fluent stages that call user code, exotic
 split payloads) fall back to a per-job pool whose workers fork *after* the
 job state is published, inheriting it through fork memory -- so those
-keep working unchanged.  Where fork is unavailable the runner degrades
-to running its tasks inline (still through the spill-based shuffle, so
-results are unchanged).  See :mod:`repro.engine.pool` for the three
+keep working unchanged.  See :mod:`repro.engine.pool` for the two pool
 paths.
+
+A group that would not fan out -- fork is unavailable, one worker was
+requested, or its widest phase is a single task
+(:func:`~repro.engine.pool.fan_out_width`) -- is not sent to the pool at
+all: the dispatcher hands it to the sequential
+:func:`~repro.mapreduce.runtime.run_tasks_in_process`, the same function
+:class:`LocalJobRunner` dispatches with.  So does a group the pool gave
+up on (it broke past ``RetryPolicy.max_pool_rebuilds``): the whole group
+is re-run in process, identical bytes for redone work.
 
 One semantic caveat, documented in ``docs/execution-model.md``: a mapper
 *instance* that accumulates state across map tasks sees per-worker copies
@@ -44,22 +51,16 @@ Hadoop semantics) behave identically under both runners.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-from dataclasses import replace
-from operator import itemgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro import faults
 from repro.engine.pool import (
+    PoolGaveUp,
     RetryPolicy,
     WorkerPool,
-    _JobState,
     default_worker_count,
+    fan_out_width,
 )
 from repro.exceptions import JobConfigError
-from repro.mapreduce import shuffle
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.runtime import (
     LocalJobRunner,
@@ -67,6 +68,7 @@ from repro.mapreduce.runtime import (
     MapTask,
     ReduceRow,
     run_job_group,
+    run_tasks_in_process,
 )
 
 
@@ -82,21 +84,19 @@ class ParallelJobRunner:
     specific :class:`~repro.engine.service.ExecutionEngine`.
 
     Fault tolerance is governed by a
-    :class:`~repro.engine.pool.RetryPolicy`: by default the runner
-    recovers crashed workers and retries transient task failures
-    (bounded attempts, environment-overridable); ``task_timeout`` adds a
-    per-task deadline enforced by heartbeat progress checks.  Pass
-    ``retry_policy`` to override wholesale, or the individual knobs to
-    tweak the env-derived defaults.  Recovery never changes results --
-    see ``docs/robustness.md``.
+    :class:`~repro.engine.pool.RetryPolicy`: by default
+    (``RetryPolicy.from_env()``) the runner recovers crashed workers and
+    retries transient task failures with bounded attempts; a policy's
+    ``task_timeout`` adds a per-task deadline enforced by heartbeat
+    progress checks.  Pass ``retry_policy`` to set your own
+    (``dataclasses.replace(RetryPolicy.from_env(), ...)`` keeps the
+    environment's defaults for the rest).  Recovery never changes
+    results -- see ``docs/robustness.md``.
     """
 
     def __init__(self, num_workers: Optional[int] = None,
                  splits_per_input: int = 10,
                  engine: Optional[Any] = None,
-                 task_timeout: Optional[float] = None,
-                 max_task_attempts: Optional[int] = None,
-                 max_pool_rebuilds: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None):
         if num_workers is not None and num_workers < 0:
             raise JobConfigError("num_workers must be >= 0 (0 = auto)")
@@ -105,19 +105,8 @@ class ParallelJobRunner:
         #: target number of splits (map tasks) per input source
         self.splits_per_input = splits_per_input
         self._engine = engine
-        # Overrides land on a copy: the caller's policy object may be
-        # shared with other runners.
-        overrides = {}
-        if task_timeout is not None:
-            overrides["task_timeout"] = task_timeout
-        if max_task_attempts is not None:
-            overrides["max_task_attempts"] = max(1, max_task_attempts)
-        if max_pool_rebuilds is not None:
-            overrides["max_pool_rebuilds"] = max(0, max_pool_rebuilds)
         #: fault-recovery policy for every job this runner executes
-        self.retry_policy = replace(
-            retry_policy or RetryPolicy.from_env(), **overrides
-        )
+        self.retry_policy = retry_policy or RetryPolicy.from_env()
 
     @property
     def _pool(self) -> WorkerPool:
@@ -137,45 +126,21 @@ class ParallelJobRunner:
     def _dispatch(
         self, confs: Sequence[JobConf], tasks: List[MapTask]
     ) -> Tuple[List[MapDeltas], List[ReduceRow]]:
-        """The pool dispatcher: worker processes, spill-based shuffle."""
-        # Runtime import: repro.batch imports repro.mapreduce (job,
-        # formats, runtime), which would cycle back through this module
-        # at import time.
-        from repro.batch import shuffleblocks
-
-        # The pid stamp lets the engine's orphan reaper attribute a
-        # leftover spill dir to its (possibly dead) creating process.
-        spill_dir = tempfile.mkdtemp(prefix=f"manimal-shuffle-{os.getpid()}-")
-        state = _JobState(
-            confs=list(confs),
-            tasks=tasks,
-            spill_dir=spill_dir,
-            # Captured at submit time so the plan rides the pickled state
-            # into long-lived pool workers (env-only propagation would
-            # miss workers forked before the plan existed).
-            faults=faults.current_plan(),
-            # Same submit-time capture for the typed-shuffle decision.
-            shuffle_specs=[shuffleblocks.active_spec(c) for c in confs],
-        )
-        try:
-            map_results, reduce_results = self._pool.run_job(
-                state, self.num_workers, policy=self.retry_policy
-            )
-            # Completion order is the pool's business; task order and
-            # (member, partition) order are the driver's contract.
-            map_results.sort(key=itemgetter(0))
-            reduce_results.sort(key=itemgetter(0, 1))
-            return (
-                [deltas for _index, _runs, deltas in map_results],
-                [
-                    (member, part, shuffle.read_run(out_path), metrics,
-                     counters)
-                    for member, part, out_path, metrics, counters
-                    in reduce_results
-                ],
-            )
-        finally:
-            shutil.rmtree(spill_dir, ignore_errors=True)
+        """Worker processes when the group fans out, else in process."""
+        n_workers = fan_out_width(confs, tasks, self.num_workers)
+        if n_workers > 1:
+            try:
+                return self._pool.run_group(
+                    confs, tasks, n_workers, self.retry_policy
+                )
+            except PoolGaveUp:
+                # Counted (``jobs_degraded``) where it was raised.  Tasks
+                # are deterministic and nothing rolled up yet, so the
+                # re-run below returns the bytes the pool would have.
+                pass
+        else:
+            self._pool.bump("jobs_inline")
+        return run_tasks_in_process(confs, tasks)
 
 
 def resolve_runner(knob: Any = None, conf: Optional[JobConf] = None,

@@ -17,14 +17,18 @@ one scan of their shared inputs; a solo job is a group of one:
   hands the tasks to a *dispatcher*, and rolls every member's metrics,
   counters and outputs up in task-then-partition order.  Every runner
   and every shared-scan group reaches this one rollup;
-* :class:`LocalJobRunner` (here) dispatches with
-  :func:`run_tasks_in_process` -- every task sequentially in-process,
-  shuffling through memory -- which is the reference semantics:
-  determinism makes the experiments and the property tests trustworthy;
+* :func:`run_tasks_in_process` is the sequential dispatcher -- every
+  task in this process, one at a time, shuffling through memory -- and
+  the *only* code that executes tasks in the submitting process.
+  :class:`LocalJobRunner` (here) always dispatches with it, which is the
+  reference semantics: determinism makes the experiments and the
+  property tests trustworthy;
 * :class:`~repro.mapreduce.parallel.ParallelJobRunner` dispatches onto
   the engine's worker pool through a spill-based shuffle
-  (:mod:`repro.mapreduce.shuffle`) and is byte-identical to this runner
-  by construction (see ``docs/execution-model.md``).
+  (:mod:`repro.mapreduce.shuffle`) when a group fans out, and with the
+  same :func:`run_tasks_in_process` when it does not (or when the pool
+  gave up on it); either way it is byte-identical to this runner by
+  construction (see ``docs/execution-model.md``).
 
 Cluster-scale parallelism is still *modeled* separately by
 :mod:`repro.mapreduce.cost` from the byte/record metrics collected here.
@@ -424,7 +428,12 @@ Dispatcher = Callable[
 def run_tasks_in_process(
     confs: Sequence[JobConf], tasks: List[MapTask]
 ) -> Tuple[List[MapDeltas], List[ReduceRow]]:
-    """The sequential dispatcher: one task at a time, shuffle in memory."""
+    """The sequential dispatcher: one task at a time, shuffle in memory.
+
+    Every in-process execution goes through here: the sequential runner
+    always, the parallel runner for groups that do not fan out and for
+    groups its pool gave up on.
+    """
     partitions: List[List[List[Tuple[Any, Any]]]] = [
         [[] for _ in range(conf.num_reducers)] for conf in confs
     ]

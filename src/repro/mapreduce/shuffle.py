@@ -1,11 +1,14 @@
 """Spill-based shuffle: on-disk runs between the map and reduce phases.
 
-The sequential :class:`~repro.mapreduce.runtime.LocalJobRunner` shuffles
-through memory -- every map task appends into shared per-partition lists.
-The :class:`~repro.mapreduce.parallel.ParallelJobRunner` cannot: map tasks
-run in separate processes, so each task **spills** its per-partition
-output to a run file, and each reduce task **merges** the runs addressed
-to its partition.  This module is that disk format plus the merge.
+The sequential dispatcher
+(:func:`~repro.mapreduce.runtime.run_tasks_in_process`) shuffles through
+memory -- every map task appends into shared per-partition lists.  The
+worker pool's two paths cannot: map tasks run in separate processes, so
+each task **spills** its per-partition output to a run file, and each
+reduce task **merges** the runs addressed to its partition.  This module
+is that disk format plus the merge; it is used only between worker
+processes (a :class:`~repro.mapreduce.parallel.ParallelJobRunner` group
+that runs in process shuffles through memory like any other).
 
 Hot-path note: sorted runs travel **decorated** -- each pair is stored as
 ``(sort_key(key), key, value)`` -- so the shuffle computes

@@ -61,6 +61,23 @@ def write_webpages(path, n, rank_of=lambda i: i % 50, content="c" * 40,
     return str(path)
 
 
+def metrics_without_wall(result):
+    """A job result's metrics minus the scheduling-path observables."""
+    d = result.metrics.to_dict()
+    # Wall clocks and physical spill bytes exist only under the parallel
+    # runner's pool paths, so the cross-runner identity contract
+    # excludes them.
+    d.pop("wall_seconds")
+    d.pop("shuffle_bytes_spilled")
+    d.pop("shuffle_bytes_merged")
+    # Shared-scan savings are likewise assigned by the scheduling path
+    # (repro.batch.multiscan), never by task execution.
+    d.pop("shared_scan_groups")
+    d.pop("scans_saved")
+    d.pop("shared_bytes_saved")
+    return d
+
+
 def index_files(catalog_dir):
     """Names of the index files physically present in a catalog directory."""
     return sorted(n for n in os.listdir(str(catalog_dir))

@@ -27,7 +27,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.storage.serialization import INT_SCHEMA, STRING_SCHEMA
-from tests.conftest import write_webpages
+from tests.conftest import metrics_without_wall, write_webpages
 
 
 class HighRankMapper(Mapper):
@@ -85,22 +85,6 @@ def _scan_job(path, mapper=HighRankMapper, name="scan", **overrides):
     )
     defaults.update(overrides)
     return JobConf(**defaults)
-
-
-def _metrics_without_wall(result):
-    d = result.metrics.to_dict()
-    # Scheduling-path observables: wall clocks and physical spill bytes
-    # exist only under the parallel runner, so the cross-runner identity
-    # contract excludes them.
-    d.pop("wall_seconds")
-    d.pop("shuffle_bytes_spilled")
-    d.pop("shuffle_bytes_merged")
-    # Shared-scan savings are likewise assigned by the scheduling path
-    # (repro.batch.multiscan), never by task execution.
-    d.pop("shared_scan_groups")
-    d.pop("scans_saved")
-    d.pop("shared_bytes_saved")
-    return d
 
 
 @pytest.fixture
@@ -357,8 +341,8 @@ class TestDagByteIdentity:
             assert d.outcome.result.outputs == s.outcome.result.outputs
             assert d.outcome.result.counters.to_dict() == \
                 s.outcome.result.counters.to_dict()
-            assert _metrics_without_wall(d.outcome.result) == \
-                _metrics_without_wall(s.outcome.result)
+            assert metrics_without_wall(d.outcome.result) == \
+                metrics_without_wall(s.outcome.result)
             assert d.upstream == s.upstream
 
     def test_dag_with_parallel_runner_identical(self, tmp_path):
@@ -366,8 +350,8 @@ class TestDagByteIdentity:
         dag = self._diamond(tmp_path, "d2").submit(scheduler="dag", runner=2)
         for s, d in zip(seq, dag):
             assert d.outcome.result.outputs == s.outcome.result.outputs
-            assert _metrics_without_wall(d.outcome.result) == \
-                _metrics_without_wall(s.outcome.result)
+            assert metrics_without_wall(d.outcome.result) == \
+                metrics_without_wall(s.outcome.result)
 
     def test_dag_failure_is_deterministic(self, tmp_path):
         a = write_webpages(tmp_path / "a.rf", 30)
@@ -394,7 +378,7 @@ class TestConcurrentSubmissions:
         with Session(workdir=str(tmp_path / "sess")) as session:
             query = session.read(str(path)).filter(col("rank") > 20)
             expected_rows = query.collect()
-            expected_metrics = _metrics_without_wall(query.run().result)
+            expected_metrics = metrics_without_wall(query.run().result)
 
             results = {}
             errors = []
@@ -403,7 +387,7 @@ class TestConcurrentSubmissions:
                 try:
                     result = query.run(parallelism=2)
                     results[i] = (
-                        result.rows, _metrics_without_wall(result.result)
+                        result.rows, metrics_without_wall(result.result)
                     )
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
@@ -443,8 +427,8 @@ class TestConcurrentSubmissions:
         for result in outcomes.values():
             assert result.outputs == expected.outputs
             assert result.counters.to_dict() == expected.counters.to_dict()
-            assert _metrics_without_wall(result) == \
-                _metrics_without_wall(expected)
+            assert metrics_without_wall(result) == \
+                metrics_without_wall(expected)
         # Every submission after the first reused the cached analysis.
         assert engine.analysis_cache.stats()["hits"] >= 4
 
@@ -453,7 +437,7 @@ class TestConcurrentSubmissions:
         """N concurrent jobs move the scheduling-path counters by N.
 
         DAG waves and the service's in-flight window call
-        ``WorkerPool.run_job`` from several threads, so a lost update on
+        ``WorkerPool.run_group`` from several threads, so a lost update on
         an unlocked ``+=`` would show up as a short count here.
         """
         n_threads, jobs_each = 8, 12
@@ -462,8 +446,8 @@ class TestConcurrentSubmissions:
             inputs=[InMemoryInput([(i, i) for i in range(8)])],
             num_reducers=2,
         )
-        # One worker runs the pool's inline path (no forks: the test
-        # stays cheap); two take the pooled path on the shared workers.
+        # One worker is routed in process (no forks: the test stays
+        # cheap); two take the pooled path on the shared workers.
         inline = ParallelJobRunner(num_workers=1, engine=engine)
         pooled = ParallelJobRunner(num_workers=2, engine=engine)
         expected = inline.run(conf).outputs

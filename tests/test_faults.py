@@ -7,8 +7,9 @@ precedence, and each action's behavior.  Second (marked ``chaos``), the
 exists to prove: a worker SIGKILLed mid-task, a hung worker caught by
 the task deadline, a disk-full spill -- every one recovered with output,
 counters and metrics byte-identical to a clean sequential run -- plus
-the bounded-attempts ceiling, the per-job and cross-job degradation
-ladder, and the orphan-scratch reaper.
+the bounded-attempts ceiling, the per-job give-up (whole-group re-run in
+process) with a pool that heals by itself afterwards, and the
+orphan-scratch reaper.
 """
 
 import errno
@@ -16,6 +17,7 @@ import multiprocessing
 import os
 import pickle
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.mapreduce import (
     ParallelJobRunner,
     shuffle,
 )
+from tests.conftest import metrics_without_wall
 
 
 class ModMapper(Mapper):
@@ -61,22 +64,6 @@ def in_memory_conf(n=400, **overrides):
     return JobConf(**defaults)
 
 
-def metrics_without_wall(result):
-    d = result.metrics.to_dict()
-    # Scheduling-path observables: wall clocks and physical spill bytes
-    # exist only under the parallel runner, so the cross-runner identity
-    # contract excludes them.
-    d.pop("wall_seconds")
-    d.pop("shuffle_bytes_spilled")
-    d.pop("shuffle_bytes_merged")
-    # Shared-scan savings are likewise assigned by the scheduling path
-    # (repro.batch.multiscan), never by task execution.
-    d.pop("shared_scan_groups")
-    d.pop("scans_saved")
-    d.pop("shared_bytes_saved")
-    return d
-
-
 def assert_identical(par, seq):
     assert par.outputs == seq.outputs
     assert metrics_without_wall(par) == metrics_without_wall(seq)
@@ -96,8 +83,9 @@ def engine():
     eng.shutdown()
 
 
-def runner(engine, **kwargs):
-    return ParallelJobRunner(num_workers=2, engine=engine, **kwargs)
+def runner(engine, **policy):
+    return ParallelJobRunner(num_workers=2, engine=engine,
+                             retry_policy=RetryPolicy(**policy))
 
 
 # -- the harness itself -------------------------------------------------------
@@ -243,25 +231,30 @@ class TestEnvKnobs:
         assert policy.task_timeout == 7.5
         assert policy.max_pool_rebuilds == 1
 
-    def test_runner_knobs_override_env(self, monkeypatch):
+    def test_runner_defaults_to_the_env_policy(self, monkeypatch):
         monkeypatch.setenv("REPRO_TASK_ATTEMPTS", "5")
-        r = ParallelJobRunner(num_workers=2, max_task_attempts=2,
-                              task_timeout=3.0)
-        assert r.retry_policy.max_task_attempts == 2
-        assert r.retry_policy.task_timeout == 3.0
+        assert ParallelJobRunner(num_workers=2).retry_policy == \
+            RetryPolicy(max_task_attempts=5)
 
-    def test_runner_knobs_do_not_mutate_the_callers_policy(self):
-        policy = RetryPolicy(max_task_attempts=4, task_timeout=9.0,
-                             max_pool_rebuilds=3)
-        r = ParallelJobRunner(num_workers=2, retry_policy=policy,
-                              task_timeout=1.5, max_task_attempts=2,
-                              max_pool_rebuilds=0)
-        assert (r.retry_policy.task_timeout,
-                r.retry_policy.max_task_attempts,
-                r.retry_policy.max_pool_rebuilds) == (1.5, 2, 0)
-        # the caller's object may be shared with other runners
-        assert policy == RetryPolicy(max_task_attempts=4, task_timeout=9.0,
-                                     max_pool_rebuilds=3)
+    def test_explicit_policy_overlays_the_env_with_replace(self, monkeypatch):
+        # The one spelling: a RetryPolicy.  Overlaying the environment's
+        # defaults is dataclasses.replace, not a second set of kwargs.
+        monkeypatch.setenv("REPRO_TASK_ATTEMPTS", "5")
+        monkeypatch.setenv("REPRO_POOL_REBUILDS", "1")
+        policy = replace(RetryPolicy.from_env(), max_task_attempts=2,
+                         task_timeout=3.0)
+        r = ParallelJobRunner(num_workers=2, retry_policy=policy)
+        assert r.retry_policy is policy
+        assert (policy.max_task_attempts, policy.task_timeout,
+                policy.max_pool_rebuilds) == (2, 3.0, 1)
+
+    def test_policy_clamps_hold_for_every_constructor(self, monkeypatch):
+        assert RetryPolicy(max_task_attempts=0).max_task_attempts == 1
+        assert RetryPolicy(max_pool_rebuilds=-3).max_pool_rebuilds == 0
+        assert replace(RetryPolicy(), max_task_attempts=-1) \
+            .max_task_attempts == 1
+        monkeypatch.setenv("REPRO_TASK_ATTEMPTS", "0.5")
+        assert RetryPolicy.from_env().max_task_attempts == 1
 
     def test_quarantined_attempt_paths_never_collide(self, tmp_path):
         base = shuffle.run_path(str(tmp_path), "map", 3, 1)
@@ -352,26 +345,32 @@ class TestCrashRecovery:
             [Fault("pool.map_task", "kill", match={"task_index": 0})],
             token_dir=str(tmp_path),
         ))
-        policy = RetryPolicy(enabled=False)
         with pytest.raises(TransientTaskError, match="lost a worker"):
-            runner(engine, retry_policy=policy).run(in_memory_conf())
+            runner(engine, enabled=False).run(in_memory_conf())
 
-    def test_repeated_kills_degrade_job_to_inline(self, engine, tmp_path):
-        # Every pooled attempt dies; past the rebuild budget the job
-        # must finish inline -- slower, never wrong.
+    def test_repeated_kills_rerun_the_group_in_process(self, engine,
+                                                       tmp_path):
+        # Every pooled attempt dies; past the rebuild budget the pool
+        # gives up and the whole group is re-run by the sequential
+        # dispatcher -- slower, never wrong.
         faults.install_plan(FaultPlan(
             [Fault("pool.map_task", "kill", times=10)],
             token_dir=str(tmp_path),
         ))
         par = runner(engine).run(in_memory_conf())
         assert_identical(par, LocalJobRunner().run(in_memory_conf()))
-        assert engine.pool.stats()["jobs_degraded"] == 1
+        stats = engine.pool.stats()
+        assert stats["jobs_degraded"] == 1
+        assert stats["pool_rebuilds"] == RetryPolicy().max_pool_rebuilds + 1
 
-    def test_cross_job_degradation_and_reset(self, engine, tmp_path):
-        # Three consecutive pool-breaking jobs: the pool is declared
-        # unhealthy and whole jobs route inline until reset_health().
+    def test_pool_heals_after_consecutive_broken_jobs(self, engine,
+                                                      tmp_path):
+        # Three consecutive jobs each lose a worker (the count at which
+        # the old cross-job ring declared the pool unhealthy and routed
+        # every later job inline, forever).  The bound is per job now:
+        # the next clean job goes to the pool, with no reset hook.
         seq = LocalJobRunner().run(in_memory_conf())
-        for i in range(engine.pool.degrade_after_jobs):
+        for i in range(3):
             plan = FaultPlan(
                 [Fault("pool.map_task", "kill",
                        match={"task_index": 0, "attempt": 0})],
@@ -379,17 +378,15 @@ class TestCrashRecovery:
             )
             faults.install_plan(plan)
             assert_identical(runner(engine).run(in_memory_conf()), seq)
+            assert plan.fired(0) == 1
         faults.clear_plan()
-        stats = engine.pool.stats()
-        assert stats["consecutive_breaks"] >= engine.pool.degrade_after_jobs
-        inline_before = stats["jobs_inline"]
+        before = engine.pool.stats()
+        assert before["pool_rebuilds"] >= 3
         assert_identical(runner(engine).run(in_memory_conf()), seq)
-        assert engine.pool.stats()["jobs_inline"] == inline_before + 1
-        engine.pool.reset_health()
-        assert engine.pool.stats()["consecutive_breaks"] == 0
-        pooled_before = engine.pool.stats()["jobs_pooled"]
-        assert_identical(runner(engine).run(in_memory_conf()), seq)
-        assert engine.pool.stats()["jobs_pooled"] == pooled_before + 1
+        after = engine.pool.stats()
+        assert after["jobs_pooled"] == before["jobs_pooled"] + 1
+        assert after["jobs_inline"] == before["jobs_inline"]
+        assert after["jobs_degraded"] == 0
 
 
 # -- the orphan-scratch reaper ------------------------------------------------

@@ -1,5 +1,6 @@
-"""Each layer depends only on the layers below it, and only storage stats
-an input's mtime -- checked, not claimed.
+"""Each layer depends only on the layers below it, only storage stats an
+input's mtime, and every environment knob is on an argued allow-list --
+checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -58,3 +59,20 @@ def test_checker_sees_mtime_reads_outside_storage(tmp_path):
     found = checker.mtime_violations(str(tmp_path))
     assert len(found) == 1
     assert os.path.join("engine", "mod.py") + ":5:" in found[0]
+
+
+def test_checker_sees_environment_knobs_off_the_allow_list(tmp_path):
+    checker = _load_checker()
+    engine = tmp_path / "repro" / "engine"
+    engine.mkdir(parents=True)
+    (engine / "knobs.py").write_text(
+        '"""Mentioning REPRO_IN_PROSE in a docstring is not a read."""\n'
+        "import os\n"
+        'ALLOWED = os.environ.get("REPRO_TASK_TIMEOUT")\n'
+        'DIRECT = os.environ.get("REPRO_NEW_KNOB", "1")\n'
+        'NAME = "REPRO_VIA_A_CONSTANT"\n'
+        "INDIRECT = os.getenv(NAME)\n")
+    found = checker.env_violations(str(tmp_path))
+    assert [line.split(": ")[1].split()[2] for line in found] == [
+        "REPRO_NEW_KNOB", "REPRO_VIA_A_CONSTANT"]
+    assert ":4:" in found[0] and ":5:" in found[1]

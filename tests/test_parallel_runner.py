@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro import JobConf, Mapper, RecordFileInput, Reducer, Session, col
+from repro.engine import ExecutionEngine
 from repro.exceptions import JobConfigError, JobExecutionError
 from repro.mapreduce import (
     FunctionMapper,
@@ -21,7 +22,7 @@ from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.mapreduce.metrics import JobMetrics
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import STRING_SCHEMA
-from tests.conftest import WEBPAGE, write_webpages
+from tests.conftest import WEBPAGE, metrics_without_wall, write_webpages
 
 
 class ModMapper(Mapper):
@@ -51,22 +52,6 @@ def in_memory_conf(n=600, **overrides):
     )
     defaults.update(overrides)
     return JobConf(**defaults)
-
-
-def metrics_without_wall(result):
-    d = result.metrics.to_dict()
-    # Scheduling-path observables: wall clocks and physical spill bytes
-    # exist only under the parallel runner, so the cross-runner identity
-    # contract excludes them.
-    d.pop("wall_seconds")
-    d.pop("shuffle_bytes_spilled")
-    d.pop("shuffle_bytes_merged")
-    # Shared-scan savings are likewise assigned by the scheduling path
-    # (repro.batch.multiscan), never by task execution.
-    d.pop("shared_scan_groups")
-    d.pop("scans_saved")
-    d.pop("shared_bytes_saved")
-    return d
 
 
 class TestByteIdentity:
@@ -134,14 +119,23 @@ class TestByteIdentity:
         assert par.outputs == seq.outputs
         assert metrics_without_wall(par) == metrics_without_wall(seq)
 
-    def test_inline_fallback_is_identical(self):
-        conf = in_memory_conf()
-        runner = ParallelJobRunner(num_workers=4)
-        runner._mp_context = None  # simulate a platform without fork
-        seq = LocalJobRunner().run(conf)
-        par = runner.run(conf)
-        assert par.outputs == seq.outputs
-        assert metrics_without_wall(par) == metrics_without_wall(seq)
+    def test_inline_fallback_is_identical(self, monkeypatch):
+        # simulate a platform without fork
+        monkeypatch.setattr("repro.engine.pool._FORK_CONTEXT", None)
+        engine = ExecutionEngine(max_workers=2, reap_scratch=False)
+        try:
+            conf = in_memory_conf()
+            seq = LocalJobRunner().run(conf)
+            par = ParallelJobRunner(num_workers=4, engine=engine).run(conf)
+            assert par.outputs == seq.outputs
+            assert metrics_without_wall(par) == metrics_without_wall(seq)
+            # ... and assert the route, not just the bytes: no pool
+            stats = engine.pool.stats()
+            assert stats["jobs_inline"] == 1
+            assert stats["pools_created"] == 0
+            assert stats["jobs_pooled"] == stats["jobs_forked"] == 0
+        finally:
+            engine.shutdown()
 
     def test_worker_error_surfaces_as_job_execution_error(self):
         class BadMapper(Mapper):

@@ -33,6 +33,7 @@ from repro.mapreduce import (
 from repro.mapreduce.keyspace import sort_key
 from repro.storage.orderkeys import decode_key
 from repro.storage.serialization import Field, FieldType, Schema
+from tests.conftest import metrics_without_wall
 
 I64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 
@@ -343,18 +344,9 @@ def typed_conf(n=500, **overrides):
     return JobConf(**defaults)
 
 
-def strip_scheduling(result):
-    d = result.metrics.to_dict()
-    for name in ("wall_seconds", "shuffle_bytes_spilled",
-                 "shuffle_bytes_merged", "shared_scan_groups",
-                 "scans_saved", "shared_bytes_saved"):
-        d.pop(name)
-    return d
-
-
 def assert_identical(par, seq):
     assert par.outputs == seq.outputs
-    assert strip_scheduling(par) == strip_scheduling(seq)
+    assert metrics_without_wall(par) == metrics_without_wall(seq)
     assert par.counters.to_dict() == seq.counters.to_dict()
 
 
@@ -394,19 +386,23 @@ class TestEndToEndByteIdentity:
         par = ParallelJobRunner(num_workers=3).run(conf)
         assert_identical(par, LocalJobRunner().run(conf))
 
-    def test_kill_switch_disables_typed_plane(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TYPED_SHUFFLE", "0")
-        conf = typed_conf()
-        par = ParallelJobRunner(num_workers=2).run(conf)
-        assert_identical(par, LocalJobRunner().run(conf))
-
-    def test_combiner_keeps_pickle_path(self):
-        # A combiner rewrites the shuffle stream, so active_spec must
-        # decline -- this just pins that the gate exists end to end.
-        conf = typed_conf(combiner=SumReducer)
+    @pytest.mark.parametrize("overrides", [
+        # A combiner rewrites the shuffle stream mid-flight.
+        {"combiner": SumReducer},
+        # An undescribed stage: the lowering attached no spec at all.
+        {"shuffle_spec": None},
+    ], ids=["combiner", "undescribed"])
+    def test_pickle_plane_is_chosen_from_the_stage(self, overrides):
+        # The pickle plane has no user-facing selector: active_spec
+        # declines from what the conf says, and the same job is
+        # byte-identical on it -- this pins the gate end to end.
+        conf = typed_conf(**overrides)
         assert sb.active_spec(conf) is None
+        assert sb.active_spec(typed_conf()) is not None
         par = ParallelJobRunner(num_workers=2).run(conf)
         assert_identical(par, LocalJobRunner().run(conf))
+        assert par.outputs == \
+            ParallelJobRunner(num_workers=2).run(typed_conf()).outputs
 
     def test_multi_agg_fold_identical(self):
         out = Schema(
@@ -471,7 +467,6 @@ class TestTypedSpillFaults:
         # Recovered jobs account spill bytes like clean ones (successful
         # attempts only).
         faults.clear_plan()
-        engine.pool.reset_health()
         clean = ParallelJobRunner(num_workers=2, engine=engine).run(conf)
         assert par.metrics.shuffle_bytes_spilled == \
             clean.metrics.shuffle_bytes_spilled

@@ -10,8 +10,13 @@
    under ``src/repro/storage/`` -- "what bytes is this input, right
    now" is :func:`repro.storage.input_identity`'s decision, and a
    second spelling of it elsewhere is a cache that can disagree.
+3. No unargued environment knobs.  Every ``REPRO_*`` name spelled as a
+   string literal under ``src/repro/`` -- which is how a name reaches
+   ``os.environ``, directly or through a helper -- is on
+   :data:`ENV_ALLOWED`.  A new knob is a new user-set selector between
+   behaviours; it fails here until someone argues for it in the list.
 
-Exit status 0 when both rules hold; 1 with a report otherwise.  Run from
+Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
 Used by the CI ``docs`` job and by ``tests/test_layering.py``.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import sys
 from typing import Iterator, List, Tuple
 
@@ -33,6 +39,15 @@ LOWER_LAYERS = ("storage", "mapreduce", "batch", "engine", "core")
 FRONT_DOORS = ("repro.api", "repro.service")
 #: the stat field only :func:`repro.storage.input_identity` may read
 MTIME_ATTR = "st_mtime_ns"
+#: every environment variable the package may read: the fault-injection
+#: plan (tests, chaos CI) and the three RetryPolicy defaults
+ENV_ALLOWED = frozenset({
+    "REPRO_FAULTS",
+    "REPRO_TASK_ATTEMPTS",
+    "REPRO_TASK_TIMEOUT",
+    "REPRO_POOL_REBUILDS",
+})
+_ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -100,19 +115,43 @@ def mtime_violations(src: str = SRC) -> List[str]:
     ]
 
 
+def env_violations(src: str = SRC) -> List[str]:
+    """Every ``REPRO_*`` string literal not on :data:`ENV_ALLOWED`.
+
+    Whole-literal matches only: prose that mentions a name (docstrings,
+    messages) is a longer string and is not a read.
+    """
+    found = sorted(
+        (os.path.relpath(path, REPO_ROOT), node.lineno, node.value)
+        for path, tree in parsed_modules(os.path.join(src, "repro"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and _ENV_NAME.fullmatch(node.value)
+        and node.value not in ENV_ALLOWED
+    )
+    return [
+        f"{path}:{lineno}: environment knob {name} is not on "
+        f"tools/check_layers.py ENV_ALLOWED"
+        for path, lineno, name in found
+    ]
+
+
 def main() -> int:
-    upward, mtime = violations(), mtime_violations()
-    for line in upward + mtime:
+    upward, mtime, env = violations(), mtime_violations(), env_violations()
+    for line in upward + mtime + env:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
     if mtime:
         print(f"\n{len(mtime)} read(s) of {MTIME_ATTR} outside repro.storage")
-    if upward or mtime:
+    if env:
+        print(f"\n{len(env)} environment knob(s) off the allow-list")
+    if upward or mtime or env:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
-          f"under src/repro/storage")
+          f"under src/repro/storage; every REPRO_* environment name is one "
+          f"of {', '.join(sorted(ENV_ALLOWED))}")
     return 0
 
 
