@@ -26,6 +26,11 @@ Workloads:
   cost what four solo runs cost (speedup ~1.0 by construction; tracked
   so the grouping probe stays invisible when it declines).
 
+Beside the workloads, ``decode_cost`` times the block scan itself on
+the hot file -- zero columns captured (the boundary walk every scan
+pays per field) against all ten (walk + materialization) -- and reports
+their ratio, the measurement ``multiscan.DECODE_WEIGHT`` models.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_multiscan.py             # full run
@@ -50,8 +55,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.expressions import col, lit
 from repro.api.session import Session
+from repro.batch.columns import ScanPlan, iter_column_batches
 from repro.service.payload import serialize_rows
-from repro.storage.recordfile import RecordFileWriter
+from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import Field, FieldType, Record, Schema
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -221,6 +227,38 @@ def bench_shared(name: str, session: Session, paths: Sequence[str],
     }
 
 
+def measure_decode_cost(path: str, repeats: int = 9) -> Dict[str, float]:
+    """Per-field walk and capture cost of the block scan over ``path``.
+
+    ``walk`` is the best-of-``repeats`` scan capturing nothing, divided
+    by the fields walked per row (key + value); ``capture`` is what
+    capturing every value column adds, per captured field.  Their ratio
+    is the measured counterpart of ``multiscan.DECODE_WEIGHT``.
+    """
+    def scan(capture: List[str]) -> Tuple[float, int]:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            with RecordFileReader(path) as reader:
+                plan = ScanPlan(reader.key_schema, reader.value_schema,
+                                capture, decode_keys=False)
+                rows = sum(b.n_rows for b in
+                           iter_column_batches(reader, None, plan))
+            best = min(best, time.perf_counter() - start)
+        return best, rows
+
+    names = WIDE.field_names()
+    walk_s, rows = scan([])
+    full_s, _rows = scan(names)
+    walk = walk_s / (rows * (len(KEY.fields) + len(names)))
+    capture = (full_s - walk_s) / (rows * len(names))
+    return {
+        "walk_ns_per_field": round(walk * 1e9, 1),
+        "capture_ns_per_field": round(capture * 1e9, 1),
+        "measured_decode_weight": round(capture / walk, 2),
+    }
+
+
 def run_suite(scale: float, repeats: int) -> Dict[str, Any]:
     n_rows = max(1024, int(BASE_ROWS * scale))
     cpus = os.cpu_count() or 1
@@ -235,6 +273,7 @@ def run_suite(scale: float, repeats: int) -> Dict[str, Any]:
     }
     with tempfile.TemporaryDirectory(prefix="bench-multiscan-") as workdir:
         hot = generate_hot(os.path.join(workdir, "hot.rf"), n_rows)
+        report["decode_cost"] = measure_decode_cost(hot)
         with Session(workdir=os.path.join(workdir, "s")) as session:
             report["workloads"]["shared_scan_n4"] = bench_shared(
                 "shared_scan_n4", session, [hot] * len(QUERIES),

@@ -2,46 +2,36 @@
 
 The record path hands every map invocation a decoded (or lazily
 decoding) :class:`~repro.storage.serialization.Record`.  The batch path
-instead walks each storage block's memoryview once and lands the *needed*
-value fields in per-column Python lists -- the fields a stage's
-predicates and projection actually touch, per its
+instead scans each storage block once and lands the *needed* value
+fields in per-column Python lists -- the fields a stage's predicates and
+projection actually touch, per its
 :class:`~repro.batch.spec.BatchStageSpec`.  Unneeded fields are
 boundary-skipped (continuation bits and length prefixes only), the same
 trick :meth:`Schema.decode_lazy` plays per record, but without per-record
 ``LazyRecord`` allocation: one scan, one batch of flat lists per block.
 
-Blocks and record spans come from the block-file container's public
-iterators (:mod:`repro.storage.blockfile`), the ones the record path walks,
-so framing damage fails identically whichever path served it.  Accounting
-parity is deliberate too: the scan accumulates the exact
-``estimate_size``-equivalent of every key and value record (the
-``map_input_logical_bytes`` charge the record-path readers report) and a
-damaged field raises the :class:`SerializationError` their decoders raise.
+This module owns *what* to capture (:class:`ScanPlan`); the scan itself
+is storage's: :mod:`repro.storage.blockscan` generates and compiles one
+straight-line decoder per scan shape, and every plan of that shape --
+solo, shared-scan union, in any pool worker -- runs the same code
+object.  There is no interpreted walk beside it.  Parity with the record
+path is kept there too: a block the compiled loop cannot prove
+well-formed is re-walked through the container's ``block_spans`` +
+``Schema.decode`` reference, so damage raises what ``iter_records``
+raises, and ``logical_bytes`` is the exact ``estimate_size``-equivalent
+of every key and value record (the ``map_input_logical_bytes`` charge the
+record-path readers report).
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator, List, Optional
 
 from repro.batch.spec import BatchStageSpec
-from repro.exceptions import SerializationError
-from repro.storage import varint
 from repro.storage.blockfile import BlockInfo
+from repro.storage.blockscan import block_scanner
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import FieldType, Record, Schema
-
-#: Per-field scan step codes (see :func:`_scan_fields`).
-_VARINT, _DOUBLE, _BOOL, _STRING, _BYTES = range(5)
-
-_CODE = {
-    FieldType.INT: _VARINT,
-    FieldType.LONG: _VARINT,
-    FieldType.DOUBLE: _DOUBLE,
-    FieldType.BOOL: _BOOL,
-    FieldType.STRING: _STRING,
-    FieldType.BYTES: _BYTES,
-}
+from repro.storage.serialization import Record, Schema
 
 
 class ColumnBatch:
@@ -69,10 +59,10 @@ class ColumnBatch:
 
 
 class ScanPlan:
-    """A compiled per-file decode plan: which fields to capture vs skip."""
+    """A per-file decode plan: which fields to capture vs skip."""
 
-    __slots__ = ("key_schema", "value_schema", "key_steps", "value_steps",
-                 "slots", "n_slots", "decode_keys")
+    __slots__ = ("key_schema", "value_schema", "slots", "n_slots",
+                 "decode_keys", "scanner")
 
     def __init__(self, key_schema: Schema, value_schema: Schema,
                  capture: List[str], decode_keys: bool):
@@ -81,11 +71,9 @@ class ScanPlan:
         self.decode_keys = decode_keys
         self.slots = {name: i for i, name in enumerate(capture)}
         self.n_slots = len(capture)
-        self.key_steps = [_CODE[f.ftype] for f in key_schema.fields]
-        self.value_steps = [
-            (_CODE[f.ftype], self.slots.get(f.name, -1))
-            for f in value_schema.fields
-        ]
+        #: the compiled scan of this plan's shape (process-wide cache)
+        self.scanner = block_scanner(
+            key_schema, value_schema, self.slots, decode_keys)
 
 
 def build_scan_plan(key_schema: Schema, value_schema: Schema,
@@ -120,150 +108,12 @@ def iter_column_batches(
 ) -> Iterator[ColumnBatch]:
     """Decode ``blocks`` of ``reader`` into one :class:`ColumnBatch` each.
 
-    Block reads and record framing are the container's
-    (``iter_block_payloads`` + ``block_spans``), so ``reader.bytes_read``
-    accumulates as usual; only the field walk inside each key/value span
-    is this module's, raising what ``Schema.decode``/``decode_lazy`` raise.
+    Block reads are the container's (``iter_block_payloads``), so
+    ``reader.bytes_read`` accumulates as usual; each payload goes through
+    the plan's compiled scanner, which raises what ``iter_records`` would.
     """
-    key_schema = plan.key_schema
-    key_steps = plan.key_steps
-    value_steps = plan.value_steps
-    n_slots = plan.n_slots
-    decode_keys = plan.decode_keys
-    key_name = key_schema.name
-    value_name = plan.value_schema.name
-    unpack_double = struct.Struct("<d").unpack_from
-    decode_uvarint = varint.decode_uvarint
-    decode_svarint = varint.decode_svarint
-    skip_uvarint = varint.skip_uvarint
-
+    scan = plan.scanner.scan
+    slots = plan.slots
     for payload, n_records in reader.iter_block_payloads(blocks):
-        cols: List[list] = [[] for _ in range(n_slots)]
-        keys: Optional[List[Record]] = [] if decode_keys else None
-        est = 0
-        view, spans = reader.block_spans(payload, n_records)
-        for kpos, kend, vpos, vend in spans:
-            # -- key fields: estimate_size parity; decode when emitted --
-            est += 1
-            p = kpos
-            if decode_keys:
-                kvals = []
-                kappend = kvals.append
-                for code in key_steps:
-                    if code == _VARINT:
-                        value, np = decode_svarint(view, p, kend)
-                        kappend(value)
-                        est += np - p
-                        p = np
-                    elif code == _DOUBLE:
-                        np = p + 8
-                        if np > kend:
-                            raise SerializationError("truncated double field")
-                        kappend(unpack_double(view, p)[0])
-                        est += 8
-                        p = np
-                    elif code == _BOOL:
-                        if p >= kend:
-                            raise SerializationError("truncated bool field")
-                        kappend(view[p] != 0)
-                        est += 1
-                        p += 1
-                    else:
-                        length, lp = decode_uvarint(view, p, kend)
-                        np = lp + length
-                        if np > kend:
-                            raise SerializationError(
-                                "truncated string field"
-                                if code == _STRING
-                                else "truncated bytes field"
-                            )
-                        kappend(
-                            str(view[lp:np], "utf-8")
-                            if code == _STRING
-                            else bytes(view[lp:np])
-                        )
-                        est += length + 1
-                        p = np
-                keys.append(Record(key_schema, kvals))
-            else:
-                for code in key_steps:
-                    if code == _VARINT:
-                        np = skip_uvarint(view, p, kend)
-                        est += np - p
-                        p = np
-                    elif code == _DOUBLE:
-                        np = p + 8
-                        if np > kend:
-                            raise SerializationError("truncated double field")
-                        est += 8
-                        p = np
-                    elif code == _BOOL:
-                        if p >= kend:
-                            raise SerializationError("truncated bool field")
-                        est += 1
-                        p += 1
-                    else:
-                        length, lp = decode_uvarint(view, p, kend)
-                        np = lp + length
-                        if np > kend:
-                            raise SerializationError(
-                                "truncated string field"
-                                if code == _STRING
-                                else "truncated bytes field"
-                            )
-                        est += length + 1
-                        p = np
-            if p != kend:
-                raise SerializationError(
-                    f"{kend - p} trailing bytes decoding schema {key_name!r}"
-                )
-
-            # -- value fields: capture needed columns, skip the rest --
-            est += 1
-            p = vpos
-            for code, slot in value_steps:
-                if code == _VARINT:
-                    if slot < 0:
-                        np = skip_uvarint(view, p, vend)
-                    else:
-                        value, np = decode_svarint(view, p, vend)
-                        cols[slot].append(value)
-                    est += np - p
-                    p = np
-                elif code == _DOUBLE:
-                    np = p + 8
-                    if np > vend:
-                        raise SerializationError("truncated double field")
-                    if slot >= 0:
-                        cols[slot].append(unpack_double(view, p)[0])
-                    est += 8
-                    p = np
-                elif code == _BOOL:
-                    if p >= vend:
-                        raise SerializationError("truncated bool field")
-                    if slot >= 0:
-                        cols[slot].append(view[p] != 0)
-                    est += 1
-                    p += 1
-                else:
-                    length, lp = decode_uvarint(view, p, vend)
-                    np = lp + length
-                    if np > vend:
-                        raise SerializationError(
-                            "truncated string field"
-                            if code == _STRING
-                            else "truncated bytes field"
-                        )
-                    if slot >= 0:
-                        cols[slot].append(
-                            str(view[lp:np], "utf-8")
-                            if code == _STRING
-                            else bytes(view[lp:np])
-                        )
-                    est += length + 1
-                    p = np
-            if p != vend:
-                raise SerializationError(
-                    f"{vend - p} trailing bytes decoding schema {value_name!r}"
-                )
-        yield ColumnBatch(n_records, cols, plan.slots, keys, est)
+        cols, keys, logical_bytes = scan(reader, payload, n_records)
+        yield ColumnBatch(n_records, cols, slots, keys, logical_bytes)

@@ -47,9 +47,17 @@ from repro.mapreduce.job import JobConf, JobResult
 from repro.storage import InputIdentity, input_identity
 from repro.storage.recordfile import RecordFileReader
 
-#: Modeled cost of materializing one decoded field, relative to the
-#: boundary walk every scan pays per field whether it decodes it or not.
-DECODE_WEIGHT = 4.0
+#: Cost of materializing one decoded field, relative to the boundary
+#: walk every scan pays per field whether it decodes it or not.
+#: Measured, not guessed: ``iter_column_batches`` over the comparison
+#: suite's 6 000-row x 10-column ``events`` file, best of 60 interleaved
+#: scans, capturing zero columns (walk = t0 / 11 fields: 0.61 ms) against
+#: all ten (capture = (t10 - t0) / 10: 0.86 ms) -- a ratio of 1.4-1.5
+#: over four runs under the compiled block scan (0.95 under the
+#: interpreted walk, when this constant read a guessed 4.0).
+#: ``benchmarks/bench_multiscan.py`` repeats the measurement on its own
+#: file (``decode_cost`` in BENCH_multiscan.json).
+DECODE_WEIGHT = 1.5
 
 #: Per-member latency gate: a query joins a group only while the modeled
 #: fused pass costs at most this factor of its own modeled solo pass.

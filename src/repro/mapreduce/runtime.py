@@ -207,6 +207,34 @@ def _finish_map_task(
     metrics = out.metrics
     metrics.map_output_records += len(emitted)
 
+    # Described-aggregate stages (``shuffle_spec``) shuffle a small set
+    # of primitive group keys repeated across many pairs: one memo entry
+    # per distinct key -- ``[estimate_size, partition once routed]`` --
+    # so sizing and stable_hash each run once per distinct key, not once
+    # per pair.  Both are pure functions of the key, and both runners
+    # share this tail, so sequential/parallel identity is untouched.
+    memo: Optional[dict] = None if conf.shuffle_spec is None else {}
+
+    def sized_rows(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, ...]]:
+        if memo is None:
+            return [
+                (key, value, estimate_size(key), estimate_size(value))
+                for key, value in pairs
+            ]
+        rows = []
+        for key, value in pairs:
+            try:
+                key_size = memo[key][0]
+            except KeyError:
+                key_size = estimate_size(key)
+                memo[key] = [key_size, None]
+            except TypeError:
+                # Unhashable key from a lying UDF schema: size and route
+                # it the slow way; the spill codecs will reject it later.
+                key_size = estimate_size(key)
+            rows.append((key, value, key_size, estimate_size(value)))
+        return rows
+
     # One estimate_size pass per pair, shared between map-output and
     # shuffle accounting: without a combiner the emitted pairs *are* the
     # shuffle stream, so each key/value is sized exactly once and the
@@ -217,15 +245,9 @@ def _finish_map_task(
         for key, value in emitted:
             map_output_bytes += estimate_size(key) + estimate_size(value)
         metrics.map_output_bytes += map_output_bytes
-        sized = [
-            (key, value, estimate_size(key), estimate_size(value))
-            for key, value in _run_combiner(conf, emitted, out.counters)
-        ]
+        sized = sized_rows(_run_combiner(conf, emitted, out.counters))
     else:
-        sized = [
-            (key, value, estimate_size(key), estimate_size(value))
-            for key, value in emitted
-        ]
+        sized = sized_rows(emitted)
         map_output_bytes = 0
         for row in sized:
             map_output_bytes += row[2] + row[3]
@@ -244,22 +266,15 @@ def _finish_map_task(
     partitions = out.partitions
     shuffle_bytes = 0
     shuffle_key_bytes = 0
-    if conf.shuffle_spec is not None:
-        # Described-aggregate stages shuffle a small set of primitive
-        # group keys repeated across many pairs: memoize the hash route
-        # so stable_hash runs once per distinct key, not once per pair.
-        # Routing is a pure function of the key, and both runners share
-        # this tail, so sequential/parallel identity is untouched.
-        routes: dict = {}
+    if memo is not None:
         for key, value, key_size, value_size in sized:
             try:
-                part = routes[key]
-            except KeyError:
-                part = routes[key] = partition(key, n_reducers)
+                entry = memo[key]
             except TypeError:
-                # Unhashable key from a lying UDF schema: route it the
-                # slow way; the spill codecs will reject it later.
-                part = partition(key, n_reducers)
+                entry = [key_size, None]
+            part = entry[1]
+            if part is None:
+                part = entry[1] = partition(key, n_reducers)
             partitions[part].append((key, value))
             shuffle_key_bytes += key_size
             shuffle_bytes += key_size + value_size

@@ -7,6 +7,8 @@ physical index formats Manimal's optimizer materializes:
 * :mod:`repro.storage.blockfile` -- the block-file container: one reader and
   one writer for every record-shaped format, parameterized by a value codec
 * :mod:`repro.storage.recordfile` -- record files (identity codec)
+* :mod:`repro.storage.blockscan` -- compiled columnar scans of identity-codec
+  blocks: one generated decoder per scan shape
 * :mod:`repro.storage.delta` -- delta files (per-block running deltas)
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation

@@ -6,7 +6,8 @@ UDF chains), the callables of ``test_explain.py`` and the admitted UDF
 shapes of ``test_udf_translation.py`` -- and records, per query, every
 text the expression algebra feeds: synthesized stage-mapper source,
 kernel source, ``explain()`` output, selection hints and the remote op
-JSON.  The golden was recorded at the commit *before* fluent ``Expr``
+JSON -- plus the compiled block scanner's source for two scan shapes
+(:data:`SCAN_SHAPES`).  The golden was recorded at the commit *before* fluent ``Expr``
 became sugar over ``SymExpr`` and must never change by accident: the
 stage source is what the analyzer re-derives formulas from, and the op
 JSON is the query service's result-cache identity.
@@ -33,8 +34,11 @@ import test_udf_translation
 from repro.api.expressions import col, lit
 from repro.api.remote import op_filter
 from repro.api.session import Session
+from repro.batch.columns import build_scan_plan
 from repro.batch.kernels import compile_predicates
+from repro.batch.spec import BatchStageSpec
 from repro.explain import explain_job
+from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from tests.conftest import WEBPAGE, write_webpages
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
@@ -52,6 +56,27 @@ FROZEN_EXPRS = [
     col("f") < lit(float("inf")),
     ~((col("a") < 1) | (col("b") > 2)) & (col("s") == "日x"),
 ]
+
+#: One value field of every wire kind, so both shapes pin every skip step.
+SCAN_VALUES = Schema("ScanGolden", [
+    Field("name", FieldType.STRING),
+    Field("a", FieldType.INT),
+    Field("b", FieldType.LONG),
+    Field("w", FieldType.DOUBLE),
+    Field("ok", FieldType.BOOL),
+    Field("raw", FieldType.BYTES),
+])
+
+#: The block-scan golden: an aggregate (keys skipped, two int captures)
+#: and a map (keys decoded, one string capture).
+SCAN_SHAPES = {
+    "aggregate": BatchStageSpec(
+        kind="aggregate", predicates=[(col("a") > 1).to_symbolic()],
+        group_column="b", aggs=[("count", None)]),
+    "map": BatchStageSpec(
+        kind="map", project_columns=["name"],
+        out_value_schema=SCAN_VALUES.project(["name"])),
+}
 
 
 def _stage_texts(plan):
@@ -155,6 +180,10 @@ def snapshot(root):
         "remote_ops": ops,
         "frozen_exprs": [json.dumps(e.to_dict()) for e in FROZEN_EXPRS],
         "frozen_sources": [expr.to_source("value") for expr in FROZEN_EXPRS],
+        "scanners": {
+            name: build_scan_plan(LONG_SCHEMA, SCAN_VALUES, spec).scanner.source
+            for name, spec in SCAN_SHAPES.items()
+        },
     }
 
 

@@ -2,7 +2,8 @@
 
 Every synthesized stage mapper, kernel, ``explain()`` rendering,
 selection hint and wire JSON of the corpus must equal the golden
-recorded before fluent ``Expr`` became sugar over ``SymExpr``.
+recorded before fluent ``Expr`` became sugar over ``SymExpr``; the
+compiled block scanner's source for two shapes is pinned beside them.
 """
 
 import json
@@ -19,5 +20,5 @@ def test_generated_text_matches_the_golden(tmp_path):
     for name, texts in golden["queries"].items():
         assert current["queries"][name] == texts, name
     for section in ("classic_explain", "remote_ops", "frozen_exprs",
-                    "frozen_sources"):
+                    "frozen_sources", "scanners"):
         assert current[section] == golden[section], section

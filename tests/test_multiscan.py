@@ -367,19 +367,22 @@ class TestGroupPlanner:
         )
 
     def test_latency_gate_protects_narrow_scans(self, session, tmp_path):
-        # 8 value columns; a 1-column aggregate must not be fused into
-        # an everything-column union
+        # 12 value columns; a 1-column aggregate must not be fused into
+        # an everything-column union (at the measured DECODE_WEIGHT of
+        # 1.5 the fused pass models 13 + 1.5*12 = 31 against a bound of
+        # 2 * (13 + 1.5) = 29; with 8 columns it would sit exactly on
+        # the bound and fuse)
         from repro.storage.recordfile import RecordFileWriter
         from repro.storage.serialization import Field, Record, Schema
 
-        fields = [Field(f"c{i}", FieldType.INT) for i in range(8)]
+        fields = [Field(f"c{i}", FieldType.INT) for i in range(12)]
         schema = Schema("WideMs", fields)
         key_schema = Schema("WideMsKey", [Field("id", FieldType.LONG)])
         path = str(tmp_path / "wide.rf")
         with RecordFileWriter(path, key_schema, schema) as writer:
             for i in range(60):
                 writer.append(key_schema.make(i),
-                              Record(schema, [i + j for j in range(8)]))
+                              Record(schema, [i + j for j in range(12)]))
 
         def build_all():
             return [
