@@ -22,10 +22,9 @@ from typing import Any, List, Optional, Sequence
 from repro.api.dataset import Dataset, DatasetResult
 from repro.api.plan import FLUENT_KB, LoweredPlan, ScanNode, lower_plan
 from repro.core.analyzer.analyzer import peek_schemas
-from repro.core.analyzer.descriptors import JobAnalysis
 from repro.core.manimal import Manimal, ManimalResult
 from repro.core.optimizer.catalog import DatasetEntry, IndexEntry
-from repro.core.pipeline import ManimalPipeline, StageOutcome
+from repro.core.pipeline import ManimalPipeline
 from repro.exceptions import JobConfigError, SerializationError
 from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.runtime import _coerce
@@ -188,7 +187,7 @@ class Session:
             allowed_kinds: Optional[Sequence[str]] = None,
             parallelism: Optional[int] = None,
             scheduler: Optional[str] = None) -> DatasetResult:
-        """Execute a Dataset: lower, wire stages, submit with hints.
+        """Execute a Dataset: :meth:`run_many` of one.
 
         :param dataset: the query to execute (lowered freshly, so each run
             gets private scratch paths).
@@ -203,12 +202,11 @@ class Session:
             concurrently through the engine; results are byte-identical.
         :returns: a :class:`~repro.api.dataset.DatasetResult`.
         """
-        plan = self.lower(dataset)
-        outcomes = self._pipeline_for(plan).submit(
-            build_indexes=build_indexes, allowed_kinds=allowed_kinds,
-            runner=parallelism, scheduler=scheduler,
-        )
-        return DatasetResult(plan=plan, stages=outcomes)
+        return run_plans(
+            [(self, self.lower(dataset))], parallelism=parallelism,
+            scheduler=scheduler, build_indexes=build_indexes,
+            allowed_kinds=allowed_kinds,
+        )[0]
 
     def run_many(self, datasets: Sequence[Dataset],
                  parallelism: Optional[int] = None,
@@ -219,15 +217,16 @@ class Session:
         file -- after the optimizer's input substitution, so projection
         pushdown is respected -- execute as **one** fused pass that
         decodes the union of their columns once (see
-        :mod:`repro.batch.multiscan`).  Every other query, and every
-        later stage of shared queries, runs through the exact solo path
-        :meth:`run` uses, so each returned
-        :class:`~repro.api.dataset.DatasetResult` is byte-identical to
-        running that Dataset alone.
+        :mod:`repro.batch.multiscan`).  Sharing replaces only *who runs*
+        that first stage: every query, shared or not, is planned once
+        and assembled by the same :func:`run_plans` path :meth:`run`
+        uses, so each returned
+        :class:`~repro.api.dataset.DatasetResult` equals that Dataset's
+        solo result -- rows, descriptors, index programs -- not just its
+        bytes.
         """
-        plans = [self.lower(dataset) for dataset in datasets]
-        return run_shared_plans(
-            [(self, plan) for plan in plans],
+        return run_plans(
+            [(self, self.lower(dataset)) for dataset in datasets],
             parallelism=parallelism, scheduler=scheduler,
         )
 
@@ -359,27 +358,12 @@ class Session:
         files; only inputs originating outside the plan are indexed, using
         the exact hints the lowering produced.
         """
-        plan = self.lower(dataset)
-        produced = {
-            os.path.abspath(stage.conf.output_path)
-            for stage in plan.stages
-            if stage.conf.output_path is not None
-        }
-        built: List[IndexEntry] = []
-        for stage in plan.stages:
-            for source, ia in zip(stage.conf.inputs, stage.hints.inputs):
-                if type(source) is not RecordFileInput:
-                    continue
-                if os.path.abspath(source.path) in produced:
-                    continue
-                single = stage.conf.with_inputs([source])
-                sub = JobAnalysis(job_name=stage.conf.name, inputs=[ia])
-                built.extend(
-                    self.system.build_indexes(
-                        single, sub, allowed_kinds=allowed_kinds
-                    )
-                )
-        return built
+        pipeline = self.pipeline(dataset)
+        return [
+            entry
+            for i, hints in enumerate(pipeline.stage_hints)
+            for entry in pipeline.build_stage_indexes(i, hints, allowed_kinds)
+        ]
 
     def explain(self, dataset: Dataset) -> str:
         """The lowered stage chain, per-stage hints, and planned execution."""
@@ -408,87 +392,67 @@ class Session:
         self.close()
 
 
-def run_shared_plans(
+def run_plans(
     items: Sequence[tuple],
     parallelism: Optional[int] = None,
     scheduler: Optional[str] = None,
+    build_indexes: bool = False,
+    allowed_kinds: Optional[Sequence[str]] = None,
 ) -> List[DatasetResult]:
-    """Execute ``(session, plan)`` pairs, sharing compatible scan stages.
+    """Execute N >= 1 ``(session, plan)`` pairs: the one submission path.
 
-    The cross-session core of :meth:`Session.run_many`: the query
-    service uses it directly so queries from *different tenants'*
-    sessions (each with its own catalog and scratch space) can still
-    share one pass over a common hot file.  Only each plan's first stage
-    -- the one scanning the shared base input -- is a sharing candidate;
-    it is planned exactly as :meth:`Manimal.execute
-    <repro.core.manimal.Manimal.execute>` would (optimizer input
-    substitution plus shuffle filter), grouped by
-    :func:`repro.batch.multiscan.plan_shared_groups`, and each group
-    runs as one job group on the runner its leader would have run solo
-    on.  Any remaining stages (and every non-candidate plan) run the
-    unchanged solo path.  All sessions must share one engine; a session
-    on a different engine simply runs solo.
+    Every door -- :meth:`Session.run`, :meth:`Session.run_many`, a query
+    server dispatch -- ends here, and every plan, whatever happened to
+    its first stage, is finished by
+    :meth:`ManimalPipeline.submit <repro.core.pipeline.ManimalPipeline.submit>`,
+    which alone validates ``scheduler``, builds indexes, runs DAG waves
+    and assembles the stage outcomes.
+
+    With more than one plan, each plan's first stage -- the one scanning
+    a base input -- is a sharing candidate.  It is planned once
+    (:meth:`~repro.core.pipeline.ManimalPipeline.prepare_stage`),
+    grouped on its optimized conf by
+    :func:`repro.batch.multiscan.plan_shared_groups`, and each approved
+    group runs as one job group on the runner its leader would have run
+    solo on; the pipeline is handed the planned (and, for group members,
+    executed) stage back instead of redoing it.  The query service calls
+    this with pairs from *different tenants'* sessions (each with its
+    own catalog and scratch space) so they can share one pass over a
+    common hot file; all sessions must share one engine, and a session
+    on a different engine simply runs solo.  A batch of one does no
+    grouping work at all.
     """
     from repro.batch.multiscan import plan_shared_groups, run_shared_group
     from repro.mapreduce.parallel import resolve_runner
 
-    if not items:
-        return []
-    engine = items[0][0].engine
-    prepared: List[Optional[tuple]] = []
-    for session, plan in items:
-        if session.engine is not engine:
-            prepared.append(None)
-            continue
-        stage0 = plan.stages[0]
-        descriptor = session.system.plan(stage0.conf, stage0.hints)
-        prepared.append((descriptor, descriptor.apply(stage0.conf)))
-    report = plan_shared_groups(
-        [None if p is None else p[1] for p in prepared]
-    )
-
-    stage0_results: dict = {}
-    for group in report.groups:
-        leader_session = items[group.members[0].index][0]
-        leader_conf = prepared[group.members[0].index][1]
-        runner = resolve_runner(
-            parallelism, conf=leader_conf,
-            default=leader_session.system.runner, engine=engine,
-        )
-        shared = run_shared_group(
-            [prepared[m.index][1] for m in group.members], runner,
-            engine.pool,
-        )
-        for member, result in zip(group.members, shared):
-            stage0_results[member.index] = result
-
-    results: List[DatasetResult] = []
-    for index, (session, plan) in enumerate(items):
-        job_result = stage0_results.get(index)
-        if job_result is None:
-            outcomes = session._pipeline_for(plan).submit(
-                runner=parallelism, scheduler=scheduler
+    pipelines = [session._pipeline_for(plan) for session, plan in items]
+    first: List[Optional[ManimalResult]] = [None] * len(items)
+    if len(items) > 1:
+        engine = items[0][0].engine
+        confs: List[Any] = [None] * len(items)
+        for i, pipeline in enumerate(pipelines):
+            if pipeline.system.engine is engine:
+                first[i] = pipeline.prepare_stage(
+                    0, build_indexes, allowed_kinds
+                )
+                confs[i] = first[i].descriptor.apply(pipeline.stages[0])
+        for group in plan_shared_groups(confs).groups:
+            leader = group.members[0].index
+            runner = resolve_runner(
+                parallelism, conf=confs[leader],
+                default=pipelines[leader].system.runner, engine=engine,
             )
-            results.append(DatasetResult(plan=plan, stages=outcomes))
-            continue
-        descriptor, _optimized = prepared[index]
-        stage0 = plan.stages[0]
-        stages = [StageOutcome(
-            conf=stage0.conf,
-            outcome=ManimalResult(
-                analysis=stage0.hints, index_programs=[],
-                built_indexes=[], descriptor=descriptor,
-                result=job_result,
-            ),
-        )]
-        links = session._pipeline_for(plan).links()
-        for i in range(1, len(plan.stages)):
-            stage = plan.stages[i]
-            outcome = session.system.submit(
-                stage.conf, analysis=stage.hints, runner=parallelism
+            shared = run_shared_group(
+                [confs[m.index] for m in group.members], runner,
+                engine.pool,
             )
-            stages.append(StageOutcome(
-                conf=stage.conf, outcome=outcome, upstream=links[i]
-            ))
-        results.append(DatasetResult(plan=plan, stages=stages))
-    return results
+            for member, result in zip(group.members, shared):
+                first[member.index].result = result
+    return [
+        DatasetResult(plan=plan, stages=pipeline.submit(
+            build_indexes=build_indexes, allowed_kinds=allowed_kinds,
+            runner=parallelism, scheduler=scheduler, first_stage=prepared,
+        ))
+        for (_session, plan), pipeline, prepared
+        in zip(items, pipelines, first)
+    ]

@@ -40,13 +40,18 @@ from repro.storage import input_identity
 
 @dataclass
 class ManimalResult:
-    """Everything a submission produced."""
+    """Everything a submission produced.
+
+    :meth:`Manimal.prepare` fills in all but ``result``;
+    :meth:`Manimal.submit` -- or a caller that ran the planned job as
+    part of a shared scan group -- supplies that.
+    """
 
     analysis: JobAnalysis
     index_programs: List[Optional[IndexGenerationProgram]]
     built_indexes: List[IndexEntry]
     descriptor: ExecutionDescriptor
-    result: JobResult
+    result: Optional[JobResult] = None
 
     @property
     def optimized(self) -> bool:
@@ -223,6 +228,32 @@ class Manimal:
 
     # -- the one-call user path ---------------------------------------------------
 
+    def prepare(
+        self,
+        conf: JobConf,
+        build_indexes: bool = False,
+        allowed_kinds: Optional[Sequence[str]] = None,
+        analysis: Optional[JobAnalysis] = None,
+    ) -> ManimalResult:
+        """Everything :meth:`submit` does short of executing the job.
+
+        Analyze, (optionally) index, plan.  The returned result has no
+        ``result`` yet; whoever runs ``descriptor.apply(conf)`` fills it
+        in -- :meth:`submit` for a solo job,
+        :func:`repro.api.session.run_plans` for a shared scan group.
+        """
+        analysis = analysis or self.analyze(conf)
+        programs = self.index_programs(conf, analysis, allowed_kinds)
+        built: List[IndexEntry] = []
+        if build_indexes:
+            built = self.build_indexes(conf, analysis, allowed_kinds)
+        return ManimalResult(
+            analysis=analysis,
+            index_programs=programs,
+            built_indexes=built,
+            descriptor=self.plan(conf, analysis),
+        )
+
     def submit(
         self,
         conf: JobConf,
@@ -251,20 +282,9 @@ class Manimal:
             synthesized index programs, any indexes built, the chosen
             execution descriptor, and the job result.
         """
-        analysis = analysis or self.analyze(conf)
-        programs = self.index_programs(conf, analysis, allowed_kinds)
-        built: List[IndexEntry] = []
-        if build_indexes:
-            built = self.build_indexes(conf, analysis, allowed_kinds)
-        descriptor = self.plan(conf, analysis)
-        result = self.execute(conf, descriptor, runner=runner)
-        return ManimalResult(
-            analysis=analysis,
-            index_programs=programs,
-            built_indexes=built,
-            descriptor=descriptor,
-            result=result,
-        )
+        outcome = self.prepare(conf, build_indexes, allowed_kinds, analysis)
+        outcome.result = self.execute(conf, outcome.descriptor, runner=runner)
+        return outcome
 
     def submit_with_hints(
         self,

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.analyzer.descriptors import JobAnalysis
 from repro.core.manimal import Manimal, ManimalResult
+from repro.core.optimizer.catalog import IndexEntry
 from repro.engine.dag import StageDAG
 from repro.exceptions import JobConfigError
 from repro.mapreduce.formats import RecordFileInput
@@ -86,6 +87,7 @@ class ManimalPipeline:
                 )
             self.stage_hints = list(stage_hints)
         self._links = self._detect_links()
+        self._intermediates = self.intermediate_paths()
         self._index_build_lock = threading.Lock()
 
     # -- link detection -----------------------------------------------------
@@ -157,7 +159,8 @@ class ManimalPipeline:
     def submit(self, build_indexes: bool = False,
                allowed_kinds: Optional[Sequence[str]] = None,
                runner: Optional[Any] = None,
-               scheduler: Optional[str] = None
+               scheduler: Optional[str] = None,
+               first_stage: Optional[ManimalResult] = None
                ) -> List[StageOutcome]:
         """Run all stages, optimizing each through Manimal.
 
@@ -178,6 +181,11 @@ class ManimalPipeline:
 
         Outcomes are returned in stage order and are byte-identical
         under both schedulers; ``'dag'`` only changes wall-clock.
+
+        ``first_stage`` is stage 0 as :meth:`prepare_stage` returned it,
+        handed back by a caller that planned it to decide on a shared
+        scan: it is not planned again, and if the caller also ran it
+        (``result`` set) it is not executed again.
         """
         scheduler = scheduler or "sequential"
         if scheduler not in ("sequential", "dag"):
@@ -185,57 +193,67 @@ class ManimalPipeline:
                 f"unknown scheduler {scheduler!r}; expected 'sequential' "
                 "or 'dag'"
             )
-        intermediates = self.intermediate_paths()
+
+        def submit_stage(i: int) -> StageOutcome:
+            outcome = first_stage if i == 0 else None
+            if outcome is None:
+                outcome = self.prepare_stage(i, build_indexes, allowed_kinds)
+            if outcome.result is None:
+                outcome.result = self.system.execute(
+                    self.stages[i], outcome.descriptor, runner=runner
+                )
+            return StageOutcome(conf=self.stages[i], outcome=outcome,
+                                upstream=list(self._links[i]))
+
         if scheduler == "sequential":
-            return [
-                self._submit_stage(i, intermediates, build_indexes,
-                                   allowed_kinds, runner)
-                for i in range(len(self.stages))
-            ]
+            return [submit_stage(i) for i in range(len(self.stages))]
         outcomes: List[Optional[StageOutcome]] = [None] * len(self.stages)
         for wave in self.dag().waves():
-            tasks = [
-                (i, partial(self._submit_stage, i, intermediates,
-                            build_indexes, allowed_kinds, runner))
-                for i in wave
-            ]
+            tasks = [(i, partial(submit_stage, i)) for i in wave]
             for i, outcome in self.system.engine.run_stage_tasks(tasks):
                 outcomes[i] = outcome
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _submit_stage(self, i: int, intermediates: Set[str],
-                      build_indexes: bool,
-                      allowed_kinds: Optional[Sequence[str]],
-                      runner: Optional[Any]) -> StageOutcome:
-        """Analyze, (optionally) index, and submit one stage."""
-        conf = self.stages[i]
+    def prepare_stage(self, i: int, build_indexes: bool = False,
+                      allowed_kinds: Optional[Sequence[str]] = None
+                      ) -> ManimalResult:
+        """Analyze, (optionally) index, and plan stage ``i``."""
         # One analysis per stage: hints when the submitter supplied
         # them (Appendix A), a single analyzer pass otherwise --
-        # reused for both index building and plan/execute below.
+        # reused for both index building and planning below.
         analysis = self.stage_hints[i]
         if analysis is None:
-            analysis = self.system.analyze(conf)
+            analysis = self.system.analyze(self.stages[i])
         if build_indexes:
             # Serialized across concurrent stages so two stages needing
             # the same index find one build, not a duplicate race.
             with self._index_build_lock:
-                for source, ia in zip(conf.inputs, analysis.inputs):
-                    path = getattr(source, "path", None)
-                    if path is None or type(source) is not RecordFileInput:
-                        continue
-                    is_intermediate = os.path.abspath(path) in intermediates
-                    if is_intermediate and not self.index_intermediates:
-                        continue
-                    single = conf.with_inputs([source])
-                    sub = JobAnalysis(job_name=conf.name, inputs=[ia])
-                    self.system.build_indexes(
-                        single, sub, allowed_kinds=allowed_kinds
-                    )
-        outcome = self.system.submit(
-            conf, build_indexes=False, analysis=analysis, runner=runner
-        )
-        return StageOutcome(conf=conf, outcome=outcome,
-                            upstream=list(self._links[i]))
+                self.build_stage_indexes(i, analysis, allowed_kinds)
+        return self.system.prepare(self.stages[i], analysis=analysis)
+
+    def build_stage_indexes(self, i: int, analysis: JobAnalysis,
+                            allowed_kinds: Optional[Sequence[str]] = None
+                            ) -> List[IndexEntry]:
+        """Build indexes for stage ``i``'s plain record-file inputs.
+
+        Inputs another stage produces are the paper's ephemeral
+        read-once files and are skipped unless the pipeline was built
+        with ``index_intermediates=True``.
+        """
+        conf = self.stages[i]
+        built: List[IndexEntry] = []
+        for source, ia in zip(conf.inputs, analysis.inputs):
+            if type(source) is not RecordFileInput:
+                continue
+            if (os.path.abspath(source.path) in self._intermediates
+                    and not self.index_intermediates):
+                continue
+            built.extend(self.system.build_indexes(
+                conf.with_inputs([source]),
+                JobAnalysis(job_name=conf.name, inputs=[ia]),
+                allowed_kinds=allowed_kinds,
+            ))
+        return built
 
     def describe(self) -> str:
         lines = ["pipeline:"]

@@ -250,57 +250,6 @@ class ExecutionEngine:
                 )
             return self._stage_pool
 
-    # -- shared scans ---------------------------------------------------------
-
-    def submit_shared(self, confs: Sequence[Any],
-                      num_workers: Optional[int] = None,
-                      splits_per_input: int = 10,
-                      policy: Optional[Any] = None) -> List[Any]:
-        """Run already-optimized jobs, sharing compatible scans.
-
-        Groups ``confs`` by input identity (see
-        :func:`repro.batch.multiscan.plan_shared_groups`), executes each
-        approved group as one pass over the shared file -- a job group
-        on the same driver solo jobs use, on this engine's worker pool
-        when ``num_workers`` asks for more than one -- and runs
-        everything else solo.  Returns one :class:`JobResult` per conf,
-        in order; every member's result is byte-identical to its solo
-        run.
-
-        ``confs`` must be post-planning (inputs already substituted by
-        the optimizer): grouping keys on the *concrete* files jobs will
-        scan, so calling this with unoptimized confs would share the
-        wrong pass.
-        """
-        from repro.batch.multiscan import plan_shared_groups, run_shared_group
-        from repro.mapreduce.parallel import (
-            LocalJobRunner,
-            ParallelJobRunner,
-            resolve_runner,
-        )
-
-        if (num_workers or 1) == 1:
-            group_runner: Any = LocalJobRunner(splits_per_input)
-        else:
-            group_runner = ParallelJobRunner(
-                num_workers, splits_per_input, engine=self,
-                retry_policy=policy,
-            )
-        report = plan_shared_groups(confs)
-        results: List[Any] = [None] * len(confs)
-        for group in report.groups:
-            shared = run_shared_group(
-                [confs[m.index] for m in group.members], group_runner,
-                self.pool,
-            )
-            for member, result in zip(group.members, shared):
-                results[member.index] = result
-        for index, _reason in report.solo:
-            conf = confs[index]
-            runner = resolve_runner(num_workers, conf=conf, engine=self)
-            results[index] = runner.run(conf)
-        return results
-
     # -- lifecycle ------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:

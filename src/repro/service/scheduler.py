@@ -20,10 +20,11 @@ the pool:
   workloads sharing one engine must not break each other).
 
 The scheduler is policy only: it decides dispatch order, then runs each
-job's thunk on a small thread pool, and each thunk fans its map/reduce
-tasks out on the shared process-wide worker pool as usual.  It knows
-nothing about queries -- the server hands it opaque callables -- which
-keeps it independently testable.
+dispatch -- always a *batch* of jobs, of size one unless compatible
+peers were held together -- on a small thread pool, and the batch
+function fans its map/reduce tasks out on the shared process-wide worker
+pool as usual.  It knows nothing about queries -- the server hands it
+opaque callables and payloads -- which keeps it independently testable.
 """
 
 from __future__ import annotations
@@ -58,15 +59,17 @@ class QueryJob:
     """One scheduled unit of work and its observable lifecycle."""
 
     def __init__(self, job_id: str, tenant: str,
-                 fn: Callable[[], Any], label: str = "",
+                 fn: Callable[[List[Any]], List[Any]], payload: Any = None,
+                 label: str = "",
                  deadline_seconds: Optional[float] = None,
-                 batch_key: Optional[Any] = None,
-                 group_fn: Optional[Callable[[List[Any]], List[Any]]] = None,
-                 batch_payload: Any = None):
+                 batch_key: Optional[Any] = None):
         self.job_id = job_id
         self.tenant = tenant
         self.label = label
+        #: the batch function: payloads of the jobs dispatched together
+        #: (this job's first when it leads) -> one result per payload
         self._fn = fn
+        self.payload = payload
         self.state = QUEUED
         self.result: Any = None
         self.error: Optional[BaseException] = None
@@ -80,8 +83,6 @@ class QueryJob:
         #: batching identity: jobs with equal keys may execute together
         #: in one dispatch (see FairScheduler batch_window_seconds)
         self.batch_key = batch_key
-        self._group_fn = group_fn
-        self.batch_payload = batch_payload
         #: dispatch is delayed until this monotonic instant so compatible
         #: peers can accumulate (None = dispatch as soon as a slot frees)
         self.hold_until: Optional[float] = None
@@ -146,7 +147,7 @@ class FairScheduler:
         up to this long so compatible peers -- same ``batch_key``, any
         tenant -- can accumulate; at dispatch every queued compatible
         job joins it in **one** in-flight slot, executed by the leader's
-        ``group_fn`` (the server runs the group as a shared scan).  Each
+        batch function (the server runs the group as a shared scan).  Each
         joining member is still charged its own fairness turn (credit
         and ``dispatched`` count), so a tenant cannot launder load
         through a peer's batch.  ``0`` (default) disables batching:
@@ -194,12 +195,11 @@ class FairScheduler:
 
     # -- admission -----------------------------------------------------------
 
-    def submit(self, tenant: str, fn: Callable[[], Any],
+    def submit(self, tenant: str, fn: Callable[..., Any],
                label: str = "",
                deadline_seconds: Optional[float] = None,
                batch_key: Optional[Any] = None,
-               group_fn: Optional[Callable[[List[Any]], List[Any]]] = None,
-               batch_payload: Any = None) -> QueryJob:
+               payload: Any = None) -> QueryJob:
         """Queue one job for ``tenant``; dispatch if a slot is free.
 
         ``deadline_seconds`` bounds how long the job may sit queued: a
@@ -209,19 +209,22 @@ class FairScheduler:
         Running jobs are not preempted -- their worker-level tasks are
         bounded by the engine's own task deadlines.
 
-        ``batch_key`` marks the job batchable: within the scheduler's
-        batching window, queued jobs with equal keys dispatch together
-        and the leader's ``group_fn`` receives every member's
-        ``batch_payload`` (in dispatch order) and must return one result
-        per member, aligned; an exception fails all members.  A job
-        dispatched alone -- window disabled, or no compatible peer --
-        runs its plain ``fn``, the unchanged solo path.
+        Without a ``payload``, ``fn`` is a thunk and its return value is
+        the job's result.  With one, ``fn`` is a *batch function*: it
+        receives the payloads of every job dispatched together (in
+        dispatch order) and must return one result per payload, aligned;
+        an exception fails all members.  Jobs dispatch together when
+        their ``batch_key`` is equal and they were queued inside the
+        scheduler's batching window; the leader's ``fn`` runs the batch.
+        A job dispatched alone -- no key, window disabled, or no
+        compatible peer -- is a batch of one through the same call.
 
         :raises AdmissionError: queue full (retryable) or scheduler
             draining (not retryable).
         """
-        if batch_key is not None and group_fn is None:
-            raise ValueError("batch_key requires a group_fn")
+        if batch_key is not None and payload is None:
+            raise ValueError("batch_key requires a payload")
+        batch_fn = fn if payload is not None else (lambda _payloads: [fn()])
         with self._lock:
             if self._draining:
                 self.rejected += 1
@@ -240,10 +243,9 @@ class FairScheduler:
                     f"tenant {tenant!r} queue is full "
                     f"({self.max_queue_depth} jobs); retry with backoff"
                 )
-            job = QueryJob(f"q{next(self._seq)}", tenant, fn, label=label,
-                           deadline_seconds=deadline_seconds,
-                           batch_key=batch_key, group_fn=group_fn,
-                           batch_payload=batch_payload)
+            job = QueryJob(f"q{next(self._seq)}", tenant, batch_fn, payload,
+                           label=label, deadline_seconds=deadline_seconds,
+                           batch_key=batch_key)
             if batch_key is not None and self.batch_window_seconds > 0:
                 job.hold_until = (
                     job.submitted_at + self.batch_window_seconds
@@ -304,9 +306,7 @@ class FairScheduler:
             if len(members) > 1:
                 self.batch_groups += 1
                 self.batched += len(members)
-                self._pool.submit(self._run_group, members)
-            else:
-                self._pool.submit(self._run, job)
+            self._pool.submit(self._run_batch, members)
         self._schedule_hold_wakeup()
 
     def _fail_expired(self, job: QueryJob) -> None:
@@ -407,37 +407,13 @@ class FairScheduler:
                     self._credits[tenant] = self._weight(tenant)
         return None
 
-    def _run(self, job: QueryJob) -> None:
-        try:
-            job.result = job._fn()
-            job.state = DONE
-        except BaseException as exc:  # noqa: BLE001 -- surfaced via poll/fetch
-            job.error = exc
-            job.state = ERROR
-        finally:
-            job.finished_at = time.monotonic()
-            with self._lock:
-                self._in_flight -= 1
-                if job.state == DONE:
-                    self.completed += 1
-                else:
-                    self.failed += 1
-                # Account first, signal second: a client that fetches
-                # and then asks for stats must find its job counted.
-                job._done.set()
-                self._pump()
-                self._idle.notify_all()
-
-    def _run_group(self, members: List[QueryJob]) -> None:
+    def _run_batch(self, members: List[QueryJob]) -> None:
         """Execute one dispatched batch in a single in-flight slot."""
-        leader = members[0]
         try:
-            results = leader._group_fn(
-                [member.batch_payload for member in members]
-            )
+            results = members[0]._fn([member.payload for member in members])
             if len(results) != len(members):
                 raise ReproError(
-                    f"group_fn returned {len(results)} results for "
+                    f"batch function returned {len(results)} results for "
                     f"{len(members)} batched jobs"
                 )
             for member, result in zip(members, results):
@@ -458,7 +434,9 @@ class FairScheduler:
                         self.completed += 1
                     else:
                         self.failed += 1
-                for member in members:  # counted, then signalled
+                # Account first, signal second: a client that fetches
+                # and then asks for stats must find its job counted.
+                for member in members:
                     member._done.set()
                 self._pump()
                 self._idle.notify_all()

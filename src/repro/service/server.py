@@ -16,10 +16,14 @@ Execution model per ``submit``:
    bytes -- the worker pool is never touched;
 3. otherwise admission control: the tenant's bounded queue either
    accepts the job or the client gets a retryable ``busy`` error;
-4. the scheduler dispatches it (weighted round-robin over tenants); the
-   job replays the op list against the tenant's server-side ``Session``
-   (:func:`repro.api.remote.apply_ops`) and serializes the resulting
-   rows through the canonical payload codec
+4. the scheduler dispatches it (weighted round-robin over tenants) as a
+   *batch* -- of one, unless compatible queries were held in a batching
+   window with it -- and :meth:`QueryServer._run_batch` runs the batch:
+   each member replays its op list against its tenant's server-side
+   ``Session`` (:func:`repro.api.remote.apply_ops`), the lowered plans go
+   through :func:`repro.api.session.run_plans` -- the call
+   ``Dataset.run`` makes in process -- and each result's rows are
+   serialized through the canonical payload codec
    (:mod:`repro.service.payload`).  Because the replayed Dataset *is*
    the in-process query and the codec is a pure function of row values,
    the served bytes are byte-identical to an in-process run by
@@ -28,14 +32,16 @@ Execution model per ``submit``:
    key (skipped for index-building runs, which mutate the catalog).
 
 ``poll`` observes a job without blocking; ``fetch`` waits (bounded by a
-client-supplied timeout) and returns the payload.  Job state is kept
-until fetched or the server closes -- this is a front door, not a
-durable job store.
+client-supplied timeout) and returns the payload.  Each tenant's most
+recent :data:`MAX_TENANT_JOBS` jobs stay answerable; older finished ones
+are forgotten (``unknown-job``) -- this is a front door, not a durable
+job store.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import socket
 import threading
 import time
@@ -43,6 +49,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.api.remote import apply_ops, read_paths
+from repro.api.session import run_plans
 from repro.engine.service import ExecutionEngine, get_engine
 from repro.exceptions import ReproError
 from repro.service.payload import serialize_rows
@@ -74,6 +81,12 @@ from repro.service.scheduler import (
 )
 from repro.service.tenancy import TenantRegistry, TenantState
 from repro.storage import input_identity
+
+
+#: Jobs the server remembers per tenant.  Each entry pins its result
+#: payload, so past this many the oldest *finished* entries are dropped
+#: (queued and running jobs never are; admission control bounds those).
+MAX_TENANT_JOBS = 256
 
 
 class _JobEntry:
@@ -175,7 +188,9 @@ class QueryServer:
         self._sock: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: list = []
-        self._jobs: Dict[Tuple[str, str], _JobEntry] = {}
+        #: tenant -> job id -> entry, oldest first
+        self._jobs: Dict[str, Dict[str, _JobEntry]] = {}
+        self._cached_seq = itertools.count(1)
         self._jobs_lock = threading.Lock()
         self._closing = threading.Event()
         self._started = False
@@ -372,54 +387,30 @@ class QueryServer:
             "parallelism": options.get("parallelism"),
             "scheduler": options.get("scheduler"),
         }
-        results = self.results
-        # Index-building runs mutate the catalog, so only pure reads are
-        # eligible for automatic server-side retry.
-        retries = 0 if build_indexes else self.engine_retries
-
-        def run_query() -> bytes:
-            result = self._run_with_retries(
-                lambda: state.session.run(
-                    apply_ops(state.session, ops), **run_options
-                ),
-                [state.lock], retries,
-            )
-            payload = serialize_rows(result.rows)
-            if results is not None and cache_key is not None:
-                # Stored under the admission-time key: if the catalog
-                # generation advanced mid-run, future lookups (computed
-                # against the newer generation) simply never match.
-                results.put(cache_key, payload)
-            return payload
-
         batch_key = None
         if self.scheduler.batch_window_seconds > 0 and not build_indexes:
-            batch_key = self._batch_key_of(state, ops)
+            batch_key = self._batch_key_of(state, ops, run_options)
         job = self.scheduler.submit(
-            state.tenant, run_query, label=request.get("label", ""),
+            state.tenant, self._run_batch, label=request.get("label", ""),
             deadline_seconds=self._deadline_of(options),
             batch_key=batch_key,
-            group_fn=(
-                self._run_shared_batch if batch_key is not None else None
-            ),
-            batch_payload=(
-                (state, ops, run_options, cache_key)
-                if batch_key is not None else None
-            ),
+            payload=(state, ops, run_options, cache_key),
         )
         self._register(_JobEntry(state.tenant, "query", job=job))
         return {"ok": True, "job_id": job.job_id, "state": job.state,
                 "cached": False}
 
-    def _batch_key_of(self, state: TenantState,
-                      ops: list) -> Optional[Tuple]:
+    def _batch_key_of(self, state: TenantState, ops: list,
+                      run_options: Dict[str, Any]) -> Optional[Tuple]:
         """Shared-scan batching identity, or None if unbatchable.
 
         Two submissions may batch only when they scan the same concrete
-        file bytes (one :func:`~repro.storage.input_identity`) *and*
-        their tenants' catalogs are at the same generation -- a tenant
-        whose catalog just changed may plan the same query differently,
-        so it is not grouped with peers on the older generation.
+        file bytes (one :func:`~repro.storage.input_identity`), their
+        tenants' catalogs are at the same generation -- a tenant whose
+        catalog just changed may plan the same query differently, so it
+        is not grouped with peers on the older generation -- *and* they
+        asked for the same run options, so no member ever runs under
+        another member's ``parallelism`` or ``scheduler``.
         Grouping is re-validated after per-tenant planning anyway
         (:func:`repro.batch.multiscan.plan_shared_groups`); this key
         just decides who is worth holding in the window together.
@@ -430,47 +421,51 @@ class QueryServer:
         identity = input_identity(paths[0])
         if identity.kind != "file":
             return None  # partitioned dataset dirs take their own path
-        return identity + (state.catalog.generation,)
+        return identity + (
+            state.catalog.generation,
+            run_options["parallelism"], run_options["scheduler"],
+        )
 
-    def _run_shared_batch(self, payloads: List[Tuple]) -> List[bytes]:
-        """Execute one scheduler batch as a shared-scan group.
+    def _run_batch(self, payloads: List[Tuple]) -> List[bytes]:
+        """Execute one scheduler dispatch: N >= 1 queries, one call.
 
         Every member lowers, plans and serializes inside its *own*
-        tenant Session (locks held for the whole group run, acquired in
+        tenant Session (locks held for the whole run, acquired in
         sorted tenant order), so rows never cross tenant namespaces;
-        what is shared is only the one pass over the common input
-        file.  Members whose per-tenant planning diverged fall back to
-        their solo path inside :func:`~repro.api.session.run_shared_plans`.
-        Returns one serialized payload per member, aligned.
+        what members of a batch larger than one may share is only the
+        one pass over their common input file, decided inside
+        :func:`~repro.api.session.run_plans`.  The run options are the
+        leader's, which the batch key made every member's.  Returns one
+        serialized payload per member, aligned.
         """
-        from repro.api.session import run_shared_plans
-
         # One lock per distinct tenant, however many of its queries
         # landed in the batch.
         states = {id(p[0]): p[0] for p in payloads}.values()
+        run_options = payloads[0][2]
 
-        def run_group() -> list:
-            items = []
-            for state, ops, _opts, _key in payloads:
-                dataset = apply_ops(state.session, ops)
-                items.append((state.session, state.session.lower(dataset)))
-            options = payloads[0][2]
-            return run_shared_plans(
-                items,
-                parallelism=options.get("parallelism"),
-                scheduler=options.get("scheduler"),
+        def run() -> list:
+            return run_plans(
+                [(state.session,
+                  state.session.lower(apply_ops(state.session, ops)))
+                 for state, ops, _options, _key in payloads],
+                **run_options,
             )
 
         results = self._run_with_retries(
-            run_group,
+            run,
             [s.lock for s in sorted(states, key=lambda s: s.tenant)],
-            self.engine_retries,
+            # Index-building runs mutate the catalog, so only pure reads
+            # are eligible for automatic server-side retry.
+            0 if run_options["build_indexes"] else self.engine_retries,
         )
         outputs: List[bytes] = []
-        for (state, _ops, _opts, cache_key), result in zip(payloads,
-                                                           results):
+        for (state, _ops, _options, cache_key), result in zip(payloads,
+                                                              results):
             payload = serialize_rows(result.rows)
             if self.results is not None and cache_key is not None:
+                # Stored under the admission-time key: if the catalog
+                # generation advanced mid-run, future lookups (computed
+                # against the newer generation) simply never match.
                 self.results.put(cache_key, payload)
             saved = result.stages[0].outcome.result.metrics.scans_saved
             if saved:
@@ -553,32 +548,34 @@ class QueryServer:
 
     # -- job registry --------------------------------------------------------
 
-    _cached_seq = 0
-
     def _register(self, entry: _JobEntry) -> None:
         with self._jobs_lock:
-            self._jobs[(entry.tenant, entry.job_id)] = entry
+            entries = self._jobs.setdefault(entry.tenant, {})
+            entries[entry.job_id] = entry
+            excess = len(entries) - MAX_TENANT_JOBS
+            if excess > 0:
+                # oldest first, and the oldest are almost always finished
+                finished = (job_id for job_id, e in entries.items()
+                            if e.job.state in TERMINAL_STATES)
+                for job_id in list(itertools.islice(finished, excess)):
+                    del entries[job_id]
 
     def _register_cached(self, tenant: str, payload: bytes) -> _JobEntry:
         """A synthetic already-done job for a result-cache hit."""
-        with self._jobs_lock:
-            QueryServer._cached_seq += 1
-            job = QueryJob(f"c{QueryServer._cached_seq}", tenant,
-                           lambda: None)
-            job.state = DONE
-            job.started_at = job.submitted_at
-            job.finished_at = job.submitted_at
-            job._done.set()
-            entry = _JobEntry(tenant, "query", job=job, payload=payload,
-                              cached=True)
-            self._jobs[(tenant, job.job_id)] = entry
-            return entry
+        job = QueryJob(f"c{next(self._cached_seq)}", tenant, lambda _: [])
+        job.state = DONE
+        job.started_at = job.submitted_at
+        job.finished_at = job.submitted_at
+        job._done.set()
+        entry = _JobEntry(tenant, "query", job=job, payload=payload,
+                          cached=True)
+        self._register(entry)
+        return entry
 
     def _lookup(self, request: Dict[str, Any]) -> Optional[_JobEntry]:
-        tenant = request.get("tenant")
-        job_id = request.get("job_id")
         with self._jobs_lock:
-            return self._jobs.get((tenant, job_id))
+            return self._jobs.get(request.get("tenant"), {}).get(
+                request.get("job_id"))
 
     # -- poll / fetch --------------------------------------------------------
 

@@ -61,6 +61,16 @@ def write_webpages(path, n, rank_of=lambda i: i % 50, content="c" * 40,
     return str(path)
 
 
+def remote_read(path):
+    """``session.read(path)`` as a client records it: an op list to hand a
+    :class:`~repro.service.QueryServer`'s ``handle`` (its ``.ops``), built
+    with the same fluent calls as an in-process Dataset."""
+    from repro.api.remote import op_read
+    from repro.service.client import RemoteDataset
+
+    return RemoteDataset(None, [op_read(path)])
+
+
 def metrics_without_wall(result):
     """A job result's metrics minus the scheduling-path observables."""
     d = result.metrics.to_dict()

@@ -1,6 +1,6 @@
 """Each layer depends only on the layers below it, only storage stats an
-input's mtime, and every environment knob is on an argued allow-list --
-checked, not claimed.
+input's mtime, every environment knob is on an argued allow-list, and
+one module drives shared scans -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -76,3 +76,33 @@ def test_checker_sees_environment_knobs_off_the_allow_list(tmp_path):
     assert [line.split(": ")[1].split()[2] for line in found] == [
         "REPRO_NEW_KNOB", "REPRO_VIA_A_CONSTANT"]
     assert ":4:" in found[0] and ":5:" in found[1]
+
+
+def test_checker_sees_a_second_shared_scan_driver(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("batch", "multiscan", "def plan_shared_groups(confs):\n"
+                               "    return plan_shared_groups(confs[1:])\n"),
+        ("api", "session", "from repro.batch.multiscan import "
+                           "plan_shared_groups, run_shared_group\n"
+                           "def run_plans(confs, runner, pool):\n"
+                           "    plan_shared_groups(confs)\n"
+                           "    return run_shared_group(confs, runner, pool)\n"),
+        ("batch", "__init__", "from repro.batch.multiscan import "
+                              "plan_shared_groups, run_shared_group\n"),
+        ("engine", "service", "from repro.batch import multiscan\n"
+                              "from repro.batch.multiscan import "
+                              "plan_shared_groups\n\n"
+                              "def submit_shared(confs, runner, pool):\n"
+                              "    plan_shared_groups(confs)\n"
+                              "    return multiscan.run_shared_group(\n"
+                              "        confs, runner, pool)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.shared_scan_violations(str(tmp_path))
+    assert [line.split(": calls ")[1].split()[0] for line in found] == [
+        "plan_shared_groups", "run_shared_group"]
+    assert all(os.path.join("engine", "service.py") in line for line in found)
+    assert ":5:" in found[0] and ":6:" in found[1]

@@ -17,12 +17,17 @@ append-by-rewrite are listed in ROADMAP.md as its remaining extensions.
 import os
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import repro.service.server as server_module
 from repro import Session, col
 from repro.core.optimizer import catalog as cat
+from repro.engine import ExecutionEngine
 from repro.mapreduce import JobConf, Mapper, RecordFileInput, Reducer
+from repro.service import QueryServer, deserialize_rows
+from repro.service.protocol import decode_bytes
 from repro.storage import input_identity
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import (
@@ -31,7 +36,7 @@ from repro.storage.serialization import (
     FieldType,
     Schema,
 )
-from tests.conftest import index_files
+from tests.conftest import index_files, remote_read
 
 PAGE = Schema("Page", [
     Field("url", FieldType.STRING),
@@ -307,3 +312,193 @@ def test_every_read_equals_the_oracle(tmp_path, seed):
                     "op_submit", "op_fluent", "evicted", "index_used",
                     "stale_skipped"):
         assert coverage[counter] > 0, (counter, dict(coverage))
+
+
+# -- the same life, lived through the query service ------------------------------
+
+SERVICE_SEQUENCES_PER_SEED = 50
+TENANTS = ("t", "u")
+READ_THRESHOLDS = (10, 50, 90)
+DERIVED = "derived.rf"
+
+
+#: what :data:`FLUENT`'s builders need of a session: ``read``
+_RemoteReader = SimpleNamespace(read=remote_read)
+
+
+class ServiceLifecycle(Lifecycle):
+    """Tenant ``t``'s catalog driven through server ops only; tenant ``u``
+    reads the same files beside it, from a catalog of its own."""
+
+    def __init__(self, root, rng, coverage, engine, window, served):
+        self.engine = engine
+        self.window = window
+        self.served = served
+        self.server = None
+        super().__init__(root, rng, coverage)
+        # the derived file exists once a remote write has produced it
+        self.derived_counts = set()
+
+    def reopen(self):
+        if self.server is not None:
+            self.server.close()
+        self.server = QueryServer(
+            os.path.join(self.root, "svc"), engine=self.engine,
+            batch_window_seconds=self.window,
+            space_budget_bytes=SPACE_BUDGET, cost_based=self.cost_based,
+        )
+        state = self.server.tenants.get(TENANTS[0])
+        self.catalog_dir = state.catalog_dir
+        self.system = state.session.system
+
+    def call(self, tenant, **request):
+        response = self.server.handle(dict(request, tenant=tenant))
+        assert response["ok"], response
+        return response
+
+    def fetch(self, tenant, submitted):
+        response = self.call(tenant, op="fetch", timeout=60,
+                             job_id=submitted["job_id"])
+        return deserialize_rows(decode_bytes(response["payload"]))
+
+    def readable(self):
+        return [name for name in self.rows if name in FILES
+                or self.derived_counts]
+
+    # -- operations ---------------------------------------------------------
+
+    def op_build(self):
+        rng = self.rng
+        build, _oracle, _shape = rng.choice(FLUENT)
+        name = rng.choice(self.readable())
+        catalog = self.system.catalog
+        live = {e.index_id for e in catalog.sorted_entries()
+                if e.built_from(input_identity(e.source_path))}
+        query = build(_RemoteReader, self.path(name), rng.randrange(100))
+        built = self.fetch(TENANTS[0], self.call(
+            TENANTS[0], op="catalog", action="build-indexes",
+            query=query.ops, allowed_kinds=[rng.choice(cat.ALL_KINDS)]))
+        listed = {e["index_id"]: e for e in self.call(
+            TENANTS[0], op="catalog", action="list")["indexes"]}
+        for entry in built:
+            assert not listed[entry["index_id"]]["stale"]
+        self.coverage["built"] += len(built)
+        self.coverage["evicted"] += len(live - set(listed))
+
+    def op_remove(self):
+        listed = self.call(TENANTS[0], op="catalog", action="list")["indexes"]
+        self.coverage["stale_listed"] += sum(e["stale"] for e in listed)
+        if listed:
+            self.call(TENANTS[0], op="catalog", action="drop-index",
+                      index_id=self.rng.choice(listed)["index_id"])
+
+    def op_remote_write(self):
+        """(Re)write the derived file as a filter of a base file: a
+        remote ``write`` over a path ``t`` may hold indexes on."""
+        rng = self.rng
+        source = rng.choice(FILES)
+        # As for the base files: every version has a row count no
+        # earlier version had, so every rewrite changes the size.
+        counts = Counter(rank for _url, rank, _topic in self.rows[source])
+        fresh = [t for t in range(100)
+                 if sum(n for rank, n in counts.items() if rank > t)
+                 not in self.derived_counts | {0}]
+        if not fresh:
+            return
+        threshold = rng.choice(fresh)
+        query = _RemoteReader.read(self.path(source)).filter(
+            col("rank") > threshold)
+        submitted = self.call(TENANTS[0], op="submit", query=query.ops,
+                              write={"path": DERIVED})
+        self.fetch(TENANTS[0], submitted)
+        assert submitted["path"] == self.path(DERIVED)
+        self.rows[DERIVED] = [row for row in self.rows[source]
+                              if row[1] > threshold]
+        self.derived_counts.add(len(self.rows[DERIVED]))
+        self.coverage["remote_writes"] += 1
+
+    def path(self, name):
+        if name == DERIVED:
+            return os.path.join(
+                self.server.tenants.get(TENANTS[0]).data_dir, DERIVED)
+        return super().path(name)
+
+    def op_fluent(self):
+        """One read, or two tenants' reads of one file submitted
+        together -- which a batching window may serve as one dispatch."""
+        rng = self.rng
+        name = rng.choice(self.readable())
+        reads = []
+        for tenant in TENANTS[:rng.choice((1, 1, 2))]:
+            build, oracle, shape = rng.choice(FLUENT)
+            # few distinct literals, so repeats meet the result cache --
+            # including repeats across a rewrite, which must miss
+            threshold = rng.choice(READ_THRESHOLDS)
+            options = {}
+            if tenant == TENANTS[0] and rng.random() < 0.2:
+                options["build_indexes"] = True
+            if rng.random() < 0.2:
+                options["scheduler"] = "dag"
+            query = build(_RemoteReader, self.path(name), threshold)
+            submitted = self.call(tenant, op="submit", query=query.ops,
+                                  options=options)
+            self.coverage["cache_hits"] += submitted["cached"]
+            reads.append((tenant, submitted, shape,
+                          oracle(self.rows[name], threshold)))
+        del self.served[:]
+        for tenant, submitted, shape, expected in reads:
+            assert shape(self.fetch(tenant, submitted)) == expected
+        for results in self.served:
+            self.coverage["window_batches"] += len(results) > 1
+            for result in results:
+                self.check_plans(result.descriptors())
+
+    OPS = (Lifecycle.op_rewrite, op_build, op_remove, Lifecycle.op_reopen,
+           op_remote_write, op_fluent)
+    WEIGHTS = (4, 4, 1, 1, 2, 8)
+
+    def run(self):
+        for _ in range(OPS_PER_SEQUENCE):
+            [op] = self.rng.choices(self.OPS, self.WEIGHTS)
+            self.coverage[op.__name__] += 1
+            op(self)
+        self.op_fluent()
+        self.check_disk()
+        self.server.close()
+
+
+@pytest.mark.parametrize("seed,window", [
+    (20110829, 0.0), (4242, 0.02), (19, 0.0), (1106, 0.02),
+])
+def test_every_served_read_equals_the_oracle(tmp_path, monkeypatch,
+                                             seed, window):
+    rng = random.Random(seed)
+    coverage = Counter()
+    engine = ExecutionEngine(reap_scratch=False)
+    served = []
+    real_run_plans = server_module.run_plans
+
+    def run_plans(items, **options):
+        results = real_run_plans(items, **options)
+        served.append(results)
+        return results
+
+    monkeypatch.setattr(server_module, "run_plans", run_plans)
+    try:
+        for sequence in range(SERVICE_SEQUENCES_PER_SEED):
+            root = tmp_path / f"s{sequence}"
+            root.mkdir()
+            try:
+                ServiceLifecycle(str(root), rng, coverage, engine, window,
+                                 served).run()
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"seed {seed}, sequence {sequence}: {exc}") from exc
+    finally:
+        engine.shutdown()
+    for counter in ("op_rewrite", "op_build", "op_remove", "op_reopen",
+                    "op_remote_write", "op_fluent", "built", "evicted",
+                    "index_used", "stale_skipped", "remote_writes",
+                    "cache_hits"):
+        assert coverage[counter] > 0, (counter, dict(coverage))
+    assert (coverage["window_batches"] > 0) == (window > 0), dict(coverage)

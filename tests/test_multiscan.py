@@ -10,9 +10,9 @@ sequential, parallel and DAG schedulers, compared byte-for-byte (the
 ``serialize_rows`` oracle) against solo :meth:`Session.run` executions.
 On top of that: the fallback matrix (opaque schemas, UDF stages,
 singleton groups, mixed inputs), the cost-model gates and their reason
-strings, ``ExecutionEngine.submit_shared``, the job-group primitive
-itself (runner parity, worker-side reduces, a member declined at task
-time), a chaos case (worker SIGKILLed mid-fused-scan, recovered
+strings, the job-group primitive itself (an engine-backed runner's
+``run_group`` against solo runs, runner parity, worker-side reduces, a
+member declined at task time), a chaos case (worker SIGKILLed mid-fused-scan, recovered
 byte-identical), and the service batching window (two tenants, one
 window, one scan).
 """
@@ -413,40 +413,6 @@ class TestGroupPlanner:
         assert "columns decoded once" in explain
 
 
-# -- the engine surface --------------------------------------------------------
-
-
-class TestEngineSubmitShared:
-    def test_submit_shared_matches_solo_runs(self, tmp_path):
-        engine = ExecutionEngine(reap_scratch=False)
-        try:
-            with Session(workdir=str(tmp_path / "s"),
-                         engine=engine) as session:
-                path = write_webpages(tmp_path / "w.rf", 200)
-                confs = _candidates(session, [
-                    session.read(path).filter(col("rank") > 25)
-                    .select("url", "rank"),
-                    session.read(path).filter(col("rank") < 10)
-                    .select("url"),
-                ])
-                expected = [LocalJobRunner().run(conf) for conf in confs]
-                shared = engine.submit_shared(confs, num_workers=2)
-                for want, got in zip(expected, shared):
-                    assert got.outputs == want.outputs
-                    assert got.counters.to_dict() == \
-                        want.counters.to_dict()
-                    want_m = want.metrics.to_dict()
-                    got_m = got.metrics.to_dict()
-                    for name in SCHEDULING_OBSERVABLES:
-                        want_m.pop(name), got_m.pop(name)
-                    assert got_m == want_m
-                assert shared[0].metrics.shared_scan_groups == 1
-                assert shared[1].metrics.scans_saved == 1
-                assert engine.pool.stats()["shared_scan_groups"] == 1
-        finally:
-            engine.shutdown()
-
-
 # -- the general case: a job group on the one driver --------------------------
 
 
@@ -458,6 +424,44 @@ def _job_volume_metrics(result):
 
 
 class TestJobGroups:
+    def test_engine_runner_group_matches_solo_runs(self, tmp_path):
+        # The group primitive on an engine-backed parallel runner, then
+        # the same two queries through the door that books the savings.
+        engine = ExecutionEngine(reap_scratch=False)
+        try:
+            with Session(workdir=str(tmp_path / "s"),
+                         engine=engine) as session:
+                path = write_webpages(tmp_path / "w.rf", 200)
+
+                def build_all():
+                    return [
+                        session.read(path).filter(col("rank") > 25)
+                        .select("url", "rank"),
+                        session.read(path).filter(col("rank") < 10)
+                        .select("url"),
+                    ]
+
+                confs = _candidates(session, build_all())
+                expected = [LocalJobRunner().run(conf) for conf in confs]
+                group = ParallelJobRunner(
+                    num_workers=2, engine=engine).run_group(confs)
+                shared = [
+                    r.stages[0].outcome.result
+                    for r in session.run_many(build_all(), parallelism=2)
+                ]
+                for want, got, member in zip(expected, group, shared):
+                    for result in (got, member):
+                        assert result.outputs == want.outputs
+                        assert result.counters.to_dict() == \
+                            want.counters.to_dict()
+                        assert _job_volume_metrics(result) == \
+                            _job_volume_metrics(want)
+                assert shared[0].metrics.shared_scan_groups == 1
+                assert shared[1].metrics.scans_saved == 1
+                assert engine.pool.stats()["shared_scan_groups"] == 1
+        finally:
+            engine.shutdown()
+
     def test_run_many_honors_sequential_splits_per_input(self, tmp_path):
         # Solo and shared runs go through one driver, so the sequential
         # runner's split target reaches both (run_many used to hard-code

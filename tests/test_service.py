@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import repro.service.server as server_module
 from repro import Session, col
 from repro.engine import ExecutionEngine
 from repro.exceptions import JobConfigError
@@ -233,9 +234,8 @@ class TestFairScheduler:
             assert (stats["completed"], stats["failed"]) == (150, 50)
             for i in range(20):
                 pair = [
-                    sched.submit("t", lambda: None, batch_key="k",
-                                 group_fn=lambda payloads: payloads,
-                                 batch_payload=n)
+                    sched.submit("t", lambda payloads: payloads,
+                                 batch_key="k", payload=n)
                     for n in range(2)
                 ]
                 assert all(job.wait(10.0) for job in pair)
@@ -707,6 +707,100 @@ class TestConcurrentClients:
         # must be cache hits, and the cache recorded them.
         assert sum(hits) >= 6
         assert server.results.stats()["hits"] >= 6
+
+
+class TestBatchMembers:
+    def test_no_member_runs_under_another_members_options(
+            self, tmp_path, webpages, monkeypatch):
+        """Two tenants, one file, one window, different ``parallelism``:
+        the run options are part of the batching identity, so each query
+        reaches ``run_plans`` with its own."""
+        calls = []
+        real = server_module.run_plans
+
+        def run_plans(items, **options):
+            calls.append((len(items), options["parallelism"]))
+            return real(items, **options)
+
+        monkeypatch.setattr(server_module, "run_plans", run_plans)
+        server = QueryServer(str(tmp_path / "root"),
+                             engine=ExecutionEngine(),
+                             batch_window_seconds=0.3)
+        try:
+            def submit(tenant, low, parallelism):
+                query = [
+                    {"op": "read", "path": webpages},
+                    {"op": "filter", "expr": (col("rank") > low).to_dict()},
+                    {"op": "select", "columns": ["url", "rank"]},
+                ]
+                response = server.handle({
+                    "op": "submit", "tenant": tenant, "query": query,
+                    "options": {"parallelism": parallelism}})
+                assert response["ok"], response
+                return tenant, response["job_id"]
+
+            jobs = [submit("alice", 10, 1), submit("bob", 20, 2),
+                    submit("carol", 30, 2)]
+            for tenant, job_id in jobs:
+                assert server.handle({
+                    "op": "fetch", "tenant": tenant, "job_id": job_id,
+                    "timeout": 60})["ok"]
+            # bob and carol asked for the same options and share a
+            # dispatch; alice, inside the same window, does not join it
+            assert sorted(calls) == [(1, 1), (2, 2)]
+            assert server.scheduler.stats()["batched"] == 2
+        finally:
+            server.close()
+
+
+class TestJobRegistry:
+    def test_finished_jobs_are_forgotten_oldest_first(
+            self, server, webpages, monkeypatch):
+        """Each entry pins its payload, so a tenant keeps at most
+        MAX_TENANT_JOBS; a job still running is never the one dropped."""
+        monkeypatch.setattr(server_module, "MAX_TENANT_JOBS", 4)
+        query = [{"op": "read", "path": webpages},
+                 {"op": "filter", "expr": (col("rank") > 45).to_dict()}]
+
+        def submit(ops=query):
+            response = server.handle(
+                {"op": "submit", "tenant": "alice", "query": ops})
+            assert response["ok"], response
+            return response["job_id"]
+
+        def ask(op, job_id, **extra):
+            return server.handle(dict(
+                op=op, tenant="alice", job_id=job_id, **extra))
+
+        assert ask("fetch", submit(), timeout=60)["ok"]  # warms the cache
+        state = server.tenants.get("alice")
+        with state.lock:
+            # dispatched, then parked on the tenant lock: running
+            running = submit(query + [{"op": "select", "columns": ["url"]}])
+            deadline = time.monotonic() + 10
+            while ask("poll", running)["state"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            hits = [submit() for _ in range(7)]
+            assert all(job_id.startswith("c") for job_id in hits)
+            entries = server._jobs["alice"]
+            assert len(entries) == 4
+            assert running in entries
+            for job_id in hits[:-3]:
+                for op in ("poll", "fetch"):
+                    gone = ask(op, job_id)
+                    assert gone["error"]["code"] == "unknown-job"
+            for job_id in hits[-3:]:
+                assert ask("fetch", job_id)["ok"]
+            assert ask("poll", running)["state"] == "running"
+        assert ask("fetch", running, timeout=60)["ok"]
+        # bob's jobs are his own budget
+        other = server.handle(
+            {"op": "submit", "tenant": "bob", "query": query})
+        assert server.handle({"op": "fetch", "tenant": "bob",
+                              "job_id": other["job_id"],
+                              "timeout": 60})["ok"]
+        assert len(server._jobs["alice"]) == 4
 
 
 class TestServerLifecycle:

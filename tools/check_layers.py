@@ -15,6 +15,12 @@
    ``os.environ``, directly or through a helper -- is on
    :data:`ENV_ALLOWED`.  A new knob is a new user-set selector between
    behaviours; it fails here until someone argues for it in the list.
+4. One submission path.  ``plan_shared_groups`` and ``run_shared_group``
+   (defined in ``repro/batch/multiscan.py``) are *called* from one
+   module only, ``repro/api/session.py`` -- ``run_plans``, which every
+   door reaches, plus ``explain_many``'s read-only grouping report.  A
+   second caller is a second grouping driver that can plan, validate
+   and assemble results differently from the first.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -48,6 +54,11 @@ ENV_ALLOWED = frozenset({
     "REPRO_POOL_REBUILDS",
 })
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+#: the shared-scan planner and group runner, where they are defined,
+#: and the one module that may call them
+SHARED_SCAN_CALLS = frozenset({"plan_shared_groups", "run_shared_group"})
+SHARED_SCAN_HOME = os.path.join("repro", "batch", "multiscan.py")
+SHARED_SCAN_CALLER = os.path.join("repro", "api", "session.py")
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -136,9 +147,33 @@ def env_violations(src: str = SRC) -> List[str]:
     ]
 
 
+def shared_scan_violations(src: str = SRC) -> List[str]:
+    """Every call of a :data:`SHARED_SCAN_CALLS` name outside the two
+    modules allowed to make one (bare name or attribute spelling)."""
+    allowed = {os.path.join(src, SHARED_SCAN_HOME),
+               os.path.join(src, SHARED_SCAN_CALLER)}
+    found: List[str] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        if path in allowed:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
+            if name in SHARED_SCAN_CALLS:
+                found.append(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}: "
+                    f"calls {name} (only {SHARED_SCAN_CALLER} drives "
+                    f"shared scans)"
+                )
+    return found
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
-    for line in upward + mtime + env:
+    shared = shared_scan_violations()
+    for line in upward + mtime + env + shared:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -146,12 +181,17 @@ def main() -> int:
         print(f"\n{len(mtime)} read(s) of {MTIME_ATTR} outside repro.storage")
     if env:
         print(f"\n{len(env)} environment knob(s) off the allow-list")
-    if upward or mtime or env:
+    if shared:
+        print(f"\n{len(shared)} shared-scan driver call(s) outside "
+              f"{SHARED_SCAN_CALLER}")
+    if upward or mtime or env or shared:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
           f"under src/repro/storage; every REPRO_* environment name is one "
-          f"of {', '.join(sorted(ENV_ALLOWED))}")
+          f"of {', '.join(sorted(ENV_ALLOWED))}; "
+          f"{' and '.join(sorted(SHARED_SCAN_CALLS))} are called only from "
+          f"{SHARED_SCAN_CALLER}")
     return 0
 
 
