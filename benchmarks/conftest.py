@@ -4,10 +4,10 @@ Datasets are generated once per session into a shared temp directory;
 sizes are chosen so the whole bench suite runs in a few minutes while the
 record-count/byte ratios match the paper's workloads.
 
-Most bench files replay a table from the paper by *simulating* cluster
-seconds from measured byte/record metrics; ``bench_parallel_runner.py``
-instead measures real wall-clock time of the multi-worker runner on the
-Table 2 Benchmark-2 dataset (the shared ``b2_input`` fixture below).
+The bench files here replay a table from the paper by *simulating*
+cluster seconds from measured byte/record metrics.  Real-clock feature
+gates are the rows of ``benchmarks/gates``; end-to-end comparison of two
+commits is ``benchmarks/suite``.
 """
 
 import pytest

@@ -1,0 +1,852 @@
+"""The gate table: each feature against the switch its old script used.
+
+One section per retired ``benchmarks/bench_*.py``; :data:`GATES` at the
+bottom is the table ``--list`` prints and ``docs/performance.md`` maps.
+Datasets are the suite's seeded tables (``bench.table``); row counts are
+the retired scripts' ``--scale 1`` sizes.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import threading
+import time
+import zlib
+from typing import Any, Callable, Dict, List, Sequence
+from unittest import mock
+
+from benchmarks.gates.harness import SEED, Bench, Gate, Probe
+from benchmarks.suite.datasets import RANK_MAX
+from repro import JobConf, Mapper, Reducer, Session, col, faults
+from repro.batch import shuffleblocks
+from repro.batch.columns import ScanPlan, iter_column_batches
+from repro.batch.shuffleblocks import ShuffleBlockSpec
+from repro.core.manimal import Manimal
+from repro.core.optimizer import catalog as cat
+from repro.core.pipeline import ManimalPipeline
+from repro.engine import ExecutionEngine
+from repro.engine.pool import RetryPolicy
+from repro.faults import Fault, FaultPlan
+from repro.mapreduce import (
+    InMemoryInput,
+    LocalJobRunner,
+    ParallelJobRunner,
+    RecordFileInput,
+    shuffle,
+)
+from repro.mapreduce.keyspace import sort_key
+from repro.mapreduce.runtime import execute_reduce_partition, run_job
+from repro.service import QueryServer, connect, serialize_rows
+from repro.storage.recordfile import RecordFileReader
+from repro.storage.serialization import INT_SCHEMA, STRING_SCHEMA, FieldType
+from repro.workloads.pavlo import (
+    benchmark1 as b1,
+    benchmark2 as b2,
+    benchmark3 as b3,
+    benchmark4 as b4,
+)
+
+#: the runs every fluent row repeats beside the sequential one
+SCHEDULERS: Sequence[Dict[str, Any]] = ({"parallelism": 2}, {"scheduler": "dag"})
+
+
+def payload(result: Any) -> bytes:
+    return serialize_rows(result.rows)
+
+
+def payloads(results: Sequence[Any]) -> List[bytes]:
+    return [serialize_rows(result.rows) for result in results]
+
+
+def total(results: Any, name: str) -> int:
+    """A job metric summed over every stage of one or several results."""
+    if not isinstance(results, (list, tuple)):
+        results = [results]
+    return sum(getattr(stage.outcome.result.metrics, name)
+               for result in results for stage in result.stages)
+
+
+class SumReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, sum(values))
+
+
+def rank_pairs(bench: Bench, n: int) -> List[tuple]:
+    """``(row id, pageRank)`` pairs of the rankings table, for in-memory jobs."""
+    return [(key, values[1]) for key, values in bench.table("rankings", n)[0].rows]
+
+
+# -- bench_batch.py: Session(vectorize=False) -------------------------------------
+
+EVENTS_ROWS = 50_000
+
+
+def _q_projection(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("score") > 9000).select("user", "score")
+
+
+def _q_preagg(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("latency") > 200).group_by("path") \
+        .agg(total=("sum", "score"), lo=("min", "bytes"), hi=("max", "ts"))
+
+
+def _q_udf_translated(session: Session, path: str) -> Any:
+    return session.read(path).filter(lambda v: v.score > 9000) \
+        .select("user", "score")
+
+
+def _q_udf_opaque(session: Session, path: str) -> Any:
+    return session.read(path) \
+        .filter(lambda v: zlib.crc32(v.user.encode()) % 10 == 0) \
+        .select("user", "score")
+
+
+def batch_row(query: Callable[[Session, str], Any], expect_batch: bool
+              ) -> Callable[[Bench], Probe]:
+    def build(bench: Bench) -> Probe:
+        path = bench.table("events", EVENTS_ROWS)[1]
+        on = bench.keep(Session(workdir=bench.dir("vec")))
+        off = bench.keep(Session(workdir=bench.dir("rec"), vectorize=False))
+        reference, served = query(off, path).run(), query(on, path).run()
+        tasks, batched = total(served, "map_tasks"), total(served, "batch_map_tasks")
+        return Probe(
+            on=lambda: query(on, path).run(),
+            off=lambda: query(off, path).run(),
+            payload=payload,
+            checks={
+                "query_selects_rows": bool(reference.rows),
+                "off_arm_never_batched": total(reference, "batch_map_tasks") == 0,
+                ("every_map_task_batched" if expect_batch else "no_task_batched"):
+                    batched == (tasks if expect_batch else 0),
+                "schedulers_identical": all(
+                    payload(query(on, path).run(**kwargs)) == payload(reference)
+                    for kwargs in SCHEDULERS),
+            },
+            counters={"map_tasks": tasks, "batch_map_tasks": batched,
+                      "rows": len(reference.rows),
+                      "fields_deserialized_on": total(served, "fields_deserialized"),
+                      "fields_deserialized_off": total(reference, "fields_deserialized"),
+                      "shuffle_records_on": total(served, "shuffle_records"),
+                      "shuffle_records_off": total(reference, "shuffle_records")},
+        )
+    return build
+
+
+# -- bench_engine.py: a fresh engine per job / sequential stages / cleared caches ---
+
+
+class ModMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.emit(value % 10, value)
+
+
+def pool_reuse(bench: Bench) -> Probe:
+    pairs = rank_pairs(bench, 2_000)
+    confs = [
+        JobConf(name=f"small-{i}", mapper=ModMapper, reducer=SumReducer,
+                inputs=[InMemoryInput(pairs)], num_reducers=4)
+        for i in range(bench.scaled(15, least=4))
+    ]
+    shared = ExecutionEngine()
+    bench.stack.callback(shared.shutdown)
+    runner = ParallelJobRunner(num_workers=2, engine=shared)
+
+    def per_job_pools() -> List[Any]:
+        outputs = []
+        for conf in confs:
+            engine = ExecutionEngine()
+            try:
+                outputs.append(ParallelJobRunner(
+                    num_workers=2, engine=engine).run(conf).outputs)
+            finally:
+                engine.shutdown()
+        return outputs
+
+    def warm() -> List[Any]:
+        return [runner.run(conf).outputs for conf in confs]
+
+    sequential = [LocalJobRunner().run(conf).outputs for conf in confs]
+    return Probe(
+        on=warm, off=per_job_pools,
+        checks={"pooled_equals_sequential": warm() == sequential},
+        counters={"jobs": len(confs), "records_per_job": len(pairs),
+                  "pools_created_by_shared_engine":
+                      shared.pool.stats()["pools_created"]},
+    )
+
+
+class HeadMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.emit(value.pageURL, value.pageRank)
+
+
+class LeftMapper(Mapper):
+    """CPU-shaped branch work over the (url, rank) intermediate."""
+
+    def map(self, key, value, ctx):
+        rank, acc = value.value, 0
+        for i in range(40):
+            acc = (acc + rank * i) % 9973
+        ctx.emit(rank % 50, acc)
+
+
+class RightMapper(Mapper):
+    def map(self, key, value, ctx):
+        rank, acc = value.value, 1
+        for i in range(1, 41):
+            acc = (acc * (rank + i)) % 9973
+        ctx.emit(rank % 50, acc)
+
+
+class TailMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.emit(key.value, value.value)
+
+
+def dag_diamond(bench: Bench) -> Probe:
+    """head -> (left, right) -> tail: the branches are independent."""
+    src = bench.table("rankings", 6_000)[1]
+    work = bench.dir("diamond")
+    mid, left, right = (os.path.join(work, f"{n}.rf") for n in ("mid", "l", "r"))
+    ints = dict(output_key_schema=INT_SCHEMA, output_value_schema=INT_SCHEMA)
+    engine = ExecutionEngine()
+    bench.stack.callback(engine.shutdown)
+    system = Manimal(os.path.join(work, "catalog"), engine=engine)
+
+    def pipeline() -> ManimalPipeline:
+        return ManimalPipeline(system, [
+            JobConf(name="head", mapper=HeadMapper, reducer=None,
+                    inputs=[RecordFileInput(src)], output_path=mid,
+                    output_key_schema=STRING_SCHEMA,
+                    output_value_schema=INT_SCHEMA),
+            JobConf(name="left", mapper=LeftMapper, reducer=SumReducer,
+                    inputs=[RecordFileInput(mid)], output_path=left, **ints),
+            JobConf(name="right", mapper=RightMapper, reducer=SumReducer,
+                    inputs=[RecordFileInput(mid)], output_path=right, **ints),
+            JobConf(name="tail", mapper=TailMapper, reducer=SumReducer,
+                    inputs=[RecordFileInput(left), RecordFileInput(right)]),
+        ])
+
+    return Probe(
+        on=lambda: pipeline().submit(runner=2, scheduler="dag"),
+        off=lambda: pipeline().submit(runner=2),
+        payload=lambda stages: [
+            (s.outcome.result.outputs, s.outcome.result.counters.to_dict())
+            for s in stages],
+        counters={"waves": pipeline().dag().waves()},
+    )
+
+
+def cached_analysis(bench: Bench) -> Probe:
+    conf = JobConf(name="scan", mapper=HeadMapper, reducer=SumReducer,
+                   inputs=[RecordFileInput(bench.table("rankings", 500)[1])])
+    engine = ExecutionEngine()
+    bench.stack.callback(engine.shutdown)
+    system = Manimal(bench.dir("analysis"), engine=engine)
+    submissions = bench.scaled(25, least=5)
+
+    def analyze(clear: bool) -> str:
+        for _ in range(submissions):
+            analysis = system.analyze(conf)
+            if clear:
+                engine.clear_caches()
+        return analysis.inputs[0].summary()
+
+    analyze(clear=False)
+    return Probe(
+        on=lambda: analyze(clear=False), off=lambda: analyze(clear=True),
+        checks={"resubmissions_hit_the_cache":
+                engine.analysis_cache.stats()["hits"] >= submissions - 1},
+        counters={"submissions": submissions},
+    )
+
+
+# -- bench_hotpath.py: the same job on the plain eager scan ---------------------------
+
+
+class DateWindowRevenueMapper(Mapper):
+    """Pavlo-style selection scan: 3 of UserVisits' 9 fields are live."""
+
+    def __init__(self, date_lo: int, date_hi: int):
+        self.date_lo, self.date_hi = date_lo, date_hi
+
+    def map(self, key, value, ctx):
+        if value.visitDate >= self.date_lo and value.visitDate <= self.date_hi:
+            ctx.emit(value.sourceIP, value.adRevenue)
+
+
+def _visits(bench: Bench, n: int) -> tuple:
+    return bench.table("uservisits", n, 1_000)
+
+
+def _date_window(bench: Bench, n: int, share: float) -> tuple:
+    """The visitDate bounds of the first ``share`` of the (date-ordered) log."""
+    rows = _visits(bench, n)[0].rows
+    return rows[0][1][2], rows[int(len(rows) * share)][1][2]
+
+
+def _job_b1(bench: Bench) -> JobConf:
+    return b1.make_job(bench.table("rankings", 30_000)[1],
+                       threshold=b1.threshold_for_selectivity(RANK_MAX, 0.02))
+
+
+def _job_b3(bench: Bench) -> JobConf:
+    return b3.make_join_job(bench.table("rankings", 6_000)[1],
+                            _visits(bench, 12_000)[1],
+                            *_date_window(bench, 12_000, 0.01))
+
+
+def _job_selscan(bench: Bench) -> JobConf:
+    return JobConf(
+        name="uservisits-projection-scan",
+        mapper=DateWindowRevenueMapper(*_date_window(bench, 24_000, 0.02)),
+        reducer=SumReducer, combiner=SumReducer,
+        inputs=[RecordFileInput(_visits(bench, 24_000)[1])])
+
+
+def classic_row(make_job: Callable[[Bench], JobConf],
+                allowed: Any = None, expect: Any = None
+                ) -> Callable[[Bench], Probe]:
+    """Brute force vs Manimal-optimized on the sequential runner."""
+    def build(bench: Bench) -> Probe:
+        job = make_job(bench)
+        system = Manimal(bench.dir("catalog"))
+        system.build_indexes(job, allowed_kinds=allowed)
+        descriptor = system.plan(job)
+        kinds = descriptor.optimizations()
+
+        def optimized(runner: Any = None) -> Any:
+            return system.execute(job, descriptor,
+                                  runner=runner or LocalJobRunner())
+
+        brute, served = run_job(job, runner=LocalJobRunner()), optimized()
+        return Probe(
+            on=optimized, off=lambda: run_job(job, runner=LocalJobRunner()),
+            # plan-independent order: index scans reorder rows
+            payload=lambda result: sorted(
+                result.outputs,
+                key=lambda kv: (sort_key(kv[0]), sort_key(kv[1]))),
+            checks={"planner_chose_expected_kinds":
+                    expect is None or kinds == expect,
+                    "parallel_byte_identical":
+                    optimized(runner=2).outputs == served.outputs},
+            counters={"optimizations": kinds,
+                      "output_records": len(brute.outputs),
+                      "records_skipped": served.metrics.records_skipped,
+                      "fields_deserialized_ratio": round(
+                          served.metrics.fields_deserialized
+                          / max(1, brute.metrics.fields_deserialized), 4)},
+        )
+    return build
+
+
+# -- bench_multiscan.py: solo runs back to back -------------------------------------
+
+HOT_ROWS = 40_000
+
+
+def _q_top(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("score") > 9900) \
+        .select("user", "latency", "bytes", "score")
+
+
+def _q_bottom(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("score") < 100) \
+        .select("user", "latency", "ts")
+
+
+def _q_agg(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("latency") > 1900) \
+        .group_by("shard").agg(total=("sum", "bytes"), lo=("min", "ts"))
+
+
+def _q_narrow(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("bytes") < 20_000) \
+        .select("user", "bytes", "score")
+
+
+#: four dashboard-style queries whose union {score, latency, bytes, ts,
+#: user, shard} stays within every member's latency bound
+QUERIES = (_q_top, _q_bottom, _q_agg, _q_narrow)
+
+
+def shared_row(one_file: bool, **run_kwargs: Any) -> Callable[[Bench], Probe]:
+    def build(bench: Bench) -> Probe:
+        paths = [bench.table("events", HOT_ROWS,
+                             seed=SEED if one_file else SEED + 1 + i)[1]
+                 for i in range(len(QUERIES))]
+        session = bench.keep(Session(workdir=bench.dir("shared")))
+
+        def datasets() -> List[Any]:
+            return [q(session, path) for q, path in zip(QUERIES, paths)]
+
+        def solo() -> List[Any]:
+            return [ds.run(**run_kwargs) for ds in datasets()]
+
+        def fused(**kwargs: Any) -> List[Any]:
+            return session.run_many(datasets(), **(kwargs or run_kwargs))
+
+        alone, together = solo(), fused()
+        grouped = sum(1 for r in together if total(r, "shared_scan_groups"))
+        return Probe(
+            on=fused, off=solo, payload=payloads,
+            checks={
+                "solo_runs_record_no_group":
+                    total(alone, "shared_scan_groups") == 0,
+                ("every_query_fused" if one_file else "no_query_fused"):
+                    grouped == (len(QUERIES) if one_file else 0),
+                "schedulers_identical": all(
+                    payloads(fused(**kwargs)) == payloads(alone)
+                    for kwargs in SCHEDULERS),
+            },
+            counters={"scans_saved": total(together, "scans_saved"),
+                      "shared_bytes_saved": total(together, "shared_bytes_saved"),
+                      "stored_bytes_charged":
+                          total(together, "map_input_stored_bytes")},
+        )
+    return build
+
+
+def decode_cost(bench: Bench) -> Probe:
+    """The block scan capturing nothing (the walk every scan pays per
+    field) against capturing all ten columns: with ``ratio`` = all/none,
+    ``multiscan.DECODE_WEIGHT`` models ``(ratio - 1) * 11 / 10`` (eleven
+    fields walked per row, ten of them captured)."""
+    table, path = bench.table("events", HOT_ROWS)
+
+    def scan(capture: List[str]) -> int:
+        with RecordFileReader(path) as reader:
+            plan = ScanPlan(reader.key_schema, reader.value_schema, capture,
+                            decode_keys=False)
+            return sum(b.n_rows for b in iter_column_batches(reader, None, plan))
+
+    names = table.value_schema.field_names()
+    return Probe(on=lambda: scan([]), off=lambda: scan(names),
+                 checks={"every_row_scanned": scan([]) == len(table)},
+                 counters={"fields_walked": len(names) + 1,
+                           "fields_captured": len(names)})
+
+
+# -- bench_pruning.py: the unpartitioned file -----------------------------------------
+
+
+def pruned_scan(bench: Bench) -> Probe:
+    flat = bench.table("rankings", 60_000)[1]
+    session = bench.keep(Session(workdir=bench.dir("pruning")))
+    parts = os.path.join(bench.dir("parts"), "rankings.parts")
+    session.read(flat).write(parts, partition_by="pageRank", num_partitions=16)
+    threshold = int(RANK_MAX * 0.98)  # ~2% of uniform ranks: ~1/16 partitions
+
+    def query(path: str) -> Any:
+        return session.read(path).filter(col("pageRank") > threshold) \
+            .select("pageURL", "pageRank")
+
+    def canonical(result: Any) -> bytes:  # partitioning reorders rows
+        return serialize_rows(result.sorted_rows())
+
+    full, pruned = query(flat).run(), query(parts).run()
+    scanned, dropped = (total(pruned, "partitions_scanned"),
+                        total(pruned, "partitions_pruned"))
+    return Probe(
+        on=lambda: query(parts).run(), off=lambda: query(flat).run(),
+        payload=canonical,
+        checks={"partitions_pruned": dropped > 0,
+                "schedulers_identical": all(
+                    canonical(query(parts).run(**kwargs)) == canonical(full)
+                    for kwargs in SCHEDULERS)},
+        counters={"partitions_scanned": scanned, "partitions_pruned": dropped,
+                  "matching_rows": len(full.rows),
+                  "bytes_ratio": round(
+                      total(full, "map_input_stored_bytes")
+                      / max(1, total(pruned, "map_input_stored_bytes")), 2)},
+    )
+
+
+# -- bench_resilience.py: RetryPolicy(enabled=False) / an injected fault plan ----------
+
+#: injected hangs are cut short by this per-task deadline (seconds)
+TASK_TIMEOUT = 1.0
+
+
+class RollupMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.increment("bench", "mapped")
+        ctx.emit(value % 101, value)
+
+
+def _observable(result: Any) -> tuple:
+    """Outputs, counters and every metric but the scheduling-path ones
+    (wall clock and physical spill bytes exist on the parallel side only)."""
+    metrics = result.metrics.to_dict()
+    for name in ("wall_seconds", "shuffle_bytes_spilled", "shuffle_bytes_merged"):
+        metrics.pop(name)
+    return result.outputs, metrics, result.counters.to_dict()
+
+
+def _pooled_rollup(bench: Bench) -> tuple:
+    job = JobConf(name="resilience-rollup", mapper=RollupMapper,
+                  reducer=SumReducer, num_reducers=4,
+                  inputs=[InMemoryInput(rank_pairs(bench, 60_000))])
+    engine = ExecutionEngine(max_workers=2, reap_scratch=False)
+    bench.stack.callback(engine.shutdown)
+    return job, engine, _observable(LocalJobRunner().run(job))
+
+
+def fault_free_overhead(bench: Bench) -> Probe:
+    job, engine, sequential = _pooled_rollup(bench)
+    enabled = ParallelJobRunner(num_workers=2, engine=engine,
+                                retry_policy=RetryPolicy())
+    disabled = ParallelJobRunner(num_workers=2, engine=engine,
+                                 retry_policy=RetryPolicy(enabled=False))
+    return Probe(
+        on=lambda: enabled.run(job), off=lambda: disabled.run(job),
+        payload=_observable,
+        checks={"equals_sequential_reference":
+                _observable(disabled.run(job)) == sequential},
+    )
+
+
+def recovery(bench: Bench) -> Probe:
+    """A clean run (on) against the same job surviving one SIGKILLed and
+    one hung worker (off): the ratio is the recovery premium."""
+    job, engine, sequential = _pooled_rollup(bench)
+    runner = ParallelJobRunner(
+        num_workers=2, engine=engine,
+        retry_policy=RetryPolicy(task_timeout=TASK_TIMEOUT))
+    plans: List[FaultPlan] = []
+
+    def faulted() -> Any:
+        # the hang is on an earlier task than the kill, so it has always
+        # started by the time the kill's pool rebuild sweeps it away
+        plans.append(FaultPlan(
+            [Fault("pool.map_task", "kill",
+                   match={"task_index": 2, "attempt": 0}),
+             Fault("pool.map_task", "hang", seconds=60.0,
+                   match={"task_index": 0, "attempt": 0})],
+            token_dir=bench.dir("fault-tokens")))
+        faults.install_plan(plans[-1])
+        try:
+            return runner.run(job)
+        finally:
+            faults.clear_plan()
+
+    before = engine.pool.stats()
+    survived = _observable(faulted())
+    after = engine.pool.stats()
+    return Probe(
+        on=lambda: runner.run(job), off=faulted, payload=_observable,
+        checks={"equals_sequential_reference": survived == sequential,
+                "kill_fired_once": plans[0].fired(0) == 1,
+                "faults_survived": plans[0].fired(0) + plans[0].fired(1) == 2},
+        counters={name: after[name] - before[name] for name in
+                  ("tasks_retried", "tasks_timed_out", "pool_rebuilds")},
+    )
+
+
+# -- bench_service.py: result_cache_bytes=0 / an idle server ----------------------------
+
+#: the distinct questions the dashboard clients rotate through
+THRESHOLDS = (9000, 9500, 9900)
+
+
+def _chain(session_like: Any, src: str, threshold: int) -> Any:
+    return session_like.read(src).filter(col("pageRank") > threshold) \
+        .select("pageURL", "pageRank")
+
+
+def _server(bench: Bench, cache: bool, **kwargs: Any) -> QueryServer:
+    """Not started yet: entering it (``with`` / ``bench.keep``) does."""
+    return QueryServer(bench.dir("root"), engine=ExecutionEngine(),
+                       result_cache_bytes=None if cache else 0, **kwargs)
+
+
+def _in_threads(target: Callable[[int], None], n: int) -> None:
+    errors: List[BaseException] = []
+
+    def guarded(idx: int) -> None:
+        try:
+            target(idx)
+        except BaseException as exc:  # surfaced below, in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise AssertionError(f"client failed: {errors[0]!r}")
+
+
+def result_cache(bench: Bench) -> Probe:
+    """N clients of one tenant re-submitting a few distinct queries."""
+    src = bench.table("rankings", 4_000)[1]
+    clients, per_client = bench.scaled(6, least=2), bench.scaled(12, least=4)
+    servers = {cache: bench.keep(_server(
+        bench, cache, max_in_flight=2, max_queue_depth=64))
+        for cache in (True, False)}
+
+    def drive(cache: bool) -> Dict[int, bytes]:
+        host, port = servers[cache].address
+        served: Dict[int, bytes] = {}
+
+        def client(idx: int) -> None:
+            with connect(host, port, tenant="dash") as remote:
+                for q in range(per_client):
+                    threshold = THRESHOLDS[(idx + q) % len(THRESHOLDS)]
+                    served[threshold] = _chain(
+                        remote, src, threshold).collect_bytes()[0]
+
+        _in_threads(client, clients)
+        return served
+
+    with Session(catalog_dir=bench.dir("ident")) as local:
+        expected = {t: serialize_rows(_chain(local, src, t).collect())
+                    for t in THRESHOLDS}
+    return Probe(
+        on=lambda: drive(True), off=lambda: drive(False),
+        checks={"served_equals_in_process": drive(True) == expected},
+        counters={"queries": clients * per_client,
+                  "cache_hits": servers[True].results.stats()["hits"]},
+    )
+
+
+def fair_scheduling(bench: Bench) -> Probe:
+    """Light tenants behind one tenant's deep backlog (on) against the
+    same light tenants on the idle server (off)."""
+    src = bench.table("rankings", 4_000)[1]
+    backlog = bench.scaled(10, least=6)
+    tenants, queries = bench.scaled(3, least=2), bench.scaled(3, least=2)
+    # cache off so every submission competes for the pool; one in-flight
+    # slot makes the round-robin dispatch order observable
+    server = bench.keep(_server(bench, cache=False, max_in_flight=1,
+                                max_queue_depth=max(64, backlog + 8)))
+    host, port = server.address
+    heavy = bench.keep(connect(host, port, tenant="heavy"))
+    pending: List[int] = []
+
+    def lights(flood: bool) -> Dict[str, List[bytes]]:
+        served: Dict[str, List[bytes]] = {}
+        for i in range(backlog if flood else 0):
+            heavy.submit(_chain(heavy, src, 9000 + i % 90))
+
+        def light(idx: int) -> None:
+            with connect(host, port, tenant=f"light{idx}") as remote:
+                served[f"light{idx}"] = [
+                    _chain(remote, src, 9900 - q).collect_bytes()[0]
+                    for q in range(queries)]
+
+        _in_threads(light, tenants)
+        stats = server.scheduler.stats()
+        pending.append(stats["backlog"] + (1 if stats["in_flight"] else 0))
+        return served
+
+    def backlog_drained() -> None:
+        while True:
+            stats = server.scheduler.stats()
+            if not stats["backlog"] and not stats["in_flight"]:
+                return
+            time.sleep(0.002)
+
+    served = lights(flood=True)
+    backlog_drained()
+    stats = server.scheduler.stats()
+    return Probe(
+        on=lambda: lights(flood=True), off=lambda: lights(flood=False),
+        settle=backlog_drained,
+        checks={"zero_starvation":
+                len(served) == tenants and stats["failed"] == 0,
+                "lights_served_while_backlog_pending": pending[0] > 0},
+        counters={"heavy_pending_when_lights_done": pending[0],
+                  "dispatched_by_tenant": stats["dispatched_by_tenant"]},
+    )
+
+
+# -- bench_shuffle.py: the pickle spill format / active_spec patched to decline --------
+
+RUNS_PER_PARTITION = 8
+
+
+class CountReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, sum(1 for _ in values))
+
+
+def plane_row(key_column: str, spec: ShuffleBlockSpec, reducer: Any,
+              poison: bool = False) -> Callable[[Bench], Probe]:
+    """The shuffle data plane of one reduce partition -- run spill, run
+    merge, partition reduce -- through the functions the pool dispatches
+    to, typed blocks (on) against pickle frames (off)."""
+    def build(bench: Bench) -> Probe:
+        table = bench.table("events", EVENTS_ROWS)[0]
+        k = table.idx[key_column]
+        # four integer columns under one key column: 200k pairs at scale 1
+        pairs = [(values[k], values[table.idx[column]])
+                 for column in ("bytes", "ts", "score", "latency")
+                 for _key, values in table.rows]
+        per_run = len(pairs) // RUNS_PER_PARTITION
+        # a float key per run defeats the order encoding: every run of
+        # the control takes the per-run pickle fallback
+        runs = [pairs[i * per_run:(i + 1) * per_run]
+                + ([(0.5, 0)] if poison else [])
+                for i in range(RUNS_PER_PARTITION)]
+        conf = JobConf(name="shuffle-plane", mapper=ModMapper, reducer=reducer,
+                       inputs=[InMemoryInput([(0, 0)])])
+        work = bench.dir("plane")
+        seen: Dict[str, int] = {}
+
+        def pickled(run: List[tuple], path: str) -> str:
+            return shuffle.write_run(path, shuffle.sort_decorated_run(
+                shuffle.decorate_pairs(run)))
+
+        def pickle_plane() -> Any:
+            paths = [pickled(run, os.path.join(work, f"pickle-{i}.run"))
+                     for i, run in enumerate(runs)]
+            seen["pickle_spill_bytes"] = sum(map(os.path.getsize, paths))
+            return execute_reduce_partition(
+                conf, shuffle.merge_decorated_runs(paths),
+                presorted=True, decorated=True).outputs
+
+        def typed_plane() -> Any:
+            paths = []
+            for i, run in enumerate(runs):
+                path = os.path.join(work, f"typed-{i}.run")
+                paths.append(shuffleblocks.spill_typed_run(path, run, spec)
+                             or pickled(run, path))
+            typed = [shuffleblocks.is_typed_run(path) for path in paths]
+            seen["typed_spill_bytes"] = sum(map(os.path.getsize, paths))
+            seen["pickle_fallback_runs"] = typed.count(False)
+            if all(typed):
+                return execute_reduce_partition(
+                    conf, shuffleblocks.merge_typed_chunks(
+                        paths, spec, need_values=not spec.count_only),
+                    presorted=True, shuffle_spec=spec).outputs
+            return execute_reduce_partition(
+                conf, shuffleblocks.merge_mixed_runs(paths, spec),
+                presorted=True, decorated=True).outputs
+
+        groups = len(typed_plane())
+        pickle_plane()
+        return Probe(
+            on=typed_plane, off=pickle_plane, payload=pickle.dumps,
+            checks={"expected_pickle_fallbacks": seen["pickle_fallback_runs"]
+                    == (RUNS_PER_PARTITION if poison else 0)},
+            counters=dict(seen, pairs=len(pairs), groups=groups),
+        )
+    return build
+
+
+def shuffle_end_to_end(bench: Bench) -> Probe:
+    """A fluent ``group_by`` on the record path (with hash pre-aggregation
+    the shuffle all but disappears), two workers, typed plane on and off."""
+    path = bench.table("events", 20_000)[1]
+
+    def query(session: Session) -> Any:
+        return session.read(path).filter(col("latency") > 100).group_by("user") \
+            .agg(total=("sum", "score"), lo=("min", "bytes"), hi=("max", "bytes"))
+
+    def pickle_plane(session: Session) -> Any:
+        # active_spec is resolved once per job in the submitting process
+        # and its answer rides the job state into the workers
+        with mock.patch.object(shuffleblocks, "active_spec", return_value=None):
+            return query(session).run(parallelism=2)
+
+    vectorized = bench.keep(Session(workdir=bench.dir("e2e")))
+    record = bench.keep(Session(workdir=bench.dir("e2e-rec"), vectorize=False))
+    expected = payload(query(record).run(parallelism=2))
+    return Probe(
+        on=lambda: query(record).run(parallelism=2),
+        off=lambda: pickle_plane(record), payload=payload,
+        checks={"analyzer_attached_a_typed_spec":
+                "typed shuffle" in query(vectorized).explain(),
+                "schedulers_and_planes_identical": all(
+                    payload(result) == expected for result in (
+                        query(vectorized).run(), pickle_plane(vectorized),
+                        *(query(vectorized).run(**kw) for kw in SCHEDULERS)))},
+    )
+
+
+# -- bench_parallel_runner.py: the sequential runner -------------------------------------
+
+
+def parallel_runner(bench: Bench) -> Probe:
+    job = b2.make_job(_visits(bench, 24_000)[1])
+
+    def observable(result: Any) -> tuple:
+        return result.outputs, result.counters.to_dict()
+
+    sequential = observable(LocalJobRunner().run(job))
+    return Probe(
+        on=lambda: ParallelJobRunner(num_workers=4).run(job),
+        off=lambda: LocalJobRunner().run(job), payload=observable,
+        checks={"identical_at_every_worker_count": all(
+            observable(ParallelJobRunner(num_workers=n).run(job)) == sequential
+            for n in (1, 2))},
+    )
+
+
+# -- the table ------------------------------------------------------------------------------
+
+_INT_SUM = ShuffleBlockSpec(FieldType.INT, (FieldType.LONG,), False, ("sum",))
+_INT_COUNT = ShuffleBlockSpec(FieldType.INT, (FieldType.LONG,), False, ("count",))
+_STR_GENERIC = ShuffleBlockSpec(FieldType.STRING, (FieldType.LONG,), False, None)
+_PROJECTION = [cat.KIND_PROJECTION]
+
+GATES = (
+    Gate("batch_projection_scan", "bench_batch.py projection_scan",
+         batch_row(_q_projection, True), ("speedup", 1.5)),
+    Gate("batch_aggregation_preagg", "bench_batch.py aggregation_preagg",
+         batch_row(_q_preagg, True), ("speedup", 1.5)),
+    Gate("batch_udf_translated", "bench_batch.py udf_translated",
+         batch_row(_q_udf_translated, True), ("speedup", 1.5)),
+    Gate("udf_opaque_control", "bench_batch.py udf_opaque_control",
+         batch_row(_q_udf_opaque, False), ("control", 0.25)),
+    Gate("engine_pool_reuse", "bench_engine.py repeated_small_jobs",
+         pool_reuse, ("speedup", 1.15)),
+    Gate("engine_dag_diamond", "bench_engine.py diamond_pipeline",
+         dag_diamond, ("speedup", 1.0), min_cpus=4),
+    Gate("engine_cached_analysis", "bench_engine.py cached_analysis",
+         cached_analysis),
+    Gate("hotpath_projection_scan", "bench_hotpath.py uservisits_projection_scan",
+         classic_row(_job_selscan, _PROJECTION, _PROJECTION), ("speedup", 1.4)),
+    Gate("hotpath_b1_selection", "bench_hotpath.py b1_selection",
+         classic_row(_job_b1, [cat.KIND_SELECTION], [cat.KIND_SELECTION])),
+    Gate("hotpath_b2_aggregation", "bench_hotpath.py b2_aggregation_projection",
+         classic_row(lambda bench: b2.make_job(_visits(bench, 24_000)[1]),
+                     _PROJECTION, _PROJECTION)),
+    Gate("hotpath_b3_join", "bench_hotpath.py b3_join", classic_row(_job_b3)),
+    Gate("hotpath_b4_udf_control", "bench_hotpath.py b4_udf_aggregation",
+         classic_row(lambda bench: b4.make_job(
+             bench.table("documents", 2_500, 1_000)[1]), expect=[])),
+    Gate("multiscan_shared_n4", "bench_multiscan.py shared_scan_n4",
+         shared_row(one_file=True), ("speedup", 1.4)),
+    Gate("multiscan_parallel_shared", "bench_multiscan.py parallel_shared_scan",
+         shared_row(one_file=True, parallelism=2), ("speedup", 1.4), min_cpus=4),
+    Gate("multiscan_fallback_control", "bench_multiscan.py fallback_control",
+         shared_row(one_file=False), ("control", 0.25)),
+    Gate("multiscan_decode_cost", "bench_multiscan.py decode_cost", decode_cost),
+    Gate("pruning_selective_scan", "bench_pruning.py pavlo_b1_selective",
+         pruned_scan, ("speedup", 1.5), min_cpus=4),
+    Gate("resilience_fault_free_overhead",
+         "bench_resilience.py fault_free_overhead",
+         fault_free_overhead, ("overhead", 0.25)),
+    Gate("resilience_recovery", "bench_resilience.py recovery_wall",
+         recovery),
+    Gate("service_result_cache", "bench_service.py repeat_heavy_throughput",
+         result_cache, ("speedup", 1.5)),
+    Gate("service_fair_scheduling", "bench_service.py fair_scheduling",
+         fair_scheduling),
+    Gate("shuffle_sum_fold", "bench_shuffle.py groupby_sum_fold",
+         plane_row("shard", _INT_SUM, SumReducer), ("speedup", 1.4)),
+    Gate("shuffle_count_fold", "bench_shuffle.py groupby_count_fold",
+         plane_row("shard", _INT_COUNT, CountReducer), ("speedup", 1.4)),
+    Gate("shuffle_string_generic", "bench_shuffle.py groupby_string_generic",
+         plane_row("path", _STR_GENERIC, SumReducer), ("speedup", 1.4)),
+    Gate("shuffle_fallback_control", "bench_shuffle.py fallback_control",
+         plane_row("shard", _INT_SUM, SumReducer, poison=True)),
+    Gate("shuffle_end_to_end", "bench_shuffle.py end_to_end",
+         shuffle_end_to_end),
+    Gate("parallel_runner_b2", "bench_parallel_runner.py",
+         parallel_runner, ("speedup", 1.5), min_cpus=4),
+)

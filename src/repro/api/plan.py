@@ -935,7 +935,7 @@ class _Lowering:
             spec = _segment_batch_spec(seg, "map")
             if spec is not None:
                 conf.batch_specs[None] = spec
-                descriptions.append(f"vectorized [{spec.describe()}]")
+                descriptions.append(f"batch spec [{spec.describe()}]")
         return StagePlan(
             conf=conf,
             hints=hints,
@@ -1024,7 +1024,7 @@ class _Lowering:
                     for spec in specs
                 )
                 conf.batch_specs[None] = bspec
-                descriptions.append(f"vectorized [{bspec.describe()}]")
+                descriptions.append(f"batch spec [{bspec.describe()}]")
             # Independent of map-body describability: the shuffle format
             # only needs the emitted key/value types, which this stage's
             # synthesized tail fixes.  Lying upstream UDF schemas are
@@ -1206,7 +1206,7 @@ class _Lowering:
                     continue
                 conf.batch_specs[tag_key] = bspec
                 side_descriptions.append(
-                    f"{tag_key}: vectorized [{bspec.describe()}]"
+                    f"{tag_key}: batch spec [{bspec.describe()}]"
                 )
         lcols = set(lseg.visible or lschema.field_names()) | {node.on}
         rcols = set(rseg.visible or rschema.field_names()) | {node.on}

@@ -250,6 +250,7 @@ class Session:
         for i, (scan, descriptor) in enumerate(zip(scans, descriptors)):
             lines.append(f"query {i}: " + "; ".join(scan.descriptions))
             lines += [f"  {plan.describe()}" for plan in descriptor.plans]
+            lines += _batch_verdicts(scan.conf, descriptor)
         lines.append(report.describe())
         return "\n".join(lines).rstrip() + "\n"
 
@@ -375,6 +376,7 @@ class Session:
                 lines.append(f"  {ia.summary()}")
             descriptor = self.system.plan(stage.conf, stage.hints)
             lines.append(descriptor.describe())
+            lines += _batch_verdicts(stage.conf, descriptor)
             lines.append("")
         return "\n".join(lines).rstrip() + "\n"
 
@@ -390,6 +392,20 @@ class Session:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _batch_verdicts(conf: Any, descriptor: Any) -> List[str]:
+    """Per input the optimizer planned: will the batch path serve the
+    stage over *that* input, and if not, why (the task's own admission)."""
+    from repro.batch.executor import batch_admission
+
+    lines = []
+    for plan in descriptor.plans:
+        admitted = batch_admission(
+            conf.batch_specs.get(plan.chosen.tag), plan.chosen)
+        verdict = f"no ({admitted})" if isinstance(admitted, str) else "yes"
+        lines.append(f"  input[{plan.input_index}] batch path: {verdict}")
+    return lines
 
 
 def run_plans(

@@ -15,16 +15,15 @@ and the DAG stage scheduler alike, every scheduler -- and every
 shared-scan group (:mod:`repro.batch.multiscan`) -- consumes batches
 through this one implementation.
 
-A member's result is ``None`` -- *do it the record way* -- whenever the
-concrete split does not match its spec's promises: a planner-substituted
-input the batch scan cannot read (B+Tree selection indexes, in-memory
-pairs, and block files whose value codec is not the identity -- delta
-and dictionary files: same container, but the column scan reads plain
-value encodings only), an opaque key or value schema, a
-needed column missing from the (possibly projection-optimized) file, or
-a predicate the kernel compiler rejects.  The caller then runs *that
-member's* record-path mapper over the split while the others still share
-the pass.  When a member is served, its rows re-materialize as ordinary
+A member's result is ``None`` -- *do it the record way* -- whenever
+:func:`batch_admission` declines its spec over the concrete split.  That
+function is the only place "can this spec be served over this input" is
+decided: the task calls it per member, shared-scan grouping
+(:func:`repro.batch.multiscan.plan_shared_groups`) calls it per
+candidate, and ``Session.explain`` prints its answer for the input the
+optimizer planned.  The caller then runs *that member's* record-path
+mapper over the split while the others still share the pass.  When a
+member is served, its rows re-materialize as ordinary
 ``Record``/primitive pairs at the emit boundary and flow through its own
 ``_finish_map_task`` sizing/combining/filtering/partitioning tail, so
 the task's output -- and therefore the job's output -- is byte-identical
@@ -33,7 +32,7 @@ to the record path, and to the member's solo run, by construction.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.columns import (
     ColumnBatch,
@@ -44,7 +43,7 @@ from repro.batch.columns import (
 from repro.batch.kernels import PredicateKernel, compile_predicates
 from repro.batch.shuffleblocks import PREAGG_FN
 from repro.batch.spec import BatchStageSpec
-from repro.exceptions import JobExecutionError
+from repro.exceptions import JobExecutionError, ReproError
 from repro.mapreduce.formats import (
     PartitionedInput,
     ProjectedFileInput,
@@ -56,22 +55,48 @@ from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import Record
 
 
-def _split_location(split: Any) -> Optional[Tuple[str, Any]]:
-    """(path, blocks) when the split reads plain record-file blocks.
+#: Inputs whose splits are block lists of an identity-codec record file.
+#: Exact types on purpose: B+Tree index scans, delta/dictionary value
+#: codecs (same container, but the column scan reads plain value
+#: encodings only), in-memory pairs, or an unknown subclass with different
+#: split payloads are not batch-scannable.
+RECORD_BLOCK_INPUTS = (RecordFileInput, ProjectedFileInput, PartitionedInput)
 
-    Exact type checks on purpose: only inputs whose splits are block
-    lists of an identity-codec file are batch-scannable.  Anything else
-    -- index scans, delta/dictionary value codecs, in-memory pairs, or
-    an unknown subclass with different split payloads -- falls back to
-    the record path.
+
+def batch_admission(
+    spec: Any, source: Any, reader: Optional[RecordFileReader] = None,
+) -> Union[Tuple[ScanPlan, Optional[PredicateKernel]], str]:
+    """Can ``spec`` be served vectorized over ``source``?
+
+    Returns the member's ``(scan plan, compiled predicate kernel)``, or
+    the reason it must take the record path.  ``reader`` is a map task's
+    already-open reader on the split's file; planning callers omit it and
+    the schemas come from the file header (the sidecar, for a partitioned
+    dataset).
     """
-    stype = type(split.source)
-    if stype is RecordFileInput or stype is ProjectedFileInput:
-        return split.source.path, split.payload
-    if stype is PartitionedInput:
-        path, blocks = split.payload
-        return path, blocks
-    return None
+    if type(source) not in RECORD_BLOCK_INPUTS:
+        return "input is not a plain record-file scan"
+    if not isinstance(spec, BatchStageSpec):
+        return "stage is not analyzer-described"
+    try:
+        if reader is not None:
+            schemas = reader.key_schema, reader.value_schema
+        elif type(source) is PartitionedInput:
+            info = source.info()
+            schemas = info.key_schema, info.value_schema
+        else:
+            with RecordFileReader(source.path) as header:
+                schemas = header.key_schema, header.value_schema
+    except (OSError, ReproError):
+        return "input file is unreadable"
+    plan = build_scan_plan(*schemas, spec)
+    if plan is None:
+        return "opaque schema or missing needed column"
+    try:
+        kernel = compile_predicates(spec.predicates, spec.derived_exprs())
+    except TypeError:
+        return "predicate is not compilable"
+    return plan, kernel
 
 
 class StageScan:
@@ -119,19 +144,6 @@ class StageScan:
             self.emit_schema = spec.out_value_schema or reader.value_schema
             self.emit_names = self.emit_schema.field_names()
             self.join_side = spec.kind == "join-side"
-
-    @classmethod
-    def open(cls, conf: JobConf, spec: BatchStageSpec,
-             reader: RecordFileReader) -> Optional["StageScan"]:
-        """The member's scan over ``reader``'s file, or ``None`` to decline."""
-        plan = build_scan_plan(reader.key_schema, reader.value_schema, spec)
-        if plan is None:
-            return None
-        try:
-            kernel = compile_predicates(spec.predicates, spec.derived_exprs())
-        except TypeError:  # a predicate the kernel compiler rejects
-            return None
-        return cls(conf, spec, reader, plan, kernel)
 
     def process(self, batch: ColumnBatch) -> None:
         """Run this member's stage over one decoded block."""
@@ -264,19 +276,24 @@ def run_batch_map_task(
     member, aligned: a :class:`MapTaskResult`, or ``None`` for a member
     that must run its record path.
     """
-    declined: List[Optional[MapTaskResult]] = [None] * len(confs)
-    location = _split_location(split)
-    if location is None:
-        return declined
-    path, blocks = location
+    source = split.source
+    if type(source) not in RECORD_BLOCK_INPUTS:
+        return [None] * len(confs)
+    if type(source) is PartitionedInput:
+        path, blocks = split.payload
+    else:
+        path, blocks = source.path, split.payload
     with RecordFileReader(path) as reader:
-        scans = [
-            None if spec is None else StageScan.open(conf, spec, reader)
-            for conf, spec in zip(confs, specs)
-        ]
+        scans: List[Optional[StageScan]] = []
+        for conf, spec in zip(confs, specs):
+            admitted = batch_admission(spec, source, reader)
+            scans.append(
+                None if isinstance(admitted, str)
+                else StageScan(conf, spec, reader, *admitted)
+            )
         live = [scan for scan in scans if scan is not None]
         if not live:
-            return declined
+            return [None] * len(confs)
         n_rows = 0
         logical_bytes = 0
         try:

@@ -24,10 +24,11 @@ their shared inputs, a solo job being a group of one:
 What this module owns is the *policy*: which submissions are worth
 running as one group.  Sharing is gated, not assumed:
 :func:`plan_shared_groups` groups candidates by concrete input identity
-(:func:`repro.storage.input_identity`), re-validates each member against
-the file (opaque schemas, missing columns and uncompilable predicates
-fall back to the solo path), and applies a cost model so a narrow scan
-is never blindly fused into a wide union (see :data:`LATENCY_FACTOR`).
+(:func:`repro.storage.input_identity`), admits only members the batch
+path can serve over that file
+(:func:`repro.batch.executor.batch_admission` -- the same call the map
+task makes), and applies a cost model so a narrow scan is never blindly
+fused into a wide union (see :data:`LATENCY_FACTOR`).
 Singleton groups and ineligible stages run the existing solo path
 unchanged.
 :func:`run_shared_group` hands an approved group to a runner and books
@@ -39,13 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.batch.columns import build_scan_plan
-from repro.batch.kernels import compile_predicates
+from repro.batch.executor import batch_admission
 from repro.batch.spec import BatchStageSpec
-from repro.mapreduce.formats import ProjectedFileInput, RecordFileInput
+from repro.mapreduce.formats import PartitionedInput
 from repro.mapreduce.job import JobConf, JobResult
 from repro.storage import InputIdentity, input_identity
-from repro.storage.recordfile import RecordFileReader
 
 #: Cost of materializing one decoded field, relative to the boundary
 #: walk every scan pays per field whether it decodes it or not.
@@ -54,9 +53,10 @@ from repro.storage.recordfile import RecordFileReader
 #: scans, capturing zero columns (walk = t0 / 11 fields: 0.61 ms) against
 #: all ten (capture = (t10 - t0) / 10: 0.86 ms) -- a ratio of 1.4-1.5
 #: over four runs under the compiled block scan (0.95 under the
-#: interpreted walk, when this constant read a guessed 4.0).
-#: ``benchmarks/bench_multiscan.py`` repeats the measurement on its own
-#: file (``decode_cost`` in BENCH_multiscan.json).
+#: interpreted walk, when this constant read a guessed 4.0).  The
+#: ``multiscan_decode_cost`` row of ``benchmarks/gates`` repeats the
+#: measurement: with ``ratio`` = all ten captured over none, the weight
+#: is ``(ratio - 1) * 11 / 10`` (BENCH_gates.json).
 DECODE_WEIGHT = 1.5
 
 #: Per-member latency gate: a query joins a group only while the modeled
@@ -147,28 +147,18 @@ def plan_shared_groups(
     redirected at a narrow projection file groups with peers reading
     *that* file, never with peers on the base file.
 
-    Every fallback is a reason string (surfaced by ``explain``):
-    multi-input (join) stages, non-recordfile inputs, stages without an
-    analyzer-described spec, opaque schemas, missing columns,
-    uncompilable predicates, singleton groups, and members the cost
-    model declines.  ``None`` entries are callers' shorthand for "this
+    Every fallback is a reason string (surfaced by ``explain``).  The
+    ones about *grouping* are decided here: multi-input (join) stages,
+    partitioned datasets (many files, no one pass to share), singleton
+    groups, and members the cost model declines.  Whether the batch path
+    can serve a member over its file at all is
+    :func:`~repro.batch.executor.batch_admission`'s answer, reason
+    included.  ``None`` entries are callers' shorthand for "this
     submission is ineligible before grouping even starts".
     """
     report = SharedPlanReport()
     by_file: Dict[InputIdentity, List[MemberPlan]] = {}
     file_fields: Dict[InputIdentity, int] = {}
-    schema_cache: Dict[str, Optional[Tuple[Any, Any]]] = {}
-
-    def schemas_of(path: str) -> Optional[Tuple[Any, Any]]:
-        if path not in schema_cache:
-            try:
-                with RecordFileReader(path) as reader:
-                    schema_cache[path] = (
-                        reader.key_schema, reader.value_schema
-                    )
-            except Exception:
-                schema_cache[path] = None
-        return schema_cache[path]
 
     for index, conf in enumerate(confs):
         if conf is None:
@@ -178,31 +168,17 @@ def plan_shared_groups(
             report.solo.append((index, "multiple inputs (join stage)"))
             continue
         source = conf.inputs[0]
-        if type(source) not in (RecordFileInput, ProjectedFileInput):
+        if type(source) is PartitionedInput:
             report.solo.append(
-                (index, "input is not a plain record-file scan")
+                (index, "partitioned dataset: no single file to share")
             )
             continue
         spec = conf.batch_specs.get(source.tag)
-        if not isinstance(spec, BatchStageSpec):
-            report.solo.append((index, "stage is not analyzer-described"))
+        admitted = batch_admission(spec, source)
+        if isinstance(admitted, str):
+            report.solo.append((index, admitted))
             continue
-        schemas = schemas_of(source.path)
-        if schemas is None:
-            report.solo.append((index, "input file is unreadable"))
-            continue
-        key_schema, value_schema = schemas
-        plan = build_scan_plan(key_schema, value_schema, spec)
-        if plan is None:
-            report.solo.append(
-                (index, "opaque schema or missing needed column")
-            )
-            continue
-        try:
-            compile_predicates(spec.predicates, spec.derived_exprs())
-        except TypeError:
-            report.solo.append((index, "predicate is not compilable"))
-            continue
+        plan, _kernel = admitted
         identity = input_identity(source.path)
         if identity.kind != "file":
             report.solo.append((index, "input file is unreadable"))
@@ -211,7 +187,7 @@ def plan_shared_groups(
             MemberPlan(index, conf, spec, list(plan.slots))
         )
         file_fields[identity] = (
-            len(key_schema.fields) + len(value_schema.fields)
+            len(plan.key_schema.fields) + len(plan.value_schema.fields)
         )
 
     for identity, candidates in by_file.items():

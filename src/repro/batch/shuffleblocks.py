@@ -625,15 +625,6 @@ def merge_typed_chunks(
             heapq.heappush(heap, (cursor.keys[cursor.pos], i))
 
 
-def merge_typed_pairs(
-    paths: List[str], spec: ShuffleBlockSpec
-) -> Iterator[Tuple[bytes, Any]]:
-    """Flatten the chunk merge into ``(encoded key, value)`` pairs."""
-    for keys, values, lo, hi in merge_typed_chunks(paths, spec):
-        for idx in range(lo, hi):
-            yield keys[idx], values[idx]
-
-
 # -- mixed-format partitions --------------------------------------------------
 
 
@@ -678,24 +669,8 @@ def merge_mixed_runs(
 _UNSET = object()
 
 
-def reduce_typed_chunks(conf: Any, spec: ShuffleBlockSpec,
-                        chunks: Iterable[Tuple]) -> Any:
-    """Reduce one partition's merged typed chunks.
-
-    The typed twin of the decorated branch in
-    :func:`~repro.mapreduce.runtime.execute_reduce_partition` (which
-    dispatches here): foldable specs run the vectorized block fold,
-    anything else feeds the generic reducer group by group.  Either way
-    the returned :class:`~repro.mapreduce.runtime.ReduceTaskResult` --
-    outputs, metrics, counters -- is identical to the pickle path's.
-    """
-    if spec.reduce_ops is not None:
-        return _fold_typed_chunks(conf, spec, chunks)
-    return _reduce_typed_generic(conf, spec, chunks)
-
-
-def _fold_typed_chunks(conf: Any, spec: ShuffleBlockSpec,
-                       chunks: Iterable[Tuple]) -> Any:
+def fold_typed_chunks(spec: ShuffleBlockSpec,
+                      chunks: Iterable[Tuple]) -> Any:
     """Fold sum/min/max/count aggregates over merged chunks in place.
 
     Group boundaries are encoded-key runs: ``bisect_right`` finds each
@@ -703,7 +678,9 @@ def _fold_typed_chunks(conf: Any, spec: ShuffleBlockSpec,
     fold the value slice, and :data:`PREAGG_FN` combines partials across
     chunk boundaries.  Keys decode once per group; output records
     materialize only at the emit boundary.  Metric accounting mirrors
-    the generic reducer field for field.
+    the reduce loop of
+    :func:`~repro.mapreduce.runtime.execute_reduce_partition` field for
+    field.
     """
     from repro.mapreduce.keyspace import estimate_size
     from repro.mapreduce.runtime import ReduceTaskResult
@@ -777,66 +754,31 @@ def _fold_typed_chunks(conf: Any, spec: ShuffleBlockSpec,
     return out
 
 
-def _reduce_typed_generic(conf: Any, spec: ShuffleBlockSpec,
-                          chunks: Iterable[Tuple]) -> Any:
-    """Run the user-visible reducer over a merged typed stream.
+def typed_groups(spec: ShuffleBlockSpec, chunks: Iterable[Tuple]
+                 ) -> Iterator[Tuple[Any, List[Any]]]:
+    """One ``(key, values)`` group per encoded-key run of a merged stream.
 
     For described-but-unfoldable aggregates (``avg``, min/max over
-    strings or doubles): groups still come from encoded-key runs -- the
-    key decodes once per group, never per pair -- but each group's value
-    list goes through ``conf.reducer`` exactly like the pickle path, so
-    float accumulation order and emit semantics are untouched.
+    strings or doubles): the key decodes once per group, never per pair,
+    and each group's value list goes through ``conf.reducer`` in
+    :func:`~repro.mapreduce.runtime.execute_reduce_partition`'s one
+    reduce loop exactly like the pickle path's groups, so float
+    accumulation order and emit semantics are untouched.
     """
-    from repro.exceptions import JobExecutionError
-    from repro.mapreduce.api import Context
-    from repro.mapreduce.keyspace import estimate_size
-    from repro.mapreduce.runtime import ReduceTaskResult, _collect_yielded
-
-    out = ReduceTaskResult(outputs=[])
-    metrics = out.metrics
     kt = spec.key_type
-
-    reducer = conf.make_reducer()
-    ctx = Context()
-    try:
-        reducer.setup(ctx)
-        reduce_fn = reducer.reduce
-        current: Optional[bytes] = None
-        group_values: List[Any] = []
-        for keys, values, lo, hi in chunks:
-            pos = lo
-            while pos < hi:
-                key_bytes = keys[pos]
-                run_end = bisect_right(keys, key_bytes, pos, hi)
-                if key_bytes != current:
-                    if current is not None:
-                        metrics.reduce_groups += 1
-                        metrics.reduce_input_records += len(group_values)
-                        result = reduce_fn(
-                            decode_key(kt, current), group_values, ctx
-                        )
-                        if result is not None:
-                            _collect_yielded(ctx, result, "reduce()")
-                    current = key_bytes
-                    group_values = []
-                group_values += values[pos:run_end]
-                pos = run_end
-        if current is not None:
-            metrics.reduce_groups += 1
-            metrics.reduce_input_records += len(group_values)
-            result = reduce_fn(decode_key(kt, current), group_values, ctx)
-            if result is not None:
-                _collect_yielded(ctx, result, "reduce()")
-        reducer.cleanup(ctx)
-    except Exception as exc:
-        raise JobExecutionError(
-            f"reduce task failed in job {conf.name!r}: {exc}"
-        ) from exc
-    out.counters.merge(ctx.counters)
-    out.outputs = ctx.emitted
-    metrics.reduce_output_records += len(ctx.emitted)
-    reduce_output_bytes = 0
-    for key, value in ctx.emitted:
-        reduce_output_bytes += estimate_size(key) + estimate_size(value)
-    metrics.reduce_output_bytes += reduce_output_bytes
-    return out
+    current: Optional[bytes] = None
+    group_values: List[Any] = []
+    for keys, values, lo, hi in chunks:
+        pos = lo
+        while pos < hi:
+            key_bytes = keys[pos]
+            run_end = bisect_right(keys, key_bytes, pos, hi)
+            if key_bytes != current:
+                if current is not None:
+                    yield decode_key(kt, current), group_values
+                current = key_bytes
+                group_values = []
+            group_values += values[pos:run_end]
+            pos = run_end
+    if current is not None:
+        yield decode_key(kt, current), group_values

@@ -183,8 +183,9 @@ class IndexableSelection:
     exact: bool
 
     def residual(self) -> Callable[[Any, Any], bool]:
-        formula = self.formula
-        return lambda key, value: formula.evaluate(key, value)
+        # the bound method, not a closure over it: it pickles, so an
+        # index-served job still rides the persistent pool
+        return self.formula.evaluate
 
     def key_ranges(self) -> List[KeyRange]:
         """Encode intervals as B+Tree scan ranges."""

@@ -162,8 +162,9 @@ class RetryPolicy:
     The defaults (environment-overridable) give every parallel job crash
     recovery with bounded attempts and no deadline; tests and services
     tighten them per runner.  ``enabled=False`` restores the pre-recovery
-    semantics -- first worker loss fails the job -- and is the A/B lever
-    ``benchmarks/bench_resilience.py`` uses to price the machinery.
+    semantics -- first worker loss fails the job -- and is the off arm of
+    the ``resilience_fault_free_overhead`` gate row, which prices the
+    machinery.
     """
 
     #: master switch; False = fail the job on the first worker loss.

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.mapreduce.api import Context
@@ -338,15 +338,20 @@ def execute_reduce_partition(
 
     With ``shuffle_spec`` set (parallel runner, every run of the
     partition spilled as typed blocks), ``pairs`` is the streaming block
-    merge's chunk iterator and the typed reduce path of
-    :mod:`repro.batch.shuffleblocks` serves the partition -- the same
-    decision chokepoint the batch map path uses, so every scheduler
-    stays byte-identical by construction.
+    merge's chunk iterator (:mod:`repro.batch.shuffleblocks`): foldable
+    specs run the vectorized block fold, anything else decodes one
+    ``(key, values)`` group per encoded-key run and feeds the same
+    reduce loop the decorated stream does -- the same decision
+    chokepoint the batch map path uses, so every scheduler stays
+    byte-identical by construction.
     """
+    groups: Optional[Iterable[Tuple[Any, List[Any]]]] = None
     if shuffle_spec is not None:
         from repro.batch import shuffleblocks
 
-        return shuffleblocks.reduce_typed_chunks(conf, shuffle_spec, pairs)
+        if shuffle_spec.reduce_ops is not None:
+            return shuffleblocks.fold_typed_chunks(shuffle_spec, pairs)
+        groups = shuffleblocks.typed_groups(shuffle_spec, pairs)
     out = ReduceTaskResult(outputs=[])
     metrics = out.metrics
 
@@ -364,22 +369,23 @@ def execute_reduce_partition(
         return out
 
     ctx = Context()
-    if decorated:
-        stream: Iterable[Tuple[Any, Any, Any]] = pairs
-    elif presorted:
-        stream = ((sort_key(key), key, value) for key, value in pairs)
-    else:
-        rows = [(sort_key(key), key, value) for key, value in pairs]
-        rows.sort(key=_SKEY)
-        stream = rows
+    if groups is None:
+        if decorated:
+            stream: Iterable[Tuple[Any, Any, Any]] = pairs
+        elif presorted:
+            stream = ((sort_key(key), key, value) for key, value in pairs)
+        else:
+            rows = [(sort_key(key), key, value) for key, value in pairs]
+            rows.sort(key=_SKEY)
+            stream = rows
+        groups = _decorated_groups(stream)
     try:
         reducer.setup(ctx)
         reduce_fn = reducer.reduce
-        for _skey, group in groupby(stream, key=_SKEY):
-            rows = list(group)
+        for key, values in groups:
             metrics.reduce_groups += 1
-            metrics.reduce_input_records += len(rows)
-            result = reduce_fn(rows[0][1], [row[2] for row in rows], ctx)
+            metrics.reduce_input_records += len(values)
+            result = reduce_fn(key, values, ctx)
             if result is not None:
                 _collect_yielded(ctx, result, "reduce()")
         reducer.cleanup(ctx)
@@ -395,6 +401,15 @@ def execute_reduce_partition(
         reduce_output_bytes += estimate_size(key) + estimate_size(value)
     metrics.reduce_output_bytes += reduce_output_bytes
     return out
+
+
+def _decorated_groups(
+    stream: Iterable[Tuple[Any, Any, Any]]
+) -> Iterator[Tuple[Any, List[Any]]]:
+    """``(representative key, values)`` per run of equal sort keys."""
+    for _skey, group in groupby(stream, key=_SKEY):
+        rows = list(group)
+        yield rows[0][1], [row[2] for row in rows]
 
 
 def _account_partitions(source: Any, metrics: JobMetrics) -> None:

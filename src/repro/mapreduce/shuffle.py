@@ -156,11 +156,6 @@ def sort_decorated_run(
     return decorated
 
 
-def sort_run(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
-    """Stable-sort one task's plain partition output by shuffle key order."""
-    return [(k, v) for _skey, k, v in sort_decorated_run(decorate_pairs(pairs))]
-
-
 def merge_decorated_runs(
     paths: List[str]
 ) -> Iterator[Tuple[Any, Any, Any]]:

@@ -23,6 +23,7 @@ from repro.engine.pool import RetryPolicy
 from repro.exceptions import JobExecutionError, TransientTaskError
 from repro.faults import Fault, FaultPlan
 from repro.mapreduce import InMemoryInput, LocalJobRunner, ParallelJobRunner
+from repro.service.payload import serialize_rows
 from tests.conftest import metrics_without_wall, write_webpages
 
 ROUTE_COUNTERS = ("jobs_pooled", "jobs_forked", "jobs_inline",
@@ -227,3 +228,20 @@ def test_user_code_failure_is_raised_once_on_every_route(
     if not route.get("kill"):
         assert "tasks_retried" not in _moved(engine, before)
     assert glob.glob(str(scratch[0] / "manimal-shuffle-*")) == []
+
+
+def test_index_served_job_rides_the_persistent_pool(tmp_path, engine):
+    """The optimizer's own residual predicate pickles: a job planned
+    onto a B+Tree selection index is not a forked (user-closure) job."""
+    path = write_webpages(tmp_path / "pages.rf", 400)
+    with Session(workdir=str(tmp_path / "s"), engine=engine) as session:
+        query = session.read(path).filter(
+            (col("rank") > 45) | (col("rank") < 2)).select("url", "rank")
+        session.build_indexes(query)
+        assert "btree-scan(" in query.explain()
+        want = query.run()
+        before = engine.pool.stats()
+        got = query.run(parallelism=2)
+        assert serialize_rows(got.rows) == serialize_rows(want.rows)
+        assert _moved(engine, before) == {"jobs_pooled": 1,
+                                          "pools_created": 1}

@@ -179,6 +179,33 @@ class TestFluentCallables:
             assert "stale: source rewritten since build (1 index(es) " \
                 "skipped)" in text
 
+    def test_explain_names_the_path_the_planned_input_takes(self, tmp_path):
+        """The verdict is the map task's own admission over the input
+        the optimizer planned, so it agrees with what the run reports."""
+        from repro import col
+
+        path = write_webpages(tmp_path / "w.rf", 300)
+        with self._session(tmp_path) as session:
+            query = session.read(path).filter(col("rank") > 40) \
+                .select("url", "rank")
+
+            def batched():
+                metrics = query.run().stages[0].outcome.result.metrics
+                return metrics.batch_map_tasks, metrics.map_tasks
+
+            assert "input[0] batch path: yes" in query.explain()
+            served, tasks = batched()
+            assert served == tasks > 0
+            session.build_indexes(query)
+            text = query.explain()
+            assert "btree-scan(" in text
+            assert ("input[0] batch path: no (input is not a plain "
+                    "record-file scan)") in text
+            assert batched() == (0, 1)
+            assert ("input[0] batch path: no (input is not a plain "
+                    "record-file scan)") in session.explain_many(
+                        [query, query])
+
     def test_opaque_callables_show_name_and_reason(
             self, tmp_path, webpage_file):
         with self._session(tmp_path) as session:

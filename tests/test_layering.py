@@ -1,6 +1,7 @@
 """Each layer depends only on the layers below it, only storage stats an
-input's mtime, every environment knob is on an argued allow-list, and
-one module drives shared scans -- checked, not claimed.
+input's mtime, every environment knob is on an argued allow-list, one
+module drives shared scans and one plans batch scans -- checked, not
+claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -78,7 +79,7 @@ def test_checker_sees_environment_knobs_off_the_allow_list(tmp_path):
     assert ":4:" in found[0] and ":5:" in found[1]
 
 
-def test_checker_sees_a_second_shared_scan_driver(tmp_path):
+def test_checker_sees_a_second_caller_of_a_single_caller_function(tmp_path):
     checker = _load_checker()
     for package, name, body in (
         ("batch", "multiscan", "def plan_shared_groups(confs):\n"
@@ -90,6 +91,12 @@ def test_checker_sees_a_second_shared_scan_driver(tmp_path):
                            "    return run_shared_group(confs, runner, pool)\n"),
         ("batch", "__init__", "from repro.batch.multiscan import "
                               "plan_shared_groups, run_shared_group\n"),
+        ("batch", "columns", "def build_scan_plan(k, v, spec):\n"
+                             "    return None\n"),
+        ("batch", "executor", "from repro.batch.columns import "
+                              "build_scan_plan\n"
+                              "def batch_admission(spec, source):\n"
+                              "    return build_scan_plan(1, 2, spec)\n"),
         ("engine", "service", "from repro.batch import multiscan\n"
                               "from repro.batch.multiscan import "
                               "plan_shared_groups\n\n"
@@ -97,12 +104,17 @@ def test_checker_sees_a_second_shared_scan_driver(tmp_path):
                               "    plan_shared_groups(confs)\n"
                               "    return multiscan.run_shared_group(\n"
                               "        confs, runner, pool)\n"),
+        ("service", "probe", "from repro.batch import columns\n"
+                             "def can_batch(k, v, spec):\n"
+                             "    return columns.build_scan_plan(k, v, spec)\n"),
     ):
         directory = tmp_path / "repro" / package
         directory.mkdir(parents=True, exist_ok=True)
         (directory / f"{name}.py").write_text(body)
-    found = checker.shared_scan_violations(str(tmp_path))
+    found = checker.single_caller_violations(str(tmp_path))
     assert [line.split(": calls ")[1].split()[0] for line in found] == [
-        "plan_shared_groups", "run_shared_group"]
-    assert all(os.path.join("engine", "service.py") in line for line in found)
+        "plan_shared_groups", "run_shared_group", "build_scan_plan"]
+    assert all(os.path.join("engine", "service.py") in line
+               for line in found[:2])
     assert ":5:" in found[0] and ":6:" in found[1]
+    assert os.path.join("service", "probe.py") + ":3:" in found[2]

@@ -263,9 +263,13 @@ class TestSpillShuffle:
         # equal keys must surface in task order, then emit order
         run0 = shuffle.run_path(str(tmp_path), "map", 0, 0)
         run1 = shuffle.run_path(str(tmp_path), "map", 1, 0)
-        shuffle.write_run(run0, shuffle.sort_run([("k", "t0-a"), ("k", "t0-b")]))
-        shuffle.write_run(run1, shuffle.sort_run([("k", "t1-a"), ("a", "t1-z")]))
-        merged = list(shuffle.merge_runs([run0, run1]))
+        # the spill and merge the pool workers run: decorated sorted runs
+        for path, pairs in ((run0, [("k", "t0-a"), ("k", "t0-b")]),
+                            (run1, [("k", "t1-a"), ("a", "t1-z")])):
+            shuffle.write_run(path, shuffle.sort_decorated_run(
+                shuffle.decorate_pairs(pairs)))
+        merged = [(key, value) for _skey, key, value
+                  in shuffle.merge_decorated_runs([run0, run1])]
         assert merged == [
             ("a", "t1-z"), ("k", "t0-a"), ("k", "t0-b"), ("k", "t1-a")
         ]

@@ -573,7 +573,8 @@ class TestQueryServer:
             assert ("filter <python:rank_above_40> \u2261 "
                     "(value.rank > 40)") in text
             assert "(SELECT, (($value.rank > 40)))" in text
-            assert "vectorized [map, 1 predicate(s)" in text
+            assert "batch spec [map, 1 predicate(s)" in text
+            assert "input[0] batch path: yes" in text
             # a map's declared schema crosses the wire by content; the
             # translator accepts the equal schema the server rebuilt
             mapped = remote.read(webpages).map(

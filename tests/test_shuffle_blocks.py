@@ -92,8 +92,9 @@ def merged_pairs(paths, spec):
     """Decoded (key, value) pairs out of the streaming block merge."""
     kt = spec.key_type
     return [
-        (decode_key(kt, ekey), value)
-        for ekey, value in sb.merge_typed_pairs(paths, spec)
+        (decode_key(kt, keys[idx]), values[idx])
+        for keys, values, lo, hi in sb.merge_typed_chunks(paths, spec)
+        for idx in range(lo, hi)
     ]
 
 

@@ -15,12 +15,18 @@
    ``os.environ``, directly or through a helper -- is on
    :data:`ENV_ALLOWED`.  A new knob is a new user-set selector between
    behaviours; it fails here until someone argues for it in the list.
-4. One submission path.  ``plan_shared_groups`` and ``run_shared_group``
-   (defined in ``repro/batch/multiscan.py``) are *called* from one
-   module only, ``repro/api/session.py`` -- ``run_plans``, which every
-   door reaches, plus ``explain_many``'s read-only grouping report.  A
-   second caller is a second grouping driver that can plan, validate
-   and assemble results differently from the first.
+4. One caller for one decision (:data:`SINGLE_CALLER`).
+   ``plan_shared_groups`` and ``run_shared_group`` (defined in
+   ``repro/batch/multiscan.py``) are *called* from one module only,
+   ``repro/api/session.py`` -- ``run_plans``, which every door reaches,
+   plus ``explain_many``'s read-only grouping report.  A second caller
+   is a second grouping driver that can plan, validate and assemble
+   results differently from the first.  ``build_scan_plan`` (defined in
+   ``repro/batch/columns.py``) is called only from
+   ``repro/batch/executor.py``, the home of ``batch_admission``: a
+   second caller is a second copy of "can this spec be served over this
+   input" that the map task, shared-scan grouping and ``explain`` can
+   disagree with.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -54,11 +60,17 @@ ENV_ALLOWED = frozenset({
     "REPRO_POOL_REBUILDS",
 })
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
-#: the shared-scan planner and group runner, where they are defined,
-#: and the one module that may call them
-SHARED_SCAN_CALLS = frozenset({"plan_shared_groups", "run_shared_group"})
-SHARED_SCAN_HOME = os.path.join("repro", "batch", "multiscan.py")
-SHARED_SCAN_CALLER = os.path.join("repro", "api", "session.py")
+_MULTISCAN = os.path.join("repro", "batch", "multiscan.py")
+_SESSION = os.path.join("repro", "api", "session.py")
+#: function name -> (module that defines it, the one module that may
+#: call it): the shared-scan planner and group runner, and the scan
+#: planner under the batch admission
+SINGLE_CALLER = {
+    "plan_shared_groups": (_MULTISCAN, _SESSION),
+    "run_shared_group": (_MULTISCAN, _SESSION),
+    "build_scan_plan": (os.path.join("repro", "batch", "columns.py"),
+                        os.path.join("repro", "batch", "executor.py")),
+}
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -147,33 +159,31 @@ def env_violations(src: str = SRC) -> List[str]:
     ]
 
 
-def shared_scan_violations(src: str = SRC) -> List[str]:
-    """Every call of a :data:`SHARED_SCAN_CALLS` name outside the two
+def single_caller_violations(src: str = SRC) -> List[str]:
+    """Every call of a :data:`SINGLE_CALLER` name outside the two
     modules allowed to make one (bare name or attribute spelling)."""
-    allowed = {os.path.join(src, SHARED_SCAN_HOME),
-               os.path.join(src, SHARED_SCAN_CALLER)}
     found: List[str] = []
     for path, tree in parsed_modules(os.path.join(src, "repro")):
-        if path in allowed:
-            continue
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = (getattr(node.func, "id", None)
                     or getattr(node.func, "attr", None))
-            if name in SHARED_SCAN_CALLS:
-                found.append(
-                    f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}: "
-                    f"calls {name} (only {SHARED_SCAN_CALLER} drives "
-                    f"shared scans)"
-                )
+            home, caller = SINGLE_CALLER.get(name, (None, None))
+            if home is None or path in (os.path.join(src, home),
+                                        os.path.join(src, caller)):
+                continue
+            found.append(
+                f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}: "
+                f"calls {name} (only {caller} may)"
+            )
     return found
 
 
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
-    shared = shared_scan_violations()
-    for line in upward + mtime + env + shared:
+    single = single_caller_violations()
+    for line in upward + mtime + env + single:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -181,17 +191,17 @@ def main() -> int:
         print(f"\n{len(mtime)} read(s) of {MTIME_ATTR} outside repro.storage")
     if env:
         print(f"\n{len(env)} environment knob(s) off the allow-list")
-    if shared:
-        print(f"\n{len(shared)} shared-scan driver call(s) outside "
-              f"{SHARED_SCAN_CALLER}")
-    if upward or mtime or env or shared:
+    if single:
+        print(f"\n{len(single)} call(s) of a single-caller function "
+              f"outside its caller")
+    if upward or mtime or env or single:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
           f"under src/repro/storage; every REPRO_* environment name is one "
           f"of {', '.join(sorted(ENV_ALLOWED))}; "
-          f"{' and '.join(sorted(SHARED_SCAN_CALLS))} are called only from "
-          f"{SHARED_SCAN_CALLER}")
+          + "; ".join(f"{name} is called only from {caller}"
+                      for name, (_home, caller) in SINGLE_CALLER.items()))
     return 0
 
 
