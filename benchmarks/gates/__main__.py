@@ -46,8 +46,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list:
         for gate in GATES:
-            print(f"{gate.name:34s} {gate.floor_text():28s} "
-                  f"replaces {gate.replaces}")
+            replaces = f" replaces {gate.replaces}" if gate.replaces else ""
+            print(f"{gate.name:34s} {gate.floor_text():28s}{replaces}"
+                  .rstrip())
         return 0
     unknown = set(args.gate or ()) - {gate.name for gate in GATES}
     if unknown:

@@ -58,8 +58,9 @@ class Probe:
 @dataclass(frozen=True)
 class Gate:
     name: str
-    #: the legacy script (and workload / JSON key) this row stands for
-    replaces: str
+    #: the legacy script (and workload / JSON key) this row stands for;
+    #: ``None`` for rows added since the scripts were retired
+    replaces: Optional[str]
     build: Callable[["Bench"], Probe]
     #: ``("speedup", x)``: off/on >= x; ``("overhead", x)``: on/off - 1
     #: <= x; ``("control", x)``: off/on inside 1/(1+x)..1+x; ``None``:

@@ -91,6 +91,21 @@ def _q_preagg(session: Session, path: str) -> Any:
         .agg(total=("sum", "score"), lo=("min", "bytes"), hi=("max", "ts"))
 
 
+def _q_count(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("latency") > 200).group_by("path") \
+        .agg(n=("count", None))
+
+
+def _q_avg(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("latency") > 200).group_by("path") \
+        .agg(mean=("avg", "score"))
+
+
+def _q_multi(session: Session, path: str) -> Any:
+    return session.read(path).filter(col("latency") > 200).group_by("path") \
+        .agg(n=("count", None), total=("sum", "bytes"), hi=("max", "ts"))
+
+
 def _q_udf_translated(session: Session, path: str) -> Any:
     return session.read(path).filter(lambda v: v.score > 9000) \
         .select("user", "score")
@@ -102,14 +117,19 @@ def _q_udf_opaque(session: Session, path: str) -> Any:
         .select("user", "score")
 
 
-def batch_row(query: Callable[[Session, str], Any], expect_batch: bool
-              ) -> Callable[[Bench], Probe]:
+def batch_row(query: Callable[[Session, str], Any], expect_batch: bool,
+              folds: bool = False) -> Callable[[Bench], Probe]:
+    """``folds``: the query pre-aggregates, so it must ship fewer pairs."""
     def build(bench: Bench) -> Probe:
         path = bench.table("events", EVENTS_ROWS)[1]
         on = bench.keep(Session(workdir=bench.dir("vec")))
         off = bench.keep(Session(workdir=bench.dir("rec"), vectorize=False))
         reference, served = query(off, path).run(), query(on, path).run()
         tasks, batched = total(served, "map_tasks"), total(served, "batch_map_tasks")
+        shuffled = {arm: total(result, "shuffle_records")
+                    for arm, result in (("on", served), ("off", reference))}
+        folded = ({"shuffle_records_on < shuffle_records_off":
+                   shuffled["on"] < shuffled["off"]} if folds else {})
         return Probe(
             on=lambda: query(on, path).run(),
             off=lambda: query(off, path).run(),
@@ -122,13 +142,14 @@ def batch_row(query: Callable[[Session, str], Any], expect_batch: bool
                 "schedulers_identical": all(
                     payload(query(on, path).run(**kwargs)) == payload(reference)
                     for kwargs in SCHEDULERS),
+                **folded,
             },
             counters={"map_tasks": tasks, "batch_map_tasks": batched,
                       "rows": len(reference.rows),
                       "fields_deserialized_on": total(served, "fields_deserialized"),
                       "fields_deserialized_off": total(reference, "fields_deserialized"),
-                      "shuffle_records_on": total(served, "shuffle_records"),
-                      "shuffle_records_off": total(reference, "shuffle_records")},
+                      "shuffle_records_on": shuffled["on"],
+                      "shuffle_records_off": shuffled["off"]},
         )
     return build
 
@@ -668,16 +689,14 @@ def fair_scheduling(bench: Bench) -> Probe:
 RUNS_PER_PARTITION = 8
 
 
-class CountReducer(Reducer):
-    def reduce(self, key, values, ctx):
-        ctx.emit(key, sum(1 for _ in values))
-
-
 def plane_row(key_column: str, spec: ShuffleBlockSpec, reducer: Any,
               poison: bool = False) -> Callable[[Bench], Probe]:
     """The shuffle data plane of one reduce partition -- run spill, run
     merge, partition reduce -- through the functions the pool dispatches
-    to, typed blocks (on) against pickle frames (off)."""
+    to, typed blocks (on) against pickle frames (off).  The pairs carry
+    integer column values; a ``count`` spec reads them as the partial
+    counts map-side pre-aggregation ships, so its reference reducer
+    sums them."""
     def build(bench: Bench) -> Probe:
         table = bench.table("events", EVENTS_ROWS)[0]
         k = table.idx[key_column]
@@ -719,8 +738,7 @@ def plane_row(key_column: str, spec: ShuffleBlockSpec, reducer: Any,
             seen["pickle_fallback_runs"] = typed.count(False)
             if all(typed):
                 return execute_reduce_partition(
-                    conf, shuffleblocks.merge_typed_chunks(
-                        paths, spec, need_values=not spec.count_only),
+                    conf, shuffleblocks.merge_typed_chunks(paths, spec),
                     presorted=True, shuffle_spec=spec).outputs
             return execute_reduce_partition(
                 conf, shuffleblocks.merge_mixed_runs(paths, spec),
@@ -797,7 +815,13 @@ GATES = (
     Gate("batch_projection_scan", "bench_batch.py projection_scan",
          batch_row(_q_projection, True), ("speedup", 1.5)),
     Gate("batch_aggregation_preagg", "bench_batch.py aggregation_preagg",
-         batch_row(_q_preagg, True), ("speedup", 1.5)),
+         batch_row(_q_preagg, True, folds=True), ("speedup", 1.5)),
+    Gate("batch_aggregation_count", None,
+         batch_row(_q_count, True, folds=True), ("speedup", 1.5)),
+    Gate("batch_aggregation_avg", None,
+         batch_row(_q_avg, True, folds=True), ("speedup", 1.5)),
+    Gate("batch_aggregation_multi", None,
+         batch_row(_q_multi, True, folds=True), ("speedup", 1.5)),
     Gate("batch_udf_translated", "bench_batch.py udf_translated",
          batch_row(_q_udf_translated, True), ("speedup", 1.5)),
     Gate("udf_opaque_control", "bench_batch.py udf_opaque_control",
@@ -840,7 +864,7 @@ GATES = (
     Gate("shuffle_sum_fold", "bench_shuffle.py groupby_sum_fold",
          plane_row("shard", _INT_SUM, SumReducer), ("speedup", 1.4)),
     Gate("shuffle_count_fold", "bench_shuffle.py groupby_count_fold",
-         plane_row("shard", _INT_COUNT, CountReducer), ("speedup", 1.4)),
+         plane_row("shard", _INT_COUNT, SumReducer), ("speedup", 1.4)),
     Gate("shuffle_string_generic", "bench_shuffle.py groupby_string_generic",
          plane_row("path", _STR_GENERIC, SumReducer), ("speedup", 1.4)),
     Gate("shuffle_fallback_control", "bench_shuffle.py fallback_control",

@@ -59,7 +59,7 @@ from repro.api.expressions import (
     selection_formula,
 )
 from repro.batch.shuffleblocks import aggregate_shuffle_spec
-from repro.batch.spec import PREAGG_OPS, BatchStageSpec
+from repro.batch.spec import AGGREGATES, BatchStageSpec, preagg_decline
 from repro.core.analyzer.descriptors import (
     DeltaCompressionDescriptor,
     InputAnalysis,
@@ -92,9 +92,6 @@ from repro.storage.serialization import (
     primitive_schema,
 )
 from repro.symbolic import SymExpr, has_literal_form, to_source
-
-#: Supported aggregate operations.
-AGG_OPS = ("count", "sum", "min", "max", "avg")
 
 #: Name prefix of the synthesized projection helper (a bound
 #: ``Schema.make``) spliced into generated mapper code.
@@ -130,7 +127,7 @@ class AggSpec:
     column: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.op not in AGG_OPS:
+        if self.op not in AGGREGATES:
             raise JobConfigError(f"unknown aggregate op {self.op!r}")
         if self.op != "count" and self.column is None:
             raise JobConfigError(f"aggregate {self.op!r} needs a column")
@@ -956,14 +953,13 @@ class _Lowering:
         specs = [spec for _, spec in node.aggs]
 
         def tail(key_var: str, value_var: str) -> List[str]:
-            inputs = [
-                "1" if spec.op == "count" else f"{value_var}.{spec.column}"
-                for spec in specs
+            # each aggregate's declared per-row partial, slots flattened
+            slots = [
+                f"{value_var}.{spec.column}" if literal is None
+                else repr(literal)
+                for spec in specs for literal in AGGREGATES[spec.op].partial
             ]
-            if len(inputs) == 1:
-                emitted = inputs[0]
-            else:
-                emitted = "(" + ", ".join(inputs) + ")"
+            emitted = slots[0] if len(slots) == 1 else f"({', '.join(slots)})"
             return [f"ctx.emit({value_var}.{node.group_column}, {emitted})"]
 
         fn_name = "_fluent_agg_map"
@@ -1010,19 +1006,13 @@ class _Lowering:
                 group_column=node.group_column,
                 aggs=[(spec.op, spec.column) for spec in specs],
             )
+            typed_aggs = [
+                (spec.op, self._column_type(record_schema, spec.column))
+                for spec in specs
+            ]
             if bspec is not None:
-                # Pre-aggregation is only provably byte-identical for
-                # integer sum/min/max with no user combiner in play (the
-                # reducer sees partials instead of rows otherwise) --
-                # and for stored columns: a computed column's declared
-                # INT type is the user's word, not the file codec's.
-                bspec.preagg = bspec.derived is None and all(
-                    spec.op in PREAGG_OPS
-                    and spec.column is not None
-                    and record_schema.field(spec.column).ftype
-                    in (FieldType.INT, FieldType.LONG)
-                    for spec in specs
-                )
+                bspec.no_preagg = preagg_decline(
+                    typed_aggs, derived=bspec.derived is not None)
                 conf.batch_specs[None] = bspec
                 descriptions.append(f"batch spec [{bspec.describe()}]")
             # Independent of map-body describability: the shuffle format
@@ -1032,10 +1022,7 @@ class _Lowering:
             # run back to the pickle path.
             sspec = aggregate_shuffle_spec(
                 self._column_type(record_schema, node.group_column),
-                [
-                    (spec.op, self._column_type(record_schema, spec.column))
-                    for spec in specs
-                ],
+                typed_aggs,
                 agg_schema=out_value_schema if len(specs) > 1 else None,
             )
             if sspec is not None:
@@ -1077,64 +1064,50 @@ class _Lowering:
                      specs: List[AggSpec], schema: Optional[Schema],
                      stage_name: str
                      ) -> Tuple[Optional[Schema], Reducer]:
+        """The stage reducer, generated from the aggregate table: merge
+        every shuffled slot, finish every aggregate, emit the value (or
+        the output record of several)."""
         fn_name = "_fluent_agg_reduce"
-        env: Dict[str, Any] = {}
+        ftypes = [
+            spec.result_type(self._column_type(schema, spec.column))
+            for spec in specs
+        ]
+        n_slots = sum(len(AGGREGATES[spec.op].partial) for spec in specs)
+        columns = (["values"] if n_slots == 1
+                   else [f"c{i}" for i in range(n_slots)])
+        slots = iter(columns)
+        results = [
+            agg.finish.format(*[
+                f"{agg.merge.__name__}({next(slots)})" for _ in agg.partial
+            ])
+            for agg in (AGGREGATES[spec.op] for spec in specs)
+        ]
+        lines = [f"def {fn_name}(key, values, ctx):"]
+        if n_slots > 1:
+            lines.append(f"    {', '.join(columns)} = zip(*values)")
         if len(specs) == 1:
-            spec = specs[0]
-            body = {
-                "count": "    ctx.emit(key, len(list(values)))",
-                "sum": "    ctx.emit(key, sum(values))",
-                "min": "    ctx.emit(key, min(values))",
-                "max": "    ctx.emit(key, max(values))",
-                "avg": "    vs = list(values)\n"
-                       "    ctx.emit(key, sum(vs) / len(vs))",
-            }[spec.op]
-            source = f"def {fn_name}(key, values, ctx):\n{body}\n"
-            ftype = spec.result_type(self._column_type(schema, spec.column))
             # The output column carries the user's keyword name, exactly
-            # like the multi-aggregate branch.
+            # like a field of the multi-aggregate record.
             out_schema = (
                 Schema(f"{_camel(names[0])}Value",
-                       [Field(names[0], ftype)])
-                if ftype is not None else None
+                       [Field(names[0], ftypes[0])])
+                if ftypes[0] is not None else None
             )
+            result = results[0]
+        elif all(t is not None for t in ftypes):
+            out_schema = Schema(
+                f"Agg_{_camel(node.group_column)}",
+                [Field(n, t) for n, t in zip(names, ftypes)],
+            )
+            result = f"_agg_schema.make({', '.join(results)})"
         else:
-            exprs = []
-            for i, spec in enumerate(specs):
-                if spec.op == "count":
-                    exprs.append("len(vs)")
-                elif spec.op == "sum":
-                    exprs.append(f"sum(v[{i}] for v in vs)")
-                elif spec.op == "min":
-                    exprs.append(f"min(v[{i}] for v in vs)")
-                elif spec.op == "max":
-                    exprs.append(f"max(v[{i}] for v in vs)")
-                else:  # avg
-                    exprs.append(f"(sum(v[{i}] for v in vs) / len(vs))")
-            ftypes = [
-                spec.result_type(self._column_type(schema, spec.column))
-                for spec in specs
-            ]
-            if all(t is not None for t in ftypes):
-                out_schema = Schema(
-                    f"Agg_{_camel(node.group_column)}",
-                    [Field(n, t) for n, t in zip(names, ftypes)],
-                )
-            else:
-                out_schema = None
-            env["_agg_schema"] = out_schema
-            make = ", ".join(exprs)
-            source = (
-                f"def {fn_name}(key, values, ctx):\n"
-                f"    vs = list(values)\n"
-                f"    ctx.emit(key, _agg_schema.make({make}))\n"
+            raise JobConfigError(
+                f"stage {stage_name!r}: multi-aggregate output schema "
+                "is unknown; supply value_schema to the preceding map()"
             )
-            if out_schema is None:
-                raise JobConfigError(
-                    f"stage {stage_name!r}: multi-aggregate output schema "
-                    "is unknown; supply value_schema to the preceding map()"
-                )
-        return out_schema, _StageReducer(fn_name, source, env)
+        lines.append(f"    ctx.emit(key, {result})")
+        return out_schema, _StageReducer(
+            fn_name, "\n".join(lines) + "\n", {"_agg_schema": out_schema})
 
     @staticmethod
     def _column_type(schema: Optional[Schema],

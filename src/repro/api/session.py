@@ -396,14 +396,18 @@ class Session:
 
 def _batch_verdicts(conf: Any, descriptor: Any) -> List[str]:
     """Per input the optimizer planned: will the batch path serve the
-    stage over *that* input, and if not, why (the task's own admission)."""
-    from repro.batch.executor import batch_admission
+    stage over *that* input, and if not, why (the task's own admission)
+    -- and for an aggregate, will its map tasks pre-aggregate."""
+    from repro.batch.executor import batch_admission, task_preagg_decline
+    from repro.batch.spec import preagg_text
 
     lines = []
     for plan in descriptor.plans:
-        admitted = batch_admission(
-            conf.batch_specs.get(plan.chosen.tag), plan.chosen)
+        spec = conf.batch_specs.get(plan.chosen.tag)
+        admitted = batch_admission(spec, plan.chosen)
         verdict = f"no ({admitted})" if isinstance(admitted, str) else "yes"
+        if verdict == "yes" and spec.kind == "aggregate":
+            verdict += f", {preagg_text(task_preagg_decline(spec, conf))}"
         lines.append(f"  input[{plan.input_index}] batch path: {verdict}")
     return lines
 

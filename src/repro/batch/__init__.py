@@ -22,14 +22,14 @@ from repro.batch.multiscan import (
     plan_shared_groups,
     run_shared_group,
 )
-from repro.batch.spec import PREAGG_OPS, BatchStageSpec
+from repro.batch.spec import AGGREGATES, BatchStageSpec
 
 __all__ = [
+    "AGGREGATES",
     "BatchStageSpec",
     "ColumnBatch",
     "GroupPlan",
     "PredicateKernel",
-    "PREAGG_OPS",
     "ScanPlan",
     "SharedPlanReport",
     "build_scan_plan",

@@ -32,6 +32,7 @@ to the record path, and to the member's solo run, by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.columns import (
@@ -41,8 +42,7 @@ from repro.batch.columns import (
     iter_column_batches,
 )
 from repro.batch.kernels import PredicateKernel, compile_predicates
-from repro.batch.shuffleblocks import PREAGG_FN
-from repro.batch.spec import BatchStageSpec
+from repro.batch.spec import AGGREGATES, BatchStageSpec
 from repro.exceptions import JobExecutionError, ReproError
 from repro.mapreduce.formats import (
     PartitionedInput,
@@ -99,6 +99,17 @@ def batch_admission(
     return plan, kernel
 
 
+def task_preagg_decline(spec: BatchStageSpec, conf: JobConf
+                        ) -> Optional[str]:
+    """Why an admitted aggregate member's map tasks will not fold rows
+    into per-group partials (``None``: they will): the lowering's
+    verdict, unless a combiner -- which expects per-row values -- has
+    been set on the stage since."""
+    if conf.combiner is not None:
+        return "a combiner expects per-row values"
+    return spec.no_preagg
+
+
 class StageScan:
     """One member's per-task execution state inside a batch map task.
 
@@ -127,19 +138,23 @@ class StageScan:
         self.emitted: List[Tuple[Any, Any]] = []
         self.aggregate = spec.kind == "aggregate"
         if self.aggregate:
-            self.aggs = spec.aggs or []
-            self.single = len(self.aggs) == 1
-            # Integer sum/min/max only -- the ops whose partials provably
-            # reduce to byte-identical output (see PREAGG_OPS); a combiner
-            # expects raw rows, so its presence keeps rows unfolded.
-            self.preagg = spec.preagg and conf.combiner is None
+            aggs = spec.aggs or []
+            # The shuffled value's slots, from each aggregate's declared
+            # partial: (input column, literal), the literal None when
+            # the slot carries the column's value.
+            self.slots = [
+                (column, literal)
+                for op, column in aggs for literal in AGGREGATES[op].partial
+            ]
+            # The same merges the reducer and the typed shuffle's fold
+            # apply, so partials here reduce to the per-row bytes.
+            self.merges = [
+                AGGREGATES[op].pairwise
+                for op, _ in aggs for _ in AGGREGATES[op].partial
+            ]
+            self.tally = [op for op, _ in aggs] == ["count"]
+            self.preagg = task_preagg_decline(spec, conf) is None
             self.groups: dict = {}
-            # One kernel family with the reduce-side block fold:
-            # shuffleblocks combines its per-slice partials through
-            # these same functions.
-            self.fns = (
-                [PREAGG_FN[op] for op, _ in self.aggs] if self.preagg else []
-            )
         else:
             self.emit_schema = spec.out_value_schema or reader.value_schema
             self.emit_names = self.emit_schema.field_names()
@@ -165,41 +180,46 @@ class StageScan:
             selected = range(batch.n_rows)
         append = self.emitted.append
         if self.aggregate:
-            # aggregate stages: emit (group value, agg inputs) rows
+            # aggregate stages: emit (group value, partial slots) rows
             group_col = batch.column(spec.group_column)
-            agg_cols = [
-                None if column is None else batch.column(column)
-                for _, column in self.aggs
+            groups = self.groups
+            if self.preagg and self.tally:
+                # A lone count: one C-level tally per block, merged in
+                # first-occurrence order (see below).
+                tally = Counter(map(group_col.__getitem__, selected))
+                for group, n in tally.items():
+                    accs = groups.get(group)
+                    if accs is None:
+                        groups[group] = [n]
+                    else:
+                        accs[0] += n
+                return
+            cols = [
+                batch.column(column) if literal is None
+                else [literal] * batch.n_rows
+                for column, literal in self.slots
             ]
             if self.preagg:
                 # Hash-fold into one partial per group per task, in
                 # first-occurrence order -- exactly the representative
                 # -key order the reducer's stable sort would have picked
                 # from the raw rows.
-                groups = self.groups
-                fns = self.fns
+                merges = self.merges
                 for i in selected:
                     group = group_col[i]
                     accs = groups.get(group)
                     if accs is None:
-                        groups[group] = [c[i] for c in agg_cols]
+                        groups[group] = [c[i] for c in cols]
                     else:
-                        for j, fn in enumerate(fns):
-                            accs[j] = fn(accs[j], agg_cols[j][i])
-            elif self.single:
-                agg_col = agg_cols[0]
-                if agg_col is None:  # count
-                    for i in selected:
-                        append((group_col[i], 1))
-                else:
-                    for i in selected:
-                        append((group_col[i], agg_col[i]))
+                        for j, merge in enumerate(merges):
+                            accs[j] = merge(accs[j], cols[j][i])
+            elif len(cols) == 1:
+                col = cols[0]
+                for i in selected:
+                    append((group_col[i], col[i]))
             else:
                 for i in selected:
-                    append((
-                        group_col[i],
-                        tuple(1 if c is None else c[i] for c in agg_cols),
-                    ))
+                    append((group_col[i], tuple([c[i] for c in cols])))
             return
         # map / join-side stages: filter rows, emit (key, value) pairs
         emit_schema = self.emit_schema
@@ -229,7 +249,7 @@ class StageScan:
         if self.aggregate and self.preagg:
             append = self.emitted.append
             for group, accs in self.groups.items():
-                append((group, accs[0] if self.single else tuple(accs)))
+                append((group, accs[0] if len(accs) == 1 else tuple(accs)))
         out = MapTaskResult(
             partitions=[[] for _ in range(self.conf.num_reducers)]
         )

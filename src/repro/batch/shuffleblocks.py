@@ -20,10 +20,11 @@ per-pair object machinery is needed:
   the leading run that sorts before the next run's head, found by
   ``bisect`` on the encoded-key array instead of a heap pop per pair;
 * **reduce** finds group boundaries by scanning encoded-key runs inside
-  each merged slice and, for sum/min/max/count over integer columns,
-  folds whole slices with the same pre-aggregation kernels the batch map
-  executor uses -- keys decode once per *group*, and Records materialize
-  only at the emit boundary.
+  each merged slice and, for count and sum/min/max over integer columns,
+  folds whole slices with the merges of the aggregate table
+  (:data:`~repro.batch.spec.AGGREGATES`) the batch map executor's hash
+  pre-aggregation uses -- keys decode once per *group*, and Records
+  materialize only at the emit boundary.
 
 Byte identity is preserved by construction, not by luck: for a single
 declared key type the encoded-byte order equals
@@ -52,6 +53,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro import faults
+from repro.batch.spec import AGGREGATES
 from repro.exceptions import (
     BTreeError,
     SerializationError,
@@ -84,26 +86,6 @@ _KEY_WIDTH = {
     FieldType.BOOL: 1,
 }
 
-#: Scalar fold kernels shared with the batch map executor's hash
-#: pre-aggregation (:mod:`repro.batch.executor`): the reduce-side fold
-#: below combines per-slice partials through these exact functions, so
-#: map-side pre-aggregation and reduce-side block folding are one
-#: kernel family.  Integer-only for byte identity -- float addition is
-#: not associative, so DOUBLE columns take the generic reducer.
-PREAGG_FN = {
-    "sum": lambda acc, v: acc + v,
-    "min": min,
-    "max": max,
-}
-
-#: Aggregate ops the vectorized reduce fold covers.  ``count`` needs no
-#: column values at all; the others fold integer slices with C-level
-#: ``sum``/``min``/``max``.
-FOLD_OPS = ("sum", "min", "max", "count")
-
-_FOLD_VALUE_TYPES = (FieldType.INT, FieldType.LONG)
-
-
 @dataclass(frozen=True)
 class ShuffleBlockSpec:
     """Analyzer-derived description of one stage's shuffle stream.
@@ -118,21 +100,21 @@ class ShuffleBlockSpec:
     key_type: FieldType
     #: declared type of each shuffled value component, in aggregate order
     value_types: Tuple[FieldType, ...]
-    #: multi-aggregate stages shuffle a tuple of inputs per pair
+    #: a pair's value is a tuple (several partial slots per pair)
     value_is_tuple: bool
     #: aggregate ops when the reduce side can fold blocks vectorized
-    #: (every op in :data:`FOLD_OPS` over integer columns); ``None``
-    #: sends the merged typed stream through the generic reducer.
+    #: (every op one-slot and :meth:`~repro.batch.spec.Aggregate.folds`
+    #: over its column); ``None`` sends the merged typed stream through
+    #: the generic reducer.
     reduce_ops: Optional[Tuple[str, ...]] = None
     #: multi-aggregate output record schema (fold emits through it)
     agg_schema: Optional[Schema] = None
 
     @property
     def count_only(self) -> bool:
-        """All ops are ``count``: the merge never decodes value payloads."""
-        return self.reduce_ops is not None and all(
-            op == "count" for op in self.reduce_ops
-        )
+        """Always ``False``: ``count`` shuffles partial counts, so no
+        spec can promise unit values a merge could skip reading."""
+        return False
 
     def describe(self) -> str:
         values = ",".join(t.value for t in self.value_types)
@@ -148,32 +130,30 @@ def aggregate_shuffle_spec(
     """Build the spec for a described ``group_by`` stage, or ``None``.
 
     ``aggs`` is ``(op, input column type)`` per aggregate in output
-    order; ``count`` has no input column (the mapper emits a literal
-    ``1``).  Returns ``None`` when the key type has no order encoding or
-    any non-count aggregate's column type is unknown -- those stages keep
-    the pickle shuffle wholesale.
+    order.  Each shuffles the slots of its declared partial
+    (:data:`~repro.batch.spec.AGGREGATES`): its input column, or an
+    ``INT`` for a literal (``count``'s partial counts, ``avg``'s row
+    counts).  Returns ``None`` when the key type has no order encoding
+    or an aggregate reading its input has an unknown column type --
+    those stages keep the pickle shuffle wholesale.
     """
     if key_type not in KEY_TYPES:
         return None
     aggs = list(aggs)
     value_types: List[FieldType] = []
     for op, ftype in aggs:
-        if op == "count":
-            value_types.append(FieldType.INT)
-        elif ftype is None:
-            return None
-        else:
-            value_types.append(ftype)
-    foldable = all(
-        op in FOLD_OPS and (op == "count" or ftype in _FOLD_VALUE_TYPES)
+        for slot in AGGREGATES[op].partial:
+            if slot is None and ftype is None:
+                return None
+            value_types.append(ftype if slot is None else FieldType.INT)
+    foldable = (len(aggs) == 1 or agg_schema is not None) and all(
+        len(AGGREGATES[op].partial) == 1 and AGGREGATES[op].folds(ftype)
         for op, ftype in aggs
     )
-    if foldable and len(aggs) > 1 and agg_schema is None:
-        foldable = False
     return ShuffleBlockSpec(
         key_type=key_type,
         value_types=tuple(value_types),
-        value_is_tuple=len(aggs) > 1,
+        value_is_tuple=len(value_types) > 1,
         reduce_ops=tuple(op for op, _ in aggs) if foldable else None,
         agg_schema=agg_schema if len(aggs) > 1 else None,
     )
@@ -488,13 +468,11 @@ def _decode_values(payload: bytes, n: int,
 
 
 def iter_blocks(
-    path: str, spec: ShuffleBlockSpec, need_values: bool = True
-) -> Iterator[Tuple[List[bytes], Optional[List[Any]]]]:
+    path: str, spec: ShuffleBlockSpec
+) -> Iterator[Tuple[List[bytes], List[Any]]]:
     """Stream one typed run block by block (one block buffered at a time).
 
-    Yields ``(encoded keys, decoded values)`` per block;
-    ``need_values=False`` seeks past value payloads entirely (the
-    count-only fold never pays value decode).
+    Yields ``(encoded keys, decoded values)`` per block.
     """
     width = _KEY_WIDTH.get(spec.key_type)
     header_size = _BLOCK_HEADER.size
@@ -529,17 +507,10 @@ def iter_blocks(
                     raise SerializationError(
                         "truncated typed shuffle block"
                     )
-            if need_values:
-                vpayload = f.read(vlen)
-                if len(vpayload) != vlen:
-                    raise SerializationError("truncated typed shuffle block")
-                values: Optional[List[Any]] = _decode_values(
-                    vpayload, n, spec
-                )
-            else:
-                f.seek(vlen, os.SEEK_CUR)
-                values = None
-            yield keys, values
+            vpayload = f.read(vlen)
+            if len(vpayload) != vlen:
+                raise SerializationError("truncated typed shuffle block")
+            yield keys, _decode_values(vpayload, n, spec)
 
 
 # -- streaming block merge ----------------------------------------------------
@@ -550,11 +521,10 @@ class _RunCursor:
 
     __slots__ = ("blocks", "keys", "values", "pos")
 
-    def __init__(self, path: str, spec: ShuffleBlockSpec,
-                 need_values: bool):
-        self.blocks = iter_blocks(path, spec, need_values)
+    def __init__(self, path: str, spec: ShuffleBlockSpec):
+        self.blocks = iter_blocks(path, spec)
         self.keys: List[bytes] = []
-        self.values: Optional[List[Any]] = None
+        self.values: List[Any] = []
         self.pos = 0
 
     def advance_block(self) -> bool:
@@ -567,7 +537,7 @@ class _RunCursor:
 
 def merge_typed_chunks(
     paths: List[str], spec: ShuffleBlockSpec, need_values: bool = True
-) -> Iterator[Tuple[List[bytes], Optional[List[Any]], int, int]]:
+) -> Iterator[Tuple[List[bytes], List[Any], int, int]]:
     """Gallop-merge typed runs into sorted chunks, bounded buffers.
 
     ``paths`` must be in map-task order.  Yields ``(keys, values, lo,
@@ -578,10 +548,12 @@ def merge_typed_chunks(
     ties break toward earlier map tasks (``bisect_right`` when the
     leading run is the earlier task, ``bisect_left`` otherwise), which
     reproduces the stable merge of the pickle path exactly.
+    ``need_values`` is accepted and ignored: every fold reads the value
+    payloads (see :attr:`ShuffleBlockSpec.count_only`).
     """
     cursors: List[_RunCursor] = []
     for path in paths:
-        cursor = _RunCursor(path, spec, need_values)
+        cursor = _RunCursor(path, spec)
         if cursor.advance_block():
             cursors.append(cursor)
     if not cursors:
@@ -666,19 +638,17 @@ def merge_mixed_runs(
 # -- reduce side: vectorized fold / generic typed reduce ----------------------
 
 
-_UNSET = object()
-
-
 def fold_typed_chunks(spec: ShuffleBlockSpec,
                       chunks: Iterable[Tuple]) -> Any:
-    """Fold sum/min/max/count aggregates over merged chunks in place.
+    """Fold the spec's aggregates over merged chunks in place.
 
     Group boundaries are encoded-key runs: ``bisect_right`` finds each
-    key's run inside the chunk, C-level ``sum``/``min``/``max``/``len``
-    fold the value slice, and :data:`PREAGG_FN` combines partials across
-    chunk boundaries.  Keys decode once per group; output records
-    materialize only at the emit boundary.  Metric accounting mirrors
-    the reduce loop of
+    key's run inside the chunk, each aggregate's C-level ``merge``
+    (:data:`~repro.batch.spec.AGGREGATES`) folds its value slice, and
+    its ``pairwise`` merge combines partials across chunk boundaries --
+    ``count`` sums partial counts like ``sum`` does.  Keys decode once
+    per group; output records materialize only at the emit boundary.
+    Metric accounting mirrors the reduce loop of
     :func:`~repro.mapreduce.runtime.execute_reduce_partition` field for
     field.
     """
@@ -689,12 +659,13 @@ def fold_typed_chunks(spec: ShuffleBlockSpec,
     metrics = out.metrics
     outputs = out.outputs
     kt = spec.key_type
-    ops = spec.reduce_ops
-    assert ops is not None
+    assert spec.reduce_ops is not None
+    aggs = [AGGREGATES[op] for op in spec.reduce_ops]
+    merge0 = aggs[0].merge
+    merges = [agg.merge for agg in aggs]
+    pairwise = [agg.pairwise for agg in aggs]
     single = not spec.value_is_tuple
     schema = spec.agg_schema
-    op0 = ops[0]
-    indexed_ops = tuple(enumerate(ops))
 
     current: Optional[bytes] = None
     accs: List[Any] = []
@@ -714,35 +685,19 @@ def fold_typed_chunks(spec: ShuffleBlockSpec,
         while pos < hi:
             key_bytes = keys[pos]
             run_end = bisect_right(keys, key_bytes, pos, hi)
-            n = run_end - pos
-            input_records += n
+            input_records += run_end - pos
+            rows = values[pos:run_end]
+            parts = ([merge0(rows)] if single else
+                     [merge(col) for merge, col in zip(merges, zip(*rows))])
             if key_bytes != current:
                 if current is not None:
                     flush()
                 current = key_bytes
                 groups += 1
-                accs = [0 if op == "count" else _UNSET for op in ops]
-            if single:
-                if op0 == "count":
-                    accs[0] += n
-                else:
-                    part = (sum(values[pos:run_end]) if op0 == "sum"
-                            else min(values[pos:run_end]) if op0 == "min"
-                            else max(values[pos:run_end]))
-                    accs[0] = (part if accs[0] is _UNSET
-                               else PREAGG_FN[op0](accs[0], part))
+                accs = parts
             else:
-                rows = values[pos:run_end]
-                for idx, op in indexed_ops:
-                    if op == "count":
-                        accs[idx] += n
-                    else:
-                        column = [row[idx] for row in rows]
-                        part = (sum(column) if op == "sum"
-                                else min(column) if op == "min"
-                                else max(column))
-                        accs[idx] = (part if accs[idx] is _UNSET
-                                     else PREAGG_FN[op](accs[idx], part))
+                accs = [fn(acc, part)
+                        for fn, acc, part in zip(pairwise, accs, parts)]
             pos = run_end
     if current is not None:
         flush()

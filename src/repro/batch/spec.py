@@ -19,17 +19,86 @@ translate) or opaque schemas never get a spec in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from operator import add
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
-from repro.storage.serialization import Schema
+from repro.storage.serialization import FieldType, Schema
 from repro.symbolic import SymExpr
 
-#: Aggregate ops whose map-side partials compose into the exact reducer
-#: result: integer sum/min/max are associative and order-independent, so
-#: pre-aggregated partials reduce to byte-identical output.  ``count``
-#: and ``avg`` read the *row count* in the reducer and ``DOUBLE`` sums
-#: are order-sensitive in the last float bit, so those stay per-row.
-PREAGG_OPS = ("sum", "min", "max")
+_INTEGERS = frozenset({FieldType.INT, FieldType.LONG})
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    """One aggregate's (partial, merge, finish) triple.
+
+    A map-side partial is legal for any aggregate that declares one: the
+    mapper emits ``partial`` per row, any number of those fold into one
+    partial per group with ``merge``, and the reducer -- which sees
+    per-row partials or pre-aggregated ones alike -- merges what it gets
+    and applies ``finish``.
+    """
+
+    #: the per-row partial, one shuffled slot per entry: ``None`` is the
+    #: aggregate's input value, anything else that literal.  The slots of
+    #: a stage's aggregates concatenate into one flat tuple.
+    partial: Tuple[Optional[int], ...]
+    #: folds one slot's values with one C-level builtin
+    merge: Callable[[Iterable[Any]], Any]
+    #: the reducer's result over the merged slots ``{0}``, ``{1}``, ...
+    finish: str = "{0}"
+    #: input types for which merging partials is byte-identical to the
+    #: per-row reduce (``None``: any -- the input is never read).  Float
+    #: ``+`` is not associative and NaN breaks ``min``/``max`` (per row,
+    #: ``min`` over ``[1.0, nan, 0.5]`` is 0.5; merged from the partials
+    #: ``1.0`` and ``nan`` it is 1.0), so ``DOUBLE`` stays per-row.
+    exact: Optional[FrozenSet[FieldType]] = _INTEGERS
+
+    @property
+    def pairwise(self) -> Callable[[Any, Any], Any]:
+        """``merge`` of two values, for folding row by row."""
+        return add if self.merge is sum else self.merge
+
+    def folds(self, ftype: Optional[FieldType]) -> bool:
+        """Whether partials over ``ftype`` inputs merge byte-identically
+        (and so whether map- and reduce-side folds may merge them)."""
+        return self.exact is None or ftype in self.exact
+
+
+#: The aggregate table: the synthesized mapper's emit, the generated
+#: reducer, map-side hash pre-aggregation and the typed shuffle's
+#: reduce fold all read it.
+AGGREGATES: Dict[str, Aggregate] = {
+    "count": Aggregate((1,), sum, exact=None),
+    "sum": Aggregate((None,), sum),
+    "min": Aggregate((None,), min),
+    "max": Aggregate((None,), max),
+    "avg": Aggregate((None, 1), sum, "{0} / {1}"),
+}
+
+
+def preagg_decline(aggs: Iterable[Tuple[str, Optional[FieldType]]],
+                   derived: bool) -> Optional[str]:
+    """Why folding ``(op, input type)`` aggregates into map-side
+    partials might change the output bytes; ``None`` when it cannot.
+
+    Computed columns decline too: their declared type is the user's
+    word, not the file codec's.
+    """
+    if derived:
+        return "derived column"
+    for op, ftype in aggs:
+        if not AGGREGATES[op].folds(ftype):
+            why = ("is order-sensitive" if ftype is FieldType.DOUBLE
+                   else "has no exact partial")
+            return f"{op} over {ftype.name} {why}"
+    return None
+
+
+def preagg_text(decline: Optional[str]) -> str:
+    return "hash pre-agg" if decline is None else f"no pre-agg ({decline})"
 
 
 @dataclass(eq=False)
@@ -62,10 +131,9 @@ class BatchStageSpec:
     #: aggregate stages: the GROUP BY column and ordered (op, column) list
     group_column: Optional[str] = None
     aggs: Optional[List[Tuple[str, Optional[str]]]] = None
-    #: whether map-side hash pre-aggregation provably preserves output
-    #: bytes for this agg list (all ops in :data:`PREAGG_OPS` over
-    #: integer columns); decided at lowering where field types are known
-    preagg: bool = False
+    #: why map-side hash pre-aggregation is off (``None``: on); decided
+    #: at lowering, where field types are known (:func:`preagg_decline`)
+    no_preagg: Optional[str] = "aggregate input types unknown"
     #: join stages: the equality column and this side's 'L'/'R' tag
     join_on: Optional[str] = None
     join_tag: Optional[str] = None
@@ -124,8 +192,7 @@ class BatchStageSpec:
                 f"{op}({column or '*'})" for op, column in self.aggs or []
             )
             parts.append(f"group_by {self.group_column} agg {aggs}")
-            if self.preagg:
-                parts.append("hash pre-agg")
+            parts.append(preagg_text(self.no_preagg))
         if self.kind == "join-side":
             parts.append(f"on {self.join_on} tag {self.join_tag}")
         return ", ".join(parts)

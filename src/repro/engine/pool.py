@@ -350,9 +350,7 @@ def run_reduce_task(
             if spec is not None and all(typed):
                 # Streaming block merge + typed reduce (vectorized fold
                 # or generic, decided inside the shared chokepoint).
-                chunks = shuffleblocks.merge_typed_chunks(
-                    run_paths, spec, need_values=not spec.count_only
-                )
+                chunks = shuffleblocks.merge_typed_chunks(run_paths, spec)
                 reduced = execute_reduce_partition(
                     conf, chunks, presorted=True, shuffle_spec=spec
                 )

@@ -31,6 +31,12 @@ _RANK_BYTES = 3
 _RANK_TUPLE = 4
 _RANK_RECORD = 5
 
+#: Every NaN's sort key: after all numbers, equal to itself.  A NaN
+#: compares false with everything, so ``(rank, nan)`` would leave the
+#: sort order -- and with it which rows group together -- to the input
+#: order, which differs between one full sort and a merge of sorted runs.
+_NAN_KEY = (_RANK_NUMBER, float("inf"), 1)
+
 
 def sort_key(value: Any) -> Tuple:
     """Map a value to a tuple that totally orders mixed-type key streams.
@@ -38,7 +44,8 @@ def sort_key(value: Any) -> Tuple:
     This sits in the innermost shuffle loop (once per map-output pair --
     the runners decorate each pair with its sort key exactly once), so the
     common concrete types dispatch through one dict lookup instead of an
-    isinstance chain.
+    isinstance chain.  All NaNs are one group key, sorted after every
+    number.
     """
     handler = _SORT_KEY_DISPATCH.get(type(value))
     if handler is not None:
@@ -53,7 +60,7 @@ def _sort_key_slow(value: Any) -> Tuple:
     if isinstance(value, bool):
         return (_RANK_NUMBER, int(value))
     if isinstance(value, (int, float)):
-        return (_RANK_NUMBER, value)
+        return (_RANK_NUMBER, value) if value == value else _NAN_KEY
     if isinstance(value, str):
         return (_RANK_STR, value)
     if isinstance(value, (bytes, bytearray)):
@@ -72,7 +79,7 @@ _SORT_KEY_DISPATCH = {
     type(None): lambda v: (_RANK_NONE,),
     bool: lambda v: (_RANK_NUMBER, int(v)),
     int: lambda v: (_RANK_NUMBER, v),
-    float: lambda v: (_RANK_NUMBER, v),
+    float: lambda v: (_RANK_NUMBER, v) if v == v else _NAN_KEY,
     str: lambda v: (_RANK_STR, v),
     bytes: lambda v: (_RANK_BYTES, v),
     bytearray: lambda v: (_RANK_BYTES, bytes(v)),
@@ -87,7 +94,8 @@ def _canonical_bytes(value: Any, out: bytearray) -> None:
         # Numerics must hash by *value*, not representation: the sort/group
         # order treats 1, 1.0 and True as equal keys, so the partitioner
         # must send them to the same reducer.  Integral floats (and bools)
-        # canonicalize to the int encoding; -0.0 canonicalizes to 0.0.
+        # canonicalize to the int encoding; -0.0 canonicalizes to 0.0,
+        # and every NaN bit pattern to one (NaNs are one group key).
         if isinstance(value, bool):
             value = int(value)
         if isinstance(value, float) and value.is_integer() \
@@ -98,7 +106,8 @@ def _canonical_bytes(value: Any, out: bytearray) -> None:
             out += varint.encode_svarint(value)
         else:
             out.append(0x03)
-            out += struct.pack("<d", value + 0.0)
+            out += struct.pack(
+                "<d", value + 0.0 if value == value else float("nan"))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(0x04)

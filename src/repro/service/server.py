@@ -233,6 +233,12 @@ class QueryServer:
             return
         self._closing.set()
         if self._sock is not None:
+            # Closing a listening socket does not wake a thread blocked
+            # in accept() on Linux; shutting it down first does.
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # not every platform shuts down a listener
             try:
                 self._sock.close()
             except OSError:

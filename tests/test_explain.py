@@ -1,11 +1,12 @@
 """Tests for the explain_job reporting module."""
 
+from repro.api.plan import avg_of, count, sum_of
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
 from repro.explain import explain_job
 from repro.mapreduce import JobConf, RecordFileInput
 from repro.mapreduce.api import Mapper, Reducer
-from tests.conftest import write_webpages
+from tests.conftest import WEBPAGE, write_webpages
 
 
 class FilterMapper(Mapper):
@@ -227,3 +228,41 @@ class TestFluentCallables:
             assert "query 0: filter <python:NotMultiple> ≡ " in text
             assert "query 1: filter <python:url_hash_even> opaque: " in text
             assert "solo query 1: stage is not analyzer-described" in text
+
+
+def doubled_rank(key, value):
+    return key, WEBPAGE.make(value.url, value.rank * 2, value.content)
+
+
+class TestPreaggregationVerdict:
+    """An aggregate stage's plan says whether its map tasks fold rows
+    into per-group partials, and if not, why."""
+
+    def test_stage_that_preaggregates_and_stage_that_does_not(
+            self, tmp_path, webpage_file):
+        from repro.api.session import Session
+
+        with Session(workdir=str(tmp_path / "work")) as session:
+            pages = session.read(webpage_file)
+            text = pages.group_by("rank").agg(
+                n=count(), m=avg_of("rank")).explain()
+            assert "agg count(*), avg(rank), hash pre-agg]" in text
+            assert "input[0] batch path: yes, hash pre-agg" in text
+
+            text = pages.map(doubled_rank, value_schema=WEBPAGE) \
+                .group_by("url").agg(total=sum_of("rank")).explain()
+            assert "no pre-agg (derived column)]" in text
+            assert ("input[0] batch path: yes, no pre-agg (derived column)"
+                    in text)
+
+    def test_a_combiner_declines_at_task_time(self, tmp_path, webpage_file):
+        from repro.api.session import Session, _batch_verdicts
+
+        with Session(workdir=str(tmp_path / "work")) as session:
+            stage = session.lower(session.read(webpage_file)
+                                  .group_by("rank").agg(n=count())).final
+            stage.conf.combiner = SumReducer
+            descriptor = session.system.plan(stage.conf, stage.hints)
+            assert _batch_verdicts(stage.conf, descriptor) == [
+                "  input[0] batch path: yes, no pre-agg (a combiner "
+                "expects per-row values)"]

@@ -48,6 +48,8 @@ def test_list_names_a_row_for_every_legacy_gate_with_a_floor_or_invariant():
         assert (floor == "invariant-only"
                 or floor.startswith(("speedup>=", "overhead<=", "control +-"))
                 ), line
+        if not legacy:
+            continue  # a row added since the scripts were retired
         script, _, workload = legacy.partition(" ")
         replaced.setdefault(script, set()).add(workload)
     assert len(names) == len(set(names))

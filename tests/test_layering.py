@@ -1,7 +1,7 @@
 """Each layer depends only on the layers below it, only storage stats an
 input's mtime, every environment knob is on an argued allow-list, one
-module drives shared scans and one plans batch scans -- checked, not
-claimed.
+module drives shared scans, one plans batch scans and one lists the
+aggregate ops -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -118,3 +118,28 @@ def test_checker_sees_a_second_caller_of_a_single_caller_function(tmp_path):
                for line in found[:2])
     assert ":5:" in found[0] and ":6:" in found[1]
     assert os.path.join("service", "probe.py") + ":3:" in found[2]
+
+
+def test_checker_sees_aggregate_op_lists_outside_the_table(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("batch", "spec", 'AGGREGATES = {"count": 1, "sum": 2, "avg": 3}\n'),
+        ("api", "plan", 'AGG_OPS = ("count", "sum", "min", "max", "avg")\n'
+                        "def reducer(op):\n"
+                        '    return {"sum": "sum(values)", "min": "min(values)"'
+                        "}[op]\n"),
+        ("batch", "fold", 'FOLDS = {"sum", "max"}\n'
+                          'ONE = ("sum",)\n'
+                          'BUILTINS = ["len", "min", "max"]\n'),
+        ("storage", "zonemap", 'STATS = {"min": 0, "max": 1}\n'),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.op_list_violations(str(tmp_path))
+    assert [line.split(": lists")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "plan.py") + ":1",
+        os.path.join("api", "plan.py") + ":3",
+        os.path.join("batch", "fold.py") + ":1"]
+    assert "['avg', 'count', 'max', 'min', 'sum']" in found[0]

@@ -828,3 +828,15 @@ class TestServerLifecycle:
         assert not response["ok"]
         assert response["error"]["code"] == "shutting-down"
         assert not response["error"]["retryable"]
+
+    def test_close_of_an_idle_server_is_prompt(self, tmp_path):
+        # Closing a listening socket alone leaves the accept thread
+        # blocked on Linux, so close() used to wait out its join timeout.
+        server = QueryServer(str(tmp_path / "root"),
+                             engine=ExecutionEngine()).start()
+        accept_thread = server._accept_thread
+        assert accept_thread.is_alive()
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()

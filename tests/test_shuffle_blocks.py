@@ -209,13 +209,16 @@ class TestSpillFallback:
         assert aggregate_shuffle_spec(None, [("count", None)]) is None
         # Non-count aggregate with an unknown column type: no spec.
         assert aggregate_shuffle_spec(FieldType.INT, [("sum", None)]) is None
-        # count shuffles a literal 1 per row.
+        # count shuffles partial counts (a literal 1 per row unfolded),
+        # which the fold must read: no spec skips value payloads.
         spec = aggregate_shuffle_spec(FieldType.STRING, [("count", None)])
         assert spec.value_types == (FieldType.INT,)
-        assert spec.reduce_ops == ("count",) and spec.count_only
-        # avg is describable but not foldable.
-        spec = aggregate_shuffle_spec(FieldType.INT, [("avg", FieldType.INT)])
-        assert spec is not None and spec.reduce_ops is None
+        assert spec.reduce_ops == ("count",) and not spec.count_only
+        # avg is describable -- two flat slots, (value, 1) -- but not
+        # folded: the generated reducer finishes it.
+        spec = aggregate_shuffle_spec(FieldType.INT, [("avg", FieldType.LONG)])
+        assert spec.value_types == (FieldType.LONG, FieldType.INT)
+        assert spec.value_is_tuple and spec.reduce_ops is None
         # Float columns fold generically (addition order matters).
         spec = aggregate_shuffle_spec(FieldType.INT, [("sum", FieldType.DOUBLE)])
         assert spec is not None and spec.reduce_ops is None
@@ -226,6 +229,12 @@ class TestSpillFallback:
         spec = aggregate_shuffle_spec(FieldType.INT, aggs, agg_schema=out)
         assert spec.reduce_ops == ("sum", "count")
         assert spec.value_is_tuple
+        # avg beside them flattens into the same tuple, unfolded.
+        spec = aggregate_shuffle_spec(
+            FieldType.INT, aggs + [("avg", FieldType.DOUBLE)], agg_schema=out)
+        assert spec.value_types == (FieldType.INT, FieldType.INT,
+                                    FieldType.DOUBLE, FieldType.INT)
+        assert spec.reduce_ops is None
 
 
 # -- merge stability ----------------------------------------------------------
@@ -404,6 +413,22 @@ class TestEndToEndByteIdentity:
         assert_identical(par, LocalJobRunner().run(conf))
         assert par.outputs == \
             ParallelJobRunner(num_workers=2).run(typed_conf()).outputs
+
+    def test_count_fold_sums_partial_counts(self):
+        # Map-side pre-aggregation ships partial counts, not ones: the
+        # typed fold must add the values up, not count the pairs.
+        spec = aggregate_shuffle_spec(FieldType.INT, [("count", None)])
+        assert spec.reduce_ops == ("count",)
+
+        class PartialCountMapper(Mapper):
+            def map(self, key, value, ctx):
+                ctx.emit(value % 17, value % 4 + 1)
+
+        conf = typed_conf(mapper=PartialCountMapper, shuffle_spec=spec)
+        par = ParallelJobRunner(num_workers=3).run(conf)
+        assert_identical(par, LocalJobRunner().run(conf))
+        assert sum(n for _key, n in par.outputs) == sum(
+            i * 3 % 4 + 1 for i in range(500))
 
     def test_multi_agg_fold_identical(self):
         out = Schema(

@@ -27,6 +27,14 @@
    second caller is a second copy of "can this spec be served over this
    input" that the map task, shared-scan grouping and ``explain`` can
    disagree with.
+5. One aggregate table.  An op list -- a tuple, set or list literal, or
+   a dict literal's keys, whose string constants are two or more
+   aggregate op names (:data:`AGG_OPS`) and nothing else -- appears only
+   in ``repro/batch/spec.py``, home of ``AGGREGATES``: any other one
+   (supported ops, foldable ops, reducer templates) is a copy of the
+   table kept in step by hand.  ``repro/storage`` sits below the table
+   and is not checked: its zone-map ``min``/``max`` are keys of a
+   persisted format, not aggregate ops.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -71,6 +79,9 @@ SINGLE_CALLER = {
     "build_scan_plan": (os.path.join("repro", "batch", "columns.py"),
                         os.path.join("repro", "batch", "executor.py")),
 }
+#: the aggregate op names, and the one module that may list them
+AGG_OPS = frozenset({"count", "sum", "min", "max", "avg"})
+AGG_TABLE = os.path.join("repro", "batch", "spec.py")
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -180,10 +191,36 @@ def single_caller_violations(src: str = SRC) -> List[str]:
     return found
 
 
+def op_list_violations(src: str = SRC) -> List[str]:
+    """Every aggregate op list (rule 5) outside :data:`AGG_TABLE`."""
+    found: List[str] = []
+    storage = os.path.join(src, "repro", "storage") + os.sep
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        if path == os.path.join(src, AGG_TABLE) or path.startswith(storage):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.Set, ast.List)):
+                items = node.elts
+            elif isinstance(node, ast.Dict):
+                items = node.keys
+            else:
+                continue
+            names = {item.value for item in items
+                     if isinstance(item, ast.Constant)
+                     and isinstance(item.value, str)}
+            if len(names) >= 2 and names <= AGG_OPS:
+                found.append(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}: "
+                    f"lists aggregate ops {sorted(names)} (read {AGG_TABLE} "
+                    f"AGGREGATES instead)"
+                )
+    return found
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
-    single = single_caller_violations()
-    for line in upward + mtime + env + single:
+    single, ops = single_caller_violations(), op_list_violations()
+    for line in upward + mtime + env + single + ops:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -194,14 +231,17 @@ def main() -> int:
     if single:
         print(f"\n{len(single)} call(s) of a single-caller function "
               f"outside its caller")
-    if upward or mtime or env or single:
+    if ops:
+        print(f"\n{len(ops)} aggregate op list(s) outside {AGG_TABLE}")
+    if upward or mtime or env or single or ops:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
           f"under src/repro/storage; every REPRO_* environment name is one "
           f"of {', '.join(sorted(ENV_ALLOWED))}; "
           + "; ".join(f"{name} is called only from {caller}"
-                      for name, (_home, caller) in SINGLE_CALLER.items()))
+                      for name, (_home, caller) in SINGLE_CALLER.items())
+          + f"; aggregate ops are listed only in {AGG_TABLE}")
     return 0
 
 
