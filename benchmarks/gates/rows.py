@@ -9,19 +9,15 @@ the retired scripts' ``--scale 1`` sizes.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 import zlib
 from typing import Any, Callable, Dict, List, Sequence
-from unittest import mock
 
 from benchmarks.gates.harness import SEED, Bench, Gate, Probe
 from benchmarks.suite.datasets import RANK_MAX
 from repro import JobConf, Mapper, Reducer, Session, col, faults
-from repro.batch import shuffleblocks
 from repro.batch.columns import ScanPlan, iter_column_batches
-from repro.batch.shuffleblocks import ShuffleBlockSpec
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
 from repro.core.pipeline import ManimalPipeline
@@ -33,13 +29,12 @@ from repro.mapreduce import (
     LocalJobRunner,
     ParallelJobRunner,
     RecordFileInput,
-    shuffle,
 )
 from repro.mapreduce.keyspace import sort_key
-from repro.mapreduce.runtime import execute_reduce_partition, run_job
+from repro.mapreduce.runtime import run_job
 from repro.service import QueryServer, connect, serialize_rows
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import INT_SCHEMA, STRING_SCHEMA, FieldType
+from repro.storage.serialization import INT_SCHEMA, STRING_SCHEMA
 from repro.workloads.pavlo import (
     benchmark1 as b1,
     benchmark2 as b2,
@@ -637,7 +632,7 @@ def fair_scheduling(bench: Bench) -> Probe:
     """Light tenants behind one tenant's deep backlog (on) against the
     same light tenants on the idle server (off)."""
     src = bench.table("rankings", 4_000)[1]
-    backlog = bench.scaled(10, least=6)
+    backlog = bench.scaled(10, least=10)  # full depth under --smoke too
     tenants, queries = bench.scaled(3, least=2), bench.scaled(3, least=2)
     # cache off so every submission competes for the pool; one in-flight
     # slot makes the round-robin dispatch order observable
@@ -645,7 +640,15 @@ def fair_scheduling(bench: Bench) -> Probe:
                                 max_queue_depth=max(64, backlog + 8)))
     host, port = server.address
     heavy = bench.keep(connect(host, port, tenant="heavy"))
+    # connected up front: a small backlog drains in about the time a
+    # client takes to connect
+    remotes = [bench.keep(connect(host, port, tenant=f"light{idx}"))
+               for idx in range(tenants)]
     pending: List[int] = []
+
+    def heavy_pending() -> int:
+        in_flight = server.scheduler.stats()["in_flight"]
+        return server.scheduler.backlog("heavy") + (1 if in_flight else 0)
 
     def lights(flood: bool) -> Dict[str, List[bytes]]:
         served: Dict[str, List[bytes]] = {}
@@ -653,14 +656,16 @@ def fair_scheduling(bench: Bench) -> Probe:
             heavy.submit(_chain(heavy, src, 9000 + i % 90))
 
         def light(idx: int) -> None:
-            with connect(host, port, tenant=f"light{idx}") as remote:
-                served[f"light{idx}"] = [
-                    _chain(remote, src, 9900 - q).collect_bytes()[0]
-                    for q in range(queries)]
+            remote = remotes[idx]
+            rows = [_chain(remote, src, 9900).collect_bytes()[0]]
+            # sampled as this light's first answer arrives: once every
+            # light has finished, a small backlog has long drained
+            pending.append(heavy_pending())
+            served[f"light{idx}"] = rows + [
+                _chain(remote, src, 9900 - q).collect_bytes()[0]
+                for q in range(1, queries)]
 
         _in_threads(light, tenants)
-        stats = server.scheduler.stats()
-        pending.append(stats["backlog"] + (1 if stats["in_flight"] else 0))
         return served
 
     def backlog_drained() -> None:
@@ -671,6 +676,7 @@ def fair_scheduling(bench: Bench) -> Probe:
             time.sleep(0.002)
 
     served = lights(flood=True)
+    most_pending = max(pending)
     backlog_drained()
     stats = server.scheduler.stats()
     return Probe(
@@ -678,110 +684,9 @@ def fair_scheduling(bench: Bench) -> Probe:
         settle=backlog_drained,
         checks={"zero_starvation":
                 len(served) == tenants and stats["failed"] == 0,
-                "lights_served_while_backlog_pending": pending[0] > 0},
-        counters={"heavy_pending_when_lights_done": pending[0],
+                "lights_served_while_backlog_pending": most_pending > 0},
+        counters={"heavy_pending_when_lights_served": most_pending,
                   "dispatched_by_tenant": stats["dispatched_by_tenant"]},
-    )
-
-
-# -- bench_shuffle.py: the pickle spill format / active_spec patched to decline --------
-
-RUNS_PER_PARTITION = 8
-
-
-def plane_row(key_column: str, spec: ShuffleBlockSpec, reducer: Any,
-              poison: bool = False) -> Callable[[Bench], Probe]:
-    """The shuffle data plane of one reduce partition -- run spill, run
-    merge, partition reduce -- through the functions the pool dispatches
-    to, typed blocks (on) against pickle frames (off).  The pairs carry
-    integer column values; a ``count`` spec reads them as the partial
-    counts map-side pre-aggregation ships, so its reference reducer
-    sums them."""
-    def build(bench: Bench) -> Probe:
-        table = bench.table("events", EVENTS_ROWS)[0]
-        k = table.idx[key_column]
-        # four integer columns under one key column: 200k pairs at scale 1
-        pairs = [(values[k], values[table.idx[column]])
-                 for column in ("bytes", "ts", "score", "latency")
-                 for _key, values in table.rows]
-        per_run = len(pairs) // RUNS_PER_PARTITION
-        # a float key per run defeats the order encoding: every run of
-        # the control takes the per-run pickle fallback
-        runs = [pairs[i * per_run:(i + 1) * per_run]
-                + ([(0.5, 0)] if poison else [])
-                for i in range(RUNS_PER_PARTITION)]
-        conf = JobConf(name="shuffle-plane", mapper=ModMapper, reducer=reducer,
-                       inputs=[InMemoryInput([(0, 0)])])
-        work = bench.dir("plane")
-        seen: Dict[str, int] = {}
-
-        def pickled(run: List[tuple], path: str) -> str:
-            return shuffle.write_run(path, shuffle.sort_decorated_run(
-                shuffle.decorate_pairs(run)))
-
-        def pickle_plane() -> Any:
-            paths = [pickled(run, os.path.join(work, f"pickle-{i}.run"))
-                     for i, run in enumerate(runs)]
-            seen["pickle_spill_bytes"] = sum(map(os.path.getsize, paths))
-            return execute_reduce_partition(
-                conf, shuffle.merge_decorated_runs(paths),
-                presorted=True, decorated=True).outputs
-
-        def typed_plane() -> Any:
-            paths = []
-            for i, run in enumerate(runs):
-                path = os.path.join(work, f"typed-{i}.run")
-                paths.append(shuffleblocks.spill_typed_run(path, run, spec)
-                             or pickled(run, path))
-            typed = [shuffleblocks.is_typed_run(path) for path in paths]
-            seen["typed_spill_bytes"] = sum(map(os.path.getsize, paths))
-            seen["pickle_fallback_runs"] = typed.count(False)
-            if all(typed):
-                return execute_reduce_partition(
-                    conf, shuffleblocks.merge_typed_chunks(paths, spec),
-                    presorted=True, shuffle_spec=spec).outputs
-            return execute_reduce_partition(
-                conf, shuffleblocks.merge_mixed_runs(paths, spec),
-                presorted=True, decorated=True).outputs
-
-        groups = len(typed_plane())
-        pickle_plane()
-        return Probe(
-            on=typed_plane, off=pickle_plane, payload=pickle.dumps,
-            checks={"expected_pickle_fallbacks": seen["pickle_fallback_runs"]
-                    == (RUNS_PER_PARTITION if poison else 0)},
-            counters=dict(seen, pairs=len(pairs), groups=groups),
-        )
-    return build
-
-
-def shuffle_end_to_end(bench: Bench) -> Probe:
-    """A fluent ``group_by`` on the record path (with hash pre-aggregation
-    the shuffle all but disappears), two workers, typed plane on and off."""
-    path = bench.table("events", 20_000)[1]
-
-    def query(session: Session) -> Any:
-        return session.read(path).filter(col("latency") > 100).group_by("user") \
-            .agg(total=("sum", "score"), lo=("min", "bytes"), hi=("max", "bytes"))
-
-    def pickle_plane(session: Session) -> Any:
-        # active_spec is resolved once per job in the submitting process
-        # and its answer rides the job state into the workers
-        with mock.patch.object(shuffleblocks, "active_spec", return_value=None):
-            return query(session).run(parallelism=2)
-
-    vectorized = bench.keep(Session(workdir=bench.dir("e2e")))
-    record = bench.keep(Session(workdir=bench.dir("e2e-rec"), vectorize=False))
-    expected = payload(query(record).run(parallelism=2))
-    return Probe(
-        on=lambda: query(record).run(parallelism=2),
-        off=lambda: pickle_plane(record), payload=payload,
-        checks={"analyzer_attached_a_typed_spec":
-                "typed shuffle" in query(vectorized).explain(),
-                "schedulers_and_planes_identical": all(
-                    payload(result) == expected for result in (
-                        query(vectorized).run(), pickle_plane(vectorized),
-                        *(query(vectorized).run(**kw) for kw in SCHEDULERS)))},
     )
 
 
@@ -806,9 +711,6 @@ def parallel_runner(bench: Bench) -> Probe:
 
 # -- the table ------------------------------------------------------------------------------
 
-_INT_SUM = ShuffleBlockSpec(FieldType.INT, (FieldType.LONG,), False, ("sum",))
-_INT_COUNT = ShuffleBlockSpec(FieldType.INT, (FieldType.LONG,), False, ("count",))
-_STR_GENERIC = ShuffleBlockSpec(FieldType.STRING, (FieldType.LONG,), False, None)
 _PROJECTION = [cat.KIND_PROJECTION]
 
 GATES = (
@@ -861,16 +763,6 @@ GATES = (
          result_cache, ("speedup", 1.5)),
     Gate("service_fair_scheduling", "bench_service.py fair_scheduling",
          fair_scheduling),
-    Gate("shuffle_sum_fold", "bench_shuffle.py groupby_sum_fold",
-         plane_row("shard", _INT_SUM, SumReducer), ("speedup", 1.4)),
-    Gate("shuffle_count_fold", "bench_shuffle.py groupby_count_fold",
-         plane_row("shard", _INT_COUNT, SumReducer), ("speedup", 1.4)),
-    Gate("shuffle_string_generic", "bench_shuffle.py groupby_string_generic",
-         plane_row("path", _STR_GENERIC, SumReducer), ("speedup", 1.4)),
-    Gate("shuffle_fallback_control", "bench_shuffle.py fallback_control",
-         plane_row("shard", _INT_SUM, SumReducer, poison=True)),
-    Gate("shuffle_end_to_end", "bench_shuffle.py end_to_end",
-         shuffle_end_to_end),
     Gate("parallel_runner_b2", "bench_parallel_runner.py",
          parallel_runner, ("speedup", 1.5), min_cpus=4),
 )

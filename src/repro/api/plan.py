@@ -58,7 +58,6 @@ from repro.api.expressions import (
     expr_from_symbolic,
     selection_formula,
 )
-from repro.batch.shuffleblocks import aggregate_shuffle_spec
 from repro.batch.spec import AGGREGATES, BatchStageSpec, preagg_decline
 from repro.core.analyzer.descriptors import (
     DeltaCompressionDescriptor,
@@ -1006,28 +1005,15 @@ class _Lowering:
                 group_column=node.group_column,
                 aggs=[(spec.op, spec.column) for spec in specs],
             )
-            typed_aggs = [
-                (spec.op, self._column_type(record_schema, spec.column))
-                for spec in specs
-            ]
             if bspec is not None:
+                typed_aggs = [
+                    (spec.op, self._column_type(record_schema, spec.column))
+                    for spec in specs
+                ]
                 bspec.no_preagg = preagg_decline(
                     typed_aggs, derived=bspec.derived is not None)
                 conf.batch_specs[None] = bspec
                 descriptions.append(f"batch spec [{bspec.describe()}]")
-            # Independent of map-body describability: the shuffle format
-            # only needs the emitted key/value types, which this stage's
-            # synthesized tail fixes.  Lying upstream UDF schemas are
-            # safe -- the codecs type-check at spill time and reject the
-            # run back to the pickle path.
-            sspec = aggregate_shuffle_spec(
-                self._column_type(record_schema, node.group_column),
-                typed_aggs,
-                agg_schema=out_value_schema if len(specs) > 1 else None,
-            )
-            if sspec is not None:
-                conf.shuffle_spec = sspec
-                descriptions.append(f"typed shuffle [{sspec.describe()}]")
         return StagePlan(
             conf=conf,
             hints=hints,

@@ -146,8 +146,8 @@ class StageScan:
                 (column, literal)
                 for op, column in aggs for literal in AGGREGATES[op].partial
             ]
-            # The same merges the reducer and the typed shuffle's fold
-            # apply, so partials here reduce to the per-row bytes.
+            # The same merges the reducer applies, so partials here
+            # reduce to the per-row bytes.
             self.merges = [
                 AGGREGATES[op].pairwise
                 for op, _ in aggs for _ in AGGREGATES[op].partial

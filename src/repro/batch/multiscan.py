@@ -17,9 +17,10 @@ their shared inputs, a solo job being a group of one:
   :class:`~repro.batch.columns.ColumnBatch`; each member's emits flow
   through its own :func:`~repro.mapreduce.runtime._finish_map_task`
   tail, its own ``(member, partition)`` shuffle and its own reduces --
-  in worker processes, with typed shuffle, retries, heartbeats and
-  bounded rebuilds, whenever the group runs on the parallel runner --
-  so every member's bytes are identical to its solo run by construction.
+  in worker processes, through the one pickle run format
+  (:mod:`repro.mapreduce.shuffle`) with retries, heartbeats and bounded
+  rebuilds, whenever the group runs on the parallel runner -- so every
+  member's bytes are identical to its solo run by construction.
 
 What this module owns is the *policy*: which submissions are worth
 running as one group.  Sharing is gated, not assumed:

@@ -14,6 +14,10 @@ schema transparency, column availability) and returns control to the
 record-at-a-time path whenever anything does not hold.  Stages with
 opaque UDFs (``map()`` / callable filters the analyzer could not
 translate) or opaque schemas never get a spec in the first place.
+
+A spec describes the map side only: whichever path produced them, a
+stage's pairs shuffle through the one run format of
+:mod:`repro.mapreduce.shuffle` and reduce through its generated reducer.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ class Aggregate:
 
 
 #: The aggregate table: the synthesized mapper's emit, the generated
-#: reducer, map-side hash pre-aggregation and the typed shuffle's
-#: reduce fold all read it.
+#: reducer and map-side hash pre-aggregation all read it.
 AGGREGATES: Dict[str, Aggregate] = {
     "count": Aggregate((1,), sum, exact=None),
     "sum": Aggregate((None,), sum),

@@ -29,8 +29,9 @@ code that executes tasks in the submitting process.
 The unit of work is a **job group** -- N >= 1 jobs over one scan of
 their shared inputs, a solo job being a group of one (see
 :func:`~repro.mapreduce.runtime.run_job_group`): each map task runs once
-for the whole group and spills one run per ``(member, partition)``; each
-reduce task serves one ``(member, partition)``.  Both paths execute
+for the whole group and spills one run per ``(member, partition)`` in
+the one run format of :mod:`repro.mapreduce.shuffle`; each reduce task
+merges and reduces one ``(member, partition)``.  Both paths execute
 the shared :func:`~repro.mapreduce.runtime.execute_map_tasks` /
 :func:`~repro.mapreduce.runtime.execute_reduce_partition` bodies and
 produce byte-identical results; only scheduling differs.  In-flight
@@ -217,11 +218,6 @@ class _JobState:
     #: workers write per-task heartbeat files (the crash/deadline
     #: monitor's progress signal); off when recovery is disabled.
     heartbeats: bool
-    #: per-member typed-shuffle spec resolved at submit time from the
-    #: conf; ``None`` keeps that member on the pickle spill path.  Riding
-    #: the state -- like the fault plan -- makes every worker inherit the
-    #: same decision regardless of scheduling path.
-    shuffle_specs: List[Optional[Any]]
 
     @property
     def name(self) -> str:
@@ -267,11 +263,8 @@ def run_map_task(
     non-empty ``(member, partition)`` and each member's ``(metrics,
     counters)``.  Reducing members spill *decorated* sorted runs --
     ``(sort_key, key, value)`` rows -- so the sort key computed here is
-    the one the merge heap and the reducer's grouping reuse.  Members
-    with a resolved :class:`~repro.batch.shuffleblocks.ShuffleBlockSpec`
-    spill typed column blocks instead (encoded keys sorted as flat
-    bytes), falling back per run when a pair defeats the codecs.
-    Map-only members spill plain pairs (their output is never sorted).
+    the one the merge heap and the reducer's grouping reuse.  Map-only
+    members spill plain pairs (their output is never sorted).
 
     ``attempt`` namespaces this execution's heartbeat and spill files:
     a retried task writes fresh run files instead of racing a killed
@@ -288,36 +281,19 @@ def run_map_task(
         results = execute_map_tasks(state.confs, tags, split)
         runs: Dict[Tuple[int, int], str] = {}
         for member, task in enumerate(results):
-            conf = state.confs[member]
-            spec = state.shuffle_specs[member]
-            if spec is not None:
-                from repro.batch import shuffleblocks
+            reducing = state.confs[member].reducer is not None
             spilled_bytes = 0
             for part, pairs in enumerate(task.partitions):
                 if not pairs:
                     continue
                 path = shuffle.run_path(state.spill_dir, f"map{member}",
                                         task_index, part, attempt=attempt)
-                if conf.reducer is None:
-                    written = shuffle.write_run(path, pairs)
-                else:
-                    written = None
-                    if spec is not None:
-                        # Typed block spill; declines (None) when any
-                        # pair defeats the codecs, which drops just this
-                        # run -- not the job -- back to the pickle format.
-                        written = shuffleblocks.spill_typed_run(
-                            path, pairs, spec
-                        )
-                    if written is None:
-                        written = shuffle.write_run(
-                            path,
-                            shuffle.sort_decorated_run(
-                                shuffle.decorate_pairs(pairs)
-                            ),
-                        )
-                runs[member, part] = written
-                spilled_bytes += os.path.getsize(written)
+                if reducing:
+                    pairs = shuffle.sort_decorated_run(
+                        shuffle.decorate_pairs(pairs)
+                    )
+                runs[member, part] = shuffle.write_run(path, pairs)
+                spilled_bytes += os.path.getsize(path)
             task.metrics.shuffle_bytes_spilled += spilled_bytes
     return task_index, runs, [(t.metrics, t.counters) for t in results]
 
@@ -338,37 +314,10 @@ def run_reduce_task(
         )
         merged_bytes = sum(os.path.getsize(p) for p in run_paths)
         if conf.reducer is not None:
-            spec = state.shuffle_specs[member]
-            if spec is not None:
-                from repro.batch import shuffleblocks
-
-                typed = [
-                    shuffleblocks.is_typed_run(p) for p in run_paths
-                ]
-            else:
-                typed = []
-            if spec is not None and all(typed):
-                # Streaming block merge + typed reduce (vectorized fold
-                # or generic, decided inside the shared chokepoint).
-                chunks = shuffleblocks.merge_typed_chunks(run_paths, spec)
-                reduced = execute_reduce_partition(
-                    conf, chunks, presorted=True, shuffle_spec=spec
-                )
-            elif spec is not None and any(typed):
-                # Mixed formats (some runs fell back to pickle): decode
-                # typed runs into the decorated stream and merge all
-                # runs through the legacy stable heap.
-                merged: Any = shuffleblocks.merge_mixed_runs(
-                    run_paths, spec
-                )
-                reduced = execute_reduce_partition(
-                    conf, merged, presorted=True, decorated=True
-                )
-            else:
-                merged = shuffle.merge_decorated_runs(run_paths)
-                reduced = execute_reduce_partition(
-                    conf, merged, presorted=True, decorated=True
-                )
+            merged: Any = shuffle.merge_decorated_runs(run_paths)
+            reduced = execute_reduce_partition(
+                conf, merged, presorted=True, decorated=True
+            )
         else:
             merged = shuffle.merge_runs(run_paths, sorted_runs=False)
             reduced = execute_reduce_partition(conf, merged, presorted=True)
@@ -742,10 +691,6 @@ class WorkerPool:
         in.  Raises :class:`PoolGaveUp` when the pool broke past the
         policy's rebuild budget; the caller re-runs the group in process.
         """
-        # Runtime import: repro.batch imports repro.mapreduce, whose
-        # parallel runner imports this module.
-        from repro.batch import shuffleblocks
-
         # The pid stamp lets the engine's orphan reaper attribute a
         # leftover spill dir to its (possibly dead) creating process.
         spill_dir = tempfile.mkdtemp(prefix=f"manimal-shuffle-{os.getpid()}-")
@@ -758,8 +703,6 @@ class WorkerPool:
             # miss workers forked before the plan existed).
             faults=faults.current_plan(),
             heartbeats=policy.enabled,
-            # Same submit-time capture for the typed-shuffle decision.
-            shuffle_specs=[shuffleblocks.active_spec(c) for c in confs],
         )
         try:
             blob = self._pickle_state(state)

@@ -72,14 +72,6 @@ class JobConf:
     #: are byte-identical either way, so every other component may ignore
     #: this field.  Never set by users directly.
     batch_specs: Dict[Any, Any] = field(default_factory=dict)
-    #: typed-shuffle spec (:class:`repro.batch.shuffleblocks.ShuffleBlockSpec`),
-    #: set by the fluent lowering when a reducing stage's group key and
-    #: aggregate inputs are analyzer-described.  The parallel runner then
-    #: spills typed column blocks instead of pickled decorated runs,
-    #: falling back per run when the codecs reject a pair; the sequential
-    #: runner shuffles through memory and ignores it.  Outputs are
-    #: byte-identical either way.  Never set by users directly.
-    shuffle_spec: Optional[Any] = None
 
     def __post_init__(self) -> None:
         if not self.inputs:
@@ -135,7 +127,6 @@ class JobConf:
             parallelism=self.parallelism,
             params=dict(self.params),
             batch_specs=dict(self.batch_specs),
-            shuffle_spec=self.shuffle_spec,
         )
 
 

@@ -62,8 +62,8 @@ class JobMetrics:
     #: back by reduce-side merges.  Scheduling-path observables like
     #: ``wall_seconds``: the sequential runner shuffles through memory
     #: and reports zero, so differential suites exclude these (and
-    #: ``scaled()`` leaves them untouched); they make the spill format
-    #: -- typed blocks vs pickle frames -- visible per job.
+    #: ``scaled()`` leaves them untouched); they make the spill volume
+    #: visible per job.
     shuffle_bytes_spilled: int = 0
     shuffle_bytes_merged: int = 0
 

@@ -24,11 +24,12 @@ one scan of their shared inputs; a solo job is a group of one:
   reference semantics: determinism makes the experiments and the
   property tests trustworthy;
 * :class:`~repro.mapreduce.parallel.ParallelJobRunner` dispatches onto
-  the engine's worker pool through a spill-based shuffle
-  (:mod:`repro.mapreduce.shuffle`) when a group fans out, and with the
-  same :func:`run_tasks_in_process` when it does not (or when the pool
-  gave up on it); either way it is byte-identical to this runner by
-  construction (see ``docs/execution-model.md``).
+  the engine's worker pool through a spill-based shuffle -- one on-disk
+  run format for every reducing stage, :mod:`repro.mapreduce.shuffle` --
+  when a group fans out, and with the same :func:`run_tasks_in_process`
+  when it does not (or when the pool gave up on it); either way it is
+  byte-identical to this runner by construction (see
+  ``docs/execution-model.md``).
 
 Cluster-scale parallelism is still *modeled* separately by
 :mod:`repro.mapreduce.cost` from the byte/record metrics collected here.
@@ -40,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.mapreduce.api import Context
@@ -207,13 +208,15 @@ def _finish_map_task(
     metrics = out.metrics
     metrics.map_output_records += len(emitted)
 
-    # Described-aggregate stages (``shuffle_spec``) shuffle a small set
-    # of primitive group keys repeated across many pairs: one memo entry
+    # Described-aggregate stages (an ``aggregate`` batch spec) shuffle a
+    # small set of group keys repeated across many pairs: one memo entry
     # per distinct key -- ``[estimate_size, partition once routed]`` --
     # so sizing and stable_hash each run once per distinct key, not once
     # per pair.  Both are pure functions of the key, and both runners
     # share this tail, so sequential/parallel identity is untouched.
-    memo: Optional[dict] = None if conf.shuffle_spec is None else {}
+    memo: Optional[dict] = None
+    if any(spec.kind == "aggregate" for spec in conf.batch_specs.values()):
+        memo = {}
 
     def sized_rows(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, ...]]:
         if memo is None:
@@ -230,7 +233,7 @@ def _finish_map_task(
                 memo[key] = [key_size, None]
             except TypeError:
                 # Unhashable key from a lying UDF schema: size and route
-                # it the slow way; the spill codecs will reject it later.
+                # it the slow way.
                 key_size = estimate_size(key)
             rows.append((key, value, key_size, estimate_size(value)))
         return rows
@@ -323,7 +326,6 @@ def execute_reduce_partition(
     pairs: Iterable[Tuple[Any, ...]],
     presorted: bool = False,
     decorated: bool = False,
-    shuffle_spec: Optional[Any] = None,
 ) -> ReduceTaskResult:
     """Run the reduce side of one partition.
 
@@ -335,23 +337,7 @@ def execute_reduce_partition(
     marks a stream of ``(sort_key, key, value)`` rows as spilled by the
     parallel shuffle, so no sort key is ever recomputed.  Map-only jobs
     pass records through untouched, preserving arrival order.
-
-    With ``shuffle_spec`` set (parallel runner, every run of the
-    partition spilled as typed blocks), ``pairs`` is the streaming block
-    merge's chunk iterator (:mod:`repro.batch.shuffleblocks`): foldable
-    specs run the vectorized block fold, anything else decodes one
-    ``(key, values)`` group per encoded-key run and feeds the same
-    reduce loop the decorated stream does -- the same decision
-    chokepoint the batch map path uses, so every scheduler stays
-    byte-identical by construction.
     """
-    groups: Optional[Iterable[Tuple[Any, List[Any]]]] = None
-    if shuffle_spec is not None:
-        from repro.batch import shuffleblocks
-
-        if shuffle_spec.reduce_ops is not None:
-            return shuffleblocks.fold_typed_chunks(shuffle_spec, pairs)
-        groups = shuffleblocks.typed_groups(shuffle_spec, pairs)
     out = ReduceTaskResult(outputs=[])
     metrics = out.metrics
 
@@ -369,23 +355,22 @@ def execute_reduce_partition(
         return out
 
     ctx = Context()
-    if groups is None:
-        if decorated:
-            stream: Iterable[Tuple[Any, Any, Any]] = pairs
-        elif presorted:
-            stream = ((sort_key(key), key, value) for key, value in pairs)
-        else:
-            rows = [(sort_key(key), key, value) for key, value in pairs]
-            rows.sort(key=_SKEY)
-            stream = rows
-        groups = _decorated_groups(stream)
+    if decorated:
+        stream: Iterable[Tuple[Any, Any, Any]] = pairs
+    elif presorted:
+        stream = ((sort_key(key), key, value) for key, value in pairs)
+    else:
+        rows = [(sort_key(key), key, value) for key, value in pairs]
+        rows.sort(key=_SKEY)
+        stream = rows
     try:
         reducer.setup(ctx)
         reduce_fn = reducer.reduce
-        for key, values in groups:
+        for _skey, group in groupby(stream, key=_SKEY):
+            rows = list(group)
             metrics.reduce_groups += 1
-            metrics.reduce_input_records += len(values)
-            result = reduce_fn(key, values, ctx)
+            metrics.reduce_input_records += len(rows)
+            result = reduce_fn(rows[0][1], [row[2] for row in rows], ctx)
             if result is not None:
                 _collect_yielded(ctx, result, "reduce()")
         reducer.cleanup(ctx)
@@ -401,15 +386,6 @@ def execute_reduce_partition(
         reduce_output_bytes += estimate_size(key) + estimate_size(value)
     metrics.reduce_output_bytes += reduce_output_bytes
     return out
-
-
-def _decorated_groups(
-    stream: Iterable[Tuple[Any, Any, Any]]
-) -> Iterator[Tuple[Any, List[Any]]]:
-    """``(representative key, values)`` per run of equal sort keys."""
-    for _skey, group in groupby(stream, key=_SKEY):
-        rows = list(group)
-        yield rows[0][1], [row[2] for row in rows]
 
 
 def _account_partitions(source: Any, metrics: JobMetrics) -> None:

@@ -33,10 +33,9 @@ Run files are sequences of bounded pickle frames (at most
 :data:`SPILL_CHUNK_PAIRS` pairs each) in a job-private temporary
 directory; they exist only between the two phases of one run() call.
 Readers stream frame by frame (:func:`iter_run`), so a k-way merge
-buffers one frame per run instead of materializing every run -- the
-pickle path's counterpart to the typed block format's bounded merge
-(:mod:`repro.batch.shuffleblocks`, used when the stage's shuffle types
-are analyzer-described).
+buffers one frame per run instead of materializing every run.  This is
+the only on-disk run format: every reducing stage, described or not,
+spills, merges and reduces through it.
 """
 
 from __future__ import annotations

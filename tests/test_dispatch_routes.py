@@ -17,7 +17,6 @@ from dataclasses import replace
 import pytest
 
 from repro import JobConf, Mapper, Reducer, Session, col, faults
-from repro.batch import shuffleblocks
 from repro.engine import ExecutionEngine
 from repro.engine.pool import RetryPolicy
 from repro.exceptions import JobExecutionError, TransientTaskError
@@ -78,8 +77,8 @@ def _route_params(workloads):
 
 @pytest.fixture(scope="module")
 def group_confs(tmp_path_factory):
-    """Three fluent scan stages over one file: a typed-shuffle member,
-    and one whose batch spec is declined at task time."""
+    """Three fluent scan stages over one file: a reducing group_by
+    member, and one whose batch spec is declined at task time."""
     root = tmp_path_factory.mktemp("routes")
     path = write_webpages(root / "pages.rf", 300)
     with Session(workdir=str(root / "s")) as session:
@@ -98,7 +97,7 @@ def group_confs(tmp_path_factory):
         confs[1].batch_specs[tag] = replace(
             spec, project_columns=spec.project_columns + ["no_such_column"]
         )
-        assert shuffleblocks.active_spec(confs[2]) is not None
+        assert confs[2].reducer is not None
         yield confs
 
 

@@ -299,6 +299,27 @@ class TestCrashRecovery:
         assert_identical(par, LocalJobRunner().run(in_memory_conf()))
         assert plan.fired(0) == 1
 
+    def test_worker_killed_mid_spill(self, engine, tmp_path):
+        # SIGKILL inside the run writer: the attempt's partial run file is
+        # quarantined by the attempt-suffixed path and the retry
+        # re-spills; output, counters and metrics match a clean run.
+        plan = FaultPlan(
+            [Fault("shuffle.spill", "kill")], token_dir=str(tmp_path)
+        )
+        faults.install_plan(plan)
+        par = runner(engine).run(in_memory_conf())
+        assert_identical(par, LocalJobRunner().run(in_memory_conf()))
+        assert plan.fired(0) == 1
+        assert engine.pool.stats()["pool_rebuilds"] >= 1
+        # Recovered jobs account spill bytes like clean ones (successful
+        # attempts only).
+        faults.clear_plan()
+        clean = runner(engine).run(in_memory_conf())
+        assert par.metrics.shuffle_bytes_spilled == \
+            clean.metrics.shuffle_bytes_spilled > 0
+        assert par.metrics.shuffle_bytes_merged == \
+            clean.metrics.shuffle_bytes_merged > 0
+
     def test_hung_worker_killed_at_deadline(self, engine, tmp_path):
         plan = FaultPlan(
             [Fault("pool.map_task", "hang", seconds=60.0,

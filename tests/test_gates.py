@@ -10,8 +10,9 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: every workload (or tracked measurement) of the nine retired
-#: ``benchmarks/bench_*.py`` gate scripts
+#: every workload (or tracked measurement) of the retired
+#: ``benchmarks/bench_*.py`` gate scripts; ``bench_shuffle.py``'s five
+#: rows were retired with the typed shuffle they measured
 LEGACY = {
     "bench_batch.py": {"projection_scan", "aggregation_preagg",
                        "udf_translated", "udf_opaque_control"},
@@ -25,9 +26,6 @@ LEGACY = {
     "bench_pruning.py": {"pavlo_b1_selective"},
     "bench_resilience.py": {"fault_free_overhead", "recovery_wall"},
     "bench_service.py": {"repeat_heavy_throughput", "fair_scheduling"},
-    "bench_shuffle.py": {"groupby_sum_fold", "groupby_count_fold",
-                         "groupby_string_generic", "fallback_control",
-                         "end_to_end"},
     "bench_parallel_runner.py": {""},
 }
 

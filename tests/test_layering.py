@@ -1,7 +1,8 @@
 """Each layer depends only on the layers below it, only storage stats an
 input's mtime, every environment knob is on an argued allow-list, one
-module drives shared scans, one plans batch scans and one lists the
-aggregate ops -- checked, not claimed.
+module drives shared scans, one plans batch scans, one lists the
+aggregate ops and nothing imports the retired typed shuffle's stub --
+checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -143,3 +144,32 @@ def test_checker_sees_aggregate_op_lists_outside_the_table(tmp_path):
         os.path.join("api", "plan.py") + ":3",
         os.path.join("batch", "fold.py") + ":1"]
     assert "['avg', 'count', 'max', 'min', 'sum']" in found[0]
+
+
+def test_checker_sees_the_typed_shuffle_stub_used_or_grown(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("batch", "shuffleblocks", '"""Stub."""\n'
+                                   "MAGIC = b'TSB1'\n"
+                                   "def active_spec(conf):\n"
+                                   "    return None\n"
+                                   "def spill_typed_run(path, pairs, spec):\n"
+                                   "    return None\n"),
+        ("api", "plan", "from repro.batch.shuffleblocks import active_spec\n"),
+        ("engine", "pool", "def run(conf):\n"
+                           "    from repro.batch import shuffleblocks\n"
+                           "    return shuffleblocks.active_spec(conf)\n"),
+        ("batch", "executor", "from . import shuffleblocks\n"),
+        ("mapreduce", "shuffle", "from repro.batch import spec\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.stub_violations(str(tmp_path))
+    assert [line.split(": ")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "plan.py") + ":1",
+        os.path.join("batch", "executor.py") + ":1",
+        os.path.join("batch", "shuffleblocks.py") + ":2",
+        os.path.join("engine", "pool.py") + ":2"]
+    assert "(2 other top-level statement(s))" in found[2]

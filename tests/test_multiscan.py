@@ -491,17 +491,16 @@ class TestJobGroups:
                 assert serialize_rows(member.rows) == \
                     serialize_rows(solo.rows)
 
-    def test_parallel_group_reduces_in_workers_with_typed_shuffle(
-            self, tmp_path):
-        # Members are typed-shuffle-eligible group_bys: under
-        # parallelism=2 their reduces run as (member, partition) tasks
-        # on the pool -- spill bytes land on the members' own metrics --
-        # and stay byte-identical to solo.
+    def test_parallel_group_reduces_in_workers(self, tmp_path):
+        # Members are described group_bys: under parallelism=2 their
+        # reduces run as (member, partition) tasks on the pool -- spill
+        # bytes land on the members' own metrics -- and stay
+        # byte-identical to solo.
         engine = ExecutionEngine(max_workers=2, reap_scratch=False)
         try:
             with Session(workdir=str(tmp_path / "s"),
                          engine=engine) as session:
-                path = write_webpages(tmp_path / "typed.rf", 400)
+                path = write_webpages(tmp_path / "pages.rf", 400)
 
                 def build_all():
                     return [

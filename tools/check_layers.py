@@ -35,6 +35,11 @@
    table kept in step by hand.  ``repro/storage`` sits below the table
    and is not checked: its zone-map ``min``/``max`` are keys of a
    persisted format, not aggregate ops.
+6. One spill format.  The typed block shuffle is retired; what is left
+   of ``repro/batch/shuffleblocks.py`` is a stub kept for the frozen
+   benchmark suite.  No module under ``src/repro`` imports it, and it
+   holds nothing but a docstring and ``def active_spec`` -- so the
+   second run format cannot grow back behind the first.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -82,6 +87,9 @@ SINGLE_CALLER = {
 #: the aggregate op names, and the one module that may list them
 AGG_OPS = frozenset({"count", "sum", "min", "max", "avg"})
 AGG_TABLE = os.path.join("repro", "batch", "spec.py")
+#: the retired typed shuffle's stub, and the one name it may define
+STUB_MODULE = "repro.batch.shuffleblocks"
+STUB_NAME = "active_spec"
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -217,10 +225,44 @@ def op_list_violations(src: str = SRC) -> List[str]:
     return found
 
 
+def stub_violations(src: str = SRC) -> List[str]:
+    """Every import of :data:`STUB_MODULE` under ``src/repro``, and every
+    top-level statement of it other than its docstring and
+    ``def`` :data:`STUB_NAME` (rule 6)."""
+    found: List[str] = []
+    stub_path = os.path.join(src, *STUB_MODULE.split(".")) + ".py"
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        rel = os.path.relpath(path, REPO_ROOT)
+        if path == stub_path:
+            body = tree.body[1:] if ast.get_docstring(tree) else tree.body
+            extra = [node for node in body
+                     if not (isinstance(node, ast.FunctionDef)
+                             and node.name == STUB_NAME)]
+            if extra:
+                found.append(
+                    f"{rel}:{extra[0].lineno}: the {STUB_MODULE} stub may "
+                    f"define only {STUB_NAME} ({len(extra)} other top-level "
+                    f"statement(s))"
+                )
+            continue
+        package = os.path.relpath(
+            os.path.dirname(path), src).replace(os.sep, ".")
+        found.extend(
+            f"{rel}:{lineno}: imports {STUB_MODULE} (the retired typed "
+            f"shuffle; spill through repro.mapreduce.shuffle)"
+            for lineno in sorted({
+                lineno for lineno, module in imported_modules(tree, package)
+                if module == STUB_MODULE
+            })
+        )
+    return found
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
-    for line in upward + mtime + env + single + ops:
+    stub = stub_violations()
+    for line in upward + mtime + env + single + ops + stub:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -233,7 +275,9 @@ def main() -> int:
               f"outside its caller")
     if ops:
         print(f"\n{len(ops)} aggregate op list(s) outside {AGG_TABLE}")
-    if upward or mtime or env or single or ops:
+    if stub:
+        print(f"\n{len(stub)} use(s) or growth of the {STUB_MODULE} stub")
+    if upward or mtime or env or single or ops or stub:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -241,7 +285,8 @@ def main() -> int:
           f"of {', '.join(sorted(ENV_ALLOWED))}; "
           + "; ".join(f"{name} is called only from {caller}"
                       for name, (_home, caller) in SINGLE_CALLER.items())
-          + f"; aggregate ops are listed only in {AGG_TABLE}")
+          + f"; aggregate ops are listed only in {AGG_TABLE}"
+          + f"; nothing imports the {STUB_MODULE} stub")
     return 0
 
 
