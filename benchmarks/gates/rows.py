@@ -25,14 +25,18 @@ from repro.engine import ExecutionEngine
 from repro.engine.pool import RetryPolicy
 from repro.faults import Fault, FaultPlan
 from repro.mapreduce import (
+    DeltaFileInput,
+    DictionaryFileInput,
     InMemoryInput,
     LocalJobRunner,
     ParallelJobRunner,
     RecordFileInput,
 )
-from repro.mapreduce.keyspace import sort_key
+from repro.mapreduce.keyspace import estimate_size, sort_key
 from repro.mapreduce.runtime import run_job
 from repro.service import QueryServer, connect, serialize_rows
+from repro.storage.delta import DeltaFileWriter
+from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import INT_SCHEMA, STRING_SCHEMA
 from repro.workloads.pavlo import (
@@ -147,6 +151,66 @@ def batch_row(query: Callable[[Session, str], Any], expect_batch: bool,
                       "shuffle_records_off": shuffled["off"]},
         )
     return build
+
+
+# -- the record path: the reference decode over the same blocks --------------------
+
+
+def _codec_sources(bench: Bench) -> List[Any]:
+    """The suite's ``uservisits`` as a record, a delta and a dictionary file."""
+    table, path = _visits(bench, 12_000)
+    schema, work = table.value_schema, bench.dir("codecs")
+    delta = os.path.join(work, "uservisits.df")
+    coded = os.path.join(work, "uservisits.dx")
+    for writer in (DeltaFileWriter(delta, table.key_schema, schema,
+                                   schema.numeric_field_names()),
+                   DictionaryFileWriter(coded, table.key_schema, schema,
+                                        "destURL")):
+        with writer:
+            for key, value in table.records():
+                writer.append(key, value)
+    return [RecordFileInput(path), DeltaFileInput(delta),
+            DictionaryFileInput(coded)]
+
+
+def record_path_scan(bench: Bench) -> Probe:
+    """Every split of each codec drained through ``InputSource.open`` (on)
+    against the container's reference decode over the same blocks, sized
+    with ``estimate_size`` (off): pairs, ``logical_bytes`` and ``fields``
+    per split."""
+    sources = _codec_sources(bench)
+
+    def split_readers() -> List[tuple]:
+        out = []
+        for source in sources:
+            for split in source.splits(10):
+                reader = source.open(split)
+                out.append((list(reader), reader.logical_bytes, reader.fields))
+        return out
+
+    def reference() -> List[tuple]:
+        out = []
+        for source in sources:
+            for split in source.splits(10):
+                pairs: List[tuple] = []
+                with source.reader_class(source.path) as reader:
+                    for block, n_records in reader.iter_block_payloads(
+                            split.payload):
+                        pairs += reader.decode_block(block, n_records)
+                out.append((pairs,
+                            sum(estimate_size(k) + estimate_size(v)
+                                for k, v in pairs),
+                            sum(len(v.schema.fields) for _k, v in pairs)))
+        return out
+
+    rows = sum(len(pairs) for pairs, _logical, _fields in split_readers())
+    return Probe(
+        on=split_readers, off=reference,
+        checks={"every_codec_scanned":
+                rows == len(sources) * len(_visits(bench, 12_000)[0])},
+        counters={"codecs": [source.label for source in sources],
+                  "rows": rows},
+    )
 
 
 # -- bench_engine.py: a fresh engine per job / sequential stages / cleared caches ---
@@ -728,6 +792,7 @@ GATES = (
          batch_row(_q_udf_translated, True), ("speedup", 1.5)),
     Gate("udf_opaque_control", "bench_batch.py udf_opaque_control",
          batch_row(_q_udf_opaque, False), ("control", 0.25)),
+    Gate("record_path_scan", None, record_path_scan, ("speedup", 2.0)),
     Gate("engine_pool_reuse", "bench_engine.py repeated_small_jobs",
          pool_reuse, ("speedup", 1.15)),
     Gate("engine_dag_diamond", "bench_engine.py diamond_pipeline",

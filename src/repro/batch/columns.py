@@ -14,13 +14,14 @@ This module owns *what* to capture (:class:`ScanPlan`); the scan itself
 is storage's: :mod:`repro.storage.blockscan` generates and compiles one
 straight-line decoder per scan shape, and every plan of that shape --
 solo, shared-scan union, in any pool worker -- runs the same code
-object.  There is no interpreted walk beside it.  Parity with the record
-path is kept there too: a block the compiled loop cannot prove
-well-formed is re-walked through the container's ``block_spans`` +
-``Schema.decode`` reference, so damage raises what ``iter_records``
-raises, and ``logical_bytes`` is the exact ``estimate_size``-equivalent
-of every key and value record (the ``map_input_logical_bytes`` charge the
-record-path readers report).
+object -- the record path's split readers included.  There is no
+interpreted walk beside it.  Parity with the record path is kept there
+too: a block the compiled loop cannot prove well-formed is re-walked by
+the container's reference decode
+(:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`), so
+damage raises what the record path raises, and ``logical_bytes`` is the
+block's figure read off the wire, the ``map_input_logical_bytes`` charge
+the record-path readers report.
 """
 
 from __future__ import annotations

@@ -57,9 +57,10 @@ from repro.storage.serialization import Record
 
 #: Inputs whose splits are block lists of an identity-codec record file.
 #: Exact types on purpose: B+Tree index scans, delta/dictionary value
-#: codecs (same container, but the column scan reads plain value
-#: encodings only), in-memory pairs, or an unknown subclass with different
-#: split payloads are not batch-scannable.
+#: codecs (the scanner has their shapes -- the record path reads through
+#: them -- but admitting them here would move planned stages), in-memory
+#: pairs, or an unknown subclass with different split payloads are not
+#: batch-scannable.
 RECORD_BLOCK_INPUTS = (RecordFileInput, ProjectedFileInput, PartitionedInput)
 
 

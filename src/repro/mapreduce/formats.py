@@ -15,6 +15,22 @@ container (:mod:`repro.storage.blockfile`) under different value codecs,
 so they share one ``splits``/``open`` (:class:`BlockFileInput`); only the
 B+Tree input has a scan of its own.
 
+And one scan: every block is decoded whole by the compiled scanner of
+its file's shape (:func:`~repro.storage.blockscan.split_scanner`) --
+record, projection, delta and dictionary files and partitions alike --
+and charged its logical bytes (read off the wire) once.  An eager read
+charges every stored field; a projection's values
+(:class:`~repro.storage.serialization.ScannedRecord`) charge the fields
+the job reads.  A block decodes whole before its first record reaches
+``map()``, so a damaged block fails before ``map()`` sees any of its
+records: a block the scanner cannot prove is re-walked by the
+container's reference decode
+(:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`, sized
+with ``estimate_size``), and that walk's exception is raised.  The same
+walk is the whole scan of an opaque schema.  A projection's unprovable
+block takes the lazy decode instead, which fails only where the job's
+reads say it must.
+
 Every split reader keeps byte/record accounting that the runtime folds
 into :class:`~repro.mapreduce.metrics.JobMetrics`:
 
@@ -36,6 +52,7 @@ from repro.exceptions import CorruptFileError, JobConfigError
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader, BlockInfo
+from repro.storage.blockscan import Scanned, split_scanner
 from repro.storage.btree import BTree
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
@@ -45,7 +62,13 @@ from repro.storage.partitioned import (
     read_partitioned_info,
 )
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import FieldDecodeCounter, Record, Schema
+from repro.storage.serialization import (
+    FieldDecodeCounter,
+    Record,
+    Schema,
+    build_records,
+    scanned_class,
+)
 
 
 class InputSplit:
@@ -133,22 +156,46 @@ def _block_chunks(reader_class: Type[BlockFileReader], path: str,
     return [blocks[i:i + per] for i in range(0, len(blocks), per)]
 
 
+def _reference_block(reader: BlockFileReader, payload: bytes, n_records: int
+                     ) -> Tuple[List[Tuple[Any, Any]], int]:
+    """One block through the reference decode, sized: ``(pairs, logical
+    bytes)``.  The whole scan of an opaque schema, and the re-walk behind
+    a block the compiled scanner cannot prove -- whose exception is the
+    one raised, ``estimate_size``'s included (a delta file's running sum
+    can leave int64)."""
+    pairs = list(reader.decode_block(payload, n_records))
+    return pairs, sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
+
+
 def _open_blocks(reader_class: Type[BlockFileReader], path: str,
                  blocks: List[BlockInfo], lazy_values: bool) -> SplitReader:
     """A split reader over ``blocks`` of the block file at ``path``.
 
+    Every block decodes whole before its first record is yielded.
     Eager scans charge every value field of every record; lazy ones
-    (identity-codec files with a transparent value schema) charge
-    materializations only.
+    (identity-codec files with a transparent value schema) charge the
+    fields the job reads only.
     """
     reader = reader_class(path)
+    scanner = split_scanner(reader)
+    schema = reader.stored_schema
+    lazy = lazy_values and reader.value_schema.transparent
+    counter = FieldDecodeCounter() if lazy else None
 
     def finalize(sr_: SplitReader) -> None:
         sr_.stored_bytes += reader.bytes_read
         reader.close()
 
-    if lazy_values and reader.value_schema.transparent:
-        counter = FieldDecodeCounter()
+    def scanned(out: Scanned, n_records: int) -> Iterator[Tuple[Any, Any]]:
+        # the scanner's block figure is the logical-bytes charge
+        columns, keys, logical = out
+        sr.logical_bytes += logical
+        rows = list(zip(*columns)) if columns else [()] * n_records
+        return zip(keys, build_records(schema, rows, counter))
+
+    if lazy:
+        if scanned_class(schema) is None:
+            scanner = None
         lazy_keys = reader.key_schema.transparent
         # estimated_size comes from the boundary scan and is
         # byte-identical to estimate_size(record) -- charging logical
@@ -156,20 +203,35 @@ def _open_blocks(reader_class: Type[BlockFileReader], path: str,
         key_size = attrgetter("estimated_size") if lazy_keys else estimate_size
 
         def generate() -> Iterator[Tuple[Any, Any]]:
-            for key, value in reader.iter_records(
-                blocks, lazy_values=True, field_counter=counter,
-                lazy_keys=lazy_keys,
-            ):
-                sr.logical_bytes += key_size(key) + value.estimated_size
-                yield key, value
+            # A block the scanner cannot prove (a string nobody may read
+            # that is not UTF-8, say) takes the lazy decode, which fails
+            # -- or not -- exactly where the job's reads say it must.
+            for payload, n_records in reader.iter_block_payloads(blocks):
+                out = scanner and scanner.prove(reader, payload, n_records)
+                if out is not None:
+                    yield from scanned(out, n_records)
+                    continue
+                pairs = list(reader.decode_block(
+                    payload, n_records, lazy_values=True,
+                    field_counter=counter, lazy_keys=lazy_keys))
+                for key, value in pairs:
+                    sr.logical_bytes += key_size(key) + value.estimated_size
+                yield from pairs
     else:
-        counter = None
+        width = max(1, len(schema.fields))
 
         def generate() -> Iterator[Tuple[Any, Any]]:
-            for key, value in reader.iter_records(blocks):
-                sr.logical_bytes += estimate_size(key) + estimate_size(value)
-                sr.fields += _record_fields(value)
-                yield key, value
+            for payload, n_records in reader.iter_block_payloads(blocks):
+                if scanner is not None:
+                    out = scanner.scan(reader, payload, n_records,
+                                       rewalk=_reference_block)
+                    sr.fields += n_records * width
+                    yield from scanned(out, n_records)
+                    continue
+                pairs, logical = _reference_block(reader, payload, n_records)
+                sr.logical_bytes += logical
+                sr.fields += sum(_record_fields(value) for _key, value in pairs)
+                yield from pairs
 
     sr = SplitReader(generate(), finalize, field_counter=counter)
     return sr

@@ -138,7 +138,16 @@ def _canonical_bytes(value: Any, out: bytearray) -> None:
 
 
 def stable_hash(value: Any) -> int:
-    """Deterministic 32-bit hash of a key, independent of PYTHONHASHSEED."""
+    """Deterministic 32-bit hash of a key, independent of PYTHONHASHSEED.
+
+    A ``str`` key (the partitioner's commonest) builds its canonical
+    bytes -- ``0x04``, uvarint length, UTF-8 -- in one concatenation.
+    """
+    if type(value) is str:
+        raw = value.encode("utf-8")
+        n = len(raw)
+        head = bytes((0x04, n)) if n < 128 else b"\x04" + varint.encode_uvarint(n)
+        return zlib.crc32(head + raw)
     out = bytearray()
     _canonical_bytes(value, out)
     return zlib.crc32(bytes(out))
@@ -188,5 +197,8 @@ _SIZE_DISPATCH = {
     str: lambda v: len(v.encode("utf-8")) + 1,
     bytes: lambda v: len(v) + 1,
     bytearray: lambda v: len(v) + 1,
-    tuple: lambda v: 1 + sum(estimate_size(x) for x in v),
+    tuple: lambda v: 1 + sum(map(estimate_size, v)),
+    # exact type only: a LazyRecord takes the slow path, which
+    # materializes (and so counts) every field it sizes
+    Record: lambda v: 1 + sum(map(estimate_size, v.as_tuple())),
 }

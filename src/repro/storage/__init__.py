@@ -7,8 +7,10 @@ physical index formats Manimal's optimizer materializes:
 * :mod:`repro.storage.blockfile` -- the block-file container: one reader and
   one writer for every record-shaped format, parameterized by a value codec
 * :mod:`repro.storage.recordfile` -- record files (identity codec)
-* :mod:`repro.storage.blockscan` -- compiled columnar scans of identity-codec
-  blocks: one generated decoder per scan shape
+* :mod:`repro.storage.blockscan` -- compiled block scans: one generated
+  decoder per scan shape, for the batch path's column captures and every
+  codec's record-path scan; a block it cannot prove is re-walked by the
+  container's one reference decode (``BlockFileReader.decode_block``)
 * :mod:`repro.storage.delta` -- delta files (per-block running deltas)
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation
@@ -44,6 +46,7 @@ from repro.storage.serialization import (
     LazyRecord,
     OpaqueSchema,
     Record,
+    ScannedRecord,
     Schema,
     primitive_schema,
 )
@@ -81,6 +84,7 @@ __all__ = [
     "Record",
     "RecordFileReader",
     "RecordFileWriter",
+    "ScannedRecord",
     "Schema",
     "InputIdentity",
     "INT_SCHEMA",

@@ -20,9 +20,10 @@ crosses a block boundary, so every block decodes alone.
 
 All of that is owned here, once.  A format subclasses the writer and the
 reader and supplies its ``MAGIC``, header extras (``_header_extras`` /
-``_bind_header``), value codec -- plain callables bound once per
-writer/reader plus an optional per-block reset (``_value_encoder`` /
-``_value_decoder``; identity by default) -- and footer (``_write_footer``
+``_bind_header``), value codec -- an encoder bound once per writer plus
+an optional per-block reset (``_value_encoder``), and a decoder made
+fresh for every block (``_value_decoder``); identity by default -- and
+footer (``_write_footer``
 / a ``_data_end`` below the file size): see :mod:`~repro.storage.recordfile`,
 :mod:`~repro.storage.delta`, :mod:`~repro.storage.dictionary`, and the
 layout table in ``docs/architecture.md``.
@@ -41,10 +42,14 @@ from repro.storage.serialization import FieldDecodeCounter, Record, Schema
 
 DEFAULT_BLOCK_SIZE = 64 * 1024
 
-#: One half of a value codec: ``encode(value_record) -> bytes`` or
-#: ``decode(view, start, end) -> Record``, plus a callable that drops
-#: codec state at every block boundary (``None`` for a stateless codec).
+#: The write half of a value codec: ``encode(value_record) -> bytes``,
+#: plus a callable that drops codec state at every block boundary
+#: (``None`` for a stateless codec).
 CodecHalf = Tuple[Callable[..., Any], Optional[Callable[[], None]]]
+
+#: The read half: ``decode(view, start, end) -> Record``, made fresh for
+#: each block, so its codec state starts over with the block.
+ValueDecoder = Callable[[Any, int, int], Record]
 
 #: What parsing a damaged header raises short of CorruptFileError: json
 #: and UTF-8 errors are ValueErrors; a header that parses but lacks a
@@ -227,8 +232,8 @@ class BlockFileReader:
 
     def _value_decoder(
         self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
-    ) -> CodecHalf:
-        """The codec's read half: ``(decode, reset-per-block or None)``.
+    ) -> ValueDecoder:
+        """The codec's read half, for one block.
 
         The default is the identity codec: values are the value schema's
         plain encoding, so they can also decode lazily.
@@ -236,10 +241,9 @@ class BlockFileReader:
         schema = self.value_schema
         if lazy_values and schema.transparent:
             decode_lazy = schema.decode_lazy
-            return (
-                lambda buf, start, end: decode_lazy(buf, start, end, field_counter)
-            ), None
-        return schema.decode, None
+            return lambda buf, start, end: decode_lazy(buf, start, end,
+                                                       field_counter)
+        return schema.decode
 
     def _read_uvarint_from_file(self) -> Tuple[int, int]:
         """Read one uvarint directly from the file; return (value, n_bytes)."""
@@ -384,18 +388,35 @@ class BlockFileReader:
         its decode.  Both paths decode straight out of the shared block
         buffer.
         """
+        for payload, n_records in self.iter_block_payloads(blocks):
+            yield from self.decode_block(payload, n_records, lazy_values,
+                                         field_counter, lazy_keys)
+
+    def decode_block(
+        self,
+        payload: bytes,
+        n_records: int,
+        lazy_values: bool = False,
+        field_counter: Optional[FieldDecodeCounter] = None,
+        lazy_keys: bool = False,
+    ) -> Iterator[Tuple[Record, Record]]:
+        """Yield one block's decoded (key, value) pairs.
+
+        The container's one per-block decode (options as
+        :meth:`iter_records`): the whole block is framed first
+        (:meth:`block_spans`), then each key decodes with the key schema
+        and each value with a fresh codec decoder -- a block's codec
+        state (a delta file's running sums) starts over with the block.
+        """
         key_schema = self.key_schema
         if lazy_keys and key_schema.transparent:
             key_decode = key_schema.decode_lazy
         else:
             key_decode = key_schema.decode
-        value_decode, reset = self._value_decoder(lazy_values, field_counter)
-        for payload, n_records in self.iter_block_payloads(blocks):
-            if reset is not None:
-                reset()
-            view, spans = self.block_spans(payload, n_records)
-            for kpos, kend, vpos, vend in spans:
-                yield key_decode(view, kpos, kend), value_decode(view, vpos, vend)
+        value_decode = self._value_decoder(lazy_values, field_counter)
+        view, spans = self.block_spans(payload, n_records)
+        for kpos, kend, vpos, vend in spans:
+            yield key_decode(view, kpos, kend), value_decode(view, vpos, vend)
 
     def file_size(self) -> int:
         return self._file_size

@@ -1,31 +1,48 @@
 """Compiled block scans: one generated decoder per scan *shape*.
 
-A columnar scan walks every field of every record of a block, landing the
+A block scan walks every field of every record of a block, landing the
 captured value fields in per-column lists and passing over the rest.
 Interpreting that walk -- a type dispatch plus a varint call per field --
 costs more than the decoding itself, so this module *generates* it: for a
 shape (the key fields' wire kinds, the value fields' wire kinds with their
 capture slots, and whether keys are decoded) it emits one straight-line
 function over the block's ``bytes`` payload, compiles it once and keeps it
-for the life of the process.  Per field there is one emitted step; 1- and
-2-byte varints and length prefixes are decoded inline, longer ones go to
+for the life of the process.  Per field there is one emitted step; a
+varint of any length is decoded or passed over inline (1 to 3 bytes
+without a loop), a length prefix of three bytes or more goes to
 :mod:`~repro.storage.varint` with the record's end; an unneeded field is
-a continuation-bit test; and the block's ``estimate_size``-equivalent is
-arithmetic (every field's estimate is its span, except that a length
-prefix always counts one byte -- so it is the payload length minus the
-excess bytes of multi-byte prefixes, counted only on those branches).
+a continuation-bit test; keys are built a block at a time
+(:func:`~repro.storage.serialization.build_records`); and the block's
+``estimate_size``-equivalent is arithmetic on the wire (every field's
+estimate is its span, except that a length prefix always counts one byte
+-- so it is the payload length minus the excess bytes of multi-byte
+prefixes, counted only on those branches).
+
+Two scans share the shapes.  The batch executor's
+(:func:`block_scanner`) captures the columns a stage needs from an
+identity-codec file.  The record path's (:func:`split_scanner`) captures
+every stored value field and decodes keys, for every block-file codec: a
+record file, projection file or partition is the identity shape, a
+dictionary file the identity shape over its stored schema, and a delta
+file's delta fields are the ``delta`` kind -- a zigzag varint added to
+a running sum that starts at zero with each block, charged
+``svarint_len`` of the sum.
 
 The generated loop proves a block well-formed or gives up; it never
 reports damage itself.  Positions only move forward and every record
 must end exactly where its length prefix said, so an over-read cannot go
-unnoticed.  On any exception or mismatch :meth:`BlockScanner.scan`
-re-walks the block through the container's reference --
-:meth:`~repro.storage.blockfile.BlockFileReader.block_spans` and
-:meth:`Schema.decode <repro.storage.serialization.Schema.decode>`, what
-``iter_records`` runs -- and *that* walk's exception is the one raised.
-(The one asymmetry is inherited from every projecting reader,
-``decode_lazy`` included: a field nobody captures is never UTF-8
-decoded.)
+unnoticed: a varint is given up on exactly where ``decode_uvarint``
+would raise, past ten bytes or 64 bits.  On any exception or mismatch
+:meth:`BlockScanner.scan` re-walks the block through the container's
+one reference decode --
+:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`, which the
+record path sizes with ``estimate_size`` -- and *that* walk's exception
+is the one raised; a re-walk that succeeds is an internal error.  (The
+one asymmetry is inherited from every projecting reader, ``decode_lazy``
+included: a field nobody captures is never UTF-8 decoded.  And logical
+bytes come from the wire: an overlong-but-legal varint, which no writer
+produces, is charged its span where ``estimate_size`` charges the
+canonical length.)
 
 Source is registered in :mod:`linecache` under a content-hashed filename,
 like the predicate kernels, so tracebacks through it stay readable.
@@ -36,12 +53,18 @@ from __future__ import annotations
 import hashlib
 import linecache
 import struct
-from itertools import repeat
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage import varint
-from repro.storage.serialization import FieldType, Record, Schema
+from repro.storage.blockfile import BlockFileReader
+from repro.storage.delta import DeltaFileReader
+from repro.storage.serialization import (
+    FieldType,
+    Record,
+    Schema,
+    build_records,
+)
 
 #: Field type -> wire kind; INT and LONG are the same bytes.
 _WIRE = {
@@ -53,15 +76,17 @@ _WIRE = {
     FieldType.BYTES: "bytes",
 }
 
-#: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys)
+#: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys);
+#: a value kind is a ``_WIRE`` kind or ``"delta"``
 Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], bool]
 
+#: A scanned block: (columns by slot, key records or None, logical bytes)
+Scanned = Tuple[List[list], Optional[List[Record]], int]
+
 _GLOBALS = {
-    "_Record": Record,
-    "_repeat": repeat,
+    "_build_records": build_records,
     "_unpack_double": struct.Struct("<d").unpack_from,
     "_decode_uvarint": varint.decode_uvarint,
-    "_skip_uvarint": varint.skip_uvarint,
 }
 
 
@@ -84,31 +109,61 @@ def _length(var: str, end: str) -> List[str]:
     ]
 
 
+def _uvarint() -> List[str]:
+    """Steps reading one unsigned varint into ``v``, all inline: giving
+    up past ten bytes or 64 bits, as ``decode_uvarint`` raises there (a
+    varint running past its record's end fails the record's end check)."""
+    return [
+        "v = payload[p]",
+        "if v < 128:",
+        "    p += 1",
+        "else:",
+        "    b = payload[p + 1]",
+        "    if b < 128:",
+        "        v += (b << 7) - 128",
+        "        p += 2",
+        "    else:",
+        "        v += (b << 7) - 16512",
+        "        b = payload[p + 2]",
+        "        if b < 128:",
+        "            v += b << 14",
+        "            p += 3",
+        "        else:",
+        "            p += 2",
+        "            t = 14",
+        "            while b > 127:",
+        "                v += (b - 128) << t",
+        "                t += 7",
+        "                if t > 63:",
+        "                    return None",
+        "                p += 1",
+        "                b = payload[p]",
+        "            v += b << t",
+        "            p += 1",
+        "            if v >> 64:",
+        "                return None",
+    ]
+
+
 def _field(kind: str, sink: Optional[str], end: str) -> List[str]:
     """Steps for one field: append its value to ``sink`` or pass over it."""
     if kind == "varint":
         if sink is None:
+            # past ten bytes, or a tenth byte above bit 63: give up
             return [
                 "if payload[p] < 128:",
                 "    p += 1",
                 "elif payload[p + 1] < 128:",
                 "    p += 2",
                 "else:",
-                f"    p = _skip_uvarint(payload, p, {end})",
+                "    t = p + 2",
+                "    while payload[t] > 127:",
+                "        t += 1",
+                "    if t - p > 8 and (t - p > 9 or payload[t] > 1):",
+                "        return None",
+                "    p = t + 1",
             ]
-        return [
-            "v = payload[p]",
-            "if v < 128:",
-            "    p += 1",
-            "else:",
-            "    b = payload[p + 1]",
-            "    if b < 128:",
-            "        v += (b << 7) - 128",
-            "        p += 2",
-            "    else:",
-            f"        v, p = _decode_uvarint(payload, p, {end})",
-            f"{sink}((v >> 1) ^ -(v & 1))",
-        ]
+        return _uvarint() + [f"{sink}((v >> 1) ^ -(v & 1))"]
     if kind == "double":
         read = [] if sink is None else [
             f"{sink}(_unpack_double(payload, p)[0])"]
@@ -123,6 +178,20 @@ def _field(kind: str, sink: Optional[str], end: str) -> List[str]:
     return steps + ["q = p + n", f"{sink}({value})", "p = q"]
 
 
+def _delta(acc: str, sink: Optional[str]) -> List[str]:
+    """Steps for one delta-coded field: add its zigzag varint to the
+    running sum ``acc``.  The field is charged ``svarint_len(acc)``, so
+    ``x`` takes its span minus that; a sum outside int64, which
+    ``svarint_len`` rejects, gives up."""
+    return ["s = p"] + _uvarint() + [
+        f"{acc} += (v >> 1) ^ -(v & 1)",
+        f"z = ({acc} << 1) ^ ({acc} >> 63)",
+        "if z >> 64:",
+        "    return None",
+        "x += p - s - ((z.bit_length() + 6) // 7 or 1)",
+    ] + ([] if sink is None else [f"{sink}({acc})"])
+
+
 def scanner_source(shape: Shape) -> str:
     """The scanner for ``shape``, as Python source."""
     key_kinds, value_steps, decode_keys = shape
@@ -135,17 +204,25 @@ def scanner_source(shape: Shape) -> str:
         record += _field(kind, f"k{i}_add" if decode_keys else None, "kend")
     record += ["if p != kend:", "    return None"]
     record += _length("vlen", "end") + ["vend = p + vlen"]
-    for kind, slot in value_steps:
-        record += _field(kind, None if slot < 0 else f"c{slot}_add", "vend")
+    sums = []
+    for i, (kind, slot) in enumerate(value_steps):
+        sink = None if slot < 0 else f"c{slot}_add"
+        if kind == "delta":
+            sums.append(f"a{i}")
+            record += _delta(sums[-1], sink)
+        else:
+            record += _field(kind, sink, "vend")
     record += ["if p != vend:", "    return None"]
     keys = "None"
     if decode_keys:
         key_columns = ", ".join(f"k{i}" for i in range(len(key_kinds)))
-        rows = f"zip({key_columns})" if key_kinds else "_repeat((), n_records)"
-        keys = f"list(map(_Record, _repeat(key_schema), {rows}))"
+        rows = f"list(zip({key_columns}))" if key_kinds else "[()] * n_records"
+        keys = f"_build_records(key_schema, {rows})"
     lines = ["def _scan(payload, n_records, key_schema):",
              "    end = len(payload)",
              "    p = x = 0"]
+    if sums:
+        lines += ["    " + " = ".join(sums) + " = 0"]
     lines += [f"    {c} = []\n    {c}_add = {c}.append" for c in columns]
     lines += ["    for _ in range(n_records):"]
     lines += ["        " + step for step in record]
@@ -171,25 +248,32 @@ class BlockScanner:
         self.source = source
         self._fn: Callable = namespace["_scan"]
 
-    def scan(self, reader: Any, payload: bytes, n_records: int
-             ) -> Tuple[List[list], Optional[List[Record]], int]:
+    def prove(self, reader: BlockFileReader, payload: bytes, n_records: int
+              ) -> Optional[Scanned]:
+        """What :meth:`scan` returns, or ``None`` for a block the
+        compiled loop cannot prove well-formed."""
+        try:
+            return self._fn(payload, n_records, reader.key_schema)
+        except Exception:
+            return None
+
+    def scan(self, reader: BlockFileReader, payload: bytes, n_records: int,
+             rewalk: Optional[Callable[..., object]] = None) -> Scanned:
         """``(columns by slot, key records or None, logical bytes)``.
 
-        ``reader`` is the identity-codec block file ``payload`` came
-        from; it supplies the key schema and, for a block the compiled
-        loop cannot prove well-formed, the reference walk that raises.
+        ``reader`` is the block file ``payload`` came from; it supplies
+        the key schema and, for a block the compiled loop cannot prove
+        well-formed, the reference decode whose exception is raised:
+        ``rewalk(reader, payload, n_records)``, by default the
+        container's :meth:`~repro.storage.blockfile.BlockFileReader.decode_block`.
         """
-        try:
-            out = self._fn(payload, n_records, reader.key_schema)
-        except Exception:
-            out = None
+        out = self.prove(reader, payload, n_records)
         if out is None:
-            view, spans = reader.block_spans(payload, n_records)
-            decode_key = reader.key_schema.decode
-            decode_value = reader.value_schema.decode
-            for kpos, kend, vpos, vend in spans:
-                decode_key(view, kpos, kend)
-                decode_value(view, vpos, vend)
+            if rewalk is None:
+                for _pair in reader.decode_block(payload, n_records):
+                    pass
+            else:
+                rewalk(reader, payload, n_records)
             raise StorageError(
                 f"{reader.path}: internal error: the compiled block scan "
                 "rejected a block the reference decoder accepts"
@@ -197,21 +281,50 @@ class BlockScanner:
         return out
 
 
-#: Process-wide: solo plans, shared-scan union plans and persistent pool
-#: workers all resolve a shape here.
+#: Process-wide: solo plans, shared-scan union plans, split readers and
+#: persistent pool workers all resolve a shape here.
 _SCANNERS: Dict[Shape, BlockScanner] = {}
 
 
-def block_scanner(key_schema: Schema, value_schema: Schema,
-                  slots: Mapping[str, int], decode_keys: bool) -> BlockScanner:
-    """The compiled scanner capturing ``slots`` (value field -> column)."""
-    shape: Shape = (
-        tuple(_WIRE[f.ftype] for f in key_schema.fields),
-        tuple((_WIRE[f.ftype], slots.get(f.name, -1))
-              for f in value_schema.fields),
-        decode_keys,
-    )
+def _compiled(shape: Shape) -> BlockScanner:
     scanner = _SCANNERS.get(shape)
     if scanner is None:
         scanner = _SCANNERS[shape] = BlockScanner(scanner_source(shape))
     return scanner
+
+
+def _key_kinds(key_schema: Schema) -> Tuple[str, ...]:
+    return tuple(_WIRE[f.ftype] for f in key_schema.fields)
+
+
+def block_scanner(key_schema: Schema, value_schema: Schema,
+                  slots: Mapping[str, int], decode_keys: bool) -> BlockScanner:
+    """The compiled scanner capturing ``slots`` (value field -> column)
+    of an identity-codec file."""
+    return _compiled((
+        _key_kinds(key_schema),
+        tuple((_WIRE[f.ftype], slots.get(f.name, -1))
+              for f in value_schema.fields),
+        decode_keys,
+    ))
+
+
+def split_scanner(reader: BlockFileReader) -> Optional[BlockScanner]:
+    """The record path's scanner for ``reader``'s blocks, or ``None``.
+
+    Captures every field of the stored value schema in order (slot *i*
+    is field *i*) and decodes keys; a delta file's delta fields are
+    running sums.  ``None`` when the key or stored value schema is
+    opaque: those blocks take the reference decode.
+    """
+    key_schema, schema = reader.key_schema, reader.stored_schema
+    if not (key_schema.transparent and schema.transparent):
+        return None
+    deltas = (set(reader.delta_fields)
+              if isinstance(reader, DeltaFileReader) else set())
+    return _compiled((
+        _key_kinds(key_schema),
+        tuple(("delta" if f.name in deltas else _WIRE[f.ftype], i)
+              for i, f in enumerate(schema.fields)),
+        True,
+    ))

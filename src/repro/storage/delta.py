@@ -28,6 +28,7 @@ from repro.storage.blockfile import (
     BlockFileReader,
     BlockFileWriter,
     CodecHalf,
+    ValueDecoder,
 )
 from repro.storage.serialization import (
     FieldDecodeCounter,
@@ -116,10 +117,11 @@ class DeltaFileReader(BlockFileReader):
 
     def _value_decoder(
         self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
-    ) -> CodecHalf:
+    ) -> ValueDecoder:
         schema = self.value_schema
         steps = _codec_steps(schema, self.delta_fields)
         path = self.path
+        # a fresh decoder per block: every block's sums start at zero
         prev: Dict[int, int] = {}
 
         def decode(buf: Any, pos: int, end: int) -> Record:
@@ -135,4 +137,4 @@ class DeltaFileReader(BlockFileReader):
                 raise CorruptFileError(f"{path}: trailing value bytes")
             return Record(schema, values)
 
-        return decode, prev.clear
+        return decode

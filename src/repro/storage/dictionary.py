@@ -32,6 +32,7 @@ from repro.storage.blockfile import (
     BlockFileReader,
     BlockFileWriter,
     CodecHalf,
+    ValueDecoder,
 )
 from repro.storage.serialization import (
     Field,
@@ -153,8 +154,8 @@ class DictionaryFileReader(BlockFileReader):
 
     def _value_decoder(
         self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
-    ) -> CodecHalf:
-        return self.stored_schema.decode, None
+    ) -> ValueDecoder:
+        return self.stored_schema.decode
 
     def dictionary(self) -> List[str]:
         """The code -> string table (loaded lazily, cached)."""

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections import deque
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import (
@@ -380,6 +382,120 @@ class LazyRecord(Record):
     def __repr__(self) -> str:
         self.as_tuple()
         return super().__repr__()
+
+
+class ScannedRecord(Record):
+    """A decoded record charged like its :class:`LazyRecord` twin.
+
+    A compiled block scan has already decoded every value, but a lazy
+    input's ``fields_deserialized`` charges the fields a job *reads*:
+    ``counter`` ticks on the first read of each field, as a lazy
+    record's decode would.  Each field list has its own subclass
+    (:func:`scanned_class`) with one slot per field, and records are
+    built a block at a time (:func:`build_records`); the first read of a
+    field fills its slot, so later reads are plain slot reads that never
+    reach ``__getattr__``.  Whole-record views -- equality, hashing,
+    sizing, pickling (to a plain :class:`Record`) -- go through
+    :meth:`as_tuple`, which charges every field not read yet.
+    """
+
+    # ``_counter`` is None once every field is charged
+    __slots__ = ("_counter",)
+
+    #: the subclass's field slot descriptors, in field order
+    _field_slots: Tuple[Any, ...] = ()
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only while the field's slot is empty
+        idx = self._schema._index.get(name)
+        if idx is None:
+            raise FieldNotPresentError(
+                f"record of schema {self._schema.name!r} has no field {name!r}"
+            )
+        value = self._values[idx]
+        self._field_slots[idx].__set__(self, value)
+        counter = self._counter
+        if counter is not None:
+            counter.count += 1
+        return value
+
+    def get(self, name: str, default: Any = None) -> Any:
+        if self._schema.field_index(name) is None:
+            return default
+        return getattr(self, name)
+
+    def as_tuple(self) -> Tuple[Any, ...]:
+        counter = self._counter
+        if counter is not None:
+            object.__setattr__(self, "_counter", None)
+            for slot in self._field_slots:
+                try:
+                    slot.__get__(self)
+                except AttributeError:
+                    counter.count += 1
+        return self._values
+
+    def replace(self, **updates: Any) -> "Record":
+        self.as_tuple()
+        return super().replace(**updates)
+
+    def to_dict(self) -> Dict[str, Any]:
+        self.as_tuple()
+        return super().to_dict()
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (Record, (self._schema, self.as_tuple()))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Record)
+            and self._schema.name == other._schema.name
+            and self.as_tuple() == other.as_tuple()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._schema.name, self.as_tuple()))
+
+    def __repr__(self) -> str:
+        self.as_tuple()
+        return super().__repr__()
+
+
+#: field names -> their ScannedRecord subclass, or None (see below)
+_SCANNED_CLASSES: Dict[Tuple[str, ...], Optional[type]] = {}
+
+
+def scanned_class(schema: "Schema") -> Optional[type]:
+    """The :class:`ScannedRecord` subclass for ``schema``'s fields, or
+    ``None`` when a field name cannot be a slot: not an identifier, or
+    already a record attribute (``schema``, ``get``, ...)."""
+    names = tuple(f.name for f in schema.fields)
+    if names not in _SCANNED_CLASSES:
+        cls = None
+        if all(name.isidentifier() and not name.startswith("__")
+               and not hasattr(ScannedRecord, name) for name in names):
+            cls = type("ScannedRecord", (ScannedRecord,),
+                       {"__slots__": names, "__module__": __name__})
+            cls._field_slots = tuple(cls.__dict__[name] for name in names)
+        _SCANNED_CLASSES[names] = cls
+    return _SCANNED_CLASSES[names]
+
+
+def build_records(schema: "Schema", rows: Sequence[Tuple[Any, ...]],
+                  counter: Optional[FieldDecodeCounter] = None
+                  ) -> List[Record]:
+    """``Record(schema, row)`` for every row, without a Python frame per
+    record -- or, given ``counter``, the schema's :func:`scanned_class`
+    records charged to it.  The rows are trusted: tuples of the schema's
+    width, as a block scan produces them."""
+    cls = Record if counter is None else scanned_class(schema)
+    records = list(map(object.__new__, repeat(cls, len(rows))))
+    slots = [(Record._schema, repeat(schema)), (Record._values, rows)]
+    if counter is not None:
+        slots.append((ScannedRecord._counter, repeat(counter)))
+    for slot, values in slots:
+        deque(map(slot.__set__, records, values), maxlen=0)
+    return records
 
 
 class Schema:

@@ -6,11 +6,12 @@ UDF chains), the callables of ``test_explain.py`` and the admitted UDF
 shapes of ``test_udf_translation.py`` -- and records, per query, every
 text the expression algebra feeds: synthesized stage-mapper source,
 kernel source, ``explain()`` output, selection hints and the remote op
-JSON -- plus the compiled block scanner's source for two scan shapes
-(:data:`SCAN_SHAPES`).  The golden was recorded at the commit *before* fluent ``Expr``
-became sugar over ``SymExpr`` and must never change by accident: the
-stage source is what the analyzer re-derives formulas from, and the op
-JSON is the query service's result-cache identity.
+JSON -- plus the compiled block scanner's source for two batch scan
+shapes (:data:`SCAN_SHAPES`) and two record-path ones
+(:data:`SPLIT_SHAPES`).  The golden was recorded at the commit *before*
+fluent ``Expr`` became sugar over ``SymExpr`` and must never change by
+accident: the stage source is what the analyzer re-derives formulas
+from, and the op JSON is the query service's result-cache identity.
 
 The test modules are imported under pytest's own (top-level) names --
 a second copy would re-register their opaque schemas.  Regenerate (only
@@ -38,6 +39,9 @@ from repro.batch.columns import build_scan_plan
 from repro.batch.kernels import compile_predicates
 from repro.batch.spec import BatchStageSpec
 from repro.explain import explain_job
+from repro.storage.blockscan import split_scanner
+from repro.storage.delta import DeltaFileReader, DeltaFileWriter
+from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from tests.conftest import WEBPAGE, write_webpages
 
@@ -68,7 +72,7 @@ SCAN_VALUES = Schema("ScanGolden", [
 ])
 
 #: The block-scan golden: an aggregate (keys skipped, two int captures)
-#: and a map (keys decoded, one string capture).
+#: and a map (keys decoded, one string capture) ...
 SCAN_SHAPES = {
     "aggregate": BatchStageSpec(
         kind="aggregate", predicates=[(col("a") > 1).to_symbolic()],
@@ -77,6 +81,21 @@ SCAN_SHAPES = {
         kind="map", project_columns=["name"],
         out_value_schema=SCAN_VALUES.project(["name"])),
 }
+#: ... and the record path's: every value field captured, keys decoded,
+#: over a record file and over a delta file delta-coding both ints.
+SPLIT_SHAPES = {
+    "record_path": (RecordFileWriter, RecordFileReader, ()),
+    "record_path_delta": (DeltaFileWriter, DeltaFileReader, (["a", "b"],)),
+}
+
+
+def _split_scanner_source(root, name):
+    writer, reader_class, extras = SPLIT_SHAPES[name]
+    path = os.path.join(root, f"{name}.bin")
+    with writer(path, LONG_SCHEMA, SCAN_VALUES, *extras):
+        pass
+    with reader_class(path) as reader:
+        return split_scanner(reader).source
 
 
 def _stage_texts(plan):
@@ -181,8 +200,10 @@ def snapshot(root):
         "frozen_exprs": [json.dumps(e.to_dict()) for e in FROZEN_EXPRS],
         "frozen_sources": [expr.to_source("value") for expr in FROZEN_EXPRS],
         "scanners": {
-            name: build_scan_plan(LONG_SCHEMA, SCAN_VALUES, spec).scanner.source
-            for name, spec in SCAN_SHAPES.items()
+            **{name: build_scan_plan(LONG_SCHEMA, SCAN_VALUES, spec)
+               .scanner.source for name, spec in SCAN_SHAPES.items()},
+            **{name: _split_scanner_source(root, name)
+               for name in SPLIT_SHAPES},
         },
     }
 

@@ -13,11 +13,21 @@ a string nobody captures are never UTF-8 decoded, so damage confined to
 them passes a projecting scan; there the oracle is the same contract
 spelled with the record path's lazy decoder (``_projecting``).
 
+The same scanner serves the record path (``split_scanner``): the split
+readers of record, delta and dictionary files and of partitions, opened
+through ``InputSource.open``, are held to the per-record reader they
+replaced over the same seeded damage (``_check_split``) -- including
+deltas of every varint width and both signs, a running sum leaving
+int64, empty blocks, a lying ``n_records`` and a value schema without
+fields.
+
 Also here: the shape cache (equal shapes share one code object, a
 fresh-literal query compiles nothing) and the never-silently-accept rule.
 """
 
+import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -34,15 +44,35 @@ from repro.exceptions import (
     SerializationError,
     StorageError,
 )
+from repro.mapreduce.formats import (
+    DeltaFileInput,
+    DictionaryFileInput,
+    PartitionedInput,
+    ProjectedFileInput,
+    RecordFileInput,
+)
 from repro.mapreduce.keyspace import estimate_size
-from repro.storage import blockscan, varint
+from repro.storage import blockscan, open_block_file, varint
+from repro.storage.blockscan import split_scanner
+from repro.storage.delta import DeltaFileReader, DeltaFileWriter
+from repro.storage.dictionary import (
+    MAGIC as DICT_MAGIC,
+    DictionaryFileReader,
+    DictionaryFileWriter,
+)
+from repro.storage.partitioned import write_partitioned_dataset
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import (
     LONG_SCHEMA,
     Field,
+    FieldDecodeCounter,
     FieldType,
+    LazyRecord,
+    OpaqueSchema,
     Record,
     Schema,
+    register_opaque_schema,
+    scanned_class,
 )
 
 KEYS = Schema("ScanKey", [
@@ -64,6 +94,8 @@ _MAGNITUDES = [0, 1, 63, 64, 8_191, 8_192, 1_048_575, 1_048_576,
                (1 << 33) - 1, 1 << 34, 1 << 40, (1 << 63) - 1]
 #: empty, 1-byte-prefix and 2-byte-prefix (>= 128 bytes) strings
 _STRINGS = ["", "a", "naïve ü", "x" * 127, "y" * 128, "日本" * 70]
+#: the dictionary footer's trailing pointer
+POINTER = 8
 
 #: (captured value columns, decode_keys)
 CONFIGS = [
@@ -196,8 +228,9 @@ def _check(path, stats, pristine=False):
 
 
 def _data_region(path):
-    with RecordFileReader(path) as reader:
-        return reader._data_start, reader.file_size(), reader.blocks()
+    """(first data byte, end of the blocks, block directory) of any codec."""
+    with open_block_file(path) as reader:
+        return reader._data_start, reader._data_end, reader.blocks()
 
 
 def _read(path):
@@ -210,20 +243,33 @@ def _rewrite(path, data):
         fh.write(data)
 
 
+def _splice(path, at, cut, insert):
+    """Replace ``cut`` bytes at ``at`` by ``insert``; a dictionary file's
+    footer pointer follows its data end, so the damage stays in the
+    blocks."""
+    data = _read(path)
+    data = data[:at] + insert + data[at + cut:]
+    if data[:4] == DICT_MAGIC:
+        pointer = int.from_bytes(data[-POINTER:], "little")
+        data = data[:-POINTER] + (pointer + len(insert) - cut).to_bytes(
+            POINTER, "little")
+    _rewrite(path, data)
+
+
 def _flip(path, rng):
-    start, size, _blocks = _data_region(path)
+    start, end, _blocks = _data_region(path)
     data = bytearray(_read(path))
     for _ in range(rng.choice([1, 1, 1, 2, 3])):
-        data[rng.randrange(start, size)] ^= rng.choice(
+        data[rng.randrange(start, end)] ^= rng.choice(
             [0x80, 0x01, 0x7F, 0xFF, 1 << rng.randrange(8)])
     _rewrite(path, bytes(data))
 
 
 def _flip_framing(path, rng):
     """Flip inside a record's key- or value-length prefix."""
-    _start, _size, blocks = _data_region(path)
+    _start, _end, blocks = _data_region(path)
     block = rng.choice(blocks)
-    with RecordFileReader(path) as reader:
+    with open_block_file(path) as reader:
         [(payload, n_records)] = reader.iter_block_payloads([block])
         _view, spans = reader.block_spans(payload, n_records)
     kpos, kend, vpos, _vend = rng.choice(spans)
@@ -235,29 +281,28 @@ def _flip_framing(path, rng):
 
 
 def _truncate(path, rng):
-    start, size, _blocks = _data_region(path)
-    _rewrite(path, _read(path)[:rng.randrange(start, size)])
+    start, end, _blocks = _data_region(path)
+    at = rng.randrange(start, end)
+    _splice(path, at, end - at, b"")
 
 
 def _lie_about_n_records(path, rng):
-    _start, _size, blocks = _data_region(path)
-    data = _read(path)
+    _start, _end, blocks = _data_region(path)
     block = rng.choice(blocks)
-    raw = data[block.offset:block.offset + block.length]
+    raw = _read(path)[block.offset:block.offset + block.length]
     payload_len, pos = varint.decode_uvarint(raw, 0)
     _n, pos = varint.decode_uvarint(raw, pos)
     lie = rng.choice([0, block.n_records - 1, block.n_records + 1,
                       block.n_records * 2, 1 << 40])
-    _rewrite(path, data[:block.offset] + varint.encode_uvarint(payload_len)
-             + varint.encode_uvarint(lie) + raw[pos:]
-             + data[block.offset + block.length:])
+    _splice(path, block.offset, block.length,
+            varint.encode_uvarint(payload_len) + varint.encode_uvarint(lie)
+            + raw[pos:])
 
 
 def _insert_empty_block(path, rng):
-    _start, size, blocks = _data_region(path)
-    data = _read(path)
-    at = rng.choice([b.offset for b in blocks] + [size])
-    _rewrite(path, data[:at] + b"\x00\x00" + data[at:])
+    _start, end, blocks = _data_region(path)
+    at = rng.choice([b.offset for b in blocks] + [end])
+    _splice(path, at, 0, b"\x00\x00")
 
 
 DAMAGE = {
@@ -337,6 +382,394 @@ class TestDifferentialCorruption:
         assert isinstance(raised.value.__cause__, exc_type)
 
 
+# -- the record path: split readers over every codec --------------------------
+
+#: what the delta files delta-code
+DELTA_FIELDS = ["i", "n"]
+#: delta steps whose zigzag varints take 1, 2, 3, 5, 9 and 10 bytes
+_STEPS = [0, 1, 63, 64, 8_191, 8_192, 1_048_575, 1 << 33, 1 << 62]
+#: delta-field values stay inside +-2**62, so every delta fits int64
+_BOUND = 1 << 62
+#: a value schema with no fields at all
+EMPTY = Schema("NoFields", [])
+
+
+def _walk(rng, value):
+    step = rng.choice(_STEPS) * rng.choice([1, -1])
+    return value + step if abs(value + step) <= _BOUND else value - step
+
+
+def _codec_rows(rng, kind, value_schema, n_rows):
+    rows = [_row(rng, i) for i in range(n_rows)]
+    if value_schema is EMPTY:
+        return [(key, Record(EMPTY, [])) for key, _value in rows]
+    if kind == "delta":
+        i = n = 0
+        walked = []
+        for key, value in rows:
+            i, n = _walk(rng, i), _walk(rng, n)
+            walked.append((key, value.replace(i=i, n=n)))
+        rows = walked
+    return rows
+
+
+def _write_codec(kind, path, rng, value_schema=VALUES, n_rows=40,
+                 block_size=600):
+    """A file (a directory, for partitions) of ``kind``; returns its
+    source and the block files damage may target."""
+    rows = _codec_rows(rng, kind, value_schema, n_rows)
+    if kind == "partitions":
+        info = write_partitioned_dataset(path, KEYS, value_schema, rows, 3,
+                                         block_size=block_size)
+        files = [info.partition_path(p) for p in info.partitions
+                 if p.records]
+        return PartitionedInput(path), files
+    if kind == "record":
+        writer = RecordFileWriter(path, KEYS, value_schema,
+                                  block_size=block_size)
+        source = RecordFileInput
+    elif kind == "delta":
+        deltas = [f for f in DELTA_FIELDS if value_schema.has_field(f)]
+        writer = DeltaFileWriter(path, KEYS, value_schema, deltas,
+                                 block_size=block_size)
+        source = DeltaFileInput
+    else:
+        writer = DictionaryFileWriter(path, KEYS, value_schema, "t",
+                                      block_size=block_size)
+        source = DictionaryFileInput
+    with writer:
+        for key, value in rows:
+            writer.append(key, value)
+    return source(path), [path]
+
+
+def _split_files(source):
+    """(reader class, path, blocks) of every split ``source`` makes."""
+    for split in source.splits(3):
+        if type(source) is PartitionedInput:
+            yield (RecordFileReader, *split.payload)
+        else:
+            yield source.reader_class, source.path, split.payload
+
+
+def _split_reader(source):
+    """What a map task sees: ``InputSource.open`` over every split."""
+    pairs, logical, fields = [], 0, 0
+    for split in source.splits(3):
+        reader = source.open(split)
+        pairs += [(k.as_tuple(), v.as_tuple()) for k, v in reader]
+        logical += reader.logical_bytes
+        fields += reader.fields
+    return "ok", pairs, logical, fields
+
+
+def _record_path_reference(source):
+    """The eager record path as it was: ``iter_records`` over each
+    split's blocks, ``estimate_size`` and the field count per record."""
+    pairs, logical, fields = [], 0, 0
+    for reader_class, path, blocks in _split_files(source):
+        with reader_class(path) as reader:
+            for key, value in reader.iter_records(blocks):
+                logical += estimate_size(key) + estimate_size(value)
+                fields += max(1, len(value.schema.fields))
+                pairs.append((key.as_tuple(), value.as_tuple()))
+    return "ok", pairs, logical, fields
+
+
+def _wire_logical(source):
+    """Logical bytes read off the wire, spelled with ``decode_lazy``:
+    every field its span, a length prefix one byte, and a delta field
+    ``svarint_len`` of its block's running sum."""
+    logical = 0
+    for reader_class, path, blocks in _split_files(source):
+        with reader_class(path) as reader:
+            deltas = set(getattr(reader, "delta_fields", ()))
+            fields = reader.stored_schema.fields
+            for payload, n_records in reader.iter_block_payloads(blocks):
+                view, spans = reader.block_spans(payload, n_records)
+                sums = [0] * len(fields)
+                for kpos, kend, vpos, vend in spans:
+                    value = reader.stored_schema.decode_lazy(view, vpos, vend)
+                    logical += value.estimated_size + reader.key_schema \
+                        .decode_lazy(view, kpos, kend).estimated_size
+                    at = value._offsets
+                    for i, field in enumerate(fields):
+                        if field.name in deltas:
+                            sums[i] += varint.decode_svarint(
+                                view, at[i], at[i + 1])[0]
+                            logical += varint.svarint_len(sums[i]) \
+                                - (at[i + 1] - at[i])
+    return logical
+
+
+def _check_split(source, stats, pristine=False):
+    """The split reader yields what the old record path yielded -- pairs,
+    ``logical_bytes``, ``fields`` -- or raises its exception, type and
+    message.  One carve-out, on damaged files only: logical bytes come
+    from the wire, so an overlong-but-legal varint a flip produced is
+    charged its span (``_wire_logical``), where ``estimate_size`` charges
+    the canonical length."""
+    got = _outcome(_split_reader, source)
+    want = _outcome(_record_path_reference, source)
+    if got[0] == want[0] == "ok" and got[2] != want[2] and not pristine:
+        assert got[2] == _outcome(_wire_logical, source)
+        stats["wire"] += 1
+        want = want[:2] + got[2:3] + want[3:]
+    # repr: NaN doubles (a flipped byte makes them) compare unequal
+    assert repr(got) == repr(want), source.describe()
+    stats[got[1].__name__ if got[0] == "err" else "ok"] += 1
+
+
+CODECS = ["record", "delta", "dictionary", "partitions"]
+
+
+class TestSplitReaderCorruption:
+    @pytest.mark.parametrize("kind", CODECS)
+    @pytest.mark.parametrize("seed", [0x5CA9, 20240926])
+    def test_split_reader_matches_the_record_path_on_damaged_files(
+            self, tmp_path, kind, seed):
+        rng = random.Random(seed)
+        stats = dict.fromkeys(
+            ["ok", "wire", "CorruptFileError", "SerializationError",
+             "UnicodeDecodeError"], 0)
+        path = str(tmp_path / "data")
+        for damage_kind, (damage, rounds) in DAMAGE.items():
+            for _ in range(rounds):
+                source, files = _write_codec(kind, path, rng)
+                _check_split(source, stats, pristine=True)
+                target = rng.choice(files)
+                damage(target, rng)
+                if damage_kind == "empty_block" and rng.random() < 0.5:
+                    _flip(target, rng)
+                _check_split(source, stats)
+        del stats["wire"]  # reached or not, as the flips fall
+        assert all(stats.values()), stats
+
+    @pytest.mark.parametrize("kind", ["record", "delta", "partitions"])
+    def test_a_value_schema_without_fields(self, tmp_path, kind):
+        rng = random.Random(7)
+        stats = Counter()
+        path = str(tmp_path / "data")
+        for damage, _rounds in DAMAGE.values():
+            source, files = _write_codec(kind, path, rng, EMPTY)
+            _check_split(source, stats, pristine=True)
+            damage(rng.choice(files), rng)
+            _check_split(source, stats)
+        source, _files = _write_codec(kind, path, rng, EMPTY)
+        _kind, pairs, logical, fields = _split_reader(source)
+        assert fields == len(pairs) == 40 and logical > 0
+
+    def test_every_delta_width_and_sign_is_accounted(self, tmp_path):
+        # every step width, both signs, several blocks of running sums
+        rows, i = [], 0
+        for step in _STEPS:
+            for sign in (1, -1, -1, 1):
+                i += sign * step
+                rows.append((Record(KEYS, ["k", i]),
+                             Record(VALUES, ["s", i, 0.5, -i, True, b"r",
+                                             "日本" * 22])))
+        path = str(tmp_path / "wide.df")
+        with DeltaFileWriter(path, KEYS, VALUES, DELTA_FIELDS,
+                             block_size=1000) as w:
+            for key, value in rows:
+                w.append(key, value)
+        source = DeltaFileInput(path)
+        assert len(source.splits(1)[0].payload) > 3
+        kind, pairs, logical, fields = _split_reader(source)
+        assert pairs == [(k.as_tuple(), v.as_tuple()) for k, v in rows]
+        assert logical == sum(estimate_size(k) + estimate_size(v)
+                              for k, v in rows)
+        assert fields == len(rows) * len(VALUES.fields)
+
+    def test_a_running_sum_leaving_int64_raises_the_reference_error(
+            self, tmp_path):
+        # the writer checks deltas, not sums: 2**62 + 2**62 is stored
+        path = str(tmp_path / "wide.df")
+        with DeltaFileWriter(path, KEYS, VALUES, DELTA_FIELDS) as w:
+            for i in (1 << 62, 1 << 63):
+                w.append(Record(KEYS, ["k", 0]),
+                         Record(VALUES, ["s", i, 0.5, 0, True, b"", "t"]))
+        source = DeltaFileInput(path)
+        kind, exc_type, message = _outcome(_record_path_reference, source)
+        assert (kind, exc_type) == ("err", SerializationError)
+        assert "exceeds 64-bit signed range" in message
+        assert _outcome(_split_reader, source) == (kind, exc_type, message)
+        # the block decodes whole first: map() never saw its first record
+        reader = source.open(source.splits(1)[0])
+        with pytest.raises(SerializationError):
+            list(reader)
+        assert reader.records == 0
+
+    def test_a_rejected_block_the_reference_accepts_is_an_internal_error(
+            self, tmp_path, monkeypatch):
+        source, _files = _write_codec("delta", str(tmp_path / "f.df"),
+                                      random.Random(1))
+        with DeltaFileReader(source.path) as reader:
+            scanner = split_scanner(reader)
+        monkeypatch.setattr(
+            scanner, "_fn", lambda payload, n, key_schema: None)
+        with pytest.raises(StorageError, match="internal error"):
+            _split_reader(source)
+
+    def test_an_opaque_schema_takes_the_reference_walk(self, tmp_path):
+        path = str(tmp_path / "o.rf")
+        with RecordFileWriter(path, KEYS, OPAQUE) as w:
+            for i in range(30):
+                w.append(Record(KEYS, ["k", i]), Record(OPAQUE, [i, -i]))
+        with RecordFileReader(path) as reader:
+            assert split_scanner(reader) is None
+        source = RecordFileInput(path)
+        got = _split_reader(source)
+        assert got == _record_path_reference(source)
+        assert got[3] == 30 * 2
+
+    @pytest.mark.parametrize("bad", [
+        b"\xff" * 9 + b"\x01",      # ten bytes, 2**64 - 1: legal
+        b"\xff" * 9 + b"\x02",      # bit 64 set
+        b"\x80" * 10 + b"\x00",     # eleven bytes
+    ])
+    def test_ten_byte_varints_and_past_them(self, tmp_path, bad):
+        # long varints decode inline; the scanner gives up exactly where
+        # decode_uvarint raises, and the re-walk raises its error
+        schema = Schema("N", [Field("n", FieldType.LONG)])
+        path = str(tmp_path / "n.rf")
+        with RecordFileWriter(path, LONG_SCHEMA, schema) as w:
+            w.append(LONG_SCHEMA.make(7), schema.make(0))
+        with RecordFileReader(path) as reader:
+            [block] = reader.blocks()
+        payload = b"\x01\x0e" + bytes([len(bad)]) + bad   # key 7: zigzag 14
+        _rewrite(path, _read(path)[:block.offset]
+                 + varint.encode_uvarint(len(payload))
+                 + varint.encode_uvarint(1) + payload)
+        source = RecordFileInput(path)
+        want = _outcome(_record_path_reference, source)
+        assert want[0] == ("ok" if bad[-1] == 1 else "err")
+        assert _outcome(_split_reader, source) == want
+        # ... and passing over it (a batch scan capturing nothing)
+        with RecordFileReader(path) as reader:
+            plan = ScanPlan(LONG_SCHEMA, schema, [], decode_keys=False)
+            passed = _outcome(lambda: ("ok", sum(
+                b.n_rows for b in iter_column_batches(reader, None, plan))))
+        assert passed == (want if want[0] == "err" else ("ok", 1))
+
+
+# -- the projected (lazy) record path -----------------------------------------
+
+
+def _mapped(key, value):
+    """What one map() call reads: the key's ``seq``, ``i`` (twice), ``s``
+    and ``raw`` when ``i`` is odd, and the whole record when ``i`` is a
+    multiple of five."""
+    got = [key.seq, value.i, value.i]
+    if value.i % 2:
+        got += [value.s, value.get("raw")]
+    if value.i % 5 == 0:
+        got.append(value.as_tuple())
+    return tuple(got)
+
+
+def _projected_reader(source):
+    """``InputSource.open`` over every split, read as ``_mapped``."""
+    reads, logical, fields = [], 0, 0
+    for split in source.splits(3):
+        reader = source.open(split)
+        reads += [_mapped(k, v) for k, v in reader]
+        logical += reader.logical_bytes
+        fields += reader.fields_decoded
+    return "ok", reads, logical, fields
+
+
+def _lazy_reference(source):
+    """The projected read as it was: lazy keys and values off
+    ``iter_records``, charged by their boundary scans and decodes."""
+    reads, logical = [], 0
+    counter = FieldDecodeCounter()
+    for reader_class, path, blocks in _split_files(source):
+        with reader_class(path) as reader:
+            for key, value in reader.iter_records(
+                    blocks, lazy_values=True, field_counter=counter,
+                    lazy_keys=True):
+                logical += key.estimated_size + value.estimated_size
+                reads.append(_mapped(key, value))
+    return "ok", reads, logical, counter.count
+
+
+class TestProjectedSplitReader:
+    """A projection input reads through the compiled scanner, charging
+    the fields ``map()`` reads (``ScannedRecord``); a block the scanner
+    cannot prove takes the lazy decode.  Either way a job sees what the
+    per-record lazy reader gave it: the values it reads, the fields it
+    is charged, ``logical_bytes``, or the same exception and message --
+    also where a string nobody reads is not UTF-8, which neither path
+    ever decodes."""
+
+    @pytest.mark.parametrize("seed", [0x5CA9, 20240926])
+    def test_matches_the_lazy_reader_on_damaged_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        stats = Counter()
+        path = str(tmp_path / "p.rf")
+
+        def check(source):
+            got = _outcome(_projected_reader, source)
+            # repr: NaN doubles (a flipped byte makes them) compare unequal
+            assert repr(got) == repr(_outcome(_lazy_reference, source))
+            stats[got[1].__name__ if got[0] == "err" else "ok"] += 1
+
+        for damage_kind, (damage, rounds) in DAMAGE.items():
+            for _ in range(rounds):
+                source = ProjectedFileInput(_write(path, rng))
+                check(source)
+                damage(path, rng)
+                if damage_kind == "empty_block" and rng.random() < 0.5:
+                    _flip(path, rng)
+                check(source)
+        assert {"ok", "CorruptFileError", "SerializationError",
+                "UnicodeDecodeError"} <= set(stats), stats
+
+    def test_scanned_blocks_charge_reads_only(self, tmp_path):
+        source = ProjectedFileInput(_write(tmp_path / "p.rf",
+                                           random.Random(4), n_rows=60))
+        for split in source.splits(1):
+            reader = source.open(split)
+            pairs = list(reader)
+            assert {type(v).__name__ for _k, v in pairs} == {"ScannedRecord"}
+            assert reader.fields_decoded == 0
+            assert [v.i for _k, v in pairs] == [v.i for _k, v in pairs]
+            assert reader.fields_decoded == len(pairs)
+            pairs[0][1].as_tuple()
+            assert reader.fields_decoded == len(pairs) + len(VALUES.fields) - 1
+        assert _projected_reader(source) == _lazy_reference(source)
+
+    def test_a_field_named_like_a_record_attribute_reads_lazily(
+            self, tmp_path):
+        odd = Schema("Odd", [Field("get", FieldType.INT),
+                             Field("i", FieldType.INT)])
+        assert scanned_class(odd) is None
+        path = str(tmp_path / "odd.rf")
+        with RecordFileWriter(path, LONG_SCHEMA, odd) as w:
+            for i in range(20):
+                w.append(LONG_SCHEMA.make(i), odd.make(-i, i))
+        source = ProjectedFileInput(path)
+        reader = source.open(source.splits(1)[0])
+        values = [v for _k, v in reader]
+        assert {type(v) for v in values} == {LazyRecord}
+        assert [v.get("get") for v in values] == [-i for i in range(20)]
+        assert reader.fields_decoded == 20
+
+
+def _pack(record):
+    return json.dumps(record.as_tuple()).encode()
+
+
+def _unpack(schema, raw):
+    return Record(schema, json.loads(raw))
+
+
+OPAQUE = register_opaque_schema(OpaqueSchema(
+    "ScanOpaque", [Field("a", FieldType.INT), Field("b", FieldType.INT)],
+    encoder=_pack, decoder=_unpack))
+
+
 # -- the shape cache -----------------------------------------------------------
 
 
@@ -370,6 +803,28 @@ class TestScannerCache:
             is not base.scanner
         assert ScanPlan(LONG_SCHEMA, VALUES, ["i", "n"], False).scanner \
             is not base.scanner
+
+    def test_every_codec_reads_through_one_scanner_per_shape(self, tmp_path):
+        rng = random.Random(5)
+
+        def scanner(reader_class, path):
+            with reader_class(path) as reader:
+                return split_scanner(reader), reader.stored_schema
+
+        record, _ = _write_codec("record", str(tmp_path / "r.rf"), rng)
+        _parts, files = _write_codec("partitions", str(tmp_path / "p"), rng)
+        delta, _ = _write_codec("delta", str(tmp_path / "d.df"), rng)
+        coded, _ = _write_codec("dictionary", str(tmp_path / "x.dx"), rng)
+        plain, _schema = scanner(RecordFileReader, record.path)
+        assert scanner(RecordFileReader, files[0])[0] is plain
+        assert scanner(DeltaFileReader, delta.path)[0] is not plain
+        # a dictionary file is the identity shape over its stored schema
+        shared, stored = scanner(DictionaryFileReader, coded.path)
+        path = str(tmp_path / "stored.rf")
+        with RecordFileWriter(path, KEYS, stored):
+            pass
+        assert scanner(RecordFileReader, path)[0] is shared
+        assert shared is not plain
 
     def test_a_fresh_literal_compiles_nothing_new(self, tmp_path):
         path = _write(tmp_path / "f.rf", random.Random(4))

@@ -1,11 +1,26 @@
 """Tests for shuffle key normalization, hashing, and sizing."""
 
+import zlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import MapReduceError
-from repro.mapreduce.keyspace import estimate_size, sort_key, stable_hash
-from repro.storage.serialization import Field, FieldType, Schema
+from repro.mapreduce.keyspace import (
+    _canonical_bytes,
+    _estimate_size_slow,
+    estimate_size,
+    sort_key,
+    stable_hash,
+)
+from repro.storage.serialization import (
+    Field,
+    FieldDecodeCounter,
+    FieldType,
+    LazyRecord,
+    Record,
+    Schema,
+)
 
 PT = Schema("Pt", [Field("x", FieldType.INT), Field("y", FieldType.INT)])
 
@@ -74,6 +89,25 @@ class TestStableHash:
         with pytest.raises(MapReduceError):
             stable_hash({"a": 1})
 
+    @pytest.mark.parametrize("text", [
+        "x" * n for n in (0, 1, 127, 128, 16383, 16384)
+    ] + ["naïve", "日本語" * 43, "é" * 64, "\U0001F600" * 4097])
+    def test_str_fast_path_hashes_the_canonical_bytes(self, text):
+        # byte lengths 0, 1, 127, 128, 16383, 16384 straddle the 1-, 2-
+        # and 3-byte uvarint length prefixes; the rest are multi-byte UTF-8
+        out = bytearray()
+        _canonical_bytes(text, out)
+        assert stable_hash(text) == zlib.crc32(bytes(out))
+
+
+def _pre_pr_size(value):
+    """``estimate_size`` of a record as the isinstance chain computes it."""
+    if isinstance(value, Record):
+        return 1 + sum(_pre_pr_size(v) for v in value.as_tuple())
+    if isinstance(value, tuple):
+        return 1 + sum(_pre_pr_size(v) for v in value)
+    return _estimate_size_slow(value)
+
 
 class TestEstimateSize:
     def test_small_ints_small(self):
@@ -89,3 +123,18 @@ class TestEstimateSize:
     @given(KEYS)
     def test_always_positive(self, key):
         assert estimate_size(key) >= 1
+
+    def test_record_fast_path_sizes_whatever_the_record_holds(self):
+        # Record values are not type-checked: a str in an INT field and a
+        # nested tuple are sized by what they are, as before
+        odd = Record(PT, ["not an int", (1, ("a", b"bc"), None, 2.5)])
+        assert estimate_size(odd) == _pre_pr_size(odd) == 1 + 11 + 17
+        assert estimate_size(PT.make(-5, 1 << 40)) == _pre_pr_size(
+            PT.make(-5, 1 << 40))
+
+    def test_a_lazy_record_is_sized_by_materializing_it(self):
+        counter = FieldDecodeCounter()
+        lazy = PT.decode_lazy(PT.encode(PT.make(300, -2)), counter=counter)
+        assert type(lazy) is LazyRecord
+        assert estimate_size(lazy) == estimate_size(PT.make(300, -2))
+        assert counter.count == 2

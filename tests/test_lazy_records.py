@@ -32,7 +32,9 @@ from repro.storage.serialization import (
     LazyRecord,
     OpaqueSchema,
     Record,
+    ScannedRecord,
     Schema,
+    build_records,
 )
 
 UV = Schema(
@@ -184,6 +186,46 @@ class TestFieldDecodeCounting:
         assert lazy.materialized_fields == 1
         lazy.as_tuple()
         assert counter.count == len(UV.fields)
+
+
+#: whole-record and per-field views a job may take of a value
+_VIEWS = (
+    [lambda r, name=f.name: getattr(r, name) for f in UV.fields]
+    + [lambda r, name=f.name: r.get(name) for f in UV.fields]
+    + [lambda r: r.get("nope", 7), lambda r: r.as_tuple(),
+       lambda r: r.to_dict(), lambda r: hash(r), lambda r: repr(r),
+       lambda r: r.replace(revenue=1), lambda r: estimate_size(r),
+       lambda r: stable_hash(r), lambda r: sort_key(r),
+       lambda r: type(pickle.loads(pickle.dumps(r))).__name__,
+       lambda r: r == UV.make("a", 1, 2, 3.0, True, b"xy")]
+)
+
+
+class TestScannedRecordCharges:
+    """A projected scan's :class:`ScannedRecord` holds values a block scan
+    decoded, but charges and answers every view exactly as the
+    :class:`LazyRecord` the lazy decode would have built."""
+
+    @given(uv_values, st.lists(st.integers(0, len(_VIEWS) - 1), max_size=12))
+    def test_charges_like_its_lazy_twin(self, values, views):
+        raw = UV.encode(UV.make(*values))
+        lazy_counter, scanned_counter = FieldDecodeCounter(), FieldDecodeCounter()
+        lazy = UV.decode_lazy(raw, counter=lazy_counter)
+        [scanned] = build_records(UV, [UV.decode(raw).as_tuple()],
+                                  scanned_counter)
+        assert isinstance(scanned, ScannedRecord)
+        for view in views:
+            assert repr(_VIEWS[view](scanned)) == repr(_VIEWS[view](lazy))
+            assert scanned_counter.count == lazy_counter.count
+
+    def test_a_read_field_is_a_slot_read(self):
+        counter = FieldDecodeCounter()
+        [scanned] = build_records(UV, [("a", 1, 2, 3.0, True, b"xy")], counter)
+        assert scanned.ip == scanned.ip == scanned.get("ip") == "a"
+        assert counter.count == 1
+        assert type(scanned).ip.__get__(scanned) == "a"
+        with pytest.raises(SerializationError):
+            scanned.ip = "mutate"
 
 
 def _write_uservisits_like(path, n=60):
