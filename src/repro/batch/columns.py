@@ -1,14 +1,13 @@
 """Columnar batches decoded block-at-a-time from record files.
 
-The record path hands every map invocation a decoded (or lazily
-decoding) :class:`~repro.storage.serialization.Record`.  The batch path
-instead scans each storage block once and lands the *needed* value
-fields in per-column Python lists -- the fields a stage's predicates and
-projection actually touch, per its
-:class:`~repro.batch.spec.BatchStageSpec`.  Unneeded fields are
-boundary-skipped (continuation bits and length prefixes only), the same
-trick :meth:`Schema.decode_lazy` plays per record, but without per-record
-``LazyRecord`` allocation: one scan, one batch of flat lists per block.
+The record path hands every map invocation a
+:class:`~repro.storage.serialization.Record` with every stored field
+decoded.  The batch path instead scans each storage block once and lands
+the *needed* value fields in per-column Python lists -- the fields a
+stage's predicates and projection actually touch, per its
+:class:`~repro.batch.spec.BatchStageSpec`.  Unneeded fields are passed
+over (continuation bits and length prefixes only) and no record is
+built: one scan, one batch of flat lists per block.
 
 This module owns *what* to capture (:class:`ScanPlan`); the scan itself
 is storage's: :mod:`repro.storage.blockscan` generates and compiles one
@@ -96,8 +95,7 @@ def build_scan_plan(key_schema: Schema, value_schema: Schema,
             return None
         capture = needed
     # Aggregate stages never emit their input key, so its fields are
-    # boundary-skipped (the lazy-keys record path never decodes them
-    # either); map/join stages emit the key and decode it.
+    # passed over; map/join stages emit the key and decode it.
     return ScanPlan(key_schema, value_schema, capture,
                     decode_keys=spec.kind != "aggregate")
 

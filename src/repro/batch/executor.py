@@ -258,10 +258,9 @@ class StageScan:
         metrics.map_input_records += n_rows
         metrics.map_input_stored_bytes += stored_bytes
         metrics.map_input_logical_bytes += logical_bytes
-        # Honest decode accounting: the batch scan materializes exactly
-        # the captured columns, once per row (the record path charges
-        # whatever its eager/lazy reader did -- compare trends, not
-        # absolutes).
+        # Decode accounting: the batch scan decodes exactly the captured
+        # columns, once per row -- the record path's rule too (stored
+        # width x records), over the columns it captures: all of them.
         metrics.fields_deserialized += self.plan.n_slots * n_rows
         metrics.batch_map_tasks += 1
         _finish_map_task(self.conf, out, self.emitted)

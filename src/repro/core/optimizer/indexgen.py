@@ -132,36 +132,46 @@ class IndexGenerationProgram:
         The entry is stamped with the source's identity as it was
         *before* the build read it, and the source is checked again
         afterwards: an index over bytes that moved mid-build would be
-        born stale, so its file is deleted and nothing is registered.
+        born stale.  A build that fails -- on a source that moved, a
+        damaged source, any exception -- deletes its file and registers
+        nothing, so the catalog's registry and its directory still agree.
         """
         stamp = input_identity(self.source_path)
-        if self.kind in (cat.KIND_SELECTION, cat.KIND_SELECTION_PROJECTION):
-            # The selection builder's reducer bulk-loads the B+Tree and
-            # reports stats through in-process instance state, so this
-            # infrastructure job must not fan out to worker processes.
-            # Only a multi-process runner is downgraded; any other
-            # caller-supplied runner (instrumented wrappers etc.) is
-            # honored as before.
-            from repro.mapreduce.parallel import ParallelJobRunner
-
-            if runner is None or isinstance(runner, ParallelJobRunner):
-                runner = LocalJobRunner()
-            entry = self._build_selection(catalog, runner)
-        elif self.kind in _REWRITE_SUFFIX:
-            entry = self._build_rewrite(catalog)
-        else:
+        selection = self.kind in (cat.KIND_SELECTION,
+                                  cat.KIND_SELECTION_PROJECTION)
+        if not selection and self.kind not in _REWRITE_SUFFIX:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
-        if input_identity(self.source_path) != stamp:
-            os.remove(entry.index_path)
-            raise OptimizerError(
-                f"source changed during index build: {self.source_path}"
-            )
+        index_path = catalog.next_index_path(self.kind) + (
+            ".btree" if selection else _REWRITE_SUFFIX[self.kind])
+        try:
+            if selection:
+                entry = self._build_selection(catalog, runner, index_path)
+            else:
+                entry = self._build_rewrite(catalog, index_path)
+            if input_identity(self.source_path) != stamp:
+                raise OptimizerError(
+                    f"source changed during index build: {self.source_path}"
+                )
+        except BaseException:
+            if os.path.exists(index_path):
+                os.remove(index_path)
+            raise
         entry.source_identity = list(stamp)
         catalog.register(entry)
         return entry
 
     def _build_selection(self, catalog: Catalog,
-                         runner: LocalJobRunner) -> IndexEntry:
+                         runner: Optional[LocalJobRunner],
+                         index_path: str) -> IndexEntry:
+        # The selection builder's reducer bulk-loads the B+Tree and
+        # reports stats through in-process instance state, so this
+        # infrastructure job must not fan out to worker processes.  Only
+        # a multi-process runner is downgraded; any other caller-supplied
+        # runner (instrumented wrappers etc.) is honored as before.
+        from repro.mapreduce.parallel import ParallelJobRunner
+
+        if runner is None or isinstance(runner, ParallelJobRunner):
+            runner = LocalJobRunner()
         if not self.key_field:
             raise OptimizerError("selection index needs a key_field")
         with RecordFileReader(self.source_path) as reader:
@@ -183,8 +193,6 @@ class IndexGenerationProgram:
         else:
             stored_schema = value_schema
         field_type = value_schema.field(self.key_field).ftype
-
-        index_path = catalog.next_index_path(self.kind) + ".btree"
         metadata = {
             "key_schema": key_schema.to_dict(),
             "value_schema": stored_schema.to_dict(),
@@ -228,7 +236,7 @@ class IndexGenerationProgram:
             },
         )
 
-    def _build_rewrite(self, catalog: Catalog) -> IndexEntry:
+    def _build_rewrite(self, catalog: Catalog, index_path: str) -> IndexEntry:
         """Projection, delta, dictionary and projection+delta builds: one
         streaming copy of the source through a block-file writer, differing
         in which fields are kept and which value codec the writer applies.
@@ -263,9 +271,6 @@ class IndexGenerationProgram:
                     raise OptimizerError("dictionary index needs dict_field")
                 writer_class, codec_args = DictionaryFileWriter, (self.dict_field,)
 
-            index_path = (
-                catalog.next_index_path(self.kind) + _REWRITE_SUFFIX[self.kind]
-            )
             with writer_class(index_path, key_schema, stored, *codec_args,
                               metadata=metadata) as writer:
                 records = copy_records(

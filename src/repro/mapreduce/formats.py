@@ -18,18 +18,15 @@ B+Tree input has a scan of its own.
 And one scan: every block is decoded whole by the compiled scanner of
 its file's shape (:func:`~repro.storage.blockscan.split_scanner`) --
 record, projection, delta and dictionary files and partitions alike --
-and charged its logical bytes (read off the wire) once.  An eager read
-charges every stored field; a projection's values
-(:class:`~repro.storage.serialization.ScannedRecord`) charge the fields
-the job reads.  A block decodes whole before its first record reaches
-``map()``, so a damaged block fails before ``map()`` sees any of its
-records: a block the scanner cannot prove is re-walked by the
-container's reference decode
-(:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`, sized
-with ``estimate_size``), and that walk's exception is raised.  The same
-walk is the whole scan of an opaque schema.  A projection's unprovable
-block takes the lazy decode instead, which fails only where the job's
-reads say it must.
+charged its logical bytes (read off the wire) once, and charged every
+stored field of every record.  Its values are slotted records with
+every field filled (:func:`~repro.storage.serialization.build_records`).
+A block decodes whole before its first record reaches ``map()``, so a
+damaged block fails before ``map()`` sees any of its records: a block
+the scanner cannot prove is re-walked by the container's reference
+decode (:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`,
+sized with ``estimate_size``), and that walk's exception is raised.  The
+same walk is the whole scan of an opaque schema.
 
 Every split reader keeps byte/record accounting that the runtime folds
 into :class:`~repro.mapreduce.metrics.JobMetrics`:
@@ -45,14 +42,13 @@ into :class:`~repro.mapreduce.metrics.JobMetrics`:
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import CorruptFileError, JobConfigError
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader, BlockInfo
-from repro.storage.blockscan import Scanned, split_scanner
+from repro.storage.blockscan import split_scanner
 from repro.storage.btree import BTree
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
@@ -62,13 +58,7 @@ from repro.storage.partitioned import (
     read_partitioned_info,
 )
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import (
-    FieldDecodeCounter,
-    Record,
-    Schema,
-    build_records,
-    scanned_class,
-)
+from repro.storage.serialization import Record, Schema, build_records
 
 
 class InputSplit:
@@ -85,8 +75,7 @@ class SplitReader:
     """Iterator over one split's (key, value) pairs, with accounting."""
 
     def __init__(self, pairs: Iterator[Tuple[Any, Any]],
-                 finalize: Optional[Callable[["SplitReader"], None]] = None,
-                 field_counter: Optional[FieldDecodeCounter] = None):
+                 finalize: Optional[Callable[["SplitReader"], None]] = None):
         self._pairs = pairs
         self._finalize = finalize
         self.stored_bytes = 0
@@ -94,18 +83,6 @@ class SplitReader:
         self.fields = 0
         self.records = 0
         self.skipped = 0
-        #: live materialization tally on lazy-decoding inputs; the runtime
-        #: reads it *after* the whole map task (not at end-of-iteration),
-        #: so fields a task materializes downstream of the scan -- size
-        #: accounting of emitted records, the combiner -- still count
-        self.field_counter = field_counter
-
-    @property
-    def fields_decoded(self) -> int:
-        """Total value-field decode work charged to this split so far."""
-        if self.field_counter is not None:
-            return self.fields + self.field_counter.count
-        return self.fields
 
     def __iter__(self) -> Iterator[Tuple[Any, Any]]:
         # The finalizer closes the input file and harvests its byte
@@ -168,72 +145,37 @@ def _reference_block(reader: BlockFileReader, payload: bytes, n_records: int
 
 
 def _open_blocks(reader_class: Type[BlockFileReader], path: str,
-                 blocks: List[BlockInfo], lazy_values: bool) -> SplitReader:
+                 blocks: List[BlockInfo]) -> SplitReader:
     """A split reader over ``blocks`` of the block file at ``path``.
 
-    Every block decodes whole before its first record is yielded.
-    Eager scans charge every value field of every record; lazy ones
-    (identity-codec files with a transparent value schema) charge the
-    fields the job reads only.
+    Every block decodes whole before its first record is yielded, and
+    every value field of every record is charged.
     """
     reader = reader_class(path)
     scanner = split_scanner(reader)
     schema = reader.stored_schema
-    lazy = lazy_values and reader.value_schema.transparent
-    counter = FieldDecodeCounter() if lazy else None
+    width = max(1, len(schema.fields))
 
     def finalize(sr_: SplitReader) -> None:
         sr_.stored_bytes += reader.bytes_read
         reader.close()
 
-    def scanned(out: Scanned, n_records: int) -> Iterator[Tuple[Any, Any]]:
-        # the scanner's block figure is the logical-bytes charge
-        columns, keys, logical = out
-        sr.logical_bytes += logical
-        rows = list(zip(*columns)) if columns else [()] * n_records
-        return zip(keys, build_records(schema, rows, counter))
-
-    if lazy:
-        if scanned_class(schema) is None:
-            scanner = None
-        lazy_keys = reader.key_schema.transparent
-        # estimated_size comes from the boundary scan and is
-        # byte-identical to estimate_size(record) -- charging logical
-        # bytes must not force a decode.
-        key_size = attrgetter("estimated_size") if lazy_keys else estimate_size
-
-        def generate() -> Iterator[Tuple[Any, Any]]:
-            # A block the scanner cannot prove (a string nobody may read
-            # that is not UTF-8, say) takes the lazy decode, which fails
-            # -- or not -- exactly where the job's reads say it must.
-            for payload, n_records in reader.iter_block_payloads(blocks):
-                out = scanner and scanner.prove(reader, payload, n_records)
-                if out is not None:
-                    yield from scanned(out, n_records)
-                    continue
-                pairs = list(reader.decode_block(
-                    payload, n_records, lazy_values=True,
-                    field_counter=counter, lazy_keys=lazy_keys))
-                for key, value in pairs:
-                    sr.logical_bytes += key_size(key) + value.estimated_size
-                yield from pairs
-    else:
-        width = max(1, len(schema.fields))
-
-        def generate() -> Iterator[Tuple[Any, Any]]:
-            for payload, n_records in reader.iter_block_payloads(blocks):
-                if scanner is not None:
-                    out = scanner.scan(reader, payload, n_records,
-                                       rewalk=_reference_block)
-                    sr.fields += n_records * width
-                    yield from scanned(out, n_records)
-                    continue
-                pairs, logical = _reference_block(reader, payload, n_records)
+    def generate() -> Iterator[Tuple[Any, Any]]:
+        for payload, n_records in reader.iter_block_payloads(blocks):
+            if scanner is not None:
+                # the scanner's block figure is the logical-bytes charge
+                columns, keys, logical = scanner.scan(
+                    reader, payload, n_records, rewalk=_reference_block)
                 sr.logical_bytes += logical
-                sr.fields += sum(_record_fields(value) for _key, value in pairs)
-                yield from pairs
+                sr.fields += n_records * width
+                yield from zip(keys, build_records(schema, columns, n_records))
+                continue
+            pairs, logical = _reference_block(reader, payload, n_records)
+            sr.logical_bytes += logical
+            sr.fields += sum(_record_fields(value) for _key, value in pairs)
+            yield from pairs
 
-    sr = SplitReader(generate(), finalize, field_counter=counter)
+    sr = SplitReader(generate(), finalize)
     return sr
 
 
@@ -247,9 +189,6 @@ class BlockFileInput(InputSource):
     reader_class: Type[BlockFileReader]
     #: What ``describe()`` calls this kind of scan.
     label: str
-    #: Decode value fields lazily (on first attribute access) and charge
-    #: ``fields_deserialized`` for materializations only.
-    lazy_values = False
 
     def __init__(self, path: str, tag: Optional[str] = None):
         super().__init__(tag)
@@ -262,8 +201,7 @@ class BlockFileInput(InputSource):
         ]
 
     def open(self, split: InputSplit) -> SplitReader:
-        return _open_blocks(self.reader_class, self.path, split.payload,
-                            self.lazy_values)
+        return _open_blocks(self.reader_class, self.path, split.payload)
 
     def describe(self) -> str:
         return f"{self.label}({self.path})"
@@ -272,10 +210,9 @@ class BlockFileInput(InputSource):
 class RecordFileInput(BlockFileInput):
     """Standard MapReduce input: scan a whole record file.
 
-    Values decode eagerly, modeling stock MapReduce deserialization (the
-    paper's Section 2.2 baseline: every serialized field is built whether
-    or not ``map()`` reads it).  Subclasses serving analyzer-proved access
-    patterns flip :attr:`lazy_values` to decode on demand instead.
+    Every stored field is decoded and charged, modeling stock MapReduce
+    deserialization (the paper's Section 2.2 baseline: every serialized
+    field is built whether or not ``map()`` reads it).
     """
 
     reader_class = RecordFileReader
@@ -283,17 +220,14 @@ class RecordFileInput(BlockFileInput):
 
 
 class ProjectedFileInput(RecordFileInput):
-    """Projection-index input: smaller file, and lazy field decoding.
+    """Projection-index input: a record file that stores only the
+    analyzer-proved fields.
 
-    The stored savings come from the file keeping only analyzer-proved
-    fields; on top of that, values decode lazily, so a record that fails
-    the mapper's filter before touching its remaining fields never pays
-    their deserialization.  ``fields_deserialized`` therefore reports the
-    fields the map phase *materialized*, not the fields the file stores --
-    the paper's Figure 6 savings measured in decode work, not just bytes.
+    The savings are the paper's: fewer stored bytes, and fewer fields to
+    decode -- ``fields_deserialized`` charges the kept fields of every
+    record, where a scan of the source charges all of them.
     """
 
-    lazy_values = True
     label = "projected-scan"
 
 
@@ -388,7 +322,7 @@ class PartitionedInput(InputSource):
 
     def open(self, split: InputSplit) -> SplitReader:
         path, blocks = split.payload
-        return _open_blocks(RecordFileReader, path, blocks, lazy_values=False)
+        return _open_blocks(RecordFileReader, path, blocks)
 
     def describe(self) -> str:
         scanned, pruned = self.partition_counts()

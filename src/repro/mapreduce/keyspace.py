@@ -183,7 +183,10 @@ def _estimate_size_slow(value: Any) -> int:
     if isinstance(value, tuple):
         return 1 + sum(estimate_size(v) for v in value)
     if isinstance(value, Record):
-        return 1 + sum(estimate_size(v) for v in value.as_tuple())
+        # a Record subclass -- a block scan's slotted records: size it,
+        # and every later one of its type, through the Record fast path
+        handler = _SIZE_DISPATCH[type(value)] = _SIZE_DISPATCH[Record]
+        return handler(value)
     raise MapReduceError(
         f"cannot estimate size of value type {type(value).__name__}"
     )
@@ -198,7 +201,5 @@ _SIZE_DISPATCH = {
     bytes: lambda v: len(v) + 1,
     bytearray: lambda v: len(v) + 1,
     tuple: lambda v: 1 + sum(map(estimate_size, v)),
-    # exact type only: a LazyRecord takes the slow path, which
-    # materializes (and so counts) every field it sizes
     Record: lambda v: 1 + sum(map(estimate_size, v.as_tuple())),
 }

@@ -183,14 +183,10 @@ def _run_record_map_task(
     metrics.map_input_records += reader.records
     metrics.map_input_stored_bytes += reader.stored_bytes
     metrics.map_input_logical_bytes += reader.logical_bytes
+    metrics.fields_deserialized += reader.fields
     metrics.records_skipped += reader.skipped
     counters.merge(ctx.counters)
     _finish_map_task(conf, out, ctx.emitted)
-    # Harvested last: on lazy-decoding inputs the size accounting and
-    # combiner in the shared tail may materialize further fields of
-    # emitted records, and that decode work must be charged to this
-    # task, not lost.
-    metrics.fields_deserialized += reader.fields_decoded
     return out
 
 

@@ -89,8 +89,8 @@ def _encode(value: Any, out: bytearray,
         out += _U32.pack(len(value))
         out += bytes(value)
     elif isinstance(value, Record):
-        # LazyRecord materializes through as_tuple(); both kinds of
-        # record with equal schema + values encode identically.
+        # a block scan's slotted records encode like plain ones: schema
+        # and values, through as_tuple()
         key = _schema_key(value.schema)
         idx = schema_index.get(key)
         if idx is None:

@@ -8,9 +8,10 @@ physical index formats Manimal's optimizer materializes:
   one writer for every record-shaped format, parameterized by a value codec
 * :mod:`repro.storage.recordfile` -- record files (identity codec)
 * :mod:`repro.storage.blockscan` -- compiled block scans: one generated
-  decoder per scan shape, for the batch path's column captures and every
-  codec's record-path scan; a block it cannot prove is re-walked by the
-  container's one reference decode (``BlockFileReader.decode_block``)
+  decoder per scan shape, for the batch path's column captures, index
+  builds' copies and every codec's record-path scan -- the only way
+  record data leaves a block file; a block it cannot prove is re-walked
+  by the container's one reference decode (``BlockFileReader.decode_block``)
 * :mod:`repro.storage.delta` -- delta files (per-block running deltas)
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation
@@ -43,10 +44,8 @@ from repro.storage.serialization import (
     Field,
     FieldDecodeCounter,
     FieldType,
-    LazyRecord,
     OpaqueSchema,
     Record,
-    ScannedRecord,
     Schema,
     primitive_schema,
 )
@@ -77,14 +76,13 @@ __all__ = [
     "DictionaryFileReader",
     "DictionaryFileWriter",
     "Field",
+    # exported only for the frozen benchmark suite's storage probe
     "FieldDecodeCounter",
     "FieldType",
-    "LazyRecord",
     "OpaqueSchema",
     "Record",
     "RecordFileReader",
     "RecordFileWriter",
-    "ScannedRecord",
     "Schema",
     "InputIdentity",
     "INT_SCHEMA",

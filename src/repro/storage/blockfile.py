@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import CorruptFileError, SchemaError, SerializationError
 from repro.storage import varint
-from repro.storage.serialization import FieldDecodeCounter, Record, Schema
+from repro.storage.serialization import Record, Schema
 
 DEFAULT_BLOCK_SIZE = 64 * 1024
 
@@ -230,20 +230,10 @@ class BlockFileReader:
     def _bind_header(self, header: Dict[str, Any]) -> None:
         """Read the format's header extras and locate its footer."""
 
-    def _value_decoder(
-        self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
-    ) -> ValueDecoder:
-        """The codec's read half, for one block.
-
-        The default is the identity codec: values are the value schema's
-        plain encoding, so they can also decode lazily.
-        """
-        schema = self.value_schema
-        if lazy_values and schema.transparent:
-            decode_lazy = schema.decode_lazy
-            return lambda buf, start, end: decode_lazy(buf, start, end,
-                                                       field_counter)
-        return schema.decode
+    def _value_decoder(self) -> ValueDecoder:
+        """The codec's read half, for one block: by default the identity
+        codec, values being the value schema's plain encoding."""
+        return self.value_schema.decode
 
     def _read_uvarint_from_file(self) -> Tuple[int, int]:
         """Read one uvarint directly from the file; return (value, n_bytes)."""
@@ -371,49 +361,31 @@ class BlockFileReader:
         self,
         blocks: Optional[List[BlockInfo]] = None,
         lazy_values: bool = False,
-        field_counter: Optional[FieldDecodeCounter] = None,
+        field_counter: Any = None,
         lazy_keys: bool = False,
     ) -> Iterator[Tuple[Record, Record]]:
-        """Yield decoded (key, value) record pairs.
+        """Yield decoded (key, value) record pairs, block by block.
 
-        With ``lazy_values=True``, a transparent value schema and a codec
-        that can defer (the identity codec; delta and dictionary values
-        always decode eagerly), values come back as
-        :class:`~repro.storage.serialization.LazyRecord` -- field
-        boundaries scanned, nothing materialized -- and ``field_counter``
-        tallies the value fields the consumer actually decodes.
-        ``lazy_keys=True`` does the same for keys (without the counter:
-        the ``fields_deserialized`` metric has always charged value
-        fields only); mappers that ignore their input key then never pay
-        its decode.  Both paths decode straight out of the shared block
-        buffer.
+        ``lazy_values``, ``field_counter`` and ``lazy_keys`` are accepted
+        and ignored: the frozen benchmark suite's storage probe still
+        passes them, and they are deleted together with that probe.
         """
         for payload, n_records in self.iter_block_payloads(blocks):
-            yield from self.decode_block(payload, n_records, lazy_values,
-                                         field_counter, lazy_keys)
+            yield from self.decode_block(payload, n_records)
 
     def decode_block(
-        self,
-        payload: bytes,
-        n_records: int,
-        lazy_values: bool = False,
-        field_counter: Optional[FieldDecodeCounter] = None,
-        lazy_keys: bool = False,
+        self, payload: bytes, n_records: int
     ) -> Iterator[Tuple[Record, Record]]:
         """Yield one block's decoded (key, value) pairs.
 
-        The container's one per-block decode (options as
-        :meth:`iter_records`): the whole block is framed first
-        (:meth:`block_spans`), then each key decodes with the key schema
-        and each value with a fresh codec decoder -- a block's codec
-        state (a delta file's running sums) starts over with the block.
+        The container's one interpreted reference decode: the whole block
+        is framed first (:meth:`block_spans`), then each key decodes with
+        the key schema and each value with a fresh codec decoder -- a
+        block's codec state (a delta file's running sums) starts over
+        with the block.
         """
-        key_schema = self.key_schema
-        if lazy_keys and key_schema.transparent:
-            key_decode = key_schema.decode_lazy
-        else:
-            key_decode = key_schema.decode
-        value_decode = self._value_decoder(lazy_values, field_counter)
+        key_decode = self.key_schema.decode
+        value_decode = self._value_decoder()
         view, spans = self.block_spans(payload, n_records)
         for kpos, kend, vpos, vend in spans:
             yield key_decode(view, kpos, kend), value_decode(view, vpos, vend)

@@ -11,16 +11,20 @@ for the life of the process.  Per field there is one emitted step; a
 varint of any length is decoded or passed over inline (1 to 3 bytes
 without a loop), a length prefix of three bytes or more goes to
 :mod:`~repro.storage.varint` with the record's end; an unneeded field is
-a continuation-bit test; keys are built a block at a time
+a continuation-bit test; keys are built a block at a time, every field
+slot filled from its column
 (:func:`~repro.storage.serialization.build_records`); and the block's
 ``estimate_size``-equivalent is arithmetic on the wire (every field's
 estimate is its span, except that a length prefix always counts one byte
 -- so it is the payload length minus the excess bytes of multi-byte
 prefixes, counted only on those branches).
 
-Two scans share the shapes.  The batch executor's
+Three scans share the shapes.  The batch executor's
 (:func:`block_scanner`) captures the columns a stage needs from an
-identity-codec file.  The record path's (:func:`split_scanner`) captures
+identity-codec file; an index build's copy
+(:func:`~repro.storage.columnfile.copy_records`) captures the fields it
+writes, through the same function.  The record path's
+(:func:`split_scanner`) captures
 every stored value field and decodes keys, for every block-file codec: a
 record file, projection file or partition is the identity shape, a
 dictionary file the identity shape over its stored schema, and a delta
@@ -38,11 +42,11 @@ one reference decode --
 :meth:`~repro.storage.blockfile.BlockFileReader.decode_block`, which the
 record path sizes with ``estimate_size`` -- and *that* walk's exception
 is the one raised; a re-walk that succeeds is an internal error.  (The
-one asymmetry is inherited from every projecting reader, ``decode_lazy``
-included: a field nobody captures is never UTF-8 decoded.  And logical
-bytes come from the wire: an overlong-but-legal varint, which no writer
-produces, is charged its span where ``estimate_size`` charges the
-canonical length.)
+one asymmetry belongs to scans that capture a subset, the batch path's
+and an index build's copy: a string field nobody captures is never
+UTF-8 decoded.  And logical bytes come from the wire: an
+overlong-but-legal varint, which no writer produces, is charged its span
+where ``estimate_size`` charges the canonical length.)
 
 Source is registered in :mod:`linecache` under a content-hashed filename,
 like the predicate kernels, so tracebacks through it stay readable.
@@ -216,8 +220,7 @@ def scanner_source(shape: Shape) -> str:
     keys = "None"
     if decode_keys:
         key_columns = ", ".join(f"k{i}" for i in range(len(key_kinds)))
-        rows = f"list(zip({key_columns}))" if key_kinds else "[()] * n_records"
-        keys = f"_build_records(key_schema, {rows})"
+        keys = f"_build_records(key_schema, [{key_columns}], n_records)"
     lines = ["def _scan(payload, n_records, key_schema):",
              "    end = len(payload)",
              "    p = x = 0"]
@@ -248,15 +251,6 @@ class BlockScanner:
         self.source = source
         self._fn: Callable = namespace["_scan"]
 
-    def prove(self, reader: BlockFileReader, payload: bytes, n_records: int
-              ) -> Optional[Scanned]:
-        """What :meth:`scan` returns, or ``None`` for a block the
-        compiled loop cannot prove well-formed."""
-        try:
-            return self._fn(payload, n_records, reader.key_schema)
-        except Exception:
-            return None
-
     def scan(self, reader: BlockFileReader, payload: bytes, n_records: int,
              rewalk: Optional[Callable[..., object]] = None) -> Scanned:
         """``(columns by slot, key records or None, logical bytes)``.
@@ -267,7 +261,10 @@ class BlockScanner:
         ``rewalk(reader, payload, n_records)``, by default the
         container's :meth:`~repro.storage.blockfile.BlockFileReader.decode_block`.
         """
-        out = self.prove(reader, payload, n_records)
+        try:
+            out = self._fn(payload, n_records, reader.key_schema)
+        except Exception:
+            out = None
         if out is None:
             if rewalk is None:
                 for _pair in reader.decode_block(payload, n_records):

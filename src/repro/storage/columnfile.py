@@ -18,8 +18,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import SchemaError
 from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileWriter
+from repro.storage.blockscan import block_scanner
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import Record, Schema
+from repro.storage.serialization import Record, Schema, build_records
 
 #: Metadata keys written into projected-file headers.
 META_KIND = "kind"
@@ -38,15 +39,26 @@ def copy_records(reader: RecordFileReader, writer: BlockFileWriter,
     """Stream every record of ``reader`` into ``writer``; return the count.
 
     Every rewrite-style index build is this loop with a different writer.
-    With ``projected``, values are narrowed on the way through and the
-    source decodes lazily: only the kept fields materialize (via
-    project_record's attribute reads); dropped fields -- often the huge
-    ones, which is why they are being projected away -- are never
-    deserialized at all.
+    Blocks are read through the compiled scanner of a shape that captures
+    only the fields being written -- ``projected``'s, when values are
+    narrowed on the way through -- so a dropped field (often a huge one,
+    which is why it is being projected away) is passed over, never
+    deserialized.  An opaque schema's blocks take the reference decode.
     """
-    narrow = projected is not None
-    for key, value in reader.iter_records(lazy_values=narrow):
-        writer.append(key, project_record(value, projected) if narrow else value)
+    schema = reader.value_schema if projected is None else projected
+    if not (reader.key_schema.transparent and reader.value_schema.transparent):
+        for key, value in reader.iter_records():
+            writer.append(key, value)
+        return writer.records_written
+    scanner = block_scanner(
+        reader.key_schema, reader.value_schema,
+        {name: i for i, name in enumerate(schema.field_names())},
+        decode_keys=True)
+    append = writer.append
+    for payload, n_records in reader.iter_block_payloads():
+        columns, keys, _logical = scanner.scan(reader, payload, n_records)
+        for key, value in zip(keys, build_records(schema, columns, n_records)):
+            append(key, value)
     return writer.records_written
 
 

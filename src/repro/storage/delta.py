@@ -31,7 +31,6 @@ from repro.storage.blockfile import (
     ValueDecoder,
 )
 from repro.storage.serialization import (
-    FieldDecodeCounter,
     Record,
     Schema,
     _decode_value,
@@ -115,9 +114,7 @@ class DeltaFileReader(BlockFileReader):
     def _bind_header(self, header: Dict[str, Any]) -> None:
         self.delta_fields: List[str] = header["delta_fields"]
 
-    def _value_decoder(
-        self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
-    ) -> ValueDecoder:
+    def _value_decoder(self) -> ValueDecoder:
         schema = self.value_schema
         steps = _codec_steps(schema, self.delta_fields)
         path = self.path

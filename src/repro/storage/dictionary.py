@@ -36,7 +36,6 @@ from repro.storage.blockfile import (
 )
 from repro.storage.serialization import (
     Field,
-    FieldDecodeCounter,
     FieldType,
     Record,
     Schema,
@@ -152,9 +151,7 @@ class DictionaryFileReader(BlockFileReader):
         if not self._data_start <= self._data_end <= pointer_at:
             raise CorruptFileError(f"{self.path}: bad dictionary footer pointer")
 
-    def _value_decoder(
-        self, lazy_values: bool, field_counter: Optional[FieldDecodeCounter]
-    ) -> ValueDecoder:
+    def _value_decoder(self) -> ValueDecoder:
         return self.stored_schema.decode
 
     def dictionary(self) -> List[str]:

@@ -4,9 +4,9 @@ A record file is the reproduction's stand-in for an HDFS file of serialized
 objects: the block-file container of :mod:`repro.storage.blockfile` (which
 documents the layout and owns reading and writing it) with magic ``RPRF``
 and the *identity* value codec -- value bytes are the value schema's plain
-encoding, so values can decode lazily, field by field, and blocks can be
-scanned columnar by :mod:`repro.batch.columns`.  Projection files and
-dataset partitions are record files too.
+encoding, so a scan can pass over the fields it does not capture, and
+blocks can be scanned columnar by :mod:`repro.batch.columns`.
+Projection files and dataset partitions are record files too.
 """
 
 from __future__ import annotations

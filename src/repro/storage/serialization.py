@@ -247,13 +247,12 @@ class Record:
 
 
 class FieldDecodeCounter:
-    """Mutable tally of fields actually materialized by lazy records.
+    """A tally no reader ticks any more.
 
-    Input readers hand one counter to every :class:`LazyRecord` they
-    produce; after the split is drained, ``count`` is the number of field
-    decodes the map phase truly paid for, which is what the
-    ``fields_deserialized`` metric charges on lazy (projection-optimized)
-    scans.
+    Kept importable only because the frozen benchmark suite's storage
+    probe still builds one and hands it to
+    :meth:`~repro.storage.blockfile.BlockFileReader.iter_records`, which
+    ignores it; deleted together with that probe.
     """
 
     __slots__ = ("count",)
@@ -262,203 +261,20 @@ class FieldDecodeCounter:
         self.count = 0
 
 
-#: Placeholder marking a lazy record field that has not been decoded yet.
-_UNDECODED = object()
-
-#: Field types whose encoding is a bare zigzag varint.
-_VARINT_TYPES = (FieldType.INT, FieldType.LONG)
-
-
-class LazyRecord(Record):
-    """A record that decodes fields on first attribute access.
-
-    Construction scans the encoded buffer once to find field boundaries
-    (cheap: continuation bits and length prefixes only) and defers value
-    materialization -- UTF-8 decoding, zigzag arithmetic, float unpacking,
-    object allocation -- until a field is actually read.  A mapper that
-    touches two of nine fields pays for two decodes; the rest are never
-    built.  This is the CPU half of the paper's Section 2.1 projection
-    claim: the bytes an access pattern skips should cost nothing to
-    deserialize, not just nothing to store.
-
-    Lazy records are drop-in :class:`Record` substitutes: equality,
-    hashing, ``as_tuple``, shuffle sort keys and serialization all
-    materialize on demand and behave identically.  Pickling (e.g. into
-    parallel-runner spill files) materializes every field and reduces to a
-    plain :class:`Record`, so the buffer never crosses process boundaries.
-    """
-
-    __slots__ = ("_buf", "_offsets", "_counter", "estimated_size")
-
-    def __init__(self, schema: "Schema", buf: Any, offsets: Sequence[int],
-                 counter: Optional[FieldDecodeCounter] = None,
-                 estimated_size: int = 0):
-        object.__setattr__(self, "_schema", schema)
-        object.__setattr__(self, "_values",
-                           [_UNDECODED] * len(schema.fields))
-        object.__setattr__(self, "_buf", buf)
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_counter", counter)
-        #: estimate_size()-equivalent of the full record, computed during
-        #: the boundary scan so byte accounting never forces a decode
-        object.__setattr__(self, "estimated_size", estimated_size)
-
-    def _materialize(self, idx: int) -> Any:
-        offsets = self._offsets
-        value, _pos = _decode_value(
-            self._schema.fields[idx].ftype,
-            self._buf,
-            offsets[idx],
-            offsets[idx + 1],
-        )
-        self._values[idx] = value
-        counter = self._counter
-        if counter is not None:
-            counter.count += 1
-        return value
-
-    def __getattr__(self, name: str) -> Any:
-        idx = self._schema.field_index(name)
-        if idx is None:
-            raise FieldNotPresentError(
-                f"record of schema {self._schema.name!r} has no field {name!r}"
-            )
-        value = self._values[idx]
-        if value is _UNDECODED:
-            value = self._materialize(idx)
-        return value
-
-    @property
-    def materialized_fields(self) -> int:
-        """How many fields have been decoded so far (test/metric hook)."""
-        values = self._values
-        if type(values) is tuple:
-            return len(values)
-        return sum(1 for v in values if v is not _UNDECODED)
-
-    def as_tuple(self) -> Tuple[Any, ...]:
-        values = self._values
-        if type(values) is tuple:
-            return values
-        for idx, value in enumerate(values):
-            if value is _UNDECODED:
-                self._materialize(idx)
-        frozen = tuple(values)
-        # Fully decoded: freeze the values and release the block buffer.
-        object.__setattr__(self, "_values", frozen)
-        object.__setattr__(self, "_buf", None)
-        return frozen
-
-    def get(self, name: str, default: Any = None) -> Any:
-        idx = self._schema.field_index(name)
-        if idx is None:
-            return default
-        value = self._values[idx]
-        if value is _UNDECODED:
-            value = self._materialize(idx)
-        return value
-
-    def replace(self, **updates: Any) -> "Record":
-        self.as_tuple()
-        return super().replace(**updates)
-
-    def to_dict(self) -> Dict[str, Any]:
-        self.as_tuple()
-        return super().to_dict()
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (Record, (self._schema, self.as_tuple()))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Record)
-            and self._schema.name == other._schema.name
-            and self.as_tuple() == other.as_tuple()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._schema.name, self.as_tuple()))
-
-    def __repr__(self) -> str:
-        self.as_tuple()
-        return super().__repr__()
-
-
 class ScannedRecord(Record):
-    """A decoded record charged like its :class:`LazyRecord` twin.
+    """A record a block scan built: one slot per field, every slot filled.
 
-    A compiled block scan has already decoded every value, but a lazy
-    input's ``fields_deserialized`` charges the fields a job *reads*:
-    ``counter`` ticks on the first read of each field, as a lazy
-    record's decode would.  Each field list has its own subclass
-    (:func:`scanned_class`) with one slot per field, and records are
-    built a block at a time (:func:`build_records`); the first read of a
-    field fills its slot, so later reads are plain slot reads that never
-    reach ``__getattr__``.  Whole-record views -- equality, hashing,
-    sizing, pickling (to a plain :class:`Record`) -- go through
-    :meth:`as_tuple`, which charges every field not read yet.
+    Each field list has its own subclass (:func:`scanned_class`), and
+    :func:`build_records` fills the slots from the scanner's columns, so
+    a field read is a plain slot read that never reaches ``__getattr__``.
+    Everything else -- equality, hashing, ``as_tuple``, pickling (to a
+    plain :class:`Record`) -- is :class:`Record`'s own.
     """
 
-    # ``_counter`` is None once every field is charged
-    __slots__ = ("_counter",)
+    __slots__ = ()
 
     #: the subclass's field slot descriptors, in field order
     _field_slots: Tuple[Any, ...] = ()
-
-    def __getattr__(self, name: str) -> Any:
-        # reached only while the field's slot is empty
-        idx = self._schema._index.get(name)
-        if idx is None:
-            raise FieldNotPresentError(
-                f"record of schema {self._schema.name!r} has no field {name!r}"
-            )
-        value = self._values[idx]
-        self._field_slots[idx].__set__(self, value)
-        counter = self._counter
-        if counter is not None:
-            counter.count += 1
-        return value
-
-    def get(self, name: str, default: Any = None) -> Any:
-        if self._schema.field_index(name) is None:
-            return default
-        return getattr(self, name)
-
-    def as_tuple(self) -> Tuple[Any, ...]:
-        counter = self._counter
-        if counter is not None:
-            object.__setattr__(self, "_counter", None)
-            for slot in self._field_slots:
-                try:
-                    slot.__get__(self)
-                except AttributeError:
-                    counter.count += 1
-        return self._values
-
-    def replace(self, **updates: Any) -> "Record":
-        self.as_tuple()
-        return super().replace(**updates)
-
-    def to_dict(self) -> Dict[str, Any]:
-        self.as_tuple()
-        return super().to_dict()
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (Record, (self._schema, self.as_tuple()))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Record)
-            and self._schema.name == other._schema.name
-            and self.as_tuple() == other.as_tuple()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._schema.name, self.as_tuple()))
-
-    def __repr__(self) -> str:
-        self.as_tuple()
-        return super().__repr__()
 
 
 #: field names -> their ScannedRecord subclass, or None (see below)
@@ -481,18 +297,22 @@ def scanned_class(schema: "Schema") -> Optional[type]:
     return _SCANNED_CLASSES[names]
 
 
-def build_records(schema: "Schema", rows: Sequence[Tuple[Any, ...]],
-                  counter: Optional[FieldDecodeCounter] = None
-                  ) -> List[Record]:
-    """``Record(schema, row)`` for every row, without a Python frame per
-    record -- or, given ``counter``, the schema's :func:`scanned_class`
-    records charged to it.  The rows are trusted: tuples of the schema's
-    width, as a block scan produces them."""
-    cls = Record if counter is None else scanned_class(schema)
-    records = list(map(object.__new__, repeat(cls, len(rows))))
+def build_records(schema: "Schema", columns: Sequence[List[Any]],
+                  n_records: int) -> List[Record]:
+    """One block's records of ``schema`` from a scan's ``columns`` (column
+    *i* holds field *i*), without a Python frame per record: the schema's
+    :func:`scanned_class` with every field slot filled, or plain
+    :class:`Record` instances when a field name cannot be a slot.  The columns
+    are trusted: one per field, ``n_records`` long, as a block scan
+    produces them."""
+    cls = scanned_class(schema)
+    rows = list(zip(*columns)) if columns else repeat((), n_records)
     slots = [(Record._schema, repeat(schema)), (Record._values, rows)]
-    if counter is not None:
-        slots.append((ScannedRecord._counter, repeat(counter)))
+    if cls is None:
+        cls = Record
+    else:
+        slots += zip(cls._field_slots, columns)
+    records = list(map(object.__new__, repeat(cls, n_records)))
     for slot, values in slots:
         deque(map(slot.__set__, records, values), maxlen=0)
     return records
@@ -613,60 +433,6 @@ class Schema:
             )
         return Record(self, values)
 
-    def decode_lazy(self, buf: Any, start: int = 0,
-                    end: Optional[int] = None,
-                    counter: Optional[FieldDecodeCounter] = None) -> Record:
-        """Boundary-scan ``buf`` and return a :class:`LazyRecord`.
-
-        One pass locates every field's span (no values are built) and
-        accumulates the record's :func:`~repro.mapreduce.keyspace.estimate_size`
-        equivalent; fields materialize individually on first access,
-        ticking ``counter`` so readers can report decode work actually
-        performed.  Raises exactly like :meth:`decode` on truncated or
-        trailing bytes.
-        """
-        if end is None:
-            end = len(buf)
-        fields = self.fields
-        offsets = [0] * (len(fields) + 1)
-        # estimate_size() of a record is 1 + its per-field estimates; for
-        # every fixed-width and varint field the estimate equals the span,
-        # and for length-prefixed fields it is payload + 1.
-        est = 1
-        pos = start
-        skip = varint.skip_uvarint
-        for i, f in enumerate(fields):
-            offsets[i] = pos
-            ftype = f.ftype
-            if ftype in _VARINT_TYPES:
-                npos = skip(buf, pos, end)
-                est += npos - pos
-            elif ftype is FieldType.DOUBLE:
-                npos = pos + 8
-                if npos > end:
-                    raise SerializationError("truncated double field")
-                est += 8
-            elif ftype is FieldType.BOOL:
-                npos = pos + 1
-                if npos > end:
-                    raise SerializationError("truncated bool field")
-                est += 1
-            else:  # STRING / BYTES
-                length, lpos = varint.decode_uvarint(buf, pos, end)
-                npos = lpos + length
-                if npos > end:
-                    raise SerializationError(
-                        f"truncated {ftype.value} field"
-                    )
-                est += length + 1
-            pos = npos
-        offsets[len(fields)] = pos
-        if pos != end:
-            raise SerializationError(
-                f"{end - pos} trailing bytes decoding schema {self.name!r}"
-            )
-        return LazyRecord(self, buf, offsets, counter, est)
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable description (used in file headers/catalog)."""
         return {
@@ -760,20 +526,6 @@ class OpaqueSchema(Schema):
         record = self._decoder(self, buf)
         if not isinstance(record, Record):
             raise SerializationError("opaque decoder must return a Record")
-        return record
-
-    def decode_lazy(self, buf: Any, start: int = 0,
-                    end: Optional[int] = None,
-                    counter: Optional[FieldDecodeCounter] = None) -> Record:
-        """Opaque layouts hide field boundaries; decode eagerly.
-
-        Every field the codec builds counts as materialized work, matching
-        the paper's observation that opaque serialization defeats
-        projection savings.
-        """
-        record = self.decode(buf, start, end)
-        if counter is not None:
-            counter.count += max(1, len(record.schema.fields))
         return record
 
     def numeric_field_names(self) -> List[str]:

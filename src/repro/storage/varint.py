@@ -9,9 +9,7 @@ All functions operate on ``bytes`` / ``bytearray`` / ``memoryview`` and
 plain ``int``; they are the innermost loop of every record codec, so they
 avoid any object allocation beyond the output buffer itself.  The decode
 helpers take ``(buf, offset, end)`` so block-level readers can walk a
-whole block buffer in place -- no per-record slicing --  and
-:func:`skip_uvarint` advances past a varint without materializing its
-value (the lazy-record boundary scan).
+whole block buffer in place -- no per-record slicing.
 """
 
 from __future__ import annotations
@@ -75,32 +73,6 @@ def decode_uvarint(buf: Any, offset: int = 0,
                 raise SerializationError("varint overflows 64 bits")
             return result, pos
         shift += 7
-
-
-def skip_uvarint(buf: Any, offset: int = 0, end: int = None) -> int:
-    """Advance past one varint without decoding it; return the next offset.
-
-    This is the boundary-scan primitive behind lazy record decoding: it
-    touches each byte's continuation bit but never assembles the value.
-    It rejects exactly what :func:`decode_uvarint` rejects -- truncation,
-    over-length, and 64-bit overflow (a terminating tenth byte may only
-    carry bit 63) -- so lazy and eager scans fail identically on corrupt
-    input.
-    """
-    pos = offset
-    if end is None:
-        end = len(buf)
-    while True:
-        if pos >= end:
-            raise SerializationError("truncated varint")
-        if pos - offset >= MAX_VARINT_LEN:
-            raise SerializationError("varint longer than 10 bytes")
-        byte = buf[pos]
-        if not byte & 0x80:
-            if pos - offset == MAX_VARINT_LEN - 1 and byte & 0x7E:
-                raise SerializationError("varint overflows 64 bits")
-            return pos + 1
-        pos += 1
 
 
 def read_uvarint_stream(fileobj: Any) -> Tuple[int, int]:

@@ -8,18 +8,20 @@ flips anywhere and in record framing, truncations, a lying ``n_records``,
 empty blocks -- and demands
 that the two either raise the same exception type *and message* or both
 succeed with equal values, keys and ``logical_bytes``.  One carve-out,
-shared with every projecting reader (``decode_lazy`` included): bytes of
-a string nobody captures are never UTF-8 decoded, so damage confined to
-them passes a projecting scan; there the oracle is the same contract
-spelled with the record path's lazy decoder (``_projecting``).
+shared with every scan that captures a subset (an index build's copy
+included): bytes of a string nobody captures are never UTF-8 decoded,
+so damage confined to them passes a projecting scan; there the oracle
+is the same contract spelled with the reference decoder's steps over a
+field walk that only slices strings (``_projecting``).
 
 The same scanner serves the record path (``split_scanner``): the split
-readers of record, delta and dictionary files and of partitions, opened
-through ``InputSource.open``, are held to the per-record reader they
-replaced over the same seeded damage (``_check_split``) -- including
-deltas of every varint width and both signs, a running sum leaving
-int64, empty blocks, a lying ``n_records`` and a value schema without
-fields.
+readers of record, projection, delta and dictionary files and of
+partitions, opened through ``InputSource.open``, are held to the
+reference decode over the same seeded damage (``_check_split``) --
+including deltas of every varint width and both signs, a running sum
+leaving int64, empty blocks, a lying ``n_records`` and a value schema
+without fields.  The record path captures every field, so it has no
+carve-out: a projection's unread non-UTF-8 string raises.
 
 Also here: the shape cache (equal shapes share one code object, a
 fresh-literal query compiles nothing) and the never-silently-accept rule.
@@ -54,6 +56,7 @@ from repro.mapreduce.formats import (
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import blockscan, open_block_file, varint
 from repro.storage.blockscan import split_scanner
+from repro.storage.columnfile import build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import (
     MAGIC as DICT_MAGIC,
@@ -65,12 +68,11 @@ from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import (
     LONG_SCHEMA,
     Field,
-    FieldDecodeCounter,
     FieldType,
-    LazyRecord,
     OpaqueSchema,
     Record,
     Schema,
+    _decode_value,
     register_opaque_schema,
     scanned_class,
 )
@@ -144,31 +146,62 @@ def _eager(path):
     )
 
 
-def _projecting(path, capture, decode_keys):
-    """The scan's contract, spelled with the record path's own decoders.
+def _spans(schema, view, pos, end):
+    """Each field's ``(start, stop)`` on the wire, walked as a scan that
+    captures nothing walks it: every length, bound and varint checked, a
+    string only sliced (never UTF-8 decoded).  Raises where that walk
+    gives up."""
+    spans = []
+    for field in schema.fields:
+        ftype = (FieldType.BYTES if field.ftype is FieldType.STRING
+                 else field.ftype)
+        _value, stop = _decode_value(ftype, view, pos, end)
+        spans.append((pos, stop))
+        pos = stop
+    if pos != end:
+        raise SerializationError("trailing bytes")
+    return spans
 
-    Block by block: frame, boundary-scan every record (``decode_lazy``)
-    and materialize the captured fields; a block where any of that fails
-    is decoded eagerly instead and *that* error is the answer.
+
+def _wire_size(schema, view, spans):
+    """``estimate_size`` read off the wire: every field its span, except
+    that a length prefix counts one byte."""
+    size = 1
+    for field, (start, stop) in zip(schema.fields, spans):
+        if field.ftype in (FieldType.STRING, FieldType.BYTES):
+            start = varint.decode_uvarint(view, start, stop)[1] - 1
+        size += stop - start
+    return size
+
+
+def _projecting(path, capture, decode_keys):
+    """The scan's contract, spelled with the reference decoder's steps.
+
+    Block by block: frame, walk every record's fields (``_spans``) and
+    decode the captured ones; a block where any of that fails is decoded
+    by the reference instead and *that* error is the answer.
     """
     keys, values, logical = [], [], 0
+    index = {name: i for i, name in enumerate(VALUES.field_names())}
     with RecordFileReader(path) as reader:
         for payload, n_records in reader.iter_block_payloads(None):
             try:
                 view, spans = reader.block_spans(payload, n_records)
                 for kpos, kend, vpos, vend in spans:
-                    k = KEYS.decode_lazy(view, kpos, kend)
-                    v = VALUES.decode_lazy(view, vpos, vend)
-                    logical += k.estimated_size + v.estimated_size
+                    kspans = _spans(KEYS, view, kpos, kend)
+                    vspans = _spans(VALUES, view, vpos, vend)
+                    logical += (_wire_size(KEYS, view, kspans)
+                                + _wire_size(VALUES, view, vspans))
                     if decode_keys:
-                        keys.append(k.as_tuple())
-                    values.append(tuple(getattr(v, name) for name in capture))
+                        keys.append(KEYS.decode(view, kpos, kend).as_tuple())
+                    values.append(tuple(
+                        _decode_value(VALUES.fields[index[name]].ftype, view,
+                                      *vspans[index[name]])[0]
+                        for name in capture))
             except Exception:
-                view, spans = reader.block_spans(payload, n_records)
-                for kpos, kend, vpos, vend in spans:
-                    KEYS.decode(view, kpos, kend)
-                    VALUES.decode(view, vpos, vend)
-                raise AssertionError("lazy decode failed where eager passes")
+                for _pair in reader.decode_block(payload, n_records):
+                    pass
+                raise AssertionError("field walk failed where eager passes")
     return "ok", keys, values, logical
 
 
@@ -199,9 +232,9 @@ def _check(path, stats, pristine=False):
 
     ``logical_bytes`` is held to ``estimate_size`` of the decoded records
     on files a writer produced; a flip can leave an overlong-but-legal
-    varint, whose span every boundary scan (``decode_lazy`` too) charges
-    where ``estimate_size`` charges the canonical length -- there the
-    lazy reader's figure, via ``_projecting``, is the oracle.
+    varint, whose span every scan charges where ``estimate_size``
+    charges the canonical length -- there the wire figure, via
+    ``_projecting``, is the oracle.
     """
     eager = _outcome(_eager, path)
     index = {name: i for i, name in enumerate(VALUES.field_names())}
@@ -424,10 +457,11 @@ def _write_codec(kind, path, rng, value_schema=VALUES, n_rows=40,
         files = [info.partition_path(p) for p in info.partitions
                  if p.records]
         return PartitionedInput(path), files
-    if kind == "record":
+    if kind in ("record", "projection"):
         writer = RecordFileWriter(path, KEYS, value_schema,
                                   block_size=block_size)
-        source = RecordFileInput
+        source = (RecordFileInput if kind == "record"
+                  else ProjectedFileInput)
     elif kind == "delta":
         deltas = [f for f in DELTA_FIELDS if value_schema.has_field(f)]
         writer = DeltaFileWriter(path, KEYS, value_schema, deltas,
@@ -477,28 +511,26 @@ def _record_path_reference(source):
 
 
 def _wire_logical(source):
-    """Logical bytes read off the wire, spelled with ``decode_lazy``:
-    every field its span, a length prefix one byte, and a delta field
-    ``svarint_len`` of its block's running sum."""
+    """Logical bytes read off the wire: every field its span, a length
+    prefix one byte, and a delta field ``svarint_len`` of its block's
+    running sum."""
     logical = 0
     for reader_class, path, blocks in _split_files(source):
         with reader_class(path) as reader:
             deltas = set(getattr(reader, "delta_fields", ()))
-            fields = reader.stored_schema.fields
+            keys, schema = reader.key_schema, reader.stored_schema
             for payload, n_records in reader.iter_block_payloads(blocks):
                 view, spans = reader.block_spans(payload, n_records)
-                sums = [0] * len(fields)
+                sums = [0] * len(schema.fields)
                 for kpos, kend, vpos, vend in spans:
-                    value = reader.stored_schema.decode_lazy(view, vpos, vend)
-                    logical += value.estimated_size + reader.key_schema \
-                        .decode_lazy(view, kpos, kend).estimated_size
-                    at = value._offsets
-                    for i, field in enumerate(fields):
+                    at = _spans(schema, view, vpos, vend)
+                    logical += _wire_size(schema, view, at) + _wire_size(
+                        keys, view, _spans(keys, view, kpos, kend))
+                    for i, field in enumerate(schema.fields):
                         if field.name in deltas:
-                            sums[i] += varint.decode_svarint(
-                                view, at[i], at[i + 1])[0]
+                            sums[i] += varint.decode_svarint(view, *at[i])[0]
                             logical += varint.svarint_len(sums[i]) \
-                                - (at[i + 1] - at[i])
+                                - (at[i][1] - at[i][0])
     return logical
 
 
@@ -520,7 +552,7 @@ def _check_split(source, stats, pristine=False):
     stats[got[1].__name__ if got[0] == "err" else "ok"] += 1
 
 
-CODECS = ["record", "delta", "dictionary", "partitions"]
+CODECS = ["record", "projection", "delta", "dictionary", "partitions"]
 
 
 class TestSplitReaderCorruption:
@@ -653,94 +685,40 @@ class TestSplitReaderCorruption:
         assert passed == (want if want[0] == "err" else ("ok", 1))
 
 
-# -- the projected (lazy) record path -----------------------------------------
+# -- projections: read like every other input, built without dropped fields --
 
 
-def _mapped(key, value):
-    """What one map() call reads: the key's ``seq``, ``i`` (twice), ``s``
-    and ``raw`` when ``i`` is odd, and the whole record when ``i`` is a
-    multiple of five."""
-    got = [key.seq, value.i, value.i]
-    if value.i % 2:
-        got += [value.s, value.get("raw")]
-    if value.i % 5 == 0:
-        got.append(value.as_tuple())
-    return tuple(got)
+def _write_unreadable(path, value_schema=VALUES):
+    """A record file whose ``t`` strings are not UTF-8 in every record,
+    every other field intact."""
+    rows = [(Record(KEYS, ["k", i]),
+             Record(value_schema, ["s", i, 0.5, -i, True, b"r", "\x7f" * 5]))
+            for i in range(30)]
+    with RecordFileWriter(path, KEYS, value_schema, block_size=400) as w:
+        for key, value in rows:
+            w.append(key, value)
+    _rewrite(path, _read(path).replace(b"\x05" + b"\x7f" * 5,
+                                       b"\x05" + b"\xff" * 5))
+    return rows
 
 
-def _projected_reader(source):
-    """``InputSource.open`` over every split, read as ``_mapped``."""
-    reads, logical, fields = [], 0, 0
-    for split in source.splits(3):
-        reader = source.open(split)
-        reads += [_mapped(k, v) for k, v in reader]
-        logical += reader.logical_bytes
-        fields += reader.fields_decoded
-    return "ok", reads, logical, fields
-
-
-def _lazy_reference(source):
-    """The projected read as it was: lazy keys and values off
-    ``iter_records``, charged by their boundary scans and decodes."""
-    reads, logical = [], 0
-    counter = FieldDecodeCounter()
-    for reader_class, path, blocks in _split_files(source):
-        with reader_class(path) as reader:
-            for key, value in reader.iter_records(
-                    blocks, lazy_values=True, field_counter=counter,
-                    lazy_keys=True):
-                logical += key.estimated_size + value.estimated_size
-                reads.append(_mapped(key, value))
-    return "ok", reads, logical, counter.count
-
-
-class TestProjectedSplitReader:
-    """A projection input reads through the compiled scanner, charging
-    the fields ``map()`` reads (``ScannedRecord``); a block the scanner
-    cannot prove takes the lazy decode.  Either way a job sees what the
-    per-record lazy reader gave it: the values it reads, the fields it
-    is charged, ``logical_bytes``, or the same exception and message --
-    also where a string nobody reads is not UTF-8, which neither path
-    ever decodes."""
-
-    @pytest.mark.parametrize("seed", [0x5CA9, 20240926])
-    def test_matches_the_lazy_reader_on_damaged_files(self, tmp_path, seed):
-        rng = random.Random(seed)
-        stats = Counter()
+class TestProjections:
+    def test_an_unread_string_that_is_not_utf8_raises(self, tmp_path):
+        # the record path decodes every stored field: a block holding a
+        # bad string fails whole, whether or not map() would read it
         path = str(tmp_path / "p.rf")
+        _write_unreadable(path)
+        source = ProjectedFileInput(path)
+        want = _outcome(_record_path_reference, source)
+        assert want[:2] == ("err", UnicodeDecodeError)
+        assert _outcome(_split_reader, source) == want
+        reader = source.open(source.splits(1)[0])
+        with pytest.raises(UnicodeDecodeError):
+            for _key, value in reader:
+                value.i
+        assert reader.records == 0
 
-        def check(source):
-            got = _outcome(_projected_reader, source)
-            # repr: NaN doubles (a flipped byte makes them) compare unequal
-            assert repr(got) == repr(_outcome(_lazy_reference, source))
-            stats[got[1].__name__ if got[0] == "err" else "ok"] += 1
-
-        for damage_kind, (damage, rounds) in DAMAGE.items():
-            for _ in range(rounds):
-                source = ProjectedFileInput(_write(path, rng))
-                check(source)
-                damage(path, rng)
-                if damage_kind == "empty_block" and rng.random() < 0.5:
-                    _flip(path, rng)
-                check(source)
-        assert {"ok", "CorruptFileError", "SerializationError",
-                "UnicodeDecodeError"} <= set(stats), stats
-
-    def test_scanned_blocks_charge_reads_only(self, tmp_path):
-        source = ProjectedFileInput(_write(tmp_path / "p.rf",
-                                           random.Random(4), n_rows=60))
-        for split in source.splits(1):
-            reader = source.open(split)
-            pairs = list(reader)
-            assert {type(v).__name__ for _k, v in pairs} == {"ScannedRecord"}
-            assert reader.fields_decoded == 0
-            assert [v.i for _k, v in pairs] == [v.i for _k, v in pairs]
-            assert reader.fields_decoded == len(pairs)
-            pairs[0][1].as_tuple()
-            assert reader.fields_decoded == len(pairs) + len(VALUES.fields) - 1
-        assert _projected_reader(source) == _lazy_reference(source)
-
-    def test_a_field_named_like_a_record_attribute_reads_lazily(
+    def test_a_field_named_like_a_record_attribute_reads_plain_records(
             self, tmp_path):
         odd = Schema("Odd", [Field("get", FieldType.INT),
                              Field("i", FieldType.INT)])
@@ -752,9 +730,26 @@ class TestProjectedSplitReader:
         source = ProjectedFileInput(path)
         reader = source.open(source.splits(1)[0])
         values = [v for _k, v in reader]
-        assert {type(v) for v in values} == {LazyRecord}
+        assert {type(v) for v in values} == {Record}
         assert [v.get("get") for v in values] == [-i for i in range(20)]
-        assert reader.fields_decoded == 20
+        assert [v.i for v in values] == list(range(20))
+        assert reader.fields == 20 * 2
+
+    def test_a_build_never_decodes_a_dropped_field(self, tmp_path):
+        # the copy captures only the kept fields, so a dropped string
+        # that is not UTF-8 is passed over; a full copy decodes it
+        source = str(tmp_path / "src.rf")
+        rows = _write_unreadable(source)
+        kept = ["i", "n", "raw"]
+        projected = str(tmp_path / "p.proj")
+        stats = build_projection(source, projected, kept)
+        assert stats["records"] == len(rows)
+        with RecordFileReader(projected) as reader:
+            got = [(k.as_tuple(), v.as_tuple()) for k, v in reader]
+        assert got == [(k.as_tuple(), (v.i, v.n, v.raw)) for k, v in rows]
+        with pytest.raises(UnicodeDecodeError):
+            build_projection(source, str(tmp_path / "all.proj"),
+                             VALUES.field_names())
 
 
 def _pack(record):

@@ -8,8 +8,11 @@ from repro.core.analyzer import ManimalAnalyzer
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
 from repro.core.optimizer import indexgen
-from repro.core.optimizer.indexgen import synthesize_program
-from repro.exceptions import OptimizerError
+from repro.core.optimizer.indexgen import (
+    IndexGenerationProgram,
+    synthesize_program,
+)
+from repro.exceptions import CorruptFileError, OptimizerError
 from repro.mapreduce import (
     JobConf,
     ProjectedFileInput,
@@ -231,6 +234,35 @@ class TestBornStaleBuilds:
                            match="source changed during index build"):
             program.run(system.catalog)
         self._assert_nothing_registered(system, catalog_dir, job)
+
+
+class TestFailedBuilds:
+    """A build that raises registers nothing and leaves no file: the
+    catalog's registry and its directory still agree."""
+
+    @pytest.mark.parametrize("kind", cat.ALL_KINDS)
+    def test_a_truncated_source_leaves_the_directory_unchanged(
+            self, tmp_path, kind):
+        catalog_dir = str(tmp_path / "cat")
+        system = Manimal(catalog_dir)
+        # an index already in the directory, which the failure must keep
+        healthy = write_webpages(tmp_path / "healthy.rf", 50)
+        IndexGenerationProgram(kind=cat.KIND_PROJECTION, source_path=healthy,
+                               value_fields=["url"]).run(system.catalog)
+        before = index_files(catalog_dir)
+        path = write_webpages(tmp_path / "w.rf", 200, block_size=512)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) * 2 // 3])
+        program = IndexGenerationProgram(
+            kind=kind, source_path=path, key_field="rank",
+            value_fields=["url", "rank"], delta_fields=["rank"],
+            dict_field="url")
+        with pytest.raises(CorruptFileError):
+            program.run(system.catalog)
+        assert len(system.catalog) == 1
+        assert index_files(catalog_dir) == before
 
 
 class TestExecutionEquivalenceByKind:

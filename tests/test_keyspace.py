@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import MapReduceError
 from repro.mapreduce.keyspace import (
+    _SIZE_DISPATCH,
     _canonical_bytes,
     _estimate_size_slow,
     estimate_size,
@@ -15,11 +16,11 @@ from repro.mapreduce.keyspace import (
 )
 from repro.storage.serialization import (
     Field,
-    FieldDecodeCounter,
     FieldType,
-    LazyRecord,
     Record,
     Schema,
+    build_records,
+    scanned_class,
 )
 
 PT = Schema("Pt", [Field("x", FieldType.INT), Field("y", FieldType.INT)])
@@ -132,9 +133,10 @@ class TestEstimateSize:
         assert estimate_size(PT.make(-5, 1 << 40)) == _pre_pr_size(
             PT.make(-5, 1 << 40))
 
-    def test_a_lazy_record_is_sized_by_materializing_it(self):
-        counter = FieldDecodeCounter()
-        lazy = PT.decode_lazy(PT.encode(PT.make(300, -2)), counter=counter)
-        assert type(lazy) is LazyRecord
-        assert estimate_size(lazy) == estimate_size(PT.make(300, -2))
-        assert counter.count == 2
+    def test_a_scanned_record_takes_the_record_fast_path(self):
+        [scanned] = build_records(PT, [[300], [-2]], 1)
+        assert type(scanned) is scanned_class(PT)
+        assert estimate_size(scanned) == estimate_size(PT.make(300, -2))
+        # sized once through the isinstance fallback, which registers
+        # its type: the next one dispatches like a plain Record
+        assert _SIZE_DISPATCH[type(scanned)] is _SIZE_DISPATCH[Record]

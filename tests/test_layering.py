@@ -1,8 +1,8 @@
 """Each layer depends only on the layers below it, only storage stats an
 input's mtime, every environment knob is on an argued allow-list, one
 module drives shared scans, one plans batch scans, one lists the
-aggregate ops and nothing imports the retired typed shuffle's stub --
-checked, not claimed.
+aggregate ops, nothing imports the retired typed shuffle's stub and
+nothing brings back the retired lazy decode -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -173,3 +173,36 @@ def test_checker_sees_the_typed_shuffle_stub_used_or_grown(tmp_path):
         os.path.join("batch", "shuffleblocks.py") + ":2",
         os.path.join("engine", "pool.py") + ":2"]
     assert "(2 other top-level statement(s))" in found[2]
+
+
+def test_checker_sees_the_lazy_decode_come_back(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("storage", "serialization", "class FieldDecodeCounter:\n"
+                                     "    pass\n"
+                                     "class LazyRecord:\n"
+                                     "    pass\n"),
+        ("storage", "__init__", "from repro.storage.serialization import "
+                                "FieldDecodeCounter\n"),
+        ("storage", "varint", "def skip_uvarint(buf):\n"
+                              "    return 0\n"),
+        ("storage", "columnfile", "def copy(reader, lazy_values=False):\n"
+                                  "    return reader.iter_records(\n"
+                                  "        lazy_values=True)\n"),
+        ("mapreduce", "formats", "from repro.storage import FieldDecodeCounter"
+                                 "\n\n\n"
+                                 "class Schema:\n"
+                                 "    def decode_lazy(self, buf):\n"
+                                 "        return buf\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.lazy_decode_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("mapreduce", "formats.py") + ":1: names FieldDecodeCounter",
+        os.path.join("mapreduce", "formats.py") + ":5: defines decode_lazy",
+        os.path.join("storage", "columnfile.py") + ":2: passes lazy_values=",
+        os.path.join("storage", "serialization.py") + ":3: defines LazyRecord",
+        os.path.join("storage", "varint.py") + ":1: defines skip_uvarint"]

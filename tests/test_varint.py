@@ -113,58 +113,24 @@ class TestSvarint:
 class TestOffsetHelpers:
     """The buffer-offset decode helpers behind the block-level readers."""
 
-    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
-    def test_skip_matches_decode(self, value):
-        raw = varint.encode_uvarint(value)
-        assert varint.skip_uvarint(raw) == varint.decode_uvarint(raw)[1]
-
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                    min_size=1, max_size=8))
-    def test_skip_walks_concatenated_stream(self, values):
-        buf = b"".join(varint.encode_uvarint(v) for v in values)
-        pos = 0
-        for value in values:
-            decoded, after = varint.decode_uvarint(buf, pos)
-            assert decoded == value
-            assert varint.skip_uvarint(buf, pos) == after
-            pos = after
-        assert pos == len(buf)
-
-    def test_skip_truncated_raises(self):
-        raw = varint.encode_uvarint(1 << 40)
-        with pytest.raises(SerializationError):
-            varint.skip_uvarint(raw[:-1])
-
-    def test_skip_overlong_raises(self):
-        with pytest.raises(SerializationError):
-            varint.skip_uvarint(b"\x80" * 11)
-
     def test_ten_byte_boundary(self):
         # 2**63 encodes to exactly MAX_VARINT_LEN bytes: the longest legal
-        # varint must decode and skip; one more continuation byte must not.
+        # varint must decode; one more continuation byte must not.
         raw = varint.encode_uvarint(1 << 63)
         assert len(raw) == varint.MAX_VARINT_LEN
         assert varint.decode_uvarint(raw) == (1 << 63, 10)
-        assert varint.skip_uvarint(raw) == 10
         overlong = b"\x80" * 10 + b"\x01"
         with pytest.raises(SerializationError):
             varint.decode_uvarint(overlong)
-        with pytest.raises(SerializationError):
-            varint.skip_uvarint(overlong)
 
-    def test_skip_rejects_64bit_overflow_like_decode(self):
+    def test_decode_rejects_64bit_overflow(self):
         # A terminating tenth byte may only carry bit 63: anything above
-        # overflows u64.  Skip must reject exactly what decode rejects,
-        # or lazy boundary scans would accept corruption eager decode
-        # aborts on.
+        # overflows u64.
         overflow = b"\x80" * 9 + b"\x02"
         with pytest.raises(SerializationError, match="overflows"):
             varint.decode_uvarint(overflow)
-        with pytest.raises(SerializationError, match="overflows"):
-            varint.skip_uvarint(overflow)
         top_bit_only = b"\x80" * 9 + b"\x01"
         assert varint.decode_uvarint(top_bit_only) == (1 << 63, 10)
-        assert varint.skip_uvarint(top_bit_only) == 10
 
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
            st.integers(min_value=0, max_value=4))
@@ -174,12 +140,9 @@ class TestOffsetHelpers:
         raw = varint.encode_uvarint(value)
         padded = raw + b"\xff" * slack
         assert varint.decode_uvarint(padded, 0, len(raw)) == (value, len(raw))
-        assert varint.skip_uvarint(padded, 0, len(raw)) == len(raw)
         if len(raw) > 1:
             with pytest.raises(SerializationError):
                 varint.decode_uvarint(padded, 0, len(raw) - 1)
-            with pytest.raises(SerializationError):
-                varint.skip_uvarint(padded, 0, len(raw) - 1)
 
     def test_end_of_zero_window_raises(self):
         with pytest.raises(SerializationError):
@@ -189,7 +152,6 @@ class TestOffsetHelpers:
     def test_memoryview_decode(self, value):
         raw = memoryview(b"\x00" + varint.encode_uvarint(value))
         assert varint.decode_uvarint(raw, 1) == (value, len(raw))
-        assert varint.skip_uvarint(raw, 1) == len(raw)
 
 
 class TestStreamHelper:

@@ -40,6 +40,14 @@
    benchmark suite.  No module under ``src/repro`` imports it, and it
    holds nothing but a docstring and ``def active_spec`` -- so the
    second run format cannot grow back behind the first.
+7. One record decode.  The compiled block scanner is the only way record
+   data leaves a block file; the per-record lazy decode is retired.  No
+   module under ``src/repro`` defines :data:`LAZY_DEFS` (``LazyRecord``,
+   ``decode_lazy``, ``skip_uvarint``) or passes a :data:`LAZY_KWARGS`
+   keyword (``lazy_values``, ``lazy_keys``, ``field_counter``) to any
+   call, and ``FieldDecodeCounter`` -- kept for the frozen benchmark
+   suite's storage probe -- is named only where it is defined and where
+   ``repro.storage`` exports it (:data:`COUNTER_HOMES`).
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -90,6 +98,13 @@ AGG_TABLE = os.path.join("repro", "batch", "spec.py")
 #: the retired typed shuffle's stub, and the one name it may define
 STUB_MODULE = "repro.batch.shuffleblocks"
 STUB_NAME = "active_spec"
+#: the retired lazy decode: names nothing may define, keywords nothing
+#: may pass, and the probe's counter with the only modules that may name it
+LAZY_DEFS = frozenset({"LazyRecord", "decode_lazy", "skip_uvarint"})
+LAZY_KWARGS = frozenset({"lazy_values", "lazy_keys", "field_counter"})
+COUNTER = "FieldDecodeCounter"
+COUNTER_HOMES = (os.path.join("repro", "storage", "serialization.py"),
+                 os.path.join("repro", "storage", "__init__.py"))
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -258,11 +273,35 @@ def stub_violations(src: str = SRC) -> List[str]:
     return found
 
 
+def lazy_decode_violations(src: str = SRC) -> List[str]:
+    """Every definition of a :data:`LAZY_DEFS` name, every call passing a
+    :data:`LAZY_KWARGS` keyword, and every mention of :data:`COUNTER`
+    outside :data:`COUNTER_HOMES`, under ``src/repro`` (rule 7)."""
+    found: List[Tuple[str, int, str]] = []
+    homes = {os.path.join(src, home) for home in COUNTER_HOMES}
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        rel = os.path.relpath(path, REPO_ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and node.name in LAZY_DEFS:
+                found.append((rel, node.lineno, f"defines {node.name}"))
+            elif isinstance(node, ast.Call):
+                found.extend((rel, node.lineno, f"passes {kw.arg}=")
+                             for kw in node.keywords if kw.arg in LAZY_KWARGS)
+            elif path not in homes and COUNTER in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)):
+                found.append((rel, node.lineno, f"names {COUNTER}"))
+    return [f"{rel}:{lineno}: {what} (the lazy decode is retired; "
+            f"{COUNTER} is kept only for the frozen benchmark probe)"
+            for rel, lineno, what in sorted(found)]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
-    stub = stub_violations()
-    for line in upward + mtime + env + single + ops + stub:
+    stub, lazy = stub_violations(), lazy_decode_violations()
+    for line in upward + mtime + env + single + ops + stub + lazy:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -277,7 +316,9 @@ def main() -> int:
         print(f"\n{len(ops)} aggregate op list(s) outside {AGG_TABLE}")
     if stub:
         print(f"\n{len(stub)} use(s) or growth of the {STUB_MODULE} stub")
-    if upward or mtime or env or single or ops or stub:
+    if lazy:
+        print(f"\n{len(lazy)} trace(s) of the retired lazy decode")
+    if upward or mtime or env or single or ops or stub or lazy:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -286,7 +327,8 @@ def main() -> int:
           + "; ".join(f"{name} is called only from {caller}"
                       for name, (_home, caller) in SINGLE_CALLER.items())
           + f"; aggregate ops are listed only in {AGG_TABLE}"
-          + f"; nothing imports the {STUB_MODULE} stub")
+          + f"; nothing imports the {STUB_MODULE} stub"
+          + "; nothing defines or asks for the lazy decode")
     return 0
 
 
