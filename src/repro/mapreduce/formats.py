@@ -13,7 +13,7 @@ Few modifications indeed: record, projected, delta and dictionary inputs
 (and every partition of a partitioned dataset) are one block-file
 container (:mod:`repro.storage.blockfile`) under different value codecs,
 so they share one ``splits``/``open`` (:class:`BlockFileInput`); only the
-B+Tree input has a scan of its own.
+B+Tree input has splits of its own (one per key range).
 
 And one scan: every block is decoded whole by the compiled scanner of
 its file's shape (:func:`~repro.storage.blockscan.split_scanner`) --
@@ -25,8 +25,11 @@ A block decodes whole before its first record reaches ``map()``, so a
 damaged block fails before ``map()`` sees any of its records: a block
 the scanner cannot prove is re-walked by the container's reference
 decode (:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`,
-sized with ``estimate_size``), and that walk's exception is raised.  The
-same walk is the whole scan of an opaque schema.
+sized a column at a time), and that walk's exception is raised.  The
+same walk is the whole scan of an opaque schema.  A B+Tree range is read
+the same way a leaf at a time, through the entry-framed variant of the
+shape (:func:`~repro.storage.blockscan.entry_scanner`), with the
+per-entry decode (:class:`_IndexEntries`) as its reference.
 
 Every split reader keeps byte/record accounting that the runtime folds
 into :class:`~repro.mapreduce.metrics.JobMetrics`:
@@ -42,13 +45,14 @@ into :class:`~repro.mapreduce.metrics.JobMetrics`:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import CorruptFileError, JobConfigError
-from repro.mapreduce.keyspace import estimate_size
+from repro.mapreduce.keyspace import pair_sizes
 from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader, BlockInfo
-from repro.storage.blockscan import split_scanner
+from repro.storage.blockscan import entry_scanner, split_scanner
 from repro.storage.btree import BTree
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
@@ -98,10 +102,22 @@ class SplitReader:
                 finalize(self)
 
 
+_KEY = itemgetter(0)
+_VALUE = itemgetter(1)
+
+
 def _record_fields(record: Any) -> int:
     if isinstance(record, Record):
         return max(1, len(record.schema.fields))
     return 1
+
+
+def _pairs_bytes(pairs: Sequence[Tuple[Any, Any]]) -> int:
+    """``estimate_size(key) + estimate_size(value)`` summed over ``pairs``,
+    a column at a time; raises what the per-pair sum raises first."""
+    key_bytes, value_bytes = pair_sizes(list(map(_KEY, pairs)),
+                                        list(map(_VALUE, pairs)))
+    return key_bytes + value_bytes
 
 
 class InputSource:
@@ -138,10 +154,10 @@ def _reference_block(reader: BlockFileReader, payload: bytes, n_records: int
     """One block through the reference decode, sized: ``(pairs, logical
     bytes)``.  The whole scan of an opaque schema, and the re-walk behind
     a block the compiled scanner cannot prove -- whose exception is the
-    one raised, ``estimate_size``'s included (a delta file's running sum
-    can leave int64)."""
+    one raised, the sizing's included (a delta file's running sum can
+    leave int64)."""
     pairs = list(reader.decode_block(payload, n_records))
-    return pairs, sum(estimate_size(k) + estimate_size(v) for k, v in pairs)
+    return pairs, _pairs_bytes(pairs)
 
 
 def _open_blocks(reader_class: Type[BlockFileReader], path: str,
@@ -172,7 +188,7 @@ def _open_blocks(reader_class: Type[BlockFileReader], path: str,
                 continue
             pairs, logical = _reference_block(reader, payload, n_records)
             sr.logical_bytes += logical
-            sr.fields += sum(_record_fields(value) for _key, value in pairs)
+            sr.fields += sum(map(_record_fields, map(_VALUE, pairs)))
             yield from pairs
 
     sr = SplitReader(generate(), finalize)
@@ -380,6 +396,12 @@ class SelectionIndexInput(InputSource):
     predicate admits.  An optional ``residual`` predicate re-checks each
     record (needed when the DNF has conjuncts the single-field index cannot
     express); records failing it are counted as skipped, never mapped.
+
+    A range is read a leaf at a time (:meth:`~repro.storage.btree.BTree.scan_leaves`):
+    the leaf's entries decode through the compiled entry-framed scanner,
+    the residual runs over the leaf's records, and the kept pairs are
+    charged ``logical_bytes`` as one column -- so a damaged leaf fails
+    whole, before ``map()`` sees any of its records.
     """
 
     def __init__(
@@ -402,28 +424,35 @@ class SelectionIndexInput(InputSource):
 
     def open(self, split: InputSplit) -> SplitReader:
         tree = BTree(self.index_path)
-        key_schema = Schema.from_dict(tree.metadata["key_schema"])
-        value_schema = Schema.from_dict(tree.metadata["value_schema"])
+        entries = _IndexEntries(
+            self.index_path,
+            Schema.from_dict(tree.metadata["key_schema"]),
+            Schema.from_dict(tree.metadata["value_schema"]),
+        )
+        scanner = entry_scanner(entries.key_schema, entries.value_schema)
+        width = max(1, len(entries.value_schema.fields))
+        residual = self.residual
         rng: KeyRange = split.payload
 
         def generate() -> Iterator[Tuple[Any, Any]]:
-            for _ikey, framed in tree.scan(
+            for leaf in tree.scan_leaves(
                 rng.lo, rng.hi, rng.lo_inclusive, rng.hi_inclusive
             ):
-                klen, pos = varint.decode_uvarint(framed, 0)
-                kend = pos + klen
-                if kend > len(framed):
-                    raise CorruptFileError(
-                        f"{self.index_path}: truncated index entry"
-                    )
-                key = key_schema.decode(framed, pos, kend)
-                value = value_schema.decode(framed, kend)
-                if self.residual is not None and not self.residual(key, value):
-                    sr.skipped += 1
-                    continue
-                sr.logical_bytes += estimate_size(key) + estimate_size(value)
-                sr.fields += _record_fields(value)
-                yield key, value
+                if scanner is not None:
+                    columns, keys, _logical = scanner.scan(
+                        entries, leaf, len(leaf))
+                    pairs = list(zip(keys, build_records(
+                        entries.value_schema, columns, len(leaf))))
+                else:
+                    pairs = list(entries.decode_block(leaf, len(leaf)))
+                if residual is not None:
+                    kept = [pair for pair in pairs if residual(*pair)]
+                    sr.skipped += len(pairs) - len(kept)
+                    pairs = kept
+                sr.logical_bytes += _pairs_bytes(pairs)
+                sr.fields += (len(pairs) * width if scanner is not None else
+                              sum(map(_record_fields, map(_VALUE, pairs))))
+                yield from pairs
 
         def finalize(sr_: SplitReader) -> None:
             sr_.stored_bytes += tree.bytes_read
@@ -434,6 +463,32 @@ class SelectionIndexInput(InputSource):
 
     def describe(self) -> str:
         return f"btree-scan({self.index_path}, {len(self.ranges)} ranges)"
+
+
+class _IndexEntries:
+    """A selection index's entries as the compiled scanner sees a block
+    file: the key schema, a path for messages, and the per-entry
+    reference decode (:meth:`decode_block`) -- the whole scan of an opaque
+    schema, and the re-walk whose exception a leaf the compiled loop
+    cannot prove raises."""
+
+    __slots__ = ("path", "key_schema", "value_schema")
+
+    def __init__(self, path: str, key_schema: Schema, value_schema: Schema):
+        self.path = path
+        self.key_schema = key_schema
+        self.value_schema = value_schema
+
+    def decode_block(self, entries: List[bytes], n_records: int
+                     ) -> Iterator[Tuple[Record, Record]]:
+        """Decode framed entries (:func:`frame_index_entry`) one by one."""
+        for framed in entries:
+            klen, pos = varint.decode_uvarint(framed, 0)
+            kend = pos + klen
+            if kend > len(framed):
+                raise CorruptFileError(f"{self.path}: truncated index entry")
+            yield (self.key_schema.decode(framed, pos, kend),
+                   self.value_schema.decode(framed, kend))
 
 
 class InMemoryInput(InputSource):
@@ -456,12 +511,14 @@ class InMemoryInput(InputSource):
 
     def open(self, split: InputSplit) -> SplitReader:
         def generate() -> Iterator[Tuple[Any, Any]]:
-            for key, value in split.payload:
-                size = estimate_size(key) + estimate_size(value)
-                sr.stored_bytes += size
-                sr.logical_bytes += size
-                sr.fields += _record_fields(value)
-                yield key, value
+            # sized as one column: an unsizable pair fails the split
+            # whole, before map() sees any of its pairs
+            pairs = split.payload
+            size = _pairs_bytes(pairs)
+            sr.stored_bytes += size
+            sr.logical_bytes += size
+            sr.fields += sum(map(_record_fields, map(_VALUE, pairs)))
+            yield from pairs
 
         sr = SplitReader(generate())
         return sr

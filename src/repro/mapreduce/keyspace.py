@@ -10,13 +10,31 @@ shuffle needs three things from a key:
   randomization (so reruns partition identically) -- :func:`stable_hash`;
 * a **serialized-size estimate** so the cost model can charge shuffle
   bytes without actually serializing the stream -- :func:`estimate_size`.
+
+Each has a *column* spelling that the shuffle's hot loops call once per
+task stream instead of once per pair: :func:`total_size`,
+:func:`sort_keys` and :func:`stable_hashes` (plus :func:`pair_sizes`, the
+key and value columns of one pair stream).  Each is exactly its per-item
+spelling -- ``sum(map(estimate_size, values))``, ``list(map(sort_key,
+keys))``, ``list(map(stable_hash, keys))`` -- computed a type at a time:
+a homogeneous column of strings, ints, bytes or floats takes one C-level
+pass (a join, a sort and ``bisect``, ``zip`` with a rank), and
+equal-width tuples and records of one class are transposed into their
+field columns.  Whatever the column spelling cannot do in one pass
+(mixed-type columns, NaN sort keys, long strings' hashes, ragged tuples,
+unusual types) goes per item, and on *any* exception the column is
+re-walked per item, in order, so the exception raised is the one the
+per-item loop raises.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Tuple
+from bisect import bisect_left
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import MapReduceError
 from repro.storage import varint
@@ -41,11 +59,11 @@ _NAN_KEY = (_RANK_NUMBER, float("inf"), 1)
 def sort_key(value: Any) -> Tuple:
     """Map a value to a tuple that totally orders mixed-type key streams.
 
-    This sits in the innermost shuffle loop (once per map-output pair --
-    the runners decorate each pair with its sort key exactly once), so the
-    common concrete types dispatch through one dict lookup instead of an
-    isinstance chain.  All NaNs are one group key, sorted after every
-    number.
+    The per-item spelling: the shuffle decorates a task's keys as one
+    column (:func:`sort_keys`), which falls back here for what it cannot
+    key in one pass.  The common concrete types dispatch through one dict
+    lookup instead of an isinstance chain.  All NaNs are one group key,
+    sorted after every number.
     """
     handler = _SORT_KEY_DISPATCH.get(type(value))
     if handler is not None:
@@ -157,9 +175,9 @@ def estimate_size(value: Any) -> int:
     """Approximate serialized size in bytes of a key or value.
 
     Matches the framing the storage layer would use; the cost model charges
-    shuffle and output I/O based on these estimates.  Like
-    :func:`sort_key`, dispatches on concrete type first: the runners call
-    this exactly once per emitted key and value.
+    shuffle and output I/O based on these estimates.  The per-item
+    spelling of :func:`total_size`, which the runners call once per
+    column; like :func:`sort_key`, dispatches on concrete type first.
     """
     handler = _SIZE_DISPATCH.get(type(value))
     if handler is not None:
@@ -203,3 +221,259 @@ _SIZE_DISPATCH = {
     tuple: lambda v: 1 + sum(map(estimate_size, v)),
     Record: lambda v: 1 + sum(map(estimate_size, v.as_tuple())),
 }
+
+
+# -- column spellings --------------------------------------------------------
+
+#: A column of values: a list or tuple (indexed, sized).
+Column = Sequence[Any]
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+#: ``svarint_len(v) > k`` exactly when ``v`` is outside
+#: ``[-2**(7k-1), 2**(7k-1))``: the k-th lower and upper bounds, k = 1..9
+_SVARINT_BOUNDS = tuple((-(1 << (7 * k - 1)), 1 << (7 * k - 1))
+                        for k in range(1, 10))
+
+_RECORD_VALUES = attrgetter("_values")
+_RECORD_NAME = attrgetter("_schema.name")
+
+
+def _transposed(rows: Column) -> Optional[List[Tuple[Any, ...]]]:
+    """The field columns of equal-width ``rows``, or ``None`` when ragged
+    (``strict`` raises on the first short row)."""
+    try:
+        return list(zip(*rows, strict=True))
+    except ValueError:
+        return None
+
+
+def _record_rows(column: Column, cls: type) -> Optional[Column]:
+    """Each record's field values, when ``cls`` sizes, sorts and hashes
+    through :class:`Record`'s own ``schema`` and ``as_tuple``."""
+    if cls.as_tuple is not Record.as_tuple or cls.schema is not Record.schema:
+        return None
+    return list(map(_RECORD_VALUES, column))
+
+
+def _by_type(column: Column, one_type: Callable[[type, Column], Any],
+             per_item: Callable[[Column], Any]) -> Any:
+    """``one_type(t, column)`` for a column of the one type ``t``;
+    ``per_item(column)`` for a column of several types."""
+    types = set(map(type, column))
+    if len(types) == 1:
+        return one_type(types.pop(), column)
+    return per_item(column)
+
+
+# - sizes -
+
+
+def _per_item_size(column: Column) -> int:
+    return sum(map(estimate_size, column))
+
+
+def _int_column_size(column: Column) -> int:
+    n = len(column)
+    lo, hi = min(column), max(column)
+    if -64 <= lo and hi < 64:
+        return n
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        return _per_item_size(column)  # raises svarint_len's error
+    ordered = sorted(column)
+    total = n
+    for low, high in _SVARINT_BOUNDS:
+        below = bisect_left(ordered, low)
+        above = n - bisect_left(ordered, high)
+        if not below and not above:
+            break
+        total += below + above
+    return total
+
+
+def _str_column_size(column: Column) -> int:
+    joined = "".join(column)
+    if joined.isascii():
+        return len(joined) + len(column)
+    return len(joined.encode("utf-8")) + len(column)
+
+
+def _nested_size(rows: Column) -> int:
+    """One byte per row plus every field column's size."""
+    fields = _transposed(rows)
+    if fields is None:
+        return _per_item_size(rows)
+    return len(rows) + sum(map(_column_size, fields))
+
+
+def _type_size(t: type, column: Column) -> int:
+    sizer = _SIZE_COLUMN.get(t)
+    if sizer is not None:
+        return sizer(column)
+    if issubclass(t, Record):
+        rows = _record_rows(column, t)
+        if rows is not None:
+            return _nested_size(rows)
+    return _per_item_size(column)
+
+
+def _column_size(column: Column) -> int:
+    if not column:
+        return 0
+    return _by_type(column, _type_size, _per_item_size)
+
+
+_SIZE_COLUMN: Dict[type, Callable[[Column], int]] = {
+    type(None): len,
+    bool: len,
+    int: _int_column_size,
+    float: lambda column: 8 * len(column),
+    str: _str_column_size,
+    bytes: lambda column: sum(map(len, column)) + len(column),
+    bytearray: lambda column: sum(map(len, column)) + len(column),
+    tuple: _nested_size,
+}
+
+
+def total_size(values: Column) -> int:
+    """``sum(map(estimate_size, values))``, a column at a time."""
+    try:
+        return _column_size(values)
+    except Exception:
+        return _per_item_size(values)
+
+
+def pair_sizes(keys: Column, values: Column) -> Tuple[int, int]:
+    """``(total_size(keys), total_size(values))`` of one pair stream.
+
+    On failure the pairs are re-walked in order -- each key, then its
+    value -- so the exception raised is the one a per-pair
+    ``estimate_size(key) + estimate_size(value)`` loop raises first.
+    """
+    try:
+        return _column_size(keys), _column_size(values)
+    except Exception:
+        for key, value in zip(keys, values):
+            estimate_size(key)
+            estimate_size(value)
+        return _per_item_size(keys), _per_item_size(values)
+
+
+# - sort keys -
+
+
+def _per_item_sort_keys(column: Column) -> List[Tuple]:
+    return list(map(sort_key, column))
+
+
+def _float_sort_keys(column: Column) -> List[Tuple]:
+    if all(map(float.__eq__, column, column)):
+        return list(zip(repeat(_RANK_NUMBER), column))
+    return _per_item_sort_keys(column)  # NaN keys are one group
+
+
+def _rows_sort_keys(rows: Column) -> Optional[List[Tuple[Tuple, ...]]]:
+    """Per row, the tuple of its fields' sort keys (``None`` if ragged)."""
+    fields = _transposed(rows)
+    if fields is None:
+        return None
+    if not fields:
+        return [()] * len(rows)
+    return list(zip(*map(_column_sort_keys, fields)))
+
+
+def _type_sort_keys(t: type, column: Column) -> List[Tuple]:
+    ranked = _SORT_KEY_COLUMN.get(t)
+    if ranked is not None:
+        return ranked(column)
+    if t is tuple:
+        inner = _rows_sort_keys(column)
+        if inner is not None:
+            return list(zip(repeat(_RANK_TUPLE), inner))
+    elif issubclass(t, Record):
+        rows = _record_rows(column, t)
+        inner = None if rows is None else _rows_sort_keys(rows)
+        if inner is not None:
+            return list(zip(repeat(_RANK_RECORD),
+                            map(_RECORD_NAME, column), inner))
+    return _per_item_sort_keys(column)
+
+
+def _column_sort_keys(column: Column) -> List[Tuple]:
+    if not column:
+        return []
+    return _by_type(column, _type_sort_keys, _per_item_sort_keys)
+
+
+_SORT_KEY_COLUMN: Dict[type, Callable[[Column], List[Tuple]]] = {
+    type(None): lambda column: [(_RANK_NONE,)] * len(column),
+    bool: lambda column: list(zip(repeat(_RANK_NUMBER), map(int, column))),
+    int: lambda column: list(zip(repeat(_RANK_NUMBER), column)),
+    float: _float_sort_keys,
+    str: lambda column: list(zip(repeat(_RANK_STR), column)),
+    bytes: lambda column: list(zip(repeat(_RANK_BYTES), column)),
+    bytearray: lambda column: list(zip(repeat(_RANK_BYTES),
+                                       map(bytes, column))),
+}
+
+
+def sort_keys(keys: Column) -> List[Tuple]:
+    """``list(map(sort_key, keys))``, a column at a time."""
+    try:
+        return _column_sort_keys(keys)
+    except Exception:
+        return _per_item_sort_keys(keys)
+
+
+# - partition hashes -
+
+#: canonical-bytes heads of a string of 0..127 UTF-8 bytes
+_STR_HEADS = tuple(bytes((0x04, n)) for n in range(128))
+#: ``stable_hash`` of -64..63 (one-byte svarints), indexed by value + 64
+_SMALL_INT_HASHES = tuple(
+    zlib.crc32(b"\x02" + varint.encode_svarint(v)) for v in range(-64, 64))
+
+
+def _per_item_hashes(column: Column) -> List[int]:
+    return list(map(stable_hash, column))
+
+
+def _str_hashes(column: Column) -> List[int]:
+    raw = list(map(str.encode, column))
+    lengths = list(map(len, raw))
+    if max(lengths) > 127:
+        return _per_item_hashes(column)
+    return list(map(zlib.crc32, map(bytes.__add__,
+                                    map(_STR_HEADS.__getitem__, lengths),
+                                    raw)))
+
+
+def _int_hashes(column: Column) -> List[int]:
+    """bool and int: one-byte svarints by table, the rest per item."""
+    if -64 <= min(column) and max(column) < 64:
+        return list(map(_SMALL_INT_HASHES.__getitem__,
+                        map((64).__add__, column)))
+    return _per_item_hashes(column)
+
+
+def _type_hashes(t: type, column: Column) -> List[int]:
+    hashes = _HASH_COLUMN.get(t)
+    return (_per_item_hashes if hashes is None else hashes)(column)
+
+
+_HASH_COLUMN: Dict[type, Callable[[Column], List[int]]] = {
+    type(None): lambda column: [zlib.crc32(b"\x00")] * len(column),
+    bool: _int_hashes,
+    int: _int_hashes,
+    str: _str_hashes,
+}
+
+
+def stable_hashes(keys: Column) -> List[int]:
+    """``list(map(stable_hash, keys))``, a column at a time."""
+    try:
+        if not keys:
+            return []
+        return _by_type(keys, _type_hashes, _per_item_hashes)
+    except Exception:
+        return _per_item_hashes(keys)

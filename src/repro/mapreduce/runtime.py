@@ -31,6 +31,11 @@ one scan of their shared inputs; a solo job is a group of one:
   byte-identical to this runner by construction (see
   ``docs/execution-model.md``).
 
+The task bodies do the framework's own per-pair bookkeeping -- sizing,
+partition routing, sort keys -- a *column* at a time through
+:mod:`~repro.mapreduce.keyspace` (``pair_sizes``, ``stable_hashes``,
+``sort_keys``), each exactly its per-item spelling, exceptions included.
+
 Cluster-scale parallelism is still *modeled* separately by
 :mod:`repro.mapreduce.cost` from the byte/record metrics collected here.
 """
@@ -39,22 +44,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
-from repro.mapreduce.api import Context
+from repro.mapreduce.api import Context, Partitioner
 from repro.mapreduce.counters import FRAMEWORK_GROUP, Counters
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.keyspace import estimate_size, sort_key
+from repro.mapreduce.keyspace import pair_sizes, sort_keys, stable_hashes
 from repro.mapreduce.metrics import JobMetrics
+from repro.mapreduce.shuffle import decorate_pairs
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import Record, Schema
 
-#: Decorated-stream accessors (see :mod:`repro.mapreduce.shuffle`): the
+#: Decorated-stream accessor (see :mod:`repro.mapreduce.shuffle`): the
 #: hot loops sort and group by a sort key computed once per pair.
 _SKEY = itemgetter(0)
+#: A pair's key and value, for splitting a pair stream into columns.
+_KEY = itemgetter(0)
+_VALUE = itemgetter(1)
 
 
 def _collect_yielded(ctx: Context, result: Any, where: str) -> None:
@@ -200,105 +209,69 @@ def _finish_map_task(
     pairs were produced, they go through identical combining, shuffle
     filtering, partition routing and byte accounting, which is what makes
     the two paths' task results interchangeable.
+
+    The bookkeeping runs a column at a time (:mod:`~repro.mapreduce.keyspace`):
+    the emitted keys and values are sized once, and the shuffle stream
+    is re-sized only when the combiner or the shuffle filter changed it;
+    the default partitioner routes the whole key column with one
+    :func:`~repro.mapreduce.keyspace.stable_hashes` pass, where a user
+    partitioner is called once per key.
     """
     metrics = out.metrics
     metrics.map_output_records += len(emitted)
+    pairs = emitted
+    keys, values, (key_bytes, value_bytes) = _columns(pairs)
+    metrics.map_output_bytes += key_bytes + value_bytes
 
-    # Described-aggregate stages (an ``aggregate`` batch spec) shuffle a
-    # small set of group keys repeated across many pairs: one memo entry
-    # per distinct key -- ``[estimate_size, partition once routed]`` --
-    # so sizing and stable_hash each run once per distinct key, not once
-    # per pair.  Both are pure functions of the key, and both runners
-    # share this tail, so sequential/parallel identity is untouched.
-    memo: Optional[dict] = None
-    if any(spec.kind == "aggregate" for spec in conf.batch_specs.values()):
-        memo = {}
+    if conf.combiner is not None and pairs:
+        pairs = _run_combiner(conf, keys, values, out.counters)
+        keys, values, (key_bytes, value_bytes) = _columns(pairs)
 
-    def sized_rows(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, ...]]:
-        if memo is None:
-            return [
-                (key, value, estimate_size(key), estimate_size(value))
-                for key, value in pairs
-            ]
-        rows = []
-        for key, value in pairs:
-            try:
-                key_size = memo[key][0]
-            except KeyError:
-                key_size = estimate_size(key)
-                memo[key] = [key_size, None]
-            except TypeError:
-                # Unhashable key from a lying UDF schema: size and route
-                # it the slow way.
-                key_size = estimate_size(key)
-            rows.append((key, value, key_size, estimate_size(value)))
-        return rows
-
-    # One estimate_size pass per pair, shared between map-output and
-    # shuffle accounting: without a combiner the emitted pairs *are* the
-    # shuffle stream, so each key/value is sized exactly once and the
-    # (key, value, key_size, value_size) rows flow through the
-    # filter/partition chain without being rebuilt as plain pairs.
-    if conf.combiner is not None and emitted:
-        map_output_bytes = 0
-        for key, value in emitted:
-            map_output_bytes += estimate_size(key) + estimate_size(value)
-        metrics.map_output_bytes += map_output_bytes
-        sized = sized_rows(_run_combiner(conf, emitted, out.counters))
-    else:
-        sized = sized_rows(emitted)
-        map_output_bytes = 0
-        for row in sized:
-            map_output_bytes += row[2] + row[3]
-        metrics.map_output_bytes += map_output_bytes
-
-    if conf.shuffle_filter is not None and sized:
+    if conf.shuffle_filter is not None and pairs:
         # Appendix E: delete map outputs whose group the reducer
         # provably ignores, before they cost shuffle/sort work.
-        keep = conf.shuffle_filter
-        kept = [row for row in sized if keep(row[0])]
-        metrics.shuffle_records_skipped += len(sized) - len(kept)
-        sized = kept
+        kept = list(map(conf.shuffle_filter, keys))
+        if not all(kept):
+            pairs = list(compress(pairs, kept))
+            metrics.shuffle_records_skipped += len(kept) - len(pairs)
+            keys, values, (key_bytes, value_bytes) = _columns(pairs)
 
-    partition = conf.partitioner.partition
     n_reducers = conf.num_reducers
-    partitions = out.partitions
-    shuffle_bytes = 0
-    shuffle_key_bytes = 0
-    if memo is not None:
-        for key, value, key_size, value_size in sized:
-            try:
-                entry = memo[key]
-            except TypeError:
-                entry = [key_size, None]
-            part = entry[1]
-            if part is None:
-                part = entry[1] = partition(key, n_reducers)
-            partitions[part].append((key, value))
-            shuffle_key_bytes += key_size
-            shuffle_bytes += key_size + value_size
+    partition = conf.partitioner.partition
+    if getattr(partition, "__func__", None) is Partitioner.partition:
+        parts: Iterable[int] = map(n_reducers.__rmod__, stable_hashes(keys))
     else:
-        for key, value, key_size, value_size in sized:
-            partitions[partition(key, n_reducers)].append((key, value))
-            shuffle_key_bytes += key_size
-            shuffle_bytes += key_size + value_size
-    metrics.shuffle_records += len(sized)
-    metrics.shuffle_key_bytes += shuffle_key_bytes
-    metrics.shuffle_bytes += shuffle_bytes
+        parts = [partition(key, n_reducers) for key in keys]
+    appends = [part.append for part in out.partitions]
+    for append, pair in zip(map(appends.__getitem__, parts), pairs):
+        append(pair)
+    metrics.shuffle_records += len(pairs)
+    metrics.shuffle_key_bytes += key_bytes
+    metrics.shuffle_bytes += key_bytes + value_bytes
+
+
+def _columns(
+    pairs: List[Tuple[Any, Any]]
+) -> Tuple[List[Any], List[Any], Tuple[int, int]]:
+    """A pair stream's key column, value column and their sizes."""
+    keys = list(map(_KEY, pairs))
+    values = list(map(_VALUE, pairs))
+    return keys, values, pair_sizes(keys, values)
 
 
 def _run_combiner(
     conf: JobConf,
-    pairs: List[Tuple[Any, Any]],
+    keys: List[Any],
+    values: List[Any],
     counters: Counters,
 ) -> List[Tuple[Any, Any]]:
     combiner = conf.make_combiner()
     assert combiner is not None
     ctx = Context()
-    # Decorate-sort-group: sort_key runs once per pair; the stable sort
-    # and the groupby both read the precomputed decoration, and equal keys
-    # keep emit order without raw keys ever being compared.
-    decorated = [(sort_key(key), key, value) for key, value in pairs]
+    # Decorate-sort-group: the sort keys are computed once, as a column;
+    # the stable sort and the groupby both read the decoration, and equal
+    # keys keep emit order without raw keys ever being compared.
+    decorated = list(zip(sort_keys(keys), keys, values))
     decorated.sort(key=_SKEY)
     try:
         combiner.setup(ctx)
@@ -327,12 +300,14 @@ def execute_reduce_partition(
 
     ``pairs`` is the partition's shuffle stream.  With ``presorted=False``
     (sequential runner) it is plain (key, value) pairs, decorated with
-    their sort key (computed once per pair) and stable-sorted here; with
-    ``presorted=True`` (parallel runner) the caller already merged sorted
-    spill runs and the stream is consumed as-is -- ``decorated=True``
-    marks a stream of ``(sort_key, key, value)`` rows as spilled by the
-    parallel shuffle, so no sort key is ever recomputed.  Map-only jobs
-    pass records through untouched, preserving arrival order.
+    their sort keys (one :func:`~repro.mapreduce.keyspace.sort_keys`
+    column) and stable-sorted here; with ``presorted=True`` (parallel
+    runner) the caller already merged sorted spill runs and the stream is
+    not re-sorted -- ``decorated=True`` marks a stream of
+    ``(sort_key, key, value)`` rows as spilled by the parallel shuffle,
+    consumed as-is and lazily, so no sort key is ever recomputed.
+    Map-only jobs pass records through untouched, preserving arrival
+    order.
     """
     out = ReduceTaskResult(outputs=[])
     metrics = out.metrics
@@ -344,21 +319,16 @@ def execute_reduce_partition(
             pairs = [(key, value) for _skey, key, value in pairs]
         out.outputs = list(pairs)
         metrics.reduce_output_records += len(out.outputs)
-        for key, value in out.outputs:
-            metrics.reduce_output_bytes += (
-                estimate_size(key) + estimate_size(value)
-            )
+        metrics.reduce_output_bytes += sum(_columns(out.outputs)[2])
         return out
 
     ctx = Context()
     if decorated:
         stream: Iterable[Tuple[Any, Any, Any]] = pairs
-    elif presorted:
-        stream = ((sort_key(key), key, value) for key, value in pairs)
     else:
-        rows = [(sort_key(key), key, value) for key, value in pairs]
-        rows.sort(key=_SKEY)
-        stream = rows
+        stream = decorate_pairs(pairs)
+        if not presorted:
+            stream.sort(key=_SKEY)
     try:
         reducer.setup(ctx)
         reduce_fn = reducer.reduce
@@ -377,10 +347,7 @@ def execute_reduce_partition(
     out.counters.merge(ctx.counters)
     out.outputs = ctx.emitted
     metrics.reduce_output_records += len(ctx.emitted)
-    reduce_output_bytes = 0
-    for key, value in ctx.emitted:
-        reduce_output_bytes += estimate_size(key) + estimate_size(value)
-    metrics.reduce_output_bytes += reduce_output_bytes
+    metrics.reduce_output_bytes += sum(_columns(ctx.emitted)[2])
     return out
 
 

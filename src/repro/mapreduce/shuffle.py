@@ -11,8 +11,9 @@ processes (a :class:`~repro.mapreduce.parallel.ParallelJobRunner` group
 that runs in process shuffles through memory like any other).
 
 Hot-path note: sorted runs travel **decorated** -- each pair is stored as
-``(sort_key(key), key, value)`` -- so the shuffle computes
-:func:`~repro.mapreduce.keyspace.sort_key` exactly once per pair.  The
+``(sort_key(key), key, value)`` -- so the shuffle computes each pair's
+sort key exactly once, as one column per run
+(:func:`~repro.mapreduce.keyspace.sort_keys`).  The
 spill sort, the k-way merge heap, and the reducer's ``groupby`` all read
 the precomputed key with a C-level ``itemgetter`` instead of re-deriving
 it (the pre-overhaul path paid three ``sort_key`` calls per pair).
@@ -49,7 +50,7 @@ from typing import Any, Iterable, Iterator, List, Tuple
 
 from repro import faults
 from repro.exceptions import JobExecutionError, TransientTaskError
-from repro.mapreduce.keyspace import sort_key
+from repro.mapreduce.keyspace import sort_key, sort_keys
 
 #: Pickle protocol for spill files (private, same-interpreter lifetime).
 SPILL_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -60,6 +61,8 @@ SPILL_CHUNK_PAIRS = 2048
 
 #: Reads the precomputed sort key out of a decorated (skey, key, value).
 DECORATION_KEY = itemgetter(0)
+_PAIR_KEY = itemgetter(0)
+_PAIR_VALUE = itemgetter(1)
 
 
 def run_path(spill_dir: str, phase: str, task_index: int,
@@ -136,10 +139,14 @@ def decorate_pairs(
 ) -> List[Tuple[Any, Any, Any]]:
     """Attach each pair's shuffle sort key: ``(sort_key(k), k, v)``.
 
-    The single place per pair where :func:`sort_key` runs; everything
-    downstream reuses the decoration.
+    The keys are sort-keyed as one column
+    (:func:`~repro.mapreduce.keyspace.sort_keys`); everything downstream
+    reuses the decoration.
     """
-    return [(sort_key(key), key, value) for key, value in pairs]
+    if not isinstance(pairs, list):
+        pairs = list(pairs)
+    keys = list(map(_PAIR_KEY, pairs))
+    return list(zip(sort_keys(keys), keys, map(_PAIR_VALUE, pairs)))
 
 
 def sort_decorated_run(

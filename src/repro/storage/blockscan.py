@@ -5,7 +5,8 @@ captured value fields in per-column lists and passing over the rest.
 Interpreting that walk -- a type dispatch plus a varint call per field --
 costs more than the decoding itself, so this module *generates* it: for a
 shape (the key fields' wire kinds, the value fields' wire kinds with their
-capture slots, and whether keys are decoded) it emits one straight-line
+capture slots, whether keys are decoded, and whether the payload is a
+block or a B+Tree leaf's entries) it emits one straight-line
 function over the block's ``bytes`` payload, compiles it once and keeps it
 for the life of the process.  Per field there is one emitted step; a
 varint of any length is decoded or passed over inline (1 to 3 bytes
@@ -19,7 +20,7 @@ estimate is its span, except that a length prefix always counts one byte
 -- so it is the payload length minus the excess bytes of multi-byte
 prefixes, counted only on those branches).
 
-Three scans share the shapes.  The batch executor's
+Four scans share the shapes.  The batch executor's
 (:func:`block_scanner`) captures the columns a stage needs from an
 identity-codec file; an index build's copy
 (:func:`~repro.storage.columnfile.copy_records`) captures the fields it
@@ -30,7 +31,11 @@ record file, projection file or partition is the identity shape, a
 dictionary file the identity shape over its stored schema, and a delta
 file's delta fields are the ``delta`` kind -- a zigzag varint added to
 a running sum that starts at zero with each block, charged
-``svarint_len`` of the sum.
+``svarint_len`` of the sum.  A selection index's range scan
+(:func:`entry_scanner`) is the same generator with one flag: its payload
+is a B+Tree leaf's list of framed entries, each ``uvarint klen | key |
+value`` with the value running to the end of the entry instead of
+behind its own length prefix.
 
 The generated loop proves a block well-formed or gives up; it never
 reports damage itself.  Positions only move forward and every record
@@ -80,12 +85,14 @@ _WIRE = {
     FieldType.BYTES: "bytes",
 }
 
-#: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys);
-#: a value kind is a ``_WIRE`` kind or ``"delta"``
-Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], bool]
+#: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys,
+#: entries); a value kind is a ``_WIRE`` kind or ``"delta"``, and
+#: ``entries`` marks a list of framed index entries instead of a block
+Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], bool, bool]
 
-#: A scanned block: (columns by slot, key records or None, logical bytes)
-Scanned = Tuple[List[list], Optional[List[Record]], int]
+#: A scanned block: (columns by slot, key records or None, logical bytes
+#: -- or None for index entries, whose reader sizes the pairs it keeps)
+Scanned = Tuple[List[list], Optional[List[Record]], Optional[int]]
 
 _GLOBALS = {
     "_build_records": build_records,
@@ -198,7 +205,7 @@ def _delta(acc: str, sink: Optional[str]) -> List[str]:
 
 def scanner_source(shape: Shape) -> str:
     """The scanner for ``shape``, as Python source."""
-    key_kinds, value_steps, decode_keys = shape
+    key_kinds, value_steps, decode_keys, entries = shape
     n_slots = 1 + max((slot for _kind, slot in value_steps), default=-1)
     columns = [f"c{i}" for i in range(n_slots)]
     if decode_keys:
@@ -207,7 +214,9 @@ def scanner_source(shape: Shape) -> str:
     for i, kind in enumerate(key_kinds):
         record += _field(kind, f"k{i}_add" if decode_keys else None, "kend")
     record += ["if p != kend:", "    return None"]
-    record += _length("vlen", "end") + ["vend = p + vlen"]
+    # an index entry's value runs to the end of the entry
+    record += ["vend = end"] if entries else (
+        _length("vlen", "end") + ["vend = p + vlen"])
     sums = []
     for i, (kind, slot) in enumerate(value_steps):
         sink = None if slot < 0 else f"c{slot}_add"
@@ -221,17 +230,29 @@ def scanner_source(shape: Shape) -> str:
     if decode_keys:
         key_columns = ", ".join(f"k{i}" for i in range(len(key_kinds)))
         keys = f"_build_records(key_schema, [{key_columns}], n_records)"
-    lines = ["def _scan(payload, n_records, key_schema):",
-             "    end = len(payload)",
-             "    p = x = 0"]
+    if entries:
+        lines = ["def _scan(entries, n_records, key_schema):",
+                 "    x = 0"]
+    else:
+        lines = ["def _scan(payload, n_records, key_schema):",
+                 "    end = len(payload)",
+                 "    p = x = 0"]
     if sums:
         lines += ["    " + " = ".join(sums) + " = 0"]
     lines += [f"    {c} = []\n    {c}_add = {c}.append" for c in columns]
-    lines += ["    for _ in range(n_records):"]
+    if entries:
+        lines += ["    for payload in entries:",
+                  "        end = len(payload)",
+                  "        p = 0"]
+        total = "None"
+    else:
+        lines += ["    for _ in range(n_records):"]
+        total = "end - x"
     lines += ["        " + step for step in record]
-    lines += ["    if p != end:",
-              "        return None",
-              f"    return [{', '.join(columns[:n_slots])}], {keys}, end - x"]
+    if not entries:
+        lines += ["    if p != end:",
+                  "        return None"]
+    lines += [f"    return [{', '.join(columns[:n_slots])}], {keys}, {total}"]
     return "\n".join(lines) + "\n"
 
 
@@ -303,6 +324,7 @@ def block_scanner(key_schema: Schema, value_schema: Schema,
         tuple((_WIRE[f.ftype], slots.get(f.name, -1))
               for f in value_schema.fields),
         decode_keys,
+        False,
     ))
 
 
@@ -323,5 +345,27 @@ def split_scanner(reader: BlockFileReader) -> Optional[BlockScanner]:
         _key_kinds(key_schema),
         tuple(("delta" if f.name in deltas else _WIRE[f.ftype], i)
               for i, f in enumerate(schema.fields)),
+        True,
+        False,
+    ))
+
+
+def entry_scanner(key_schema: Schema, value_schema: Schema
+                  ) -> Optional[BlockScanner]:
+    """The compiled scanner for framed index entries, or ``None``.
+
+    A selection index stores each record pair as one B+Tree value,
+    ``uvarint klen | key | value`` with the value running to the end of
+    the entry (:func:`~repro.mapreduce.formats.frame_index_entry`).  The
+    scanner takes a leaf's list of entries as its payload, captures
+    every value field in order and decodes keys, like
+    :func:`split_scanner`; ``None`` when either schema is opaque.
+    """
+    if not (key_schema.transparent and value_schema.transparent):
+        return None
+    return _compiled((
+        _key_kinds(key_schema),
+        tuple((_WIRE[f.ftype], i) for i, f in enumerate(value_schema.fields)),
+        True,
         True,
     ))

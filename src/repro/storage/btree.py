@@ -373,6 +373,35 @@ class BTree:
         ``None`` bounds are unbounded.  Duplicates are yielded in insertion
         order within equal keys.
         """
+        for keys, values in self._range_leaves(lo, hi, lo_inclusive,
+                                               hi_inclusive):
+            yield from zip(keys, values)
+
+    def scan_leaves(
+        self,
+        lo: Optional[bytes] = None,
+        hi: Optional[bytes] = None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
+    ) -> Iterator[List[bytes]]:
+        """The values of :meth:`scan`'s range, one list per leaf page.
+
+        Leaves are fetched exactly as :meth:`scan` fetches them; a leaf
+        with no value in range yields an empty list.
+        """
+        for _keys, values in self._range_leaves(lo, hi, lo_inclusive,
+                                                hi_inclusive):
+            yield values
+
+    def _range_leaves(
+        self,
+        lo: Optional[bytes],
+        hi: Optional[bytes],
+        lo_inclusive: bool,
+        hi_inclusive: bool,
+    ) -> Iterator[Tuple[List[bytes], List[bytes]]]:
+        """Each leaf's in-range ``(keys, values)``, walking the leaf chain
+        from ``lo``'s leaf until a key passes ``hi``."""
         if not self._leaf_chain:
             return
         if lo is None:
@@ -383,24 +412,24 @@ class BTree:
             leaf = self._fetch(leaf_id)
             assert isinstance(leaf, _Leaf)
             keys = leaf.keys
+            # Keep the lower bound for subsequent leaves: duplicates of an
+            # excluded bound key may span leaf boundaries, and bisect is
+            # cheap when all remaining keys already exceed the bound.
             if lo is None:
                 start = 0
             elif lo_inclusive:
                 start = bisect_left(keys, lo)
             else:
                 start = bisect_right(keys, lo)
-            for i in range(start, len(keys)):
-                key = keys[i]
-                if hi is not None:
-                    if hi_inclusive:
-                        if key > hi:
-                            return
-                    elif key >= hi:
-                        return
-                yield key, leaf.values[i]
-            # Keep the lower bound for subsequent leaves: duplicates of an
-            # excluded bound key may span leaf boundaries, and bisect is
-            # cheap when all remaining keys already exceed the bound.
+            if hi is None:
+                stop = len(keys)
+            elif hi_inclusive:
+                stop = bisect_right(keys, hi, start)
+            else:
+                stop = bisect_left(keys, hi, start)
+            yield keys[start:stop], leaf.values[start:stop]
+            if stop < len(keys):
+                return
             pos = self._leaf_pos.get(leaf_id)
             if pos is None or pos + 1 >= len(self._leaf_chain):
                 return

@@ -1,18 +1,31 @@
 """Tests for shuffle key normalization, hashing, and sizing."""
 
+import pickle
 import zlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import MapReduceError
+from repro.exceptions import MapReduceError, SerializationError
+from repro.mapreduce import (
+    InMemoryInput,
+    JobConf,
+    LocalJobRunner,
+    Mapper,
+    ParallelJobRunner,
+    Reducer,
+)
 from repro.mapreduce.keyspace import (
     _SIZE_DISPATCH,
     _canonical_bytes,
     _estimate_size_slow,
     estimate_size,
+    pair_sizes,
     sort_key,
+    sort_keys,
     stable_hash,
+    stable_hashes,
+    total_size,
 )
 from repro.storage.serialization import (
     Field,
@@ -140,3 +153,173 @@ class TestEstimateSize:
         # sized once through the isinstance fallback, which registers
         # its type: the next one dispatches like a plain Record
         assert _SIZE_DISPATCH[type(scanned)] is _SIZE_DISPATCH[Record]
+
+
+# -- column spellings: each is exactly its per-item spelling ---------------
+
+WIDE = Schema("Wide", [Field("a", FieldType.INT), Field("b", FieldType.STRING),
+                       Field("c", FieldType.DOUBLE)])
+INT64_EDGES = [-(1 << 63), (1 << 63) - 1, -(1 << 62), 1 << 62, -64, 63, -65,
+               64, 8191, 8192, -8193]
+ODD_STRINGS = ["x" * 127, "x" * 128, "é" * 63, "é" * 64, "日本語" * 43,
+               "naïve", "\ud800", "a\udfffb", ""]
+
+INTS = st.one_of(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+                 st.integers(min_value=-200, max_value=200),
+                 st.sampled_from(INT64_EDGES))
+OUT_OF_RANGE = st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 70])
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), -0.0, 0.0, 1.0, -3.0, 2.0 ** 53, 2.0 ** 60, 1.5]))
+TEXT = st.one_of(st.text(max_size=12), st.sampled_from(ODD_STRINGS))
+BINARY = st.one_of(st.binary(max_size=12),
+                   st.binary(max_size=12).map(bytearray))
+ATOMS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, TEXT, BINARY)
+TUPLES = st.lists(st.one_of(INTS, TEXT, FLOATS), max_size=3).map(tuple)
+PLAIN_RECORDS = st.one_of(
+    st.builds(PT.make, INTS, INTS),
+    st.builds(WIDE.make, INTS, TEXT, FLOATS),
+)
+SCANNED_RECORDS = st.one_of(
+    st.builds(lambda x, y: build_records(PT, [[x], [y]], 1)[0], INTS, INTS),
+    st.builds(lambda a, b, c: build_records(WIDE, [[a], [b], [c]], 1)[0],
+              INTS, TEXT, FLOATS),
+)
+ANY = st.one_of(ATOMS, TUPLES, PLAIN_RECORDS, SCANNED_RECORDS)
+#: one element strategy per homogeneous column kind
+KINDS = [st.none(), st.booleans(), INTS, FLOATS, TEXT, st.binary(max_size=9),
+         st.binary(max_size=9).map(bytearray), TUPLES,
+         st.tuples(INTS, TEXT), PLAIN_RECORDS, SCANNED_RECORDS]
+HOMOGENEOUS = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.lists(kind, max_size=40))
+MIXED = st.lists(ANY, max_size=40)
+#: columns whose per-item loop raises: an unsizable / unkeyable value, an
+#: int outside int64, a lone surrogate, planted among ordinary values
+POISON = st.sampled_from([{"a": 1}, [1, 2], 1 << 64, "\udc80", (1, {})])
+POISONED = st.tuples(MIXED, POISON, st.integers(min_value=0)).map(
+    lambda t: t[0][:t[2] % (len(t[0]) + 1)] + [t[1]]
+    + t[0][t[2] % (len(t[0]) + 1):])
+COLUMNS = st.one_of(HOMOGENEOUS, MIXED, POISONED)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message it raises."""
+    try:
+        return "ok", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the subject
+        return "raise", type(exc), str(exc)
+
+
+class TestColumnSpellings:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(COLUMNS)
+    def test_total_size_is_the_per_item_sum(self, column):
+        assert _outcome(total_size, column) == _outcome(
+            lambda c: sum(map(estimate_size, c)), column)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(COLUMNS)
+    def test_sort_keys_are_the_per_item_keys(self, column):
+        assert _outcome(sort_keys, column) == _outcome(
+            lambda c: list(map(sort_key, c)), column)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(COLUMNS)
+    def test_stable_hashes_are_the_per_item_hashes(self, column):
+        assert _outcome(stable_hashes, column) == _outcome(
+            lambda c: list(map(stable_hash, c)), column)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(ANY, ANY), max_size=30), POISON, POISON,
+           st.integers(min_value=0), st.integers(min_value=0))
+    def test_pair_sizes_raise_what_the_per_pair_loop_raises(
+            self, pairs, bad_key, bad_value, at_key, at_value):
+        keys = [k for k, _v in pairs] + [0, 0]
+        values = [v for _k, v in pairs] + [0, 0]
+        keys[at_key % len(keys)] = bad_key
+        values[at_value % len(values)] = bad_value
+
+        def per_pair(keys, values):
+            key_bytes = value_bytes = 0
+            for key, value in zip(keys, values):
+                key_bytes += estimate_size(key)
+                value_bytes += estimate_size(value)
+            return key_bytes, value_bytes
+
+        assert _outcome(pair_sizes, keys, values)[0] == "raise"
+        assert _outcome(pair_sizes, keys, values) == _outcome(
+            per_pair, keys, values)
+        clean = [k for k, _v in pairs], [v for _k, v in pairs]
+        assert _outcome(pair_sizes, *clean) == _outcome(per_pair, *clean)
+
+    def test_empty_column(self):
+        assert total_size([]) == 0
+        assert sort_keys([]) == [] and stable_hashes([]) == []
+        assert pair_sizes([], []) == (0, 0)
+
+    def test_int64_edges_size_like_svarint_len(self):
+        assert total_size(INT64_EDGES) == sum(map(estimate_size, INT64_EDGES))
+        for bad in (1 << 63, -(1 << 63) - 1):
+            with pytest.raises(SerializationError) as column:
+                total_size(INT64_EDGES + [bad])
+            with pytest.raises(SerializationError) as item:
+                estimate_size(bad)
+            assert str(column.value) == str(item.value)
+
+    def test_lone_surrogates_raise_the_per_item_encode_error(self):
+        column = ["ok", "fine", "x\ud800y", "\udfff"]
+        for fn, one in ((total_size, estimate_size),
+                        (stable_hashes, stable_hash)):
+            with pytest.raises(UnicodeEncodeError) as raised:
+                fn(column)
+            with pytest.raises(UnicodeEncodeError) as expected:
+                one(column[2])
+            assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("text", ODD_STRINGS[:-3] + ["", "a" * 200])
+    def test_string_hash_heads_either_side_of_128_bytes(self, text):
+        column = [text, "k", text + "z"]
+        assert stable_hashes(column) == list(map(stable_hash, column))
+
+    def test_records_of_two_schemas_and_two_kinds(self):
+        scanned = build_records(WIDE, [[1, 300], ["a", "é"], [0.5, 2.0]], 2)
+        column = scanned + [PT.make(1, -1), WIDE.make(7, "q", 1.0),
+                            build_records(PT, [[5], [6]], 1)[0]]
+        assert total_size(column) == sum(map(estimate_size, column))
+        assert sort_keys(column) == list(map(sort_key, column))
+        assert stable_hashes(column) == list(map(stable_hash, column))
+
+    def test_nan_sort_keys_stay_one_group(self):
+        column = [float("nan"), 1.0, float("-nan"), -0.0]
+        assert repr(sort_keys(column)) == repr(list(map(sort_key, column)))
+
+
+class MixedKeyMapper(Mapper):
+    """Emits keys mixing 1 / 1.0 / True / NaN / str from int inputs."""
+
+    KEYS = [1, 1.0, True, float("nan"), "one", 2, 2.5, "two", False, 0.0]
+
+    def map(self, key, value, ctx):
+        ctx.emit(self.KEYS[value % len(self.KEYS)], value)
+
+
+class SumReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, sum(values))
+
+
+def test_mixed_numeric_keys_sequential_and_pooled_are_byte_identical():
+    conf = JobConf(
+        name="mixed-keys",
+        mapper=MixedKeyMapper,
+        reducer=SumReducer,
+        inputs=[InMemoryInput([(i, i) for i in range(400)])],
+        num_reducers=3,
+    )
+    seq = LocalJobRunner().run(conf)
+    par = ParallelJobRunner(num_workers=2).run(conf)
+    assert pickle.dumps(par.outputs) == pickle.dumps(seq.outputs)
+    for field in ("shuffle_bytes", "shuffle_key_bytes", "map_output_bytes",
+                  "reduce_groups", "reduce_output_bytes"):
+        assert getattr(par.metrics, field) == getattr(seq.metrics, field)
+    # 1, 1.0 and True are one group; NaN is one group
+    assert seq.metrics.reduce_groups == 7

@@ -1,8 +1,10 @@
 """Each layer depends only on the layers below it, only storage stats an
 input's mtime, every environment knob is on an argued allow-list, one
 module drives shared scans, one plans batch scans, one lists the
-aggregate ops, nothing imports the retired typed shuffle's stub and
-nothing brings back the retired lazy decode -- checked, not claimed.
+aggregate ops, nothing imports the retired typed shuffle's stub,
+nothing brings back the retired lazy decode and the shuffle's
+bookkeeping sizes, sort-keys and hashes by column -- checked, not
+claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -206,3 +208,48 @@ def test_checker_sees_the_lazy_decode_come_back(tmp_path):
         os.path.join("storage", "columnfile.py") + ":2: passes lazy_values=",
         os.path.join("storage", "serialization.py") + ":3: defines LazyRecord",
         os.path.join("storage", "varint.py") + ":1: defines skip_uvarint"]
+
+
+def test_checker_sees_per_item_sizing_outside_the_allow_list(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("mapreduce", "keyspace", "def estimate_size(v):\n    return 1\n"
+                                  "def total_size(vs):\n"
+                                  "    return sum(map(estimate_size, vs))\n"),
+        ("mapreduce", "api", "from repro.mapreduce.keyspace import "
+                             "stable_hash\n"
+                             "class Partitioner:\n"
+                             "    def partition(self, key, n):\n"
+                             "        return stable_hash(key) % n\n"
+                             "class Other:\n"
+                             "    def partition(self, key, n):\n"
+                             "        return stable_hash(key) % n\n"),
+        ("mapreduce", "runtime", "from repro.mapreduce import keyspace\n"
+                                 "from repro.mapreduce.keyspace import "
+                                 "estimate_size, sort_key\n"
+                                 "def finish(pairs):\n"
+                                 "    def sized(rows):\n"
+                                 "        return [estimate_size(k) "
+                                 "for k, _v in rows]\n"
+                                 "    rows = sorted(pairs, key=sort_key)\n"
+                                 "    return keyspace.stable_hash(rows)\n"),
+        ("mapreduce", "shuffle", "from repro.mapreduce.keyspace import "
+                                 "sort_key\n"
+                                 "def merge_runs(runs):\n"
+                                 "    return ((sort_key(k), k, v) "
+                                 "for k, v in runs)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.per_item_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("mapreduce", "api.py")
+        + ":7: Other.partition uses the per-item stable_hash",
+        os.path.join("mapreduce", "runtime.py")
+        + ":5: finish.sized uses the per-item estimate_size",
+        os.path.join("mapreduce", "runtime.py")
+        + ":6: finish uses the per-item sort_key",
+        os.path.join("mapreduce", "runtime.py")
+        + ":7: finish uses the per-item stable_hash"]

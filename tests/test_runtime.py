@@ -1,9 +1,12 @@
 """Tests for the MapReduce execution fabric (runner, shuffle, combiner)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.exceptions import JobConfigError, JobExecutionError
 from repro.mapreduce import (
+    IdentityMapper,
     InMemoryInput,
     JobConf,
     LocalJobRunner,
@@ -13,6 +16,8 @@ from repro.mapreduce import (
     Reducer,
     run_job,
 )
+from repro.mapreduce.keyspace import estimate_size, stable_hash
+from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
 from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import (
     INT_SCHEMA,
@@ -243,3 +248,70 @@ class TestDeterminism:
         p = Partitioner()
         for key in ["a", "b", 1, (1, "x")]:
             assert p.partition(key, 7) == p.partition(key, 7)
+
+
+def _per_pair_bytes(pairs):
+    """(key bytes, key + value bytes) of ``pairs``, sized one at a time."""
+    keys = sum(estimate_size(k) for k, _v in pairs)
+    return keys, keys + sum(estimate_size(v) for _k, v in pairs)
+
+
+class TestMapTaskTail:
+    """The map tail's column bookkeeping charges what per-pair sizing
+    charges, and routes where the per-key partitioner routes."""
+
+    MIXED = [(1, 5), (1.0, 5), (True, 5)]
+
+    def _finish(self, emitted, **conf):
+        conf.setdefault("reducer", SumReducer)
+        conf = JobConf(name="tail", mapper=IdentityMapper,
+                       inputs=[InMemoryInput([(0, 0)])], **conf)
+        out = MapTaskResult(partitions=[[] for _ in range(conf.num_reducers)])
+        _finish_map_task(conf, out, list(emitted))
+        return out
+
+    def test_numerically_equal_keys_of_an_aggregate_stage_size_apart(self):
+        # 1, 1.0 and True are one group key but 1, 8 and 1 bytes: a
+        # per-key memo keyed by the key itself charged all three 1 byte
+        spec = SimpleNamespace(kind="aggregate")
+        out = self._finish(self.MIXED, batch_specs={None: spec})
+        assert out.metrics.shuffle_key_bytes == 10
+        assert out.metrics.map_output_bytes == 13
+        assert out.metrics.shuffle_bytes == 13
+
+    def test_column_bookkeeping_matches_per_pair_accounting(self):
+        emitted = [(k, (k, str(k) * 3)) for k in
+                   ["a", "bb", 7, 1 << 40, 2.5, ("t", 1), None, b"by"] * 5]
+        out = self._finish(emitted, num_reducers=3)
+        key_bytes, total = _per_pair_bytes(emitted)
+        assert out.metrics.shuffle_key_bytes == key_bytes
+        assert out.metrics.shuffle_bytes == out.metrics.map_output_bytes == total
+        for part, pairs in enumerate(out.partitions):
+            assert all(stable_hash(k) % 3 == part for k, _v in pairs)
+        assert [pair for part in out.partitions for pair in part] == sorted(
+            emitted, key=lambda kv: stable_hash(kv[0]) % 3)
+
+    def test_filtered_and_user_partitioned_pairs_are_resized(self):
+        class ByType(Partitioner):
+            def partition(self, key, num_partitions):
+                return int(isinstance(key, str))
+
+        emitted = [("a", 1), (2, "xyz"), ("ccc", 3.5), (4, 4)]
+        out = self._finish(emitted, num_reducers=2, partitioner=ByType(),
+                           shuffle_filter=lambda key: key != "a")
+        kept = emitted[1:]
+        key_bytes, total = _per_pair_bytes(kept)
+        assert out.metrics.shuffle_records_skipped == 1
+        assert out.metrics.shuffle_key_bytes == key_bytes
+        assert out.metrics.shuffle_bytes == total
+        assert out.metrics.map_output_bytes == _per_pair_bytes(emitted)[1]
+        assert out.partitions == [[(2, "xyz"), (4, 4)], [("ccc", 3.5)]]
+
+    def test_an_unsizable_pair_raises_the_per_pair_error(self):
+        emitted = [("a", 1), ("b", [1]), ({}, 2)]
+        with pytest.raises(Exception) as raised:
+            self._finish(emitted)
+        with pytest.raises(Exception) as expected:
+            _per_pair_bytes(emitted[:2])
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)

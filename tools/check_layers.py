@@ -48,6 +48,14 @@
    call, and ``FieldDecodeCounter`` -- kept for the frozen benchmark
    suite's storage probe -- is named only where it is defined and where
    ``repro.storage`` exports it (:data:`COUNTER_HOMES`).
+8. One sizer.  The shuffle's bookkeeping runs a column at a time
+   (``total_size``, ``pair_sizes``, ``sort_keys``, ``stable_hashes`` in
+   ``repro/mapreduce/keyspace.py``).  Outside ``keyspace.py`` the
+   per-item ``estimate_size``, ``sort_key`` and ``stable_hash``
+   (:data:`PER_ITEM`) are named -- called, or passed as a function --
+   only in the functions of :data:`PER_ITEM_ALLOWED`, each with the
+   reason a per-item call is right there; a per-pair loop anywhere else
+   is the bookkeeping the column functions replaced.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -105,6 +113,22 @@ LAZY_KWARGS = frozenset({"lazy_values", "lazy_keys", "field_counter"})
 COUNTER = "FieldDecodeCounter"
 COUNTER_HOMES = (os.path.join("repro", "storage", "serialization.py"),
                  os.path.join("repro", "storage", "__init__.py"))
+
+
+#: the per-item keyspace functions, their home, and the only functions
+#: (module, qualified name) elsewhere that may name them -- with why
+PER_ITEM = frozenset({"estimate_size", "sort_key", "stable_hash"})
+KEYSPACE = os.path.join("repro", "mapreduce", "keyspace.py")
+PER_ITEM_ALLOWED = {
+    (os.path.join("repro", "mapreduce", "api.py"), "Partitioner.partition"):
+        "the public per-key partitioner; the default route hashes a column",
+    (os.path.join("repro", "mapreduce", "shuffle.py"), "merge_runs"):
+        "decorates plain runs lazily as they stream, one pair at a time",
+    (os.path.join("repro", "mapreduce", "job.py"), "JobResult.sorted_outputs"):
+        "a sorted() key over a finished job's outputs, not a shuffle loop",
+    (os.path.join("repro", "storage", "partitioned.py"), "_stable_field_hash"):
+        "the partition writer routes each record as it is written",
+}
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -297,11 +321,44 @@ def lazy_decode_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(found)]
 
 
+def _scoped_nodes(node: ast.AST, scope: str = ""
+                  ) -> Iterator[Tuple[str, ast.AST]]:
+    """(qualified name of the enclosing def/class, node) for every node."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from _scoped_nodes(child, inner)
+
+
+def per_item_violations(src: str = SRC) -> List[str]:
+    """Every use of a :data:`PER_ITEM` function under ``src/repro``
+    outside ``keyspace.py`` and :data:`PER_ITEM_ALLOWED` (rule 8)."""
+    found: List[Tuple[str, int, str, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        if module == KEYSPACE:
+            continue
+        for scope, node in _scoped_nodes(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in PER_ITEM and (module, scope) not in PER_ITEM_ALLOWED:
+                found.append((os.path.relpath(path, REPO_ROOT), node.lineno,
+                              name, scope or "<module>"))
+    return [f"{rel}:{lineno}: {scope} uses the per-item {name} (size, sort "
+            f"or hash a column: repro.mapreduce.keyspace total_size / "
+            f"pair_sizes / sort_keys / stable_hashes)"
+            for rel, lineno, name, scope in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
     stub, lazy = stub_violations(), lazy_decode_violations()
-    for line in upward + mtime + env + single + ops + stub + lazy:
+    per_item = per_item_violations()
+    for line in upward + mtime + env + single + ops + stub + lazy + per_item:
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -318,7 +375,10 @@ def main() -> int:
         print(f"\n{len(stub)} use(s) or growth of the {STUB_MODULE} stub")
     if lazy:
         print(f"\n{len(lazy)} trace(s) of the retired lazy decode")
-    if upward or mtime or env or single or ops or stub or lazy:
+    if per_item:
+        print(f"\n{len(per_item)} per-item sizing/sort-key/hash use(s) "
+              f"outside the allow-list")
+    if upward or mtime or env or single or ops or stub or lazy or per_item:
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -328,7 +388,9 @@ def main() -> int:
                       for name, (_home, caller) in SINGLE_CALLER.items())
           + f"; aggregate ops are listed only in {AGG_TABLE}"
           + f"; nothing imports the {STUB_MODULE} stub"
-          + "; nothing defines or asks for the lazy decode")
+          + "; nothing defines or asks for the lazy decode"
+          + "; the per-item sizer, sort key and hash are used only in "
+          + ", ".join(scope for _module, scope in PER_ITEM_ALLOWED))
     return 0
 
 
