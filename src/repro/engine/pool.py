@@ -262,9 +262,11 @@ def run_map_task(
     Returns ``(task_index, runs, deltas)``: the spilled run path per
     non-empty ``(member, partition)`` and each member's ``(metrics,
     counters)``.  Reducing members spill *decorated* sorted runs --
-    ``(sort_key, key, value)`` rows -- so the sort key computed here is
-    the one the merge heap and the reducer's grouping reuse.  Map-only
-    members spill plain pairs (their output is never sorted).
+    ``(sort_key, key, value)`` rows, ordered by one index-permutation
+    sort (:func:`~repro.mapreduce.shuffle.sort_decorated_run`) -- so the
+    sort key computed here is the one the merge heap and the reducer's
+    grouping reuse.  Map-only members spill plain pairs (their output is
+    never sorted).
 
     ``attempt`` namespaces this execution's heartbeat and spill files:
     a retried task writes fresh run files instead of racing a killed
@@ -302,7 +304,12 @@ def run_reduce_task(
     state: _JobState, member: int, partition: int, run_paths: List[str],
     attempt: int,
 ) -> Tuple[int, int, str, Any, Any]:
-    """Merge one member partition's runs, reduce them, spill the output."""
+    """Merge one member partition's runs, reduce them, spill the output.
+
+    The merged stream is reduced a spill frame's worth of rows at a
+    time, so the task holds one frame per run plus one chunk and the
+    group still open.
+    """
     conf = state.confs[member]
     _touch_heartbeat(
         state, "reduce", _reduce_label(member, partition), attempt

@@ -25,6 +25,11 @@ field columns.  Whatever the column spelling cannot do in one pass
 unusual types) goes per item, and on *any* exception the column is
 re-walked per item, in order, so the exception raised is the one the
 per-item loop raises.
+
+Every shuffle sort is :func:`sort_order`: one stable sort of an index
+permutation, on the raw keys when they are all ``str``, all ``int`` or
+all ``bytes`` (where they order exactly as their sort keys), and on the
+sort keys otherwise.
 """
 
 from __future__ import annotations
@@ -423,6 +428,32 @@ def sort_keys(keys: Column) -> List[Tuple]:
         return _column_sort_keys(keys)
     except Exception:
         return _per_item_sort_keys(keys)
+
+
+#: Key types whose raw values order and compare exactly as their sort
+#: keys do: within one type, :func:`sort_key` only prepends a constant rank.
+_RAW_ORDERED = frozenset({str, int, bytes})
+
+
+def sort_order(keys: Column, skeys: Optional[Column] = None
+               ) -> Tuple[List[int], Column]:
+    """The stable sort of ``keys`` as an index permutation, and the column
+    it sorted.
+
+    The column is ``keys`` itself when every key has the same exact type,
+    one of ``str``, ``int`` and ``bytes``, and otherwise their sort keys
+    (``skeys`` when the caller already has them, else :func:`sort_keys`,
+    which raises for a key that cannot be shuffled).  Both order the keys
+    the same and call the same neighbours equal, so the permutation is
+    the stable sort by :func:`sort_key` either way, and equal runs of the
+    column permuted by it are the groups.
+    """
+    types = set(map(type, keys))
+    if len(types) == 1 and types <= _RAW_ORDERED:
+        column = keys
+    else:
+        column = sort_keys(keys) if skeys is None else skeys
+    return sorted(range(len(column)), key=column.__getitem__), column
 
 
 # - partition hashes -

@@ -35,6 +35,11 @@ The task bodies do the framework's own per-pair bookkeeping -- sizing,
 partition routing, sort keys -- a *column* at a time through
 :mod:`~repro.mapreduce.keyspace` (``pair_sizes``, ``stable_hashes``,
 ``sort_keys``), each exactly its per-item spelling, exceptions included.
+The reduce loop (:func:`_reduce_groups`, behind every reduce partition
+and every combiner) is a column at a time too: a partition is sorted as
+one index permutation (``keyspace.sort_order``), its group boundaries
+are found once over the sorted column, and each ``reduce()`` call gets
+the group's first key and a slice of the value column.
 
 Cluster-scale parallelism is still *modeled* separately by
 :mod:`repro.mapreduce.cost` from the byte/record metrics collected here.
@@ -44,23 +49,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
 from repro.mapreduce.api import Context, Partitioner
 from repro.mapreduce.counters import FRAMEWORK_GROUP, Counters
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.keyspace import pair_sizes, sort_keys, stable_hashes
+from repro.mapreduce.keyspace import pair_sizes, sort_order, stable_hashes
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.shuffle import decorate_pairs
+from repro.mapreduce.shuffle import decorated_chunks
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import Record, Schema
 
-#: Decorated-stream accessor (see :mod:`repro.mapreduce.shuffle`): the
-#: hot loops sort and group by a sort key computed once per pair.
-_SKEY = itemgetter(0)
 #: A pair's key and value, for splitting a pair stream into columns.
 _KEY = itemgetter(0)
 _VALUE = itemgetter(1)
@@ -268,19 +270,10 @@ def _run_combiner(
     combiner = conf.make_combiner()
     assert combiner is not None
     ctx = Context()
-    # Decorate-sort-group: the sort keys are computed once, as a column;
-    # the stable sort and the groupby both read the decoration, and equal
-    # keys keep emit order without raw keys ever being compared.
-    decorated = list(zip(sort_keys(keys), keys, values))
-    decorated.sort(key=_SKEY)
+    chunk = _sorted_chunk(keys, values)
     try:
         combiner.setup(ctx)
-        reduce_fn = combiner.reduce
-        for _skey, group in groupby(decorated, key=_SKEY):
-            rows = list(group)
-            result = reduce_fn(rows[0][1], [row[2] for row in rows], ctx)
-            if result is not None:
-                _collect_yielded(ctx, result, "combine()")
+        _reduce_groups([chunk], combiner.reduce, ctx, "combine()")
         combiner.cleanup(ctx)
     except Exception as exc:
         raise JobExecutionError(
@@ -288,6 +281,75 @@ def _run_combiner(
         ) from exc
     counters.merge(ctx.counters)
     return ctx.emitted
+
+
+#: Three aligned columns of a sorted stream: the column its groups are
+#: found on (equal neighbours are one group), the keys and the values.
+Chunk = Tuple[Sequence[Any], Sequence[Any], List[Any]]
+
+
+def _sorted_chunk(keys: List[Any], values: List[Any]) -> Chunk:
+    """A pair stream's columns stable-sorted by key, as one chunk.
+
+    Sorted and grouped on the raw keys or on their sort keys, whichever
+    :func:`~repro.mapreduce.keyspace.sort_order` chose; it raises, before
+    any user code runs, for a key that cannot be shuffled.
+    """
+    order, column = sort_order(keys)
+    sorted_keys = list(map(keys.__getitem__, order))
+    column = (sorted_keys if column is keys
+              else list(map(column.__getitem__, order)))
+    return column, sorted_keys, list(map(values.__getitem__, order))
+
+
+def _reduce_groups(
+    chunks: Iterable[Chunk],
+    reduce_fn: Callable[[Any, List[Any], Context], Any],
+    ctx: Context,
+    where: str,
+) -> Tuple[int, int]:
+    """The one reduce loop: ``reduce_fn`` once per group of a sorted stream.
+
+    ``chunks`` is the stream in sort order, a :data:`Chunk` at a time.
+    Each chunk's group boundaries are found once, by comparing its
+    grouping column with itself shifted by one; each call gets the
+    group's first key (in emit order) and a fresh list of its values.
+    The last group of a chunk stays open until the next chunk shows
+    whether it continues, so a group may span any number of chunks.
+    Returns ``(groups, records)``.
+    """
+    def call(key: Any, group: List[Any]) -> None:
+        result = reduce_fn(key, group, ctx)
+        if result is not None:
+            _collect_yielded(ctx, result, where)
+
+    groups = records = 0
+    held: Optional[Tuple[Any, Any, List[Any]]] = None  # the open group
+    for column, keys, values in chunks:
+        n = len(column)
+        if not n:
+            continue
+        records += n
+        starts = [0, *compress(range(1, n), map(ne, column[1:], column))]
+        if held is not None:
+            mark, key, group = held
+            if column[0] == mark:  # the open group continues here
+                end = starts[1] if len(starts) > 1 else n
+                group += values[:end]
+                if end == n:
+                    continue
+                del starts[0]
+            call(key, group)
+        groups += len(starts)
+        for i, j in zip(starts, starts[1:]):  # call(), one frame fewer
+            result = reduce_fn(keys[i], values[i:j], ctx)
+            if result is not None:
+                _collect_yielded(ctx, result, where)
+        last = starts[-1]
+        held = column[last], keys[last], values[last:]
+    if held is not None:
+        call(held[1], held[2])
+    return groups, records
 
 
 def execute_reduce_partition(
@@ -298,16 +360,17 @@ def execute_reduce_partition(
 ) -> ReduceTaskResult:
     """Run the reduce side of one partition.
 
-    ``pairs`` is the partition's shuffle stream.  With ``presorted=False``
-    (sequential runner) it is plain (key, value) pairs, decorated with
-    their sort keys (one :func:`~repro.mapreduce.keyspace.sort_keys`
-    column) and stable-sorted here; with ``presorted=True`` (parallel
-    runner) the caller already merged sorted spill runs and the stream is
-    not re-sorted -- ``decorated=True`` marks a stream of
-    ``(sort_key, key, value)`` rows as spilled by the parallel shuffle,
-    consumed as-is and lazily, so no sort key is ever recomputed.
-    Map-only jobs pass records through untouched, preserving arrival
-    order.
+    ``pairs`` is the partition's shuffle stream.  Plain (key, value)
+    pairs (the sequential runner's) are split into key and value columns
+    and stable-sorted here as one chunk (:func:`_sorted_chunk`), whether
+    or not the caller passes ``presorted=True``: a stable sort leaves a
+    stream already in key order as it is.  ``decorated=True`` (the
+    parallel runner's, with ``presorted=True``) marks a merged
+    stream of ``(sort_key, key, value)`` rows from sorted spill runs,
+    consumed lazily a chunk at a time
+    (:func:`~repro.mapreduce.shuffle.decorated_chunks`) and grouped by
+    the stored decorations, so no sort key is recomputed.  Map-only jobs
+    pass records through untouched, preserving arrival order.
     """
     out = ReduceTaskResult(outputs=[])
     metrics = out.metrics
@@ -324,21 +387,18 @@ def execute_reduce_partition(
 
     ctx = Context()
     if decorated:
-        stream: Iterable[Tuple[Any, Any, Any]] = pairs
+        chunks: Iterable[Chunk] = decorated_chunks(pairs)
     else:
-        stream = decorate_pairs(pairs)
-        if not presorted:
-            stream.sort(key=_SKEY)
+        if not isinstance(pairs, list):
+            pairs = list(pairs)
+        chunks = [_sorted_chunk(list(map(_KEY, pairs)),
+                                list(map(_VALUE, pairs)))]
     try:
         reducer.setup(ctx)
-        reduce_fn = reducer.reduce
-        for _skey, group in groupby(stream, key=_SKEY):
-            rows = list(group)
-            metrics.reduce_groups += 1
-            metrics.reduce_input_records += len(rows)
-            result = reduce_fn(rows[0][1], [row[2] for row in rows], ctx)
-            if result is not None:
-                _collect_yielded(ctx, result, "reduce()")
+        groups, records = _reduce_groups(chunks, reducer.reduce, ctx,
+                                         "reduce()")
+        metrics.reduce_groups += groups
+        metrics.reduce_input_records += records
         reducer.cleanup(ctx)
     except Exception as exc:
         raise JobExecutionError(

@@ -13,10 +13,15 @@ that runs in process shuffles through memory like any other).
 Hot-path note: sorted runs travel **decorated** -- each pair is stored as
 ``(sort_key(key), key, value)`` -- so the shuffle computes each pair's
 sort key exactly once, as one column per run
-(:func:`~repro.mapreduce.keyspace.sort_keys`).  The
-spill sort, the k-way merge heap, and the reducer's ``groupby`` all read
-the precomputed key with a C-level ``itemgetter`` instead of re-deriving
-it (the pre-overhaul path paid three ``sort_key`` calls per pair).
+(:func:`~repro.mapreduce.keyspace.sort_keys`).  The spill sort is one
+stable sort of an index permutation
+(:func:`~repro.mapreduce.keyspace.sort_order`: on the raw keys when the
+run's keys are all ``str``, all ``int`` or all ``bytes``, on the
+decorations otherwise -- the same order, so the same run bytes).  The
+k-way merge heap reads the stored decorations, and the reducer groups
+the merged stream by them a :data:`SPILL_CHUNK_PAIRS` chunk at a time
+(:func:`decorated_chunks`): the group boundaries are found once per
+chunk, and a group still open at a chunk's end carries into the next.
 
 Determinism contract (see ``docs/execution-model.md``):
 
@@ -44,13 +49,13 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Tuple
 
 from repro import faults
 from repro.exceptions import JobExecutionError, TransientTaskError
-from repro.mapreduce.keyspace import sort_key, sort_keys
+from repro.mapreduce.keyspace import sort_key, sort_keys, sort_order
 
 #: Pickle protocol for spill files (private, same-interpreter lifetime).
 SPILL_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -63,6 +68,8 @@ SPILL_CHUNK_PAIRS = 2048
 DECORATION_KEY = itemgetter(0)
 _PAIR_KEY = itemgetter(0)
 _PAIR_VALUE = itemgetter(1)
+_ROW_KEY = itemgetter(1)
+_ROW_VALUE = itemgetter(2)
 
 
 def run_path(spill_dir: str, phase: str, task_index: int,
@@ -154,11 +161,16 @@ def sort_decorated_run(
 ) -> List[Tuple[Any, Any, Any]]:
     """Stable-sort one task's decorated partition output in place.
 
-    ``list.sort(key=...)`` is stable and only ever compares the extracted
-    sort keys, so equal keys keep emit order and the (possibly
-    incomparable) raw keys/values are never compared.
+    One stable sort of an index permutation
+    (:func:`~repro.mapreduce.keyspace.sort_order`) over the raw keys when
+    they are of one raw-ordered type, else over the decorations: the
+    order is the stable sort by decoration either way, so equal keys keep
+    emit order, the run file's bytes do not depend on which column was
+    sorted, and keys of mixed types and values are never compared.
     """
-    decorated.sort(key=DECORATION_KEY)
+    order, _column = sort_order(list(map(_ROW_KEY, decorated)),
+                                list(map(DECORATION_KEY, decorated)))
+    decorated[:] = map(decorated.__getitem__, order)
     return decorated
 
 
@@ -177,6 +189,25 @@ def merge_decorated_runs(
     """
     runs = [iter_run(path) for path in paths]
     return heapq.merge(*runs, key=DECORATION_KEY)
+
+
+def decorated_chunks(
+    rows: Iterable[Tuple[Any, Any, Any]]
+) -> Iterator[Tuple[List[Any], List[Any], List[Any]]]:
+    """A decorated stream as ``(decorations, keys, values)`` columns, at
+    most :data:`SPILL_CHUNK_PAIRS` rows at a time.
+
+    The reduce loop groups a merged stream chunk by chunk, so it holds one
+    chunk (plus the group still open) on top of the merge's one frame per
+    run.
+    """
+    rows = iter(rows)
+    while True:
+        chunk = list(islice(rows, SPILL_CHUNK_PAIRS))
+        if not chunk:
+            return
+        yield (list(map(DECORATION_KEY, chunk)), list(map(_ROW_KEY, chunk)),
+               list(map(_ROW_VALUE, chunk)))
 
 
 def merge_runs(paths: List[str], sorted_runs: bool = True

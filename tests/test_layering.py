@@ -2,8 +2,9 @@
 input's mtime, every environment knob is on an argued allow-list, one
 module drives shared scans, one plans batch scans, one lists the
 aggregate ops, nothing imports the retired typed shuffle's stub,
-nothing brings back the retired lazy decode and the shuffle's
-bookkeeping sizes, sort-keys and hashes by column -- checked, not
+nothing brings back the retired lazy decode, the shuffle's
+bookkeeping sizes, sort-keys and hashes by column, and one reduce loop
+groups by column boundaries with one sort helper -- checked, not
 claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
@@ -253,3 +254,42 @@ def test_checker_sees_per_item_sizing_outside_the_allow_list(tmp_path):
         + ":6: finish uses the per-item sort_key",
         os.path.join("mapreduce", "runtime.py")
         + ":7: finish uses the per-item stable_hash"]
+
+
+def test_checker_sees_a_second_reduce_loop_or_sort_column(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("mapreduce", "keyspace", "_RAW_ORDERED = frozenset({str})\n"
+                                  "def sort_order(keys):\n"
+                                  "    return type(keys[0]) in _RAW_ORDERED\n"
+                                  "def raw(keys):\n"
+                                  "    return type(keys[0]) in _RAW_ORDERED\n"),
+        ("mapreduce", "runtime", "from itertools import groupby\n"
+                                 "import itertools\n"
+                                 "def loop(rows):\n"
+                                 "    rows.sort(key=len)\n"
+                                 "    return itertools.groupby(rows)\n"),
+        ("mapreduce", "shuffle", "from repro.mapreduce.keyspace import "
+                                 "_RAW_ORDERED\n"
+                                 "def run(rows):\n"
+                                 "    return sorted(rows)\n"),
+        ("engine", "pool", "from itertools import groupby as g\n"
+                           "def done(results):\n"
+                           "    return sorted(results)\n"),
+        ("batch", "executor", "from itertools import groupby\n"
+                              "def rows(r):\n"
+                              "    return sorted(r)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.reduce_loop_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("engine", "pool.py") + ":1: names groupby",
+        os.path.join("mapreduce", "keyspace.py") + ":5: names _RAW_ORDERED",
+        os.path.join("mapreduce", "runtime.py") + ":1: names groupby",
+        os.path.join("mapreduce", "runtime.py") + ":4: sorts",
+        os.path.join("mapreduce", "runtime.py") + ":5: names groupby",
+        os.path.join("mapreduce", "shuffle.py") + ":1: names _RAW_ORDERED",
+        os.path.join("mapreduce", "shuffle.py") + ":3: sorts"]

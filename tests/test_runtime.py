@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.exceptions import JobConfigError, JobExecutionError
+from repro.exceptions import JobConfigError, JobExecutionError, MapReduceError
 from repro.mapreduce import (
     IdentityMapper,
     InMemoryInput,
@@ -16,8 +16,14 @@ from repro.mapreduce import (
     Reducer,
     run_job,
 )
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.keyspace import estimate_size, stable_hash
-from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
+from repro.mapreduce.runtime import (
+    MapTaskResult,
+    _finish_map_task,
+    _run_combiner,
+    execute_reduce_partition,
+)
 from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import (
     INT_SCHEMA,
@@ -315,3 +321,124 @@ class TestMapTaskTail:
             _per_pair_bytes(emitted[:2])
         assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
+
+
+class _Scripted(Reducer):
+    """A reducer/combiner that logs its calls and raises where told."""
+
+    calls = []
+    raise_in = None
+
+    def _step(self, where):
+        type(self).calls.append(where)
+        if where == type(self).raise_in:
+            raise ValueError(f"{where} boom")
+
+    def setup(self, ctx):
+        self._step("setup")
+
+    def reduce(self, key, values, ctx):
+        self._step(f"reduce {key}")
+        ctx.emit(key, sum(values))
+
+    def cleanup(self, ctx):
+        self._step("cleanup")
+
+
+class TestReduceLoopExceptions:
+    """What the reduce loop raises, pinned by type and message: an
+    unshuffleable key fails unwrapped before ``setup()``; anything the
+    user's ``setup`` / ``reduce`` / ``combine`` / ``cleanup`` raises is
+    wrapped, naming the job and the phase."""
+
+    PAIRS = [("b", 1), ("a", 2), ("b", 3), ("c", 4)]
+
+    @pytest.fixture(autouse=True)
+    def _reset(self):
+        _Scripted.calls = []
+        _Scripted.raise_in = None
+
+    def _conf(self, **overrides):
+        conf = dict(name="loop", mapper=IdentityMapper, reducer=_Scripted,
+                    inputs=[InMemoryInput([(0, 0)])])
+        conf.update(overrides)
+        return JobConf(**conf)
+
+    def test_unshuffleable_key_raises_before_setup_of_reduce(self):
+        with pytest.raises(MapReduceError) as raised:
+            execute_reduce_partition(self._conf(), [("a", 1), (["x"], 2)])
+        assert type(raised.value) is MapReduceError
+        assert str(raised.value) == \
+            "value of type list cannot be a shuffle key"
+        assert _Scripted.calls == []
+
+    def test_unshuffleable_key_raises_before_setup_of_combine(self):
+        conf = self._conf(combiner=_Scripted)
+        with pytest.raises(MapReduceError) as raised:
+            _run_combiner(conf, ["a", {"x": 1}], [1, 2], Counters())
+        assert type(raised.value) is MapReduceError
+        assert str(raised.value) == \
+            "value of type dict cannot be a shuffle key"
+        assert _Scripted.calls == []
+
+    @pytest.mark.parametrize("where", ["setup", "reduce b", "cleanup"])
+    def test_reducer_errors_are_wrapped(self, where):
+        _Scripted.raise_in = where
+        with pytest.raises(JobExecutionError) as raised:
+            execute_reduce_partition(self._conf(), list(self.PAIRS))
+        assert type(raised.value) is JobExecutionError
+        assert str(raised.value) == \
+            f"reduce task failed in job 'loop': {where} boom"
+        assert type(raised.value.__cause__) is ValueError
+        assert _Scripted.calls[-1] == where
+        # groups run in key order, and stop at the one that raised
+        order = ["setup", "reduce a", "reduce b", "reduce c", "cleanup"]
+        assert _Scripted.calls == order[:order.index(where) + 1]
+
+    @pytest.mark.parametrize("where", ["setup", "reduce b", "cleanup"])
+    def test_combiner_errors_are_wrapped(self, where):
+        _Scripted.raise_in = where
+        conf = self._conf(combiner=_Scripted)
+        keys, values = map(list, zip(*self.PAIRS))
+        with pytest.raises(JobExecutionError) as raised:
+            _run_combiner(conf, keys, values, Counters())
+        assert str(raised.value) == \
+            f"combiner failed in job 'loop': {where} boom"
+        assert type(raised.value.__cause__) is ValueError
+
+    def test_combiner_error_through_a_map_task(self):
+        _Scripted.raise_in = "reduce a"
+        conf = self._conf(combiner=_Scripted,
+                          inputs=[InMemoryInput(list(self.PAIRS))])
+        with pytest.raises(JobExecutionError) as raised:
+            run_job(conf)
+        assert str(raised.value) == \
+            "combiner failed in job 'loop': reduce a boom"
+
+    def test_a_yielded_string_is_wrapped(self):
+        class YieldsString(Reducer):
+            def reduce(self, key, values, ctx):
+                return ["ab"]
+
+        with pytest.raises(JobExecutionError) as raised:
+            execute_reduce_partition(self._conf(reducer=YieldsString),
+                                     [("k", 1)])
+        assert str(raised.value) == (
+            "reduce task failed in job 'loop': reduce() yielded the string "
+            "'ab'; expected a (key, value) pair -- return an iterable of "
+            "pairs, not a single pair")
+        assert type(raised.value.__cause__) is JobExecutionError
+
+    def test_spilled_stream_errors_are_wrapped(self):
+        # the pool's decorated stream is read inside the loop: a stream
+        # that fails while it is read fails the task, wrapped
+        def rows():
+            yield ((2, "a"), "a", 1)
+            raise OSError("run vanished")
+
+        with pytest.raises(JobExecutionError) as raised:
+            execute_reduce_partition(self._conf(), rows(), presorted=True,
+                                     decorated=True)
+        assert str(raised.value) == \
+            "reduce task failed in job 'loop': run vanished"
+        assert _Scripted.calls == ["setup"]

@@ -56,6 +56,15 @@
    only in the functions of :data:`PER_ITEM_ALLOWED`, each with the
    reason a per-item call is right there; a per-pair loop anywhere else
    is the bookkeeping the column functions replaced.
+9. One reduce loop.  A sorted partition is grouped once, by the
+   boundaries of its sorted key column, and sorted once, as an index
+   permutation by ``keyspace.sort_order`` -- which alone decides that a
+   column of one raw-ordered type (:data:`RAW_ORDER`) may be sorted on
+   its raw keys.  So in :data:`SHUFFLE_MODULES` (``runtime.py``,
+   ``shuffle.py``, ``engine/pool.py``) nothing names ``groupby``; in the
+   two modules that sort shuffle streams (:data:`STREAM_SORTERS`) nothing
+   calls ``sorted`` or a ``.sort`` method; and :data:`RAW_ORDER` is named
+   only inside ``keyspace.sort_order``.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -129,6 +138,15 @@ PER_ITEM_ALLOWED = {
     (os.path.join("repro", "storage", "partitioned.py"), "_stable_field_hash"):
         "the partition writer routes each record as it is written",
 }
+
+#: rule 9: the modules of the one reduce loop, the two of them that sort
+#: shuffle streams, and the raw-key condition with its one home
+SHUFFLE_MODULES = (os.path.join("repro", "mapreduce", "runtime.py"),
+                   os.path.join("repro", "mapreduce", "shuffle.py"),
+                   os.path.join("repro", "engine", "pool.py"))
+STREAM_SORTERS = SHUFFLE_MODULES[:2]
+RAW_ORDER = "_RAW_ORDERED"
+RAW_ORDER_HOME = (KEYSPACE, "sort_order")
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -353,12 +371,43 @@ def per_item_violations(src: str = SRC) -> List[str]:
             for rel, lineno, name, scope in sorted(set(found))]
 
 
+def reduce_loop_violations(src: str = SRC) -> List[str]:
+    """Every ``groupby`` in :data:`SHUFFLE_MODULES`, every sort in
+    :data:`STREAM_SORTERS`, and every use of :data:`RAW_ORDER` outside
+    ``keyspace.sort_order``, under ``src/repro`` (rule 9)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        for scope, node in _scoped_nodes(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if module in SHUFFLE_MODULES and name == "groupby":
+                found.append((rel, node.lineno, "names groupby (group by "
+                              "the boundaries of the sorted key column)"))
+            elif (module in STREAM_SORTERS and isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "sorted"
+                       or getattr(node.func, "attr", None) == "sort")):
+                found.append((rel, node.lineno, "sorts (a shuffle stream "
+                              "is sorted by keyspace.sort_order)"))
+            elif (name == RAW_ORDER and (module, scope) != RAW_ORDER_HOME
+                  and not isinstance(getattr(node, "ctx", None), ast.Store)):
+                found.append((rel, node.lineno, f"names {RAW_ORDER} (the "
+                              "raw-key sort column is keyspace.sort_order's "
+                              "decision)"))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
     stub, lazy = stub_violations(), lazy_decode_violations()
-    per_item = per_item_violations()
-    for line in upward + mtime + env + single + ops + stub + lazy + per_item:
+    per_item, loop = per_item_violations(), reduce_loop_violations()
+    for line in (upward + mtime + env + single + ops + stub + lazy + per_item
+                 + loop):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -378,7 +427,10 @@ def main() -> int:
     if per_item:
         print(f"\n{len(per_item)} per-item sizing/sort-key/hash use(s) "
               f"outside the allow-list")
-    if upward or mtime or env or single or ops or stub or lazy or per_item:
+    if loop:
+        print(f"\n{len(loop)} second reduce loop or sort column(s)")
+    if (upward or mtime or env or single or ops or stub or lazy or per_item
+            or loop):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -390,7 +442,9 @@ def main() -> int:
           + f"; nothing imports the {STUB_MODULE} stub"
           + "; nothing defines or asks for the lazy decode"
           + "; the per-item sizer, sort key and hash are used only in "
-          + ", ".join(scope for _module, scope in PER_ITEM_ALLOWED))
+          + ", ".join(scope for _module, scope in PER_ITEM_ALLOWED)
+          + "; the shuffle groups without groupby and sorts only through "
+          + "keyspace.sort_order")
     return 0
 
 
