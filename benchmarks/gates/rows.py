@@ -385,6 +385,13 @@ def _job_selscan(bench: Bench) -> JobConf:
         inputs=[RecordFileInput(_visits(bench, 24_000)[1])])
 
 
+def _job_capture(bench: Bench) -> JobConf:
+    """B2's map() over plain UserVisits: it reads 2 of the 9 value fields
+    and never its key, and no index serves it -- what the record path
+    captures is all that differs between the arms."""
+    return b2.make_job(_visits(bench, 24_000)[1])
+
+
 def classic_row(make_job: Callable[[Bench], JobConf],
                 allowed: Any = None, expect: Any = None
                 ) -> Callable[[Bench], Probe]:
@@ -807,6 +814,8 @@ GATES = (
          classic_row(lambda bench: b2.make_job(_visits(bench, 24_000)[1]),
                      _PROJECTION, _PROJECTION)),
     Gate("hotpath_b3_join", "bench_hotpath.py b3_join", classic_row(_job_b3)),
+    Gate("record_path_capture", None, classic_row(_job_capture, [], []),
+         ("speedup", 1.25)),
     Gate("hotpath_b4_udf_control", "bench_hotpath.py b4_udf_aggregation",
          classic_row(lambda bench: b4.make_job(
              bench.table("documents", 2_500, 1_000)[1]), expect=[])),

@@ -516,6 +516,9 @@ def _analyze_segment(ops: Sequence[LogicalNode],
         elif isinstance(op, SelectNode):
             if seg.visible is not None:
                 seg.visible = [c for c in seg.visible if c in op.columns]
+                # the generated mapper builds the selected record, so it
+                # reads every selected column whatever the tail names
+                mark_all_visible_used()
             if seg.out_value_schema is not None:
                 seg.out_value_schema = seg.out_value_schema.project(
                     list(op.columns)

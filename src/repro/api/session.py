@@ -24,6 +24,7 @@ from repro.api.plan import FLUENT_KB, LoweredPlan, ScanNode, lower_plan
 from repro.core.analyzer.analyzer import peek_schemas
 from repro.core.manimal import Manimal, ManimalResult
 from repro.core.optimizer.catalog import DatasetEntry, IndexEntry
+from repro.core.optimizer.planner import describe_read
 from repro.core.pipeline import ManimalPipeline
 from repro.exceptions import JobConfigError, SerializationError
 from repro.mapreduce.formats import RecordFileInput
@@ -377,6 +378,11 @@ class Session:
             descriptor = self.system.plan(stage.conf, stage.hints)
             lines.append(descriptor.describe())
             lines += _batch_verdicts(stage.conf, descriptor)
+            lines += [
+                f"  input[{plan.input_index}] decode: "
+                f"{describe_read(plan.chosen, ia)}"
+                for plan, ia in zip(descriptor.plans, stage.hints.inputs)
+            ]
             lines.append("")
         return "\n".join(lines).rstrip() + "\n"
 

@@ -46,6 +46,7 @@ from repro.batch.spec import BatchStageSpec
 from repro.mapreduce.formats import PartitionedInput
 from repro.mapreduce.job import JobConf, JobResult
 from repro.storage import InputIdentity, input_identity
+from repro.storage.blockscan import ReadShape
 
 #: Cost of materializing one decoded field, relative to the boundary
 #: walk every scan pays per field whether it decodes it or not.
@@ -142,8 +143,9 @@ def plan_shared_groups(
     """Partition already-optimized jobs into fused groups and solos.
 
     Grouping key is the concrete input file's
-    :func:`~repro.storage.input_identity` -- two queries share a pass
-    only when they would scan byte-identical storage.  Planner input
+    :func:`~repro.storage.input_identity` and the input's record-path
+    read shape -- two queries share a pass only when they would scan
+    byte-identical storage the same way.  Planner input
     substitution has already happened, so a query the optimizer
     redirected at a narrow projection file groups with peers reading
     *that* file, never with peers on the base file.
@@ -158,8 +160,12 @@ def plan_shared_groups(
     submission is ineligible before grouping even starts".
     """
     report = SharedPlanReport()
-    by_file: Dict[InputIdentity, List[MemberPlan]] = {}
-    file_fields: Dict[InputIdentity, int] = {}
+    # keyed on the input's read shape too: a member the batch path
+    # declines at task time reads the group's split, whose source is the
+    # first member's -- so members share a pass only when their record
+    # path would read the same shape
+    by_file: Dict[Tuple[InputIdentity, ReadShape], List[MemberPlan]] = {}
+    file_fields: Dict[Tuple[InputIdentity, ReadShape], int] = {}
 
     for index, conf in enumerate(confs):
         if conf is None:
@@ -184,15 +190,16 @@ def plan_shared_groups(
         if identity.kind != "file":
             report.solo.append((index, "input file is unreadable"))
             continue
-        by_file.setdefault(identity, []).append(
+        grouping = (identity, source.shape)
+        by_file.setdefault(grouping, []).append(
             MemberPlan(index, conf, spec, list(plan.slots))
         )
-        file_fields[identity] = (
+        file_fields[grouping] = (
             len(plan.key_schema.fields) + len(plan.value_schema.fields)
         )
 
-    for identity, candidates in by_file.items():
-        fields = file_fields[identity]
+    for grouping, candidates in by_file.items():
+        identity, fields = grouping[0], file_fields[grouping]
         # Greedy admission, narrowest first: a wide member may only
         # join while the union it forces stays within every admitted
         # member's latency bound.  Rejected members get further chances

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import types
 from typing import Any, Dict, List, Optional, Set, Tuple, Type
 
 from repro.core.analyzer.compression import find_delta, find_direct_operation
@@ -37,7 +38,11 @@ from repro.core.analyzer.descriptors import (
     JobAnalysis,
 )
 from repro.core.analyzer.lowering import LoweredFunction, lower_function
-from repro.core.analyzer.projection import find_project
+from repro.core.analyzer.projection import (
+    EVERY_FIELD_USED,
+    VALUE_ESCAPES,
+    find_project,
+)
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
 from repro.core.analyzer.selection import find_select
 from repro.core.analyzer.sideeffects import find_side_effects
@@ -51,6 +56,7 @@ from repro.mapreduce.formats import (
 )
 from repro.mapreduce.job import JobConf
 from repro.storage import open_block_file
+from repro.storage.blockscan import FULL_READ, ReadShape
 from repro.storage.btree import BTree
 from repro.storage.serialization import Schema
 
@@ -146,6 +152,81 @@ def _method_emits(instance: Any, method_name: str) -> bool:
         ):
             return True
     return False
+
+
+#: builtins that read a frame's locals by name
+_FRAME_READERS = frozenset({"locals", "vars", "eval", "exec"})
+
+
+def _map_reads_key(instance: Any, fn: ast.FunctionDef,
+                   mutated: Set[str]) -> bool:
+    """Whether ``map()`` may read its key parameter.
+
+    ``False`` -- the record path may skip building keys -- only when
+    the called ``map`` is the plain function ``fn`` was parsed from
+    (defined on the mapper's own class, or the function a
+    :class:`FunctionMapper` wraps; not inherited, decorated, or
+    replaced on the instance -- now or by a per-task method, whose
+    ``self.`` stores are ``mutated``), takes no ``*args`` / ``**kwargs``, and
+    never names its key parameter nor ``locals`` / ``vars`` / ``eval``
+    / ``exec`` anywhere in its body.  Field-usage analysis cannot
+    decide this: a bare ``if key:`` is neither a field reference nor an
+    escape there.
+    """
+    if "map" in getattr(instance, "__dict__", {}) or "map" in mutated:
+        return True
+    if isinstance(instance, FunctionMapper):
+        index = 0
+        plain = (type(instance).map is FunctionMapper.map
+                 and isinstance(instance.map_source_function,
+                                types.FunctionType))
+    else:
+        index = 1
+        plain = isinstance(vars(type(instance)).get("map"),
+                           types.FunctionType)
+    args = fn.args
+    params = args.posonlyargs + args.args
+    if (not plain or fn.decorator_list or args.vararg or args.kwarg
+            or len(params) <= index):
+        return True
+    key = params[index].arg
+    return any(
+        isinstance(node, ast.Name) and (node.id == key
+                                        or node.id in _FRAME_READERS)
+        for node in ast.walk(fn)
+    )
+
+
+def _set_read_shape(result: InputAnalysis, reads_key: Optional[bool]
+                    ) -> None:
+    """What the record path must build of each record for this map():
+    the key unless it is provably unread, and the projection's used
+    fields when projection detection proved them -- so a captured scan
+    yields exactly what a projection file of those fields would.
+    ``reads_key`` is ``None`` for a map() the analyzer could not lower:
+    it decodes in full."""
+    key_schema, value_schema = result.key_schema, result.value_schema
+    if (key_schema is None or value_schema is None
+            or not (key_schema.transparent and value_schema.transparent)):
+        result.read_shape, result.read_notes = FULL_READ, ["opaque schema"]
+        return
+    if reads_key is None:
+        result.read_shape = FULL_READ
+        result.read_notes = ["map() reads key", "map() not analyzable"]
+        return
+    notes = ["map() reads key"] if reads_key else []
+    fields = None
+    declined = result.notes.get(PROJECT, ())
+    if result.projection is not None:
+        fields = tuple(result.projection.used_value_fields)
+    elif VALUE_ESCAPES in declined:
+        notes.append("value escapes")
+    elif EVERY_FIELD_USED in declined:
+        notes.append("map() reads every value field")
+    else:
+        notes.append("no projection proved")
+    result.read_shape = ReadShape(decode_keys=reads_key, fields=fields)
+    result.read_notes = notes
 
 
 def peek_schemas(source: InputSource) -> Tuple[Optional[Schema], Optional[Schema]]:
@@ -254,14 +335,16 @@ class ManimalAnalyzer:
             value_schema=value_schema,
         )
 
-        lowered = self._lower_mapper(instance, result)
-        if lowered is None:
+        parsed = self._lower_mapper(instance, result)
+        if parsed is None:
             # Delta needs no code analysis -- schema metadata suffices.
             delta, delta_notes = find_delta(key_schema, value_schema)
             result.delta = delta
             for note in delta_notes:
                 result.note(DELTA, note)
+            _set_read_shape(result, reads_key=None)
             return result
+        fn_ast, lowered = parsed
 
         rd = ReachingDefinitions(lowered.cfg)
         members = MemberEnv(
@@ -340,17 +423,20 @@ class ManimalAnalyzer:
                 "safe mode: selection withheld because skipping map "
                 f"invocations would also skip side effects ({effects})",
             )
+        _set_read_shape(result,
+                        _map_reads_key(instance, fn_ast, members.mutated))
         return result
 
-    def _lower_mapper(self, instance: Mapper,
-                      result: InputAnalysis) -> Optional[LoweredFunction]:
-        """Extract + lower the mapper's map function; None on failure."""
+    def _lower_mapper(self, instance: Mapper, result: InputAnalysis
+                      ) -> Optional[Tuple[ast.FunctionDef, LoweredFunction]]:
+        """Extract + lower the mapper's map function: its parsed source
+        and IR, or None on failure."""
         try:
             if isinstance(instance, FunctionMapper):
                 fn_ast = _source_ast(instance.map_source_function)
-                return lower_function(fn_ast, is_method=False)
+                return fn_ast, lower_function(fn_ast, is_method=False)
             fn_ast = _source_ast(type(instance).map)
-            return lower_function(fn_ast, is_method=True)
+            return fn_ast, lower_function(fn_ast, is_method=True)
         except UnsupportedConstructError as exc:
             for kind in (SELECT, PROJECT, DIRECT):
                 result.note(kind, f"mapper not analyzable: {exc}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.analyzer.conditions import SelectionFormula
+from repro.storage.blockscan import ReadShape
 from repro.storage.serialization import Schema
 
 #: Optimization kind labels.
@@ -116,6 +117,13 @@ class InputAnalysis:
     #: why each absent optimization is absent, keyed by kind label --
     #: the evidence trail behind every "Undetected"/"Not Present" cell
     notes: Dict[str, List[str]] = field(default_factory=dict)
+    #: what the record path must build of each record for this map():
+    #: set only by static analysis (``analyze_mapper``); ``None`` --
+    #: hints -- decodes in full.  Not an optimization label: it never
+    #: appears in :meth:`descriptors`.
+    read_shape: Optional[ReadShape] = None
+    #: why ``read_shape`` keeps the key or every value field
+    read_notes: List[str] = field(default_factory=list)
 
     def descriptors(self) -> List[Any]:
         out: List[Any] = []

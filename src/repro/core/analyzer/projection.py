@@ -32,6 +32,15 @@ from repro.core.analyzer.lowering import LoweredFunction
 from repro.storage.serialization import Schema
 
 
+#: the note of a projection declined because the value escapes whole
+VALUE_ESCAPES = (
+    "the whole value record escapes analysis (stored, emitted whole, or "
+    "passed to unknown code); all fields must be kept"
+)
+#: the note of a projection declined because nothing can be dropped
+EVERY_FIELD_USED = "every serialized value field is used by the mapper"
+
+
 def collect_field_usage(
     lowered: LoweredFunction,
     resolver: SymbolicResolver,
@@ -114,10 +123,7 @@ def find_project(
 
     key_used, value_used, escaped = collect_field_usage(lowered, resolver)
     if ROLE_VALUE in escaped:
-        return None, [
-            "the whole value record escapes analysis (stored, emitted "
-            "whole, or passed to unknown code); all fields must be kept"
-        ]
+        return None, [VALUE_ESCAPES]
     if ROLE_KEY in escaped and key_schema is not None:
         key_used.update(key_schema.field_names())
 
@@ -139,7 +145,7 @@ def find_project(
         used_key, unused_key = [], []
 
     if not unused_value:
-        return None, ["every serialized value field is used by the mapper"]
+        return None, [EVERY_FIELD_USED]
     if not used_value:
         return None, [
             "mapper reads no value fields at all; projecting to an empty "

@@ -39,6 +39,7 @@ from repro.core.optimizer.pruning import (
     prune_partitions,
 )
 from repro.mapreduce.formats import (
+    BlockFileInput,
     DeltaFileInput,
     DictionaryFileInput,
     InMemoryInput,
@@ -142,6 +143,42 @@ class ExecutionDescriptor:
         return "\n".join(lines)
 
 
+def _shaped(source: InputSource, ia: InputAnalysis) -> InputSource:
+    """``source`` reading what the analyzer proved ``map()`` reads.
+
+    Only the record path's block scans (block files and partitions)
+    honour a read shape; a B+Tree range, an in-memory input and every
+    hinted (fluent) stage keep the full decode.  The shape is no
+    optimization label: it flips neither ``optimized`` nor
+    :meth:`ExecutionDescriptor.optimizations`.
+    """
+    if ia.read_shape is not None and isinstance(
+            source, (BlockFileInput, PartitionedInput)):
+        return source.with_shape(ia.read_shape)
+    return source
+
+
+def describe_read(source: InputSource, ia: InputAnalysis) -> str:
+    """What the record path decodes of each record of planned input
+    ``source`` for ``ia``'s map(): the ``decode:`` line of explain."""
+    if isinstance(source, SelectionIndexInput):
+        return "full (B+Tree input)"
+    if not isinstance(source, (BlockFileInput, PartitionedInput)):
+        return f"full ({source.describe()})"
+    if ia.read_shape is None:
+        return "full (fluent stage)"
+    shape = ia.read_shape
+    parts = [] if shape.decode_keys else ["key skipped"]
+    if shape.fields is not None:
+        width = len(ia.value_schema.fields)
+        parts.append(f"{len(shape.fields)}/{width} value fields "
+                     f"[{', '.join(shape.fields)}]")
+    reasons = "; ".join(ia.read_notes)
+    if not parts:
+        return f"full ({reasons})"
+    return "; ".join(parts) + (f" ({reasons})" if reasons else "")
+
+
 class Optimizer:
     """Rule-based plan selection over the index catalog."""
 
@@ -151,7 +188,9 @@ class Optimizer:
     def plan(self, conf: JobConf, analysis: JobAnalysis) -> ExecutionDescriptor:
         plans: List[InputPlan] = []
         for index, (source, ia) in enumerate(zip(conf.inputs, analysis.inputs)):
-            plans.append(self._plan_input(index, source, ia))
+            plan = self._plan_input(index, source, ia)
+            plan.chosen = _shaped(plan.chosen, ia)
+            plans.append(plan)
         # Record usage (feeds the space budget's LRU eviction) in one
         # registry transaction for the whole plan.
         used = [p.entry.index_id for p in plans if p.entry is not None]

@@ -23,7 +23,8 @@ from repro.core.analyzer.descriptors import InputAnalysis
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
 from repro.core.manimal import Manimal
 from repro.core.optimizer.indexgen import synthesize_program
-from repro.mapreduce.formats import RecordFileInput
+from repro.core.optimizer.planner import describe_read
+from repro.mapreduce.formats import InputSource, RecordFileInput
 from repro.mapreduce.job import JobConf
 
 _KIND_TITLES = (
@@ -34,7 +35,7 @@ _KIND_TITLES = (
 )
 
 
-def _explain_input(ia: InputAnalysis) -> List[str]:
+def _explain_input(ia: InputAnalysis, source: InputSource) -> List[str]:
     label = f"input[{ia.input_index}]"
     if ia.input_tag:
         label += f" ({ia.input_tag})"
@@ -68,6 +69,7 @@ def _explain_input(ia: InputAnalysis) -> List[str]:
         lines.append("  side effects (detected, not optimized):")
         for effect in ia.side_effects:
             lines.append(f"        - {effect!r}")
+    lines.append(f"  decode: {describe_read(source, ia)}")
     return lines
 
 
@@ -86,8 +88,13 @@ def explain_job(
         system = None
         analysis = ManimalAnalyzer(kb).analyze_job(conf)
 
-    for ia in analysis.inputs:
-        lines.extend(_explain_input(ia))
+    # the decode line reads the planned input: a B+Tree range decodes
+    # in full whatever map() reads
+    descriptor = None if system is None else system.plan(conf, analysis)
+    planned = (conf.inputs if descriptor is None
+               else descriptor.chosen_inputs())
+    for ia, source in zip(analysis.inputs, planned):
+        lines.extend(_explain_input(ia, source))
         lines.append("")
 
     lines.append("reduce-side (Appendix E) group filter:")
@@ -111,8 +118,7 @@ def explain_job(
         lines.append("  (none -- nothing indexable was detected)")
     lines.append("")
 
-    if system is not None:
-        descriptor = system.plan(conf, analysis)
+    if descriptor is not None:
         lines.append(descriptor.describe())
     return "\n".join(lines)
 

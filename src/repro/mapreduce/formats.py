@@ -19,8 +19,18 @@ And one scan: every block is decoded whole by the compiled scanner of
 its file's shape (:func:`~repro.storage.blockscan.split_scanner`) --
 record, projection, delta and dictionary files and partitions alike --
 charged its logical bytes (read off the wire) once, and charged every
-stored field of every record.  Its values are slotted records with
-every field filled (:func:`~repro.storage.serialization.build_records`).
+field it captures of every record.  Its values are slotted records with
+every captured field filled
+(:func:`~repro.storage.serialization.build_records`).  What it captures
+is the input's :class:`~repro.storage.blockscan.ReadShape`: every stored
+field and the keys unless the optimizer attached a narrower one
+(:meth:`BlockFileInput.with_shape`, :meth:`PartitionedInput.with_shape`)
+from the analyzer's proof of what ``map()`` reads.  A shape that skips
+keys hands ``map()`` a module-private sentinel as its key, which the
+shuffle's sizer, hash and sort key all reject; a shape that captures
+some value fields yields exactly the records a projection file of those
+fields would (``schema.project(kept)``), so reading any other field
+raises :class:`~repro.exceptions.FieldNotPresentError`.
 A block decodes whole before its first record reaches ``map()``, so a
 damaged block fails before ``map()`` sees any of its records: a block
 the scanner cannot prove is re-walked by the container's reference
@@ -45,6 +55,8 @@ into :class:`~repro.mapreduce.metrics.JobMetrics`:
 
 from __future__ import annotations
 
+import copy
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
@@ -52,7 +64,12 @@ from repro.exceptions import CorruptFileError, JobConfigError
 from repro.mapreduce.keyspace import pair_sizes
 from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader, BlockInfo
-from repro.storage.blockscan import entry_scanner, split_scanner
+from repro.storage.blockscan import (
+    FULL_READ,
+    ReadShape,
+    entry_scanner,
+    split_scanner,
+)
 from repro.storage.btree import BTree
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
@@ -123,6 +140,11 @@ def _pairs_bytes(pairs: Sequence[Tuple[Any, Any]]) -> int:
 class InputSource:
     """Base class: enumerate splits and open readers over them."""
 
+    #: what the record path builds of each record; block-file and
+    #: partitioned inputs honour a narrower one, every other input
+    #: decodes in full
+    shape: ReadShape = FULL_READ
+
     def __init__(self, tag: Optional[str] = None):
         #: label delivered to the mapper context (multi-input jobs)
         self.tag = tag
@@ -160,16 +182,35 @@ def _reference_block(reader: BlockFileReader, payload: bytes, n_records: int
     return pairs, _pairs_bytes(pairs)
 
 
+class _UnreadKey:
+    """The key ``map()`` receives when the analyzer proved it never reads
+    its key.  Not a key type: emitting it fails the map task in the
+    shuffle's sizer (``MapReduceError``) instead of shuffling a value."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<unread key>"
+
+
+_UNREAD_KEY = _UnreadKey()
+
+
 def _open_blocks(reader_class: Type[BlockFileReader], path: str,
-                 blocks: List[BlockInfo]) -> SplitReader:
+                 blocks: List[BlockInfo], shape: ReadShape) -> SplitReader:
     """A split reader over ``blocks`` of the block file at ``path``.
 
     Every block decodes whole before its first record is yielded, and
-    every value field of every record is charged.
+    every value field ``shape`` captures of every record is charged.
     """
     reader = reader_class(path)
-    scanner = split_scanner(reader)
     schema = reader.stored_schema
+    if shape.fields is not None and schema.transparent:
+        # the records a projection file of the captured fields holds
+        kept = [name for name in schema.field_names() if name in shape.fields]
+        if len(kept) < len(schema.fields):
+            schema = schema.project(kept)
+    scanner = split_scanner(reader, shape)
     width = max(1, len(schema.fields))
 
     def finalize(sr_: SplitReader) -> None:
@@ -184,7 +225,9 @@ def _open_blocks(reader_class: Type[BlockFileReader], path: str,
                     reader, payload, n_records, rewalk=_reference_block)
                 sr.logical_bytes += logical
                 sr.fields += n_records * width
-                yield from zip(keys, build_records(schema, columns, n_records))
+                values = build_records(schema, columns, n_records)
+                yield from zip(repeat(_UNREAD_KEY) if keys is None else keys,
+                               values)
                 continue
             pairs, logical = _reference_block(reader, payload, n_records)
             sr.logical_bytes += logical
@@ -193,6 +236,15 @@ def _open_blocks(reader_class: Type[BlockFileReader], path: str,
 
     sr = SplitReader(generate(), finalize)
     return sr
+
+
+def _reshaped(source: Any, shape: ReadShape) -> Any:
+    """``source``, or a copy of it reading ``shape``."""
+    if shape == source.shape:
+        return source
+    shaped = copy.copy(source)
+    shaped.shape = shape
+    return shaped
 
 
 class BlockFileInput(InputSource):
@@ -217,7 +269,12 @@ class BlockFileInput(InputSource):
         ]
 
     def open(self, split: InputSplit) -> SplitReader:
-        return _open_blocks(self.reader_class, self.path, split.payload)
+        return _open_blocks(self.reader_class, self.path, split.payload,
+                            self.shape)
+
+    def with_shape(self, shape: ReadShape) -> "BlockFileInput":
+        """A copy of this input whose record-path scan builds ``shape``."""
+        return _reshaped(self, shape)
 
     def describe(self) -> str:
         return f"{self.label}({self.path})"
@@ -275,10 +332,11 @@ class PartitionedInput(InputSource):
 
     # The cached sidecar holds live Schema objects; drop it when splits
     # cross process boundaries (parallel-runner job state pickling).
+    # The shape travels: a worker that lost it would decode in full.
     def __getstate__(self):
         state = dict(
             path=self.path, tag=self.tag, selected=self.selected,
-            pruned_detail=self.pruned_detail,
+            pruned_detail=self.pruned_detail, shape=self.shape,
         )
         return state
 
@@ -287,6 +345,7 @@ class PartitionedInput(InputSource):
         self.tag = state["tag"]
         self.selected = state["selected"]
         self.pruned_detail = state["pruned_detail"]
+        self.shape = state["shape"]
         self._info = None
 
     def info(self) -> PartitionedDatasetInfo:
@@ -312,10 +371,16 @@ class PartitionedInput(InputSource):
     def with_partitions(self, selected: Sequence[str],
                         pruned_detail: str = "") -> "PartitionedInput":
         """A copy of this input restricted to the named partitions."""
-        return PartitionedInput(
+        restricted = PartitionedInput(
             self.path, tag=self.tag, selected=list(selected),
             pruned_detail=pruned_detail,
         )
+        restricted.shape = self.shape
+        return restricted
+
+    def with_shape(self, shape: ReadShape) -> "PartitionedInput":
+        """A copy of this input whose record-path scan builds ``shape``."""
+        return _reshaped(self, shape)
 
     def splits(self, target: int) -> List[InputSplit]:
         """One or more splits per surviving partition, never spanning two.
@@ -338,7 +403,7 @@ class PartitionedInput(InputSource):
 
     def open(self, split: InputSplit) -> SplitReader:
         path, blocks = split.payload
-        return _open_blocks(RecordFileReader, path, blocks)
+        return _open_blocks(RecordFileReader, path, blocks, self.shape)
 
     def describe(self) -> str:
         scanned, pruned = self.partition_counts()

@@ -20,22 +20,18 @@ estimate is its span, except that a length prefix always counts one byte
 -- so it is the payload length minus the excess bytes of multi-byte
 prefixes, counted only on those branches).
 
-Four scans share the shapes.  The batch executor's
-(:func:`block_scanner`) captures the columns a stage needs from an
-identity-codec file; an index build's copy
-(:func:`~repro.storage.columnfile.copy_records`) captures the fields it
-writes, through the same function.  The record path's
-(:func:`split_scanner`) captures
-every stored value field and decodes keys, for every block-file codec: a
-record file, projection file or partition is the identity shape, a
-dictionary file the identity shape over its stored schema, and a delta
-file's delta fields are the ``delta`` kind -- a zigzag varint added to
-a running sum that starts at zero with each block, charged
-``svarint_len`` of the sum.  A selection index's range scan
-(:func:`entry_scanner`) is the same generator with one flag: its payload
-is a B+Tree leaf's list of framed entries, each ``uvarint klen | key |
-value`` with the value running to the end of the entry instead of
-behind its own length prefix.
+Every shape comes from one factory, :func:`block_scanner`, over (key
+schema, stored value schema, delta fields, capture slots, decode_keys).
+The batch executor's plans and an index build's copy
+(:func:`~repro.storage.columnfile.copy_records`) capture the fields they
+need; the record path's split reader (:func:`split_scanner`) captures
+what its :class:`ReadShape` names over any block-file codec -- a delta
+file's delta fields are the ``delta`` kind, a zigzag varint added to a
+running sum that restarts with each block and is charged
+``svarint_len`` of the sum, captured or not.  A selection index's range
+scan (:func:`entry_scanner`) adds one flag: its payload is a B+Tree
+leaf's list of framed entries, each ``uvarint klen | key | value`` with
+the value running to the end of the entry.
 
 The generated loop proves a block well-formed or gives up; it never
 reports damage itself.  Positions only move forward and every record
@@ -47,9 +43,10 @@ one reference decode --
 :meth:`~repro.storage.blockfile.BlockFileReader.decode_block`, which the
 record path sizes with ``estimate_size`` -- and *that* walk's exception
 is the one raised; a re-walk that succeeds is an internal error.  (The
-one asymmetry belongs to scans that capture a subset, the batch path's
-and an index build's copy: a string field nobody captures is never
-UTF-8 decoded.  And logical bytes come from the wire: an
+one asymmetry belongs to scans that capture a subset -- the batch
+path's, an index build's copy and a shaped record-path scan: a string
+field nobody captures, a skipped key's included, is never UTF-8
+decoded.  And logical bytes come from the wire: an
 overlong-but-legal varint, which no writer produces, is charged its span
 where ``estimate_size`` charges the canonical length.)
 
@@ -62,12 +59,11 @@ from __future__ import annotations
 import hashlib
 import linecache
 import struct
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader
-from repro.storage.delta import DeltaFileReader
 from repro.storage.serialization import (
     FieldType,
     Record,
@@ -311,61 +307,61 @@ def _compiled(shape: Shape) -> BlockScanner:
     return scanner
 
 
-def _key_kinds(key_schema: Schema) -> Tuple[str, ...]:
-    return tuple(_WIRE[f.ftype] for f in key_schema.fields)
+class ReadShape(NamedTuple):
+    """What the record path builds of each record: key records or not,
+    and the value fields captured by name (``None``: every stored one).
+    The analyzer proves it for ``map()``; the optimizer attaches it."""
+
+    decode_keys: bool = True
+    fields: Optional[Tuple[str, ...]] = None
 
 
-def block_scanner(key_schema: Schema, value_schema: Schema,
-                  slots: Mapping[str, int], decode_keys: bool) -> BlockScanner:
+#: every key and value field decoded: the stock MapReduce record read
+FULL_READ = ReadShape()
+
+
+def block_scanner(key_schema: Schema, schema: Schema,
+                  slots: Mapping[str, int], decode_keys: bool,
+                  deltas: Collection[str] = (), entries: bool = False
+                  ) -> BlockScanner:
     """The compiled scanner capturing ``slots`` (value field -> column)
-    of an identity-codec file."""
+    of stored value schema ``schema``, whose ``deltas`` fields are
+    running sums; ``entries`` reads framed index entries, not a block.
+    The one place a :data:`Shape` is built."""
     return _compiled((
-        _key_kinds(key_schema),
-        tuple((_WIRE[f.ftype], slots.get(f.name, -1))
-              for f in value_schema.fields),
+        tuple(_WIRE[f.ftype] for f in key_schema.fields),
+        tuple(("delta" if f.name in deltas else _WIRE[f.ftype],
+               slots.get(f.name, -1)) for f in schema.fields),
         decode_keys,
-        False,
+        entries,
     ))
 
 
-def split_scanner(reader: BlockFileReader) -> Optional[BlockScanner]:
-    """The record path's scanner for ``reader``'s blocks, or ``None``.
-
-    Captures every field of the stored value schema in order (slot *i*
-    is field *i*) and decodes keys; a delta file's delta fields are
-    running sums.  ``None`` when the key or stored value schema is
-    opaque: those blocks take the reference decode.
-    """
+def split_scanner(reader: BlockFileReader, shape: ReadShape = FULL_READ
+                  ) -> Optional[BlockScanner]:
+    """The record path's scanner for ``reader``'s blocks: the fields of
+    ``shape`` in stored order (slot *i* is the *i*-th captured field),
+    keys unless ``shape`` skips them.  ``None`` when the key or stored
+    value schema is opaque: those blocks take the reference decode."""
     key_schema, schema = reader.key_schema, reader.stored_schema
     if not (key_schema.transparent and schema.transparent):
         return None
-    deltas = (set(reader.delta_fields)
-              if isinstance(reader, DeltaFileReader) else set())
-    return _compiled((
-        _key_kinds(key_schema),
-        tuple(("delta" if f.name in deltas else _WIRE[f.ftype], i)
-              for i, f in enumerate(schema.fields)),
-        True,
-        False,
-    ))
+    names = [f.name for f in schema.fields
+             if shape.fields is None or f.name in shape.fields]
+    return block_scanner(key_schema, schema,
+                         {name: i for i, name in enumerate(names)},
+                         shape.decode_keys,
+                         getattr(reader, "delta_fields", ()))
 
 
 def entry_scanner(key_schema: Schema, value_schema: Schema
                   ) -> Optional[BlockScanner]:
-    """The compiled scanner for framed index entries, or ``None``.
-
-    A selection index stores each record pair as one B+Tree value,
-    ``uvarint klen | key | value`` with the value running to the end of
-    the entry (:func:`~repro.mapreduce.formats.frame_index_entry`).  The
-    scanner takes a leaf's list of entries as its payload, captures
-    every value field in order and decodes keys, like
-    :func:`split_scanner`; ``None`` when either schema is opaque.
-    """
+    """The compiled scanner for a B+Tree leaf's framed index entries
+    (:func:`~repro.mapreduce.formats.frame_index_entry`): every value
+    field in order, keys decoded; ``None`` when either schema is opaque."""
     if not (key_schema.transparent and value_schema.transparent):
         return None
-    return _compiled((
-        _key_kinds(key_schema),
-        tuple((_WIRE[f.ftype], i) for i, f in enumerate(value_schema.fields)),
-        True,
-        True,
-    ))
+    return block_scanner(
+        key_schema, value_schema,
+        {name: i for i, name in enumerate(value_schema.field_names())},
+        True, entries=True)

@@ -3,9 +3,9 @@ input's mtime, every environment knob is on an argued allow-list, one
 module drives shared scans, one plans batch scans, one lists the
 aggregate ops, nothing imports the retired typed shuffle's stub,
 nothing brings back the retired lazy decode, the shuffle's
-bookkeeping sizes, sort-keys and hashes by column, and one reduce loop
-groups by column boundaries with one sort helper -- checked, not
-claimed.
+bookkeeping sizes, sort-keys and hashes by column, one reduce loop
+groups by column boundaries with one sort helper, and only the
+optimizer attaches a record-path read shape -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -293,3 +293,35 @@ def test_checker_sees_a_second_reduce_loop_or_sort_column(tmp_path):
         os.path.join("mapreduce", "runtime.py") + ":5: names groupby",
         os.path.join("mapreduce", "shuffle.py") + ":1: names _RAW_ORDERED",
         os.path.join("mapreduce", "shuffle.py") + ":3: sorts"]
+
+
+def test_checker_sees_a_read_shape_attached_outside_the_optimizer(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("mapreduce", "formats", "class _UnreadKey:\n"
+                                 "    pass\n"
+                                 "_UNREAD_KEY = _UnreadKey()\n"
+                                 "def reshaped(source, shape):\n"
+                                 "    source.shape = shape\n"),
+        ("core/optimizer", "planner", "def plan(source, shape):\n"
+                                      "    return source.with_shape(shape)\n"),
+        ("mapreduce", "runtime", "from repro.mapreduce.formats import "
+                                 "_UNREAD_KEY\n"
+                                 "def run(source, shape):\n"
+                                 "    source.shape = shape\n"
+                                 "    return source.shape\n"),
+        ("api", "session", "import repro.mapreduce.formats as f\n"
+                           "def lower(source, shape):\n"
+                           "    f._UnreadKey()\n"
+                           "    return source.with_shape(shape)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.read_shape_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "session.py") + ":3: names _UnreadKey",
+        os.path.join("api", "session.py") + ":4: attaches a read shape",
+        os.path.join("mapreduce", "runtime.py") + ":1: names _UNREAD_KEY",
+        os.path.join("mapreduce", "runtime.py") + ":3: stores a read shape"]

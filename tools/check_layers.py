@@ -66,6 +66,16 @@
    calls ``sorted`` or a ``.sort`` method; and :data:`RAW_ORDER` is named
    only inside ``keyspace.sort_order``.
 
+10. One read-shape decision.  What the record path builds of a record
+    is the analyzer's proof, attached by the optimizer: a
+    ``with_shape`` call, or a store to an input's ``shape``, appears
+    only under ``repro/core/optimizer/`` and in
+    ``repro/mapreduce/formats.py`` (:data:`SHAPE_HOMES`), where the
+    copies are made; and the unread-key sentinel (:data:`SENTINEL_NAMES`)
+    is named only in ``formats.py`` -- a second spelling of it is a
+    second door through which ``map()`` could be handed a key nobody
+    decoded.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -147,6 +157,11 @@ SHUFFLE_MODULES = (os.path.join("repro", "mapreduce", "runtime.py"),
 STREAM_SORTERS = SHUFFLE_MODULES[:2]
 RAW_ORDER = "_RAW_ORDERED"
 RAW_ORDER_HOME = (KEYSPACE, "sort_order")
+
+#: rule 10: the record path's read shape and its unread-key sentinel
+FORMATS = os.path.join("repro", "mapreduce", "formats.py")
+SHAPE_HOMES = (os.path.join("repro", "core", "optimizer"), FORMATS)
+SENTINEL_NAMES = frozenset({"_UNREAD_KEY", "_UnreadKey"})
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -401,13 +416,46 @@ def reduce_loop_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def read_shape_violations(src: str = SRC) -> List[str]:
+    """Every ``with_shape`` call or ``.shape`` store outside
+    :data:`SHAPE_HOMES`, and every use of a :data:`SENTINEL_NAMES` name
+    outside ``formats.py``, under ``src/repro`` (rule 10)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        home = any(module == h or module.startswith(h + os.sep)
+                   for h in SHAPE_HOMES)
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.ClassDef))
+                    else None)
+            if name in SENTINEL_NAMES and module != FORMATS:
+                found.append((rel, node.lineno, f"names {name} (the "
+                              "unread-key sentinel lives in formats.py)"))
+            elif home:
+                continue
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "with_shape"):
+                found.append((rel, node.lineno, "attaches a read shape "
+                              "(only repro.core.optimizer does)"))
+            elif (isinstance(node, ast.Attribute) and node.attr == "shape"
+                  and isinstance(node.ctx, ast.Store)):
+                found.append((rel, node.lineno, "stores a read shape "
+                              "(only repro.core.optimizer attaches one)"))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
     stub, lazy = stub_violations(), lazy_decode_violations()
     per_item, loop = per_item_violations(), reduce_loop_violations()
+    shape = read_shape_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
-                 + loop):
+                 + loop + shape):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -429,8 +477,11 @@ def main() -> int:
               f"outside the allow-list")
     if loop:
         print(f"\n{len(loop)} second reduce loop or sort column(s)")
+    if shape:
+        print(f"\n{len(shape)} read shape(s) attached or sentinel(s) named "
+              f"outside their homes")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
-            or loop):
+            or loop or shape):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -444,7 +495,9 @@ def main() -> int:
           + "; the per-item sizer, sort key and hash are used only in "
           + ", ".join(scope for _module, scope in PER_ITEM_ALLOWED)
           + "; the shuffle groups without groupby and sorts only through "
-          + "keyspace.sort_order")
+          + "keyspace.sort_order"
+          + "; only repro.core.optimizer attaches a read shape and only "
+          + "formats.py names the unread-key sentinel")
     return 0
 
 
