@@ -35,10 +35,17 @@ from repro.mapreduce import (
 from repro.mapreduce.keyspace import estimate_size, sort_key
 from repro.mapreduce.runtime import run_job
 from repro.service import QueryServer, connect, serialize_rows
+from repro.storage.blockscan import block_scanner
+from repro.storage.columnfile import copy_records
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
-from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import INT_SCHEMA, STRING_SCHEMA
+from repro.storage.recordfile import RecordFileReader, RecordFileWriter
+from repro.storage.serialization import (
+    INT_SCHEMA,
+    STRING_SCHEMA,
+    _encode_fields,
+    build_records,
+)
 from repro.workloads.pavlo import (
     benchmark1 as b1,
     benchmark2 as b2,
@@ -210,6 +217,79 @@ def record_path_scan(bench: Bench) -> Probe:
                 rows == len(sources) * len(_visits(bench, 12_000)[0])},
         counters={"codecs": [source.label for source in sources],
                   "rows": rows},
+    )
+
+
+def record_path_write(bench: Bench) -> Probe:
+    """The ``uservisits`` table written as a record file, then copied into
+    a projection, a delta and a dictionary file (on: the compiled
+    encoders -- every append, and ``copy_records``' column copies, as
+    ingest and index builds run them) against the same four files built
+    by the reference walk (off: ``Schema.encode``'s per-field walk and the
+    codecs' reference steps, one append at a time, over the same
+    scans).  Payload: the four files' bytes."""
+    table, _path = _visits(bench, 12_000)
+    schema, key_schema = table.value_schema, table.key_schema
+    projected = schema.project(["sourceIP", "visitDate", "adRevenue"])
+    pairs = list(table.records())
+    work = bench.dir("writes")
+    source = os.path.join(work, "uservisits.rf")
+    copies = [  # (file, writer class, codec argument, stored fields)
+        ("uservisits.proj", RecordFileWriter, (), projected),
+        ("uservisits.df", DeltaFileWriter, (schema.numeric_field_names(),),
+         schema),
+        ("uservisits.dx", DictionaryFileWriter, ("destURL",), schema),
+    ]
+    paths = [source] + [os.path.join(work, name) for name, *_ in copies]
+
+    def compiled() -> List[str]:
+        with RecordFileWriter(source, key_schema, schema) as writer:
+            for key, value in pairs:
+                writer.append(key, value)
+        with RecordFileReader(source) as reader:
+            for name, writer_class, extras, stored in copies:
+                with writer_class(os.path.join(work, name), key_schema,
+                                  stored, *extras) as writer:
+                    copy_records(reader, writer,
+                                 None if stored is schema else stored)
+        return paths
+
+    def walk(record: Any) -> bytes:
+        return _encode_fields(record.schema.fields, record.as_tuple())
+
+    def walked() -> List[str]:
+        with RecordFileWriter(source, key_schema, schema) as writer:
+            for key, value in pairs:
+                writer.append_raw(walk(key), walk(value))
+        with RecordFileReader(source) as reader:
+            for name, writer_class, extras, stored in copies:
+                scanner = block_scanner(
+                    key_schema, schema,
+                    {f: i for i, f in enumerate(stored.field_names())}, True)
+                with writer_class(os.path.join(work, name), key_schema,
+                                  stored, *extras) as writer:
+                    codec = writer._codec
+                    value_bytes = {"uservisits.df": codec._reference_delta,
+                                   "uservisits.dx": codec._reference_dictionary
+                                   }.get(name, walk)
+                    for block, n in reader.iter_block_payloads():
+                        columns, keys, _ = scanner.scan(reader, block, n)
+                        for key, value in zip(
+                                keys, build_records(stored, columns, n)):
+                            writer.append_raw(walk(key), value_bytes(value))
+        return paths
+
+    def contents(written: List[str]) -> List[bytes]:
+        out = []
+        for path in written:
+            with open(path, "rb") as f:
+                out.append(f.read())
+        return out
+
+    return Probe(
+        on=compiled, off=walked, payload=contents,
+        counters={"rows": len(pairs),
+                  "files": [os.path.basename(path) for path in paths]},
     )
 
 
@@ -800,6 +880,7 @@ GATES = (
     Gate("udf_opaque_control", "bench_batch.py udf_opaque_control",
          batch_row(_q_udf_opaque, False), ("control", 0.25)),
     Gate("record_path_scan", None, record_path_scan, ("speedup", 2.0)),
+    Gate("record_path_write", None, record_path_write, ("speedup", 2.0)),
     Gate("engine_pool_reuse", "bench_engine.py repeated_small_jobs",
          pool_reuse, ("speedup", 1.15)),
     Gate("engine_dag_diamond", "bench_engine.py diamond_pipeline",

@@ -30,7 +30,7 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 try:  # pragma: no cover - fcntl is POSIX-only; mirrors a Hadoop setting
@@ -63,6 +63,10 @@ ALL_KINDS = (
     KIND_DELTA,
     KIND_DICTIONARY,
 )
+
+
+def _copy(items: Optional[List[Any]]) -> Optional[List[Any]]:
+    return None if items is None else list(items)
 
 
 @dataclass
@@ -110,7 +114,23 @@ class IndexEntry:
         return idx / src
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The entry as JSON-ready data, fields in declaration order;
+        built field by field (``dataclasses.asdict`` deep-copies every
+        value, and the catalog publishes every entry on every save)."""
+        return {
+            "index_id": self.index_id,
+            "kind": self.kind,
+            "source_path": self.source_path,
+            "index_path": self.index_path,
+            "key_field": self.key_field,
+            "value_fields": _copy(self.value_fields),
+            "delta_fields": _copy(self.delta_fields),
+            "dict_field": self.dict_field,
+            "stats": dict(self.stats),
+            "last_used": self.last_used,
+            "use_count": self.use_count,
+            "source_identity": _copy(self.source_identity),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "IndexEntry":
@@ -138,7 +158,15 @@ class DatasetEntry:
     stats: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The entry as JSON-ready data (see :meth:`IndexEntry.to_dict`)."""
+        return {
+            "dataset_id": self.dataset_id,
+            "path": self.path,
+            "partition_by": self.partition_by,
+            "mode": self.mode,
+            "num_partitions": self.num_partitions,
+            "stats": dict(self.stats),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DatasetEntry":

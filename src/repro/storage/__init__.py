@@ -12,6 +12,11 @@ physical index formats Manimal's optimizer materializes:
   builds' copies and every codec's record-path scan -- the only way
   record data leaves a block file; a block it cannot prove is re-walked
   by the container's one reference decode (``BlockFileReader.decode_block``)
+* :mod:`repro.storage.blockwrite` -- compiled block writes: one generated
+  encoder per write shape, behind ``Schema.encode``, every writer append
+  and index builds' column copies; a value it declines is encoded by the
+  reference walk (``serialization._encode_value`` and the codecs'
+  reference steps)
 * :mod:`repro.storage.delta` -- delta files (per-block running deltas)
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation

@@ -20,10 +20,11 @@ crosses a block boundary, so every block decodes alone.
 
 All of that is owned here, once.  A format subclasses the writer and the
 reader and supplies its ``MAGIC``, header extras (``_header_extras`` /
-``_bind_header``), value codec -- an encoder bound once per writer plus
-an optional per-block reset (``_value_encoder``), and a decoder made
-fresh for every block (``_value_decoder``); identity by default -- and
-footer (``_write_footer``
+``_bind_header``), value codec -- on the write side a
+:class:`~repro.storage.blockwrite.WriteCodec` naming its delta or
+dictionary field (``_write_codec``), whose compiled shape encodes every
+append, and a decoder made fresh for every block (``_value_decoder``);
+identity by default -- and footer (``_write_footer``
 / a ``_data_end`` below the file size): see :mod:`~repro.storage.recordfile`,
 :mod:`~repro.storage.delta`, :mod:`~repro.storage.dictionary`, and the
 layout table in ``docs/architecture.md``.
@@ -34,18 +35,14 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import CorruptFileError, SchemaError, SerializationError
 from repro.storage import varint
+from repro.storage.blockwrite import WriteCodec
 from repro.storage.serialization import Record, Schema
 
 DEFAULT_BLOCK_SIZE = 64 * 1024
-
-#: The write half of a value codec: ``encode(value_record) -> bytes``,
-#: plus a callable that drops codec state at every block boundary
-#: (``None`` for a stateless codec).
-CodecHalf = Tuple[Callable[..., Any], Optional[Callable[[], None]]]
 
 #: The read half: ``decode(view, start, end) -> Record``, made fresh for
 #: each block, so its codec state starts over with the block.
@@ -106,7 +103,7 @@ class BlockFileWriter:
         self._buffer = bytearray()
         self._buffer_records = 0
         self._closed = False
-        self._encode_value, self._reset_block = self._value_encoder()
+        self._codec = self._write_codec()
         header = {
             "key_schema": key_schema.to_dict(),
             "value_schema": value_schema.to_dict(),
@@ -123,16 +120,43 @@ class BlockFileWriter:
         """Header fields the format's reader needs beyond the schemas."""
         return {}
 
-    def _value_encoder(self) -> CodecHalf:
-        """The codec's write half: ``(encode, reset-per-block or None)``."""
-        return self.value_schema.encode, None
+    def _write_codec(self) -> WriteCodec:
+        """The codec's write half: the identity codec by default."""
+        return WriteCodec(self.key_schema, self.value_schema, {})
 
     def _write_footer(self) -> None:
         """Write whatever follows the last block (nothing by default)."""
 
     def append(self, key: Record, value: Record) -> None:
         """Serialize and buffer one record pair, flushing full blocks."""
-        self.append_raw(self.key_schema.encode(key), self._encode_value(value))
+        if self._closed or not self._codec.append(
+                self._buffer, key, value, self.block_size):
+            self.append_raw(*self._codec.reference(key, value))
+            return
+        self._buffer_records += 1
+        self.records_written += 1
+        if len(self._buffer) >= self.block_size:
+            self._flush_block()
+
+    def append_rows(self, rows: Iterable[Tuple[Any, ...]]) -> None:
+        """Append pairs given as rows of field values -- the key's fields,
+        then the value's -- without building records: the bytes
+        :meth:`append` writes for the same pairs, a block at a time."""
+        if self._closed:
+            raise SerializationError("writer is closed")
+        rows = iter(rows)
+        codec = self._codec
+        while True:
+            written, declined = codec.write(self._buffer, rows,
+                                            self.block_size)
+            self._buffer_records += written
+            self.records_written += written
+            if declined is not None:
+                self.append_raw(*codec.reference(*codec.records(declined)))
+            elif len(self._buffer) >= self.block_size:
+                self._flush_block()
+            else:
+                return
 
     def append_raw(self, kraw: bytes, vraw: bytes) -> None:
         """Append pre-serialized key bytes and codec-encoded value bytes."""
@@ -160,8 +184,7 @@ class BlockFileWriter:
         self.bytes_written += len(block)
         self._buffer = bytearray()
         self._buffer_records = 0
-        if self._reset_block is not None:
-            self._reset_block()
+        self._codec.reset_block()
 
     def close(self) -> None:
         if self._closed:

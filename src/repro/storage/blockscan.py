@@ -23,8 +23,9 @@ prefixes, counted only on those branches).
 Every shape comes from one factory, :func:`block_scanner`, over (key
 schema, stored value schema, delta fields, capture slots, decode_keys).
 The batch executor's plans and an index build's copy
-(:func:`~repro.storage.columnfile.copy_records`) capture the fields they
-need; the record path's split reader (:func:`split_scanner`) captures
+(:func:`~repro.storage.columnfile.copy_records`, which takes its keys as
+columns too, to re-encode without building a record) capture the fields
+they need; the record path's split reader (:func:`split_scanner`) captures
 what its :class:`ReadShape` names over any block-file codec -- a delta
 file's delta fields are the ``delta`` kind, a zigzag varint added to a
 running sum that restarts with each block and is charged
@@ -59,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import linecache
 import struct
-from typing import Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.exceptions import StorageError
 from repro.storage import varint
@@ -82,12 +83,19 @@ _WIRE = {
 }
 
 #: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys,
-#: entries); a value kind is a ``_WIRE`` kind or ``"delta"``, and
-#: ``entries`` marks a list of framed index entries instead of a block
-Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], bool, bool]
+#: entries); a value kind is a ``_WIRE`` kind or ``"delta"``,
+#: ``decode_keys`` is a bool or :data:`KEY_COLUMNS`, and ``entries``
+#: marks a list of framed index entries instead of a block
+Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], Union[bool, str],
+              bool]
 
-#: A scanned block: (columns by slot, key records or None, logical bytes
-#: -- or None for index entries, whose reader sizes the pairs it keeps)
+#: ``decode_keys`` value: the keys' columns follow the value columns,
+#: and no key record is built
+KEY_COLUMNS = "columns"
+
+#: A scanned block: (columns by slot -- then the key columns, under
+#: :data:`KEY_COLUMNS` --, key records or None, logical bytes -- or None
+#: for index entries, whose reader sizes the pairs it keeps)
 Scanned = Tuple[List[list], Optional[List[Record]], Optional[int]]
 
 _GLOBALS = {
@@ -223,7 +231,10 @@ def scanner_source(shape: Shape) -> str:
             record += _field(kind, sink, "vend")
     record += ["if p != vend:", "    return None"]
     keys = "None"
-    if decode_keys:
+    n_returned = n_slots
+    if decode_keys == KEY_COLUMNS:
+        n_returned = len(columns)
+    elif decode_keys:
         key_columns = ", ".join(f"k{i}" for i in range(len(key_kinds)))
         keys = f"_build_records(key_schema, [{key_columns}], n_records)"
     if entries:
@@ -248,7 +259,7 @@ def scanner_source(shape: Shape) -> str:
     if not entries:
         lines += ["    if p != end:",
                   "        return None"]
-    lines += [f"    return [{', '.join(columns[:n_slots])}], {keys}, {total}"]
+    lines += [f"    return [{', '.join(columns[:n_returned])}], {keys}, {total}"]
     return "\n".join(lines) + "\n"
 
 
@@ -321,13 +332,14 @@ FULL_READ = ReadShape()
 
 
 def block_scanner(key_schema: Schema, schema: Schema,
-                  slots: Mapping[str, int], decode_keys: bool,
+                  slots: Mapping[str, int], decode_keys: Union[bool, str],
                   deltas: Collection[str] = (), entries: bool = False
                   ) -> BlockScanner:
     """The compiled scanner capturing ``slots`` (value field -> column)
     of stored value schema ``schema``, whose ``deltas`` fields are
-    running sums; ``entries`` reads framed index entries, not a block.
-    The one place a :data:`Shape` is built."""
+    running sums, with key records (``decode_keys`` true), key columns
+    (:data:`KEY_COLUMNS`) or neither; ``entries`` reads framed index
+    entries, not a block.  The one place a :data:`Shape` is built."""
     return _compiled((
         tuple(_WIRE[f.ftype] for f in key_schema.fields),
         tuple(("delta" if f.name in deltas else _WIRE[f.ftype],

@@ -14,13 +14,14 @@ sketches as future work is exposed via ``build_column_groups``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.exceptions import SchemaError
+from repro.exceptions import SchemaError, SerializationError
 from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileWriter
-from repro.storage.blockscan import block_scanner
+from repro.storage.blockscan import KEY_COLUMNS, block_scanner
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import Record, Schema, build_records
+from repro.storage.serialization import Record, Schema
 
 #: Metadata keys written into projected-file headers.
 META_KIND = "kind"
@@ -43,22 +44,31 @@ def copy_records(reader: RecordFileReader, writer: BlockFileWriter,
     only the fields being written -- ``projected``'s, when values are
     narrowed on the way through -- so a dropped field (often a huge one,
     which is why it is being projected away) is passed over, never
-    deserialized.  An opaque schema's blocks take the reference decode.
+    deserialized; and each block's columns, keys included, go straight
+    to the writer's compiled encoder (:meth:`~repro.storage.blockfile.BlockFileWriter.append_rows`),
+    with no record built.  An opaque schema's blocks take the reference
+    decode and the per-record append.
     """
     schema = reader.value_schema if projected is None else projected
     if not (reader.key_schema.transparent and reader.value_schema.transparent):
         for key, value in reader.iter_records():
             writer.append(key, value)
         return writer.records_written
+    if writer.key_schema != reader.key_schema or writer.value_schema != schema:
+        raise SerializationError(
+            f"cannot copy {reader.key_schema.name}/{schema.name} records "
+            f"into a {writer.key_schema.name}/{writer.value_schema.name} writer"
+        )
     scanner = block_scanner(
         reader.key_schema, reader.value_schema,
         {name: i for i, name in enumerate(schema.field_names())},
-        decode_keys=True)
-    append = writer.append
+        decode_keys=KEY_COLUMNS)
+    n_values = len(schema.fields)
     for payload, n_records in reader.iter_block_payloads():
-        columns, keys, _logical = scanner.scan(reader, payload, n_records)
-        for key, value in zip(keys, build_records(schema, columns, n_records)):
-            append(key, value)
+        columns, _keys, _logical = scanner.scan(reader, payload, n_records)
+        keys = columns[n_values:]
+        writer.append_rows(zip(*keys, *columns[:n_values]) if columns
+                           else repeat((), n_records))
     return writer.records_written
 
 

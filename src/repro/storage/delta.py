@@ -21,20 +21,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.exceptions import CorruptFileError, SchemaError, SerializationError
+from repro.exceptions import CorruptFileError, SchemaError
 from repro.storage import varint
 from repro.storage.blockfile import (
     DEFAULT_BLOCK_SIZE,
     BlockFileReader,
     BlockFileWriter,
-    CodecHalf,
     ValueDecoder,
 )
+from repro.storage.blockwrite import WriteCodec
 from repro.storage.serialization import (
     Record,
     Schema,
     _decode_value,
-    _encode_value,
 )
 
 MAGIC = b"RPDF"
@@ -80,30 +79,10 @@ class DeltaFileWriter(BlockFileWriter):
     def _header_extras(self) -> Dict[str, Any]:
         return {"delta_fields": self.delta_fields}
 
-    def _value_encoder(self) -> CodecHalf:
-        steps = _codec_steps(self.value_schema, self.delta_fields)
-        prev: Dict[int, int] = {}
-
-        def encode(value: Record) -> bytes:
-            out = bytearray()
-            for i, name, ftype, is_delta in steps:
-                raw_value = getattr(value, name)
-                if is_delta:
-                    if not isinstance(raw_value, int) or isinstance(raw_value, bool):
-                        raise SerializationError(
-                            f"delta field {name!r} must be int, got "
-                            f"{type(raw_value).__name__}"
-                        )
-                    # The block's first record has no predecessor and is
-                    # stored absolute: a delta from zero.
-                    out += varint.encode_svarint(raw_value - prev.get(i, 0))
-                    prev[i] = raw_value
-                else:
-                    _encode_value(ftype, raw_value, out)
-            return bytes(out)
-
+    def _write_codec(self) -> WriteCodec:
         # Deltas restart each block so blocks stay independently decodable.
-        return encode, prev.clear
+        return WriteCodec(self.key_schema, self.value_schema,
+                          {name: "delta" for name in self.delta_fields})
 
 
 class DeltaFileReader(BlockFileReader):

@@ -25,19 +25,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.exceptions import CorruptFileError, SchemaError, SerializationError
+from repro.exceptions import CorruptFileError, SchemaError
 from repro.storage import varint
 from repro.storage.blockfile import (
     DEFAULT_BLOCK_SIZE,
     BlockFileReader,
     BlockFileWriter,
-    CodecHalf,
     ValueDecoder,
 )
+from repro.storage.blockwrite import WriteCodec
 from repro.storage.serialization import (
     Field,
     FieldType,
-    Record,
     Schema,
 )
 
@@ -87,38 +86,23 @@ class DictionaryFileWriter(BlockFileWriter):
             )
         self.field_name = field_name
         self.stored_schema = compressed_schema(value_schema, field_name)
-        self._codes: Dict[str, int] = {}
         super().__init__(path, key_schema, value_schema, block_size, metadata)
 
     def _header_extras(self) -> Dict[str, Any]:
         return {"field_name": self.field_name}
 
-    def _value_encoder(self) -> CodecHalf:
-        field_name = self.field_name
-        field_index = self.value_schema.field_index(field_name)
-        stored_schema = self.stored_schema
-        codes = self._codes
-
-        def encode(value: Record) -> bytes:
-            values = list(value.as_tuple())
-            original = values[field_index]
-            if not isinstance(original, str):
-                raise SerializationError(
-                    f"field {field_name!r} must be str, got "
-                    f"{type(original).__name__}"
-                )
-            values[field_index] = codes.setdefault(original, len(codes))
-            return stored_schema.encode(Record(stored_schema, values))
-
-        # The dictionary spans the file, so nothing resets per block.
-        return encode, None
+    def _write_codec(self) -> WriteCodec:
+        # The code table spans the file, so nothing resets per block.
+        return WriteCodec(self.key_schema, self.value_schema,
+                          {self.field_name: "dict"}, self.stored_schema)
 
     def _write_footer(self) -> None:
         """The dictionary in code order, then the pointer to its start."""
         data_end = self._file.tell()
         footer = bytearray()
-        footer += varint.encode_uvarint(len(self._codes))
-        for text in self._codes:  # insertion order is code order
+        codes = self._codec.codes
+        footer += varint.encode_uvarint(len(codes))
+        for text in codes:  # insertion order is code order
             raw = text.encode("utf-8")
             footer += varint.encode_uvarint(len(raw))
             footer += raw

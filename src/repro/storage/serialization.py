@@ -30,6 +30,7 @@ from repro.exceptions import (
     SerializationError,
 )
 from repro.storage import varint
+from repro.storage.blockwrite import schema_encoder
 
 
 class FieldType(enum.Enum):
@@ -126,6 +127,16 @@ def _encode_value(ftype: FieldType, value: Any, out: bytearray) -> None:
         out += bytes(value)
     else:  # pragma: no cover - exhaustive over enum
         raise SerializationError(f"unknown field type {ftype}")
+
+
+def _encode_fields(fields: Sequence[Field], values: Sequence[Any]) -> bytes:
+    """The reference walk: one :func:`_encode_value` per field.  The
+    compiled encoders' error oracle (:mod:`~repro.storage.blockwrite`):
+    a value they decline is encoded -- or rejected -- here."""
+    out = bytearray()
+    for f, value in zip(fields, values):
+        _encode_value(f.ftype, value, out)
+    return bytes(out)
 
 
 def _decode_value(ftype: FieldType, buf: Any, pos: int,
@@ -401,16 +412,25 @@ class Schema:
     # -- serialization ------------------------------------------------------
 
     def encode(self, record: Record) -> bytes:
-        """Serialize ``record`` (which must belong to this schema)."""
-        if record.schema is not self and record.schema.name != self.name:
+        """Serialize ``record``, which must be of this schema or of one
+        equal to it (same name, same fields).
+
+        Through the compiled encoder of this schema's wire kinds
+        (:func:`~repro.storage.blockwrite.schema_encoder`); a value it
+        declines sends the record to the reference walk.
+        """
+        schema = record.schema
+        layout, encode = schema_encoder(self)
+        if schema is not self and schema_encoder(schema)[0] != layout \
+                and schema != self:
             raise SerializationError(
-                f"record of schema {record.schema.name!r} passed to "
-                f"schema {self.name!r}"
+                f"record of schema {schema.name!r} with fields "
+                f"{schema.fields!r} passed to schema {self.name!r} with "
+                f"fields {self.fields!r}"
             )
-        out = bytearray()
-        for f, value in zip(self.fields, record.as_tuple()):
-            _encode_value(f.ftype, value, out)
-        return bytes(out)
+        values = record._values
+        raw = encode(values)
+        return _encode_fields(self.fields, values) if raw is None else raw
 
     def decode(self, buf: Any, start: int = 0,
                end: Optional[int] = None) -> Record:

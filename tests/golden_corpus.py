@@ -8,10 +8,12 @@ text the expression algebra feeds: synthesized stage-mapper source,
 kernel source, ``explain()`` output, selection hints and the remote op
 JSON -- plus the compiled block scanner's source for two batch scan
 shapes (:data:`SCAN_SHAPES`) and two record-path ones
-(:data:`SPLIT_SHAPES`).  The golden was recorded at the commit *before*
-fluent ``Expr`` became sugar over ``SymExpr`` and must never change by
-accident: the stage source is what the analyzer re-derives formulas
-from, and the op JSON is the query service's result-cache identity.
+(:data:`SPLIT_SHAPES`), and the compiled block encoder's source for the
+bare shape and each writer codec (:data:`ENCODER_SHAPES`).  The golden
+was recorded at the commit *before* fluent ``Expr`` became sugar over
+``SymExpr`` and must never change by accident: the stage source is
+what the analyzer re-derives formulas from, and the op JSON is the
+query service's result-cache identity.
 
 The test modules are imported under pytest's own (top-level) names --
 a second copy would re-register their opaque schemas.  Regenerate (only
@@ -40,7 +42,9 @@ from repro.batch.kernels import compile_predicates
 from repro.batch.spec import BatchStageSpec
 from repro.explain import explain_job
 from repro.storage.blockscan import split_scanner
+from repro.storage.blockwrite import block_encoder, wire_kinds
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
+from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from tests.conftest import WEBPAGE, write_webpages
@@ -87,6 +91,25 @@ SPLIT_SHAPES = {
     "record_path": (RecordFileWriter, RecordFileReader, ()),
     "record_path_delta": (DeltaFileWriter, DeltaFileReader, (["a", "b"],)),
 }
+
+
+#: The block-encoder golden: ``Schema.encode``'s bare shape and each
+#: writer codec's framed one (LONG keys), over the all-kinds schema.
+ENCODER_SHAPES = {
+    "record": (RecordFileWriter, ()),
+    "delta": (DeltaFileWriter, (["a", "b"],)),
+    "dictionary": (DictionaryFileWriter, ("name",)),
+}
+
+
+def _encoder_sources(root):
+    sources = {"bare": block_encoder(
+        (None, wire_kinds(SCAN_VALUES))).source}
+    for name, (writer_class, extras) in ENCODER_SHAPES.items():
+        path = os.path.join(root, f"{name}.enc")
+        with writer_class(path, LONG_SCHEMA, SCAN_VALUES, *extras) as writer:
+            sources[name] = block_encoder(writer._codec.write_shape).source
+    return sources
 
 
 def _split_scanner_source(root, name):
@@ -205,6 +228,7 @@ def snapshot(root):
             **{name: _split_scanner_source(root, name)
                for name in SPLIT_SHAPES},
         },
+        "encoders": _encoder_sources(root),
     }
 
 

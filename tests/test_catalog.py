@@ -1,5 +1,6 @@
 """Tests for the filesystem index catalog."""
 
+import dataclasses
 import json
 import os
 import threading
@@ -7,9 +8,11 @@ import threading
 import pytest
 
 from repro.core.optimizer.catalog import (
+    KIND_DELTA,
     KIND_PROJECTION,
     KIND_SELECTION,
     Catalog,
+    DatasetEntry,
     IndexEntry,
 )
 from repro.exceptions import CatalogError
@@ -218,3 +221,48 @@ class TestSpaceOverhead:
     def test_overhead_unknown_without_stats(self, tmp_path):
         cat = Catalog(str(tmp_path))
         assert _entry(cat).space_overhead() is None
+
+
+class TestPublishedBytes:
+    """``to_dict`` builds each entry field by field; ``catalog.json`` must
+    read exactly as it did when entries went through ``asdict``."""
+
+    def test_catalog_json_matches_asdict(self, tmp_path):
+        cat = Catalog(str(tmp_path))
+        entries = [
+            _entry(cat, key_field="rank",
+                   stats={"source_bytes": 10, "nested": {"a": [1, 2]}},
+                   source_identity=["/data/in.rf", 3, [4, 5]]),
+            _entry(cat, kind=KIND_PROJECTION, value_fields=["b", "a"],
+                   last_used=7, use_count=2),
+            _entry(cat, kind=KIND_DELTA, delta_fields=["x"], dict_field=None),
+        ]
+        for entry in entries:
+            cat.register(entry)
+        dataset = DatasetEntry(dataset_id="ds-1", path="/data/parts",
+                               partition_by="day", mode="range",
+                               num_partitions=4,
+                               stats={"records": 9, "bytes": 99})
+        cat.register_dataset(dataset)
+        for item in entries + [dataset]:
+            assert item.to_dict() == dataclasses.asdict(item)
+            assert list(item.to_dict()) == list(dataclasses.asdict(item))
+        with open(os.path.join(str(tmp_path), Catalog.FILENAME),
+                  encoding="utf-8") as fh:
+            published = fh.read()
+        expected = {
+            "counter": cat._counter,
+            "clock": cat._clock,
+            "entries": [dataclasses.asdict(e) for e in cat.sorted_entries()],
+            "datasets": [dataclasses.asdict(d) for d in cat.sorted_datasets()],
+        }
+        assert published == json.dumps(expected, indent=2, sort_keys=True)
+
+    def test_to_dict_does_not_share_lists_with_the_entry(self, tmp_path):
+        cat = Catalog(str(tmp_path))
+        entry = _entry(cat, kind=KIND_PROJECTION, value_fields=["a"],
+                       stats={"n": 1})
+        data = entry.to_dict()
+        data["value_fields"].append("b")
+        data["stats"]["n"] = 2
+        assert entry.value_fields == ["a"] and entry.stats == {"n": 1}

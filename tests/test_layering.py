@@ -4,8 +4,10 @@ module drives shared scans, one plans batch scans, one lists the
 aggregate ops, nothing imports the retired typed shuffle's stub,
 nothing brings back the retired lazy decode, the shuffle's
 bookkeeping sizes, sort-keys and hashes by column, one reduce loop
-groups by column boundaries with one sort helper, and only the
-optimizer attaches a record-path read shape -- checked, not claimed.
+groups by column boundaries with one sort helper, only the
+optimizer attaches a record-path read shape, and the per-field reference
+encode is named only by serialization and the compiled encoder's
+decline path -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -325,3 +327,37 @@ def test_checker_sees_a_read_shape_attached_outside_the_optimizer(tmp_path):
         os.path.join("api", "session.py") + ":4: attaches a read shape",
         os.path.join("mapreduce", "runtime.py") + ":1: names _UNREAD_KEY",
         os.path.join("mapreduce", "runtime.py") + ":3: stores a read shape"]
+
+
+def test_checker_sees_the_reference_encode_called_outside_its_homes(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("storage", "serialization", "def _encode_fields(fields, values):\n"
+                                     "    return _encode_value(1, 2, 3)\n"),
+        ("storage", "blockwrite", "class WriteCodec:\n"
+                                  "    def reference(self, key, value):\n"
+                                  "        return self._reference_delta(value)\n"
+                                  "    def write(self, value):\n"
+                                  "        return self._reference_delta(value)\n"),
+        ("storage", "delta", "from repro.storage.serialization import "
+                             "_encode_value\n"
+                             "def encode(f, v, out):\n"
+                             "    _encode_value(f, v, out)\n"),
+        ("core", "indexgen", "import repro.storage.serialization as s\n"
+                             "def build(fields, values):\n"
+                             "    return s._encode_fields(fields, values)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.reference_encode_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("core", "indexgen.py")
+        + ":3: build uses the reference encode _encode_fields",
+        os.path.join("storage", "blockwrite.py")
+        + ":5: WriteCodec.write uses the reference encode _reference_delta",
+        os.path.join("storage", "delta.py")
+        + ":1: <module> uses the reference encode _encode_value",
+        os.path.join("storage", "delta.py")
+        + ":3: encode uses the reference encode _encode_value"]

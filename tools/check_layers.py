@@ -76,6 +76,16 @@
     second door through which ``map()`` could be handed a key nobody
     decoded.
 
+11. One reference encode.  Every record a block file stores goes
+    through a compiled encoder (``repro/storage/blockwrite.py``); the
+    per-field reference encode -- ``_encode_value``, the walk
+    ``_encode_fields`` and the codecs' reference steps
+    (:data:`REFERENCE_ENCODE`) -- is its error oracle, named only in
+    ``repro/storage/serialization.py`` and in the encoder module's
+    decline path (:data:`REFERENCE_HOMES`).  A second caller is a write
+    path that interprets the schema per field again, and can drift from
+    the compiled bytes.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -162,6 +172,17 @@ RAW_ORDER_HOME = (KEYSPACE, "sort_order")
 FORMATS = os.path.join("repro", "mapreduce", "formats.py")
 SHAPE_HOMES = (os.path.join("repro", "core", "optimizer"), FORMATS)
 SENTINEL_NAMES = frozenset({"_UNREAD_KEY", "_UnreadKey"})
+#: the per-field reference encode, the module that owns it, and the
+#: encoder module's decline path -- the only (module, scope)s naming it
+REFERENCE_ENCODE = frozenset({"_encode_value", "_encode_fields",
+                              "_reference_delta", "_reference_dictionary"})
+SERIALIZATION = os.path.join("repro", "storage", "serialization.py")
+_BLOCKWRITE = os.path.join("repro", "storage", "blockwrite.py")
+REFERENCE_HOMES = frozenset({
+    (_BLOCKWRITE, "WriteCodec.reference"),
+    (_BLOCKWRITE, "WriteCodec._reference_delta"),
+    (_BLOCKWRITE, "WriteCodec._reference_dictionary"),
+})
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -448,14 +469,36 @@ def read_shape_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def reference_encode_violations(src: str = SRC) -> List[str]:
+    """Every use of a :data:`REFERENCE_ENCODE` name under ``src/repro``
+    outside ``serialization.py`` and :data:`REFERENCE_HOMES` (rule 11)."""
+    found: List[Tuple[str, int, str, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        if module == SERIALIZATION:
+            continue
+        for scope, node in _scoped_nodes(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in REFERENCE_ENCODE and \
+                    (module, scope) not in REFERENCE_HOMES:
+                found.append((os.path.relpath(path, REPO_ROOT), node.lineno,
+                              name, scope or "<module>"))
+    return [f"{rel}:{lineno}: {scope} uses the reference encode {name} "
+            f"(encode through repro.storage.blockwrite; the walk is its "
+            f"decline path's oracle)"
+            for rel, lineno, name, scope in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
     stub, lazy = stub_violations(), lazy_decode_violations()
     per_item, loop = per_item_violations(), reduce_loop_violations()
-    shape = read_shape_violations()
+    shape, reference = read_shape_violations(), reference_encode_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
-                 + loop + shape):
+                 + loop + shape + reference):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -480,8 +523,11 @@ def main() -> int:
     if shape:
         print(f"\n{len(shape)} read shape(s) attached or sentinel(s) named "
               f"outside their homes")
+    if reference:
+        print(f"\n{len(reference)} use(s) of the reference encode outside "
+              f"serialization and the encoder's decline path")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
-            or loop or shape):
+            or loop or shape or reference):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -497,7 +543,9 @@ def main() -> int:
           + "; the shuffle groups without groupby and sorts only through "
           + "keyspace.sort_order"
           + "; only repro.core.optimizer attaches a read shape and only "
-          + "formats.py names the unread-key sentinel")
+          + "formats.py names the unread-key sentinel"
+          + "; the reference encode is named only in serialization.py and "
+          + "blockwrite's decline path")
     return 0
 
 
