@@ -9,7 +9,7 @@ makes in prose:
 * **combined vs single-optimization indexes** (Section 2.2): "the current
   analyzer always chooses the index program that exploits as many
   optimizations as possible" -- selection+projection vs selection alone.
-* **B+Tree page size** sensitivity of index scans.
+* **index block size** sensitivity of selection-index scans.
 * **purity knowledge base** (Section 3.2 / Benchmark 4): recall collapses
   without library models, and the paper's proposed hash-table extension
   changes the recorded miss reason.
@@ -21,12 +21,19 @@ from repro.core.analyzer import EMPTY_KB, ManimalAnalyzer
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
 from repro.mapreduce import JobConf, RecordFileInput, run_job
+from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.cost import PAPER_CLUSTER
 from repro.core.analyzer.purity import DEFAULT_KB
-from repro.storage.btree import BTree, BTreeBuilder
+from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
-from repro.storage.serialization import FieldType, STRING_SCHEMA
+from repro.storage.serialization import (
+    LONG_SCHEMA,
+    STRING_SCHEMA,
+    Field,
+    FieldType,
+    Schema,
+)
 from repro.workloads.datagen import generate_webpages
 from repro.workloads.schemas import WEBPAGES
 from benchmarks.common import emit_report, format_table, simulate_seconds
@@ -140,42 +147,46 @@ def test_ablation_combined_vs_single_index(benchmark, bench_dir):
 
 
 def test_ablation_btree_page_size(benchmark, bench_dir):
-    """Range-scan I/O vs page size: bigger pages, fewer-but-larger reads."""
-    entries = [
-        (encode_key(FieldType.INT, i % 1000), f"payload-{i}".encode())
-        for i in range(50_000)
-    ]
-    entries.sort(key=lambda kv: kv[0])
+    """Range-scan I/O vs the index file's block size (the leaves of its
+    two-level B+Tree): bigger blocks, fewer-but-larger reads."""
+    schema = Schema("Entry", [Field("k", FieldType.INT),
+                              Field("payload", FieldType.STRING)])
+    pairs = sorted(
+        ((LONG_SCHEMA.make(i), schema.make(i % 1000, f"payload-{i}"))
+         for i in range(50_000)),
+        key=lambda kv: kv[1].k,
+    )
+    rng = KeyRange(encode_key(FieldType.INT, 100),
+                   encode_key(FieldType.INT, 110))
 
     def build_and_scan():
         rows = []
-        for page_size in (512, 2048, 8192, 32768):
-            path = str(bench_dir / f"ab_pages_{page_size}.bt")
-            builder = BTreeBuilder(path, page_size=page_size)
-            for k, v in entries:
-                builder.add(k, v)
-            stats = builder.finish()
-            tree = BTree(path)
-            lo = encode_key(FieldType.INT, 100)
-            hi = encode_key(FieldType.INT, 110)
-            n = sum(1 for _ in tree.scan(lo, hi))
-            rows.append((page_size, stats.n_pages, stats.file_size,
-                         tree.bytes_read, tree.pages_read, n))
-            tree.close()
+        for block_size in (512, 2048, 8192, 32768):
+            path = str(bench_dir / f"ab_blocks_{block_size}.sidx")
+            with IndexFileWriter(path, LONG_SCHEMA, schema, "k",
+                                 block_size=block_size) as writer:
+                for key, value in pairs:
+                    writer.append(key, value)
+            source = SelectionIndexInput(path, [rng])
+            [split] = source.splits(1)
+            reader = source.open(split)
+            n = sum(1 for _ in reader)
+            rows.append((block_size, writer.n_blocks, os.path.getsize(path),
+                         reader.stored_bytes, len(split.payload[1]), n))
         return rows
 
     rows = benchmark.pedantic(build_and_scan, rounds=1, iterations=1)
     counts = {r[5] for r in rows}
-    assert len(counts) == 1, "every page size returns the same records"
+    assert len(counts) == 1, "every block size returns the same records"
     lines = format_table(
-        ["page size", "pages", "file bytes", "scan bytes", "scan pages",
+        ["block size", "blocks", "file bytes", "scan bytes", "scan blocks",
          "records"],
         rows,
     )
     emit_report("ablation_btree_page_size", lines)
     by_size = {r[0]: r for r in rows}
     assert by_size[512][4] > by_size[32768][4], \
-        "small pages need more page fetches for the same range"
+        "small blocks need more block reads for the same range"
 
 
 def test_ablation_purity_knowledge_base(benchmark, bench_dir):

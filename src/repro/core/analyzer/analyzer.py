@@ -57,7 +57,6 @@ from repro.mapreduce.formats import (
 from repro.mapreduce.job import JobConf
 from repro.storage import open_block_file
 from repro.storage.blockscan import FULL_READ, ReadShape
-from repro.storage.btree import BTree
 from repro.storage.serialization import Schema
 
 
@@ -232,20 +231,16 @@ def _set_read_shape(result: InputAnalysis, reads_key: Optional[bool]
 def peek_schemas(source: InputSource) -> Tuple[Optional[Schema], Optional[Schema]]:
     """Read the (key, value) schemas declared by an input's file header."""
     try:
-        if isinstance(source, BlockFileInput):
+        if isinstance(source, (BlockFileInput, SelectionIndexInput)):
             # Whatever the format, the mapper sees the stored schema (a
             # dictionary file's compressed field is an INT code).
-            with open_block_file(source.path) as reader:
+            path = (source.index_path if isinstance(source, SelectionIndexInput)
+                    else source.path)
+            with open_block_file(path) as reader:
                 return reader.key_schema, reader.stored_schema
         if isinstance(source, PartitionedInput):
             info = source.info()
             return info.key_schema, info.value_schema
-        if isinstance(source, SelectionIndexInput):
-            with BTree(source.index_path) as tree:
-                return (
-                    Schema.from_dict(tree.metadata["key_schema"]),
-                    Schema.from_dict(tree.metadata["value_schema"]),
-                )
     except Exception:
         return None, None
     return None, None

@@ -64,6 +64,12 @@ ALL_KINDS = (
     KIND_DICTIONARY,
 )
 
+#: File suffix of a selection index (:mod:`repro.storage.indexfile`), and
+#: of one in the retired page-codec B+Tree format, which no plan reads
+#: and ``Manimal.build_indexes`` replaces
+SELECTION_SUFFIX = ".sidx"
+OLD_SELECTION_SUFFIX = ".btree"
+
 
 def _copy(items: Optional[List[Any]]) -> Optional[List[Any]]:
     return None if items is None else list(items)
@@ -77,7 +83,7 @@ class IndexEntry:
     kind: str
     source_path: str
     index_path: str
-    #: field the B+Tree is keyed on (selection kinds)
+    #: field the index is sorted on (selection kinds)
     key_field: Optional[str] = None
     #: value fields physically present (projection kinds); None = all
     value_fields: Optional[List[str]] = None
@@ -101,9 +107,12 @@ class IndexEntry:
 
         The registry itself never asks (:meth:`Catalog.entries_for` is a
         raw query); whoever is about to *use* an entry does, passing the
-        source's identity as it is on disk now.
+        source's identity as it is on disk now.  An index in the retired
+        page-codec B+Tree format (told by its path, without opening it)
+        was built from nothing this version reads.
         """
-        return self.source_identity == list(identity)
+        return (self.source_identity == list(identity)
+                and not self.index_path.endswith(OLD_SELECTION_SUFFIX))
 
     def space_overhead(self) -> Optional[float]:
         """Index size as a fraction of the source file size."""

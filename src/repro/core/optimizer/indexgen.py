@@ -8,7 +8,7 @@ administrator's decision, like creating an index in an RDBMS.
 
 This module synthesizes those programs from analysis results.  The
 selection index builder really is a MapReduce job on the execution fabric
-(its shuffle provides the global sort the B+Tree bulk loader needs); the
+(its shuffle provides the global sort the index file's writer needs); the
 rewrite-style builders (projection / delta / dictionary) are map-only
 record transformations implemented as streaming passes, which is exactly
 what a map-only Hadoop job with a custom output format would do.
@@ -29,70 +29,39 @@ from repro.core.optimizer import catalog as cat
 from repro.core.optimizer.catalog import Catalog, IndexEntry
 from repro.core.optimizer.predicates import compile_selection
 from repro.exceptions import OptimizerError
-from repro.mapreduce.api import Context, Mapper, Reducer
-from repro.mapreduce.formats import RecordFileInput, frame_index_entry
+from repro.mapreduce.api import Context, FunctionReducer, Mapper
+from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage import input_identity
-from repro.storage.btree import BTreeBuilder
 from repro.storage.columnfile import (
     META_BASE_SCHEMA,
     META_KEPT_FIELDS,
     copy_records,
-    project_record,
 )
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
+from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import Schema
 
 
 class _IndexEmitMapper(Mapper):
-    """Map side of the selection-index job: emit (encoded field, record)."""
+    """Map side of the selection-index job: emit (order key, the pair as
+    one row of field values -- the key's, then the stored value's)."""
 
-    def __init__(self, field_name: str, field_type, key_schema: Schema,
-                 value_schema: Schema, stored_schema: Schema):
+    def __init__(self, field_name: str, field_type,
+                 kept: Optional[List[str]] = None):
         self.field_name = field_name
         self.field_type = field_type
-        self.key_schema = key_schema
-        self.value_schema = value_schema
-        #: schema actually stored in the tree (projected for combined kind)
-        self.stored_schema = stored_schema
+        #: the value fields stored, in order (a selection+projection index)
+        self.kept = kept
 
     def map(self, key: Any, value: Any, ctx: Context) -> None:
-        index_key = encode_key(self.field_type, getattr(value, self.field_name))
-        stored = value
-        if self.stored_schema is not self.value_schema:
-            stored = project_record(value, self.stored_schema)
-        framed = frame_index_entry(
-            self.key_schema.encode(key), self.stored_schema.encode(stored)
-        )
-        ctx.emit(index_key, framed)
-
-
-class _BTreeWriterReducer(Reducer):
-    """Reduce side: consume globally sorted keys, bulk-load the B+Tree."""
-
-    def __init__(self, path: str, page_size: int, metadata: dict):
-        self.path = path
-        self.page_size = page_size
-        self.metadata = metadata
-        self.builder: Optional[BTreeBuilder] = None
-        self.stats = None
-
-    def setup(self, ctx: Context) -> None:
-        self.builder = BTreeBuilder(self.path, self.page_size,
-                                    metadata=self.metadata)
-
-    def reduce(self, key: Any, values, ctx: Context) -> None:
-        assert self.builder is not None
-        for framed in values:
-            self.builder.add(key, framed)
-
-    def cleanup(self, ctx: Context) -> None:
-        assert self.builder is not None
-        self.stats = self.builder.finish()
+        stored = value.as_tuple() if self.kept is None else tuple(
+            getattr(value, name) for name in self.kept)
+        ctx.emit(encode_key(self.field_type, getattr(value, self.field_name)),
+                 key.as_tuple() + stored)
 
 
 @dataclass
@@ -109,7 +78,6 @@ class IndexGenerationProgram:
     delta_fields: Optional[List[str]] = None
     #: string field to dictionary-compress (dictionary kind)
     dict_field: Optional[str] = None
-    page_size: int = 4096
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}", f"source={self.source_path}"]
@@ -142,7 +110,7 @@ class IndexGenerationProgram:
         if not selection and self.kind not in _REWRITE_SUFFIX:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
         index_path = catalog.next_index_path(self.kind) + (
-            ".btree" if selection else _REWRITE_SUFFIX[self.kind])
+            cat.SELECTION_SUFFIX if selection else _REWRITE_SUFFIX[self.kind])
         try:
             if selection:
                 entry = self._build_selection(catalog, runner, index_path)
@@ -163,11 +131,10 @@ class IndexGenerationProgram:
     def _build_selection(self, catalog: Catalog,
                          runner: Optional[LocalJobRunner],
                          index_path: str) -> IndexEntry:
-        # The selection builder's reducer bulk-loads the B+Tree and
-        # reports stats through in-process instance state, so this
-        # infrastructure job must not fan out to worker processes.  Only
-        # a multi-process runner is downgraded; any other caller-supplied
-        # runner (instrumented wrappers etc.) is honored as before.
+        # The selection builder's reducer appends to a writer this process
+        # holds, so this infrastructure job must not fan out to worker
+        # processes.  Only a multi-process runner is downgraded; any other
+        # caller-supplied runner (instrumented wrappers etc.) is honored.
         from repro.mapreduce.parallel import ParallelJobRunner
 
         if runner is None or isinstance(runner, ParallelJobRunner):
@@ -192,29 +159,25 @@ class IndexGenerationProgram:
             stored_schema = value_schema.project(keep)
         else:
             stored_schema = value_schema
-        field_type = value_schema.field(self.key_field).ftype
         metadata = {
-            "key_schema": key_schema.to_dict(),
-            "value_schema": stored_schema.to_dict(),
-            "key_field": self.key_field,
-            "key_field_type": field_type.value,
             "source_path": os.path.abspath(self.source_path),
             "source_records": source_records,
         }
-        reducer = _BTreeWriterReducer(index_path, self.page_size, metadata)
-        conf = JobConf(
-            name=f"index-gen:{self.kind}:{os.path.basename(self.source_path)}",
-            mapper=_IndexEmitMapper(
-                self.key_field, field_type, key_schema, value_schema,
-                stored_schema,
-            ),
-            reducer=reducer,
-            inputs=[RecordFileInput(self.source_path)],
-            num_reducers=1,  # global sort order feeds the bulk loader
-        )
-        runner.run(conf)
-        stats = reducer.stats
-        assert stats is not None
+        with IndexFileWriter(index_path, key_schema, stored_schema,
+                             self.key_field, metadata=metadata) as writer:
+            runner.run(JobConf(
+                name=(f"index-gen:{self.kind}:"
+                      f"{os.path.basename(self.source_path)}"),
+                mapper=_IndexEmitMapper(
+                    self.key_field, value_schema.field(self.key_field).ftype,
+                    None if stored_schema is value_schema
+                    else stored_schema.field_names()),
+                # the shuffle hands over each order key's rows in order
+                reducer=FunctionReducer(
+                    lambda key, rows, ctx: writer.append_sorted(key, rows)),
+                inputs=[RecordFileInput(self.source_path)],
+                num_reducers=1,  # global sort order feeds the writer
+            ))
         return IndexEntry(
             index_id=catalog.make_entry_id(),
             kind=self.kind,
@@ -229,10 +192,9 @@ class IndexGenerationProgram:
             stats={
                 "source_bytes": source_bytes,
                 "source_records": source_records,
-                "index_bytes": stats.file_size,
-                "index_records": stats.n_entries,
-                "btree_pages": stats.n_pages,
-                "btree_leaves": stats.n_leaves,
+                "index_bytes": os.path.getsize(index_path),
+                "index_records": writer.records_written,
+                "index_blocks": writer.n_blocks,
             },
         )
 

@@ -217,8 +217,8 @@ class Optimizer:
         if type(source) is not RecordFileInput:
             unoptimized.detail = "input is not a plain record-file scan"
             return unoptimized
-        fresh, stale = self._fresh_entries(source.path)
-        if not fresh and not stale:
+        fresh, stale, old = self._fresh_entries(source.path)
+        if not (fresh or stale or old):
             unoptimized.detail = "no indexes in catalog for this input"
             return unoptimized
         chosen = self._choose(index, source, ia) if fresh else None
@@ -226,17 +226,24 @@ class Optimizer:
             return chosen
         unoptimized.detail = (
             f"stale: source rewritten since build ({stale} index(es) skipped)"
-            if stale else "no catalog index is applicable to this program"
+            if stale else
+            f"old format: {old} page-codec B+Tree index(es) skipped; "
+            "build_indexes rebuilds them" if old else
+            "no catalog index is applicable to this program"
         )
         return unoptimized
 
-    def _fresh_entries(self, source_path: str) -> Tuple[List[IndexEntry], int]:
+    def _fresh_entries(self, source_path: str
+                       ) -> Tuple[List[IndexEntry], int, int]:
         """The indexes built from the bytes ``source_path`` holds now, and
-        how many others were skipped because it was rewritten since."""
+        how many others were skipped because it was rewritten since, or
+        because they are in the retired page-codec B+Tree format."""
         entries = self.catalog.entries_for(source_path)
         identity = input_identity(source_path)
         fresh = [e for e in entries if e.built_from(identity)]
-        return fresh, len(entries) - len(fresh)
+        old = sum(e.index_path.endswith(cat.OLD_SELECTION_SUFFIX)
+                  for e in entries)
+        return fresh, len(entries) - len(fresh) - old, old
 
     def applicable_plans(self, index: int, source: RecordFileInput,
                          ia: InputAnalysis) -> List[InputPlan]:
@@ -248,7 +255,7 @@ class Optimizer:
         """
         compiled = SelectionCompiler(ia)
         plans: List[InputPlan] = []
-        candidates, _stale = self._fresh_entries(source.path)
+        candidates, _stale, _old = self._fresh_entries(source.path)
         for kind in RANKING:
             for entry in candidates:
                 if entry.kind != kind:

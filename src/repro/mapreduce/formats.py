@@ -9,15 +9,17 @@ mentions for its Hadoop prototype (Section 2.2), plus the projection and
 dictionary formats that "can be performed without any infrastructure-level
 support at all".
 
-Few modifications indeed: record, projected, delta and dictionary inputs
-(and every partition of a partitioned dataset) are one block-file
-container (:mod:`repro.storage.blockfile`) under different value codecs,
-so they share one ``splits``/``open`` (:class:`BlockFileInput`); only the
-B+Tree input has splits of its own (one per key range).
+Few modifications indeed: record, projected, delta, dictionary and
+selection-index inputs (and every partition of a partitioned dataset)
+are one block-file container (:mod:`repro.storage.blockfile`) under
+different value codecs and footers, so they share one ``splits``/``open``
+(:class:`BlockFileInput`); only the selection-index input has splits of
+its own (one run of blocks per key range).
 
 And one scan: every block is decoded whole by the compiled scanner of
 its file's shape (:func:`~repro.storage.blockscan.split_scanner`) --
-record, projection, delta and dictionary files and partitions alike --
+record, projection, delta, dictionary and index files and partitions
+alike --
 charged its logical bytes (read off the wire) once, and charged every
 field it captures of every record.  Its values are slotted records with
 every captured field filled
@@ -36,10 +38,7 @@ damaged block fails before ``map()`` sees any of its records: a block
 the scanner cannot prove is re-walked by the container's reference
 decode (:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`,
 sized a column at a time), and that walk's exception is raised.  The
-same walk is the whole scan of an opaque schema.  A B+Tree range is read
-the same way a leaf at a time, through the entry-framed variant of the
-shape (:func:`~repro.storage.blockscan.entry_scanner`), with the
-per-entry decode (:class:`_IndexEntries`) as its reference.
+same walk is the whole scan of an opaque schema.
 
 Every split reader keeps byte/record accounting that the runtime folds
 into :class:`~repro.mapreduce.metrics.JobMetrics`:
@@ -60,26 +59,20 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
-from repro.exceptions import CorruptFileError, JobConfigError
+from repro.exceptions import JobConfigError
 from repro.mapreduce.keyspace import pair_sizes
-from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader, BlockInfo
-from repro.storage.blockscan import (
-    FULL_READ,
-    ReadShape,
-    entry_scanner,
-    split_scanner,
-)
-from repro.storage.btree import BTree
+from repro.storage.blockscan import FULL_READ, ReadShape, split_scanner
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
+from repro.storage.indexfile import IndexFileReader
 from repro.storage.partitioned import (
     PartitionedDatasetInfo,
     PartitionStats,
     read_partitioned_info,
 )
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import Record, Schema, build_records
+from repro.storage.serialization import Record, build_records
 
 
 class InputSplit:
@@ -196,14 +189,17 @@ class _UnreadKey:
 _UNREAD_KEY = _UnreadKey()
 
 
-def _open_blocks(reader_class: Type[BlockFileReader], path: str,
-                 blocks: List[BlockInfo], shape: ReadShape) -> SplitReader:
-    """A split reader over ``blocks`` of the block file at ``path``.
+def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
+                 shape: ReadShape, refine: Optional[Callable] = None
+                 ) -> SplitReader:
+    """A split reader over ``blocks`` of the open block file ``reader``,
+    which it closes when the scan ends.
 
     Every block decodes whole before its first record is yielded, and
     every value field ``shape`` captures of every record is charged.
+    ``refine(position in blocks, pairs)``, when given, picks the pairs
+    of each block that are yielded.
     """
-    reader = reader_class(path)
     schema = reader.stored_schema
     if shape.fields is not None and schema.transparent:
         # the records a projection file of the captured fields holds
@@ -218,20 +214,21 @@ def _open_blocks(reader_class: Type[BlockFileReader], path: str,
         reader.close()
 
     def generate() -> Iterator[Tuple[Any, Any]]:
-        for payload, n_records in reader.iter_block_payloads(blocks):
+        for position, (payload, n_records) in enumerate(
+                reader.iter_block_payloads(blocks)):
             if scanner is not None:
                 # the scanner's block figure is the logical-bytes charge
                 columns, keys, logical = scanner.scan(
                     reader, payload, n_records, rewalk=_reference_block)
-                sr.logical_bytes += logical
                 sr.fields += n_records * width
-                values = build_records(schema, columns, n_records)
-                yield from zip(repeat(_UNREAD_KEY) if keys is None else keys,
-                               values)
-                continue
-            pairs, logical = _reference_block(reader, payload, n_records)
+                pairs = zip(repeat(_UNREAD_KEY) if keys is None else keys,
+                            build_records(schema, columns, n_records))
+            else:
+                pairs, logical = _reference_block(reader, payload, n_records)
+                sr.fields += sum(map(_record_fields, map(_VALUE, pairs)))
             sr.logical_bytes += logical
-            sr.fields += sum(map(_record_fields, map(_VALUE, pairs)))
+            if refine is not None:
+                pairs = refine(position, list(pairs))
             yield from pairs
 
     sr = SplitReader(generate(), finalize)
@@ -269,7 +266,7 @@ class BlockFileInput(InputSource):
         ]
 
     def open(self, split: InputSplit) -> SplitReader:
-        return _open_blocks(self.reader_class, self.path, split.payload,
+        return _open_blocks(self.reader_class(self.path), split.payload,
                             self.shape)
 
     def with_shape(self, shape: ReadShape) -> "BlockFileInput":
@@ -403,7 +400,7 @@ class PartitionedInput(InputSource):
 
     def open(self, split: InputSplit) -> SplitReader:
         path, blocks = split.payload
-        return _open_blocks(RecordFileReader, path, blocks, self.shape)
+        return _open_blocks(RecordFileReader(path), blocks, self.shape)
 
     def describe(self) -> str:
         scanned, pruned = self.partition_counts()
@@ -436,7 +433,8 @@ class DictionaryFileInput(BlockFileInput):
 
 
 class KeyRange:
-    """A scan range over encoded B+Tree keys; ``None`` bounds are open."""
+    """A scan range over encoded order keys
+    (:func:`~repro.storage.orderkeys.encode_key`); ``None`` bounds are open."""
 
     __slots__ = ("lo", "hi", "lo_inclusive", "hi_inclusive")
 
@@ -447,6 +445,12 @@ class KeyRange:
         self.lo_inclusive = lo_inclusive
         self.hi_inclusive = hi_inclusive
 
+    def admits(self, raw: bytes) -> bool:
+        """Whether the encoded key ``raw`` lies in this range."""
+        lo, hi = self.lo, self.hi
+        return ((lo is None or raw > lo or self.lo_inclusive and raw == lo)
+                and (hi is None or raw < hi or self.hi_inclusive and raw == hi))
+
     def __repr__(self) -> str:
         lo_b = "[" if self.lo_inclusive else "("
         hi_b = "]" if self.hi_inclusive else ")"
@@ -454,19 +458,22 @@ class KeyRange:
 
 
 class SelectionIndexInput(InputSource):
-    """B+Tree-indexed input: scan only the ranges that can pass the filter.
+    """Selection-index input: scan only the ranges that can pass the filter.
 
-    Index entries store the original (key, value) record pair, framed, so a
-    range scan reconstructs exactly the map inputs that the selection
-    predicate admits.  An optional ``residual`` predicate re-checks each
-    record (needed when the DNF has conjuncts the single-field index cannot
+    The index file (:mod:`repro.storage.indexfile`) stores the original
+    (key, value) record pairs sorted on the indexed field, so a range
+    read reconstructs exactly the map inputs that the selection predicate
+    admits.  An optional ``residual`` predicate re-checks each record
+    (needed when the DNF has conjuncts the single-field index cannot
     express); records failing it are counted as skipped, never mapped.
 
-    A range is read a leaf at a time (:meth:`~repro.storage.btree.BTree.scan_leaves`):
-    the leaf's entries decode through the compiled entry-framed scanner,
-    the residual runs over the leaf's records, and the kept pairs are
-    charged ``logical_bytes`` as one column -- so a damaged leaf fails
-    whole, before ``map()`` sees any of its records.
+    Each range is one split: the run of blocks the index's fences admit
+    (:meth:`~repro.storage.indexfile.IndexFileReader.range_blocks`), read
+    like any other block-file split -- every block decoded whole by the
+    compiled scanner and charged whole, the fences charged once.  Only
+    the run's two edge blocks can hold records outside the range; those
+    are dropped (they are not "skipped": the index never offered them),
+    and the residual runs over what is left of each block.
     """
 
     def __init__(
@@ -485,75 +492,33 @@ class SelectionIndexInput(InputSource):
 
     def splits(self, target: int) -> List[InputSplit]:
         # One split per range: ranges are disjoint DNF disjunct intervals.
-        return [InputSplit(self, rng) for rng in self.ranges]
+        with IndexFileReader(self.index_path) as reader:
+            return [
+                InputSplit(self, (rng, reader.range_blocks(
+                    rng.lo, rng.hi, rng.lo_inclusive, rng.hi_inclusive)))
+                for rng in self.ranges
+            ]
 
     def open(self, split: InputSplit) -> SplitReader:
-        tree = BTree(self.index_path)
-        entries = _IndexEntries(
-            self.index_path,
-            Schema.from_dict(tree.metadata["key_schema"]),
-            Schema.from_dict(tree.metadata["value_schema"]),
-        )
-        scanner = entry_scanner(entries.key_schema, entries.value_schema)
-        width = max(1, len(entries.value_schema.fields))
-        residual = self.residual
-        rng: KeyRange = split.payload
+        rng, blocks = split.payload
+        reader = IndexFileReader(self.index_path)
+        residual, edges = self.residual, (0, len(blocks) - 1)
 
-        def generate() -> Iterator[Tuple[Any, Any]]:
-            for leaf in tree.scan_leaves(
-                rng.lo, rng.hi, rng.lo_inclusive, rng.hi_inclusive
-            ):
-                if scanner is not None:
-                    columns, keys, _logical = scanner.scan(
-                        entries, leaf, len(leaf))
-                    pairs = list(zip(keys, build_records(
-                        entries.value_schema, columns, len(leaf))))
-                else:
-                    pairs = list(entries.decode_block(leaf, len(leaf)))
-                if residual is not None:
-                    kept = [pair for pair in pairs if residual(*pair)]
-                    sr.skipped += len(pairs) - len(kept)
-                    pairs = kept
-                sr.logical_bytes += _pairs_bytes(pairs)
-                sr.fields += (len(pairs) * width if scanner is not None else
-                              sum(map(_record_fields, map(_VALUE, pairs))))
-                yield from pairs
+        def refine(position: int, pairs: list) -> list:
+            if position in edges:
+                pairs = [pair for pair in pairs
+                         if rng.admits(reader.order_key(pair[1]))]
+            if residual is not None:
+                kept = [pair for pair in pairs if residual(*pair)]
+                sr.skipped += len(pairs) - len(kept)
+                pairs = kept
+            return pairs
 
-        def finalize(sr_: SplitReader) -> None:
-            sr_.stored_bytes += tree.bytes_read
-            tree.close()
-
-        sr = SplitReader(generate(), finalize)
+        sr = _open_blocks(reader, blocks, FULL_READ, refine)
         return sr
 
     def describe(self) -> str:
         return f"btree-scan({self.index_path}, {len(self.ranges)} ranges)"
-
-
-class _IndexEntries:
-    """A selection index's entries as the compiled scanner sees a block
-    file: the key schema, a path for messages, and the per-entry
-    reference decode (:meth:`decode_block`) -- the whole scan of an opaque
-    schema, and the re-walk whose exception a leaf the compiled loop
-    cannot prove raises."""
-
-    __slots__ = ("path", "key_schema", "value_schema")
-
-    def __init__(self, path: str, key_schema: Schema, value_schema: Schema):
-        self.path = path
-        self.key_schema = key_schema
-        self.value_schema = value_schema
-
-    def decode_block(self, entries: List[bytes], n_records: int
-                     ) -> Iterator[Tuple[Record, Record]]:
-        """Decode framed entries (:func:`frame_index_entry`) one by one."""
-        for framed in entries:
-            klen, pos = varint.decode_uvarint(framed, 0)
-            kend = pos + klen
-            if kend > len(framed):
-                raise CorruptFileError(f"{self.path}: truncated index entry")
-            yield (self.key_schema.decode(framed, pos, kend),
-                   self.value_schema.decode(framed, kend))
 
 
 class InMemoryInput(InputSource):
@@ -590,8 +555,3 @@ class InMemoryInput(InputSource):
 
     def describe(self) -> str:
         return f"memory({len(self.pairs)} pairs)"
-
-
-def frame_index_entry(kraw: bytes, vraw: bytes) -> bytes:
-    """Frame an original record pair for storage as a B+Tree value."""
-    return varint.encode_uvarint(len(kraw)) + kraw + vraw

@@ -1,4 +1,4 @@
-"""Storage substrates: serialization, record files, B+Tree, codecs.
+"""Storage substrates: serialization, record files, index files, codecs.
 
 This package is the reproduction's stand-in for HDFS flat files plus the
 physical index formats Manimal's optimizer materializes:
@@ -21,7 +21,10 @@ physical index formats Manimal's optimizer materializes:
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation
 * :mod:`repro.storage.columnfile` -- projected files (projection indexes)
-* :mod:`repro.storage.btree` -- disk-backed B+Tree (selection indexes)
+* :mod:`repro.storage.indexfile` -- index files (selection indexes): record
+  files sorted on one field, with per-block fences in a footer
+* :mod:`repro.storage.btree` -- the retired page-codec B+Tree, kept only
+  for the frozen benchmark suite's storage probe
 * :mod:`repro.storage.partitioned` -- partition directories with zone-map
   sidecars, and :func:`input_identity`: the one "what bytes is this input,
   right now" answer every cache and the index catalog compare
@@ -31,10 +34,12 @@ physical index formats Manimal's optimizer materializes:
 
 from repro.exceptions import CorruptFileError
 from repro.storage.blockfile import BlockFileReader, BlockInfo
+# only for the frozen benchmark suite's storage probe
 from repro.storage.btree import BTree, BTreeBuilder, BTreeStats
 from repro.storage.columnfile import build_column_groups, build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
+from repro.storage.indexfile import IndexFileReader
 from repro.storage.partitioned import InputIdentity, input_identity
 from repro.storage.recordfile import (
     RecordFileReader,
@@ -57,7 +62,8 @@ from repro.storage.serialization import (
 
 _READERS = {
     cls.MAGIC: cls
-    for cls in (RecordFileReader, DeltaFileReader, DictionaryFileReader)
+    for cls in (RecordFileReader, DeltaFileReader, DictionaryFileReader,
+                IndexFileReader)
 }
 
 
@@ -72,6 +78,7 @@ def open_block_file(path: str) -> BlockFileReader:
 
 
 __all__ = [
+    # exported only for the frozen benchmark suite's storage probe
     "BTree",
     "BTreeBuilder",
     "BTreeStats",

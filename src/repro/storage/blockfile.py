@@ -1,13 +1,13 @@
 """The block-file container every record-shaped file format shares.
 
-Record, delta and dictionary files (and therefore projection files and
-partitions, which are record files) are one container with a different
-*value codec*.  Layout::
+Record, delta, dictionary and index files (and therefore projection
+files and partitions, which are record files) are one container with a
+different *value codec* or footer.  Layout::
 
     magic (4 bytes) | uvarint header_len | header JSON (UTF-8)
     block*  where block = uvarint payload_len | uvarint n_records | payload
     payload = (uvarint key_len | key bytes | uvarint val_len | val bytes)*
-    [footer]
+    [footer | footer start (8 bytes, little-endian)]
 
 The header carries the key and value schemas (so files are
 self-describing), free-form metadata, and whatever extras the format's
@@ -24,10 +24,12 @@ reader and supplies its ``MAGIC``, header extras (``_header_extras`` /
 :class:`~repro.storage.blockwrite.WriteCodec` naming its delta or
 dictionary field (``_write_codec``), whose compiled shape encodes every
 append, and a decoder made fresh for every block (``_value_decoder``);
-identity by default -- and footer (``_write_footer``
-/ a ``_data_end`` below the file size): see :mod:`~repro.storage.recordfile`,
-:mod:`~repro.storage.delta`, :mod:`~repro.storage.dictionary`, and the
-layout table in ``docs/architecture.md``.
+identity by default -- and footer (``_footer``, which the container ends
+with a pointer to its start, and ``FOOTER``, which makes the reader stop
+the blocks there): see :mod:`~repro.storage.recordfile`,
+:mod:`~repro.storage.delta`, :mod:`~repro.storage.dictionary`,
+:mod:`~repro.storage.indexfile`, and the layout table in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from repro.storage.blockwrite import WriteCodec
 from repro.storage.serialization import Record, Schema
 
 DEFAULT_BLOCK_SIZE = 64 * 1024
+
+#: A footer ends in a fixed-size little-endian pointer to its start.
+FOOTER_POINTER_BYTES = 8
 
 #: The read half: ``decode(view, start, end) -> Record``, made fresh for
 #: each block, so its codec state starts over with the block.
@@ -124,8 +129,9 @@ class BlockFileWriter:
         """The codec's write half: the identity codec by default."""
         return WriteCodec(self.key_schema, self.value_schema, {})
 
-    def _write_footer(self) -> None:
-        """Write whatever follows the last block (nothing by default)."""
+    def _footer(self) -> Optional[bytes]:
+        """What follows the last block, if anything (nothing by default)."""
+        return None
 
     def append(self, key: Record, value: Record) -> None:
         """Serialize and buffer one record pair, flushing full blocks."""
@@ -190,7 +196,10 @@ class BlockFileWriter:
         if self._closed:
             return
         self._flush_block()
-        self._write_footer()
+        footer = self._footer()
+        if footer is not None:  # the footer, then the offset it starts at
+            self._file.write(footer + self._file.tell().to_bytes(
+                FOOTER_POINTER_BYTES, "little"))
         self._file.close()
         self._closed = True
 
@@ -212,6 +221,9 @@ class BlockFileReader:
     """
 
     MAGIC = b""
+    #: what the format's footer holds, if it has one: the blocks then end
+    #: where the pointer closing the file says the footer starts
+    FOOTER: Optional[str] = None
 
     def __init__(self, path: str):
         self.path = path
@@ -249,9 +261,23 @@ class BlockFileReader:
         #: where the blocks end (a footer starts here when there is one)
         self._data_end = self._file_size
         self._bind_header(header)
+        if self.FOOTER is not None:
+            self._locate_footer()
+
+    def _locate_footer(self) -> None:
+        """Point ``_data_end`` at the footer's start."""
+        pointer_at = self._file_size - FOOTER_POINTER_BYTES
+        if pointer_at < self._data_start:
+            raise CorruptFileError(f"{self.path}: file shorter than its footer")
+        self._file.seek(pointer_at)
+        self._data_end = int.from_bytes(
+            self._file.read(FOOTER_POINTER_BYTES), "little")
+        if not self._data_start <= self._data_end <= pointer_at:
+            raise CorruptFileError(
+                f"{self.path}: bad {self.FOOTER} footer pointer")
 
     def _bind_header(self, header: Dict[str, Any]) -> None:
-        """Read the format's header extras and locate its footer."""
+        """Read the format's header extras."""
 
     def _value_decoder(self) -> ValueDecoder:
         """The codec's read half, for one block: by default the identity

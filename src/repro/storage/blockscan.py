@@ -5,8 +5,7 @@ captured value fields in per-column lists and passing over the rest.
 Interpreting that walk -- a type dispatch plus a varint call per field --
 costs more than the decoding itself, so this module *generates* it: for a
 shape (the key fields' wire kinds, the value fields' wire kinds with their
-capture slots, whether keys are decoded, and whether the payload is a
-block or a B+Tree leaf's entries) it emits one straight-line
+capture slots, and whether keys are decoded) it emits one straight-line
 function over the block's ``bytes`` payload, compiles it once and keeps it
 for the life of the process.  Per field there is one emitted step; a
 varint of any length is decoded or passed over inline (1 to 3 bytes
@@ -29,10 +28,7 @@ they need; the record path's split reader (:func:`split_scanner`) captures
 what its :class:`ReadShape` names over any block-file codec -- a delta
 file's delta fields are the ``delta`` kind, a zigzag varint added to a
 running sum that restarts with each block and is charged
-``svarint_len`` of the sum, captured or not.  A selection index's range
-scan (:func:`entry_scanner`) adds one flag: its payload is a B+Tree
-leaf's list of framed entries, each ``uvarint klen | key | value`` with
-the value running to the end of the entry.
+``svarint_len`` of the sum, captured or not.
 
 The generated loop proves a block well-formed or gives up; it never
 reports damage itself.  Positions only move forward and every record
@@ -82,21 +78,18 @@ _WIRE = {
     FieldType.BYTES: "bytes",
 }
 
-#: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys,
-#: entries); a value kind is a ``_WIRE`` kind or ``"delta"``,
-#: ``decode_keys`` is a bool or :data:`KEY_COLUMNS`, and ``entries``
-#: marks a list of framed index entries instead of a block
-Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], Union[bool, str],
-              bool]
+#: (key wire kinds, (value wire kind, capture slot or -1)..., decode_keys);
+#: a value kind is a ``_WIRE`` kind or ``"delta"``, and ``decode_keys``
+#: is a bool or :data:`KEY_COLUMNS`
+Shape = Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...], Union[bool, str]]
 
 #: ``decode_keys`` value: the keys' columns follow the value columns,
 #: and no key record is built
 KEY_COLUMNS = "columns"
 
 #: A scanned block: (columns by slot -- then the key columns, under
-#: :data:`KEY_COLUMNS` --, key records or None, logical bytes -- or None
-#: for index entries, whose reader sizes the pairs it keeps)
-Scanned = Tuple[List[list], Optional[List[Record]], Optional[int]]
+#: :data:`KEY_COLUMNS` --, key records or None, logical bytes)
+Scanned = Tuple[List[list], Optional[List[Record]], int]
 
 _GLOBALS = {
     "_build_records": build_records,
@@ -209,7 +202,7 @@ def _delta(acc: str, sink: Optional[str]) -> List[str]:
 
 def scanner_source(shape: Shape) -> str:
     """The scanner for ``shape``, as Python source."""
-    key_kinds, value_steps, decode_keys, entries = shape
+    key_kinds, value_steps, decode_keys = shape
     n_slots = 1 + max((slot for _kind, slot in value_steps), default=-1)
     columns = [f"c{i}" for i in range(n_slots)]
     if decode_keys:
@@ -218,9 +211,7 @@ def scanner_source(shape: Shape) -> str:
     for i, kind in enumerate(key_kinds):
         record += _field(kind, f"k{i}_add" if decode_keys else None, "kend")
     record += ["if p != kend:", "    return None"]
-    # an index entry's value runs to the end of the entry
-    record += ["vend = end"] if entries else (
-        _length("vlen", "end") + ["vend = p + vlen"])
+    record += _length("vlen", "end") + ["vend = p + vlen"]
     sums = []
     for i, (kind, slot) in enumerate(value_steps):
         sink = None if slot < 0 else f"c{slot}_add"
@@ -237,29 +228,17 @@ def scanner_source(shape: Shape) -> str:
     elif decode_keys:
         key_columns = ", ".join(f"k{i}" for i in range(len(key_kinds)))
         keys = f"_build_records(key_schema, [{key_columns}], n_records)"
-    if entries:
-        lines = ["def _scan(entries, n_records, key_schema):",
-                 "    x = 0"]
-    else:
-        lines = ["def _scan(payload, n_records, key_schema):",
-                 "    end = len(payload)",
-                 "    p = x = 0"]
+    lines = ["def _scan(payload, n_records, key_schema):",
+             "    end = len(payload)",
+             "    p = x = 0"]
     if sums:
         lines += ["    " + " = ".join(sums) + " = 0"]
     lines += [f"    {c} = []\n    {c}_add = {c}.append" for c in columns]
-    if entries:
-        lines += ["    for payload in entries:",
-                  "        end = len(payload)",
-                  "        p = 0"]
-        total = "None"
-    else:
-        lines += ["    for _ in range(n_records):"]
-        total = "end - x"
+    lines += ["    for _ in range(n_records):"]
     lines += ["        " + step for step in record]
-    if not entries:
-        lines += ["    if p != end:",
-                  "        return None"]
-    lines += [f"    return [{', '.join(columns[:n_returned])}], {keys}, {total}"]
+    lines += ["    if p != end:",
+              "        return None"]
+    lines += [f"    return [{', '.join(columns[:n_returned])}], {keys}, end - x"]
     return "\n".join(lines) + "\n"
 
 
@@ -333,19 +312,17 @@ FULL_READ = ReadShape()
 
 def block_scanner(key_schema: Schema, schema: Schema,
                   slots: Mapping[str, int], decode_keys: Union[bool, str],
-                  deltas: Collection[str] = (), entries: bool = False
-                  ) -> BlockScanner:
+                  deltas: Collection[str] = ()) -> BlockScanner:
     """The compiled scanner capturing ``slots`` (value field -> column)
     of stored value schema ``schema``, whose ``deltas`` fields are
     running sums, with key records (``decode_keys`` true), key columns
-    (:data:`KEY_COLUMNS`) or neither; ``entries`` reads framed index
-    entries, not a block.  The one place a :data:`Shape` is built."""
+    (:data:`KEY_COLUMNS`) or neither.  The one place a :data:`Shape` is
+    built."""
     return _compiled((
         tuple(_WIRE[f.ftype] for f in key_schema.fields),
         tuple(("delta" if f.name in deltas else _WIRE[f.ftype],
                slots.get(f.name, -1)) for f in schema.fields),
         decode_keys,
-        entries,
     ))
 
 
@@ -364,16 +341,3 @@ def split_scanner(reader: BlockFileReader, shape: ReadShape = FULL_READ
                          {name: i for i, name in enumerate(names)},
                          shape.decode_keys,
                          getattr(reader, "delta_fields", ()))
-
-
-def entry_scanner(key_schema: Schema, value_schema: Schema
-                  ) -> Optional[BlockScanner]:
-    """The compiled scanner for a B+Tree leaf's framed index entries
-    (:func:`~repro.mapreduce.formats.frame_index_entry`): every value
-    field in order, keys decoded; ``None`` when either schema is opaque."""
-    if not (key_schema.transparent and value_schema.transparent):
-        return None
-    return block_scanner(
-        key_schema, value_schema,
-        {name: i for i, name in enumerate(value_schema.field_names())},
-        True, entries=True)

@@ -15,9 +15,7 @@ difference from a running sum that restarts with each block) or ``dict``
 families come from the one factory:
 
 * a **bare** shape (no key) compiles ``_encode(values)``: one value
-  tuple to its plain encoding -- :meth:`~repro.storage.serialization.Schema.encode`,
-  and through it :func:`~repro.mapreduce.formats.frame_index_entry` and
-  the selection-index mapper;
+  tuple to its plain encoding -- :meth:`~repro.storage.serialization.Schema.encode`;
 * a **framed** shape compiles ``_write(buffer, rows, limit, sums,
   codes)``: rows of key and value field values to ``uvarint klen | key
   | uvarint vlen | value`` at the end of a block buffer, one- and

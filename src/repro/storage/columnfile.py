@@ -21,18 +21,13 @@ from repro.exceptions import SchemaError, SerializationError
 from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileWriter
 from repro.storage.blockscan import KEY_COLUMNS, block_scanner
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import Record, Schema
+from repro.storage.serialization import Schema
 
 #: Metadata keys written into projected-file headers.
 META_KIND = "kind"
 META_BASE_SCHEMA = "base_schema"
 META_KEPT_FIELDS = "kept_fields"
 KIND_PROJECTION = "projection"
-
-
-def project_record(record: Record, projected: Schema) -> Record:
-    """Narrow ``record`` to the fields of ``projected`` (order-preserving)."""
-    return projected.make(*[getattr(record, f.name) for f in projected.fields])
 
 
 def copy_records(reader: RecordFileReader, writer: BlockFileWriter,

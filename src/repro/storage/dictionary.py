@@ -42,9 +42,6 @@ from repro.storage.serialization import (
 
 MAGIC = b"RPDX"
 
-#: The footer ends in a fixed-size little-endian pointer to its start.
-_POINTER_BYTES = 8
-
 
 def compressed_schema(value_schema: Schema, field_name: str) -> Schema:
     """Schema presented to the mapper: ``field_name`` becomes an INT code."""
@@ -96,9 +93,8 @@ class DictionaryFileWriter(BlockFileWriter):
         return WriteCodec(self.key_schema, self.value_schema,
                           {self.field_name: "dict"}, self.stored_schema)
 
-    def _write_footer(self) -> None:
-        """The dictionary in code order, then the pointer to its start."""
-        data_end = self._file.tell()
+    def _footer(self) -> bytes:
+        """The dictionary in code order."""
         footer = bytearray()
         codes = self._codec.codes
         footer += varint.encode_uvarint(len(codes))
@@ -106,8 +102,7 @@ class DictionaryFileWriter(BlockFileWriter):
             raw = text.encode("utf-8")
             footer += varint.encode_uvarint(len(raw))
             footer += raw
-        footer += data_end.to_bytes(_POINTER_BYTES, "little")
-        self._file.write(bytes(footer))
+        return bytes(footer)
 
 
 class DictionaryFileReader(BlockFileReader):
@@ -120,20 +115,12 @@ class DictionaryFileReader(BlockFileReader):
     """
 
     MAGIC = MAGIC
+    FOOTER = "dictionary"
 
     def _bind_header(self, header: Dict[str, Any]) -> None:
         self.field_name: str = header["field_name"]
         self.stored_schema = compressed_schema(self.value_schema, self.field_name)
         self._dictionary: Optional[List[str]] = None
-        pointer_at = self._file_size - _POINTER_BYTES
-        if pointer_at < self._data_start:
-            raise CorruptFileError(f"{self.path}: file shorter than its footer")
-        self._file.seek(pointer_at)
-        self._data_end = int.from_bytes(
-            self._file.read(_POINTER_BYTES), "little"
-        )
-        if not self._data_start <= self._data_end <= pointer_at:
-            raise CorruptFileError(f"{self.path}: bad dictionary footer pointer")
 
     def _value_decoder(self) -> ValueDecoder:
         return self.stored_schema.decode

@@ -1,8 +1,8 @@
-"""Order-preserving binary encodings for B+Tree keys.
+"""Order-preserving binary encodings for selection-index keys.
 
-A B+Tree compares keys as raw byte strings; these encoders map field values
+An index compares keys as raw byte strings; these encoders map field values
 to bytes such that ``encode(a) < encode(b)`` iff ``a < b`` under the natural
-ordering of the field type.  This lets the index support range scans for
+ordering of the field type (and ``encode(a) == encode(b)`` iff ``a == b``).  This lets the index support range scans for
 predicates like ``rank > 1`` with plain lexicographic byte comparison.
 """
 
@@ -32,7 +32,9 @@ def encode_key(ftype: FieldType, value: Any) -> bytes:
     if ftype is FieldType.DOUBLE:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise BTreeError(f"float key expected, got {type(value).__name__}")
-        value = float(value)
+        # + 0.0 turns -0.0 into 0.0: they compare equal, so they must
+        # share a key, or a range bound at one would miss the other
+        value = float(value) + 0.0
         if math.isnan(value):
             raise BTreeError("NaN cannot be a B+Tree key")
         bits = struct.unpack(">Q", struct.pack(">d", value))[0]
@@ -54,33 +56,6 @@ def encode_key(ftype: FieldType, value: Any) -> bytes:
         # already order-preserving.
         return value.encode("utf-8")
     raise BTreeError(f"field type {ftype} is not a comparable key type")
-
-
-def decode_key(ftype: FieldType, raw: bytes) -> Any:
-    """Inverse of :func:`encode_key`."""
-    if ftype in (FieldType.INT, FieldType.LONG):
-        if len(raw) != 8:
-            raise BTreeError("int key must be 8 bytes")
-        return struct.unpack(">Q", raw)[0] - _SIGN_FLIP
-    if ftype is FieldType.DOUBLE:
-        if len(raw) != 8:
-            raise BTreeError("double key must be 8 bytes")
-        bits = struct.unpack(">Q", raw)[0]
-        if bits & _SIGN_FLIP:
-            bits &= ~_SIGN_FLIP & _UINT64_MASK
-        else:
-            bits = ~bits & _UINT64_MASK
-        return struct.unpack(">d", struct.pack(">Q", bits))[0]
-    if ftype is FieldType.BOOL:
-        return raw == b"\x01"
-    if ftype is FieldType.STRING:
-        return raw.decode("utf-8")
-    raise BTreeError(f"field type {ftype} is not a comparable key type")
-
-
-#: Sentinels usable as unbounded range endpoints in scans.
-MIN_KEY = b""
-MAX_KEY = b"\xff" * 9  # longer than any fixed-width key; strings may exceed
 
 
 def successor(raw: bytes) -> bytes:

@@ -21,12 +21,11 @@ from repro.mapreduce.formats import (
     RecordFileInput,
     SelectionIndexInput,
     SplitReader,
-    frame_index_entry,
 )
-from repro.storage import blockfile, btree, open_block_file, varint
-from repro.storage.btree import BTreeBuilder
+from repro.storage import blockfile, open_block_file, varint
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
+from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import (
@@ -105,8 +104,7 @@ def opened(monkeypatch):
         files.append(f)
         return f
 
-    for module in (blockfile, btree):
-        monkeypatch.setattr(module, "open", spy, raising=False)
+    monkeypatch.setattr(blockfile, "open", spy, raising=False)
     return files
 
 
@@ -365,19 +363,11 @@ class TestAbandonedSplitReader:
         self._fail_midway(fmt.source(path), opened)
 
     def test_selection_index_input(self, tmp_path, opened):
-        path = str(tmp_path / "idx.bt")
-        builder = BTreeBuilder(path, metadata={
-            "key_schema": LONG_SCHEMA.to_dict(),
-            "value_schema": PAIR.to_dict(),
-            "key_field": "a",
-        })
-        for i in range(200):
-            builder.add(
-                encode_key(FieldType.INT, i),
-                frame_index_entry(LONG_SCHEMA.encode(LONG_SCHEMA.make(i)),
-                                  PAIR.encode(PAIR.make(i, f"s{i}"))),
-            )
-        builder.finish()
+        path = str(tmp_path / "idx.sidx")
+        with IndexFileWriter(path, LONG_SCHEMA, PAIR, "a",
+                             block_size=256) as writer:
+            for i in range(200):
+                writer.append(LONG_SCHEMA.make(i), PAIR.make(i, f"s{i}"))
         source = SelectionIndexInput(
             path, [KeyRange(encode_key(FieldType.INT, 10), None)])
         self._fail_midway(source, opened)

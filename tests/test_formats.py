@@ -10,12 +10,10 @@ from repro.mapreduce.formats import (
     KeyRange,
     RecordFileInput,
     SelectionIndexInput,
-    frame_index_entry,
 )
-from repro.storage import varint
-from repro.storage.btree import BTreeBuilder
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
+from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import STRING_SCHEMA, FieldType
 from tests.conftest import WEBPAGE, write_webpages
@@ -75,24 +73,12 @@ class TestSelectionIndexInput:
     def index_path(self, tmp_path, webpage_file):
         from repro.storage.recordfile import RecordFileReader
 
-        path = str(tmp_path / "idx.bt")
+        path = str(tmp_path / "idx.sidx")
         with RecordFileReader(webpage_file) as reader:
-            rows = sorted(
-                (
-                    encode_key(FieldType.INT, v.rank),
-                    frame_index_entry(STRING_SCHEMA.encode(k),
-                                      WEBPAGE.encode(v)),
-                )
-                for k, v in reader.iter_records()
-            )
-        builder = BTreeBuilder(path, metadata={
-            "key_schema": STRING_SCHEMA.to_dict(),
-            "value_schema": WEBPAGE.to_dict(),
-            "key_field": "rank",
-        })
-        for key, framed in rows:
-            builder.add(key, framed)
-        builder.finish()
+            pairs = sorted(reader.iter_records(), key=lambda kv: kv[1].rank)
+        with IndexFileWriter(path, STRING_SCHEMA, WEBPAGE, "rank") as writer:
+            for key, value in pairs:
+                writer.append(key, value)
         return path
 
     def test_range_scan_returns_matching_records(self, index_path):
@@ -128,31 +114,6 @@ class TestSelectionIndexInput:
         with pytest.raises(JobConfigError):
             SelectionIndexInput(index_path, [])
 
-    def test_truncated_index_entry_raises(self, tmp_path):
-        # A framed entry whose key-length prefix claims more bytes than
-        # the entry holds must fail loudly, never yield a truncated key.
-        from repro.exceptions import CorruptFileError
-        from repro.storage import varint as vi
-
-        path = str(tmp_path / "bad.bt")
-        good = frame_index_entry(
-            STRING_SCHEMA.encode(STRING_SCHEMA.make("k")),
-            WEBPAGE.encode(WEBPAGE.make("u", 1, "c")),
-        )
-        klen, pos = vi.decode_uvarint(good, 0)
-        truncated = good[:pos + klen - 1]  # cut inside the framed key
-        builder = BTreeBuilder(path, metadata={
-            "key_schema": STRING_SCHEMA.to_dict(),
-            "value_schema": WEBPAGE.to_dict(),
-            "key_field": "rank",
-        })
-        builder.add(encode_key(FieldType.INT, 1), truncated)
-        builder.finish()
-        source = SelectionIndexInput(path, [KeyRange(None, None)])
-        [split] = source.splits(1)
-        with pytest.raises(CorruptFileError, match="truncated index entry"):
-            list(source.open(split))
-
     def test_bytes_read_less_than_full_file(self, index_path, webpage_file):
         import os
 
@@ -187,14 +148,7 @@ class TestDeltaAndDictionaryInputs:
         assert stats["records"] == 100
 
 
-class TestFraming:
-    def test_frame_roundtrip(self):
-        kraw, vraw = b"key-bytes", b"value-bytes"
-        framed = frame_index_entry(kraw, vraw)
-        klen, pos = varint.decode_uvarint(framed, 0)
-        assert framed[pos:pos + klen] == kraw
-        assert framed[pos + klen:] == vraw
-
+class TestKeyRange:
     def test_keyrange_repr(self):
         rng = KeyRange(b"a", b"b", lo_inclusive=False)
         assert "(" in repr(rng) and "]" in repr(rng)

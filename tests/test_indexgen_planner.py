@@ -22,7 +22,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.runtime import LocalJobRunner
-from repro.storage.btree import BTree
+from repro.storage.indexfile import IndexFileReader
 from repro.storage.columnfile import copy_records
 from repro.storage.serialization import STRING_SCHEMA
 from repro.workloads.schemas import USERVISITS
@@ -107,9 +107,12 @@ class TestIndexBuildAndPlan:
         assert len(entries) == 1
         entry = entries[0]
         assert entry.key_field == "rank"
-        with BTree(entry.index_path) as tree:
-            assert tree.n_entries == 500  # all records indexed
-            assert tree.metadata["key_field"] == "rank"
+        with IndexFileReader(entry.index_path) as reader:
+            assert reader.count_records() == 500  # all records indexed
+            assert reader.key_field == "rank"
+            ranks = [v.rank for _k, v in reader.iter_records()]
+        assert ranks == sorted(ranks)
+        assert entry.stats["index_records"] == 500
 
     def test_plan_prefers_combined_over_plain(self, tmp_path, webpage_file):
         system = Manimal(str(tmp_path / "cat"))

@@ -5,9 +5,10 @@ aggregate ops, nothing imports the retired typed shuffle's stub,
 nothing brings back the retired lazy decode, the shuffle's
 bookkeeping sizes, sort-keys and hashes by column, one reduce loop
 groups by column boundaries with one sort helper, only the
-optimizer attaches a record-path read shape, and the per-field reference
+optimizer attaches a record-path read shape, the per-field reference
 encode is named only by serialization and the compiled encoder's
-decline path -- checked, not claimed.
+decline path, and the retired B+Tree index path stays retired --
+checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -361,3 +362,33 @@ def test_checker_sees_the_reference_encode_called_outside_its_homes(tmp_path):
         + ":1: <module> uses the reference encode _encode_value",
         os.path.join("storage", "delta.py")
         + ":3: encode uses the reference encode _encode_value"]
+
+
+def test_checker_sees_the_btree_index_path_come_back(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("storage", "__init__", "from repro.storage.btree import BTree\n"),
+        ("storage", "indexfile", "from . import btree\n"
+                                 "def _IndexEntries():\n"
+                                 "    pass\n"),
+        ("mapreduce", "formats", "import repro.storage.btree as tree\n"
+                                 "def frame_index_entry(k, v):\n"
+                                 "    return k + v\n"),
+        ("core", "analyzer", "from repro.storage import blockscan\n"
+                             "def peek(k, v):\n"
+                             "    return blockscan.entry_scanner(k, v)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.index_format_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("core", "analyzer.py") + ":3: names entry_scanner",
+        os.path.join("mapreduce", "formats.py")
+        + ":1: imports repro.storage.btree",
+        os.path.join("mapreduce", "formats.py")
+        + ":2: names frame_index_entry",
+        os.path.join("storage", "indexfile.py")
+        + ":1: imports repro.storage.btree",
+        os.path.join("storage", "indexfile.py") + ":2: names _IndexEntries"]

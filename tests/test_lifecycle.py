@@ -14,6 +14,7 @@ The harness covers the in-process entry points; service ops and
 append-by-rewrite are listed in ROADMAP.md as its remaining extensions.
 """
 
+import builtins
 import os
 import random
 from collections import Counter
@@ -23,12 +24,16 @@ import pytest
 
 import repro.service.server as server_module
 from repro import Session, col
+from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
 from repro.engine import ExecutionEngine
+from repro.explain import explain_job
 from repro.mapreduce import JobConf, Mapper, RecordFileInput, Reducer
 from repro.service import QueryServer, deserialize_rows
 from repro.service.protocol import decode_bytes
-from repro.storage import input_identity
+from repro.storage import input_identity, varint
+from repro.storage.btree import BTreeBuilder
+from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import (
     LONG_SCHEMA,
@@ -312,6 +317,79 @@ def test_every_read_equals_the_oracle(tmp_path, seed):
                     "op_submit", "op_fluent", "evicted", "index_used",
                     "stale_skipped"):
         assert coverage[counter] > 0, (counter, dict(coverage))
+
+
+# -- an index in the retired page-codec B+Tree format ---------------------------
+
+
+def _legacy_selection_index(system, path, rows):
+    """Register a selection index on ``rank`` the way a catalog from
+    before the index-file format holds one: written by the page-codec
+    B+Tree builder, each entry framed ``uvarint klen | key | value``."""
+    index_path = (system.catalog.next_index_path(cat.KIND_SELECTION)
+                  + cat.OLD_SELECTION_SUFFIX)
+    builder = BTreeBuilder(index_path, metadata={
+        "key_schema": LONG_SCHEMA.to_dict(), "value_schema": PAGE.to_dict(),
+        "key_field": "rank"})
+    for i, row in sorted(enumerate(rows), key=lambda item: item[1][1]):
+        kraw = LONG_SCHEMA.encode(LONG_SCHEMA.make(i))
+        builder.add(encode_key(FieldType.INT, row[1]),
+                    varint.encode_uvarint(len(kraw)) + kraw
+                    + PAGE.encode(PAGE.make(*row)))
+    builder.finish()
+    entry = cat.IndexEntry(
+        index_id=system.catalog.make_entry_id(), kind=cat.KIND_SELECTION,
+        source_path=os.path.abspath(path), index_path=index_path,
+        key_field="rank", stats={"index_bytes": os.path.getsize(index_path)},
+        source_identity=list(input_identity(path)))
+    system.catalog.register(entry)
+    return entry
+
+
+def test_old_format_index_is_refused_then_rebuilt(tmp_path, monkeypatch):
+    path = str(tmp_path / "a.rf")
+    rows = [(f"u{i:04d}", (i * 37) % 100, f"topic{i % 4}") for i in range(50)]
+    with RecordFileWriter(path, LONG_SCHEMA, PAGE) as writer:
+        for i, row in enumerate(rows):
+            writer.append(LONG_SCHEMA.make(i), PAGE.make(*row))
+    catalog_dir = str(tmp_path / "cat")
+    system = Manimal(catalog_dir)
+    old = _legacy_selection_index(system, path, rows)
+    job = rank_count_job(path, 60)
+    expected = oracle_rank_count(rows, 60)
+
+    # planned without opening the old file: its path says what it is
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.abspath(str(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    outcome = system.submit(job)
+    monkeypatch.undo()
+    assert os.path.abspath(old.index_path) not in opened
+    plan = outcome.descriptor.plans[0]
+    assert plan.entry is None and not outcome.optimized
+    assert plan.detail == ("old format: 1 page-codec B+Tree index(es) "
+                           "skipped; build_indexes rebuilds them")
+    assert Counter(dict(outcome.result.outputs)) == expected
+    assert "old format: 1 page-codec B+Tree index(es)" in explain_job(
+        job, catalog_dir=catalog_dir)
+
+    # the admin's build drops it, file and all, and builds the new format
+    built = system.build_indexes(job, allowed_kinds=[cat.KIND_SELECTION])
+    assert [e.kind for e in built] == [cat.KIND_SELECTION]
+    assert not os.path.exists(old.index_path)
+    assert [e.index_id for e in system.catalog.sorted_entries()] == \
+        [built[0].index_id]
+    assert index_files(catalog_dir) == [os.path.basename(built[0].index_path)]
+    assert built[0].index_path.endswith(cat.SELECTION_SUFFIX)
+    outcome = system.submit(job)
+    assert outcome.descriptor.plans[0].entry.index_id == built[0].index_id
+    assert "btree-scan(" in outcome.descriptor.describe()
+    assert Counter(dict(outcome.result.outputs)) == expected
 
 
 # -- the same life, lived through the query service ------------------------------

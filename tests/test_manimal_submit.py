@@ -10,8 +10,17 @@ import pytest
 from repro import Session, col
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
-from repro.mapreduce import JobConf, Mapper, RecordFileInput, Reducer, run_job
+from repro.mapreduce import (
+    JobConf,
+    Mapper,
+    RecordFileInput,
+    Reducer,
+    SelectionIndexInput,
+    run_job,
+)
 from repro.service import connect, deserialize_rows, serialize_rows
+from repro.storage.recordfile import RecordFileWriter
+from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from repro.workloads.datagen import generate_uservisits
 from repro.workloads.single_opt import (
     make_daily_session_job,
@@ -116,6 +125,62 @@ class TestExecuteShuffleFilterHygiene:
         result = system.execute(conf, descriptor)
         assert result.metrics.shuffle_records_skipped > 0
         assert all(k > "http://x/5" for k, _ in result.outputs)
+
+
+# -- a selection index keeps -0.0 where Python's comparisons put it ----------
+
+
+SIGNED = Schema("Signed", [Field("x", FieldType.DOUBLE)])
+
+
+class AtLeastZeroMapper(Mapper):
+    def map(self, key, value, ctx):
+        if value.x >= 0.0:
+            ctx.emit(repr(value.x), 1)
+
+
+class EqualsZeroMapper(Mapper):
+    def map(self, key, value, ctx):
+        if value.x == 0.0:
+            ctx.emit(repr(value.x), 1)
+
+
+class AboveZeroMapper(Mapper):
+    def map(self, key, value, ctx):
+        if value.x > 0.0:
+            ctx.emit(repr(value.x), 1)
+
+
+class BelowZeroMapper(Mapper):
+    def map(self, key, value, ctx):
+        if value.x < 0.0:
+            ctx.emit(repr(value.x), 1)
+
+
+class TestNegativeZero:
+    """``-0.0 == 0.0`` in Python, so a selection index must store both
+    under one order key: a range bound at either finds both, and a
+    strict bound at either excludes both."""
+
+    @pytest.mark.parametrize("mapper, expected", [
+        (AtLeastZeroMapper, {"-0.0": 40, "0.0": 40, "1.5": 40}),
+        (EqualsZeroMapper, {"-0.0": 40, "0.0": 40}),
+        (AboveZeroMapper, {"1.5": 40}),
+        (BelowZeroMapper, {"-2.0": 40, "-1.0": 40}),
+    ], ids=[">=", "==", ">", "<"])
+    def test_indexed_submit_equals_run_job(self, tmp_path, mapper, expected):
+        path = str(tmp_path / "signed.rf")
+        with RecordFileWriter(path, LONG_SCHEMA, SIGNED) as writer:
+            for i, x in enumerate([-2.0, -0.0, 0.0, 1.5, -1.0] * 40):
+                writer.append(LONG_SCHEMA.make(i), SIGNED.make(x))
+        job = JobConf(name="signed", mapper=mapper, reducer=SumReducer,
+                      inputs=[RecordFileInput(path)])
+        assert dict(run_job(job).outputs) == expected
+        outcome = Manimal(str(tmp_path / "cat")).submit(
+            job, build_indexes=True, allowed_kinds=[cat.KIND_SELECTION])
+        assert isinstance(outcome.descriptor.plans[0].chosen,
+                          SelectionIndexInput)
+        assert dict(outcome.result.outputs) == expected
 
 
 # -- a rewritten source never serves an index built from its old bytes --------

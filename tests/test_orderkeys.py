@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import BTreeError
-from repro.storage.orderkeys import decode_key, encode_key, successor
+from repro.storage.orderkeys import encode_key, successor
 from repro.storage.serialization import FieldType
 
 I64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
@@ -15,8 +15,9 @@ FINITE = st.floats(allow_nan=False, width=64)
 
 class TestIntKeys:
     @given(I64)
-    def test_roundtrip(self, v):
-        assert decode_key(FieldType.INT, encode_key(FieldType.INT, v)) == v
+    def test_int_and_long_share_a_fixed_width_key(self, v):
+        key = encode_key(FieldType.INT, v)
+        assert key == encode_key(FieldType.LONG, v) and len(key) == 8
 
     @given(I64, I64)
     def test_order_preserved(self, a, b):
@@ -35,18 +36,22 @@ class TestIntKeys:
 
 class TestDoubleKeys:
     @given(FINITE)
-    def test_roundtrip(self, v):
-        decoded = decode_key(FieldType.DOUBLE, encode_key(FieldType.DOUBLE, v))
-        assert decoded == v or (decoded == 0.0 and v == 0.0)
+    def test_int_valued_keys_equal_their_float(self, v):
+        if v.is_integer():
+            assert encode_key(FieldType.DOUBLE, int(v)) == \
+                encode_key(FieldType.DOUBLE, v)
 
     @given(FINITE, FINITE)
     def test_order_preserved(self, a, b):
         ea = encode_key(FieldType.DOUBLE, a)
         eb = encode_key(FieldType.DOUBLE, b)
-        if a < b:
-            assert ea < eb
-        elif a > b:
-            assert ea > eb
+        assert (a < b) == (ea < eb)
+        assert (a == b) == (ea == eb)
+
+    def test_negative_zero_shares_the_zero_key(self):
+        # -0.0 == 0.0, so an index range bounded at one must hold the other
+        assert encode_key(FieldType.DOUBLE, -0.0) == \
+            encode_key(FieldType.DOUBLE, 0.0) == encode_key(FieldType.DOUBLE, 0)
 
     def test_infinities_ordered(self):
         assert (
@@ -62,24 +67,18 @@ class TestDoubleKeys:
 
 
 class TestStringKeys:
-    @given(st.text(max_size=50))
-    def test_roundtrip(self, s):
-        assert decode_key(FieldType.STRING, encode_key(FieldType.STRING, s)) == s
-
     @given(st.text(max_size=30), st.text(max_size=30))
     def test_order_preserved(self, a, b):
         ea = encode_key(FieldType.STRING, a)
         eb = encode_key(FieldType.STRING, b)
         assert (a < b) == (ea < eb)
+        assert (a == b) == (ea == eb)
 
 
 class TestBoolKeys:
-    def test_roundtrip_and_order(self):
-        ef = encode_key(FieldType.BOOL, False)
-        et = encode_key(FieldType.BOOL, True)
-        assert ef < et
-        assert decode_key(FieldType.BOOL, ef) is False
-        assert decode_key(FieldType.BOOL, et) is True
+    def test_order(self):
+        assert encode_key(FieldType.BOOL, False) < encode_key(FieldType.BOOL,
+                                                               True)
 
 
 class TestMisc:

@@ -86,6 +86,16 @@
     path that interprets the schema per field again, and can drift from
     the compiled bytes.
 
+12. One index format.  A selection index is a block file
+    (``repro/storage/indexfile.py``); the page-codec B+Tree is kept only
+    for the frozen benchmark suite's storage probe.  So outside
+    ``repro/storage/__init__.py`` (:data:`BTREE_HOME`) nothing under
+    ``src/repro`` imports ``repro.storage.btree`` (:data:`BTREE_MODULE`),
+    and nothing defines or names the retired B+Tree read path
+    (:data:`RETIRED_INDEX_NAMES`: ``entry_scanner``,
+    ``frame_index_entry``, ``_IndexEntries``) -- a second index format
+    would come back through either.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -183,6 +193,14 @@ REFERENCE_HOMES = frozenset({
     (_BLOCKWRITE, "WriteCodec._reference_delta"),
     (_BLOCKWRITE, "WriteCodec._reference_dictionary"),
 })
+
+
+#: rule 12: the retired page codec, the one module that may import it,
+#: and the names of its retired read path
+BTREE_MODULE = "repro.storage.btree"
+BTREE_HOME = os.path.join("repro", "storage", "__init__.py")
+RETIRED_INDEX_NAMES = frozenset({"entry_scanner", "frame_index_entry",
+                                 "_IndexEntries"})
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -491,14 +509,43 @@ def reference_encode_violations(src: str = SRC) -> List[str]:
             for rel, lineno, name, scope in sorted(set(found))]
 
 
+def index_format_violations(src: str = SRC) -> List[str]:
+    """Every import of :data:`BTREE_MODULE` outside :data:`BTREE_HOME`,
+    and every use of a :data:`RETIRED_INDEX_NAMES` name, under
+    ``src/repro`` (rule 12)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        if module != BTREE_HOME:
+            package = os.path.dirname(module).replace(os.sep, ".")
+            found.extend(
+                (rel, lineno, f"imports {BTREE_MODULE} (a selection index "
+                 "is an index file; the page codec is kept only for the "
+                 "frozen benchmark probe)")
+                for lineno, name in imported_modules(tree, package)
+                if name == BTREE_MODULE)
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (
+                        ast.alias, ast.ClassDef, ast.FunctionDef)) else None)
+            if name in RETIRED_INDEX_NAMES:
+                found.append((rel, node.lineno, f"names {name} (the B+Tree "
+                              "read path is retired)"))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
     stub, lazy = stub_violations(), lazy_decode_violations()
     per_item, loop = per_item_violations(), reduce_loop_violations()
     shape, reference = read_shape_violations(), reference_encode_violations()
+    index = index_format_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
-                 + loop + shape + reference):
+                 + loop + shape + reference + index):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -526,8 +573,10 @@ def main() -> int:
     if reference:
         print(f"\n{len(reference)} use(s) of the reference encode outside "
               f"serialization and the encoder's decline path")
+    if index:
+        print(f"\n{len(index)} use(s) of the retired B+Tree index path")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
-            or loop or shape or reference):
+            or loop or shape or reference or index):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -545,7 +594,9 @@ def main() -> int:
           + "; only repro.core.optimizer attaches a read shape and only "
           + "formats.py names the unread-key sentinel"
           + "; the reference encode is named only in serialization.py and "
-          + "blockwrite's decline path")
+          + "blockwrite's decline path"
+          + f"; only {BTREE_HOME} imports {BTREE_MODULE} and nothing names "
+          + "the retired B+Tree read path")
     return 0
 
 
