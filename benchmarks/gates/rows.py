@@ -20,7 +20,6 @@ from repro import JobConf, Mapper, Reducer, Session, col, faults
 from repro.batch.columns import ScanPlan, iter_column_batches
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
-from repro.core.pipeline import ManimalPipeline
 from repro.engine import ExecutionEngine
 from repro.engine.pool import RetryPolicy
 from repro.faults import Fault, FaultPlan
@@ -40,12 +39,7 @@ from repro.storage.columnfile import copy_records
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import (
-    INT_SCHEMA,
-    STRING_SCHEMA,
-    _encode_fields,
-    build_records,
-)
+from repro.storage.serialization import _encode_fields, build_records
 from repro.workloads.pavlo import (
     benchmark1 as b1,
     benchmark2 as b2,
@@ -54,7 +48,7 @@ from repro.workloads.pavlo import (
 )
 
 #: the runs every fluent row repeats beside the sequential one
-SCHEDULERS: Sequence[Dict[str, Any]] = ({"parallelism": 2}, {"scheduler": "dag"})
+SCHEDULERS: Sequence[Dict[str, Any]] = ({"parallelism": 2},)
 
 
 def payload(result: Any) -> bytes:
@@ -339,63 +333,6 @@ def pool_reuse(bench: Bench) -> Probe:
 class HeadMapper(Mapper):
     def map(self, key, value, ctx):
         ctx.emit(value.pageURL, value.pageRank)
-
-
-class LeftMapper(Mapper):
-    """CPU-shaped branch work over the (url, rank) intermediate."""
-
-    def map(self, key, value, ctx):
-        rank, acc = value.value, 0
-        for i in range(40):
-            acc = (acc + rank * i) % 9973
-        ctx.emit(rank % 50, acc)
-
-
-class RightMapper(Mapper):
-    def map(self, key, value, ctx):
-        rank, acc = value.value, 1
-        for i in range(1, 41):
-            acc = (acc * (rank + i)) % 9973
-        ctx.emit(rank % 50, acc)
-
-
-class TailMapper(Mapper):
-    def map(self, key, value, ctx):
-        ctx.emit(key.value, value.value)
-
-
-def dag_diamond(bench: Bench) -> Probe:
-    """head -> (left, right) -> tail: the branches are independent."""
-    src = bench.table("rankings", 6_000)[1]
-    work = bench.dir("diamond")
-    mid, left, right = (os.path.join(work, f"{n}.rf") for n in ("mid", "l", "r"))
-    ints = dict(output_key_schema=INT_SCHEMA, output_value_schema=INT_SCHEMA)
-    engine = ExecutionEngine()
-    bench.stack.callback(engine.shutdown)
-    system = Manimal(os.path.join(work, "catalog"), engine=engine)
-
-    def pipeline() -> ManimalPipeline:
-        return ManimalPipeline(system, [
-            JobConf(name="head", mapper=HeadMapper, reducer=None,
-                    inputs=[RecordFileInput(src)], output_path=mid,
-                    output_key_schema=STRING_SCHEMA,
-                    output_value_schema=INT_SCHEMA),
-            JobConf(name="left", mapper=LeftMapper, reducer=SumReducer,
-                    inputs=[RecordFileInput(mid)], output_path=left, **ints),
-            JobConf(name="right", mapper=RightMapper, reducer=SumReducer,
-                    inputs=[RecordFileInput(mid)], output_path=right, **ints),
-            JobConf(name="tail", mapper=TailMapper, reducer=SumReducer,
-                    inputs=[RecordFileInput(left), RecordFileInput(right)]),
-        ])
-
-    return Probe(
-        on=lambda: pipeline().submit(runner=2, scheduler="dag"),
-        off=lambda: pipeline().submit(runner=2),
-        payload=lambda stages: [
-            (s.outcome.result.outputs, s.outcome.result.counters.to_dict())
-            for s in stages],
-        counters={"waves": pipeline().dag().waves()},
-    )
 
 
 def cached_analysis(bench: Bench) -> Probe:
@@ -883,8 +820,6 @@ GATES = (
     Gate("record_path_write", None, record_path_write, ("speedup", 2.0)),
     Gate("engine_pool_reuse", "bench_engine.py repeated_small_jobs",
          pool_reuse, ("speedup", 1.15)),
-    Gate("engine_dag_diamond", "bench_engine.py diamond_pipeline",
-         dag_diamond, ("speedup", 1.0), min_cpus=4),
     Gate("engine_cached_analysis", "bench_engine.py cached_analysis",
          cached_analysis),
     Gate("hotpath_projection_scan", "bench_hotpath.py uservisits_projection_scan",

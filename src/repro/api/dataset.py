@@ -210,8 +210,7 @@ class Dataset:
 
     def run(self, build_indexes: bool = False,
             allowed_kinds: Optional[Sequence[str]] = None,
-            parallelism: Optional[int] = None,
-            scheduler: Optional[str] = None) -> DatasetResult:
+            parallelism: Optional[int] = None) -> DatasetResult:
         """Execute the lowered stage chain through Manimal.
 
         :param build_indexes: build synthesized indexes for the query's
@@ -220,31 +219,24 @@ class Dataset:
         :param parallelism: worker-process count for this run, overriding
             the session default (0 = auto-detect CPUs); results are
             byte-identical regardless.
-        :param scheduler: ``'sequential'`` (default) or ``'dag'`` -- run
-            independent stages of the lowered chain (e.g. the two sides
-            of a join) concurrently through the engine.
         :returns: a :class:`DatasetResult` with rows, per-stage execution
             descriptors, and metrics.
         """
         return self._session.run(self, build_indexes=build_indexes,
                                  allowed_kinds=allowed_kinds,
-                                 parallelism=parallelism,
-                                 scheduler=scheduler)
+                                 parallelism=parallelism)
 
     def collect(self, build_indexes: bool = False,
-                parallelism: Optional[int] = None,
-                scheduler: Optional[str] = None) -> List[Tuple[Any, Any]]:
+                parallelism: Optional[int] = None) -> List[Tuple[Any, Any]]:
         """Run the query and return the final (key, value) pairs.
 
         ``parallelism`` fans each stage's map/reduce tasks out across
-        that many worker processes (``ds.collect(parallelism=4)``);
-        ``scheduler='dag'`` additionally overlaps independent stages.
+        that many worker processes (``ds.collect(parallelism=4)``).
         The returned pairs -- values *and* order -- are identical to a
         sequential run.
         """
         return self.run(build_indexes=build_indexes,
-                        parallelism=parallelism,
-                        scheduler=scheduler).rows
+                        parallelism=parallelism).rows
 
     def write(self, path: str, build_indexes: bool = False,
               parallelism: Optional[int] = None,

@@ -186,8 +186,7 @@ class Session:
 
     def run(self, dataset: Dataset, build_indexes: bool = False,
             allowed_kinds: Optional[Sequence[str]] = None,
-            parallelism: Optional[int] = None,
-            scheduler: Optional[str] = None) -> DatasetResult:
+            parallelism: Optional[int] = None) -> DatasetResult:
         """Execute a Dataset: :meth:`run_many` of one.
 
         :param dataset: the query to execute (lowered freshly, so each run
@@ -198,20 +197,15 @@ class Session:
         :param parallelism: per-run worker count overriding the session
             default; every stage of the lowered chain runs its map/reduce
             tasks across that many processes (0 = auto-detect CPUs).
-        :param scheduler: ``'sequential'`` (default) or ``'dag'`` --
-            dispatch independent stages (e.g. the two sides of a join)
-            concurrently through the engine; results are byte-identical.
         :returns: a :class:`~repro.api.dataset.DatasetResult`.
         """
         return run_plans(
             [(self, self.lower(dataset))], parallelism=parallelism,
-            scheduler=scheduler, build_indexes=build_indexes,
-            allowed_kinds=allowed_kinds,
+            build_indexes=build_indexes, allowed_kinds=allowed_kinds,
         )[0]
 
     def run_many(self, datasets: Sequence[Dataset],
-                 parallelism: Optional[int] = None,
-                 scheduler: Optional[str] = None) -> List[DatasetResult]:
+                 parallelism: Optional[int] = None) -> List[DatasetResult]:
         """Execute several Datasets, sharing scans where compatible.
 
         Queries whose first (scan) stages target the same concrete input
@@ -228,7 +222,7 @@ class Session:
         """
         return run_plans(
             [(self, self.lower(dataset)) for dataset in datasets],
-            parallelism=parallelism, scheduler=scheduler,
+            parallelism=parallelism,
         )
 
     def explain_many(self, datasets: Sequence[Dataset]) -> str:
@@ -421,7 +415,6 @@ def _batch_verdicts(conf: Any, descriptor: Any) -> List[str]:
 def run_plans(
     items: Sequence[tuple],
     parallelism: Optional[int] = None,
-    scheduler: Optional[str] = None,
     build_indexes: bool = False,
     allowed_kinds: Optional[Sequence[str]] = None,
 ) -> List[DatasetResult]:
@@ -431,8 +424,8 @@ def run_plans(
     server dispatch -- ends here, and every plan, whatever happened to
     its first stage, is finished by
     :meth:`ManimalPipeline.submit <repro.core.pipeline.ManimalPipeline.submit>`,
-    which alone validates ``scheduler``, builds indexes, runs DAG waves
-    and assembles the stage outcomes.
+    which alone builds indexes, runs the stages in chain order and
+    assembles the stage outcomes.
 
     With more than one plan, each plan's first stage -- the one scanning
     a base input -- is a sharing candidate.  It is planned once
@@ -477,7 +470,7 @@ def run_plans(
     return [
         DatasetResult(plan=plan, stages=pipeline.submit(
             build_indexes=build_indexes, allowed_kinds=allowed_kinds,
-            runner=parallelism, scheduler=scheduler, first_stage=prepared,
+            runner=parallelism, first_stage=prepared,
         ))
         for (_session, plan), pipeline, prepared
         in zip(items, pipelines, first)

@@ -10,10 +10,10 @@ member, exactly that member's own decode plan), and hands every
 :class:`~repro.batch.columns.ColumnBatch` to each member's
 :class:`StageScan` -- the only implementation of the projection /
 join-side / aggregate / pre-aggregation block loops.  Because that
-chokepoint serves the sequential runner, the parallel runner's workers
-and the DAG stage scheduler alike, every scheduler -- and every
-shared-scan group (:mod:`repro.batch.multiscan`) -- consumes batches
-through this one implementation.
+chokepoint serves the sequential runner and the parallel runner's
+workers alike, every runner -- and every shared-scan group
+(:mod:`repro.batch.multiscan`) -- consumes batches through this one
+implementation.
 
 A member's result is ``None`` -- *do it the record way* -- whenever
 :func:`batch_admission` declines its spec over the concrete split.  That

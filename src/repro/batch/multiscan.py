@@ -128,18 +128,13 @@ class SharedPlanReport:
         return "\n".join(lines)
 
 
-def _pass_cost(fields: int, slots: int,
-               decode_weight: float = DECODE_WEIGHT) -> float:
+def _pass_cost(fields: int, slots: int) -> float:
     """Modeled cost of one scan pass: boundary walk + decode."""
-    return fields + decode_weight * slots
+    return fields + DECODE_WEIGHT * slots
 
 
-def plan_shared_groups(
-    confs: Sequence[Optional[JobConf]],
-    latency_factor: float = LATENCY_FACTOR,
-    share_threshold: float = SHARE_THRESHOLD,
-    decode_weight: float = DECODE_WEIGHT,
-) -> SharedPlanReport:
+def plan_shared_groups(confs: Sequence[Optional[JobConf]]
+                       ) -> SharedPlanReport:
     """Partition already-optimized jobs into fused groups and solos.
 
     Grouping key is the concrete input file's
@@ -215,9 +210,8 @@ def plan_shared_groups(
                     c for c in member.columns if c not in seen
                 ]
                 bound_ok = all(
-                    _pass_cost(fields, len(new_union), decode_weight)
-                    <= latency_factor * _pass_cost(fields, m.slots,
-                                                   decode_weight)
+                    _pass_cost(fields, len(new_union))
+                    <= LATENCY_FACTOR * _pass_cost(fields, m.slots)
                     for m in admitted + [member]
                 )
                 if bound_ok:
@@ -229,12 +223,9 @@ def plan_shared_groups(
             if len(admitted) < 2:
                 remaining = admitted + rejected
                 break
-            fused_cost = _pass_cost(fields, len(union), decode_weight)
-            solo_cost = sum(
-                _pass_cost(fields, m.slots, decode_weight)
-                for m in admitted
-            )
-            if fused_cost >= share_threshold * solo_cost:
+            fused_cost = _pass_cost(fields, len(union))
+            solo_cost = sum(_pass_cost(fields, m.slots) for m in admitted)
+            if fused_cost >= SHARE_THRESHOLD * solo_cost:
                 for member in admitted:
                     report.solo.append((
                         member.index,

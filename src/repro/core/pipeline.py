@@ -31,24 +31,20 @@ happen only for stage inputs that are *not* produced inside the pipeline.
 Pass ``index_intermediates=True`` to override (useful when a pipeline
 output is consumed by many later stages).
 
-The detected links double as a schedule: ``submit(scheduler='dag')``
-lifts them into a :class:`~repro.engine.dag.StageDAG` and dispatches each
-topological wave of independent stages concurrently on the engine, with
-outcomes (and bytes) identical to chain-order execution.
+Stages run in chain order, one at a time.  Parallelism lives below the
+pipeline: each stage's map and reduce tasks fan out on the engine's
+persistent worker pool.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.analyzer.descriptors import JobAnalysis
 from repro.core.manimal import Manimal, ManimalResult
 from repro.core.optimizer.catalog import IndexEntry
-from repro.engine.dag import StageDAG
 from repro.exceptions import JobConfigError
 from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.job import JobConf
@@ -88,7 +84,6 @@ class ManimalPipeline:
             self.stage_hints = list(stage_hints)
         self._links = self._detect_links()
         self._intermediates = self.intermediate_paths()
-        self._index_build_lock = threading.Lock()
 
     # -- link detection -----------------------------------------------------
 
@@ -147,19 +142,9 @@ class ManimalPipeline:
 
     # -- execution ------------------------------------------------------------
 
-    def dag(self) -> StageDAG:
-        """The stage DAG the engine scheduler dispatches (for inspection).
-
-        Nodes are stage indexes; edges are the detected data links plus
-        the conservative same-path ordering constraints sequential
-        execution honored implicitly (see :mod:`repro.engine.dag`).
-        """
-        return StageDAG.from_stages(self.stages, self._links)
-
     def submit(self, build_indexes: bool = False,
                allowed_kinds: Optional[Sequence[str]] = None,
                runner: Optional[Any] = None,
-               scheduler: Optional[str] = None,
                first_stage: Optional[ManimalResult] = None
                ) -> List[StageOutcome]:
         """Run all stages, optimizing each through Manimal.
@@ -172,47 +157,26 @@ class ManimalPipeline:
         execution-fabric override (worker count, ``'local'`` /
         ``'parallel'``, or a runner instance) applied to every stage.
 
-        ``scheduler`` picks how stages are ordered:
-
-        * ``'sequential'`` (default) -- chain order, one stage at a time;
-        * ``'dag'`` -- the engine dispatches each topological wave of
-          mutually independent stages concurrently (stages linked
-          through the filesystem still wait for their producers).
-
-        Outcomes are returned in stage order and are byte-identical
-        under both schedulers; ``'dag'`` only changes wall-clock.
+        Stages run in chain order and outcomes are returned in stage
+        order; a failing stage raises before any later stage starts.
 
         ``first_stage`` is stage 0 as :meth:`prepare_stage` returned it,
         handed back by a caller that planned it to decide on a shared
         scan: it is not planned again, and if the caller also ran it
         (``result`` set) it is not executed again.
         """
-        scheduler = scheduler or "sequential"
-        if scheduler not in ("sequential", "dag"):
-            raise JobConfigError(
-                f"unknown scheduler {scheduler!r}; expected 'sequential' "
-                "or 'dag'"
-            )
-
-        def submit_stage(i: int) -> StageOutcome:
+        outcomes: List[StageOutcome] = []
+        for i, conf in enumerate(self.stages):
             outcome = first_stage if i == 0 else None
             if outcome is None:
                 outcome = self.prepare_stage(i, build_indexes, allowed_kinds)
             if outcome.result is None:
                 outcome.result = self.system.execute(
-                    self.stages[i], outcome.descriptor, runner=runner
+                    conf, outcome.descriptor, runner=runner
                 )
-            return StageOutcome(conf=self.stages[i], outcome=outcome,
-                                upstream=list(self._links[i]))
-
-        if scheduler == "sequential":
-            return [submit_stage(i) for i in range(len(self.stages))]
-        outcomes: List[Optional[StageOutcome]] = [None] * len(self.stages)
-        for wave in self.dag().waves():
-            tasks = [(i, partial(submit_stage, i)) for i in wave]
-            for i, outcome in self.system.engine.run_stage_tasks(tasks):
-                outcomes[i] = outcome
-        return [outcome for outcome in outcomes if outcome is not None]
+            outcomes.append(StageOutcome(conf=conf, outcome=outcome,
+                                         upstream=list(self._links[i])))
+        return outcomes
 
     def prepare_stage(self, i: int, build_indexes: bool = False,
                       allowed_kinds: Optional[Sequence[str]] = None
@@ -225,10 +189,7 @@ class ManimalPipeline:
         if analysis is None:
             analysis = self.system.analyze(self.stages[i])
         if build_indexes:
-            # Serialized across concurrent stages so two stages needing
-            # the same index find one build, not a duplicate race.
-            with self._index_build_lock:
-                self.build_stage_indexes(i, analysis, allowed_kinds)
+            self.build_stage_indexes(i, analysis, allowed_kinds)
         return self.system.prepare(self.stages[i], analysis=analysis)
 
     def build_stage_indexes(self, i: int, analysis: JobAnalysis,

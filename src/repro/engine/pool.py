@@ -669,8 +669,8 @@ class WorkerPool:
         """Add to a ``stats()`` counter.
 
         Under the lock because jobs run on this pool from several
-        threads at once (DAG waves, the query service's in-flight
-        window) and ``+=`` on an attribute is not atomic.
+        threads at once (the query service's in-flight window) and
+        ``+=`` on an attribute is not atomic.
         """
         with self._lock:
             setattr(self, counter, getattr(self, counter) + by)

@@ -4,10 +4,10 @@ A Manimal deployment is a long-lived service (the paper's analyzer
 "examines newly-submitted code" as it arrives; the optimizer consults a
 persistent catalog; the fabric runs job after job).  The engine is the
 process-local embodiment of that service: it owns the persistent
-:class:`~repro.engine.pool.WorkerPool`, the analyzer/planner caches, and
-the thread pool that dispatches independent pipeline stages, so that
-every :class:`~repro.core.manimal.Manimal` (and every fluent ``Session``)
-reuses one set of machinery instead of rebuilding it per call.
+:class:`~repro.engine.pool.WorkerPool` and the analyzer/planner caches,
+so that every :class:`~repro.core.manimal.Manimal` (and every fluent
+``Session``) reuses one set of machinery instead of rebuilding it per
+call.
 
 By default all systems share the process-wide engine from
 :func:`get_engine`; pass ``engine=ExecutionEngine()`` to ``Manimal`` or
@@ -24,16 +24,15 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.cache import (
     MemoCache,
     analysis_fingerprint,
     udf_fingerprint,
 )
-from repro.engine.pool import WorkerPool, default_worker_count
+from repro.engine.pool import WorkerPool
 
 #: Attribute stashed on cached JobAnalysis objects so the plan cache can
 #: reuse the already-computed fingerprint (hint-provided analyses lack
@@ -101,7 +100,7 @@ def reap_orphan_scratch(base_dir: Optional[str] = None,
 
 
 class ExecutionEngine:
-    """Shared execution machinery: worker pool, caches, stage dispatch."""
+    """Shared execution machinery: the worker pool and the caches."""
 
     def __init__(self, max_workers: Optional[int] = None,
                  analysis_cache_size: int = 256,
@@ -114,7 +113,6 @@ class ExecutionEngine:
             self.reaped_scratch = reap_orphan_scratch()
         self.analysis_cache = MemoCache(maxsize=analysis_cache_size)
         self.plan_cache = MemoCache(maxsize=plan_cache_size)
-        self._stage_pool: Optional[ThreadPoolExecutor] = None
         # Re-entrant: shutdown() may be reached again from inside a
         # shutdown already in progress (server drain + atexit hook).
         self._lock = threading.RLock()
@@ -211,45 +209,6 @@ class ExecutionEngine:
         self.plan_cache.put(key, descriptor)
         return descriptor
 
-    # -- stage dispatch (DAG waves) -------------------------------------------
-
-    def run_stage_tasks(self, tasks: Sequence[Tuple[int, Callable[[], Any]]]
-                        ) -> List[Tuple[int, Any]]:
-        """Run one wave of independent stage thunks; deterministic order.
-
-        ``tasks`` is ``[(stage_index, thunk), ...]``.  Single-stage waves
-        run inline; wider waves fan out on the engine's thread pool (each
-        stage's own map/reduce tasks then fan out on the shared *process*
-        pool, which is where multi-core wall-clock is won).  All thunks
-        are waited for; if any failed, the exception of the lowest stage
-        index is raised, so failures are as deterministic as results.
-        """
-        if len(tasks) == 1:
-            index, thunk = tasks[0]
-            return [(index, thunk())]
-        pool = self._ensure_stage_pool()
-        futures = [(index, pool.submit(thunk)) for index, thunk in tasks]
-        results: List[Tuple[int, Any]] = []
-        error: Optional[Tuple[int, BaseException]] = None
-        for index, future in futures:
-            try:
-                results.append((index, future.result()))
-            except BaseException as exc:  # noqa: BLE001 -- re-raised below
-                if error is None or index < error[0]:
-                    error = (index, exc)
-        if error is not None:
-            raise error[1]
-        return results
-
-    def _ensure_stage_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._stage_pool is None:
-                self._stage_pool = ThreadPoolExecutor(
-                    max_workers=max(4, default_worker_count()),
-                    thread_name_prefix="engine-stage",
-                )
-            return self._stage_pool
-
     # -- lifecycle ------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -264,28 +223,24 @@ class ExecutionEngine:
         self.plan_cache.clear()
 
     def shutdown(self) -> None:
-        """Release the worker processes and stage threads.
+        """Release the worker processes.
 
         Idempotent and re-entrant: the engine is shut down from several
         independent paths -- a query server's drain, the ``atexit`` hook
         registered by :func:`get_engine`, explicit benchmark teardown --
         and those paths can overlap (atexit firing while a drain is mid
-        shutdown, or a stage thread reaching shutdown recursively).  A
-        call that finds another shutdown already in progress returns
-        immediately instead of deadlocking or double-releasing; a call
-        that finds everything already released is a no-op.  The engine
-        stays usable afterwards: the worker pool and stage pool are
-        rebuilt lazily on the next job.
+        shutdown).  A call that finds another shutdown already in
+        progress returns immediately instead of deadlocking or
+        double-releasing; a call that finds everything already released
+        is a no-op.  The engine stays usable afterwards: the worker pool
+        is rebuilt lazily on the next job.
         """
         with self._lock:
             if self._shutting_down:
                 return
             self._shutting_down = True
-            stage_pool, self._stage_pool = self._stage_pool, None
         try:
             self.pool.shutdown()
-            if stage_pool is not None:
-                stage_pool.shutdown(wait=False, cancel_futures=True)
         finally:
             with self._lock:
                 self._shutting_down = False

@@ -306,9 +306,9 @@ class PartitionedInput(InputSource):
 
     Splits never span partitions, so the planner can drop whole
     partitions (zone-map pruning, see
-    :mod:`repro.core.optimizer.pruning`) and the runners -- sequential,
-    worker-pool parallel, and the DAG stage scheduler alike -- fan map
-    tasks out over surviving partitions only.  An unpruned scan delivers
+    :mod:`repro.core.optimizer.pruning`) and the runners -- sequential
+    and worker-pool parallel alike -- fan map tasks out over surviving
+    partitions only.  An unpruned scan delivers
     exactly the records of the equivalent single-file scan (partition
     order, then record order within each partition).
 

@@ -88,6 +88,27 @@ from repro.storage import input_identity
 #: (queued and running jobs never are; admission control bounds those).
 MAX_TENANT_JOBS = 256
 
+#: Every key a submit's ``options`` may carry.  Any other key -- a
+#: misspelling, or an option this server no longer has -- is refused at
+#: the door rather than silently ignored.
+RUN_OPTIONS = frozenset({"build_indexes", "parallelism", "deadline_seconds"})
+
+
+def _refused_option(options: Dict[str, Any]) -> Optional[str]:
+    """Why a submit's ``options`` cannot run, or None when they can."""
+    unknown = sorted(set(options) - RUN_OPTIONS)
+    if unknown:
+        return (f"unknown option {unknown[0]!r}; a submit takes "
+                f"{', '.join(sorted(RUN_OPTIONS))}")
+    deadline = options.get("deadline_seconds")
+    if deadline is not None:
+        try:
+            float(deadline)
+        except (TypeError, ValueError):
+            return (f"option 'deadline_seconds' must be a number, "
+                    f"not {deadline!r}")
+    return None
+
 
 class _JobEntry:
     """Server-side record of one submitted job."""
@@ -368,6 +389,9 @@ class QueryServer:
         options = request.get("options") or {}
         if not isinstance(options, dict):
             return error_response(ERR_BAD_REQUEST, "'options' must be an object")
+        refused = _refused_option(options)
+        if refused is not None:
+            return error_response(ERR_BAD_REQUEST, refused)
         write_spec = request.get("write")
         if write_spec is not None:
             return self._submit_write(state, ops, options, write_spec)
@@ -391,7 +415,6 @@ class QueryServer:
         run_options = {
             "build_indexes": build_indexes,
             "parallelism": options.get("parallelism"),
-            "scheduler": options.get("scheduler"),
         }
         batch_key = None
         if self.scheduler.batch_window_seconds > 0 and not build_indexes:
@@ -416,10 +439,10 @@ class QueryServer:
         catalog just changed may plan the same query differently, so it
         is not grouped with peers on the older generation -- *and* they
         asked for the same run options, so no member ever runs under
-        another member's ``parallelism`` or ``scheduler``.
-        Grouping is re-validated after per-tenant planning anyway
-        (:func:`repro.batch.multiscan.plan_shared_groups`); this key
-        just decides who is worth holding in the window together.
+        another member's ``parallelism``.  Grouping is re-validated after
+        per-tenant planning anyway
+        (:func:`repro.batch.multiscan.plan_shared_groups`); this key just
+        decides who is worth holding in the window together.
         """
         paths = read_paths(ops)
         if len(paths) != 1:
@@ -428,8 +451,7 @@ class QueryServer:
         if identity.kind != "file":
             return None  # partitioned dataset dirs take their own path
         return identity + (
-            state.catalog.generation,
-            run_options["parallelism"], run_options["scheduler"],
+            state.catalog.generation, run_options["parallelism"],
         )
 
     def _run_batch(self, payloads: List[Tuple]) -> List[bytes]:
@@ -487,10 +509,7 @@ class QueryServer:
         deadline = options.get("deadline_seconds", self.default_deadline)
         if deadline is None:
             return None
-        try:
-            deadline = float(deadline)
-        except (TypeError, ValueError):
-            return self.default_deadline
+        deadline = float(deadline)
         return deadline if deadline > 0 else None
 
     def _run_with_retries(self, thunk: Any,

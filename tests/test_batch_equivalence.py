@@ -6,8 +6,8 @@ way: generate randomized schemas (every field type, opaque included) and
 randomized filter/select/aggregate chains, run each chain through a
 vectorized session and a ``vectorize=False`` reference session, and
 compare the *serialized* result payloads -- the same byte codec the
-query service caches -- under the sequential, parallel and DAG
-schedulers.  Chains built from analyzable pieces must additionally prove
+query service caches -- under the sequential and parallel runners.
+Chains built from analyzable pieces must additionally prove
 the batch path actually ran (``batch_map_tasks > 0``); opaque-schema
 chains must prove it did not.
 
@@ -196,11 +196,6 @@ class TestRandomizedChains:
                     f"schema {schema_index} chain {chain_index}: parallel "
                     f"batch output diverged"
                 )
-                got_dag, _ = _run_bytes(vect, build, scheduler="dag")
-                assert got_dag == expected, (
-                    f"schema {schema_index} chain {chain_index}: DAG "
-                    f"batch output diverged"
-                )
 
                 checked += 1
                 if _batch_tasks(vect_result):
@@ -299,10 +294,9 @@ class TestAggregationAlgebra:
             per_row = reference.stages[0].outcome.result.metrics
             assert ("hash pre-agg" if folds else "no pre-agg (avg over "
                     "DOUBLE is order-sensitive)") in build(seq).explain()
-            for session, kwargs in ((seq, {}), (par, {}),
-                                    (seq, {"scheduler": "dag"})):
-                got, result = _run_bytes(session, build, **kwargs)
-                assert got == expected, kwargs
+            for label, session in (("sequential", seq), ("parallel", par)):
+                got, result = _run_bytes(session, build)
+                assert got == expected, label
                 m = result.stages[0].outcome.result.metrics
                 assert m.batch_map_tasks == m.map_tasks >= self.SPLITS // 2
                 assert m.reduce_groups == 5
@@ -583,11 +577,9 @@ class TestTranslatedUdfChains:
                         for s in translated.stages), where
                     TestRandomizedChains._assert_metric_parity(
                         reference, translated)
-                    for kwargs in ({"parallelism": 2}, {"scheduler": "dag"}):
-                        again = build(lambda fn: fn).run(**kwargs)
-                        assert serialize_rows(again.rows) == expected, (
-                            where, kwargs)
-                        assert _counters(again) == _counters(reference)
+                    again = build(lambda fn: fn).run(parallelism=2)
+                    assert serialize_rows(again.rows) == expected, where
+                    assert _counters(again) == _counters(reference)
                     checked += 1
         assert checked == 40
 
@@ -613,7 +605,7 @@ class TestTranslatedUdfChains:
         vect, _ref = sessions
         failures = []
         for fn in (predicate, Opaque(predicate)):
-            for kwargs in ({}, {"parallelism": 2}, {"scheduler": "dag"}):
+            for kwargs in ({}, {"parallelism": 2}):
                 query = vect.read(anchored).filter(fn).group_by(
                     "anchor").agg(n=("count", None))
                 with pytest.raises(JobExecutionError) as info:

@@ -1,24 +1,21 @@
-"""Engine layer: analysis/plan caching, DAG scheduling, concurrency.
+"""Engine layer: analysis/plan caching, pipelines, concurrency.
 
 Covers the caching tier's invalidation contract (identical vs. edited
-mapper bytecode, rewritten source files, catalog generation bumps), the
-DAG scheduler's byte-identity with sequential stage execution, and
-concurrent submissions sharing one Session/engine.
+mapper bytecode, rewritten source files, catalog generation bumps), a
+multi-stage pipeline's byte-identity across runners and its chain-order
+failures, and concurrent submissions sharing one Session/engine.
 """
 
-import os
 import sys
 import threading
-import time
 
 import pytest
 
 from repro import Session, col
 from repro.core.manimal import Manimal
 from repro.core.pipeline import ManimalPipeline
-from repro.engine import ExecutionEngine, StageDAG, default_worker_count
-from repro.engine.cache import analysis_fingerprint, fingerprint_spec
-from repro.exceptions import JobConfigError
+from repro.engine import ExecutionEngine, default_worker_count
+from repro.engine.cache import analysis_fingerprint
 from repro.mapreduce import (
     InMemoryInput,
     JobConf,
@@ -265,58 +262,8 @@ class MidMapper(Mapper):
         ctx.emit(key.value, value.value)
 
 
-class TestStageDAG:
-    def test_diamond_waves(self, tmp_path):
-        src = write_webpages(tmp_path / "src.rf", 30)
-        mid_a = tmp_path / "a.rf"
-        mid_b = tmp_path / "b.rf"
-        stages = [
-            _stage(src, mid_a, name="head"),
-            _stage(mid_a, mid_b, name="left", mapper=MidMapper,
-                   reducer=SumReducer),
-            _stage(mid_a, name="right", mapper=MidMapper),
-            _stage(mid_b, name="tail", mapper=MidMapper),
-        ]
-        system = Manimal(str(tmp_path / "cat"))
-        pipe = ManimalPipeline(system, stages)
-        dag = pipe.dag()
-        assert dag.waves() == [[0], [1, 2], [3]]
-        assert dag.width() == 2
-        assert "wave 1" in dag.describe()
-
-    def test_write_write_and_write_after_read_ordered(self, tmp_path):
-        src = write_webpages(tmp_path / "src.rf", 30)
-        out = tmp_path / "out.rf"
-        stages = [
-            _stage(src, out, name="w1"),
-            _stage(src, out, name="w2"),          # write-write on out
-            _stage(out, name="r", mapper=MidMapper),
-            _stage(src, out, name="w3"),          # overwrites what r reads
-        ]
-        dag = StageDAG.from_stages(stages, {0: [], 1: [], 2: [1], 3: []})
-        assert dag.deps[1] == {0}
-        assert dag.deps[2] == {1}
-        assert dag.deps[3] == {0, 1, 2}
-        assert dag.waves() == [[0], [1], [2], [3]]
-
-    def test_independent_stages_share_a_wave(self, tmp_path):
-        a = write_webpages(tmp_path / "a.rf", 30)
-        b = write_webpages(tmp_path / "b.rf", 30)
-        dag = StageDAG.from_stages(
-            [_stage(a, name="sa"), _stage(b, name="sb")], {0: [], 1: []}
-        )
-        assert dag.waves() == [[0, 1]]
-
-    def test_unknown_scheduler_rejected(self, tmp_path):
-        path = write_webpages(tmp_path / "w.rf", 30)
-        system = Manimal(str(tmp_path / "cat"))
-        pipe = ManimalPipeline(system, [_stage(path)])
-        with pytest.raises(JobConfigError, match="scheduler"):
-            pipe.submit(scheduler="waves")
-
-
-class TestDagByteIdentity:
-    """Acceptance: engine-scheduled pipelines == sequential, exactly."""
+class TestDiamondPipeline:
+    """A multi-stage pipeline runs in chain order, on any runner."""
 
     def _diamond(self, tmp_path, tag):
         src = write_webpages(tmp_path / "src.rf", 200)
@@ -333,42 +280,40 @@ class TestDagByteIdentity:
         system = Manimal(str(tmp_path / f"cat-{tag}"))
         return ManimalPipeline(system, stages)
 
-    def test_dag_outputs_counters_metrics_identical(self, tmp_path):
-        seq = self._diamond(tmp_path, "seq").submit()
-        dag = self._diamond(tmp_path, "dag").submit(scheduler="dag")
-        assert len(dag) == len(seq) == 4
-        for s, d in zip(seq, dag):
-            assert d.outcome.result.outputs == s.outcome.result.outputs
-            assert d.outcome.result.counters.to_dict() == \
+    def test_parallel_runner_matches_sequential(self, tmp_path):
+        seq_pipe = self._diamond(tmp_path, "seq")
+        assert seq_pipe.links() == {0: [], 1: [0], 2: [0], 3: [1]}
+        seq = seq_pipe.submit()
+        par = self._diamond(tmp_path, "par").submit(runner=2)
+        assert len(par) == len(seq) == 4
+        for s, p in zip(seq, par):
+            assert p.outcome.result.outputs == s.outcome.result.outputs
+            assert p.outcome.result.counters.to_dict() == \
                 s.outcome.result.counters.to_dict()
-            assert metrics_without_wall(d.outcome.result) == \
+            assert metrics_without_wall(p.outcome.result) == \
                 metrics_without_wall(s.outcome.result)
-            assert d.upstream == s.upstream
+            assert p.upstream == s.upstream
 
-    def test_dag_with_parallel_runner_identical(self, tmp_path):
-        seq = self._diamond(tmp_path, "s2").submit()
-        dag = self._diamond(tmp_path, "d2").submit(scheduler="dag", runner=2)
-        for s, d in zip(seq, dag):
-            assert d.outcome.result.outputs == s.outcome.result.outputs
-            assert metrics_without_wall(d.outcome.result) == \
-                metrics_without_wall(s.outcome.result)
-
-    def test_dag_failure_is_deterministic(self, tmp_path):
-        a = write_webpages(tmp_path / "a.rf", 30)
+    def test_failing_stage_raises_in_chain_order(self, tmp_path):
+        src = write_webpages(tmp_path / "src.rf", 30)
+        out = tmp_path / "out.rf"
         system = Manimal(str(tmp_path / "cat"))
-        missing = _stage(tmp_path / "nope.rf", name="missing")
-        pipe = ManimalPipeline(system, [_stage(a, name="ok"), missing])
-        with pytest.raises(Exception):
-            pipe.submit(scheduler="dag")
+        pipe = ManimalPipeline(system, [
+            _stage(src, out, name="ok"),
+            _stage(tmp_path / "first-missing.rf", name="first"),
+            _stage(tmp_path / "second-missing.rf", name="second"),
+        ])
+        with pytest.raises(FileNotFoundError, match="first-missing"):
+            pipe.submit()
+        # the stage before the failure ran to completion
+        assert out.exists()
 
-    def test_fluent_join_dag_matches_sequential(self, tmp_path):
-        left = write_webpages(tmp_path / "l.rf", 120)
-        right = write_webpages(tmp_path / "r.rf", 120)
-        with Session(workdir=str(tmp_path / "sess")) as session:
-            pages = session.read(str(left)).select("url", "rank")
-            ranks = session.read(str(right)).select("url", "rank")
-            joined = pages.join(ranks, on="url")
-            assert joined.collect(scheduler="dag") == joined.collect()
+    def test_scheduler_keyword_is_gone(self, tmp_path):
+        path = write_webpages(tmp_path / "w.rf", 30)
+        system = Manimal(str(tmp_path / "cat"))
+        pipe = ManimalPipeline(system, [_stage(path)])
+        with pytest.raises(TypeError, match="scheduler"):
+            pipe.submit(scheduler="dag")
 
 
 class TestConcurrentSubmissions:
@@ -436,9 +381,9 @@ class TestConcurrentSubmissions:
     def test_path_counters_are_exact_under_concurrent_jobs(self, engine):
         """N concurrent jobs move the scheduling-path counters by N.
 
-        DAG waves and the service's in-flight window call
-        ``WorkerPool.run_group`` from several threads, so a lost update on
-        an unlocked ``+=`` would show up as a short count here.
+        The service's in-flight window calls ``WorkerPool.run_group``
+        from several threads, so a lost update on an unlocked ``+=``
+        would show up as a short count here.
         """
         n_threads, jobs_each = 8, 12
         conf = JobConf(

@@ -1,12 +1,12 @@
-"""Byte-identity under injected faults, across schedulers.
+"""Byte-identity under injected faults, across runners.
 
 The recovery contract is stronger than "the job finishes": a run that
 lost a worker mid-map-task and had another worker hang past its deadline
 must serialize to the *same bytes* as a fault-free sequential run.  This
 suite borrows the randomized schema/chain generator from
 ``test_batch_equivalence`` and, for every generated chain, compares a
-clean sequential reference against parallel and DAG executions that each
-survive one injected SIGKILL and one injected hang -- the differential
+clean sequential reference against a parallel execution that survives
+one injected SIGKILL and one injected hang -- the differential
 oracle is the canonical row payload the query service caches.
 """
 
@@ -91,30 +91,25 @@ class TestFaultedChainsByteIdentical:
 
                 expected = serialize_rows(build(ref).run().rows)
 
-                for label, kwargs in (
-                    ("parallel", {"parallelism": 2}),
-                    ("dag", {"scheduler": "dag", "parallelism": 2}),
-                ):
-                    tokens = tmp_path / (
-                        f"tok-{schema_index}-{chain_index}-{label}"
+                plan = _chaos_plan(
+                    tmp_path / f"tok-{schema_index}-{chain_index}"
+                )
+                faults.install_plan(plan)
+                try:
+                    got = serialize_rows(
+                        build(faulted).run(parallelism=2).rows
                     )
-                    plan = _chaos_plan(tokens)
-                    faults.install_plan(plan)
-                    try:
-                        got = serialize_rows(
-                            build(faulted).run(**kwargs).rows
-                        )
-                    finally:
-                        faults.clear_plan()
-                    assert got == expected, (
-                        f"schema {schema_index} chain {chain_index}: "
-                        f"{label} output diverged under faults"
-                    )
-                    assert plan.fired(0) == 1, (
-                        f"schema {schema_index} chain {chain_index}: "
-                        f"{label} run never exercised the worker kill"
-                    )
-                    hangs_fired += plan.fired(1)
+                finally:
+                    faults.clear_plan()
+                assert got == expected, (
+                    f"schema {schema_index} chain {chain_index}: "
+                    f"output diverged under faults"
+                )
+                assert plan.fired(0) == 1, (
+                    f"schema {schema_index} chain {chain_index}: "
+                    f"run never exercised the worker kill"
+                )
+                hangs_fired += plan.fired(1)
                 checked += 1
         assert checked == N_SCHEMAS * CHAINS_PER_SCHEMA
         # The hang fault targets map task 1; nearly every generated

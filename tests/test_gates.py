@@ -12,12 +12,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: every workload (or tracked measurement) of the retired
 #: ``benchmarks/bench_*.py`` gate scripts; ``bench_shuffle.py``'s five
-#: rows were retired with the typed shuffle they measured
+#: rows were retired with the typed shuffle they measured, and
+#: ``bench_engine.py diamond_pipeline`` with the concurrent stage
+#: scheduler it timed
 LEGACY = {
     "bench_batch.py": {"projection_scan", "aggregation_preagg",
                        "udf_translated", "udf_opaque_control"},
-    "bench_engine.py": {"repeated_small_jobs", "diamond_pipeline",
-                        "cached_analysis"},
+    "bench_engine.py": {"repeated_small_jobs", "cached_analysis"},
     "bench_hotpath.py": {"uservisits_projection_scan", "b1_selection",
                          "b2_aggregation_projection", "b3_join",
                          "b4_udf_aggregation"},

@@ -7,8 +7,8 @@ bookkeeping sizes, sort-keys and hashes by column, one reduce loop
 groups by column boundaries with one sort helper, only the
 optimizer attaches a record-path read shape, the per-field reference
 encode is named only by serialization and the compiled encoder's
-decline path, and the retired B+Tree index path stays retired --
-checked, not claimed.
+decline path, the retired B+Tree index path stays retired, and
+pipelines keep one stage order -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -392,3 +392,34 @@ def test_checker_sees_the_btree_index_path_come_back(tmp_path):
         os.path.join("storage", "indexfile.py")
         + ":1: imports repro.storage.btree",
         os.path.join("storage", "indexfile.py") + ":2: names _IndexEntries"]
+
+
+def test_checker_sees_a_second_stage_order_come_back(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("engine", "__init__", "from repro.engine.dag import StageDAG\n"),
+        ("engine", "service", "class ExecutionEngine:\n"
+                              "    def run_stage_tasks(self, tasks):\n"
+                              "        return tasks\n"),
+        ("core", "pipeline", "def submit(runner=None, *, scheduler=None):\n"
+                             "    return runner\n"),
+        ("api", "dataset", "from repro import engine\n"
+                           "run = lambda scheduler: engine.dag\n"),
+        ("service", "server", "from repro.service.scheduler import "
+                              "FairScheduler\n"
+                              "def start(scheduler):\n"
+                              "    return FairScheduler(scheduler)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.stage_order_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "dataset.py")
+        + ":2: takes a 'scheduler' parameter",
+        os.path.join("core", "pipeline.py")
+        + ":1: takes a 'scheduler' parameter",
+        os.path.join("engine", "__init__.py") + ":1: imports repro.engine.dag",
+        os.path.join("engine", "__init__.py") + ":1: names StageDAG",
+        os.path.join("engine", "service.py") + ":2: names run_stage_tasks"]

@@ -280,8 +280,8 @@ class TestRewrittenSource:
         assert _canon(third.result.outputs) == expected
 
     @pytest.mark.parametrize("run_options", [
-        {}, {"parallelism": 2}, {"scheduler": "dag"},
-    ], ids=["sequential", "parallel2", "dag"])
+        {}, {"parallelism": 2},
+    ], ids=["sequential", "parallel2"])
     @pytest.mark.parametrize("kind", FLUENT_KINDS)
     def test_dataset_run_after_rewrite(self, tmp_path, kind, run_options):
         path = str(tmp_path / "uv.rf")

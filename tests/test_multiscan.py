@@ -6,7 +6,7 @@ serialize to the same bytes as its solo run, and every volume metric
 and counter matches too.  This suite earns that the same way
 ``test_batch_equivalence.py`` earned the batch path: randomized schemas
 and query chains run through :meth:`Session.run_many` under the
-sequential, parallel and DAG schedulers, compared byte-for-byte (the
+sequential and parallel runners, compared byte-for-byte (the
 ``serialize_rows`` oracle) against solo :meth:`Session.run` executions.
 On top of that: the fallback matrix (opaque schemas, UDF stages,
 singleton groups, mixed inputs), the cost-model gates and their reason
@@ -24,6 +24,7 @@ import pytest
 
 from repro import JobConf, Mapper, Session, faults
 from repro.api.expressions import col, lit
+from repro.batch import multiscan
 from repro.batch.multiscan import plan_shared_groups
 from repro.engine import ExecutionEngine
 from repro.faults import Fault, FaultPlan
@@ -119,7 +120,7 @@ class TestRandomizedSharedRuns:
             solos = [session.run(ds) for ds in build_all()]
             expected = [serialize_rows(r.rows) for r in solos]
 
-            for kwargs in ({}, {"parallelism": 2}, {"scheduler": "dag"}):
+            for kwargs in ({}, {"parallelism": 2}):
                 shared = session.run_many(build_all(), **kwargs)
                 for qi, (want, got) in enumerate(zip(expected, shared)):
                     assert serialize_rows(got.rows) == want, (
@@ -348,7 +349,8 @@ class TestGroupPlanner:
         assert reasons[2] == "stage is not analyzer-described"
         assert not report.groups
 
-    def test_share_threshold_gate_declines_group(self, session, tmp_path):
+    def test_share_threshold_gate_declines_group(self, session, tmp_path,
+                                                 monkeypatch):
         path = write_webpages(tmp_path / "gate.rf", 80)
         confs = _candidates(session, [
             session.read(path).filter(col("rank") > 10)
@@ -359,7 +361,8 @@ class TestGroupPlanner:
         # with the default threshold these two identical-width scans fuse
         assert len(plan_shared_groups(confs).groups) == 1
         # an impossible threshold forces the group-level gate to fire
-        report = plan_shared_groups(confs, share_threshold=0.0)
+        monkeypatch.setattr(multiscan, "SHARE_THRESHOLD", 0.0)
+        report = plan_shared_groups(confs)
         assert not report.groups
         assert all(
             reason == "cost model: fused pass would not beat solo scans"

@@ -3,8 +3,7 @@
 Covers the tentpole guarantees: a selective query over a partitioned
 dataset provably prunes (explain says so, metrics read fewer bytes)
 while producing identical records and user counters to the unpartitioned
-full scan, under the sequential runner, the parallel runner, and the DAG
-stage scheduler.
+full scan, under the sequential runner and the parallel runner.
 """
 
 import os
@@ -24,7 +23,6 @@ from repro.core.analyzer.descriptors import (
     JobAnalysis,
     SelectionDescriptor,
 )
-from repro.core.manimal import Manimal
 from repro.core.optimizer.costbased import CostBasedOptimizer
 from repro.core.optimizer.planner import PARTITION_PRUNING, Optimizer
 from repro.core.optimizer.predicates import Interval
@@ -429,7 +427,6 @@ class TestFluentEndToEnd(FluentFixtureMixin):
         runs = {
             "sequential": pruned_q.run(),
             "parallel": pruned_q.run(parallelism=2),
-            "dag": pruned_q.run(scheduler="dag"),
         }
         reference = full.sorted_rows()
         assert len(reference) == self.N - self.THRESHOLD - 1
@@ -445,13 +442,11 @@ class TestFluentEndToEnd(FluentFixtureMixin):
             assert metrics.map_input_records < \
                 full.result.metrics.map_input_records, name
 
-        # The three pruned runs are byte-identical to each other: same
+        # The two pruned runs are byte-identical to each other: same
         # rows in the same order, same counters.
-        seq = runs["sequential"]
-        for name in ("parallel", "dag"):
-            assert runs[name].rows == seq.rows, name
-            assert runs[name].result.counters.to_dict() == \
-                seq.result.counters.to_dict(), name
+        seq, par = runs["sequential"], runs["parallel"]
+        assert par.rows == seq.rows
+        assert par.result.counters.to_dict() == seq.result.counters.to_dict()
 
     def test_translated_udf_filter_prunes_like_its_col_spelling(self, data):
         """filter(fn) proven equal to a col() predicate hands the planner
@@ -469,7 +464,7 @@ class TestFluentEndToEnd(FluentFixtureMixin):
             spelled = self.query(session, directory)
             assert repr(via_udf.lower().hints()[0].inputs) == \
                 repr(spelled.lower().hints()[0].inputs)
-            for kwargs in ({}, {"parallelism": 2}, {"scheduler": "dag"}):
+            for kwargs in ({}, {"parallelism": 2}):
                 got = via_udf.run(**kwargs)
                 want = spelled.run(**kwargs)
                 assert got.rows == want.rows, kwargs
@@ -545,7 +540,7 @@ class TestFluentEndToEnd(FluentFixtureMixin):
         rows = session.read(directory).run().sorted_rows()
         assert rows == session.read(flat).run().sorted_rows()
 
-    def test_join_of_partitioned_datasets_dag(self, data, tmp_path):
+    def test_join_of_partitioned_datasets_parallel(self, data, tmp_path):
         session, flat, directory = data
         other = str(tmp_path / "top.parts")
         session.read(flat).filter(col("rank") > 500).write(
@@ -557,9 +552,9 @@ class TestFluentEndToEnd(FluentFixtureMixin):
             .join(session.read(other), on="url")
         )
         sequential = join.run()
-        dag = join.run(scheduler="dag")
-        assert dag.sorted_rows() == sequential.sorted_rows()
-        assert dag.result.counters.to_dict() == \
+        parallel = join.run(parallelism=2)
+        assert parallel.rows == sequential.rows
+        assert parallel.result.counters.to_dict() == \
             sequential.result.counters.to_dict()
 
     def test_unknown_partition_column_rejected(self, data, tmp_path):

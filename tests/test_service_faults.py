@@ -20,7 +20,7 @@ import pytest
 from repro import col, faults
 from repro.core.optimizer.catalog import Catalog, IndexEntry
 from repro.engine import ExecutionEngine
-from repro.exceptions import CatalogError, DeadlineExceededError
+from repro.exceptions import DeadlineExceededError
 from repro.faults import Fault, FaultPlan
 from repro.service import FairScheduler, QueryServer, connect
 from repro.service.client import RemoteSession, ServiceError
@@ -245,7 +245,15 @@ class TestDeadlines:
             assert server._deadline_of({"deadline_seconds": 2}) == 2.0
             assert server._deadline_of({"deadline_seconds": 0}) is None
             assert server._deadline_of({"deadline_seconds": -5}) is None
-            assert server._deadline_of({"deadline_seconds": "bogus"}) == 30.0
+            # a non-numeric deadline is refused at the door, not replaced
+            # by the default
+            refused = server.handle({
+                "op": "submit", "tenant": "t", "query": [{"op": "read"}],
+                "options": {"deadline_seconds": "bogus"},
+            })
+            assert refused["error"]["code"] == ERR_BAD_REQUEST
+            assert "'deadline_seconds'" in refused["error"]["message"]
+            assert server.scheduler.stats()["submitted"] == 0
         finally:
             server.close()
 

@@ -7,9 +7,10 @@ tenant) all end in :func:`repro.api.session.run_plans`, and every plan,
 whether or not a shared scan ran its first stage, is assembled by
 ``ManimalPipeline.submit``.  So each door must hand back the *same
 result object* as ``Dataset.run`` -- rows, per-stage descriptors, index
-programs -- reject the same bad options, honour the same good ones, and
-a batch of one must do no grouping work.  The route a cell took (shared
-scan or solo) is asserted, not assumed.
+programs -- and a batch of one must do no grouping work.  An option no
+door knows is refused before anything runs: a ``TypeError`` in-process,
+a ``bad-request`` error frame from a server.  The route a cell took
+(shared scan or solo) is asserted, not assumed.
 """
 
 import re
@@ -20,10 +21,9 @@ import repro.batch.multiscan as multiscan_module
 import repro.service.server as server_module
 from repro import Session, col
 from repro.engine import ExecutionEngine
-from repro.exceptions import JobConfigError
 from repro.service import QueryServer
 from repro.service.payload import serialize_rows
-from repro.service.protocol import decode_bytes
+from repro.service.protocol import ERR_BAD_REQUEST, decode_bytes
 from tests.conftest import remote_read, write_webpages
 
 DOORS = ("run", "many_of_one", "many_compatible", "many_incompatible",
@@ -87,7 +87,7 @@ def _index_programs(result):
 
 class World:
     """Two files, one in-process Session and two servers on one engine,
-    with spies on the three seams the matrix asserts about."""
+    with spies on the two seams the matrix asserts about."""
 
     def __init__(self, root):
         self.engine = ExecutionEngine(max_workers=2, reap_scratch=False)
@@ -120,7 +120,6 @@ class World:
                 })
                 self.fetch(server, tenant, built)
         self.grouping_calls = 0
-        self.stage_waves = []
         self.served = []
 
     def close(self):
@@ -131,16 +130,11 @@ class World:
 
     def install_spies(self, monkeypatch):
         real_groups = multiscan_module.plan_shared_groups
-        real_waves = self.engine.run_stage_tasks
         real_run_plans = server_module.run_plans
 
         def plan_shared_groups(confs):
             self.grouping_calls += 1
             return real_groups(confs)
-
-        def run_stage_tasks(tasks):
-            self.stage_waves.append(len(tasks))
-            return real_waves(tasks)
 
         def run_plans(items, **options):
             results = real_run_plans(items, **options)
@@ -150,10 +144,9 @@ class World:
         # run_plans imports the name at call time
         monkeypatch.setattr(multiscan_module, "plan_shared_groups",
                             plan_shared_groups)
-        monkeypatch.setattr(self.engine, "run_stage_tasks", run_stage_tasks)
         monkeypatch.setattr(server_module, "run_plans", run_plans)
         self.grouping_calls = 0
-        del self.stage_waves[:], self.served[:]
+        del self.served[:]
 
     @staticmethod
     def fetch(server, tenant, submitted):
@@ -165,7 +158,8 @@ class World:
         """Run ``shape`` through ``door``: (payload bytes, DatasetResult).
 
         Failures surface as the door's own error type: an exception
-        in-process, an error frame (returned) from a server.
+        in-process, an error frame (returned) from a server -- the
+        submit's own when the server refused it at the door.
         """
         file, build, _sharing = SHAPES[shape]
         path = self.paths[file]
@@ -192,6 +186,8 @@ class World:
                            "options": options})
             for tenant, ops in submits
         ]
+        if not submitted[0]["ok"]:
+            return submitted[0], None
         fetched = [self.fetch(server, tenant, sub)
                    for (tenant, _ops), sub in zip(submits, submitted)]
         if not fetched[0]["ok"]:
@@ -243,28 +239,29 @@ def test_every_door_returns_the_solo_result(spied, reference, door, shape):
         (door in SHAPES[shape][2])
 
 
+#: option name -> (run options, what the door's refusal must name)
+BAD_OPTIONS = {
+    "retired_scheduler": ({"scheduler": "dag"}, "scheduler"),
+    "misspelled": ({"paralellism": 2}, "paralellism"),
+    "non_numeric_deadline": ({"deadline_seconds": "soon"},
+                             "deadline_seconds"),
+}
+
+
 @pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("bad", BAD_OPTIONS)
 @pytest.mark.parametrize("door", DOORS)
-def test_every_door_rejects_an_unknown_scheduler(world, door, shape):
+def test_every_door_refuses_an_unknown_option(spied, door, bad, shape):
+    options, named = BAD_OPTIONS[bad]
     if door.startswith("service"):
-        response, _ = world.execute(door, shape, scheduler="bogus")
+        response, _ = spied.execute(door, shape, **options)
         assert not response["ok"]
-        assert "unknown scheduler 'bogus'" in response["error"]["message"]
+        assert response["error"]["code"] == ERR_BAD_REQUEST
+        assert repr(named) in response["error"]["message"]
     else:
-        with pytest.raises(JobConfigError, match="unknown scheduler 'bogus'"):
-            world.execute(door, shape, scheduler="bogus")
-
-
-@pytest.mark.parametrize("door", DOORS)
-def test_dag_scheduler_reaches_the_engine_through_every_door(
-        spied, reference, door):
-    got_bytes, got = spied.execute(door, "aggregate_join", scheduler="dag")
-    assert got_bytes == reference["aggregate_join"][0]
-    # The two aggregates are one wave, the join the next -- for the
-    # query's own pipeline, whether or not stage 0 rode a shared scan.
-    assert spied.stage_waves[:2] == [2, 1]
-    assert got.stages[0].outcome.result.metrics.shared_scan_groups == \
-        (door in SHAPES["aggregate_join"][2])
+        with pytest.raises(TypeError, match=named):
+            spied.execute(door, shape, **options)
+    assert spied.served == [] and spied.grouping_calls == 0
 
 
 def test_a_held_singleton_is_a_batch_of_one(spied, reference):

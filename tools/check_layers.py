@@ -96,6 +96,18 @@
     ``frame_index_entry``, ``_IndexEntries``) -- a second index format
     would come back through either.
 
+13. One stage order.  A pipeline runs its stages in chain order, and
+    parallelism is decided below it, by the dispatcher that fans each
+    stage's tasks out on the worker pool.  So nothing under
+    ``src/repro`` imports the retired ``repro.engine.dag``
+    (:data:`DAG_MODULE`) or names its stage scheduler
+    (:data:`RETIRED_STAGE_NAMES`: ``StageDAG``, ``run_stage_tasks``),
+    and no function under ``repro/{api,core,engine}``
+    (:data:`NO_SCHEDULER_LAYERS`) takes a parameter called
+    ``scheduler`` -- a second stage order would come back through any
+    of them.  The service's ``FairScheduler`` orders *queries*, not
+    stages, and is not checked.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -201,6 +213,13 @@ BTREE_MODULE = "repro.storage.btree"
 BTREE_HOME = os.path.join("repro", "storage", "__init__.py")
 RETIRED_INDEX_NAMES = frozenset({"entry_scanner", "frame_index_entry",
                                  "_IndexEntries"})
+
+#: rule 13: the retired stage scheduler's module and names, and the
+#: layers none of whose functions may take a ``scheduler`` parameter
+DAG_MODULE = "repro.engine.dag"
+RETIRED_STAGE_NAMES = frozenset({"StageDAG", "run_stage_tasks"})
+NO_SCHEDULER_LAYERS = ("api", "core", "engine")
+SCHEDULER_PARAM = "scheduler"
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -537,15 +556,51 @@ def index_format_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def stage_order_violations(src: str = SRC) -> List[str]:
+    """Every import of :data:`DAG_MODULE` and every use of a
+    :data:`RETIRED_STAGE_NAMES` name under ``src/repro``, and every
+    function under :data:`NO_SCHEDULER_LAYERS` taking a
+    :data:`SCHEDULER_PARAM` parameter (rule 13)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        package = os.path.dirname(module).replace(os.sep, ".")
+        found.extend(
+            (rel, lineno, f"imports {DAG_MODULE} (pipelines run in chain "
+             "order)")
+            for lineno, name in imported_modules(tree, package)
+            if name == DAG_MODULE)
+        takes_params = module.split(os.sep)[1] in NO_SCHEDULER_LAYERS
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (
+                        ast.alias, ast.ClassDef, ast.FunctionDef)) else None)
+            if name in RETIRED_STAGE_NAMES:
+                found.append((rel, node.lineno, f"names {name} (the stage "
+                              "scheduler is retired)"))
+            if takes_params and isinstance(node, (
+                    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if any(arg.arg == SCHEDULER_PARAM for arg in
+                       args.posonlyargs + args.args + args.kwonlyargs):
+                    found.append((rel, node.lineno, "takes a "
+                                  f"{SCHEDULER_PARAM!r} parameter (one "
+                                  "stage order: chain order)"))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
     stub, lazy = stub_violations(), lazy_decode_violations()
     per_item, loop = per_item_violations(), reduce_loop_violations()
     shape, reference = read_shape_violations(), reference_encode_violations()
-    index = index_format_violations()
+    index, order = index_format_violations(), stage_order_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
-                 + loop + shape + reference + index):
+                 + loop + shape + reference + index + order):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -575,8 +630,10 @@ def main() -> int:
               f"serialization and the encoder's decline path")
     if index:
         print(f"\n{len(index)} use(s) of the retired B+Tree index path")
+    if order:
+        print(f"\n{len(order)} trace(s) of a second stage order")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
-            or loop or shape or reference or index):
+            or loop or shape or reference or index or order):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -596,7 +653,10 @@ def main() -> int:
           + "; the reference encode is named only in serialization.py and "
           + "blockwrite's decline path"
           + f"; only {BTREE_HOME} imports {BTREE_MODULE} and nothing names "
-          + "the retired B+Tree read path")
+          + "the retired B+Tree read path"
+          + f"; nothing imports {DAG_MODULE} or names the stage scheduler, "
+          + f"and no function under repro/{{{','.join(NO_SCHEDULER_LAYERS)}}} "
+          + f"takes a {SCHEDULER_PARAM!r} parameter")
     return 0
 
 
