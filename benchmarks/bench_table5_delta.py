@@ -56,11 +56,12 @@ def _run(uservisits, catalog_dir):
     )
     proj_entry, delta_entry = proj_entries[0], delta_entries[0]
 
-    # "Hadoop" side: scan the projected (but uncompressed) file.
-    from repro.mapreduce import DeltaFileInput, ProjectedFileInput
+    # "Hadoop" side: scan the projected (but uncompressed) copy.  Both
+    # copies are columnar; delta is the codec of the numeric columns.
+    from repro.mapreduce import ColumnarFileInput
 
-    proj_job = job.with_inputs([ProjectedFileInput(proj_entry.index_path)])
-    delta_job = job.with_inputs([DeltaFileInput(delta_entry.index_path)])
+    proj_job = job.with_inputs([ColumnarFileInput(proj_entry.index_path)])
+    delta_job = job.with_inputs([ColumnarFileInput(delta_entry.index_path)])
     proj_run = run_job(proj_job)
     delta_run = run_job(delta_job)
     assert sorted(v for _, v in proj_run.outputs) == sorted(

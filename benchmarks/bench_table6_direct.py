@@ -49,9 +49,9 @@ def _run(uservisits, catalog_dir):
     plan = system.plan(job, analysis)
     # Force the dictionary choice for the single-optimization experiment.
     if plan.optimizations() != [cat.KIND_DICTIONARY]:
-        from repro.mapreduce import DictionaryFileInput
+        from repro.mapreduce import ColumnarFileInput
 
-        plan_inputs = [DictionaryFileInput(entries[0].index_path)]
+        plan_inputs = [ColumnarFileInput(entries[0].index_path)]
         optimized = run_job(job.with_inputs(plan_inputs))
     else:
         optimized = system.execute(job, plan)

@@ -24,6 +24,7 @@ from repro.engine import ExecutionEngine
 from repro.engine.pool import RetryPolicy
 from repro.faults import Fault, FaultPlan
 from repro.mapreduce import (
+    ColumnarFileInput,
     DeltaFileInput,
     DictionaryFileInput,
     InMemoryInput,
@@ -34,7 +35,8 @@ from repro.mapreduce import (
 from repro.mapreduce.keyspace import estimate_size, sort_key
 from repro.mapreduce.runtime import run_job
 from repro.service import QueryServer, connect, serialize_rows
-from repro.storage.blockscan import block_scanner
+from repro.storage.blockscan import ReadShape, block_scanner
+from repro.storage.columnar import ColumnarFileWriter, copy_columns
 from repro.storage.columnfile import copy_records
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
@@ -284,6 +286,43 @@ def record_path_write(bench: Bench) -> Probe:
         on=compiled, off=walked, payload=contents,
         counters={"rows": len(pairs),
                   "files": [os.path.basename(path) for path in paths]},
+    )
+
+
+# -- the columnar catalog copy: a column capture against the row-major scan --------
+
+#: the service's fresh-literal read: two of the ``events`` table's ten
+#: columns, no key
+CAPTURE = ReadShape(False, ("bytes", "user"))
+CAPTURE_ROWS = 12_000
+
+
+def columnar_capture(bench: Bench) -> Probe:
+    """``CAPTURE`` drained from a columnar copy of the ``events`` table
+    (on: the two columns' segments decoded, the other eight passed over)
+    against the same two-column projection read from its row-major
+    record file (off: the compiled scan walks all ten fields of every
+    record to capture two).  Payload: the captured rows, which must be
+    identical."""
+    table, path = bench.table("events", CAPTURE_ROWS)
+    copy = os.path.join(bench.dir("columnar"), "events.col")
+    with RecordFileReader(path) as reader, ColumnarFileWriter(
+            copy, reader.key_schema, reader.value_schema) as writer:
+        copy_columns(reader, writer)
+    columnar = ColumnarFileInput(copy).with_shape(CAPTURE)
+    row_major = RecordFileInput(path).with_shape(CAPTURE)
+
+    def drain(source: Any) -> List[tuple]:
+        return [value.as_tuple() for split in source.splits(10)
+                for _key, value in source.open(split)]
+
+    return Probe(
+        on=lambda: drain(columnar), off=lambda: drain(row_major),
+        checks={"two_of_ten_columns": len(CAPTURE.fields) == 2
+                and len(table.value_schema.fields) == 10},
+        counters={"rows": len(table),
+                  "stored_bytes_ratio": round(
+                      os.path.getsize(copy) / os.path.getsize(path), 3)},
     )
 
 
@@ -818,6 +857,7 @@ GATES = (
          batch_row(_q_udf_opaque, False), ("control", 0.25)),
     Gate("record_path_scan", None, record_path_scan, ("speedup", 2.0)),
     Gate("record_path_write", None, record_path_write, ("speedup", 2.0)),
+    Gate("columnar_capture", None, columnar_capture, ("speedup", 2.0)),
     Gate("engine_pool_reuse", "bench_engine.py repeated_small_jobs",
          pool_reuse, ("speedup", 1.15)),
     Gate("engine_cached_analysis", "bench_engine.py cached_analysis",

@@ -14,8 +14,11 @@ is storage's: :mod:`repro.storage.blockscan` generates and compiles one
 straight-line decoder per scan shape, and every plan of that shape --
 solo, shared-scan union, in any pool worker -- runs the same code
 object -- the record path's split readers included.  There is no
-interpreted walk beside it.  Parity with the record path is kept there
-too: a block the compiled loop cannot prove well-formed is re-walked by
+interpreted walk beside it.  (A columnar catalog copy's blocks already
+are columns: its plan takes the file's column scan,
+:func:`~repro.storage.columnar.column_scanner`, instead.)  Parity with
+the record path is kept there too: a block the compiled loop cannot
+prove well-formed is re-walked by
 the container's reference decode
 (:meth:`~repro.storage.blockfile.BlockFileReader.decode_block`), so
 damage raises what the record path raises, and ``logical_bytes`` is the
@@ -28,9 +31,9 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.batch.spec import BatchStageSpec
-from repro.storage.blockfile import BlockInfo
+from repro.storage.blockfile import BlockFileReader, BlockInfo
 from repro.storage.blockscan import block_scanner
-from repro.storage.recordfile import RecordFileReader
+from repro.storage.columnar import column_scanner
 from repro.storage.serialization import Record, Schema
 
 
@@ -65,25 +68,29 @@ class ScanPlan:
                  "decode_keys", "scanner")
 
     def __init__(self, key_schema: Schema, value_schema: Schema,
-                 capture: List[str], decode_keys: bool):
+                 capture: List[str], decode_keys: bool,
+                 columnar: bool = False):
         self.key_schema = key_schema
         self.value_schema = value_schema
         self.decode_keys = decode_keys
         self.slots = {name: i for i, name in enumerate(capture)}
         self.n_slots = len(capture)
-        #: the compiled scan of this plan's shape (process-wide cache)
-        self.scanner = block_scanner(
+        #: the scan of this plan's shape: the compiled row-major scan
+        #: (process-wide cache), or a columnar file's column scan
+        self.scanner = (column_scanner if columnar else block_scanner)(
             key_schema, value_schema, self.slots, decode_keys)
 
 
 def build_scan_plan(key_schema: Schema, value_schema: Schema,
-                    spec: BatchStageSpec) -> Optional[ScanPlan]:
+                    spec: BatchStageSpec, columnar: bool = False
+                    ) -> Optional[ScanPlan]:
     """Plan the scan of one concrete file for ``spec``, or ``None``.
 
     ``None`` means this file cannot be served vectorized -- an opaque
     schema hides field boundaries, or the file (possibly a planner-chosen
     projection) lacks a column the spec needs -- and the caller must fall
-    back to the record path.
+    back to the record path.  ``columnar``: the file is a columnar catalog
+    copy, whose blocks the plan scans a column at a time.
     """
     if not key_schema.transparent or not value_schema.transparent:
         return None
@@ -97,11 +104,11 @@ def build_scan_plan(key_schema: Schema, value_schema: Schema,
     # Aggregate stages never emit their input key, so its fields are
     # passed over; map/join stages emit the key and decode it.
     return ScanPlan(key_schema, value_schema, capture,
-                    decode_keys=spec.kind != "aggregate")
+                    decode_keys=spec.kind != "aggregate", columnar=columnar)
 
 
 def iter_column_batches(
-    reader: RecordFileReader,
+    reader: BlockFileReader,
     blocks: Optional[List[BlockInfo]],
     plan: ScanPlan,
 ) -> Iterator[ColumnBatch]:

@@ -45,27 +45,30 @@ from repro.batch.kernels import PredicateKernel, compile_predicates
 from repro.batch.spec import AGGREGATES, BatchStageSpec
 from repro.exceptions import JobExecutionError, ReproError
 from repro.mapreduce.formats import (
+    ColumnarFileInput,
     PartitionedInput,
-    ProjectedFileInput,
     RecordFileInput,
 )
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
+from repro.storage.blockfile import BlockFileReader
+from repro.storage.columnar import ColumnarFileReader
 from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import Record
 
 
-#: Inputs whose splits are block lists of an identity-codec record file.
-#: Exact types on purpose: B+Tree index scans, delta/dictionary value
-#: codecs (the scanner has their shapes -- the record path reads through
-#: them -- but admitting them here would move planned stages), in-memory
-#: pairs, or an unknown subclass with different split payloads are not
-#: batch-scannable.
-RECORD_BLOCK_INPUTS = (RecordFileInput, ProjectedFileInput, PartitionedInput)
+#: Inputs whose splits are block lists of a record file, or of a
+#: columnar catalog copy, whose blocks already are columns.  Exact types
+#: on purpose: B+Tree index scans, the row-major delta/dictionary files
+#: users write (the scanner has their shapes -- the record path reads
+#: through them -- but admitting them here would move planned stages),
+#: in-memory pairs, or an unknown subclass with different split payloads
+#: are not batch-scannable.
+RECORD_BLOCK_INPUTS = (RecordFileInput, ColumnarFileInput, PartitionedInput)
 
 
 def batch_admission(
-    spec: Any, source: Any, reader: Optional[RecordFileReader] = None,
+    spec: Any, source: Any, reader: Optional[BlockFileReader] = None,
 ) -> Union[Tuple[ScanPlan, Optional[PredicateKernel]], str]:
     """Can ``spec`` be served vectorized over ``source``?
 
@@ -79,18 +82,21 @@ def batch_admission(
         return "input is not a plain record-file scan"
     if not isinstance(spec, BatchStageSpec):
         return "stage is not analyzer-described"
+    columnar = type(source) is ColumnarFileInput
     try:
         if reader is not None:
-            schemas = reader.key_schema, reader.value_schema
+            header = reader
         elif type(source) is PartitionedInput:
-            info = source.info()
-            schemas = info.key_schema, info.value_schema
+            header = source.info()
         else:
-            with RecordFileReader(source.path) as header:
-                schemas = header.key_schema, header.value_schema
+            header = source.reader_class(source.path)
+            header.close()  # opening reads the header; nothing else is needed
     except (OSError, ReproError):
         return "input file is unreadable"
-    plan = build_scan_plan(*schemas, spec)
+    if columnar and "dict" in header.codecs.values():
+        return "input holds dictionary codes"
+    plan = build_scan_plan(header.key_schema, header.value_schema, spec,
+                           columnar)
     if plan is None:
         return "opaque schema or missing needed column"
     try:
@@ -123,7 +129,7 @@ class StageScan:
     """
 
     def __init__(self, conf: JobConf, spec: BatchStageSpec,
-                 reader: RecordFileReader, plan: ScanPlan,
+                 reader: BlockFileReader, plan: ScanPlan,
                  kernel: Optional[PredicateKernel]):
         self.conf = conf
         self.spec = spec
@@ -267,7 +273,7 @@ class StageScan:
         return out
 
 
-def _union_plan(reader: RecordFileReader,
+def _union_plan(reader: BlockFileReader,
                 scans: Sequence[StageScan]) -> ScanPlan:
     """The pass's decode plan: every column any member needs, once.
 
@@ -281,6 +287,7 @@ def _union_plan(reader: RecordFileReader,
     return ScanPlan(
         reader.key_schema, reader.value_schema, capture,
         decode_keys=any(scan.plan.decode_keys for scan in scans),
+        columnar=isinstance(reader, ColumnarFileReader),
     )
 
 
@@ -300,10 +307,11 @@ def run_batch_map_task(
     if type(source) not in RECORD_BLOCK_INPUTS:
         return [None] * len(confs)
     if type(source) is PartitionedInput:
-        path, blocks = split.payload
+        (path, blocks), reader_class = split.payload, RecordFileReader
     else:
-        path, blocks = source.path, split.payload
-    with RecordFileReader(path) as reader:
+        path, blocks, reader_class = (source.path, split.payload,
+                                      source.reader_class)
+    with reader_class(path) as reader:
         scans: List[Optional[StageScan]] = []
         for conf, spec in zip(confs, specs):
             admitted = batch_admission(spec, source, reader)

@@ -63,12 +63,37 @@ ALL_KINDS = (
     KIND_DELTA,
     KIND_DICTIONARY,
 )
+#: The kinds built as one columnar copy of the source (the rest are
+#: selection indexes).
+COPY_KINDS = (
+    KIND_PROJECTION,
+    KIND_PROJECTION_DELTA,
+    KIND_DELTA,
+    KIND_DICTIONARY,
+)
 
 #: File suffix of a selection index (:mod:`repro.storage.indexfile`), and
-#: of one in the retired page-codec B+Tree format, which no plan reads
-#: and ``Manimal.build_indexes`` replaces
+#: of one in the retired page-codec B+Tree format
 SELECTION_SUFFIX = ".sidx"
 OLD_SELECTION_SUFFIX = ".btree"
+#: File suffix of every rewrite-kind copy (projection, projection+delta,
+#: delta, dictionary): a columnar file (:mod:`repro.storage.columnar`)
+COLUMNAR_SUFFIX = ".col"
+#: What each retired index file suffix held, for the planner's report.
+#: No plan reads these files, and ``Manimal.build_indexes`` replaces them.
+OLD_FORMATS = {
+    OLD_SELECTION_SUFFIX: "page-codec B+Tree index(es)",
+    ".proj": "row-major copy(ies)",
+    ".projdelta": "row-major copy(ies)",
+    ".delta": "row-major copy(ies)",
+    ".dict": "row-major copy(ies)",
+}
+
+
+def old_format(index_path: str) -> Optional[str]:
+    """What retired format the index file at ``index_path`` is in, told
+    by its suffix without opening it; ``None`` for a current one."""
+    return OLD_FORMATS.get(os.path.splitext(index_path)[1])
 
 
 def _copy(items: Optional[List[Any]]) -> Optional[List[Any]]:
@@ -107,12 +132,12 @@ class IndexEntry:
 
         The registry itself never asks (:meth:`Catalog.entries_for` is a
         raw query); whoever is about to *use* an entry does, passing the
-        source's identity as it is on disk now.  An index in the retired
-        page-codec B+Tree format (told by its path, without opening it)
+        source's identity as it is on disk now.  An index in a retired
+        format (told by its path, without opening it: :func:`old_format`)
         was built from nothing this version reads.
         """
         return (self.source_identity == list(identity)
-                and not self.index_path.endswith(OLD_SELECTION_SUFFIX))
+                and old_format(self.index_path) is None)
 
     def space_overhead(self) -> Optional[float]:
         """Index size as a fraction of the source file size."""

@@ -11,7 +11,10 @@ selection index builder really is a MapReduce job on the execution fabric
 (its shuffle provides the global sort the index file's writer needs); the
 rewrite-style builders (projection / delta / dictionary) are map-only
 record transformations implemented as streaming passes, which is exactly
-what a map-only Hadoop job with a custom output format would do.
+what a map-only Hadoop job with a custom output format would do.  All
+four write one layout, a columnar file (:mod:`repro.storage.columnar`):
+projection keeps fewer columns, and delta and dictionary are the codecs
+of theirs.
 
 Per the paper, "the current analyzer always chooses the index program that
 exploits as many optimizations as possible", with the one conflict rule
@@ -34,16 +37,11 @@ from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage import input_identity
-from repro.storage.columnfile import (
-    META_BASE_SCHEMA,
-    META_KEPT_FIELDS,
-    copy_records,
-)
-from repro.storage.delta import DeltaFileWriter
-from repro.storage.dictionary import DictionaryFileWriter
+from repro.storage.columnar import ColumnarFileWriter, copy_columns
+from repro.storage.columnfile import META_BASE_SCHEMA, META_KEPT_FIELDS
 from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
-from repro.storage.recordfile import RecordFileReader, RecordFileWriter
+from repro.storage.recordfile import RecordFileReader
 
 
 class _IndexEmitMapper(Mapper):
@@ -107,10 +105,10 @@ class IndexGenerationProgram:
         stamp = input_identity(self.source_path)
         selection = self.kind in (cat.KIND_SELECTION,
                                   cat.KIND_SELECTION_PROJECTION)
-        if not selection and self.kind not in _REWRITE_SUFFIX:
+        if not selection and self.kind not in cat.COPY_KINDS:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
         index_path = catalog.next_index_path(self.kind) + (
-            cat.SELECTION_SUFFIX if selection else _REWRITE_SUFFIX[self.kind])
+            cat.SELECTION_SUFFIX if selection else cat.COLUMNAR_SUFFIX)
         try:
             if selection:
                 entry = self._build_selection(catalog, runner, index_path)
@@ -200,8 +198,8 @@ class IndexGenerationProgram:
 
     def _build_rewrite(self, catalog: Catalog, index_path: str) -> IndexEntry:
         """Projection, delta, dictionary and projection+delta builds: one
-        streaming copy of the source through a block-file writer, differing
-        in which fields are kept and which value codec the writer applies.
+        streaming copy of the source into a columnar file, differing in
+        which fields are kept and which codec each column takes.
         """
         projecting = self.kind in (cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA)
         with RecordFileReader(self.source_path) as reader:
@@ -214,30 +212,25 @@ class IndexGenerationProgram:
                 stored = stored.project(self.value_fields)
                 metadata[META_BASE_SCHEMA] = reader.value_schema.name
                 metadata[META_KEPT_FIELDS] = stored.field_names()
-            # The value codec: a writer class plus its one extra argument.
             delta_fields = None
-            writer_class, codec_args = RecordFileWriter, ()
+            codecs = {}
             if self.kind in (cat.KIND_DELTA, cat.KIND_PROJECTION_DELTA):
-                delta_fields = list(
-                    self.delta_fields or stored.numeric_field_names()
-                )
-                if projecting:
-                    delta_fields = [f for f in delta_fields if stored.has_field(f)]
+                delta_fields = [
+                    name for name in (self.delta_fields
+                                      or stored.numeric_field_names())
+                    if stored.has_field(name)]
                 if not delta_fields:
                     raise OptimizerError(
                         f"{self.kind} index has no numeric fields to delta-code"
                     )
-                writer_class, codec_args = DeltaFileWriter, (delta_fields,)
+                codecs = dict.fromkeys(delta_fields, "delta")
             elif self.kind == cat.KIND_DICTIONARY:
                 if not self.dict_field:
                     raise OptimizerError("dictionary index needs dict_field")
-                writer_class, codec_args = DictionaryFileWriter, (self.dict_field,)
-
-            with writer_class(index_path, key_schema, stored, *codec_args,
-                              metadata=metadata) as writer:
-                records = copy_records(
-                    reader, writer, stored if projecting else None
-                )
+                codecs = {self.dict_field: "dict"}
+            with ColumnarFileWriter(index_path, key_schema, stored, codecs,
+                                    metadata=metadata) as writer:
+                records = copy_columns(reader, writer)
             source_bytes = reader.file_size()
         return IndexEntry(
             index_id=catalog.make_entry_id(),
@@ -256,15 +249,6 @@ class IndexGenerationProgram:
                 "index_records": records,
             },
         )
-
-
-#: Rewrite-style index kinds and their file suffixes.
-_REWRITE_SUFFIX = {
-    cat.KIND_PROJECTION: ".proj",
-    cat.KIND_PROJECTION_DELTA: ".projdelta",
-    cat.KIND_DELTA: ".delta",
-    cat.KIND_DICTIONARY: ".dict",
-}
 
 
 def synthesize_program(

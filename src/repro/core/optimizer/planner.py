@@ -28,7 +28,7 @@ was built from: every entry carries the source's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.analyzer.descriptors import InputAnalysis, JobAnalysis
 from repro.core.optimizer import catalog as cat
@@ -38,19 +38,20 @@ from repro.core.optimizer.pruning import (
     SelectionCompiler,
     prune_partitions,
 )
+from repro.exceptions import ReproError
 from repro.mapreduce.formats import (
     BlockFileInput,
-    DeltaFileInput,
-    DictionaryFileInput,
+    ColumnarFileInput,
     InMemoryInput,
     InputSource,
     PartitionedInput,
-    ProjectedFileInput,
     RecordFileInput,
     SelectionIndexInput,
 )
 from repro.mapreduce.job import JobConf
 from repro.storage import input_identity
+from repro.storage.blockscan import FULL_READ, ReadShape
+from repro.storage.columnar import CODECS, ColumnarFileReader
 
 #: Optimization label for zone-map partition pruning (not an index kind:
 #: it needs no catalog entry, only the dataset's statistics sidecar).
@@ -165,6 +166,8 @@ def describe_read(source: InputSource, ia: InputAnalysis) -> str:
         return "full (B+Tree input)"
     if not isinstance(source, (BlockFileInput, PartitionedInput)):
         return f"full ({source.describe()})"
+    if isinstance(source, ColumnarFileInput):
+        return _describe_columnar(source, ia.read_shape or FULL_READ)
     if ia.read_shape is None:
         return "full (fluent stage)"
     shape = ia.read_shape
@@ -177,6 +180,26 @@ def describe_read(source: InputSource, ia: InputAnalysis) -> str:
     if not parts:
         return f"full ({reasons})"
     return "; ".join(parts) + (f" ({reasons})" if reasons else "")
+
+
+def _describe_columnar(source: ColumnarFileInput, shape: ReadShape) -> str:
+    """The ``decode:`` line of a catalog copy: the layout, the columns
+    ``shape`` captures of those stored, and their codecs."""
+    try:
+        with ColumnarFileReader(source.path) as reader:
+            stored = reader.stored_schema.field_names()
+            codecs = reader.codecs
+    except (OSError, ReproError):
+        return f"columnar (unreadable: {source.describe()})"
+    names = [name for name in stored
+             if shape.fields is None or name in shape.fields]
+    line = (f"columnar{'' if shape.decode_keys else ', key skipped'}; "
+            f"{len(names)}/{len(stored)} columns [{', '.join(names)}]")
+    coded = {codec: [name for name in names if codecs.get(name) == codec]
+             for codec in CODECS}
+    notes = "; ".join(f"{codec}: {', '.join(columns)}"
+                      for codec, columns in coded.items() if columns)
+    return line + (f" ({notes})" if notes else "")
 
 
 class Optimizer:
@@ -227,23 +250,27 @@ class Optimizer:
         unoptimized.detail = (
             f"stale: source rewritten since build ({stale} index(es) skipped)"
             if stale else
-            f"old format: {old} page-codec B+Tree index(es) skipped; "
-            "build_indexes rebuilds them" if old else
+            "old format: " + "; ".join(
+                f"{n} {what} skipped" for what, n in old.items())
+            + "; build_indexes rebuilds them" if old else
             "no catalog index is applicable to this program"
         )
         return unoptimized
 
     def _fresh_entries(self, source_path: str
-                       ) -> Tuple[List[IndexEntry], int, int]:
-        """The indexes built from the bytes ``source_path`` holds now, and
-        how many others were skipped because it was rewritten since, or
-        because they are in the retired page-codec B+Tree format."""
+                       ) -> Tuple[List[IndexEntry], int, Dict[str, int]]:
+        """The indexes built from the bytes ``source_path`` holds now; how
+        many others were skipped because it was rewritten since; and, by
+        what they held, how many because they are in a retired format."""
         entries = self.catalog.entries_for(source_path)
         identity = input_identity(source_path)
         fresh = [e for e in entries if e.built_from(identity)]
-        old = sum(e.index_path.endswith(cat.OLD_SELECTION_SUFFIX)
-                  for e in entries)
-        return fresh, len(entries) - len(fresh) - old, old
+        old: Dict[str, int] = {}
+        for entry in entries:
+            what = cat.old_format(entry.index_path)
+            if what is not None:
+                old[what] = old.get(what, 0) + 1
+        return fresh, len(entries) - len(fresh) - sum(old.values()), old
 
     def applicable_plans(self, index: int, source: RecordFileInput,
                          ia: InputAnalysis) -> List[InputPlan]:
@@ -315,48 +342,31 @@ class Optimizer:
         kind = entry.kind
         if kind in (cat.KIND_SELECTION, cat.KIND_SELECTION_PROJECTION):
             return self._apply_selection(index, source, ia, entry, compiled)
-        if kind in (cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA):
-            if ia.projection is None or entry.value_fields is None:
-                return None
-            needed = set(ia.projection.used_value_fields)
-            if not needed <= set(entry.value_fields):
-                return None
-            chosen_cls = (
-                ProjectedFileInput if kind == cat.KIND_PROJECTION
-                else DeltaFileInput
-            )
-            chosen = chosen_cls(entry.index_path, tag=source.tag)
-            return InputPlan(
-                input_index=index,
-                original=source,
-                chosen=chosen,
-                entry=entry,
-                optimizations=[kind],
-                detail=f"kept fields {entry.value_fields}",
-            )
-        if kind == cat.KIND_DICTIONARY:
-            if not any(d.field_name == entry.dict_field for d in ia.direct):
-                return None
-            return InputPlan(
-                input_index=index,
-                original=source,
-                chosen=DictionaryFileInput(entry.index_path, tag=source.tag),
-                entry=entry,
-                optimizations=[kind],
-                detail=f"direct operation on {entry.dict_field!r}",
-            )
-        if kind == cat.KIND_DELTA:
-            # Reading a delta file reconstructs identical records, so this
-            # is behavior-preserving for any program over the same source.
-            return InputPlan(
-                input_index=index,
-                original=source,
-                chosen=DeltaFileInput(entry.index_path, tag=source.tag),
-                entry=entry,
-                optimizations=[kind],
-                detail=f"delta fields {entry.delta_fields}",
-            )
-        return None
+        if kind not in cat.COPY_KINDS:
+            return None
+        # A catalog copy holds the source's records -- or the projected
+        # fields of them -- with re-coded columns: it serves a program
+        # that reads only fields it keeps, and that the analyzer proved
+        # may run on its dict column's codes.
+        if entry.value_fields is not None and (
+                ia.projection is None or not set(
+                    ia.projection.used_value_fields) <= set(entry.value_fields)):
+            return None
+        if entry.dict_field is not None and not any(
+                d.field_name == entry.dict_field for d in ia.direct):
+            return None
+        return InputPlan(
+            input_index=index,
+            original=source,
+            chosen=ColumnarFileInput(entry.index_path, tag=source.tag),
+            entry=entry,
+            optimizations=[kind],
+            detail=(f"kept fields {entry.value_fields}"
+                    if entry.value_fields is not None else
+                    f"direct operation on {entry.dict_field!r}"
+                    if entry.dict_field is not None else
+                    f"delta fields {entry.delta_fields}"),
+        )
 
     def _apply_selection(self, index: int, source: RecordFileInput,
                          ia: InputAnalysis, entry: IndexEntry,

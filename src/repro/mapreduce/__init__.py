@@ -23,6 +23,7 @@ from repro.mapreduce.api import (
 from repro.mapreduce.cost import PAPER_CLUSTER, CostModel, SimulatedTime
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.formats import (
+    ColumnarFileInput,
     DeltaFileInput,
     DictionaryFileInput,
     InMemoryInput,
@@ -44,6 +45,7 @@ __all__ = [
     "CostModel",
     "Counters",
     "DEFAULT_RUNNER",
+    "ColumnarFileInput",
     "DeltaFileInput",
     "DictionaryFileInput",
     "FunctionMapper",

@@ -9,17 +9,21 @@ mentions for its Hadoop prototype (Section 2.2), plus the projection and
 dictionary formats that "can be performed without any infrastructure-level
 support at all".
 
-Few modifications indeed: record, projected, delta, dictionary and
-selection-index inputs (and every partition of a partitioned dataset)
-are one block-file container (:mod:`repro.storage.blockfile`) under
-different value codecs and footers, so they share one ``splits``/``open``
+Few modifications indeed: record, projected, delta, dictionary,
+columnar and selection-index inputs (and every partition of a
+partitioned dataset) are one block-file container
+(:mod:`repro.storage.blockfile`) under different value codecs, block
+layouts and footers, so they share one ``splits``/``open``
 (:class:`BlockFileInput`); only the selection-index input has splits of
-its own (one run of blocks per key range).
+its own (one run of blocks per key range).  The optimizer's catalog
+copies are all columnar (:class:`ColumnarFileInput`); the row-major
+projected, delta and dictionary inputs read what users write with the
+library writers.
 
 And one scan: every block is decoded whole by the compiled scanner of
-its file's shape (:func:`~repro.storage.blockscan.split_scanner`) --
-record, projection, delta, dictionary and index files and partitions
-alike --
+its file's shape (:func:`~repro.storage.blockscan.split_scanner`) -- or,
+for a columnar file, by its column scan
+(:meth:`~repro.storage.columnar.ColumnarFileReader.scanner`) --
 charged its logical bytes (read off the wire) once, and charged every
 field it captures of every record.  Its values are slotted records with
 every captured field filled
@@ -63,6 +67,7 @@ from repro.exceptions import JobConfigError
 from repro.mapreduce.keyspace import pair_sizes
 from repro.storage.blockfile import BlockFileReader, BlockInfo
 from repro.storage.blockscan import FULL_READ, ReadShape, split_scanner
+from repro.storage.columnar import ColumnarFileReader
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
 from repro.storage.indexfile import IndexFileReader
@@ -206,7 +211,8 @@ def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
         kept = [name for name in schema.field_names() if name in shape.fields]
         if len(kept) < len(schema.fields):
             schema = schema.project(kept)
-    scanner = split_scanner(reader, shape)
+    scanner = (reader.scanner(shape) if isinstance(reader, ColumnarFileReader)
+               else split_scanner(reader, shape))
     width = max(1, len(schema.fields))
 
     def finalize(sr_: SplitReader) -> None:
@@ -290,8 +296,9 @@ class RecordFileInput(BlockFileInput):
 
 
 class ProjectedFileInput(RecordFileInput):
-    """Projection-index input: a record file that stores only the
-    analyzer-proved fields.
+    """A row-major projection file (``build_projection``): a record file
+    that stores only some fields.  The optimizer's projection indexes are
+    columnar copies (:class:`ColumnarFileInput`).
 
     The savings are the paper's: fewer stored bytes, and fewer fields to
     decode -- ``fields_deserialized`` charges the kept fields of every
@@ -299,6 +306,23 @@ class ProjectedFileInput(RecordFileInput):
     """
 
     label = "projected-scan"
+
+
+class ColumnarFileInput(BlockFileInput):
+    """A catalog copy: a columnar file
+    (:mod:`~repro.storage.columnar`) holding the source's records, or the
+    analyzer-proved fields of them, column-major under per-column codecs.
+
+    Every index the optimizer rewrites a source into -- projection,
+    projection+delta, delta, dictionary -- is one of these; a scan
+    decodes the columns its shape captures and passes over the rest.
+    It is charged as the row-major copy of the same records is: the
+    same ``logical_bytes`` (read off each block's header) and the same
+    captured width per record; only ``stored_bytes`` differ.
+    """
+
+    reader_class = ColumnarFileReader
+    label = "columnar-scan"
 
 
 class PartitionedInput(InputSource):

@@ -10,17 +10,20 @@ physical index formats Manimal's optimizer materializes:
 * :mod:`repro.storage.blockscan` -- compiled block scans: one generated
   decoder per scan shape, for the batch path's column captures, index
   builds' copies and every codec's record-path scan -- the only way
-  record data leaves a block file; a block it cannot prove is re-walked
+  record data leaves a row-major block file; a block it cannot prove is re-walked
   by the container's one reference decode (``BlockFileReader.decode_block``)
 * :mod:`repro.storage.blockwrite` -- compiled block writes: one generated
   encoder per write shape, behind ``Schema.encode``, every writer append
-  and index builds' column copies; a value it declines is encoded by the
+  and row-major column copies; a value it declines is encoded by the
   reference walk (``serialization._encode_value`` and the codecs'
   reference steps)
+* :mod:`repro.storage.columnar` -- columnar files: every catalog copy
+  (projection, delta and dictionary indexes), column-major blocks under
+  per-column codecs, decoded a column at a time
 * :mod:`repro.storage.delta` -- delta files (per-block running deltas)
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation
-* :mod:`repro.storage.columnfile` -- projected files (projection indexes)
+* :mod:`repro.storage.columnfile` -- projected record files
 * :mod:`repro.storage.indexfile` -- index files (selection indexes): record
   files sorted on one field, with per-block fences in a footer
 * :mod:`repro.storage.btree` -- the retired page-codec B+Tree, kept only
@@ -36,6 +39,7 @@ from repro.exceptions import CorruptFileError
 from repro.storage.blockfile import BlockFileReader, BlockInfo
 # only for the frozen benchmark suite's storage probe
 from repro.storage.btree import BTree, BTreeBuilder, BTreeStats
+from repro.storage.columnar import ColumnarFileReader, ColumnarFileWriter
 from repro.storage.columnfile import build_column_groups, build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
@@ -63,7 +67,7 @@ from repro.storage.serialization import (
 _READERS = {
     cls.MAGIC: cls
     for cls in (RecordFileReader, DeltaFileReader, DictionaryFileReader,
-                IndexFileReader)
+                IndexFileReader, ColumnarFileReader)
 }
 
 
@@ -83,6 +87,8 @@ __all__ = [
     "BTreeBuilder",
     "BTreeStats",
     "BlockInfo",
+    "ColumnarFileReader",
+    "ColumnarFileWriter",
     "DeltaFileReader",
     "DeltaFileWriter",
     "DictionaryFileReader",

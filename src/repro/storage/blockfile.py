@@ -1,8 +1,9 @@
 """The block-file container every record-shaped file format shares.
 
-Record, delta, dictionary and index files (and therefore projection
-files and partitions, which are record files) are one container with a
-different *value codec* or footer.  Layout::
+Record, delta, dictionary, index and columnar files (and therefore
+projection files and partitions, which are record files) are one
+container with a different *value codec*, footer or -- for a columnar
+file, :mod:`~repro.storage.columnar` -- block payload.  Layout::
 
     magic (4 bytes) | uvarint header_len | header JSON (UTF-8)
     block*  where block = uvarint payload_len | uvarint n_records | payload

@@ -21,8 +21,10 @@ prefixes, counted only on those branches).
 
 Every shape comes from one factory, :func:`block_scanner`, over (key
 schema, stored value schema, delta fields, capture slots, decode_keys).
-The batch executor's plans and an index build's copy
-(:func:`~repro.storage.columnfile.copy_records`, which takes its keys as
+The batch executor's plans and a copy into another file
+(:func:`~repro.storage.columnar.copy_columns` for an index build,
+:func:`~repro.storage.columnfile.copy_records` for a row-major copy;
+both take their keys as
 columns too, to re-encode without building a record) capture the fields
 they need; the record path's split reader (:func:`split_scanner`) captures
 what its :class:`ReadShape` names over any block-file codec -- a delta

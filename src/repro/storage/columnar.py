@@ -1,0 +1,651 @@
+"""Columnar catalog copies: column-major blocks, decoded a column at a time.
+
+The paper's projection and compression indexes are "a simplified version
+of a column-store" (Section 2.1).  A columnar file is the block-file
+container of :mod:`repro.storage.blockfile` with magic ``RPCL`` whose
+blocks hold their records column-major::
+
+    payload = uvarint logical_bytes | segment*    (key fields, then stored value fields)
+    segment = uvarint segment_len | column bytes
+
+``logical_bytes`` is the block's ``estimate_size`` figure -- what the
+record path charges for the same records read from a row-major block --
+computed by the writer, so accounting is O(1) per block.  Column bytes
+by field type:
+
+* INT / LONG, and dictionary codes: ``tag | n x width`` little-endian
+  two's-complement integers.  ``tag`` is the width -- 1, 2, 4 or 8
+  bytes, the narrowest that holds the block's values.  Under the
+  ``delta`` codec the column is ``tag | first value (8 bytes) | n - 1 x
+  width`` running differences, restarting with the block, ``tag``
+  carrying :data:`DELTA_TAG` and the narrowest width that holds the
+  differences (a block of one record, or whose differences leave int64,
+  is stored plain);
+* DOUBLE: ``n x 8`` IEEE-754 little-endian bytes;
+* BOOL: ``n`` bytes, zero or not;
+* STRING / BYTES: the values' byte lengths as an integer column (``tag |
+  n x width``), then one blob of their bytes (UTF-8 for strings).
+
+The header names each coded value field's codec (``codecs``: ``delta``
+or ``dict``).  A ``dict`` field -- at most one per file -- is stored as
+INT codes assigned in first-appearance order across the file, and
+``map()`` sees the codes (the paper's direct operation); its code table
+is the footer, which is always there (empty without a ``dict`` field).
+
+A scan (:class:`ColumnScanner`) frames the block's segments, decodes only
+the captured ones -- ``array.frombytes`` for the numbers, one
+``accumulate`` for deltas and string offsets, one decode and one slice
+per value for a blob -- and passes over every other segment in O(1),
+unchecked (so, as in a row-major scan, a string column nobody captures
+is never UTF-8 decoded).  A block failing any structural check of what
+it decodes -- segment sums, widths, lengths against the blob, UTF-8 --
+is re-walked by :meth:`ColumnarFileReader.decode_block`, the format's
+reference decode, value by value, and that walk's exception is the one
+raised; a re-walk that succeeds is an internal error.
+"""
+
+from __future__ import annotations
+
+import struct
+import sys
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain
+from operator import sub
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.exceptions import CorruptFileError, SchemaError, SerializationError, StorageError
+from repro.storage import varint
+from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileReader, BlockFileWriter
+from repro.storage.blockscan import KEY_COLUMNS, ReadShape, Scanned, block_scanner
+from repro.storage.dictionary import compressed_schema
+from repro.storage.serialization import FieldType, Record, Schema, build_records
+
+MAGIC = b"RPCL"
+
+#: Set in an integer column's tag when its values are running differences.
+DELTA_TAG = 0x10
+
+#: Width in bytes -> the array typecode of that many signed bytes.
+_INT_CODES = {array(code).itemsize: code for code in "bhilq"}
+_SWAP = sys.byteorder == "big"
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: (width, least value, greatest value), narrowest first
+_LIMITS = tuple((w, -(1 << (8 * w - 1)), (1 << (8 * w - 1)) - 1)
+                for w in (1, 2, 4, 8))
+#: ``svarint_len(v) > k`` exactly when ``v`` is outside the k-th range
+_SVARINT_RANGES = tuple((-(1 << (7 * k - 1)), 1 << (7 * k - 1))
+                        for k in range(1, 10))
+
+#: Field type -> column kind; INT and LONG are the same column.
+_KIND = {
+    FieldType.INT: "int",
+    FieldType.LONG: "int",
+    FieldType.DOUBLE: "double",
+    FieldType.BOOL: "bool",
+    FieldType.STRING: "string",
+    FieldType.BYTES: "bytes",
+}
+
+CODECS = ("delta", "dict")
+
+
+def _pack(code: str, values: Sequence[Any]) -> bytes:
+    """``values`` as a little-endian array of typecode ``code``."""
+    packed = array(code, values)
+    if _SWAP:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpack(code: str, raw: bytes) -> array:
+    """The little-endian array of typecode ``code`` that ``raw`` holds."""
+    values = array(code)
+    values.frombytes(raw)
+    if _SWAP:
+        values.byteswap()
+    return values
+
+
+# -- writing -----------------------------------------------------------------
+
+
+def _int_column(values: Sequence[int], tag: int = 0, base: bytes = b"") -> bytes:
+    lo, hi = min(values), max(values)
+    for width, least, greatest in _LIMITS:
+        if least <= lo and hi <= greatest:
+            break
+    else:
+        raise SerializationError(
+            f"integer {lo if lo < _INT64_MIN else hi} exceeds 64-bit signed range")
+    return bytes((width | tag,)) + base + _pack(_INT_CODES[width], values)
+
+
+def _varint_bytes(values: Sequence[int]) -> int:
+    """``sum(map(svarint_len, values))``, from one sort and 18 bisects."""
+    ordered = sorted(values)
+    n = total = len(ordered)
+    for least, bound in _SVARINT_RANGES:
+        outside = bisect_left(ordered, least) + n - bisect_left(ordered, bound)
+        if not outside:
+            break
+        total += outside
+    return total
+
+
+def _encode_int(values: List[int], codec: Optional[str]) -> Tuple[bytes, int]:
+    column = None
+    if codec == "delta" and len(values) > 1:
+        diffs = list(map(sub, values[1:], values))
+        if _INT64_MIN <= min(diffs) and max(diffs) <= _INT64_MAX:
+            column = _int_column(diffs, DELTA_TAG, _pack("q", values[:1]))
+    return column or _int_column(values), _varint_bytes(values)
+
+
+def _encode_double(values: List[float], codec: Optional[str]) -> Tuple[bytes, int]:
+    return _pack("d", values), 8 * len(values)
+
+
+def _encode_bool(values: List[bool], codec: Optional[str]) -> Tuple[bytes, int]:
+    return bytes(values), len(values)
+
+
+def _encode_blobs(raw: List[bytes], codec: Optional[str]) -> Tuple[bytes, int]:
+    lengths = list(map(len, raw))
+    return _int_column(lengths) + b"".join(raw), sum(lengths) + len(raw)
+
+
+#: column kind -> ``(column bytes, the column's logical bytes)`` of a
+#: block's values (a string column's values arrive UTF-8 encoded)
+_ENCODE: Dict[str, Callable[[list, Optional[str]], Tuple[bytes, int]]] = {
+    "int": _encode_int,
+    "double": _encode_double,
+    "bool": _encode_bool,
+    "string": _encode_blobs,
+    "bytes": _encode_blobs,
+}
+
+
+def _svarint_lens(values: Sequence[int]) -> List[int]:
+    """``svarint_len`` of each value (all within int64)."""
+    return [(((v << 1) ^ (v >> 63)).bit_length() + 6) // 7 or 1
+            for v in values]
+
+
+def _blob_lens(raw: Sequence[bytes]) -> List[int]:
+    """Row-major size of each value: its bytes and its length prefix."""
+    return [n + 1 if n < 128 else n + varint.uvarint_len(n)
+            for n in map(len, raw)]
+
+
+def _framed(klen: int, vlen: int) -> int:
+    """A row-major record's bytes: both length prefixes and both parts."""
+    return (klen + vlen + (1 if klen < 128 else varint.uvarint_len(klen))
+            + (1 if vlen < 128 else varint.uvarint_len(vlen)))
+
+
+def _row_sums(columns: List[List[int]], fixed: int, n: int) -> List[int]:
+    if not columns:
+        return [fixed] * n
+    sums = columns[0] if len(columns) == 1 else list(map(sum, zip(*columns)))
+    return [size + fixed for size in sums] if fixed else list(sums)
+
+
+class ColumnarFileWriter(BlockFileWriter):
+    """Buffers rows as columns and writes them as column-major blocks.
+
+    A block holds exactly the records the row-major writer of the same
+    copy (a record, delta or dictionary file) would put in its block, so
+    splits, map tasks and everything counted per task match that copy's;
+    only the bytes are smaller.  ``codecs`` maps value fields to
+    ``delta`` (an integer field) or ``dict`` (one string field)."""
+
+    MAGIC = MAGIC
+
+    def __init__(
+        self,
+        path: str,
+        key_schema: Schema,
+        value_schema: Schema,
+        codecs: Optional[Mapping[str, str]] = None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        metadata: Optional[Dict[str, Any]] = None,
+    ):
+        if not (key_schema.transparent and value_schema.transparent):
+            raise SchemaError(
+                "a columnar file needs transparent key and value schemas")
+        self.codecs = dict(codecs or {})
+        for name, codec in self.codecs.items():
+            ftype = value_schema.field(name).ftype
+            if not (codec == "delta" and ftype.is_numeric
+                    or codec == "dict" and ftype is FieldType.STRING):
+                raise SchemaError(
+                    f"codec {codec!r} does not apply to {ftype.value} "
+                    f"field {name!r}")
+        coded = [name for name, codec in self.codecs.items() if codec == "dict"]
+        if len(coded) > 1:
+            raise SchemaError("a columnar file has at most one dict column")
+        self.stored_schema = (compressed_schema(value_schema, coded[0])
+                              if coded else value_schema)
+        #: per column: (kind, codec, is it a value column)
+        self._steps = [(_KIND[f.ftype], None, False)
+                       for f in key_schema.fields] + [
+            (_KIND[f.ftype], self.codecs.get(f.name), True)
+            for f in value_schema.fields]
+        #: the rows of the open block, as columns (strings UTF-8 encoded,
+        #: dict values as codes), and its row-major byte count
+        self._open: List[list] = [[] for _ in self._steps]
+        self._open_rows = self._open_bytes = 0
+        #: each delta column's last value: the next row's difference base
+        self._last = [0] * len(self._steps)
+        #: the dict column's code table, in code order
+        self.codes: Dict[str, int] = {}
+        super().__init__(path, key_schema, value_schema, block_size, metadata)
+
+    def _header_extras(self) -> Dict[str, Any]:
+        return {"codecs": self.codecs}
+
+    def _footer(self) -> bytes:
+        footer = bytearray(varint.encode_uvarint(len(self.codes)))
+        for text in self.codes:
+            raw = text.encode("utf-8")
+            footer += varint.encode_uvarint(len(raw))
+            footer += raw
+        return bytes(footer)
+
+    def append(self, key: Record, value: Record) -> None:
+        """Append one pair, type-checked by the schemas' encoders."""
+        self.key_schema.encode(key)
+        self.value_schema.encode(value)
+        self.append_columns(
+            [[v] for v in (*key.as_tuple(), *value.as_tuple())], 1)
+
+    def append_rows(self, rows: Any) -> None:
+        raise SerializationError("a columnar file is appended by columns")
+
+    def append_raw(self, kraw: bytes, vraw: bytes) -> None:
+        raise SerializationError("a columnar file is appended by columns")
+
+    def append_columns(self, columns: Sequence[list], n_records: int) -> None:
+        """Append ``n_records`` rows given as columns -- the key fields',
+        then the value fields', in schema order -- holding exactly the
+        schemas' types, as a block scan captures them."""
+        if self._closed:
+            raise SerializationError("writer is closed")
+        if not n_records:
+            return
+        columns = list(columns)
+        key_sizes: List[List[int]] = []
+        value_sizes: List[List[int]] = []
+        fixed = [0, 0]
+        #: per delta column: (its values, their differences' sizes)
+        deltas: List[Tuple[List[int], List[int]]] = []
+        for j, (kind, codec, is_value) in enumerate(self._steps):
+            column = columns[j]
+            sizes = value_sizes if is_value else key_sizes
+            if codec == "dict":
+                codes = self.codes
+                column = columns[j] = [codes.setdefault(text, len(codes))
+                                       for text in column]
+                sizes.append(_svarint_lens(column))
+            elif codec == "delta":
+                diffs = list(map(sub, column, chain((self._last[j],), column)))
+                self._last[j] = column[-1]
+                sizes.append(_svarint_lens(diffs))
+                deltas.append((column, sizes[-1]))
+            elif kind == "int":
+                sizes.append(_svarint_lens(column))
+            elif kind in ("string", "bytes"):
+                if kind == "string":
+                    column = columns[j] = list(map(str.encode, column))
+                sizes.append(_blob_lens(column))
+            else:
+                fixed[is_value] += 8 if kind == "double" else 1
+        klens = _row_sums(key_sizes, fixed[0], n_records)
+        vlens = _row_sums(value_sizes, fixed[1], n_records)
+        self._cut(columns, n_records, klens, vlens, deltas)
+        self.records_written += n_records
+
+    def _cut(self, columns: List[list], n: int, klens: List[int],
+             vlens: List[int], deltas: List[Tuple[List[int], List[int]]]
+             ) -> None:
+        """Close a block after each row that brings its row-major size to
+        ``block_size`` -- where the row-major writer flushes -- counting a
+        block's first row's delta columns as absolute values, since the
+        row-major delta codec restarts there too."""
+        sizes = list(map(_framed, klens, vlens))
+        cum = list(accumulate(sizes, initial=0))
+        start = 0
+        while start < n:
+            extra = 0
+            if deltas and not self._open_rows:  # the row opens a block
+                absolute = vlens[start] + sum(
+                    _svarint_lens((values[start],))[0] - diff_sizes[start]
+                    for values, diff_sizes in deltas)
+                extra = _framed(klens[start], absolute) - sizes[start]
+            target = self.block_size - self._open_bytes - extra + cum[start]
+            stop = min(n, bisect_left(cum, target, start + 1))
+            for pending, column in zip(self._open, columns):
+                pending += column[start:stop]
+            self._open_rows += stop - start
+            self._open_bytes += cum[stop] - cum[start] + extra
+            if self._open_bytes >= self.block_size:
+                self._write_block()
+            start = stop
+
+    def _write_block(self) -> None:
+        n_records = self._open_rows
+        segments = []
+        logical = 2 * n_records  # each key and value record's own byte
+        for column, (kind, codec, _is_value) in zip(self._open, self._steps):
+            segment, size = _ENCODE["int" if codec == "dict" else kind](
+                column, codec)
+            segments.append(segment)
+            logical += size
+        payload = bytearray(varint.encode_uvarint(logical))
+        for segment in segments:
+            payload += varint.encode_uvarint(len(segment))
+            payload += segment
+        self._buffer = payload
+        self._buffer_records = n_records
+        BlockFileWriter._flush_block(self)
+        self._open = [[] for _ in self._steps]
+        self._open_rows = self._open_bytes = 0
+
+    def _flush_block(self) -> None:
+        """The container's close: the open block goes out."""
+        if self._open_rows:
+            self._write_block()
+
+
+def copy_columns(reader: BlockFileReader, writer: ColumnarFileWriter) -> int:
+    """Stream every record of the row-major ``reader`` into ``writer``,
+    a scanned block's columns at a time; return the count.  The compiled
+    scan captures only the value fields ``writer`` stores, and the keys
+    as columns, and builds no record."""
+    if not (reader.key_schema.transparent and reader.value_schema.transparent):
+        raise SchemaError(
+            "a columnar copy needs transparent key and value schemas")
+    names = writer.value_schema.field_names()
+    scanner = block_scanner(reader.key_schema, reader.value_schema,
+                            {name: i for i, name in enumerate(names)},
+                            decode_keys=KEY_COLUMNS)
+    n_values = len(names)
+    for payload, n_records in reader.iter_block_payloads():
+        columns, _keys, _logical = scanner.scan(reader, payload, n_records)
+        writer.append_columns(columns[n_values:] + columns[:n_values],
+                              n_records)
+    return writer.records_written
+
+
+# -- reading -------------------------------------------------------------------
+
+
+def _ints(buf: bytes, start: int, stop: int, n: int) -> Optional[list]:
+    tag = buf[start]
+    width = tag & ~DELTA_TAG
+    code = _INT_CODES.get(width)
+    if code is None:
+        return None
+    if tag & DELTA_TAG:  # the first value, then the differences
+        at = start + 9
+        if n < 2 or stop - at != (n - 1) * width:
+            return None
+        return list(accumulate(_unpack(code, buf[at:stop]),
+                               initial=_unpack("q", buf[start + 1:at])[0]))
+    if stop - start - 1 != n * width:
+        return None
+    return _unpack(code, buf[start + 1:stop]).tolist()
+
+
+def _doubles(buf: bytes, start: int, stop: int, n: int) -> Optional[list]:
+    if stop - start != 8 * n:
+        return None
+    return _unpack("d", buf[start:stop]).tolist()
+
+
+def _bools(buf: bytes, start: int, stop: int, n: int) -> Optional[list]:
+    return list(map(bool, buf[start:stop])) if stop - start == n else None
+
+
+def _blob(buf: bytes, start: int, stop: int, n: int
+          ) -> Optional[Tuple[Any, List[int], bytes]]:
+    """(value starts, value ends, blob) of a length column and its blob."""
+    width = buf[start]
+    code = _INT_CODES.get(width)
+    blob_at = start + 1 + n * width
+    if code is None or blob_at > stop:
+        return None
+    lengths = _unpack(code, buf[start + 1:blob_at])
+    ends = list(accumulate(lengths))
+    if (ends[-1] if n else 0) != stop - blob_at or n and min(lengths) < 0:
+        return None
+    return chain((0,), ends), ends, buf[blob_at:stop]
+
+
+def _strings(buf: bytes, start: int, stop: int, n: int) -> Optional[list]:
+    framed = _blob(buf, start, stop, n)
+    if framed is None:
+        return None
+    starts, ends, blob = framed
+    text = blob.decode()
+    if len(text) == len(blob):  # ASCII: byte offsets are character offsets
+        return list(map(text.__getitem__, map(slice, starts, ends)))
+    return [blob[a:b].decode() for a, b in zip(starts, ends)]
+
+
+def _bytes(buf: bytes, start: int, stop: int, n: int) -> Optional[list]:
+    framed = _blob(buf, start, stop, n)
+    if framed is None:
+        return None
+    starts, ends, blob = framed
+    return list(map(blob.__getitem__, map(slice, starts, ends)))
+
+
+_DECODE = {"int": _ints, "double": _doubles, "bool": _bools,
+           "string": _strings, "bytes": _bytes}
+
+
+class ColumnScanner:
+    """One column capture: which segments decode into which slots.
+
+    ``scan`` is the seam :class:`~repro.storage.blockscan.BlockScanner`
+    offers -- ``(columns by slot, then key columns under KEY_COLUMNS; key
+    records or None; logical bytes)`` -- so a columnar block feeds the
+    record path's split readers and the batch path's column batches
+    alike."""
+
+    __slots__ = ("_steps", "_n_slots", "_n_columns", "_decode_keys")
+
+    def __init__(self, kinds: Sequence[str], n_keys: int,
+                 slots: Sequence[int], decode_keys: Union[bool, str]):
+        n_slots = 1 + max(slots, default=-1)
+        key_slots = (range(n_slots, n_slots + n_keys) if decode_keys
+                     else [-1] * n_keys)
+        #: per segment: (its decoder, or None to pass over it; its slot)
+        self._steps = tuple(
+            (None if slot < 0 else _DECODE[kind], slot)
+            for kind, slot in zip(kinds, chain(key_slots, slots)))
+        self._n_slots = n_slots
+        self._n_columns = n_slots + (n_keys if decode_keys else 0)
+        self._decode_keys = decode_keys
+
+    def _scan(self, payload: bytes, n_records: int,
+              key_schema: Schema) -> Optional[Scanned]:
+        decode_uvarint = varint.decode_uvarint
+        end = len(payload)
+        logical, pos = decode_uvarint(payload, 0, end)
+        columns: List[Any] = [None] * self._n_columns
+        for decode, slot in self._steps:
+            length, pos = decode_uvarint(payload, pos, end)
+            stop = pos + length
+            if stop > end:
+                return None
+            if decode is not None:
+                column = decode(payload, pos, stop, n_records)
+                if column is None:
+                    return None
+                columns[slot] = column
+            pos = stop
+        if pos != end:
+            return None
+        keys = None
+        if self._decode_keys is True:
+            keys = build_records(key_schema, columns[self._n_slots:], n_records)
+            del columns[self._n_slots:]
+        return columns, keys, logical
+
+    def scan(self, reader: BlockFileReader, payload: bytes, n_records: int,
+             rewalk: Optional[Callable[..., object]] = None) -> Scanned:
+        """The captured columns of one block; a block this cannot prove
+        is re-walked by ``rewalk(reader, payload, n_records)`` (by default
+        the reader's reference decode), whose exception is raised."""
+        try:
+            out = self._scan(payload, n_records, reader.key_schema)
+        except Exception:
+            out = None
+        if out is None:
+            if rewalk is None:
+                for _pair in reader.decode_block(payload, n_records):
+                    pass
+            else:
+                rewalk(reader, payload, n_records)
+            raise StorageError(
+                f"{reader.path}: internal error: the column scan rejected "
+                "a block the reference decoder accepts")
+        return out
+
+
+def column_scanner(key_schema: Schema, schema: Schema,
+                   slots: Mapping[str, int], decode_keys: Union[bool, str]
+                   ) -> ColumnScanner:
+    """The scan capturing ``slots`` (stored value field -> column) of
+    columnar blocks with stored value schema ``schema``, with key records
+    (``decode_keys`` true), key columns (``KEY_COLUMNS``) or neither."""
+    return ColumnScanner(
+        [_KIND[f.ftype] for f in chain(key_schema.fields, schema.fields)],
+        len(key_schema.fields),
+        [slots.get(f.name, -1) for f in schema.fields], decode_keys)
+
+
+class ColumnarFileReader(BlockFileReader):
+    """Reads columnar files: the record path and the batch path scan them
+    through :meth:`scanner`; :meth:`decode_block` is the reference."""
+
+    MAGIC = MAGIC
+    FOOTER = "code table"
+
+    def _bind_header(self, header: Dict[str, Any]) -> None:
+        self.codecs: Dict[str, str] = header["codecs"]
+        coded = [name for name, codec in self.codecs.items() if codec == "dict"]
+        if coded:
+            self.stored_schema = compressed_schema(self.value_schema, coded[0])
+        self._columns = [(f.name, _KIND[f.ftype]) for f in chain(
+            self.key_schema.fields, self.stored_schema.fields)]
+        self._code_table: Optional[List[str]] = None
+
+    def scanner(self, shape: ReadShape) -> ColumnScanner:
+        """The record path's scan: the fields of ``shape`` in stored order
+        (slot *i* is the *i*-th captured field), keys unless it skips them."""
+        names = [f.name for f in self.stored_schema.fields
+                 if shape.fields is None or f.name in shape.fields]
+        return column_scanner(self.key_schema, self.stored_schema,
+                              {name: i for i, name in enumerate(names)},
+                              shape.decode_keys)
+
+    def dictionary(self) -> List[str]:
+        """The dict column's code -> string table (loaded once)."""
+        if self._code_table is None:
+            self._file.seek(self._data_end)
+            count, _ = self._read_uvarint_from_file()
+            table: List[str] = []
+            for _ in range(count):
+                length, _ = self._read_uvarint_from_file()
+                raw = self._file.read(length)
+                if len(raw) != length:
+                    raise CorruptFileError(f"{self.path}: truncated code table")
+                table.append(raw.decode("utf-8"))
+            self._code_table = table
+        return self._code_table
+
+    # -- the reference decode ------------------------------------------------
+
+    def decode_block(self, payload: bytes, n_records: int
+                     ) -> Iterator[Tuple[Record, Record]]:
+        """Yield one block's (key, value) pairs, every column decoded
+        value by value and checked: the format's reference decode."""
+        end = len(payload)
+        try:
+            _logical, pos = varint.decode_uvarint(payload, 0, end)
+            columns = []
+            for name, kind in self._columns:
+                length, pos = varint.decode_uvarint(payload, pos, end)
+                if pos + length > end:
+                    raise CorruptFileError(
+                        f"{self.path}: truncated segment of column {name!r}")
+                columns.append(self._reference_column(
+                    name, kind, payload, pos, pos + length, n_records))
+                pos += length
+        except SerializationError as exc:
+            raise CorruptFileError(
+                f"{self.path}: truncated block ({exc})") from exc
+        if pos != end:
+            raise CorruptFileError(f"{self.path}: trailing block bytes")
+        n_keys = len(self.key_schema.fields)
+        for row in zip(*columns) if columns else [()] * n_records:
+            yield (Record(self.key_schema, row[:n_keys]),
+                   Record(self.stored_schema, row[n_keys:]))
+
+    def _reference_column(self, name: str, kind: str, buf: bytes,
+                          start: int, stop: int, n: int) -> List[Any]:
+        def damaged(what: str) -> CorruptFileError:
+            return CorruptFileError(f"{self.path}: column {name!r}: {what}")
+
+        if kind == "double":
+            if stop - start != 8 * n:
+                raise damaged(f"{stop - start} bytes for {n} doubles")
+            return [struct.unpack_from("<d", buf, start + 8 * i)[0]
+                    for i in range(n)]
+        if kind == "bool":
+            if stop - start != n:
+                raise damaged(f"{stop - start} bytes for {n} bools")
+            return [buf[start + i] != 0 for i in range(n)]
+        if start == stop:
+            raise damaged("no width tag")
+        tag = buf[start]
+        delta = kind == "int" and tag & DELTA_TAG
+        width = tag & ~DELTA_TAG if kind == "int" else tag
+        if width not in (1, 2, 4, 8):
+            raise damaged(f"bad width tag {tag}")
+        at = start + (9 if delta else 1)  # a delta column's first value
+        values_end = at + (n - 1 if delta else n) * width
+        if delta and n < 2 or values_end > stop or \
+                kind == "int" and values_end != stop:
+            raise damaged(f"{stop - start - 1} bytes for {n} values of "
+                          f"width {width}")
+        ints = [int.from_bytes(buf[p:p + width], "little", signed=True)
+                for p in range(at, values_end, width)]
+        if delta:
+            total = int.from_bytes(buf[start + 1:at], "little", signed=True)
+            absolute = [total]
+            for difference in ints:
+                total += difference
+                absolute.append(total)
+            return absolute
+        if kind == "int":
+            return ints
+        if any(length < 0 for length in ints) or \
+                sum(ints) != stop - values_end:
+            raise damaged(f"lengths sum to {sum(ints)} but the blob holds "
+                          f"{stop - values_end} bytes")
+        values: List[Any] = []
+        for length in ints:
+            raw = bytes(buf[values_end:values_end + length])
+            values_end += length
+            if kind == "string":
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise damaged(f"bad UTF-8 ({exc.reason})") from exc
+            values.append(raw)
+        return values

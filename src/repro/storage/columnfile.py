@@ -34,7 +34,9 @@ def copy_records(reader: RecordFileReader, writer: BlockFileWriter,
                  projected: Optional[Schema] = None) -> int:
     """Stream every record of ``reader`` into ``writer``; return the count.
 
-    Every rewrite-style index build is this loop with a different writer.
+    Every row-major copy (a projection, delta or dictionary file a user
+    builds) is this loop with a different writer; the optimizer's index
+    builds are :func:`~repro.storage.columnar.copy_columns`.
     Blocks are read through the compiled scanner of a shape that captures
     only the fields being written -- ``projected``'s, when values are
     narrowed on the way through -- so a dropped field (often a huge one,
@@ -76,10 +78,11 @@ def build_projection(
     """Materialize a projected copy of ``source_path`` keeping only
     ``keep_fields`` of the value schema.  Returns build statistics.
 
-    This is the direct build used by tests and examples; the optimizer's
-    synthesized index-generation program
-    (:mod:`repro.core.optimizer.indexgen`) writes the same records through
-    the same copy loop, with catalog provenance in the header metadata.
+    This is the direct build used by tests, examples and users; the
+    optimizer's synthesized index-generation program
+    (:mod:`repro.core.optimizer.indexgen`) writes the same records as a
+    columnar copy (:mod:`repro.storage.columnar`), with catalog
+    provenance in the header metadata.
     """
     with RecordFileReader(source_path) as reader:
         if not reader.value_schema.transparent:

@@ -101,7 +101,7 @@ class TestExplain:
         # are no longer candidates.
         system.build_indexes(job, allowed_kinds=[cat.KIND_PROJECTION])
         text = explain_job(job, catalog_dir=catalog_dir)
-        assert "input[0]: projection via projected-scan(" in text
+        assert "input[0]: projection via columnar-scan(" in text
 
     def test_schema_visibility_reported(self, tmp_path):
         from repro.workloads.pavlo import benchmark1 as b1

@@ -11,8 +11,13 @@ class reports for a scan (``fields_deserialized``, ``stored_bytes``,
 ``logical_bytes``), which the cluster cost model and the benchmark's
 read-amplification metric are computed from.
 
+The columnar layout (``storage/columnar.py``), which every catalog copy
+takes, is pinned the same way from its first commit: one file holding
+every column kind and both codecs.
+
 The second half pins the index *builders* to the writers: a
-catalog-built index is the same file a direct writer call produces.
+catalog-built copy is the same file a direct columnar-writer call
+produces, and holds the records the row-major writers' files hold.
 """
 
 import hashlib
@@ -24,11 +29,13 @@ from repro.core.optimizer import catalog as cat
 from repro.core.optimizer.catalog import Catalog
 from repro.core.optimizer.indexgen import IndexGenerationProgram
 from repro.mapreduce.formats import (
+    ColumnarFileInput,
     DeltaFileInput,
     DictionaryFileInput,
     ProjectedFileInput,
     RecordFileInput,
 )
+from repro.storage.columnar import ColumnarFileReader, ColumnarFileWriter
 from repro.storage.columnfile import build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
@@ -49,6 +56,8 @@ EVENT = Schema(
 KEPT = ["host", "ts", "val"]
 DELTA_FIELDS = ["ts", "val"]
 DICT_FIELD = "host"
+#: the columnar file's codecs: both, so every column kind and codec is pinned
+CODECS = {"ts": "delta", "val": "delta", "host": "dict"}
 N_ROWS = 1500
 SMALL_BLOCK = 256
 
@@ -99,6 +108,8 @@ def _write(kind, directory, block_size):
         build_projection(source, path, KEPT, **sized)
     elif kind == "delta":
         _fill(DeltaFileWriter(path, LONG_SCHEMA, EVENT, DELTA_FIELDS, **sized))
+    elif kind == "columnar":
+        _fill(ColumnarFileWriter(path, LONG_SCHEMA, EVENT, CODECS, **sized))
     else:
         _fill(DictionaryFileWriter(path, LONG_SCHEMA, EVENT, DICT_FIELD,
                                    **sized))
@@ -129,6 +140,11 @@ FROZEN_DIGESTS = {
         "0cfc5445aa1264a3ba71c75464e9128c620b723623e9513c71244eb8e32246b1",
     ("dictionary", SMALL_BLOCK):
         "946e0b432a775f488e29e828f96945f9c93c7055cfa9ecd1977b3cd47e70abfe",
+    # the columnar layout, pinned when it was introduced
+    ("columnar", None):
+        "bfefbdd52055461210f0cd8eb46adb82eeac8825dc5295580a99615ffabbe132",
+    ("columnar", SMALL_BLOCK):
+        "f2a8c71e8d21505ce038ef315bfed03b2425f891077aed84ac673077d2ac5377",
 }
 
 #: kind -> (records, fields_deserialized, stored_bytes, logical_bytes) of
@@ -142,6 +158,8 @@ FROZEN_ACCOUNTING = {
     "projection": (1500, 1500 * len(KEPT), 46743, 46242),
     "delta": (1500, 9000, 92033, 95469),
     "dictionary": (1500, 9000, 67686, 66969),
+    # the dictionary file's records (its logical bytes), stored columnar
+    "columnar": (1500, 9000, 65036, 66969),
 }
 
 _READERS = {
@@ -149,12 +167,14 @@ _READERS = {
     "projection": RecordFileReader,
     "delta": DeltaFileReader,
     "dictionary": DictionaryFileReader,
+    "columnar": ColumnarFileReader,
 }
 _INPUTS = {
     "record": RecordFileInput,
     "projection": ProjectedFileInput,
     "delta": DeltaFileInput,
     "dictionary": DictionaryFileInput,
+    "columnar": ColumnarFileInput,
 }
 
 
@@ -162,7 +182,9 @@ def _read_back(kind, path):
     """The rows of ``path`` with every codec undone (kept fields only
     for a projection)."""
     with _READERS[kind](path) as reader:
-        table = reader.dictionary() if kind == "dictionary" else None
+        coded = kind == "dictionary" or kind == "columnar" and \
+            reader.codecs.get(DICT_FIELD) == "dict"
+        table = reader.dictionary() if coded else None
         out = []
         for key, value in reader.iter_records():
             row = list(value.as_tuple())
@@ -222,11 +244,13 @@ def test_projection_index_holds_build_projection_records(tmp_path,
                    value_fields=KEPT)
     direct = str(tmp_path / "direct.proj")
     stats = build_projection(source_file, direct, KEPT)
-    assert _read_back("projection", entry.index_path) == _read_back(
+    assert _read_back("columnar", entry.index_path) == _read_back(
         "projection", direct)
-    with RecordFileReader(entry.index_path) as built, \
+    with ColumnarFileReader(entry.index_path) as built, \
             RecordFileReader(direct) as expected:
         assert built.value_schema == expected.value_schema
+        assert [b.n_records for b in built.blocks()] == [
+            b.n_records for b in expected.blocks()]
     assert entry.stats["index_records"] == stats["records"] == N_ROWS
     assert entry.value_fields == KEPT
 
@@ -235,17 +259,25 @@ def test_projection_delta_index_matches_direct_writer(tmp_path, source_file):
     entry = _build(tmp_path, source_file, kind=cat.KIND_PROJECTION_DELTA,
                    value_fields=KEPT, delta_fields=DELTA_FIELDS)
     projected = EVENT.project(KEPT)
+    metadata = {
+        "source_path": os.path.abspath(source_file),
+        "base_schema": EVENT.name,
+        "kept_fields": KEPT,
+    }
     direct = str(tmp_path / "direct.projdelta")
-    with DeltaFileWriter(direct, LONG_SCHEMA, projected, DELTA_FIELDS,
-                         metadata={
-                             "source_path": os.path.abspath(source_file),
-                             "base_schema": EVENT.name,
-                             "kept_fields": KEPT,
-                         }) as writer:
+    with ColumnarFileWriter(direct, LONG_SCHEMA, projected,
+                            dict.fromkeys(DELTA_FIELDS, "delta"),
+                            metadata=metadata) as writer:
         for i, row in enumerate(ROWS):
             writer.append(LONG_SCHEMA.make(i), projected.make(*row[:3]))
     assert _sha256(entry.index_path) == _sha256(direct)
     assert entry.delta_fields == DELTA_FIELDS
+    row_major = str(tmp_path / "row-major.projdelta")
+    with DeltaFileWriter(row_major, LONG_SCHEMA, projected,
+                         DELTA_FIELDS) as writer:
+        for i, row in enumerate(ROWS):
+            writer.append(LONG_SCHEMA.make(i), projected.make(*row[:3]))
+    assert _read_back("columnar", direct) == _read_back("delta", row_major)
 
 
 def test_delta_and_dictionary_indexes_match_direct_writers(tmp_path,
@@ -254,16 +286,20 @@ def test_delta_and_dictionary_indexes_match_direct_writers(tmp_path,
     delta = _build(tmp_path, source_file, kind=cat.KIND_DELTA,
                    delta_fields=DELTA_FIELDS)
     direct = str(tmp_path / "direct.delta")
-    _fill(DeltaFileWriter(direct, LONG_SCHEMA, EVENT, DELTA_FIELDS,
-                          metadata=metadata))
+    _fill(ColumnarFileWriter(direct, LONG_SCHEMA, EVENT,
+                             dict.fromkeys(DELTA_FIELDS, "delta"),
+                             metadata=metadata))
     assert _sha256(delta.index_path) == _sha256(direct)
 
     dictionary = _build(tmp_path, source_file, kind=cat.KIND_DICTIONARY,
                         dict_field=DICT_FIELD)
     direct = str(tmp_path / "direct.dict")
-    _fill(DictionaryFileWriter(direct, LONG_SCHEMA, EVENT, DICT_FIELD,
-                               metadata=metadata))
+    _fill(ColumnarFileWriter(direct, LONG_SCHEMA, EVENT, {DICT_FIELD: "dict"},
+                             metadata=metadata))
     assert _sha256(dictionary.index_path) == _sha256(direct)
-    for entry in (delta, dictionary):
+    for entry, row_major in ((delta, _write("delta", tmp_path, None)),
+                             (dictionary, _write("dictionary", tmp_path, None))):
         assert entry.stats["index_records"] == N_ROWS
         assert entry.stats["index_bytes"] == os.path.getsize(entry.index_path)
+        assert _read_back("columnar", entry.index_path) == _read_back(
+            "dictionary" if entry is dictionary else "delta", row_major)

@@ -14,16 +14,16 @@ from repro.core.optimizer.indexgen import (
 )
 from repro.exceptions import CorruptFileError, OptimizerError
 from repro.mapreduce import (
+    ColumnarFileInput,
     JobConf,
-    ProjectedFileInput,
     RecordFileInput,
     SelectionIndexInput,
     run_job,
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.runtime import LocalJobRunner
+from repro.storage.columnar import copy_columns
 from repro.storage.indexfile import IndexFileReader
-from repro.storage.columnfile import copy_records
 from repro.storage.serialization import STRING_SCHEMA
 from repro.workloads.schemas import USERVISITS
 from tests.conftest import index_files, write_webpages
@@ -164,7 +164,7 @@ class TestIndexBuildAndPlan:
         entry = system.catalog.sorted_entries()[0]
         already_optimized = JobConf(
             name="t2", mapper=RankFilterMapper(), reducer=CountReducer,
-            inputs=[ProjectedFileInput(entry.index_path)],
+            inputs=[ColumnarFileInput(entry.index_path)],
         )
         plan = system.plan(already_optimized)
         assert not plan.optimized
@@ -227,12 +227,12 @@ class TestBornStaleBuilds:
         job = _job(path, UrlRankMapper())
         [program] = system.index_programs(job, allowed_kinds=[kind])
 
-        def copy_then_rewrite(reader, writer, projected):
-            records = copy_records(reader, writer, projected)
+        def copy_then_rewrite(reader, writer):
+            records = copy_columns(reader, writer)
             write_webpages(tmp_path / "w.rf", 260)
             return records
 
-        monkeypatch.setattr(indexgen, "copy_records", copy_then_rewrite)
+        monkeypatch.setattr(indexgen, "copy_columns", copy_then_rewrite)
         with pytest.raises(OptimizerError,
                            match="source changed during index build"):
             program.run(system.catalog)

@@ -423,3 +423,32 @@ def test_checker_sees_a_second_stage_order_come_back(tmp_path):
         os.path.join("engine", "__init__.py") + ":1: imports repro.engine.dag",
         os.path.join("engine", "__init__.py") + ":1: names StageDAG",
         os.path.join("engine", "service.py") + ":2: names run_stage_tasks"]
+
+
+def test_checker_sees_a_row_major_copy_come_back(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("core", "indexgen", "from repro.storage.delta import DeltaFileWriter\n"
+                             "from ..storage import dictionary\n"),
+        ("core", "planner", "from repro.mapreduce import formats\n"
+                            "chosen = formats.ProjectedFileInput\n"),
+        ("batch", "executor", "from repro.mapreduce.formats import (\n"
+                              "    DictionaryFileInput)\n"
+                              "INPUTS = (DeltaFileInput,)\n"),
+        # the storage layer keeps the row-major formats for user files
+        ("storage", "columnar", "from repro.storage.dictionary import x\n"),
+        ("mapreduce", "formats", "class DeltaFileInput:\n    pass\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.copy_layout_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("batch", "executor.py") + ":2: names DictionaryFileInput",
+        os.path.join("batch", "executor.py") + ":3: names DeltaFileInput",
+        os.path.join("core", "indexgen.py")
+        + ":1: imports repro.storage.delta",
+        os.path.join("core", "indexgen.py")
+        + ":2: imports repro.storage.dictionary",
+        os.path.join("core", "planner.py") + ":2: names ProjectedFileInput"]

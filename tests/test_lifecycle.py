@@ -33,8 +33,10 @@ from repro.service import QueryServer, deserialize_rows
 from repro.service.protocol import decode_bytes
 from repro.storage import input_identity, varint
 from repro.storage.btree import BTreeBuilder
+from repro.storage.columnfile import build_projection
+from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.orderkeys import encode_key
-from repro.storage.recordfile import RecordFileWriter
+from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import (
     LONG_SCHEMA,
     Field,
@@ -392,6 +394,88 @@ def test_old_format_index_is_refused_then_rebuilt(tmp_path, monkeypatch):
     assert outcome.descriptor.plans[0].entry.index_id == built[0].index_id
     assert "btree-scan(" in outcome.descriptor.describe()
     assert Counter(dict(outcome.result.outputs)) == expected
+
+
+# -- catalog copies in the retired row-major formats -----------------------------
+
+
+def _legacy_copies(system, path):
+    """Register a projection and a dictionary copy of ``path`` the way a
+    catalog from before the columnar layout holds them: row-major
+    ``.proj`` / ``.dict`` files written by the library writers."""
+    entries = []
+    for kind, suffix, extra in (
+            (cat.KIND_PROJECTION, ".proj", {"value_fields": ["rank"]}),
+            (cat.KIND_DICTIONARY, ".dict", {"dict_field": "topic"})):
+        index_path = system.catalog.next_index_path(kind) + suffix
+        if kind == cat.KIND_PROJECTION:
+            build_projection(path, index_path, ["rank"])
+        else:
+            with RecordFileReader(path) as reader, DictionaryFileWriter(
+                    index_path, LONG_SCHEMA, PAGE, "topic") as writer:
+                for key, value in reader.iter_records():
+                    writer.append(key, value)
+        entry = cat.IndexEntry(
+            index_id=system.catalog.make_entry_id(), kind=kind,
+            source_path=os.path.abspath(path), index_path=index_path,
+            stats={"index_bytes": os.path.getsize(index_path)},
+            source_identity=list(input_identity(path)), **extra)
+        system.catalog.register(entry)
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("make_job,oracle,kind", [
+    (rank_count_job, oracle_rank_count, cat.KIND_PROJECTION),
+    (topic_sum_job, oracle_topic_sum, cat.KIND_DICTIONARY),
+])
+def test_row_major_copies_are_refused_then_rebuilt(tmp_path, monkeypatch,
+                                                   make_job, oracle, kind):
+    path = str(tmp_path / "a.rf")
+    rows = [(f"u{i:04d}", (i * 37) % 100, f"topic{i % 4}") for i in range(50)]
+    with RecordFileWriter(path, LONG_SCHEMA, PAGE) as writer:
+        for i, row in enumerate(rows):
+            writer.append(LONG_SCHEMA.make(i), PAGE.make(*row))
+    catalog_dir = str(tmp_path / "cat")
+    system = Manimal(catalog_dir)
+    old = {entry.kind: entry for entry in _legacy_copies(system, path)}
+    job = make_job(path, 60)
+    expected = oracle(rows, 60)
+    _, _, decode = next(c for c in CLASSIC if c[0] is make_job)
+
+    # planned without opening the old files: their paths say what they are
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.abspath(str(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    outcome = system.submit(job)
+    monkeypatch.undo()
+    assert not {os.path.abspath(e.index_path) for e in old.values()} & set(opened)
+    plan = outcome.descriptor.plans[0]
+    assert plan.entry is None and not outcome.optimized
+    assert plan.detail == ("old format: 2 row-major copy(ies) skipped; "
+                           "build_indexes rebuilds them")
+    assert decode(outcome.result.outputs) == expected
+    assert "old format: 2 row-major copy(ies)" in explain_job(
+        job, catalog_dir=catalog_dir)
+
+    # the admin's build drops the old copy of its kind, file and all, and
+    # builds a columnar one
+    built = system.build_indexes(job, allowed_kinds=[kind])
+    assert [e.kind for e in built] == [kind]
+    assert built[0].index_path.endswith(cat.COLUMNAR_SUFFIX)
+    assert not os.path.exists(old[kind].index_path)
+    assert sorted(index_files(catalog_dir)) == sorted(
+        os.path.basename(e.index_path)
+        for e in (built[0], *(e for k, e in old.items() if k != kind)))
+    outcome = system.submit(job)
+    assert outcome.descriptor.plans[0].entry.index_id == built[0].index_id
+    assert "columnar-scan(" in outcome.descriptor.describe()
+    assert decode(outcome.result.outputs) == expected
 
 
 # -- the same life, lived through the query service ------------------------------

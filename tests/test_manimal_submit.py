@@ -339,12 +339,12 @@ class TestRewrittenSource:
             queries(session)[0].run(build_indexes=True,
                                     allowed_kinds=[cat.KIND_PROJECTION])
             text = session.explain_many(queries(session))
-            assert text.count("projection via projected-scan(") == 2
+            assert text.count("projection via columnar-scan(") == 2
             assert "shared scan group 2 queries" in text
 
             generate_uservisits(path, 450, seed=2)
             text = session.explain_many(queries(session))
-            assert "projected-scan" not in text
+            assert "columnar-scan" not in text
             assert text.count(
                 f"unoptimized scan({path}) (stale: source rewritten since "
                 "build (1 index(es) skipped))") == 2

@@ -108,6 +108,18 @@
     of them.  The service's ``FairScheduler`` orders *queries*, not
     stages, and is not checked.
 
+14. One copy layout.  Every catalog copy -- projection,
+    projection+delta, delta, dictionary -- is a columnar file
+    (``repro/storage/columnar.py``); the row-major delta and dictionary
+    formats and the row-major copy inputs are kept only for files users
+    write with the library writers.  So nothing under
+    ``repro/{core,batch}`` (:data:`COPY_LAYERS`) imports
+    ``repro.storage.delta`` or ``repro.storage.dictionary``
+    (:data:`ROW_MAJOR_MODULES`) or names ``DeltaFileInput``,
+    ``DictionaryFileInput`` or ``ProjectedFileInput``
+    (:data:`ROW_MAJOR_INPUTS`) -- a planner or executor that builds or
+    reads a row-major copy would come back through either.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -220,6 +232,15 @@ DAG_MODULE = "repro.engine.dag"
 RETIRED_STAGE_NAMES = frozenset({"StageDAG", "run_stage_tasks"})
 NO_SCHEDULER_LAYERS = ("api", "core", "engine")
 SCHEDULER_PARAM = "scheduler"
+
+
+#: rule 14: the layers that build, plan and execute catalog copies, and
+#: the row-major copy formats and inputs none of them may use
+COPY_LAYERS = ("core", "batch")
+ROW_MAJOR_MODULES = frozenset({"repro.storage.delta",
+                               "repro.storage.dictionary"})
+ROW_MAJOR_INPUTS = frozenset({"DeltaFileInput", "DictionaryFileInput",
+                              "ProjectedFileInput"})
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -592,6 +613,31 @@ def stage_order_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def copy_layout_violations(src: str = SRC) -> List[str]:
+    """Every import of a :data:`ROW_MAJOR_MODULES` module and every use
+    of a :data:`ROW_MAJOR_INPUTS` name under ``repro/{core,batch}``
+    (rule 14)."""
+    found: List[Tuple[str, int, str]] = []
+    for layer in COPY_LAYERS:
+        for path, tree in parsed_modules(os.path.join(src, "repro", layer)):
+            module = os.path.relpath(path, src)
+            rel = os.path.relpath(path, REPO_ROOT)
+            package = os.path.dirname(module).replace(os.sep, ".")
+            found.extend(
+                (rel, lineno, f"imports {name} (catalog copies are columnar)")
+                for lineno, name in imported_modules(tree, package)
+                if name in ROW_MAJOR_MODULES)
+            for node in ast.walk(tree):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name in ROW_MAJOR_INPUTS:
+                    found.append((rel, node.lineno, f"names {name} (catalog "
+                                  "copies are columnar)"))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
@@ -599,8 +645,9 @@ def main() -> int:
     per_item, loop = per_item_violations(), reduce_loop_violations()
     shape, reference = read_shape_violations(), reference_encode_violations()
     index, order = index_format_violations(), stage_order_violations()
+    copies = copy_layout_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
-                 + loop + shape + reference + index + order):
+                 + loop + shape + reference + index + order + copies):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -632,8 +679,11 @@ def main() -> int:
         print(f"\n{len(index)} use(s) of the retired B+Tree index path")
     if order:
         print(f"\n{len(order)} trace(s) of a second stage order")
+    if copies:
+        print(f"\n{len(copies)} use(s) of a row-major copy format under "
+              f"repro/{{{','.join(COPY_LAYERS)}}}")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
-            or loop or shape or reference or index or order):
+            or loop or shape or reference or index or order or copies):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -656,7 +706,10 @@ def main() -> int:
           + "the retired B+Tree read path"
           + f"; nothing imports {DAG_MODULE} or names the stage scheduler, "
           + f"and no function under repro/{{{','.join(NO_SCHEDULER_LAYERS)}}} "
-          + f"takes a {SCHEDULER_PARAM!r} parameter")
+          + f"takes a {SCHEDULER_PARAM!r} parameter"
+          + f"; nothing under repro/{{{','.join(COPY_LAYERS)}}} imports the "
+          + "row-major delta or dictionary format or names a row-major "
+          + "copy input")
     return 0
 
 
