@@ -28,8 +28,8 @@ optimization descriptions directly").  Manimal plans from the hints without
 running static analysis; the hints use the same descriptor classes, so
 catalog matching, index synthesis and planning are unchanged.
 
-The synthesized mappers are still ordinary Python functions whose source is
-registered in :mod:`linecache`, which keeps them *inspectable*: if a stage
+The synthesized mappers are still ordinary Python functions, loaded by
+:func:`repro.codegen.load`, which keeps them *inspectable*: if a stage
 is submitted without hints, ``inspect.getsource`` works and the static
 analyzer re-derives the same selection/projection from the generated code.
 """
@@ -37,9 +37,7 @@ analyzer re-derives the same selection/projection from the generated code.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-import linecache
 import pickle
 from dataclasses import dataclass, field
 from typing import (
@@ -53,6 +51,7 @@ from typing import (
     Tuple,
 )
 
+from repro import codegen
 from repro.api.expressions import (
     NoExprForm,
     expr_from_symbolic,
@@ -253,7 +252,7 @@ class JoinNode(LogicalNode):
 
 
 # ---------------------------------------------------------------------------
-# Synthesized-function compilation (linecache-backed, analyzer-inspectable)
+# Stage inputs and synthesized stage functions (loaded by repro.codegen)
 # ---------------------------------------------------------------------------
 
 def scan_input(path: str, tag: Optional[str] = None):
@@ -269,46 +268,24 @@ def scan_input(path: str, tag: Optional[str] = None):
     return RecordFileInput(path, tag=tag)
 
 
-def compile_stage_function(name: str, source: str,
-                           env: Dict[str, Any]) -> Callable:
-    """Compile synthesized source into a function whose source is readable.
-
-    Registering the source under a synthetic filename in ``linecache``
-    makes ``inspect.getsource`` work on the result, so the Manimal analyzer
-    can lower a synthesized mapper exactly like a hand-written one.
-    """
-    digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:16]
-    filename = f"<repro.api.stage:{digest}>"
-    code = compile(source, filename, "exec")
-    namespace = dict(env)
-    exec(code, namespace)
-    # Keyed by source hash so repeated lowerings of the same query reuse
-    # one entry instead of growing linecache without bound.
-    if filename not in linecache.cache:
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(keepends=True), filename
-        )
-    return namespace[name]
-
-
 class _ByValue:
     """Mixin: a synthesized stage adapter that pickles by value.
 
-    The wrapped function was ``exec``-ed from generated source, so pickle
-    cannot find it by reference; ``(name, source, env)`` rebuilds it in
-    the worker (:func:`compile_stage_function` again, so its source stays
-    inspectable there too).  That is what lets a fluent job's state reach
-    the engine's persistent worker pool like a classic job's.  A stage
-    that kept a user callable (``user_code``) refuses to pickle even when
-    the callable itself pickles by reference: a long-lived worker would
-    resolve the name in the module it forked with -- missing if defined
-    since, stale if reloaded -- so such a job keeps the forked path,
-    whose workers inherit the live object.
+    The wrapped function is loaded from generated source by
+    :func:`repro.codegen.load`, so pickle cannot find it by reference;
+    ``(name, source, env)`` rebuilds it in the worker, through ``load``
+    again, so its source stays inspectable there too.  That is what lets
+    a fluent job's state reach the engine's persistent worker pool like a
+    classic job's.  A stage that kept a user callable (``user_code``)
+    refuses to pickle even when the callable itself pickles by reference:
+    a long-lived worker would resolve the name in the module it forked
+    with -- missing if defined since, stale if reloaded -- so such a job
+    keeps the forked path, whose workers inherit the live object.
     """
 
     def __init__(self, name: str, source: str, env: Dict[str, Any],
                  user_code: bool = False):
-        super().__init__(compile_stage_function(name, source, env))
+        super().__init__(codegen.load(source, "stage", env)[name])
         self._stage = (name, source, env)
         self._user_code = user_code
 

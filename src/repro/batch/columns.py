@@ -75,8 +75,8 @@ class ScanPlan:
         self.decode_keys = decode_keys
         self.slots = {name: i for i, name in enumerate(capture)}
         self.n_slots = len(capture)
-        #: the scan of this plan's shape: the compiled row-major scan
-        #: (process-wide cache), or a columnar file's column scan
+        #: the scan of this plan's shape: the compiled row-major scan (its
+        #: code cached by repro.codegen), or a columnar file's column scan
         self.scanner = (column_scanner if columnar else block_scanner)(
             key_schema, value_schema, self.slots, decode_keys)
 

@@ -29,28 +29,22 @@ row evaluates its predicates and then its derived values before the next
 row is touched -- the record path's order, which is what makes a raising
 row raise the same error on both paths.
 
-Kernel source is registered in :mod:`linecache` under a content-hashed
-filename, mirroring the synthesized stage mappers, so tracebacks through
-generated code stay readable.
+Kernel source is compiled, cached and registered for ``inspect`` by
+:func:`repro.codegen.load`, like every generated function; literal
+values bind per load, so queries of one shape share one code object.
 """
 
 from __future__ import annotations
 
-import hashlib
-import linecache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
+from repro import codegen
 from repro.symbolic import (
     ROLE_VALUE,
     SParamField,
     as_symbolic,
     render_source,
 )
-
-#: Compiled code objects keyed by kernel source (literal values bind per
-#: instantiation, so the cache is safe across queries with different
-#: constants but identical shapes).
-_CODE_CACHE: Dict[str, Any] = {}
 
 
 class PredicateKernel:
@@ -126,16 +120,5 @@ def compile_predicates(predicates: Sequence[Any],
     args = ", ".join(["_n", *params.values()])
     body = body.format(**params)
     source = f"def _kernel({args}):\n{body}"
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:16]
-        filename = f"<repro.batch.kernel:{digest}>"
-        code = compile(source, filename, "exec")
-        _CODE_CACHE[source] = code
-        if filename not in linecache.cache:
-            linecache.cache[filename] = (
-                len(source), None, source.splitlines(keepends=True), filename
-            )
-    namespace = dict(consts)
-    exec(code, namespace)
-    return PredicateKernel(source, columns, namespace["_kernel"])
+    return PredicateKernel(source, columns,
+                           codegen.load(source, "kernel", consts)["_kernel"])

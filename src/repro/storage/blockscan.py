@@ -6,8 +6,8 @@ Interpreting that walk -- a type dispatch plus a varint call per field --
 costs more than the decoding itself, so this module *generates* it: for a
 shape (the key fields' wire kinds, the value fields' wire kinds with their
 capture slots, and whether keys are decoded) it emits one straight-line
-function over the block's ``bytes`` payload, compiles it once and keeps it
-for the life of the process.  Per field there is one emitted step; a
+function over the block's ``bytes`` payload, compiled once by
+:mod:`repro.codegen`.  Per field there is one emitted step; a
 varint of any length is decoded or passed over inline (1 to 3 bytes
 without a loop), a length prefix of three bytes or more goes to
 :mod:`~repro.storage.varint` with the record's end; an unneeded field is
@@ -49,17 +49,19 @@ decoded.  And logical bytes come from the wire: an
 overlong-but-legal varint, which no writer produces, is charged its span
 where ``estimate_size`` charges the canonical length.)
 
-Source is registered in :mod:`linecache` under a content-hashed filename,
-like the predicate kernels, so tracebacks through it stay readable.
+Source is compiled, cached and registered for ``inspect`` by
+:func:`repro.codegen.load`, like every generated function; a shape's
+source is generated once, and each fetch -- once per plan or split --
+loads it again.
 """
 
 from __future__ import annotations
 
-import hashlib
-import linecache
+import functools
 import struct
-from typing import Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Collection, List, Mapping, NamedTuple, Optional, Tuple, Union
 
+from repro import codegen
 from repro.exceptions import StorageError
 from repro.storage import varint
 from repro.storage.blockfile import BlockFileReader
@@ -245,20 +247,14 @@ def scanner_source(shape: Shape) -> str:
 
 
 class BlockScanner:
-    """One compiled scan shape; shared by every plan of that shape."""
+    """One compiled scan shape; every plan of that shape runs its code."""
 
     __slots__ = ("source", "_fn")
 
     def __init__(self, source: str):
-        digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:16]
-        filename = f"<repro.storage.blockscan:{digest}>"
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(keepends=True), filename
-        )
-        namespace = dict(_GLOBALS)
-        exec(compile(source, filename, "exec"), namespace)
         self.source = source
-        self._fn: Callable = namespace["_scan"]
+        self._fn: Callable = codegen.load(source, "blockscan",
+                                          _GLOBALS)["_scan"]
 
     def scan(self, reader: BlockFileReader, payload: bytes, n_records: int,
              rewalk: Optional[Callable[..., object]] = None) -> Scanned:
@@ -287,16 +283,14 @@ class BlockScanner:
         return out
 
 
-#: Process-wide: solo plans, shared-scan union plans, split readers and
-#: persistent pool workers all resolve a shape here.
-_SCANNERS: Dict[Shape, BlockScanner] = {}
+#: shape -> its source, so a fetch never regenerates it: solo plans,
+#: shared-scan union plans, split readers and persistent pool workers
+#: all load their shape's code from :mod:`repro.codegen`'s one cache.
+_source = functools.lru_cache(maxsize=None)(scanner_source)
 
 
 def _compiled(shape: Shape) -> BlockScanner:
-    scanner = _SCANNERS.get(shape)
-    if scanner is None:
-        scanner = _SCANNERS[shape] = BlockScanner(scanner_source(shape))
-    return scanner
+    return BlockScanner(_source(shape))
 
 
 class ReadShape(NamedTuple):

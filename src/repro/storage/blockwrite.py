@@ -4,8 +4,7 @@ The write-side twin of :mod:`~repro.storage.blockscan`.  Encoding a
 record by interpreting its schema -- a type dispatch, an ``isinstance``
 test and a varint call per field -- costs several times the bytes it
 produces, so this module *generates* the walk: for a shape it emits one
-straight-line function, compiles it once and keeps it for the life of
-the process in :data:`_ENCODERS`.
+straight-line function, compiled once by :mod:`repro.codegen`.
 
 A shape is the key fields' wire kinds plus the value fields' kinds,
 where a value field is a plain wire kind (``varint``, ``double``,
@@ -38,19 +37,20 @@ are the result -- the same rule as ``BlockScanner.scan``'s re-walk.
 Generated code is reachable only from the process-wide tables here,
 never from a schema, a record or a writer: a :class:`WriteCodec` holds
 its shape, not its function, and :func:`schema_encoder` maps a live
-schema to its bare encoder by identity.  Source is registered in
-:mod:`linecache` under a content-hashed filename, like the scanners.
+schema to its bare encoder by identity.  :func:`block_encoder` loads a
+shape's source through :func:`repro.codegen.load`, which caches the code
+and registers the source for ``inspect``; the per-record write path
+resolves its shape through a memo in front of it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import linecache
 import struct
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro import codegen
 from repro.storage import varint
 
 #: Field type (``FieldType.value``) -> wire kind; INT and LONG are the
@@ -225,13 +225,7 @@ class BlockEncoder:
     __slots__ = ("source", "encode", "write")
 
     def __init__(self, source: str):
-        digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:16]
-        filename = f"<repro.storage.blockwrite:{digest}>"
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(keepends=True), filename
-        )
-        namespace = dict(_GLOBALS)
-        exec(compile(source, filename, "exec"), namespace)
+        namespace = codegen.load(source, "blockwrite", _GLOBALS)
         self.source = source
         #: ``encode(values) -> bytes``, or ``None`` when it declines
         self.encode: Optional[Callable[[tuple], Optional[bytes]]] = \
@@ -242,17 +236,14 @@ class BlockEncoder:
             namespace.get("_write")
 
 
-#: Process-wide, like the scanners: every writer, schema and pool worker
-#: resolves its shape here.
-_ENCODERS: Dict[Shape, BlockEncoder] = {}
-
-
 def block_encoder(shape: Shape) -> BlockEncoder:
     """The compiled encoder of ``shape``; the one place one is built."""
-    encoder = _ENCODERS.get(shape)
-    if encoder is None:
-        encoder = _ENCODERS[shape] = BlockEncoder(encoder_source(shape))
-    return encoder
+    return BlockEncoder(encoder_source(shape))
+
+
+#: shape -> its encoder, process-wide: every writer, schema and pool
+#: worker resolves its shape here, so a record pays a lookup, not a load.
+_encoder = lru_cache(maxsize=None)(block_encoder)
 
 
 def wire_kinds(schema: Any) -> Tuple[str, ...]:
@@ -281,7 +272,7 @@ def schema_encoder(schema: Any) -> Tuple[tuple, Callable[[tuple], Optional[bytes
     if entry is None or entry[0]() is not schema:
         layout = (schema.name,
                   tuple((f.name, f.ftype.value) for f in schema.fields))
-        encoder = block_encoder((None, wire_kinds(schema))).encode
+        encoder = _encoder((None, wire_kinds(schema))).encode
         entry = _SCHEMAS[key] = (weakref.ref(schema, partial(_forget, key)),
                                  layout, encoder)
     return entry[1], entry[2]
@@ -339,7 +330,7 @@ class WriteCodec:
         is declined: ``(rows written, the declined row or None)``."""
         if self.write_shape is None:
             return 0, next(iter(rows), None)
-        return block_encoder(self.write_shape).write(
+        return _encoder(self.write_shape).write(
             buffer, rows, limit, self.sums, self.codes)
 
     def records(self, row: tuple) -> Tuple[Any, Any]:

@@ -30,6 +30,7 @@ import types
 
 import pytest
 
+from repro import codegen
 from repro.exceptions import SerializationError
 from repro.storage import blockwrite, serialization
 from repro.storage.blockwrite import encoder_source
@@ -383,7 +384,8 @@ def _generated(obj, seen=None, depth=0):
         return False
     seen.add(id(obj))
     if isinstance(obj, types.FunctionType):
-        return obj.__code__.co_filename.startswith("<repro.storage.blockwrite")
+        return obj.__code__.co_filename.startswith(
+            f"{codegen.PREFIX}blockwrite:")
     if isinstance(obj, (str, bytes, int, float, type, types.ModuleType)):
         return False
     return any(_generated(ref, seen, depth + 1) for ref in gc.get_referents(obj))

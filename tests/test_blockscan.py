@@ -34,9 +34,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import codegen
 from repro.api.expressions import col
 from repro.api.session import Session
-from repro.batch import kernels
 from repro.batch.columns import ScanPlan, build_scan_plan, iter_column_batches
 from repro.batch.executor import _union_plan
 from repro.batch.spec import BatchStageSpec
@@ -640,6 +640,7 @@ class TestSplitReaderCorruption:
             scanner = split_scanner(reader)
         monkeypatch.setattr(
             scanner, "_fn", lambda payload, n, key_schema: None)
+        monkeypatch.setattr(blockscan, "_compiled", lambda shape: scanner)
         with pytest.raises(StorageError, match="internal error"):
             _split_reader(source)
 
@@ -768,6 +769,11 @@ OPAQUE = register_opaque_schema(OpaqueSchema(
 # -- the shape cache -----------------------------------------------------------
 
 
+def _code(scanner):
+    """What every scanner of one shape shares: its compiled code."""
+    return scanner._fn.__code__
+
+
 class TestScannerCache:
     AGG = BatchStageSpec(kind="aggregate", group_column="n",
                          predicates=[(col("i") > 1).to_symbolic()],
@@ -780,31 +786,31 @@ class TestScannerCache:
             # the pass's plan for a group of one member (only .plan is read)
             union = _union_plan(reader, [SimpleNamespace(plan=solo)])
         assert union is not solo
-        assert union.scanner is solo.scanner
-        assert union.scanner._fn.__code__ is solo.scanner._fn.__code__
+        assert _code(union.scanner) is _code(solo.scanner)
         # INT and LONG are the same bytes, so the same shape
         other = Schema("Other", [
             Field(f.name, FieldType.LONG if f.ftype is FieldType.INT
                   else f.ftype) for f in VALUES.fields])
-        assert build_scan_plan(KEYS, other, self.AGG).scanner is solo.scanner
+        assert _code(build_scan_plan(KEYS, other, self.AGG).scanner) \
+            is _code(solo.scanner)
 
     def test_different_shapes_do_not(self):
-        base = ScanPlan(KEYS, VALUES, ["i", "n"], decode_keys=False)
-        assert ScanPlan(KEYS, VALUES, ["i"], False).scanner \
-            is not base.scanner
-        assert ScanPlan(KEYS, VALUES, ["n", "i"], False).scanner \
-            is not base.scanner
-        assert ScanPlan(KEYS, VALUES, ["i", "n"], True).scanner \
-            is not base.scanner
-        assert ScanPlan(LONG_SCHEMA, VALUES, ["i", "n"], False).scanner \
-            is not base.scanner
+        base = _code(ScanPlan(KEYS, VALUES, ["i", "n"], False).scanner)
+        assert _code(ScanPlan(KEYS, VALUES, ["i"], False).scanner) \
+            is not base
+        assert _code(ScanPlan(KEYS, VALUES, ["n", "i"], False).scanner) \
+            is not base
+        assert _code(ScanPlan(KEYS, VALUES, ["i", "n"], True).scanner) \
+            is not base
+        assert _code(ScanPlan(LONG_SCHEMA, VALUES, ["i", "n"], False)
+                     .scanner) is not base
 
     def test_every_codec_reads_through_one_scanner_per_shape(self, tmp_path):
         rng = random.Random(5)
 
         def scanner(reader_class, path):
             with reader_class(path) as reader:
-                return split_scanner(reader), reader.stored_schema
+                return _code(split_scanner(reader)), reader.stored_schema
 
         record, _ = _write_codec("record", str(tmp_path / "r.rf"), rng)
         _parts, files = _write_codec("partitions", str(tmp_path / "p"), rng)
@@ -828,8 +834,15 @@ class TestScannerCache:
                 return session.read(path).filter(
                     col("i") > threshold).select("i", "t").collect()
 
+            def compiled():
+                # stage sources inline their literals; scanner and kernel
+                # sources must not vary with them
+                return {source for source, entry in codegen._CACHE.items()
+                        if entry.filename.startswith((
+                            f"{codegen.PREFIX}blockscan:",
+                            f"{codegen.PREFIX}kernel:"))}
+
             run(10)
-            compiled = (len(blockscan._SCANNERS), len(kernels._CODE_CACHE))
+            before = compiled()
             assert run(11) is not None
-            assert (len(blockscan._SCANNERS),
-                    len(kernels._CODE_CACHE)) == compiled
+            assert before and compiled() - before == set()

@@ -529,7 +529,7 @@ class TestFluentJobsReachThePersistentPool:
         clone = pickle.loads(pickle.dumps(conf))
         for adapter, attr in ((clone.mapper, "map_source_function"),
                               (clone.reducer, "reduce_source_function")):
-            # rebuilt through compile_stage_function: still inspectable
+            # rebuilt through codegen.load: still inspectable
             assert inspect.getsource(getattr(adapter, attr)).startswith(
                 "def _fluent_agg_")
         assert type(clone.mapper) is type(conf.mapper)

@@ -7,8 +7,9 @@ bookkeeping sizes, sort-keys and hashes by column, one reduce loop
 groups by column boundaries with one sort helper, only the
 optimizer attaches a record-path read shape, the per-field reference
 encode is named only by serialization and the compiled encoder's
-decline path, the retired B+Tree index path stays retired, and
-pipelines keep one stage order -- checked, not claimed.
+decline path, the retired B+Tree index path stays retired,
+pipelines keep one stage order, and only the code generator compiles,
+executes and registers generated source -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -452,3 +453,35 @@ def test_checker_sees_a_row_major_copy_come_back(tmp_path):
         os.path.join("core", "indexgen.py")
         + ":2: imports repro.storage.dictionary",
         os.path.join("core", "planner.py") + ":2: names ProjectedFileInput"]
+
+
+def test_checker_sees_a_second_code_generator(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("", "codegen", "import linecache\n"
+                        "def load(source):\n"
+                        "    exec(compile(source, '<g>', 'exec'), {})\n"),
+        ("storage", "blockscan", "import re\nimport linecache\n"
+                                 "PATTERN = re.compile('x')\n"),
+        ("batch", "kernels", "from linecache import cache\n"
+                             "def build(source, ns):\n"
+                             "    exec(source, ns)\n"),
+        ("api", "plan", "import builtins\n"
+                        "code = builtins.compile('1', '<s>', 'eval')\n"),
+        # the verifier's compile is exempt by name; nothing else in udf is
+        ("core/analyzer", "udf", "def _source_node(tree):\n"
+                                 "    return compile(tree, '<v>', 'exec')\n"
+                                 "def other(tree):\n"
+                                 "    return compile(tree, '<v>', 'exec')\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.codegen_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "plan.py") + ":2: calls compile",
+        os.path.join("batch", "kernels.py") + ":1: imports linecache",
+        os.path.join("batch", "kernels.py") + ":3: calls exec",
+        os.path.join("core", "analyzer", "udf.py") + ":4: calls compile",
+        os.path.join("storage", "blockscan.py") + ":2: imports linecache"]

@@ -16,18 +16,14 @@ from decimal import Decimal
 
 import pytest
 
+from repro import codegen
 from repro.api.expressions import (
     Expr,
     NoExprForm,
     expr_from_dict,
     expr_from_symbolic,
 )
-from repro.api.plan import (
-    DeriveNode,
-    _analyze_segment,
-    _codegen_segment,
-    compile_stage_function,
-)
+from repro.api.plan import DeriveNode, _analyze_segment, _codegen_segment
 from repro.batch.kernels import compile_predicates
 from repro.batch.spec import BatchStageSpec
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
@@ -99,7 +95,7 @@ def _stage_mapper(sym):
     source, env, _user_code = _codegen_segment(
         _analyze_segment([node], LONG_SCHEMA, ROW), "_fluent_map",
         lambda k, v: [f"ctx.emit({k}, {v})"])
-    return compile_stage_function("_fluent_map", source, env)
+    return codegen.load(source, "stage", env)["_fluent_map"]
 
 
 def _via_stage(mapper, record):

@@ -120,6 +120,17 @@
     (:data:`ROW_MAJOR_INPUTS`) -- a planner or executor that builds or
     reads a row-major copy would come back through either.
 
+15. One code generator.  Generated Python becomes a live function in
+    one place, :func:`repro.codegen.load` (:data:`CODEGEN`), which
+    caches its code, registers its source for ``inspect`` and bounds
+    both.  So outside ``repro/codegen.py`` nothing under ``src/repro``
+    imports ``linecache`` or calls ``exec`` or ``compile``
+    (:data:`CODEGEN_CALLS`; a method such as ``re.compile`` is not the
+    builtin) -- a second compile-and-register is a second cache that
+    can drift from the first.  The one exemption
+    (:data:`COMPILE_EXEMPT`) is the UDF verifier's compile of the
+    user's own parsed file, which it reads and never executes.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -241,6 +252,17 @@ ROW_MAJOR_MODULES = frozenset({"repro.storage.delta",
                                "repro.storage.dictionary"})
 ROW_MAJOR_INPUTS = frozenset({"DeltaFileInput", "DictionaryFileInput",
                               "ProjectedFileInput"})
+
+
+#: rule 15: the one code generator, the calls only it may make, and the
+#: one other compile -- (module, scope) -> why
+CODEGEN = os.path.join("repro", "codegen.py")
+CODEGEN_CALLS = frozenset({"exec", "compile"})
+COMPILE_EXEMPT = {
+    (os.path.join("repro", "core", "analyzer", "udf.py"), "_source_node"):
+        "compiles the user's own parsed file to check its bytecode; "
+        "never executes it",
+}
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -638,6 +660,38 @@ def copy_layout_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def codegen_violations(src: str = SRC) -> List[str]:
+    """Every import of ``linecache`` and every call of the builtin
+    ``exec`` or ``compile`` under ``src/repro`` outside :data:`CODEGEN`,
+    but for :data:`COMPILE_EXEMPT`'s compile (rule 15)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        if module == CODEGEN:
+            continue
+        rel = os.path.relpath(path, REPO_ROOT)
+        package = os.path.dirname(module).replace(os.sep, ".")
+        found.extend(
+            (rel, lineno, "imports linecache")
+            for lineno, name in imported_modules(tree, package)
+            if name == "linecache" or name.startswith("linecache."))
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "builtins" else None)
+            if name in CODEGEN_CALLS and not (
+                    name == "compile"
+                    and (module, scope) in COMPILE_EXEMPT):
+                found.append((rel, node.lineno, f"calls {name}"))
+    return [f"{rel}:{lineno}: {what} (generated code is loaded by "
+            f"repro.codegen.load)"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
@@ -645,9 +699,10 @@ def main() -> int:
     per_item, loop = per_item_violations(), reduce_loop_violations()
     shape, reference = read_shape_violations(), reference_encode_violations()
     index, order = index_format_violations(), stage_order_violations()
-    copies = copy_layout_violations()
+    copies, generated = copy_layout_violations(), codegen_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
-                 + loop + shape + reference + index + order + copies):
+                 + loop + shape + reference + index + order + copies
+                 + generated):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -682,8 +737,12 @@ def main() -> int:
     if copies:
         print(f"\n{len(copies)} use(s) of a row-major copy format under "
               f"repro/{{{','.join(COPY_LAYERS)}}}")
+    if generated:
+        print(f"\n{len(generated)} compile, exec or linecache use(s) outside "
+              f"{CODEGEN}")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
-            or loop or shape or reference or index or order or copies):
+            or loop or shape or reference or index or order or copies
+            or generated):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -709,7 +768,10 @@ def main() -> int:
           + f"takes a {SCHEDULER_PARAM!r} parameter"
           + f"; nothing under repro/{{{','.join(COPY_LAYERS)}}} imports the "
           + "row-major delta or dictionary format or names a row-major "
-          + "copy input")
+          + "copy input"
+          + f"; only {CODEGEN} imports linecache or calls exec or compile "
+          + "(and " + ", ".join(scope for _module, scope in COMPILE_EXEMPT)
+          + " its verification compile)")
     return 0
 
 
