@@ -16,6 +16,7 @@ Example::
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -84,16 +85,27 @@ class Dataset:
         self._session = session
         self._node = node
         self._probe_plan: Optional[LoweredPlan] = None
+        #: the probe plan until a run takes it (see :meth:`_take_plan`)
+        self._unrun_plan: Optional[LoweredPlan] = None
+        self._take_lock = threading.Lock()
 
     def _probe(self) -> LoweredPlan:
         """A cached lowering used for validation and schema introspection.
 
         Datasets are immutable, so one probe plan serves every schema
-        lookup; executions lower freshly (they need fresh scratch paths).
+        lookup -- and the first run, which needs no lowering of its own.
         """
         if self._probe_plan is None:
-            self._probe_plan = self._session.lower(self, name="probe")
+            self._probe_plan = self._unrun_plan = self._session.lower(self)
         return self._probe_plan
+
+    def _take_plan(self) -> Optional[LoweredPlan]:
+        """The probe plan for one run, at most once: its scratch paths are
+        that run's, so a second run -- even concurrent, or in the same
+        ``run_many`` -- gets ``None`` and lowers afresh."""
+        with self._take_lock:
+            plan, self._unrun_plan = self._unrun_plan, None
+        return plan
 
     # -- transformations (each returns a new Dataset) ------------------------
 

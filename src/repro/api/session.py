@@ -175,6 +175,12 @@ class Session:
                           vectorize=self.vectorize,
                           analyze_udf=self.system.analyze_udf)
 
+    def lower_for_run(self, dataset: Dataset) -> LoweredPlan:
+        """The stage chain one run of ``dataset`` executes: the lowering
+        its build-time validation already made, the first time, and a
+        fresh one -- fresh scratch paths -- every later time."""
+        return dataset._take_plan() or self.lower(dataset)
+
     def _pipeline_for(self, plan: LoweredPlan) -> ManimalPipeline:
         return ManimalPipeline(
             self.system, plan.confs(), stage_hints=plan.hints()
@@ -189,8 +195,8 @@ class Session:
             parallelism: Optional[int] = None) -> DatasetResult:
         """Execute a Dataset: :meth:`run_many` of one.
 
-        :param dataset: the query to execute (lowered freshly, so each run
-            gets private scratch paths).
+        :param dataset: the query to execute (each run gets private
+            scratch paths; see :meth:`lower_for_run`).
         :param build_indexes: build the synthesized indexes for base
             inputs before planning (admin action, as in the paper).
         :param allowed_kinds: restrict which index kinds may be built.
@@ -200,7 +206,7 @@ class Session:
         :returns: a :class:`~repro.api.dataset.DatasetResult`.
         """
         return run_plans(
-            [(self, self.lower(dataset))], parallelism=parallelism,
+            [(self, self.lower_for_run(dataset))], parallelism=parallelism,
             build_indexes=build_indexes, allowed_kinds=allowed_kinds,
         )[0]
 
@@ -221,7 +227,7 @@ class Session:
         bytes.
         """
         return run_plans(
-            [(self, self.lower(dataset)) for dataset in datasets],
+            [(self, self.lower_for_run(dataset)) for dataset in datasets],
             parallelism=parallelism,
         )
 

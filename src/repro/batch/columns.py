@@ -95,16 +95,14 @@ def build_scan_plan(key_schema: Schema, value_schema: Schema,
     if not key_schema.transparent or not value_schema.transparent:
         return None
     needed = spec.needed_columns()
-    if needed is None:
-        capture = value_schema.field_names()
-    else:
-        if any(not value_schema.has_field(name) for name in needed):
-            return None
-        capture = needed
-    # Aggregate stages never emit their input key, so its fields are
-    # passed over; map/join stages emit the key and decode it.
+    if any(not value_schema.has_field(name)
+           for name in (needed or []) + spec.value_columns()):
+        return None
+    capture = value_schema.field_names() if needed is None else needed
+    # Keys are decoded only for a stage that reads them: map/join stages
+    # emit them, an emit stage may; an aggregate passes their fields over.
     return ScanPlan(key_schema, value_schema, capture,
-                    decode_keys=spec.kind != "aggregate", columnar=columnar)
+                    decode_keys=spec.reads_keys(), columnar=columnar)
 
 
 def iter_column_batches(

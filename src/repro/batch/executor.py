@@ -41,20 +41,28 @@ from repro.batch.columns import (
     build_scan_plan,
     iter_column_batches,
 )
-from repro.batch.kernels import PredicateKernel, compile_predicates
-from repro.batch.spec import AGGREGATES, BatchStageSpec
+from repro.batch.kernels import KEY_COLUMN, PredicateKernel, compile_predicates
+from repro.batch.spec import (
+    AGGREGATES,
+    COLUMN,
+    WHOLE_KEY,
+    BatchStageSpec,
+    emit_source,
+)
 from repro.exceptions import JobExecutionError, ReproError
 from repro.mapreduce.formats import (
     ColumnarFileInput,
     PartitionedInput,
     RecordFileInput,
+    shaped_schema,
 )
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
 from repro.storage.blockfile import BlockFileReader
 from repro.storage.columnar import ColumnarFileReader
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import Record
+from repro.storage.serialization import Record, build_records
+from repro.symbolic import STuple
 
 
 #: Inputs whose splits are block lists of a record file, or of a
@@ -100,7 +108,7 @@ def batch_admission(
     if plan is None:
         return "opaque schema or missing needed column"
     try:
-        kernel = compile_predicates(spec.predicates, spec.derived_exprs())
+        kernel = compile_predicates(spec.predicates, spec.kernel_exprs())
     except TypeError:
         return "predicate is not compilable"
     return plan, kernel
@@ -144,7 +152,15 @@ class StageScan:
             }
         self.emitted: List[Tuple[Any, Any]] = []
         self.aggregate = spec.kind == "aggregate"
-        if self.aggregate:
+        if spec.kind == "emit":
+            # each emit part's source (None: the kernel computes it), and
+            # the value records a whole-record V is: the record path's
+            self.sources = [emit_source(part) for part in spec.emit_parts()]
+            self.computes = spec.kernel_exprs() is not None
+            self.tuple_value = isinstance(spec.emit[1], STuple)
+            self.record_schema = shaped_schema(reader.stored_schema,
+                                               spec.project_columns)
+        elif self.aggregate:
             aggs = spec.aggs or []
             # The shuffled value's slots, from each aggregate's declared
             # partial: (input column, literal), the literal None when
@@ -170,6 +186,9 @@ class StageScan:
     def process(self, batch: ColumnBatch) -> None:
         """Run this member's stage over one decoded block."""
         spec = self.spec
+        if spec.kind == "emit":
+            self._process_emit(batch)
+            return
         if self.kernel is not None:
             selected: Any = self.kernel.select(batch.n_rows, batch.column)
         else:
@@ -244,6 +263,49 @@ class StageScan:
             for i in selected:
                 append((keys[i], Record(emit_schema, [c[i] for c in cols])))
 
+    def _process_emit(self, batch: ColumnBatch) -> None:
+        """A classic ``map()``'s emit over one block, a column at a time:
+        the kernel selects the rows that emit and computes their
+        computed parts; bare columns, keys and whole value records (built
+        a block at a time) are gathered at the passing rows."""
+        keys = batch.keys
+        passed: Optional[Sequence[int]] = None  # None: every row
+        computed: Any = iter(())
+        if self.kernel is not None:
+            selected = self.kernel.select(
+                batch.n_rows,
+                lambda name: keys if name == KEY_COLUMN
+                else batch.column(name))
+            if self.computes:
+                rows, *outs = selected
+                computed = iter(outs)
+            else:
+                rows = selected
+            if self.spec.predicates:
+                passed = rows
+        n = batch.n_rows if passed is None else len(passed)
+
+        def gather(column: Sequence[Any]) -> Sequence[Any]:
+            return column if passed is None \
+                else list(map(column.__getitem__, passed))
+
+        parts: List[Sequence[Any]] = []
+        for source in self.sources:
+            if source is None:
+                parts.append(next(computed))
+            elif source[0] == COLUMN:
+                parts.append(gather(batch.column(source[1])))
+            elif source[0] == WHOLE_KEY:
+                parts.append(gather(keys))
+            else:
+                schema = self.record_schema
+                parts.append(build_records(schema, [
+                    gather(batch.column(name))
+                    for name in schema.field_names()], n))
+        key_column, *values = parts
+        self.emitted.extend(zip(
+            key_column, zip(*values) if self.tuple_value else values[0]))
+
     def finish(self, n_rows: int, stored_bytes: int,
                logical_bytes: int) -> MapTaskResult:
         """Close the pass: flush partials, account, run the output tail.
@@ -267,7 +329,12 @@ class StageScan:
         # Decode accounting: the batch scan decodes exactly the captured
         # columns, once per row -- the record path's rule too (stored
         # width x records), over the columns it captures: all of them.
-        metrics.fields_deserialized += self.plan.n_slots * n_rows
+        width = self.plan.n_slots
+        if self.spec.kind == "emit":
+            # the record path's charge for the same read shape: a record
+            # costs at least one field, even with none captured
+            width = max(1, width)
+        metrics.fields_deserialized += width * n_rows
         metrics.batch_map_tasks += 1
         _finish_map_task(self.conf, out, self.emitted)
         return out

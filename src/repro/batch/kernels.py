@@ -40,11 +40,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro import codegen
 from repro.symbolic import (
+    ROLE_KEY,
     ROLE_VALUE,
     SParamField,
     as_symbolic,
     render_source,
 )
+
+
+#: the pseudo-column a kernel reads key fields off: the block's key
+#: records (no value field can be called this)
+KEY_COLUMN = "@key"
 
 
 class PredicateKernel:
@@ -78,8 +84,9 @@ def compile_predicates(predicates: Sequence[Any],
     is unwrapped).  Returns ``None`` for an empty chain with nothing
     ``derived`` (every row passes; callers skip the kernel entirely).
     Raises :class:`TypeError` on a node with no operator form over value
-    columns -- the executor treats that as a fallback trigger, not an
-    error.
+    columns and key fields -- the executor treats that as a fallback
+    trigger, not an error.  A key field reads off the key records the
+    caller supplies as column :data:`KEY_COLUMN`.
     """
     if not predicates and derived is None:
         return None
@@ -92,7 +99,13 @@ def compile_predicates(predicates: Sequence[Any],
     consts: Dict[str, Any] = {}
 
     def field(node: SParamField) -> str:
-        if node.role != ROLE_VALUE or len(node.path) != 1:
+        if len(node.path) != 1:
+            raise TypeError(f"{node!r} is not a value column or key field")
+        if node.role == ROLE_KEY:
+            # the key record's field, read as map() reads it
+            seen.add(KEY_COLUMN)
+            return f"{{{KEY_COLUMN}}}[_i].{node.path[0]}"
+        if node.role != ROLE_VALUE:
             raise TypeError(f"{node!r} is not a value column")
         seen.add(node.path[0])
         return f"{{{node.path[0]}}}[_i]"

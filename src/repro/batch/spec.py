@@ -15,9 +15,16 @@ record-at-a-time path whenever anything does not hold.  Stages with
 opaque UDFs (``map()`` / callable filters the analyzer could not
 translate) or opaque schemas never get a spec in the first place.
 
+Two doors build specs.  The fluent lowering builds ``map`` /
+``aggregate`` / ``join-side`` specs from its own operator chain; the
+analyzer builds an ``emit`` spec from a classic ``map()`` it fully
+describes (:mod:`repro.core.analyzer.emitspec`), which the optimizer
+attaches beside the read shape.  Either way the one executor
+(:mod:`repro.batch.executor`) serves it.
+
 A spec describes the map side only: whichever path produced them, a
 stage's pairs shuffle through the one run format of
-:mod:`repro.mapreduce.shuffle` and reduce through its generated reducer.
+:mod:`repro.mapreduce.shuffle` and reduce through the stage's reducer.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import (
 )
 
 from repro.storage.serialization import FieldType, Schema
-from repro.symbolic import SymExpr
+from repro.symbolic import ROLE_KEY, ROLE_VALUE, SParam, SParamField, STuple, SymExpr
 
 _INTEGERS = frozenset({FieldType.INT, FieldType.LONG})
 
@@ -109,11 +116,13 @@ class BatchStageSpec:
     """One stage's map body, described for vectorized execution.
 
     ``kind`` is ``'map'`` (emit ``(key, value)``), ``'aggregate'`` (emit
-    ``(group value, agg inputs)``) or ``'join-side'`` (emit
-    ``(join-key value, (tag, value))``).  Specs are built from the
-    *declared* scan schema at lowering time; column names are re-resolved
-    against the actual file schema when the task runs, so the spec stays
-    valid when the planner redirects the stage at a projection file.
+    ``(group value, agg inputs)``), ``'join-side'`` (emit
+    ``(join-key value, (tag, value))``) or ``'emit'`` (a classic
+    ``map()``'s one ``ctx.emit(K, V)``; see :attr:`emit`).  Specs are
+    built from the *declared* scan schema at lowering (or analysis)
+    time; column names are re-resolved against the actual file schema
+    when the task runs, so the spec stays valid when the planner
+    redirects the stage at a projection file.
     """
 
     kind: str
@@ -140,6 +149,55 @@ class BatchStageSpec:
     #: join stages: the equality column and this side's 'L'/'R' tag
     join_on: Optional[str] = None
     join_tag: Optional[str] = None
+    #: emit stages: ``(K, V)`` of the mapper's one emit, run for each
+    #: row passing ``predicates``.  ``K`` and ``V`` are each an
+    #: expression over key and value fields, the whole key
+    #: (``SParam('key')``), or -- ``V`` only -- a tuple of those or the
+    #: whole value record (``SParam('value')``).  ``project_columns``
+    #: is then the record path's read shape: the value fields it
+    #: captures (``None``: every stored field), and the fields of the
+    #: value record a whole-record ``V`` emits.
+    emit: Optional[Tuple[SymExpr, SymExpr]] = None
+
+    def emit_parts(self) -> List[SymExpr]:
+        """An emit stage's ``K`` and the items of its ``V``, in the
+        order ``map()`` evaluates them."""
+        key, value = self.emit or (None, None)
+        if key is None:
+            return []
+        return [key, *(value.items if isinstance(value, STuple)
+                       else (value,))]
+
+    def kernel_exprs(self) -> Optional[List[SymExpr]]:
+        """What the stage's kernel computes for each passing row beside
+        its predicates: the derived values, or an emit stage's computed
+        parts (a bare column, the whole key and the whole value are
+        gathered, not computed); ``None`` when there are none."""
+        if self.kind != "emit":
+            return self.derived_exprs()
+        computed = [part for part in self.emit_parts()
+                    if emit_source(part) is None]
+        return computed or None
+
+    def value_columns(self) -> List[str]:
+        """Every value column the stage's expressions read."""
+        exprs = self.predicates + (self.derived_exprs() or []) \
+            + self.emit_parts()
+        return sorted({name for expr in exprs
+                       for name in expr.value_columns()})
+
+    def reads_keys(self) -> bool:
+        """Whether the stage reads its input keys: map and join-side
+        stages emit them, an emit stage when an expression reads one."""
+        if self.kind == "aggregate":
+            return False
+        if self.kind != "emit":
+            return True
+        return any(
+            isinstance(node, (SParam, SParamField)) and node.role == ROLE_KEY
+            for expr in self.predicates + self.emit_parts()
+            for node in expr.walk()
+        )
 
     def derived_exprs(self) -> Optional[List[SymExpr]]:
         if self.derived is None:
@@ -153,6 +211,10 @@ class BatchStageSpec:
         emit).  Predicate columns come first, then emit columns; the
         order only affects decode-plan layout, never output bytes.
         """
+        if self.kind == "emit":
+            # the record path's read shape, for its decode accounting
+            return None if self.project_columns is None \
+                else list(self.project_columns)
         if self.derived is None and self.project_columns is None \
                 and self.kind in ("map", "join-side"):
             return None
@@ -189,7 +251,8 @@ class BatchStageSpec:
             names = ", ".join(name for name, _expr in self.derived)
             parts.append(f"derive [{names}]")
         if self.project_columns is not None:
-            parts.append(f"project [{', '.join(self.project_columns)}]")
+            label = "capture" if self.kind == "emit" else "project"
+            parts.append(f"{label} [{', '.join(self.project_columns)}]")
         if self.kind == "aggregate":
             aggs = ", ".join(
                 f"{op}({column or '*'})" for op, column in self.aggs or []
@@ -198,4 +261,23 @@ class BatchStageSpec:
             parts.append(preagg_text(self.no_preagg))
         if self.kind == "join-side":
             parts.append(f"on {self.join_on} tag {self.join_tag}")
+        if self.emit is not None:
+            key, value = self.emit
+            parts.append(f"key {key!r}, value {value!r}")
         return ", ".join(parts)
+
+
+#: how an emit part that is not computed is gathered
+WHOLE_KEY, WHOLE_VALUE, COLUMN = "key", "value", "column"
+
+
+def emit_source(part: SymExpr) -> Optional[Tuple[str, Optional[str]]]:
+    """``(WHOLE_KEY | WHOLE_VALUE | COLUMN, column name)`` for an emit
+    part the executor gathers from the scanned block as it is, or
+    ``None`` for one the kernel computes."""
+    if isinstance(part, SParam):
+        return (WHOLE_KEY if part.role == ROLE_KEY else WHOLE_VALUE), None
+    if isinstance(part, SParamField) and part.role == ROLE_VALUE \
+            and len(part.path) == 1:
+        return COLUMN, part.path[0]
+    return None

@@ -157,23 +157,16 @@ def _method_emits(instance: Any, method_name: str) -> bool:
 _FRAME_READERS = frozenset({"locals", "vars", "eval", "exec"})
 
 
-def _map_reads_key(instance: Any, fn: ast.FunctionDef,
-                   mutated: Set[str]) -> bool:
-    """Whether ``map()`` may read its key parameter.
-
-    ``False`` -- the record path may skip building keys -- only when
-    the called ``map`` is the plain function ``fn`` was parsed from
-    (defined on the mapper's own class, or the function a
-    :class:`FunctionMapper` wraps; not inherited, decorated, or
-    replaced on the instance -- now or by a per-task method, whose
-    ``self.`` stores are ``mutated``), takes no ``*args`` / ``**kwargs``, and
-    never names its key parameter nor ``locals`` / ``vars`` / ``eval``
-    / ``exec`` anywhere in its body.  Field-usage analysis cannot
-    decide this: a bare ``if key:`` is neither a field reference nor an
-    escape there.
-    """
+def _plain_map(instance: Any, fn: ast.FunctionDef,
+               mutated: Set[str]) -> bool:
+    """Whether the called ``map`` is the plain function ``fn`` was parsed
+    from: defined on the mapper's own class, or the function a
+    :class:`FunctionMapper` wraps; not inherited, decorated, or replaced
+    on the instance -- now or by a per-task method, whose ``self.``
+    stores are ``mutated`` -- and taking its key at the position the
+    runtime passes it, with no ``*args`` / ``**kwargs``."""
     if "map" in getattr(instance, "__dict__", {}) or "map" in mutated:
-        return True
+        return False
     if isinstance(instance, FunctionMapper):
         index = 0
         plain = (type(instance).map is FunctionMapper.map
@@ -184,11 +177,24 @@ def _map_reads_key(instance: Any, fn: ast.FunctionDef,
         plain = isinstance(vars(type(instance)).get("map"),
                            types.FunctionType)
     args = fn.args
-    params = args.posonlyargs + args.args
-    if (not plain or fn.decorator_list or args.vararg or args.kwarg
-            or len(params) <= index):
+    return (plain and not fn.decorator_list and not args.vararg
+            and not args.kwarg
+            and len(args.posonlyargs + args.args) > index)
+
+
+def _map_reads_key(instance: Any, fn: ast.FunctionDef, plain: bool) -> bool:
+    """Whether ``map()`` may read its key parameter.
+
+    ``False`` -- the record path may skip building keys -- only when
+    the called ``map`` is ``plain`` (:func:`_plain_map`) and never names
+    its key parameter nor ``locals`` / ``vars`` / ``eval`` / ``exec``
+    anywhere in its body.  Field-usage analysis cannot decide this: a
+    bare ``if key:`` is neither a field reference nor an escape there.
+    """
+    if not plain:
         return True
-    key = params[index].arg
+    params = fn.args.posonlyargs + fn.args.args
+    key = params[0 if isinstance(instance, FunctionMapper) else 1].arg
     return any(
         isinstance(node, ast.Name) and (node.id == key
                                         or node.id in _FRAME_READERS)
@@ -338,6 +344,7 @@ class ManimalAnalyzer:
             for note in delta_notes:
                 result.note(DELTA, note)
             _set_read_shape(result, reads_key=None)
+            result.batch_decline = result.notes[SELECT][-1]
             return result
         fn_ast, lowered = parsed
 
@@ -418,8 +425,23 @@ class ManimalAnalyzer:
                 "safe mode: selection withheld because skipping map "
                 f"invocations would also skip side effects ({effects})",
             )
-        _set_read_shape(result,
-                        _map_reads_key(instance, fn_ast, members.mutated))
+        plain = _plain_map(instance, fn_ast, members.mutated)
+        _set_read_shape(result, _map_reads_key(instance, fn_ast, plain))
+
+        # The emit proof as the batch executor's spec (the optimizer
+        # attaches it beside the read shape).
+        from repro.core.analyzer.emitspec import find_emit_spec
+
+        verdict = find_emit_spec(
+            lowered, resolver, result.side_effects,
+            lifecycle=(_overridden(instance, "setup")
+                       or _overridden(instance, "cleanup")),
+            plain=plain, read_shape=result.read_shape,
+        )
+        if isinstance(verdict, str):
+            result.batch_decline = verdict
+        else:
+            result.batch_spec = verdict
         return result
 
     def _lower_mapper(self, instance: Mapper, result: InputAnalysis

@@ -124,6 +124,12 @@ class InputAnalysis:
     read_shape: Optional[ReadShape] = None
     #: why ``read_shape`` keeps the key or every value field
     read_notes: List[str] = field(default_factory=list)
+    #: the ``emit`` :class:`~repro.batch.spec.BatchStageSpec` the batch
+    #: executor may serve this map() with (static analysis only; the
+    #: optimizer attaches it) ...
+    batch_spec: Optional[Any] = None
+    #: ... or why map() has none
+    batch_decline: Optional[str] = None
 
     def descriptors(self) -> List[Any]:
         out: List[Any] = []

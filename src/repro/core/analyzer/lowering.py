@@ -335,6 +335,12 @@ class _Lowerer:
                 raise UnsupportedConstructError("chained assignment")
             self._lower_assign(node.targets[0], node.value, lineno)
             return
+        if isinstance(node, ast.AnnAssign):
+            # A function-scope annotation is never evaluated: ``x: T = v``
+            # runs as ``x = v`` and a bare ``x: T`` does nothing.
+            if node.value is not None:
+                self._lower_assign(node.target, node.value, lineno)
+            return
         if isinstance(node, ast.AugAssign):
             op = _BINOPS.get(type(node.op))
             if op is None:
@@ -534,9 +540,8 @@ def _lower_body(name: str, body: Sequence[ast.stmt],
                 for target in sub.targets:
                     if isinstance(target, ast.Name):
                         lowerer.local_names.add(target.id)
-            elif isinstance(sub, (ast.AugAssign, ast.For)) and isinstance(
-                getattr(sub, "target", None), ast.Name
-            ):
+            elif isinstance(sub, (ast.AugAssign, ast.AnnAssign, ast.For)) \
+                    and isinstance(getattr(sub, "target", None), ast.Name):
                 lowerer.local_names.add(sub.target.id)
     lowerer.lower_body(body)
     if not lowerer._terminated:

@@ -28,7 +28,7 @@ was built from: every entry carries the source's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.analyzer.descriptors import InputAnalysis, JobAnalysis
 from repro.core.optimizer import catalog as cat
@@ -78,6 +78,11 @@ class InputPlan:
     entry: Optional[IndexEntry] = None
     optimizations: List[str] = field(default_factory=list)
     detail: str = ""
+    #: the analyzer's ``emit`` batch spec the plan attaches for this
+    #: input's tag (the executor re-checks it against each split) ...
+    batch: Optional[Any] = None
+    #: ... or why none is attached
+    batch_decline: Optional[str] = None
 
     @property
     def optimized(self) -> bool:
@@ -128,6 +133,10 @@ class ExecutionDescriptor:
         """
         optimized = conf.with_inputs(self.chosen_inputs())
         optimized.shuffle_filter = self.shuffle_filter
+        for plan in self.plans:
+            if plan.batch is not None:
+                # a spec the job already carries (a lowered stage's) wins
+                optimized.batch_specs.setdefault(plan.chosen.tag, plan.batch)
         return optimized
 
     def optimizations(self) -> List[str]:
@@ -210,9 +219,17 @@ class Optimizer:
 
     def plan(self, conf: JobConf, analysis: JobAnalysis) -> ExecutionDescriptor:
         plans: List[InputPlan] = []
+        tags = [source.tag for source in conf.inputs]
         for index, (source, ia) in enumerate(zip(conf.inputs, analysis.inputs)):
             plan = self._plan_input(index, source, ia)
             plan.chosen = _shaped(plan.chosen, ia)
+            if ia.batch_spec is not None and tags.count(source.tag) > 1:
+                # the runtime keys specs by input tag
+                plan.batch_decline = (f"another input shares tag "
+                                      f"{source.tag!r}")
+            else:
+                plan.batch, plan.batch_decline = (ia.batch_spec,
+                                                  ia.batch_decline)
             plans.append(plan)
         # Record usage (feeds the space budget's LRU eviction) in one
         # registry transaction for the whole plan.

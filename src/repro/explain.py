@@ -15,8 +15,9 @@ Example::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
+from repro.batch.executor import batch_admission
 from repro.core.analyzer import DELTA, DIRECT, PROJECT, SELECT
 from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.core.analyzer.descriptors import InputAnalysis
@@ -35,7 +36,21 @@ _KIND_TITLES = (
 )
 
 
-def _explain_input(ia: InputAnalysis, source: InputSource) -> List[str]:
+def describe_batch(spec: Optional[Any], decline: Optional[str],
+                   source: InputSource) -> str:
+    """The ``batch:`` line of explain: the spec the batch executor
+    serves the map() with over planned input ``source``, or why the
+    record path runs it."""
+    if spec is None:
+        return f"declined ({decline or 'map() is not analyzer-described'})"
+    admitted = batch_admission(spec, source)
+    if isinstance(admitted, str):
+        return f"declined ({admitted})"
+    return spec.describe()
+
+
+def _explain_input(ia: InputAnalysis, source: InputSource,
+                   batch: Tuple[Optional[Any], Optional[str]]) -> List[str]:
     label = f"input[{ia.input_index}]"
     if ia.input_tag:
         label += f" ({ia.input_tag})"
@@ -70,6 +85,7 @@ def _explain_input(ia: InputAnalysis, source: InputSource) -> List[str]:
         for effect in ia.side_effects:
             lines.append(f"        - {effect!r}")
     lines.append(f"  decode: {describe_read(source, ia)}")
+    lines.append(f"  batch: {describe_batch(*batch, source)}")
     return lines
 
 
@@ -91,10 +107,14 @@ def explain_job(
     # the decode line reads the planned input: a B+Tree range decodes
     # in full whatever map() reads
     descriptor = None if system is None else system.plan(conf, analysis)
-    planned = (conf.inputs if descriptor is None
-               else descriptor.chosen_inputs())
-    for ia, source in zip(analysis.inputs, planned):
-        lines.extend(_explain_input(ia, source))
+    if descriptor is None:
+        planned = [(source, (ia.batch_spec, ia.batch_decline))
+                   for source, ia in zip(conf.inputs, analysis.inputs)]
+    else:
+        planned = [(plan.chosen, (plan.batch, plan.batch_decline))
+                   for plan in descriptor.plans]
+    for ia, (source, batch) in zip(analysis.inputs, planned):
+        lines.extend(_explain_input(ia, source, batch))
         lines.append("")
 
     lines.append("reduce-side (Appendix E) group filter:")

@@ -77,7 +77,7 @@ from repro.storage.partitioned import (
     read_partitioned_info,
 )
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import Record, build_records
+from repro.storage.serialization import Record, Schema, build_records
 
 
 class InputSplit:
@@ -194,6 +194,18 @@ class _UnreadKey:
 _UNREAD_KEY = _UnreadKey()
 
 
+def shaped_schema(schema: Schema, fields: Optional[Sequence[str]]
+                  ) -> Schema:
+    """The schema of the value records a scan capturing ``fields`` (``None``:
+    all) of stored value schema ``schema`` yields: the records a projection
+    file of the captured fields holds."""
+    if fields is not None and schema.transparent:
+        kept = [name for name in schema.field_names() if name in fields]
+        if len(kept) < len(schema.fields):
+            return schema.project(kept)
+    return schema
+
+
 def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
                  shape: ReadShape, refine: Optional[Callable] = None
                  ) -> SplitReader:
@@ -205,12 +217,7 @@ def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
     ``refine(position in blocks, pairs)``, when given, picks the pairs
     of each block that are yielded.
     """
-    schema = reader.stored_schema
-    if shape.fields is not None and schema.transparent:
-        # the records a projection file of the captured fields holds
-        kept = [name for name in schema.field_names() if name in shape.fields]
-        if len(kept) < len(schema.fields):
-            schema = schema.project(kept)
+    schema = shaped_schema(reader.stored_schema, shape.fields)
     scanner = (reader.scanner(shape) if isinstance(reader, ColumnarFileReader)
                else split_scanner(reader, shape))
     width = max(1, len(schema.fields))

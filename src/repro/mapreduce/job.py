@@ -67,7 +67,8 @@ class JobConf:
     #: vectorized-execution specs per input tag (``None`` for the single
     #: untagged input), set by the fluent lowering when a stage's map body
     #: is fully analyzer-described (pure selection/projection/known
-    #: aggregates).  The runtime then serves eligible map tasks through
+    #: aggregates), and by the optimizer for a classic ``map()`` the
+    #: analyzer described.  The runtime then serves eligible map tasks through
     #: :mod:`repro.batch` and falls back to ``mapper`` otherwise; outputs
     #: are byte-identical either way, so every other component may ignore
     #: this field.  Never set by users directly.

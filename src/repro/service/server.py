@@ -474,7 +474,7 @@ class QueryServer:
         def run() -> list:
             return run_plans(
                 [(state.session,
-                  state.session.lower(apply_ops(state.session, ops)))
+                  state.session.lower_for_run(apply_ops(state.session, ops)))
                  for state, ops, _options, _key in payloads],
                 **run_options,
             )

@@ -6,7 +6,9 @@ UDF chains), the callables of ``test_explain.py`` and the admitted UDF
 shapes of ``test_udf_translation.py`` -- and records, per query, every
 text the expression algebra feeds: synthesized stage-mapper source,
 kernel source, ``explain()`` output, selection hints and the remote op
-JSON -- plus the compiled block scanner's source for two batch scan
+JSON -- plus, for two classic jobs (:data:`CLASSIC_JOBS`), the kernel
+the analyzer's emit spec compiles to and their ``explain_job`` text,
+the compiled block scanner's source for two batch scan
 shapes (:data:`SCAN_SHAPES`) and two record-path ones
 (:data:`SPLIT_SHAPES`), and the compiled block encoder's source for the
 bare shape and each writer codec (:data:`ENCODER_SHAPES`).  The golden
@@ -40,7 +42,11 @@ from repro.api.session import Session
 from repro.batch.columns import build_scan_plan
 from repro.batch.kernels import compile_predicates
 from repro.batch.spec import BatchStageSpec
+from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.explain import explain_job
+from repro.mapreduce.api import Context, Mapper, Reducer
+from repro.mapreduce.formats import RecordFileInput
+from repro.mapreduce.job import JobConf
 from repro.storage.blockscan import split_scanner
 from repro.storage.blockwrite import block_encoder, wire_kinds
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
@@ -100,6 +106,52 @@ ENCODER_SHAPES = {
     "delta": (DeltaFileWriter, (["a", "b"],)),
     "dictionary": (DictionaryFileWriter, ("name",)),
 }
+
+
+class RankAboveMapper(Mapper):
+    """B1's shape: a predicate, then a field emit."""
+
+    def __init__(self, threshold=40):
+        self.threshold = threshold
+
+    def map(self, key, value, ctx: Context):
+        if value.rank > self.threshold:
+            ctx.emit(value.url, value.rank)
+
+
+class RankByUrlMapper(Mapper):
+    """B2's shape: an unconditional field emit."""
+
+    def map(self, key, value, ctx: Context):
+        ctx.emit(value.url, value.rank)
+
+
+class SumValues(Reducer):
+    def reduce(self, key, values, ctx: Context):
+        ctx.emit(key, sum(values))
+
+
+#: The classic-door golden: (mapper, reducer, combiner) per job.
+CLASSIC_JOBS = {
+    "b1-shaped": (RankAboveMapper(), None, None),
+    "b2-shaped": (RankByUrlMapper, SumValues, SumValues),
+}
+
+
+def _classic_texts(path, root):
+    """Each classic job's emit-spec kernel source and explain text."""
+    out = {}
+    for name, (mapper, reducer, combiner) in CLASSIC_JOBS.items():
+        conf = JobConf(name=name, mapper=mapper, reducer=reducer,
+                       combiner=combiner, inputs=[RecordFileInput(path)])
+        [ia] = ManimalAnalyzer().analyze_job(conf).inputs
+        spec = ia.batch_spec
+        kernel = compile_predicates(spec.predicates, spec.kernel_exprs())
+        out[name] = {
+            "kernel": None if kernel is None else kernel.source,
+            "explain": explain_job(conf).replace(root, "<ROOT>"),
+        }
+    return out
 
 
 def _encoder_sources(root):
@@ -207,6 +259,7 @@ def snapshot(root):
 
         classic = explain_job(test_explain._job(
             pages_path, test_explain.FilterMapper())).replace(root, "<ROOT>")
+        classic_jobs = _classic_texts(pages_path, root)
 
     # -- remote op JSON for seeded predicates, and the frozen wire list
     rng = random.Random(0x0F11)
@@ -219,6 +272,7 @@ def snapshot(root):
     return {
         "queries": queries,
         "classic_explain": classic,
+        "classic_jobs": classic_jobs,
         "remote_ops": ops,
         "frozen_exprs": [json.dumps(e.to_dict()) for e in FROZEN_EXPRS],
         "frozen_sources": [expr.to_source("value") for expr in FROZEN_EXPRS],

@@ -293,3 +293,58 @@ class TestSynthesizedMappersAnalyzable:
         conf = session.lower(query).confs()[0]
         outcome = session.system.submit(conf, build_indexes=True)
         assert outcome.optimized
+
+
+class TestLoweringReuse:
+    """A run takes the lowering the Dataset's build-time checks made."""
+
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        import repro.api.session as session_module
+
+        calls = []
+        real = session_module.lower_plan
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "lower_plan", counted)
+        return calls
+
+    def test_a_chain_lowers_at_most_three_times(self, session, pages_path,
+                                                lowerings):
+        rows = session.read(pages_path).filter(col("rank") > 10) \
+            .group_by("url").agg(n=count()).collect()
+        # filter's schema check and probe, agg's probe; collect reuses it
+        assert len(lowerings) <= 3
+        again = session.read(pages_path).filter(col("rank") > 10) \
+            .group_by("url").agg(n=count())
+        assert skeyed(again.collect()) == skeyed(rows)
+
+    def test_runs_of_one_dataset_never_share_intermediates(
+            self, session, pages_path, lowerings):
+        # two stages: the aggregate's output is the filter's scratch input
+        query = session.read(pages_path).group_by("rank") \
+            .agg(n=count()).filter(col("n") > 7)
+        solo = session.read(pages_path).group_by("rank") \
+            .agg(n=count()).filter(col("n") > 7)
+        expected = skeyed(solo.collect())
+        first, second = session.run_many([query, query])
+        paths = [result.plan.stages[0].conf.output_path
+                 for result in (first, second)]
+        assert len(set(paths)) == 2 and None not in paths
+        assert skeyed(first.rows) == skeyed(second.rows) == expected
+        # ... nor do concurrent runs once the build-time lowering is taken
+        import threading
+
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(
+            query.run())) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len({r.plan.stages[0].conf.output_path
+                    for r in results} | set(paths)) == 4
+        assert all(skeyed(r.rows) == expected for r in results)

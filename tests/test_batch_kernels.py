@@ -13,7 +13,7 @@ import pytest
 from repro.api.expressions import col, lit
 from repro.api.session import Session
 from repro.batch.columns import build_scan_plan, iter_column_batches
-from repro.batch.kernels import compile_predicates
+from repro.batch.kernels import KEY_COLUMN, compile_predicates
 from repro.batch.spec import BatchStageSpec
 from repro.exceptions import JobExecutionError
 from repro.service.payload import serialize_rows
@@ -104,7 +104,7 @@ class TestKernelSemantics:
         SOpaque("no built-in knowledge of function 'hash'",
                 field_deps=[(ROLE_VALUE, "i")]),
         SAttr(col("i").to_symbolic(), "real"),
-        SParamField(ROLE_KEY, ("i",)),
+        SParamField(ROLE_KEY, ("i", "j")),
     ], ids=["opaque", "attr", "key-field"])
     def test_node_outside_the_operator_set_raises_typeerror(self, node):
         with pytest.raises(TypeError, match="no source form|not a value"):
@@ -112,6 +112,18 @@ class TestKernelSemantics:
         # ... also when it hides under admitted operators
         with pytest.raises(TypeError):
             compile_predicates([SCompare(">", node, SConst(1))])
+
+    def test_key_fields_read_off_the_key_records(self):
+        # a classic map()'s key field: attribute reads on the block's key
+        # records, supplied as the KEY_COLUMN pseudo-column
+        key = SParamField(ROLE_KEY, ("value",))
+        kernel = compile_predicates(
+            [SCompare(">", key, SConst(1))], [key, col("i").to_symbolic()])
+        assert kernel.columns == [KEY_COLUMN, "i"]
+        keys = [LONG_SCHEMA.make(k) for k in (0, 2, 3)]
+        columns = {KEY_COLUMN: keys, "i": [7, 8, 9]}
+        assert kernel.select(3, columns.__getitem__) == (
+            (1, 2), (2, 3), (8, 9))
 
     def test_derived_values_ride_the_same_pass(self):
         kernel = compile_predicates(

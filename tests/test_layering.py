@@ -8,8 +8,9 @@ groups by column boundaries with one sort helper, only the
 optimizer attaches a record-path read shape, the per-field reference
 encode is named only by serialization and the compiled encoder's
 decline path, the retired B+Tree index path stays retired,
-pipelines keep one stage order, and only the code generator compiles,
-executes and registers generated source -- checked, not claimed.
+pipelines keep one stage order, only the code generator compiles,
+executes and registers generated source, and only the fluent lowering
+and the optimizer attach batch specs -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -485,3 +486,31 @@ def test_checker_sees_a_second_code_generator(tmp_path):
         os.path.join("batch", "kernels.py") + ":3: calls exec",
         os.path.join("core", "analyzer", "udf.py") + ":4: calls compile",
         os.path.join("storage", "blockscan.py") + ":2: imports linecache"]
+
+
+def test_checker_sees_a_batch_spec_attached_outside_its_homes(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("api", "plan", "def close(conf, spec):\n"
+                        "    conf.batch_specs[None] = spec\n"),
+        ("core/optimizer", "planner", "def apply(conf, plan):\n"
+                                      "    conf.batch_specs.setdefault("
+                                      "plan.tag, plan.batch)\n"),
+        ("mapreduce", "runtime", "def run(conf, spec, specs):\n"
+                                 "    spec = conf.batch_specs.get(None)\n"
+                                 "    conf.batch_specs[None] = spec\n"
+                                 "    conf.batch_specs = specs\n"),
+        ("api", "session", "def lower(conf, specs):\n"
+                           "    conf.batch_specs.update(specs)\n"
+                           "    del conf.batch_specs['x']\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.spec_attachment_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "session.py") + ":2: stores a batch spec",
+        os.path.join("api", "session.py") + ":3: stores a batch spec",
+        os.path.join("mapreduce", "runtime.py") + ":3: stores a batch spec",
+        os.path.join("mapreduce", "runtime.py") + ":4: replaces batch_specs"]

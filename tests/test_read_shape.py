@@ -175,8 +175,10 @@ PROGRAMS = [
     (FunctionMapper(_emit_whole), None, ReadShape(False, None)),
 ]
 CODECS = ["record", "projection", "delta", "dictionary", "partitions"]
-#: scheduling-path observables: the pool's, not the scan's
-SCHEDULING = {"wall_seconds"}
+#: execution-path observables, not the scan's: the pool's wall time,
+#: and which path served a task (an analyzer-described map() takes the
+#: batch path, whose scan captures what the read shape captures)
+SCHEDULING = {"wall_seconds", "batch_map_tasks"}
 
 
 def _int_metrics(metrics):

@@ -131,6 +131,17 @@
     (:data:`COMPILE_EXEMPT`) is the UDF verifier's compile of the
     user's own parsed file, which it reads and never executes.
 
+16. One spec attachment.  A batch spec reaches a job through
+    ``JobConf.batch_specs`` from one of two builders: the fluent
+    lowering (``repro/api/plan.py``) for the stages it builds, and the
+    optimizer (``repro/core/optimizer/``, :data:`SPEC_HOMES`) for the
+    ``emit`` spec the analyzer proved for a classic ``map()`` -- beside
+    the read shape, which only it attaches too.  So outside those homes
+    nothing under ``src/repro`` stores into ``batch_specs``: no item or
+    attribute store, and no ``setdefault`` / ``update`` call on it -- a
+    third attachment is a second opinion on which stages the batch
+    executor may serve.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -263,6 +274,14 @@ COMPILE_EXEMPT = {
         "compiles the user's own parsed file to check its bytecode; "
         "never executes it",
 }
+
+
+#: rule 16: the attribute, the modules that may store into it, and the
+#: dict methods that store
+SPEC_ATTR = "batch_specs"
+SPEC_HOMES = (os.path.join("repro", "api", "plan.py"),
+              os.path.join("repro", "core", "optimizer"))
+SPEC_STORES = frozenset({"setdefault", "update", "__setitem__"})
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -692,6 +711,37 @@ def codegen_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def spec_attachment_violations(src: str = SRC) -> List[str]:
+    """Every store into a :data:`SPEC_ATTR` attribute -- an item or
+    attribute store, or a :data:`SPEC_STORES` call on it -- outside
+    :data:`SPEC_HOMES`, under ``src/repro`` (rule 16)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        if any(module == h or module.startswith(h + os.sep)
+               for h in SPEC_HOMES):
+            continue
+        rel = os.path.relpath(path, REPO_ROOT)
+
+        def is_specs(node: ast.AST) -> bool:
+            return isinstance(node, ast.Attribute) and node.attr == SPEC_ATTR
+
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and is_specs(node.value)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                found.append((rel, node.lineno, "stores a batch spec"))
+            elif is_specs(node) and isinstance(node.ctx, ast.Store):
+                found.append((rel, node.lineno, "replaces batch_specs"))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in SPEC_STORES
+                  and is_specs(node.func.value)):
+                found.append((rel, node.lineno, "stores a batch spec"))
+    return [f"{rel}:{lineno}: {what} (only the fluent lowering and "
+            f"repro.core.optimizer attach batch specs)"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
@@ -700,9 +750,10 @@ def main() -> int:
     shape, reference = read_shape_violations(), reference_encode_violations()
     index, order = index_format_violations(), stage_order_violations()
     copies, generated = copy_layout_violations(), codegen_violations()
+    specs = spec_attachment_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
                  + loop + shape + reference + index + order + copies
-                 + generated):
+                 + generated + specs):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -740,9 +791,12 @@ def main() -> int:
     if generated:
         print(f"\n{len(generated)} compile, exec or linecache use(s) outside "
               f"{CODEGEN}")
+    if specs:
+        print(f"\n{len(specs)} batch spec(s) attached outside "
+              f"{' and '.join(SPEC_HOMES)}")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
             or loop or shape or reference or index or order or copies
-            or generated):
+            or generated or specs):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -771,7 +825,8 @@ def main() -> int:
           + "copy input"
           + f"; only {CODEGEN} imports linecache or calls exec or compile "
           + "(and " + ", ".join(scope for _module, scope in COMPILE_EXEMPT)
-          + " its verification compile)")
+          + " its verification compile)"
+          + "; only " + " and ".join(SPEC_HOMES) + " attach batch specs")
     return 0
 
 
