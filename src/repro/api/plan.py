@@ -49,6 +49,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro import codegen
@@ -57,7 +58,15 @@ from repro.api.expressions import (
     expr_from_symbolic,
     selection_formula,
 )
-from repro.batch.spec import AGGREGATES, BatchStageSpec, preagg_decline
+from repro.batch.spec import (
+    AGGREGATES,
+    WHOLE_KEY,
+    WHOLE_VALUE,
+    BatchStageSpec,
+    SRecord,
+    column_ref,
+    preagg_decline,
+)
 from repro.core.analyzer.descriptors import (
     DeltaCompressionDescriptor,
     InputAnalysis,
@@ -89,7 +98,7 @@ from repro.storage.serialization import (
     Schema,
     primitive_schema,
 )
-from repro.symbolic import SymExpr, has_literal_form, to_source
+from repro.symbolic import SConst, STuple, SymExpr, has_literal_form, to_source
 
 #: Name prefix of the synthesized projection helper (a bound
 #: ``Schema.make``) spliced into generated mapper code.
@@ -610,55 +619,6 @@ def _codegen_segment(seg: _Segment, fn_name: str,
     return "\n".join(lines) + "\n", env, user_code
 
 
-def _segment_batch_spec(seg: _Segment, kind: str,
-                        **tail: Any) -> Optional[BatchStageSpec]:
-    """The segment's :class:`BatchStageSpec` when it is fully
-    analyzer-described, else ``None``; ``tail`` holds the fields of the
-    stage ``kind``'s own emit (group/aggregates, join column and tag).
-
-    This is the vectorization eligibility rule: column-expression
-    filters and selects, then at most one computed projection (a
-    translated ``map``) followed only by selects, over transparent key
-    and value schemas.  An opaque ``map()`` or callable predicate, an
-    opaque schema, a predicate column the declared schema lacks, or a
-    filter *after* a computed projection (it reads derived columns, and
-    the kernel evaluates a row's predicates before its derived values)
-    all disqualify the segment -- the stage then runs record-at-a-time,
-    unconditionally.
-    """
-    schema = seg.in_value_schema
-    if schema is None or not schema.transparent:
-        return None
-    if seg.in_key_schema is None or not seg.in_key_schema.transparent:
-        return None
-    base_columns = set(schema.field_names())
-    spec = BatchStageSpec(kind=kind, **tail)
-    has_select = False
-    for op in seg.ops:
-        if isinstance(op, FilterNode):
-            if spec.derived is not None \
-                    or not isinstance(op.predicate, SymExpr) \
-                    or not op.predicate.value_columns() <= base_columns:
-                return None
-            spec.predicates.append(op.predicate)
-        elif isinstance(op, SelectNode):
-            has_select = True
-        elif isinstance(op, DeriveNode):
-            if spec.derived is not None or any(
-                    not e.value_columns() <= base_columns for e in op.exprs):
-                return None
-            spec.derived = list(zip(op.value_schema.field_names(), op.exprs))
-            has_select = False  # earlier selects only narrowed its input
-        else:
-            return None
-    # An aggregate emits (group value, agg inputs), never the record.
-    if has_select and kind != "aggregate":
-        spec.project_columns = seg.out_value_schema.field_names()
-    if has_select or spec.derived is not None:
-        spec.out_value_schema = seg.out_value_schema
-    return spec
-
-
 def _schema_after(ops: Sequence[LogicalNode],
                   schema: Optional[Schema]) -> Optional[Schema]:
     """The value schema once ``ops`` have run over ``schema`` records."""
@@ -686,19 +646,23 @@ def _schema_before(seg: _Segment, op: LogicalNode) -> Optional[Schema]:
 
 
 def _input_hints(seg: _Segment, input_index: int, input_tag: Optional[str],
-                 mapper_name: str,
-                 emitted_columns: Optional[Set[str]]) -> InputAnalysis:
+                 mapper_name: str, emitted_columns: Optional[Set[str]],
+                 batch: Union[BatchStageSpec, str]) -> InputAnalysis:
     """Exact optimization descriptors for one (input, synthesized mapper).
 
     ``emitted_columns`` are the base-record columns the stage tail reads
-    (group/agg/join columns, or None meaning "everything still visible").
+    (group/agg/join columns, or None meaning "everything still visible");
+    ``batch`` is the stage's batch spec, or why it has none.
     """
+    declined = isinstance(batch, str)
     ia = InputAnalysis(
         input_index=input_index,
         input_tag=input_tag,
         mapper_name=mapper_name,
         key_schema=seg.in_key_schema,
         value_schema=seg.in_value_schema,
+        batch_spec=None if declined else batch,
+        batch_decline=batch if declined else None,
     )
     schema = seg.in_value_schema
     if seg.pushdown:
@@ -798,10 +762,11 @@ class _Lowering:
         self.scratch = scratch
         self.num_reducers = num_reducers
         self.analyze_udf = analyze_udf
-        #: attach :class:`~repro.batch.spec.BatchStageSpec`s to stages
-        #: whose map bodies are fully analyzer-described, letting the
-        #: runtime serve them vectorized.  ``False`` pins every stage to
-        #: the record path (the differential test harness's reference).
+        #: describe stages whose map bodies are fully analyzer-described
+        #: with a :class:`~repro.batch.spec.BatchStageSpec` in their
+        #: hints, letting the runtime serve them vectorized.  ``False``
+        #: pins every stage to the record path (the differential test
+        #: harness's reference).
         self.vectorize = vectorize
         self._stage_seq = itertools.count()
 
@@ -899,24 +864,20 @@ class _Lowering:
             inputs=[scan_input(self._input_of(chain))],
             num_reducers=self.num_reducers,
         )
-        hints = JobAnalysis(
-            job_name=stage_name,
-            inputs=[_input_hints(seg, 0, None, fn_name, None)],
-        )
-        descriptions = list(seg.descriptions) or ["scan"]
         # A bare pass-through scan gains nothing from vectorization (every
         # field decodes either way); only stages that actually filter or
         # project get a spec.
-        if self.vectorize and seg.ops:
-            spec = _segment_batch_spec(seg, "map")
-            if spec is not None:
-                conf.batch_specs[None] = spec
-                descriptions.append(f"batch spec [{spec.describe()}]")
+        batch = self._batch_spec(seg, lambda record: (
+            WHOLE_KEY, record)) if seg.ops else "pass-through scan"
+        hints = JobAnalysis(
+            job_name=stage_name,
+            inputs=[_input_hints(seg, 0, None, fn_name, None, batch)],
+        )
         return StagePlan(
             conf=conf,
             hints=hints,
             kind="map",
-            descriptions=descriptions,
+            descriptions=list(seg.descriptions) or ["scan"],
             out_key_schema=seg.out_key_schema,
             out_value_schema=seg.out_value_schema,
         )
@@ -931,14 +892,16 @@ class _Lowering:
         names = [name for name, _ in node.aggs]
         specs = [spec for _, spec in node.aggs]
 
+        # each aggregate's declared per-row partial, slots flattened: the
+        # value the synthesized mapper and the batch spec emit
+        slots = [
+            column_ref(spec.column) if literal is None else SConst(literal)
+            for spec in specs for literal in AGGREGATES[spec.op].partial
+        ]
+
         def tail(key_var: str, value_var: str) -> List[str]:
-            # each aggregate's declared per-row partial, slots flattened
-            slots = [
-                f"{value_var}.{spec.column}" if literal is None
-                else repr(literal)
-                for spec in specs for literal in AGGREGATES[spec.op].partial
-            ]
-            emitted = slots[0] if len(slots) == 1 else f"({', '.join(slots)})"
+            shown = [to_source(slot, value_var) for slot in slots]
+            emitted = shown[0] if len(shown) == 1 else f"({', '.join(shown)})"
             return [f"ctx.emit({value_var}.{node.group_column}, {emitted})"]
 
         fn_name = "_fluent_agg_map"
@@ -960,12 +923,20 @@ class _Lowering:
             num_reducers=self.num_reducers,
         )
         self._materialize(conf, stage_name, out_key_schema, out_value_schema)
+        batch = self._batch_spec(seg, lambda _record: (
+            column_ref(node.group_column),
+            slots[0] if len(slots) == 1 else STuple(slots)))
+        if not isinstance(batch, str):
+            batch.fold = [spec.op for spec in specs]
+            batch.no_preagg = preagg_decline(
+                [(spec.op, self._column_type(record_schema, spec.column))
+                 for spec in specs], derived=batch.derived is not None)
         hints = JobAnalysis(
             job_name=stage_name,
             inputs=[
                 _input_hints(
                     seg, 0, None, fn_name,
-                    emitted_cols if not seg.seen_map else None,
+                    emitted_cols if not seg.seen_map else None, batch,
                 )
             ],
         )
@@ -975,25 +946,6 @@ class _Lowering:
         descriptions = seg.descriptions + [
             f"group_by {node.group_column} agg {agg_desc}"
         ]
-        if (
-            self.vectorize
-            and record_schema is not None
-            and record_schema.transparent
-        ):
-            bspec = _segment_batch_spec(
-                seg, "aggregate",
-                group_column=node.group_column,
-                aggs=[(spec.op, spec.column) for spec in specs],
-            )
-            if bspec is not None:
-                typed_aggs = [
-                    (spec.op, self._column_type(record_schema, spec.column))
-                    for spec in specs
-                ]
-                bspec.no_preagg = preagg_decline(
-                    typed_aggs, derived=bspec.derived is not None)
-                conf.batch_specs[None] = bspec
-                descriptions.append(f"batch spec [{bspec.describe()}]")
         return StagePlan(
             conf=conf,
             hints=hints,
@@ -1002,6 +954,52 @@ class _Lowering:
             out_key_schema=out_key_schema,
             out_value_schema=out_value_schema,
         )
+
+    def _batch_spec(self, seg: _Segment,
+                    tail: Callable[[SymExpr], Tuple[SymExpr, SymExpr]]
+                    ) -> Union[BatchStageSpec, str]:
+        """The segment's :class:`BatchStageSpec` when it is fully
+        analyzer-described, else why not; ``tail(record)`` is the
+        stage's own emit over the record the segment ends with.
+
+        This is the vectorization eligibility rule: column-expression
+        filters and selects, then at most one computed projection (a
+        translated ``map``, the spec's derived values) followed only by
+        selects, over transparent key and value schemas.  An opaque
+        ``map()`` or callable predicate, an opaque schema, or a filter
+        *after* a computed projection (it reads derived columns, and the
+        kernel evaluates a row's predicates before its derived values)
+        all disqualify the segment -- the stage then runs
+        record-at-a-time, unconditionally.  (A column the file lacks is
+        the batch admission's decline, at run time.)
+        """
+        schema, key_schema = seg.in_value_schema, seg.in_key_schema
+        if not self.vectorize:
+            return "vectorize=False"
+        if schema is None or key_schema is None \
+                or not (schema.transparent and key_schema.transparent):
+            return "opaque or unknown schema"
+        derived: Optional[List[Tuple[str, SymExpr]]] = None
+        reshaped = False
+        for op in seg.ops:
+            if isinstance(op, FilterNode):
+                if not isinstance(op.predicate, SymExpr):
+                    return "a callable filter is opaque"
+                if derived is not None:
+                    return "a filter after a computed map()"
+            elif isinstance(op, DeriveNode):
+                if derived is not None:
+                    return "more than one computed map()"
+                derived = list(zip(op.value_schema.field_names(), op.exprs))
+            elif not isinstance(op, SelectNode):
+                return "a map() is opaque"
+            reshaped = reshaped or not isinstance(op, FilterNode)
+        if not seg.out_value_schema.transparent:
+            return "opaque or unknown schema"
+        record = SRecord(seg.out_value_schema) if reshaped else WHOLE_VALUE
+        # every filter precedes any map(), so the scan's pushed-down
+        # predicates are all of them
+        return BatchStageSpec(tail(record), list(seg.pushdown), derived)
 
     def _validate_agg_columns(self, node: AggregateNode,
                               schema: Optional[Schema],
@@ -1134,28 +1132,22 @@ class _Lowering:
             num_reducers=self.num_reducers,
         )
         self._materialize(conf, stage_name, out_key_schema, merged_schema)
-        side_descriptions: List[str] = []
-        if self.vectorize:
-            for tag_key, seg, tagchar in (
-                ("left", lseg, "L"), ("right", rseg, "R")
-            ):
-                bspec = _segment_batch_spec(
-                    seg, "join-side", join_on=node.on, join_tag=tagchar)
-                if bspec is None:
-                    continue
-                conf.batch_specs[tag_key] = bspec
-                side_descriptions.append(
-                    f"{tag_key}: batch spec [{bspec.describe()}]"
-                )
+
+        def side_batch(seg: _Segment, tag: str) -> Union[BatchStageSpec, str]:
+            return self._batch_spec(seg, lambda record: (
+                column_ref(node.on), STuple([SConst(tag), record])))
+
         lcols = set(lseg.visible or lschema.field_names()) | {node.on}
         rcols = set(rseg.visible or rschema.field_names()) | {node.on}
         hints = JobAnalysis(
             job_name=stage_name,
             inputs=[
                 _input_hints(lseg, 0, "left", lfn,
-                             lcols if not lseg.seen_map else None),
+                             lcols if not lseg.seen_map else None,
+                             side_batch(lseg, "L")),
                 _input_hints(rseg, 1, "right", rfn,
-                             rcols if not rseg.seen_map else None),
+                             rcols if not rseg.seen_map else None,
+                             side_batch(rseg, "R")),
             ],
         )
         return StagePlan(
@@ -1165,7 +1157,6 @@ class _Lowering:
             descriptions=(
                 [f"left: {d}" for d in lseg.descriptions]
                 + [f"right: {d}" for d in rseg.descriptions]
-                + side_descriptions
                 + [f"inner join on {node.on}"]
             ),
             out_key_schema=out_key_schema,

@@ -27,6 +27,7 @@ from repro.core.optimizer.catalog import DatasetEntry, IndexEntry
 from repro.core.optimizer.planner import describe_read
 from repro.core.pipeline import ManimalPipeline
 from repro.exceptions import JobConfigError, SerializationError
+from repro.explain import batch_lines
 from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.runtime import _coerce
 from repro.storage.partitioned import (
@@ -251,7 +252,7 @@ class Session:
         for i, (scan, descriptor) in enumerate(zip(scans, descriptors)):
             lines.append(f"query {i}: " + "; ".join(scan.descriptions))
             lines += [f"  {plan.describe()}" for plan in descriptor.plans]
-            lines += _batch_verdicts(scan.conf, descriptor)
+            lines += batch_lines(scan.conf, descriptor)
         lines.append(report.describe())
         return "\n".join(lines).rstrip() + "\n"
 
@@ -377,7 +378,7 @@ class Session:
                 lines.append(f"  {ia.summary()}")
             descriptor = self.system.plan(stage.conf, stage.hints)
             lines.append(descriptor.describe())
-            lines += _batch_verdicts(stage.conf, descriptor)
+            lines += batch_lines(stage.conf, descriptor)
             lines += [
                 f"  input[{plan.input_index}] decode: "
                 f"{describe_read(plan.chosen, ia)}"
@@ -398,24 +399,6 @@ class Session:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def _batch_verdicts(conf: Any, descriptor: Any) -> List[str]:
-    """Per input the optimizer planned: will the batch path serve the
-    stage over *that* input, and if not, why (the task's own admission)
-    -- and for an aggregate, will its map tasks pre-aggregate."""
-    from repro.batch.executor import batch_admission, task_preagg_decline
-    from repro.batch.spec import preagg_text
-
-    lines = []
-    for plan in descriptor.plans:
-        spec = conf.batch_specs.get(plan.chosen.tag)
-        admitted = batch_admission(spec, plan.chosen)
-        verdict = f"no ({admitted})" if isinstance(admitted, str) else "yes"
-        if verdict == "yes" and spec.kind == "aggregate":
-            verdict += f", {preagg_text(task_preagg_decline(spec, conf))}"
-        lines.append(f"  input[{plan.input_index}] batch path: {verdict}")
-    return lines
 
 
 def run_plans(

@@ -99,10 +99,10 @@ def build_scan_plan(key_schema: Schema, value_schema: Schema,
            for name in (needed or []) + spec.value_columns()):
         return None
     capture = value_schema.field_names() if needed is None else needed
-    # Keys are decoded only for a stage that reads them: map/join stages
-    # emit them, an emit stage may; an aggregate passes their fields over.
+    # Keys are decoded only for a stage that reads them; any other scan
+    # passes their fields over.
     return ScanPlan(key_schema, value_schema, capture,
-                    decode_keys=spec.reads_keys(), columnar=columnar)
+                    decode_keys=spec.reads_keys, columnar=columnar)
 
 
 def iter_column_batches(

@@ -8,8 +8,8 @@ one: the task walks the split's recordfile blocks once, decodes the
 **union** of the columns its members need once per block (for one
 member, exactly that member's own decode plan), and hands every
 :class:`~repro.batch.columns.ColumnBatch` to each member's
-:class:`StageScan` -- the only implementation of the projection /
-join-side / aggregate / pre-aggregation block loops.  Because that
+:class:`StageScan` -- the one block loop, and the one pre-aggregation
+fold, every spec runs through.  Because that
 chokepoint serves the sequential runner and the parallel runner's
 workers alike, every runner -- and every shared-scan group
 (:mod:`repro.batch.multiscan`) -- consumes batches through this one
@@ -42,13 +42,7 @@ from repro.batch.columns import (
     iter_column_batches,
 )
 from repro.batch.kernels import KEY_COLUMN, PredicateKernel, compile_predicates
-from repro.batch.spec import (
-    AGGREGATES,
-    COLUMN,
-    WHOLE_KEY,
-    BatchStageSpec,
-    emit_source,
-)
+from repro.batch.spec import AGGREGATES, COLUMN, CONST, RECORD, BatchStageSpec, part_source
 from repro.exceptions import JobExecutionError, ReproError
 from repro.mapreduce.formats import (
     ColumnarFileInput,
@@ -61,7 +55,7 @@ from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
 from repro.storage.blockfile import BlockFileReader
 from repro.storage.columnar import ColumnarFileReader
 from repro.storage.recordfile import RecordFileReader
-from repro.storage.serialization import Record, build_records
+from repro.storage.serialization import build_records
 from repro.symbolic import STuple
 
 
@@ -128,10 +122,11 @@ def task_preagg_decline(spec: BatchStageSpec, conf: JobConf
 class StageScan:
     """One member's per-task execution state inside a batch map task.
 
-    ``process`` holds the block loops -- kernel selection, emit
-    materialization, the pre-aggregation fold in first-occurrence order
-    -- and ``finish`` charges the member's solo-parity accounting and
-    runs its own ``_finish_map_task`` tail.  Nothing here knows how many
+    ``process`` is the block loop -- kernel selection and derived
+    values, the emitted parts gathered a column at a time, then either
+    the pairs or the pre-aggregation fold in first-occurrence order --
+    and ``finish`` charges the member's solo-parity accounting and runs
+    its own ``_finish_map_task`` tail.  Nothing here knows how many
     other members share the pass, which is what makes a member's task
     output equal its solo batch run by construction.
     """
@@ -146,165 +141,101 @@ class StageScan:
         #: is never billed for columns other members forced in)
         self.plan = plan
         self.kernel = kernel
-        if spec.derived is not None:
-            self.derived_slots = {
-                name: i for i, (name, _expr) in enumerate(spec.derived)
-            }
+        slots = {name: i for i, (name, _expr) in enumerate(spec.derived
+                                                            or ())}
+        # Each emitted part as (kind, constant or record schema, column
+        # refs): (column name, slot of the derived value of that name);
+        # the whole key is KEY_COLUMN, the whole scanned record the
+        # record path's.
+        self.sources: List[Tuple[str, Any, List[Tuple]]] = []
+        for part in spec.emit_parts():
+            kind, arg = part_source(part)
+            scanned = kind == RECORD and arg is None
+            if scanned:
+                arg = shaped_schema(reader.stored_schema, spec.project_columns)
+            names = (arg.field_names() if kind == RECORD
+                     else [KEY_COLUMN if arg is None else arg]
+                     if kind == COLUMN else [])
+            self.sources.append((kind, arg, [
+                (name, None if scanned else slots.get(name))
+                for name in names]))
+        self.tuple_value = isinstance(spec.emit[1], STuple)
         self.emitted: List[Tuple[Any, Any]] = []
-        self.aggregate = spec.kind == "aggregate"
-        if spec.kind == "emit":
-            # each emit part's source (None: the kernel computes it), and
-            # the value records a whole-record V is: the record path's
-            self.sources = [emit_source(part) for part in spec.emit_parts()]
-            self.computes = spec.kernel_exprs() is not None
-            self.tuple_value = isinstance(spec.emit[1], STuple)
-            self.record_schema = shaped_schema(reader.stored_schema,
-                                               spec.project_columns)
-        elif self.aggregate:
-            aggs = spec.aggs or []
-            # The shuffled value's slots, from each aggregate's declared
-            # partial: (input column, literal), the literal None when
-            # the slot carries the column's value.
-            self.slots = [
-                (column, literal)
-                for op, column in aggs for literal in AGGREGATES[op].partial
-            ]
+        self.fold = (spec.fold is not None
+                     and task_preagg_decline(spec, conf) is None)
+        if self.fold:
             # The same merges the reducer applies, so partials here
             # reduce to the per-row bytes.
-            self.merges = [
-                AGGREGATES[op].pairwise
-                for op, _ in aggs for _ in AGGREGATES[op].partial
-            ]
-            self.tally = [op for op, _ in aggs] == ["count"]
-            self.preagg = task_preagg_decline(spec, conf) is None
+            self.merges = [AGGREGATES[op].pairwise for op in spec.fold
+                           for _ in AGGREGATES[op].partial]
+            self.tally = spec.fold == ["count"]
             self.groups: dict = {}
-        else:
-            self.emit_schema = spec.out_value_schema or reader.value_schema
-            self.emit_names = self.emit_schema.field_names()
-            self.join_side = spec.kind == "join-side"
 
     def process(self, batch: ColumnBatch) -> None:
-        """Run this member's stage over one decoded block."""
-        spec = self.spec
-        if spec.kind == "emit":
-            self._process_emit(batch)
-            return
-        if self.kernel is not None:
-            selected: Any = self.kernel.select(batch.n_rows, batch.column)
-        else:
-            selected = range(batch.n_rows)
-        if spec.derived is not None:
-            # The kernel already computed the derived record of every
-            # passing row; the loops below run over those as a batch of
-            # their own -- same loops, derived columns.
-            passed, *cols = selected
-            keys = batch.keys
-            batch = ColumnBatch(
-                len(passed), cols, self.derived_slots,
-                None if keys is None else [keys[i] for i in passed], 0,
-            )
-            selected = range(batch.n_rows)
-        append = self.emitted.append
-        if self.aggregate:
-            # aggregate stages: emit (group value, partial slots) rows
-            group_col = batch.column(spec.group_column)
-            groups = self.groups
-            if self.preagg and self.tally:
-                # A lone count: one C-level tally per block, merged in
-                # first-occurrence order (see below).
-                tally = Counter(map(group_col.__getitem__, selected))
-                for group, n in tally.items():
-                    accs = groups.get(group)
-                    if accs is None:
-                        groups[group] = [n]
-                    else:
-                        accs[0] += n
-                return
-            cols = [
-                batch.column(column) if literal is None
-                else [literal] * batch.n_rows
-                for column, literal in self.slots
-            ]
-            if self.preagg:
-                # Hash-fold into one partial per group per task, in
-                # first-occurrence order -- exactly the representative
-                # -key order the reducer's stable sort would have picked
-                # from the raw rows.
-                merges = self.merges
-                for i in selected:
-                    group = group_col[i]
-                    accs = groups.get(group)
-                    if accs is None:
-                        groups[group] = [c[i] for c in cols]
-                    else:
-                        for j, merge in enumerate(merges):
-                            accs[j] = merge(accs[j], cols[j][i])
-            elif len(cols) == 1:
-                col = cols[0]
-                for i in selected:
-                    append((group_col[i], col[i]))
-            else:
-                for i in selected:
-                    append((group_col[i], tuple([c[i] for c in cols])))
-            return
-        # map / join-side stages: filter rows, emit (key, value) pairs
-        emit_schema = self.emit_schema
+        """Run this member's stage over one decoded block: the kernel
+        selects the rows that emit and computes their derived values;
+        columns, keys and records (built a block at a time) are gathered
+        at the passing rows."""
         keys = batch.keys
-        cols = [batch.column(name) for name in self.emit_names]
-        if self.join_side:
-            on_col = batch.column(spec.join_on)
-            join_tag = spec.join_tag
-            for i in selected:
-                append((
-                    on_col[i],
-                    (join_tag, Record(emit_schema, [c[i] for c in cols])),
-                ))
-        else:
-            for i in selected:
-                append((keys[i], Record(emit_schema, [c[i] for c in cols])))
 
-    def _process_emit(self, batch: ColumnBatch) -> None:
-        """A classic ``map()``'s emit over one block, a column at a time:
-        the kernel selects the rows that emit and computes their
-        computed parts; bare columns, keys and whole value records (built
-        a block at a time) are gathered at the passing rows."""
-        keys = batch.keys
+        def scanned(name: str) -> Sequence[Any]:
+            return keys if name == KEY_COLUMN else batch.column(name)
+
         passed: Optional[Sequence[int]] = None  # None: every row
-        computed: Any = iter(())
+        derived: Sequence[Sequence[Any]] = ()
         if self.kernel is not None:
-            selected = self.kernel.select(
-                batch.n_rows,
-                lambda name: keys if name == KEY_COLUMN
-                else batch.column(name))
-            if self.computes:
-                rows, *outs = selected
-                computed = iter(outs)
+            selected = self.kernel.select(batch.n_rows, scanned)
+            if self.spec.derived is not None:
+                rows, *derived = selected
             else:
                 rows = selected
             if self.spec.predicates:
                 passed = rows
         n = batch.n_rows if passed is None else len(passed)
 
-        def gather(column: Sequence[Any]) -> Sequence[Any]:
-            return column if passed is None \
-                else list(map(column.__getitem__, passed))
+        def gather(name: str, slot: Optional[int]) -> Sequence[Any]:
+            if slot is not None:
+                return derived[slot]
+            values = scanned(name)
+            return values if passed is None \
+                else list(map(values.__getitem__, passed))
 
         parts: List[Sequence[Any]] = []
-        for source in self.sources:
-            if source is None:
-                parts.append(next(computed))
-            elif source[0] == COLUMN:
-                parts.append(gather(batch.column(source[1])))
-            elif source[0] == WHOLE_KEY:
-                parts.append(gather(keys))
+        for kind, arg, refs in self.sources:
+            if kind == CONST:
+                parts.append([arg] * n)
+            elif kind == RECORD:
+                parts.append(build_records(
+                    arg, [gather(*r) for r in refs], n))
             else:
-                schema = self.record_schema
-                parts.append(build_records(schema, [
-                    gather(batch.column(name))
-                    for name in schema.field_names()], n))
+                parts.append(gather(*refs[0]))
         key_column, *values = parts
-        self.emitted.extend(zip(
-            key_column, zip(*values) if self.tuple_value else values[0]))
+        if not self.fold:
+            self.emitted.extend(zip(
+                key_column,
+                zip(*values) if self.tuple_value else values[0]))
+            return
+        # Hash-fold into one partial per group per task, in first-
+        # occurrence order -- exactly the representative-key order the
+        # reducer's stable sort would have picked from the raw rows.
+        groups = self.groups
+        if self.tally:
+            # a lone count: one C-level tally per block
+            for group, count in Counter(key_column).items():
+                accs = groups.get(group)
+                if accs is None:
+                    groups[group] = [count]
+                else:
+                    accs[0] += count
+            return
+        merges = self.merges
+        for group, partial in zip(key_column, zip(*values)):
+            accs = groups.get(group)
+            if accs is None:
+                groups[group] = list(partial)
+            else:
+                for j, merge in enumerate(merges):
+                    accs[j] = merge(accs[j], partial[j])
 
     def finish(self, n_rows: int, stored_bytes: int,
                logical_bytes: int) -> MapTaskResult:
@@ -315,7 +246,7 @@ class StageScan:
         bytes, and its *own* plan's decode width -- so its merged job
         metrics match its solo run on every volume field.
         """
-        if self.aggregate and self.preagg:
+        if self.fold:
             append = self.emitted.append
             for group, accs in self.groups.items():
                 append((group, accs[0] if len(accs) == 1 else tuple(accs)))
@@ -327,14 +258,10 @@ class StageScan:
         metrics.map_input_stored_bytes += stored_bytes
         metrics.map_input_logical_bytes += logical_bytes
         # Decode accounting: the batch scan decodes exactly the captured
-        # columns, once per row -- the record path's rule too (stored
-        # width x records), over the columns it captures: all of them.
-        width = self.plan.n_slots
-        if self.spec.kind == "emit":
-            # the record path's charge for the same read shape: a record
-            # costs at least one field, even with none captured
-            width = max(1, width)
-        metrics.fields_deserialized += width * n_rows
+        # columns, once per row -- the record path's rule too (captured
+        # width x records), under which a record costs at least one
+        # field, even with none captured.
+        metrics.fields_deserialized += max(1, self.plan.n_slots) * n_rows
         metrics.batch_map_tasks += 1
         _finish_map_task(self.conf, out, self.emitted)
         return out

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.executor import batch_admission
-from repro.batch.spec import BatchStageSpec
 from repro.mapreduce.formats import PartitionedInput
 from repro.mapreduce.job import JobConf, JobResult
 from repro.storage import InputIdentity, input_identity
@@ -82,7 +81,6 @@ class MemberPlan:
 
     index: int
     conf: JobConf
-    spec: BatchStageSpec
     #: columns this member's solo plan decodes, in plan order
     columns: List[str]
 
@@ -187,7 +185,7 @@ def plan_shared_groups(confs: Sequence[Optional[JobConf]]
             continue
         grouping = (identity, source.shape)
         by_file.setdefault(grouping, []).append(
-            MemberPlan(index, conf, spec, list(plan.slots))
+            MemberPlan(index, conf, list(plan.slots))
         )
         file_fields[grouping] = (
             len(plan.key_schema.fields) + len(plan.value_schema.fields)

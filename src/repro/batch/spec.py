@@ -1,12 +1,33 @@
-"""Vectorization specs: what a lowered stage's map body does, declaratively.
+"""Batch specs: what a stage's map body does, declaratively.
 
-The fluent lowering (the api layer's ``plan`` module) already knows each
-stage's exact predicates, projected columns and aggregate list -- that
-knowledge is what lets it hand Manimal Appendix-A hints.  A :class:`BatchStageSpec`
-is the same knowledge packaged for the *executor*: when a stage's map
-body is nothing but analyzer-described selection/projection/known
-aggregates, the runtime can evaluate it batch-at-a-time over decoded
-column arrays instead of calling the synthesized mapper once per record.
+When a map body is nothing but analyzer-described selection and
+computation, the runtime can evaluate it a block at a time over decoded
+column arrays instead of calling ``map()`` once per record.  A
+:class:`BatchStageSpec` is that description, and it has one shape
+whichever door built it:
+
+* ``predicates`` -- a conjunction of pure column predicates, in order;
+* ``derived`` -- named values computed for every row that passes, in
+  order;
+* ``emit`` -- one ``(K, V)`` pair per passing row.  ``K`` and ``V`` read
+  scanned columns, or the derived values of those names (a derive that
+  replaced the record is read through its field names); besides
+  columns they may be the whole key, a constant, or a record of a given
+  schema (:class:`SRecord`; the whole scanned record is ``$value``),
+  and ``V`` may be a tuple of those;
+* ``fold`` -- optionally, the :data:`AGGREGATES` ops whose partials the
+  slots of ``V`` are, so map tasks may pre-aggregate per ``K``.
+
+The fluent lowering (the api layer's ``plan`` module) describes a map
+stage as ``(key, record)``, a join side as ``(on, (tag, record))`` and
+an aggregate as ``(group, slots)`` with a ``fold``; a translated
+``map`` is a derive.  The analyzer describes a classic ``map()``'s one
+``ctx.emit(K, V)`` (:mod:`repro.core.analyzer.emitspec`), the parts it
+computes becoming derived values.  Either way the spec rides the
+stage's :class:`~repro.core.analyzer.descriptors.InputAnalysis` (the
+lowering's hints, or the analysis), the optimizer attaches it to the
+job (:meth:`~repro.core.optimizer.planner.ExecutionDescriptor.apply`),
+and the one executor (:mod:`repro.batch.executor`) serves it.
 
 A spec is a promise about semantics, not a command: the batch executor
 re-checks it against the concrete input file at run time (source type,
@@ -14,13 +35,6 @@ schema transparency, column availability) and returns control to the
 record-at-a-time path whenever anything does not hold.  Stages with
 opaque UDFs (``map()`` / callable filters the analyzer could not
 translate) or opaque schemas never get a spec in the first place.
-
-Two doors build specs.  The fluent lowering builds ``map`` /
-``aggregate`` / ``join-side`` specs from its own operator chain; the
-analyzer builds an ``emit`` spec from a classic ``map()`` it fully
-describes (:mod:`repro.core.analyzer.emitspec`), which the optimizer
-attaches beside the read shape.  Either way the one executor
-(:mod:`repro.batch.executor`) serves it.
 
 A spec describes the map side only: whichever path produced them, a
 stage's pairs shuffle through the one run format of
@@ -30,13 +44,14 @@ stage's pairs shuffle through the one run format of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
 )
 
 from repro.storage.serialization import FieldType, Schema
-from repro.symbolic import ROLE_KEY, ROLE_VALUE, SParam, SParamField, STuple, SymExpr
+from repro.symbolic import ROLE_KEY, ROLE_VALUE, SConst, SParam, SParamField, STuple, SymExpr
 
 _INTEGERS = frozenset({FieldType.INT, FieldType.LONG})
 
@@ -111,173 +126,162 @@ def preagg_text(decline: Optional[str]) -> str:
     return "hash pre-agg" if decline is None else f"no pre-agg ({decline})"
 
 
+class SRecord(SymExpr):
+    """An emitted record of ``schema``, its fields read from the columns
+    of the same names."""
+
+    __slots__ = ("schema", "fields")
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        self.fields = tuple(SParamField(ROLE_VALUE, (name,))
+                            for name in schema.field_names())
+
+    def children(self) -> Tuple[SymExpr, ...]:
+        return self.fields
+
+    def __repr__(self) -> str:
+        return f"{self.schema.name}({', '.join(self.schema.field_names())})"
+
+
+def column_ref(name: str) -> SParamField:
+    """An emit part reading column ``name``."""
+    return SParamField(ROLE_VALUE, (name,))
+
+
+#: emit parts: the whole key, and the whole scanned value record
+WHOLE_KEY, WHOLE_VALUE = SParam(ROLE_KEY), SParam(ROLE_VALUE)
+
+
+#: how the executor gathers an emitted part: a column's values, a
+#: constant, or records built from columns
+COLUMN, CONST, RECORD = "column", "const", "record"
+
+
+def part_source(part: SymExpr) -> Optional[Tuple[str, Any]]:
+    """``(COLUMN, name)`` for a column (name ``None``: the whole key),
+    ``(CONST, value)`` or ``(RECORD, schema)`` (schema ``None``: the
+    whole scanned record) -- or ``None`` for a part that has to be
+    computed, which a spec holds as a derived value instead."""
+    if isinstance(part, SParam):
+        return (COLUMN, None) if part.role == ROLE_KEY else (RECORD, None)
+    if isinstance(part, SParamField) and part.role == ROLE_VALUE \
+            and len(part.path) == 1:
+        return COLUMN, part.path[0]
+    if isinstance(part, SConst):
+        return CONST, part.value
+    if isinstance(part, SRecord):
+        return RECORD, part.schema
+    return None
+
+
 @dataclass(eq=False)
 class BatchStageSpec:
     """One stage's map body, described for vectorized execution.
 
-    ``kind`` is ``'map'`` (emit ``(key, value)``), ``'aggregate'`` (emit
-    ``(group value, agg inputs)``), ``'join-side'`` (emit
-    ``(join-key value, (tag, value))``) or ``'emit'`` (a classic
-    ``map()``'s one ``ctx.emit(K, V)``; see :attr:`emit`).  Specs are
-    built from the *declared* scan schema at lowering (or analysis)
-    time; column names are re-resolved against the actual file schema
-    when the task runs, so the spec stays valid when the planner
+    Specs are built from the *declared* scan schema at lowering (or
+    analysis) time; column names are re-resolved against the actual file
+    schema when the task runs, so the spec stays valid when the planner
     redirects the stage at a projection file.
     """
 
-    kind: str
+    #: ``(K, V)``, emitted for each row passing ``predicates``; every
+    #: part is gathered as :func:`part_source` says
+    emit: Tuple[SymExpr, SymExpr]
     #: conjunction of pure column predicates, in user order
     predicates: List[SymExpr] = field(default_factory=list)
-    #: final projected value columns (None = emit the input record as-is)
-    project_columns: Optional[List[str]] = None
-    #: schema of projected emits, as chained ``Schema.project`` derived it
-    #: in the synthesized mapper; the ``derived`` record's own schema
-    #: when nothing projects it further (None when the stage emits the
-    #: scanned record as-is)
-    out_value_schema: Optional[Schema] = None
-    #: a computed projection (a translated ``map``): ``(field,
-    #: expression)`` pairs over the scanned columns, all evaluated for
-    #: each row that passes ``predicates``.  The stage then projects,
-    #: groups, aggregates and joins on the *derived* record's fields.
+    #: ``(name, expression)`` pairs over the scanned columns, all
+    #: evaluated, in order, for each row that passes ``predicates``; an
+    #: emitted column of one of these names reads the derived value
     derived: Optional[List[Tuple[str, SymExpr]]] = None
-    #: aggregate stages: the GROUP BY column and ordered (op, column) list
-    group_column: Optional[str] = None
-    aggs: Optional[List[Tuple[str, Optional[str]]]] = None
-    #: why map-side hash pre-aggregation is off (``None``: on); decided
-    #: at lowering, where field types are known (:func:`preagg_decline`)
-    no_preagg: Optional[str] = "aggregate input types unknown"
-    #: join stages: the equality column and this side's 'L'/'R' tag
-    join_on: Optional[str] = None
-    join_tag: Optional[str] = None
-    #: emit stages: ``(K, V)`` of the mapper's one emit, run for each
-    #: row passing ``predicates``.  ``K`` and ``V`` are each an
-    #: expression over key and value fields, the whole key
-    #: (``SParam('key')``), or -- ``V`` only -- a tuple of those or the
-    #: whole value record (``SParam('value')``).  ``project_columns``
-    #: is then the record path's read shape: the value fields it
-    #: captures (``None``: every stored field), and the fields of the
-    #: value record a whole-record ``V`` emits.
-    emit: Optional[Tuple[SymExpr, SymExpr]] = None
+    #: the value columns the scan captures (``None``: those the
+    #: expressions read, every stored one when ``$value`` is emitted);
+    #: a whole ``$value`` is the stored record narrowed to them
+    project_columns: Optional[List[str]] = None
+    #: the ``AGGREGATES`` ops whose partials ``V``'s slots are, in order
+    #: (``None``: the stage does not aggregate)
+    fold: Optional[List[str]] = None
+    #: why map-side pre-aggregation of ``fold`` is off (``None``: on);
+    #: decided where field types are known (:func:`preagg_decline`)
+    no_preagg: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for part in self.emit_parts():
+            if part_source(part) is None:
+                raise TypeError(f"emit part {part!r} is computed; "
+                                "derive it")
 
     def emit_parts(self) -> List[SymExpr]:
-        """An emit stage's ``K`` and the items of its ``V``, in the
-        order ``map()`` evaluates them."""
-        key, value = self.emit or (None, None)
-        if key is None:
-            return []
+        """``K`` and the items of ``V``, in the order ``map()`` emits
+        them."""
+        key, value = self.emit
         return [key, *(value.items if isinstance(value, STuple)
                        else (value,))]
 
     def kernel_exprs(self) -> Optional[List[SymExpr]]:
         """What the stage's kernel computes for each passing row beside
-        its predicates: the derived values, or an emit stage's computed
-        parts (a bare column, the whole key and the whole value are
-        gathered, not computed); ``None`` when there are none."""
-        if self.kind != "emit":
-            return self.derived_exprs()
-        computed = [part for part in self.emit_parts()
-                    if emit_source(part) is None]
-        return computed or None
-
-    def value_columns(self) -> List[str]:
-        """Every value column the stage's expressions read."""
-        exprs = self.predicates + (self.derived_exprs() or []) \
-            + self.emit_parts()
-        return sorted({name for expr in exprs
-                       for name in expr.value_columns()})
-
-    def reads_keys(self) -> bool:
-        """Whether the stage reads its input keys: map and join-side
-        stages emit them, an emit stage when an expression reads one."""
-        if self.kind == "aggregate":
-            return False
-        if self.kind != "emit":
-            return True
-        return any(
-            isinstance(node, (SParam, SParamField)) and node.role == ROLE_KEY
-            for expr in self.predicates + self.emit_parts()
-            for node in expr.walk()
-        )
-
-    def derived_exprs(self) -> Optional[List[SymExpr]]:
+        its predicates: the derived values (``None``: there are none)."""
         if self.derived is None:
             return None
         return [expr for _name, expr in self.derived]
 
+    @cached_property
+    def _reads(self) -> List[str]:
+        """The scanned value columns the expressions read, in decode
+        order: predicate and derived columns first, then emitted ones
+        (worked out once: every map task's scan plan asks)."""
+        derived = {name for name, _expr in self.derived or ()}
+        names = [name for expr in self.predicates + (self.kernel_exprs()
+                                                     or [])
+                 for name in sorted(expr.value_columns())]
+        names += [node.path[0] for part in self.emit_parts()
+                  for node in part.walk()
+                  if isinstance(node, SParamField) and node.role == ROLE_VALUE
+                  and node.path[0] not in derived]
+        return list(dict.fromkeys(names))
+
+    def value_columns(self) -> List[str]:
+        """Every scanned value column the stage's expressions read."""
+        return sorted(self._reads)
+
+    @cached_property
+    def reads_keys(self) -> bool:
+        """Whether the stage reads its input keys: an expression reads a
+        key field, or the whole key is emitted."""
+        return any(
+            isinstance(node, (SParam, SParamField)) and node.role == ROLE_KEY
+            for expr in self.predicates + (self.kernel_exprs() or [])
+            + self.emit_parts()
+            for node in expr.walk()
+        )
+
     def needed_columns(self) -> Optional[List[str]]:
         """Value columns the batch executor must decode, in a stable order.
 
-        ``None`` means every column of the file's schema (pass-through
-        emit).  Predicate columns come first, then emit columns; the
-        order only affects decode-plan layout, never output bytes.
+        ``None`` means every column of the file's schema.  Unless
+        ``project_columns`` says, these are the columns the expressions
+        read; the order only affects decode-plan layout, never output
+        bytes.
         """
-        if self.kind == "emit":
-            # the record path's read shape, for its decode accounting
-            return None if self.project_columns is None \
-                else list(self.project_columns)
-        if self.derived is None and self.project_columns is None \
-                and self.kind in ("map", "join-side"):
+        if self.project_columns is not None:
+            return list(self.project_columns)
+        if any(isinstance(part, SParam) and part.role == ROLE_VALUE
+               for part in self.emit_parts()):
             return None
-        needed: List[str] = []
-        seen = set()
-
-        def add(name: Optional[str]) -> None:
-            if name is not None and name not in seen:
-                seen.add(name)
-                needed.append(name)
-
-        for expr in self.predicates + (self.derived_exprs() or []):
-            for name in sorted(expr.value_columns()):
-                add(name)
-        if self.derived is not None:
-            # group/aggregate/join/emit columns name derived fields
-            return needed
-        if self.kind == "aggregate":
-            add(self.group_column)
-            for _op, column in self.aggs or []:
-                add(column)
-        else:
-            if self.kind == "join-side":
-                add(self.join_on)
-            for name in self.project_columns or []:
-                add(name)
-        return needed
+        return list(self._reads)
 
     def describe(self) -> str:
-        parts = [self.kind]
+        parts = []
         if self.predicates:
             parts.append(f"{len(self.predicates)} predicate(s)")
         if self.derived is not None:
-            names = ", ".join(name for name, _expr in self.derived)
-            parts.append(f"derive [{names}]")
+            values = ", ".join(f"{name}={expr!r}"
+                               for name, expr in self.derived)
+            parts.append(f"derive [{values}]")
         if self.project_columns is not None:
-            label = "capture" if self.kind == "emit" else "project"
-            parts.append(f"{label} [{', '.join(self.project_columns)}]")
-        if self.kind == "aggregate":
-            aggs = ", ".join(
-                f"{op}({column or '*'})" for op, column in self.aggs or []
-            )
-            parts.append(f"group_by {self.group_column} agg {aggs}")
-            parts.append(preagg_text(self.no_preagg))
-        if self.kind == "join-side":
-            parts.append(f"on {self.join_on} tag {self.join_tag}")
-        if self.emit is not None:
-            key, value = self.emit
-            parts.append(f"key {key!r}, value {value!r}")
+            parts.append(f"capture [{', '.join(self.project_columns)}]")
+        key, value = self.emit
+        parts.append(f"emit ({key!r}, {value!r})")
+        if self.fold is not None:
+            parts.append(f"fold [{', '.join(self.fold)}]")
         return ", ".join(parts)
-
-
-#: how an emit part that is not computed is gathered
-WHOLE_KEY, WHOLE_VALUE, COLUMN = "key", "value", "column"
-
-
-def emit_source(part: SymExpr) -> Optional[Tuple[str, Optional[str]]]:
-    """``(WHOLE_KEY | WHOLE_VALUE | COLUMN, column name)`` for an emit
-    part the executor gathers from the scanned block as it is, or
-    ``None`` for one the kernel computes."""
-    if isinstance(part, SParam):
-        return (WHOLE_KEY if part.role == ROLE_KEY else WHOLE_VALUE), None
-    if isinstance(part, SParamField) and part.role == ROLE_VALUE \
-            and len(part.path) == 1:
-        return COLUMN, part.path[0]
-    return None

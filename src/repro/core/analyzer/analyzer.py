@@ -429,7 +429,7 @@ class ManimalAnalyzer:
         _set_read_shape(result, _map_reads_key(instance, fn_ast, plain))
 
         # The emit proof as the batch executor's spec (the optimizer
-        # attaches it beside the read shape).
+        # attaches it to the job).
         from repro.core.analyzer.emitspec import find_emit_spec
 
         verdict = find_emit_spec(
@@ -437,6 +437,7 @@ class ManimalAnalyzer:
             lifecycle=(_overridden(instance, "setup")
                        or _overridden(instance, "cleanup")),
             plain=plain, read_shape=result.read_shape,
+            value_schema=value_schema,
         )
         if isinstance(verdict, str):
             result.batch_decline = verdict

@@ -365,9 +365,21 @@ class SelectionFormula:
         return " OR ".join(f"({d!r})" for d in self.disjuncts)
 
 
+#: comparisons whose opposite is their negation only over a total order:
+#: NaN compares false every way, so ``not (x > t)`` holds for a NaN ``x``
+#: where ``x <= t`` does not
+ORDERINGS = frozenset({"<", "<=", ">", ">="})
+
+
 def negate(term: SymExpr) -> SymExpr:
-    """Negate a condition, pushing through comparisons and De Morgan."""
-    if isinstance(term, SCompare) and term.op in _CMP_NEGATIONS:
+    """Negate a condition, pushing through comparisons and De Morgan.
+
+    An ordering comparison keeps its ``not``: the operands' types are
+    not known here, and over floats the opposite comparison drops NaN.
+    (The optimizer flips it where the indexed field's order is total.)
+    """
+    if isinstance(term, SCompare) and term.op in _CMP_NEGATIONS \
+            and term.op not in ORDERINGS:
         return term.negated()
     if isinstance(term, SNot):
         return term.operand
@@ -416,12 +428,11 @@ def term_dnf(term: SymExpr) -> List[List[SymExpr]]:
             return [[term]]
         return combined
     if isinstance(term, SNot):
-        inner = term.operand
-        if isinstance(inner, (SBool, SNot)) or (
-            isinstance(inner, SCompare) and inner.op in _CMP_NEGATIONS
-        ):
-            return term_dnf(negate(inner))
-        return [[term]]
+        # pushed inward wherever negate() can: an atom it only wraps in
+        # ``not`` (an ordering comparison, a call) stays this atom
+        negated = negate(term.operand)
+        if not isinstance(negated, SNot) or negated.operand is not term.operand:
+            return term_dnf(negated)
     return [[term]]
 
 

@@ -28,6 +28,10 @@ A mapper is described when:
   operations ``map()`` runs on that path, in the same order, and nothing
   that can raise runs anywhere else in the body.
 
+The spec emits ``(K, V)`` as written; a part that is not a value field,
+the whole key or value, or a constant becomes one of its derived
+values, which the kernel computes after the predicates, in emit order.
+
 Anything else is a reason string; the stage then runs record-at-a-time,
 exactly as before.  The verdict is part of the
 :class:`~repro.core.analyzer.descriptors.InputAnalysis`, so the engine's
@@ -39,7 +43,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple, Union
 
 from repro.batch.kernels import compile_predicates
-from repro.batch.spec import BatchStageSpec
+from repro.batch.spec import BatchStageSpec, column_ref, part_source
 from repro.core.analyzer import ir
 from repro.core.analyzer.cfg import CondJump
 from repro.core.analyzer.conditions import SymbolicResolver
@@ -52,7 +56,7 @@ from repro.core.analyzer.udf import (
     _trace,
 )
 from repro.storage.blockscan import ReadShape
-from repro.storage.serialization import Record
+from repro.storage.serialization import Record, Schema
 from repro.symbolic import ROLE_VALUE, SNot, SParam, STuple, SymExpr
 
 
@@ -106,8 +110,34 @@ def _emit_value(value: SymExpr, read_shape: Optional[ReadShape]
     return value
 
 
+def _spec(predicates: List[SymExpr], key: SymExpr, value: SymExpr,
+          read_shape: Optional[ReadShape],
+          value_schema: Optional[Schema]) -> BatchStageSpec:
+    """The spec emitting ``(key, value)``: every part the kernel has to
+    compute becomes a derived value, named ``@i`` after its position
+    among the emitted parts (no field is called that), and the scan
+    captures what the record path's read shape captures."""
+    derived: List[Tuple[str, SymExpr]] = []
+
+    def gathered(part: SymExpr) -> SymExpr:
+        if part_source(part) is None:
+            derived.append((f"@{len(derived)}", part))
+            part = column_ref(derived[-1][0])
+        return part
+
+    key = gathered(key)
+    value = STuple([gathered(item) for item in value.items]) \
+        if isinstance(value, STuple) else gathered(value)
+    fields = read_shape.fields if read_shape else None
+    if fields is None and value_schema and value_schema.transparent:
+        fields = value_schema.field_names()
+    return BatchStageSpec((key, value), predicates, derived or None,
+                          None if fields is None else list(fields))
+
+
 def _translate(lowered: LoweredFunction, resolver: SymbolicResolver,
-               read_shape: Optional[ReadShape]) -> BatchStageSpec:
+               read_shape: Optional[ReadShape],
+               value_schema: Optional[Schema]) -> BatchStageSpec:
     cfg = lowered.cfg
     roles = lowered.roles
     reassigned = sorted(
@@ -157,12 +187,8 @@ def _translate(lowered: LoweredFunction, resolver: SymbolicResolver,
         read_shape)
     if isinstance(key, SParam) and key.role == ROLE_VALUE:
         raise _Decline("the whole value record is emitted as the key")
-    spec = BatchStageSpec(
-        kind="emit", predicates=predicates, emit=(key, value),
-        project_columns=(None if read_shape is None
-                         or read_shape.fields is None
-                         else list(read_shape.fields)))
-    parts = spec.emit_parts()
+    spec = _spec(predicates, key, value, read_shape, value_schema)
+    parts = [key, *(value.items if isinstance(value, STuple) else (value,))]
 
     # Nothing that can raise may run where the kernel does not run it:
     # off the emit path, after the emit, or in a condition not taken.
@@ -205,15 +231,17 @@ def _translate(lowered: LoweredFunction, resolver: SymbolicResolver,
 
 def find_emit_spec(lowered: LoweredFunction, resolver: SymbolicResolver,
                    side_effects: List[SideEffect], lifecycle: bool,
-                   plain: bool, read_shape: Optional[ReadShape]
+                   plain: bool, read_shape: Optional[ReadShape],
+                   value_schema: Optional[Schema]
                    ) -> Union[BatchStageSpec, str]:
-    """The ``emit`` spec describing this ``map()``, or why there is none.
+    """The spec describing this ``map()``, or why there is none.
 
     ``lifecycle``: the mapper overrides ``setup`` or ``cleanup``;
     ``plain``: the ``map`` that runs is the function ``lowered`` was
     parsed from; ``read_shape``: what the record path captures of each
-    record, which the spec keeps so both paths decode (and are charged
-    for) the same fields.  Never raises.
+    record of ``value_schema`` (all of it, when the shape names no
+    fields), which the spec captures too, so both paths decode (and are
+    charged for) the same fields.  Never raises.
     """
     if not plain:
         return "the map() that runs is not the function the analyzer read"
@@ -223,7 +251,7 @@ def find_emit_spec(lowered: LoweredFunction, resolver: SymbolicResolver,
         effect = side_effects[0]
         return f"side effect in map(): {effect.category} ({effect.detail})"
     try:
-        return _translate(lowered, resolver, read_shape)
+        return _translate(lowered, resolver, read_shape, value_schema)
     except _Decline as exc:
         return str(exc)
     except Exception as exc:  # noqa: BLE001 -- the analyzer's safety floor

@@ -24,11 +24,8 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.core.analyzer.descriptors import JobAnalysis
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
-from repro.core.optimizer.catalog import Catalog, IndexEntry
-from repro.core.optimizer.indexgen import (
-    IndexGenerationProgram,
-    synthesize_program,
-)
+from repro.core.optimizer.catalog import ALL_KINDS, COPY_KINDS, Catalog, IndexEntry
+from repro.core.optimizer.indexgen import IndexDeclined, IndexGenerationProgram, synthesize_program
 from repro.core.optimizer.planner import ExecutionDescriptor, Optimizer
 from repro.engine.service import ExecutionEngine, get_engine
 from repro.mapreduce.formats import RecordFileInput
@@ -134,18 +131,29 @@ class Manimal:
         """The index-generation program synthesized for each input.
 
         ``None`` entries mean the corresponding input offers nothing to
-        index (or is not a plain record-file scan).
+        index (or is not a plain record-file scan).  A selection index
+        the catalog records as not buildable over the source's current
+        bytes gives way to the best index without selection, which says
+        what it stands in for.
         """
         analysis = analysis or self.analyze(conf)
-        programs: List[Optional[IndexGenerationProgram]] = []
-        for source, ia in zip(conf.inputs, analysis.inputs):
-            if type(source) is not RecordFileInput:
-                programs.append(None)
-                continue
-            programs.append(
-                synthesize_program(ia, source.path, allowed_kinds=allowed_kinds)
-            )
-        return programs
+        return [self._program(source, ia, allowed_kinds)
+                for source, ia in zip(conf.inputs, analysis.inputs)]
+
+    def _program(self, source: Any, ia: Any,
+                 allowed_kinds: Optional[Sequence[str]]
+                 ) -> Optional[IndexGenerationProgram]:
+        if type(source) is not RecordFileInput:
+            return None
+        program = synthesize_program(ia, source.path, allowed_kinds)
+        reason = program and self.catalog.declined(program)
+        if not reason:
+            return program
+        fallback = synthesize_program(ia, source.path, [
+            kind for kind in allowed_kinds or ALL_KINDS if kind in COPY_KINDS])
+        if fallback is not None:
+            fallback.skipped = f"{program.kind} on {program.key_field}: {reason}"
+        return fallback
 
     def build_indexes(
         self,
@@ -159,17 +167,22 @@ class Manimal:
         bytes, kind and parameters) are skipped -- re-running an index
         build is wasted work, like re-creating an existing RDBMS index.
         Over a rewritten source the build runs again and replaces the
-        stale index.
+        stale index.  A selection index whose field holds a value with
+        no index order (a NaN) is recorded in the catalog as declined,
+        and the input's best index without selection is built instead.
         """
+        analysis = analysis or self.analyze(conf)
         built: List[IndexEntry] = []
-        for program in self.index_programs(conf, analysis, allowed_kinds):
-            if program is None:
-                continue
-            existing = self._find_equivalent(program)
-            if existing is not None:
-                built.append(existing)
-                continue
-            built.append(program.run(self.catalog, self.runner))
+        for source, ia in zip(conf.inputs, analysis.inputs):
+            program = self._program(source, ia, allowed_kinds)
+            while program is not None:
+                try:
+                    built.append(self._find_equivalent(program)
+                                 or program.run(self.catalog, self.runner))
+                    break
+                except IndexDeclined as exc:
+                    self.catalog.decline(program, str(exc))
+                    program = self._program(source, ia, allowed_kinds)
         return built
 
     def _find_equivalent(

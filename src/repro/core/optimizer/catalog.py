@@ -40,6 +40,7 @@ except ImportError:  # pragma: no cover
 
 from repro import faults
 from repro.exceptions import CatalogError
+from repro.storage import input_identity
 
 #: Attempts to read a registry that looks torn mid-read (non-atomic
 #: filesystems, e.g. NFS) before giving up.
@@ -171,6 +172,11 @@ class IndexEntry:
         return cls(**data)
 
 
+def _build_key(program: Any) -> str:
+    identity = list(input_identity(program.source_path))
+    return f"{program.kind}:{program.key_field}:{identity}"
+
+
 @dataclass
 class DatasetEntry:
     """One registered partitioned dataset (alongside the index entries).
@@ -258,6 +264,9 @@ class Catalog:
         self._lock = threading.RLock()
         self._entries: Dict[str, IndexEntry] = {}
         self._datasets: Dict[str, DatasetEntry] = {}
+        #: why a synthesized index was not built, by kind, field and
+        #: source identity
+        self._declined: Dict[str, str] = {}
         self._counter = 0
         self._clock = 0
         #: bumped whenever the entry *set* changes (register/remove/evict,
@@ -321,6 +330,7 @@ class Catalog:
         for raw in data.get("datasets", []):
             ds = DatasetEntry.from_dict(raw)
             self._datasets[ds.dataset_id] = ds
+        self._declined = dict(data.get("declined", {}))
 
     def _read_registry(self) -> Dict[str, Any]:
         """Parse ``catalog.json``, retrying on a torn/partial read."""
@@ -352,6 +362,8 @@ class Catalog:
             "entries": [e.to_dict() for e in self.sorted_entries()],
             "datasets": [d.to_dict() for d in self.sorted_datasets()],
         }
+        if self._declined:  # a registry with none reads as it always did
+            data["declined"] = self._declined
         # Unique temp name per writer: two processes saving concurrently
         # must not scribble over one shared ".tmp" path.
         fd, tmp = tempfile.mkstemp(
@@ -479,6 +491,19 @@ class Catalog:
             self._save()
 
     # -- partitioned datasets ----------------------------------------------------
+
+    def decline(self, program: Any, reason: str) -> None:
+        """Record why index-generation ``program`` cannot build over its
+        source's current bytes."""
+        with self._mutate():
+            self._declined[_build_key(program)] = reason
+            self._save()
+
+    def declined(self, program: Any) -> Optional[str]:
+        """Why ``program`` was not built over its source's current
+        bytes, if it was tried."""
+        return self._declined.get(_build_key(program)) \
+            if self._declined else None
 
     def register_dataset(self, entry: DatasetEntry) -> None:
         """Register a partitioned dataset (alongside the index entries).

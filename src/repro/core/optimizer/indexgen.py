@@ -31,7 +31,7 @@ from repro.core.analyzer.descriptors import InputAnalysis
 from repro.core.optimizer import catalog as cat
 from repro.core.optimizer.catalog import Catalog, IndexEntry
 from repro.core.optimizer.predicates import compile_selection
-from repro.exceptions import OptimizerError
+from repro.exceptions import BTreeError, JobExecutionError, OptimizerError
 from repro.mapreduce.api import Context, FunctionReducer, Mapper
 from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.job import JobConf
@@ -42,6 +42,11 @@ from repro.storage.columnfile import META_BASE_SCHEMA, META_KEPT_FIELDS
 from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader
+
+
+class IndexDeclined(OptimizerError):
+    """A selection index whose field holds a value with no index order
+    (a NaN): the build is skipped, not failed."""
 
 
 class _IndexEmitMapper(Mapper):
@@ -76,6 +81,8 @@ class IndexGenerationProgram:
     delta_fields: Optional[List[str]] = None
     #: string field to dictionary-compress (dictionary kind)
     dict_field: Optional[str] = None
+    #: the better index this one stands in for, and why that was not built
+    skipped: Optional[str] = None
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}", f"source={self.source_path}"]
@@ -87,6 +94,8 @@ class IndexGenerationProgram:
             parts.append(f"delta={self.delta_fields}")
         if self.dict_field:
             parts.append(f"dict={self.dict_field}")
+        if self.skipped:
+            parts.append(f"skipped {self.skipped}")
         return "IndexGenerationProgram(" + ", ".join(parts) + ")"
 
     # -- execution ------------------------------------------------------------
@@ -163,7 +172,7 @@ class IndexGenerationProgram:
         }
         with IndexFileWriter(index_path, key_schema, stored_schema,
                              self.key_field, metadata=metadata) as writer:
-            runner.run(JobConf(
+            job = JobConf(
                 name=(f"index-gen:{self.kind}:"
                       f"{os.path.basename(self.source_path)}"),
                 mapper=_IndexEmitMapper(
@@ -175,7 +184,13 @@ class IndexGenerationProgram:
                     lambda key, rows, ctx: writer.append_sorted(key, rows)),
                 inputs=[RecordFileInput(self.source_path)],
                 num_reducers=1,  # global sort order feeds the writer
-            ))
+            )
+            try:
+                runner.run(job)
+            except JobExecutionError as exc:
+                if isinstance(exc.__cause__, BTreeError):
+                    raise IndexDeclined(str(exc.__cause__)) from exc
+                raise
         return IndexEntry(
             index_id=catalog.make_entry_id(),
             kind=self.kind,

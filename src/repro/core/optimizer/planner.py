@@ -78,8 +78,9 @@ class InputPlan:
     entry: Optional[IndexEntry] = None
     optimizations: List[str] = field(default_factory=list)
     detail: str = ""
-    #: the analyzer's ``emit`` batch spec the plan attaches for this
-    #: input's tag (the executor re-checks it against each split) ...
+    #: the batch spec (the analyzer's, or a fluent stage's hint) the
+    #: plan attaches for this input's tag (the executor re-checks it
+    #: against each split) ...
     batch: Optional[Any] = None
     #: ... or why none is attached
     batch_decline: Optional[str] = None
@@ -124,8 +125,9 @@ class ExecutionDescriptor:
         return [p.chosen for p in self.plans]
 
     def apply(self, conf: JobConf) -> JobConf:
-        """Copy of ``conf`` as this plan executes it: the chosen inputs
-        and this descriptor's shuffle-filter verdict.
+        """Copy of ``conf`` as this plan executes it: the chosen inputs,
+        their batch specs and this descriptor's shuffle-filter verdict --
+        the one way a batch spec reaches a job.
 
         The filter is always overwritten: ``with_inputs`` copies the
         original's, so a descriptor without one must clear any stale
@@ -135,8 +137,7 @@ class ExecutionDescriptor:
         optimized.shuffle_filter = self.shuffle_filter
         for plan in self.plans:
             if plan.batch is not None:
-                # a spec the job already carries (a lowered stage's) wins
-                optimized.batch_specs.setdefault(plan.chosen.tag, plan.batch)
+                optimized.batch_specs[plan.chosen.tag] = plan.batch
         return optimized
 
     def optimizations(self) -> List[str]:

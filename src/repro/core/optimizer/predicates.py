@@ -21,14 +21,16 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer.conditions import (
     CMP_MIRROR,
+    ORDERINGS,
     ROLE_VALUE,
     SCompare,
     SConst,
     SelectionFormula,
+    SNot,
     SParamField,
 )
 from repro.mapreduce.formats import KeyRange
-from repro.storage.orderkeys import encode_key, successor
+from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import FieldType, Schema
 
 #: Sentinel meaning "unbounded" in interval endpoints.
@@ -120,11 +122,21 @@ _OP_TO_INTERVAL = {
 }
 
 
-def _atom_interval(term, field_name: str) -> Optional[Interval]:
+def _atom_interval(term, field_name: str,
+                   ftype: FieldType) -> Optional[Interval]:
     """Interval contributed by one conjunct term, or None if inexpressible.
 
-    Recognizes ``value.<field> OP const`` and the mirrored orientation.
+    Recognizes ``value.<field> OP const`` and the mirrored orientation,
+    and ``not (value.<field> OP const)`` for an ordering ``OP`` over a
+    total order -- never over a DOUBLE field or a NaN constant, where the
+    negation admits the NaN rows the opposite comparison excludes.
     """
+    if isinstance(term, SNot) and isinstance(term.operand, SCompare) \
+            and term.operand.op in ORDERINGS \
+            and ftype is not FieldType.DOUBLE \
+            and not any(isinstance(side, SConst) and side.value != side.value
+                        for side in (term.operand.left, term.operand.right)):
+        term = term.operand.negated()
     if not isinstance(term, SCompare):
         return None
     left, right, op = term.left, term.right, term.op
@@ -240,7 +252,7 @@ def compile_selection(
             acc = Interval()
             constrained = False
             for term in disjunct.terms:
-                atom = _atom_interval(term, candidate)
+                atom = _atom_interval(term, candidate, ftype)
                 if atom is None:
                     exact = False
                     continue

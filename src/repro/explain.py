@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from repro.batch.executor import batch_admission
+from repro.batch.executor import batch_admission, task_preagg_decline
+from repro.batch.spec import preagg_text
 from repro.core.analyzer import DELTA, DIRECT, PROJECT, SELECT
 from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.core.analyzer.descriptors import InputAnalysis
@@ -37,20 +38,32 @@ _KIND_TITLES = (
 
 
 def describe_batch(spec: Optional[Any], decline: Optional[str],
-                   source: InputSource) -> str:
-    """The ``batch:`` line of explain: the spec the batch executor
-    serves the map() with over planned input ``source``, or why the
-    record path runs it."""
+                   source: InputSource, conf: JobConf) -> str:
+    """The ``batch:`` verdict of explain, for either door: the spec the
+    batch executor serves job ``conf``'s map() with over planned input
+    ``source`` -- the map task's own admission -- and whether an
+    aggregating one pre-aggregates; or why the record path runs it."""
     if spec is None:
         return f"declined ({decline or 'map() is not analyzer-described'})"
     admitted = batch_admission(spec, source)
     if isinstance(admitted, str):
         return f"declined ({admitted})"
-    return spec.describe()
+    if spec.fold is None:
+        return spec.describe()
+    return f"{spec.describe()}, {preagg_text(task_preagg_decline(spec, conf))}"
+
+
+def batch_lines(conf: JobConf, descriptor: Any) -> List[str]:
+    """One ``input[i] batch:`` line per input ``descriptor`` planned for
+    ``conf`` -- what :meth:`repro.Session.explain` prints."""
+    return [f"  input[{plan.input_index}] batch: "
+            f"{describe_batch(plan.batch, plan.batch_decline, plan.chosen, conf)}"
+            for plan in descriptor.plans]
 
 
 def _explain_input(ia: InputAnalysis, source: InputSource,
-                   batch: Tuple[Optional[Any], Optional[str]]) -> List[str]:
+                   batch: Tuple[Optional[Any], Optional[str]],
+                   conf: JobConf) -> List[str]:
     label = f"input[{ia.input_index}]"
     if ia.input_tag:
         label += f" ({ia.input_tag})"
@@ -85,7 +98,7 @@ def _explain_input(ia: InputAnalysis, source: InputSource,
         for effect in ia.side_effects:
             lines.append(f"        - {effect!r}")
     lines.append(f"  decode: {describe_read(source, ia)}")
-    lines.append(f"  batch: {describe_batch(*batch, source)}")
+    lines.append(f"  batch: {describe_batch(*batch, source, conf)}")
     return lines
 
 
@@ -114,7 +127,7 @@ def explain_job(
         planned = [(plan.chosen, (plan.batch, plan.batch_decline))
                    for plan in descriptor.plans]
     for ia, (source, batch) in zip(analysis.inputs, planned):
-        lines.extend(_explain_input(ia, source, batch))
+        lines.extend(_explain_input(ia, source, batch, conf))
         lines.append("")
 
     lines.append("reduce-side (Appendix E) group filter:")
@@ -126,15 +139,14 @@ def explain_job(
     lines.append("")
 
     lines.append("index-generation programs (admin may run these):")
-    any_program = False
-    for source, ia in zip(conf.inputs, analysis.inputs):
-        if type(source) is not RecordFileInput:
-            continue
-        program = synthesize_program(ia, source.path)
-        if program is not None:
-            any_program = True
-            lines.append(f"  - {program.describe()}")
-    if not any_program:
+    # with a catalog, the programs a build would run: one it recorded
+    # as not buildable gives way to what the build runs instead
+    programs = system.index_programs(conf, analysis) if system else [
+        synthesize_program(ia, source.path)
+        for source, ia in zip(conf.inputs, analysis.inputs)
+        if type(source) is RecordFileInput]
+    lines += [f"  - {p.describe()}" for p in programs if p is not None]
+    if not any(programs):
         lines.append("  (none -- nothing indexable was detected)")
     lines.append("")
 

@@ -65,10 +65,9 @@ class JobConf:
     #: as constants for a given submission
     params: Dict[str, Any] = field(default_factory=dict)
     #: vectorized-execution specs per input tag (``None`` for the single
-    #: untagged input), set by the fluent lowering when a stage's map body
-    #: is fully analyzer-described (pure selection/projection/known
-    #: aggregates), and by the optimizer for a classic ``map()`` the
-    #: analyzer described.  The runtime then serves eligible map tasks through
+    #: untagged input), set by the optimizer's plan when a stage's map
+    #: body is fully analyzer-described (a fluent stage's hints, or the
+    #: analysis of a classic ``map()``).  The runtime then serves eligible map tasks through
     #: :mod:`repro.batch` and falls back to ``mapper`` otherwise; outputs
     #: are byte-identical either way, so every other component may ignore
     #: this field.  Never set by users directly.

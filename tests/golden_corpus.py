@@ -41,7 +41,7 @@ from repro.api.remote import op_filter
 from repro.api.session import Session
 from repro.batch.columns import build_scan_plan
 from repro.batch.kernels import compile_predicates
-from repro.batch.spec import BatchStageSpec
+from repro.batch.spec import BatchStageSpec, SRecord, column_ref
 from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.explain import explain_job
 from repro.mapreduce.api import Context, Mapper, Reducer
@@ -53,6 +53,7 @@ from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
+from repro.symbolic import ROLE_KEY, SConst, SParam
 from tests.conftest import WEBPAGE, write_webpages
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
@@ -85,11 +86,10 @@ SCAN_VALUES = Schema("ScanGolden", [
 #: and a map (keys decoded, one string capture) ...
 SCAN_SHAPES = {
     "aggregate": BatchStageSpec(
-        kind="aggregate", predicates=[(col("a") > 1).to_symbolic()],
-        group_column="b", aggs=[("count", None)]),
+        (column_ref("b"), SConst(1)),
+        predicates=[(col("a") > 1).to_symbolic()], fold=["count"]),
     "map": BatchStageSpec(
-        kind="map", project_columns=["name"],
-        out_value_schema=SCAN_VALUES.project(["name"])),
+        (SParam(ROLE_KEY), SRecord(SCAN_VALUES.project(["name"])))),
 }
 #: ... and the record path's: every value field captured, keys decoded,
 #: over a record file and over a delta file delta-coding both ints.
@@ -181,9 +181,13 @@ def _stage_texts(plan):
         mappers = {"": conf.mapper}
         mappers.update(conf.per_input_mappers or {})
         kernels = {}
-        for tag, spec in conf.batch_specs.items():
-            kernel = compile_predicates(spec.predicates, spec.derived_exprs())
-            kernels[str(tag)] = None if kernel is None else kernel.source
+        for ia in stage.hints.inputs:
+            spec = ia.batch_spec
+            if spec is None:
+                continue
+            kernel = compile_predicates(spec.predicates, spec.kernel_exprs())
+            kernels[str(ia.input_tag)] = \
+                None if kernel is None else kernel.source
         out.append({
             "mappers": {
                 tag: inspect.getsource(m.map_source_function)

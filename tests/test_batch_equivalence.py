@@ -231,7 +231,7 @@ class TestRandomizedChains:
                 assert vm.shuffle_bytes == rm.shuffle_bytes
             else:
                 assert vm.map_output_records <= rm.map_output_records
-                spec = stage_plan.conf.batch_specs.get(None)
+                spec = stage_plan.hints.inputs[0].batch_spec
                 if spec is not None and spec.no_preagg is None \
                         and vm.batch_map_tasks == vm.map_tasks:
                     assert vm.shuffle_records <= \
@@ -615,6 +615,36 @@ class TestTranslatedUdfChains:
                 failures.append(str(info.value).split(": ", 1)[1])
         assert len(set(failures)) == 1, failures
 
+    @pytest.mark.parametrize("shape", ["map", "aggregate", "join-side"])
+    def test_derived_values_the_emit_does_not_read_still_raise(
+            self, tmp_path, anchored, shape):
+        # ratio divides by zero on one row, and no stage emits it: every
+        # derived value is computed for every passing row, on both paths
+        def build(session):
+            derived = session.read(anchored).map(
+                with_ratio, value_schema=ANCHOR_RATIO)
+            if shape == "aggregate":
+                return derived.group_by("anchor").agg(n=("count", None))
+            narrowed = derived.select("anchor")
+            if shape == "map":
+                return narrowed
+            return narrowed.join(session.read(anchored), on="anchor")
+
+        causes = []
+        for vectorize in (True, False):
+            with Session(workdir=str(tmp_path / f"v{vectorize}"),
+                         vectorize=vectorize) as session:
+                query = build(session)
+                assert ("input[0] batch: derive [anchor=$value.anchor, "
+                        "ratio=(100 // $value.anchor)]"
+                        in query.explain()) is vectorize
+                with pytest.raises(JobExecutionError) as info:
+                    query.run()
+            causes.append((type(info.value.__cause__),
+                           str(info.value.__cause__)))
+        assert causes == [(ZeroDivisionError,
+                           "integer division or modulo by zero")] * 2
+
     def test_guarded_division_raises_in_neither(self, sessions, anchored):
         vect, _ref = sessions
 
@@ -625,6 +655,16 @@ class TestTranslatedUdfChains:
         assert rows == vect.read(anchored).filter(Opaque(guarded)).collect()
         assert sorted(v.anchor for _k, v in rows) == [
             -2, -1, 1, 2, 4, 5, 10, 20, 25]
+
+
+ANCHOR_RATIO = Schema("AnchorRatio", [
+    Field("anchor", FieldType.INT),
+    Field("ratio", FieldType.INT),
+])
+
+
+def with_ratio(key, value):
+    return key, ANCHOR_RATIO.make(value.anchor, 100 // value.anchor)
 
 
 def _nan_aware(rows):

@@ -14,7 +14,7 @@ from repro.api.expressions import col, lit
 from repro.api.session import Session
 from repro.batch.columns import build_scan_plan, iter_column_batches
 from repro.batch.kernels import KEY_COLUMN, compile_predicates
-from repro.batch.spec import BatchStageSpec
+from repro.batch.spec import BatchStageSpec, SRecord
 from repro.exceptions import JobExecutionError
 from repro.service.payload import serialize_rows
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
@@ -34,6 +34,7 @@ from repro.symbolic import (
     SCompare,
     SConst,
     SOpaque,
+    SParam,
     SParamField,
 )
 
@@ -173,6 +174,10 @@ def _rows(n):
     ]
 
 
+#: a pass-through map's emit: the whole key and the whole scanned record
+WHOLE = (SParam(ROLE_KEY), SParam(ROLE_VALUE))
+
+
 def _scan(path, spec):
     with RecordFileReader(path) as reader:
         plan = build_scan_plan(reader.key_schema, reader.value_schema, spec)
@@ -187,7 +192,7 @@ class TestColumnScan:
         with RecordFileReader(path) as r:
             n_blocks = len(r.blocks())
         assert n_blocks > 5  # the point of the test
-        batches = _scan(path, BatchStageSpec(kind="map"))
+        batches = _scan(path, BatchStageSpec(WHOLE))
         assert len(batches) == n_blocks
         assert sum(b.n_rows for b in batches) == len(rows)
         flat = [v for b in batches for v in b.column("i")]
@@ -195,21 +200,20 @@ class TestColumnScan:
 
     def test_empty_file_yields_no_batches(self, tmp_path):
         path = _write(tmp_path / "e.rf", [])
-        assert _scan(path, BatchStageSpec(kind="map")) == []
+        assert _scan(path, BatchStageSpec(WHOLE)) == []
 
     def test_single_row_batch(self, tmp_path):
         rows = _rows(1)
         path = _write(tmp_path / "one.rf", rows)
-        [batch] = _scan(path, BatchStageSpec(kind="map"))
+        [batch] = _scan(path, BatchStageSpec(WHOLE))
         assert batch.n_rows == 1
         assert batch.column("s") == ["s0"]
         assert batch.keys is not None and batch.keys[0].value == 0
 
     def test_only_needed_columns_are_captured(self, tmp_path):
         path = _write(tmp_path / "f.rf", _rows(50))
-        spec = BatchStageSpec(kind="map", predicates=[(col("i") > lit(0)).to_symbolic()],
-                              project_columns=["s"],
-                              out_value_schema=VALUES.project(["s"]))
+        spec = BatchStageSpec((SParam(ROLE_KEY), SRecord(VALUES.project(["s"]))),
+                              predicates=[(col("i") > lit(0)).to_symbolic()])
         assert spec.needed_columns() == ["i", "s"]
         batches = _scan(path, spec)
         assert all(
@@ -220,7 +224,7 @@ class TestColumnScan:
 
     def test_logical_bytes_match_reader_accounting(self, tmp_path):
         path = _write(tmp_path / "f.rf", _rows(80))
-        batches = _scan(path, BatchStageSpec(kind="map"))
+        batches = _scan(path, BatchStageSpec(WHOLE))
         from repro.mapreduce.keyspace import estimate_size
 
         with RecordFileReader(path) as r:
@@ -231,10 +235,8 @@ class TestColumnScan:
 
     def test_missing_column_defeats_the_scan_plan(self, tmp_path):
         path = _write(tmp_path / "f.rf", _rows(10))
-        spec = BatchStageSpec(kind="map",
-                              predicates=[(col("nope") > lit(0)).to_symbolic()],
-                              project_columns=["s"],
-                              out_value_schema=VALUES.project(["s"]))
+        spec = BatchStageSpec((SParam(ROLE_KEY), SRecord(VALUES.project(["s"]))),
+                              predicates=[(col("nope") > lit(0)).to_symbolic()])
         with RecordFileReader(path) as reader:
             assert build_scan_plan(
                 reader.key_schema, reader.value_schema, spec

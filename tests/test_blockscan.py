@@ -39,7 +39,7 @@ from repro.api.expressions import col
 from repro.api.session import Session
 from repro.batch.columns import ScanPlan, build_scan_plan, iter_column_batches
 from repro.batch.executor import _union_plan
-from repro.batch.spec import BatchStageSpec
+from repro.batch.spec import BatchStageSpec, column_ref
 from repro.exceptions import (
     CorruptFileError,
     JobExecutionError,
@@ -76,6 +76,7 @@ from repro.storage.serialization import (
     register_opaque_schema,
     scanned_class,
 )
+from repro.symbolic import SConst
 
 KEYS = Schema("ScanKey", [
     Field("tag", FieldType.STRING),
@@ -775,9 +776,9 @@ def _code(scanner):
 
 
 class TestScannerCache:
-    AGG = BatchStageSpec(kind="aggregate", group_column="n",
+    AGG = BatchStageSpec((column_ref("n"), SConst(1)),
                          predicates=[(col("i") > 1).to_symbolic()],
-                         aggs=[("count", None)])
+                         fold=["count"])
 
     def test_equal_shapes_share_one_code_object(self, tmp_path):
         solo = build_scan_plan(KEYS, VALUES, self.AGG)

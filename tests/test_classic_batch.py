@@ -175,27 +175,25 @@ class CountReducer(Reducer):
 #: (mapper, reducer, combiner, emit spec description or decline reason)
 DESCRIBED = [
     (PredicateEmit(), SumReducer, None,
-     "emit, 2 predicate(s), capture [i, d, n, t], key $value.t, "
-     "value $value.n"),
+     "2 predicate(s), capture [i, d, n, t], emit ($value.t, $value.n)"),
     # pruned to the partitions whose zone maps admit i > 2
     (PredicateEmit(lo=2), SumReducer, None,
-     "emit, 2 predicate(s), capture [i, d, n, t], key $value.t, "
-     "value $value.n"),
+     "2 predicate(s), capture [i, d, n, t], emit ($value.t, $value.n)"),
     (UnconditionalEmit(), SumReducer, SumReducer,
-     "emit, capture [s, n], key $value.s, value $value.n"),
+     "capture [s, n], emit ($value.s, $value.n)"),
     (WholeRecordEmit(), CountReducer, None,
-     "emit, 1 predicate(s), key $value.t, value $value"),
+     "1 predicate(s), capture [s, i, d, n, b, t], emit ($value.t, $value)"),
     (TupleValue(), None, None,
-     "emit, capture [s, i, d, t], key $value.s, "
-     "value (($value.i * 2), $value.d, $value.t)"),
+     "derive [@0=($value.i * 2)], capture [s, i, d, t], "
+     "emit ($value.s, ($value.@0, $value.d, $value.t))"),
     (KeyReading(), CountReducer, None,
-     "emit, 1 predicate(s), capture [i], key $key.tag, "
-     "value ($value.i, $key)"),
+     "1 predicate(s), derive [@0=$key.tag], capture [i], "
+     "emit ($value.@0, ($value.i, $key))"),
     (GuardedDivision(), None, None,
-     "emit, 2 predicate(s), capture [i, n, t], key $value.t, "
-     "value ($value.n % $value.i)"),
+     "2 predicate(s), derive [@0=($value.n % $value.i)], "
+     "capture [i, n, t], emit ($value.t, $value.@0)"),
     (RaisingCondition(), None, None,
-     "emit, 1 predicate(s), capture [i, n, t], key $value.t, value 1"),
+     "1 predicate(s), capture [i, n, t], emit ($value.t, 1)"),
 ]
 DECLINED = [
     (Counting(), SumReducer, None, "side effect in map(): counter"),
@@ -437,10 +435,11 @@ def test_b1_to_b4_print_their_batch_verdicts(tmp_path):
         # B1: its selection index is a run of index blocks, not a scan
         [scan_declined],
         # B2: both fields from the projection+delta copy
-        ["  batch: emit, capture [sourceIP, adRevenue], key $value.sourceIP, "
-         "value $value.adRevenue"],
+        ["  batch: capture [sourceIP, adRevenue], "
+         "emit ($value.sourceIP, $value.adRevenue)"],
         # B3: rankings whole from the delta copy; visits from its index
-        ["  batch: emit, key $value.pageURL, value $value", scan_declined],
+        ["  batch: capture [pageURL, pageRank, avgDuration], "
+         "emit ($value.pageURL, $value)", scan_declined],
         # B4: the per-document dedupe table
         ["  batch: declined (side effect in map(): container-mutation "
          "(subscript store))"],

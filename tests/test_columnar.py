@@ -493,7 +493,7 @@ def test_a_fluent_stage_on_a_copy_stays_batched(tmp_path):
         query().run(build_indexes=True, allowed_kinds=[cat.KIND_PROJECTION_DELTA])
         explained = query().explain()
         assert "projection+delta via columnar-scan(" in explained
-        assert "batch path: yes" in explained
+        assert "input[0] batch: 1 predicate(s), emit ($key, " in explained
         for parallelism in (None, 2):
             served = query().run(parallelism=parallelism)
             [stage] = served.stages

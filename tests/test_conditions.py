@@ -2,6 +2,7 @@
 
 import ast
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,9 +180,17 @@ class TestMemberEnv:
 
 class TestNegation:
     def test_comparison_inversion(self):
-        cmp_ = SCompare(">", SParamField(ROLE_VALUE, ("rank",)), SConst(1))
+        # an equality flips; an ordering keeps its not, because a NaN
+        # compares false both ways
+        eq = SCompare("==", SParamField(ROLE_VALUE, ("rank",)), SConst(1))
+        assert isinstance(negate(eq), SCompare) and negate(eq).op == "!="
+        cmp_ = SCompare(">", SParamField(ROLE_VALUE, ("d",)), SConst(1.0))
         neg = negate(cmp_)
-        assert isinstance(neg, SCompare) and neg.op == "<="
+        assert isinstance(neg, SNot) and neg.operand is cmp_
+        nan_row = SimpleNamespace(d=float("nan"))
+        assert neg.evaluate(None, nan_row)
+        assert not cmp_.negated().evaluate(None, nan_row)
+        assert term_dnf(neg) == [[neg]]
 
     def test_double_negation(self):
         inner = SCompare("in", SConst(1), SConst((1, 2)))

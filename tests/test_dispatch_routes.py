@@ -91,11 +91,11 @@ def group_confs(tmp_path_factory):
         ]):
             stage0 = session.lower(dataset, name=f"route-q{i}").stages[0]
             descriptor = session.system.plan(stage0.conf, stage0.hints)
-            confs.append(stage0.conf.with_inputs(descriptor.chosen_inputs()))
+            confs.append(descriptor.apply(stage0.conf))
         tag = confs[1].inputs[0].tag
         spec = confs[1].batch_specs[tag]
         confs[1].batch_specs[tag] = replace(
-            spec, project_columns=spec.project_columns + ["no_such_column"]
+            spec, project_columns=spec.needed_columns() + ["no_such_column"]
         )
         assert confs[2].reducer is not None
         yield confs

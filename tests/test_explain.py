@@ -194,16 +194,17 @@ class TestFluentCallables:
                 metrics = query.run().stages[0].outcome.result.metrics
                 return metrics.batch_map_tasks, metrics.map_tasks
 
-            assert "input[0] batch path: yes" in query.explain()
+            assert "input[0] batch: 1 predicate(s), emit ($key, " \
+                "WebPage_proj_url_rank(url, rank))" in query.explain()
             served, tasks = batched()
             assert served == tasks > 0
             session.build_indexes(query)
             text = query.explain()
             assert "btree-scan(" in text
-            assert ("input[0] batch path: no (input is not a plain "
+            assert ("input[0] batch: declined (input is not a plain "
                     "record-file scan)") in text
             assert batched() == (0, 1)
-            assert ("input[0] batch path: no (input is not a plain "
+            assert ("input[0] batch: declined (input is not a plain "
                     "record-file scan)") in session.explain_many(
                         [query, query])
 
@@ -246,23 +247,25 @@ class TestPreaggregationVerdict:
             pages = session.read(webpage_file)
             text = pages.group_by("rank").agg(
                 n=count(), m=avg_of("rank")).explain()
-            assert "agg count(*), avg(rank), hash pre-agg]" in text
-            assert "input[0] batch path: yes, hash pre-agg" in text
+            assert ("input[0] batch: emit ($value.rank, (1, $value.rank, "
+                    "1)), fold [count, avg], hash pre-agg") in text
 
             text = pages.map(doubled_rank, value_schema=WEBPAGE) \
                 .group_by("url").agg(total=sum_of("rank")).explain()
-            assert "no pre-agg (derived column)]" in text
-            assert ("input[0] batch path: yes, no pre-agg (derived column)"
-                    in text)
+            assert ("input[0] batch: derive [url=$value.url, rank=("
+                    "$value.rank * 2), content=$value.content], emit ("
+                    "$value.url, $value.rank), fold [sum], no pre-agg "
+                    "(derived column)") in text
 
     def test_a_combiner_declines_at_task_time(self, tmp_path, webpage_file):
-        from repro.api.session import Session, _batch_verdicts
+        from repro.api.session import Session
+        from repro.explain import batch_lines
 
         with Session(workdir=str(tmp_path / "work")) as session:
             stage = session.lower(session.read(webpage_file)
                                   .group_by("rank").agg(n=count())).final
             stage.conf.combiner = SumReducer
             descriptor = session.system.plan(stage.conf, stage.hints)
-            assert _batch_verdicts(stage.conf, descriptor) == [
-                "  input[0] batch path: yes, no pre-agg (a combiner "
-                "expects per-row values)"]
+            assert batch_lines(stage.conf, descriptor) == [
+                "  input[0] batch: emit ($value.rank, 1), fold [count], "
+                "no pre-agg (a combiner expects per-row values)"]

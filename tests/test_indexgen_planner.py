@@ -13,6 +13,7 @@ from repro.core.optimizer.indexgen import (
     synthesize_program,
 )
 from repro.exceptions import CorruptFileError, OptimizerError
+from repro.explain import explain_job
 from repro.mapreduce import (
     ColumnarFileInput,
     JobConf,
@@ -24,7 +25,8 @@ from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage.columnar import copy_columns
 from repro.storage.indexfile import IndexFileReader
-from repro.storage.serialization import STRING_SCHEMA
+from repro.storage.recordfile import RecordFileWriter
+from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from repro.workloads.schemas import USERVISITS
 from tests.conftest import index_files, write_webpages
 
@@ -266,6 +268,54 @@ class TestFailedBuilds:
             program.run(system.catalog)
         assert len(system.catalog) == 1
         assert index_files(catalog_dir) == before
+
+
+MEASURED = Schema("Measured", [
+    Field("g", FieldType.INT),
+    Field("d", FieldType.DOUBLE),
+    Field("note", FieldType.STRING),
+])
+
+
+class AboveQuarterMapper(Mapper):
+    def map(self, key, value, ctx):
+        if value.d > 0.25:
+            ctx.emit(value.g, value.d)
+
+
+class TestDeclinedBuilds:
+    """A NaN has no place in an index's order: the selection index over
+    it is skipped, with its reason on record, and the rest still
+    builds."""
+
+    def test_nan_skips_the_selection_index_not_the_build(self, tmp_path):
+        path = str(tmp_path / "m.rf")
+        with RecordFileWriter(path, LONG_SCHEMA, MEASURED) as writer:
+            for i, d in enumerate([0.1, float("nan"), 0.5, 0.7,
+                                   float("nan"), 0.3]):
+                writer.append(LONG_SCHEMA.make(i),
+                              MEASURED.make(i % 2, d, "n"))
+        conf = JobConf(name="nan", mapper=AboveQuarterMapper(), reducer=None,
+                       inputs=[RecordFileInput(path)])
+        catalog_dir = str(tmp_path / "cat")
+        system = Manimal(catalog_dir)
+        outcome = system.submit(conf, build_indexes=True)
+        assert sorted(outcome.result.outputs) == sorted(run_job(conf).outputs)
+        assert [entry.kind for entry in outcome.built_indexes] == [
+            cat.KIND_PROJECTION_DELTA]
+        assert "projection+delta via columnar-scan(" in \
+            outcome.descriptor.describe()
+        skipped = ("skipped selection+projection on d: NaN cannot be a "
+                   "B+Tree key")
+        [program] = system.index_programs(conf)
+        assert program.kind == cat.KIND_PROJECTION_DELTA
+        assert skipped in program.describe()
+        assert skipped in explain_job(conf, catalog_dir=catalog_dir)
+        # recorded: a second build neither retries nor rebuilds
+        again = Manimal(catalog_dir).submit(conf, build_indexes=True)
+        assert [e.index_id for e in again.built_indexes] == [
+            e.index_id for e in outcome.built_indexes]
+        assert len(index_files(catalog_dir)) == 1
 
 
 class TestExecutionEquivalenceByKind:

@@ -9,8 +9,8 @@ optimizer attaches a record-path read shape, the per-field reference
 encode is named only by serialization and the compiled encoder's
 decline path, the retired B+Tree index path stays retired,
 pipelines keep one stage order, only the code generator compiles,
-executes and registers generated source, and only the fluent lowering
-and the optimizer attach batch specs -- checked, not claimed.
+executes and registers generated source, and only the optimizer
+attaches batch specs -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -510,6 +510,7 @@ def test_checker_sees_a_batch_spec_attached_outside_its_homes(tmp_path):
     found = checker.spec_attachment_violations(str(tmp_path))
     assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
             for line in found] == [
+        os.path.join("api", "plan.py") + ":2: stores a batch spec",
         os.path.join("api", "session.py") + ":2: stores a batch spec",
         os.path.join("api", "session.py") + ":3: stores a batch spec",
         os.path.join("mapreduce", "runtime.py") + ":3: stores a batch spec",

@@ -82,9 +82,7 @@ def _candidates(session, datasets):
         plan = session.lower(dataset, name=f"cand-q{i}")
         stage0 = plan.stages[0]
         descriptor = session.system.plan(stage0.conf, stage0.hints)
-        conf = stage0.conf.with_inputs(descriptor.chosen_inputs())
-        conf.shuffle_filter = descriptor.shuffle_filter
-        confs.append(conf)
+        confs.append(descriptor.apply(stage0.conf))
     return confs
 
 
@@ -557,7 +555,7 @@ class TestJobGroups:
         tag = confs[1].inputs[0].tag
         spec = confs[1].batch_specs[tag]
         confs[1].batch_specs[tag] = replace(
-            spec, project_columns=spec.project_columns + ["no_such_column"]
+            spec, project_columns=spec.needed_columns() + ["no_such_column"]
         )
         solos = [LocalJobRunner().run(conf) for conf in confs]
         assert solos[1].metrics.batch_map_tasks == 0

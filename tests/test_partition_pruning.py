@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro import Session, col
+from repro import Manimal, Session, col, run_job
 from repro.core.analyzer.conditions import (
     Conjunct,
     SCompare,
@@ -32,7 +32,7 @@ from repro.core.optimizer.pruning import (
     interval_intersects_zone,
     prune_partitions,
 )
-from repro.mapreduce.api import FunctionMapper
+from repro.mapreduce.api import FunctionMapper, Mapper
 from repro.mapreduce.formats import PartitionedInput
 from repro.mapreduce.job import JobConf
 from repro.storage import input_identity
@@ -615,3 +615,59 @@ class TestClassicPathMetrics(FluentFixtureMixin):
         result = PruneResult(kept=[], total=4, fields=["rank"])
         assert result.pruned == 4
         assert "zone maps on rank" in result.detail()
+
+
+# -- a false edge keeps its NaN rows -------------------------------------------
+
+MEASURED = Schema("Measured", [
+    Field("g", FieldType.INT),
+    Field("d", FieldType.DOUBLE),
+])
+
+
+class SkipAboveQuarter(Mapper):
+    """Emits the rows whose ``d`` is not above 0.25 -- NaN included."""
+
+    def map(self, key, value, ctx):
+        if value.d > 0.25:
+            return
+        ctx.emit(value.g, value.d)
+
+
+class SkipAboveRank(Mapper):
+    def map(self, key, value, ctx):
+        if value.rank > 279:
+            return
+        ctx.emit(value.url, value.rank)
+
+
+class TestNegatedComparisons:
+    """``not (x > t)`` is ``x <= t`` only over a total order: a NaN
+    compares false both ways, so a false edge over a DOUBLE must not
+    become an interval that prunes the NaN rows away."""
+
+    def test_false_edge_over_a_double_keeps_nan_rows(self, tmp_path):
+        rows = [(0, 0.1), (0, 0.2), (1, 0.5), (1, float("nan")), (1, 0.7)]
+        directory = str(tmp_path / "nan")
+        write_partitioned_dataset(
+            directory, LONG_SCHEMA, MEASURED,
+            [(LONG_SCHEMA.make(i), MEASURED.make(g, d))
+             for i, (g, d) in enumerate(rows)],
+            num_partitions=2, partition_by="g",
+        )
+        conf = JobConf(name="nan-skip", mapper=SkipAboveQuarter(),
+                       reducer=None, inputs=[PartitionedInput(directory)])
+        outcome = Manimal(str(tmp_path / "cat")).submit(conf)
+        assert "pruned 1/2" not in outcome.descriptor.describe()
+        expected = sorted(map(repr, run_job(conf).outputs))
+        assert expected == ["(0, 0.1)", "(0, 0.2)", "(1, nan)"]
+        assert sorted(map(repr, outcome.result.outputs)) == expected
+
+    def test_false_edge_over_an_integer_still_prunes(self, tmp_path):
+        directory = write_dataset(tmp_path)
+        conf = JobConf(name="rank-skip", mapper=SkipAboveRank(),
+                       reducer=None, inputs=[PartitionedInput(directory)])
+        outcome = Manimal(str(tmp_path / "cat")).submit(conf)
+        assert "pruned 1/8 partitions" in outcome.descriptor.describe()
+        assert sorted(outcome.result.outputs) == sorted(
+            run_job(conf).outputs)

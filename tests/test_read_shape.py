@@ -350,7 +350,7 @@ def _stage0(session, dataset, name):
     plan = session.lower(dataset, name=name)
     stage0 = plan.stages[0]
     descriptor = session.system.plan(stage0.conf, stage0.hints)
-    return stage0.conf.with_inputs(descriptor.chosen_inputs())
+    return descriptor.apply(stage0.conf)
 
 
 class TestGroups:

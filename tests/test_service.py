@@ -573,8 +573,7 @@ class TestQueryServer:
             assert ("filter <python:rank_above_40> \u2261 "
                     "(value.rank > 40)") in text
             assert "(SELECT, (($value.rank > 40)))" in text
-            assert "batch spec [map, 1 predicate(s)" in text
-            assert "input[0] batch path: yes" in text
+            assert "input[0] batch: 1 predicate(s), emit ($key, " in text
             # a map's declared schema crosses the wire by content; the
             # translator accepts the equal schema the server rebuilt
             mapped = remote.read(webpages).map(

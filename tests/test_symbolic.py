@@ -25,15 +25,17 @@ from repro.api.expressions import (
 )
 from repro.api.plan import DeriveNode, _analyze_segment, _codegen_segment
 from repro.batch.kernels import compile_predicates
-from repro.batch.spec import BatchStageSpec
+from repro.batch.spec import BatchStageSpec, SRecord
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from repro.symbolic import (
+    ROLE_KEY,
     ROLE_VALUE,
     SArith,
     SBool,
     SCompare,
     SConst,
     SNot,
+    SParam,
     SParamField,
     has_literal_form,
     to_source,
@@ -192,13 +194,12 @@ class TestWireForm:
 class TestSpecsCarryPlainNodes:
     def test_a_spec_with_symbolic_predicates_pickles(self):
         sym = TREES[0]
-        spec = BatchStageSpec(kind="map", predicates=[sym],
-                              derived=[("x", TREES[1])],
-                              out_value_schema=OUT)
+        spec = BatchStageSpec((SParam(ROLE_KEY), SRecord(OUT)),
+                              predicates=[sym], derived=[("x", TREES[1])])
         clone = pickle.loads(pickle.dumps(spec))
         assert to_source(clone.predicates[0]) == to_source(sym)
         assert compile_predicates(clone.predicates,
-                                  clone.derived_exprs()).source \
+                                  clone.kernel_exprs()).source \
             == compile_predicates(spec.predicates,
-                                  spec.derived_exprs()).source
+                                  spec.kernel_exprs()).source
         assert clone.needed_columns() == spec.needed_columns()

@@ -131,16 +131,16 @@
     (:data:`COMPILE_EXEMPT`) is the UDF verifier's compile of the
     user's own parsed file, which it reads and never executes.
 
-16. One spec attachment.  A batch spec reaches a job through
-    ``JobConf.batch_specs`` from one of two builders: the fluent
-    lowering (``repro/api/plan.py``) for the stages it builds, and the
-    optimizer (``repro/core/optimizer/``, :data:`SPEC_HOMES`) for the
-    ``emit`` spec the analyzer proved for a classic ``map()`` -- beside
-    the read shape, which only it attaches too.  So outside those homes
-    nothing under ``src/repro`` stores into ``batch_specs``: no item or
-    attribute store, and no ``setdefault`` / ``update`` call on it -- a
-    third attachment is a second opinion on which stages the batch
-    executor may serve.
+16. One spec attachment.  Both doors describe a stage's batch spec on
+    its ``InputAnalysis`` -- the fluent lowering in its hints, the
+    analyzer in its analysis -- and the spec reaches a job through
+    ``JobConf.batch_specs`` one way: the optimizer
+    (``repro/core/optimizer/``, :data:`SPEC_HOMES`) attaches it,
+    beside the read shape, which only it attaches too.  So outside that
+    home nothing under ``src/repro`` stores into ``batch_specs``: no
+    item or attribute store, and no ``setdefault`` / ``update`` call on
+    it -- a second attachment is a second opinion on which stages the
+    batch executor may serve.
 
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
@@ -279,8 +279,7 @@ COMPILE_EXEMPT = {
 #: rule 16: the attribute, the modules that may store into it, and the
 #: dict methods that store
 SPEC_ATTR = "batch_specs"
-SPEC_HOMES = (os.path.join("repro", "api", "plan.py"),
-              os.path.join("repro", "core", "optimizer"))
+SPEC_HOMES = (os.path.join("repro", "core", "optimizer"),)
 SPEC_STORES = frozenset({"setdefault", "update", "__setitem__"})
 
 
@@ -737,8 +736,8 @@ def spec_attachment_violations(src: str = SRC) -> List[str]:
                   and node.func.attr in SPEC_STORES
                   and is_specs(node.func.value)):
                 found.append((rel, node.lineno, "stores a batch spec"))
-    return [f"{rel}:{lineno}: {what} (only the fluent lowering and "
-            f"repro.core.optimizer attach batch specs)"
+    return [f"{rel}:{lineno}: {what} (only repro.core.optimizer "
+            f"attaches batch specs)"
             for rel, lineno, what in sorted(set(found))]
 
 
@@ -826,7 +825,7 @@ def main() -> int:
           + f"; only {CODEGEN} imports linecache or calls exec or compile "
           + "(and " + ", ".join(scope for _module, scope in COMPILE_EXEMPT)
           + " its verification compile)"
-          + "; only " + " and ".join(SPEC_HOMES) + " attach batch specs")
+          + "; only " + " and ".join(SPEC_HOMES) + " attaches batch specs")
     return 0
 
 
