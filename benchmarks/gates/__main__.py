@@ -34,7 +34,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(1.0 = the tracked baseline)")
     parser.add_argument("--smoke", action="store_true",
                         help="what CI runs: small scale, two ABBA cycles, "
-                             "the table's floors")
+                             "the table's floors; written to "
+                             "bench_gates_smoke.json")
     parser.add_argument("--selftest", action="store_true",
                         help="the harness must fail a sabotaged row")
     parser.add_argument("--list", action="store_true",
@@ -69,8 +70,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if not args.gate:
-        harness.write_report(rows, scale)
-        print(f"wrote {harness.REPORT}")
+        report = harness.SMOKE_REPORT if args.smoke else harness.REPORT
+        harness.write_report(rows, scale, report)
+        print(f"wrote {report}")
     failed = [name for name, row in rows.items() if row["failures"]]
     print(f"FAILED at {failed[0]}" if failed
           else f"OK: {len(rows)} gate(s) held")

@@ -26,8 +26,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from benchmarks.suite import ROOT, datasets
 from benchmarks.suite.calibrate import Pacer
 
-#: the one tracked report, a row per gate
+#: the one tracked report, a row per gate (a scale-1 run refreshes it)
 REPORT = os.path.join(ROOT, "BENCH_gates.json")
+#: where ``--smoke`` writes its rows instead (untracked; CI uploads it)
+SMOKE_REPORT = os.path.join(ROOT, "bench_gates_smoke.json")
 #: every table is drawn from this seed
 SEED = 1
 #: ABBA cycles per row; each contributes two timings per arm and one ratio
@@ -183,13 +185,14 @@ def run_gates(gates: Iterable[Gate], bench: Bench, smoke: bool
     return rows
 
 
-def write_report(rows: Dict[str, Dict[str, Any]], scale: float) -> None:
+def write_report(rows: Dict[str, Dict[str, Any]], scale: float,
+                 path: str) -> None:
     """One line per row, so a refreshed baseline diffs row by row."""
     header = {"scale": scale, "seed": SEED, "cpus": os.cpu_count(),
               "python": platform.python_version(),
               "unit": "reference seconds (benchmarks/suite/calibrate.py); "
                       "ratio = off_s / on_s, median over ABBA cycles"}
-    with open(REPORT, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("{\n")
         for key, value in header.items():
             f.write(f" {json.dumps(key)}: {json.dumps(value)},\n")

@@ -13,13 +13,22 @@ chain of :class:`~repro.mapreduce.job.JobConf` stages:
   metadata, so downstream stages -- and Manimal's link detection in
   :class:`~repro.core.pipeline.ManimalPipeline` -- see transparent data.
 
-Plain callables are not taken at face value: before a fused segment is
-analyzed, each ``filter(fn)`` / ``map(fn)`` is handed to the analyzer's
-UDF translation (:mod:`repro.core.analyzer.udf`), and a callable proven
-to be a pure expression over its record is *replaced* by that column
-expression -- from there on it is indistinguishable from one written
-with ``col()``.  A callable the analyzer declines stays in place and
-runs as written.
+Each fused segment is lowered in one pass over its ops, each against
+the schema in effect where it stands.  Plain callables are not taken at
+face value: each ``filter(fn)`` / ``map(fn)`` is first handed to the
+analyzer's UDF translation (:mod:`repro.core.analyzer.udf`), and a
+callable proven to be a pure expression over its record is *replaced*
+by that column expression -- from there on it is indistinguishable from
+one written with ``col()``.  A callable the analyzer declines stays in
+place and runs as written.  The same pass gathers the hint evidence
+(pushed-down predicates, used and visible columns, output schemas and
+descriptions), reaches the batch verdict and renders the record-path
+source lines.  Each stage input then has one ``(K, V)`` emit over the
+record its segment ends with -- ``(key, record)`` for a map stage,
+``(on, (tag, record))`` for a join side, ``(group, slots)`` for an
+aggregate -- and one builder reads the mapper's ``ctx.emit`` line, the
+:class:`~repro.batch.spec.BatchStageSpec`'s ``emit`` and the projection
+hint's emitted columns from it.
 
 Because the builder knows its own predicates and projected columns, every
 stage also carries an exact :class:`~repro.core.analyzer.descriptors.JobAnalysis`
@@ -60,11 +69,16 @@ from repro.api.expressions import (
 )
 from repro.batch.spec import (
     AGGREGATES,
+    COLUMN,
+    CONST,
+    RECORD,
     WHOLE_KEY,
     WHOLE_VALUE,
     BatchStageSpec,
     SRecord,
     column_ref,
+    emit_parts,
+    part_source,
     preagg_decline,
 )
 from repro.core.analyzer.descriptors import (
@@ -416,73 +430,194 @@ def _translate_map(op: MapNode, schema: Optional[Schema],
                       callable_label(op.fn))
 
 
-def translate_udfs(ops: Sequence[LogicalNode],
-                   value_schema: Optional[Schema],
-                   analyze: UdfAnalyzer) -> List[LogicalNode]:
-    """Replace each analyzer-proven callable of a segment by its expression.
-
-    A translated ``filter(fn)`` becomes the same node over a column
-    expression and a translated ``map(fn)`` a :class:`DeriveNode`; every
-    later step of lowering -- synthesized source, selection and
-    projection hints, batch specs, shared-scan eligibility -- then sees
-    ordinary described ops.  Declined callables come back in place with
-    the reason attached (``explain`` shows it) and run exactly as given.
-    """
-    out: List[LogicalNode] = []
-    for op in ops:
-        if isinstance(op, FilterNode) \
-                and not isinstance(op.predicate, SymExpr):
-            op = _translate_filter(
-                op, _schema_after(out, value_schema), analyze)
-        elif isinstance(op, MapNode):
-            op = _translate_map(op, _schema_after(out, value_schema), analyze)
-        out.append(op)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Op-segment analysis: fused filter/select/map runs
+# One pass per fused segment: translate, describe, verdict, render
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Segment:
-    """The fused pipelined ops between two stage boundaries, analyzed."""
+    """The fused pipelined ops between two stage boundaries, after the one
+    pass (:func:`_fuse_segment`) over them."""
 
-    ops: List[LogicalNode]
     in_key_schema: Optional[Schema]
     in_value_schema: Optional[Schema]
+    out_key_schema: Optional[Schema]
+    out_value_schema: Optional[Schema]
+    #: the ops as lowered: proven callables replaced by expressions
+    ops: List[LogicalNode] = field(default_factory=list)
     #: column predicates pushed down to the scan (necessary emit conditions)
     pushdown: List[SymExpr] = field(default_factory=list)
     #: base-record columns the segment reads (None = unknown -> all)
     used: Optional[Set[str]] = None
     #: base-record columns still visible at segment end (None after map())
     visible: Optional[List[str]] = None
-    #: a map() -- opaque or translated -- replaced the scanned record
-    seen_map: bool = False
-    out_key_schema: Optional[Schema] = None
-    out_value_schema: Optional[Schema] = None
     descriptions: List[str] = field(default_factory=list)
+    #: the batch verdict: the one computed map()'s values; how an emit
+    #: names the record the segment ends with (a record of the output
+    #: schema once a select or map() reshaped it); or why it declines
+    derived: Optional[List[Tuple[str, SymExpr]]] = None
+    record: SymExpr = WHOLE_VALUE
+    decline: Optional[str] = None
+    #: the record-path body: indented source lines, the names they bind,
+    #: whether one of those is user code, and the pair in hand at the end
+    body: List[str] = field(default_factory=list)
+    env: Dict[str, Any] = field(default_factory=dict)
+    user_code: bool = False
+    indent: str = "    "
+    key_var: str = "key"
+    value_var: str = "value"
+
+    def source(self, fn_name: str, emit: Tuple[SymExpr, SymExpr]
+               ) -> Tuple[str, Dict[str, Any], bool]:
+        """The stage mapper's ``(source, env, user_code)``: the body, then
+        ``ctx.emit`` of ``emit`` over the pair in hand."""
+
+        def render(part: SymExpr) -> str:
+            if isinstance(part, STuple):
+                return f"({', '.join(render(item) for item in part.items)})"
+            kind, what = part_source(part)
+            if kind == RECORD:
+                return self.value_var
+            if kind == CONST:
+                return repr(what)
+            return self.key_var if what is None else f"{self.value_var}.{what}"
+
+        emit_line = f"ctx.emit({render(emit[0])}, {render(emit[1])})"
+        lines = [f"def {fn_name}(key, value, ctx):", *self.body,
+                 self.indent + emit_line]
+        return "\n".join(lines) + "\n", self.env, self.user_code
+
+    def hints(self, input_index: int, input_tag: Optional[str],
+              mapper_name: str, emit: Tuple[SymExpr, SymExpr],
+              batch: Union[BatchStageSpec, str]) -> InputAnalysis:
+        """Exact optimization descriptors for one (input, synthesized
+        mapper); ``batch`` is the input's batch spec, or why it has none.
+
+        A base-record column is used when an op reads it or, while no
+        ``map()`` has replaced the record, ``emit`` does (emitting the
+        whole record reads every visible column).
+        """
+        declined = isinstance(batch, str)
+        ia = InputAnalysis(
+            input_index=input_index,
+            input_tag=input_tag,
+            mapper_name=mapper_name,
+            key_schema=self.in_key_schema,
+            value_schema=self.in_value_schema,
+            batch_spec=None if declined else batch,
+            batch_decline=batch if declined else None,
+        )
+        schema = self.in_value_schema
+        if self.pushdown:
+            ia.selection = SelectionDescriptor(
+                formula=selection_formula(self.pushdown)
+            )
+        if self.used is not None:  # the scanned schema is transparent
+            used = set(self.used)
+            if self.visible is not None:
+                for kind, what in map(part_source, emit_parts(emit)):
+                    if kind == RECORD:
+                        used |= set(self.visible)
+                    elif kind == COLUMN and what is not None:
+                        used.add(what)
+            used &= set(schema.field_names())
+            unused = [c for c in schema.field_names() if c not in used]
+            if unused:
+                ia.projection = ProjectionDescriptor(
+                    used_value_fields=[
+                        c for c in schema.field_names() if c in used
+                    ],
+                    unused_value_fields=unused,
+                    used_key_fields=(
+                        self.in_key_schema.field_names()
+                        if self.in_key_schema is not None else []
+                    ),
+                    unused_key_fields=[],
+                )
+            numeric = schema.numeric_field_names()
+            if numeric:
+                ia.delta = DeltaCompressionDescriptor(fields=numeric)
+        return ia
 
 
-def _analyze_segment(ops: Sequence[LogicalNode],
-                     key_schema: Optional[Schema],
-                     value_schema: Optional[Schema]) -> _Segment:
-    seg = _Segment(list(ops), key_schema, value_schema)
-    schema_known = value_schema is not None and value_schema.transparent
-    seg.visible = value_schema.field_names() if schema_known else None
-    seg.used = set() if schema_known else None
-    seg.out_key_schema = key_schema
-    seg.out_value_schema = value_schema
+def _fuse_segment(ops: Sequence[LogicalNode],
+                  key_schema: Optional[Schema],
+                  value_schema: Optional[Schema],
+                  analyze: UdfAnalyzer) -> _Segment:
+    """One pass over a segment's ops, each handled against the schema in
+    effect where it stands.
 
-    def mark_all_visible_used() -> None:
-        if seg.used is not None and seg.visible is not None:
+    A ``filter(fn)`` / ``map(fn)`` is first handed to UDF translation: a
+    proven callable is replaced by its column expression (a translated
+    ``map`` becomes a :class:`DeriveNode`) and is from then on an ordinary
+    described op; a declined one stays in place with the reason attached
+    (``explain`` shows it) and runs as written.  The op then adds its hint
+    evidence (pushed-down predicates, used and visible columns, output
+    schemas, description), its part of the batch verdict, and its
+    record-path source lines -- with fresh variable names for every
+    rebinding, since the analyzer resolves parameter names positionally
+    and the generated code must never reassign ``key``/``value``.
+
+    The batch verdict is the vectorization eligibility rule:
+    column-expression filters and selects, then at most one computed
+    projection (a translated ``map``, the spec's derived values) followed
+    only by selects, over transparent key and value schemas.  An opaque
+    ``map()`` or callable predicate, an opaque schema, or a filter *after*
+    a computed projection (it reads derived columns, and the kernel
+    evaluates a row's predicates before its derived values) all
+    disqualify the segment -- the stage then runs record-at-a-time,
+    unconditionally.  (A column the file lacks is the batch admission's
+    decline, at run time.)
+    """
+    seg = _Segment(key_schema, value_schema, key_schema, value_schema)
+    if value_schema is not None and value_schema.transparent:
+        seg.visible, seg.used = value_schema.field_names(), set()
+    if value_schema is None or key_schema is None \
+            or not (value_schema.transparent and key_schema.transparent):
+        seg.decline = "opaque or unknown schema"
+    seen_map = reshaped = False
+    fresh = itertools.count()
+
+    def bind(prefix: str, obj: Any) -> str:
+        name = f"{prefix}{next(fresh)}"
+        seg.env[name] = obj
+        return name
+
+    def const(value: Any) -> str:
+        # Inline what has a literal form -- readable source, and the
+        # analyzer re-derives the formula from it -- and bind the rest
+        # (inf, nan, Decimal, dates, ...) as the object itself.
+        return repr(value) if has_literal_form(value) else bind("_k", value)
+
+    def decline(reason: str) -> None:
+        if seg.decline is None:
+            seg.decline = reason
+
+    def read_all_visible() -> None:
+        if seg.visible is not None:
             seg.used |= set(seg.visible)
 
+    def rebind_value(schema: Schema, args: str) -> None:
+        # Build the new record directly.  The helper name is
+        # knowledge-base-pure for sessions (FLUENT_KB), so the emitted
+        # value stays functional and the analyzer can re-derive the
+        # selection from the generated source.
+        helper = bind(PROJECT_HELPER_PREFIX, schema.make)
+        seg.value_var = f"v{next(fresh)}"
+        seg.body.append(f"{seg.indent}{seg.value_var} = {helper}({args})")
+
     for op in ops:
+        schema = seg.out_value_schema
+        if isinstance(op, FilterNode) \
+                and not isinstance(op.predicate, SymExpr):
+            op = _translate_filter(op, schema, analyze)
+        elif isinstance(op, MapNode):
+            op = _translate_map(op, schema, analyze)
+        seg.ops.append(op)
         if isinstance(op, FilterNode):
             if isinstance(op.predicate, SymExpr):
-                if not seg.seen_map:
+                if not seen_map:
                     # Column predicates before any opaque transform are
                     # necessary conditions over the scanned record: exact
                     # selection hints.  A callable filter in between only
@@ -493,206 +628,75 @@ def _analyze_segment(ops: Sequence[LogicalNode],
                 shown = to_source(op.predicate)
                 if op.label is not None:
                     shown = f"<python:{op.label}> \u2261 {shown}"
-                seg.descriptions.append(f"filter {shown}")
+                if seg.derived is not None:
+                    decline("a filter after a computed map()")
+                cond = to_source(op.predicate, seg.value_var, const)
             else:
-                mark_all_visible_used()
-                seg.descriptions.append(
-                    f"filter {_opaque_label(op.predicate, op.opaque)}"
-                )
+                read_all_visible()
+                shown = _opaque_label(op.predicate, op.opaque)
+                decline("a callable filter is opaque")
+                seg.user_code = True
+                cond = f"{bind('_p', op.predicate)}({seg.value_var})"
+            seg.descriptions.append(f"filter {shown}")
+            seg.body.append(f"{seg.indent}if {cond}:")
+            seg.indent += "    "
         elif isinstance(op, SelectNode):
+            if schema is None:
+                raise JobConfigError(
+                    "select() needs schema metadata; supply "
+                    "value_schema to the preceding map()"
+                )
+            seg.out_value_schema = schema.project(list(op.columns))
             if seg.visible is not None:
                 seg.visible = [c for c in seg.visible if c in op.columns]
                 # the generated mapper builds the selected record, so it
-                # reads every selected column whatever the tail names
-                mark_all_visible_used()
-            if seg.out_value_schema is not None:
-                seg.out_value_schema = seg.out_value_schema.project(
-                    list(op.columns)
-                )
+                # reads every selected column whatever the emit names
+                read_all_visible()
+            reshaped = True
             seg.descriptions.append(f"select [{', '.join(op.columns)}]")
-        elif isinstance(op, MapNode):
-            mark_all_visible_used()
-            seg.seen_map = True
+            rebind_value(seg.out_value_schema, ", ".join(
+                f"{seg.value_var}.{c}"
+                for c in seg.out_value_schema.field_names()))
+        else:  # a map(): opaque, or translated into a DeriveNode
+            if isinstance(op, MapNode):
+                read_all_visible()
+                shown = _opaque_label(op.fn, op.opaque)
+                decline("a map() is opaque")
+                seg.user_code = True
+                call = f"{bind('_m', op.fn)}({seg.key_var}, {seg.value_var})"
+                pair = f"r{next(fresh)}"
+                seg.key_var = f"k{next(fresh)}"
+                seg.value_var = f"v{next(fresh)}"
+                seg.body += [
+                    f"{seg.indent}{pair} = {call}",
+                    f"{seg.indent}{seg.key_var} = {pair}[0]",
+                    f"{seg.indent}{seg.value_var} = {pair}[1]",
+                ]
+            else:
+                if seg.used is not None:
+                    for expr in op.exprs:
+                        seg.used |= expr.value_columns()
+                args = ", ".join(to_source(expr) for expr in op.exprs)
+                shown = (f"<python:{op.label}> \u2261 "
+                         f"(key, {op.value_schema.name}.make({args}))")
+                if seg.derived is not None:
+                    decline("more than one computed map()")
+                seg.derived = list(zip(op.value_schema.field_names(),
+                                       op.exprs))
+                reshaped = True
+                rebind_value(op.value_schema, ", ".join(
+                    to_source(e, seg.value_var, const) for e in op.exprs))
+            # the record is replaced: no base column is visible any more
+            seen_map = True
             seg.visible = None
             seg.out_key_schema = op.key_schema
             seg.out_value_schema = op.value_schema
-            seg.descriptions.append(
-                f"map {_opaque_label(op.fn, op.opaque)}"
-            )
-        elif isinstance(op, DeriveNode):
-            if seg.used is not None:
-                for expr in op.exprs:
-                    seg.used |= expr.value_columns()
-            seg.seen_map = True
-            seg.visible = None
-            seg.out_key_schema = op.key_schema
-            seg.out_value_schema = op.value_schema
-            args = ", ".join(to_source(expr) for expr in op.exprs)
-            seg.descriptions.append(
-                f"map <python:{op.label}> \u2261 "
-                f"(key, {op.value_schema.name}.make({args}))"
-            )
-        else:  # pragma: no cover - lowering feeds only pipelined ops here
-            raise JobConfigError(f"cannot fuse {type(op).__name__}")
+            seg.descriptions.append(f"map {shown}")
+    if seg.decline is None and not seg.out_value_schema.transparent:
+        seg.decline = "opaque or unknown schema"
+    if reshaped and seg.decline is None:
+        seg.record = SRecord(seg.out_value_schema)
     return seg
-
-
-def _codegen_segment(seg: _Segment, fn_name: str,
-                     tail: Callable[[str, str], List[str]]
-                     ) -> Tuple[str, Dict[str, Any], bool]:
-    """Generate mapper source applying the segment's ops, then ``tail``.
-
-    ``tail(key_var, value_var)`` renders the emit line(s).  Fresh variable
-    names are introduced for every rebinding -- the analyzer resolves
-    parameter names positionally, so the generated code never reassigns
-    ``key``/``value`` themselves.  Returns ``(source, env, user_code)``:
-    the last says whether ``env`` holds a callable the user supplied.
-    """
-    env: Dict[str, Any] = {}
-    user_code = False
-    lines = [f"def {fn_name}(key, value, ctx):"]
-    indent = "    "
-    key_var, value_var = "key", "value"
-    fresh = itertools.count()
-
-    def const(value: Any) -> str:
-        # Inline what has a literal form -- readable source, and the
-        # analyzer re-derives the formula from it -- and bind the rest
-        # (inf, nan, Decimal, dates, ...) as the object itself.
-        if has_literal_form(value):
-            return repr(value)
-        cname = f"_k{next(fresh)}"
-        env[cname] = value
-        return cname
-
-    for op in seg.ops:
-        if isinstance(op, FilterNode):
-            if isinstance(op.predicate, SymExpr):
-                cond = to_source(op.predicate, value_var, const)
-            else:
-                pname = f"_p{next(fresh)}"
-                env[pname] = op.predicate
-                user_code = True
-                cond = f"{pname}({value_var})"
-            lines.append(f"{indent}if {cond}:")
-            indent += "    "
-        elif isinstance(op, (SelectNode, DeriveNode)):
-            if isinstance(op, SelectNode):
-                base = _schema_before(seg, op)
-                if base is None or not base.transparent:
-                    raise JobConfigError(
-                        "select() needs schema metadata; supply "
-                        "value_schema to the preceding map()"
-                    )
-                built = base.project(list(op.columns))
-                args = ", ".join(
-                    f"{value_var}.{c}" for c in built.field_names())
-            else:
-                built = op.value_schema
-                args = ", ".join(
-                    to_source(e, value_var, const) for e in op.exprs)
-            # Build the new record directly.  The helper name is
-            # knowledge-base-pure for sessions (FLUENT_KB), so the
-            # emitted value stays functional and the analyzer can
-            # re-derive the selection from the generated source.
-            sname = f"{PROJECT_HELPER_PREFIX}{next(fresh)}"
-            env[sname] = built.make
-            new_value = f"v{next(fresh)}"
-            lines.append(f"{indent}{new_value} = {sname}({args})")
-            value_var = new_value
-        elif isinstance(op, MapNode):
-            mname = f"_m{next(fresh)}"
-            env[mname] = op.fn
-            user_code = True
-            pair = f"r{next(fresh)}"
-            new_key = f"k{next(fresh)}"
-            new_value = f"v{next(fresh)}"
-            lines.append(
-                f"{indent}{pair} = {mname}({key_var}, {value_var})"
-            )
-            lines.append(f"{indent}{new_key} = {pair}[0]")
-            lines.append(f"{indent}{new_value} = {pair}[1]")
-            key_var, value_var = new_key, new_value
-
-    for tail_line in tail(key_var, value_var):
-        lines.append(indent + tail_line)
-    return "\n".join(lines) + "\n", env, user_code
-
-
-def _schema_after(ops: Sequence[LogicalNode],
-                  schema: Optional[Schema]) -> Optional[Schema]:
-    """The value schema once ``ops`` have run over ``schema`` records."""
-    for op in ops:
-        if isinstance(op, SelectNode) and schema is not None:
-            schema = schema.project(list(op.columns))
-        elif isinstance(op, (MapNode, DeriveNode)):
-            schema = op.value_schema
-    return schema
-
-
-def _schema_before(seg: _Segment, op: LogicalNode) -> Optional[Schema]:
-    """The value schema in effect just before ``op`` within the segment.
-
-    Node identity (``is``) is deliberate: logical nodes hold column
-    expressions whose ``==`` builds new expressions rather than comparing.
-    """
-    index = next(i for i, prior in enumerate(seg.ops) if prior is op)
-    return _schema_after(seg.ops[:index], seg.in_value_schema)
-
-
-# ---------------------------------------------------------------------------
-# Hints
-# ---------------------------------------------------------------------------
-
-
-def _input_hints(seg: _Segment, input_index: int, input_tag: Optional[str],
-                 mapper_name: str, emitted_columns: Optional[Set[str]],
-                 batch: Union[BatchStageSpec, str]) -> InputAnalysis:
-    """Exact optimization descriptors for one (input, synthesized mapper).
-
-    ``emitted_columns`` are the base-record columns the stage tail reads
-    (group/agg/join columns, or None meaning "everything still visible");
-    ``batch`` is the stage's batch spec, or why it has none.
-    """
-    declined = isinstance(batch, str)
-    ia = InputAnalysis(
-        input_index=input_index,
-        input_tag=input_tag,
-        mapper_name=mapper_name,
-        key_schema=seg.in_key_schema,
-        value_schema=seg.in_value_schema,
-        batch_spec=None if declined else batch,
-        batch_decline=batch if declined else None,
-    )
-    schema = seg.in_value_schema
-    if seg.pushdown:
-        ia.selection = SelectionDescriptor(
-            formula=selection_formula(seg.pushdown)
-        )
-    if schema is not None and schema.transparent and seg.used is not None:
-        used = set(seg.used)
-        if emitted_columns is not None:
-            used |= emitted_columns
-        elif seg.visible is not None:
-            used |= set(seg.visible)
-        used &= set(schema.field_names())
-        unused = [c for c in schema.field_names() if c not in used]
-        if unused:
-            ia.projection = ProjectionDescriptor(
-                used_value_fields=[
-                    c for c in schema.field_names() if c in used
-                ],
-                unused_value_fields=unused,
-                used_key_fields=(
-                    seg.in_key_schema.field_names()
-                    if seg.in_key_schema is not None else []
-                ),
-                unused_key_fields=[],
-            )
-        numeric = schema.numeric_field_names()
-        if numeric:
-            ia.delta = DeltaCompressionDescriptor(fields=numeric)
-    return ia
 
 
 # ---------------------------------------------------------------------------
@@ -846,36 +850,61 @@ class _Lowering:
         return chain.input_path
 
     def _segment(self, chain: _Chain) -> _Segment:
-        """The chain's pending ops, UDFs translated, analyzed."""
-        ops = translate_udfs(chain.ops, chain.value_schema, self.analyze_udf)
-        return _analyze_segment(ops, chain.key_schema, chain.value_schema)
+        """The chain's pending ops, through the one pass."""
+        return _fuse_segment(chain.ops, chain.key_schema,
+                             chain.value_schema, self.analyze_udf)
+
+    def _input(self, chain: _Chain, seg: _Segment, index: int,
+               tag: Optional[str], fn_name: str,
+               emit: Tuple[SymExpr, SymExpr],
+               fold: Optional[List[Tuple[str, Optional[FieldType]]]] = None
+               ) -> Tuple[Any, _StageMapper, InputAnalysis]:
+        """One stage input -- its scan, synthesized mapper and hints --
+        read from its segment and its one ``(K, V)`` emit over the record
+        the segment ends with; ``fold`` is an aggregate's ``(op, input
+        type)`` list, whose partials ``V``'s slots are."""
+        mapper = _StageMapper(fn_name, *seg.source(fn_name, emit))
+        scan = scan_input(self._input_of(chain), tag=tag)
+        batch = self._batch(seg, emit, fold)
+        return scan, mapper, seg.hints(index, tag, fn_name, emit, batch)
+
+    def _batch(self, seg: _Segment, emit: Tuple[SymExpr, SymExpr],
+               fold: Optional[List[Tuple[str, Optional[FieldType]]]]
+               ) -> Union[BatchStageSpec, str]:
+        """The input's :class:`BatchStageSpec`, or why it has none."""
+        if not seg.ops and emit[0] is WHOLE_KEY and emit[1] is WHOLE_VALUE:
+            # A bare pass-through scan gains nothing from vectorization
+            # (every field decodes either way).
+            return "pass-through scan"
+        if not self.vectorize:
+            return "vectorize=False"
+        if seg.decline is not None:
+            return seg.decline
+        # every filter precedes any map(), so the scan's pushed-down
+        # predicates are all of them
+        spec = BatchStageSpec(emit, list(seg.pushdown), seg.derived)
+        if fold is not None:
+            spec.fold = [op for op, _ftype in fold]
+            spec.no_preagg = preagg_decline(
+                fold, derived=seg.derived is not None)
+        return spec
 
     def _close_map_stage(self, chain: _Chain) -> StagePlan:
         stage_name = self._stage_name("map")
         seg = self._segment(chain)
         fn_name = "_fluent_map"
-        mapper = _StageMapper(fn_name, *_codegen_segment(
-            seg, fn_name, lambda k, v: [f"ctx.emit({k}, {v})"]
-        ))
+        scan, mapper, hint = self._input(
+            chain, seg, 0, None, fn_name, (WHOLE_KEY, seg.record))
         conf = JobConf(
             name=stage_name,
             mapper=mapper,
             reducer=None,
-            inputs=[scan_input(self._input_of(chain))],
+            inputs=[scan],
             num_reducers=self.num_reducers,
-        )
-        # A bare pass-through scan gains nothing from vectorization (every
-        # field decodes either way); only stages that actually filter or
-        # project get a spec.
-        batch = self._batch_spec(seg, lambda record: (
-            WHOLE_KEY, record)) if seg.ops else "pass-through scan"
-        hints = JobAnalysis(
-            job_name=stage_name,
-            inputs=[_input_hints(seg, 0, None, fn_name, None, batch)],
         )
         return StagePlan(
             conf=conf,
-            hints=hints,
+            hints=JobAnalysis(job_name=stage_name, inputs=[hint]),
             kind="map",
             descriptions=list(seg.descriptions) or ["scan"],
             out_key_schema=seg.out_key_schema,
@@ -891,55 +920,31 @@ class _Lowering:
 
         names = [name for name, _ in node.aggs]
         specs = [spec for _, spec in node.aggs]
-
-        # each aggregate's declared per-row partial, slots flattened: the
-        # value the synthesized mapper and the batch spec emit
+        # each aggregate's declared per-row partial, slots flattened
         slots = [
             column_ref(spec.column) if literal is None else SConst(literal)
             for spec in specs for literal in AGGREGATES[spec.op].partial
         ]
-
-        def tail(key_var: str, value_var: str) -> List[str]:
-            shown = [to_source(slot, value_var) for slot in slots]
-            emitted = shown[0] if len(shown) == 1 else f"({', '.join(shown)})"
-            return [f"ctx.emit({value_var}.{node.group_column}, {emitted})"]
-
         fn_name = "_fluent_agg_map"
-        mapper = _StageMapper(fn_name, *_codegen_segment(seg, fn_name, tail))
+        scan, mapper, hint = self._input(
+            chain, seg, 0, None, fn_name,
+            (column_ref(node.group_column),
+             slots[0] if len(slots) == 1 else STuple(slots)),
+            fold=[(spec.op, self._column_type(record_schema, spec.column))
+                  for spec in specs])
 
         out_key_schema = self._group_key_schema(node, record_schema)
         out_value_schema, reducer = self._agg_reducer(
             node, names, specs, record_schema, stage_name
         )
-
-        emitted_cols = {node.group_column} | {
-            spec.column for spec in specs if spec.column is not None
-        }
         conf = JobConf(
             name=stage_name,
             mapper=mapper,
             reducer=reducer,
-            inputs=[scan_input(self._input_of(chain))],
+            inputs=[scan],
             num_reducers=self.num_reducers,
         )
         self._materialize(conf, stage_name, out_key_schema, out_value_schema)
-        batch = self._batch_spec(seg, lambda _record: (
-            column_ref(node.group_column),
-            slots[0] if len(slots) == 1 else STuple(slots)))
-        if not isinstance(batch, str):
-            batch.fold = [spec.op for spec in specs]
-            batch.no_preagg = preagg_decline(
-                [(spec.op, self._column_type(record_schema, spec.column))
-                 for spec in specs], derived=batch.derived is not None)
-        hints = JobAnalysis(
-            job_name=stage_name,
-            inputs=[
-                _input_hints(
-                    seg, 0, None, fn_name,
-                    emitted_cols if not seg.seen_map else None, batch,
-                )
-            ],
-        )
         agg_desc = ", ".join(
             f"{name}={spec.describe()}" for name, spec in node.aggs
         )
@@ -948,58 +953,12 @@ class _Lowering:
         ]
         return StagePlan(
             conf=conf,
-            hints=hints,
+            hints=JobAnalysis(job_name=stage_name, inputs=[hint]),
             kind="aggregate",
             descriptions=descriptions,
             out_key_schema=out_key_schema,
             out_value_schema=out_value_schema,
         )
-
-    def _batch_spec(self, seg: _Segment,
-                    tail: Callable[[SymExpr], Tuple[SymExpr, SymExpr]]
-                    ) -> Union[BatchStageSpec, str]:
-        """The segment's :class:`BatchStageSpec` when it is fully
-        analyzer-described, else why not; ``tail(record)`` is the
-        stage's own emit over the record the segment ends with.
-
-        This is the vectorization eligibility rule: column-expression
-        filters and selects, then at most one computed projection (a
-        translated ``map``, the spec's derived values) followed only by
-        selects, over transparent key and value schemas.  An opaque
-        ``map()`` or callable predicate, an opaque schema, or a filter
-        *after* a computed projection (it reads derived columns, and the
-        kernel evaluates a row's predicates before its derived values)
-        all disqualify the segment -- the stage then runs
-        record-at-a-time, unconditionally.  (A column the file lacks is
-        the batch admission's decline, at run time.)
-        """
-        schema, key_schema = seg.in_value_schema, seg.in_key_schema
-        if not self.vectorize:
-            return "vectorize=False"
-        if schema is None or key_schema is None \
-                or not (schema.transparent and key_schema.transparent):
-            return "opaque or unknown schema"
-        derived: Optional[List[Tuple[str, SymExpr]]] = None
-        reshaped = False
-        for op in seg.ops:
-            if isinstance(op, FilterNode):
-                if not isinstance(op.predicate, SymExpr):
-                    return "a callable filter is opaque"
-                if derived is not None:
-                    return "a filter after a computed map()"
-            elif isinstance(op, DeriveNode):
-                if derived is not None:
-                    return "more than one computed map()"
-                derived = list(zip(op.value_schema.field_names(), op.exprs))
-            elif not isinstance(op, SelectNode):
-                return "a map() is opaque"
-            reshaped = reshaped or not isinstance(op, FilterNode)
-        if not seg.out_value_schema.transparent:
-            return "opaque or unknown schema"
-        record = SRecord(seg.out_value_schema) if reshaped else WHOLE_VALUE
-        # every filter precedes any map(), so the scan's pushed-down
-        # predicates are all of them
-        return BatchStageSpec(tail(record), list(seg.pushdown), derived)
 
     def _validate_agg_columns(self, node: AggregateNode,
                               schema: Optional[Schema],
@@ -1100,20 +1059,12 @@ class _Lowering:
         merged_schema, left_fields, right_fields = _merge_schemas(
             lschema, rschema, node.on
         )
-
-        def side_tail(tag: str) -> Callable[[str, str], List[str]]:
-            def tail(key_var: str, value_var: str) -> List[str]:
-                return [
-                    f"ctx.emit({value_var}.{node.on}, ({tag!r}, {value_var}))"
-                ]
-            return tail
-
-        lfn, rfn = "_fluent_join_left", "_fluent_join_right"
-        left_mapper = _StageMapper(
-            lfn, *_codegen_segment(lseg, lfn, side_tail("L"))
-        )
-        right_mapper = _StageMapper(
-            rfn, *_codegen_segment(rseg, rfn, side_tail("R"))
+        (lscan, left_mapper, lhint), (rscan, right_mapper, rhint) = (
+            self._input(chain, seg, index, tag, f"_fluent_join_{tag}",
+                        (column_ref(node.on),
+                         STuple([SConst(side), seg.record])))
+            for index, (chain, seg, tag, side) in enumerate((
+                (left, lseg, "left", "L"), (right, rseg, "right", "R")))
         )
 
         on_type = lschema.field(node.on).ftype
@@ -1124,35 +1075,14 @@ class _Lowering:
             name=stage_name,
             mapper=left_mapper,
             reducer=reducer,
-            inputs=[
-                scan_input(self._input_of(left), tag="left"),
-                scan_input(self._input_of(right), tag="right"),
-            ],
+            inputs=[lscan, rscan],
             per_input_mappers={"left": left_mapper, "right": right_mapper},
             num_reducers=self.num_reducers,
         )
         self._materialize(conf, stage_name, out_key_schema, merged_schema)
-
-        def side_batch(seg: _Segment, tag: str) -> Union[BatchStageSpec, str]:
-            return self._batch_spec(seg, lambda record: (
-                column_ref(node.on), STuple([SConst(tag), record])))
-
-        lcols = set(lseg.visible or lschema.field_names()) | {node.on}
-        rcols = set(rseg.visible or rschema.field_names()) | {node.on}
-        hints = JobAnalysis(
-            job_name=stage_name,
-            inputs=[
-                _input_hints(lseg, 0, "left", lfn,
-                             lcols if not lseg.seen_map else None,
-                             side_batch(lseg, "L")),
-                _input_hints(rseg, 1, "right", rfn,
-                             rcols if not rseg.seen_map else None,
-                             side_batch(rseg, "R")),
-            ],
-        )
         return StagePlan(
             conf=conf,
-            hints=hints,
+            hints=JobAnalysis(job_name=stage_name, inputs=[lhint, rhint]),
             kind="join",
             descriptions=(
                 [f"left: {d}" for d in lseg.descriptions]

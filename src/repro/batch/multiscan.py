@@ -67,10 +67,6 @@ DECODE_WEIGHT = 1.5
 #: query's latency, so it runs solo instead.
 LATENCY_FACTOR = 2.0
 
-#: Group-level gate (the MRShare total-work check): the fused pass must
-#: model strictly cheaper than this fraction of the summed solo passes.
-SHARE_THRESHOLD = 0.9
-
 
 # -- grouping and the cost model ----------------------------------------------
 
@@ -221,16 +217,6 @@ def plan_shared_groups(confs: Sequence[Optional[JobConf]]
             if len(admitted) < 2:
                 remaining = admitted + rejected
                 break
-            fused_cost = _pass_cost(fields, len(union))
-            solo_cost = sum(_pass_cost(fields, m.slots) for m in admitted)
-            if fused_cost >= SHARE_THRESHOLD * solo_cost:
-                for member in admitted:
-                    report.solo.append((
-                        member.index,
-                        "cost model: fused pass would not beat solo scans",
-                    ))
-                remaining = rejected
-                continue
             members = sorted(admitted, key=lambda m: m.index)
             # Recompute the union in member order: this is the capture
             # order the fused task will actually build.

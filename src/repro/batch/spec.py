@@ -175,6 +175,12 @@ def part_source(part: SymExpr) -> Optional[Tuple[str, Any]]:
     return None
 
 
+def emit_parts(emit: Tuple[SymExpr, SymExpr]) -> List[SymExpr]:
+    """``K`` and the items of ``V``, in the order ``map()`` emits them."""
+    key, value = emit
+    return [key, *(value.items if isinstance(value, STuple) else (value,))]
+
+
 @dataclass(eq=False)
 class BatchStageSpec:
     """One stage's map body, described for vectorized execution.
@@ -212,11 +218,8 @@ class BatchStageSpec:
                                 "derive it")
 
     def emit_parts(self) -> List[SymExpr]:
-        """``K`` and the items of ``V``, in the order ``map()`` emits
-        them."""
-        key, value = self.emit
-        return [key, *(value.items if isinstance(value, STuple)
-                       else (value,))]
+        """:func:`emit_parts` of this spec's ``emit``."""
+        return emit_parts(self.emit)
 
     def kernel_exprs(self) -> Optional[List[SymExpr]]:
         """What the stage's kernel computes for each passing row beside

@@ -24,7 +24,7 @@ import ast
 import inspect
 import textwrap
 import types
-from typing import Any, Dict, List, Optional, Set, Tuple, Type
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.analyzer.compression import find_delta, find_direct_operation
 from repro.core.analyzer.conditions import MemberEnv, SymbolicResolver
@@ -47,7 +47,7 @@ from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
 from repro.core.analyzer.selection import find_select
 from repro.core.analyzer.sideeffects import find_side_effects
 from repro.exceptions import UnsupportedConstructError
-from repro.mapreduce.api import FunctionMapper, Mapper, Reducer
+from repro.mapreduce.api import FunctionMapper, Mapper
 from repro.mapreduce.formats import (
     BlockFileInput,
     InputSource,

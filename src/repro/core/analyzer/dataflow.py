@@ -150,10 +150,6 @@ class UseDefNode:
         self.stmt = stmt
         self.deps: List["UseDefNode"] = []
 
-    def is_terminal_input(self) -> bool:
-        """True when this node is a pure function input (param/const)."""
-        return self.kind in (self.KIND_PARAM, self.KIND_CONST)
-
     def __repr__(self) -> str:
         return f"UseDefNode({self.kind}: {self.label})"
 

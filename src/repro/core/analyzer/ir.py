@@ -313,10 +313,3 @@ class Return(Stmt):
 
     def __repr__(self) -> str:
         return f"[{self.stmt_id}] return {self.expr!r}"
-
-
-def assigned_name(stmt: Stmt) -> Optional[str]:
-    """Variable name defined by ``stmt``, if any (reaching-defs kill set)."""
-    if isinstance(stmt, Assign):
-        return stmt.target
-    return None

@@ -57,9 +57,6 @@ class ParamRoles:
         self.value_name = value_name
         self.ctx_name = ctx_name
 
-    def data_params(self) -> Tuple[Optional[str], str]:
-        return (self.key_name, self.value_name)
-
     def __repr__(self) -> str:
         return (
             f"ParamRoles(self={self.self_name}, key={self.key_name}, "

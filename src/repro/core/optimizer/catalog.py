@@ -530,13 +530,6 @@ class Catalog:
             self._save()
             return f"dataset-{self._counter:05d}"
 
-    def remove_dataset(self, dataset_id: str) -> None:
-        with self._mutate():
-            if self._datasets.pop(dataset_id, None) is None:
-                raise CatalogError(f"no dataset {dataset_id!r}")
-            self.generation += 1
-            self._save()
-
     def sorted_datasets(self) -> List[DatasetEntry]:
         with self._lock:
             return [self._datasets[k] for k in sorted(self._datasets)]

@@ -119,7 +119,3 @@ class OptimizerError(ReproError):
 
 class CatalogError(OptimizerError):
     """The index catalog is missing, corrupt, or inconsistent."""
-
-
-class PlanningError(OptimizerError):
-    """No valid execution plan could be constructed."""

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.api.remote import OpList, read_paths
 from repro.storage import input_identity
@@ -94,16 +94,6 @@ class ResultCache:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= len(evicted)
                 self.evictions += 1
-
-    def invalidate_tenant(self, tenant: str) -> int:
-        """Drop every entry belonging to one tenant; returns the count."""
-        with self._lock:
-            doomed: List[CacheKey] = [
-                key for key in self._entries if key[0] == tenant
-            ]
-            for key in doomed:
-                self._bytes -= len(self._entries.pop(key))
-            return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

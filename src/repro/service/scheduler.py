@@ -255,12 +255,6 @@ class FairScheduler:
             self._pump()
             return job
 
-    def set_weight(self, tenant: str, weight: int) -> None:
-        if weight < 1:
-            raise ValueError("tenant weight must be >= 1")
-        with self._lock:
-            self._weights[tenant] = weight
-
     def _weight(self, tenant: str) -> int:
         return max(1, int(self._weights.get(tenant, 1)))
 

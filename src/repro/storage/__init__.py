@@ -40,7 +40,7 @@ from repro.storage.blockfile import BlockFileReader, BlockInfo
 # only for the frozen benchmark suite's storage probe
 from repro.storage.btree import BTree, BTreeBuilder, BTreeStats
 from repro.storage.columnar import ColumnarFileReader, ColumnarFileWriter
-from repro.storage.columnfile import build_column_groups, build_projection
+from repro.storage.columnfile import build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
 from repro.storage.indexfile import IndexFileReader
@@ -107,7 +107,6 @@ __all__ = [
     "LONG_SCHEMA",
     "STRING_SCHEMA",
     "DOUBLE_SCHEMA",
-    "build_column_groups",
     "build_projection",
     "input_identity",
     "open_block_file",

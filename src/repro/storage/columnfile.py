@@ -8,14 +8,13 @@ proved are used; its header metadata records the provenance (base schema
 and kept fields) so the optimizer can match it against future jobs.
 
 This mirrors "a simplified version of a column-store": one file per field
-*group* rather than per field.  The column-group generalization the paper
-sketches as future work is exposed via ``build_column_groups``.
+*group* rather than per field.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.exceptions import SchemaError, SerializationError
 from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileWriter
@@ -109,49 +108,3 @@ def build_projection(
             "source_bytes": reader.file_size(),
             "projected_fields": metadata[META_KEPT_FIELDS],
         }
-
-
-def is_projection_of(
-    reader: RecordFileReader, base_schema_name: str, needed_fields: Sequence[str]
-) -> bool:
-    """Whether an open projected file can serve a job needing
-    ``needed_fields`` of ``base_schema_name``.
-
-    A projection is usable iff it came from the right base schema and its
-    kept-field set is a superset of what the job touches.
-    """
-    meta = reader.metadata
-    if meta.get(META_KIND) != KIND_PROJECTION:
-        return False
-    if meta.get(META_BASE_SCHEMA) != base_schema_name:
-        return False
-    kept = set(meta.get(META_KEPT_FIELDS, ()))
-    return set(needed_fields) <= kept
-
-
-def build_column_groups(
-    source_path: str,
-    dest_prefix: str,
-    groups: Sequence[Sequence[str]],
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> List[str]:
-    """Split a record file into several projected files, one per field group.
-
-    Future-work feature from the paper (Section 2.1): "column-groups that
-    break input data into different smaller files, increasing the number of
-    user programs that could use an index."  Groups must be disjoint and
-    cover only existing fields; each output file is independently usable as
-    a projection index.
-    """
-    seen: set = set()
-    for group in groups:
-        overlap = seen & set(group)
-        if overlap:
-            raise SchemaError(f"column groups overlap on {sorted(overlap)}")
-        seen |= set(group)
-    paths: List[str] = []
-    for i, group in enumerate(groups):
-        path = f"{dest_prefix}.group{i}"
-        build_projection(source_path, path, list(group), block_size=block_size)
-        paths.append(path)
-    return paths

@@ -75,10 +75,6 @@ class SymExpr:
                 roles |= node.whole_params
         return roles
 
-    def mentions_whole_param(self) -> bool:
-        """Whether a bare key/value record flows somewhere in this tree."""
-        return bool(self.whole_param_roles())
-
     def evaluate(self, key: Any, value: Any) -> Any:
         raise NotImplementedError
 

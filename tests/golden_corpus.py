@@ -37,6 +37,7 @@ import test_explain
 import test_udf_translation
 
 from repro.api.expressions import col, lit
+from repro.api.plan import count, max_of
 from repro.api.remote import op_filter
 from repro.api.session import Session
 from repro.batch.columns import build_scan_plan
@@ -52,7 +53,13 @@ from repro.storage.blockwrite import block_encoder, wire_kinds
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
+from repro.storage.serialization import (
+    LONG_SCHEMA,
+    STRING_SCHEMA,
+    Field,
+    FieldType,
+    Schema,
+)
 from repro.symbolic import ROLE_KEY, SConst, SParam
 from tests.conftest import WEBPAGE, write_webpages
 
@@ -257,6 +264,16 @@ def snapshot(root):
             "col-join": pages.filter(col("rank") > 40).select("url", "rank")
             .join(pages.filter((col("rank") < 45) | (col("url") == "x"))
                   .select("url", "content"), on="url"),
+            # the stage shapes the chains above never lower to
+            "opaque-map-agg": pages.map(
+                test_udf_translation.rewrites_key, key_schema=STRING_SCHEMA,
+                value_schema=WEBPAGE).group_by("rank").agg(n=count()),
+            "udf-join-opaque": pages.map(
+                test_udf_translation.doubled, value_schema=WEBPAGE)
+            .join(pages.filter(test_explain.url_hash_even), on="url"),
+            "agg-join": pages.group_by("url").agg(rank=max_of("rank"))
+            .join(pages.select("url", "rank"), on="rank"),
+            "bare-read": pages,
         }
         for name, dataset in named.items():
             queries[name] = _query_texts(session, dataset, root)

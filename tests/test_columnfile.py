@@ -6,9 +6,11 @@ import pytest
 
 from repro.exceptions import FieldNotPresentError, SchemaError
 from repro.storage.columnfile import (
-    build_column_groups,
+    META_BASE_SCHEMA,
+    META_KEPT_FIELDS,
+    META_KIND,
+    KIND_PROJECTION,
     build_projection,
-    is_projection_of,
 )
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import (
@@ -67,10 +69,9 @@ class TestBuildProjection:
         out = str(tmp_path / "narrow.rf")
         build_projection(wide_file, out, ["b", "d"])
         with RecordFileReader(out) as r:
-            assert is_projection_of(r, "Wide", ["b"])
-            assert is_projection_of(r, "Wide", ["b", "d"])
-            assert not is_projection_of(r, "Wide", ["a"])       # missing field
-            assert not is_projection_of(r, "Other", ["b"])      # wrong base
+            assert r.metadata[META_KIND] == KIND_PROJECTION
+            assert r.metadata[META_BASE_SCHEMA] == "Wide"
+            assert list(r.metadata[META_KEPT_FIELDS]) == ["b", "d"]
 
     def test_opaque_source_rejected(self, tmp_path):
         opaque = OpaqueSchema(
@@ -83,21 +84,3 @@ class TestBuildProjection:
             w.append(LONG_SCHEMA.make(0), opaque.make(1))
         with pytest.raises(SchemaError):
             build_projection(src, str(tmp_path / "out.rf"), ["x"])
-
-
-class TestColumnGroups:
-    def test_groups_built_independently(self, wide_file, tmp_path):
-        prefix = str(tmp_path / "groups")
-        paths = build_column_groups(wide_file, prefix, [["a", "b"], ["d"]])
-        assert len(paths) == 2
-        with RecordFileReader(paths[0]) as r:
-            _, v = next(r.iter_records())
-            assert v.a == "a0" and v.b == 0
-        with RecordFileReader(paths[1]) as r:
-            _, v = next(r.iter_records())
-            assert v.d == 0
-
-    def test_overlapping_groups_rejected(self, wide_file, tmp_path):
-        with pytest.raises(SchemaError):
-            build_column_groups(wide_file, str(tmp_path / "g"),
-                                [["a", "b"], ["b", "c"]])

@@ -1,7 +1,5 @@
 """Tests for index-generation program synthesis and plan selection."""
 
-import os
-
 import pytest
 
 from repro.core.analyzer import ManimalAnalyzer
@@ -27,7 +25,6 @@ from repro.storage.columnar import copy_columns
 from repro.storage.indexfile import IndexFileReader
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
-from repro.workloads.schemas import USERVISITS
 from tests.conftest import index_files, write_webpages
 
 ANALYZER = ManimalAnalyzer()

@@ -24,7 +24,6 @@ import pytest
 
 from repro import JobConf, Mapper, Session, faults
 from repro.api.expressions import col, lit
-from repro.batch import multiscan
 from repro.batch.multiscan import plan_shared_groups
 from repro.engine import ExecutionEngine
 from repro.faults import Fault, FaultPlan
@@ -347,8 +346,7 @@ class TestGroupPlanner:
         assert reasons[2] == "stage is not analyzer-described"
         assert not report.groups
 
-    def test_share_threshold_gate_declines_group(self, session, tmp_path,
-                                                 monkeypatch):
+    def test_equal_width_scans_fuse(self, session, tmp_path):
         path = write_webpages(tmp_path / "gate.rf", 80)
         confs = _candidates(session, [
             session.read(path).filter(col("rank") > 10)
@@ -356,16 +354,7 @@ class TestGroupPlanner:
             session.read(path).filter(col("rank") > 20)
             .select("url", "rank"),
         ])
-        # with the default threshold these two identical-width scans fuse
         assert len(plan_shared_groups(confs).groups) == 1
-        # an impossible threshold forces the group-level gate to fire
-        monkeypatch.setattr(multiscan, "SHARE_THRESHOLD", 0.0)
-        report = plan_shared_groups(confs)
-        assert not report.groups
-        assert all(
-            reason == "cost model: fused pass would not beat solo scans"
-            for _, reason in report.solo
-        )
 
     def test_latency_gate_protects_narrow_scans(self, session, tmp_path):
         # 12 value columns; a 1-column aggregate must not be fused into

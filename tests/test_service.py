@@ -264,14 +264,6 @@ class TestResultCache:
         cache.put(("t", "a"), b"x" * 11)
         assert len(cache) == 0
 
-    def test_invalidate_tenant(self):
-        cache = ResultCache()
-        cache.put(("a", "q1"), b"1")
-        cache.put(("b", "q1"), b"2")
-        assert cache.invalidate_tenant("a") == 1
-        assert cache.get(("a", "q1")) is None
-        assert cache.get(("b", "q1")) == b"2"
-
     def test_key_changes_with_generation_and_input(self, tmp_path):
         path = write_webpages(tmp_path / "w.rf", 50)
         ops = [{"op": "read", "path": path}]

@@ -23,9 +23,10 @@ from repro.api.expressions import (
     expr_from_dict,
     expr_from_symbolic,
 )
-from repro.api.plan import DeriveNode, _analyze_segment, _codegen_segment
+from repro.api.plan import DeriveNode, _fuse_segment
 from repro.batch.kernels import compile_predicates
-from repro.batch.spec import BatchStageSpec, SRecord
+from repro.batch.spec import WHOLE_KEY, BatchStageSpec, SRecord
+from repro.core.analyzer.udf import analyze_udf
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from repro.symbolic import (
     ROLE_KEY,
@@ -94,9 +95,9 @@ class _Emits:
 def _stage_mapper(sym):
     """The function lowering synthesizes for ``map -> OUT.make(sym)``."""
     node = DeriveNode(None, (sym,), LONG_SCHEMA, OUT, "fn")
-    source, env, _user_code = _codegen_segment(
-        _analyze_segment([node], LONG_SCHEMA, ROW), "_fluent_map",
-        lambda k, v: [f"ctx.emit({k}, {v})"])
+    seg = _fuse_segment([node], LONG_SCHEMA, ROW, analyze_udf)
+    source, env, _user_code = seg.source("_fluent_map",
+                                         (WHOLE_KEY, seg.record))
     return codegen.load(source, "stage", env)["_fluent_map"]
 
 
