@@ -1,5 +1,6 @@
 """Fluent Session/Dataset API: lowering, hints, optimization, equivalence."""
 
+import inspect
 import os
 
 import pytest
@@ -16,10 +17,12 @@ from repro import (
     sum_of,
 )
 from repro.api.plan import avg_of, max_of, min_of
+from repro.batch.spec import WHOLE_KEY, WHOLE_VALUE, SRecord, column_ref
 from repro.exceptions import JobConfigError
 from repro.mapreduce.keyspace import sort_key
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import STRING_SCHEMA
+from repro.symbolic import SConst, STuple
 from tests.conftest import WEBPAGE, write_webpages
 
 PROJ_URL_RANK = WEBPAGE.project(["url", "rank"])
@@ -269,6 +272,74 @@ class TestValidationAndLaziness:
             b = other.read(pages_path)
             with pytest.raises(JobConfigError, match="different sessions"):
                 a.join(b, on="url")
+
+
+class TestOneEmitPerInput:
+    """Each stage input has one ``(K, V)`` emit: the synthesized mapper's
+    ``ctx.emit`` line, the batch spec's ``emit`` and the projection hint's
+    used columns all follow from it."""
+
+    @staticmethod
+    def _inputs(stage):
+        mappers = stage.conf.per_input_mappers
+        mappers = (list(mappers.values()) if mappers
+                   else [stage.conf.mapper])
+        return [(inspect.getsource(m.map_source_function), hint)
+                for m, hint in zip(mappers, stage.hints.inputs)]
+
+    def test_map_stage_emits_the_key_and_the_reshaped_record(
+            self, session, pages_path):
+        query = session.read(pages_path) \
+            .filter(col("rank") > 10).select("url", "rank")
+        [(source, hint)] = self._inputs(query.lower().stages[0])
+        assert source.splitlines()[-1].strip() == "ctx.emit(key, v1)"
+        assert hint.batch_spec.emit[0] is WHOLE_KEY
+        assert repr(hint.batch_spec.emit[1]) == repr(SRecord(PROJ_URL_RANK))
+        assert hint.projection.used_value_fields == ["url", "rank"]
+        assert hint.projection.unused_value_fields == ["content"]
+
+    def test_aggregate_stage_emits_the_group_and_the_partial_slots(
+            self, session, pages_path):
+        query = session.read(pages_path).filter(col("rank") > 10) \
+            .group_by("url").agg(n=count(), total=sum_of("rank"))
+        [(source, hint)] = self._inputs(query.lower().stages[0])
+        assert source.splitlines()[-1].strip() == \
+            "ctx.emit(value.url, (1, value.rank))"
+        spec = hint.batch_spec
+        assert repr(spec.emit) == repr(
+            (column_ref("url"), STuple([SConst(1), column_ref("rank")])))
+        assert spec.fold == ["count", "sum"]
+        # content is neither filtered, grouped nor aggregated
+        assert hint.projection.unused_value_fields == ["content"]
+
+    def test_join_sides_emit_the_join_column_and_a_tagged_record(
+            self, session, pages_path):
+        left = session.read(pages_path).select("url", "rank")
+        right = session.read(pages_path).filter(col("rank") > 3)
+        (lsource, lhint), (rsource, rhint) = self._inputs(
+            left.join(right, on="url").lower().stages[0])
+        assert lsource.splitlines()[-1].strip() == \
+            "ctx.emit(v1.url, ('L', v1))"
+        assert repr(lhint.batch_spec.emit) == repr((
+            column_ref("url"),
+            STuple([SConst("L"), SRecord(PROJ_URL_RANK)])))
+        assert lhint.projection.unused_value_fields == ["content"]
+        # the right side emits its whole scanned record: every column
+        # is used, so it gets no projection hint
+        assert rsource.splitlines()[-1].strip() == \
+            "ctx.emit(value.url, ('R', value))"
+        assert repr(rhint.batch_spec.emit) == repr((
+            column_ref("url"), STuple([SConst("R"), WHOLE_VALUE])))
+        assert rhint.projection is None
+
+    def test_select_without_a_schema_is_reported_before_later_checks(
+            self, session, pages_path):
+        # the schemaless map() leaves select() nothing to project, which
+        # the segment pass reports before the aggregate's column check
+        mapped = session.read(pages_path).map(lambda k, v: (k, v))
+        with pytest.raises(JobConfigError,
+                           match=r"select\(\) needs schema metadata"):
+            mapped.select("url").group_by("nope").count()
 
 
 class TestSynthesizedMappersAnalyzable:

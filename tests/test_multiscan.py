@@ -356,6 +356,21 @@ class TestGroupPlanner:
         ])
         assert len(plan_shared_groups(confs).groups) == 1
 
+    def test_disjoint_scans_fuse(self, session, tmp_path):
+        # the union is every member's columns: the widest a group of two
+        # can get, and still one pass beats two solo scans
+        path = write_webpages(tmp_path / "disjoint.rf", 80)
+        confs = _candidates(session, [
+            session.read(path).filter(col("rank") > 10).select("rank"),
+            session.read(path).filter(col("content") != lit(""))
+            .select("content"),
+        ])
+        report = plan_shared_groups(confs)
+        [group] = report.groups
+        assert [m.index for m in group.members] == [0, 1]
+        assert sorted(group.union_columns) == ["content", "rank"]
+        assert not report.solo
+
     def test_latency_gate_protects_narrow_scans(self, session, tmp_path):
         # 12 value columns; a 1-column aggregate must not be fused into
         # an everything-column union (at the measured DECODE_WEIGHT of

@@ -25,7 +25,18 @@ from repro.api.expressions import (
 )
 from repro.api.plan import DeriveNode, _fuse_segment
 from repro.batch.kernels import compile_predicates
-from repro.batch.spec import WHOLE_KEY, BatchStageSpec, SRecord
+from repro.batch.spec import (
+    COLUMN,
+    CONST,
+    RECORD,
+    WHOLE_KEY,
+    WHOLE_VALUE,
+    BatchStageSpec,
+    SRecord,
+    column_ref,
+    emit_parts,
+    part_source,
+)
 from repro.core.analyzer.udf import analyze_udf
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from repro.symbolic import (
@@ -38,6 +49,7 @@ from repro.symbolic import (
     SNot,
     SParam,
     SParamField,
+    STuple,
     has_literal_form,
     to_source,
 )
@@ -204,3 +216,42 @@ class TestSpecsCarryPlainNodes:
             == compile_predicates(spec.predicates,
                                   spec.kernel_exprs()).source
         assert clone.needed_columns() == spec.needed_columns()
+
+
+class TestOneEmitRendering:
+    """One ``(K, V)`` emit: its parts, how each is gathered, and the
+    ``ctx.emit`` line the stage mapper renders from it."""
+
+    EMIT = (column_ref("s"),
+            STuple([SConst("L"), WHOLE_KEY, WHOLE_VALUE, SRecord(ROW)]))
+
+    def test_parts_flatten_the_value_tuple_in_emit_order(self):
+        key, value = self.EMIT
+        assert emit_parts(self.EMIT) == [key, *value.items]
+        assert emit_parts((WHOLE_KEY, WHOLE_VALUE)) == [WHOLE_KEY,
+                                                        WHOLE_VALUE]
+        spec = BatchStageSpec(self.EMIT)
+        assert spec.emit_parts() == emit_parts(self.EMIT)
+        assert [part_source(p) for p in emit_parts(self.EMIT)] == [
+            (COLUMN, "s"), (CONST, "L"), (COLUMN, None), (RECORD, None),
+            (RECORD, ROW)]
+
+    def test_a_computed_part_has_no_source(self):
+        computed = SArith("+", SParamField(ROLE_VALUE, ("a",)), SConst(1))
+        assert part_source(computed) is None
+        with pytest.raises(TypeError):
+            BatchStageSpec((WHOLE_KEY, computed))
+
+    def test_the_mapper_emit_line_renders_every_part(self):
+        seg = _fuse_segment([], LONG_SCHEMA, ROW, analyze_udf)
+        source, _env, user_code = seg.source("_fluent_join_left", self.EMIT)
+        assert source.splitlines()[-1] == \
+            "    ctx.emit(value.s, ('L', key, value, value))"
+        assert not user_code
+        mapper = codegen.load(source, "stage", {})["_fluent_join_left"]
+        ctx, record = _Emits(), ROWS[0]
+        mapper(LONG_SCHEMA.make(9), record, ctx)
+        [(key, value)] = ctx.pairs
+        assert key == "x"
+        assert value[0] == "L" and value[1].value == 9
+        assert value[2] is record and value[3] is record
