@@ -25,7 +25,7 @@ from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.cost import PAPER_CLUSTER
 from repro.core.analyzer.purity import DEFAULT_KB
-from repro.storage.indexfile import IndexFileWriter
+from repro.storage.columnar import ColumnarFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import (
     LONG_SCHEMA,
@@ -147,7 +147,7 @@ def test_ablation_combined_vs_single_index(benchmark, bench_dir):
 
 
 def test_ablation_btree_page_size(benchmark, bench_dir):
-    """Range-scan I/O vs the index file's block size (the leaves of its
+    """Range-scan I/O vs the sorted copy's block size (the leaves of its
     two-level B+Tree): bigger blocks, fewer-but-larger reads."""
     schema = Schema("Entry", [Field("k", FieldType.INT),
                               Field("payload", FieldType.STRING)])
@@ -162,17 +162,18 @@ def test_ablation_btree_page_size(benchmark, bench_dir):
     def build_and_scan():
         rows = []
         for block_size in (512, 2048, 8192, 32768):
-            path = str(bench_dir / f"ab_blocks_{block_size}.sidx")
-            with IndexFileWriter(path, LONG_SCHEMA, schema, "k",
-                                 block_size=block_size) as writer:
+            path = str(bench_dir / f"ab_blocks_{block_size}.col")
+            with ColumnarFileWriter(path, LONG_SCHEMA, schema, {"k": "sorted"},
+                                    block_size=block_size) as writer:
                 for key, value in pairs:
                     writer.append(key, value)
             source = SelectionIndexInput(path, [rng])
             [split] = source.splits(1)
             reader = source.open(split)
             n = sum(1 for _ in reader)
-            rows.append((block_size, writer.n_blocks, os.path.getsize(path),
-                         reader.stored_bytes, len(split.payload[1]), n))
+            rows.append((block_size, len(writer.directory),
+                         os.path.getsize(path),
+                         reader.stored_bytes, len(split.payload.blocks), n))
         return rows
 
     rows = benchmark.pedantic(build_and_scan, rounds=1, iterations=1)

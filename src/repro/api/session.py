@@ -378,7 +378,7 @@ class Session:
                 lines.append(f"  {ia.summary()}")
             descriptor = self.system.plan(stage.conf, stage.hints)
             lines.append(descriptor.describe())
-            lines += batch_lines(stage.conf, descriptor)
+            lines += batch_lines(stage.conf, descriptor, plan.confs()[:i])
             lines += [
                 f"  input[{plan.input_index}] decode: "
                 f"{describe_read(plan.chosen, ia)}"

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.batch.spec import BatchStageSpec
+from repro.mapreduce.formats import IndexRows, scan_blocks
 from repro.storage.blockfile import BlockFileReader, BlockInfo
 from repro.storage.blockscan import block_scanner
 from repro.storage.columnar import column_scanner
@@ -109,15 +110,17 @@ def iter_column_batches(
     reader: BlockFileReader,
     blocks: Optional[List[BlockInfo]],
     plan: ScanPlan,
+    rows: Optional[IndexRows] = None,
 ) -> Iterator[ColumnBatch]:
-    """Decode ``blocks`` of ``reader`` into one :class:`ColumnBatch` each.
+    """Decode ``blocks`` of ``reader`` into one :class:`ColumnBatch` each,
+    holding the rows ``rows`` keeps of a selection-index split.
 
-    Block reads are the container's (``iter_block_payloads``), so
-    ``reader.bytes_read`` accumulates as usual; each payload goes through
-    the plan's compiled scanner, which raises what ``iter_records`` would.
+    This is the record path's block scan
+    (:func:`~repro.mapreduce.formats.scan_blocks`): block reads are the
+    container's, so ``reader.bytes_read`` accumulates as usual, and each
+    payload goes through the plan's scanner, which raises what
+    ``iter_records`` would.
     """
-    scan = plan.scanner.scan
-    slots = plan.slots
-    for payload, n_records in reader.iter_block_payloads(blocks):
-        cols, keys, logical_bytes = scan(reader, payload, n_records)
-        yield ColumnBatch(n_records, cols, slots, keys, logical_bytes)
+    for cols, keys, n, logical_bytes in scan_blocks(
+            reader, blocks, plan.scanner, plan.slots, rows):
+        yield ColumnBatch(n, cols, plan.slots, keys, logical_bytes)

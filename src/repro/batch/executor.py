@@ -46,27 +46,29 @@ from repro.batch.spec import AGGREGATES, COLUMN, CONST, RECORD, BatchStageSpec, 
 from repro.exceptions import JobExecutionError, ReproError
 from repro.mapreduce.formats import (
     ColumnarFileInput,
+    IndexRows,
     PartitionedInput,
     RecordFileInput,
+    SelectionIndexInput,
     shaped_schema,
 )
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
 from repro.storage.blockfile import BlockFileReader
 from repro.storage.columnar import ColumnarFileReader
-from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import build_records
 from repro.symbolic import STuple
 
 
-#: Inputs whose splits are block lists of a record file, or of a
-#: columnar catalog copy, whose blocks already are columns.  Exact types
-#: on purpose: B+Tree index scans, the row-major delta/dictionary files
-#: users write (the scanner has their shapes -- the record path reads
-#: through them -- but admitting them here would move planned stages),
-#: in-memory pairs, or an unknown subclass with different split payloads
-#: are not batch-scannable.
-RECORD_BLOCK_INPUTS = (RecordFileInput, ColumnarFileInput, PartitionedInput)
+#: Inputs whose splits are block runs of a record file, or of a
+#: columnar catalog copy -- a selection index's sorted one included --
+#: whose blocks already are columns.  Exact types on purpose: the
+#: row-major delta/dictionary files users write (the scanner has their
+#: shapes -- the record path reads through them -- but admitting them
+#: here would move planned stages), in-memory pairs, or an unknown
+#: subclass with different split payloads are not batch-scannable.
+RECORD_BLOCK_INPUTS = (RecordFileInput, ColumnarFileInput,
+                       SelectionIndexInput, PartitionedInput)
 
 
 def batch_admission(
@@ -76,7 +78,8 @@ def batch_admission(
 
     Returns the member's ``(scan plan, compiled predicate kernel)``, or
     the reason it must take the record path.  ``reader`` is a map task's
-    already-open reader on the split's file; planning callers omit it and
+    already-open reader on the split's file (or, for a file an earlier
+    stage has yet to write, its schemas); planning callers omit it and
     the schemas come from the file header (the sidecar, for a partitioned
     dataset).
     """
@@ -84,7 +87,7 @@ def batch_admission(
         return "input is not a plain record-file scan"
     if not isinstance(spec, BatchStageSpec):
         return "stage is not analyzer-described"
-    columnar = type(source) is ColumnarFileInput
+    columnar = isinstance(source, ColumnarFileInput)
     try:
         if reader is not None:
             header = reader
@@ -237,7 +240,7 @@ class StageScan:
                 for j, merge in enumerate(merges):
                     accs[j] = merge(accs[j], partial[j])
 
-    def finish(self, n_rows: int, stored_bytes: int,
+    def finish(self, n_rows: int, skipped: int, stored_bytes: int,
                logical_bytes: int) -> MapTaskResult:
         """Close the pass: flush partials, account, run the output tail.
 
@@ -255,6 +258,7 @@ class StageScan:
         )
         metrics = out.metrics
         metrics.map_input_records += n_rows
+        metrics.records_skipped += skipped
         metrics.map_input_stored_bytes += stored_bytes
         metrics.map_input_logical_bytes += logical_bytes
         # Decode accounting: the batch scan decodes exactly the captured
@@ -267,20 +271,28 @@ class StageScan:
         return out
 
 
-def _union_plan(reader: BlockFileReader,
-                scans: Sequence[StageScan]) -> ScanPlan:
-    """The pass's decode plan: every column any member needs, once.
+def _union_plan(reader: BlockFileReader, scans: Sequence[StageScan],
+                rows: Optional[IndexRows]) -> ScanPlan:
+    """The pass's decode plan: every column any member needs, once, and
+    what choosing a selection-index split's ``rows`` reads.
 
-    For a single member this is that member's own plan, slot for slot.
+    For a single member of any other split this is that member's own
+    plan, slot for slot.
     """
     capture: List[str] = []
     for scan in scans:
         for name in scan.plan.slots:
             if name not in capture:
                 capture.append(name)
+    decode_keys = any(scan.plan.decode_keys for scan in scans)
+    if rows is not None:
+        capture += [name for name in (rows.shape.fields
+                                      or reader.value_schema.field_names())
+                    if name not in capture]
+        decode_keys = decode_keys or rows.shape.decode_keys
     return ScanPlan(
         reader.key_schema, reader.value_schema, capture,
-        decode_keys=any(scan.plan.decode_keys for scan in scans),
+        decode_keys=decode_keys,
         columnar=isinstance(reader, ColumnarFileReader),
     )
 
@@ -300,12 +312,8 @@ def run_batch_map_task(
     source = split.source
     if type(source) not in RECORD_BLOCK_INPUTS:
         return [None] * len(confs)
-    if type(source) is PartitionedInput:
-        (path, blocks), reader_class = split.payload, RecordFileReader
-    else:
-        path, blocks, reader_class = (source.path, split.payload,
-                                      source.reader_class)
-    with reader_class(path) as reader:
+    reader, blocks, rows = source.split_blocks(split)
+    with reader:
         scans: List[Optional[StageScan]] = []
         for conf, spec in zip(confs, specs):
             admitted = batch_admission(spec, source, reader)
@@ -316,11 +324,10 @@ def run_batch_map_task(
         live = [scan for scan in scans if scan is not None]
         if not live:
             return [None] * len(confs)
-        n_rows = 0
-        logical_bytes = 0
+        n_rows = logical_bytes = 0
         try:
             for batch in iter_column_batches(
-                reader, blocks, _union_plan(reader, live)
+                reader, blocks, _union_plan(reader, live, rows), rows
             ):
                 n_rows += batch.n_rows
                 logical_bytes += batch.logical_bytes
@@ -332,8 +339,9 @@ def run_batch_map_task(
                 f"map task failed in job {names!r}: {exc}"
             ) from exc
         stored_bytes = reader.bytes_read
+    skipped = 0 if rows is None else rows.skipped
     return [
         None if scan is None
-        else scan.finish(n_rows, stored_bytes, logical_bytes)
+        else scan.finish(n_rows, skipped, stored_bytes, logical_bytes)
         for scan in scans
     ]

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.executor import batch_admission
-from repro.mapreduce.formats import PartitionedInput
+from repro.mapreduce.formats import PartitionedInput, SelectionIndexInput
 from repro.mapreduce.job import JobConf, JobResult
 from repro.storage import InputIdentity, input_identity
 from repro.storage.blockscan import ReadShape
@@ -164,10 +164,11 @@ def plan_shared_groups(confs: Sequence[Optional[JobConf]]
             report.solo.append((index, "multiple inputs (join stage)"))
             continue
         source = conf.inputs[0]
-        if type(source) is PartitionedInput:
-            report.solo.append(
-                (index, "partitioned dataset: no single file to share")
-            )
+        if type(source) in (PartitionedInput, SelectionIndexInput):
+            report.solo.append((index, (
+                "partitioned dataset: no single file to share"
+                if type(source) is PartitionedInput
+                else "selection index: its splits are its own ranges")))
             continue
         spec = conf.batch_specs.get(source.tag)
         admitted = batch_admission(spec, source)

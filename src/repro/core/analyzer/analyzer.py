@@ -52,7 +52,6 @@ from repro.mapreduce.formats import (
     BlockFileInput,
     InputSource,
     PartitionedInput,
-    SelectionIndexInput,
 )
 from repro.mapreduce.job import JobConf
 from repro.storage import open_block_file
@@ -237,12 +236,10 @@ def _set_read_shape(result: InputAnalysis, reads_key: Optional[bool]
 def peek_schemas(source: InputSource) -> Tuple[Optional[Schema], Optional[Schema]]:
     """Read the (key, value) schemas declared by an input's file header."""
     try:
-        if isinstance(source, (BlockFileInput, SelectionIndexInput)):
+        if isinstance(source, BlockFileInput):
             # Whatever the format, the mapper sees the stored schema (a
             # dictionary file's compressed field is an INT code).
-            path = (source.index_path if isinstance(source, SelectionIndexInput)
-                    else source.path)
-            with open_block_file(path) as reader:
+            with open_block_file(source.path) as reader:
                 return reader.key_schema, reader.stored_schema
         if isinstance(source, PartitionedInput):
             info = source.info()

@@ -31,6 +31,7 @@ from repro.core.analyzer import ir
 from repro.core.analyzer.dataflow import ReachingDefinitions
 from repro.core.analyzer.lowering import LoweredFunction
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
+from repro.storage.blockscan import ReadShape
 # The node classes live in the leaf module every layer shares; they are
 # re-exported here, where the analyzer builds them.
 from repro.symbolic import (
@@ -351,6 +352,17 @@ class SelectionFormula:
 
     def evaluate(self, key: Any, value: Any) -> bool:
         return any(d.evaluate(key, value) for d in self.disjuncts)
+
+    def reads(self) -> ReadShape:
+        """What :meth:`evaluate` reads of a pair: the key or not, and the
+        value fields by name (``None``: the whole value record)."""
+        whole = set().union(*(term.whole_param_roles()
+                              for d in self.disjuncts for term in d.terms))
+        refs = self.field_refs()
+        fields = [name for role, name in refs if role == ROLE_VALUE]
+        return ReadShape(ROLE_KEY in whole or len(fields) < len(refs),
+                         None if ROLE_VALUE in whole
+                         else tuple(dict.fromkeys(fields)))
 
     def field_refs(self) -> List[Tuple[str, str]]:
         out: List[Tuple[str, str]] = []

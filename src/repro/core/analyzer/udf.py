@@ -72,6 +72,7 @@ from repro.core.analyzer.lowering import LoweredFunction, ParamRoles, lower_udf
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
 from repro.core.analyzer.sideeffects import find_side_effects
 from repro.exceptions import UnsupportedConstructError
+from repro.storage import input_identity
 
 #: ``filter(fn)`` predicates take the value record, ``map(fn)``
 #: transforms the key and the value record.
@@ -242,8 +243,10 @@ def _code_key(code: Any) -> Tuple[Any, ...]:
     )
 
 
-def _source_node(function: Any) -> Union[ast.FunctionDef, ast.Lambda]:
-    """The one definition ``function`` was compiled from, verified.
+@functools.lru_cache(maxsize=256)
+def _source_node(code: Any, identity: Any
+                 ) -> Union[ast.FunctionDef, ast.Lambda]:
+    """The one definition ``code`` was compiled from, verified.
 
     The whole source file is recompiled and must contain, at the
     definition's line, a code object equal to the live one: that is what
@@ -251,12 +254,15 @@ def _source_node(function: Any) -> Union[ast.FunctionDef, ast.Lambda]:
     code object is the wrapper's, not the definition's).  Compiling the
     file rather than the definition alone keeps every context the
     compiler looks at -- enclosing scopes for closures, module-level
-    imports for attribute calls -- as it was.
+    imports for attribute calls -- as it was.  A verified definition is
+    memoized on the code object and ``identity``, the
+    :func:`~repro.storage.input_identity` of its file, when that is a
+    file: a verdict per captured value parses nothing again, and an
+    edited file is verified afresh.
     """
-    code = function.__code__
     name, line = code.co_name, code.co_firstlineno
     try:
-        lines, _ = inspect.findsource(function)
+        lines, _ = inspect.findsource(code)
         tree = ast.parse("".join(lines))
         compiled = compile(tree, "<udf-verify>", "exec", dont_inherit=True)
     except (OSError, TypeError, SyntaxError, ValueError) as exc:
@@ -281,8 +287,7 @@ def _source_node(function: Any) -> Union[ast.FunctionDef, ast.Lambda]:
     if not nodes or not fresh:
         raise _Decline(
             f"source line {line} does not compile to the live bytecode of "
-            f"{name!r} (edited file, or a decorator's wrapper)"
-        )
+            f"{name!r} (edited file, or a decorator's wrapper)")
     return nodes[0]
 
 
@@ -443,7 +448,10 @@ def analyze_udf(fn: Callable, arity: int,
         roles, captured = _bind_parameters(
             function, instance, args, keywords, arity
         )
-        node = _source_node(function)
+        identity = input_identity(function.__code__.co_filename)
+        # only a file on disk tells an edit by its identity
+        node = (_source_node if identity.kind == "file"
+                else _source_node.__wrapped__)(function.__code__, identity)
         try:
             lowered = lower_udf(node, roles)
         except UnsupportedConstructError as exc:

@@ -191,11 +191,12 @@ class Manimal:
         """The catalog entry ``program`` would only rebuild, if any.
 
         A parameter-equal entry built from bytes the source no longer
-        holds is not equivalent: it is dropped here, file included, so
-        the rebuild replaces it and dead indexes stop counting against
-        the space budget.
+        holds, or in a retired format, is not equivalent: every one is
+        dropped here, file included, whether or not an equivalent exists,
+        so dead indexes stop counting against the space budget.
         """
         identity = input_identity(program.source_path)
+        found = None
         for entry in self.catalog.entries_for(program.source_path, program.kind):
             if entry.key_field != program.key_field:
                 continue
@@ -206,9 +207,10 @@ class Manimal:
             if program.dict_field != entry.dict_field:
                 continue
             if entry.built_from(identity):
-                return entry
-            self.catalog.remove(entry.index_id)
-        return None
+                found = found or entry
+            else:
+                self.catalog.remove(entry.index_id)
+        return found
 
     def plan(self, conf: JobConf,
              analysis: Optional[JobAnalysis] = None) -> ExecutionDescriptor:

@@ -64,8 +64,8 @@ ALL_KINDS = (
     KIND_DELTA,
     KIND_DICTIONARY,
 )
-#: The kinds built as one columnar copy of the source (the rest are
-#: selection indexes).
+#: The kinds built as one columnar copy of the source in its own order
+#: (the rest are selection indexes: the copy sorted on one field).
 COPY_KINDS = (
     KIND_PROJECTION,
     KIND_PROJECTION_DELTA,
@@ -73,17 +73,14 @@ COPY_KINDS = (
     KIND_DICTIONARY,
 )
 
-#: File suffix of a selection index (:mod:`repro.storage.indexfile`), and
-#: of one in the retired page-codec B+Tree format
-SELECTION_SUFFIX = ".sidx"
-OLD_SELECTION_SUFFIX = ".btree"
-#: File suffix of every rewrite-kind copy (projection, projection+delta,
-#: delta, dictionary): a columnar file (:mod:`repro.storage.columnar`)
+#: File suffix of every index: a columnar file
+#: (:mod:`repro.storage.columnar`), sorted for a selection index
 COLUMNAR_SUFFIX = ".col"
 #: What each retired index file suffix held, for the planner's report.
 #: No plan reads these files, and ``Manimal.build_indexes`` replaces them.
 OLD_FORMATS = {
-    OLD_SELECTION_SUFFIX: "page-codec B+Tree index(es)",
+    ".btree": "page-codec B+Tree index(es)",
+    ".sidx": "row-major selection index(es)",
     ".proj": "row-major copy(ies)",
     ".projdelta": "row-major copy(ies)",
     ".delta": "row-major copy(ies)",

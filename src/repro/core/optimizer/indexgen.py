@@ -8,13 +8,13 @@ administrator's decision, like creating an index in an RDBMS.
 
 This module synthesizes those programs from analysis results.  The
 selection index builder really is a MapReduce job on the execution fabric
-(its shuffle provides the global sort the index file's writer needs); the
+(its shuffle provides the global sort a sorted copy needs); the
 rewrite-style builders (projection / delta / dictionary) are map-only
 record transformations implemented as streaming passes, which is exactly
-what a map-only Hadoop job with a custom output format would do.  All
-four write one layout, a columnar file (:mod:`repro.storage.columnar`):
-projection keeps fewer columns, and delta and dictionary are the codecs
-of theirs.
+what a map-only Hadoop job with a custom output format would do.  Every
+kind writes one layout, a columnar file (:mod:`repro.storage.columnar`):
+projection keeps fewer columns, delta and dictionary are the codecs of
+theirs, and a selection index is the copy sorted on one field.
 
 Per the paper, "the current analyzer always chooses the index program that
 exploits as many optimizations as possible", with the one conflict rule
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer.descriptors import InputAnalysis
 from repro.core.optimizer import catalog as cat
@@ -37,9 +37,8 @@ from repro.mapreduce.formats import RecordFileInput
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage import input_identity
-from repro.storage.columnar import ColumnarFileWriter, copy_columns
+from repro.storage.columnar import INDEX_BLOCK_SIZE, ColumnarFileWriter, copy_columns
 from repro.storage.columnfile import META_BASE_SCHEMA, META_KEPT_FIELDS
-from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader
 
@@ -116,8 +115,7 @@ class IndexGenerationProgram:
                                   cat.KIND_SELECTION_PROJECTION)
         if not selection and self.kind not in cat.COPY_KINDS:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
-        index_path = catalog.next_index_path(self.kind) + (
-            cat.SELECTION_SUFFIX if selection else cat.COLUMNAR_SUFFIX)
+        index_path = catalog.next_index_path(self.kind) + cat.COLUMNAR_SUFFIX
         try:
             if selection:
                 entry = self._build_selection(catalog, runner, index_path)
@@ -138,7 +136,7 @@ class IndexGenerationProgram:
     def _build_selection(self, catalog: Catalog,
                          runner: Optional[LocalJobRunner],
                          index_path: str) -> IndexEntry:
-        # The selection builder's reducer appends to a writer this process
+        # The selection builder's reducer appends to a list this process
         # holds, so this infrastructure job must not fan out to worker
         # processes.  Only a multi-process runner is downgraded; any other
         # caller-supplied runner (instrumented wrappers etc.) is honored.
@@ -170,44 +168,44 @@ class IndexGenerationProgram:
             "source_path": os.path.abspath(self.source_path),
             "source_records": source_records,
         }
-        with IndexFileWriter(index_path, key_schema, stored_schema,
-                             self.key_field, metadata=metadata) as writer:
-            job = JobConf(
-                name=(f"index-gen:{self.kind}:"
-                      f"{os.path.basename(self.source_path)}"),
-                mapper=_IndexEmitMapper(
-                    self.key_field, value_schema.field(self.key_field).ftype,
-                    None if stored_schema is value_schema
-                    else stored_schema.field_names()),
-                # the shuffle hands over each order key's rows in order
-                reducer=FunctionReducer(
-                    lambda key, rows, ctx: writer.append_sorted(key, rows)),
-                inputs=[RecordFileInput(self.source_path)],
-                num_reducers=1,  # global sort order feeds the writer
-            )
-            try:
-                runner.run(job)
-            except JobExecutionError as exc:
-                if isinstance(exc.__cause__, BTreeError):
-                    raise IndexDeclined(str(exc.__cause__)) from exc
-                raise
+        rows: List[Tuple[Any, ...]] = []
+        job = JobConf(
+            name=(f"index-gen:{self.kind}:"
+                  f"{os.path.basename(self.source_path)}"),
+            mapper=_IndexEmitMapper(
+                self.key_field, value_schema.field(self.key_field).ftype,
+                None if stored_schema is value_schema
+                else stored_schema.field_names()),
+            # the shuffle hands over each order key's rows in order
+            reducer=FunctionReducer(lambda key, group, ctx: rows.extend(group)),
+            inputs=[RecordFileInput(self.source_path)],
+            num_reducers=1,  # one global sort order
+        )
+        try:
+            runner.run(job)
+        except JobExecutionError as exc:
+            if isinstance(exc.__cause__, BTreeError):
+                raise IndexDeclined(str(exc.__cause__)) from exc
+            raise
+        with ColumnarFileWriter(index_path, key_schema, stored_schema,
+                                {self.key_field: "sorted"}, INDEX_BLOCK_SIZE,
+                                metadata) as writer:
+            for at in range(0, len(rows), INDEX_BLOCK_SIZE):  # bounded columns
+                chunk = rows[at:at + INDEX_BLOCK_SIZE]
+                writer.append_columns(list(map(list, zip(*chunk))), len(chunk))
         return IndexEntry(
             index_id=catalog.make_entry_id(),
             kind=self.kind,
             source_path=os.path.abspath(self.source_path),
             index_path=index_path,
             key_field=self.key_field,
-            value_fields=(
-                [f.name for f in stored_schema.fields]
-                if self.kind == cat.KIND_SELECTION_PROJECTION
-                else None
-            ),
+            value_fields=(stored_schema.field_names() if self.kind
+                          == cat.KIND_SELECTION_PROJECTION else None),
             stats={
                 "source_bytes": source_bytes,
                 "source_records": source_records,
                 "index_bytes": os.path.getsize(index_path),
                 "index_records": writer.records_written,
-                "index_blocks": writer.n_blocks,
             },
         )
 

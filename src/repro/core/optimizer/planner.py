@@ -157,9 +157,9 @@ class ExecutionDescriptor:
 def _shaped(source: InputSource, ia: InputAnalysis) -> InputSource:
     """``source`` reading what the analyzer proved ``map()`` reads.
 
-    Only the record path's block scans (block files and partitions)
-    honour a read shape; a B+Tree range, an in-memory input and every
-    hinted (fluent) stage keep the full decode.  The shape is no
+    Only the record path's block scans (block files, selection indexes
+    among them, and partitions) honour a read shape; an in-memory input
+    and every hinted (fluent) stage keep the full decode.  The shape is no
     optimization label: it flips neither ``optimized`` nor
     :meth:`ExecutionDescriptor.optimizations`.
     """
@@ -172,8 +172,6 @@ def _shaped(source: InputSource, ia: InputAnalysis) -> InputSource:
 def describe_read(source: InputSource, ia: InputAnalysis) -> str:
     """What the record path decodes of each record of planned input
     ``source`` for ``ia``'s map(): the ``decode:`` line of explain."""
-    if isinstance(source, SelectionIndexInput):
-        return "full (B+Tree input)"
     if not isinstance(source, (BlockFileInput, PartitionedInput)):
         return f"full ({source.describe()})"
     if isinstance(source, ColumnarFileInput):
@@ -411,7 +409,7 @@ class Optimizer:
             chosen = SelectionIndexInput(
                 entry.index_path,
                 ranges,
-                residual=plan.residual(),
+                residual=plan.formula,
                 tag=source.tag,
             )
             detail = (

@@ -17,7 +17,7 @@ formula's ``isFunc`` guarantee, established by the analyzer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer.conditions import (
     CMP_MIRROR,
@@ -189,15 +189,9 @@ class IndexableSelection:
     field_name: str
     field_type: FieldType
     intervals: List[Interval]
+    #: what a scan re-checks per record: the intervals imply only the
+    #: indexed field's share of it
     formula: SelectionFormula
-    #: True when the intervals alone imply the formula (single-field DNF);
-    #: the residual is applied regardless, this is informational
-    exact: bool
-
-    def residual(self) -> Callable[[Any, Any], bool]:
-        # the bound method, not a closure over it: it pickles, so an
-        # index-served job still rides the persistent pool
-        return self.formula.evaluate
 
     def key_ranges(self) -> List[KeyRange]:
         """Encode intervals as B+Tree scan ranges."""
@@ -212,7 +206,7 @@ class IndexableSelection:
 
     def __repr__(self) -> str:
         ivs = ", ".join(repr(iv) for iv in self.intervals)
-        return f"IndexableSelection({self.field_name}: {ivs}, exact={self.exact})"
+        return f"IndexableSelection({self.field_name}: {ivs})"
 
 
 def candidate_fields(formula: SelectionFormula, schema: Schema) -> List[str]:
@@ -245,7 +239,6 @@ def compile_selection(
         if not ftype.is_comparable:
             continue
         intervals: List[Interval] = []
-        exact = True
         useful = False
         satisfiable_disjuncts = 0
         for disjunct in formula.disjuncts:
@@ -254,12 +247,9 @@ def compile_selection(
             for term in disjunct.terms:
                 atom = _atom_interval(term, candidate, ftype)
                 if atom is None:
-                    exact = False
                     continue
                 acc = acc.intersect(atom)
                 constrained = True
-            if len(disjunct.terms) > (1 if constrained else 0):
-                exact = False
             if acc.is_empty():
                 # This disjunct can never hold; it contributes no range.
                 continue
@@ -275,7 +265,6 @@ def compile_selection(
                 field_type=ftype,
                 intervals=[],
                 formula=formula,
-                exact=True,
             )
         if not useful:
             continue
@@ -291,7 +280,6 @@ def compile_selection(
             field_type=ftype,
             intervals=merged,
             formula=formula,
-            exact=exact and satisfiable_disjuncts == len(intervals),
         )
         if best is None:
             best = plan

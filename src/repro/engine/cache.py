@@ -225,9 +225,7 @@ def analysis_fingerprint(analyzer: Any, conf: Any) -> Optional[Hashable]:
     try:
         inputs = []
         for source in conf.inputs:
-            path = getattr(source, "path", None) or getattr(
-                source, "index_path", None
-            )
+            path = getattr(source, "path", None)
             if path is None:
                 # Pathless inputs (InMemoryInput) are identified by their
                 # payload, which has no stable fingerprint here -- and a

@@ -15,7 +15,8 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.batch.executor import batch_admission, task_preagg_decline
 from repro.batch.spec import preagg_text
@@ -38,14 +39,15 @@ _KIND_TITLES = (
 
 
 def describe_batch(spec: Optional[Any], decline: Optional[str],
-                   source: InputSource, conf: JobConf) -> str:
+                   source: InputSource, conf: JobConf, header: Any = None) -> str:
     """The ``batch:`` verdict of explain, for either door: the spec the
     batch executor serves job ``conf``'s map() with over planned input
-    ``source`` -- the map task's own admission -- and whether an
+    ``source`` -- the map task's own admission, over the schemas in
+    ``header`` when the file is not written yet -- and whether an
     aggregating one pre-aggregates; or why the record path runs it."""
     if spec is None:
         return f"declined ({decline or 'map() is not analyzer-described'})"
-    admitted = batch_admission(spec, source)
+    admitted = batch_admission(spec, source, header)
     if isinstance(admitted, str):
         return f"declined ({admitted})"
     if spec.fold is None:
@@ -53,12 +55,20 @@ def describe_batch(spec: Optional[Any], decline: Optional[str],
     return f"{spec.describe()}, {preagg_text(task_preagg_decline(spec, conf))}"
 
 
-def batch_lines(conf: JobConf, descriptor: Any) -> List[str]:
+def batch_lines(conf: JobConf, descriptor: Any,
+                earlier: Sequence[JobConf] = ()) -> List[str]:
     """One ``input[i] batch:`` line per input ``descriptor`` planned for
-    ``conf`` -- what :meth:`repro.Session.explain` prints."""
-    return [f"  input[{plan.input_index}] batch: "
-            f"{describe_batch(plan.batch, plan.batch_decline, plan.chosen, conf)}"
-            for plan in descriptor.plans]
+    ``conf`` -- what :meth:`repro.Session.explain` prints.  An input one
+    of the ``earlier`` stages writes is judged by its planned kind and
+    that stage's output schemas: before a run, its file does not exist."""
+    produced = {stage.output_path: SimpleNamespace(
+        key_schema=stage.output_key_schema,
+        value_schema=stage.output_value_schema)
+        for stage in earlier if stage.output_path}
+    return [f"  input[{plan.input_index}] batch: " + describe_batch(
+        plan.batch, plan.batch_decline, plan.chosen, conf,
+        produced.get(getattr(plan.chosen, "path", None)))
+        for plan in descriptor.plans]
 
 
 def _explain_input(ia: InputAnalysis, source: InputSource,

@@ -15,17 +15,20 @@ partitioned dataset) are one block-file container
 (:mod:`repro.storage.blockfile`) under different value codecs, block
 layouts and footers, so they share one ``splits``/``open``
 (:class:`BlockFileInput`); only the selection-index input has splits of
-its own (one run of blocks per key range).  The optimizer's catalog
-copies are all columnar (:class:`ColumnarFileInput`); the row-major
-projected, delta and dictionary inputs read what users write with the
-library writers.
+its own (one run of blocks per key range, and the rows of it to keep:
+:class:`IndexRows`).  The optimizer's catalog copies -- selection
+indexes included, which are sorted copies -- are all columnar
+(:class:`ColumnarFileInput`); the row-major projected, delta and
+dictionary inputs read what users write with the library writers.
 
-And one scan: every block is decoded whole by the compiled scanner of
-its file's shape (:func:`~repro.storage.blockscan.split_scanner`) -- or,
-for a columnar file, by its column scan
+And one scan, :func:`scan_blocks`, for the record path's split readers
+and the batch path's column batches alike: every block is decoded whole
+by the compiled scanner of its file's shape
+(:func:`~repro.storage.blockscan.split_scanner`) -- or, for a columnar
+file, by its column scan
 (:meth:`~repro.storage.columnar.ColumnarFileReader.scanner`) --
 charged its logical bytes (read off the wire) once, and charged every
-field it captures of every record.  Its values are slotted records with
+field it captures of every record it delivers.  Its values are slotted records with
 every captured field filled
 (:func:`~repro.storage.serialization.build_records`).  What it captures
 is the input's :class:`~repro.storage.blockscan.ReadShape`: every stored
@@ -53,15 +56,16 @@ into :class:`~repro.mapreduce.metrics.JobMetrics`:
 * ``fields``        -- total record fields decoded,
 * ``records``       -- records delivered to ``map()``,
 * ``skipped``       -- records the format filtered out *without* invoking
-  ``map()`` (selection-index savings).
+  ``map()`` (a selection index's residual).
 """
 
 from __future__ import annotations
 
 import copy
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import JobConfigError
 from repro.mapreduce.keyspace import pair_sizes
@@ -70,7 +74,7 @@ from repro.storage.blockscan import FULL_READ, ReadShape, split_scanner
 from repro.storage.columnar import ColumnarFileReader
 from repro.storage.delta import DeltaFileReader
 from repro.storage.dictionary import DictionaryFileReader
-from repro.storage.indexfile import IndexFileReader
+from repro.storage.orderkeys import encode_key
 from repro.storage.partitioned import (
     PartitionedDatasetInfo,
     PartitionStats,
@@ -78,6 +82,10 @@ from repro.storage.partitioned import (
 )
 from repro.storage.recordfile import RecordFileReader
 from repro.storage.serialization import Record, Schema, build_records
+
+#: what :meth:`BlockFileInput.split_blocks` hands a scan: the open reader,
+#: the split's blocks, and the rows of them to keep (``None``: all)
+SplitBlocks = Tuple[BlockFileReader, List[BlockInfo], Optional["IndexRows"]]
 
 
 class InputSplit:
@@ -150,8 +158,17 @@ class InputSource:
     def splits(self, target: int) -> List[InputSplit]:
         raise NotImplementedError
 
-    def open(self, split: InputSplit) -> SplitReader:
+    def split_blocks(self, split: InputSplit) -> "SplitBlocks":
+        """What scanning ``split`` reads -- on the record path
+        (:meth:`open`) and the batch path alike -- for a block input."""
         raise NotImplementedError
+
+    def open(self, split: InputSplit) -> SplitReader:
+        return _open_blocks(*self.split_blocks(split), self.shape)
+
+    def with_shape(self, shape: ReadShape) -> "InputSource":
+        """A copy of this input whose record-path scan builds ``shape``."""
+        return _reshaped(self, shape)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -206,17 +223,97 @@ def shaped_schema(schema: Schema, fields: Optional[Sequence[str]]
     return schema
 
 
+class IndexRows:
+    """A selection-index split: the run of blocks a key range's fences
+    admit (:meth:`~repro.storage.columnar.ColumnarFileReader.range_blocks`),
+    and the rows of it that its scan delivers.
+
+    Only the run's two edge blocks can hold rows whose indexed field
+    (the file's ``key_field``) lies outside the split's range: those are
+    dropped -- they are not "skipped", the index never offered them.  Of
+    the rest, the rows failing ``residual`` (the selection formula,
+    re-checked because one field's ranges cannot express all of it) are
+    dropped and counted in ``skipped``.  ``shape`` is what deciding that
+    reads: the indexed field, and what the residual reads.  It is the
+    split's payload, and each scan counts its skips on a copy.
+    """
+
+    def __init__(self, reader: ColumnarFileReader, rng: "KeyRange",
+                 residual: Any):
+        stored = reader.stored_schema
+        self.range = rng
+        self.blocks = reader.range_blocks(rng.lo, rng.hi, rng.lo_inclusive,
+                                          rng.hi_inclusive)
+        self.edges = (0, len(self.blocks) - 1)
+        self.field = reader.key_field
+        self.order_key = partial(encode_key, stored.field(self.field).ftype)
+        self.residual = residual
+        reads = ReadShape(False, ()) if residual is None else residual.reads()
+        #: the records the residual is evaluated on
+        self.schema = stored if reads.fields is None or not stored.transparent \
+            else stored.project(reads.fields)
+        self.shape = ReadShape(reads.decode_keys, None if reads.fields is None
+                               else (*reads.fields, self.field))
+        self.skipped = 0
+
+    def keep(self, position: int, column: Callable[[str], list],
+             keys: Optional[List[Any]], n: int) -> Sequence[int]:
+        """The rows of the run's block ``position`` to deliver;
+        ``column(name)`` is a captured value column of the block."""
+        rows: Sequence[int] = range(n)
+        if position in self.edges:
+            rows = [i for i, value in enumerate(column(self.field))
+                    if self.range.admits(self.order_key(value))]
+        if self.residual is None:
+            return rows
+        values = build_records(self.schema, [
+            column(name) for name in self.schema.field_names()], n)
+        keys = keys or [_UNREAD_KEY] * n
+        evaluate = self.residual.evaluate
+        kept = [i for i in rows if evaluate(keys[i], values[i])]
+        self.skipped += len(rows) - len(kept)
+        return kept
+
+
+def scan_blocks(reader: BlockFileReader, blocks: Optional[List[BlockInfo]],
+                scanner: Any, slots: Dict[str, int],
+                rows: Optional[IndexRows] = None
+                ) -> Iterator[Tuple[List[list], Optional[List[Any]], int, int]]:
+    """The one block scan: each of ``blocks`` decoded whole by
+    ``scanner`` (a compiled row-major or a columnar scan, whose columns
+    ``slots`` names), as ``(columns, keys, rows, logical bytes)`` -- only
+    the rows ``rows`` keeps, when given, so the mapper and the kernels
+    see the same rows.  A block the scanner cannot prove raises what the
+    sized reference decode raises."""
+    for position, (payload, n) in enumerate(
+            reader.iter_block_payloads(blocks)):
+        columns, keys, logical = scanner.scan(reader, payload, n,
+                                              rewalk=_reference_block)
+        if rows is not None:
+            kept = rows.keep(position, lambda name: columns[slots[name]],
+                             keys, n)
+            if len(kept) < n:
+                columns = [list(map(column.__getitem__, kept))
+                           for column in columns]
+                keys = keys and list(map(keys.__getitem__, kept))
+                n = len(kept)
+        yield columns, keys, n, logical
+
+
 def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
-                 shape: ReadShape, refine: Optional[Callable] = None
-                 ) -> SplitReader:
+                 rows: Optional[IndexRows], shape: ReadShape) -> SplitReader:
     """A split reader over ``blocks`` of the open block file ``reader``,
     which it closes when the scan ends.
 
     Every block decodes whole before its first record is yielded, and
-    every value field ``shape`` captures of every record is charged.
-    ``refine(position in blocks, pairs)``, when given, picks the pairs
-    of each block that are yielded.
+    every value field ``shape`` -- widened to what ``rows`` reads --
+    captures of every delivered record is charged.
     """
+    if rows is not None:  # and what choosing the rows reads
+        shape = ReadShape(shape.decode_keys or rows.shape.decode_keys, None
+                          if shape.fields is None or rows.shape.fields is None
+                          else tuple(dict.fromkeys(shape.fields
+                                                   + rows.shape.fields)))
     schema = shaped_schema(reader.stored_schema, shape.fields)
     scanner = (reader.scanner(shape) if isinstance(reader, ColumnarFileReader)
                else split_scanner(reader, shape))
@@ -224,25 +321,25 @@ def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
 
     def finalize(sr_: SplitReader) -> None:
         sr_.stored_bytes += reader.bytes_read
+        sr_.skipped += rows.skipped if rows is not None else 0
         reader.close()
 
     def generate() -> Iterator[Tuple[Any, Any]]:
-        for position, (payload, n_records) in enumerate(
-                reader.iter_block_payloads(blocks)):
-            if scanner is not None:
-                # the scanner's block figure is the logical-bytes charge
-                columns, keys, logical = scanner.scan(
-                    reader, payload, n_records, rewalk=_reference_block)
-                sr.fields += n_records * width
-                pairs = zip(repeat(_UNREAD_KEY) if keys is None else keys,
-                            build_records(schema, columns, n_records))
-            else:
+        if scanner is None:  # an opaque schema: the reference decode
+            for payload, n_records in reader.iter_block_payloads(blocks):
                 pairs, logical = _reference_block(reader, payload, n_records)
                 sr.fields += sum(map(_record_fields, map(_VALUE, pairs)))
+                sr.logical_bytes += logical
+                yield from pairs
+            return
+        slots = {name: i for i, name in enumerate(schema.field_names())}
+        # the scanner's block figure is the logical-bytes charge
+        for columns, keys, n, logical in scan_blocks(
+                reader, blocks, scanner, slots, rows):
+            sr.fields += n * width
             sr.logical_bytes += logical
-            if refine is not None:
-                pairs = refine(position, list(pairs))
-            yield from pairs
+            yield from zip(repeat(_UNREAD_KEY) if keys is None else keys,
+                           build_records(schema, columns, n))
 
     sr = SplitReader(generate(), finalize)
     return sr
@@ -278,13 +375,8 @@ class BlockFileInput(InputSource):
             for chunk in _block_chunks(self.reader_class, self.path, target)
         ]
 
-    def open(self, split: InputSplit) -> SplitReader:
-        return _open_blocks(self.reader_class(self.path), split.payload,
-                            self.shape)
-
-    def with_shape(self, shape: ReadShape) -> "BlockFileInput":
-        """A copy of this input whose record-path scan builds ``shape``."""
-        return _reshaped(self, shape)
+    def split_blocks(self, split: InputSplit) -> SplitBlocks:
+        return self.reader_class(self.path), split.payload, None
 
     def describe(self) -> str:
         return f"{self.label}({self.path})"
@@ -406,10 +498,6 @@ class PartitionedInput(InputSource):
         restricted.shape = self.shape
         return restricted
 
-    def with_shape(self, shape: ReadShape) -> "PartitionedInput":
-        """A copy of this input whose record-path scan builds ``shape``."""
-        return _reshaped(self, shape)
-
     def splits(self, target: int) -> List[InputSplit]:
         """One or more splits per surviving partition, never spanning two.
 
@@ -429,9 +517,9 @@ class PartitionedInput(InputSource):
                 out.append(InputSplit(self, (path, chunk)))
         return out
 
-    def open(self, split: InputSplit) -> SplitReader:
-        path, blocks = split.payload
-        return _open_blocks(RecordFileReader(path), blocks, self.shape)
+    def split_blocks(self, split: InputSplit) -> SplitBlocks:
+        path, blocks = split.payload  # one partition's blocks
+        return RecordFileReader(path), blocks, None
 
     def describe(self) -> str:
         scanned, pruned = self.partition_counts()
@@ -488,68 +576,45 @@ class KeyRange:
         return f"KeyRange{lo_b}{self.lo!r}, {self.hi!r}{hi_b}"
 
 
-class SelectionIndexInput(InputSource):
+class SelectionIndexInput(ColumnarFileInput):
     """Selection-index input: scan only the ranges that can pass the filter.
 
-    The index file (:mod:`repro.storage.indexfile`) stores the original
-    (key, value) record pairs sorted on the indexed field, so a range
-    read reconstructs exactly the map inputs that the selection predicate
-    admits.  An optional ``residual`` predicate re-checks each record
-    (needed when the DNF has conjuncts the single-field index cannot
-    express); records failing it are counted as skipped, never mapped.
-
-    Each range is one split: the run of blocks the index's fences admit
-    (:meth:`~repro.storage.indexfile.IndexFileReader.range_blocks`), read
-    like any other block-file split -- every block decoded whole by the
-    compiled scanner and charged whole, the fences charged once.  Only
-    the run's two edge blocks can hold records outside the range; those
-    are dropped (they are not "skipped": the index never offered them),
-    and the residual runs over what is left of each block.
+    The index is a sorted columnar copy (:mod:`~repro.storage.columnar`,
+    its indexed field's codec ``sorted``): the original
+    (key, value) pairs -- the value projected, for a selection+projection
+    index -- sorted on the indexed field, so a range read reconstructs
+    exactly the map inputs the selection predicate admits.  Each range
+    is one split: the run of blocks the copy's fences admit
+    (:meth:`~repro.storage.columnar.ColumnarFileReader.range_blocks`),
+    read by the one block scan like any columnar split, on the record
+    path and the batch path alike.  The scan drops the edge blocks'
+    out-of-range rows and the rows failing ``residual`` -- the selection
+    formula: anything with ``evaluate(key, value)`` and ``reads()`` --
+    before the mapper or a kernel sees them (:class:`IndexRows`).
     """
 
-    def __init__(
-        self,
-        index_path: str,
-        ranges: Sequence[KeyRange],
-        residual: Optional[Callable[[Any, Any], bool]] = None,
-        tag: Optional[str] = None,
-    ):
-        super().__init__(tag)
+    label = "btree-scan"
+
+    def __init__(self, path: str, ranges: Sequence[KeyRange],
+                 residual: Any = None, tag: Optional[str] = None):
+        super().__init__(path, tag)
         if not ranges:
             raise JobConfigError("selection-index input needs at least one range")
-        self.index_path = index_path
         self.ranges = list(ranges)
         self.residual = residual
 
     def splits(self, target: int) -> List[InputSplit]:
         # One split per range: ranges are disjoint DNF disjunct intervals.
-        with IndexFileReader(self.index_path) as reader:
-            return [
-                InputSplit(self, (rng, reader.range_blocks(
-                    rng.lo, rng.hi, rng.lo_inclusive, rng.hi_inclusive)))
-                for rng in self.ranges
-            ]
+        with ColumnarFileReader(self.path) as reader:
+            return [InputSplit(self, IndexRows(reader, rng, self.residual))
+                    for rng in self.ranges]
 
-    def open(self, split: InputSplit) -> SplitReader:
-        rng, blocks = split.payload
-        reader = IndexFileReader(self.index_path)
-        residual, edges = self.residual, (0, len(blocks) - 1)
-
-        def refine(position: int, pairs: list) -> list:
-            if position in edges:
-                pairs = [pair for pair in pairs
-                         if rng.admits(reader.order_key(pair[1]))]
-            if residual is not None:
-                kept = [pair for pair in pairs if residual(*pair)]
-                sr.skipped += len(pairs) - len(kept)
-                pairs = kept
-            return pairs
-
-        sr = _open_blocks(reader, blocks, FULL_READ, refine)
-        return sr
+    def split_blocks(self, split: InputSplit) -> SplitBlocks:
+        rows = copy.copy(split.payload)  # a fresh skip count per scan
+        return self.reader_class(self.path), rows.blocks, rows
 
     def describe(self) -> str:
-        return f"btree-scan({self.index_path}, {len(self.ranges)} ranges)"
+        return f"btree-scan({self.path}, {len(self.ranges)} ranges)"
 
 
 class InMemoryInput(InputSource):

@@ -18,14 +18,13 @@ physical index formats Manimal's optimizer materializes:
   reference walk (``serialization._encode_value`` and the codecs'
   reference steps)
 * :mod:`repro.storage.columnar` -- columnar files: every catalog copy
-  (projection, delta and dictionary indexes), column-major blocks under
-  per-column codecs, decoded a column at a time
+  (projection, delta and dictionary indexes, and selection indexes:
+  copies sorted on one field, with per-block fences in a footer),
+  column-major blocks under per-column codecs, decoded a column at a time
 * :mod:`repro.storage.delta` -- delta files (per-block running deltas)
 * :mod:`repro.storage.dictionary` -- dictionary files (integer codes plus a
   dictionary footer) / direct operation
 * :mod:`repro.storage.columnfile` -- projected record files
-* :mod:`repro.storage.indexfile` -- index files (selection indexes): record
-  files sorted on one field, with per-block fences in a footer
 * :mod:`repro.storage.btree` -- the retired page-codec B+Tree, kept only
   for the frozen benchmark suite's storage probe
 * :mod:`repro.storage.partitioned` -- partition directories with zone-map
@@ -43,7 +42,6 @@ from repro.storage.columnar import ColumnarFileReader, ColumnarFileWriter
 from repro.storage.columnfile import build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
-from repro.storage.indexfile import IndexFileReader
 from repro.storage.partitioned import InputIdentity, input_identity
 from repro.storage.recordfile import (
     RecordFileReader,
@@ -67,7 +65,7 @@ from repro.storage.serialization import (
 _READERS = {
     cls.MAGIC: cls
     for cls in (RecordFileReader, DeltaFileReader, DictionaryFileReader,
-                IndexFileReader, ColumnarFileReader)
+                ColumnarFileReader)
 }
 
 

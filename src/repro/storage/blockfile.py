@@ -1,7 +1,8 @@
 """The block-file container every record-shaped file format shares.
 
-Record, delta, dictionary, index and columnar files (and therefore
-projection files and partitions, which are record files) are one
+Record, delta, dictionary and columnar files (and therefore projection
+files and partitions, which are record files, and selection indexes,
+which are sorted columnar files) are one
 container with a different *value codec*, footer or -- for a columnar
 file, :mod:`~repro.storage.columnar` -- block payload.  Layout::
 
@@ -29,7 +30,7 @@ identity by default -- and footer (``_footer``, which the container ends
 with a pointer to its start, and ``FOOTER``, which makes the reader stop
 the blocks there): see :mod:`~repro.storage.recordfile`,
 :mod:`~repro.storage.delta`, :mod:`~repro.storage.dictionary`,
-:mod:`~repro.storage.indexfile`, and the layout table in
+:mod:`~repro.storage.columnar`, and the layout table in
 ``docs/architecture.md``.
 """
 

@@ -377,22 +377,6 @@ class BTree:
                                                hi_inclusive):
             yield from zip(keys, values)
 
-    def scan_leaves(
-        self,
-        lo: Optional[bytes] = None,
-        hi: Optional[bytes] = None,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-    ) -> Iterator[List[bytes]]:
-        """The values of :meth:`scan`'s range, one list per leaf page.
-
-        Leaves are fetched exactly as :meth:`scan` fetches them; a leaf
-        with no value in range yields an empty list.
-        """
-        for _keys, values in self._range_leaves(lo, hi, lo_inclusive,
-                                                hi_inclusive):
-            yield values
-
     def _range_leaves(
         self,
         lo: Optional[bytes],

@@ -32,6 +32,21 @@ INT codes assigned in first-appearance order across the file, and
 ``map()`` sees the codes (the paper's direct operation); its code table
 is the footer, which is always there (empty without a ``dict`` field).
 
+A *sorted copy* is the paper's selection index: the input "sorted on
+the predicate field" (Section 2.1), in page-sized blocks
+(:data:`INDEX_BLOCK_SIZE`), whose header names that field's codec
+``sorted``: it is stored plain, its rows arrive in non-decreasing order
+of its order key (:func:`~repro.storage.orderkeys.encode_key`), and
+after the (empty) code table the footer holds ``uvarint n_blocks`` and
+then, framed as a block payload, the block directory (INT columns of
+the blocks' lengths and record counts) and the *fences* (BYTES columns
+of each block's first and last order key of that field), so a key range
+bisects the fences into one contiguous run of blocks
+(:meth:`ColumnarFileReader.range_blocks`) read off the footer alone, of
+which only the two edge blocks can hold rows outside the range.  An opaque schema, whose bytes
+hide its fields from the analyzer, is stored by its declared fields
+like any other: a copy is never analyzed, only scanned.
+
 A scan (:class:`ColumnScanner`) frames the block's segments, decodes only
 the captured ones -- ``array.frombytes`` for the numbers, one
 ``accumulate`` for deltas and string offsets, one decode and one slice
@@ -49,19 +64,30 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate, chain
 from operator import sub
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import CorruptFileError, SchemaError, SerializationError, StorageError
 from repro.storage import varint
-from repro.storage.blockfile import DEFAULT_BLOCK_SIZE, BlockFileReader, BlockFileWriter
+from repro.storage.blockfile import (
+    DEFAULT_BLOCK_SIZE,
+    FOOTER_POINTER_BYTES,
+    BlockFileReader,
+    BlockFileWriter,
+    BlockInfo,
+)
 from repro.storage.blockscan import KEY_COLUMNS, ReadShape, Scanned, block_scanner
 from repro.storage.dictionary import compressed_schema
+from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import FieldType, Record, Schema, build_records
 
 MAGIC = b"RPCL"
+
+#: A sorted copy's blocks are page-sized: a range read charges whole blocks.
+INDEX_BLOCK_SIZE = 4096
 
 #: Set in an integer column's tag when its values are running differences.
 DELTA_TAG = 0x10
@@ -87,7 +113,7 @@ _KIND = {
     FieldType.BYTES: "bytes",
 }
 
-CODECS = ("delta", "dict")
+CODECS = ("delta", "dict", "sorted")
 
 
 def _pack(code: str, values: Sequence[Any]) -> bytes:
@@ -191,6 +217,15 @@ def _row_sums(columns: List[List[int]], fixed: int, n: int) -> List[int]:
     return [size + fixed for size in sums] if fixed else list(sums)
 
 
+def _framed_payload(logical: int, segments: Sequence[bytes]) -> bytearray:
+    """``uvarint logical | (uvarint segment_len | segment)*``."""
+    payload = bytearray(varint.encode_uvarint(logical))
+    for segment in segments:
+        payload += varint.encode_uvarint(len(segment))
+        payload += segment
+    return payload
+
+
 class ColumnarFileWriter(BlockFileWriter):
     """Buffers rows as columns and writes them as column-major blocks.
 
@@ -211,22 +246,34 @@ class ColumnarFileWriter(BlockFileWriter):
         block_size: int = DEFAULT_BLOCK_SIZE,
         metadata: Optional[Dict[str, Any]] = None,
     ):
-        if not (key_schema.transparent and value_schema.transparent):
-            raise SchemaError(
-                "a columnar file needs transparent key and value schemas")
         self.codecs = dict(codecs or {})
         for name, codec in self.codecs.items():
             ftype = value_schema.field(name).ftype
             if not (codec == "delta" and ftype.is_numeric
-                    or codec == "dict" and ftype is FieldType.STRING):
+                    or codec == "dict" and ftype is FieldType.STRING
+                    or codec == "sorted" and ftype.is_comparable):
                 raise SchemaError(
                     f"codec {codec!r} does not apply to {ftype.value} "
                     f"field {name!r}")
-        coded = [name for name, codec in self.codecs.items() if codec == "dict"]
-        if len(coded) > 1:
-            raise SchemaError("a columnar file has at most one dict column")
+        coded, fenced = ([name for name, codec in self.codecs.items()
+                          if codec == one] for one in ("dict", "sorted"))
+        if len(coded + fenced) > 1:
+            raise SchemaError(
+                "a columnar file has at most one dict or sorted column")
         self.stored_schema = (compressed_schema(value_schema, coded[0])
                               if coded else value_schema)
+        #: the sorted column's position, if any, and how its buffered
+        #: values become order keys (a string is buffered UTF-8 encoded)
+        self._fenced: Optional[int] = None
+        if fenced:
+            ftype = value_schema.field(fenced[0]).ftype
+            self._fenced = (len(key_schema.fields)
+                            + value_schema.field_names().index(fenced[0]))
+            self._order_key = bytes if ftype is FieldType.STRING \
+                else partial(encode_key, ftype)
+        #: per written block of a sorted copy: its length and record
+        #: count, and the sorted column's first and last order key
+        self.directory: List[Tuple[int, int, bytes, bytes]] = []
         #: per column: (kind, codec, is it a value column)
         self._steps = [(_KIND[f.ftype], None, False)
                        for f in key_schema.fields] + [
@@ -251,6 +298,12 @@ class ColumnarFileWriter(BlockFileWriter):
             raw = text.encode("utf-8")
             footer += varint.encode_uvarint(len(raw))
             footer += raw
+        if self.directory:
+            lengths, counts, firsts, lasts = zip(*self.directory)
+            footer += varint.encode_uvarint(len(lengths)) + _framed_payload(
+                0, [_int_column(lengths), _int_column(counts),
+                    _encode_blobs(firsts, None)[0],
+                    _encode_blobs(lasts, None)[0]])
         return bytes(footer)
 
     def append(self, key: Record, value: Record) -> None:
@@ -334,7 +387,7 @@ class ColumnarFileWriter(BlockFileWriter):
             start = stop
 
     def _write_block(self) -> None:
-        n_records = self._open_rows
+        n_records, written = self._open_rows, self.bytes_written
         segments = []
         logical = 2 * n_records  # each key and value record's own byte
         for column, (kind, codec, _is_value) in zip(self._open, self._steps):
@@ -342,13 +395,14 @@ class ColumnarFileWriter(BlockFileWriter):
                 column, codec)
             segments.append(segment)
             logical += size
-        payload = bytearray(varint.encode_uvarint(logical))
-        for segment in segments:
-            payload += varint.encode_uvarint(len(segment))
-            payload += segment
-        self._buffer = payload
+        self._buffer = _framed_payload(logical, segments)
         self._buffer_records = n_records
         BlockFileWriter._flush_block(self)
+        if self._fenced is not None:
+            column = self._open[self._fenced]
+            self.directory.append((self.bytes_written - written, n_records,
+                                   *map(self._order_key,
+                                        (column[0], column[-1]))))
         self._open = [[] for _ in self._steps]
         self._open_rows = self._open_bytes = 0
 
@@ -528,6 +582,11 @@ def column_scanner(key_schema: Schema, schema: Schema,
         [slots.get(f.name, -1) for f in schema.fields], decode_keys)
 
 
+#: a sorted copy's footer directory: block lengths and record counts, and
+#: each block's first and last order key
+_DIRECTORY = ColumnScanner(["int", "int", "bytes", "bytes"], 0, range(4), False)
+
+
 class ColumnarFileReader(BlockFileReader):
     """Reads columnar files: the record path and the batch path scan them
     through :meth:`scanner`; :meth:`decode_block` is the reference."""
@@ -537,6 +596,9 @@ class ColumnarFileReader(BlockFileReader):
 
     def _bind_header(self, header: Dict[str, Any]) -> None:
         self.codecs: Dict[str, str] = header["codecs"]
+        #: the field a sorted copy is ordered on (``None``: not sorted)
+        self.key_field = next((name for name, codec in self.codecs.items()
+                               if codec == "sorted"), None)
         coded = [name for name, codec in self.codecs.items() if codec == "dict"]
         if coded:
             self.stored_schema = compressed_schema(self.value_schema, coded[0])
@@ -567,6 +629,44 @@ class ColumnarFileReader(BlockFileReader):
                 table.append(raw.decode("utf-8"))
             self._code_table = table
         return self._code_table
+
+    def _read_fences(self) -> Tuple[List[BlockInfo], List[bytes]]:
+        """A sorted copy's blocks and their fences (first and last order
+        key of each, in block order), read off the footer alone and
+        checked against the data region."""
+        if self.key_field is None:
+            raise StorageError(f"{self.path}: not a sorted copy")
+        self._file.seek(self._data_end)
+        raw = self._file.read(
+            self._file_size - FOOTER_POINTER_BYTES - self._data_end)
+        try:  # past the empty code table
+            n, at = varint.decode_uvarint(raw, 1, len(raw)) if raw[1:] \
+                else (0, 1)
+            lengths, counts, firsts, lasts = _DIRECTORY._scan(
+                raw[at:], n, self.key_schema)[0] if n else [[]] * 4
+            keys = list(chain.from_iterable(zip(firsts, lasts)))
+            if (raw[:1] != b"\x00" or keys != sorted(keys)
+                    or self._data_start + sum(lengths) != self._data_end):
+                raise ValueError("footer mismatch")
+        except (SerializationError, IndexError, TypeError, ValueError) as exc:
+            raise CorruptFileError(
+                f"{self.path}: fences do not describe the blocks") from exc
+        return list(map(BlockInfo, accumulate(
+            lengths, initial=self._data_start), lengths, counts)), keys
+
+    def range_blocks(self, lo: Optional[bytes], hi: Optional[bytes],
+                     lo_inclusive: bool = True, hi_inclusive: bool = True
+                     ) -> List[BlockInfo]:
+        """A sorted copy's one contiguous run of blocks that can hold order
+        keys in the range (``None`` bounds are open): from the first block
+        whose last key passes ``lo`` to the last whose first key passes
+        ``hi``."""
+        blocks, keys = self._read_fences()
+        start = 0 if lo is None else (
+            bisect_left if lo_inclusive else bisect_right)(keys[1::2], lo)
+        stop = len(blocks) if hi is None else (
+            bisect_right if hi_inclusive else bisect_left)(keys[0::2], hi)
+        return blocks[start:stop]
 
     # -- the reference decode ------------------------------------------------
 

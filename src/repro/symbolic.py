@@ -381,9 +381,9 @@ def render_source(expr: SymExpr, field: Callable[[SParamField], str],
     caller binds to the object in the generated function's environment.
     Operators render as Python's own tokens, fully parenthesized,
     operands in written order, so evaluation order, short-circuiting and
-    every raised error are :meth:`SymExpr.evaluate`'s.  Nodes with no
-    operator form (calls, subscripts, opaques, whole records) raise
-    :class:`TypeError`.
+    every raised error are :meth:`SymExpr.evaluate`'s; unary ``-`` and
+    ``+`` render as ``(-x)`` and ``(+x)``.  Nodes with no operator form
+    (calls, subscripts, opaques, whole records) raise :class:`TypeError`.
     """
     if isinstance(expr, SParamField):
         return field(expr)
@@ -394,6 +394,8 @@ def render_source(expr: SymExpr, field: Callable[[SParamField], str],
         left = render_source(expr.left, field, const)
         right = render_source(expr.right, field, const)
         return f"({left} {expr.op} {right})"
+    if isinstance(expr, SArith):  # unary minus or plus
+        return f"({expr.op}{render_source(expr.left, field, const)})"
     if isinstance(expr, SNot):
         return f"(not {render_source(expr.operand, field, const)})"
     raise TypeError(f"expression node {type(expr).__name__} has no source form")

@@ -92,3 +92,34 @@ def index_files(catalog_dir):
     """Names of the index files physically present in a catalog directory."""
     return sorted(n for n in os.listdir(str(catalog_dir))
                   if n.startswith("idx_"))
+
+
+class Residual:
+    """A selection-index residual from a plain ``(key, value)`` predicate,
+    which may read the key and every value field."""
+
+    def __init__(self, predicate):
+        self.evaluate = predicate
+
+    @staticmethod
+    def reads():
+        from repro.storage.blockscan import FULL_READ
+
+        return FULL_READ
+
+
+def write_sorted_index(path, key_schema, value_schema, field, pairs,
+                       block_size=None):
+    """A selection index (a sorted columnar copy) over ``pairs``, sorted
+    stably on ``field``'s order key; returns ``path``."""
+    from repro.storage.columnar import INDEX_BLOCK_SIZE, ColumnarFileWriter
+    from repro.storage.orderkeys import encode_key
+
+    ftype = value_schema.field(field).ftype
+    with ColumnarFileWriter(str(path), key_schema, value_schema,
+                            {field: "sorted"},
+                            block_size or INDEX_BLOCK_SIZE) as writer:
+        for key, value in sorted(pairs, key=lambda kv: encode_key(
+                ftype, getattr(kv[1], field))):
+            writer.append(key, value)
+    return str(path)

@@ -25,7 +25,6 @@ from repro.mapreduce.formats import (
 from repro.storage import blockfile, open_block_file, varint
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
-from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import (
@@ -34,6 +33,7 @@ from repro.storage.serialization import (
     FieldType,
     Schema,
 )
+from tests.conftest import write_sorted_index
 
 PAIR = Schema("Pair", [Field("a", FieldType.INT), Field("b", FieldType.STRING)])
 
@@ -363,11 +363,10 @@ class TestAbandonedSplitReader:
         self._fail_midway(fmt.source(path), opened)
 
     def test_selection_index_input(self, tmp_path, opened):
-        path = str(tmp_path / "idx.sidx")
-        with IndexFileWriter(path, LONG_SCHEMA, PAIR, "a",
-                             block_size=256) as writer:
-            for i in range(200):
-                writer.append(LONG_SCHEMA.make(i), PAIR.make(i, f"s{i}"))
+        path = write_sorted_index(
+            tmp_path / "idx.col", LONG_SCHEMA, PAIR, "a",
+            [(LONG_SCHEMA.make(i), PAIR.make(i, f"s{i}")) for i in range(200)],
+            block_size=256)
         source = SelectionIndexInput(
             path, [KeyRange(encode_key(FieldType.INT, 10), None)])
         self._fail_midway(source, opened)

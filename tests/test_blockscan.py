@@ -785,7 +785,7 @@ class TestScannerCache:
         path = _write(tmp_path / "f.rf", random.Random(3))
         with RecordFileReader(path) as reader:
             # the pass's plan for a group of one member (only .plan is read)
-            union = _union_plan(reader, [SimpleNamespace(plan=solo)])
+            union = _union_plan(reader, [SimpleNamespace(plan=solo)], None)
         assert union is not solo
         assert _code(union.scanner) is _code(solo.scanner)
         # INT and LONG are the same bytes, so the same shape

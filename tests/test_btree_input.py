@@ -1,31 +1,35 @@
-"""A selection index's range scan is a block-file read of its fenced run.
+"""A selection index's range scan is a columnar read of its fenced run.
 
-``SelectionIndexInput`` stores the original (key, value) pairs in an
-index file (``repro.storage.indexfile``) sorted on the indexed field.  A
-range bisects the fences into one contiguous run of blocks, reads it
-through the compiled scanner like any block-file split, drops the
-out-of-range records of the two edge blocks and runs the residual over
-the rest.  The oracle here is the source itself: its pairs sorted
+A selection index is a sorted columnar copy: the original (key, value)
+pairs sorted on the indexed field.  A range bisects the copy's fences
+into one contiguous run of blocks, and the one block scan -- the record
+path's split readers and the batch path's column batches alike -- drops
+the out-of-range rows of the two edge blocks and the rows failing the
+residual.  The oracle here is the source itself: its pairs sorted
 (stably) on the indexed field's order key and filtered by the range and
 the residual.  Every pair and skip count must match it -- over every key
 field type, ranges spanning many blocks, duplicate keys straddling block
 boundaries under each inclusive/exclusive bound, open bounds, empty
-ranges and an empty index -- and every byte and field charge must be the
-run's whole blocks plus the fence footer.  Opaque schemas take the
-container's reference decode; a damaged block raises what that decode
-raises, before ``map()`` sees any of its records.
+ranges and an empty index -- every byte charge must be the run's whole
+blocks, and every field charge the delivered rows' captured width.  A
+damaged block raises what the copy's reference decode raises, before
+``map()`` sees any of its records.  Through ``Manimal.submit``, the
+batch path and the record path over index splits agree on every output
+and on ``map_input_records`` and ``records_skipped``.
 """
 
-import os
 import random
 
 import pytest
 
+from repro import JobConf, Manimal, Mapper, RecordFileInput, run_job
+from repro.core.optimizer import catalog as cat
 from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import varint
-from repro.storage.indexfile import IndexFileReader, IndexFileWriter
+from repro.storage.columnar import ColumnarFileReader
 from repro.storage.orderkeys import encode_key
+from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import (
     Field,
     FieldType,
@@ -34,6 +38,7 @@ from repro.storage.serialization import (
     Schema,
     register_opaque_schema,
 )
+from tests.conftest import Residual, write_sorted_index
 
 KEY = Schema("IdxKey", [Field("id", FieldType.LONG),
                         Field("tag", FieldType.STRING)])
@@ -49,23 +54,6 @@ VALUE = Schema("IdxValue", [
 KEY_FIELDS = ["i", "l", "d", "b", "s"]
 N_ROWS = 400
 BLOCK_SIZE = 512
-
-
-def _encode_opaque(record):
-    return f"{record.a}|{record.b}".encode("utf-8")
-
-
-def _decode_opaque(schema, raw):
-    a, b = raw.split(b"|", 1)
-    return Record(schema, [int(a), b.decode("utf-8")])
-
-
-OPAQUE = register_opaque_schema(OpaqueSchema(
-    "BTreeInputOpaque",
-    [Field("a", FieldType.INT), Field("b", FieldType.STRING)],
-    encoder=_encode_opaque,
-    decoder=_decode_opaque,
-))
 
 
 def _rows(rng):
@@ -90,17 +78,14 @@ def _sorted(schema, field, pairs):
 
 def _build(path, key_schema, value_schema, field, pairs,
            block_size=BLOCK_SIZE):
-    with IndexFileWriter(path, key_schema, value_schema, field,
-                         block_size=block_size) as writer:
-        for key, value in _sorted(value_schema, field, pairs):
-            writer.append(key, value)
-    return path
+    return write_sorted_index(path, key_schema, value_schema, field, pairs,
+                              block_size)
 
 
 def _oracle(source, schema, field, pairs):
     """The filtered, order-key-sorted scan of the source; and the charges
-    of each range's whole run of blocks plus the fence footer, off the
-    container's reference decode."""
+    of each range's whole run of blocks, off the copy's reference decode,
+    with every delivered row's fields."""
     out, stats = [], dict(stored=0, logical=0, fields=0, skipped=0)
     ordered = _sorted(schema, field, pairs)
     for rng in source.ranges:
@@ -108,17 +93,17 @@ def _oracle(source, schema, field, pairs):
             if not rng.admits(_order_key(schema, field, value)):
                 continue
             if source.residual is not None \
-                    and not source.residual(key, value):
+                    and not source.residual.evaluate(key, value):
                 stats["skipped"] += 1
                 continue
             out.append((key, value))
-        with IndexFileReader(source.index_path) as reader:
+            stats["fields"] += len(value.schema.fields)
+        with ColumnarFileReader(source.path) as reader:
             blocks = reader.range_blocks(rng.lo, rng.hi, rng.lo_inclusive,
                                          rng.hi_inclusive)
             for payload, n in reader.iter_block_payloads(blocks):
                 for key, value in reader.decode_block(payload, n):
                     stats["logical"] += estimate_size(key) + estimate_size(value)
-                    stats["fields"] += max(1, len(value.schema.fields))
             stats["stored"] += reader.bytes_read
     return out, stats
 
@@ -153,7 +138,7 @@ def rows():
 def indexes(tmp_path_factory, rows):
     """One index per key field, over the same rows."""
     root = tmp_path_factory.mktemp("index")
-    return {field: _build(str(root / f"{field}.sidx"), KEY, VALUE, field,
+    return {field: _build(str(root / f"{field}.col"), KEY, VALUE, field,
                           rows)
             for field in KEY_FIELDS}
 
@@ -181,8 +166,8 @@ def _ranges(rng, schema, field, pairs):
 
 RESIDUALS = [
     None,
-    lambda key, value: value.b and len(value.s) % 2 == 0,
-    lambda key, value: False,
+    Residual(lambda key, value: value.b and len(value.s) % 2 == 0),
+    Residual(lambda key, value: False),
 ]
 
 
@@ -196,7 +181,7 @@ class TestRangeReadMatchesSortedScan:
             _assert_matches_oracle(source, VALUE, field, rows)
 
     def test_ranges_span_several_blocks(self, indexes):
-        with IndexFileReader(indexes["i"]) as reader:
+        with ColumnarFileReader(indexes["i"]) as reader:
             run = reader.range_blocks(encode_key(FieldType.INT, -40),
                                       encode_key(FieldType.INT, 40))
             assert len(run) > 5
@@ -233,10 +218,11 @@ class TestDuplicatesAcrossBlockBoundaries:
         pairs = [(KEY.make(i, "k"), VALUE.make(i // 40, 0, 0.5, True,
                                                 "s" * 20, b""))
                  for i in range(400)]
-        path = _build(str(tmp_path_factory.mktemp("dups") / "d.sidx"),
+        path = _build(str(tmp_path_factory.mktemp("dups") / "d.col"),
                       KEY, VALUE, "i", pairs, block_size=128)
-        with IndexFileReader(path) as reader:
-            firsts, lasts = reader._firsts, reader._lasts
+        with ColumnarFileReader(path) as reader:
+            _blocks, keys = reader._read_fences()
+            firsts, lasts = keys[0::2], keys[1::2]
             shared = {last for last, first in zip(lasts, firsts[1:])
                       if last == first}
         assert shared  # some key continues into the next block
@@ -256,11 +242,11 @@ class TestDuplicatesAcrossBlockBoundaries:
 
 class TestEmptyIndexes:
     def test_empty_index(self, tmp_path):
-        path = _build(str(tmp_path / "e.sidx"), KEY, VALUE, "i", [])
+        path = _build(str(tmp_path / "e.col"), KEY, VALUE, "i", [])
         source = SelectionIndexInput(path, [KeyRange(None, None)])
         pairs, stats = _drain(source)
         assert pairs == [] and stats["skipped"] == 0
-        with IndexFileReader(path) as reader:
+        with ColumnarFileReader(path) as reader:
             assert reader.blocks() == []
 
     def test_empty_range_keeps_nothing(self, indexes):
@@ -274,27 +260,55 @@ class TestEmptyIndexes:
         source = SelectionIndexInput(indexes["i"], [KeyRange(
             encode_key(FieldType.INT, 70), None)])
         [split] = source.splits(1)
-        assert split.payload[1] == []
-        with IndexFileReader(indexes["i"]) as reader:
-            fences = reader.bytes_read
+        assert split.payload.blocks == []
         reader = source.open(split)
-        assert list(reader) == [] and reader.stored_bytes == fences
+        assert list(reader) == [] and reader.stored_bytes == 0
+
+
+def _encode_opaque(record):
+    return f"{record.a}|{record.b}".encode("utf-8")
+
+
+def _decode_opaque(schema, raw):
+    a, b = raw.split(b"|", 1)
+    return Record(schema, [int(a), b.decode("utf-8")])
+
+
+OPAQUE = register_opaque_schema(OpaqueSchema(
+    "BTreeInputOpaque",
+    [Field("a", FieldType.INT), Field("b", FieldType.STRING)],
+    encoder=_encode_opaque,
+    decoder=_decode_opaque,
+))
 
 
 class TestOpaqueSchemas:
     def test_opaque_values_take_the_reference_decode(self, tmp_path):
+        """An opaque value schema is stored by its declared fields, and
+        read back as records of that schema."""
         pairs = [(KEY.make(i, "k"), Record(OPAQUE, [(i * 37) % 101 - 50,
                                                     f"v{i}"]))
                  for i in range(300)]
-        path = _build(str(tmp_path / "opaque.sidx"), KEY, OPAQUE, "a", pairs,
+        path = _build(str(tmp_path / "opaque.col"), KEY, OPAQUE, "a", pairs,
                       block_size=256)
+        with ColumnarFileReader(path) as reader:
+            assert reader.stored_schema is OPAQUE
+            assert len(reader.blocks()) > 5
         for rng in (KeyRange(encode_key(FieldType.INT, 3), None),
                     KeyRange(encode_key(FieldType.INT, -7),
                              encode_key(FieldType.INT, 20), False, True)):
             decoded = _assert_matches_oracle(SelectionIndexInput(
-                path, [rng], residual=lambda key, value: value.a % 3 != 0),
+                path, [rng], residual=Residual(
+                    lambda key, value: value.a % 3 != 0)),
                 OPAQUE, "a", pairs)
-            assert decoded and all(type(v) is Record for _k, v in decoded)
+            assert decoded and all(v.schema is OPAQUE for _k, v in decoded)
+
+
+def _segment_at(body):
+    """Where the first column segment's length, and its bytes, start."""
+    _logical, at = varint.decode_uvarint(body, 0, len(body))
+    _length, start = varint.decode_uvarint(body, at, len(body))
+    return at, start
 
 
 def _damaged_index(tmp_path, damage):
@@ -302,9 +316,9 @@ def _damaged_index(tmp_path, damage):
     (its framing -- the block's length -- is kept)."""
     pairs = [(KEY.make(i, "k"), VALUE.make(i, i, 0.5, True, "s" * 40, b"b"))
              for i in range(200)]
-    path = _build(str(tmp_path / "bad.sidx"), KEY, VALUE, "i", pairs,
+    path = _build(str(tmp_path / "bad.col"), KEY, VALUE, "i", pairs,
                   block_size=512)
-    with IndexFileReader(path) as reader:
+    with ColumnarFileReader(path) as reader:
         blocks = reader.blocks()
     block = blocks[7]
     with open(path, "rb") as f:
@@ -319,16 +333,25 @@ def _damaged_index(tmp_path, damage):
     return path, blocks
 
 
+def _grow_first_segment(body):
+    at, _start = _segment_at(body)
+    return body[:at] + bytes([body[at] + 1]) + body[at + 1:]
+
+
+def _bad_width_tag(body):
+    _at, start = _segment_at(body)
+    return body[:start] + b"\x03" + body[start + 1:]
+
+
 class TestDamagedBlocks:
     @pytest.mark.parametrize("damage", [
-        lambda body: b"\x7f" + body[1:],          # key length past the record
-        lambda body: body[:-3] + b"\x05ab",      # a length past the end
-        lambda body: body[:10] + b"\xff" * 11 + body[21:],  # overlong varint
-        lambda body: body[:2] + b"\xff" + body[3:],  # a key field overruns
+        _grow_first_segment,                      # a segment overruns
+        _bad_width_tag,                           # no such integer width
+        lambda body: b"\xff" * 11 + body[11:],    # overlong varint
     ])
     def test_raises_the_reference_decode_error(self, tmp_path, damage):
         path, blocks = _damaged_index(tmp_path, damage)
-        with IndexFileReader(path) as reader:
+        with ColumnarFileReader(path) as reader:
             with pytest.raises(Exception) as expected:
                 for payload, n in reader.iter_block_payloads([blocks[7]]):
                     list(reader.decode_block(payload, n))
@@ -345,7 +368,7 @@ class TestDamagedBlocks:
             b.n_records for b in blocks[:7])
 
     def test_damage_outside_the_run_is_never_read(self, tmp_path):
-        path, blocks = _damaged_index(tmp_path, lambda body: b"\x7f" + body[1:])
+        path, blocks = _damaged_index(tmp_path, _bad_width_tag)
         source = SelectionIndexInput(path, [KeyRange(
             None, encode_key(FieldType.INT, 20))])
         pairs, _stats = _drain(source)
@@ -353,9 +376,122 @@ class TestDamagedBlocks:
 
 
 def test_fence_footer_is_compact(indexes):
-    """The footer is the index's interior level: for 8-byte keys, four
-    uint32s and two keys a block."""
-    with IndexFileReader(indexes["i"]) as reader:
-        n_blocks = len(reader.blocks())
-        assert reader.bytes_read == 4 + n_blocks * (16 + 2 * 8) + 8
-        assert reader.bytes_read < os.path.getsize(indexes["i"]) / 20
+    """The footer is the index's interior level: for 8-byte keys, two
+    length-prefixed keys and at most four bytes of directory a block
+    (its length and record count), plus framing and the pointer -- and
+    it describes the blocks as the block walk does."""
+    with ColumnarFileReader(indexes["i"]) as reader:
+        blocks = reader.blocks()
+        footer = reader.file_size() - reader._data_end
+        assert footer <= len(blocks) * (2 * (1 + 8) + 4) + 24
+        fenced, _keys = reader._read_fences()
+        assert [(b.offset, b.length, b.n_records) for b in fenced] == \
+            [(b.offset, b.length, b.n_records) for b in blocks]
+        assert footer < reader.file_size() / 20
+
+
+# -- the batch path and the record path over index splits ---------------------
+
+SOURCE = Schema("IndexedRows", [
+    Field("i", FieldType.INT),
+    Field("s", FieldType.STRING),
+    Field("pad", FieldType.STRING),
+])
+
+
+class ResidualMapper(Mapper):
+    """``i`` is indexable; ``s != 'x'`` is the residual's conjunct."""
+
+    def map(self, key, value, ctx):
+        if value.i > 40 and value.s != "x":
+            ctx.emit(value.s, value.i)
+
+
+class TestBatchAndRecordPathsOverIndexSplits:
+    def test_same_rows_counters_and_skips(self, tmp_path):
+        rng = random.Random(7)
+        path = str(tmp_path / "rows.rf")
+        rows = [(i, rng.randrange(100), rng.choice("xyz"))
+                for i in range(3000)]
+        with RecordFileWriter(path, KEY, SOURCE) as writer:
+            for i, value, text in rows:
+                writer.append(KEY.make(i, "k"),
+                              SOURCE.make(value, text, "p" * 30))
+        job = JobConf(name="residual", mapper=ResidualMapper, reducer=None,
+                      inputs=[RecordFileInput(path)])
+        system = Manimal(str(tmp_path / "cat"))
+        system.build_indexes(job, allowed_kinds=[cat.KIND_SELECTION])
+        descriptor = system.plan(job)
+        source = descriptor.plans[0].chosen
+        assert isinstance(source, SelectionIndexInput)
+        # the range's low edge falls inside a block: that block holds
+        # rows on both sides of it
+        [run] = [split.payload.blocks for split in source.splits(1)]
+        with ColumnarFileReader(source.path) as reader:
+            [(payload, n)] = reader.iter_block_payloads(run[:1])
+            edge = {v.i > 40 for _k, v in reader.decode_block(payload, n)}
+        assert edge == {True, False}
+
+        batched = descriptor.apply(job)
+        assert batched.batch_specs
+        record = descriptor.apply(job)
+        record.batch_specs.clear()
+        batch_result, record_result = run_job(batched), run_job(record)
+        assert batch_result.metrics.batch_map_tasks > 0
+        assert record_result.metrics.batch_map_tasks == 0
+        assert batch_result.outputs == record_result.outputs
+        assert sorted(batch_result.outputs) == sorted(run_job(job).outputs)
+        in_range = [text for _i, value, text in rows if value > 40]
+        for result in (batch_result, record_result):
+            metrics = result.metrics
+            assert metrics.map_input_records == sum(
+                text != "x" for text in in_range)
+            assert metrics.records_skipped == in_range.count("x") > 0
+            assert metrics.map_output_records == metrics.map_input_records
+
+
+MEASURED = Schema("MeasuredRows", [
+    Field("i", FieldType.INT),
+    Field("d", FieldType.DOUBLE),
+])
+
+
+class NanResidualMapper(Mapper):
+    """``i`` is indexable; ``d >= 0.0`` -- false for a NaN, true for
+    ``-0.0`` -- is the residual's conjunct."""
+
+    def map(self, key, value, ctx):
+        if value.i > 40 and value.d >= 0.0:
+            ctx.emit(value.i, value.d)
+
+
+def test_nan_and_negative_zero_in_the_residual(tmp_path):
+    """A NaN fails the residual and a ``-0.0`` passes it, on both paths;
+    neither moves a fence, which holds only the indexed field."""
+    rng = random.Random(11)
+    path = str(tmp_path / "measured.rf")
+    doubles = [float("nan"), -0.0, 0.0, 0.25, -1.5]
+    rows = [(rng.randrange(100), rng.choice(doubles)) for _ in range(2000)]
+    with RecordFileWriter(path, KEY, MEASURED) as writer:
+        for n, (i, d) in enumerate(rows):
+            writer.append(KEY.make(n, "k"), MEASURED.make(i, d))
+    job = JobConf(name="measured", mapper=NanResidualMapper, reducer=None,
+                  inputs=[RecordFileInput(path)])
+    system = Manimal(str(tmp_path / "cat"))
+    system.build_indexes(job, allowed_kinds=[cat.KIND_SELECTION])
+    descriptor = system.plan(job)
+    assert isinstance(descriptor.plans[0].chosen, SelectionIndexInput)
+    record = descriptor.apply(job)
+    record.batch_specs.clear()
+    batch_result = run_job(descriptor.apply(job))
+    record_result = run_job(record)
+    assert batch_result.metrics.batch_map_tasks > 0
+    assert repr(batch_result.outputs) == repr(record_result.outputs)
+    assert sorted(map(repr, batch_result.outputs)) == sorted(
+        map(repr, run_job(job).outputs))
+    in_range = [d for i, d in rows if i > 40]
+    kept = [d for d in in_range if d >= 0.0]
+    assert any(repr(d) == "-0.0" for _i, d in batch_result.outputs)
+    for result in (batch_result, record_result):
+        assert result.metrics.map_input_records == len(kept)
+        assert result.metrics.records_skipped == len(in_range) - len(kept)

@@ -162,6 +162,15 @@ class WithSetup(Mapper):
         ctx.emit(value.t, value.i)
 
 
+class NegativeLiteral(Mapper):
+    """Unary minus in the source: ``-5`` and ``-value.n`` are unary
+    arithmetic nodes, rendered ``(-x)`` in the kernel."""
+
+    def map(self, key, value, ctx):
+        if value.i > -5 and -value.n < 40:
+            ctx.emit(value.t, value.i)
+
+
 class SumReducer(Reducer):
     def reduce(self, key, values, ctx):
         ctx.emit(key, sum(values))
@@ -194,6 +203,8 @@ DESCRIBED = [
      "capture [i, n, t], emit ($value.t, $value.@0)"),
     (RaisingCondition(), None, None,
      "1 predicate(s), capture [i, n, t], emit ($value.t, 1)"),
+    (NegativeLiteral(), SumReducer, None,
+     "1 predicate(s), capture [i, n, t], emit ($value.t, $value.i)"),
 ]
 DECLINED = [
     (Counting(), SumReducer, None, "side effect in map(): counter"),
@@ -324,8 +335,7 @@ def test_explain_prints_the_batch_verdict(tmp_path, mapper, reducer,
         assert line.startswith(f"  batch: declined ({verdict}")
 
 
-def test_a_selection_index_input_declines_with_the_admission_reason(
-        tmp_path):
+def test_a_selection_index_input_runs_on_the_batch_path(tmp_path):
     rows = _rows(random.Random(3), 200)
     conf = JobConf(name="indexed", mapper=PredicateEmit(lo=3),
                    reducer=SumReducer,
@@ -335,12 +345,17 @@ def test_a_selection_index_input_declines_with_the_admission_reason(
     outcome = system.submit(conf)
     [plan] = outcome.descriptor.plans
     assert plan.entry is not None and plan.batch is not None
-    assert outcome.result.metrics.batch_map_tasks == 0
+    assert outcome.result.metrics.batch_map_tasks > 0
     text = explain_job(conf, catalog_dir=str(tmp_path / "catalog"))
-    assert ("  batch: declined (input is not a plain record-file scan)"
-            in text.splitlines())
+    assert ("  batch: 2 predicate(s), capture [i, d, n, t], "
+            "emit ($value.t, $value.n)" in text.splitlines())
     assert pickle.dumps(outcome.result.outputs) == pickle.dumps(
         run_job(conf).outputs)
+    twin = outcome.descriptor.apply(conf)
+    twin.batch_specs.clear()
+    record_path = run_job(twin)
+    assert _int_metrics(outcome.result.metrics) == _int_metrics(
+        record_path.metrics)
 
 
 def test_the_verdict_is_cached_with_the_analysis(tmp_path):
@@ -430,16 +445,19 @@ def test_b1_to_b4_print_their_batch_verdicts(tmp_path):
         outcome = system.submit(job)
         assert sorted(map(repr, outcome.result.outputs)) == sorted(
             map(repr, run_job(job).outputs))
-    scan_declined = "  batch: declined (input is not a plain record-file scan)"
     assert verdicts == [
-        # B1: its selection index is a run of index blocks, not a scan
-        [scan_declined],
+        # B1: its selection index is a sorted copy of AbstractTuple
+        # records, whose opaque encoding hides the columns
+        ["  batch: declined (opaque schema or missing needed column)"],
         # B2: both fields from the projection+delta copy
         ["  batch: capture [sourceIP, adRevenue], "
          "emit ($value.sourceIP, $value.adRevenue)"],
         # B3: rankings whole from the delta copy; visits from its index
         ["  batch: capture [pageURL, pageRank, avgDuration], "
-         "emit ($value.pageURL, $value)", scan_declined],
+         "emit ($value.pageURL, $value)",
+         "  batch: 1 predicate(s), capture [sourceIP, destURL, visitDate, "
+         "adRevenue, userAgent, countryCode, languageCode, searchWord, "
+         "duration], emit ($value.destURL, $value)"],
         # B4: the per-document dedupe table
         ["  batch: declined (side effect in map(): container-mutation "
          "(subscript store))"],

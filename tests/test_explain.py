@@ -200,13 +200,31 @@ class TestFluentCallables:
             assert served == tasks > 0
             session.build_indexes(query)
             text = query.explain()
+            # the selection index is a sorted columnar copy: batched too
             assert "btree-scan(" in text
-            assert ("input[0] batch: declined (input is not a plain "
-                    "record-file scan)") in text
-            assert batched() == (0, 1)
-            assert ("input[0] batch: declined (input is not a plain "
-                    "record-file scan)") in session.explain_many(
-                        [query, query])
+            assert "input[0] batch: 1 predicate(s), emit ($key, " \
+                "WebPage_proj_url_rank(url, rank))" in text
+            assert batched() == (1, 1)
+            many = session.explain_many([query, query])
+            assert "input[0] batch: 1 predicate(s)" in many
+            assert "solo query 1: selection index: its splits are its own " \
+                "ranges" in many
+
+    def test_a_later_stage_is_judged_before_its_input_exists(
+            self, tmp_path, webpage_file):
+        """A stage reading an earlier stage's scratch output is judged by
+        that stage's output schemas, and explain agrees with the run."""
+        from repro.api.plan import max_of
+
+        with self._session(tmp_path) as session:
+            pages = session.read(webpage_file)
+            query = pages.group_by("url").agg(rank=max_of("rank")) \
+                .join(pages.select("url", "rank"), on="rank")
+            text = query.explain()
+            assert "input file is unreadable" not in text
+            assert "input[0] batch: emit ($value.rank, ('L', $value))" in text
+            later = query.run().stages[1].outcome.result.metrics
+            assert later.batch_map_tasks == later.map_tasks > 0
 
     def test_opaque_callables_show_name_and_reason(
             self, tmp_path, webpage_file):

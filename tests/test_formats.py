@@ -13,10 +13,9 @@ from repro.mapreduce.formats import (
 )
 from repro.storage.delta import DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileWriter
-from repro.storage.indexfile import IndexFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import STRING_SCHEMA, FieldType
-from tests.conftest import WEBPAGE, write_webpages
+from tests.conftest import WEBPAGE, Residual, write_sorted_index, write_webpages
 
 
 def _drain(source):
@@ -73,13 +72,10 @@ class TestSelectionIndexInput:
     def index_path(self, tmp_path, webpage_file):
         from repro.storage.recordfile import RecordFileReader
 
-        path = str(tmp_path / "idx.sidx")
         with RecordFileReader(webpage_file) as reader:
-            pairs = sorted(reader.iter_records(), key=lambda kv: kv[1].rank)
-        with IndexFileWriter(path, STRING_SCHEMA, WEBPAGE, "rank") as writer:
-            for key, value in pairs:
-                writer.append(key, value)
-        return path
+            pairs = list(reader.iter_records())
+        return write_sorted_index(tmp_path / "idx.col", STRING_SCHEMA,
+                                  WEBPAGE, "rank", pairs)
 
     def test_range_scan_returns_matching_records(self, index_path):
         rng = KeyRange(encode_key(FieldType.INT, 40), None)
@@ -93,7 +89,7 @@ class TestSelectionIndexInput:
     def test_residual_counts_skips(self, index_path):
         rng = KeyRange(encode_key(FieldType.INT, 40), None)
         source = SelectionIndexInput(
-            index_path, [rng], residual=lambda k, v: v.rank % 2 == 0
+            index_path, [rng], residual=Residual(lambda k, v: v.rank % 2 == 0)
         )
         pairs, stats = _drain(source)
         assert len(pairs) == 50

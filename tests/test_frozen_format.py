@@ -35,10 +35,15 @@ from repro.mapreduce.formats import (
     ProjectedFileInput,
     RecordFileInput,
 )
-from repro.storage.columnar import ColumnarFileReader, ColumnarFileWriter
+from repro.storage.columnar import (
+    INDEX_BLOCK_SIZE,
+    ColumnarFileReader,
+    ColumnarFileWriter,
+)
 from repro.storage.columnfile import build_projection
 from repro.storage.delta import DeltaFileReader, DeltaFileWriter
 from repro.storage.dictionary import DictionaryFileReader, DictionaryFileWriter
+from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 
@@ -303,3 +308,50 @@ def test_delta_and_dictionary_indexes_match_direct_writers(tmp_path,
         assert entry.stats["index_bytes"] == os.path.getsize(entry.index_path)
         assert _read_back("columnar", entry.index_path) == _read_back(
             "dictionary" if entry is dictionary else "delta", row_major)
+
+
+# -- the sorted copy: a selection index -----------------------------------------
+
+#: the field the sorted copy is ordered on: ties (and -0.0 beside 0.0)
+#: keep the table's order
+SORT_FIELD = "score"
+#: block_size -> sha256 of the table's sorted copy, pinned when selection
+#: indexes became sorted columnar copies (``None``: the 4 KB default)
+SORTED_DIGESTS = {
+    None: "e9365ad7b1e2861e85660e2db7b5539b61a2daf07f5bf0a0a7726c1046a2df8e",
+    SMALL_BLOCK:
+        "802485d68f0f1660f6873b1454faec77a33704414432939ca7da22bf9aec3f98",
+}
+
+
+def _sorted_rows():
+    position = EVENT.field_names().index(SORT_FIELD)
+    return sorted(enumerate(ROWS), key=lambda item: encode_key(
+        FieldType.DOUBLE, item[1][position]))
+
+
+@pytest.mark.parametrize("block_size", [None, SMALL_BLOCK])
+def test_sorted_copy_bytes_are_frozen(tmp_path, block_size):
+    path = str(tmp_path / f"sorted-{block_size}")
+    with ColumnarFileWriter(path, LONG_SCHEMA, EVENT, {SORT_FIELD: "sorted"},
+                            block_size or INDEX_BLOCK_SIZE) as writer:
+        for i, row in _sorted_rows():
+            writer.append(LONG_SCHEMA.make(i), EVENT.make(*row))
+    assert _sha256(path) == SORTED_DIGESTS[block_size]
+    assert _read_back("columnar", path) == _sorted_rows()
+
+
+def test_selection_index_is_the_sorted_copy(tmp_path, source_file):
+    """A catalog-built selection index is the file a direct sorted-writer
+    call produces over the source in order-key order."""
+    entry = _build(tmp_path, source_file, kind=cat.KIND_SELECTION,
+                   key_field=SORT_FIELD)
+    direct = str(tmp_path / "direct.col")
+    with ColumnarFileWriter(direct, LONG_SCHEMA, EVENT, {SORT_FIELD: "sorted"},
+                            INDEX_BLOCK_SIZE, metadata={
+                                "source_path": os.path.abspath(source_file),
+                                "source_records": N_ROWS}) as writer:
+        for i, row in _sorted_rows():
+            writer.append(LONG_SCHEMA.make(i), EVENT.make(*row))
+    assert _sha256(entry.index_path) == _sha256(direct)
+    assert entry.stats["index_records"] == N_ROWS

@@ -22,7 +22,7 @@ from repro.mapreduce import (
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.runtime import LocalJobRunner
 from repro.storage.columnar import copy_columns
-from repro.storage.indexfile import IndexFileReader
+from repro.storage.columnar import ColumnarFileReader
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from tests.conftest import index_files, write_webpages
@@ -106,7 +106,7 @@ class TestIndexBuildAndPlan:
         assert len(entries) == 1
         entry = entries[0]
         assert entry.key_field == "rank"
-        with IndexFileReader(entry.index_path) as reader:
+        with ColumnarFileReader(entry.index_path) as reader:
             assert reader.count_records() == 500  # all records indexed
             assert reader.key_field == "rank"
             ranks = [v.rank for _k, v in reader.iter_records()]

@@ -366,7 +366,7 @@ def test_checker_sees_the_reference_encode_called_outside_its_homes(tmp_path):
         + ":3: encode uses the reference encode _encode_value"]
 
 
-def test_checker_sees_the_btree_index_path_come_back(tmp_path):
+def test_checker_sees_a_retired_index_path_come_back(tmp_path):
     checker = _load_checker()
     for package, name, body in (
         ("storage", "__init__", "from repro.storage.btree import BTree\n"),
@@ -379,6 +379,10 @@ def test_checker_sees_the_btree_index_path_come_back(tmp_path):
         ("core", "analyzer", "from repro.storage import blockscan\n"
                              "def peek(k, v):\n"
                              "    return blockscan.entry_scanner(k, v)\n"),
+        ("core", "indexgen", "from repro.storage.indexfile import (\n"
+                             "    IndexFileWriter)\n"
+                             "from ..storage import indexfile\n"
+                             "reader = indexfile.IndexFileReader\n"),
     ):
         directory = tmp_path / "repro" / package
         directory.mkdir(parents=True, exist_ok=True)
@@ -387,6 +391,12 @@ def test_checker_sees_the_btree_index_path_come_back(tmp_path):
     assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
             for line in found] == [
         os.path.join("core", "analyzer.py") + ":3: names entry_scanner",
+        os.path.join("core", "indexgen.py")
+        + ":1: imports repro.storage.indexfile",
+        os.path.join("core", "indexgen.py") + ":2: names IndexFileWriter",
+        os.path.join("core", "indexgen.py")
+        + ":3: imports repro.storage.indexfile",
+        os.path.join("core", "indexgen.py") + ":4: names IndexFileReader",
         os.path.join("mapreduce", "formats.py")
         + ":1: imports repro.storage.btree",
         os.path.join("mapreduce", "formats.py")

@@ -16,6 +16,7 @@ append-by-rewrite are listed in ROADMAP.md as its remaining extensions.
 
 import builtins
 import os
+import pickle
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -266,8 +267,38 @@ class Lifecycle:
         self.check_plans(result.descriptors())
         assert shape(result.rows) == oracle(self.rows[name], threshold)
 
-    OPS = (op_rewrite, op_build, op_remove, op_reopen, op_submit, op_fluent)
-    WEIGHTS = (4, 4, 1, 1, 5, 5)
+    def op_old_index(self):
+        """A selection index in the retired row-major format (``.sidx``)
+        is never planned, and the next selection build replaces it."""
+        rng = self.rng
+        name, threshold = rng.choice(FILES), rng.randrange(100)
+        job = rank_count_job(self.path(name), threshold)
+        old = _retired_selection_index(self.system, self.path(name))
+        before = self.system.submit(job)
+        self.check_plans([before.descriptor])
+        assert Counter(dict(before.result.outputs)) == \
+            oracle_rank_count(self.rows[name], threshold)
+        built = self.system.build_indexes(
+            job, allowed_kinds=[cat.KIND_SELECTION])
+        assert [e.kind for e in built] == [cat.KIND_SELECTION]
+        assert not os.path.exists(old.index_path)
+        after = self.system.submit(job)
+        self.check_plans([after.descriptor])
+        if any(e.index_id == built[0].index_id
+               for e in self.system.catalog.sorted_entries()) \
+                and not self.cost_based:
+            # a sorted copy: this one, or a selection+projection one
+            # the ranking puts first
+            assert after.descriptor.plans[0].entry.kind in (
+                cat.KIND_SELECTION, cat.KIND_SELECTION_PROJECTION)
+            assert "btree-scan(" in after.descriptor.describe()
+            self.coverage["old_index_replaced"] += 1
+        assert pickle.dumps(after.result.outputs) == \
+            pickle.dumps(before.result.outputs)
+
+    OPS = (op_rewrite, op_build, op_remove, op_reopen, op_submit, op_fluent,
+           op_old_index)
+    WEIGHTS = (4, 4, 1, 1, 5, 5, 1)
 
     # -- invariants ---------------------------------------------------------
 
@@ -318,12 +349,31 @@ def test_every_read_equals_the_oracle(tmp_path, seed):
     # The harness only proves something while it keeps reaching the
     # interesting states; seeded, so these hold or fail deterministically.
     for counter in ("op_rewrite", "op_build", "op_remove", "op_reopen",
-                    "op_submit", "op_fluent", "evicted", "index_used",
-                    "stale_skipped"):
+                    "op_submit", "op_fluent", "op_old_index", "evicted",
+                    "index_used", "stale_skipped", "old_index_replaced"):
         assert coverage[counter] > 0, (counter, dict(coverage))
 
 
-# -- an index in the retired page-codec B+Tree format ---------------------------
+# -- indexes in retired formats --------------------------------------------------
+
+
+def _retired_selection_index(system, path):
+    """Register a selection index on ``rank`` the way a catalog from
+    before sorted columnar copies holds one: a row-major ``.sidx`` file
+    (the planner tells it by its suffix and never opens it, so a stub
+    stands in for its bytes)."""
+    index_path = (system.catalog.next_index_path(cat.KIND_SELECTION)
+                  + ".sidx")
+    with open(index_path, "wb") as f:
+        f.write(b"RPIX")
+    entry = cat.IndexEntry(
+        index_id=system.catalog.make_entry_id(), kind=cat.KIND_SELECTION,
+        source_path=os.path.abspath(path), index_path=index_path,
+        key_field="rank", stats={"index_bytes": 4},
+        source_identity=list(input_identity(path)))
+    system.catalog.register(entry)
+    return entry
+
 
 
 def _legacy_selection_index(system, path, rows):
@@ -331,7 +381,7 @@ def _legacy_selection_index(system, path, rows):
     before the index-file format holds one: written by the page-codec
     B+Tree builder, each entry framed ``uvarint klen | key | value``."""
     index_path = (system.catalog.next_index_path(cat.KIND_SELECTION)
-                  + cat.OLD_SELECTION_SUFFIX)
+                  + ".btree")
     builder = BTreeBuilder(index_path, metadata={
         "key_schema": LONG_SCHEMA.to_dict(), "value_schema": PAGE.to_dict(),
         "key_field": "rank"})
@@ -389,7 +439,7 @@ def test_old_format_index_is_refused_then_rebuilt(tmp_path, monkeypatch):
     assert [e.index_id for e in system.catalog.sorted_entries()] == \
         [built[0].index_id]
     assert index_files(catalog_dir) == [os.path.basename(built[0].index_path)]
-    assert built[0].index_path.endswith(cat.SELECTION_SUFFIX)
+    assert built[0].index_path.endswith(cat.COLUMNAR_SUFFIX)
     outcome = system.submit(job)
     assert outcome.descriptor.plans[0].entry.index_id == built[0].index_id
     assert "btree-scan(" in outcome.descriptor.describe()

@@ -170,9 +170,10 @@ class TestCompileSelection:
     def test_residual_evaluates_formula(self):
         f = formula([atom(">", 10), atom("!=", 12)])
         plan = compile_selection(f, WEBPAGE)
-        residual = plan.residual()
-        assert residual("k", WEBPAGE.make("u", 11, "c"))
-        assert not residual("k", WEBPAGE.make("u", 12, "c"))
+        residual = plan.formula
+        assert residual.evaluate("k", WEBPAGE.make("u", 11, "c"))
+        assert not residual.evaluate("k", WEBPAGE.make("u", 12, "c"))
+        assert residual.reads() == (False, ("rank",))
 
     def test_explicit_field_choice(self):
         f = formula([atom(">", 10), atom("==", "u", "url")])

@@ -86,7 +86,7 @@ class TestFormulaSemantics:
         plan = compile_selection(formula, WEBPAGE, field_name="rank")
         if plan is None:
             return  # no usable single-field plan for this instance
-        residual = plan.residual()
+        residual = plan.formula.evaluate
         for i, rank in enumerate(ranks):
             record = WEBPAGE.make(f"http://x/{i % 5}", rank, "c")
             in_range = any(

@@ -513,3 +513,47 @@ class TestVerdictCache:
         assert "opaque: make() builds 'StringValue'" in session.read(
             pages).map(doubled, key_schema=STRING_SCHEMA,
                        value_schema=declared).explain()
+
+
+class TestSourceVerdictMemo:
+    """A file's source is parsed once per code object and file identity:
+    a verdict per captured value re-parses nothing, and an edited file is
+    verified afresh."""
+
+    SOURCE = ("def make(limit):\n"
+              "    return lambda value: value.rank > limit\n")
+
+    def test_captured_values_parse_once_and_an_edit_reverifies(
+            self, tmp_path, monkeypatch):
+        import ast
+        import importlib.util
+        import os
+
+        from repro.core.analyzer import udf
+
+        path = tmp_path / "udf_memo_module.py"
+        path.write_text(self.SOURCE)
+        spec = importlib.util.spec_from_file_location("udf_memo_module",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parsed = []
+        real_parse = ast.parse
+        monkeypatch.setattr(udf.ast, "parse",
+                            lambda *a, **k: parsed.append(1)
+                            or real_parse(*a, **k))
+
+        first = analyze_udf(module.make(10), FILTER_ARITY)
+        second = analyze_udf(module.make(20), FILTER_ARITY)
+        assert first.reason is None and second.reason is None
+        assert repr(first.predicate) != repr(second.predicate)
+        assert len(parsed) == 1
+
+        # one more line above the lambda: the live code's line no longer
+        # holds it, so the next verdict re-parses and declines
+        path.write_text("# edited\n" + self.SOURCE)
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
+        assert "live bytecode" in analyze_udf(module.make(30),
+                                              FILTER_ARITY).reason
+        assert len(parsed) == 2

@@ -86,15 +86,18 @@
     path that interprets the schema per field again, and can drift from
     the compiled bytes.
 
-12. One index format.  A selection index is a block file
-    (``repro/storage/indexfile.py``); the page-codec B+Tree is kept only
-    for the frozen benchmark suite's storage probe.  So outside
-    ``repro/storage/__init__.py`` (:data:`BTREE_HOME`) nothing under
-    ``src/repro`` imports ``repro.storage.btree`` (:data:`BTREE_MODULE`),
-    and nothing defines or names the retired B+Tree read path
-    (:data:`RETIRED_INDEX_NAMES`: ``entry_scanner``,
-    ``frame_index_entry``, ``_IndexEntries``) -- a second index format
-    would come back through either.
+12. One index format.  A selection index is a sorted columnar copy
+    (``repro/storage/columnar.py``); the page-codec B+Tree is kept only
+    for the frozen benchmark suite's storage probe, and the row-major
+    index file is gone.  So outside ``repro/storage/__init__.py``
+    (:data:`BTREE_HOME`) nothing under ``src/repro`` imports
+    ``repro.storage.btree`` (:data:`BTREE_MODULE`), nothing imports
+    ``repro.storage.indexfile`` (:data:`INDEXFILE_MODULE`), and nothing
+    defines or names the retired B+Tree read path or the row-major index
+    file (:data:`RETIRED_INDEX_NAMES`: ``entry_scanner``,
+    ``frame_index_entry``, ``_IndexEntries``, ``IndexFileWriter``,
+    ``IndexFileReader``) -- a second index format would come back through
+    any of them.
 
 13. One stage order.  A pipeline runs its stages in chain order, and
     parallelism is decided below it, by the dispatcher that fans each
@@ -242,11 +245,13 @@ REFERENCE_HOMES = frozenset({
 
 
 #: rule 12: the retired page codec, the one module that may import it,
-#: and the names of its retired read path
+#: the retired row-major index file, and the names of both read paths
 BTREE_MODULE = "repro.storage.btree"
 BTREE_HOME = os.path.join("repro", "storage", "__init__.py")
+INDEXFILE_MODULE = "repro.storage.indexfile"
 RETIRED_INDEX_NAMES = frozenset({"entry_scanner", "frame_index_entry",
-                                 "_IndexEntries"})
+                                 "_IndexEntries", "IndexFileWriter",
+                                 "IndexFileReader"})
 
 #: rule 13: the retired stage scheduler's module and names, and the
 #: layers none of whose functions may take a ``scheduler`` parameter
@@ -591,28 +596,30 @@ def reference_encode_violations(src: str = SRC) -> List[str]:
 
 def index_format_violations(src: str = SRC) -> List[str]:
     """Every import of :data:`BTREE_MODULE` outside :data:`BTREE_HOME`,
-    and every use of a :data:`RETIRED_INDEX_NAMES` name, under
-    ``src/repro`` (rule 12)."""
+    every import of :data:`INDEXFILE_MODULE`, and every use of a
+    :data:`RETIRED_INDEX_NAMES` name, under ``src/repro`` (rule 12)."""
     found: List[Tuple[str, int, str]] = []
     for path, tree in parsed_modules(os.path.join(src, "repro")):
         module = os.path.relpath(path, src)
         rel = os.path.relpath(path, REPO_ROOT)
-        if module != BTREE_HOME:
-            package = os.path.dirname(module).replace(os.sep, ".")
-            found.extend(
-                (rel, lineno, f"imports {BTREE_MODULE} (a selection index "
-                 "is an index file; the page codec is kept only for the "
-                 "frozen benchmark probe)")
-                for lineno, name in imported_modules(tree, package)
-                if name == BTREE_MODULE)
+        package = os.path.dirname(module).replace(os.sep, ".")
+        for lineno, name in imported_modules(tree, package):
+            if name == BTREE_MODULE and module != BTREE_HOME:
+                found.append((rel, lineno, f"imports {BTREE_MODULE} (a "
+                              "selection index is a sorted columnar copy; "
+                              "the page codec is kept only for the frozen "
+                              "benchmark probe)"))
+            elif name == INDEXFILE_MODULE:
+                found.append((rel, lineno, f"imports {INDEXFILE_MODULE} (a "
+                              "selection index is a sorted columnar copy)"))
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, (
                         ast.alias, ast.ClassDef, ast.FunctionDef)) else None)
             if name in RETIRED_INDEX_NAMES:
-                found.append((rel, node.lineno, f"names {name} (the B+Tree "
-                              "read path is retired)"))
+                found.append((rel, node.lineno, f"names {name} (a retired "
+                              "index read path)"))
     return [f"{rel}:{lineno}: {what}"
             for rel, lineno, what in sorted(set(found))]
 
@@ -814,8 +821,8 @@ def main() -> int:
           + "formats.py names the unread-key sentinel"
           + "; the reference encode is named only in serialization.py and "
           + "blockwrite's decline path"
-          + f"; only {BTREE_HOME} imports {BTREE_MODULE} and nothing names "
-          + "the retired B+Tree read path"
+          + f"; only {BTREE_HOME} imports {BTREE_MODULE}, nothing imports "
+          + f"{INDEXFILE_MODULE}, and nothing names a retired index read path"
           + f"; nothing imports {DAG_MODULE} or names the stage scheduler, "
           + f"and no function under repro/{{{','.join(NO_SCHEDULER_LAYERS)}}} "
           + f"takes a {SCHEDULER_PARAM!r} parameter"
