@@ -20,22 +20,19 @@ import os
 from repro.core.analyzer import EMPTY_KB, ManimalAnalyzer
 from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
-from repro.mapreduce import JobConf, RecordFileInput, run_job
+from repro.mapreduce import JobConf, RecordFileInput
 from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.mapreduce.api import Mapper, Reducer
-from repro.mapreduce.cost import PAPER_CLUSTER
 from repro.core.analyzer.purity import DEFAULT_KB
 from repro.storage.columnar import ColumnarFileWriter
 from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import (
     LONG_SCHEMA,
-    STRING_SCHEMA,
     Field,
     FieldType,
     Schema,
 )
 from repro.workloads.datagen import generate_webpages
-from repro.workloads.schemas import WEBPAGES
 from benchmarks.common import emit_report, format_table, simulate_seconds
 
 

@@ -45,18 +45,23 @@ class ColumnBatch:
     the block's decoded key records (``None`` when the stage never emits
     its input keys); ``logical_bytes`` is the summed
     ``estimate_size``-equivalent of every key+value record in the block,
-    matching what the record-path readers charge for the same rows.
+    matching what the record-path readers charge for the same rows;
+    ``skipped`` counts the block's rows a selection-index residual
+    dropped.
     """
 
-    __slots__ = ("n_rows", "keys", "logical_bytes", "_cols", "_slots")
+    __slots__ = ("n_rows", "keys", "logical_bytes", "skipped", "_cols",
+                 "_slots")
 
     def __init__(self, n_rows: int, cols: List[list], slots: dict,
-                 keys: Optional[List[Record]], logical_bytes: int):
+                 keys: Optional[List[Record]], logical_bytes: int,
+                 skipped: int):
         self.n_rows = n_rows
         self._cols = cols
         self._slots = slots
         self.keys = keys
         self.logical_bytes = logical_bytes
+        self.skipped = skipped
 
     def column(self, name: str) -> list:
         return self._cols[self._slots[name]]
@@ -121,6 +126,6 @@ def iter_column_batches(
     payload goes through the plan's scanner, which raises what
     ``iter_records`` would.
     """
-    for cols, keys, n, logical_bytes in scan_blocks(
+    for cols, keys, n, logical_bytes, skipped in scan_blocks(
             reader, blocks, plan.scanner, plan.slots, rows):
-        yield ColumnBatch(n, cols, plan.slots, keys, logical_bytes)
+        yield ColumnBatch(n, cols, plan.slots, keys, logical_bytes, skipped)

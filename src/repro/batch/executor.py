@@ -55,6 +55,7 @@ from repro.mapreduce.formats import (
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
 from repro.storage.blockfile import BlockFileReader
+from repro.storage.blockscan import ReadShape
 from repro.storage.columnar import ColumnarFileReader
 from repro.storage.serialization import build_records
 from repro.symbolic import STuple
@@ -279,20 +280,16 @@ def _union_plan(reader: BlockFileReader, scans: Sequence[StageScan],
     For a single member of any other split this is that member's own
     plan, slot for slot.
     """
-    capture: List[str] = []
-    for scan in scans:
-        for name in scan.plan.slots:
-            if name not in capture:
-                capture.append(name)
-    decode_keys = any(scan.plan.decode_keys for scan in scans)
+    shape = ReadShape(any(scan.plan.decode_keys for scan in scans),
+                      tuple(dict.fromkeys(name for scan in scans
+                                          for name in scan.plan.slots)))
     if rows is not None:
-        capture += [name for name in (rows.shape.fields
-                                      or reader.value_schema.field_names())
-                    if name not in capture]
-        decode_keys = decode_keys or rows.shape.decode_keys
+        shape = rows.widen(shape)
     return ScanPlan(
-        reader.key_schema, reader.value_schema, capture,
-        decode_keys=decode_keys,
+        reader.key_schema, reader.value_schema,
+        reader.value_schema.field_names() if shape.fields is None
+        else list(shape.fields),
+        decode_keys=shape.decode_keys,
         columnar=isinstance(reader, ColumnarFileReader),
     )
 
@@ -324,13 +321,14 @@ def run_batch_map_task(
         live = [scan for scan in scans if scan is not None]
         if not live:
             return [None] * len(confs)
-        n_rows = logical_bytes = 0
+        n_rows = logical_bytes = skipped = 0
         try:
             for batch in iter_column_batches(
                 reader, blocks, _union_plan(reader, live, rows), rows
             ):
                 n_rows += batch.n_rows
                 logical_bytes += batch.logical_bytes
+                skipped += batch.skipped
                 for scan in live:
                     scan.process(batch)
         except Exception as exc:
@@ -339,7 +337,6 @@ def run_batch_map_task(
                 f"map task failed in job {names!r}: {exc}"
             ) from exc
         stored_bytes = reader.bytes_read
-    skipped = 0 if rows is None else rows.skipped
     return [
         None if scan is None
         else scan.finish(n_rows, skipped, stored_bytes, logical_bytes)

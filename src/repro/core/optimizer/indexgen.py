@@ -43,6 +43,12 @@ from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader
 
 
+#: Rows the selection-index reducer hands the writer per append: one
+#: append per order key costs a call per distinct key, and a larger
+#: buffer coexists with the job's shuffle data in memory.
+SORTED_APPEND_ROWS = 512
+
+
 class IndexDeclined(OptimizerError):
     """A selection index whose field holds a value with no index order
     (a NaN): the build is skipped, not failed."""
@@ -136,7 +142,7 @@ class IndexGenerationProgram:
     def _build_selection(self, catalog: Catalog,
                          runner: Optional[LocalJobRunner],
                          index_path: str) -> IndexEntry:
-        # The selection builder's reducer appends to a list this process
+        # The selection builder's reducer appends to a writer this process
         # holds, so this infrastructure job must not fan out to worker
         # processes.  Only a multi-process runner is downgraded; any other
         # caller-supplied runner (instrumented wrappers etc.) is honored.
@@ -168,31 +174,41 @@ class IndexGenerationProgram:
             "source_path": os.path.abspath(self.source_path),
             "source_records": source_records,
         }
-        rows: List[Tuple[Any, ...]] = []
-        job = JobConf(
-            name=(f"index-gen:{self.kind}:"
-                  f"{os.path.basename(self.source_path)}"),
-            mapper=_IndexEmitMapper(
-                self.key_field, value_schema.field(self.key_field).ftype,
-                None if stored_schema is value_schema
-                else stored_schema.field_names()),
-            # the shuffle hands over each order key's rows in order
-            reducer=FunctionReducer(lambda key, group, ctx: rows.extend(group)),
-            inputs=[RecordFileInput(self.source_path)],
-            num_reducers=1,  # one global sort order
-        )
-        try:
-            runner.run(job)
-        except JobExecutionError as exc:
-            if isinstance(exc.__cause__, BTreeError):
-                raise IndexDeclined(str(exc.__cause__)) from exc
-            raise
         with ColumnarFileWriter(index_path, key_schema, stored_schema,
                                 {self.key_field: "sorted"}, INDEX_BLOCK_SIZE,
                                 metadata) as writer:
-            for at in range(0, len(rows), INDEX_BLOCK_SIZE):  # bounded columns
-                chunk = rows[at:at + INDEX_BLOCK_SIZE]
-                writer.append_columns(list(map(list, zip(*chunk))), len(chunk))
+            pending: List[Tuple[Any, ...]] = []
+
+            def flush() -> None:
+                writer.append_columns(list(map(list, zip(*pending))),
+                                      len(pending))
+                pending.clear()
+
+            def reduce(key: bytes, rows: List[Tuple[Any, ...]],
+                       ctx: Any) -> None:
+                pending.extend(rows)
+                if len(pending) >= SORTED_APPEND_ROWS:
+                    flush()
+
+            job = JobConf(
+                name=(f"index-gen:{self.kind}:"
+                      f"{os.path.basename(self.source_path)}"),
+                mapper=_IndexEmitMapper(
+                    self.key_field, value_schema.field(self.key_field).ftype,
+                    None if stored_schema is value_schema
+                    else stored_schema.field_names()),
+                # the shuffle hands over each order key's rows in order
+                reducer=FunctionReducer(reduce),
+                inputs=[RecordFileInput(self.source_path)],
+                num_reducers=1,  # global sort order feeds the writer
+            )
+            try:
+                runner.run(job)
+            except JobExecutionError as exc:
+                if isinstance(exc.__cause__, BTreeError):
+                    raise IndexDeclined(str(exc.__cause__)) from exc
+                raise
+            flush()
         return IndexEntry(
             index_id=catalog.make_entry_id(),
             kind=self.kind,

@@ -233,9 +233,9 @@ class IndexRows:
     dropped -- they are not "skipped", the index never offered them.  Of
     the rest, the rows failing ``residual`` (the selection formula,
     re-checked because one field's ranges cannot express all of it) are
-    dropped and counted in ``skipped``.  ``shape`` is what deciding that
+    dropped and counted as skipped.  ``shape`` is what deciding that
     reads: the indexed field, and what the residual reads.  It is the
-    split's payload, and each scan counts its skips on a copy.
+    split's payload.
     """
 
     def __init__(self, reader: ColumnarFileReader, rng: "KeyRange",
@@ -249,55 +249,69 @@ class IndexRows:
         self.order_key = partial(encode_key, stored.field(self.field).ftype)
         self.residual = residual
         reads = ReadShape(False, ()) if residual is None else residual.reads()
-        #: the records the residual is evaluated on
-        self.schema = stored if reads.fields is None or not stored.transparent \
+        #: the records the residual is evaluated on (an opaque copy's are
+        #: the decoder's)
+        self.schema = stored if reads.fields is None \
+            or not reader.value_schema.transparent \
             else stored.project(reads.fields)
         self.shape = ReadShape(reads.decode_keys, None if reads.fields is None
                                else (*reads.fields, self.field))
-        self.skipped = 0
+
+    def widen(self, shape: ReadShape) -> ReadShape:
+        """``shape`` and what choosing the rows reads (``fields`` None:
+        every field)."""
+        fields = None if shape.fields is None or self.shape.fields is None \
+            else tuple(dict.fromkeys(shape.fields + self.shape.fields))
+        return ReadShape(shape.decode_keys or self.shape.decode_keys, fields)
 
     def keep(self, position: int, column: Callable[[str], list],
-             keys: Optional[List[Any]], n: int) -> Sequence[int]:
-        """The rows of the run's block ``position`` to deliver;
-        ``column(name)`` is a captured value column of the block."""
+             keys: Optional[Sequence[Any]], n: int,
+             values: Optional[Sequence[Any]] = None
+             ) -> Tuple[Sequence[int], int]:
+        """The rows of the run's block ``position`` to deliver, and how
+        many of the others the residual skipped; ``column(name)`` is a
+        captured value column of the block, ``values`` its value records
+        when the scan built them (else they are built from the columns)."""
         rows: Sequence[int] = range(n)
         if position in self.edges:
             rows = [i for i, value in enumerate(column(self.field))
                     if self.range.admits(self.order_key(value))]
         if self.residual is None:
-            return rows
-        values = build_records(self.schema, [
-            column(name) for name in self.schema.field_names()], n)
+            return rows, 0
+        if values is None:
+            values = build_records(self.schema, [
+                column(name) for name in self.schema.field_names()], n)
         keys = keys or [_UNREAD_KEY] * n
         evaluate = self.residual.evaluate
         kept = [i for i in rows if evaluate(keys[i], values[i])]
-        self.skipped += len(rows) - len(kept)
-        return kept
+        return kept, len(rows) - len(kept)
 
 
 def scan_blocks(reader: BlockFileReader, blocks: Optional[List[BlockInfo]],
                 scanner: Any, slots: Dict[str, int],
                 rows: Optional[IndexRows] = None
-                ) -> Iterator[Tuple[List[list], Optional[List[Any]], int, int]]:
+                ) -> Iterator[Tuple[List[list], Optional[List[Any]], int, int,
+                                    int]]:
     """The one block scan: each of ``blocks`` decoded whole by
     ``scanner`` (a compiled row-major or a columnar scan, whose columns
-    ``slots`` names), as ``(columns, keys, rows, logical bytes)`` -- only
-    the rows ``rows`` keeps, when given, so the mapper and the kernels
-    see the same rows.  A block the scanner cannot prove raises what the
-    sized reference decode raises."""
+    ``slots`` names), as ``(columns, keys, rows, logical bytes, rows
+    skipped)`` -- only the rows ``rows`` keeps, when given, so the mapper
+    and the kernels see the same rows.  A block the scanner cannot prove
+    raises what the sized reference decode raises."""
     for position, (payload, n) in enumerate(
             reader.iter_block_payloads(blocks)):
         columns, keys, logical = scanner.scan(reader, payload, n,
                                               rewalk=_reference_block)
+        skipped = 0
         if rows is not None:
-            kept = rows.keep(position, lambda name: columns[slots[name]],
-                             keys, n)
+            kept, skipped = rows.keep(
+                position, lambda name: columns[slots[name]], keys, n)
             if len(kept) < n:
                 columns = [list(map(column.__getitem__, kept))
                            for column in columns]
                 keys = keys and list(map(keys.__getitem__, kept))
                 n = len(kept)
-        yield columns, keys, n, logical
+        yield columns, keys, n, logical, skipped
 
 
 def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
@@ -309,11 +323,8 @@ def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
     every value field ``shape`` -- widened to what ``rows`` reads --
     captures of every delivered record is charged.
     """
-    if rows is not None:  # and what choosing the rows reads
-        shape = ReadShape(shape.decode_keys or rows.shape.decode_keys, None
-                          if shape.fields is None or rows.shape.fields is None
-                          else tuple(dict.fromkeys(shape.fields
-                                                   + rows.shape.fields)))
+    if rows is not None:
+        shape = rows.widen(shape)
     schema = shaped_schema(reader.stored_schema, shape.fields)
     scanner = (reader.scanner(shape) if isinstance(reader, ColumnarFileReader)
                else split_scanner(reader, shape))
@@ -321,23 +332,31 @@ def _open_blocks(reader: BlockFileReader, blocks: List[BlockInfo],
 
     def finalize(sr_: SplitReader) -> None:
         sr_.stored_bytes += reader.bytes_read
-        sr_.skipped += rows.skipped if rows is not None else 0
         reader.close()
 
     def generate() -> Iterator[Tuple[Any, Any]]:
         if scanner is None:  # an opaque schema: the reference decode
-            for payload, n_records in reader.iter_block_payloads(blocks):
+            for position, (payload, n_records) in enumerate(
+                    reader.iter_block_payloads(blocks)):
                 pairs, logical = _reference_block(reader, payload, n_records)
+                if rows is not None and pairs:
+                    keys, values = zip(*pairs)
+                    kept, skipped = rows.keep(position, lambda name: [
+                        getattr(value, name) for value in values],
+                        keys, n_records, values)
+                    pairs = list(map(pairs.__getitem__, kept))
+                    sr.skipped += skipped
                 sr.fields += sum(map(_record_fields, map(_VALUE, pairs)))
                 sr.logical_bytes += logical
                 yield from pairs
             return
         slots = {name: i for i, name in enumerate(schema.field_names())}
         # the scanner's block figure is the logical-bytes charge
-        for columns, keys, n, logical in scan_blocks(
+        for columns, keys, n, logical, skipped in scan_blocks(
                 reader, blocks, scanner, slots, rows):
             sr.fields += n * width
             sr.logical_bytes += logical
+            sr.skipped += skipped
             yield from zip(repeat(_UNREAD_KEY) if keys is None else keys,
                            build_records(schema, columns, n))
 
@@ -610,7 +629,7 @@ class SelectionIndexInput(ColumnarFileInput):
                     for rng in self.ranges]
 
     def split_blocks(self, split: InputSplit) -> SplitBlocks:
-        rows = copy.copy(split.payload)  # a fresh skip count per scan
+        rows = split.payload
         return self.reader_class(self.path), rows.blocks, rows
 
     def describe(self) -> str:

@@ -43,9 +43,15 @@ the blocks' lengths and record counts) and the *fences* (BYTES columns
 of each block's first and last order key of that field), so a key range
 bisects the fences into one contiguous run of blocks
 (:meth:`ColumnarFileReader.range_blocks`) read off the footer alone, of
-which only the two edge blocks can hold rows outside the range.  An opaque schema, whose bytes
-hide its fields from the analyzer, is stored by its declared fields
-like any other: a copy is never analyzed, only scanned.
+which only the two edge blocks can hold rows outside the range.  The
+writer refuses a row whose sorted field precedes the row before it.
+
+Key and value schemas are transparent, with one exception: a sorted
+copy of an opaque value schema (Benchmark 1's ``AbstractTuple``) stores
+two value columns, the sorted field and each value's own encoding
+(:data:`ENCODED`), which the reference decode hands to the schema's
+decoder -- the only scan of such a copy, so ``map()`` gets what the
+decoder returns, as it does from the source.
 
 A scan (:class:`ColumnScanner`) frames the block's segments, decodes only
 the captured ones -- ``array.frombytes`` for the numbers, one
@@ -67,10 +73,16 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate, chain
-from operator import sub
+from operator import le, sub
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import CorruptFileError, SchemaError, SerializationError, StorageError
+from repro.exceptions import (
+    BTreeError,
+    CorruptFileError,
+    SchemaError,
+    SerializationError,
+    StorageError,
+)
 from repro.storage import varint
 from repro.storage.blockfile import (
     DEFAULT_BLOCK_SIZE,
@@ -82,12 +94,15 @@ from repro.storage.blockfile import (
 from repro.storage.blockscan import KEY_COLUMNS, ReadShape, Scanned, block_scanner
 from repro.storage.dictionary import compressed_schema
 from repro.storage.orderkeys import encode_key
-from repro.storage.serialization import FieldType, Record, Schema, build_records
+from repro.storage.serialization import Field, FieldType, Record, Schema, build_records
 
 MAGIC = b"RPCL"
 
 #: A sorted copy's blocks are page-sized: a range read charges whole blocks.
 INDEX_BLOCK_SIZE = 4096
+
+#: An opaque sorted copy's second value column: each value's encoding.
+ENCODED = "encoded"
 
 #: Set in an integer column's tag when its values are running differences.
 DELTA_TAG = 0x10
@@ -226,6 +241,13 @@ def _framed_payload(logical: int, segments: Sequence[bytes]) -> bytearray:
     return payload
 
 
+def opaque_stored_schema(value_schema: Schema, field: str) -> Schema:
+    """The stored value columns of a copy of opaque ``value_schema``
+    sorted on ``field``: that field, then each value's encoding."""
+    return Schema(value_schema.name, [value_schema.field(field),
+                                      Field(ENCODED, FieldType.BYTES)])
+
+
 class ColumnarFileWriter(BlockFileWriter):
     """Buffers rows as columns and writes them as column-major blocks.
 
@@ -233,7 +255,8 @@ class ColumnarFileWriter(BlockFileWriter):
     copy (a record, delta or dictionary file) would put in its block, so
     splits, map tasks and everything counted per task match that copy's;
     only the bytes are smaller.  ``codecs`` maps value fields to
-    ``delta`` (an integer field) or ``dict`` (one string field)."""
+    ``delta`` (an integer field), ``dict`` (one string field) or
+    ``sorted`` (one comparable field, in non-decreasing order)."""
 
     MAGIC = MAGIC
 
@@ -260,15 +283,24 @@ class ColumnarFileWriter(BlockFileWriter):
         if len(coded + fenced) > 1:
             raise SchemaError(
                 "a columnar file has at most one dict or sorted column")
-        self.stored_schema = (compressed_schema(value_schema, coded[0])
-                              if coded else value_schema)
-        #: the sorted column's position, if any, and how its buffered
-        #: values become order keys (a string is buffered UTF-8 encoded)
+        if not (key_schema.transparent
+                and (value_schema.transparent or fenced)):
+            raise SchemaError(
+                "a columnar file needs transparent key and value schemas "
+                "(an opaque value schema only in a sorted copy)")
+        self.stored_schema = (
+            compressed_schema(value_schema, coded[0]) if coded
+            else value_schema if value_schema.transparent
+            else opaque_stored_schema(value_schema, fenced[0]))
+        #: the sorted column's position, if any, the last value appended
+        #: to it, and how its buffered values become order keys (a string
+        #: is buffered UTF-8 encoded)
         self._fenced: Optional[int] = None
+        self._tail: list = []
         if fenced:
             ftype = value_schema.field(fenced[0]).ftype
             self._fenced = (len(key_schema.fields)
-                            + value_schema.field_names().index(fenced[0]))
+                            + self.stored_schema.field_names().index(fenced[0]))
             self._order_key = bytes if ftype is FieldType.STRING \
                 else partial(encode_key, ftype)
         #: per written block of a sorted copy: its length and record
@@ -278,7 +310,7 @@ class ColumnarFileWriter(BlockFileWriter):
         self._steps = [(_KIND[f.ftype], None, False)
                        for f in key_schema.fields] + [
             (_KIND[f.ftype], self.codecs.get(f.name), True)
-            for f in value_schema.fields]
+            for f in self.stored_schema.fields]
         #: the rows of the open block, as columns (strings UTF-8 encoded,
         #: dict values as codes), and its row-major byte count
         self._open: List[list] = [[] for _ in self._steps]
@@ -322,12 +354,26 @@ class ColumnarFileWriter(BlockFileWriter):
     def append_columns(self, columns: Sequence[list], n_records: int) -> None:
         """Append ``n_records`` rows given as columns -- the key fields',
         then the value fields', in schema order -- holding exactly the
-        schemas' types, as a block scan captures them."""
+        schemas' types, as a block scan captures them.  A sorted copy
+        refuses rows out of order (:class:`BTreeError`), before any
+        state changes."""
         if self._closed:
             raise SerializationError("writer is closed")
         if not n_records:
             return
         columns = list(columns)
+        if not self.value_schema.transparent:  # the stored columns
+            n_keys, schema = len(self.key_schema.fields), self.value_schema
+            values = columns[n_keys:]
+            columns = columns[:n_keys] + [
+                values[schema.field_index(self.stored_schema.fields[0].name)],
+                [schema.encode(Record(schema, row)) for row in zip(*values)]]
+        if self._fenced is not None:  # order keys are monotone in values
+            run = self._tail + columns[self._fenced]
+            if not all(map(le, run, run[1:])):
+                raise BTreeError("a sorted copy's rows must arrive in "
+                                 "non-decreasing order of its sorted field")
+            self._tail = run[-1:]
         key_sizes: List[List[int]] = []
         value_sizes: List[List[int]] = []
         fixed = [0, 0]
@@ -602,13 +648,20 @@ class ColumnarFileReader(BlockFileReader):
         coded = [name for name, codec in self.codecs.items() if codec == "dict"]
         if coded:
             self.stored_schema = compressed_schema(self.value_schema, coded[0])
+        elif not self.value_schema.transparent:  # a sorted copy's
+            self.stored_schema = opaque_stored_schema(self.value_schema,
+                                                      self.key_field)
         self._columns = [(f.name, _KIND[f.ftype]) for f in chain(
             self.key_schema.fields, self.stored_schema.fields)]
         self._code_table: Optional[List[str]] = None
+        self._fences: Optional[Tuple[List[BlockInfo], List[bytes]]] = None
 
-    def scanner(self, shape: ReadShape) -> ColumnScanner:
+    def scanner(self, shape: ReadShape) -> Optional[ColumnScanner]:
         """The record path's scan: the fields of ``shape`` in stored order
-        (slot *i* is the *i*-th captured field), keys unless it skips them."""
+        (slot *i* is the *i*-th captured field), keys unless it skips them;
+        ``None`` for an opaque copy, which only the reference decode reads."""
+        if not self.value_schema.transparent:
+            return None
         names = [f.name for f in self.stored_schema.fields
                  if shape.fields is None or f.name in shape.fields]
         return column_scanner(self.key_schema, self.stored_schema,
@@ -630,10 +683,15 @@ class ColumnarFileReader(BlockFileReader):
             self._code_table = table
         return self._code_table
 
-    def _read_fences(self) -> Tuple[List[BlockInfo], List[bytes]]:
+    def fences(self) -> Tuple[List[BlockInfo], List[bytes]]:
         """A sorted copy's blocks and their fences (first and last order
-        key of each, in block order), read off the footer alone and
-        checked against the data region."""
+        key of each, in block order), read off the footer alone (once per
+        open reader) and checked against the data region."""
+        if self._fences is None:
+            self._fences = self._read_fences()
+        return self._fences
+
+    def _read_fences(self) -> Tuple[List[BlockInfo], List[bytes]]:
         if self.key_field is None:
             raise StorageError(f"{self.path}: not a sorted copy")
         self._file.seek(self._data_end)
@@ -661,7 +719,7 @@ class ColumnarFileReader(BlockFileReader):
         keys in the range (``None`` bounds are open): from the first block
         whose last key passes ``lo`` to the last whose first key passes
         ``hi``."""
-        blocks, keys = self._read_fences()
+        blocks, keys = self.fences()
         start = 0 if lo is None else (
             bisect_left if lo_inclusive else bisect_right)(keys[1::2], lo)
         stop = len(blocks) if hi is None else (
@@ -692,9 +750,12 @@ class ColumnarFileReader(BlockFileReader):
         if pos != end:
             raise CorruptFileError(f"{self.path}: trailing block bytes")
         n_keys = len(self.key_schema.fields)
+        decode = None if self.value_schema.transparent \
+            else self.value_schema.decode
         for row in zip(*columns) if columns else [()] * n_records:
             yield (Record(self.key_schema, row[:n_keys]),
-                   Record(self.stored_schema, row[n_keys:]))
+                   Record(self.stored_schema, row[n_keys:]) if decode is None
+                   else decode(row[-1]))
 
     def _reference_column(self, name: str, kind: str, buf: bytes,
                           start: int, stop: int, n: int) -> List[Any]:

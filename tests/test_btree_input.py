@@ -27,7 +27,8 @@ from repro.core.optimizer import catalog as cat
 from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import varint
-from repro.storage.columnar import ColumnarFileReader
+from repro.storage.blockscan import FULL_READ
+from repro.storage.columnar import ENCODED, ColumnarFileReader
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import (
@@ -194,11 +195,18 @@ class TestRangeReadMatchesSortedScan:
         assert "s" in type(value).__slots__ and "id" in type(key).__slots__
         assert value == VALUE.make(*value.as_tuple())
 
-    def test_one_split_per_range(self, indexes):
+    def test_one_split_per_range(self, indexes, monkeypatch):
+        """... and the copy's footer is read once for all of them."""
+        reads = []
+        read_fences = ColumnarFileReader._read_fences
+        monkeypatch.setattr(ColumnarFileReader, "_read_fences",
+                            lambda reader: reads.append(1)
+                            or read_fences(reader))
         ranges = [KeyRange(None, encode_key(FieldType.INT, -50)),
                   KeyRange(encode_key(FieldType.INT, 900), None),
                   KeyRange(encode_key(FieldType.INT, 0), None)]
         assert len(SelectionIndexInput(indexes["i"], ranges).splits(1)) == 3
+        assert len(reads) == 1
 
     def test_negative_zero_shares_the_zero_key(self, indexes, rows):
         zero = encode_key(FieldType.DOUBLE, 0.0)
@@ -221,7 +229,7 @@ class TestDuplicatesAcrossBlockBoundaries:
         path = _build(str(tmp_path_factory.mktemp("dups") / "d.col"),
                       KEY, VALUE, "i", pairs, block_size=128)
         with ColumnarFileReader(path) as reader:
-            _blocks, keys = reader._read_fences()
+            _blocks, keys = reader.fences()
             firsts, lasts = keys[0::2], keys[1::2]
             shared = {last for last, first in zip(lasts, firsts[1:])
                       if last == first}
@@ -284,15 +292,17 @@ OPAQUE = register_opaque_schema(OpaqueSchema(
 
 class TestOpaqueSchemas:
     def test_opaque_values_take_the_reference_decode(self, tmp_path):
-        """An opaque value schema is stored by its declared fields, and
-        read back as records of that schema."""
+        """An opaque value schema is stored as the sorted field and each
+        value's own encoding, and read back through the schema's decoder."""
         pairs = [(KEY.make(i, "k"), Record(OPAQUE, [(i * 37) % 101 - 50,
                                                     f"v{i}"]))
                  for i in range(300)]
         path = _build(str(tmp_path / "opaque.col"), KEY, OPAQUE, "a", pairs,
                       block_size=256)
         with ColumnarFileReader(path) as reader:
-            assert reader.stored_schema is OPAQUE
+            assert reader.value_schema is OPAQUE
+            assert reader.stored_schema.field_names() == ["a", ENCODED]
+            assert reader.scanner(FULL_READ) is None
             assert len(reader.blocks()) > 5
         for rng in (KeyRange(encode_key(FieldType.INT, 3), None),
                     KeyRange(encode_key(FieldType.INT, -7),
@@ -301,7 +311,7 @@ class TestOpaqueSchemas:
                 path, [rng], residual=Residual(
                     lambda key, value: value.a % 3 != 0)),
                 OPAQUE, "a", pairs)
-            assert decoded and all(v.schema is OPAQUE for _k, v in decoded)
+            assert decoded and all(type(v) is Record for _k, v in decoded)
 
 
 def _segment_at(body):
@@ -384,7 +394,7 @@ def test_fence_footer_is_compact(indexes):
         blocks = reader.blocks()
         footer = reader.file_size() - reader._data_end
         assert footer <= len(blocks) * (2 * (1 + 8) + 4) + 24
-        fenced, _keys = reader._read_fences()
+        fenced, _keys = reader.fences()
         assert [(b.offset, b.length, b.n_records) for b in fenced] == \
             [(b.offset, b.length, b.n_records) for b in blocks]
         assert footer < reader.file_size() / 20

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.exceptions import CorruptFileError, SchemaError, StorageError
+from repro.exceptions import BTreeError, CorruptFileError, SchemaError, StorageError
 from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.storage import blockfile, open_block_file, varint
 from repro.storage.columnar import (
@@ -25,7 +25,7 @@ from repro.storage.columnar import (
 )
 from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader, RecordFileWriter
-from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
+from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, OpaqueSchema, Schema
 
 PAIR = Schema("Pair", [Field("a", FieldType.INT), Field("b", FieldType.STRING),
                        Field("raw", FieldType.BYTES)])
@@ -96,7 +96,7 @@ class TestRoundTrip:
             assert len(fenced) > 5
             assert [(b.offset, b.length, b.n_records) for b in fenced] == \
                 [(b.offset, b.length, b.n_records) for b in walked]
-            _blocks, keys = reader._read_fences()
+            _blocks, keys = reader.fences()
             firsts, lasts = keys[0::2], keys[1::2]
             for block, first, last in zip(fenced, firsts, lasts):
                 keys = _order_keys(reader, block)
@@ -194,6 +194,33 @@ class TestRangeBlocks:
 
 
 class TestWriterChecks:
+    def test_out_of_order_append_is_refused(self, tmp_path):
+        path = str(tmp_path / "i.col")
+        with ColumnarFileWriter(path, LONG_SCHEMA, PAIR,
+                                {"a": "sorted"}) as writer:
+            writer.append(LONG_SCHEMA.make(0), PAIR.make(5, "x", b""))
+            writer.append(LONG_SCHEMA.make(1), PAIR.make(5, "y", b""))
+            with pytest.raises(BTreeError, match="non-decreasing"):
+                writer.append(LONG_SCHEMA.make(2), PAIR.make(4, "z", b""))
+            # rows out of order inside one append, and the refused rows
+            # left nothing behind
+            with pytest.raises(BTreeError, match="non-decreasing"):
+                writer.append_columns([[3, 4], [7, 6], ["p", "q"],
+                                       [b"", b""]], 2)
+            assert writer.records_written == 2
+            writer.append(LONG_SCHEMA.make(3), PAIR.make(5, "w", b""))
+        with ColumnarFileReader(path) as reader:
+            assert [v.b for _k, v in reader.iter_records()] == ["x", "y", "w"]
+
+    def test_only_a_sorted_copy_takes_an_opaque_value_schema(self, tmp_path):
+        opaque = OpaqueSchema("IndexFileOpaque", PAIR.fields)
+        path = tmp_path / "o.col"
+        with pytest.raises(SchemaError, match="transparent"):
+            ColumnarFileWriter(str(path), LONG_SCHEMA, opaque)
+        with pytest.raises(SchemaError, match="transparent"):
+            ColumnarFileWriter(str(path), opaque, PAIR, {"a": "sorted"})
+        assert not path.exists()
+
     def test_key_field_must_be_a_field(self, tmp_path):
         path = tmp_path / "i.col"
         with pytest.raises(SchemaError):
@@ -216,7 +243,7 @@ class TestWriterChecks:
             for i, text in enumerate(["a", "z", "é"]):
                 writer.append(LONG_SCHEMA.make(i), PAIR.make(0, text, b""))
         with ColumnarFileReader(path) as reader:
-            _blocks, keys = reader._read_fences()
+            _blocks, keys = reader.fences()
             firsts, lasts = keys[0::2], keys[1::2]
         assert firsts == lasts == [encode_key(FieldType.STRING, text)
                                    for text in ["a", "z", "é"]]
