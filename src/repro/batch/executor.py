@@ -33,7 +33,8 @@ to the record path, and to the member's solo run, by construction.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import Any, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.columns import (
     ColumnBatch,
@@ -53,12 +54,14 @@ from repro.mapreduce.formats import (
     shaped_schema,
 )
 from repro.mapreduce.job import JobConf
+from repro.mapreduce.keyspace import sort_keys
 from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
+from repro.mapreduce.semijoin import KeySet
 from repro.storage.blockfile import BlockFileReader
 from repro.storage.blockscan import ReadShape
 from repro.storage.columnar import ColumnarFileReader
 from repro.storage.serialization import build_records
-from repro.symbolic import STuple
+from repro.symbolic import SConst, STuple
 
 
 #: Inputs whose splits are block runs of a record file, or of a
@@ -174,6 +177,13 @@ class StageScan:
                            for _ in AGGREGATES[op].partial]
             self.tally = spec.fold == ["count"]
             self.groups: dict = {}
+        #: a resolved semijoin's key set, applied to the key column before
+        #: any record is gathered (a folding stage leaves it to the tail),
+        #: and how many rows it dropped
+        self.key_set = (conf.shuffle_filter
+                        if isinstance(conf.shuffle_filter, KeySet)
+                        and not self.fold else None)
+        self.dropped = None if self.key_set is None else 0
 
     def process(self, batch: ColumnBatch) -> None:
         """Run this member's stage over one decoded block: the kernel
@@ -204,16 +214,28 @@ class StageScan:
             return values if passed is None \
                 else list(map(values.__getitem__, passed))
 
-        parts: List[Sequence[Any]] = []
-        for kind, arg, refs in self.sources:
+        def part(kind: str, arg: Any, refs: List[Tuple]) -> Sequence[Any]:
             if kind == CONST:
-                parts.append([arg] * n)
-            elif kind == RECORD:
-                parts.append(build_records(
-                    arg, [gather(*r) for r in refs], n))
-            else:
-                parts.append(gather(*refs[0]))
-        key_column, *values = parts
+                return [arg] * n
+            if kind == RECORD:
+                return build_records(arg, [gather(*r) for r in refs], n)
+            return gather(*refs[0])
+
+        if self.key_set is not None and n:
+            # The semijoin: rows whose group cannot emit go before their
+            # records are built (derived values were computed above, so
+            # one that raises still does).
+            keep = self.key_set.mask(part(*self.sources[0]))
+            if keep is not None and not all(keep):
+                kept = list(compress(range(n), keep))
+                self.dropped += n - len(kept)
+                passed = kept if passed is None \
+                    else list(map(passed.__getitem__, kept))
+                derived = [list(map(column.__getitem__, kept))
+                           for column in derived]
+                n = len(kept)
+
+        key_column, *values = [part(*source) for source in self.sources]
         if not self.fold:
             self.emitted.extend(zip(
                 key_column,
@@ -268,21 +290,21 @@ class StageScan:
         # field, even with none captured.
         metrics.fields_deserialized += max(1, self.plan.n_slots) * n_rows
         metrics.batch_map_tasks += 1
-        _finish_map_task(self.conf, out, self.emitted)
+        _finish_map_task(self.conf, out, self.emitted, self.dropped)
         return out
 
 
-def _union_plan(reader: BlockFileReader, scans: Sequence[StageScan],
+def _union_plan(reader: BlockFileReader, plans: Sequence[ScanPlan],
                 rows: Optional[IndexRows]) -> ScanPlan:
-    """The pass's decode plan: every column any member needs, once, and
-    what choosing a selection-index split's ``rows`` reads.
+    """The pass's decode plan: every column any member's plan needs,
+    once, and what choosing a selection-index split's ``rows`` reads.
 
     For a single member of any other split this is that member's own
     plan, slot for slot.
     """
-    shape = ReadShape(any(scan.plan.decode_keys for scan in scans),
-                      tuple(dict.fromkeys(name for scan in scans
-                                          for name in scan.plan.slots)))
+    shape = ReadShape(any(plan.decode_keys for plan in plans),
+                      tuple(dict.fromkeys(name for plan in plans
+                                          for name in plan.slots)))
     if rows is not None:
         shape = rows.widen(shape)
     return ScanPlan(
@@ -324,7 +346,8 @@ def run_batch_map_task(
         n_rows = logical_bytes = skipped = 0
         try:
             for batch in iter_column_batches(
-                reader, blocks, _union_plan(reader, live, rows), rows
+                reader, blocks,
+                _union_plan(reader, [scan.plan for scan in live], rows), rows
             ):
                 n_rows += batch.n_rows
                 logical_bytes += batch.logical_bytes
@@ -342,3 +365,48 @@ def run_batch_map_task(
         else scan.finish(n_rows, skipped, stored_bytes, logical_bytes)
         for scan in scans
     ]
+
+
+def scan_keys(spec: BatchStageSpec, splits: Sequence[Any]
+              ) -> Optional[Tuple[FrozenSet[Tuple], int, int]]:
+    """A semijoin's key-only pass over its build side's ``splits``:
+    ``spec``'s kernel predicates and its key column, no records, no emit.
+
+    Returns the sort keys of every key the build side's map tasks emit,
+    with the stored bytes and the fields the pass read -- or ``None``
+    when a split is outside the batch path's reach or the pass raised:
+    the job then runs unfiltered, and its own map task raises whatever
+    the pass met.
+    """
+    _kind, name = part_source(spec.emit[0])
+    key_spec = BatchStageSpec((spec.emit[0], SConst(None)),
+                              predicates=spec.predicates)
+    members: set = set()
+    stored_bytes = fields = 0
+    try:
+        for split in splits:
+            source = split.source
+            if type(source) not in RECORD_BLOCK_INPUTS:
+                return None
+            reader, blocks, rows = source.split_blocks(split)
+            with reader:
+                admitted = batch_admission(key_spec, source, reader)
+                if isinstance(admitted, str):
+                    return None
+                plan, kernel = admitted
+                for batch in iter_column_batches(
+                        reader, blocks, _union_plan(reader, [plan], rows),
+                        rows):
+                    column = batch.keys if name is None \
+                        else batch.column(name)
+                    if kernel is not None:
+                        selected = kernel.select(
+                            batch.n_rows, lambda col, b=batch: b.keys
+                            if col == KEY_COLUMN else b.column(col))
+                        column = list(map(column.__getitem__, selected))
+                    members.update(sort_keys(column))
+                    fields += max(1, plan.n_slots) * batch.n_rows
+                stored_bytes += reader.bytes_read
+    except Exception:  # noqa: BLE001 -- an optimization's boundary: the
+        return None      # job runs unfiltered and its map task raises it
+    return frozenset(members), stored_bytes, fields

@@ -24,7 +24,7 @@ import ast
 import inspect
 import textwrap
 import types
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.analyzer.compression import find_delta, find_direct_operation
 from repro.core.analyzer.conditions import MemberEnv, SymbolicResolver
@@ -306,12 +306,35 @@ class ManimalAnalyzer:
             reduce_filter, reduce_notes = find_reduce_key_filter(
                 reducer, self.kb
             )
+        required = self._required_inputs(conf, analyses)
         return JobAnalysis(
             job_name=conf.name,
             inputs=analyses,
             reduce_key_filter=reduce_filter,
             reduce_notes=reduce_notes,
+            required_inputs=None if isinstance(required, str) else required,
+            required_decline=required if isinstance(required, str) else None,
         )
+
+    def _required_inputs(self, conf: JobConf,
+                         analyses: List[InputAnalysis]
+                         ) -> Union[Tuple[int, ...], str]:
+        """The inputs every emitting group holds a value from (the
+        semijoin proof), or why none are proved."""
+        if conf.reducer is None:
+            return "map-only job"
+        if conf.combiner is not None:
+            return "a combiner runs before the shuffle"
+        if len(conf.inputs) < 2:
+            return "one input: nothing to filter"
+        if self.safe_mode:
+            return ("safe mode: pre-shuffle group deletion withheld (it "
+                    "would skip reduce() invocations)")
+        from repro.core.analyzer.reduce_ext import find_required_inputs
+
+        reducer = (conf.reducer() if isinstance(conf.reducer, type)
+                   else conf.reducer)
+        return find_required_inputs(reducer, analyses)
 
     # -- mapper-level analysis ---------------------------------------------------
 

@@ -168,6 +168,12 @@ class JobAnalysis:
     reduce_key_filter: Optional[Any] = None
     #: why the reduce-side analysis declined, when it did
     reduce_notes: List[str] = field(default_factory=list)
+    #: the inputs a group must hold a value from before reduce() can
+    #: emit (:func:`~repro.core.analyzer.reduce_ext.find_required_inputs`;
+    #: static analysis only) ...
+    required_inputs: Optional[Tuple[int, ...]] = None
+    #: ... or why none are proved
+    required_decline: Optional[str] = None
 
     def descriptors(self) -> List[Any]:
         out: List[Any] = []

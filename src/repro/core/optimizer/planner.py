@@ -28,8 +28,9 @@ was built from: every entry carries the source's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.batch.spec import COLUMN, part_source
 from repro.core.analyzer.descriptors import InputAnalysis, JobAnalysis
 from repro.core.optimizer import catalog as cat
 from repro.core.optimizer.catalog import Catalog, IndexEntry
@@ -49,6 +50,7 @@ from repro.mapreduce.formats import (
     SelectionIndexInput,
 )
 from repro.mapreduce.job import JobConf
+from repro.mapreduce.semijoin import Semijoin
 from repro.storage import input_identity
 from repro.storage.blockscan import FULL_READ, ReadShape
 from repro.storage.columnar import CODECS, ColumnarFileReader
@@ -115,11 +117,15 @@ class ExecutionDescriptor:
     #: Appendix E pre-shuffle group filter, when the reduce-side analysis
     #: found a key-only WHERE clause
     shuffle_filter: Optional[object] = None
+    #: the semijoin the job runs as (:func:`plan_semijoin`) ...
+    semijoin: Optional[Semijoin] = None
+    #: ... or why it runs as a plain reduce-side join
+    semijoin_decline: Optional[str] = None
 
     @property
     def optimized(self) -> bool:
         return any(p.optimized for p in self.plans) or \
-            self.shuffle_filter is not None
+            self.shuffle_filter is not None or self.semijoin is not None
 
     def chosen_inputs(self) -> List[InputSource]:
         return [p.chosen for p in self.plans]
@@ -127,14 +133,16 @@ class ExecutionDescriptor:
     def apply(self, conf: JobConf) -> JobConf:
         """Copy of ``conf`` as this plan executes it: the chosen inputs,
         their batch specs and this descriptor's shuffle-filter verdict --
-        the one way a batch spec reaches a job.
+        its semijoin, when it has one, around its Appendix E filter --
+        the one way a batch spec or a semijoin reaches a job.
 
         The filter is always overwritten: ``with_inputs`` copies the
         original's, so a descriptor without one must clear any stale
         filter rather than leave the copy in place.
         """
         optimized = conf.with_inputs(self.chosen_inputs())
-        optimized.shuffle_filter = self.shuffle_filter
+        optimized.shuffle_filter = self.shuffle_filter \
+            if self.semijoin is None else self.semijoin
         for plan in self.plans:
             if plan.batch is not None:
                 optimized.batch_specs[plan.chosen.tag] = plan.batch
@@ -151,7 +159,75 @@ class ExecutionDescriptor:
         lines += [f"  {p.describe()}" for p in self.plans]
         if self.shuffle_filter is not None:
             lines.append(f"  pre-shuffle group filter: {self.shuffle_filter!r}")
+        if self.semijoin is not None:
+            lines.append("  semijoin: " + describe_semijoin(
+                self.semijoin, self.chosen_inputs()))
         return "\n".join(lines)
+
+
+def _input_label(index: int, source: InputSource) -> str:
+    return f"input[{index}]" + ("" if source.tag is None
+                                else f" {source.tag!r}")
+
+
+def describe_semijoin(verdict: Union[Semijoin, str],
+                      sources: Sequence[InputSource]) -> str:
+    """``keys of <build> filter <the others>``, or ``declined (why)``."""
+    if isinstance(verdict, str):
+        return f"declined ({verdict})"
+    probes = ", ".join(_input_label(i, source)
+                       for i, source in enumerate(sources)
+                       if i != verdict.build)
+    return (f"keys of {_input_label(verdict.build, sources[verdict.build])} "
+            f"filter {probes}")
+
+
+def _planned_rows(source: InputSource) -> Optional[int]:
+    """How many rows the planned splits of ``source`` hold, read from
+    its block directories (``None``: unknown)."""
+    if isinstance(source, InMemoryInput):
+        return len(source.pairs)
+    if not isinstance(source, (BlockFileInput, PartitionedInput)):
+        return None
+    total = 0
+    try:
+        for split in source.splits(1):
+            reader, blocks, _rows = source.split_blocks(split)
+            reader.close()
+            total += sum(block.n_records for block in blocks)
+    except (OSError, ReproError):
+        return None
+    return total
+
+
+def plan_semijoin(analysis: JobAnalysis, sources: Sequence[InputSource]
+                  ) -> Union[Semijoin, str]:
+    """The semijoin a job over planned inputs ``sources`` runs as, or
+    why it runs without one.
+
+    Of the inputs every emitting group holds a value from (the
+    analyzer's proof), the build side is the one whose planned splits
+    hold the fewest rows; its keys filter every other input.  It needs a
+    batch spec that emits a scanned column -- or the input key -- as its
+    key: the key pass reads that column without building a record.
+    """
+    required = analysis.required_inputs
+    if required is None:
+        return analysis.required_decline or "reducer not analyzed"
+    rows = {index: _planned_rows(sources[index]) for index in required}
+    sized = [index for index in required if rows[index] is not None]
+    if not sized:
+        return "no required input has a block directory"
+    build = min(sized, key=rows.__getitem__)
+    label = _input_label(build, sources[build])
+    spec = analysis.inputs[build].batch_spec
+    if spec is None:
+        return f"build side {label} has no batch spec"
+    kind, name = part_source(spec.emit[0])
+    if kind != COLUMN or name in {derived for derived, _expr
+                                  in spec.derived or ()}:
+        return f"build side {label} emits a computed key"
+    return Semijoin(build, spec, analysis.reduce_key_filter)
 
 
 def _shaped(source: InputSource, ia: InputAnalysis) -> InputSource:
@@ -235,10 +311,13 @@ class Optimizer:
         used = [p.entry.index_id for p in plans if p.entry is not None]
         if used:
             self.catalog.touch_many(used)
+        semijoin = plan_semijoin(analysis, [p.chosen for p in plans])
         return ExecutionDescriptor(
             job_name=conf.name,
             plans=plans,
             shuffle_filter=analysis.reduce_key_filter,
+            semijoin=None if isinstance(semijoin, str) else semijoin,
+            semijoin_decline=semijoin if isinstance(semijoin, str) else None,
         )
 
     def _plan_input(self, index: int, source: InputSource,
@@ -409,12 +488,13 @@ class Optimizer:
             chosen = SelectionIndexInput(
                 entry.index_path,
                 ranges,
-                residual=plan.formula,
+                residual=plan.residual,
                 tag=source.tag,
             )
             detail = (
                 f"B+Tree on {plan.field_name!r}, "
                 f"{len(ranges)} range(s) {plan.intervals}"
+                + ("; residual implied" if plan.exact else "")
             )
         return InputPlan(
             input_index=index,

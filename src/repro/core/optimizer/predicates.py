@@ -161,6 +161,27 @@ def _atom_interval(term, field_name: str,
     return builder(right.value)
 
 
+#: field types whose order keys order exactly as ``<``/``==`` do, with
+#: the one Python type their values have: a range of them admits just the
+#: values an interval atom admits.  Not DOUBLE: a NaN sorts inside a
+#: range that ``>=``/``<=`` reject.
+_EXACT_TYPES = {FieldType.INT: int, FieldType.LONG: int,
+                FieldType.STRING: str, FieldType.BYTES: bytes}
+
+
+def _exact_atom(term, field_name: str, ftype: FieldType) -> bool:
+    """Whether ``term`` holds exactly for the values of its interval: an
+    interval atom on the indexed field of an exact type, against a
+    constant of that type."""
+    if _atom_interval(term, field_name, ftype) is None \
+            or ftype not in _EXACT_TYPES:
+        return False
+    if isinstance(term, SNot):
+        term = term.operand
+    const = term.right if isinstance(term.right, SConst) else term.left
+    return type(const.value) is _EXACT_TYPES[ftype]
+
+
 def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
     """Union a set of intervals into disjoint, sorted intervals."""
     todo = [iv for iv in intervals if not iv.is_empty()]
@@ -190,8 +211,15 @@ class IndexableSelection:
     field_type: FieldType
     intervals: List[Interval]
     #: what a scan re-checks per record: the intervals imply only the
-    #: indexed field's share of it
+    #: indexed field's share of it ...
     formula: SelectionFormula
+    #: ... unless they imply all of it (:func:`_exact_atom`)
+    exact: bool = False
+
+    @property
+    def residual(self) -> Optional[SelectionFormula]:
+        """What a scan of :meth:`key_ranges` must still check per record."""
+        return None if self.exact else self.formula
 
     def key_ranges(self) -> List[KeyRange]:
         """Encode intervals as B+Tree scan ranges."""
@@ -240,6 +268,7 @@ def compile_selection(
             continue
         intervals: List[Interval] = []
         useful = False
+        exact = True
         satisfiable_disjuncts = 0
         for disjunct in formula.disjuncts:
             acc = Interval()
@@ -254,6 +283,8 @@ def compile_selection(
                 # This disjunct can never hold; it contributes no range.
                 continue
             satisfiable_disjuncts += 1
+            exact = exact and all(_exact_atom(term, candidate, ftype)
+                                  for term in disjunct.terms)
             if constrained and (acc.lo is not UNBOUNDED or acc.hi is not UNBOUNDED):
                 useful = True
             intervals.append(acc)
@@ -280,6 +311,7 @@ def compile_selection(
             field_type=ftype,
             intervals=merged,
             formula=formula,
+            exact=exact,
         )
         if best is None:
             best = plan

@@ -246,6 +246,8 @@ def analysis_fingerprint(analyzer: Any, conf: Any) -> Optional[Hashable]:
             ("safe", analyzer.safe_mode),
             ("sorted", conf.requires_sorted_output),
             ("reducer", fingerprint_spec(conf.reducer)),
+            # a combiner withdraws the semijoin proof
+            ("combiner", fingerprint_spec(conf.combiner)),
             ("params", fingerprint_value(conf.params)),
             tuple(inputs),
         )

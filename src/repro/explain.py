@@ -26,7 +26,11 @@ from repro.core.analyzer.descriptors import InputAnalysis
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
 from repro.core.manimal import Manimal
 from repro.core.optimizer.indexgen import synthesize_program
-from repro.core.optimizer.planner import describe_read
+from repro.core.optimizer.planner import (
+    describe_read,
+    describe_semijoin,
+    plan_semijoin,
+)
 from repro.mapreduce.formats import InputSource, RecordFileInput
 from repro.mapreduce.job import JobConf
 
@@ -146,6 +150,16 @@ def explain_job(
     else:
         for note in analysis.reduce_notes or ["(no reducer analysis)"]:
             lines.append(f"  [ ] {note}")
+    # the build side is chosen over the planned inputs (without a
+    # catalog: the submitted ones)
+    if descriptor is None:
+        semijoin = describe_semijoin(plan_semijoin(analysis, conf.inputs),
+                                     conf.inputs)
+    else:
+        semijoin = describe_semijoin(
+            descriptor.semijoin or descriptor.semijoin_decline,
+            descriptor.chosen_inputs())
+    lines.append(f"  semijoin: {semijoin}")
     lines.append("")
 
     lines.append("index-generation programs (admin may run these):")

@@ -46,7 +46,9 @@ class JobConf:
     #: optional pre-shuffle group filter ``f(key) -> bool``; map outputs
     #: whose key fails are deleted before partitioning.  Set by the
     #: optimizer when the Appendix E reduce-side analysis proves the
-    #: reducer cannot emit for such keys -- never set by users directly.
+    #: reducer cannot emit for such keys, or to a semijoin around that
+    #: filter (:mod:`repro.mapreduce.semijoin`) -- never set by users
+    #: directly.
     shuffle_filter: Optional[Callable[[Any], bool]] = None
     #: whether the user requires final output in sorted key order; relevant
     #: to direct-operation compression (paper footnote 1)

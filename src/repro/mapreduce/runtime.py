@@ -48,7 +48,7 @@ Cluster-scale parallelism is still *modeled* separately by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from operator import itemgetter, ne
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
@@ -59,6 +59,7 @@ from repro.mapreduce.counters import FRAMEWORK_GROUP, Counters
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.keyspace import pair_sizes, sort_order, stable_hashes
 from repro.mapreduce.metrics import JobMetrics
+from repro.mapreduce.semijoin import KeySet, Semijoin
 from repro.mapreduce.shuffle import decorated_chunks
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import Record, Schema
@@ -202,9 +203,11 @@ def _run_record_map_task(
 
 
 def _finish_map_task(
-    conf: JobConf, out: MapTaskResult, emitted: List[Tuple[Any, Any]]
+    conf: JobConf, out: MapTaskResult, emitted: List[Tuple[Any, Any]],
+    dropped: Optional[int] = None,
 ) -> None:
-    """The map task's output tail: size, combine, filter, partition.
+    """The map task's output tail: semijoin, size, combine, filter,
+    partition.
 
     Shared verbatim between the record path above and the vectorized
     batch executor (:mod:`repro.batch.executor`): however the ``emitted``
@@ -218,9 +221,20 @@ def _finish_map_task(
     the default partitioner routes the whole key column with one
     :func:`~repro.mapreduce.keyspace.stable_hashes` pass, where a user
     partitioner is called once per key.
+
+    A resolved semijoin (:class:`~repro.mapreduce.semijoin.KeySet`)
+    drops the pairs whose group cannot emit before anything is sized;
+    ``dropped`` says the batch path already did, and how many it
+    dropped.  They count as map output records, and as skipped.
     """
     metrics = out.metrics
-    metrics.map_output_records += len(emitted)
+    shuffle_filter = conf.shuffle_filter
+    if isinstance(shuffle_filter, KeySet):
+        if dropped is None:
+            emitted, dropped = shuffle_filter.drop(emitted)
+        shuffle_filter = shuffle_filter.inner
+    metrics.map_output_records += len(emitted) + (dropped or 0)
+    metrics.shuffle_records_skipped += dropped or 0
     pairs = emitted
     keys, values, (key_bytes, value_bytes) = _columns(pairs)
     metrics.map_output_bytes += key_bytes + value_bytes
@@ -229,10 +243,10 @@ def _finish_map_task(
         pairs = _run_combiner(conf, keys, values, out.counters)
         keys, values, (key_bytes, value_bytes) = _columns(pairs)
 
-    if conf.shuffle_filter is not None and pairs:
+    if shuffle_filter is not None and pairs:
         # Appendix E: delete map outputs whose group the reducer
         # provably ignores, before they cost shuffle/sort work.
-        kept = list(map(conf.shuffle_filter, keys))
+        kept = list(map(shuffle_filter, keys))
         if not all(kept):
             pairs = list(compress(pairs, kept))
             metrics.shuffle_records_skipped += len(kept) - len(pairs)
@@ -498,7 +512,10 @@ def run_job_group(
     together: per member, map deltas fold in task order, then reduce
     deltas and outputs in partition order -- the sequential accumulation
     order every runner is byte-identical to.  A solo job is the N = 1
-    case, not a separate path.
+    case, not a separate path.  Between enumerating the splits and
+    dispatching, it resolves each member's
+    :class:`~repro.mapreduce.semijoin.Semijoin` into the build side's key
+    set, so no dispatcher needs a barrier inside the job.
     """
     start = time.perf_counter()
     results = [
@@ -507,12 +524,32 @@ def run_job_group(
         for conf in confs
     ]
     tasks: List[MapTask] = []
+    splits = []
     for index, source in enumerate(confs[0].inputs):
         for conf, result in zip(confs, results):
             _account_partitions(conf.inputs[index], result.metrics)
         tags = [conf.inputs[index].tag for conf in confs]
-        for split in source.splits(splits_per_input):
-            tasks.append((tags, split))
+        splits.append(source.splits(splits_per_input))
+        tasks.extend((tags, split) for split in splits[-1])
+
+    # A semijoin's key set: its build side's keys, from a key-only pass
+    # over the splits just enumerated, charged to the job.  It rides the
+    # conf, so every dispatcher filters with the same set.
+    confs = list(confs)
+    for member, conf in enumerate(confs):
+        semijoin = conf.shuffle_filter
+        if not isinstance(semijoin, Semijoin) or conf.combiner is not None:
+            continue
+        from repro.batch.executor import scan_keys
+
+        scanned = scan_keys(semijoin.spec, splits[semijoin.build])
+        if scanned is not None:
+            members, stored_bytes, fields = scanned
+            metrics = results[member].metrics
+            metrics.map_input_stored_bytes += stored_bytes
+            metrics.fields_deserialized += fields
+            confs[member] = replace(
+                conf, shuffle_filter=semijoin.resolve(members))
 
     map_deltas, reduced = dispatch(confs, tasks)
     for deltas in map_deltas:

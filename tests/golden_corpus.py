@@ -6,8 +6,9 @@ UDF chains), the callables of ``test_explain.py`` and the admitted UDF
 shapes of ``test_udf_translation.py`` -- and records, per query, every
 text the expression algebra feeds: synthesized stage-mapper source,
 kernel source, ``explain()`` output, selection hints and the remote op
-JSON -- plus, for two classic jobs (:data:`CLASSIC_JOBS`), the kernel
-the analyzer's emit spec compiles to and their ``explain_job`` text,
+JSON -- plus, for two classic jobs (:data:`CLASSIC_JOBS`) and B3 over
+its built indexes, the kernel the analyzer's emit spec compiles to and
+their ``explain_job`` text,
 the compiled block scanner's source for two batch scan
 shapes (:data:`SCAN_SHAPES`) and two record-path ones
 (:data:`SPLIT_SHAPES`), and the compiled block encoder's source for the
@@ -161,6 +162,28 @@ def _classic_texts(path, root):
     return out
 
 
+def _b3_texts(root):
+    """B3's shape over its built indexes: the uservisits side's kernel,
+    and the explain text that names the semijoin and the residual the
+    selection index's range implies."""
+    from repro.core.manimal import Manimal
+    from repro.workloads.pavlo import benchmark3 as b3
+
+    rankings = os.path.join(root, "rankings.rf")
+    uservisits = os.path.join(root, "uservisits.rf")
+    b3.generate_inputs(rankings, uservisits, 60, 400, n_urls=40)
+    conf = b3.make_join_job(rankings, uservisits,
+                            *b3.date_window_for_selectivity(0.05),
+                            name="b3-shaped")
+    catalog = os.path.join(root, "b3-catalog")
+    Manimal(catalog).build_indexes(conf)
+    spec = ManimalAnalyzer().analyze_job(conf).inputs[1].batch_spec
+    kernel = compile_predicates(spec.predicates, spec.kernel_exprs())
+    return {"kernel": kernel.source,
+            "explain": explain_job(conf, catalog_dir=catalog)
+            .replace(root, "<ROOT>")}
+
+
 def _encoder_sources(root):
     sources = {"bare": block_encoder(
         (None, wire_kinds(SCAN_VALUES))).source}
@@ -281,6 +304,7 @@ def snapshot(root):
         classic = explain_job(test_explain._job(
             pages_path, test_explain.FilterMapper())).replace(root, "<ROOT>")
         classic_jobs = _classic_texts(pages_path, root)
+        classic_jobs["b3-shaped"] = _b3_texts(root)
 
     # -- remote op JSON for seeded predicates, and the frozen wire list
     rng = random.Random(0x0F11)

@@ -30,7 +30,6 @@ fresh-literal query compiles nothing) and the never-silently-accept rule.
 import json
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -784,8 +783,8 @@ class TestScannerCache:
         solo = build_scan_plan(KEYS, VALUES, self.AGG)
         path = _write(tmp_path / "f.rf", random.Random(3))
         with RecordFileReader(path) as reader:
-            # the pass's plan for a group of one member (only .plan is read)
-            union = _union_plan(reader, [SimpleNamespace(plan=solo)], None)
+            # the pass's plan for a group of one member's plan
+            union = _union_plan(reader, [solo], None)
         assert union is not solo
         assert _code(union.scanner) is _code(solo.scanner)
         # INT and LONG are the same bytes, so the same shape

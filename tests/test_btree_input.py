@@ -23,7 +23,9 @@ import random
 import pytest
 
 from repro import JobConf, Manimal, Mapper, RecordFileInput, run_job
+from repro.core.analyzer.analyzer import ManimalAnalyzer
 from repro.core.optimizer import catalog as cat
+from repro.core.optimizer.predicates import compile_selection
 from repro.mapreduce.formats import KeyRange, SelectionIndexInput
 from repro.mapreduce.keyspace import estimate_size
 from repro.storage import varint
@@ -417,8 +419,27 @@ class ResidualMapper(Mapper):
             ctx.emit(value.s, value.i)
 
 
+class ExactMapper(Mapper):
+    """``40 < i <= 90`` is all interval atoms on ``i``: the range implies
+    it, so the plan keeps no residual."""
+
+    def map(self, key, value, ctx):
+        if value.i > 40 and value.i <= 90:
+            ctx.emit(value.s, value.i)
+
+
+#: (mapper, whether its plan's range implies the formula, the formula)
+PLANS = {
+    "residual": (ResidualMapper, False,
+                 lambda value, text: value > 40 and text != "x"),
+    "exact": (ExactMapper, True, lambda value, text: 40 < value <= 90),
+}
+
+
 class TestBatchAndRecordPathsOverIndexSplits:
-    def test_same_rows_counters_and_skips(self, tmp_path):
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_same_rows_counters_and_skips(self, tmp_path, plan):
+        mapper, exact, keeps = PLANS[plan]
         rng = random.Random(7)
         path = str(tmp_path / "rows.rf")
         rows = [(i, rng.randrange(100), rng.choice("xyz"))
@@ -427,13 +448,15 @@ class TestBatchAndRecordPathsOverIndexSplits:
             for i, value, text in rows:
                 writer.append(KEY.make(i, "k"),
                               SOURCE.make(value, text, "p" * 30))
-        job = JobConf(name="residual", mapper=ResidualMapper, reducer=None,
+        job = JobConf(name=plan, mapper=mapper, reducer=None,
                       inputs=[RecordFileInput(path)])
         system = Manimal(str(tmp_path / "cat"))
         system.build_indexes(job, allowed_kinds=[cat.KIND_SELECTION])
         descriptor = system.plan(job)
         source = descriptor.plans[0].chosen
         assert isinstance(source, SelectionIndexInput)
+        assert (source.residual is None) == exact
+        assert ("residual implied" in descriptor.describe()) == exact
         # the range's low edge falls inside a block: that block holds
         # rows on both sides of it
         [run] = [split.payload.blocks for split in source.splits(1)]
@@ -451,13 +474,40 @@ class TestBatchAndRecordPathsOverIndexSplits:
         assert record_result.metrics.batch_map_tasks == 0
         assert batch_result.outputs == record_result.outputs
         assert sorted(batch_result.outputs) == sorted(run_job(job).outputs)
-        in_range = [text for _i, value, text in rows if value > 40]
+        in_range = [(value, text) for _i, value, text in rows
+                    if value > 40 and (not exact or value <= 90)]
+        kept = [row for row in in_range if keeps(*row)]
+        assert (len(kept) < len(in_range)) != exact
         for result in (batch_result, record_result):
             metrics = result.metrics
-            assert metrics.map_input_records == sum(
-                text != "x" for text in in_range)
-            assert metrics.records_skipped == in_range.count("x") > 0
+            assert metrics.map_input_records == len(kept)
+            assert metrics.records_skipped == len(in_range) - len(kept)
             assert metrics.map_output_records == metrics.map_input_records
+
+
+class _Between(Mapper):
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    def map(self, key, value, ctx):
+        if value.f >= self.lo and value.f <= self.hi:
+            ctx.emit(value.f, 1)
+
+
+@pytest.mark.parametrize("ftype, lo, hi, exact", [
+    (FieldType.INT, 3, 9, True),
+    (FieldType.LONG, -5, 5, True),
+    (FieldType.STRING, "b", "m", True),
+    # a NaN sorts inside a range that >= and <= reject
+    (FieldType.DOUBLE, 0.5, 2.5, False),
+])
+def test_a_range_implies_only_exact_interval_atoms(ftype, lo, hi, exact):
+    schema = Schema("Between", [Field("f", ftype)])
+    ia = ManimalAnalyzer().analyze_mapper(_Between(lo, hi), None, schema)
+    plan = compile_selection(ia.selection.formula, schema, "f")
+    assert plan.exact == exact
+    assert (plan.residual is None) == exact
 
 
 MEASURED = Schema("MeasuredRows", [

@@ -9,8 +9,9 @@ optimizer attaches a record-path read shape, the per-field reference
 encode is named only by serialization and the compiled encoder's
 decline path, the retired B+Tree index path stays retired,
 pipelines keep one stage order, only the code generator compiles,
-executes and registers generated source, and only the optimizer
-attaches batch specs -- checked, not claimed.
+executes and registers generated source, only the optimizer
+attaches batch specs, and only the optimizer attaches a semijoin and
+only the job driver computes its key set -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -525,3 +526,33 @@ def test_checker_sees_a_batch_spec_attached_outside_its_homes(tmp_path):
         os.path.join("api", "session.py") + ":3: stores a batch spec",
         os.path.join("mapreduce", "runtime.py") + ":3: stores a batch spec",
         os.path.join("mapreduce", "runtime.py") + ":4: replaces batch_specs"]
+
+
+def test_checker_sees_a_semijoin_or_key_set_built_outside_its_homes(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("core/optimizer", "planner", "def plan(spec):\n"
+                                      "    return Semijoin(1, spec)\n"),
+        ("api", "session", "def lower(spec):\n"
+                           "    return semijoin.Semijoin(0, spec)\n"),
+        ("mapreduce", "semijoin", "def resolve(members):\n"
+                                  "    return KeySet(members)\n"),
+        ("batch", "executor", "def finish(conf, members, spec, splits):\n"
+                              "    conf.shuffle_filter = KeySet(members)\n"
+                              "    return scan_keys(spec, splits)\n"),
+        ("mapreduce", "runtime", "def run_job_group(spec, splits):\n"
+                                 "    return scan_keys(spec, splits)\n"
+                                 "def run_tasks_in_process(spec, splits):\n"
+                                 "    return executor.scan_keys(spec, "
+                                 "splits)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.semijoin_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "session.py") + ":2: builds a semijoin",
+        os.path.join("batch", "executor.py") + ":2: builds a key set",
+        os.path.join("batch", "executor.py") + ":3: runs a key pass",
+        os.path.join("mapreduce", "runtime.py") + ":4: runs a key pass"]

@@ -19,6 +19,7 @@ import os
 import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,7 @@ from repro.core.manimal import Manimal
 from repro.core.optimizer import catalog as cat
 from repro.engine import ExecutionEngine
 from repro.explain import explain_job
-from repro.mapreduce import JobConf, Mapper, RecordFileInput, Reducer
+from repro.mapreduce import JobConf, Mapper, RecordFileInput, Reducer, run_job
 from repro.service import QueryServer, deserialize_rows
 from repro.service.protocol import decode_bytes
 from repro.storage import input_identity, varint
@@ -128,6 +129,47 @@ CLASSIC_KINDS = (
 )
 
 
+#: the dimension a page's topic joins: some topics the pages never carry
+TOPIC = Schema("Topic", [
+    Field("topic", FieldType.STRING),
+    Field("weight", FieldType.INT),
+])
+
+
+class ByTopicMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.emit(value.topic, value)
+
+
+class TopicJoinReducer(Reducer):
+    """A reduce-side join of pages with their topic's weights: it runs as
+    a semijoin, the small topics file the build side."""
+
+    def reduce(self, key, values, ctx):
+        weights = []
+        ranks = []
+        for value in values:
+            if value.schema.name == "Topic":
+                weights.append(value.weight)
+            else:
+                ranks.append(value.rank)
+        for weight in weights:
+            for rank in ranks:
+                ctx.emit(key, rank * weight)
+
+
+def topic_join_job(pages_path, topics_path):
+    return JobConf(
+        name="topic-join", mapper=ByTopicMapper, reducer=TopicJoinReducer,
+        inputs=[RecordFileInput(pages_path, tag="pages"),
+                RecordFileInput(topics_path, tag="topics")])
+
+
+def oracle_topic_join(rows, topics):
+    return Counter((topic, rank * weight) for _url, rank, topic in rows
+                   for name, weight in topics if name == topic)
+
+
 def fluent_filter(session, path, threshold):
     return (session.read(path).filter(col("rank") > threshold)
             .select("url", "rank"))
@@ -183,6 +225,8 @@ class Lifecycle:
         self.unused_counts = {
             name: rng.sample(range(20, 60), 40) for name in FILES
         }
+        # fewer rows than any page file: the topics are the build side
+        self.topic_counts = rng.sample(range(1, 20), 19)
         self.session = None
         self.reopen()
         for name in FILES:
@@ -296,9 +340,32 @@ class Lifecycle:
         assert pickle.dumps(after.result.outputs) == \
             pickle.dumps(before.result.outputs)
 
+    def op_semijoin(self):
+        """A join whose build side is rewritten between two submits: the
+        second submit's key pass reads the new bytes, and its output is
+        the plain join's, byte for byte."""
+        name = self.rng.choice(FILES)
+        job = topic_join_job(self.path(name), self.path("topics.rf"))
+        for _ in range(2):
+            rng = self.rng
+            topics = [(f"topic{rng.randrange(6)}", rng.randrange(1, 5))
+                      for _ in range(self.topic_counts.pop())]
+            with RecordFileWriter(self.path("topics.rf"), LONG_SCHEMA,
+                                  TOPIC) as writer:
+                for i, row in enumerate(topics):
+                    writer.append(LONG_SCHEMA.make(i), TOPIC.make(*row))
+            outcome = self.system.submit(job)
+            self.check_plans([outcome.descriptor])
+            assert outcome.descriptor.semijoin.build == 1
+            assert Counter(outcome.result.outputs) == \
+                oracle_topic_join(self.rows[name], topics)
+            plain = replace(outcome.descriptor, semijoin=None).apply(job)
+            assert pickle.dumps(outcome.result.outputs) == \
+                pickle.dumps(run_job(plain).outputs)
+
     OPS = (op_rewrite, op_build, op_remove, op_reopen, op_submit, op_fluent,
-           op_old_index)
-    WEIGHTS = (4, 4, 1, 1, 5, 5, 1)
+           op_old_index, op_semijoin)
+    WEIGHTS = (4, 4, 1, 1, 5, 5, 1, 1)
 
     # -- invariants ---------------------------------------------------------
 
@@ -349,7 +416,8 @@ def test_every_read_equals_the_oracle(tmp_path, seed):
     # The harness only proves something while it keeps reaching the
     # interesting states; seeded, so these hold or fail deterministically.
     for counter in ("op_rewrite", "op_build", "op_remove", "op_reopen",
-                    "op_submit", "op_fluent", "op_old_index", "evicted",
+                    "op_submit", "op_fluent", "op_old_index", "op_semijoin",
+                    "evicted",
                     "index_used", "stale_skipped", "old_index_replaced"):
         assert coverage[counter] > 0, (counter, dict(coverage))
 

@@ -145,6 +145,16 @@
     it -- a second attachment is a second opinion on which stages the
     batch executor may serve.
 
+17. One semijoin.  A job runs as a semijoin only on the analyzer's
+    proof, through the optimizer's plan, with the key set its own driver
+    computed.  So outside ``repro/core/optimizer/``
+    (:data:`SEMIJOIN_HOMES`) nothing under ``src/repro`` constructs a
+    :data:`SEMIJOIN` description; outside ``repro/mapreduce/semijoin.py``
+    nothing constructs a resolved :data:`KEY_SET`; and the key pass
+    (:data:`KEY_PASS`) is called only in ``runtime.run_job_group``
+    (:data:`KEY_PASS_CALLER`) -- a second caller is a second key set
+    that can disagree with the splits the job runs.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -286,6 +296,17 @@ COMPILE_EXEMPT = {
 SPEC_ATTR = "batch_specs"
 SPEC_HOMES = (os.path.join("repro", "core", "optimizer"),)
 SPEC_STORES = frozenset({"setdefault", "update", "__setitem__"})
+
+
+#: rule 17: the semijoin description and where it is built, its resolved
+#: key set and where that is built, and the key pass with its one caller
+SEMIJOIN = "Semijoin"
+SEMIJOIN_HOMES = (os.path.join("repro", "core", "optimizer"),)
+KEY_SET = "KeySet"
+KEY_SET_HOME = os.path.join("repro", "mapreduce", "semijoin.py")
+KEY_PASS = "scan_keys"
+KEY_PASS_CALLER = (os.path.join("repro", "mapreduce", "runtime.py"),
+                   "run_job_group")
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -748,6 +769,36 @@ def spec_attachment_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def semijoin_violations(src: str = SRC) -> List[str]:
+    """Every construction of a :data:`SEMIJOIN` outside
+    :data:`SEMIJOIN_HOMES` or of a :data:`KEY_SET` outside
+    :data:`KEY_SET_HOME`, and every call of :data:`KEY_PASS` outside
+    :data:`KEY_PASS_CALLER`, under ``src/repro`` (rule 17)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name == SEMIJOIN and not any(
+                    module.startswith(home + os.sep)
+                    for home in SEMIJOIN_HOMES):
+                found.append((rel, node.lineno, "builds a semijoin "
+                              "(only repro.core.optimizer attaches one)"))
+            elif name == KEY_SET and module != KEY_SET_HOME:
+                found.append((rel, node.lineno, "builds a key set (only "
+                              "Semijoin.resolve does)"))
+            elif name == KEY_PASS and (module, scope) != KEY_PASS_CALLER:
+                found.append((rel, node.lineno, "runs a key pass (only "
+                              "runtime.run_job_group computes a key set)"))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
@@ -756,10 +807,10 @@ def main() -> int:
     shape, reference = read_shape_violations(), reference_encode_violations()
     index, order = index_format_violations(), stage_order_violations()
     copies, generated = copy_layout_violations(), codegen_violations()
-    specs = spec_attachment_violations()
+    specs, semijoins = spec_attachment_violations(), semijoin_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
                  + loop + shape + reference + index + order + copies
-                 + generated + specs):
+                 + generated + specs + semijoins):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -800,9 +851,12 @@ def main() -> int:
     if specs:
         print(f"\n{len(specs)} batch spec(s) attached outside "
               f"{' and '.join(SPEC_HOMES)}")
+    if semijoins:
+        print(f"\n{len(semijoins)} semijoin(s) or key set(s) built outside "
+              f"their homes")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
             or loop or shape or reference or index or order or copies
-            or generated or specs):
+            or generated or specs or semijoins):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -832,7 +886,9 @@ def main() -> int:
           + f"; only {CODEGEN} imports linecache or calls exec or compile "
           + "(and " + ", ".join(scope for _module, scope in COMPILE_EXEMPT)
           + " its verification compile)"
-          + "; only " + " and ".join(SPEC_HOMES) + " attaches batch specs")
+          + "; only " + " and ".join(SPEC_HOMES) + " attaches batch specs"
+          + "; only " + " and ".join(SEMIJOIN_HOMES) + " attaches a "
+          + f"semijoin and only {KEY_PASS_CALLER[1]} computes its key set")
     return 0
 
 
