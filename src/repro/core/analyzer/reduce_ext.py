@@ -460,9 +460,12 @@ def _test_value(node: ast.expr, v: str, name: str) -> Any:
             and node.value.value.id == v):
         return name
     if isinstance(node, ast.BoolOp):
+        # Python's value, not a bool: ``and`` gives the first falsy
+        # operand, ``or`` the first truthy one, else the last
         operands = [_test_value(item, v, name) for item in node.values]
-        return all(operands) if isinstance(node.op, ast.And) \
-            else any(operands)
+        stops = isinstance(node.op, ast.Or)
+        return next((operand for operand in operands
+                     if bool(operand) is stops), operands[-1])
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         return not _test_value(node.operand, v, name)
     if isinstance(node, ast.Compare) and len(node.ops) == 1 \

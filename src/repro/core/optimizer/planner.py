@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.batch.executor import RECORD_BLOCK_INPUTS
 from repro.batch.spec import COLUMN, part_source
 from repro.core.analyzer.descriptors import InputAnalysis, JobAnalysis
 from repro.core.optimizer import catalog as cat
@@ -184,10 +185,11 @@ def describe_semijoin(verdict: Union[Semijoin, str],
 
 def _planned_rows(source: InputSource) -> Optional[int]:
     """How many rows the planned splits of ``source`` hold, read from
-    its block directories (``None``: unknown)."""
-    if isinstance(source, InMemoryInput):
-        return len(source.pairs)
-    if not isinstance(source, (BlockFileInput, PartitionedInput)):
+    its block directories (``None``: not an input the key pass reads --
+    only the batch path's block inputs and the planner's empty range)."""
+    if type(source) is InMemoryInput and not source.pairs:
+        return 0
+    if type(source) not in RECORD_BLOCK_INPUTS:
         return None
     total = 0
     try:
@@ -217,7 +219,7 @@ def plan_semijoin(analysis: JobAnalysis, sources: Sequence[InputSource]
     rows = {index: _planned_rows(sources[index]) for index in required}
     sized = [index for index in required if rows[index] is not None]
     if not sized:
-        return "no required input has a block directory"
+        return "no required input is a block scan the key pass reads"
     build = min(sized, key=rows.__getitem__)
     label = _input_label(build, sources[build])
     spec = analysis.inputs[build].batch_spec

@@ -166,7 +166,7 @@ def _atom_interval(term, field_name: str,
 #: values an interval atom admits.  Not DOUBLE: a NaN sorts inside a
 #: range that ``>=``/``<=`` reject.
 _EXACT_TYPES = {FieldType.INT: int, FieldType.LONG: int,
-                FieldType.STRING: str, FieldType.BYTES: bytes}
+                FieldType.STRING: str}
 
 
 def _exact_atom(term, field_name: str, ftype: FieldType) -> bool:

@@ -538,18 +538,20 @@ def run_job_group(
     confs = list(confs)
     for member, conf in enumerate(confs):
         semijoin = conf.shuffle_filter
-        if not isinstance(semijoin, Semijoin) or conf.combiner is not None:
+        if not isinstance(semijoin, Semijoin):
             continue
         from repro.batch.executor import scan_keys
 
         scanned = scan_keys(semijoin.spec, splits[semijoin.build])
-        if scanned is not None:
-            members, stored_bytes, fields = scanned
-            metrics = results[member].metrics
-            metrics.map_input_stored_bytes += stored_bytes
-            metrics.fields_deserialized += fields
-            confs[member] = replace(
-                conf, shuffle_filter=semijoin.resolve(members))
+        if scanned is None:  # the job runs unfiltered
+            confs[member] = replace(conf, shuffle_filter=semijoin.inner)
+            continue
+        members, stored_bytes, fields = scanned
+        metrics = results[member].metrics
+        metrics.map_input_stored_bytes += stored_bytes
+        metrics.fields_deserialized += fields
+        confs[member] = replace(
+            conf, shuffle_filter=semijoin.resolve(members))
 
     map_deltas, reduced = dispatch(confs, tasks)
     for deltas in map_deltas:

@@ -40,8 +40,8 @@ _KEY = itemgetter(0)
 
 class Semijoin:
     """A semijoin not yet resolved: input ``build``'s keys (emitted by its
-    batch ``spec``) filter every other input's pairs.  Until the driver
-    resolves it, it filters as ``inner`` alone."""
+    batch ``spec``) filter every other input's pairs.  The driver
+    resolves it, or runs the job with ``inner`` alone."""
 
     __slots__ = ("build", "spec", "inner")
 
@@ -50,9 +50,6 @@ class Semijoin:
         self.build = build
         self.spec = spec
         self.inner = inner
-
-    def __call__(self, key: Any) -> bool:
-        return self.inner is None or self.inner(key)
 
     def resolve(self, members: FrozenSet[Tuple]) -> "KeySet":
         return KeySet(members, self.inner)

@@ -31,6 +31,7 @@ from repro.mapreduce import (
     LocalJobRunner,
     Mapper,
     ParallelJobRunner,
+    ProjectedFileInput,
     RecordFileInput,
     Reducer,
     run_job,
@@ -151,6 +152,22 @@ class StarJoin(Reducer):
                 ctx.emit(x, (n, payload))
 
 
+class OrOperandSemijoin(Reducer):
+    """An ``or`` as a comparison operand: Python gives the operand, so
+    ``(name or "")`` is the name and only ``A`` is required."""
+
+    def reduce(self, key, values, ctx):
+        a = []
+        others = []
+        for value in values:
+            if (value.schema.name or "") == "A":
+                a.append(value.n)
+            else:
+                others.append(value)
+        for n in a:
+            ctx.emit(key, n)
+
+
 def _job(name, reducer, paths, mappers):
     tags = [f"t{i}" for i in range(len(paths))]
     return JobConf(
@@ -196,6 +213,15 @@ def _cases(tmp_path, seed):
                _rows(rng, FieldType.INT, 30, keys=[2, 3, 5]))
     cases.append((_job("star-mixed", StarJoin, [c, a, b],
                        [ForwardMapper, FloorMapper(4), ForwardMapper]), 1))
+    # the only required input is the larger one: a proof that takes
+    # ``or`` for a bool would require both and build on the smaller
+    small = _write(tmp_path / "b-small.rf", _schema("B", FieldType.STRING),
+                   _rows(rng, FieldType.STRING, 15))
+    large = _write(tmp_path / "a-large.rf", _schema("A", FieldType.STRING),
+                   _rows(rng, FieldType.STRING, 60, keys=KEYS[
+                       FieldType.STRING] + ["x", "y"]))
+    cases.append((_job("or-operand", OrOperandSemijoin, [small, large],
+                       [ForwardMapper, FloorMapper(3)]), 1))
     # an empty build side: every probe pair goes
     empty = _write(tmp_path / "a-empty.rf", _schema("A", FieldType.STRING), [])
     probe = _write(tmp_path / "b-probe.rf", _schema("B", FieldType.STRING),
@@ -274,6 +300,55 @@ def test_in_process_pooled_and_forked_runs_are_byte_identical(tmp_path):
             assert signatures[2] == signatures[0], conf.name
     finally:
         engine.shutdown()
+
+
+def test_the_build_side_is_an_input_the_key_pass_reads(tmp_path):
+    """A smaller user-written row-major input is not the build side: the
+    key pass could not read it, so the explain would name a filter that
+    never runs."""
+    rng = random.Random(5)
+    a = _write(tmp_path / "a.rf", _schema("A", FieldType.INT),
+               _rows(rng, FieldType.INT, 20))
+    b = _write(tmp_path / "b.rf", _schema("B", FieldType.INT),
+               _rows(rng, FieldType.INT, 40))
+    c = _write(tmp_path / "c.rf", _schema("C", FieldType.INT),
+               _rows(rng, FieldType.INT, 90))
+    conf = JobConf(
+        name="projected-a", mapper=ForwardMapper, reducer=TripleJoin,
+        inputs=[ProjectedFileInput(a, tag="t0"), RecordFileInput(b, tag="t1"),
+                RecordFileInput(c, tag="t2")],
+        per_input_mappers={"t0": FloorMapper(2), "t1": ForwardMapper,
+                           "t2": ForwardMapper}, num_reducers=3)
+    outcome = Manimal(str(tmp_path / "catalog")).submit(conf)
+    assert outcome.descriptor.semijoin.build == 1
+    assert "semijoin: keys of input[1] 't1' filter input[0] 't0', " \
+        "input[2] 't2'" in explain_job(conf)
+    plain = run_job(_stripped(outcome.descriptor, conf))
+    assert outcome.result.metrics.shuffle_records_skipped > 0
+    assert _signature(outcome.result, SEMIJOIN_METRICS) == \
+        _signature(plain, SEMIJOIN_METRICS)
+    # the row-major input alone required: nothing the key pass reads
+    star = dataclasses.replace(conf, name="projected-star", reducer=StarJoin)
+    outcome = Manimal(str(tmp_path / "catalog")).submit(star)
+    assert outcome.descriptor.semijoin is None
+    assert outcome.descriptor.semijoin_decline == \
+        "no required input is a block scan the key pass reads"
+
+
+def test_a_declined_key_pass_runs_the_plain_join(tmp_path, monkeypatch):
+    """When the key pass cannot serve the build side, the job runs with
+    its Appendix E filter alone: the plain join's bytes and metrics."""
+    import repro.batch.executor as executor
+
+    system = Manimal(str(tmp_path / "catalog"))
+    conf, _build = _cases(tmp_path, 3)[0]
+    descriptor = system.plan(conf)
+    assert descriptor.semijoin is not None
+    plain = run_job(_stripped(descriptor, conf))
+    monkeypatch.setattr(executor, "scan_keys", lambda spec, splits: None)
+    result = run_job(descriptor.apply(conf))
+    assert result.metrics.shuffle_records_skipped == 0
+    assert _signature(result) == _signature(plain)
 
 
 def test_the_key_set_is_the_shuffles_group_equality():
