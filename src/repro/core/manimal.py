@@ -163,6 +163,10 @@ class Manimal:
     ) -> List[IndexEntry]:
         """Run the synthesized index-generation programs (admin action).
 
+        Each program runs in this process, whatever runner executes
+        jobs: one scan of the source into a columnar copy, whose rows a
+        selection index sorts on its field before writing them.
+
         Programs whose output already exists in the catalog (same source
         bytes, kind and parameters) are skipped -- re-running an index
         build is wasted work, like re-creating an existing RDBMS index.
@@ -178,7 +182,7 @@ class Manimal:
             while program is not None:
                 try:
                     built.append(self._find_equivalent(program)
-                                 or program.run(self.catalog, self.runner))
+                                 or program.run(self.catalog))
                     break
                 except IndexDeclined as exc:
                     self.catalog.decline(program, str(exc))

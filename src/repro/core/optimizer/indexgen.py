@@ -6,15 +6,14 @@ and when executed generates an indexed version of the submitted job's
 input data" (paper Section 2.2).  Whether to *run* it is the
 administrator's decision, like creating an index in an RDBMS.
 
-This module synthesizes those programs from analysis results.  The
-selection index builder really is a MapReduce job on the execution fabric
-(its shuffle provides the global sort a sorted copy needs); the
-rewrite-style builders (projection / delta / dictionary) are map-only
-record transformations implemented as streaming passes, which is exactly
-what a map-only Hadoop job with a custom output format would do.  Every
-kind writes one layout, a columnar file (:mod:`repro.storage.columnar`):
-projection keeps fewer columns, delta and dictionary are the codecs of
-theirs, and a selection index is the copy sorted on one field.
+This module synthesizes those programs from analysis results.  Every
+kind runs as one copy of the source into one layout, a columnar file
+(:mod:`repro.storage.columnar`), through
+:func:`~repro.storage.columnar.copy_columns`: projection keeps fewer
+columns, delta and dictionary are the codecs of theirs, and a selection
+index is the copy sorted on one field -- the scanned rows ordered by a
+stable sort on that field's order key, the global sort a Hadoop build
+would get from its shuffle.
 
 Per the paper, "the current analyzer always chooses the index program that
 exploits as many optimizations as possible", with the one conflict rule
@@ -25,51 +24,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.analyzer.descriptors import InputAnalysis
 from repro.core.optimizer import catalog as cat
 from repro.core.optimizer.catalog import Catalog, IndexEntry
 from repro.core.optimizer.predicates import compile_selection
-from repro.exceptions import BTreeError, JobExecutionError, OptimizerError
-from repro.mapreduce.api import Context, FunctionReducer, Mapper
-from repro.mapreduce.formats import RecordFileInput
-from repro.mapreduce.job import JobConf
-from repro.mapreduce.runtime import LocalJobRunner
+from repro.exceptions import BTreeError, OptimizerError
 from repro.storage import input_identity
-from repro.storage.columnar import INDEX_BLOCK_SIZE, ColumnarFileWriter, copy_columns
+from repro.storage.columnar import ColumnarFileWriter, copy_columns
 from repro.storage.columnfile import META_BASE_SCHEMA, META_KEPT_FIELDS
-from repro.storage.orderkeys import encode_key
 from repro.storage.recordfile import RecordFileReader
-
-
-#: Rows the selection-index reducer hands the writer per append: one
-#: append per order key costs a call per distinct key, and a larger
-#: buffer coexists with the job's shuffle data in memory.
-SORTED_APPEND_ROWS = 512
 
 
 class IndexDeclined(OptimizerError):
     """A selection index whose field holds a value with no index order
     (a NaN): the build is skipped, not failed."""
-
-
-class _IndexEmitMapper(Mapper):
-    """Map side of the selection-index job: emit (order key, the pair as
-    one row of field values -- the key's, then the stored value's)."""
-
-    def __init__(self, field_name: str, field_type,
-                 kept: Optional[List[str]] = None):
-        self.field_name = field_name
-        self.field_type = field_type
-        #: the value fields stored, in order (a selection+projection index)
-        self.kept = kept
-
-    def map(self, key: Any, value: Any, ctx: Context) -> None:
-        stored = value.as_tuple() if self.kept is None else tuple(
-            getattr(value, name) for name in self.kept)
-        ctx.emit(encode_key(self.field_type, getattr(value, self.field_name)),
-                 key.as_tuple() + stored)
 
 
 @dataclass
@@ -105,8 +75,7 @@ class IndexGenerationProgram:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, catalog: Catalog,
-            runner: Optional[LocalJobRunner] = None) -> IndexEntry:
+    def run(self, catalog: Catalog) -> IndexEntry:
         """Build the index and register it in the catalog.
 
         The entry is stamped with the source's identity as it was
@@ -117,16 +86,11 @@ class IndexGenerationProgram:
         nothing, so the catalog's registry and its directory still agree.
         """
         stamp = input_identity(self.source_path)
-        selection = self.kind in (cat.KIND_SELECTION,
-                                  cat.KIND_SELECTION_PROJECTION)
-        if not selection and self.kind not in cat.COPY_KINDS:
+        if self.kind not in cat.ALL_KINDS:
             raise OptimizerError(f"unknown index kind {self.kind!r}")
         index_path = catalog.next_index_path(self.kind) + cat.COLUMNAR_SUFFIX
         try:
-            if selection:
-                entry = self._build_selection(catalog, runner, index_path)
-            else:
-                entry = self._build_rewrite(catalog, index_path)
+            entry = self._build(catalog, index_path)
             if input_identity(self.source_path) != stamp:
                 raise OptimizerError(
                     f"source changed during index build: {self.source_path}"
@@ -139,110 +103,40 @@ class IndexGenerationProgram:
         catalog.register(entry)
         return entry
 
-    def _build_selection(self, catalog: Catalog,
-                         runner: Optional[LocalJobRunner],
-                         index_path: str) -> IndexEntry:
-        # The selection builder's reducer appends to a writer this process
-        # holds, so this infrastructure job must not fan out to worker
-        # processes.  Only a multi-process runner is downgraded; any other
-        # caller-supplied runner (instrumented wrappers etc.) is honored.
-        from repro.mapreduce.parallel import ParallelJobRunner
-
-        if runner is None or isinstance(runner, ParallelJobRunner):
-            runner = LocalJobRunner()
-        if not self.key_field:
-            raise OptimizerError("selection index needs a key_field")
-        with RecordFileReader(self.source_path) as reader:
-            key_schema = reader.key_schema
-            value_schema = reader.value_schema
-            source_bytes = reader.file_size()
-            source_records = reader.count_records()
-        if self.kind == cat.KIND_SELECTION_PROJECTION:
-            if not self.value_fields:
-                raise OptimizerError(
-                    "selection+projection index needs value_fields"
-                )
-            keep = list(self.value_fields)
-            if self.key_field not in keep:
-                # The indexed field must survive projection: the residual
-                # predicate may re-check it.
-                keep.append(self.key_field)
-            stored_schema = value_schema.project(keep)
-        else:
-            stored_schema = value_schema
-        metadata = {
-            "source_path": os.path.abspath(self.source_path),
-            "source_records": source_records,
-        }
-        with ColumnarFileWriter(index_path, key_schema, stored_schema,
-                                {self.key_field: "sorted"}, INDEX_BLOCK_SIZE,
-                                metadata) as writer:
-            pending: List[Tuple[Any, ...]] = []
-
-            def flush() -> None:
-                writer.append_columns(list(map(list, zip(*pending))),
-                                      len(pending))
-                pending.clear()
-
-            def reduce(key: bytes, rows: List[Tuple[Any, ...]],
-                       ctx: Any) -> None:
-                pending.extend(rows)
-                if len(pending) >= SORTED_APPEND_ROWS:
-                    flush()
-
-            job = JobConf(
-                name=(f"index-gen:{self.kind}:"
-                      f"{os.path.basename(self.source_path)}"),
-                mapper=_IndexEmitMapper(
-                    self.key_field, value_schema.field(self.key_field).ftype,
-                    None if stored_schema is value_schema
-                    else stored_schema.field_names()),
-                # the shuffle hands over each order key's rows in order
-                reducer=FunctionReducer(reduce),
-                inputs=[RecordFileInput(self.source_path)],
-                num_reducers=1,  # global sort order feeds the writer
-            )
-            try:
-                runner.run(job)
-            except JobExecutionError as exc:
-                if isinstance(exc.__cause__, BTreeError):
-                    raise IndexDeclined(str(exc.__cause__)) from exc
-                raise
-            flush()
-        return IndexEntry(
-            index_id=catalog.make_entry_id(),
-            kind=self.kind,
-            source_path=os.path.abspath(self.source_path),
-            index_path=index_path,
-            key_field=self.key_field,
-            value_fields=(stored_schema.field_names() if self.kind
-                          == cat.KIND_SELECTION_PROJECTION else None),
-            stats={
-                "source_bytes": source_bytes,
-                "source_records": source_records,
-                "index_bytes": os.path.getsize(index_path),
-                "index_records": writer.records_written,
-            },
-        )
-
-    def _build_rewrite(self, catalog: Catalog, index_path: str) -> IndexEntry:
-        """Projection, delta, dictionary and projection+delta builds: one
-        streaming copy of the source into a columnar file, differing in
-        which fields are kept and which codec each column takes.
+    def _build(self, catalog: Catalog, index_path: str) -> IndexEntry:
+        """One copy of the source into a columnar file: the kinds differ
+        only in which value fields it keeps and which codec each column
+        takes -- a selection kind's ``sorted`` field orders the rows.
         """
-        projecting = self.kind in (cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA)
+        sorted_copy = self.kind not in cat.COPY_KINDS
+        projecting = self.kind in (cat.KIND_SELECTION_PROJECTION,
+                                   cat.KIND_PROJECTION,
+                                   cat.KIND_PROJECTION_DELTA)
+        source_path = os.path.abspath(self.source_path)
+        metadata: Dict[str, Any] = {"source_path": source_path}
+        delta_fields = None
+        codecs: Dict[str, str] = {}
+        if sorted_copy:
+            if not self.key_field:
+                raise OptimizerError("selection index needs a key_field")
+            codecs = {self.key_field: "sorted"}
         with RecordFileReader(self.source_path) as reader:
-            key_schema = reader.key_schema
             stored = reader.value_schema
-            metadata = {"source_path": os.path.abspath(self.source_path)}
             if projecting:
                 if not self.value_fields:
-                    raise OptimizerError("projection index needs value_fields")
-                stored = stored.project(self.value_fields)
+                    raise OptimizerError(f"{self.kind} index needs value_fields")
+                keep = list(self.value_fields)
+                if sorted_copy and self.key_field not in keep:
+                    # The indexed field must survive projection: the
+                    # residual predicate may re-check it.
+                    keep.append(self.key_field)
+                stored = stored.project(keep)
+            if sorted_copy:
+                # the header, written before any row, holds the count
+                metadata["source_records"] = reader.count_records()
+            elif projecting:
                 metadata[META_BASE_SCHEMA] = reader.value_schema.name
                 metadata[META_KEPT_FIELDS] = stored.field_names()
-            delta_fields = None
-            codecs = {}
             if self.kind in (cat.KIND_DELTA, cat.KIND_PROJECTION_DELTA):
                 delta_fields = [
                     name for name in (self.delta_fields
@@ -257,15 +151,19 @@ class IndexGenerationProgram:
                 if not self.dict_field:
                     raise OptimizerError("dictionary index needs dict_field")
                 codecs = {self.dict_field: "dict"}
-            with ColumnarFileWriter(index_path, key_schema, stored, codecs,
-                                    metadata=metadata) as writer:
-                records = copy_columns(reader, writer)
+            with ColumnarFileWriter(index_path, reader.key_schema, stored,
+                                    codecs, metadata=metadata) as writer:
+                try:
+                    records = copy_columns(reader, writer)
+                except BTreeError as exc:  # a value with no order key
+                    raise IndexDeclined(str(exc)) from exc
             source_bytes = reader.file_size()
         return IndexEntry(
             index_id=catalog.make_entry_id(),
             kind=self.kind,
-            source_path=metadata["source_path"],
+            source_path=source_path,
             index_path=index_path,
+            key_field=self.key_field if sorted_copy else None,
             value_fields=stored.field_names() if projecting else None,
             delta_fields=delta_fields,
             dict_field=(

@@ -436,15 +436,12 @@ class Optimizer:
     def _try_apply(self, index: int, source: RecordFileInput,
                    ia: InputAnalysis, entry: IndexEntry,
                    compiled: SelectionCompiler) -> Optional[InputPlan]:
-        kind = entry.kind
-        if kind in (cat.KIND_SELECTION, cat.KIND_SELECTION_PROJECTION):
-            return self._apply_selection(index, source, ia, entry, compiled)
-        if kind not in cat.COPY_KINDS:
-            return None
-        # A catalog copy holds the source's records -- or the projected
-        # fields of them -- with re-coded columns: it serves a program
-        # that reads only fields it keeps, and that the analyzer proved
-        # may run on its dict column's codes.
+        """The plan reading catalog copy ``entry`` for this input, if it
+        applies.  A copy holds the source's records -- or the projected
+        fields of them -- with re-coded columns: it serves a program that
+        reads only fields it keeps, and that the analyzer proved may run
+        on its dict column's codes.  A sorted copy (a selection index)
+        also needs the selection compiled on its field."""
         if entry.value_fields is not None and (
                 ia.projection is None or not set(
                     ia.projection.used_value_fields) <= set(entry.value_fields)):
@@ -452,57 +449,31 @@ class Optimizer:
         if entry.dict_field is not None and not any(
                 d.field_name == entry.dict_field for d in ia.direct):
             return None
-        return InputPlan(
-            input_index=index,
-            original=source,
-            chosen=ColumnarFileInput(entry.index_path, tag=source.tag),
-            entry=entry,
-            optimizations=[kind],
-            detail=(f"kept fields {entry.value_fields}"
-                    if entry.value_fields is not None else
-                    f"direct operation on {entry.dict_field!r}"
-                    if entry.dict_field is not None else
-                    f"delta fields {entry.delta_fields}"),
-        )
-
-    def _apply_selection(self, index: int, source: RecordFileInput,
-                         ia: InputAnalysis, entry: IndexEntry,
-                         compiled: SelectionCompiler) -> Optional[InputPlan]:
-        if not compiled.has_selection:
-            return None
-        if entry.kind == cat.KIND_SELECTION_PROJECTION:
-            if ia.projection is None or entry.value_fields is None:
-                return None
-            needed = set(ia.projection.used_value_fields)
-            if not needed <= set(entry.value_fields):
-                return None
-        plan = compiled.compile(entry.key_field)
-        if plan is None:
-            return None
-        ranges = plan.key_ranges()
-        optimizations = [entry.kind]
-        if not ranges:
-            # The formula is unsatisfiable: provably no record can ever
-            # reach an emit, so the map phase reads nothing at all.
-            chosen: InputSource = InMemoryInput([], tag=source.tag)
-            detail = "selection formula is unsatisfiable; empty input"
+        if entry.kind in cat.COPY_KINDS:
+            chosen: InputSource = ColumnarFileInput(entry.index_path,
+                                                    tag=source.tag)
+            detail = (f"kept fields {entry.value_fields}"
+                      if entry.value_fields is not None else
+                      f"direct operation on {entry.dict_field!r}"
+                      if entry.dict_field is not None else
+                      f"delta fields {entry.delta_fields}")
         else:
-            chosen = SelectionIndexInput(
-                entry.index_path,
-                ranges,
-                residual=plan.residual,
-                tag=source.tag,
-            )
-            detail = (
-                f"B+Tree on {plan.field_name!r}, "
-                f"{len(ranges)} range(s) {plan.intervals}"
-                + ("; residual implied" if plan.exact else "")
-            )
-        return InputPlan(
-            input_index=index,
-            original=source,
-            chosen=chosen,
-            entry=entry,
-            optimizations=optimizations,
-            detail=detail,
-        )
+            selection = compiled.compile(entry.key_field)
+            if selection is None:
+                return None
+            ranges = selection.key_ranges()
+            if not ranges:
+                # The formula is unsatisfiable: provably no record can ever
+                # reach an emit, so the map phase reads nothing at all.
+                chosen = InMemoryInput([], tag=source.tag)
+                detail = "selection formula is unsatisfiable; empty input"
+            else:
+                chosen = SelectionIndexInput(entry.index_path, ranges,
+                                             residual=selection.residual,
+                                             tag=source.tag)
+                detail = (f"B+Tree on {selection.field_name!r}, "
+                          f"{len(ranges)} range(s) {selection.intervals}"
+                          + ("; residual implied" if selection.exact else ""))
+        return InputPlan(input_index=index, original=source, chosen=chosen,
+                         entry=entry, optimizations=[entry.kind],
+                         detail=detail)

@@ -29,6 +29,7 @@ from repro.core.analyzer.conditions import (
     SNot,
     SParamField,
 )
+from repro.exceptions import BTreeError
 from repro.mapreduce.formats import KeyRange
 from repro.storage.orderkeys import encode_key
 from repro.storage.serialization import FieldType, Schema
@@ -129,7 +130,10 @@ def _atom_interval(term, field_name: str,
     Recognizes ``value.<field> OP const`` and the mirrored orientation,
     and ``not (value.<field> OP const)`` for an ordering ``OP`` over a
     total order -- never over a DOUBLE field or a NaN constant, where the
-    negation admits the NaN rows the opposite comparison excludes.
+    negation admits the NaN rows the opposite comparison excludes.  A
+    constant with no order key in the field's type (a float against an
+    INT field) is inexpressible too: the disjunct widens and keeps its
+    residual.
     """
     if isinstance(term, SNot) and isinstance(term.operand, SCompare) \
             and term.operand.op in ORDERINGS \
@@ -158,6 +162,10 @@ def _atom_interval(term, field_name: str,
     builder = _OP_TO_INTERVAL.get(op)
     if builder is None:
         return None  # !=, in, is ... not interval-expressible
+    try:
+        encode_key(ftype, right.value)
+    except BTreeError:
+        return None  # no order key (``rank > 40.5``): no range to scan
     return builder(right.value)
 
 

@@ -101,6 +101,10 @@ MAGIC = b"RPCL"
 #: A sorted copy's blocks are page-sized: a range read charges whole blocks.
 INDEX_BLOCK_SIZE = 4096
 
+#: Rows a sorted copy hands its writer per append: the sizes the writer
+#: works out per append are lists as long as the rows it is given.
+SORTED_APPEND_ROWS = 512
+
 #: An opaque sorted copy's second value column: each value's encoding.
 ENCODED = "encoded"
 
@@ -256,7 +260,9 @@ class ColumnarFileWriter(BlockFileWriter):
     splits, map tasks and everything counted per task match that copy's;
     only the bytes are smaller.  ``codecs`` maps value fields to
     ``delta`` (an integer field), ``dict`` (one string field) or
-    ``sorted`` (one comparable field, in non-decreasing order)."""
+    ``sorted`` (one comparable field, in non-decreasing order).  A
+    sorted copy's blocks are :data:`INDEX_BLOCK_SIZE` unless
+    ``block_size`` says otherwise."""
 
     MAGIC = MAGIC
 
@@ -266,7 +272,7 @@ class ColumnarFileWriter(BlockFileWriter):
         key_schema: Schema,
         value_schema: Schema,
         codecs: Optional[Mapping[str, str]] = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
+        block_size: Optional[int] = None,
         metadata: Optional[Dict[str, Any]] = None,
     ):
         self.codecs = dict(codecs or {})
@@ -319,6 +325,8 @@ class ColumnarFileWriter(BlockFileWriter):
         self._last = [0] * len(self._steps)
         #: the dict column's code table, in code order
         self.codes: Dict[str, int] = {}
+        if block_size is None:
+            block_size = INDEX_BLOCK_SIZE if fenced else DEFAULT_BLOCK_SIZE
         super().__init__(path, key_schema, value_schema, block_size, metadata)
 
     def _header_extras(self) -> Dict[str, Any]:
@@ -458,23 +466,60 @@ class ColumnarFileWriter(BlockFileWriter):
             self._write_block()
 
 
-def copy_columns(reader: BlockFileReader, writer: ColumnarFileWriter) -> int:
-    """Stream every record of the row-major ``reader`` into ``writer``,
-    a scanned block's columns at a time; return the count.  The compiled
-    scan captures only the value fields ``writer`` stores, and the keys
-    as columns, and builds no record."""
+def _scanned_blocks(reader: BlockFileReader, names: Sequence[str]
+                    ) -> Iterator[Tuple[List[list], int]]:
+    """Each block's columns -- the key fields', then the value fields
+    ``names`` -- and its record count.  The compiled scan captures only
+    those fields and builds no record; an opaque schema's blocks take
+    the reference decode."""
     if not (reader.key_schema.transparent and reader.value_schema.transparent):
-        raise SchemaError(
-            "a columnar copy needs transparent key and value schemas")
-    names = writer.value_schema.field_names()
+        for payload, n_records in reader.iter_block_payloads():
+            rows = [key.as_tuple() + value.as_tuple()
+                    for key, value in reader.decode_block(payload, n_records)]
+            yield list(map(list, zip(*rows))), n_records
+        return
     scanner = block_scanner(reader.key_schema, reader.value_schema,
                             {name: i for i, name in enumerate(names)},
                             decode_keys=KEY_COLUMNS)
     n_values = len(names)
     for payload, n_records in reader.iter_block_payloads():
         columns, _keys, _logical = scanner.scan(reader, payload, n_records)
-        writer.append_columns(columns[n_values:] + columns[:n_values],
-                              n_records)
+        yield columns[n_values:] + columns[:n_values], n_records
+
+
+def copy_columns(reader: BlockFileReader, writer: ColumnarFileWriter) -> int:
+    """Copy every record of the row-major ``reader`` into ``writer``, a
+    scanned block's columns at a time; return the count.
+
+    A sorted copy buffers the whole scan, orders the rows by a stable
+    sort on the sorted field's order key -- ties (``-0.0`` and ``0.0``
+    among them) keep file order -- and appends them
+    :data:`SORTED_APPEND_ROWS` at a time.  A value with no order key (a
+    NaN) raises :class:`BTreeError` before anything is written."""
+    names = writer.value_schema.field_names()
+    fenced = [name for name, codec in writer.codecs.items()
+              if codec == "sorted"]
+    if not fenced:
+        for columns, n_records in _scanned_blocks(reader, names):
+            writer.append_columns(columns, n_records)
+        return writer.records_written
+    rows: List[list] = []
+    for columns, _n_records in _scanned_blocks(reader, names):
+        if not rows:
+            rows = columns
+        else:
+            for buffered, column in zip(rows, columns):
+                buffered += column
+    if not rows:
+        return writer.records_written
+    field = writer.value_schema.field(fenced[0])
+    keys = list(map(partial(encode_key, field.ftype),
+                    rows[len(writer.key_schema.fields) + names.index(field.name)]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for start in range(0, len(order), SORTED_APPEND_ROWS):
+        chunk = order[start:start + SORTED_APPEND_ROWS]
+        writer.append_columns([list(map(column.__getitem__, chunk))
+                               for column in rows], len(chunk))
     return writer.records_written
 
 

@@ -20,9 +20,7 @@ from repro.mapreduce import (
     run_job,
 )
 from repro.mapreduce.api import Mapper, Reducer
-from repro.mapreduce.runtime import LocalJobRunner
-from repro.storage.columnar import copy_columns
-from repro.storage.columnar import ColumnarFileReader
+from repro.storage.columnar import ColumnarFileReader, copy_columns
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
 from tests.conftest import index_files, write_webpages
@@ -177,54 +175,19 @@ class TestIndexBuildAndPlan:
         assert len(system.catalog) == 1
 
 
-class _RewritingRunner:
-    """Runs the build job, then rewrites its source before returning --
-    the window a B+Tree build leaves between reading and registering."""
-
-    def __init__(self, rewrite):
-        self.rewrite = rewrite
-
-    def run(self, conf):
-        result = LocalJobRunner().run(conf)
-        self.rewrite()
-        return result
-
-
 class TestBornStaleBuilds:
     """An index over bytes that moved mid-build is never registered."""
 
-    def _assert_nothing_registered(self, system, catalog_dir, job):
-        assert len(system.catalog) == 0
-        assert index_files(catalog_dir) == []
-        assert not system.plan(job).optimized
-
-    def test_btree_build_over_a_moving_source(self, tmp_path):
+    @pytest.mark.parametrize("kind", cat.ALL_KINDS)
+    def test_build_over_a_moving_source(self, tmp_path, monkeypatch, kind):
         path = write_webpages(tmp_path / "w.rf", 200)
         catalog_dir = str(tmp_path / "cat")
         system = Manimal(catalog_dir)
         job = _job(path, RankFilterMapper())
-        [program] = system.index_programs(job)
-        assert program.kind == cat.KIND_SELECTION_PROJECTION
-        runner = _RewritingRunner(
-            lambda: write_webpages(tmp_path / "w.rf", 260))
-        with pytest.raises(OptimizerError,
-                           match="source changed during index build"):
-            program.run(system.catalog, runner)
-        self._assert_nothing_registered(system, catalog_dir, job)
-        # the next build, over a source that holds still, is fine
-        [entry] = system.build_indexes(job)
-        assert system.plan(job).plans[0].entry.index_id == entry.index_id
-
-    @pytest.mark.parametrize("kind", [
-        cat.KIND_PROJECTION, cat.KIND_PROJECTION_DELTA, cat.KIND_DELTA,
-    ])
-    def test_rewrite_build_over_a_moving_source(self, tmp_path, monkeypatch,
-                                                kind):
-        path = write_webpages(tmp_path / "w.rf", 200)
-        catalog_dir = str(tmp_path / "cat")
-        system = Manimal(catalog_dir)
-        job = _job(path, UrlRankMapper())
-        [program] = system.index_programs(job, allowed_kinds=[kind])
+        program = IndexGenerationProgram(
+            kind=kind, source_path=path, key_field="rank",
+            value_fields=["url", "rank"], delta_fields=["rank"],
+            dict_field="url")
 
         def copy_then_rewrite(reader, writer):
             records = copy_columns(reader, writer)
@@ -235,7 +198,14 @@ class TestBornStaleBuilds:
         with pytest.raises(OptimizerError,
                            match="source changed during index build"):
             program.run(system.catalog)
-        self._assert_nothing_registered(system, catalog_dir, job)
+        assert len(system.catalog) == 0
+        assert index_files(catalog_dir) == []
+        assert not system.plan(job).optimized
+        # the next build, over a source that holds still, is fine
+        monkeypatch.undo()
+        entry = program.run(system.catalog)
+        assert [e.index_id for e in system.catalog.sorted_entries()] == [
+            entry.index_id]
 
 
 class TestFailedBuilds:
@@ -313,6 +283,66 @@ class TestDeclinedBuilds:
         assert [e.index_id for e in again.built_indexes] == [
             e.index_id for e in outcome.built_indexes]
         assert len(index_files(catalog_dir)) == 1
+
+
+class AtLeastMapper(Mapper):
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def map(self, key, value, ctx):
+        if value.rank >= self.threshold:
+            ctx.emit(value.rank, 1)
+
+
+class BelowMapper(Mapper):
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def map(self, key, value, ctx):
+        if value.rank < self.threshold:
+            ctx.emit(value.rank, 1)
+
+
+class BetweenMapper(Mapper):
+    def __init__(self, floor, ceiling):
+        self.floor = floor
+        self.ceiling = ceiling
+
+    def map(self, key, value, ctx):
+        if value.rank > self.floor and value.rank < self.ceiling:
+            ctx.emit(value.rank, 1)
+
+
+class TestConstantsWithNoOrderKey:
+    """A float constant against an INT field has no order key: its atom
+    gets no index range (the disjunct widens and keeps its residual), so
+    planning over a built selection index works and changes no output."""
+
+    @pytest.mark.parametrize("mapper,ranged", [
+        (RankFilterMapper(threshold=40.5), False),
+        (AtLeastMapper(41.0), False),
+        (BelowMapper(-0.5), False),
+        (BetweenMapper(-0.5, 30), True),
+    ], ids=["gt-40.5", "ge-41.0", "lt--0.5", "gt--0.5-lt-30"])
+    def test_submit_over_a_built_index_equals_the_plain_run(
+            self, tmp_path, mapper, ranged):
+        path = write_webpages(tmp_path / "w.rf", 300,
+                              rank_of=lambda i: i % 100 - 20)
+        system = Manimal(str(tmp_path / "cat"))
+        system.build_indexes(_job(path, RankFilterMapper()),
+                             allowed_kinds=[cat.KIND_SELECTION])
+        job = _job(path, mapper)
+        plan = system.plan(job)
+        if ranged:  # the INT bound gives the range, the residual the rest
+            chosen = plan.plans[0].chosen
+            assert isinstance(chosen, SelectionIndexInput)
+            assert chosen.residual is not None
+        else:
+            assert not plan.optimized
+        baseline = sorted(run_job(job).outputs)
+        assert sorted(system.execute(job, plan).outputs) == baseline
+        outcome = system.submit(job, build_indexes=True)
+        assert sorted(outcome.result.outputs) == baseline
 
 
 class TestExecutionEquivalenceByKind:

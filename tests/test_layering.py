@@ -10,8 +10,9 @@ encode is named only by serialization and the compiled encoder's
 decline path, the retired B+Tree index path stays retired,
 pipelines keep one stage order, only the code generator compiles,
 executes and registers generated source, only the optimizer
-attaches batch specs, and only the optimizer attaches a semijoin and
-only the job driver computes its key set -- checked, not claimed.
+attaches batch specs, only the optimizer attaches a semijoin and
+only the job driver computes its key set, and one index build writes
+catalog copies, without a job -- checked, not claimed.
 
 CI runs ``tools/check_layers.py`` in the docs job; this test keeps the
 same guarantees in the tier-1 suite and pins what the checker catches.
@@ -556,3 +557,43 @@ def test_checker_sees_a_semijoin_or_key_set_built_outside_its_homes(tmp_path):
         os.path.join("batch", "executor.py") + ":2: builds a key set",
         os.path.join("batch", "executor.py") + ":3: runs a key pass",
         os.path.join("mapreduce", "runtime.py") + ":4: runs a key pass"]
+
+
+def test_checker_sees_a_second_copy_build(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("storage", "columnar", "def copy_columns(reader, writer):\n"
+                                "    writer.append_columns([], 0)\n"
+                                "class ColumnarFileWriter:\n"
+                                "    def append(self, key, value):\n"
+                                "        self.append_columns([], 1)\n"),
+        ("core/optimizer", "indexgen",
+         "from repro.mapreduce.runtime import LocalJobRunner\n"
+         "from repro.mapreduce import parallel\n"
+         "import repro.mapreduce.api\n"
+         "def build(path, k, v, reader):\n"
+         "    with ColumnarFileWriter(path, k, v) as writer:\n"
+         "        copy_columns(reader, writer)\n"
+         "        writer.append(k, v)\n"
+         "    return writer.records_written\n"),
+        ("batch", "copies", "def copy(path, k, v, rows):\n"
+                            "    out = columnar.ColumnarFileWriter(path, k, v)\n"
+                            "    out.append_columns(rows, len(rows))\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.copy_build_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("batch", "copies.py") + ":2: constructs "
+                                             "ColumnarFileWriter",
+        os.path.join("batch", "copies.py") + ":3: names append_columns",
+        os.path.join("core", "optimizer", "indexgen.py")
+        + ":1: imports repro.mapreduce.runtime",
+        os.path.join("core", "optimizer", "indexgen.py")
+        + ":2: imports repro.mapreduce.parallel",
+        os.path.join("core", "optimizer", "indexgen.py")
+        + ":3: imports repro.mapreduce.api",
+        os.path.join("core", "optimizer", "indexgen.py")
+        + ":7: calls writer.append"]

@@ -155,6 +155,18 @@
     (:data:`KEY_PASS_CALLER`) -- a second caller is a second key set
     that can disagree with the splits the job runs.
 
+18. One copy build.  Every index kind is built the same way: one scan
+    of the source into a columnar file, which a selection index sorts on
+    its field.  So under ``src/repro`` only
+    ``repro/core/optimizer/indexgen.py`` (:data:`COPY_BUILDER`)
+    constructs a :data:`COPY_WRITER`; rows reach one only through
+    ``columnar.copy_columns`` -- :data:`COPY_ROWS` is named only in the
+    scopes of :data:`COPY_ROWS_HOMES`, and the builder calls no method
+    of a writer it constructs; and the builder imports nothing from
+    :data:`BUILD_FORBIDDEN` (``repro.mapreduce.runtime``, ``.parallel``,
+    ``.api``) -- a second builder, or a build that runs as a job again,
+    would come back through any of them.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -307,6 +319,19 @@ KEY_SET_HOME = os.path.join("repro", "mapreduce", "semijoin.py")
 KEY_PASS = "scan_keys"
 KEY_PASS_CALLER = (os.path.join("repro", "mapreduce", "runtime.py"),
                    "run_job_group")
+
+
+#: rule 18: the columnar writer and the one module that constructs it,
+#: the append that hands it rows and the scopes that may name it, and
+#: the modules the builder may not import
+COPY_WRITER = "ColumnarFileWriter"
+COPY_BUILDER = os.path.join("repro", "core", "optimizer", "indexgen.py")
+COPY_ROWS = "append_columns"
+_COLUMNAR = os.path.join("repro", "storage", "columnar.py")
+COPY_ROWS_HOMES = frozenset({(_COLUMNAR, "copy_columns"),
+                             (_COLUMNAR, "ColumnarFileWriter.append")})
+BUILD_FORBIDDEN = ("repro.mapreduce.runtime", "repro.mapreduce.parallel",
+                   "repro.mapreduce.api")
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -799,6 +824,65 @@ def semijoin_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def _constructs_writer(node: ast.AST) -> bool:
+    """Whether ``node`` is a call of :data:`COPY_WRITER`."""
+    return isinstance(node, ast.Call) and COPY_WRITER in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _writer_names(tree: ast.AST) -> set:
+    """Names bound to a :data:`COPY_WRITER` construction in ``tree``
+    (``with ... as name`` or ``name = ...``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.withitem) \
+                and _constructs_writer(node.context_expr) \
+                and isinstance(node.optional_vars, ast.Name):
+            names.add(node.optional_vars.id)
+        elif isinstance(node, ast.Assign) and _constructs_writer(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def copy_build_violations(src: str = SRC) -> List[str]:
+    """Every construction of a :data:`COPY_WRITER` outside
+    :data:`COPY_BUILDER`, every use of :data:`COPY_ROWS` outside
+    :data:`COPY_ROWS_HOMES`, every method call on a writer the builder
+    constructs, and every import of a :data:`BUILD_FORBIDDEN` module by
+    the builder, under ``src/repro`` (rule 18)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        for scope, node in _scoped_nodes(tree):
+            if module != COPY_BUILDER and _constructs_writer(node):
+                found.append((rel, node.lineno, f"constructs {COPY_WRITER} "
+                              "(only the index build writes a copy)"))
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name == COPY_ROWS and (module, scope) not in COPY_ROWS_HOMES:
+                found.append((rel, node.lineno, f"names {COPY_ROWS} (rows "
+                              "reach a copy only through copy_columns)"))
+        if module != COPY_BUILDER:
+            continue
+        writers = _writer_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and isinstance(
+                    node.func.value, ast.Name) and node.func.value.id in writers:
+                found.append((rel, node.lineno, f"calls {node.func.value.id}."
+                              f"{node.func.attr} (rows reach a copy only "
+                              "through copy_columns)"))
+        package = os.path.dirname(module).replace(os.sep, ".")
+        found.extend(
+            (rel, lineno, f"imports {banned} (an index build runs no job)")
+            for lineno, name in imported_modules(tree, package)
+            for banned in BUILD_FORBIDDEN
+            if name == banned or name.startswith(banned + "."))
+    return [f"{rel}:{lineno}: {what}"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
@@ -808,9 +892,10 @@ def main() -> int:
     index, order = index_format_violations(), stage_order_violations()
     copies, generated = copy_layout_violations(), codegen_violations()
     specs, semijoins = spec_attachment_violations(), semijoin_violations()
+    builds = copy_build_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
                  + loop + shape + reference + index + order + copies
-                 + generated + specs + semijoins):
+                 + generated + specs + semijoins + builds):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -854,9 +939,11 @@ def main() -> int:
     if semijoins:
         print(f"\n{len(semijoins)} semijoin(s) or key set(s) built outside "
               f"their homes")
+    if builds:
+        print(f"\n{len(builds)} second copy build(s) or build job trace(s)")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
             or loop or shape or reference or index or order or copies
-            or generated or specs or semijoins):
+            or generated or specs or semijoins or builds):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -888,7 +975,9 @@ def main() -> int:
           + " its verification compile)"
           + "; only " + " and ".join(SPEC_HOMES) + " attaches batch specs"
           + "; only " + " and ".join(SEMIJOIN_HOMES) + " attaches a "
-          + f"semijoin and only {KEY_PASS_CALLER[1]} computes its key set")
+          + f"semijoin and only {KEY_PASS_CALLER[1]} computes its key set"
+          + f"; only {COPY_BUILDER} constructs a {COPY_WRITER}, rows reach "
+          + "it only through copy_columns, and it imports no job runtime")
     return 0
 
 
