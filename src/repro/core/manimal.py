@@ -18,7 +18,7 @@ have been generated by a conventional MapReduce system."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.analyzer.analyzer import ManimalAnalyzer

@@ -131,10 +131,7 @@ class IndexGenerationProgram:
                     # residual predicate may re-check it.
                     keep.append(self.key_field)
                 stored = stored.project(keep)
-            if sorted_copy:
-                # the header, written before any row, holds the count
-                metadata["source_records"] = reader.count_records()
-            elif projecting:
+            if projecting and not sorted_copy:
                 metadata[META_BASE_SCHEMA] = reader.value_schema.name
                 metadata[META_KEPT_FIELDS] = stored.field_names()
             if self.kind in (cat.KIND_DELTA, cat.KIND_PROJECTION_DELTA):

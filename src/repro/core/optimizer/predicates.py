@@ -16,6 +16,7 @@ formula's ``isFunc`` guarantee, established by the analyzer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -131,8 +132,10 @@ def _atom_interval(term, field_name: str,
     and ``not (value.<field> OP const)`` for an ordering ``OP`` over a
     total order -- never over a DOUBLE field or a NaN constant, where the
     negation admits the NaN rows the opposite comparison excludes.  A
-    constant with no order key in the field's type (a float against an
-    INT field) is inexpressible too: the disjunct widens and keeps its
+    finite float against an INT or LONG field bounds the integers it
+    admits (``rank > 40.5`` is ``rank > 40``).  A bound with no order
+    key in the field's type (a string against an INT field, an integer
+    beyond 64 bits) is inexpressible: the disjunct widens and keeps its
     residual.
     """
     if isinstance(term, SNot) and isinstance(term.operand, SCompare) \
@@ -162,11 +165,18 @@ def _atom_interval(term, field_name: str,
     builder = _OP_TO_INTERVAL.get(op)
     if builder is None:
         return None  # !=, in, is ... not interval-expressible
+    value = right.value
+    if ftype in (FieldType.INT, FieldType.LONG) and type(value) is float \
+            and math.isfinite(value):
+        # the integers it admits: ``> 40.5`` is ``> 40``, ``< 40.5`` ``< 41``
+        if op == "==" and not value.is_integer():
+            return Interval(lo=value, hi=value, hi_inclusive=False)  # none
+        value = (math.floor if op in (">", "<=") else math.ceil)(value)
     try:
-        encode_key(ftype, right.value)
+        encode_key(ftype, value)
     except BTreeError:
-        return None  # no order key (``rank > 40.5``): no range to scan
-    return builder(right.value)
+        return None  # no order key (``rank < 1e30``): no range to scan
+    return builder(value)
 
 
 #: field types whose order keys order exactly as ``<``/``==`` do, with

@@ -81,7 +81,7 @@ class BlockInfo:
 
 
 class BlockFileWriter:
-    """Streaming writer: header up front, full blocks as they fill.
+    """Streaming writer: the header, then full blocks as they fill.
 
     Use as a context manager::
 
@@ -111,17 +111,26 @@ class BlockFileWriter:
         self._buffer_records = 0
         self._closed = False
         self._codec = self._write_codec()
+        #: the header's metadata: it goes out with the first block (or at
+        #: close), so a writer may add to it until then
+        self.metadata: Dict[str, Any] = dict(metadata or {})
+        self._header_written = False
+        self._file = open(path, "wb")
+
+    def _write_header(self) -> None:
+        if self._header_written:
+            return
         header = {
-            "key_schema": key_schema.to_dict(),
-            "value_schema": value_schema.to_dict(),
-            "metadata": metadata or {},
+            "key_schema": self.key_schema.to_dict(),
+            "value_schema": self.value_schema.to_dict(),
+            "metadata": self.metadata,
             **self._header_extras(),
         }
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        self._file = open(path, "wb")
         self._file.write(self.MAGIC)
         self._file.write(varint.encode_uvarint(len(raw)))
         self._file.write(raw)
+        self._header_written = True
 
     def _header_extras(self) -> Dict[str, Any]:
         """Header fields the format's reader needs beyond the schemas."""
@@ -183,6 +192,7 @@ class BlockFileWriter:
     def _flush_block(self) -> None:
         if not self._buffer_records:
             return
+        self._write_header()
         block = (
             varint.encode_uvarint(len(self._buffer))
             + varint.encode_uvarint(self._buffer_records)
@@ -198,6 +208,7 @@ class BlockFileWriter:
         if self._closed:
             return
         self._flush_block()
+        self._write_header()
         footer = self._footer()
         if footer is not None:  # the footer, then the offset it starts at
             self._file.write(footer + self._file.tell().to_bytes(

@@ -298,14 +298,20 @@ class ColumnarFileWriter(BlockFileWriter):
             compressed_schema(value_schema, coded[0]) if coded
             else value_schema if value_schema.transparent
             else opaque_stored_schema(value_schema, fenced[0]))
-        #: the sorted column's position, if any, the last value appended
+        #: the sorted column, if any: its position among the columns an
+        #: append gives (key fields, then value fields) and its type
+        self.sorted_column: Optional[Tuple[int, FieldType]] = None
+        #: its position among the stored columns, the last value appended
         #: to it, and how its buffered values become order keys (a string
         #: is buffered UTF-8 encoded)
         self._fenced: Optional[int] = None
         self._tail: list = []
         if fenced:
             ftype = value_schema.field(fenced[0]).ftype
-            self._fenced = (len(key_schema.fields)
+            n_keys = len(key_schema.fields)
+            self.sorted_column = (
+                n_keys + value_schema.field_index(fenced[0]), ftype)
+            self._fenced = (n_keys
                             + self.stored_schema.field_names().index(fenced[0]))
             self._order_key = bytes if ftype is FieldType.STRING \
                 else partial(encode_key, ftype)
@@ -370,18 +376,18 @@ class ColumnarFileWriter(BlockFileWriter):
         if not n_records:
             return
         columns = list(columns)
+        if self.sorted_column is not None:  # order keys are monotone in values
+            run = self._tail + columns[self.sorted_column[0]]
+            if not all(map(le, run, run[1:])):
+                raise BTreeError("a sorted copy's rows must arrive in "
+                                 "non-decreasing order of its sorted field")
+            self._tail = run[-1:]
         if not self.value_schema.transparent:  # the stored columns
             n_keys, schema = len(self.key_schema.fields), self.value_schema
             values = columns[n_keys:]
             columns = columns[:n_keys] + [
                 values[schema.field_index(self.stored_schema.fields[0].name)],
                 [schema.encode(Record(schema, row)) for row in zip(*values)]]
-        if self._fenced is not None:  # order keys are monotone in values
-            run = self._tail + columns[self._fenced]
-            if not all(map(le, run, run[1:])):
-                raise BTreeError("a sorted copy's rows must arrive in "
-                                 "non-decreasing order of its sorted field")
-            self._tail = run[-1:]
         key_sizes: List[List[int]] = []
         value_sizes: List[List[int]] = []
         fixed = [0, 0]
@@ -491,30 +497,26 @@ def copy_columns(reader: BlockFileReader, writer: ColumnarFileWriter) -> int:
     """Copy every record of the row-major ``reader`` into ``writer``, a
     scanned block's columns at a time; return the count.
 
-    A sorted copy buffers the whole scan, orders the rows by a stable
-    sort on the sorted field's order key -- ties (``-0.0`` and ``0.0``
-    among them) keep file order -- and appends them
-    :data:`SORTED_APPEND_ROWS` at a time.  A value with no order key (a
-    NaN) raises :class:`BTreeError` before anything is written."""
+    A sorted copy buffers the whole scan, records its row count in the
+    header (``source_records``), orders the rows by a stable sort on the
+    sorted field's order key -- ties (``-0.0`` and ``0.0`` among them)
+    keep file order -- and appends them :data:`SORTED_APPEND_ROWS` at a
+    time.  A value with no order key (a NaN) raises :class:`BTreeError`
+    before anything is written."""
     names = writer.value_schema.field_names()
-    fenced = [name for name, codec in writer.codecs.items()
-              if codec == "sorted"]
-    if not fenced:
-        for columns, n_records in _scanned_blocks(reader, names):
+    scanned = _scanned_blocks(reader, names)
+    if writer.sorted_column is None:
+        for columns, n_records in scanned:
             writer.append_columns(columns, n_records)
         return writer.records_written
-    rows: List[list] = []
-    for columns, _n_records in _scanned_blocks(reader, names):
-        if not rows:
-            rows = columns
-        else:
-            for buffered, column in zip(rows, columns):
-                buffered += column
-    if not rows:
-        return writer.records_written
-    field = writer.value_schema.field(fenced[0])
-    keys = list(map(partial(encode_key, field.ftype),
-                    rows[len(writer.key_schema.fields) + names.index(field.name)]))
+    rows: List[list] = [[] for _ in range(len(writer.key_schema.fields)
+                                          + len(names))]
+    for columns, _n_records in scanned:
+        for buffered, column in zip(rows, columns):
+            buffered += column
+    position, ftype = writer.sorted_column
+    keys = list(map(partial(encode_key, ftype), rows[position]))
+    writer.metadata["source_records"] = len(keys)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     for start in range(0, len(order), SORTED_APPEND_ROWS):
         chunk = order[start:start + SORTED_APPEND_ROWS]

@@ -14,6 +14,7 @@ from repro.exceptions import CorruptFileError, OptimizerError
 from repro.explain import explain_job
 from repro.mapreduce import (
     ColumnarFileInput,
+    InMemoryInput,
     JobConf,
     RecordFileInput,
     SelectionIndexInput,
@@ -184,10 +185,14 @@ class TestBornStaleBuilds:
         catalog_dir = str(tmp_path / "cat")
         system = Manimal(catalog_dir)
         job = _job(path, RankFilterMapper())
-        program = IndexGenerationProgram(
-            kind=kind, source_path=path, key_field="rank",
-            value_fields=["url", "rank"], delta_fields=["rank"],
-            dict_field="url")
+        if kind == cat.KIND_SELECTION_PROJECTION:  # the job's own program
+            [program] = system.index_programs(job)
+            assert program.kind == kind
+        else:
+            program = IndexGenerationProgram(
+                kind=kind, source_path=path, key_field="rank",
+                value_fields=["url", "rank"], delta_fields=["rank"],
+                dict_field="url")
 
         def copy_then_rewrite(reader, writer):
             records = copy_columns(reader, writer)
@@ -206,6 +211,9 @@ class TestBornStaleBuilds:
         entry = program.run(system.catalog)
         assert [e.index_id for e in system.catalog.sorted_entries()] == [
             entry.index_id]
+        if kind != cat.KIND_DICTIONARY:  # and serves the job (which
+            # applies no direct operation to `url`, the dict column)
+            assert system.plan(job).plans[0].entry.index_id == entry.index_id
 
 
 class TestFailedBuilds:
@@ -313,19 +321,34 @@ class BetweenMapper(Mapper):
             ctx.emit(value.rank, 1)
 
 
-class TestConstantsWithNoOrderKey:
-    """A float constant against an INT field has no order key: its atom
-    gets no index range (the disjunct widens and keeps its residual), so
-    planning over a built selection index works and changes no output."""
+class EqualsMapper(Mapper):
+    def __init__(self, value):
+        self.value = value
 
-    @pytest.mark.parametrize("mapper,ranged", [
-        (RankFilterMapper(threshold=40.5), False),
-        (AtLeastMapper(41.0), False),
-        (BelowMapper(-0.5), False),
-        (BetweenMapper(-0.5, 30), True),
-    ], ids=["gt-40.5", "ge-41.0", "lt--0.5", "gt--0.5-lt-30"])
+    def map(self, key, value, ctx):
+        if value.rank == self.value:
+            ctx.emit(value.rank, 1)
+
+
+class TestFloatConstantsOnAnIntField:
+    """A finite float against an INT field bounds the integers it admits
+    (``rank > 40.5`` is ``rank >= 41``; ``rank == 40.5`` admits none), so
+    a built selection index serves the job with the same output as the
+    plain run; a bound beyond 64 bits has no order key, and that job
+    reads the source."""
+
+    @pytest.mark.parametrize("mapper,chosen", [
+        (RankFilterMapper(threshold=40.5), SelectionIndexInput),
+        (AtLeastMapper(41.0), SelectionIndexInput),
+        (BelowMapper(-0.5), SelectionIndexInput),
+        (BetweenMapper(-0.5, 30), SelectionIndexInput),
+        (EqualsMapper(41.0), SelectionIndexInput),
+        (EqualsMapper(40.5), InMemoryInput),  # provably empty
+        (BelowMapper(1e30), None),
+    ], ids=["gt-40.5", "ge-41.0", "lt--0.5", "gt--0.5-lt-30", "eq-41.0",
+            "eq-40.5", "lt-1e30"])
     def test_submit_over_a_built_index_equals_the_plain_run(
-            self, tmp_path, mapper, ranged):
+            self, tmp_path, mapper, chosen):
         path = write_webpages(tmp_path / "w.rf", 300,
                               rank_of=lambda i: i % 100 - 20)
         system = Manimal(str(tmp_path / "cat"))
@@ -333,12 +356,10 @@ class TestConstantsWithNoOrderKey:
                              allowed_kinds=[cat.KIND_SELECTION])
         job = _job(path, mapper)
         plan = system.plan(job)
-        if ranged:  # the INT bound gives the range, the residual the rest
-            chosen = plan.plans[0].chosen
-            assert isinstance(chosen, SelectionIndexInput)
-            assert chosen.residual is not None
-        else:
+        if chosen is None:
             assert not plan.optimized
+        else:
+            assert isinstance(plan.plans[0].chosen, chosen)
         baseline = sorted(run_job(job).outputs)
         assert sorted(system.execute(job, plan).outputs) == baseline
         outcome = system.submit(job, build_indexes=True)

@@ -145,6 +145,16 @@ class TestPrunePartitions:
         assert result.fields == ["rank"]
         assert "pruned 7/8 partitions" in result.detail()
 
+    @pytest.mark.parametrize("op,c,pruned", [
+        (">", 279.5, 7), (">=", 280.0, 7), ("<", 39.5, 7), ("<", -0.5, 8),
+    ])
+    def test_float_bound_on_a_long_field_prunes(self, tmp_path, op, c,
+                                                pruned):
+        # the integers it admits: `> 279.5` is `>= 280`
+        directory = write_dataset(tmp_path)
+        result = self.prune(directory, selection_hint("rank", op, c))
+        assert (result.total, result.pruned) == (8, pruned)
+
     def test_no_selection_keeps_nonempty_partitions(self, tmp_path):
         directory = write_dataset(tmp_path)
         info = read_partitioned_info(directory)

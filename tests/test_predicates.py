@@ -9,6 +9,7 @@ from repro.core.analyzer.conditions import (
     SCompare,
     SConst,
     SelectionFormula,
+    SNot,
     SParamField,
 )
 from repro.core.optimizer.predicates import (
@@ -187,3 +188,36 @@ class TestCompileSelection:
         assert len(ranges) == 1
         assert ranges[0].lo is not None and not ranges[0].lo_inclusive
         assert ranges[0].hi is not None and ranges[0].hi_inclusive
+
+
+class TestFloatConstantOnAnIntField:
+    """``rank`` is INT: a finite float bounds the integers it admits."""
+
+    @pytest.mark.parametrize("op", [">", ">=", "<", "<=", "=="])
+    @pytest.mark.parametrize("c", [40.5, 41.0, -0.5, -1.0, 0.0])
+    def test_integer_bounds(self, op, c):
+        plan = compile_selection(formula([atom(op, c)]), WEBPAGE)
+        admits = {x for x in range(-5, 50) if plan.formula.evaluate(
+            "k", WEBPAGE.make("u", x, "c"))}
+        assert {x for x in range(-5, 50)
+                if any(_contains(iv, x) for iv in plan.intervals)} == admits
+        assert all(type(bound) is int for iv in plan.intervals
+                   for bound in (iv.lo, iv.hi) if bound is not None)
+        assert len(plan.key_ranges()) == len(plan.intervals)
+        assert not plan.exact  # the float atom stays in the residual
+
+    def test_mirrored_and_negated(self):
+        [iv] = compile_selection(formula([mirrored("<", 40.5)]),
+                                 WEBPAGE).intervals
+        assert (iv.lo, iv.lo_inclusive) == (40, False)
+        negated = SNot(atom(">", 40.5))  # rank <= 40.5
+        [iv] = compile_selection(formula([negated]), WEBPAGE).intervals
+        assert (iv.hi, iv.hi_inclusive) == (40, True)
+
+    def test_equality_with_a_fraction_admits_nothing(self):
+        plan = compile_selection(formula([atom("==", 40.5)]), WEBPAGE)
+        assert plan.intervals == [] and plan.key_ranges() == []
+
+    @pytest.mark.parametrize("c", [1e30, float("inf"), float("nan")])
+    def test_no_order_key_widens(self, c):
+        assert compile_selection(formula([atom("<", c)]), WEBPAGE) is None
