@@ -249,6 +249,16 @@ def peek_schemas(source: InputSource) -> Tuple[Optional[Schema], Optional[Schema
     return None, None
 
 
+def _describe(spec: Any) -> Tuple[Optional[str], Optional[str]]:
+    """A reducer or combiner spec's fold op, or why it has none
+    (``(None, None)`` for no spec)."""
+    if spec is None:
+        return None, None
+    from repro.core.analyzer.reduce_ext import describe_reducer
+
+    return describe_reducer(spec() if isinstance(spec, type) else spec)
+
+
 class ManimalAnalyzer:
     """Static analysis of submitted jobs (paper Section 3).
 
@@ -307,6 +317,10 @@ class ManimalAnalyzer:
                 reducer, self.kb
             )
         required = self._required_inputs(conf, analyses)
+        reducer_fold, reducer_decline = _describe(conf.reducer)
+        combiner_fold, combiner_decline = (
+            (reducer_fold, reducer_decline) if conf.combiner is conf.reducer
+            else _describe(conf.combiner))
         return JobAnalysis(
             job_name=conf.name,
             inputs=analyses,
@@ -314,6 +328,10 @@ class ManimalAnalyzer:
             reduce_notes=reduce_notes,
             required_inputs=None if isinstance(required, str) else required,
             required_decline=required if isinstance(required, str) else None,
+            reducer_fold=reducer_fold,
+            reducer_decline=reducer_decline,
+            combiner_fold=combiner_fold,
+            combiner_decline=combiner_decline,
         )
 
     def _required_inputs(self, conf: JobConf,

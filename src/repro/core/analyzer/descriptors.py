@@ -174,6 +174,16 @@ class JobAnalysis:
     required_inputs: Optional[Tuple[int, ...]] = None
     #: ... or why none are proved
     required_decline: Optional[str] = None
+    #: the :data:`~repro.core.analyzer.reduce_ext.FOLD_OPS` op whose merge
+    #: over a group's values the reducer's whole ``reduce()`` emits with
+    #: the group's key
+    #: (:func:`~repro.core.analyzer.reduce_ext.describe_reducer`) ...
+    reducer_fold: Optional[str] = None
+    #: ... or why the reducer is opaque (``None`` for a map-only job)
+    reducer_decline: Optional[str] = None
+    #: the combiner's description, the same way
+    combiner_fold: Optional[str] = None
+    combiner_decline: Optional[str] = None
 
     def descriptors(self) -> List[Any]:
         out: List[Any] = []

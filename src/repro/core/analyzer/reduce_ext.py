@@ -28,7 +28,11 @@ Safety conditions (all conservative):
 It also proves which inputs a group must hold a value from before
 ``reduce()`` can emit (:func:`find_required_inputs`): keys that no pair
 of such an input carries name groups that emit nothing, which the
-optimizer turns into a semijoin (:mod:`repro.mapreduce.semijoin`).
+optimizer turns into a semijoin (:mod:`repro.mapreduce.semijoin`); and
+it describes a reducer whose whole ``reduce()`` is one
+``ctx.emit(key, sum(values))`` (or ``min`` / ``max``:
+:func:`describe_reducer`), whose groups the reduce loop then folds a
+column at a time without calling it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import textwrap
 import types
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.batch.spec import RECORD, part_source
+from repro.batch.spec import AGGREGATES, RECORD, part_source
 from repro.core.analyzer.conditions import (
     ROLE_VALUE,
     Conjunct,
@@ -52,8 +56,9 @@ from repro.core.analyzer.conditions import (
 from repro.core.analyzer.dataflow import ReachingDefinitions
 from repro.core.analyzer.lowering import lower_function
 from repro.core.analyzer.purity import DEFAULT_KB, KnowledgeBase
+from repro.core.analyzer.udf import verified_definition
 from repro.exceptions import UnsupportedConstructError
-from repro.mapreduce.api import Reducer
+from repro.mapreduce.api import FunctionReducer, Reducer
 from repro.mapreduce.formats import shaped_schema
 from repro.storage.serialization import Schema
 
@@ -111,22 +116,13 @@ def find_reduce_key_filter(
     if lifecycle is not None:
         return None, [lifecycle]
 
-    source_fn = getattr(reducer, "reduce_source_function", None)
     try:
-        # FunctionReducer-style adapters expose the wrapped function; its
-        # body (not the adapter's forwarding `reduce`) carries the WHERE.
-        target = source_fn if source_fn is not None else cls.reduce
-        source = textwrap.dedent(inspect.getsource(target))
-        tree = ast.parse(source)
-        fn = tree.body[0]
-        if not isinstance(fn, ast.FunctionDef):
-            # A lambda's "source" is its enclosing statement, not a
-            # function definition.
-            return None, ["reducer not analyzable: source is not a plain "
-                          "function definition"]
-        lowered = lower_function(fn, is_method=source_fn is None)
-    except (OSError, TypeError, SyntaxError) as exc:
-        return None, [f"reducer source unavailable: {exc}"]
+        # a FunctionReducer's wrapped function, not its forwarding
+        # `reduce`, carries the WHERE
+        fn, is_method, _function = _reduce_function(reducer)
+        lowered = lower_function(fn, is_method=is_method)
+    except _Declined as exc:
+        return None, [str(exc)]
     except UnsupportedConstructError as exc:
         return None, [f"reducer not analyzable: {exc}"]
 
@@ -198,25 +194,28 @@ class _Declined(Exception):
     """Why the required-input proof does not hold."""
 
 
-def _reduce_function(reducer: Reducer) -> Tuple[ast.FunctionDef, bool]:
-    """The parsed body ``reduce()`` calls, and whether it is a method: a
-    plain function on the reducer's class, or the one a
-    ``FunctionReducer`` wraps -- not replaced on the instance, not
-    decorated."""
+def _reduce_function(reducer: Reducer
+                     ) -> Tuple[ast.FunctionDef, bool, types.FunctionType]:
+    """The parsed body ``reduce()`` calls, whether it is a method, and
+    the live function: a plain function on the reducer's class, or the
+    one a ``FunctionReducer`` wraps -- not replaced on the instance or
+    by a subclass, not decorated, and the definition its file holds now
+    (:func:`~repro.core.analyzer.udf.verified_definition`)."""
     cls = type(reducer)
     source_fn = getattr(reducer, "reduce_source_function", None)
     target = source_fn if source_fn is not None else cls.reduce
     if "reduce" in getattr(reducer, "__dict__", {}) or not isinstance(
-            target, types.FunctionType):
+            target, types.FunctionType) or (
+            source_fn is not None and cls.reduce is not FunctionReducer.reduce):
         raise _Declined("reduce() is not a plain function")
-    try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(target)))
-    except (OSError, TypeError, SyntaxError) as exc:
-        raise _Declined(f"reducer source unavailable: {exc}") from None
-    fn = tree.body[0]
+    fn = verified_definition(target)
+    if isinstance(fn, str):
+        raise _Declined(f"reducer {fn}")
     if not isinstance(fn, ast.FunctionDef) or fn.decorator_list:
-        raise _Declined("reduce() is not a plain function definition")
-    return fn, source_fn is None
+        # a lambda's source is its enclosing statement
+        raise _Declined("reducer not analyzable: source is not a plain "
+                        "function definition")
+    return fn, source_fn is None, target
 
 
 def _emitted_schema(ia: Any) -> Union[Schema, str]:
@@ -278,7 +277,7 @@ def _required_inputs(reducer: Reducer, inputs: Sequence[Any]
     lifecycle = _lifecycle_emit(type(reducer))
     if lifecycle is not None:
         raise _Declined(lifecycle)
-    fn, is_method = _reduce_function(reducer)
+    fn, is_method, _function = _reduce_function(reducer)
     args = fn.args
     params = [a.arg for a in args.posonlyargs + args.args]
     self_name = params.pop(0) if is_method and params else None
@@ -540,3 +539,108 @@ def _tail_emits(stmts: List[ast.stmt], enclosing: Tuple[str, ...], ctx: str,
             raise _Declined("after the values loop, reduce() does more than "
                             "loop over collected lists and emit")
     return emits
+
+
+# -- described reducers: one emit of an aggregate's merge ----------------------
+
+#: The ops a described reducer folds with: the :data:`AGGREGATES` entries
+#: whose per-row partial is the value itself, whose finish is the merge,
+#: and whose merge is the builtin of the op's name.
+FOLD_OPS = tuple(op for op, agg in AGGREGATES.items()
+                 if agg.partial == (None,) and agg.finish == "{0}"
+                 and getattr(agg.merge, "__name__", None) == op)
+
+
+def describe_reducer(reducer: Reducer) -> Tuple[Optional[str], Optional[str]]:
+    """``(op, None)`` when the reducer's whole ``reduce()`` is::
+
+        def reduce(self, key, values, ctx):
+            ctx.emit(key, sum(values))      # or min / max: FOLD_OPS
+
+    with the name resolving to the builtin ``AGGREGATES[op].merge`` --
+    so a group's one output pair is the group's key and that builtin
+    over its values, and the reduce loop may compute it a column at a
+    time instead of calling ``reduce()`` -- else ``(None, why)``.  It
+    declines an overridden ``setup``/``cleanup``, any use of ``self``,
+    a loop, an emit of anything but the group's key, a statement beside
+    the one emit, and a shadowed builtin.
+    """
+    try:
+        return _fold_op(reducer), None
+    except _Declined as exc:
+        return None, str(exc)
+
+
+def _fold_op(reducer: Reducer) -> str:
+    for lifecycle in ("setup", "cleanup"):
+        method = getattr(reducer, lifecycle, None)
+        if getattr(method, "__func__", None) is not getattr(Reducer, lifecycle):
+            raise _Declined(f"reducer overrides {lifecycle}()")
+    fn, is_method, function = _reduce_function(reducer)
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args]
+    self_name = params.pop(0) if is_method and params else None
+    if len(params) != 3 or args.vararg or args.kwarg or args.kwonlyargs:
+        raise _Declined("reduce() does not take (key, values, ctx)")
+    key, values, ctx = params
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name) and node.value.id == self_name:
+            raise _Declined(f"reduce() uses {self_name}.{node.attr}")
+        if isinstance(node, ast.Name) and node.id == self_name:
+            raise _Declined(f"reduce() uses {self_name}")
+
+    def is_emit(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == ctx)
+
+    loops = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.AsyncFor, ast.While,
+                                  ast.comprehension))]
+    if loops:
+        if any(is_emit(node) for loop in loops for node in ast.walk(loop)):
+            raise _Declined("reduce() emits inside a loop")
+        raise _Declined("reduce() accumulates its values in a loop")
+    emits = [node for node in ast.walk(fn) if is_emit(node)]
+    if not emits:
+        raise _Declined("reducer never emits")
+    if len(emits) > 1:
+        raise _Declined("reduce() emits more than once")
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # the docstring
+    [emit] = emits
+    if len(body) != 1 or not isinstance(body[0], ast.Expr) \
+            or body[0].value is not emit:
+        raise _Declined("reduce() does more than emit one pair")
+    if len(emit.args) != 2 or emit.keywords or any(
+            isinstance(arg, ast.Starred) for arg in emit.args):
+        raise _Declined("reduce() calls ctx.emit other than with (key, "
+                        "value)")
+    emitted_key, value = emit.args
+    if not (isinstance(emitted_key, ast.Name) and emitted_key.id == key):
+        raise _Declined(f"reduce() emits the key {ast.unparse(emitted_key)},"
+                        " not its group's")
+    op = value.func.id if (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and len(value.args) == 1 and not value.keywords
+        and isinstance(value.args[0], ast.Name)
+        and value.args[0].id == values) else None
+    if op not in FOLD_OPS:
+        wanted = ", ".join(f"{name}({values})" for name in FOLD_OPS)
+        raise _Declined(f"reduce() emits {ast.unparse(value)}, not one of "
+                        f"{wanted}")
+    # the name must be the builtin when reduce() runs
+    if op in params or op == self_name:
+        raise _Declined(f"{op} is a parameter of reduce(), not the builtin")
+    if op in function.__code__.co_freevars:
+        raise _Declined(f"{op} is a closure variable, not the builtin")
+    bound = function.__globals__.get(op, function.__builtins__.get(op))
+    if bound is not AGGREGATES[op].merge:
+        raise _Declined(f"{op} is rebound in {function.__module__}, not the "
+                        "builtin")
+    return op

@@ -291,6 +291,20 @@ def _source_node(code: Any, identity: Any
     return nodes[0]
 
 
+def verified_definition(function: Any
+                        ) -> Union[ast.FunctionDef, ast.Lambda, str]:
+    """The one definition ``function`` was compiled from, verified
+    against its live bytecode (:func:`_source_node`; memoized while its
+    file is unchanged), or why there is none."""
+    identity = input_identity(function.__code__.co_filename)
+    # only a file on disk tells an edit by its identity
+    try:
+        return (_source_node if identity.kind == "file"
+                else _source_node.__wrapped__)(function.__code__, identity)
+    except _Decline as exc:
+        return str(exc)
+
+
 # -- body shape, resolution, evaluation order ----------------------------------
 
 
@@ -448,10 +462,9 @@ def analyze_udf(fn: Callable, arity: int,
         roles, captured = _bind_parameters(
             function, instance, args, keywords, arity
         )
-        identity = input_identity(function.__code__.co_filename)
-        # only a file on disk tells an edit by its identity
-        node = (_source_node if identity.kind == "file"
-                else _source_node.__wrapped__)(function.__code__, identity)
+        node = verified_definition(function)
+        if isinstance(node, str):
+            raise _Decline(node)
         try:
             lowered = lower_udf(node, roles)
         except UnsupportedConstructError as exc:

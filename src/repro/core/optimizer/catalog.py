@@ -31,7 +31,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - fcntl is POSIX-only; mirrors a Hadoop setting
     import fcntl
@@ -266,6 +266,10 @@ class Catalog:
         self._declined: Dict[str, str] = {}
         self._counter = 0
         self._clock = 0
+        #: index id -> (uses, last clock) recorded in memory since the
+        #: last registry write, re-applied on every refresh and written
+        #: with the next one (:meth:`touch_many`)
+        self._pending: Dict[str, Tuple[int, int]] = {}
         #: bumped whenever the entry *set* changes (register/remove/evict,
         #: or external changes observed on refresh) -- the engine's plan
         #: cache keys on it.  LRU touches do not bump it: they never
@@ -311,6 +315,13 @@ class Catalog:
         self._load()
         if (sorted(self._entries), sorted(self._datasets)) != before:
             self.generation += 1
+        for index_id, (uses, last) in list(self._pending.items()):
+            entry = self._entries.get(index_id)
+            if entry is None:  # removed meanwhile: nothing to record
+                del self._pending[index_id]
+                continue
+            entry.use_count += uses
+            entry.last_used = max(entry.last_used, last)
 
     def _load(self) -> None:
         data = self._read_registry()
@@ -375,6 +386,7 @@ class Catalog:
             # published catalog.json stays intact.
             faults.fault_point("catalog.write", path=tmp)
             os.replace(tmp, self._path)
+            self._pending.clear()  # written: the registry holds them now
         except BaseException:
             try:
                 os.remove(tmp)
@@ -452,13 +464,17 @@ class Catalog:
         self.touch_many([index_id])
 
     def touch_many(self, index_ids: List[str]) -> None:
-        """Record one plan's index usages in a single transaction.
+        """Record one plan's index usages (``use_count``, ``last_used``).
 
-        A plan may use several indexes; batching keeps the hot
-        plan/replan path at one lock + one registry write instead of one
-        per index.
+        Usage is kept in memory and written with the next registry write
+        of this catalog -- a plan-cache hit costs no file I/O -- except
+        under a ``space_budget_bytes``, whose LRU eviction may run in
+        another process over the same directory: then it is written at
+        once, in one transaction for the whole plan.  Usage not yet
+        written survives every refresh from disk, and is lost only if the
+        process ends before the catalog writes again.
         """
-        with self._mutate():
+        with self._lock:
             touched = False
             for index_id in index_ids:
                 entry = self._entries.get(index_id)
@@ -467,9 +483,12 @@ class Catalog:
                 self._clock += 1
                 entry.last_used = self._clock
                 entry.use_count += 1
+                uses, _last = self._pending.get(index_id, (0, 0))
+                self._pending[index_id] = (uses + 1, self._clock)
                 touched = True
-            if touched:
-                self._save()
+            if touched and self.space_budget_bytes is not None:
+                with self._mutate():
+                    self._save()
 
     def make_entry_id(self) -> str:
         with self._mutate():

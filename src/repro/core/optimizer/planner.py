@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.executor import RECORD_BLOCK_INPUTS
-from repro.batch.spec import COLUMN, part_source
+from repro.batch.spec import AGGREGATES, COLUMN, part_source
 from repro.core.analyzer.descriptors import InputAnalysis, JobAnalysis
 from repro.core.optimizer import catalog as cat
 from repro.core.optimizer.catalog import Catalog, IndexEntry
@@ -122,6 +122,10 @@ class ExecutionDescriptor:
     semijoin: Optional[Semijoin] = None
     #: ... or why it runs as a plain reduce-side join
     semijoin_decline: Optional[str] = None
+    #: the fold ops of the analyzer's described reducer and combiner
+    #: (:func:`~repro.core.analyzer.reduce_ext.describe_reducer`)
+    reducer_fold: Optional[str] = None
+    combiner_fold: Optional[str] = None
 
     @property
     def optimized(self) -> bool:
@@ -133,17 +137,22 @@ class ExecutionDescriptor:
 
     def apply(self, conf: JobConf) -> JobConf:
         """Copy of ``conf`` as this plan executes it: the chosen inputs,
-        their batch specs and this descriptor's shuffle-filter verdict --
+        their batch specs, this descriptor's shuffle-filter verdict --
         its semijoin, when it has one, around its Appendix E filter --
-        the one way a batch spec or a semijoin reaches a job.
+        and the merge builtins of its described reducer and combiner:
+        the one way a batch spec, a semijoin or a reducer description
+        reaches a job.
 
-        The filter is always overwritten: ``with_inputs`` copies the
-        original's, so a descriptor without one must clear any stale
-        filter rather than leave the copy in place.
+        The filter and the folds are always overwritten: ``with_inputs``
+        copies the original's, so a descriptor without one must clear
+        any stale one rather than leave the copy in place.
         """
         optimized = conf.with_inputs(self.chosen_inputs())
         optimized.shuffle_filter = self.shuffle_filter \
             if self.semijoin is None else self.semijoin
+        optimized.reducer_fold, optimized.combiner_fold = (
+            None if op is None else AGGREGATES[op].merge
+            for op in (self.reducer_fold, self.combiner_fold))
         for plan in self.plans:
             if plan.batch is not None:
                 optimized.batch_specs[plan.chosen.tag] = plan.batch
@@ -320,6 +329,8 @@ class Optimizer:
             shuffle_filter=analysis.reduce_key_filter,
             semijoin=None if isinstance(semijoin, str) else semijoin,
             semijoin_decline=semijoin if isinstance(semijoin, str) else None,
+            reducer_fold=analysis.reducer_fold,
+            combiner_fold=analysis.combiner_fold,
         )
 
     def _plan_input(self, index: int, source: InputSource,

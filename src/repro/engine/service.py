@@ -180,7 +180,9 @@ class ExecutionEngine:
         and its *generation* -- a
         counter bumped on register/remove/evict but not on LRU touches.
         Cache hits still record index usage (``catalog.touch_many``),
-        keeping eviction accounting identical to uncached planning.
+        keeping eviction accounting identical to uncached planning; the
+        catalog holds that usage in memory until its next registry write
+        (at once under a space budget), so a hit does no file I/O.
         Analyses without a fingerprint (hint-provided, or
         unfingerprintable jobs) plan uncached.
         """

@@ -59,6 +59,16 @@ def describe_batch(spec: Optional[Any], decline: Optional[str],
     return f"{spec.describe()}, {preagg_text(task_preagg_decline(spec, conf))}"
 
 
+def describe_fold(spec: Any, op: Optional[str], decline: Optional[str]
+                  ) -> str:
+    """A reducer's or combiner's verdict: ``described (op)`` when the
+    reduce loop folds its groups without calling it, else ``opaque
+    (why)``, or ``none`` when the job has none."""
+    if spec is None:
+        return "none"
+    return f"described ({op})" if op is not None else f"opaque ({decline})"
+
+
 def batch_lines(conf: JobConf, descriptor: Any,
                 earlier: Sequence[JobConf] = ()) -> List[str]:
     """One ``input[i] batch:`` line per input ``descriptor`` planned for
@@ -160,6 +170,10 @@ def explain_job(
             descriptor.semijoin or descriptor.semijoin_decline,
             descriptor.chosen_inputs())
     lines.append(f"  semijoin: {semijoin}")
+    lines.append("  reducer: " + describe_fold(
+        conf.reducer, analysis.reducer_fold, analysis.reducer_decline))
+    lines.append("  combiner: " + describe_fold(
+        conf.combiner, analysis.combiner_fold, analysis.combiner_decline))
     lines.append("")
 
     lines.append("index-generation programs (admin may run these):")

@@ -74,6 +74,14 @@ class JobConf:
     #: are byte-identical either way, so every other component may ignore
     #: this field.  Never set by users directly.
     batch_specs: Dict[Any, Any] = field(default_factory=dict)
+    #: the builtin (``sum``, ``min`` or ``max``) whose value over a
+    #: group's values ``reducer`` / ``combiner`` emits with the group's
+    #: key and nothing else, set by the optimizer's plan when the analyzer
+    #: described the whole ``reduce()`` so.  The reduce loop then folds
+    #: groups a column at a time instead of calling ``reduce()``; the
+    #: output is byte-identical either way.  Never set by users directly.
+    reducer_fold: Optional[Callable[[List[Any]], Any]] = None
+    combiner_fold: Optional[Callable[[List[Any]], Any]] = None
 
     def __post_init__(self) -> None:
         if not self.inputs:
@@ -129,6 +137,8 @@ class JobConf:
             parallelism=self.parallelism,
             params=dict(self.params),
             batch_specs=dict(self.batch_specs),
+            reducer_fold=self.reducer_fold,
+            combiner_fold=self.combiner_fold,
         )
 
 

@@ -458,8 +458,9 @@ def sort_order(keys: Column, skeys: Optional[Column] = None
 
 # - partition hashes -
 
-#: canonical-bytes heads of a string of 0..127 UTF-8 bytes
-_STR_HEADS = tuple(bytes((0x04, n)) for n in range(128))
+#: CRC-32 of the canonical-bytes head of a string of 0..127 UTF-8 bytes,
+#: which ``zlib.crc32`` continues over the string's bytes
+_STR_HEAD_CRCS = tuple(zlib.crc32(bytes((0x04, n))) for n in range(128))
 #: ``stable_hash`` of -64..63 (one-byte svarints), indexed by value + 64
 _SMALL_INT_HASHES = tuple(
     zlib.crc32(b"\x02" + varint.encode_svarint(v)) for v in range(-64, 64))
@@ -474,9 +475,8 @@ def _str_hashes(column: Column) -> List[int]:
     lengths = list(map(len, raw))
     if max(lengths) > 127:
         return _per_item_hashes(column)
-    return list(map(zlib.crc32, map(bytes.__add__,
-                                    map(_STR_HEADS.__getitem__, lengths),
-                                    raw)))
+    return list(map(zlib.crc32, raw,
+                    map(_STR_HEAD_CRCS.__getitem__, lengths)))
 
 
 def _int_hashes(column: Column) -> List[int]:

@@ -39,7 +39,9 @@ The reduce loop (:func:`_reduce_groups`, behind every reduce partition
 and every combiner) is a column at a time too: a partition is sorted as
 one index permutation (``keyspace.sort_order``), its group boundaries
 are found once over the sorted column, and each ``reduce()`` call gets
-the group's first key and a slice of the value column.
+the group's first key and a slice of the value column -- or, for a
+reducer the analyzer described as one emit of ``sum``/``min``/``max``
+over its values, no call at all: the groups fold a column at a time.
 
 Cluster-scale parallelism is still *modeled* separately by
 :mod:`repro.mapreduce.cost` from the byte/record metrics collected here.
@@ -49,8 +51,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from operator import itemgetter, ne
+from itertools import accumulate, compress
+from operator import itemgetter, ne, sub
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import JobExecutionError
@@ -217,7 +219,8 @@ def _finish_map_task(
 
     The bookkeeping runs a column at a time (:mod:`~repro.mapreduce.keyspace`):
     the emitted keys and values are sized once, and the shuffle stream
-    is re-sized only when the combiner or the shuffle filter changed it;
+    is re-sized only when the combiner or the shuffle filter changed it
+    (not when a described combiner's fold passed every pair through);
     the default partitioner routes the whole key column with one
     :func:`~repro.mapreduce.keyspace.stable_hashes` pass, where a user
     partitioner is called once per key.
@@ -240,8 +243,10 @@ def _finish_map_task(
     metrics.map_output_bytes += key_bytes + value_bytes
 
     if conf.combiner is not None and pairs:
-        pairs = _run_combiner(conf, keys, values, out.counters)
-        keys, values, (key_bytes, value_bytes) = _columns(pairs)
+        pairs, passed = _run_combiner(conf, keys, values, out.counters)
+        keys, values = list(map(_KEY, pairs)), list(map(_VALUE, pairs))
+        if not passed:  # else the same pairs in key order: same sizes
+            key_bytes, value_bytes = pair_sizes(keys, values)
 
     if shuffle_filter is not None and pairs:
         # Appendix E: delete map outputs whose group the reducer
@@ -280,21 +285,24 @@ def _run_combiner(
     keys: List[Any],
     values: List[Any],
     counters: Counters,
-) -> List[Tuple[Any, Any]]:
+) -> Tuple[List[Tuple[Any, Any]], bool]:
+    """The combined pairs, and whether the combiner's fold passed every
+    pair through as it was (see :func:`_reduce_groups`)."""
     combiner = conf.make_combiner()
     assert combiner is not None
     ctx = Context()
     chunk = _sorted_chunk(keys, values)
     try:
         combiner.setup(ctx)
-        _reduce_groups([chunk], combiner.reduce, ctx, "combine()")
+        passed = _reduce_groups([chunk], combiner.reduce, ctx, "combine()",
+                                conf.combiner_fold)[2]
         combiner.cleanup(ctx)
     except Exception as exc:
         raise JobExecutionError(
             f"combiner failed in job {conf.name!r}: {exc}"
         ) from exc
     counters.merge(ctx.counters)
-    return ctx.emitted
+    return ctx.emitted, passed
 
 
 #: Three aligned columns of a sorted stream: the column its groups are
@@ -321,7 +329,8 @@ def _reduce_groups(
     reduce_fn: Callable[[Any, List[Any], Context], Any],
     ctx: Context,
     where: str,
-) -> Tuple[int, int]:
+    fold: Optional[Callable[[List[Any]], Any]] = None,
+) -> Tuple[int, int, bool]:
     """The one reduce loop: ``reduce_fn`` once per group of a sorted stream.
 
     ``chunks`` is the stream in sort order, a :data:`Chunk` at a time.
@@ -330,14 +339,26 @@ def _reduce_groups(
     group's first key (in emit order) and a fresh list of its values.
     The last group of a chunk stays open until the next chunk shows
     whether it continues, so a group may span any number of chunks.
-    Returns ``(groups, records)``.
+
+    A described reducer's ``fold`` (:attr:`JobConf.reducer_fold`: the
+    builtin its whole ``reduce()`` emits over the values, with the
+    group's key) replaces the calls: each group emits the pair that call
+    would, computed a column at a time (:func:`_fold_groups`).
+    Returns ``(groups, records, passed)``: ``passed`` says the fold
+    emitted every pair of the stream as it was.
     """
-    def call(key: Any, group: List[Any]) -> None:
+    def call(key: Any, group: List[Any]) -> bool:
+        if fold is not None:
+            [value], same = _fold_groups(fold, group, [0, len(group)])
+            ctx.emit(key, value)
+            return same
         result = reduce_fn(key, group, ctx)
         if result is not None:
             _collect_yielded(ctx, result, where)
+        return False
 
     groups = records = 0
+    passed = fold is not None
     held: Optional[Tuple[Any, Any, List[Any]]] = None  # the open group
     for column, keys, values in chunks:
         n = len(column)
@@ -353,17 +374,49 @@ def _reduce_groups(
                 if end == n:
                     continue
                 del starts[0]
-            call(key, group)
+            passed = call(key, group) and passed
         groups += len(starts)
-        for i, j in zip(starts, starts[1:]):  # call(), one frame fewer
-            result = reduce_fn(keys[i], values[i:j], ctx)
-            if result is not None:
-                _collect_yielded(ctx, result, where)
+        if fold is not None:  # the chunk's closed groups
+            folded, same = _fold_groups(fold, values, starts)
+            ctx.emitted.extend(zip(map(keys.__getitem__, starts[:-1]),
+                                   folded))
+            passed = passed and same
+        else:
+            for i, j in zip(starts, starts[1:]):  # call(), one frame fewer
+                result = reduce_fn(keys[i], values[i:j], ctx)
+                if result is not None:
+                    _collect_yielded(ctx, result, where)
         last = starts[-1]
         held = column[last], keys[last], values[last:]
     if held is not None:
-        call(held[1], held[2])
-    return groups, records
+        passed = call(held[1], held[2]) and passed
+    return groups, records, passed
+
+
+#: the value types ``sum`` folds by prefix sums
+_INT = {int}
+
+
+def _fold_groups(fold: Callable[[List[Any]], Any], values: List[Any],
+                 bounds: List[int]) -> Tuple[List[Any], bool]:
+    """``fold(values[i:j])`` for each consecutive ``i, j`` of ``bounds``,
+    and whether each group was one value ``fold`` returns as it is.
+
+    That is every value for ``min``/``max``, but only an exact ``int``
+    for ``sum`` (``sum([True])`` is ``1``, ``sum([-0.0])`` is ``0.0``);
+    an all-``int`` column sums by prefix sums, whose differences are
+    exact; anything else is one builtin call per group.
+    """
+    ints = fold is sum and set(map(type, values)) == _INT
+    lo, hi = bounds[0], bounds[-1]
+    if len(bounds) - 1 == hi - lo and (ints or fold is not sum or lo == hi):
+        return values[lo:hi], True
+    if ints:
+        prefix = [0, *accumulate(values)]
+        return list(map(sub, map(prefix.__getitem__, bounds[1:]),
+                        map(prefix.__getitem__, bounds))), False
+    return list(map(fold, map(values.__getitem__,
+                              map(slice, bounds, bounds[1:])))), False
 
 
 def execute_reduce_partition(
@@ -409,8 +462,8 @@ def execute_reduce_partition(
                                 list(map(_VALUE, pairs)))]
     try:
         reducer.setup(ctx)
-        groups, records = _reduce_groups(chunks, reducer.reduce, ctx,
-                                         "reduce()")
+        groups, records, _passed = _reduce_groups(
+            chunks, reducer.reduce, ctx, "reduce()", conf.reducer_fold)
         metrics.reduce_groups += groups
         metrics.reduce_input_records += records
         reducer.cleanup(ctx)

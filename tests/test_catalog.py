@@ -192,6 +192,58 @@ class TestConcurrencySafety:
         assert cat_a.get(entry.index_id).kind == entry.kind
 
 
+class TestUsageInMemory:
+    """Without a space budget nothing reads usage from disk but this
+    catalog's own next write: a touch writes nothing, and what it
+    recorded survives every refresh until that write publishes it."""
+
+    def test_a_touch_leaves_the_registry_file_alone(self, tmp_path):
+        cat = Catalog(str(tmp_path))
+        entry = _entry(cat)
+        cat.register(entry)
+        path = os.path.join(str(tmp_path), Catalog.FILENAME)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        stamp = os.stat(path).st_mtime_ns
+        cat.touch_many([entry.index_id, entry.index_id])
+        cat.touch(entry.index_id)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.stat(path).st_mtime_ns == stamp
+        assert cat.get(entry.index_id).use_count == 3
+
+    def test_usage_survives_an_interleaved_register(self, tmp_path):
+        cat = Catalog(str(tmp_path))
+        other = Catalog(str(tmp_path))
+        entry = _entry(cat)
+        cat.register(entry)
+        cat.touch(entry.index_id)
+        # another writer rewrites the registry before this one writes
+        other.register(_entry(other, source="/data/other.rf"))
+        cat.touch(entry.index_id)
+        cat.register(_entry(cat, source="/data/third.rf"))
+        assert cat.get(entry.index_id).use_count == 2
+        reread = Catalog(str(tmp_path))
+        assert reread.get(entry.index_id).use_count == 2
+        assert reread.get(entry.index_id).last_used == \
+            cat.get(entry.index_id).last_used
+        assert len(reread) == 3
+        # written once: a later write does not count the touches again
+        cat.register(_entry(cat, source="/data/fourth.rf"))
+        assert Catalog(str(tmp_path)).get(entry.index_id).use_count == 2
+
+    def test_usage_of_a_removed_index_is_dropped(self, tmp_path):
+        cat = Catalog(str(tmp_path))
+        other = Catalog(str(tmp_path))
+        entry = _entry(cat)
+        cat.register(entry)
+        cat.touch(entry.index_id)
+        other.remove(entry.index_id)
+        cat.register(_entry(cat, source="/data/other.rf"))
+        assert entry.index_id not in {e.index_id
+                                      for e in cat.sorted_entries()}
+
+
 class TestQueries:
     def test_entries_for_source(self, tmp_path):
         cat = Catalog(str(tmp_path))

@@ -597,3 +597,44 @@ def test_checker_sees_a_second_copy_build(tmp_path):
         + ":3: imports repro.mapreduce.api",
         os.path.join("core", "optimizer", "indexgen.py")
         + ":7: calls writer.append"]
+
+
+def test_checker_sees_a_reducer_description_attached_outside_apply(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("core/optimizer", "planner",
+         "class ExecutionDescriptor:\n"
+         "    def apply(self, conf):\n"
+         "        conf.reducer_fold = sum\n"
+         "        conf.combiner_fold = self.combiner_fold\n"
+         "        return conf\n"
+         "    def describe(self, conf):\n"
+         "        conf.reducer_fold = min\n"),
+        ("mapreduce", "job",
+         "class JobConf:\n"
+         "    def with_inputs(self, inputs):\n"
+         "        return JobConf(reducer_fold=self.reducer_fold)\n"
+         "    def copy(self):\n"
+         "        return replace(self, combiner_fold=sum)\n"),
+        ("api", "session",
+         "def lower(conf, spec):\n"
+         "    setattr(conf, 'reducer_fold', max)\n"
+         "    return JobConf(conf.name, reducer_fold=sum, name='x')\n"),
+        ("core/analyzer", "analyzer",
+         "def analyze(conf):\n"
+         "    fold = conf.reducer_fold\n"
+         "    return JobAnalysis(reducer_fold=fold)\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.fold_attachment_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("api", "session.py") + ":2: stores reducer_fold",
+        os.path.join("api", "session.py") + ":3: passes reducer_fold to "
+                                            "JobConf",
+        os.path.join("core", "optimizer", "planner.py")
+        + ":7: stores reducer_fold",
+        os.path.join("mapreduce", "job.py") + ":5: passes combiner_fold to "
+                                              "replace"]

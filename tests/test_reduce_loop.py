@@ -303,7 +303,10 @@ class TestAgainstTheGroupbyLoop:
                 emitted = combine(conf, list(keys), list(values), counters)
                 return emitted, counters.to_dict()
 
-            assert _outcome(lambda: run(_run_combiner)) == \
+            def combined(*args):
+                return _run_combiner(*args)[0]  # the pairs, not `passed`
+
+            assert _outcome(lambda: run(combined)) == \
                 _outcome(lambda: run(reference_combine)), label
 
     def test_chunked_decorated_stream(self, kind, monkeypatch):

@@ -167,6 +167,17 @@
     ``.api``) -- a second builder, or a build that runs as a job again,
     would come back through any of them.
 
+19. One reducer description.  A reduce loop folds groups instead of
+    calling ``reduce()`` only on the analyzer's description of the
+    reducer, attached by the optimizer's plan.  So under ``src/repro``
+    a fold attribute (:data:`FOLD_ATTRS`: ``reducer_fold``,
+    ``combiner_fold``) is stored -- an attribute store, or a
+    ``setattr`` naming it -- only in ``ExecutionDescriptor.apply``, and
+    passed as a keyword to a ``JobConf`` or ``replace`` call only there
+    and in ``JobConf.with_inputs``, which copies its own
+    (:data:`FOLD_HOMES`) -- a second attachment is a second opinion on
+    which reducers may run without being called.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -332,6 +343,17 @@ COPY_ROWS_HOMES = frozenset({(_COLUMNAR, "copy_columns"),
                              (_COLUMNAR, "ColumnarFileWriter.append")})
 BUILD_FORBIDDEN = ("repro.mapreduce.runtime", "repro.mapreduce.parallel",
                    "repro.mapreduce.api")
+
+
+#: rule 19: the job attributes that carry a reducer description, the
+#: scopes that may set them, and the calls whose keywords set them
+FOLD_ATTRS = frozenset({"reducer_fold", "combiner_fold"})
+FOLD_HOMES = frozenset({
+    (os.path.join("repro", "core", "optimizer", "planner.py"),
+     "ExecutionDescriptor.apply"),
+    (os.path.join("repro", "mapreduce", "job.py"), "JobConf.with_inputs"),
+})
+FOLD_CALLS = frozenset({"JobConf", "replace"})
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -794,6 +816,39 @@ def spec_attachment_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def fold_attachment_violations(src: str = SRC) -> List[str]:
+    """Every store into a :data:`FOLD_ATTRS` attribute and every
+    :data:`FOLD_CALLS` keyword naming one outside :data:`FOLD_HOMES`,
+    under ``src/repro`` (rule 19)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        module = os.path.relpath(path, src)
+        rel = os.path.relpath(path, REPO_ROOT)
+        for scope, node in _scoped_nodes(tree):
+            if (module, scope) in FOLD_HOMES:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in FOLD_ATTRS
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                found.append((rel, node.lineno, f"stores {node.attr}"))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name == "setattr" and len(node.args) > 1 and isinstance(
+                        node.args[1], ast.Constant) \
+                        and node.args[1].value in FOLD_ATTRS:
+                    found.append((rel, node.lineno,
+                                  f"stores {node.args[1].value}"))
+                elif name in FOLD_CALLS:
+                    found.extend((rel, node.lineno, f"passes {kw.arg} to "
+                                  f"{name}") for kw in node.keywords
+                                 if kw.arg in FOLD_ATTRS)
+    return [f"{rel}:{lineno}: {what} (only ExecutionDescriptor.apply "
+            f"attaches a reducer description)"
+            for rel, lineno, what in sorted(set(found))]
+
+
 def semijoin_violations(src: str = SRC) -> List[str]:
     """Every construction of a :data:`SEMIJOIN` outside
     :data:`SEMIJOIN_HOMES` or of a :data:`KEY_SET` outside
@@ -892,10 +947,10 @@ def main() -> int:
     index, order = index_format_violations(), stage_order_violations()
     copies, generated = copy_layout_violations(), codegen_violations()
     specs, semijoins = spec_attachment_violations(), semijoin_violations()
-    builds = copy_build_violations()
+    builds, folds = copy_build_violations(), fold_attachment_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
                  + loop + shape + reference + index + order + copies
-                 + generated + specs + semijoins + builds):
+                 + generated + specs + semijoins + builds + folds):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -941,9 +996,12 @@ def main() -> int:
               f"their homes")
     if builds:
         print(f"\n{len(builds)} second copy build(s) or build job trace(s)")
+    if folds:
+        print(f"\n{len(folds)} reducer description(s) attached outside "
+              f"ExecutionDescriptor.apply")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
             or loop or shape or reference or index or order or copies
-            or generated or specs or semijoins or builds):
+            or generated or specs or semijoins or builds or folds):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -977,7 +1035,8 @@ def main() -> int:
           + "; only " + " and ".join(SEMIJOIN_HOMES) + " attaches a "
           + f"semijoin and only {KEY_PASS_CALLER[1]} computes its key set"
           + f"; only {COPY_BUILDER} constructs a {COPY_WRITER}, rows reach "
-          + "it only through copy_columns, and it imports no job runtime")
+          + "it only through copy_columns, and it imports no job runtime"
+          + "; only ExecutionDescriptor.apply attaches a reducer description")
     return 0
 
 
