@@ -46,6 +46,7 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
+import tokenize
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -243,6 +244,21 @@ def _code_key(code: Any) -> Tuple[Any, ...]:
     )
 
 
+def _parsed_source(source: str) -> Tuple[ast.Module, Any]:
+    """``source`` parsed, and compiled from that tree (never executed)."""
+    tree = ast.parse(source)
+    return tree, compile(tree, "<udf-verify>", "exec", dont_inherit=True)
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed_file(filename: str, identity: Any) -> Tuple[ast.Module, Any]:
+    """The source file ``filename`` parsed and compiled, once per
+    ``identity`` (its :func:`~repro.storage.input_identity`): every
+    function of one file is verified against one parse."""
+    with tokenize.open(filename) as handle:
+        return _parsed_source(handle.read())
+
+
 @functools.lru_cache(maxsize=256)
 def _source_node(code: Any, identity: Any
                  ) -> Union[ast.FunctionDef, ast.Lambda]:
@@ -257,14 +273,16 @@ def _source_node(code: Any, identity: Any
     imports for attribute calls -- as it was.  A verified definition is
     memoized on the code object and ``identity``, the
     :func:`~repro.storage.input_identity` of its file, when that is a
-    file: a verdict per captured value parses nothing again, and an
-    edited file is verified afresh.
+    file, and so is the file's parse (:func:`_parsed_file`): a verdict
+    per captured value parses nothing again, another function of the
+    file reuses its parse, and an edited file is verified afresh.
     """
     name, line = code.co_name, code.co_firstlineno
     try:
-        lines, _ = inspect.findsource(code)
-        tree = ast.parse("".join(lines))
-        compiled = compile(tree, "<udf-verify>", "exec", dont_inherit=True)
+        tree, compiled = (
+            _parsed_file(code.co_filename, identity)
+            if identity.kind == "file"
+            else _parsed_source("".join(inspect.findsource(code)[0])))
     except (OSError, TypeError, SyntaxError, ValueError) as exc:
         raise _Decline(f"source unavailable: {exc}") from None
     kind = ast.Lambda if name == "<lambda>" else ast.FunctionDef

@@ -33,6 +33,7 @@ from repro.engine.cache import (
     udf_fingerprint,
 )
 from repro.engine.pool import WorkerPool
+from repro.storage.columnar import column_cache_stats
 
 #: Attribute stashed on cached JobAnalysis objects so the plan cache can
 #: reuse the already-computed fingerprint (hint-provided analyses lack
@@ -214,10 +215,13 @@ class ExecutionEngine:
     # -- lifecycle ------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        """The pool's counters, the analysis and plan caches', and this
+        process's decoded-column cache's (pool workers keep their own)."""
         return {
             "pool": self.pool.stats(),
             "analysis_cache": self.analysis_cache.stats(),
             "plan_cache": self.plan_cache.stats(),
+            "column_cache": column_cache_stats(),
         }
 
     def clear_caches(self) -> None:

@@ -176,6 +176,13 @@ def stable_hash(value: Any) -> int:
     return zlib.crc32(bytes(out))
 
 
+def _int_size(value: int) -> int:
+    """The bytes of ``value``'s zigzag varint, whatever its magnitude:
+    ``svarint_len`` within int64, the same arithmetic past it (where the
+    record-file writers refuse the value but the shuffle carries it)."""
+    return (((value << 1) ^ -(value < 0)).bit_length() + 6) // 7 or 1
+
+
 def estimate_size(value: Any) -> int:
     """Approximate serialized size in bytes of a key or value.
 
@@ -183,6 +190,7 @@ def estimate_size(value: Any) -> int:
     shuffle and output I/O based on these estimates.  The per-item
     spelling of :func:`total_size`, which the runners call once per
     column; like :func:`sort_key`, dispatches on concrete type first.
+    An int of any magnitude is sized (:func:`_int_size`).
     """
     handler = _SIZE_DISPATCH.get(type(value))
     if handler is not None:
@@ -196,7 +204,7 @@ def _estimate_size_slow(value: Any) -> int:
     if isinstance(value, bool):
         return 1
     if isinstance(value, int):
-        return varint.svarint_len(value)
+        return _int_size(value)
     if isinstance(value, float):
         return 8
     if isinstance(value, str):
@@ -218,7 +226,7 @@ def _estimate_size_slow(value: Any) -> int:
 _SIZE_DISPATCH = {
     type(None): lambda v: 1,
     bool: lambda v: 1,
-    int: varint.svarint_len,
+    int: _int_size,
     float: lambda v: 8,
     str: lambda v: len(v.encode("utf-8")) + 1,
     bytes: lambda v: len(v) + 1,
@@ -284,7 +292,7 @@ def _int_column_size(column: Column) -> int:
     if -64 <= lo and hi < 64:
         return n
     if lo < _INT64_MIN or hi > _INT64_MAX:
-        return _per_item_size(column)  # raises svarint_len's error
+        return sum(map(_int_size, column))
     ordered = sorted(column)
     total = n
     for low, high in _SVARINT_BOUNDS:

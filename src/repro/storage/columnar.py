@@ -63,14 +63,26 @@ it decodes -- segment sums, widths, lengths against the blob, UTF-8 --
 is re-walked by :meth:`ColumnarFileReader.decode_block`, the format's
 reference decode, value by value, and that walk's exception is the one
 raised; a re-walk that succeeds is an internal error.
+
+A process decodes each segment of a file once: the decoded-column cache
+keeps every captured segment of a block its reader read from the file
+under (the open handle's ``fstat`` identity, the block's offset, the
+segment's position), and a sorted copy's fences under (identity,
+:data:`FENCES`), least recently used first within :data:`CACHE_BYTES`.
+A hit returns the same lists a decode would have built -- shared, so no
+consumer mutates them -- and the payload is still read and charged.  A
+forked child starts with an empty cache and a fresh lock.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
+import threading
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from functools import partial
 from itertools import accumulate, chain
 from operator import le, sub
@@ -592,6 +604,97 @@ def _bytes(buf: bytes, start: int, stop: int, n: int) -> Optional[list]:
 _DECODE = {"int": _ints, "double": _doubles, "bool": _bools,
            "string": _strings, "bytes": _bytes}
 
+# -- the decoded-column cache ----------------------------------------------------
+
+#: What the decoded-column cache may hold, in estimated resident bytes.
+CACHE_BYTES = 8 << 20
+
+#: column kind -> estimated bytes of one decoded value beyond its list
+#: slot (bools are the two shared objects; an int is sized as a
+#: non-cached one; a blob's value adds its own bytes)
+_VALUE_BYTES = {"int": 32, "double": 24, "bool": 0, "string": 49, "bytes": 33}
+
+
+def _resident(kind: str, column: Sequence[Any], length: int) -> int:
+    """Estimated bytes a decoded column of ``length`` stored bytes holds."""
+    blob = length if kind in ("string", "bytes") else 0
+    return 56 + (8 + _VALUE_BYTES[kind]) * len(column) + blob
+
+
+class _ColumnCache:
+    """A process's decoded columnar segments, least recently used first.
+
+    A key is ``(file identity, block offset, segment position)`` -- or
+    ``(file identity, FENCES)`` for a sorted copy's directory -- where
+    the identity is the open handle's ``fstat`` ``(st_dev, st_ino,
+    st_size, st_mtime_ns)``; an entry is ``(value, estimated bytes)``,
+    and the entries never hold more than :data:`CACHE_BYTES`.  Values
+    are shared with every scan that hits them and never mutated.  One
+    lock guards the table and its counters; a forked child starts over
+    with a new lock and an empty table (:meth:`reset`, registered with
+    ``os.register_at_fork``), since the parent's lock may be held by a
+    thread the child does not have."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple, Tuple[Any, int]]" = OrderedDict()
+        self.resident = self.hits = self.misses = self.evictions = 0
+
+    def lookup(self, keys: Sequence[Tuple]) -> List[Any]:
+        """The cached value of each of ``keys``, ``None`` where missing."""
+        entries = self._entries
+        with self._lock:
+            found = []
+            for key in keys:
+                entry = entries.get(key)
+                if entry is None:
+                    self.misses += 1
+                    found.append(None)
+                else:
+                    entries.move_to_end(key)
+                    self.hits += 1
+                    found.append(entry[0])
+            return found
+
+    def store(self, items: Sequence[Tuple[Tuple, Any, int]]) -> None:
+        """Cache each ``(key, value, estimated bytes)``, evicting the least
+        recently used entries past the budget; a value larger than the
+        whole budget is not kept."""
+        entries = self._entries
+        with self._lock:
+            for key, value, size in items:
+                if size > CACHE_BYTES or key in entries:
+                    continue
+                entries[key] = (value, size)
+                self.resident += size
+                while self.resident > CACHE_BYTES:
+                    _key, (_value, evicted) = entries.popitem(last=False)
+                    self.resident -= evicted
+                    self.evictions += 1
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions, "entries": len(self._entries),
+                    "resident_bytes": self.resident,
+                    "budget_bytes": CACHE_BYTES}
+
+
+_COLUMN_CACHE = _ColumnCache()
+os.register_at_fork(after_in_child=_COLUMN_CACHE.reset)
+
+#: the cache key's last part for a sorted copy's fences
+FENCES = "fences"
+
+
+def column_cache_stats() -> Dict[str, int]:
+    """The decoded-column cache's hits, misses and evictions (one per
+    segment or directory looked up), entries and resident bytes."""
+    return _COLUMN_CACHE.stats()
+
 
 class ColumnScanner:
     """One column capture: which segments decode into which slots.
@@ -600,55 +703,78 @@ class ColumnScanner:
     offers -- ``(columns by slot, then key columns under KEY_COLUMNS; key
     records or None; logical bytes)`` -- so a columnar block feeds the
     record path's split readers and the batch path's column batches
-    alike."""
+    alike.  A block its reader just read from a file
+    (:meth:`ColumnarFileReader.block_key`) takes each captured segment
+    from the decoded-column cache, and caches what it decodes."""
 
-    __slots__ = ("_steps", "_n_slots", "_n_columns", "_decode_keys")
+    __slots__ = ("_steps", "_captured", "_n_slots", "_n_columns",
+                 "_decode_keys")
 
     def __init__(self, kinds: Sequence[str], n_keys: int,
                  slots: Sequence[int], decode_keys: Union[bool, str]):
         n_slots = 1 + max(slots, default=-1)
         key_slots = (range(n_slots, n_slots + n_keys) if decode_keys
                      else [-1] * n_keys)
-        #: per segment: (its decoder, or None to pass over it; its slot)
+        #: per segment: (its decoder, or None to pass over it; its slot;
+        #: its kind)
         self._steps = tuple(
-            (None if slot < 0 else _DECODE[kind], slot)
+            (None if slot < 0 else _DECODE[kind], slot, kind)
             for kind, slot in zip(kinds, chain(key_slots, slots)))
+        #: the captured segments' positions
+        self._captured = tuple(position for position, (decode, _slot, _kind)
+                               in enumerate(self._steps) if decode)
         self._n_slots = n_slots
         self._n_columns = n_slots + (n_keys if decode_keys else 0)
         self._decode_keys = decode_keys
 
-    def _scan(self, payload: bytes, n_records: int,
-              key_schema: Schema) -> Optional[Scanned]:
+    def _decode(self, payload: bytes, n_records: int,
+                cached: Optional[Sequence[Any]] = None
+                ) -> Optional[Tuple[List[Any], int, list]]:
+        """``(columns by slot, logical bytes, the segments it decoded as
+        (position, column, stored length))``, or ``None`` for a block it
+        cannot prove.  ``cached`` holds a column or ``None`` per captured
+        segment: a block whose every one is cached is not walked."""
         decode_uvarint = varint.decode_uvarint
         end = len(payload)
         logical, pos = decode_uvarint(payload, 0, end)
         columns: List[Any] = [None] * self._n_columns
-        for decode, slot in self._steps:
+        if cached is not None and None not in cached:
+            for position, column in zip(self._captured, cached):
+                columns[self._steps[position][1]] = column
+            return columns, logical, []
+        held = dict(zip(self._captured, cached or ()))
+        decoded = []
+        for position, (decode, slot, _kind) in enumerate(self._steps):
             length, pos = decode_uvarint(payload, pos, end)
             stop = pos + length
             if stop > end:
                 return None
             if decode is not None:
-                column = decode(payload, pos, stop, n_records)
+                column = held.get(position)
                 if column is None:
-                    return None
+                    column = decode(payload, pos, stop, n_records)
+                    if column is None:
+                        return None
+                    decoded.append((position, column, length))
                 columns[slot] = column
             pos = stop
         if pos != end:
             return None
-        keys = None
-        if self._decode_keys is True:
-            keys = build_records(key_schema, columns[self._n_slots:], n_records)
-            del columns[self._n_slots:]
-        return columns, keys, logical
+        return columns, logical, decoded
 
     def scan(self, reader: BlockFileReader, payload: bytes, n_records: int,
              rewalk: Optional[Callable[..., object]] = None) -> Scanned:
         """The captured columns of one block; a block this cannot prove
         is re-walked by ``rewalk(reader, payload, n_records)`` (by default
         the reader's reference decode), whose exception is raised."""
+        block = reader.block_key(payload) \
+            if isinstance(reader, ColumnarFileReader) else None
+        cached = None
+        if block is not None and self._captured:
+            cached = _COLUMN_CACHE.lookup([
+                (*block, position) for position in self._captured])
         try:
-            out = self._scan(payload, n_records, reader.key_schema)
+            out = self._decode(payload, n_records, cached)
         except Exception:
             out = None
         if out is None:
@@ -660,7 +786,19 @@ class ColumnScanner:
             raise StorageError(
                 f"{reader.path}: internal error: the column scan rejected "
                 "a block the reference decoder accepts")
-        return out
+        columns, logical, decoded = out
+        if block is not None and decoded:
+            steps = self._steps
+            _COLUMN_CACHE.store([
+                ((*block, position), column,
+                 _resident(steps[position][2], column, length))
+                for position, column, length in decoded])
+        keys = None
+        if self._decode_keys is True:
+            keys = build_records(reader.key_schema, columns[self._n_slots:],
+                                 n_records)
+            del columns[self._n_slots:]
+        return columns, keys, logical
 
 
 def column_scanner(key_schema: Schema, schema: Schema,
@@ -701,7 +839,24 @@ class ColumnarFileReader(BlockFileReader):
         self._columns = [(f.name, _KIND[f.ftype]) for f in chain(
             self.key_schema.fields, self.stored_schema.fields)]
         self._code_table: Optional[List[str]] = None
-        self._fences: Optional[Tuple[List[BlockInfo], List[bytes]]] = None
+        st = os.fstat(self._file.fileno())
+        #: which bytes the open handle reads: the decoded-column cache's key
+        self.identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        #: the payload last read and the offset of its block
+        self._last_block: Tuple[Optional[bytes], int] = (None, 0)
+
+    def _read_block(self) -> Tuple[bytes, int]:
+        offset = self._file.tell()
+        payload, n_records = BlockFileReader._read_block(self)
+        self._last_block = (payload, offset)
+        return payload, n_records
+
+    def block_key(self, payload: bytes) -> Optional[Tuple[Any, int]]:
+        """``(identity, block offset)`` when ``payload`` is the block this
+        reader read last -- what the decoded-column cache keys its
+        segments under --, else ``None`` (a payload from elsewhere)."""
+        last, offset = self._last_block
+        return (self.identity, offset) if payload is last else None
 
     def scanner(self, shape: ReadShape) -> Optional[ColumnScanner]:
         """The record path's scan: the fields of ``shape`` in stored order
@@ -732,11 +887,19 @@ class ColumnarFileReader(BlockFileReader):
 
     def fences(self) -> Tuple[List[BlockInfo], List[bytes]]:
         """A sorted copy's blocks and their fences (first and last order
-        key of each, in block order), read off the footer alone (once per
-        open reader) and checked against the data region."""
-        if self._fences is None:
-            self._fences = self._read_fences()
-        return self._fences
+        key of each, in block order), read off the footer alone -- once
+        per file identity, through the decoded-column cache -- and checked
+        against the data region."""
+        key = (self.identity, FENCES)
+        [fences] = _COLUMN_CACHE.lookup([key])
+        if fences is None:
+            fences = self._read_fences()
+            blocks, keys = fences
+            # a BlockInfo holds about what three ints do
+            size = (_resident("bytes", keys, sum(map(len, keys)))
+                    + 3 * _resident("int", blocks, 0))
+            _COLUMN_CACHE.store([(key, fences, size)])
+        return fences
 
     def _read_fences(self) -> Tuple[List[BlockInfo], List[bytes]]:
         if self.key_field is None:
@@ -747,8 +910,8 @@ class ColumnarFileReader(BlockFileReader):
         try:  # past the empty code table
             n, at = varint.decode_uvarint(raw, 1, len(raw)) if raw[1:] \
                 else (0, 1)
-            lengths, counts, firsts, lasts = _DIRECTORY._scan(
-                raw[at:], n, self.key_schema)[0] if n else [[]] * 4
+            lengths, counts, firsts, lasts = _DIRECTORY._decode(
+                raw[at:], n)[0] if n else [[]] * 4
             keys = list(chain.from_iterable(zip(firsts, lasts)))
             if (raw[:1] != b"\x00" or keys != sorted(keys)
                     or self._data_start + sum(lengths) != self._data_end):

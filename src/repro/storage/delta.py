@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.exceptions import CorruptFileError, SchemaError
+from repro.exceptions import CorruptFileError, SchemaError, SerializationError
 from repro.storage import varint
 from repro.storage.blockfile import (
     DEFAULT_BLOCK_SIZE,
@@ -37,6 +37,9 @@ from repro.storage.serialization import (
 )
 
 MAGIC = b"RPDF"
+
+#: A stored integer is an int64: a running sum outside it is refused.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def _codec_steps(value_schema: Schema, delta_fields: Sequence[str]):
@@ -102,10 +105,14 @@ class DeltaFileReader(BlockFileReader):
 
         def decode(buf: Any, pos: int, end: int) -> Record:
             values: List[Any] = []
-            for i, _name, ftype, is_delta in steps:
+            for i, name, ftype, is_delta in steps:
                 if is_delta:
                     delta, pos = varint.decode_svarint(buf, pos, end)
                     value = prev[i] = prev.get(i, 0) + delta
+                    if not _INT64_MIN <= value <= _INT64_MAX:
+                        raise SerializationError(
+                            f"{path}: field {name!r}: running sum {value} "
+                            "exceeds 64-bit signed range")
                 else:
                     value, pos = _decode_value(ftype, buf, pos, end)
                 values.append(value)

@@ -278,14 +278,34 @@ class ScannedRecord(Record):
     Each field list has its own subclass (:func:`scanned_class`), and
     :func:`build_records` fills the slots from the scanner's columns, so
     a field read is a plain slot read that never reaches ``__getattr__``.
-    Everything else -- equality, hashing, ``as_tuple``, pickling (to a
-    plain :class:`Record`) -- is :class:`Record`'s own.
+    Everything else -- equality, hashing, ``as_tuple`` -- is
+    :class:`Record`'s own.  A pickled one unpickles as its schema's
+    subclass in the loading process (:func:`_unpickle_scanned`), so a
+    pool worker reading shuffled records reads slots too.
     """
 
     __slots__ = ()
 
     #: the subclass's field slot descriptors, in field order
     _field_slots: Tuple[Any, ...] = ()
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (_unpickle_scanned, (self._schema, self._values))
+
+
+def _unpickle_scanned(schema: "Schema", values: Tuple[Any, ...]) -> Record:
+    """A pickled :class:`ScannedRecord`: its schema's subclass with every
+    slot filled -- or, when the schema has none or the values do not fill
+    its slots, what ``Record(schema, values)`` makes of them."""
+    cls = scanned_class(schema)
+    if cls is None or len(cls._field_slots) != len(values):
+        return Record(schema, values)
+    record = object.__new__(cls)
+    Record._schema.__set__(record, schema)
+    Record._values.__set__(record, values)
+    for slot, value in zip(cls._field_slots, values):
+        slot.__set__(record, value)
+    return record
 
 
 #: field names -> their ScannedRecord subclass, or None (see below)

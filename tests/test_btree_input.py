@@ -19,6 +19,7 @@ and on ``map_input_records`` and ``records_skipped``.
 """
 
 import random
+import shutil
 
 import pytest
 
@@ -197,8 +198,10 @@ class TestRangeReadMatchesSortedScan:
         assert "s" in type(value).__slots__ and "id" in type(key).__slots__
         assert value == VALUE.make(*value.as_tuple())
 
-    def test_one_split_per_range(self, indexes, monkeypatch):
+    def test_one_split_per_range(self, indexes, monkeypatch, tmp_path):
         """... and the copy's footer is read once for all of them."""
+        # a fresh file: no earlier scan of this copy has read its fences
+        path = shutil.copy(indexes["i"], tmp_path / "fresh.col")
         reads = []
         read_fences = ColumnarFileReader._read_fences
         monkeypatch.setattr(ColumnarFileReader, "_read_fences",
@@ -207,7 +210,7 @@ class TestRangeReadMatchesSortedScan:
         ranges = [KeyRange(None, encode_key(FieldType.INT, -50)),
                   KeyRange(encode_key(FieldType.INT, 900), None),
                   KeyRange(encode_key(FieldType.INT, 0), None)]
-        assert len(SelectionIndexInput(indexes["i"], ranges).splits(1)) == 3
+        assert len(SelectionIndexInput(str(path), ranges).splits(1)) == 3
         assert len(reads) == 1
 
     def test_negative_zero_shares_the_zero_key(self, indexes, rows):

@@ -8,8 +8,8 @@ with a reason.  The optimizer's plan attaches the builtin to the job
 then folds each group without calling the reducer.
 
 The differential below runs seeded value columns -- small ints, ints
-whose prefix sums pass 64 bits, ints past 64 bits (no shuffle sizes
-them), bools (``sum([True])`` is ``1``), floats with ``-0.0`` and NaN,
+whose prefix sums pass 64 bits, ints past 64 bits (sized like any
+int), bools (``sum([True])`` is ``1``), floats with ``-0.0`` and NaN,
 strings (``sum`` raises) -- under keys that group ``1``, ``1.0`` and
 ``True`` together, in empty, singleton, all-singleton, mixed and giant
 groups, with and without a combiner, described and opaque, on the
@@ -251,7 +251,7 @@ VALUE_KINDS = {
     # a group's sum fits 64 bits, the chunk's prefix sums do not
     "long-prefix-past-2**64": lambda rng: rng.choice(
         [(1 << 59) + 3, 1 << 59, (1 << 58) + 1, 5]),
-    # no shuffle sizes an int past 64 bits: both ways raise alike
+    # the shuffle sizes an int past 64 bits: both ways complete alike
     "long-past-2**64": lambda rng: rng.choice([1 << 64, -(1 << 70), 3]),
     "bool": lambda rng: rng.choice([True, False]),
     "double": lambda rng: rng.choice([0.0, -0.0, NAN, 1.5, -2.25, 1e300]),
@@ -318,12 +318,14 @@ def test_sequential_runner(values, op, combine):
                 (keys, seed)
             if values == "str" and op == "sum" and keys != "empty":
                 assert expected[0] == "raised"
+            if values == "long-past-2**64":
+                assert expected[0] == "ok", expected
 
 
 #: (values, keys): the cases that run to completion -- a pool job that
 #: fails reports whichever failing task its workers met first
 POOL_CASES = [("int", "mixed"), ("long-prefix-past-2**64", "mixed"),
-              ("long-prefix-past-2**64", "giant"),
+              ("long-prefix-past-2**64", "giant"), ("long-past-2**64", "mixed"),
               ("double", "one-onefloat-true"), ("bool", "all-singleton"),
               ("int-and-bool", "mixed")]
 

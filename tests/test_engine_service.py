@@ -541,7 +541,8 @@ class TestEngineService:
 
     def test_stats_shape(self, engine):
         stats = engine.stats()
-        assert set(stats) == {"pool", "analysis_cache", "plan_cache"}
+        assert set(stats) == {"pool", "analysis_cache", "plan_cache",
+                              "column_cache"}
 
     def test_clear_caches(self, tmp_path, engine):
         path = write_webpages(tmp_path / "w.rf", 40)

@@ -6,7 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import MapReduceError, SerializationError
+from repro.exceptions import MapReduceError
 from repro.mapreduce import (
     InMemoryInput,
     JobConf,
@@ -27,6 +27,7 @@ from repro.mapreduce.keyspace import (
     stable_hashes,
     total_size,
 )
+from repro.storage import varint
 from repro.storage.serialization import (
     Field,
     FieldType,
@@ -258,12 +259,17 @@ class TestColumnSpellings:
 
     def test_int64_edges_size_like_svarint_len(self):
         assert total_size(INT64_EDGES) == sum(map(estimate_size, INT64_EDGES))
-        for bad in (1 << 63, -(1 << 63) - 1):
-            with pytest.raises(SerializationError) as column:
-                total_size(INT64_EDGES + [bad])
-            with pytest.raises(SerializationError) as item:
-                estimate_size(bad)
-            assert str(column.value) == str(item.value)
+        assert list(map(estimate_size, INT64_EDGES)) == \
+            list(map(varint.svarint_len, INT64_EDGES))
+
+    def test_ints_past_int64_are_sized_not_refused(self):
+        # the zigzag varint's length, continued past 64 bits
+        for big, size in ((1 << 63, 10), (-(1 << 63) - 1, 10),
+                          (1 << 70, 11), (-(1 << 70), 11), (1 << 700, 101)):
+            assert estimate_size(big) == size
+            assert total_size(INT64_EDGES + [big]) == \
+                total_size(INT64_EDGES) + size
+            assert pair_sizes([big], [(big, "x")]) == (size, 1 + size + 2)
 
     def test_lone_surrogates_raise_the_per_item_encode_error(self):
         column = ["ok", "fine", "x\ud800y", "\udfff"]

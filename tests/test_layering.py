@@ -482,7 +482,7 @@ def test_checker_sees_a_second_code_generator(tmp_path):
         ("api", "plan", "import builtins\n"
                         "code = builtins.compile('1', '<s>', 'eval')\n"),
         # the verifier's compile is exempt by name; nothing else in udf is
-        ("core/analyzer", "udf", "def _source_node(tree):\n"
+        ("core/analyzer", "udf", "def _parsed_source(tree):\n"
                                  "    return compile(tree, '<v>', 'exec')\n"
                                  "def other(tree):\n"
                                  "    return compile(tree, '<v>', 'exec')\n"),
@@ -638,3 +638,39 @@ def test_checker_sees_a_reducer_description_attached_outside_apply(tmp_path):
         + ":7: stores reducer_fold",
         os.path.join("mapreduce", "job.py") + ":5: passes combiner_fold to "
                                               "replace"]
+
+
+def test_checker_sees_the_column_cache_used_outside_columnar(tmp_path):
+    checker = _load_checker()
+    for package, name, body in (
+        ("storage", "columnar",
+         "class _ColumnCache:\n"
+         "    pass\n"
+         "_COLUMN_CACHE = _ColumnCache()\n"
+         "def column_cache_stats():\n"
+         "    return _COLUMN_CACHE.stats()\n"),
+        ("engine", "service",
+         "from repro.storage.columnar import column_cache_stats\n"
+         "def stats():\n"
+         "    return column_cache_stats()\n"),
+        ("batch", "columns",
+         "from repro.storage.columnar import _COLUMN_CACHE\n"
+         "def warm(key, column):\n"
+         "    _COLUMN_CACHE.store([(key, column, 0)])\n"),
+        ("mapreduce", "formats",
+         "from repro.storage import columnar\n"
+         "def peek(keys):\n"
+         "    return columnar._COLUMN_CACHE.lookup(keys)\n"
+         "class Mine(columnar._ColumnCache):\n"
+         "    pass\n"),
+    ):
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.py").write_text(body)
+    found = checker.column_cache_violations(str(tmp_path))
+    assert [line.split(" (")[0].split(os.sep + "repro" + os.sep)[1]
+            for line in found] == [
+        os.path.join("batch", "columns.py") + ":1: names _COLUMN_CACHE",
+        os.path.join("batch", "columns.py") + ":3: names _COLUMN_CACHE",
+        os.path.join("mapreduce", "formats.py") + ":3: names _COLUMN_CACHE",
+        os.path.join("mapreduce", "formats.py") + ":4: names _ColumnCache"]

@@ -110,11 +110,23 @@ class TestScannedRecordIsARecord:
         assert scanned == reference
         assert UV.encode(scanned[1]) == UV.encode(reference[1])
 
-    def test_pickles_to_a_plain_record(self):
+    def test_pickles_to_its_scanned_class(self):
         scanned = _scanned(("a", 1, 2, 3.0, True, b"xy"))
         clone = pickle.loads(pickle.dumps(scanned))
-        assert type(clone) is Record
+        assert type(clone) is type(scanned) is scanned_class(UV)
         assert clone == scanned
+        assert clone.schema is UV or clone.schema.to_dict() == UV.to_dict()
+        assert [getattr(clone, f.name) for f in UV.fields] == \
+            list(scanned.as_tuple())
+
+    def test_unpickles_as_a_record_without_a_scanned_class(self):
+        from repro.storage.serialization import _unpickle_scanned
+
+        dunder = Schema("Dunder", [Field("__x", FieldType.INT)])
+        clone = _unpickle_scanned(dunder, (1,))
+        assert type(clone) is Record and clone.as_tuple() == (1,)
+        with pytest.raises(SerializationError):
+            _unpickle_scanned(UV, ("a", 1))
 
     def test_record_api_surface(self):
         record = UV.make("a", 1, 2, 3.0, True, b"xy")

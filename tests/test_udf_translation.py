@@ -7,6 +7,7 @@ verdict memo.  End-to-end equivalence of translated chains lives in
 """
 
 import functools
+import importlib.util
 import linecache
 import zlib
 
@@ -21,6 +22,7 @@ from repro.api.expressions import (
 )
 from repro.api.plan import callable_label
 from repro.api.session import Session
+from repro.core.analyzer import udf
 from repro.core.analyzer.udf import FILTER_ARITY, MAP_ARITY, analyze_udf
 from repro.engine.service import ExecutionEngine
 from repro.storage.serialization import STRING_SCHEMA
@@ -267,6 +269,26 @@ class TestDeclineMatrix:
             assert analyze_udf(namespace["pred"], 1).reason is None
         finally:
             del linecache.cache[filename]
+
+    def test_one_parse_per_file(self, tmp_path, monkeypatch):
+        """Two functions of one file are verified against one parse of
+        it; the file edited is parsed again and no longer verifies."""
+        path = tmp_path / "two_udfs.py"
+        path.write_text("def first(value):\n    return value.rank > 1\n\n"
+                        "def second(value):\n    return value.rank > 2\n")
+        spec = importlib.util.spec_from_file_location("two_udfs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parses = []
+        parse = udf._parsed_source
+        monkeypatch.setattr(udf, "_parsed_source",
+                            lambda source: parses.append(1) or parse(source))
+        for fn in (module.first, module.second, module.first):
+            assert not isinstance(udf.verified_definition(fn), str)
+        assert len(parses) == 1
+        path.write_text("def first(value):\n    return value.rank > 10\n")
+        assert "live bytecode" in udf.verified_definition(module.first)
+        assert len(parses) == 2
 
     @pytest.mark.parametrize("fn, fragment", [
         (lambda v: len(v.url) > 3, "len("),

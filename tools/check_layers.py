@@ -178,6 +178,16 @@
     (:data:`FOLD_HOMES`) -- a second attachment is a second opinion on
     which reducers may run without being called.
 
+20. One decoded-column cache.  A catalog copy's decoded segments are
+    reused only under the columnar scan, keyed by the open handle's file
+    identity.  So under ``src/repro`` the cache and its class
+    (:data:`COLUMN_CACHE_NAMES`: ``_COLUMN_CACHE``, ``_ColumnCache``) are
+    named -- read, written, imported or subclassed -- only in
+    ``repro/storage/columnar.py`` (:data:`COLUMN_CACHE_HOME`), and the
+    rest of the system sees its counters through
+    ``columnar.column_cache_stats`` -- a second reader or writer could
+    serve a segment under a key the scan does not check.
+
 Exit status 0 when every rule holds; 1 with a report otherwise.  Run from
 anywhere: the repo root is located relative to this file.
 
@@ -308,7 +318,7 @@ ROW_MAJOR_INPUTS = frozenset({"DeltaFileInput", "DictionaryFileInput",
 CODEGEN = os.path.join("repro", "codegen.py")
 CODEGEN_CALLS = frozenset({"exec", "compile"})
 COMPILE_EXEMPT = {
-    (os.path.join("repro", "core", "analyzer", "udf.py"), "_source_node"):
+    (os.path.join("repro", "core", "analyzer", "udf.py"), "_parsed_source"):
         "compiles the user's own parsed file to check its bytecode; "
         "never executes it",
 }
@@ -354,6 +364,11 @@ FOLD_HOMES = frozenset({
     (os.path.join("repro", "mapreduce", "job.py"), "JobConf.with_inputs"),
 })
 FOLD_CALLS = frozenset({"JobConf", "replace"})
+
+
+#: rule 20: the decoded-column cache, its class, and their one home
+COLUMN_CACHE_NAMES = frozenset({"_COLUMN_CACHE", "_ColumnCache"})
+COLUMN_CACHE_HOME = _COLUMNAR
 
 
 def imported_modules(tree: ast.AST, package: str) -> Iterator[Tuple[int, str]]:
@@ -938,6 +953,28 @@ def copy_build_violations(src: str = SRC) -> List[str]:
             for rel, lineno, what in sorted(set(found))]
 
 
+def column_cache_violations(src: str = SRC) -> List[str]:
+    """Every name, attribute or import of a :data:`COLUMN_CACHE_NAMES`
+    name outside :data:`COLUMN_CACHE_HOME`, under ``src/repro``
+    (rule 20)."""
+    found: List[Tuple[str, int, str]] = []
+    for path, tree in parsed_modules(os.path.join(src, "repro")):
+        if os.path.relpath(path, src) == COLUMN_CACHE_HOME:
+            continue
+        rel = os.path.relpath(path, REPO_ROOT)
+        for node in ast.walk(tree):
+            names = (
+                [node.id] if isinstance(node, ast.Name) else
+                [node.attr] if isinstance(node, ast.Attribute) else
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom) else [])
+            found.extend((rel, node.lineno, name) for name in names
+                         if name in COLUMN_CACHE_NAMES)
+    return [f"{rel}:{lineno}: names {name} (only storage/columnar.py reads "
+            f"or writes the decoded-column cache)"
+            for rel, lineno, name in sorted(set(found))]
+
+
 def main() -> int:
     upward, mtime, env = violations(), mtime_violations(), env_violations()
     single, ops = single_caller_violations(), op_list_violations()
@@ -948,9 +985,10 @@ def main() -> int:
     copies, generated = copy_layout_violations(), codegen_violations()
     specs, semijoins = spec_attachment_violations(), semijoin_violations()
     builds, folds = copy_build_violations(), fold_attachment_violations()
+    cache = column_cache_violations()
     for line in (upward + mtime + env + single + ops + stub + lazy + per_item
                  + loop + shape + reference + index + order + copies
-                 + generated + specs + semijoins + builds + folds):
+                 + generated + specs + semijoins + builds + folds + cache):
         print(line)
     if upward:
         print(f"\n{len(upward)} upward import(s) into {FRONT_DOORS}")
@@ -999,9 +1037,12 @@ def main() -> int:
     if folds:
         print(f"\n{len(folds)} reducer description(s) attached outside "
               f"ExecutionDescriptor.apply")
+    if cache:
+        print(f"\n{len(cache)} use(s) of the decoded-column cache outside "
+              f"{COLUMN_CACHE_HOME}")
     if (upward or mtime or env or single or ops or stub or lazy or per_item
             or loop or shape or reference or index or order or copies
-            or generated or specs or semijoins or builds or folds):
+            or generated or specs or semijoins or builds or folds or cache):
         return 1
     print(f"OK: no module under src/repro/{{{','.join(LOWER_LAYERS)}}} "
           f"imports {' or '.join(FRONT_DOORS)}; {MTIME_ATTR} is read only "
@@ -1036,7 +1077,9 @@ def main() -> int:
           + f"semijoin and only {KEY_PASS_CALLER[1]} computes its key set"
           + f"; only {COPY_BUILDER} constructs a {COPY_WRITER}, rows reach "
           + "it only through copy_columns, and it imports no job runtime"
-          + "; only ExecutionDescriptor.apply attaches a reducer description")
+          + "; only ExecutionDescriptor.apply attaches a reducer description"
+          + f"; only {COLUMN_CACHE_HOME} reads or writes the decoded-column "
+          + "cache")
     return 0
 
 
