@@ -24,8 +24,9 @@ candidate, and ``Session.explain`` prints its answer for the input the
 optimizer planned.  The caller then runs *that member's* record-path
 mapper over the split while the others still share the pass.  When a
 member is served, its rows re-materialize as ordinary
-``Record``/primitive pairs at the emit boundary and flow through its own
-``_finish_map_task`` sizing/combining/filtering/partitioning tail, so
+``Record``/primitive key and value columns at the emit boundary and flow
+through its own ``_finish_map_task`` sizing/combining/filtering/
+partitioning tail, so
 the task's output -- and therefore the job's output -- is byte-identical
 to the record path, and to the member's solo run, by construction.
 """
@@ -55,7 +56,7 @@ from repro.mapreduce.formats import (
 )
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.keyspace import sort_keys
-from repro.mapreduce.runtime import MapTaskResult, _finish_map_task
+from repro.mapreduce.runtime import Columns, MapTaskResult, _finish_map_task
 from repro.mapreduce.semijoin import KeySet
 from repro.storage.blockfile import BlockFileReader
 from repro.storage.blockscan import ReadShape
@@ -167,7 +168,9 @@ class StageScan:
                 (name, None if scanned else slots.get(name))
                 for name in names]))
         self.tuple_value = isinstance(spec.emit[1], STuple)
-        self.emitted: List[Tuple[Any, Any]] = []
+        #: the emitted key and value columns
+        self.keys: List[Any] = []
+        self.values: List[Any] = []
         self.fold = (spec.fold is not None
                      and task_preagg_decline(spec, conf) is None)
         if self.fold:
@@ -237,9 +240,9 @@ class StageScan:
 
         key_column, *values = [part(*source) for source in self.sources]
         if not self.fold:
-            self.emitted.extend(zip(
-                key_column,
-                zip(*values) if self.tuple_value else values[0]))
+            self.keys.extend(key_column)
+            self.values.extend(zip(*values) if self.tuple_value
+                               else values[0])
             return
         # Hash-fold into one partial per group per task, in first-
         # occurrence order -- exactly the representative-key order the
@@ -273,12 +276,10 @@ class StageScan:
         metrics match its solo run on every volume field.
         """
         if self.fold:
-            append = self.emitted.append
-            for group, accs in self.groups.items():
-                append((group, accs[0] if len(accs) == 1 else tuple(accs)))
-        out = MapTaskResult(
-            partitions=[[] for _ in range(self.conf.num_reducers)]
-        )
+            self.keys = list(self.groups)
+            self.values = [accs[0] if len(accs) == 1 else tuple(accs)
+                           for accs in self.groups.values()]
+        out = MapTaskResult()
         metrics = out.metrics
         metrics.map_input_records += n_rows
         metrics.records_skipped += skipped
@@ -290,7 +291,8 @@ class StageScan:
         # field, even with none captured.
         metrics.fields_deserialized += max(1, self.plan.n_slots) * n_rows
         metrics.batch_map_tasks += 1
-        _finish_map_task(self.conf, out, self.emitted, self.dropped)
+        _finish_map_task(self.conf, out, Columns(self.keys, self.values),
+                         self.dropped)
         return out
 
 

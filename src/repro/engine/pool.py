@@ -262,8 +262,9 @@ def run_map_task(
     Returns ``(task_index, runs, deltas)``: the spilled run path per
     non-empty ``(member, partition)`` and each member's ``(metrics,
     counters)``.  Reducing members spill *decorated* sorted runs --
-    ``(sort_key, key, value)`` rows, ordered by one index-permutation
-    sort (:func:`~repro.mapreduce.shuffle.sort_decorated_run`) -- so the
+    ``(sort_key, key, value)`` rows decorated from the task's key and
+    value columns, ordered by one index-permutation sort
+    (:func:`~repro.mapreduce.shuffle.sort_decorated_run`) -- so the
     sort key computed here is the one the merge heap and the reducer's
     grouping reuse.  Map-only members spill plain pairs (their output is
     never sorted).
@@ -285,16 +286,15 @@ def run_map_task(
         for member, task in enumerate(results):
             reducing = state.confs[member].reducer is not None
             spilled_bytes = 0
-            for part, pairs in enumerate(task.partitions):
-                if not pairs:
+            for part, (keys, values) in enumerate(task.columns):
+                if not keys:
                     continue
                 path = shuffle.run_path(state.spill_dir, f"map{member}",
                                         task_index, part, attempt=attempt)
-                if reducing:
-                    pairs = shuffle.sort_decorated_run(
-                        shuffle.decorate_pairs(pairs)
-                    )
-                runs[member, part] = shuffle.write_run(path, pairs)
+                rows = (shuffle.sort_decorated_run(
+                    shuffle.decorate_columns(keys, values)) if reducing
+                    else list(zip(keys, values)))
+                runs[member, part] = shuffle.write_run(path, rows)
                 spilled_bytes += os.path.getsize(path)
             task.metrics.shuffle_bytes_spilled += spilled_bytes
     return task_index, runs, [(t.metrics, t.counters) for t in results]
@@ -846,15 +846,21 @@ class WorkerPool:
 
         Returns ``{task.key: result}`` with exactly one successful result
         per task -- however many attempts it took -- so the caller's
-        deterministic rollup is untouched by recovery.  Fatal failures
-        (user code, exhausted attempts) propagate only after this job's
-        sibling in-flight tasks are cancelled or drained, so a failed job
-        never leaves orphan tasks running on the shared pool (or writing
-        into a spill dir the runner is about to delete).
+        deterministic rollup is untouched by recovery.  A fatal failure
+        (user code, exhausted attempts) stops every task keyed after it
+        -- queued ones are dropped, unstarted ones cancelled -- while
+        the tasks keyed before it run on, since one of them may fail
+        too; the phase then raises the lowest-keyed failure, the task
+        the sequential runner would have failed on.  It raises only
+        after this job's in-flight tasks are cancelled or drained, so a
+        failed job never leaves orphan tasks running on the shared pool
+        (or writing into a spill dir the runner is about to delete).
         """
         results: Dict[Any, Any] = {}
         queue = deque(tasks)
         inflight: Dict[Future, _Task] = {}
+        #: the lowest-keyed fatal failure so far, as ``[(key, exception)]``
+        failed: List[Tuple[Any, BaseException]] = []
 
         def submit_ready() -> None:
             while queue and len(inflight) < limit and not ref.broken:
@@ -877,6 +883,21 @@ class WorkerPool:
                     ref.mark_broken()
                     return
 
+        def stopped(task: _Task) -> bool:
+            """Whether a failure keyed before ``task`` stopped it."""
+            return bool(failed) and failed[0][0] < task.key
+
+        def fail(task: _Task, exc: BaseException) -> None:
+            if stopped(task):
+                return
+            failed[:] = [(task.key, exc)]
+            kept = [other for other in queue if not stopped(other)]
+            queue.clear()
+            queue.extend(kept)
+            for future, other in list(inflight.items()):
+                if stopped(other) and future.cancel():
+                    del inflight[future]
+
         def fail_fast(exc: BaseException) -> None:
             for future in inflight:
                 future.cancel()
@@ -894,17 +915,23 @@ class WorkerPool:
             elif not policy.enabled or (
                 task.attempts >= policy.max_task_attempts
             ):
-                fail_fast(TransientTaskError(
+                fail(task, TransientTaskError(
                     f"{task.phase} task {task.label} of job "
                     f"{state.name!r} lost its worker after "
                     f"{task.attempts} attempt(s); giving up"
                 ))
+                return
             else:
                 self.bump("tasks_retried")
-            queue.append(task)
+            if not stopped(task):
+                queue.append(task)
 
         submit_ready()
         while queue or inflight:
+            if failed and not any(
+                    other.key < failed[0][0]
+                    for other in itertools.chain(queue, inflight.values())):
+                fail_fast(failed[0][1])  # nothing keyed before it is left
             if ref.broken and not inflight:
                 if not policy.enabled:
                     raise BrokenProcessPool("worker pool broke")
@@ -931,16 +958,18 @@ class WorkerPool:
                     if not policy.enabled or (
                         task.attempts >= policy.max_task_attempts
                     ):
-                        fail_fast(TransientTaskError(
+                        fail(task, TransientTaskError(
                             f"{task.phase} task {task.label} of job "
                             f"{state.name!r} failed after "
                             f"{task.attempts} attempt(s): {exc}"
                         ))
-                    self.bump("tasks_retried")
-                    queue.append(task)
+                    elif not stopped(task):
+                        self.bump("tasks_retried")
+                        queue.append(task)
                     continue
                 except BaseException as exc:  # noqa: BLE001 -- re-raised
-                    fail_fast(exc)
+                    fail(task, exc)
+                    continue
                 results[task.key] = result
                 if task.hb is not None:
                     try:
@@ -982,4 +1011,6 @@ class WorkerPool:
                     ref.kill_workers()
                     continue
             submit_ready()
+        if failed:
+            raise failed[0][1]
         return results

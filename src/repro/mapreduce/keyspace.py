@@ -18,7 +18,7 @@ key and value columns of one pair stream).  Each is exactly its per-item
 spelling -- ``sum(map(estimate_size, values))``, ``list(map(sort_key,
 keys))``, ``list(map(stable_hash, keys))`` -- computed a type at a time:
 a homogeneous column of strings, ints, bytes or floats takes one C-level
-pass (a join, a sort and ``bisect``, ``zip`` with a rank), and
+pass (a join, a bit-length table, ``zip`` with a rank), and
 equal-width tuples and records of one class are transposed into their
 field columns.  Whatever the column spelling cannot do in one pass
 (mixed-type columns, NaN sort keys, long strings' hashes, ragged tuples,
@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left
 from itertools import repeat
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import add, and_, attrgetter, lshift, or_, rshift, xor
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import MapReduceError
 from repro.storage import varint
@@ -243,10 +242,9 @@ Column = Sequence[Any]
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-#: ``svarint_len(v) > k`` exactly when ``v`` is outside
-#: ``[-2**(7k-1), 2**(7k-1))``: the k-th lower and upper bounds, k = 1..9
-_SVARINT_BOUNDS = tuple((-(1 << (7 * k - 1)), 1 << (7 * k - 1))
-                        for k in range(1, 10))
+#: an int64's zigzag varint width, by the bit length 0..63 of the int
+#: with its sign folded away (``v ^ (v >> 63)``)
+_FOLDED_WIDTHS = tuple(max(1, (bits + 7) // 7) for bits in range(64))
 
 _RECORD_VALUES = attrgetter("_values")
 _RECORD_NAME = attrgetter("_schema.name")
@@ -287,21 +285,17 @@ def _per_item_size(column: Column) -> int:
 
 
 def _int_column_size(column: Column) -> int:
+    """Each int's zigzag varint width by the bit length of ``v ^ (v >> 63)``
+    (``v``, or ``~v`` when negative), one less than its zigzag's."""
     n = len(column)
     lo, hi = min(column), max(column)
     if -64 <= lo and hi < 64:
         return n
     if lo < _INT64_MIN or hi > _INT64_MAX:
         return sum(map(_int_size, column))
-    ordered = sorted(column)
-    total = n
-    for low, high in _SVARINT_BOUNDS:
-        below = bisect_left(ordered, low)
-        above = n - bisect_left(ordered, high)
-        if not below and not above:
-            break
-        total += below + above
-    return total
+    if lo < 0:
+        column = map(xor, column, map(rshift, column, repeat(63)))
+    return sum(map(_FOLDED_WIDTHS.__getitem__, map(int.bit_length, column)))
 
 
 def _str_column_size(column: Column) -> int:
@@ -443,8 +437,9 @@ def sort_keys(keys: Column) -> List[Tuple]:
 _RAW_ORDERED = frozenset({str, int, bytes})
 
 
-def sort_order(keys: Column, skeys: Optional[Column] = None
-               ) -> Tuple[List[int], Column]:
+def sort_order(keys: Column, skeys: Optional[Column] = None,
+               by_hash: bool = False
+               ) -> Union[Tuple[List[int], Column], Dict[Any, None], None]:
     """The stable sort of ``keys`` as an index permutation, and the column
     it sorted.
 
@@ -455,12 +450,17 @@ def sort_order(keys: Column, skeys: Optional[Column] = None
     the same and call the same neighbours equal, so the permutation is
     the stable sort by :func:`sort_key` either way, and equal runs of the
     column permuted by it are the groups.
+
+    ``by_hash=True`` sorts nothing: for such a column it returns the
+    distinct keys in first-occurrence order (a dict), and ``None`` for
+    any other.  A raw key's ``==`` and ``hash`` are its sort key's, so
+    grouping by hash finds the groups the sort would.
     """
     types = set(map(type, keys))
-    if len(types) == 1 and types <= _RAW_ORDERED:
-        column = keys
-    else:
-        column = sort_keys(keys) if skeys is None else skeys
+    raw = len(types) == 1 and types <= _RAW_ORDERED
+    if by_hash:
+        return dict.fromkeys(keys) if raw else None
+    column = keys if raw else sort_keys(keys) if skeys is None else skeys
     return sorted(range(len(column)), key=column.__getitem__), column
 
 
@@ -472,6 +472,13 @@ _STR_HEAD_CRCS = tuple(zlib.crc32(bytes((0x04, n))) for n in range(128))
 #: ``stable_hash`` of -64..63 (one-byte svarints), indexed by value + 64
 _SMALL_INT_HASHES = tuple(
     zlib.crc32(b"\x02" + varint.encode_svarint(v)) for v in range(-64, 64))
+#: per bit length 0..64 of a zigzag value: its varint's bytes, the
+#: canonical bytes' length (tag first) and, as one little-endian int,
+#: the tag and the varint's continuation bits
+_VARINT_WIDTHS = tuple(max(1, (bits + 6) // 7) for bits in range(65))
+_INT_LENGTHS = tuple(width + 1 for width in _VARINT_WIDTHS)
+_INT_HEADS = tuple(0x02 | sum(0x80 << 8 * i for i in range(1, width))
+                   for width in _VARINT_WIDTHS)
 
 
 def _per_item_hashes(column: Column) -> List[int]:
@@ -488,16 +495,21 @@ def _str_hashes(column: Column) -> List[int]:
 
 
 def _int_hashes(column: Column) -> List[int]:
-    """bool and int: one-byte svarints by table, the rest per item."""
+    """bool and int: one-byte svarints by table, the rest by their
+    canonical bytes (:func:`_int_canonical`)."""
     if -64 <= min(column) and max(column) < 64:
         return list(map(_SMALL_INT_HASHES.__getitem__,
                         map((64).__add__, column)))
-    return _per_item_hashes(column)
+    return list(map(zlib.crc32, _int_canonical(column)))
 
 
 def _type_hashes(t: type, column: Column) -> List[int]:
     hashes = _HASH_COLUMN.get(t)
-    return (_per_item_hashes if hashes is None else hashes)(column)
+    if hashes is not None:
+        return hashes(column)
+    if t is tuple or issubclass(t, Record):
+        return list(map(zlib.crc32, _type_canonical(t, column)))
+    return _per_item_hashes(column)
 
 
 _HASH_COLUMN: Dict[type, Callable[[Column], List[int]]] = {
@@ -516,3 +528,91 @@ def stable_hashes(keys: Column) -> List[int]:
         return _by_type(keys, _type_hashes, _per_item_hashes)
     except Exception:
         return _per_item_hashes(keys)
+
+
+# - canonical bytes (what a partition hash hashes), for nested keys -
+
+
+def _canonical(value: Any) -> bytes:
+    out = bytearray()
+    _canonical_bytes(value, out)
+    return bytes(out)
+
+
+def _per_item_canonical(column: Column) -> List[bytes]:
+    return list(map(_canonical, column))
+
+
+def _int_canonical(column: Column) -> List[bytes]:
+    """``0x02`` and each int's zigzag varint, built as one little-endian
+    int per value a column pass at a time; past int64, per item (which
+    raises as ``stable_hash`` does)."""
+    lo, hi = min(column), max(column)
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        return _per_item_canonical(column)
+    zigzags = (list(map(add, column, column)) if lo >= 0 else
+               list(map(xor, map(lshift, column, repeat(1)),
+                        map(rshift, column, repeat(63)))))
+    bits = list(map(int.bit_length, zigzags))
+    # Spreading each 7-bit group to a byte adds, per group i >= 1, the
+    # value with its low 7i bits cleared, shifted up i - 1 more bits.
+    spread = zigzags
+    for i in range(1, _VARINT_WIDTHS[max(bits)]):
+        cleared = map(and_, zigzags, repeat(-1 << 7 * i))
+        spread = list(map(add, spread, cleared if i == 1 else
+                          map(lshift, cleared, repeat(i - 1))))
+    encoded = map(or_, map(lshift, spread, repeat(8)),
+                  map(_INT_HEADS.__getitem__, bits))
+    return list(map(int.to_bytes, encoded,
+                    map(_INT_LENGTHS.__getitem__, bits), repeat("little")))
+
+
+def _text_canonical(tag: int, raw: List[bytes]) -> Optional[List[bytes]]:
+    """``tag``, the uvarint length and the bytes, for values under 128
+    bytes (``None`` past that)."""
+    lengths = list(map(len, raw))
+    if max(lengths) > 127:
+        return None
+    heads = [bytes((tag, n)) for n in range(max(lengths) + 1)]
+    return list(map(add, map(heads.__getitem__, lengths), raw))
+
+
+def _rows_canonical(heads: Column, rows: Column) -> Optional[List[bytes]]:
+    """Each row's head, then its fields' canonical bytes (``None`` if
+    ragged)."""
+    fields = _transposed(rows)
+    if fields is None:
+        return None
+    return list(map(b"".join, zip(heads, *map(_column_canonical, fields))))
+
+
+def _type_canonical(t: type, column: Column) -> List[bytes]:
+    encoded: Optional[List[bytes]] = None
+    if t is type(None):
+        encoded = [b"\x00"] * len(column)
+    elif t is int or t is bool:
+        encoded = _int_canonical(column)
+    elif t is str:
+        encoded = _text_canonical(0x04, list(map(str.encode, column)))
+    elif t is bytes:
+        encoded = _text_canonical(0x05, column)
+    elif t is tuple:
+        head = b"\x06" + varint.encode_uvarint(len(column[0]))
+        encoded = _rows_canonical([head] * len(column), column)
+    elif issubclass(t, Record):
+        rows = _record_rows(column, t)
+        if rows is not None:
+            heads = {}
+            for name in set(map(_RECORD_NAME, column)):
+                raw = name.encode("utf-8")
+                heads[name] = (b"\x07" + varint.encode_uvarint(len(raw))
+                               + raw + varint.encode_uvarint(len(rows[0])))
+            encoded = _rows_canonical(
+                list(map(heads.__getitem__, map(_RECORD_NAME, column))), rows)
+    return _per_item_canonical(column) if encoded is None else encoded
+
+
+def _column_canonical(column: Column) -> List[bytes]:
+    if not column:
+        return []
+    return _by_type(column, _type_canonical, _per_item_canonical)

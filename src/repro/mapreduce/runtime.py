@@ -31,10 +31,17 @@ one scan of their shared inputs; a solo job is a group of one:
   byte-identical to this runner by construction (see
   ``docs/execution-model.md``).
 
-The task bodies do the framework's own per-pair bookkeeping -- sizing,
-partition routing, sort keys -- a *column* at a time through
-:mod:`~repro.mapreduce.keyspace` (``pair_sizes``, ``stable_hashes``,
-``sort_keys``), each exactly its per-item spelling, exceptions included.
+A map task's output travels as two aligned *columns*, keys and values
+(:class:`Columns`): the batch executor hands the tail its columns, the
+tail sizes, combines, filters and routes them, the in-memory shuffle
+concatenates each partition's, and the reduce sorts them; pairs are
+built only where pairs are read -- the job output, the pool's spill
+rows, :attr:`MapTaskResult.partitions`.  The task bodies do the
+framework's own per-pair bookkeeping -- sizing, partition routing, sort
+keys -- a column at a time through :mod:`~repro.mapreduce.keyspace`
+(``pair_sizes``, ``stable_hashes``, ``sort_keys``), each exactly its
+per-item spelling, exceptions included.  A described combiner groups a
+task's keys by hash where that cannot show (:func:`_combine`).
 The reduce loop (:func:`_reduce_groups`, behind every reduce partition
 and every combiner) is a column at a time too: a partition is sorted as
 one index permutation (``keyspace.sort_order``), its group boundaries
@@ -53,7 +60,17 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress
 from operator import itemgetter, ne, sub
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import JobExecutionError
 from repro.mapreduce.api import Context, Partitioner
@@ -109,14 +126,34 @@ def _collect_yielded(ctx: Context, result: Any, where: str) -> None:
 # -- task-level execution (shared by both runners) ---------------------------
 
 
-@dataclass
+class Columns(NamedTuple):
+    """A pair stream as its key column and its value column, aligned."""
+
+    keys: List[Any]
+    values: List[Any]
+
+
+def _split(pairs: Sequence[Tuple[Any, Any]]) -> Columns:
+    return Columns(list(map(_KEY, pairs)), list(map(_VALUE, pairs)))
+
+
 class MapTaskResult:
     """One map task's partitioned output plus its metric/counter deltas."""
 
-    #: post-combine, post-filter pairs routed to each reduce partition
-    partitions: List[List[Tuple[Any, Any]]]
-    metrics: JobMetrics = field(default_factory=JobMetrics)
-    counters: Counters = field(default_factory=Counters)
+    def __init__(self, partitions: Iterable[Sequence[Tuple[Any, Any]]] = (),
+                 metrics: Optional[JobMetrics] = None,
+                 counters: Optional[Counters] = None):
+        #: per reduce partition, the post-combine, post-filter key and
+        #: value columns routed to it
+        self.columns: List[Columns] = list(map(_split, partitions))
+        self.metrics = JobMetrics() if metrics is None else metrics
+        self.counters = Counters() if counters is None else counters
+
+    @property
+    def partitions(self) -> List[List[Tuple[Any, Any]]]:
+        """Each partition's pairs, built on every read: the view for
+        readers of pairs (the shuffle itself moves :attr:`columns`)."""
+        return [list(zip(keys, values)) for keys, values in self.columns]
 
 
 @dataclass
@@ -173,9 +210,7 @@ def _run_record_map_task(
     conf: JobConf, tag: Optional[str], split: Any
 ) -> MapTaskResult:
     """The record path: one ``map()`` call per input pair."""
-    out = MapTaskResult(
-        partitions=[[] for _ in range(conf.num_reducers)]
-    )
+    out = MapTaskResult()
     metrics, counters = out.metrics, out.counters
 
     mapper = conf.make_mapper(tag)
@@ -205,17 +240,21 @@ def _run_record_map_task(
 
 
 def _finish_map_task(
-    conf: JobConf, out: MapTaskResult, emitted: List[Tuple[Any, Any]],
+    conf: JobConf, out: MapTaskResult,
+    emitted: Union[Columns, List[Tuple[Any, Any]]],
     dropped: Optional[int] = None,
 ) -> None:
     """The map task's output tail: semijoin, size, combine, filter,
     partition.
 
     Shared verbatim between the record path above and the vectorized
-    batch executor (:mod:`repro.batch.executor`): however the ``emitted``
-    pairs were produced, they go through identical combining, shuffle
-    filtering, partition routing and byte accounting, which is what makes
-    the two paths' task results interchangeable.
+    batch executor (:mod:`repro.batch.executor`): however the emitted
+    pairs were produced -- the record path's ``ctx.emitted`` pairs, the
+    batch path's key and value :class:`Columns` -- they go through
+    identical combining, shuffle filtering, partition routing and byte
+    accounting, which is what makes the two paths' task results
+    interchangeable.  The tail works on the two columns throughout and
+    leaves each partition's in ``out.columns``.
 
     The bookkeeping runs a column at a time (:mod:`~repro.mapreduce.keyspace`):
     the emitted keys and values are sized once, and the shuffle stream
@@ -231,53 +270,117 @@ def _finish_map_task(
     dropped.  They count as map output records, and as skipped.
     """
     metrics = out.metrics
+    keys, values = (emitted if isinstance(emitted, Columns)
+                    else _split(emitted))
     shuffle_filter = conf.shuffle_filter
     if isinstance(shuffle_filter, KeySet):
         if dropped is None:
-            emitted, dropped = shuffle_filter.drop(emitted)
+            keys, values, dropped = shuffle_filter.drop(keys, values)
         shuffle_filter = shuffle_filter.inner
-    metrics.map_output_records += len(emitted) + (dropped or 0)
+    metrics.map_output_records += len(keys) + (dropped or 0)
     metrics.shuffle_records_skipped += dropped or 0
-    pairs = emitted
-    keys, values, (key_bytes, value_bytes) = _columns(pairs)
+    key_bytes, value_bytes = pair_sizes(keys, values)
     metrics.map_output_bytes += key_bytes + value_bytes
 
-    if conf.combiner is not None and pairs:
-        pairs, passed = _run_combiner(conf, keys, values, out.counters)
-        keys, values = list(map(_KEY, pairs)), list(map(_VALUE, pairs))
-        if not passed:  # else the same pairs in key order: same sizes
+    if conf.combiner is not None and keys:
+        keys, values, passed = _combine(conf, keys, values, out.counters)
+        if not passed:  # else the same pairs: the same sizes
             key_bytes, value_bytes = pair_sizes(keys, values)
 
-    if shuffle_filter is not None and pairs:
+    if shuffle_filter is not None and keys:
         # Appendix E: delete map outputs whose group the reducer
         # provably ignores, before they cost shuffle/sort work.
         kept = list(map(shuffle_filter, keys))
         if not all(kept):
-            pairs = list(compress(pairs, kept))
-            metrics.shuffle_records_skipped += len(kept) - len(pairs)
-            keys, values, (key_bytes, value_bytes) = _columns(pairs)
+            keys, values = list(compress(keys, kept)), list(compress(values,
+                                                                     kept))
+            metrics.shuffle_records_skipped += len(kept) - len(keys)
+            key_bytes, value_bytes = pair_sizes(keys, values)
 
-    n_reducers = conf.num_reducers
-    partition = conf.partitioner.partition
-    if getattr(partition, "__func__", None) is Partitioner.partition:
-        parts: Iterable[int] = map(n_reducers.__rmod__, stable_hashes(keys))
-    else:
-        parts = [partition(key, n_reducers) for key in keys]
-    appends = [part.append for part in out.partitions]
-    for append, pair in zip(map(appends.__getitem__, parts), pairs):
-        append(pair)
-    metrics.shuffle_records += len(pairs)
+    out.columns = _route(conf, keys, values)
+    metrics.shuffle_records += len(keys)
     metrics.shuffle_key_bytes += key_bytes
     metrics.shuffle_bytes += key_bytes + value_bytes
 
 
-def _columns(
-    pairs: List[Tuple[Any, Any]]
-) -> Tuple[List[Any], List[Any], Tuple[int, int]]:
-    """A pair stream's key column, value column and their sizes."""
-    keys = list(map(_KEY, pairs))
-    values = list(map(_VALUE, pairs))
-    return keys, values, pair_sizes(keys, values)
+def _default_partitioner(conf: JobConf) -> bool:
+    return getattr(conf.partitioner.partition, "__func__",
+                   None) is Partitioner.partition
+
+
+def _route(conf: JobConf, keys: List[Any], values: List[Any]
+           ) -> List[Columns]:
+    """Each reduce partition's key and value columns, in stream order."""
+    n_reducers = conf.num_reducers
+    if _default_partitioner(conf):
+        hashes = stable_hashes(keys)  # raises for a key it cannot hash
+        if n_reducers == 1:
+            return [Columns(keys, values)]
+        parts: Iterable[int] = map(n_reducers.__rmod__, hashes)
+    else:
+        partition = conf.partitioner.partition
+        parts = [partition(key, n_reducers) for key in keys]
+    routed = [Columns([], []) for _ in range(n_reducers)]
+    key_appends = [part.keys.append for part in routed]
+    value_appends = [part.values.append for part in routed]
+    for part, key, value in zip(parts, keys, values):
+        key_appends[part](key)
+        value_appends[part](value)
+    return routed
+
+
+def _combine(conf: JobConf, keys: List[Any], values: List[Any],
+             counters: Counters) -> Tuple[List[Any], List[Any], bool]:
+    """The combined key and value columns, and whether the combiner's
+    fold passed every pair through as it was (see :func:`_reduce_groups`).
+
+    A described combiner (:attr:`JobConf.combiner_fold`) of a reducing
+    job on the default partitioner groups a key column of one raw-ordered
+    type by hash (:func:`~repro.mapreduce.keyspace.sort_order` with
+    ``by_hash``) instead of sorting it: a column in which no key repeats
+    passes through as it is, and otherwise each key's values, in emit
+    order, fold into one pair, the groups in first-occurrence order, not
+    key order.  No key repeats within a task after combining, so the
+    reduce's stable sort and the pool's sorted runs put the pairs back
+    in the order the sorted combine would have left them.  Anything else
+    -- a user combiner, mixed key types, a user partitioner, a fold that
+    raises -- combines sorted (:func:`_run_combiner`).
+    """
+    fold = conf.combiner_fold
+    firsts = (sort_order(keys, by_hash=True)
+              if fold is not None and conf.reducer is not None
+              and _default_partitioner(conf) else None)
+    if firsts is not None:
+        try:
+            return _combine_grouped(conf, fold, keys, values, firsts,
+                                    counters)
+        except Exception:  # noqa: BLE001 -- the sorted combine raises it
+            pass
+    pairs, passed = _run_combiner(conf, keys, values, counters)
+    return *_split(pairs), passed
+
+
+def _combine_grouped(
+    conf: JobConf, fold: Callable[[List[Any]], Any], keys: List[Any],
+    values: List[Any], firsts: Sequence[Any], counters: Counters,
+) -> Tuple[List[Any], List[Any], bool]:
+    """A described combiner over the groups of the distinct keys
+    ``firsts`` (see :func:`_combine`)."""
+    combiner = conf.make_combiner()
+    assert combiner is not None
+    ctx = Context()
+    combiner.setup(ctx)
+    if len(firsts) == len(keys):  # no key repeats: each pair is a group
+        values, passed = _fold_groups(fold, values, range(len(values) + 1))
+    else:
+        groups: dict = {key: [] for key in firsts}
+        for key, value in zip(keys, values):
+            groups[key].append(value)
+        keys, passed = list(groups), False
+        values = list(map(fold, groups.values()))
+    combiner.cleanup(ctx)
+    counters.merge(ctx.counters)
+    return keys, values, passed
 
 
 def _run_combiner(
@@ -286,8 +389,8 @@ def _run_combiner(
     values: List[Any],
     counters: Counters,
 ) -> Tuple[List[Tuple[Any, Any]], bool]:
-    """The combined pairs, and whether the combiner's fold passed every
-    pair through as it was (see :func:`_reduce_groups`)."""
+    """The sorted combine: the combined pairs, and whether the
+    combiner's fold passed every pair through as it was."""
     combiner = conf.make_combiner()
     assert combiner is not None
     ctx = Context()
@@ -421,45 +524,42 @@ def _fold_groups(fold: Callable[[List[Any]], Any], values: List[Any],
 
 def execute_reduce_partition(
     conf: JobConf,
-    pairs: Iterable[Tuple[Any, ...]],
+    pairs: Union[Columns, Iterable[Tuple[Any, ...]]],
     presorted: bool = False,
     decorated: bool = False,
 ) -> ReduceTaskResult:
     """Run the reduce side of one partition.
 
-    ``pairs`` is the partition's shuffle stream.  Plain (key, value)
-    pairs (the sequential runner's) are split into key and value columns
-    and stable-sorted here as one chunk (:func:`_sorted_chunk`), whether
-    or not the caller passes ``presorted=True``: a stable sort leaves a
-    stream already in key order as it is.  ``decorated=True`` (the
-    parallel runner's, with ``presorted=True``) marks a merged
-    stream of ``(sort_key, key, value)`` rows from sorted spill runs,
-    consumed lazily a chunk at a time
-    (:func:`~repro.mapreduce.shuffle.decorated_chunks`) and grouped by
-    the stored decorations, so no sort key is recomputed.  Map-only jobs
-    pass records through untouched, preserving arrival order.
+    ``pairs`` is the partition's shuffle stream: the in-memory shuffle's
+    key and value :class:`Columns`, or plain (key, value) pairs, which
+    are split into the two columns first.  Either is stable-sorted here
+    as one chunk (:func:`_sorted_chunk`), whether or not the caller
+    passes ``presorted=True``: a stable sort leaves a stream already in
+    key order as it is.  ``decorated=True`` (the parallel runner's, with
+    ``presorted=True``) marks a merged stream of ``(sort_key, key,
+    value)`` rows from sorted spill runs, consumed lazily a chunk at a
+    time (:func:`~repro.mapreduce.shuffle.decorated_chunks`) and grouped
+    by the stored decorations, so no sort key is recomputed.  Map-only
+    jobs pass records through untouched, preserving arrival order.
     """
     out = ReduceTaskResult(outputs=[])
     metrics = out.metrics
+    if not decorated and not isinstance(pairs, Columns):
+        pairs = _split(pairs if isinstance(pairs, list) else list(pairs))
 
     reducer = conf.make_reducer()
     if reducer is None:
         # Map-only job: shuffle output is the job output.
         if decorated:
-            pairs = [(key, value) for _skey, key, value in pairs]
-        out.outputs = list(pairs)
+            pairs = _split([(key, value) for _skey, key, value in pairs])
+        out.outputs = list(zip(*pairs))
         metrics.reduce_output_records += len(out.outputs)
-        metrics.reduce_output_bytes += sum(_columns(out.outputs)[2])
+        metrics.reduce_output_bytes += sum(pair_sizes(*pairs))
         return out
 
     ctx = Context()
-    if decorated:
-        chunks: Iterable[Chunk] = decorated_chunks(pairs)
-    else:
-        if not isinstance(pairs, list):
-            pairs = list(pairs)
-        chunks = [_sorted_chunk(list(map(_KEY, pairs)),
-                                list(map(_VALUE, pairs)))]
+    chunks: Iterable[Chunk] = (decorated_chunks(pairs) if decorated
+                               else [_sorted_chunk(*pairs)])
     try:
         reducer.setup(ctx)
         groups, records, _passed = _reduce_groups(
@@ -474,7 +574,7 @@ def execute_reduce_partition(
     out.counters.merge(ctx.counters)
     out.outputs = ctx.emitted
     metrics.reduce_output_records += len(ctx.emitted)
-    metrics.reduce_output_bytes += sum(_columns(ctx.emitted)[2])
+    metrics.reduce_output_bytes += sum(pair_sizes(*_split(ctx.emitted)))
     return out
 
 
@@ -524,28 +624,30 @@ Dispatcher = Callable[
 def run_tasks_in_process(
     confs: Sequence[JobConf], tasks: List[MapTask]
 ) -> Tuple[List[MapDeltas], List[ReduceRow]]:
-    """The sequential dispatcher: one task at a time, shuffle in memory.
+    """The sequential dispatcher: one task at a time, shuffle in memory
+    (each reduce partition's key and value columns, in task order).
 
     Every in-process execution goes through here: the sequential runner
     always, the parallel runner for groups that do not fan out and for
     groups its pool gave up on.
     """
-    partitions: List[List[List[Tuple[Any, Any]]]] = [
-        [[] for _ in range(conf.num_reducers)] for conf in confs
-    ]
+    partitions = [[Columns([], []) for _ in range(conf.num_reducers)]
+                  for conf in confs]
     map_deltas: List[MapDeltas] = []
     for tags, split in tasks:
         results = execute_map_tasks(confs, tags, split)
         map_deltas.append([(r.metrics, r.counters) for r in results])
         for member_partitions, result in zip(partitions, results):
-            for part, pairs in enumerate(result.partitions):
-                member_partitions[part].extend(pairs)
+            for merged, (keys, values) in zip(member_partitions,
+                                              result.columns):
+                merged.keys.extend(keys)
+                merged.values.extend(values)
     reduced: List[ReduceRow] = []
     for member, conf in enumerate(confs):
-        for part, pairs in enumerate(partitions[member]):
-            if not pairs:
+        for part, columns in enumerate(partitions[member]):
+            if not columns.keys:
                 continue
-            out = execute_reduce_partition(conf, pairs)
+            out = execute_reduce_partition(conf, columns)
             reduced.append(
                 (member, part, out.outputs, out.metrics, out.counters)
             )

@@ -29,13 +29,10 @@ filter, if any, rides along as ``inner`` and runs where it always did.
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter
 from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.exceptions import MapReduceError
 from repro.mapreduce.keyspace import sort_keys
-
-_KEY = itemgetter(0)
 
 
 class Semijoin:
@@ -78,11 +75,12 @@ class KeySet:
         except MapReduceError:
             return None
 
-    def drop(self, pairs: List[Tuple[Any, Any]]
-             ) -> Tuple[List[Tuple[Any, Any]], int]:
-        """The pairs whose group may emit, and how many were dropped."""
-        keep = self.mask(list(map(_KEY, pairs)))
+    def drop(self, keys: List[Any], values: List[Any]
+             ) -> Tuple[List[Any], List[Any], int]:
+        """The key and value columns of the pairs whose group may emit,
+        and how many were dropped."""
+        keep = self.mask(keys)
         if keep is None or all(keep):
-            return pairs, 0
-        kept = list(compress(pairs, keep))
-        return kept, len(pairs) - len(kept)
+            return keys, values, 0
+        kept = list(compress(keys, keep))
+        return kept, list(compress(values, keep)), len(keys) - len(kept)

@@ -144,16 +144,24 @@ def read_run(path: str) -> List[Tuple[Any, ...]]:
 def decorate_pairs(
     pairs: Iterable[Tuple[Any, Any]]
 ) -> List[Tuple[Any, Any, Any]]:
-    """Attach each pair's shuffle sort key: ``(sort_key(k), k, v)``.
+    """Attach each pair's shuffle sort key: ``(sort_key(k), k, v)``
+    (:func:`decorate_columns` of the pairs' two columns)."""
+    if not isinstance(pairs, list):
+        pairs = list(pairs)
+    return decorate_columns(list(map(_PAIR_KEY, pairs)),
+                            list(map(_PAIR_VALUE, pairs)))
+
+
+def decorate_columns(keys: List[Any], values: List[Any]
+                     ) -> List[Tuple[Any, Any, Any]]:
+    """A key and a value column as decorated rows, ``(sort_key(k), k,
+    v)``.
 
     The keys are sort-keyed as one column
     (:func:`~repro.mapreduce.keyspace.sort_keys`); everything downstream
     reuses the decoration.
     """
-    if not isinstance(pairs, list):
-        pairs = list(pairs)
-    keys = list(map(_PAIR_KEY, pairs))
-    return list(zip(sort_keys(keys), keys, map(_PAIR_VALUE, pairs)))
+    return list(zip(sort_keys(keys), keys, values))
 
 
 def sort_decorated_run(

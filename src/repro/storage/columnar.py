@@ -71,7 +71,10 @@ segment's position), and a sorted copy's fences under (identity,
 :data:`FENCES`), least recently used first within :data:`CACHE_BYTES`.
 A hit returns the same lists a decode would have built -- shared, so no
 consumer mutates them -- and the payload is still read and charged.  A
-forked child starts with an empty cache and a fresh lock.
+copy's parsed header and block directory are kept the same way, per
+identity, beside the columns (:data:`_COPY_METADATA`), so opening a copy
+parses its header once and planning its splits walks its block headers
+once.  A forked child starts with empty caches and fresh locks.
 """
 
 from __future__ import annotations
@@ -635,7 +638,10 @@ class _ColumnCache:
     ``os.register_at_fork``), since the parent's lock may be held by a
     thread the child does not have."""
 
-    def __init__(self) -> None:
+    def __init__(self, budget: Optional[int] = None) -> None:
+        #: what the entries may hold (``None``: :data:`CACHE_BYTES`, read
+        #: at every store)
+        self.budget = budget
         self.reset()
 
     def reset(self) -> None:
@@ -664,13 +670,14 @@ class _ColumnCache:
         recently used entries past the budget; a value larger than the
         whole budget is not kept."""
         entries = self._entries
+        budget = CACHE_BYTES if self.budget is None else self.budget
         with self._lock:
             for key, value, size in items:
-                if size > CACHE_BYTES or key in entries:
+                if size > budget or key in entries:
                     continue
                 entries[key] = (value, size)
                 self.resident += size
-                while self.resident > CACHE_BYTES:
+                while self.resident > budget:
                     _key, (_value, evicted) = entries.popitem(last=False)
                     self.resident -= evicted
                     self.evictions += 1
@@ -680,7 +687,8 @@ class _ColumnCache:
             return {"hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions, "entries": len(self._entries),
                     "resident_bytes": self.resident,
-                    "budget_bytes": CACHE_BYTES}
+                    "budget_bytes": CACHE_BYTES if self.budget is None
+                    else self.budget}
 
 
 _COLUMN_CACHE = _ColumnCache()
@@ -688,6 +696,18 @@ os.register_at_fork(after_in_child=_COLUMN_CACHE.reset)
 
 #: the cache key's last part for a sorted copy's fences
 FENCES = "fences"
+
+#: A copy's metadata -- its parsed header and its block directory --
+#: under ``(file identity, HEADER)`` and ``(file identity, BLOCKS)``,
+#: beside the columns so neither is counted as a decoded segment.
+_COPY_METADATA = _ColumnCache(budget=256 << 10)
+os.register_at_fork(after_in_child=_COPY_METADATA.reset)
+HEADER = "header"
+BLOCKS = "blocks"
+#: what a reader's parsed header sets, shared by every reader of the file
+_HEADER_STATE = ("key_schema", "value_schema", "stored_schema", "metadata",
+                 "_data_start", "_file_size", "_data_end", "codecs",
+                 "key_field", "_columns")
 
 
 def column_cache_stats() -> Dict[str, int]:
@@ -838,12 +858,35 @@ class ColumnarFileReader(BlockFileReader):
                                                       self.key_field)
         self._columns = [(f.name, _KIND[f.ftype]) for f in chain(
             self.key_schema.fields, self.stored_schema.fields)]
-        self._code_table: Optional[List[str]] = None
+
+    def _open(self) -> None:
+        """Parse the header -- once per file identity: a later reader of
+        the same bytes takes the parsed state from :data:`_COPY_METADATA`."""
         st = os.fstat(self._file.fileno())
         #: which bytes the open handle reads: the decoded-column cache's key
         self.identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        self._code_table: Optional[List[str]] = None
         #: the payload last read and the offset of its block
         self._last_block: Tuple[Optional[bytes], int] = (None, 0)
+        key = (self.identity, HEADER)
+        [header] = _COPY_METADATA.lookup([key])
+        if header is None:
+            BlockFileReader._open(self)
+            header = {name: getattr(self, name) for name in _HEADER_STATE}
+            # a parsed header holds about eight times its JSON bytes
+            _COPY_METADATA.store([(key, header, 8 * self._data_start)])
+        else:
+            self.__dict__.update(header)
+
+    def blocks(self) -> List[BlockInfo]:
+        """The block directory, walked once per file identity."""
+        key = (self.identity, BLOCKS)
+        [blocks] = _COPY_METADATA.lookup([key])
+        if blocks is None:
+            blocks = BlockFileReader.blocks(self)
+            _COPY_METADATA.store([(key, blocks,
+                                   3 * _resident("int", blocks, 0))])
+        return blocks
 
     def _read_block(self) -> Tuple[bytes, int]:
         offset = self._file.tell()

@@ -38,6 +38,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.formats import ColumnarFileInput, SelectionIndexInput
 from repro.storage import columnar, varint
+from repro.storage.blockfile import BlockFileReader
 from repro.storage.blockscan import FULL_READ, ReadShape
 from repro.storage.columnar import (
     ColumnarFileReader,
@@ -46,6 +47,21 @@ from repro.storage.columnar import (
 )
 from repro.storage.recordfile import RecordFileWriter
 from repro.storage.serialization import LONG_SCHEMA, Field, FieldType, Schema
+
+
+
+def walk_blocks(reader):
+    """A reader's block directory walked from its file, past any cache."""
+    return [(block.offset, block.length, block.n_records)
+            for block in _WALK(reader)]
+
+
+def _directory(reader):
+    return [(block.offset, block.length, block.n_records)
+            for block in reader.blocks()]
+
+
+_WALK = BlockFileReader.blocks
 
 ROWS = Schema("CacheRow", [
     Field("i", FieldType.INT),
@@ -278,6 +294,59 @@ def test_a_replaced_or_rewritten_copy_is_never_served_stale(tmp_path):
     rewritten = _pickled(_scan(path))
     assert rewritten not in (first, replaced)
     assert rewritten == _pickled(_scan(_copy_of(tmp_path, 3)))
+
+
+def _count_reads(monkeypatch):
+    """The paths whose header a reader parsed, and whose block headers
+    it walked."""
+    parsed, walked = [], []
+    parse, walk = BlockFileReader._open, BlockFileReader.blocks
+    monkeypatch.setattr(BlockFileReader, "_open", lambda reader: parsed.append(
+        reader.path) or parse(reader))
+    monkeypatch.setattr(BlockFileReader, "blocks", lambda reader: walked.append(
+        reader.path) or walk(reader))
+    return parsed, walked
+
+
+def test_a_copy_header_and_directory_are_read_once_per_identity(
+        tmp_path, monkeypatch):
+    path = str(tmp_path / "c.col")
+    _write_copy(path, _same_size_rows(5))
+    parsed, walked = _count_reads(monkeypatch)
+    scans = [_pickled(_scan(path)) for _ in range(4)]
+    assert scans == [scans[0]] * 4
+    # one parse and one walk, whatever the readers the scans opened
+    assert parsed == [path] and walked == [path]
+    with ColumnarFileReader(path) as reader:
+        assert _directory(reader) == walk_blocks(reader)
+    assert parsed == [path]
+
+
+def test_a_copy_rewritten_in_place_is_reread(tmp_path, monkeypatch):
+    path = str(tmp_path / "c.col")
+    _write_copy(path, _same_size_rows(6))
+    before = _pickled(_scan(path))
+    with ColumnarFileReader(path) as reader:
+        old_blocks, old_header = _directory(reader), reader.metadata
+    parsed, walked = _count_reads(monkeypatch)
+    # the same inode, other rows, more of them: a new size and directory
+    other = str(tmp_path / "other.col")
+    rng = random.Random(11)
+    _write_copy(other, [(k, _values(rng)) for k in range(900)])
+    with open(other, "rb") as handle:
+        raw = handle.read()
+    stat = os.stat(path)
+    with open(path, "r+b") as handle:
+        handle.write(raw)
+        handle.truncate()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    after = _pickled(_scan(path))
+    assert after == _pickled(_scan(other)) != before
+    assert parsed.count(path) == 1 and walked.count(path) == 1
+    with ColumnarFileReader(path) as reader, \
+            ColumnarFileReader(other) as fresh:
+        assert _directory(reader) == walk_blocks(reader) != old_blocks
+        assert reader.metadata == fresh.metadata == old_header
 
 
 def test_damage_in_place_after_a_cached_scan_still_raises(tmp_path):

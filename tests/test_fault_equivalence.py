@@ -60,13 +60,17 @@ def sessions(tmp_path_factory, engine):
 
 
 def _chaos_plan(token_dir):
-    """One worker SIGKILLed on map task 0, one hung on map task 1."""
+    """One worker SIGKILLed on map task 0, one hung on map task 1.
+
+    The hang matches any attempt of task 1 (``times=1`` fires it once):
+    task 1 may start before task 0's kill breaks the pool, be charged
+    that attempt and come back as attempt 1."""
     return FaultPlan(
         [
             Fault("pool.map_task", "kill",
                   match={"task_index": 0, "attempt": 0}),
             Fault("pool.map_task", "hang", seconds=30.0,
-                  match={"task_index": 1, "attempt": 0}),
+                  match={"task_index": 1}, times=1),
         ],
         token_dir=str(token_dir),
     )

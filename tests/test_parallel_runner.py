@@ -2,6 +2,7 @@
 counter merging across workers, spill/merge shuffle, and the runner knob."""
 
 import pickle
+import time
 
 import pytest
 
@@ -14,14 +15,13 @@ from repro.mapreduce import (
     InMemoryInput,
     LocalJobRunner,
     ParallelJobRunner,
+    Partitioner,
     resolve_runner,
     run_job,
     shuffle,
 )
 from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.mapreduce.metrics import JobMetrics
-from repro.storage.recordfile import RecordFileWriter
-from repro.storage.serialization import STRING_SCHEMA
 from tests.conftest import WEBPAGE, metrics_without_wall, write_webpages
 
 
@@ -163,6 +163,72 @@ class TestByteIdentity:
             )
         ParallelJobRunner(num_workers=2).run(in_memory_conf())
         assert glob.glob(str(tmp_path / "manimal-shuffle-*")) == []
+
+
+class FailsLateAndEarly(Mapper):
+    """One pair per map task: task 1 fails after a pause, task 3 at once,
+    so a worker meets task 3's failure first."""
+
+    def map(self, key, value, ctx):
+        if key == 1:
+            time.sleep(0.3)
+            raise ValueError("task 1 failed")
+        if key == 3:
+            raise KeyError("task 3 failed")
+        ctx.emit(key, value)
+
+
+class FailsOnPartitionsOneAndThree(Reducer):
+    def reduce(self, key, values, ctx):
+        if key == 1:
+            time.sleep(0.3)
+            raise ValueError("partition 1 failed")
+        if key == 3:
+            raise KeyError("partition 3 failed")
+        ctx.emit(key, sum(values))
+
+
+class ByKey(Partitioner):
+    def partition(self, key, num_partitions):
+        return key % num_partitions
+
+
+def _failure(runner, conf):
+    with pytest.raises(JobExecutionError) as raised:
+        runner.run(conf)
+    return type(raised.value), str(raised.value)
+
+
+class TestFailuresNameTheSequentialTask:
+    """A pooled job that fails raises the error of the task the
+    sequential runner fails on -- the lowest-indexed failing task of the
+    failing phase -- whichever failing task a worker finished first."""
+
+    @pytest.mark.parametrize("phase", ["map", "reduce"])
+    def test_the_lowest_failing_task_is_reported(self, phase):
+        pairs = [(k, k) for k in range(6)]
+        if phase == "map":
+            conf = JobConf(name="two-failures", mapper=FailsLateAndEarly,
+                           reducer=SumReducer, inputs=[InMemoryInput(pairs)])
+        else:
+            conf = JobConf(name="two-failures", mapper=FunctionMapper(
+                _emit_pair), reducer=FailsOnPartitionsOneAndThree,
+                partitioner=ByKey(), num_reducers=6,
+                inputs=[InMemoryInput(pairs)])
+        expected = _failure(LocalJobRunner(splits_per_input=6), conf)
+        unit = "task" if phase == "map" else "partition"
+        assert expected[1].endswith(f"{unit} 1 failed")
+        engine = ExecutionEngine(max_workers=2)
+        try:
+            runner = ParallelJobRunner(2, splits_per_input=6, engine=engine)
+            for _ in range(3):
+                assert _failure(runner, conf) == expected
+        finally:
+            engine.shutdown()
+
+
+def _emit_pair(key, value, ctx):
+    ctx.emit(key, value)
 
 
 class TestFluentEndToEnd:
