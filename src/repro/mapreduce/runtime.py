@@ -343,8 +343,9 @@ def _combine(conf: JobConf, keys: List[Any], values: List[Any],
     key order.  No key repeats within a task after combining, so the
     reduce's stable sort and the pool's sorted runs put the pairs back
     in the order the sorted combine would have left them.  Anything else
-    -- a user combiner, mixed key types, a user partitioner, a fold that
-    raises -- combines sorted (:func:`_run_combiner`).
+    -- a user combiner, a map-only job, mixed key types, a user
+    partitioner, a fold that raises -- combines sorted
+    (:func:`_run_combiner`).
     """
     fold = conf.combiner_fold
     firsts = (sort_order(keys, by_hash=True)
